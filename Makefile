@@ -29,8 +29,10 @@ lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck $(TAGFLAGS) ./...; \
 		else echo "staticcheck not installed, skipping"; fi
 
+# The per-package timeout turns a spinning kernel into a failure, not a
+# 10-minute hang; CI runs the same line at GOMAXPROCS 1, 2 and 4.
 test:
-	$(GO) test $(TAGFLAGS) ./...
+	$(GO) test $(TAGFLAGS) -timeout 300s ./...
 
 race:
 	$(GO) test $(TAGFLAGS) -race ./...
@@ -40,11 +42,10 @@ bench:
 	$(GO) test $(TAGFLAGS) -bench=. -benchmem -run=^$$ ./...
 
 # FHE op microbenchmarks -> BENCH_BASELINE.json (the perf trajectory file,
-# fused and unfused entries for the lintrans/bootstrap pairs, pipelined and
-# barriered pairs with -membw traffic columns), then the many-tenant serving
-# load driver merged in as the .serving field.
+# with -membw traffic columns on the probed rows), then the many-tenant
+# serving load driver merged in as the .serving field.
 micro:
-	$(GO) run ./cmd/anaheim-bench -micro -fusion both -membw -o BENCH_BASELINE.json
+	$(GO) run ./cmd/anaheim-bench -micro -membw -o BENCH_BASELINE.json
 	$(GO) run ./cmd/anaheim-bench -tenants 8 -mix logreg,lintrans -duration 3s \
 		-batch both -merge BENCH_BASELINE.json -o /dev/null
 

@@ -76,40 +76,6 @@ func NewLinearTransform(slots int, diags map[int][]complex128) *LinearTransform 
 	return ckks.NewLinearTransform(slots, diags)
 }
 
-// SetFusion toggles the process-wide fused ring-kernel paths (single-pass
-// multiply-accumulate with lazy reduction in key switching, hoisted linear
-// transforms, and the variadic addn/lincomb evaluator ops). On by default;
-// turning it off selects the textbook one-op-per-pass kernels, which is what
-// the fused-vs-unfused benchmarks and differential tests compare against.
-func SetFusion(on bool) { ckks.SetFusion(on) }
-
-// FusionEnabled reports whether the fused ring-kernel paths are active.
-func FusionEnabled() bool { return ckks.FusionEnabled() }
-
-// SetPipelined toggles the process-wide limb-pipelined evaluator chains:
-// key switching, rotation, rescaling, and hoisted linear transforms record
-// their per-limb kernel chains into a ring.Pipeline and execute whole chains
-// limb-by-limb under one barrier, keeping each limb row cache-resident
-// across consecutive kernels. On by default (and only active while fusion is
-// on); turning it off selects the barriered one-sweep-per-kernel execution,
-// which is what the pipelined-vs-barriered benchmarks and differential tests
-// compare against.
-func SetPipelined(on bool) { ckks.SetPipelined(on) }
-
-// PipelinedEnabled reports whether the limb-pipelined chains are active.
-func PipelinedEnabled() bool { return ckks.PipelinedEnabled() }
-
-// SetLevelAware toggles the process-wide level-aware key-switch gadget
-// plans: low-level key switches use a smaller special-modulus prefix and
-// wider digits chosen from the level's noise headroom. On by default;
-// turning it off pins every key switch to the legacy level-oblivious shape,
-// which is what the level-aware differential tests and benchmarks compare
-// against.
-func SetLevelAware(on bool) { ckks.SetLevelAware(on) }
-
-// LevelAwareEnabled reports whether level-aware key switching is active.
-func LevelAwareEnabled() bool { return ckks.LevelAwareEnabled() }
-
 // TestParameters returns a small, fast, insecure parameter set.
 func TestParameters() ParametersLiteral { return ckks.TestParameters() }
 

@@ -7,13 +7,10 @@
 //	anaheim-bench -all             # everything
 //	anaheim-bench -list            # available experiment ids
 //	anaheim-bench -micro -o BENCH_BASELINE.json   # FHE op microbenchmarks as JSON
-//	anaheim-bench -micro -fusion both             # fused+unfused lintrans/bootstrap entries
 //	anaheim-bench -micro -metrics                 # ...with obs registry snapshot attached
 //	anaheim-bench -micro -membw                   # ...with estimated DRAM bytes-moved per op
 //	anaheim-bench -compare BENCH_BASELINE.json -against new.json   # perf regression gate
 //	anaheim-bench -tiertable new.json             # per-kernel-tier rows as markdown
-//	anaheim-bench -membwtable new.json            # pipelined-vs-barriered traffic as markdown
-//	anaheim-bench -lttable new.json               # lintrans BSGS-vs-per-diagonal rows as markdown
 //	anaheim-bench -tenants 8 -mix logreg,lintrans -duration 5s -batch both
 //	                                              # many-tenant serving load driver:
 //	                                              # per-tier p50/p99, batch occupancy,
@@ -40,13 +37,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	micro := flag.Bool("micro", false, "run FHE op microbenchmarks, emit JSON")
-	fusion := flag.String("fusion", "both", "fused-kernel modes for -micro lintrans/bootstrap: both|on|off")
 	metrics := flag.Bool("metrics", false, "attach obs registry snapshot to -micro JSON")
 	membw := flag.Bool("membw", false, "attach estimated DRAM bytes-moved per op (ring traffic model) to -micro JSON")
 	outPath := flag.String("o", "", "write -micro JSON here instead of stdout")
 	tierTable := flag.String("tiertable", "", "emit the per-kernel-tier rows of a -micro JSON as a markdown table")
-	membwTable := flag.String("membwtable", "", "emit the pipelined-vs-barriered traffic rows of a -micro JSON as a markdown table")
-	ltTable := flag.String("lttable", "", "emit the linear-transform strategy rows (BSGS vs per-diagonal, with key-switch counts) of a -micro JSON as a markdown table")
 	compareBase := flag.String("compare", "", "baseline -micro JSON to compare against")
 	compareNew := flag.String("against", "", "candidate -micro JSON for -compare")
 	tolerance := flag.Float64("tolerance", 25, "percent ns/op slowdown tolerated by -compare")
@@ -98,16 +92,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case *membwTable != "":
-		if err := runMemBWTable(os.Stdout, *membwTable); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *ltTable != "":
-		if err := runLinTransTable(os.Stdout, *ltTable); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	case *compareBase != "":
 		regressed, err := runCompare(os.Stdout, *compareBase, *compareNew, *tolerance)
 		if err != nil {
@@ -128,7 +112,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := runMicro(out, *metrics, *fusion, *membw); err != nil {
+		if err := runMicro(out, *metrics, *membw); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"github.com/anaheim-sim/anaheim"
 	"github.com/anaheim-sim/anaheim/internal/ckks"
@@ -28,8 +27,8 @@ type microResult struct {
 	AllocsOp int64   `json:"allocsPerOp"`
 	BytesOp  int64   `json:"bytesPerOp"`
 	// MemBytesOp / MemSavedOp are the ring layer's estimated DRAM traffic per
-	// op (bytes moved, and bytes a pipelined chain avoided versus its
-	// barriered equivalent), sampled from the ring_bytes_moved_total /
+	// op (bytes moved, and bytes the pipelined chains avoided versus their
+	// barriered equivalents), sampled from the ring_bytes_moved_total /
 	// ring_bytes_saved_total counters around extra runs of the op when -membw
 	// is set. The model is deterministic (coefficient rows only, see
 	// internal/ring/traffic.go), so these diff exactly across runs.
@@ -37,9 +36,9 @@ type microResult struct {
 	MemSavedOp float64 `json:"memBytesSavedPerOp,omitempty"`
 	// RotationsOp is the number of key-switch gadget products one linear
 	// transform sweep spends (the ckks_lintrans_rotations_total delta around
-	// a single run), attached to the lintrans rows. Deterministic, so it
-	// diffs exactly: the BSGS row must sit at ~bs + K/bs while the
-	// per-diagonal row pays K.
+	// a single run), attached to the lintrans row. Deterministic, so it
+	// diffs exactly: a K-diagonal sweep under baby step bs sits at
+	// ~bs + K/bs where the per-diagonal plan would pay K.
 	RotationsOp float64 `json:"rotationsPerOp,omitempty"`
 }
 
@@ -66,22 +65,6 @@ type microReport struct {
 	// into the baseline artifact so serving-layer numbers ride next to the
 	// kernel ns/op ones. -compare ignores it.
 	Serving *loadReport `json:"serving,omitempty"`
-}
-
-// fusionModes maps the -fusion flag to the kernel modes the fused-path
-// benchmarks (lintrans, bootstrap) run in. "both" emits a -fused and an
-// -unfused entry per op in one report, which is what the CI bench stage and
-// the speedup gate diff.
-func fusionModes(mode string) ([]bool, error) {
-	switch mode {
-	case "both":
-		return []bool{true, false}, nil
-	case "on":
-		return []bool{true}, nil
-	case "off":
-		return []bool{false}, nil
-	}
-	return nil, fmt.Errorf("anaheim-bench: -fusion must be both, on, or off (got %q)", mode)
 }
 
 // nttBenchSetup builds per-limb tables and uniform coefficient rows for one
@@ -389,58 +372,6 @@ func addBConvBenches(benches map[string]func(b *testing.B)) {
 	}
 }
 
-// ksLevelGrid is the level-aware keyswitch grid: a 16-limb chain per logN,
-// measured at a low, mid, and top level with the level-aware plans on
-// (-levelaware rows) and off (-leveloblivious rows). The top-level pair
-// must tie — the top plan is pinned to the legacy shape — while the low
-// rows carry the payoff. A package variable so the JSON shape test can
-// shrink it.
-var ksLevelGrid = struct {
-	logNs  []int
-	limbs  int
-	levels []struct {
-		name string
-		lvl  int
-	}
-}{
-	logNs: []int{12, 13, 14, 15},
-	limbs: 16,
-	levels: []struct {
-		name string
-		lvl  int
-	}{{"low", 0}, {"mid", 7}, {"top", 15}},
-}
-
-// addLevelAwareBenches registers the keyswitch-levelaware grid rows.
-func addLevelAwareBenches(benches map[string]func(b *testing.B)) {
-	for _, logN := range ksLevelGrid.logNs {
-		for _, lv := range ksLevelGrid.levels {
-			for _, aware := range []bool{true, false} {
-				mode := "levelaware"
-				if !aware {
-					mode = "leveloblivious"
-				}
-				name := fmt.Sprintf("keyswitch-%s-n%d-%s", mode, logN, lv.name)
-				logN, lvl, aware := logN, lv.lvl, aware
-				benches[name] = func(b *testing.B) {
-					ev, ct, rlk, err := ksBenchSetup(logN, ksLevelGrid.limbs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ctL := ev.DropLevel(ct, lvl)
-					prev := ckks.LevelAwareEnabled()
-					ckks.SetLevelAware(aware)
-					defer ckks.SetLevelAware(prev)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ev.SwitchKeys(ctL, rlk)
-					}
-				}
-			}
-		}
-	}
-}
-
 // ringMoved / ringSaved are handles to the ring layer's DRAM-traffic model
 // counters (internal/ring/traffic.go). The registry hands back the same
 // counter for the same name, so these observe exactly what the kernels
@@ -487,263 +418,13 @@ func probeTraffic(op func() error) (moved, saved float64, err error) {
 	return (m1 - m0) / k, (s1 - s0) / k, nil
 }
 
-// pipeGrid is the pipelined-vs-barriered pair cell: the headline n14-l16
-// shape of the limb-pipelining rewrite (2 MB per operand — far beyond LLC,
-// which is where chain fusion pays). A package variable so the JSON shape
-// test can shrink it.
-var pipeGrid = struct {
-	logN, limbs int
-}{logN: 14, limbs: 16}
-
-// pipeBenchSetup is ksBenchSetup plus a rotation key, for the rotate pair
-// rows.
-func pipeBenchSetup(logN, limbs int) (*ckks.Evaluator, *ckks.Ciphertext, *ckks.SwitchingKey, error) {
-	logQ := make([]int, limbs)
-	logQ[0] = 55
-	for i := 1; i < limbs; i++ {
-		logQ[i] = 45
-	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN:     logN,
-		LogQ:     logQ,
-		LogP:     []int{50, 50, 50, 50},
-		LogScale: 45,
-		HDense:   64,
-		HSparse:  16,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	kgen := ckks.NewKeyGenerator(params, 3)
-	sk := kgen.GenSecretKey()
-	keys := ckks.NewEvaluationKeySet()
-	keys.Rlk = kgen.GenRelinearizationKey(sk)
-	kgen.GenRotationKeys(sk, keys, []int{1})
-	ev := ckks.NewEvaluator(params, keys)
-	rq := params.RingQ()
-	s := ring.NewSampler(7)
-	lvl := params.MaxLevel()
-	ct := &ckks.Ciphertext{
-		C0:    s.UniformPoly(rq, lvl, true),
-		C1:    s.UniformPoly(rq, lvl, true),
-		Scale: params.DefaultScale(),
-	}
-	return ev, ct, keys.Rlk, nil
-}
-
-// withCkksPipelined pins the evaluator-layer fusion+pipelining toggles for
-// one body and restores them. Fusion stays on in both modes so the pair
-// isolates chain pipelining, not kernel fusion.
-func withCkksPipelined(piped bool, body func() error) error {
-	prevF, prevP := ckks.FusionEnabled(), ckks.PipelinedEnabled()
-	ckks.SetFusion(true)
-	ckks.SetPipelined(piped)
-	defer func() {
-		ckks.SetFusion(prevF)
-		ckks.SetPipelined(prevP)
-	}()
-	return body()
-}
-
-// pairTiming re-times one pipelined/barriered row pair with the two modes
-// interleaved over a shared setup. Shared-runner noise comes in episodes
-// lasting longer than a whole testing.Benchmark run, so timing the two rows
-// minutes apart (or even retrying each a few times) can flip the sign of a
-// ~10-20% delta; alternating short batches of the two modes puts every
-// episode on both sides of the ratio. The interleaved numbers replace the
-// pair rows' NsPerOp in the report (allocs/bytes columns keep the
-// testing.Benchmark measurement, which is deterministic).
-type pairTiming struct {
-	pipedOp, barrOp string
-	measure         func() (pipedNs, barrNs float64, err error)
-}
-
-// measurePair interleaves rounds x batch ops per mode over one prepared op
-// closure and returns the mean ns/op per mode.
-func measurePair(rounds, batch int, op func() error) (pipedNs, barrNs float64, err error) {
-	var tPiped, tBarr time.Duration
-	for _, piped := range []bool{true, false} { // warm pools and caches in both modes
-		if err := withCkksPipelined(piped, op); err != nil {
-			return 0, 0, err
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		for _, piped := range []bool{true, false} {
-			err := withCkksPipelined(piped, func() error {
-				start := time.Now()
-				for i := 0; i < batch; i++ {
-					if err := op(); err != nil {
-						return err
-					}
-				}
-				if piped {
-					tPiped += time.Since(start)
-				} else {
-					tBarr += time.Since(start)
-				}
-				return nil
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	n := float64(rounds * batch)
-	return float64(tPiped.Nanoseconds()) / n, float64(tBarr.Nanoseconds()) / n, nil
-}
-
-// measureOpPair interleaves two different ops (instead of two toggle modes)
-// with the same batching discipline as measurePair, for pairs like
-// BSGS-vs-per-diagonal where the comparison is between algorithms, not
-// kernel modes.
-func measureOpPair(rounds, batch int, opA, opB func() error) (aNs, bNs float64, err error) {
-	var tA, tB time.Duration
-	for _, op := range []func() error{opA, opB} { // warm pools and caches
-		if err := op(); err != nil {
-			return 0, 0, err
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		for i, op := range []func() error{opA, opB} {
-			start := time.Now()
-			for k := 0; k < batch; k++ {
-				if err := op(); err != nil {
-					return 0, 0, err
-				}
-			}
-			if i == 0 {
-				tA += time.Since(start)
-			} else {
-				tB += time.Since(start)
-			}
-		}
-	}
-	n := float64(rounds * batch)
-	return float64(tA.Nanoseconds()) / n, float64(tB.Nanoseconds()) / n, nil
-}
-
-// addPipelineBenches registers the pipelined-vs-barriered pair rows for the
-// two hottest key-switching chains at the pipeGrid cell, plus their traffic
-// probes and interleaved pair timers. The pipelined row must beat the
-// barriered one on both ns/op and bytes moved — that pair is what -compare
-// gates after the limb-pipelining rewrite (DESIGN.md §3.13).
-func addPipelineBenches(benches map[string]func(b *testing.B), probes map[string]memProbe, pairs *[]pairTiming) {
-	cell := fmt.Sprintf("n%d-l%d", pipeGrid.logN, pipeGrid.limbs)
-	*pairs = append(*pairs,
-		pairTiming{
-			pipedOp: "keyswitch-pipelined-" + cell,
-			barrOp:  "keyswitch-barriered-" + cell,
-			measure: func() (float64, float64, error) {
-				ev, ct, rlk, err := ksBenchSetup(pipeGrid.logN, pipeGrid.limbs)
-				if err != nil {
-					return 0, 0, err
-				}
-				return measurePair(8, 3, func() error {
-					ev.SwitchKeys(ct, rlk)
-					return nil
-				})
-			},
-		},
-		pairTiming{
-			pipedOp: "rotate-pipelined-" + cell,
-			barrOp:  "rotate-barriered-" + cell,
-			measure: func() (float64, float64, error) {
-				ev, ct, _, err := pipeBenchSetup(pipeGrid.logN, pipeGrid.limbs)
-				if err != nil {
-					return 0, 0, err
-				}
-				return measurePair(8, 3, func() error {
-					_, err := ev.Rotate(ct, 1)
-					return err
-				})
-			},
-		},
-	)
-	for _, piped := range []bool{true, false} {
-		mode := "barriered"
-		if piped {
-			mode = "pipelined"
-		}
-		piped := piped
-		benches["keyswitch-"+mode+"-"+cell] = func(b *testing.B) {
-			ev, ct, rlk, err := ksBenchSetup(pipeGrid.logN, pipeGrid.limbs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			err = withCkksPipelined(piped, func() error {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev.SwitchKeys(ct, rlk)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		probes["keyswitch-"+mode+"-"+cell] = func() (float64, float64, error) {
-			ev, ct, rlk, err := ksBenchSetup(pipeGrid.logN, pipeGrid.limbs)
-			if err != nil {
-				return 0, 0, err
-			}
-			var moved, saved float64
-			err = withCkksPipelined(piped, func() error {
-				moved, saved, err = probeTraffic(func() error {
-					ev.SwitchKeys(ct, rlk)
-					return nil
-				})
-				return err
-			})
-			return moved, saved, err
-		}
-		benches["rotate-"+mode+"-"+cell] = func(b *testing.B) {
-			ev, ct, _, err := pipeBenchSetup(pipeGrid.logN, pipeGrid.limbs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			err = withCkksPipelined(piped, func() error {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ev.Rotate(ct, 1); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		probes["rotate-"+mode+"-"+cell] = func() (float64, float64, error) {
-			ev, ct, _, err := pipeBenchSetup(pipeGrid.logN, pipeGrid.limbs)
-			if err != nil {
-				return 0, 0, err
-			}
-			var moved, saved float64
-			err = withCkksPipelined(piped, func() error {
-				moved, saved, err = probeTraffic(func() error {
-					_, err := ev.Rotate(ct, 1)
-					return err
-				})
-				return err
-			})
-			return moved, saved, err
-		}
-	}
-}
-
 // runMicro benchmarks the FHE hot ops at the test-scale parameter set and
 // writes machine-readable JSON. testing.Benchmark picks the iteration count,
 // so wall-clock stays in seconds even on slow hosts. withMetrics attaches
-// the observability registry snapshot to the report. fusionMode selects the
-// kernel modes for the fused-path benchmarks (see fusionModes). withMemBW
-// additionally samples the ring traffic counters around the rows that have a
-// registered probe and attaches bytes-moved-per-op columns.
-func runMicro(out io.Writer, withMetrics bool, fusionMode string, withMemBW bool) error {
-	modes, err := fusionModes(fusionMode)
-	if err != nil {
-		return err
-	}
+// the observability registry snapshot to the report. withMemBW additionally
+// samples the ring traffic counters around the rows that have a registered
+// probe and attaches bytes-moved-per-op columns.
+func runMicro(out io.Writer, withMetrics, withMemBW bool) error {
 	ctx, err := anaheim.NewContext(anaheim.TestParameters(), 1)
 	if err != nil {
 		return err
@@ -805,8 +486,8 @@ func runMicro(out io.Writer, withMetrics bool, fusionMode string, withMemBW bool
 
 	probes := map[string]memProbe{
 		// Facade-level headline ops at the test preset: cheap to probe, and
-		// the membw column makes the default (pipelined) traffic visible next
-		// to their ns/op.
+		// the membw column makes their modeled traffic visible next to their
+		// ns/op.
 		"mul-relin-rescale": func() (float64, float64, error) {
 			return probeTraffic(func() error {
 				ctx.Mul(ctU, ctV)
@@ -821,33 +502,14 @@ func runMicro(out io.Writer, withMetrics bool, fusionMode string, withMemBW bool
 		},
 	}
 
-	var pairs []pairTiming
 	addNTTBenches(benches)
 	addBConvBenches(benches)
-	addLevelAwareBenches(benches)
 	addKernelTierBenches(benches)
-	addPipelineBenches(benches, probes, &pairs)
 
-	// Fused-path functional benchmarks: the hoisted linear transform and a
-	// full bootstrap, each in the requested fusion modes. These are the two
-	// workloads the §V rewrites target, so their fused/unfused ratio is the
-	// headline number of the report.
+	// The two workloads the §V rewrites target: a dense 32-diagonal linear
+	// transform — the grouped bootstrap-DFT shape, evaluated under the cost
+	// model's BSGS plan with the baby ∪ giant key set — and a full bootstrap.
 	slots := ctx.Params.Slots()
-	diags := make(map[int][]complex128)
-	for _, d := range []int{0, 1, 2, 3, 5, 8, 13, 21} {
-		row := make([]complex128, slots)
-		for i := range row {
-			row[i] = complex(float64((i+d)%5)/5, float64(d%3)/4)
-		}
-		diags[d%slots] = row
-	}
-	lt := anaheim.NewLinearTransform(slots, diags)
-	ctx.GenRotationKeys(lt.Rotations()...)
-
-	// Dense 32-diagonal transform — the grouped bootstrap-DFT shape where the
-	// BSGS factorization wins. Two instances of the same matrix: one left on
-	// the cost model's automatic choice (BSGS, keys = baby ∪ giant set), one
-	// forced onto the per-diagonal hoisted sweep with per-offset keys.
 	denseDiags := make(map[int][]complex128)
 	for d := 0; d < 32; d++ {
 		row := make([]complex128, slots)
@@ -856,11 +518,9 @@ func runMicro(out io.Writer, withMetrics bool, fusionMode string, withMemBW bool
 		}
 		denseDiags[d] = row
 	}
-	ltDense := anaheim.NewLinearTransform(slots, denseDiags)
-	ctx.GenLinearTransformKeys(ltDense)
-	ltDensePD := anaheim.NewLinearTransform(slots, denseDiags)
-	ltDensePD.SetBabyStep(-1)
-	ctx.GenRotationKeys(ltDensePD.Rotations()...)
+	lt := anaheim.NewLinearTransform(slots, denseDiags)
+	ctx.GenLinearTransformKeys(lt)
+	lintrans := func() error { _, err := ctx.EvaluateLinearTransform(ctU, lt); return err }
 
 	bootCtx, err := anaheim.NewContext(anaheim.BootParameters(), 2)
 	if err != nil {
@@ -878,148 +538,30 @@ func runMicro(out io.Writer, withMetrics bool, fusionMode string, withMemBW bool
 		return err
 	}
 	ctBoot = bootCtx.DropToLevel(ctBoot, 0)
+	bootstrap := func() error { _, err := bootCtx.Bootstrap(ctBoot); return err }
 
-	withFusion := func(fused bool, body func(b *testing.B)) func(b *testing.B) {
-		return func(b *testing.B) {
-			prev := anaheim.FusionEnabled()
-			anaheim.SetFusion(fused)
-			defer anaheim.SetFusion(prev)
-			body(b)
-		}
-	}
-	for _, fused := range modes {
-		suffix := "fused"
-		if !fused {
-			suffix = "unfused"
-		}
-		benches["lintrans-"+suffix] = withFusion(fused, func(b *testing.B) {
-			// Warm the diagonal-encoding cache so both modes measure kernels.
-			if _, err := ctx.EvaluateLinearTransform(ctU, lt); err != nil {
+	for name, op := range map[string]func() error{"lintrans": lintrans, "bootstrap": bootstrap} {
+		benches[name] = func(b *testing.B) {
+			// Warm the diagonal-encoding caches so the loop measures kernels.
+			if err := op(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ctx.EvaluateLinearTransform(ctU, lt); err != nil {
+				if err := op(); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		benches["bootstrap-"+suffix] = withFusion(fused, func(b *testing.B) {
-			if _, err := bootCtx.Bootstrap(ctBoot); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bootCtx.Bootstrap(ctBoot); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
+		probes[name] = func() (float64, float64, error) { return probeTraffic(op) }
 	}
 
-	// BSGS-vs-per-diagonal pair on the dense matrix (both rows run the
-	// default kernel modes; the strategies differ, not the toggles). The
-	// rotation-count column is sampled separately per row below.
-	benches["lintrans-bsgs"] = func(b *testing.B) {
-		if _, err := ctx.EvaluateLinearTransform(ctU, ltDense); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.EvaluateLinearTransform(ctU, ltDense); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	benches["lintrans-perdiag"] = func(b *testing.B) {
-		if _, err := ctx.EvaluateLinearTransform(ctU, ltDensePD); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ctx.EvaluateLinearTransform(ctU, ltDensePD); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	pairs = append(pairs, pairTiming{
-		pipedOp: "lintrans-bsgs",
-		barrOp:  "lintrans-perdiag",
-		measure: func() (float64, float64, error) {
-			return measureOpPair(8, 3,
-				func() error { _, err := ctx.EvaluateLinearTransform(ctU, ltDense); return err },
-				func() error { _, err := ctx.EvaluateLinearTransform(ctU, ltDensePD); return err })
-		},
-	})
-
-	// Key-switch counts per sweep, from the lintrans rotation counter — a
-	// deterministic column, so -compare style diffs see strategy regressions
-	// even when ns/op jitter hides them.
-	rotProbes := map[string]func() error{
-		"lintrans-bsgs":    func() error { _, err := ctx.EvaluateLinearTransform(ctU, ltDense); return err },
-		"lintrans-perdiag": func() error { _, err := ctx.EvaluateLinearTransform(ctU, ltDensePD); return err },
-	}
-	for _, fused := range modes {
-		suffix := "fused"
-		if !fused {
-			suffix = "unfused"
-		}
-		rotProbes["lintrans-"+suffix] = func() error { _, err := ctx.EvaluateLinearTransform(ctU, lt); return err }
-	}
+	// Key-switch count per sweep, from the lintrans rotation counter — a
+	// deterministic column, so -compare style diffs see plan regressions even
+	// when ns/op jitter hides them.
 	rotTotal := func() float64 {
 		return obs.Default.Snapshot().Counters["ckks_lintrans_rotations_total"]
 	}
-
-	// Pipelined-vs-barriered bootstrap pair (fusion pinned on in both modes,
-	// same discipline as addPipelineBenches): the DFT diag sweeps plus the
-	// per-rotation ModDowns are the deepest chain stack in the repo, so this
-	// is where the bytes-saved column is largest.
-	for _, piped := range []bool{true, false} {
-		mode := "barriered"
-		if piped {
-			mode = "pipelined"
-		}
-		piped := piped
-		benches["bootstrap-"+mode] = func(b *testing.B) {
-			err := withCkksPipelined(piped, func() error {
-				if _, err := bootCtx.Bootstrap(ctBoot); err != nil {
-					return err
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := bootCtx.Bootstrap(ctBoot); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		probes["bootstrap-"+mode] = func() (float64, float64, error) {
-			var moved, saved float64
-			err := withCkksPipelined(piped, func() error {
-				var err error
-				moved, saved, err = probeTraffic(func() error {
-					_, err := bootCtx.Bootstrap(ctBoot)
-					return err
-				})
-				return err
-			})
-			return moved, saved, err
-		}
-	}
-	pairs = append(pairs, pairTiming{
-		pipedOp: "bootstrap-pipelined",
-		barrOp:  "bootstrap-barriered",
-		measure: func() (float64, float64, error) {
-			return measurePair(3, 1, func() error {
-				_, err := bootCtx.Bootstrap(ctBoot)
-				return err
-			})
-		},
-	})
 
 	rep := microReport{
 		GoVersion:  runtime.Version(),
@@ -1056,33 +598,16 @@ func runMicro(out io.Writer, withMetrics bool, fusionMode string, withMemBW bool
 			res.MemSavedOp = saved
 			membw = fmt.Sprintf(" %9.1f MB moved/op", moved/(1<<20))
 		}
-		if probe, ok := rotProbes[name]; ok {
+		if name == "lintrans" {
 			before := rotTotal()
-			if err := probe(); err != nil {
-				return fmt.Errorf("anaheim-bench: rotation probe %s: %w", name, err)
+			if err := lintrans(); err != nil {
+				return fmt.Errorf("anaheim-bench: rotation probe: %w", err)
 			}
 			res.RotationsOp = rotTotal() - before
 		}
 		rep.Results = append(rep.Results, res)
 		fmt.Fprintf(os.Stderr, "%-28s %12.0f ns/op %8d allocs/op%s\n",
 			name, res.NsPerOp, res.AllocsOp, membw)
-	}
-
-	// Replace the pair rows' ns/op with the interleaved measurement (see
-	// pairTiming) so the pipelined-vs-barriered ratio survives noisy hosts.
-	byOp := make(map[string]*microResult, len(rep.Results))
-	for i := range rep.Results {
-		byOp[rep.Results[i].Op] = &rep.Results[i]
-	}
-	for _, pt := range pairs {
-		pipedNs, barrNs, err := pt.measure()
-		if err != nil {
-			return fmt.Errorf("anaheim-bench: pair timing %s: %w", pt.pipedOp, err)
-		}
-		byOp[pt.pipedOp].NsPerOp = pipedNs
-		byOp[pt.barrOp].NsPerOp = barrNs
-		fmt.Fprintf(os.Stderr, "%-28s %12.0f ns/op vs %12.0f ns/op %s (interleaved, %0.2fx)\n",
-			pt.pipedOp, pipedNs, barrNs, pt.barrOp, barrNs/pipedNs)
 	}
 
 	if withMetrics {

@@ -88,7 +88,7 @@ func BenchmarkKeySwitch(b *testing.B) {
 	}
 }
 
-func BenchmarkLinearTransformHoistedFunc(b *testing.B) {
+func BenchmarkLinearTransformFunc(b *testing.B) {
 	tc := benchContext(b)
 	r := rand.New(rand.NewSource(6))
 	lt := randomSparseLT(r, tc.params.Slots(), []int{0, 1, 2, 3, 5, 8, 13, 21})
@@ -96,7 +96,7 @@ func BenchmarkLinearTransformHoistedFunc(b *testing.B) {
 	ct := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc); err != nil {
+		if _, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,11 +77,10 @@ func (pl *bsgsPlan) keySwitchCount() int {
 
 // newBSGSPlan factors the diagonal set under the given baby step. Iteration
 // is over sorted offsets so the plan — and therefore the kernel execution
-// order — is deterministic.
-func newBSGSPlan(diags map[int][]complex128, n, bs int) *bsgsPlan {
-	if bs < 1 {
-		return nil
-	}
+// order — is deterministic. A baby step of the slot count (or more) is the
+// degenerate plan: one rotation-0 giant owning every diagonal, i.e. the
+// per-diagonal hoisted sweep.
+func newBSGSPlan(diags map[int][]complex128, bs int) *bsgsPlan {
 	rs := make([]int, 0, len(diags))
 	for r := range diags {
 		rs = append(rs, r)
@@ -129,7 +128,7 @@ type sweepShape struct {
 // extended basis plus the source INTT, a gadget product 2·Digits extended
 // passes, a ModDown one pass over P plus Q, and a giant epilogue one σ+add
 // pass over the QP accumulators. The legacy plan shape is used so the choice
-// is deterministic and independent of the level-aware toggle.
+// does not depend on which gadget bands the keys at hand carry.
 func sweepRowCost(p *Parameters, lvl int, s sweepShape) int {
 	pl := p.LegacyPlanAt(lvl)
 	ext := lvl + 1 + pl.Alpha
@@ -144,7 +143,7 @@ func sweepRowCost(p *Parameters, lvl int, s sweepShape) int {
 // step bs: (1 + G₁) decompositions, (B₁ + G₁) gadget products, (G₁ + 2)
 // ModDowns and G₁ giant epilogues, where B₁/G₁ are the distinct nonzero baby
 // and giant counts. G₁ == 0 means the factorization degenerates to the
-// per-diagonal hoisted sweep.
+// per-diagonal plan.
 func bsgsShape(diags map[int][]complex128, bs int) (sweepShape, bool) {
 	babies := make(map[int]bool)
 	giants := make(map[int]bool)
@@ -174,8 +173,8 @@ func bsgsShape(diags map[int][]complex128, bs int) (sweepShape, bool) {
 // keeps the choice — and hence the Galois key set — stable across the
 // ciphertext's descent). Candidates are the powers of two below the slot
 // count: the bootstrap DFT diagonals are symmetric sets of power-of-two
-// multiples, which power-of-two baby steps tile exactly. Returns 0 when the
-// per-diagonal hoisted sweep is never beaten.
+// multiples, which power-of-two baby steps tile exactly. Returns the slot
+// count (the degenerate per-diagonal plan) when no factorization beats it.
 func (lt *LinearTransform) selectBabyStep(p *Parameters) int {
 	nonzero := 0
 	for r := range lt.Diags {
@@ -184,10 +183,10 @@ func (lt *LinearTransform) selectBabyStep(p *Parameters) int {
 		}
 	}
 	if nonzero <= 2 {
-		return 0
+		return lt.Slots
 	}
 	lvl := p.MaxLevel()
-	bestBS := 0
+	bestBS := lt.Slots
 	bestCost := sweepRowCost(p, lvl, sweepShape{decomps: 1, gadgets: nonzero, modDowns: 2})
 	for bs := 2; bs < lt.Slots; bs <<= 1 {
 		shape, ok := bsgsShape(lt.Diags, bs)
@@ -201,66 +200,23 @@ func (lt *LinearTransform) selectBabyStep(p *Parameters) int {
 	return bestBS
 }
 
-// SetBabyStep overrides the cost model's baby-step choice: bs > 0 forces the
-// BSGS factorization with that baby step, bs < 0 forces the per-diagonal
-// hoisted sweep, bs == 0 restores the automatic choice. Pre-rotated encodings
-// cached for a previous baby step are dropped.
-func (lt *LinearTransform) SetBabyStep(bs int) {
-	lt.bsgsMu.Lock()
-	switch {
-	case bs > 0:
-		lt.bsgsOverride = bs
-	case bs < 0:
-		lt.bsgsOverride = -1
-	default:
-		lt.bsgsOverride = 0
-	}
-	lt.bsgsReady = false
-	lt.bsgsSel = nil
-	lt.bsgsMu.Unlock()
-	lt.dropPreRotated()
-}
-
-// bsgsPlanFor returns the transform's BSGS plan under the parameters, or nil
-// when the per-diagonal hoisted sweep is the better (or forced) strategy. The
-// plan is computed once and cached; SetBabyStep invalidates it.
-func (lt *LinearTransform) bsgsPlanFor(p *Parameters) *bsgsPlan {
-	lt.bsgsMu.Lock()
-	defer lt.bsgsMu.Unlock()
-	if lt.bsgsOverride < 0 {
-		return nil
-	}
-	if lt.bsgsOverride > 0 {
-		if lt.bsgsSel == nil || lt.bsgsSel.bs != lt.bsgsOverride {
-			lt.bsgsSel = newBSGSPlan(lt.Diags, lt.Slots, lt.bsgsOverride)
-		}
-		return lt.bsgsSel
-	}
-	if !lt.bsgsReady {
-		if bs := lt.selectBabyStep(p); bs > 0 {
-			lt.bsgsSel = newBSGSPlan(lt.Diags, lt.Slots, bs)
-		}
-		lt.bsgsReady = true
-	}
-	return lt.bsgsSel
+// sweepPlan returns the cost model's plan for the transform under the
+// parameters, computed once and cached.
+func (lt *LinearTransform) sweepPlan(p *Parameters) *bsgsPlan {
+	lt.planOnce.Do(func() { lt.plan = newBSGSPlan(lt.Diags, lt.selectBabyStep(p)) })
+	return lt.plan
 }
 
 // GaloisKeysForLinearTransform returns the rotation indices the evaluator's
-// selected strategy needs for the given transforms: the baby ∪ giant set for
-// BSGS-eligible transforms, the raw diagonal offsets otherwise. Generating
-// exactly these keys is what turns the BSGS rotation saving into an
-// evaluation-key memory saving too (≤ bs + ⌈K/bs⌉ keys instead of K).
+// selected plans need for the given transforms: the baby ∪ giant set, which
+// for the degenerate plan is the raw diagonal offsets. Generating exactly
+// these keys is what turns the BSGS rotation saving into an evaluation-key
+// memory saving too (≤ bs + ⌈K/bs⌉ keys instead of K).
 func GaloisKeysForLinearTransform(p *Parameters, lts ...*LinearTransform) []int {
 	set := make(map[int]bool)
 	for _, lt := range lts {
-		if plan := lt.bsgsPlanFor(p); plan != nil {
-			for _, r := range plan.rotations() {
-				set[r] = true
-			}
-		} else {
-			for _, r := range lt.Rotations() {
-				set[r] = true
-			}
+		for _, r := range lt.sweepPlan(p).rotations() {
+			set[r] = true
 		}
 	}
 	out := make([]int, 0, len(set))
@@ -271,35 +227,47 @@ func GaloisKeysForLinearTransform(p *Parameters, lts ...*LinearTransform) []int 
 	return out
 }
 
-// hasGaloisKeys reports whether every listed rotation has a Galois key.
-func (ev *Evaluator) hasGaloisKeys(rotations []int) bool {
+// sweepKeys resolves the Galois key of every rotation the plan spends, keyed
+// by rotation index.
+func (ev *Evaluator) sweepKeys(plan *bsgsPlan) (map[int]*SwitchingKey, error) {
 	rq := ev.params.RingQ()
-	for _, r := range rotations {
-		if _, err := ev.keys.GaloisKey(rq.GaloisElement(r)); err != nil {
-			return false
+	rots := plan.rotations()
+	keys := make(map[int]*SwitchingKey, len(rots))
+	for _, r := range rots {
+		swk, err := ev.keys.GaloisKey(rq.GaloisElement(r))
+		if err != nil {
+			return nil, err
 		}
+		keys[r] = swk
 	}
-	return true
+	return keys, nil
 }
 
-// EvaluateLinearTransform computes M·u with the cheapest available strategy:
-// the BSGS double-hoisted sweep when the cost model selects it and the baby +
-// giant Galois keys are present (they are when the key set was generated via
-// GaloisKeysForLinearTransform), else the per-diagonal hoisted sweep — so
-// callers holding only per-diagonal keys keep working unchanged.
+// EvaluateLinearTransform computes M·u under the cost model's plan when the
+// key set holds its baby + giant Galois keys (it does when generated via
+// GaloisKeysForLinearTransform), else under the degenerate plan, which needs
+// exactly the diagonal offsets — so callers holding only per-diagonal keys
+// keep working unchanged. The diagonals are encoded at the scale of the
+// ciphertext's top prime so that the caller's Rescale restores the input
+// scale exactly.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
-	if plan := lt.bsgsPlanFor(ev.params); plan != nil && ev.hasGaloisKeys(plan.rotations()) {
-		return ev.EvaluateLinearTransformBSGS(ct, lt, enc)
+	plan := lt.sweepPlan(ev.params)
+	keys, err := ev.sweepKeys(plan)
+	if err != nil && plan.bs < lt.Slots {
+		plan = newBSGSPlan(lt.Diags, lt.Slots)
+		keys, err = ev.sweepKeys(plan)
 	}
-	return ev.EvaluateLinearTransformHoisted(ct, lt, enc)
+	if err != nil {
+		return nil, err
+	}
+	return ev.evaluateSweep(ct, lt, enc, plan, keys)
 }
 
 // giantAcc holds one giant step's accumulators. The baby-rotated key-switched
 // halves accumulate in the extended QP basis (t*), the σ_b(c0) products and
-// the unrotated (b == 0) c1 product stay in Q (a0/a1) — the same Q-vs-QP
-// split as the hoisted sweep, but per giant. For the rotation-0 giant the
-// fields alias the sweep's final accumulators directly, so its contributions
-// skip the giant epilogue entirely.
+// the unrotated (b == 0) c1 product stay in Q (a0/a1). For the rotation-0
+// giant the fields alias the sweep's final accumulators directly, so its
+// contributions skip the giant epilogue entirely.
 type giantAcc struct {
 	t0q, t1q *ring.Poly // QP accumulators, Q half
 	t0p, t1p *ring.Poly // QP accumulators, P half
@@ -318,20 +286,17 @@ type bsgsBabyTarget struct {
 	ptQ, ptP *ring.Poly
 }
 
-// EvaluateLinearTransformBSGS computes M·u with the baby-step/giant-step
-// double-hoisting strategy. Falls back to the per-diagonal hoisted sweep when
-// the cost model rejects the factorization. The output scale is
-// ct.Scale · q_lvl, exactly like the hoisted sweep, so the caller's Rescale
-// restores the input scale.
-func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
-	plan := lt.bsgsPlanFor(ev.params)
-	if plan == nil {
-		return ev.EvaluateLinearTransformHoisted(ct, lt, enc)
-	}
-	fused := FusionEnabled()
-	piped := pipelineActive()
-	defer obsLinTransBSGS.done(time.Now())
-	sweep := obs.DefaultTracer.Start("lintrans-bsgs", 0)
+// evaluateSweep computes M·u under the given plan — the one linear-transform
+// path: every baby rotation hoisted off one decomposition of c1, each nonzero
+// giant's inner sum key-switched once with its ModDown deferred (double
+// hoisting, Fig 1/Fig 5), PMULT and accumulation in the extended modulus PQ,
+// a single ModDown at the end. keys holds the Galois key of every rotation in
+// plan.rotations() (see sweepKeys). The output scale is ct.Scale · q_lvl, so
+// the caller's Rescale restores the input scale.
+func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Encoder,
+	plan *bsgsPlan, keys map[int]*SwitchingKey) (*Ciphertext, error) {
+	defer obsLinTrans.done(time.Now())
+	sweep := obs.DefaultTracer.Start("lintrans", 0)
 	sweep.Annotate(fmt.Sprintf("bs=%d diags=%d ks=%d", plan.bs, len(lt.Diags), plan.keySwitchCount()))
 	defer sweep.End()
 
@@ -340,34 +305,16 @@ func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTrans
 	lvl := ct.Level()
 	ptScale := float64(rq.Moduli[lvl].Q)
 
-	diags, err := lt.encodedBSGSAt(enc, lvl, ptScale, plan)
+	diags, err := lt.encodedAt(enc, lvl, ptScale, plan)
 	if err != nil {
 		return nil, err
 	}
 
-	// Resolve every Galois key before decomposing: the hoisted digits are
-	// shared across all baby rotations, so the gadget plan (and its per-key
-	// band check) must see the full baby + giant key list up front.
-	babyKeys := make(map[int]*SwitchingKey, len(plan.babies))
-	planKeys := make([]*SwitchingKey, 0, len(plan.babies)+len(plan.giants))
-	for _, b := range plan.babies {
-		swk, err := ev.keys.GaloisKey(rq.GaloisElement(b))
-		if err != nil {
-			return nil, err
-		}
-		babyKeys[b] = swk
-		planKeys = append(planKeys, swk)
-	}
-	giantKeys := make(map[int]*SwitchingKey, len(plan.giants))
-	for _, g := range plan.giants {
-		if g.rot == 0 {
-			continue
-		}
-		swk, err := ev.keys.GaloisKey(rq.GaloisElement(g.rot))
-		if err != nil {
-			return nil, err
-		}
-		giantKeys[g.rot] = swk
+	// The hoisted digits are shared across all baby rotations, so the gadget
+	// plan (and its per-key band check) must see the full baby + giant key
+	// list before decomposing.
+	planKeys := make([]*SwitchingKey, 0, len(keys))
+	for _, swk := range keys {
 		planKeys = append(planKeys, swk)
 	}
 	gpl := ev.planFor(lvl, planKeys...)
@@ -376,8 +323,9 @@ func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTrans
 	dec := ev.decomposePlan(ct.C1, lvl, gpl)
 	defer dec.release(p)
 
-	// Final accumulators (same roles as the hoisted sweep's). The rotation-0
-	// giant writes them directly — its inner sum needs no giant rotation.
+	// Final accumulators: Q-basis for the rotation-0 term and the c0 parts,
+	// QP-basis for the hoisted key-switched parts. The rotation-0 giant writes
+	// them directly — its inner sum needs no giant rotation.
 	accE0q, accE1q := rq.NewPoly(lvl), rq.NewPoly(lvl)
 	accE0p, accE1p := rp.NewPoly(lvlP), rp.NewPoly(lvlP)
 	accQ0, accQ1 := rq.NewPoly(lvl), rq.NewPoly(lvl)
@@ -422,7 +370,7 @@ func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTrans
 		for _, d := range g.diags {
 			ed, ok := diags[d.r]
 			if !ok {
-				return nil, fmt.Errorf("ckks: bsgs encoding missing diagonal %d", d.r)
+				return nil, fmt.Errorf("ckks: sweep encoding missing diagonal %d", d.r)
 			}
 			perBaby[d.b] = append(perBaby[d.b], bsgsBabyTarget{acc: accs[i], ptQ: ed.q, ptP: ed.p})
 		}
@@ -434,13 +382,8 @@ func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTrans
 	for _, tg := range perBaby[0] {
 		ga := tg.acc
 		ensureA(ga)
-		if fused {
-			rq.MulCoeffsAddLazy(ga.a0q, ct.C0, tg.ptQ, lvl)
-			rq.MulCoeffsAddLazy(ga.a1q, ct.C1, tg.ptQ, lvl)
-		} else {
-			rq.MulCoeffsAdd(ga.a0q, ct.C0, tg.ptQ, lvl)
-			rq.MulCoeffsAdd(ga.a1q, ct.C1, tg.ptQ, lvl)
-		}
+		rq.MulCoeffsAddLazy(ga.a0q, ct.C0, tg.ptQ, lvl)
+		rq.MulCoeffsAddLazy(ga.a1q, ct.C1, tg.ptQ, lvl)
 		ga.hasA0, ga.hasA1 = true, true
 	}
 
@@ -454,86 +397,23 @@ func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTrans
 			ensureA(tg.acc)
 			tg.acc.hasA0 = true
 		}
-		g := rq.GaloisElement(b)
-		swk := babyKeys[b]
 		obsLinTransRotations.Inc()
-		if piped {
-			ev.babyAccumPipelined(dec, swk, targets, ct.C0, g)
-			continue
-		}
-		if fused {
-			u0q, u1q := rq.GetPoly(lvl), rq.GetPoly(lvl)
-			u0p, u1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-			u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
-			ev.gadgetProductLazyInto(dec, swk, u0q, u1q, u0p, u1p)
-			for _, tg := range targets {
-				ga := tg.acc
-				rq.AutMulCoeffsAddLazy(ga.t0q, u0q, tg.ptQ, g, lvl)
-				rq.AutMulCoeffsAddLazy(ga.t1q, u1q, tg.ptQ, g, lvl)
-				rp.AutMulCoeffsAddLazy(ga.t0p, u0p, tg.ptP, g, lvlP)
-				rp.AutMulCoeffsAddLazy(ga.t1p, u1p, tg.ptP, g, lvlP)
-				rq.AutMulCoeffsAddLazy(ga.a0q, ct.C0, tg.ptQ, g, lvl)
-			}
-			rq.PutPoly(u0q)
-			rq.PutPoly(u1q)
-			rp.PutPoly(u0p)
-			rp.PutPoly(u1p)
-			continue
-		}
-		// Unfused: rotate the key-switched halves (and c0) once per baby,
-		// then exact PMULT+accumulate passes per consuming giant.
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
-		rot0q, rot1q := rq.GetPoly(lvl), rq.GetPoly(lvl)
-		rot0p, rot1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-		rq.AutomorphismNTT(rot0q, u0q, g, lvl)
-		rq.AutomorphismNTT(rot1q, u1q, g, lvl)
-		rp.AutomorphismNTT(rot0p, u0p, g, lvlP)
-		rp.AutomorphismNTT(rot1p, u1p, g, lvlP)
-		rq.PutPoly(u0q)
-		rq.PutPoly(u1q)
-		rp.PutPoly(u0p)
-		rp.PutPoly(u1p)
-		rotC0 := rq.GetPoly(lvl)
-		rq.AutomorphismNTT(rotC0, ct.C0, g, lvl)
-		for _, tg := range targets {
-			ga := tg.acc
-			rq.MulCoeffsAdd(ga.t0q, rot0q, tg.ptQ, lvl)
-			rq.MulCoeffsAdd(ga.t1q, rot1q, tg.ptQ, lvl)
-			rp.MulCoeffsAdd(ga.t0p, rot0p, tg.ptP, lvlP)
-			rp.MulCoeffsAdd(ga.t1p, rot1p, tg.ptP, lvlP)
-			rq.MulCoeffsAdd(ga.a0q, rotC0, tg.ptQ, lvl)
-		}
-		rq.PutPoly(rot0q)
-		rq.PutPoly(rot1q)
-		rp.PutPoly(rot0p)
-		rp.PutPoly(rot1p)
-		rq.PutPoly(rotC0)
+		ev.babyAccum(dec, keys[b], targets, ct.C0, rq.GaloisElement(b))
 	}
 
 	// Phase boundary: normalize every lazy accumulator once, so the giant
 	// phase can mix exact adds and σ permutations freely.
-	if fused {
-		var qs, ps []*ring.Poly
-		for _, ga := range accs {
-			if ga.ext {
-				qs = append(qs, ga.t0q, ga.t1q)
-				ps = append(ps, ga.t0p, ga.t1p)
-			}
-			if ga.hasA0 || ga.hasA1 {
-				qs = append(qs, ga.a0q, ga.a1q)
-			}
+	var qs, ps []*ring.Poly
+	for _, ga := range accs {
+		if ga.ext {
+			qs = append(qs, ga.t0q, ga.t1q)
+			ps = append(ps, ga.t0p, ga.t1p)
 		}
-		if piped {
-			ev.reduceManyPipelined(qs, lvl, ps, lvlP)
-		} else {
-			for _, q := range qs {
-				rq.ReduceLazy(q, lvl)
-			}
-			for _, pp := range ps {
-				rp.ReduceLazy(pp, lvlP)
-			}
+		if ga.hasA0 || ga.hasA1 {
+			qs = append(qs, ga.a0q, ga.a1q)
 		}
 	}
+	ev.reduceMany(qs, lvl, ps, lvlP)
 
 	// Giant step: key-switch each nonzero giant's inner sum once by its
 	// rotation. The inner sum's c1 is reconstructed in Q (one ModDown of the
@@ -561,83 +441,34 @@ func (ev *Evaluator) EvaluateLinearTransformBSGS(ct *Ciphertext, lt *LinearTrans
 				rq.Add(t1, t1, ga.a1q, lvl)
 			}
 		} else {
-			t1 = ga.a1q
-		}
-		if !ga.ext {
 			// Giant with only a b == 0 diagonal: fresh zero QP accumulators
 			// receive the gadget product alone.
+			t1 = ga.a1q
 			ga.t0q, ga.t1q, ga.t0p, ga.t1p = newQP()
 		}
 
 		decG := ev.decomposePlan(t1, lvl, gpl)
 		obsLinTransRotations.Inc()
-		gk := giantKeys[g.rot]
-		gal := rq.GaloisElement(g.rot)
 
+		// gadgetProductInto reduces its accumulators on exit, so the σ+add
+		// epilogue below reads exact values.
 		w1q, w1p := rq.NewPoly(lvl), rp.NewPoly(lvlP)
 		w1q.IsNTT, w1p.IsNTT = true, true
-		if piped {
-			// gadgetProductPipelined reduces its accumulators on exit, so the
-			// σ+add epilogue below reads exact values.
-			ev.gadgetProductPipelined(decG, gk, ga.t0q, w1q, ga.t0p, w1p)
-		} else if fused {
-			ev.gadgetProductLazyInto(decG, gk, ga.t0q, w1q, ga.t0p, w1p)
-			rq.ReduceLazy(ga.t0q, lvl)
-			rq.ReduceLazy(w1q, lvl)
-			rp.ReduceLazy(ga.t0p, lvlP)
-			rp.ReduceLazy(w1p, lvlP)
-		} else {
-			v0q, v0p, v1q, v1p := ev.gadgetProduct(decG, gk)
-			rq.Add(ga.t0q, ga.t0q, v0q, lvl)
-			rp.Add(ga.t0p, ga.t0p, v0p, lvlP)
-			rq.Add(w1q, w1q, v1q, lvl)
-			rp.Add(w1p, w1p, v1p, lvlP)
-			rq.PutPoly(v0q)
-			rq.PutPoly(v1q)
-			rp.PutPoly(v0p)
-			rp.PutPoly(v1p)
-		}
+		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p)
 		decG.release(p)
 
 		// σ_g the giant's three partial results into the sweep accumulators.
-		if piped {
-			var a0 *ring.Poly
-			if ga.hasA0 {
-				a0 = ga.a0q
-			}
-			ev.giantAccumPipelined(ga.t0q, w1q, ga.t0p, w1p, a0, accE0q, accE1q, accE0p, accE1p, accQ0, gal)
-		} else {
-			tmpQ := rq.GetPoly(lvl)
-			rq.AutomorphismNTT(tmpQ, ga.t0q, gal, lvl)
-			rq.Add(accE0q, accE0q, tmpQ, lvl)
-			rq.AutomorphismNTT(tmpQ, w1q, gal, lvl)
-			rq.Add(accE1q, accE1q, tmpQ, lvl)
-			if ga.hasA0 {
-				rq.AutomorphismNTT(tmpQ, ga.a0q, gal, lvl)
-				rq.Add(accQ0, accQ0, tmpQ, lvl)
-			}
-			rq.PutPoly(tmpQ)
-			tmpP := rp.GetPoly(lvlP)
-			rp.AutomorphismNTT(tmpP, ga.t0p, gal, lvlP)
-			rp.Add(accE0p, accE0p, tmpP, lvlP)
-			rp.AutomorphismNTT(tmpP, w1p, gal, lvlP)
-			rp.Add(accE1p, accE1p, tmpP, lvlP)
-			rp.PutPoly(tmpP)
+		var a0 *ring.Poly
+		if ga.hasA0 {
+			a0 = ga.a0q
 		}
+		ev.giantAccum(ga.t0q, w1q, ga.t0p, w1p, a0, accE0q, accE1q, accE0p, accE1p, accQ0, rq.GaloisElement(g.rot))
 		span.End()
 	}
 
 	out := &Ciphertext{Scale: ct.Scale * ptScale}
 	if anyExt {
-		if piped {
-			out.C0, out.C1 = ev.modDownPairPipelined(accE0q, accE0p, accE1q, accE1p, accQ0, accQ1, lvl)
-		} else {
-			d0 := ev.ModDown(accE0q, accE0p, lvl)
-			d1 := ev.ModDown(accE1q, accE1p, lvl)
-			rq.Add(d0, d0, accQ0, lvl)
-			rq.Add(d1, d1, accQ1, lvl)
-			out.C0, out.C1 = d0, d1
-		}
+		out.C0, out.C1 = ev.modDownPair(accE0q, accE0p, accE1q, accE1p, accQ0, accQ1, lvl)
 	} else {
 		out.C0, out.C1 = accQ0, accQ1
 	}

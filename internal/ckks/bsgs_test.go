@@ -8,24 +8,20 @@ import (
 	"testing"
 )
 
-// withExecModes runs f once per execution mode (unfused, fused, pipelined),
-// restoring the process-wide toggles after.
-func withExecModes(t *testing.T, f func(mode string)) {
+// sweepWith evaluates lt under an explicit baby step, resolving the plan's
+// Galois keys from the context's key set.
+func (tc *testContext) sweepWith(t testing.TB, ct *Ciphertext, lt *LinearTransform, bs int) *Ciphertext {
 	t.Helper()
-	prevF, prevP := FusionEnabled(), PipelinedEnabled()
-	defer func() { SetFusion(prevF); SetPipelined(prevP) }()
-	for _, m := range []struct {
-		name         string
-		fused, piped bool
-	}{
-		{"unfused", false, false},
-		{"fused", true, false},
-		{"pipelined", true, true},
-	} {
-		SetFusion(m.fused)
-		SetPipelined(m.piped)
-		f(m.name)
+	plan := newBSGSPlan(lt.Diags, bs)
+	keys, err := tc.eval.sweepKeys(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
+	out, err := tc.eval.evaluateSweep(ct, lt, tc.enc, plan, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // denseTestTransform builds a K-diagonal contiguous transform with random
@@ -42,45 +38,42 @@ func denseTestTransform(r *rand.Rand, slots, k int) *LinearTransform {
 	return NewLinearTransform(slots, diags)
 }
 
-// TestBSGSMatchesHoistedAndApply is the core differential: the BSGS sweep
-// must agree with both the plaintext Apply oracle and the per-diagonal
-// hoisted sweep, at every level that can host a transform and in all three
-// execution modes.
-func TestBSGSMatchesHoistedAndApply(t *testing.T) {
+// TestBSGSMatchesDegenerateAndApply is the core differential: the sweep must
+// agree with both the plaintext Apply oracle and its own degenerate
+// (per-diagonal) plan, at every level that can host a transform, for the cost
+// model's baby step and for forced ones.
+func TestBSGSMatchesDegenerateAndApply(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(60))
 	slots := tc.params.Slots()
-	lt := denseTestTransform(r, slots, 16)
-	lt.SetBabyStep(4)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys,
-		append(GaloisKeysForLinearTransform(tc.params, lt), lt.Rotations()...))
+	const k = 16
+	lt := denseTestTransform(r, slots, k)
+	auto := lt.sweepPlan(tc.params).bs
+	steps := []int{auto, 2, 4, int(math.Ceil(math.Sqrt(k))), slots}
+	for _, bs := range steps {
+		tc.kgen.GenRotationKeys(tc.sk, tc.keys, newBSGSPlan(lt.Diags, bs).rotations())
+	}
 
 	u := randomComplex(r, slots, 1)
 	want := lt.Apply(u)
 	ctTop := tc.encryptVec(t, u)
 
-	withExecModes(t, func(mode string) {
-		for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
-			ct := tc.eval.DropLevel(ctTop, lvl)
-			got, err := tc.eval.EvaluateLinearTransformBSGS(ct, lt, tc.enc)
-			if err != nil {
-				t.Fatalf("%s lvl %d: %v", mode, lvl, err)
+	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
+		ct := tc.eval.DropLevel(ctTop, lvl)
+		ref := tc.decryptVec(tc.eval.Rescale(tc.sweepWith(t, ct, lt, slots)))
+		if e := maxErr(ref, want); e > 1e-3 {
+			t.Fatalf("lvl %d: degenerate plan vs Apply error %g", lvl, e)
+		}
+		for _, bs := range steps[:len(steps)-1] {
+			got := tc.decryptVec(tc.eval.Rescale(tc.sweepWith(t, ct, lt, bs)))
+			if e := maxErr(got, want); e > 1e-3 {
+				t.Fatalf("bs %d lvl %d: sweep vs Apply error %g", bs, lvl, e)
 			}
-			got = tc.eval.Rescale(got)
-			if e := maxErr(tc.decryptVec(got), want); e > 1e-3 {
-				t.Fatalf("%s lvl %d: BSGS vs Apply error %g", mode, lvl, e)
-			}
-
-			ref, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc)
-			if err != nil {
-				t.Fatalf("%s lvl %d: %v", mode, lvl, err)
-			}
-			ref = tc.eval.Rescale(ref)
-			if e := maxErr(tc.decryptVec(got), tc.decryptVec(ref)); e > 1e-3 {
-				t.Fatalf("%s lvl %d: BSGS vs hoisted divergence %g", mode, lvl, e)
+			if e := maxErr(got, ref); e > 1e-3 {
+				t.Fatalf("bs %d lvl %d: sweep vs degenerate plan divergence %g", bs, lvl, e)
 			}
 		}
-	})
+	}
 }
 
 // TestBSGSDFTAllFFTIters runs the homomorphic CoeffToSlot -> SlotToCoeff
@@ -121,7 +114,7 @@ func TestBSGSDFTAllFFTIters(t *testing.T) {
 // TestBSGSRotationCount pins the headline saving: a K-diagonal sweep under
 // baby step bs spends exactly (bs-1) + (⌈K/bs⌉-1) key-switch gadget
 // products, observed through the ckks_lintrans_rotations_total counter; the
-// per-diagonal hoisted sweep spends K-1. Also checks trace parity: with
+// degenerate per-diagonal plan spends K-1. Also checks trace parity: with
 // bs = ⌈√K⌉ the plan's count matches the sim's linearHoisted EvkCount
 // formula bs + ⌈K/bs⌉ - 2.
 func TestBSGSRotationCount(t *testing.T) {
@@ -130,14 +123,9 @@ func TestBSGSRotationCount(t *testing.T) {
 	slots := tc.params.Slots()
 	const k = 16
 	lt := denseTestTransform(r, slots, k)
-	lt.SetBabyStep(4)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys,
-		append(GaloisKeysForLinearTransform(tc.params, lt), lt.Rotations()...))
+	plan := newBSGSPlan(lt.Diags, 4)
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append(plan.rotations(), lt.Rotations()...))
 
-	plan := lt.bsgsPlanFor(tc.params)
-	if plan == nil {
-		t.Fatal("forced baby step produced no plan")
-	}
 	wantKS := (4 - 1) + (k/4 - 1)
 	if got := plan.keySwitchCount(); got != wantKS {
 		t.Fatalf("plan keySwitchCount = %d, want %d", got, wantKS)
@@ -145,52 +133,46 @@ func TestBSGSRotationCount(t *testing.T) {
 
 	ct := tc.encryptVec(t, randomComplex(r, slots, 1))
 	before := obsLinTransRotations.Value()
-	if _, err := tc.eval.EvaluateLinearTransformBSGS(ct, lt, tc.enc); err != nil {
-		t.Fatal(err)
-	}
+	tc.sweepWith(t, ct, lt, 4)
 	if got := int(obsLinTransRotations.Value() - before); got != wantKS {
 		t.Fatalf("BSGS sweep spent %d key switches, want %d", got, wantKS)
 	}
 
 	before = obsLinTransRotations.Value()
-	if _, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc); err != nil {
-		t.Fatal(err)
-	}
+	tc.sweepWith(t, ct, lt, slots)
 	if got := int(obsLinTransRotations.Value() - before); got != k-1 {
-		t.Fatalf("hoisted sweep spent %d key switches, want %d", got, k-1)
+		t.Fatalf("per-diagonal sweep spent %d key switches, want %d", got, k-1)
 	}
 
 	// Trace parity: the sim's linearHoisted models bs-1 baby KeyMults and
 	// gs-1 giant KeyMults with bs = ceil(sqrt(k)).
 	bsTrace := int(math.Ceil(math.Sqrt(float64(k))))
 	gsTrace := (k + bsTrace - 1) / bsTrace
-	lt.SetBabyStep(bsTrace)
-	plan = lt.bsgsPlanFor(tc.params)
-	if got := plan.keySwitchCount(); got != bsTrace+gsTrace-2 {
+	if got := newBSGSPlan(lt.Diags, bsTrace).keySwitchCount(); got != bsTrace+gsTrace-2 {
 		t.Fatalf("trace parity: keySwitchCount = %d, want %d", got, bsTrace+gsTrace-2)
 	}
 }
 
 // TestBSGSDispatcherFallsBackWithoutKeys checks the compatibility contract:
 // a key set holding only the per-diagonal rotations (the pre-BSGS layout)
-// must route EvaluateLinearTransform through the hoisted sweep rather than
+// must route EvaluateLinearTransform through the degenerate plan rather than
 // fail on missing baby/giant keys.
 func TestBSGSDispatcherFallsBackWithoutKeys(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(63))
 	slots := tc.params.Slots()
 	const k = 16
-	lt := denseTestTransform(r, slots, k)
-	lt.SetBabyStep(4)
-	// Per-diagonal keys only: rotations 1..15 but none of the giant steps
-	// {4, 8, 12}... which ARE diagonal offsets here — so drop to a diagonal
-	// set whose giants are not raw offsets: odd offsets only.
+	// Odd offsets only, so the giant rotations of any factorization are not
+	// themselves diagonal offsets and the per-diagonal key set lacks them.
+	dense := denseTestTransform(r, slots, k)
 	diags := make(map[int][]complex128)
 	for d := 1; d < 2*k; d += 2 {
-		diags[d] = lt.Diags[(d/2)%k]
+		diags[d] = dense.Diags[d/2]
 	}
-	lt = NewLinearTransform(slots, diags)
-	lt.SetBabyStep(4)
+	lt := NewLinearTransform(slots, diags)
+	if plan := lt.sweepPlan(tc.params); plan.bs >= slots {
+		t.Fatalf("cost model chose the degenerate plan (bs=%d); the fallback would not be exercised", plan.bs)
+	}
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
 
 	u := randomComplex(r, slots, 1)
@@ -202,63 +184,55 @@ func TestBSGSDispatcherFallsBackWithoutKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All k diagonals are nonzero offsets -> hoisted spends k key switches.
+	// All k diagonals are nonzero offsets -> the degenerate plan spends k.
 	if spent := int(obsLinTransRotations.Value() - before); spent != k {
-		t.Fatalf("fallback sweep spent %d key switches, want hoisted count %d", spent, k)
+		t.Fatalf("fallback sweep spent %d key switches, want per-diagonal count %d", spent, k)
 	}
 	got = tc.eval.Rescale(got)
 	if e := maxErr(tc.decryptVec(got), want); e > 1e-3 {
 		t.Fatalf("fallback result error %g", e)
 	}
+
+	// A key set that cannot serve the degenerate plan either is an error.
+	bare := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: map[uint64]*SwitchingKey{}})
+	if _, err := bare.EvaluateLinearTransform(ct, lt, tc.enc); err == nil {
+		t.Fatal("EvaluateLinearTransform succeeded without any Galois key")
+	}
 }
 
 // TestBSGSLegacyKeyFallback pins the band-compatibility property for the
-// BSGS path: with every key's level-aware bands stripped (old key blobs),
-// the shared decomposition must fall back to the legacy gadget shape and
-// stay correct at every level and in every execution mode.
+// sweep: with every key's level-aware bands stripped (old key blobs), the
+// shared decomposition must fall back to the legacy gadget shape and stay
+// correct at every level.
 func TestBSGSLegacyKeyFallback(t *testing.T) {
 	tc := newTestContext(t, richLevelAwareParams())
 	r := rand.New(rand.NewSource(64))
 	slots := tc.params.Slots()
 	lt := denseTestTransform(r, slots, 8)
-	lt.SetBabyStep(4)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
-	for _, k := range tc.keys.Gal {
-		k.Bands = nil
-	}
-	tc.keys.Rlk.Bands = nil
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, newBSGSPlan(lt.Diags, 4).rotations())
+	tc.eval = NewEvaluator(tc.params, stripBands(tc.keys))
 
 	u := randomComplex(r, slots, 1)
 	want := lt.Apply(u)
 	ctTop := tc.encryptVec(t, u)
-	withExecModes(t, func(mode string) {
-		for _, lvl := range []int{1, tc.params.MaxLevel() / 2, tc.params.MaxLevel()} {
-			ct := tc.eval.DropLevel(ctTop, lvl)
-			got, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
-			if err != nil {
-				t.Fatalf("%s lvl %d: %v", mode, lvl, err)
-			}
-			got = tc.eval.Rescale(got)
-			if e := maxErr(tc.decryptVec(got), want); e > 1e-2 {
-				t.Fatalf("%s lvl %d: bandless BSGS error %g", mode, lvl, e)
-			}
+	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
+		ct := tc.eval.DropLevel(ctTop, lvl)
+		got := tc.eval.Rescale(tc.sweepWith(t, ct, lt, 4))
+		if e := maxErr(tc.decryptVec(got), want); e > 1e-2 {
+			t.Fatalf("lvl %d: bandless sweep error %g", lvl, e)
 		}
-	})
+	}
 }
 
 // TestEncCacheConcurrent hammers the encoded-diagonal cache from many
-// goroutines across levels and both variants (plain + pre-rotated) under
+// goroutines across levels and two plans (plain + pre-rotated variants) under
 // -race: the singleflight must produce one consistent entry per key and the
 // byte gauge must account every cached coefficient.
 func TestEncCacheConcurrent(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(65))
 	lt := denseTestTransform(r, tc.params.Slots(), 8)
-	lt.SetBabyStep(4)
-	plan := lt.bsgsPlanFor(tc.params)
-	if plan == nil {
-		t.Fatal("no plan")
-	}
+	plans := []*bsgsPlan{newBSGSPlan(lt.Diags, lt.Slots), newBSGSPlan(lt.Diags, 4)}
 
 	rq := tc.params.RingQ()
 	var wg sync.WaitGroup
@@ -269,13 +243,11 @@ func TestEncCacheConcurrent(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				lvl := 1 + (w+i)%tc.params.MaxLevel()
 				scale := float64(rq.Moduli[lvl].Q)
-				if _, err := lt.encodedAt(tc.enc, lvl, scale); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := lt.encodedBSGSAt(tc.enc, lvl, scale, plan); err != nil {
-					t.Error(err)
-					return
+				for _, plan := range plans {
+					if _, err := lt.encodedAt(tc.enc, lvl, scale, plan); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -348,24 +320,24 @@ func TestComposeDiagSparse(t *testing.T) {
 
 // TestBSGSAutoSelection pins the cost model's direction at test scale: a
 // dense contiguous diagonal set must select a baby step while a 2-diagonal
-// map must stay on the per-diagonal sweep, and the selected plan must never
-// need more key switches than the hoisted sweep it replaces.
+// map must stay on the degenerate per-diagonal plan, and the selected plan
+// must never need more key switches than the per-diagonal sweep it replaces.
 func TestBSGSAutoSelection(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(67))
 	slots := tc.params.Slots()
 
 	dense := denseTestTransform(r, slots, 32)
-	plan := dense.bsgsPlanFor(tc.params)
-	if plan == nil {
-		t.Fatal("dense 32-diagonal transform did not select BSGS")
+	plan := dense.sweepPlan(tc.params)
+	if plan.bs >= slots {
+		t.Fatal("dense 32-diagonal transform did not select a BSGS factorization")
 	}
 	if plan.keySwitchCount() >= 31 {
-		t.Fatalf("BSGS plan spends %d key switches, hoisted needs 31", plan.keySwitchCount())
+		t.Fatalf("BSGS plan spends %d key switches, per-diagonal needs 31", plan.keySwitchCount())
 	}
 
 	tiny := denseTestTransform(r, slots, 2)
-	if p := tiny.bsgsPlanFor(tc.params); p != nil {
-		t.Fatalf("2-diagonal transform selected BSGS bs=%d", p.bs)
+	if p := tiny.sweepPlan(tc.params); p.bs != slots || len(p.giants) != 1 {
+		t.Fatalf("2-diagonal transform selected bs=%d with %d giants", p.bs, len(p.giants))
 	}
 }

@@ -103,7 +103,7 @@ func TestHomomorphicC2SThenS2C(t *testing.T) {
 	ct := tc.encryptVec(t, u)
 	for _, g := range c2s {
 		var err error
-		ct, err = tc.eval.EvaluateLinearTransformHoisted(ct, g, tc.enc)
+		ct, err = tc.eval.EvaluateLinearTransform(ct, g, tc.enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestHomomorphicC2SThenS2C(t *testing.T) {
 	}
 	for _, g := range s2c {
 		var err error
-		ct, err = tc.eval.EvaluateLinearTransformHoisted(ct, g, tc.enc)
+		ct, err = tc.eval.EvaluateLinearTransform(ct, g, tc.enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,23 +62,13 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 	return ev
 }
 
-// trunc returns p viewed at lvl, avoiding the 3-word Truncated header
-// allocation when p is already there (the top-level legacy hot path).
-func trunc(p *ring.Poly, lvl int) *ring.Poly {
-	if p.Level() == lvl {
-		return p
-	}
-	return p.Truncated(lvl)
-}
-
 // planFor picks the gadget plan for a key switch at lvl consumed by the
-// given keys: the level's plan when level-aware switching is on and every
-// key carries the matching band, else the legacy plan (notably for keys
-// unmarshalled from pre-band blobs).
+// given keys: the level's plan when every key carries the matching band,
+// else the legacy plan (notably for keys unmarshalled from pre-band blobs).
 func (ev *Evaluator) planFor(lvl int, keys ...*SwitchingKey) GadgetPlan {
 	pl := ev.params.PlanAt(lvl)
-	if !LevelAwareEnabled() || ev.params.IsLegacyPlan(pl) {
-		return ev.params.LegacyPlanAt(lvl)
+	if ev.params.IsLegacyPlan(pl) {
+		return pl
 	}
 	aTop := ev.params.Alpha()
 	for _, k := range keys {
@@ -239,24 +229,19 @@ func (ev *Evaluator) putRows(p *[][]uint64) {
 }
 
 // decomposed holds the ModUp digits of a polynomial in the extended basis
-// Q_level ∪ P (NTT form). Computing it once and reusing it across rotations
-// is exactly the hoisting optimization of §III-B.
+// Q_level ∪ P. Computing it once and reusing it across rotations is exactly
+// the hoisting optimization of §III-B. The digit coefficients are lazy
+// ([0, 2q)): they only ever feed the gadget-product MACs, whose Barrett bound
+// holds for operands < 2q.
 type decomposed struct {
 	level int
 	plan  GadgetPlan   // gadget shape the digits were cut with
 	q     []*ring.Poly // digit -> poly at level
 	p     []*ring.Poly // digit -> poly over RingP at level plan.Alpha-1
-	// lazy records that the digit coefficients are in [0, 2q) rather than
-	// [0, q): the fused gadget-product MACs tolerate lazy multiplicands
-	// (MulBarrettLazy's bound holds for operands < 2q), so Decompose skips
-	// the NTT exit reduction when fusion is on. Exact consumers must reduce
-	// first (gadgetProduct does when it takes the unfused path).
-	lazy bool
-	// coeffDomain records that the digits were left in the (lazy) coefficient
-	// domain: a pipelined decomposition defers the digit NTTs to the first
-	// consuming gadget product, which fuses each digit's transform with the
-	// MACs reading it so the digit row never round-trips through DRAM in
-	// between. Non-pipelined consumers call ensureNTT first.
+	// coeffDomain is set until the first gadget product consumes the digits:
+	// decomposePlan leaves them in the coefficient domain and that product
+	// fuses each digit's forward NTT with the MACs reading it, so the digit
+	// row never round-trips through DRAM in between.
 	coeffDomain bool
 }
 
@@ -268,12 +253,12 @@ func (ev *Evaluator) Decompose(c *ring.Poly, lvl int) *decomposed {
 	return ev.decomposePlan(c, lvl, ev.planFor(lvl))
 }
 
-// decomposePlan performs ModUp on c (NTT, level lvl): for each digit d of
-// the plan it INTTs the digit's limbs, base-converts them to the extended
-// basis Q_lvl ∪ P_alpha, and NTTs the result (the INTT -> BConv -> NTT
-// "ModSwitch" sequence of §II-B). The digit polynomials are borrowed from
-// the ring buffer pools; callers that are done with the decomposition
-// should release it via dec.release.
+// decomposePlan performs ModUp on c (NTT, level lvl): it INTTs c, and for
+// each digit d of the plan base-converts the digit's limbs to the extended
+// basis Q_lvl ∪ P_alpha (the INTT -> BConv half of §II-B's "ModSwitch"; the
+// NTT half runs inside the consuming gadget product, see coeffDomain). The
+// digit polynomials are borrowed from the ring buffer pools; callers that are
+// done with the decomposition should release it via dec.release.
 func (ev *Evaluator) decomposePlan(c *ring.Poly, lvl int, pl GadgetPlan) *decomposed {
 	defer obsKSBConv.done(time.Now())
 	p := ev.params
@@ -284,58 +269,31 @@ func (ev *Evaluator) decomposePlan(c *ring.Poly, lvl int, pl GadgetPlan) *decomp
 	obsKSPlanAlpha.Observe(float64(pl.Alpha))
 	obsKSDigits.Observe(float64(digits))
 
-	dec := &decomposed{level: lvl, plan: pl, q: make([]*ring.Poly, digits), p: make([]*ring.Poly, digits)}
-	dec.lazy = FusionEnabled()
-	piped := dec.lazy && PipelinedEnabled()
+	dec := &decomposed{level: lvl, plan: pl, q: make([]*ring.Poly, digits), p: make([]*ring.Poly, digits), coeffDomain: true}
 
+	// Fuse the copy with the inverse transform per limb.
 	coeff := rq.GetPoly(lvl)
-	if piped {
-		// Fuse the copy with the inverse transform per limb; the digit NTTs
-		// are deferred to the consuming gadget product (see coeffDomain).
-		pipe := ring.GetPipeline()
-		ln := pipe.Lane(rq, lvl)
-		ln.Copy(coeff, c)
-		ln.INTT(coeff)
-		pipe.Run()
-		pipe.Release()
-	} else {
-		coeff.Copy(trunc(c, lvl))
-		rq.INTT(coeff, lvl)
-	}
+	pipe := ring.GetPipeline()
+	ln := pipe.Lane(rq, lvl)
+	ln.Copy(coeff, c)
+	ln.INTT(coeff)
+	pipe.Run()
+	pipe.Release()
+
 	nTargetsQ := lvl + 1
 	rowsPtr := ev.getRows(nTargetsQ + lvlP + 1)
 	outRows := *rowsPtr
 	for d := 0; d < digits; d++ {
 		lo, hi := d*width, min((d+1)*width, lvl+1)
 		bc := ev.digitConverter(lvl, d, pl.Alpha, width)
-		in := coeff.Coeffs[lo:hi]
 		pq := rq.GetPoly(lvl)
 		pp := rp.GetPoly(lvlP)
 		copy(outRows[:nTargetsQ], pq.Coeffs)
 		copy(outRows[nTargetsQ:], pp.Coeffs[:lvlP+1])
-		if piped {
-			// Pipelined: only the cross-limb base conversion happens here.
-			// The forward NTTs are recorded into the consuming gadget
-			// product's pipeline, fused with the MACs that read each digit.
-			bc.ConvertLazy(outRows, in)
-			pq.IsNTT, pp.IsNTT = false, false
-		} else if dec.lazy {
-			// The digits only feed the lazy gadget-product MACs, which
-			// tolerate [0, 2q) multiplicands — keep the whole BConv -> NTT
-			// chain in the lazy domain: ConvertLazy's [0, 2q) rows feed
-			// NTTLazy directly (the forward transform accepts < 2q inputs)
-			// and the exit reduction is skipped too.
-			bc.ConvertLazy(outRows, in)
-			rq.NTTLazy(pq, lvl)
-			rp.NTTLazy(pp, lvlP)
-		} else {
-			bc.Convert(outRows, in)
-			rq.NTT(pq, lvl)
-			rp.NTT(pp, lvlP)
-		}
+		bc.ConvertLazy(outRows, coeff.Coeffs[lo:hi])
+		pq.IsNTT, pp.IsNTT = false, false
 		dec.q[d], dec.p[d] = pq, pp
 	}
-	dec.coeffDomain = piped
 	ev.putRows(rowsPtr)
 	rq.PutPoly(coeff)
 	return dec
@@ -354,84 +312,42 @@ func (dec *decomposed) release(p *Parameters) {
 
 // gadgetProduct computes the inner product of the digits with a switching
 // key (KeyMult + MAC): (u0, u1) over Q_level ∪ P such that
-// u0 + u1·under = P·c·w + e.
+// u0 + u1·under = P·c·w + e. The four accumulators are pooled; callers
+// return them with putQP once the ModDown has consumed them.
 func (ev *Evaluator) gadgetProduct(dec *decomposed, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
 	defer obsKSKeyMult.done(time.Now())
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := dec.level
-	lvlP := dec.plan.Alpha - 1
-	u0q, u1q = rq.GetPoly(lvl), rq.GetPoly(lvl)
-	u0p, u1p = rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
-	if pipelineActive() {
-		// Limb-pipelined KeyMult: digit NTTs (if deferred), MACs, and the
-		// final reductions run as one per-limb chain under a single barrier.
-		ev.gadgetProductPipelined(dec, swk, u0q, u1q, u0p, u1p)
-		return
-	}
-	dec.ensureNTT(ev)
-	if FusionEnabled() {
-		// Fused KeyMult (PAccum over the digits): lazy Barrett MACs into the
-		// four accumulators, one exact reduction each at the end of the chain.
-		ev.gadgetProductLazyInto(dec, swk, u0q, u1q, u0p, u1p)
-		rq.ReduceLazy(u0q, lvl)
-		rq.ReduceLazy(u1q, lvl)
-		rp.ReduceLazy(u0p, lvlP)
-		rp.ReduceLazy(u1p, lvlP)
-		return
-	}
-	if dec.lazy {
-		// Decomposed under fusion but consumed exactly (the flag flipped in
-		// between): normalize the digits before the exact MACs below.
-		for d := range dec.q {
-			rq.ReduceLazy(dec.q[d], lvl)
-			rp.ReduceLazy(dec.p[d], lvlP)
-		}
-		dec.lazy = false
-	}
-	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, p.Alpha())
-	if !ok {
-		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
-	}
-	for d := range dec.q {
-		rq.MulCoeffsAdd(u0q, dec.q[d], trunc(bQ[d], lvl), lvl)
-		rq.MulCoeffsAdd(u1q, dec.q[d], trunc(aQ[d], lvl), lvl)
-		rp.MulCoeffsAdd(u0p, dec.p[d], trunc(bP[d], lvlP), lvlP)
-		rp.MulCoeffsAdd(u1p, dec.p[d], trunc(aP[d], lvlP), lvlP)
-	}
+	u0q, u0p, u1q, u1p = ev.getQP(dec.level, dec.plan.Alpha-1)
+	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p)
 	return
 }
 
-// gadgetProductLazyInto accumulates the gadget product into the four zeroed
-// accumulators, leaving them in the lazy [0, 2q) domain. Consumers that
-// continue accumulating lazily (the hoisted linear transform's AutAccum
-// chain tolerates lazy multiplicands — the Barrett bound holds for operands
-// < 2q) skip the intermediate reduction entirely.
-func (ev *Evaluator) gadgetProductLazyInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
-	dec.ensureNTT(ev)
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := dec.level
-	lvlP := dec.plan.Alpha - 1
-	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, p.Alpha())
-	if !ok {
-		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
-	}
-	for d := range dec.q {
-		rq.MulCoeffsAddLazy(u0q, dec.q[d], trunc(bQ[d], lvl), lvl)
-		rq.MulCoeffsAddLazy(u1q, dec.q[d], trunc(aQ[d], lvl), lvl)
-		rp.MulCoeffsAddLazy(u0p, dec.p[d], trunc(bP[d], lvlP), lvlP)
-		rp.MulCoeffsAddLazy(u1p, dec.p[d], trunc(aP[d], lvlP), lvlP)
-	}
+// getQP borrows two zeroed, NTT-flagged QP accumulators (Q halves at lvl, P
+// halves at lvlP) from the ring pools; putQP returns them.
+func (ev *Evaluator) getQP(lvl, lvlP int) (u0q, u0p, u1q, u1p *ring.Poly) {
+	rq, rp := ev.params.RingQ(), ev.params.RingP()
+	u0q, u1q = rq.GetPoly(lvl), rq.GetPoly(lvl)
+	u0p, u1p = rp.GetPoly(lvlP), rp.GetPoly(lvlP)
+	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
+	return
+}
+
+func (ev *Evaluator) putQP(u0q, u0p, u1q, u1p *ring.Poly) {
+	rq, rp := ev.params.RingQ(), ev.params.RingP()
+	rq.PutPoly(u0q)
+	rq.PutPoly(u1q)
+	rp.PutPoly(u0p)
+	rp.PutPoly(u1p)
 }
 
 // ModDown divides a Q∪P_alpha value by the P prefix with rounding,
 // returning a Q-basis polynomial at uq's level:
 // out_i = (uq_i - BConv(up)_i)·[P_alpha^{-1}]_{q_i} (the ModDownEp compound
 // instruction of Table II). The prefix length is read off up's level, so
-// the signature is shape-agnostic. Scratch buffers come from the ring
-// buffer pools.
+// the signature is shape-agnostic. The BConv -> NTT chain stays lazy
+// ([0, 2q) rows into NTTLazy) and the epilogue subtracts the lazy subtrahend
+// while scaling by P^{-1} in a single exact pass. This single-component form
+// serves the BSGS giant step; key switches run both components through
+// modDownPair / modDownAut.
 func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
 	defer obsKSModDown.done(time.Now())
 	p := ev.params
@@ -443,44 +359,32 @@ func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
 	rp.INTT(work, lvlP)
 	conv := rq.GetPoly(lvl)
 	out := rq.NewPoly(lvl)
-	if FusionEnabled() {
-		// Fused ModDownEp: the BConv -> NTT chain stays lazy ([0, 2q) rows
-		// into NTTLazy) and the epilogue subtracts the lazy subtrahend while
-		// scaling by P^{-1} in a single exact pass — no reduction pass, no
-		// separate Sub + scalar-multiply traversals.
-		ev.pToQConverter(lvl, alpha).ConvertLazy(conv.Coeffs, work.Coeffs[:alpha])
-		rq.NTTLazy(conv, lvl)
-		rq.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[alpha][:lvl+1], lvl)
-	} else {
-		ev.pToQConverter(lvl, alpha).Convert(conv.Coeffs, work.Coeffs[:alpha])
-		rq.NTT(conv, lvl)
-		rq.Sub(out, uq, conv, lvl)
-		rq.MulByLimbScalars(out, out, ev.pInvModQ[alpha][:lvl+1], lvl)
-	}
+	ev.pToQConverter(lvl, alpha).ConvertLazy(conv.Coeffs, work.Coeffs[:alpha])
+	rq.NTTLazy(conv, lvl)
+	rq.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[alpha][:lvl+1], lvl)
 	out.IsNTT = true
 	rp.PutPoly(work)
 	rq.PutPoly(conv)
 	return out
 }
 
+// keySwitchQP runs the ModUp -> KeyMult/MAC half of a key switch on c and
+// leaves (u0, u1) in the extended basis for the caller's ModDown tail, which
+// differs per op (plain pair, HMULT adds, rotation automorphism). Return the
+// accumulators with putQP.
+func (ev *Evaluator) keySwitchQP(c *ring.Poly, lvl int, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
+	dec := ev.decomposePlan(c, lvl, ev.planFor(lvl, swk))
+	u0q, u0p, u1q, u1p = ev.gadgetProduct(dec, swk)
+	dec.release(ev.params)
+	return
+}
+
 // keySwitch applies the full ModUp -> KeyMult/MAC -> ModDown pipeline to c.
 func (ev *Evaluator) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey) (d0, d1 *ring.Poly) {
 	defer obsKeySwitch.done(time.Now())
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	dec := ev.decomposePlan(c, lvl, ev.planFor(lvl, swk))
-	u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
-	dec.release(p)
-	if pipelineActive() {
-		d0, d1 = ev.modDownPairPipelined(u0q, u0p, u1q, u1p, nil, nil, lvl)
-	} else {
-		d0 = ev.ModDown(u0q, u0p, lvl)
-		d1 = ev.ModDown(u1q, u1p, lvl)
-	}
-	rq.PutPoly(u0q)
-	rq.PutPoly(u1q)
-	rp.PutPoly(u0p)
-	rp.PutPoly(u1p)
+	u0q, u0p, u1q, u1p := ev.keySwitchQP(c, lvl, swk)
+	d0, d1 = ev.modDownPair(u0q, u0p, u1q, u1p, nil, nil, lvl)
+	ev.putQP(u0q, u0p, u1q, u1p)
 	return d0, d1
 }
 
@@ -506,89 +410,33 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *SwitchingKey) *Cipherte
 	a0, a1 := ct0.C0.Truncated(lvl), ct0.C1.Truncated(lvl)
 	b0, b1 := ct1.C0.Truncated(lvl), ct1.C1.Truncated(lvl)
 
-	if pipelineActive() {
-		// Tensor as one per-limb chain (each input row is read while hot
-		// across the four products), then an inlined key switch whose HMULT
-		// tail adds are fused into the ModDown Run.
-		rp := ev.params.RingP()
-		t0, t1, d2 := rq.GetPoly(lvl), rq.GetPoly(lvl), rq.GetPoly(lvl)
-		pipe := ring.GetPipeline()
-		ln := pipe.Lane(rq, lvl)
-		ln.MulCoeffs(t0, a0, b0)
-		ln.MulCoeffsAdd(t1, a0, b1)
-		ln.MulCoeffsAdd(t1, a1, b0)
-		ln.MulCoeffs(d2, a1, b1)
-		pipe.Run()
-		pipe.Release()
+	// Tensor as one per-limb chain (each input row is read while hot across
+	// the four products), then the key switch of the degree-2 component with
+	// the HMULT tail adds fused into its ModDown.
+	t0, t1, d2 := rq.GetPoly(lvl), rq.GetPoly(lvl), rq.GetPoly(lvl)
+	pipe := ring.GetPipeline()
+	ln := pipe.Lane(rq, lvl)
+	ln.MulCoeffs(t0, a0, b0)
+	ln.MulCoeffsAdd(t1, a0, b1)
+	ln.MulCoeffsAdd(t1, a1, b0)
+	ln.MulCoeffs(d2, a1, b1)
+	pipe.Run()
+	pipe.Release()
 
-		ksStart := time.Now()
-		dec := ev.decomposePlan(d2, lvl, ev.planFor(lvl, rlk))
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, rlk)
-		dec.release(ev.params)
-		rq.PutPoly(d2)
-		o0, o1 := ev.modDownPairPipelined(u0q, u0p, u1q, u1p, t0, t1, lvl)
-		obsKeySwitch.done(ksStart)
-		rq.PutPoly(u0q)
-		rq.PutPoly(u1q)
-		rp.PutPoly(u0p)
-		rp.PutPoly(u1p)
-		rq.PutPoly(t0)
-		rq.PutPoly(t1)
-		return &Ciphertext{C0: o0, C1: o1, Scale: ct0.Scale * ct1.Scale}
-	}
-
-	d0 := rq.NewPoly(lvl)
-	d1 := rq.NewPoly(lvl)
-	d2 := rq.GetPoly(lvl)
-	d0.IsNTT, d1.IsNTT, d2.IsNTT = true, true, true
-	rq.MulCoeffs(d0, a0, b0, lvl)
-	rq.MulCoeffsAdd(d1, a0, b1, lvl)
-	rq.MulCoeffsAdd(d1, a1, b0, lvl)
-	rq.MulCoeffs(d2, a1, b1, lvl)
-
-	u0, u1 := ev.keySwitch(d2, lvl, rlk)
+	ksStart := time.Now()
+	u0q, u0p, u1q, u1p := ev.keySwitchQP(d2, lvl, rlk)
 	rq.PutPoly(d2)
-	rq.Add(d0, d0, u0, lvl)
-	rq.Add(d1, d1, u1, lvl)
-	return &Ciphertext{C0: d0, C1: d1, Scale: ct0.Scale * ct1.Scale}
+	o0, o1 := ev.modDownPair(u0q, u0p, u1q, u1p, t0, t1, lvl)
+	obsKeySwitch.done(ksStart)
+	ev.putQP(u0q, u0p, u1q, u1p)
+	rq.PutPoly(t0)
+	rq.PutPoly(t1)
+	return &Ciphertext{C0: o0, C1: o1, Scale: ct0.Scale * ct1.Scale}
 }
 
 // Square returns ct ⊙ ct using the TensorSq shortcut.
 func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext {
 	return ev.MulRelin(ct, ct, nil)
-}
-
-// Rescale divides the ciphertext by its top prime and drops a level,
-// restoring the scale after a multiplication.
-func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
-	defer obsRescale.done(time.Now())
-	rq := ev.params.RingQ()
-	lvl := ct.Level()
-	if lvl == 0 {
-		panic("ckks: cannot rescale at level 0")
-	}
-	if pipelineActive() {
-		return ev.rescalePipelined(ct)
-	}
-	out := &Ciphertext{Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
-	for i, src := range []*ring.Poly{ct.C0, ct.C1} {
-		w := rq.GetPoly(lvl)
-		w.Copy(src)
-		rq.INTT(w, lvl)
-		ev.rescaler(lvl).DivRoundByLastModulus(w.Coeffs)
-		t := rq.NewPoly(lvl - 1)
-		for l := 0; l < lvl; l++ {
-			copy(t.Coeffs[l], w.Coeffs[l])
-		}
-		rq.NTT(t, lvl-1)
-		rq.PutPoly(w)
-		if i == 0 {
-			out.C0 = t
-		} else {
-			out.C1 = t
-		}
-	}
-	return out
 }
 
 // DropLevel discards limbs down to the target level without scaling.
@@ -604,42 +452,20 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 // Automorphisms: HROT and conjugation
 
 // automorphism applies σ_g with key switching: ModUp(c1) -> KeyMult/MAC ->
-// ModDown -> automorphism, the order of Fig 1 enabled by the key layout.
+// ModDown -> automorphism, the order of Fig 1 enabled by the key layout. The
+// rotation's c0-add and both permutations ride the ModDown's final per-limb
+// chain (one pass over each row instead of four).
 func (ev *Evaluator) automorphism(ct *Ciphertext, galEl uint64) (*Ciphertext, error) {
 	swk, err := ev.keys.GaloisKey(galEl)
 	if err != nil {
 		return nil, err
 	}
-	rq := ev.params.RingQ()
 	lvl := ct.Level()
-
-	if pipelineActive() {
-		// Inline the key switch so the rotation's c0-add and automorphism
-		// permutations fuse into the ModDown Run (one pass over each row
-		// instead of four).
-		rp := ev.params.RingP()
-		ksStart := time.Now()
-		dec := ev.decomposePlan(ct.C1, lvl, ev.planFor(lvl, swk))
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
-		dec.release(ev.params)
-		o0, o1 := ev.modDownAutPipelined(u0q, u0p, u1q, u1p, ct.C0, galEl, lvl)
-		obsKeySwitch.done(ksStart)
-		rq.PutPoly(u0q)
-		rq.PutPoly(u1q)
-		rp.PutPoly(u0p)
-		rp.PutPoly(u1p)
-		return &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}, nil
-	}
-
-	d0, d1 := ev.keySwitch(ct.C1, lvl, swk)
-	rq.Add(d0, d0, ct.C0, lvl)
-
-	o0 := rq.NewPoly(lvl)
-	o1 := rq.NewPoly(lvl)
-	rq.AutomorphismNTT(o0, d0, galEl, lvl)
-	rq.AutomorphismNTT(o1, d1, galEl, lvl)
-	rq.PutPoly(d0)
-	rq.PutPoly(d1)
+	ksStart := time.Now()
+	u0q, u0p, u1q, u1p := ev.keySwitchQP(ct.C1, lvl, swk)
+	o0, o1 := ev.modDownAut(u0q, u0p, u1q, u1p, ct.C0, galEl, lvl)
+	obsKeySwitch.done(ksStart)
+	ev.putQP(u0q, u0p, u1q, u1p)
 	return &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}, nil
 }
 
@@ -662,7 +488,7 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 // ModUp (hoisting, §III-B): K rotations cost one decomposition instead of K.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ciphertext, error) {
 	defer obsHoisted.done(time.Now())
-	rq, rp := ev.params.RingQ(), ev.params.RingP()
+	rq := ev.params.RingQ()
 	lvl := ct.Level()
 	// Resolve every Galois key before decomposing: the shared digits must be
 	// cut with a shape all consuming keys can serve, so the plan choice (and
@@ -689,30 +515,9 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 			continue
 		}
 		g := rq.GaloisElement(k)
-		swk := swks[k]
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
-		var o0, o1 *ring.Poly
-		if pipelineActive() {
-			o0, o1 = ev.modDownAutPipelined(u0q, u0p, u1q, u1p, ct.C0, g, lvl)
-			rq.PutPoly(u0q)
-			rq.PutPoly(u1q)
-			rp.PutPoly(u0p)
-			rp.PutPoly(u1p)
-		} else {
-			d0 := ev.ModDown(u0q, u0p, lvl)
-			d1 := ev.ModDown(u1q, u1p, lvl)
-			rq.PutPoly(u0q)
-			rq.PutPoly(u1q)
-			rp.PutPoly(u0p)
-			rp.PutPoly(u1p)
-			rq.Add(d0, d0, ct.C0, lvl)
-			o0 = rq.NewPoly(lvl)
-			o1 = rq.NewPoly(lvl)
-			rq.AutomorphismNTT(o0, d0, g, lvl)
-			rq.AutomorphismNTT(o1, d1, g, lvl)
-			rq.PutPoly(d0)
-			rq.PutPoly(d1)
-		}
+		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swks[k])
+		o0, o1 := ev.modDownAut(u0q, u0p, u1q, u1p, ct.C0, g, lvl)
+		ev.putQP(u0q, u0p, u1q, u1p)
 		out[k] = &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}
 	}
 	return out, nil

@@ -2,44 +2,25 @@ package ckks
 
 import (
 	"math/big"
-	"sync/atomic"
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
-// Kernel-fusion toggle for the CKKS execution layer. When enabled (the
-// default), multiply-accumulate chains run through the lazy single-pass ring
-// kernels (ring.MulCoeffsAddLazy and friends, paper §V's fused element-wise
-// blocks) instead of discrete multiply-then-add passes with temporary
-// polynomials. Results are congruent mod q either way — fusion changes
-// memory traffic and reduction strategy, not arithmetic — so tests can
-// demand exact agreement between the two modes.
-
-var fusionDisabled atomic.Bool
-
-// SetFusion enables or disables the fused CKKS kernels process-wide.
-func SetFusion(on bool) { fusionDisabled.Store(!on) }
-
-// FusionEnabled reports whether the fused CKKS kernels are active.
-func FusionEnabled() bool { return !fusionDisabled.Load() }
+// Fused element-wise ladders: multiply-accumulate chains run through the lazy
+// single-pass ring kernels (ring.MulCoeffsAddLazy and friends, paper §V's
+// fused element-wise blocks) instead of discrete multiply-then-add passes with
+// temporary polynomials. Results are congruent mod q either way — fusion
+// changes memory traffic and reduction strategy, not arithmetic.
 
 // AddMany returns ct0 + ct1 + ... in a single pass per limb (the collapsed
-// form of an HADD ladder). With fusion disabled it falls back to the chained
-// two-operand Add, so both modes stay runnable for comparison.
+// form of an HADD ladder).
 func (ev *Evaluator) AddMany(cts []*Ciphertext) *Ciphertext {
 	if len(cts) == 0 {
 		panic("ckks: AddMany needs at least one ciphertext")
 	}
 	if len(cts) == 1 {
 		return cts[0].CopyNew()
-	}
-	if !FusionEnabled() {
-		out := ev.Add(cts[0], cts[1])
-		for _, ct := range cts[2:] {
-			out = ev.Add(out, ct)
-		}
-		return out
 	}
 	defer obsAddMany.done(time.Now())
 	rq := ev.params.RingQ()
@@ -62,19 +43,12 @@ func (ev *Evaluator) AddMany(cts []*Ciphertext) *Ciphertext {
 
 // MulConstAccum returns Σ_i consts[i]·cts[i], with every constant encoded at
 // scale constScale (as in MultConst; callers follow with Rescale). This is
-// the scheme-level PAccum/CAccum: the fused path keeps one lazy accumulator
-// per component and performs len(cts) constant-multiply-accumulate passes,
-// instead of len(cts) MultConst temporaries plus len(cts)-1 Add passes.
+// the scheme-level PAccum/CAccum: one lazy accumulator per component and
+// len(cts) constant-multiply-accumulate passes, instead of len(cts) MultConst
+// temporaries plus len(cts)-1 Add passes.
 func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64, constScale float64) *Ciphertext {
 	if len(cts) == 0 || len(cts) != len(consts) {
 		panic("ckks: MulConstAccum needs matching non-empty ciphertexts and constants")
-	}
-	if !FusionEnabled() {
-		out := ev.MultConst(cts[0], consts[0], constScale)
-		for i := 1; i < len(cts); i++ {
-			out = ev.Add(out, ev.MultConst(cts[i], consts[i], constScale))
-		}
-		return out
 	}
 	defer obsMulConstAccum.done(time.Now())
 	rq := ev.params.RingQ()

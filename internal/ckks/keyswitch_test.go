@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/par"
-	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // TestKeySwitchAllocs pins the steady-state allocation count of the full
@@ -37,74 +36,45 @@ func TestKeySwitchAllocs(t *testing.T) {
 		rq.PutPoly(d0)
 		rq.PutPoly(d1)
 	})
-	// Steady state measures ~45: two NewPoly results (3 allocs each), the
-	// decomposed bookkeeping, plus per-call kernel closures and Truncated
-	// headers in the gadget product. The BConv tmp rows, the Decompose row
+	// Steady state measures 16. The BConv tmp rows, the Decompose row
 	// headers, and every scratch polynomial are pooled; if any of those
-	// regress to per-call allocation the count jumps by O(limbs · digits)
-	// (the retired kernel measured ~65 here).
-	if allocs > 48 {
-		t.Fatalf("keySwitch allocates %.1f objects/op, want <= 48", allocs)
+	// regress to per-call allocation the count jumps by O(limbs · digits).
+	if allocs > 20 {
+		t.Fatalf("keySwitch allocates %.1f objects/op, want <= 20", allocs)
 	}
 }
 
 // TestKeySwitchConcurrentEquivalence hammers keySwitch from many goroutines
 // (the BasisConverter scratch pool, row-header pool, and polynomial pools
-// are all shared) and checks every result against a serial reference, under
-// both fusion modes. Run with -race in CI.
+// are all shared) and checks every result against the oracle's. Run with
+// -race in CI.
 func TestKeySwitchConcurrentEquivalence(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(12))
 	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
 	lvl := ct.Level()
-	prev := FusionEnabled()
-	defer SetFusion(prev)
-	for _, fused := range []bool{true, false} {
-		SetFusion(fused)
-		want0, want1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
-		var wg sync.WaitGroup
-		errs := make(chan string, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 5; i++ {
-					d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
-					if !d0.Equal(want0) || !d1.Equal(want1) {
-						errs <- "concurrent keySwitch result differs from serial reference"
-						return
-					}
-					tc.params.RingQ().PutPoly(d0)
-					tc.params.RingQ().PutPoly(d1)
+	or := oracle{p: tc.params, keys: tc.keys, enc: tc.enc}
+	want0, want1 := or.keySwitch(ct.C1, lvl, tc.keys.Rlk, tc.params.PlanAt(lvl))
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
+				if !d0.Equal(want0) || !d1.Equal(want1) {
+					errs <- "concurrent keySwitch result differs from the oracle"
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for msg := range errs {
-			t.Fatalf("fused=%v: %s", fused, msg)
-		}
+				tc.params.RingQ().PutPoly(d0)
+				tc.params.RingQ().PutPoly(d1)
+			}
+		}()
 	}
-}
-
-// TestModDownLazyMatchesExact checks the fused ModDown (ConvertLazy ->
-// NTTLazy -> lazy-subtrahend epilogue) against the exact chain on the same
-// inputs.
-func TestModDownLazyMatchesExact(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	rq, rp := tc.params.RingQ(), tc.params.RingP()
-	lvl := tc.params.MaxLevel()
-	s := ring.NewSampler(99)
-	uq := s.UniformPoly(rq, lvl, true)
-	up := s.UniformPoly(rp, rp.MaxLevel(), true)
-
-	prev := FusionEnabled()
-	defer SetFusion(prev)
-	SetFusion(true)
-	fused := tc.eval.ModDown(uq, up, lvl)
-	SetFusion(false)
-	exact := tc.eval.ModDown(uq, up, lvl)
-	if !fused.Equal(exact) {
-		t.Fatal("fused (lazy-chain) ModDown differs from exact ModDown")
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

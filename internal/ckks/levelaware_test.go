@@ -34,13 +34,11 @@ func mergedLevelAwareParams() ParametersLiteral {
 	}
 }
 
-// withLevelAware runs body with the level-aware toggle pinned, restoring
-// the previous state after.
-func withLevelAware(on bool, body func()) {
-	prev := LevelAwareEnabled()
-	SetLevelAware(on)
-	defer SetLevelAware(prev)
-	body()
+// legacyEvaluator returns an evaluator over tc's keys with every gadget band
+// stripped — what a pre-band key blob decodes to — so each of its key
+// switches resolves to the legacy level-oblivious shape.
+func legacyEvaluator(tc *testContext) *Evaluator {
+	return NewEvaluator(tc.params, stripBands(tc.keys))
 }
 
 // ksAnalyticSlotBound is the worst-case extra slot error one key switch
@@ -85,13 +83,12 @@ func rotated(v []complex128, k int) []complex128 {
 	return out
 }
 
-// TestLevelAwareDifferentialPerLevel is the core correctness harness: at
-// EVERY level of both parameter chains it rotates the same ciphertext
-// through the level-aware and the level-oblivious key-switch paths and
-// asserts (a) both decrypt to the expected vector, (b) the level-aware
-// path's measured noise stays within the legacy path's noise plus the
-// plan's analytic budget, and (c) the fused/lazy kernels agree with the
-// exact ones coefficient-for-coefficient.
+// TestLevelAwareDifferentialPerLevel is the noise harness: at EVERY level of
+// both parameter chains it rotates the same ciphertext under the level's plan
+// and under the legacy shape (band-stripped keys) and asserts (a) both decrypt
+// to the expected vector and (b) the level-aware path's measured noise stays
+// within the legacy path's noise plus the plan's analytic budget. Bit-exactness
+// of either shape against the exact kernels is TestDeterminismMatrix's job.
 func TestLevelAwareDifferentialPerLevel(t *testing.T) {
 	for name, lit := range map[string]ParametersLiteral{
 		"rich":   richLevelAwareParams(),
@@ -100,6 +97,7 @@ func TestLevelAwareDifferentialPerLevel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tc := newTestContext(t, lit)
 			tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
+			legacy := legacyEvaluator(tc)
 			r := rand.New(rand.NewSource(42))
 			v := randomComplex(r, tc.params.Slots(), 1)
 			want := rotated(v, 1)
@@ -109,30 +107,13 @@ func TestLevelAwareDifferentialPerLevel(t *testing.T) {
 				ct := tc.eval.DropLevel(ctTop, lvl)
 				pl := tc.params.PlanAt(lvl)
 
-				var ctAware, ctObliv, ctAwareUnfused *Ciphertext
-				withLevelAware(true, func() {
-					var err error
-					if ctAware, err = tc.eval.Rotate(ct, 1); err != nil {
-						t.Fatalf("lvl %d: aware rotate: %v", lvl, err)
-					}
-					withFusion(t, false, func() {
-						if ctAwareUnfused, err = tc.eval.Rotate(ct, 1); err != nil {
-							t.Fatalf("lvl %d: aware unfused rotate: %v", lvl, err)
-						}
-					})
-				})
-				withLevelAware(false, func() {
-					var err error
-					if ctObliv, err = tc.eval.Rotate(ct, 1); err != nil {
-						t.Fatalf("lvl %d: oblivious rotate: %v", lvl, err)
-					}
-				})
-
-				// (c) The fused/lazy pipeline must be bit-exact against the
-				// exact kernels: lazy domains defer reductions, they never
-				// change the value mod q.
-				if !ctAware.C0.Equal(ctAwareUnfused.C0) || !ctAware.C1.Equal(ctAwareUnfused.C1) {
-					t.Fatalf("lvl %d: fused and unfused level-aware key switches disagree", lvl)
+				ctAware, err := tc.eval.Rotate(ct, 1)
+				if err != nil {
+					t.Fatalf("lvl %d: aware rotate: %v", lvl, err)
+				}
+				ctObliv, err := legacy.Rotate(ct, 1)
+				if err != nil {
+					t.Fatalf("lvl %d: oblivious rotate: %v", lvl, err)
 				}
 
 				awareStats := ComputePrecision(tc.decryptVec(ctAware), want)
@@ -181,26 +162,24 @@ func TestLevelAwareHoistedMatchesRotate(t *testing.T) {
 
 	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
 		ct := tc.eval.DropLevel(ctTop, lvl)
-		withLevelAware(true, func() {
-			hoisted, err := tc.eval.RotateHoisted(ct, rots)
+		hoisted, err := tc.eval.RotateHoisted(ct, rots)
+		if err != nil {
+			t.Fatalf("lvl %d: %v", lvl, err)
+		}
+		for _, k := range rots {
+			want := rotated(v, k)
+			stats := ComputePrecision(tc.decryptVec(hoisted[k]), want)
+			if stats.MaxErr > 1e-2 {
+				t.Fatalf("lvl %d rot %d: hoisted error %v", lvl, k, stats)
+			}
+			plain, err := tc.eval.Rotate(ct, k)
 			if err != nil {
-				t.Fatalf("lvl %d: %v", lvl, err)
+				t.Fatal(err)
 			}
-			for _, k := range rots {
-				want := rotated(v, k)
-				stats := ComputePrecision(tc.decryptVec(hoisted[k]), want)
-				if stats.MaxErr > 1e-2 {
-					t.Fatalf("lvl %d rot %d: hoisted error %v", lvl, k, stats)
-				}
-				plain, err := tc.eval.Rotate(ct, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := maxErr(tc.decryptVec(hoisted[k]), tc.decryptVec(plain)); d > 1e-3 {
-					t.Fatalf("lvl %d rot %d: hoisted and plain rotations diverge by %g", lvl, k, d)
-				}
+			if d := maxErr(tc.decryptVec(hoisted[k]), tc.decryptVec(plain)); d > 1e-3 {
+				t.Fatalf("lvl %d rot %d: hoisted and plain rotations diverge by %g", lvl, k, d)
 			}
-		})
+		}
 	}
 }
 
@@ -216,6 +195,7 @@ func TestLevelAwareRelinDifferential(t *testing.T) {
 		want[i] = v[i] * v[i]
 	}
 	ctTop := tc.encryptVec(t, v)
+	legacy := legacyEvaluator(tc)
 
 	logScale := math.Log2(tc.params.DefaultScale())
 	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
@@ -229,9 +209,7 @@ func TestLevelAwareRelinDifferential(t *testing.T) {
 			continue
 		}
 		ct := tc.eval.DropLevel(ctTop, lvl)
-		var sqAware, sqObliv *Ciphertext
-		withLevelAware(true, func() { sqAware = tc.eval.Square(ct) })
-		withLevelAware(false, func() { sqObliv = tc.eval.Square(ct) })
+		sqAware, sqObliv := tc.eval.Square(ct), legacy.Square(ct)
 		awareStats := ComputePrecision(tc.decryptVec(sqAware), want)
 		oblivStats := ComputePrecision(tc.decryptVec(sqObliv), want)
 		if awareStats.MaxErr > 1e-2 {
@@ -252,26 +230,24 @@ func TestLevelAwareRelinDifferential(t *testing.T) {
 func TestLevelAwareFallbackWithoutBands(t *testing.T) {
 	tc := newTestContext(t, richLevelAwareParams())
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
-	for _, k := range tc.keys.Gal {
-		k.Bands = nil
-	}
-	tc.keys.Rlk.Bands = nil
+	legacy := legacyEvaluator(tc)
 	r := rand.New(rand.NewSource(45))
 	v := randomComplex(r, tc.params.Slots(), 1)
 	want := rotated(v, 1)
 	ctTop := tc.encryptVec(t, v)
-	withLevelAware(true, func() {
-		for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
-			ct := tc.eval.DropLevel(ctTop, lvl)
-			got, err := tc.eval.Rotate(ct, 1)
-			if err != nil {
-				t.Fatalf("lvl %d: %v", lvl, err)
-			}
-			if stats := ComputePrecision(tc.decryptVec(got), want); stats.MaxErr > 1e-2 {
-				t.Fatalf("lvl %d: bandless fallback error %v", lvl, stats)
-			}
+	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
+		ct := legacy.DropLevel(ctTop, lvl)
+		if pl := legacy.planFor(lvl, legacy.keys.Rlk); !tc.params.IsLegacyPlan(pl) {
+			t.Fatalf("lvl %d: bandless key resolved to non-legacy plan %+v", lvl, pl)
 		}
-	})
+		got, err := legacy.Rotate(ct, 1)
+		if err != nil {
+			t.Fatalf("lvl %d: %v", lvl, err)
+		}
+		if stats := ComputePrecision(tc.decryptVec(got), want); stats.MaxErr > 1e-2 {
+			t.Fatalf("lvl %d: bandless fallback error %v", lvl, stats)
+		}
+	}
 }
 
 // TestGadgetPlanSelection pins the selection invariants every parameter set

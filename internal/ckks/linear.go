@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
@@ -29,8 +28,7 @@ type LinearTransform struct {
 	// an IFFT plus two NTTs; it depends only on (diagonal, level, giant
 	// pre-rotation), so it is the paper's "offline" plaintext preprocessing
 	// (§V-B pre-rotates these same plaintexts) and is cached across
-	// evaluations. The cache serves the fused and unfused paths alike,
-	// keeping their comparison about kernel shape only.
+	// evaluations.
 	encMu    sync.Mutex
 	encCache map[encKey]*encEntry
 
@@ -40,18 +38,15 @@ type LinearTransform struct {
 	// CacheBytes/ClearEncodedCache.
 	cacheBytes atomic.Int64
 
-	// BSGS strategy state (see bsgs.go): the cost model's decision is cached
-	// after the first query; SetBabyStep overrides and invalidates it.
-	bsgsMu       sync.Mutex
-	bsgsOverride int // 0 auto, >0 forced baby step, -1 forced per-diagonal
-	bsgsReady    bool
-	bsgsSel      *bsgsPlan
+	// The cost model's sweep plan (see bsgs.go), computed on first use.
+	planOnce sync.Once
+	plan     *bsgsPlan
 }
 
 // encKey names one cached encoding variant of the transform's diagonals.
 type encKey struct {
 	lvl int
-	bs  int // 0: plain diagonals; >0: pre-rotated for the BSGS plan with this baby step
+	bs  int // diagonals pre-rotated for the sweep plan with this baby step
 }
 
 // encEntry is one singleflight-built encoding variant: ready is closed when
@@ -124,28 +119,13 @@ func (lt *LinearTransform) encodedVariant(key encKey, build func() (map[int]enco
 	return e.diags, e.err
 }
 
-// encodedAt returns the transform's diagonals encoded for a ciphertext at
-// level lvl (scale = the level's top prime), building and caching them on
-// first use.
-func (lt *LinearTransform) encodedAt(enc *Encoder, lvl int, scale float64) (map[int]encodedDiag, error) {
-	return lt.encodedVariant(encKey{lvl: lvl}, func() (map[int]encodedDiag, error) {
-		m := make(map[int]encodedDiag, len(lt.Diags))
-		for r, diag := range lt.Diags {
-			pq, pp, err := enc.encodeDiagQP(diag, 0, lvl, scale)
-			if err != nil {
-				return nil, err
-			}
-			m[r] = encodedDiag{q: pq, p: pp}
-		}
-		return m, nil
-	})
-}
-
-// encodedBSGSAt returns the diagonals encoded for the BSGS plan at level lvl:
+// encodedAt returns the diagonals encoded for the sweep plan at level lvl
+// (scale = the level's top prime), building and caching them on first use:
 // each diagonal r = rot + b is pre-rotated by −rot at encode time (the §V-B
 // offline preprocessing), so the giant rotation can be applied to the whole
-// inner sum after the fact instead of to the ciphertext per diagonal.
-func (lt *LinearTransform) encodedBSGSAt(enc *Encoder, lvl int, scale float64, plan *bsgsPlan) (map[int]encodedDiag, error) {
+// inner sum after the fact instead of to the ciphertext per diagonal. Under
+// the degenerate plan (rot = 0 throughout) these are the plain diagonals.
+func (lt *LinearTransform) encodedAt(enc *Encoder, lvl int, scale float64, plan *bsgsPlan) (map[int]encodedDiag, error) {
 	return lt.encodedVariant(encKey{lvl: lvl, bs: plan.bs}, func() (map[int]encodedDiag, error) {
 		m := make(map[int]encodedDiag, len(lt.Diags))
 		for _, g := range plan.giants {
@@ -169,22 +149,9 @@ func (lt *LinearTransform) CacheBytes() int64 { return lt.cacheBytes.Load() }
 // being built are left for their builder to publish) and returns the bytes
 // freed.
 func (lt *LinearTransform) ClearEncodedCache() int64 {
-	return lt.dropCached(func(encKey) bool { return true })
-}
-
-// dropPreRotated evicts the pre-rotated (BSGS) encoding variants, used when
-// the baby step changes.
-func (lt *LinearTransform) dropPreRotated() {
-	lt.dropCached(func(k encKey) bool { return k.bs != 0 })
-}
-
-func (lt *LinearTransform) dropCached(match func(encKey) bool) int64 {
 	var freed int64
 	lt.encMu.Lock()
 	for k, e := range lt.encCache {
-		if !match(k) {
-			continue
-		}
 		select {
 		case <-e.ready:
 			if e.err == nil {
@@ -262,176 +229,6 @@ func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64)
 	return pq, pp, nil
 }
 
-// EvaluateLinearTransformHoisted computes M·u with the hoisting optimization
-// of Fig 1/Fig 5: one ModUp for all K rotations, PMULT and accumulation in
-// the extended modulus PQ, and a single hoisted ModDown at the end. The
-// diagonals are encoded at the scale of the ciphertext's top prime so that
-// the caller's Rescale restores the input scale exactly.
-func (ev *Evaluator) EvaluateLinearTransformHoisted(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
-	fused := FusionEnabled()
-	piped := pipelineActive()
-	if fused {
-		defer obsLinTransFused.done(time.Now())
-	} else {
-		defer obsLinTransUnfused.done(time.Now())
-	}
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := ct.Level()
-	ptScale := float64(rq.Moduli[lvl].Q)
-
-	diags, err := lt.encodedAt(enc, lvl, ptScale)
-	if err != nil {
-		return nil, err
-	}
-
-	// Resolve every Galois key before decomposing: the hoisted digits are
-	// shared across all rotations, so the plan (and its per-key band check)
-	// must see the full key list up front.
-	swks := make(map[int]*SwitchingKey, len(diags))
-	planKeys := make([]*SwitchingKey, 0, len(diags))
-	for r := range diags {
-		if r == 0 {
-			continue
-		}
-		swk, err := ev.keys.GaloisKey(rq.GaloisElement(r))
-		if err != nil {
-			return nil, err
-		}
-		swks[r] = swk
-		planKeys = append(planKeys, swk)
-	}
-	plan := ev.planFor(lvl, planKeys...)
-	lvlP := plan.Alpha - 1
-
-	dec := ev.decomposePlan(ct.C1, lvl, plan)
-	defer dec.release(p)
-
-	// Q-basis accumulators for the rotation-0 term and the c0 parts;
-	// QP-basis accumulators for the hoisted key-switched parts.
-	accQ0, accQ1 := rq.NewPoly(lvl), rq.NewPoly(lvl)
-	accQ0.IsNTT, accQ1.IsNTT = true, true
-	accE0q, accE1q := rq.NewPoly(lvl), rq.NewPoly(lvl)
-	accE0p, accE1p := rp.NewPoly(lvlP), rp.NewPoly(lvlP)
-	accE0q.IsNTT, accE1q.IsNTT, accE0p.IsNTT, accE1p.IsNTT = true, true, true, true
-	anyExt := false
-
-	for r, ed := range diags {
-		ptQ, ptP := ed.q, ed.p
-		if r == 0 {
-			if fused {
-				rq.MulCoeffsAddLazy(accQ0, ct.C0, ptQ, lvl)
-				rq.MulCoeffsAddLazy(accQ1, ct.C1, ptQ, lvl)
-			} else {
-				rq.MulCoeffsAdd(accQ0, ct.C0, ptQ, lvl)
-				rq.MulCoeffsAdd(accQ1, ct.C1, ptQ, lvl)
-			}
-			continue
-		}
-		anyExt = true
-		obsLinTransRotations.Inc()
-		g := rq.GaloisElement(r)
-		swk := swks[r]
-		if fused && piped {
-			// One pipeline Run per rotation: digit NTTs (first consumer
-			// only), the gadget-product MACs, and the five AutAccum MACs
-			// execute per limb while the rows are cache-resident.
-			ev.autAccumPipelined(dec, swk, accE0q, accE1q, accE0p, accE1p, accQ0, ct.C0, ptQ, ptP, g)
-			continue
-		}
-		if fused {
-			// Fused KeyMult: the gadget-product accumulators stay lazy —
-			// the AutAccum MACs below tolerate multiplicands in [0, 2q),
-			// so the four per-rotation reductions are skipped entirely.
-			u0q, u1q := rq.GetPoly(lvl), rq.GetPoly(lvl)
-			u0p, u1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-			u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
-			ev.gadgetProductLazyInto(dec, swk, u0q, u1q, u0p, u1p)
-			// AutAccum (§V-B Fig 6): the automorphism permutation, the
-			// PMULT by the diagonal, and the accumulation run as one pass
-			// per component — no rotated temporaries, one deferred
-			// reduction per accumulator.
-			rq.AutMulCoeffsAddLazy(accE0q, u0q, ptQ, g, lvl)
-			rq.AutMulCoeffsAddLazy(accE1q, u1q, ptQ, g, lvl)
-			rp.AutMulCoeffsAddLazy(accE0p, u0p, ptP, g, lvlP)
-			rp.AutMulCoeffsAddLazy(accE1p, u1p, ptP, g, lvlP)
-			rq.PutPoly(u0q)
-			rq.PutPoly(u1q)
-			rp.PutPoly(u0p)
-			rp.PutPoly(u1p)
-			// The σ(c0) contribution stays in the Q basis.
-			rq.AutMulCoeffsAddLazy(accQ0, ct.C0, ptQ, g, lvl)
-			continue
-		}
-		// Unfused: automorphism of the extended-basis partial results into
-		// temporaries, then separate PMULT+accumulate passes.
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
-		rot0q, rot1q := rq.GetPoly(lvl), rq.GetPoly(lvl)
-		rot0p, rot1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-		rq.AutomorphismNTT(rot0q, u0q, g, lvl)
-		rq.AutomorphismNTT(rot1q, u1q, g, lvl)
-		rp.AutomorphismNTT(rot0p, u0p, g, lvlP)
-		rp.AutomorphismNTT(rot1p, u1p, g, lvlP)
-		rq.PutPoly(u0q)
-		rq.PutPoly(u1q)
-		rp.PutPoly(u0p)
-		rp.PutPoly(u1p)
-		rq.MulCoeffsAdd(accE0q, rot0q, ptQ, lvl)
-		rq.MulCoeffsAdd(accE1q, rot1q, ptQ, lvl)
-		rp.MulCoeffsAdd(accE0p, rot0p, ptP, lvlP)
-		rp.MulCoeffsAdd(accE1p, rot1p, ptP, lvlP)
-		rq.PutPoly(rot0q)
-		rq.PutPoly(rot1q)
-		rp.PutPoly(rot0p)
-		rp.PutPoly(rot1p)
-		// The σ(c0) contribution stays in the Q basis.
-		rotC0 := rq.GetPoly(lvl)
-		rq.AutomorphismNTT(rotC0, ct.C0, g, lvl)
-		rq.MulCoeffsAdd(accQ0, rotC0, ptQ, lvl)
-		rq.PutPoly(rotC0)
-	}
-
-	if fused {
-		if piped {
-			// End-of-sweep normalization of all lazy accumulators in one
-			// pipeline Run (one barrier instead of one per accumulator).
-			qs := []*ring.Poly{accQ0, accQ1}
-			var ps []*ring.Poly
-			if anyExt {
-				qs = append(qs, accE0q, accE1q)
-				ps = append(ps, accE0p, accE1p)
-			}
-			ev.reduceManyPipelined(qs, lvl, ps, lvlP)
-		} else {
-			rq.ReduceLazy(accQ0, lvl)
-			rq.ReduceLazy(accQ1, lvl)
-			if anyExt {
-				rq.ReduceLazy(accE0q, lvl)
-				rq.ReduceLazy(accE1q, lvl)
-				rp.ReduceLazy(accE0p, lvlP)
-				rp.ReduceLazy(accE1p, lvlP)
-			}
-		}
-	}
-
-	out := &Ciphertext{Scale: ct.Scale * ptScale}
-	if anyExt {
-		var d0, d1 *ring.Poly
-		if piped {
-			d0, d1 = ev.modDownPairPipelined(accE0q, accE0p, accE1q, accE1p, accQ0, accQ1, lvl)
-		} else {
-			d0 = ev.ModDown(accE0q, accE0p, lvl)
-			d1 = ev.ModDown(accE1q, accE1p, lvl)
-			rq.Add(d0, d0, accQ0, lvl)
-			rq.Add(d1, d1, accQ1, lvl)
-		}
-		out.C0, out.C1 = d0, d1
-	} else {
-		out.C0, out.C1 = accQ0, accQ1
-	}
-	return out, nil
-}
-
 // EvaluateLinearTransformMinKS computes M·u with the minimum-key-switching
 // strategy (§III-B): only the rotation-by-one key is used, iterating
 // HROT(·, 1) and accumulating the needed diagonals. It trades K evaluation
@@ -449,12 +246,11 @@ func (ev *Evaluator) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTran
 		}
 	}
 
-	diags, err := lt.encodedAt(enc, lvl, ptScale)
+	diags, err := lt.encodedAt(enc, lvl, ptScale, newBSGSPlan(lt.Diags, lt.Slots))
 	if err != nil {
 		return nil, err
 	}
 
-	fused := FusionEnabled()
 	acc0, acc1 := rq.NewPoly(lvl), rq.NewPoly(lvl)
 	acc0.IsNTT, acc1.IsNTT = true, true
 	cur := ct
@@ -470,17 +266,10 @@ func (ev *Evaluator) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTran
 		if !ok {
 			continue
 		}
-		if fused {
-			rq.MulCoeffsAddLazy(acc0, cur.C0, ed.q, lvl)
-			rq.MulCoeffsAddLazy(acc1, cur.C1, ed.q, lvl)
-		} else {
-			rq.MulCoeffsAdd(acc0, cur.C0, ed.q, lvl)
-			rq.MulCoeffsAdd(acc1, cur.C1, ed.q, lvl)
-		}
+		rq.MulCoeffsAddLazy(acc0, cur.C0, ed.q, lvl)
+		rq.MulCoeffsAddLazy(acc1, cur.C1, ed.q, lvl)
 	}
-	if fused {
-		rq.ReduceLazy(acc0, lvl)
-		rq.ReduceLazy(acc1, lvl)
-	}
+	rq.ReduceLazy(acc0, lvl)
+	rq.ReduceLazy(acc1, lvl)
 	return &Ciphertext{C0: acc0, C1: acc1, Scale: ct.Scale * ptScale}, nil
 }

@@ -28,7 +28,7 @@ func TestLinearTransformHoisted(t *testing.T) {
 
 	u := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, u)
-	out, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc)
+	out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHoistedAndMinKSAgree(t *testing.T) {
 
 	u := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, u)
-	h, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc)
+	h, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestLinearTransformHoistedPostRescale(t *testing.T) {
 	ctTop := tc.encryptVec(t, u)
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
 		ct := tc.eval.DropLevel(ctTop, lvl)
-		out, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc)
+		out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
 		if err != nil {
 			t.Fatalf("lvl %d: %v", lvl, err)
 		}
@@ -156,7 +156,7 @@ func TestLinearTransformIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	u := randomComplex(r, slots, 1)
 	ct := tc.encryptVec(t, u)
-	out, err := tc.eval.EvaluateLinearTransformHoisted(ct, lt, tc.enc)
+	out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
 	if err != nil {
 		t.Fatal(err)
 	}

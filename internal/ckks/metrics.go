@@ -47,23 +47,21 @@ var (
 	obsHoisted   = newOpObs("rotate-hoisted")
 	obsBootstrap = newOpObs("bootstrap")
 
-	// Fused-kernel ops (§V): recorded only when the fused path executes, so
-	// the fused/unfused split is visible in /metrics.
-	obsAddMany         = newOpObs("addmany")
-	obsMulConstAccum   = newOpObs("mulconst-accum")
-	obsLinTransFused   = newOpObs("lintrans-hoisted-fused")
-	obsLinTransUnfused = newOpObs("lintrans-hoisted")
-	obsLinTransBSGS    = newOpObs("lintrans-bsgs")
+	// Fused element-wise ladders (§V) and the linear-transform sweep (the
+	// sweep's span annotation carries the plan: bs, diagonals, key switches).
+	obsAddMany       = newOpObs("addmany")
+	obsMulConstAccum = newOpObs("mulconst-accum")
+	obsLinTrans      = newOpObs("lintrans")
 
-	// Key-switch gadget products spent inside linear-transform sweeps: the
-	// hoisted path advances it once per nonzero diagonal, the BSGS path once
-	// per nonzero baby and once per nonzero giant — so a sweep's delta is
+	// Key-switch gadget products spent inside linear-transform sweeps: once
+	// per nonzero baby and once per nonzero giant of the plan (once per
+	// nonzero diagonal under the degenerate plan) — so a sweep's delta is
 	// exactly the rotation count the §V-B cost model predicts, and the BSGS
 	// win (K → ~bs + K/bs) is assertable from /metrics.
 	obsLinTransRotations = obs.Default.Counter("ckks_lintrans_rotations_total")
 
 	// Coefficient bytes held by LinearTransform encoded-diagonal caches
-	// (plain + pre-rotated variants) across the process.
+	// across the process.
 	obsLinTransCacheBytes = obs.Default.Gauge("ckks_lintrans_cache_bytes")
 
 	// Level-aware key-switch plan shape, observed once per Decompose: the

@@ -1,0 +1,417 @@
+package ckks
+
+import (
+	"bytes"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/modarith"
+	"github.com/anaheim-sim/anaheim/internal/par"
+	"github.com/anaheim-sim/anaheim/internal/ring"
+	"github.com/anaheim-sim/anaheim/internal/rns"
+)
+
+// oracle is the plainly-correct reference the evaluator is held to: every
+// kernel is a barriered, exact, full-polynomial ring/rns primitive, nothing is
+// lazy, fused, pooled or cached (converters and rescale constants are rebuilt
+// per call), and the gadget plan is an explicit argument rather than something
+// resolved from the keys. Ciphertext bytes are a pure function of inputs and
+// parameters, so the evaluator's one production path must reproduce these
+// results byte for byte (TestDeterminismMatrix).
+type oracle struct {
+	p    *Parameters
+	keys *EvaluationKeySet
+	enc  *Encoder
+}
+
+// nttZero returns a zero polynomial flagged as NTT-domain.
+func nttZero(r *ring.Ring, lvl int) *ring.Poly {
+	p := r.NewPoly(lvl)
+	p.IsNTT = true
+	return p
+}
+
+func (o oracle) converter(from, to []modarith.Modulus) *rns.BasisConverter {
+	bc, err := rns.NewBasisConverter(from, to)
+	if err != nil {
+		panic(err)
+	}
+	return bc
+}
+
+// qp is a value over the extended basis Q_lvl ∪ P_alpha.
+type qp struct{ q, p *ring.Poly }
+
+func (o oracle) zeroQP(lvl, alpha int) qp {
+	return qp{nttZero(o.p.RingQ(), lvl), nttZero(o.p.RingP(), alpha-1)}
+}
+
+// macQP sets acc += a ⊙ (bq, bp).
+func (o oracle) macQP(acc, a qp, bq, bp *ring.Poly) {
+	o.p.RingQ().MulCoeffsAdd(acc.q, a.q, bq, acc.q.Level())
+	o.p.RingP().MulCoeffsAdd(acc.p, a.p, bp, acc.p.Level())
+}
+
+func (o oracle) addQP(acc, a qp) {
+	o.p.RingQ().Add(acc.q, acc.q, a.q, acc.q.Level())
+	o.p.RingP().Add(acc.p, acc.p, a.p, acc.p.Level())
+}
+
+func (o oracle) autQP(a qp, g uint64) qp {
+	return qp{o.aut(o.p.RingQ(), a.q, g), o.aut(o.p.RingP(), a.p, g)}
+}
+
+func (o oracle) aut(r *ring.Ring, a *ring.Poly, g uint64) *ring.Poly {
+	out := nttZero(r, a.Level())
+	r.AutomorphismNTT(out, a, g, a.Level())
+	return out
+}
+
+// decompose is ModUp: INTT, cut into plan-width digits, base-convert each
+// digit to Q_lvl ∪ P_alpha, NTT.
+func (o oracle) decompose(c *ring.Poly, lvl int, pl GadgetPlan) []qp {
+	rq, rp := o.p.RingQ(), o.p.RingP()
+	coeff := c.Truncated(lvl).CopyNew()
+	rq.INTT(coeff, lvl)
+	to := append(append([]modarith.Modulus{}, rq.Moduli[:lvl+1]...), rp.Moduli[:pl.Alpha]...)
+	digits := make([]qp, pl.Digits)
+	for d := range digits {
+		lo, hi := d*pl.Width, min((d+1)*pl.Width, lvl+1)
+		dg := qp{rq.NewPoly(lvl), rp.NewPoly(pl.Alpha - 1)}
+		rows := append(append([][]uint64{}, dg.q.Coeffs...), dg.p.Coeffs...)
+		o.converter(rq.Moduli[lo:hi], to).Convert(rows, coeff.Coeffs[lo:hi])
+		rq.NTT(dg.q, lvl)
+		rp.NTT(dg.p, pl.Alpha-1)
+		digits[d] = dg
+	}
+	return digits
+}
+
+// gadget is KeyMult: the inner product of the digits with the key's digit
+// arrays for the plan's shape.
+func (o oracle) gadget(digits []qp, swk *SwitchingKey, lvl int, pl GadgetPlan) (u0, u1 qp) {
+	bQ, aQ, bP, aP, ok := swk.gadget(pl, o.p.Alpha())
+	if !ok {
+		panic("oracle: key cannot serve the plan")
+	}
+	u0, u1 = o.zeroQP(lvl, pl.Alpha), o.zeroQP(lvl, pl.Alpha)
+	for d, dg := range digits {
+		o.macQP(u0, dg, bQ[d], bP[d])
+		o.macQP(u1, dg, aQ[d], aP[d])
+	}
+	return u0, u1
+}
+
+// modDown returns round(u / P_alpha) over Q_lvl:
+// (u.q − BConv_{P→Q}(u.p)) · P_alpha^{-1}.
+func (o oracle) modDown(u qp) *ring.Poly {
+	rq, rp := o.p.RingQ(), o.p.RingP()
+	lvl, alpha := u.q.Level(), u.p.Level()+1
+	work := u.p.CopyNew()
+	rp.INTT(work, alpha-1)
+	conv := rq.NewPoly(lvl)
+	o.converter(rp.Moduli[:alpha], rq.Moduli[:lvl+1]).Convert(conv.Coeffs, work.Coeffs)
+	rq.NTT(conv, lvl)
+	out := nttZero(rq, lvl)
+	rq.Sub(out, u.q, conv, lvl)
+	rq.MulByLimbScalars(out, out, rns.ProductInvMod(rp.Moduli[:alpha], rq.Moduli[:lvl+1]), lvl)
+	return out
+}
+
+func (o oracle) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey, pl GadgetPlan) (d0, d1 *ring.Poly) {
+	u0, u1 := o.gadget(o.decompose(c, lvl, pl), swk, lvl, pl)
+	return o.modDown(u0), o.modDown(u1)
+}
+
+func (o oracle) switchKeys(ct *Ciphertext, swk *SwitchingKey, pl GadgetPlan) *Ciphertext {
+	lvl := ct.Level()
+	d0, d1 := o.keySwitch(ct.C1, lvl, swk, pl)
+	o.p.RingQ().Add(d0, d0, ct.C0, lvl)
+	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale}
+}
+
+// automorphism is σ_g(switchKeys(ct)) under the Galois key for g.
+func (o oracle) automorphism(ct *Ciphertext, g uint64, pl GadgetPlan) *Ciphertext {
+	sw := o.switchKeys(ct, o.keys.Gal[g], pl)
+	rq := o.p.RingQ()
+	return &Ciphertext{C0: o.aut(rq, sw.C0, g), C1: o.aut(rq, sw.C1, g), Scale: ct.Scale}
+}
+
+func (o oracle) rotate(ct *Ciphertext, k int, pl GadgetPlan) *Ciphertext {
+	return o.automorphism(ct, o.p.RingQ().GaloisElement(k), pl)
+}
+
+func (o oracle) mulRelin(a, b *Ciphertext, pl GadgetPlan) *Ciphertext {
+	rq := o.p.RingQ()
+	lvl := a.Level()
+	d0, d1, d2 := nttZero(rq, lvl), nttZero(rq, lvl), nttZero(rq, lvl)
+	rq.MulCoeffs(d0, a.C0, b.C0, lvl)
+	rq.MulCoeffs(d1, a.C0, b.C1, lvl)
+	rq.MulCoeffsAdd(d1, a.C1, b.C0, lvl)
+	rq.MulCoeffs(d2, a.C1, b.C1, lvl)
+	u0, u1 := o.keySwitch(d2, lvl, o.keys.Rlk, pl)
+	rq.Add(d0, d0, u0, lvl)
+	rq.Add(d1, d1, u1, lvl)
+	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale}
+}
+
+func (o oracle) rescale(ct *Ciphertext) *Ciphertext {
+	rq := o.p.RingQ()
+	lvl := ct.Level()
+	drop := func(c *ring.Poly) *ring.Poly {
+		w := c.CopyNew()
+		rq.INTT(w, lvl)
+		rns.DivRoundByLastModulus(rq.Moduli, w.Coeffs)
+		out := w.Truncated(lvl - 1).CopyNew()
+		rq.NTT(out, lvl-1)
+		return out
+	}
+	return &Ciphertext{C0: drop(ct.C0), C1: drop(ct.C1), Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
+}
+
+// mulConstAccum returns Σ_i consts[i]·cts[i] as MultConst temporaries chained
+// through two-operand adds; with every constant 1 at scale 1 it is the HADD
+// ladder AddMany collapses.
+func (o oracle) mulConstAccum(cts []*Ciphertext, consts []float64, constScale float64) *Ciphertext {
+	rq := o.p.RingQ()
+	lvl := cts[0].Level()
+	out := &Ciphertext{C0: nttZero(rq, lvl), C1: nttZero(rq, lvl), Scale: cts[0].Scale * constScale}
+	for i, ct := range cts {
+		k := bigScaled(big.NewFloat(consts[i]), constScale)
+		t0, t1 := nttZero(rq, lvl), nttZero(rq, lvl)
+		rq.MulScalarBig(t0, ct.C0, k, lvl)
+		rq.MulScalarBig(t1, ct.C1, k, lvl)
+		rq.Add(out.C0, out.C0, t0, lvl)
+		rq.Add(out.C1, out.C1, t1, lvl)
+	}
+	return out
+}
+
+// sweep evaluates the diagonal linear transform with baby step bs, written as
+// the BSGS identity itself:
+//
+//	Σ_g σ_g( Σ_b d'_{g,b} ⊙ σ_b(ct) ) ,  r = g + b ,  b = r mod bs ,
+//
+// baby rotations sharing one decomposition of c1 and staying in QP, each
+// giant's inner sum key-switched once more by g, one ModDown at the end.
+// bs = Slots is the per-diagonal hoisted sweep (a single giant, g = 0).
+func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, pl GadgetPlan) *Ciphertext {
+	rq := o.p.RingQ()
+	lvl := ct.Level()
+	ptScale := float64(rq.Moduli[lvl].Q)
+	digits := o.decompose(ct.C1, lvl, pl)
+
+	giants := map[int][]int{}
+	for r := range lt.Diags {
+		giants[r-r%bs] = append(giants[r-r%bs], r)
+	}
+	e0, e1 := o.zeroQP(lvl, pl.Alpha), o.zeroQP(lvl, pl.Alpha)
+	q0, q1 := nttZero(rq, lvl), nttZero(rq, lvl)
+	for rot, offsets := range giants {
+		t0, t1 := o.zeroQP(lvl, pl.Alpha), o.zeroQP(lvl, pl.Alpha)
+		a0, a1 := nttZero(rq, lvl), nttZero(rq, lvl)
+		anyBaby := false
+		for _, r := range offsets {
+			ptQ, ptP, err := o.enc.encodeDiagQP(lt.Diags[r], -rot, lvl, ptScale)
+			if err != nil {
+				panic(err)
+			}
+			ptP = ptP.Truncated(pl.Alpha - 1)
+			b := r - rot
+			if b == 0 {
+				rq.MulCoeffsAdd(a0, ct.C0, ptQ, lvl)
+				rq.MulCoeffsAdd(a1, ct.C1, ptQ, lvl)
+				continue
+			}
+			anyBaby = true
+			g := rq.GaloisElement(b)
+			u0, u1 := o.gadget(digits, o.keys.Gal[g], lvl, pl)
+			o.macQP(t0, o.autQP(u0, g), ptQ, ptP)
+			o.macQP(t1, o.autQP(u1, g), ptQ, ptP)
+			rq.MulCoeffsAdd(a0, o.aut(rq, ct.C0, g), ptQ, lvl)
+		}
+		if rot == 0 {
+			o.addQP(e0, t0)
+			o.addQP(e1, t1)
+			rq.Add(q0, q0, a0, lvl)
+			rq.Add(q1, q1, a1, lvl)
+			continue
+		}
+		// The inner sum is the ciphertext (ModDown(t0)+a0, ModDown(t1)+a1);
+		// key-switch its c1 by the giant rotation, keeping t0 and the new
+		// halves in QP so the ModDown stays deferred.
+		inner1 := a1
+		if anyBaby {
+			inner1 = o.modDown(t1)
+			rq.Add(inner1, inner1, a1, lvl)
+		}
+		g := rq.GaloisElement(rot)
+		v0, v1 := o.gadget(o.decompose(inner1, lvl, pl), o.keys.Gal[g], lvl, pl)
+		o.addQP(v0, t0)
+		o.addQP(e0, o.autQP(v0, g))
+		o.addQP(e1, o.autQP(v1, g))
+		rq.Add(q0, q0, o.aut(rq, a0, g), lvl)
+	}
+	rq.Add(q0, q0, o.modDown(e0), lvl)
+	rq.Add(q1, q1, o.modDown(e1), lvl)
+	return &Ciphertext{C0: q0, C1: q1, Scale: ct.Scale * ptScale}
+}
+
+// stripBands returns the key set as a pre-band blob would decode it: base
+// digits only, so every plan resolved from these keys is the legacy shape.
+func stripBands(ks *EvaluationKeySet) *EvaluationKeySet {
+	out := NewEvaluationKeySet()
+	out.Rlk = stripKey(ks.Rlk)
+	for g, k := range ks.Gal {
+		out.Gal[g] = stripKey(k)
+	}
+	return out
+}
+
+func stripKey(k *SwitchingKey) *SwitchingKey {
+	return &SwitchingKey{BQ: k.BQ, AQ: k.AQ, BP: k.BP, AP: k.AP}
+}
+
+func ctBytes(t testing.TB, ct *Ciphertext) []byte {
+	t.Helper()
+	b, err := ct.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDeterminismMatrix is the one differential the evaluator answers to:
+// op × every level × plan shape {the level's plan, legacy via band-stripped
+// keys} × par width {1, 2, 4}, each compared byte for byte (MarshalBinary)
+// against the oracle. It covers what the per-mode differential files used to:
+// lazy vs exact kernels, pipelined vs barriered chains, level-aware vs legacy
+// shapes, the per-diagonal sweep as the degenerate BSGS plan, and independence
+// from the worker count.
+func TestDeterminismMatrix(t *testing.T) {
+	tc := newTestContext(t, richLevelAwareParams())
+	p := tc.params
+	slots := p.Slots()
+	r := rand.New(rand.NewSource(70))
+	lt := denseTestTransform(r, slots, 8)
+	hoistRots := []int{1, 2, 5}
+	rots := append([]int{1, 2, 3, 4, 5, 6, 7}, hoistRots...)
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
+	tc.kgen.GenConjugationKey(tc.sk, tc.keys)
+	swk := tc.kgen.GenKeySwitchKey(tc.sk, tc.kgen.GenSparseSecretKey())
+	conj := p.RingQ().GaloisElementConjugate()
+
+	accumConsts, accumScale := []float64{0.5, -1.25, 0.75}, float64(p.RingQ().Moduli[1].Q)
+	ctA := tc.encryptVec(t, randomComplex(r, slots, 1))
+	ctB := tc.encryptVec(t, randomComplex(r, slots, 1))
+
+	type shape struct {
+		name string
+		keys *EvaluationKeySet
+		swk  *SwitchingKey
+		plan func(lvl int) GadgetPlan
+	}
+	shapes := []shape{
+		{"plan", tc.keys, swk, p.PlanAt},
+		{"legacy", stripBands(tc.keys), stripKey(swk), p.LegacyPlanAt},
+	}
+	sawNonLegacy := false
+	for _, sh := range shapes {
+		ev := NewEvaluator(p, sh.keys)
+		or := oracle{p: p, keys: sh.keys, enc: tc.enc}
+		for lvl := 0; lvl <= p.MaxLevel(); lvl++ {
+			pl := sh.plan(lvl)
+			sawNonLegacy = sawNonLegacy || !p.IsLegacyPlan(pl)
+			a, b := ev.DropLevel(ctA, lvl), ev.DropLevel(ctB, lvl)
+
+			type opCase struct {
+				name string
+				want func() []*Ciphertext
+				got  func() ([]*Ciphertext, error)
+			}
+			one := func(ct *Ciphertext, err error) ([]*Ciphertext, error) { return []*Ciphertext{ct}, err }
+			ops := []opCase{
+				{"switch-keys",
+					func() []*Ciphertext { return []*Ciphertext{or.switchKeys(a, sh.swk, pl)} },
+					func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, sh.swk), nil) }},
+				{"rotate",
+					func() []*Ciphertext { return []*Ciphertext{or.rotate(a, 3, pl)} },
+					func() ([]*Ciphertext, error) { return one(ev.Rotate(a, 3)) }},
+				{"conjugate",
+					func() []*Ciphertext { return []*Ciphertext{or.automorphism(a, conj, pl)} },
+					func() ([]*Ciphertext, error) { return one(ev.Conjugate(a)) }},
+				{"mul-relin",
+					func() []*Ciphertext { return []*Ciphertext{or.mulRelin(a, b, pl)} },
+					func() ([]*Ciphertext, error) { return one(ev.MulRelin(a, b, nil), nil) }},
+				{"add-many",
+					func() []*Ciphertext {
+						return []*Ciphertext{or.mulConstAccum([]*Ciphertext{a, b, a}, []float64{1, 1, 1}, 1)}
+					},
+					func() ([]*Ciphertext, error) { return one(ev.AddMany([]*Ciphertext{a, b, a}), nil) }},
+				{"mul-const-accum",
+					func() []*Ciphertext {
+						return []*Ciphertext{or.mulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale)}
+					},
+					func() ([]*Ciphertext, error) {
+						return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale), nil)
+					}},
+				{"rotate-hoisted",
+					func() []*Ciphertext {
+						var out []*Ciphertext
+						for _, k := range hoistRots {
+							out = append(out, or.rotate(a, k, pl))
+						}
+						return out
+					},
+					func() ([]*Ciphertext, error) {
+						m, err := ev.RotateHoisted(a, hoistRots)
+						var out []*Ciphertext
+						for _, k := range hoistRots {
+							out = append(out, m[k])
+						}
+						return out, err
+					}},
+			}
+			if lvl > 0 {
+				ops = append(ops, opCase{"rescale",
+					func() []*Ciphertext { return []*Ciphertext{or.rescale(a)} },
+					func() ([]*Ciphertext, error) { return one(ev.Rescale(a), nil) }})
+			}
+			for _, bs := range []int{slots, 4} {
+				ops = append(ops, opCase{fmt.Sprintf("sweep-bs%d", bs),
+					func() []*Ciphertext { return []*Ciphertext{or.sweep(a, lt, bs, pl)} },
+					func() ([]*Ciphertext, error) {
+						plan := newBSGSPlan(lt.Diags, bs)
+						keys, err := ev.sweepKeys(plan)
+						if err != nil {
+							return nil, err
+						}
+						return one(ev.evaluateSweep(a, lt, tc.enc, plan, keys))
+					}})
+			}
+
+			for _, op := range ops {
+				want := op.want()
+				for _, width := range []int{1, 2, 4} {
+					prev := par.SetWorkers(width)
+					got, err := op.got()
+					par.SetWorkers(prev)
+					if err != nil {
+						t.Fatalf("%s %s lvl %d width %d: %v", sh.name, op.name, lvl, width, err)
+					}
+					for i := range want {
+						if !bytes.Equal(ctBytes(t, got[i]), ctBytes(t, want[i])) {
+							t.Fatalf("%s %s[%d] lvl %d plan %+v width %d: evaluator bytes differ from the oracle",
+								sh.name, op.name, i, lvl, pl, width)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawNonLegacy {
+		t.Fatal("matrix never exercised a non-legacy gadget plan")
+	}
+}

@@ -1,78 +1,32 @@
 package ckks
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
-// Limb-pipelining toggle for the CKKS execution layer. When enabled (the
-// default) and fusion is on, the evaluator hot chains — the gadget-product
-// inner loop of key switching, the ModDown pair, the automorphism tail of
-// rotations, rescaling, and the hoisted linear-transform AutAccum blocks —
-// record their per-limb kernel chains into a ring.Pipeline and execute the
-// whole chain limb-by-limb under a single barrier, instead of one barriered
-// full-polynomial sweep per kernel. The stage bodies are the same row
-// kernels in the same per-limb order, so pipelined execution is bit-identical
-// to the barriered mode on every kernel tier (pipeline_diff_test.go asserts
-// this coefficient-for-coefficient at every level); only the memory traffic
-// changes. DESIGN.md §3.13 documents the discipline.
+// The evaluator's hot chains — the gadget-product inner loop of key
+// switching, the ModDown pair, the automorphism tail of rotations, rescaling,
+// and the linear-transform sweep blocks — record their per-limb kernel chains
+// into a ring.Pipeline and execute the whole chain limb-by-limb under a single
+// barrier, instead of one barriered full-polynomial sweep per kernel. The
+// stage bodies are the same row kernels the barriered ring ops dispatch, in
+// the same per-limb order, so the results are bit-identical to the barriered
+// exact composition on every kernel tier (oracle_test.go asserts this byte for
+// byte at every level); only the memory traffic changes. DESIGN.md §3.13
+// documents the discipline.
 
-var pipelineDisabled atomic.Bool
-
-// SetPipelined enables or disables the limb-pipelined evaluator chains
-// process-wide.
-func SetPipelined(on bool) { pipelineDisabled.Store(!on) }
-
-// PipelinedEnabled reports whether the limb-pipelined chains are active.
-func PipelinedEnabled() bool { return !pipelineDisabled.Load() }
-
-// pipelineActive reports whether the pipelined paths should run: they build
-// on the lazy fused kernels, so fusion must be on too.
-func pipelineActive() bool { return PipelinedEnabled() && FusionEnabled() }
-
-// ensureNTT materializes the digits' NTT form when a pipelined decomposition
-// (which leaves digits in the coefficient domain for the consuming chain to
-// transform in-pipeline) ends up consumed by a non-pipelined path — e.g. the
-// toggle flipped between decompose and consume, or an unfused caller.
-func (dec *decomposed) ensureNTT(ev *Evaluator) {
-	if !dec.coeffDomain {
-		return
-	}
-	rq, rp := ev.params.RingQ(), ev.params.RingP()
-	lvlP := dec.plan.Alpha - 1
-	for d := range dec.q {
-		if dec.lazy {
-			rq.NTTLazy(dec.q[d], dec.level)
-			rp.NTTLazy(dec.p[d], lvlP)
-		} else {
-			rq.NTT(dec.q[d], dec.level)
-			rp.NTT(dec.p[d], lvlP)
-		}
-	}
-	dec.coeffDomain = false
-}
-
-// gadgetProductPipelined is the limb-pipelined KeyMult/MAC: one pipeline Run
-// records, per digit, the digit's forward NTT (when the decomposition left it
-// in the coefficient domain) immediately followed by the four MACs consuming
-// it, and ends with the four accumulator reductions — so each digit row is
-// transformed and consumed while still cache-resident, and the whole gadget
-// product pays one barrier instead of 2·digits NTTs + 4·digits MACs + 4
-// reductions. Accumulators must be zeroed, NTT-flagged polynomials.
-func (ev *Evaluator) gadgetProductPipelined(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := dec.level
-	lvlP := dec.plan.Alpha - 1
-	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, p.Alpha())
+// recordGadgetMACs records the KeyMult chain of one gadget product into the
+// two lanes: per digit, the digit's forward NTT (first consumer only — the
+// decomposition leaves digits in the coefficient domain) immediately followed
+// by the four lazy MACs consuming it, so each digit row is transformed and
+// consumed while still cache-resident. The accumulators are left lazy.
+func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
+	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, ev.params.Alpha())
 	if !ok {
 		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
 	}
-	pipe := ring.GetPipeline()
-	lq := pipe.Lane(rq, lvl)
-	lp := pipe.Lane(rp, lvlP)
 	for d := range dec.q {
 		if dec.coeffDomain {
 			lq.NTTLazy(dec.q[d])
@@ -83,27 +37,39 @@ func (ev *Evaluator) gadgetProductPipelined(dec *decomposed, swk *SwitchingKey, 
 		lp.MulCoeffsAddLazy(u0p, dec.p[d], bP[d])
 		lp.MulCoeffsAddLazy(u1p, dec.p[d], aP[d])
 	}
+	dec.coeffDomain = false
+}
+
+// gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:
+// the digit NTTs and MACs of recordGadgetMACs, ending with the four
+// accumulator reductions — one barrier instead of 2·digits NTTs + 4·digits
+// MACs + 4 reductions. Accumulators must be NTT-flagged polynomials; the
+// product is added onto whatever (exact or lazy) value they hold.
+func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
+	pipe := ring.GetPipeline()
+	lq := pipe.Lane(ev.params.RingQ(), dec.level)
+	lp := pipe.Lane(ev.params.RingP(), dec.plan.Alpha-1)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p)
 	lq.ReduceLazy(u0q)
 	lq.ReduceLazy(u1q)
 	lp.ReduceLazy(u0p)
 	lp.ReduceLazy(u1p)
 	pipe.Run()
 	pipe.Release()
-	dec.coeffDomain = false
 }
 
-// modDownPairPipelined runs both ModDowns of a key switch as two pipeline
-// Runs (plus the two cross-limb base conversions, which tile internally):
-// one Run fuses the two P-side INTT chains, one Run fuses each Q-side
-// NTTLazy with the SubMul epilogue consuming it — the converted rows are
-// transformed and subtracted while cache-resident. When add0/add1 are
-// non-nil, the exact additions d += add are fused into the same final Run
-// (the SwitchKeys / HMULT tails).
+// modDownPair runs both ModDowns of a key switch as two pipeline Runs (plus
+// the two cross-limb base conversions, which tile internally): one Run fuses
+// the two P-side INTT chains, one Run fuses each Q-side NTTLazy with the
+// SubMul epilogue consuming it — the converted rows are transformed and
+// subtracted while cache-resident. When add0/add1 are non-nil, the exact
+// additions d += add are fused into the same final Run (the HMULT tail and
+// the linear-transform sweep's Q-basis sums).
 //
 // The P-part accumulators u0p/u1p are CONSUMED: every caller releases them
 // right after ModDown, so the inverse transforms run in place instead of
 // paying a defensive copy pass per component.
-func (ev *Evaluator) modDownPairPipelined(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl int) (d0, d1 *ring.Poly) {
+func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl int) (d0, d1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
@@ -143,13 +109,13 @@ func (ev *Evaluator) modDownPairPipelined(u0q, u0p, u1q, u1p, add0, add1 *ring.P
 	return d0, d1
 }
 
-// modDownAutPipelined is modDownPairPipelined with the automorphism tail of
-// a rotation fused into the final Run: o0 = σ_g(ModDown(u0) + c0),
+// modDownAut is modDownPair with the automorphism tail of a rotation fused
+// into the final Run: o0 = σ_g(ModDown(u0) + c0),
 // o1 = σ_g(ModDown(u1)). The sum-then-permute is recorded as the fused
 // AddAutomorphismNTT stage (bit-identical because the sum is element-wise),
 // so the rotation epilogue moves each row once instead of four times. Like
-// modDownPairPipelined, the P-part accumulators are consumed in place.
-func (ev *Evaluator) modDownAutPipelined(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl int) (o0, o1 *ring.Poly) {
+// modDownPair, the P-part accumulators are consumed in place.
+func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl int) (o0, o1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
@@ -187,15 +153,20 @@ func (ev *Evaluator) modDownAutPipelined(u0q, u0p, u1q, u1p, c0 *ring.Poly, g ui
 	return o0, o1
 }
 
-// rescalePipelined is Rescale with both components' kernel chains pipelined:
-// one Run fuses the two copy+INTT chains, the shared [x + q_L/2]_{q_L} rows
-// are computed serially (they are single rows, and every limb of the second
-// Run reads them — a cross-limb dependency the pipeline must not span), and
-// a second Run fuses, per limb, the rescale step, the copy into the
-// level-(L-1) output, and its forward NTT.
-func (ev *Evaluator) rescalePipelined(ct *Ciphertext) *Ciphertext {
+// Rescale divides the ciphertext by its top prime and drops a level,
+// restoring the scale after a multiplication. Both components' kernel chains
+// are pipelined: one Run fuses the two copy+INTT chains, the shared
+// [x + q_L/2]_{q_L} rows are computed serially (they are single rows, and
+// every limb of the second Run reads them — a cross-limb dependency the
+// pipeline must not span), and a second Run fuses, per limb, the rescale step,
+// the copy into the level-(L-1) output, and its forward NTT.
+func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
+	defer obsRescale.done(time.Now())
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
+	if lvl == 0 {
+		panic("ckks: cannot rescale at level 0")
+	}
 	rs := ev.rescaler(lvl)
 	out := &Ciphertext{Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
 
@@ -234,88 +205,22 @@ func (ev *Evaluator) rescalePipelined(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// autAccumPipelined is one rotation's block of the hoisted linear transform
-// (§V-B AutAccum) as a single pipeline Run: the digit NTTs (first consumer
-// only), the gadget-product MACs, and the five automorphism-fused
-// multiply-accumulates into the sweep accumulators all execute per limb while
-// the rows are cache-resident. The per-rotation gadget accumulators stay
-// lazy, exactly like the barriered fused path.
-func (ev *Evaluator) autAccumPipelined(dec *decomposed, swk *SwitchingKey,
-	accE0q, accE1q, accE0p, accE1p, accQ0, c0, ptQ, ptP *ring.Poly, g uint64) {
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := dec.level
-	lvlP := dec.plan.Alpha - 1
-	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, p.Alpha())
-	if !ok {
-		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
-	}
-	u0q, u1q := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	u0p, u1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
-
-	pipe := ring.GetPipeline()
-	lq := pipe.Lane(rq, lvl)
-	lp := pipe.Lane(rp, lvlP)
-	for d := range dec.q {
-		if dec.coeffDomain {
-			lq.NTTLazy(dec.q[d])
-			lp.NTTLazy(dec.p[d])
-		}
-		lq.MulCoeffsAddLazy(u0q, dec.q[d], bQ[d])
-		lq.MulCoeffsAddLazy(u1q, dec.q[d], aQ[d])
-		lp.MulCoeffsAddLazy(u0p, dec.p[d], bP[d])
-		lp.MulCoeffsAddLazy(u1p, dec.p[d], aP[d])
-	}
-	lq.AutMulCoeffsAddLazy(accE0q, u0q, ptQ, g)
-	lq.AutMulCoeffsAddLazy(accE1q, u1q, ptQ, g)
-	lp.AutMulCoeffsAddLazy(accE0p, u0p, ptP, g)
-	lp.AutMulCoeffsAddLazy(accE1p, u1p, ptP, g)
-	lq.AutMulCoeffsAddLazy(accQ0, c0, ptQ, g)
-	pipe.Run()
-	pipe.Release()
-	dec.coeffDomain = false
-
-	rq.PutPoly(u0q)
-	rq.PutPoly(u1q)
-	rp.PutPoly(u0p)
-	rp.PutPoly(u1p)
-}
-
-// babyAccumPipelined is one baby rotation's block of the BSGS linear
-// transform as a single pipeline Run: the digit NTTs (first consumer only),
+// babyAccum is one baby rotation's block of the linear-transform sweep as a
+// single pipeline Run: the digit NTTs (first consumer only),
 // the shared gadget-product MACs, and — per consuming giant — the five
 // automorphism-fused multiply-accumulates into that giant's accumulators, all
-// executing per limb while the key-switched rows are cache-resident. Like
-// autAccumPipelined, every accumulator stays lazy; the sweep reduces them
-// once at the baby/giant phase boundary.
-func (ev *Evaluator) babyAccumPipelined(dec *decomposed, swk *SwitchingKey,
+// executing per limb while the key-switched rows are cache-resident (§V-B
+// AutAccum). Every accumulator stays lazy; the sweep reduces them once at the
+// baby/giant phase boundary.
+func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 	targets []bsgsBabyTarget, c0 *ring.Poly, g uint64) {
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := dec.level
 	lvlP := dec.plan.Alpha - 1
-	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, p.Alpha())
-	if !ok {
-		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
-	}
-	u0q, u1q := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	u0p, u1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
+	u0q, u0p, u1q, u1p := ev.getQP(dec.level, lvlP)
 
 	pipe := ring.GetPipeline()
-	lq := pipe.Lane(rq, lvl)
-	lp := pipe.Lane(rp, lvlP)
-	for d := range dec.q {
-		if dec.coeffDomain {
-			lq.NTTLazy(dec.q[d])
-			lp.NTTLazy(dec.p[d])
-		}
-		lq.MulCoeffsAddLazy(u0q, dec.q[d], bQ[d])
-		lq.MulCoeffsAddLazy(u1q, dec.q[d], aQ[d])
-		lp.MulCoeffsAddLazy(u0p, dec.p[d], bP[d])
-		lp.MulCoeffsAddLazy(u1p, dec.p[d], aP[d])
-	}
+	lq := pipe.Lane(ev.params.RingQ(), dec.level)
+	lp := pipe.Lane(ev.params.RingP(), lvlP)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p)
 	for _, tg := range targets {
 		ga := tg.acc
 		lq.AutMulCoeffsAddLazy(ga.t0q, u0q, tg.ptQ, g)
@@ -326,20 +231,16 @@ func (ev *Evaluator) babyAccumPipelined(dec *decomposed, swk *SwitchingKey,
 	}
 	pipe.Run()
 	pipe.Release()
-	dec.coeffDomain = false
 
-	rq.PutPoly(u0q)
-	rq.PutPoly(u1q)
-	rp.PutPoly(u0p)
-	rp.PutPoly(u1p)
+	ev.putQP(u0q, u0p, u1q, u1p)
 }
 
-// giantAccumPipelined is one giant step's σ+add epilogue as a single pipeline
-// Run: each partial result (T0 + v0, v1, and the Q-basis σ_b(c0) sum when
-// present) is permuted by the giant's Galois element into a scratch row and
-// added into the sweep accumulator while the row is cache-resident. Inputs
-// must be exact (the BSGS giant phase reduces them before calling).
-func (ev *Evaluator) giantAccumPipelined(t0q, w1q, t0p, w1p, a0q,
+// giantAccum is one giant step's σ+add epilogue as a single pipeline Run: each
+// partial result (T0 + v0, v1, and the Q-basis σ_b(c0) sum when present) is
+// permuted by the giant's Galois element into a scratch row and added into the
+// sweep accumulator while the row is cache-resident. Inputs must be exact (the
+// sweep's giant phase reduces them before calling).
+func (ev *Evaluator) giantAccum(t0q, w1q, t0p, w1p, a0q,
 	accE0q, accE1q, accE0p, accE1p, accQ0 *ring.Poly, gal uint64) {
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
@@ -377,10 +278,10 @@ func (ev *Evaluator) giantAccumPipelined(t0q, w1q, t0p, w1p, a0q,
 	}
 }
 
-// reduceManyPipelined normalizes several lazy accumulators (Q-basis at lvl,
-// P-basis at lvlP) in one pipeline Run — the end-of-sweep reductions of the
-// hoisted linear transform, one barrier instead of one per accumulator.
-func (ev *Evaluator) reduceManyPipelined(qs []*ring.Poly, lvl int, ps []*ring.Poly, lvlP int) {
+// reduceMany normalizes several lazy accumulators (Q-basis at lvl, P-basis at
+// lvlP) in one pipeline Run — the sweep's phase-boundary reductions, one
+// barrier instead of one per accumulator.
+func (ev *Evaluator) reduceMany(qs []*ring.Poly, lvl int, ps []*ring.Poly, lvlP int) {
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), lvl)
 	for _, p := range qs {

@@ -8,53 +8,33 @@ import (
 )
 
 // TestPipelinedSteadyStateAllocs pins the steady-state allocation counts of
-// the pipelined hot chains. Recording a chain is allocation-free in steady
-// state — stages are op-code structs in pooled slices, not closures — so the
-// pipelined paths allocate strictly less than their barriered counterparts
-// (the barriered keySwitch measures ~45 and is pinned at 48 in
-// TestKeySwitchAllocs; the pipelined one measures 16). Runs serially — the
-// par dispatch allocates chunk closures, which is noise here.
+// the op-level pipelined chains (Rotate, Rescale). Recording a chain is
+// allocation-free in steady state — stages are op-code structs in pooled
+// slices, not closures. Runs serially — the par dispatch allocates chunk
+// closures, which is noise here.
 func TestPipelinedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
-	prevPiped := PipelinedEnabled()
-	SetPipelined(true)
-	defer SetPipelined(prevPiped)
 
 	tc := newTestContext(t, TestParameters())
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{3})
 	r := rand.New(rand.NewSource(11))
 	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
-	lvl := ct.Level()
-	rq := tc.params.RingQ()
 
 	// Warm the polynomial, scratch, row-header, and pipeline pools.
 	for i := 0; i < 4; i++ {
-		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
-		rq.PutPoly(d0)
-		rq.PutPoly(d1)
 		if _, err := tc.eval.Rotate(ct, 3); err != nil {
 			t.Fatal(err)
 		}
 		tc.eval.Rescale(ct)
 	}
 
-	// Steady state measures 16: the two NewPoly results (3 allocs each), the
-	// decomposed bookkeeping, and the rescaler map lookup interface header.
 	// Pipeline recording itself must stay at zero — a regression to per-stage
-	// closures or unpooled stage slices jumps this by O(digits) per op.
-	if allocs := testing.AllocsPerRun(20, func() {
-		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
-		rq.PutPoly(d0)
-		rq.PutPoly(d1)
-	}); allocs > 20 {
-		t.Errorf("pipelined keySwitch allocates %.1f objects/op, want <= 20", allocs)
-	}
-
-	// Rotate fuses the c0-add and both automorphisms into the ModDown Run;
+	// closures or unpooled stage slices jumps these by O(digits) per op. (The
+	// bare key switch is pinned in TestKeySwitchAllocs.) Rotate fuses the c0-add and both automorphisms into the ModDown Run;
 	// measures 16 (two NewPoly outputs, ciphertext header, bookkeeping).
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := tc.eval.Rotate(ct, 3); err != nil {

@@ -185,19 +185,35 @@ func TestTierIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flood: deep sequential chains on the batch tier, filling its share.
-	ct := client.encrypt(t, []complex128{1, 0.5})
+	// The latency jobs are built (inputs encrypted) before the flood starts:
+	// the premise below is a race between the backlog and the latency jobs,
+	// and client-side encryption on this goroutine must not be part of it.
+	var latSpecs []JobSpec
+	for i := 0; i < 4; i++ {
+		latSpecs = append(latSpecs, squareJob(t, client, latSess.ID, TierLatency))
+	}
+
+	// Flood: deep sequential chains on the batch tier, filling its share. Each
+	// chain alternates square (a key switch, one level) with a doubling add,
+	// six squares down the seven-level chain, so the backlog is ~24 key
+	// switches per latency job on any core count. Inputs below 1/2 keep the
+	// slots bounded through the chain.
+	ct := client.encrypt(t, []complex128{0.5, 0.25})
 	deepSpec := JobSpec{
 		SessionID: batchSess.ID,
 		Inputs:    map[string]*ckks.Ciphertext{"x": ct},
 		Tier:      TierBatch,
 	}
-	deepSpec.Ops = []OpSpec{{ID: "op0", Op: "square", Args: []string{"x"}}}
-	for i := 1; i < 12; i++ {
-		deepSpec.Ops = append(deepSpec.Ops, OpSpec{ID: fmt.Sprintf("op%d", i), Op: "add",
-			Args: []string{fmt.Sprintf("op%d", i-1), fmt.Sprintf("op%d", i-1)}})
+	prev := "x"
+	for i := 0; i < 12; i++ {
+		op := OpSpec{ID: fmt.Sprintf("op%d", i), Op: "square", Args: []string{prev}}
+		if i%2 == 1 {
+			op.Op, op.Args = "add", []string{prev, prev}
+		}
+		deepSpec.Ops = append(deepSpec.Ops, op)
+		prev = op.ID
 	}
-	deepSpec.Outputs = []string{"op11"}
+	deepSpec.Outputs = []string{prev}
 
 	var flood []*Job
 	for i := 0; i < 16; i++ {
@@ -216,8 +232,8 @@ func TestTierIsolation(t *testing.T) {
 
 	// Latency jobs submitted into the saturated engine: all must admit
 	// (their tier share is reserved) and complete ahead of the backlog.
-	for i := 0; i < 4; i++ {
-		job, err := e.Submit(squareJob(t, client, latSess.ID, TierLatency))
+	for i, spec := range latSpecs {
+		job, err := e.Submit(spec)
 		if err != nil {
 			t.Fatalf("latency job %d rejected under batch flood: %v", i, err)
 		}

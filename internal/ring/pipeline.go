@@ -374,13 +374,15 @@ func (pl *Pipeline) Run() {
 		} else {
 			par.ForEachChunk(total, func(lo, hi int) {
 				for t := lo; t < hi; t++ {
+					// Walk the lanes on a copy: t is the loop variable.
+					i := t
 					for _, ln := range lanes {
 						limbs := ln.level + 1
-						if t < limbs {
-							ln.exec(t)
+						if i < limbs {
+							ln.exec(i)
 							break
 						}
-						t -= limbs
+						i -= limbs
 					}
 				}
 			})

@@ -3,6 +3,8 @@ package ring
 import (
 	"sync"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // The pipeline executes the same row kernels the barriered ops dispatch, in
@@ -191,7 +193,9 @@ func TestPipelineTensorChain(t *testing.T) {
 
 // TestPipelineTwoLanes runs a Q-lane and a (shorter) P-lane chain in one
 // pipeline, as every key-switch chain does, and checks both against the
-// barriered forms.
+// barriered forms. The pool width is forced so the parallel branch of Run
+// (11 limbs over two lanes, above parallelLimbThreshold) executes on any host,
+// including the split where one worker's chunk straddles both lanes.
 func TestPipelineTwoLanes(t *testing.T) {
 	rq := newTestRing(t, 5, 9)
 	rp := newTestRing(t, 5, 2)
@@ -212,22 +216,26 @@ func TestPipelineTwoLanes(t *testing.T) {
 	rp.MulCoeffsAddLazy(wantP, ap, bp, lp)
 	rp.ReduceLazy(wantP, lp)
 
-	gotQ := rq.NewPoly(lq)
-	gotQ.IsNTT = true
-	gotP := rp.NewPoly(lp)
-	gotP.IsNTT = true
-	pl := GetPipeline()
-	lnQ := pl.Lane(rq, lq)
-	lnP := pl.Lane(rp, lp)
-	lnQ.MulCoeffsAddLazy(gotQ, aq, bq)
-	lnQ.ReduceLazy(gotQ)
-	lnP.MulCoeffsAddLazy(gotP, ap, bp)
-	lnP.ReduceLazy(gotP)
-	pl.Run()
-	pl.Release()
+	for _, workers := range []int{2, 4} {
+		prev := par.SetWorkers(workers)
+		gotQ := rq.NewPoly(lq)
+		gotQ.IsNTT = true
+		gotP := rp.NewPoly(lp)
+		gotP.IsNTT = true
+		pl := GetPipeline()
+		lnQ := pl.Lane(rq, lq)
+		lnP := pl.Lane(rp, lp)
+		lnQ.MulCoeffsAddLazy(gotQ, aq, bq)
+		lnQ.ReduceLazy(gotQ)
+		lnP.MulCoeffsAddLazy(gotP, ap, bp)
+		lnP.ReduceLazy(gotP)
+		pl.Run()
+		pl.Release()
+		par.SetWorkers(prev)
 
-	if !gotQ.Equal(wantQ) || !gotP.Equal(wantP) {
-		t.Fatal("two-lane pipeline != barriered per-ring composition")
+		if !gotQ.Equal(wantQ) || !gotP.Equal(wantP) {
+			t.Fatalf("workers=%d: two-lane pipeline != barriered per-ring composition", workers)
+		}
 	}
 }
 
