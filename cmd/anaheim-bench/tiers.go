@@ -90,7 +90,7 @@ func addKernelTierBenches(benches map[string]func(b *testing.B)) {
 }
 
 // tierSuffixes are the recognized per-tier row suffixes, in display order.
-var tierSuffixes = []string{"go", "neon", "avx2", "avx512"}
+var tierSuffixes = []string{"go", "neon", "avx512"}
 
 // runTierTable pivots the per-tier rows of a -micro JSON report into a
 // GitHub-flavored markdown table (one row per op, one ns/op column per tier,
@@ -121,7 +121,7 @@ func runTierTable(out io.Writer, path string) error {
 		}
 	}
 	if len(byBase) == 0 {
-		return fmt.Errorf("anaheim-bench: %s has no per-tier benchmark rows (op names ending in -go/-neon/-avx2/-avx512)", path)
+		return fmt.Errorf("anaheim-bench: %s has no per-tier benchmark rows (op names ending in -go/-neon/-avx512)", path)
 	}
 
 	var tiers []string

@@ -26,7 +26,7 @@ func TestRunTierTable(t *testing.T) {
 		GOOS: "linux", GOARCH: "amd64", NumCPU: 8,
 		Results: []microResult{
 			{Op: "ntt_fwd-n14-l1-go", NsPerOp: 1000},
-			{Op: "ntt_fwd-n14-l1-avx2", NsPerOp: 900},
+			{Op: "ntt_fwd-n14-l1-neon", NsPerOp: 900},
 			{Op: "ntt_fwd-n14-l1-avx512", NsPerOp: 400},
 			{Op: "bconv-n14-l16-go", NsPerOp: 5000},
 			{Op: "bconv-n14-l16-avx512", NsPerOp: 2500},
@@ -39,7 +39,7 @@ func TestRunTierTable(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"| op | go ns/op | avx2 ns/op | avx512 ns/op | best vs go |",
+		"| op | go ns/op | neon ns/op | avx512 ns/op | best vs go |",
 		"| ntt_fwd-n14-l1 | 1000 | 900 | 400 | 2.50x |",
 		"| bconv-n14-l16 | 5000 | - | 2500 | 2.00x |",
 	} {

@@ -285,12 +285,20 @@ func ctBytes(t testing.TB, ct *Ciphertext) []byte {
 
 // TestDeterminismMatrix is the one differential the evaluator answers to:
 // op × every level × plan shape {the level's plan, legacy via band-stripped
-// keys} × par width {1, 2, 4}, each compared byte for byte (MarshalBinary)
-// against the oracle. It covers what the per-mode differential files used to:
+// keys} × par width {1, 2, 4} × every kernel tier the host has, each compared
+// byte for byte (MarshalBinary) against the oracle run on the pure-Go tier. It covers what the per-mode differential files used to:
 // lazy vs exact kernels, pipelined vs barriered chains, level-aware vs legacy
 // shapes, the per-diagonal sweep as the degenerate BSGS plan, and independence
-// from the worker count.
+// from the worker count and from the CPU's kernel tier.
 func TestDeterminismMatrix(t *testing.T) {
+	origTier := modarith.ActiveTier()
+	setTier := func(tier modarith.KernelTier) {
+		if err := modarith.SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { setTier(origTier) })
+
 	tc := newTestContext(t, richLevelAwareParams())
 	p := tc.params
 	slots := p.Slots()
@@ -393,18 +401,22 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 
 			for _, op := range ops {
+				setTier(modarith.TierGo)
 				want := op.want()
-				for _, width := range []int{1, 2, 4} {
-					prev := par.SetWorkers(width)
-					got, err := op.got()
-					par.SetWorkers(prev)
-					if err != nil {
-						t.Fatalf("%s %s lvl %d width %d: %v", sh.name, op.name, lvl, width, err)
-					}
-					for i := range want {
-						if !bytes.Equal(ctBytes(t, got[i]), ctBytes(t, want[i])) {
-							t.Fatalf("%s %s[%d] lvl %d plan %+v width %d: evaluator bytes differ from the oracle",
-								sh.name, op.name, i, lvl, pl, width)
+				for _, tier := range modarith.AvailableTiers() {
+					setTier(tier)
+					for _, width := range []int{1, 2, 4} {
+						prev := par.SetWorkers(width)
+						got, err := op.got()
+						par.SetWorkers(prev)
+						if err != nil {
+							t.Fatalf("%s %s lvl %d tier %v width %d: %v", sh.name, op.name, lvl, tier, width, err)
+						}
+						for i := range want {
+							if !bytes.Equal(ctBytes(t, got[i]), ctBytes(t, want[i])) {
+								t.Fatalf("%s %s[%d] lvl %d plan %+v tier %v width %d: evaluator bytes differ from the oracle",
+									sh.name, op.name, i, lvl, pl, tier, width)
+							}
 						}
 					}
 				}

@@ -106,8 +106,6 @@ func TestAsmHygiene(t *testing.T) {
 				switch {
 				case strings.Contains(base, "avx512"):
 					wantSuffix = "AVX512"
-				case strings.Contains(base, "avx2"):
-					wantSuffix = "AVX2"
 				case strings.Contains(base, "arm64"):
 					wantSuffix = "NEON"
 				}

@@ -2,7 +2,7 @@
 
 package modarith
 
-// CPU feature detection for the amd64 assembly tiers. Hand-rolled CPUID
+// CPU feature detection for the amd64 assembly tier. Hand-rolled CPUID
 // rather than golang.org/x/sys/cpu to keep the module dependency-free; the
 // checks mirror what the runtime itself does: a feature counts only if the
 // CPU reports it AND the OS saves the corresponding register state (XCR0 via
@@ -16,12 +16,12 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // in cpu_amd64.s.
 func xgetbv() (eax, edx uint32)
 
-var hasAVX2, hasAVX512 = detectAMD64()
+var hasAVX512 = detectAVX512()
 
-func detectAMD64() (avx2, avx512 bool) {
+func detectAVX512() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false, false
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
@@ -29,24 +29,17 @@ func detectAMD64() (avx2, avx512 bool) {
 		avxBit     = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false, false
+		return false
 	}
 	xcr0, _ := xgetbv()
-	const ymmState = 0x6 // XMM + YMM
-	if xcr0&ymmState != ymmState {
-		return false, false
-	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const (
-		avx2Bit     = 1 << 5
 		avx512FBit  = 1 << 16
 		avx512DQBit = 1 << 17
 		zmmState    = 0xe6 // XMM + YMM + opmask + ZMM_Hi256 + Hi16_ZMM
 	)
-	avx2 = ebx7&avx2Bit != 0
 	// The AVX-512 tier uses ZMM registers, opmasks, and VPMULLQ: require
 	// F + DQ and full ZMM state saving from the OS.
-	avx512 = xcr0&zmmState == zmmState &&
+	return xcr0&zmmState == zmmState &&
 		ebx7&avx512FBit != 0 && ebx7&avx512DQBit != 0
-	return avx2, avx512
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // Runtime kernel dispatch. The row kernels in vec.go / wide.go and the NTT
-// butterfly spans are the innermost loops of every FHE operation; on amd64
+// stage kernels are the innermost loops of every FHE operation; on amd64
 // and arm64 they have hand-written assembly implementations selected once at
 // init into a function-pointer table, so the per-row call sites never branch
 // on CPU features. The pure-Go kernels (vec_ref.go, wide_ref.go) are always
@@ -24,7 +24,7 @@ import (
 // The active tier can be forced — for differential tests, benchmarking one
 // tier against another, or sidestepping a suspect kernel in production —
 // either programmatically via SetKernelTier or with the environment variable
-// ANAHEIM_KERNEL_TIER=go|neon|avx2|avx512, read once at init.
+// ANAHEIM_KERNEL_TIER=go|neon|avx512, read once at init.
 
 // KernelTier identifies one implementation family of the row kernels.
 // Higher values are preferred by the init-time selection when available.
@@ -38,22 +38,11 @@ const (
 	// ASIMD is architecturally mandatory on arm64, so the tier is always
 	// available there.
 	TierNEON
-	// TierAVX2 is the amd64 AVX2 assembly tier (4 lanes per row step,
-	// 32-bit partial-product ladders). Measured end to end it LOSES to the
-	// compiler's scalar code on every hot path we benchmarked — synthesizing
-	// 64x64->128 from VPMULUDQ ladders costs more than the two-instruction
-	// scalar MULX pair, and the butterfly kernels' constant-broadcast
-	// preamble dominates the many short spans of a real transform — so the
-	// tier is opt-in: it is never auto-selected at init and only runs under
-	// an explicit ANAHEIM_KERNEL_TIER=avx2 or SetKernelTier(TierAVX2). It
-	// stays implemented, differentially tested, and benchmarked (the
-	// per-tier rows document the loss) as the measurement surface for
-	// revisiting on microarchitectures with cheaper cross-lane carries.
-	TierAVX2
 	// TierAVX512 is the amd64 AVX-512 assembly tier (8 lanes, VPMULLQ
 	// low-halves, mask-register conditional folds). Requires AVX-512 F+DQ
-	// and OS support for ZMM state.
-	TierAVX512
+	// and OS support for ZMM state. Its value stays 3: slot 2 belonged to a
+	// retired AVX2 tier, and the modarith_kernel_tier gauge is read by number.
+	TierAVX512 KernelTier = 3
 )
 
 // String returns the canonical lower-case tier name used by
@@ -64,8 +53,6 @@ func (t KernelTier) String() string {
 		return "go"
 	case TierNEON:
 		return "neon"
-	case TierAVX2:
-		return "avx2"
 	case TierAVX512:
 		return "avx512"
 	}
@@ -74,12 +61,12 @@ func (t KernelTier) String() string {
 
 // ParseKernelTier is the inverse of String.
 func ParseKernelTier(s string) (KernelTier, error) {
-	for _, t := range []KernelTier{TierGo, TierNEON, TierAVX2, TierAVX512} {
+	for _, t := range []KernelTier{TierGo, TierNEON, TierAVX512} {
 		if s == t.String() {
 			return t, nil
 		}
 	}
-	return TierGo, fmt.Errorf("modarith: unknown kernel tier %q (want go, neon, avx2, or avx512)", s)
+	return TierGo, fmt.Errorf("modarith: unknown kernel tier %q (want go, neon, or avx512)", s)
 }
 
 // kernelTable is the function-pointer table the public row-kernel methods
@@ -88,11 +75,6 @@ func ParseKernelTier(s string) (KernelTier, error) {
 // total and call sites never nil-check.
 type kernelTable struct {
 	tier KernelTier
-	// optIn marks a tier that must never be auto-selected at init (it is
-	// still listed by AvailableTiers and reachable via SetKernelTier or
-	// ANAHEIM_KERNEL_TIER): the tier exists for measurement and as a
-	// differential target, not because it wins on current hardware.
-	optIn bool
 
 	mulAddLazy    func(m Modulus, out, a, b []uint64)
 	mulAddLazyIdx func(m Modulus, out, a, b []uint64, idx []uint32)
@@ -111,8 +93,9 @@ type kernelTable struct {
 	reduceWide128Lazy func(m Modulus, dst, accHi, accLo []uint64)
 	reduceTwoQ        func(m Modulus, p []uint64)
 
-	fwdButterfly func(m Modulus, x, y []uint64, w, wShoup uint64)
-	invButterfly func(m Modulus, x, y []uint64, w, wShoup uint64)
+	fwdStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool)
+	invStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int)
+	invFinal func(m Modulus, x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool)
 }
 
 // goKernels is the pure-Go table: the noasm fallback and the oracle.
@@ -132,8 +115,9 @@ var goKernels = kernelTable{
 	reduceWide128:     vecReduceWide128Go,
 	reduceWide128Lazy: vecReduceWide128LazyGo,
 	reduceTwoQ:        vecReduceTwoQGo,
-	fwdButterfly:      vecFwdButterflyGo,
-	invButterfly:      vecInvButterflyGo,
+	fwdStage:          vecFwdStageGo,
+	invStage:          vecInvStageGo,
+	invFinal:          vecInvFinalGo,
 }
 
 var (
@@ -191,11 +175,14 @@ func fillDefaults(t *kernelTable) {
 	if t.reduceTwoQ == nil {
 		t.reduceTwoQ = goKernels.reduceTwoQ
 	}
-	if t.fwdButterfly == nil {
-		t.fwdButterfly = goKernels.fwdButterfly
+	if t.fwdStage == nil {
+		t.fwdStage = goKernels.fwdStage
 	}
-	if t.invButterfly == nil {
-		t.invButterfly = goKernels.invButterfly
+	if t.invStage == nil {
+		t.invStage = goKernels.invStage
+	}
+	if t.invFinal == nil {
+		t.invFinal = goKernels.invFinal
 	}
 }
 
@@ -220,12 +207,12 @@ func init() {
 	setTier(best)
 }
 
-// pickDefaultTier returns the best tier eligible for automatic selection:
-// the highest available one not marked opt-in.
+// pickDefaultTier returns the tier selected automatically at init: the
+// highest available one.
 func pickDefaultTier(tables map[KernelTier]*kernelTable) KernelTier {
 	best := TierGo
-	for tier, tbl := range tables {
-		if tier > best && !tbl.optIn {
+	for tier := range tables {
+		if tier > best {
 			best = tier
 		}
 	}
@@ -234,7 +221,7 @@ func pickDefaultTier(tables map[KernelTier]*kernelTable) KernelTier {
 
 func setTier(t KernelTier) {
 	active.Store(tierTables[t])
-	// Numeric gauge (0=go 1=neon 2=avx2 3=avx512) for dashboards; the test
+	// Numeric gauge (0=go 1=neon 3=avx512) for dashboards; the test
 	// log line and /metrics docs carry the name mapping.
 	obs.Default.Gauge("modarith_kernel_tier").Set(int64(t))
 }

@@ -23,7 +23,7 @@ func restoreTier(t *testing.T) {
 }
 
 func TestKernelTierStrings(t *testing.T) {
-	for _, tier := range []KernelTier{TierGo, TierNEON, TierAVX2, TierAVX512} {
+	for _, tier := range []KernelTier{TierGo, TierNEON, TierAVX512} {
 		got, err := ParseKernelTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseKernelTier(%q) = %v, %v; want %v", tier.String(), got, err, tier)
@@ -45,7 +45,7 @@ func TestSetKernelTierUnavailable(t *testing.T) {
 	if !avail[TierGo] {
 		t.Fatal("TierGo must always be available")
 	}
-	for _, tier := range []KernelTier{TierNEON, TierAVX2, TierAVX512, KernelTier(42)} {
+	for _, tier := range []KernelTier{TierNEON, KernelTier(2), TierAVX512, KernelTier(42)} {
 		if !avail[tier] {
 			if err := SetKernelTier(tier); err == nil {
 				t.Errorf("SetKernelTier(%v) should fail on this host", tier)
@@ -54,44 +54,33 @@ func TestSetKernelTierUnavailable(t *testing.T) {
 	}
 }
 
-// TestPickDefaultTier pins the auto-selection rule: highest available tier
-// wins, except tiers marked opt-in (TierAVX2: measured net-slower end to
-// end) are skipped no matter how high they rank — they stay reachable only
-// through SetKernelTier / ANAHEIM_KERNEL_TIER.
+// TestPickDefaultTier pins the auto-selection rule — the highest available
+// tier wins — and the numbering dashboards read the modarith_kernel_tier
+// gauge by: avx512 stays 3 with slot 2 left empty.
 func TestPickDefaultTier(t *testing.T) {
-	mk := func(tier KernelTier, optIn bool) *kernelTable {
-		return &kernelTable{tier: tier, optIn: optIn}
+	mk := func(tiers ...KernelTier) map[KernelTier]*kernelTable {
+		tables := map[KernelTier]*kernelTable{}
+		for _, tier := range tiers {
+			tables[tier] = &kernelTable{tier: tier}
+		}
+		return tables
 	}
 	cases := []struct {
 		name   string
 		tables map[KernelTier]*kernelTable
 		want   KernelTier
 	}{
-		{"go-only", map[KernelTier]*kernelTable{TierGo: mk(TierGo, false)}, TierGo},
-		{"avx512-wins", map[KernelTier]*kernelTable{
-			TierGo: mk(TierGo, false), TierAVX2: mk(TierAVX2, true), TierAVX512: mk(TierAVX512, false),
-		}, TierAVX512},
-		{"optin-avx2-skipped", map[KernelTier]*kernelTable{
-			TierGo: mk(TierGo, false), TierAVX2: mk(TierAVX2, true),
-		}, TierGo},
-		{"neon-wins", map[KernelTier]*kernelTable{
-			TierGo: mk(TierGo, false), TierNEON: mk(TierNEON, false),
-		}, TierNEON},
+		{"go-only", mk(TierGo), TierGo},
+		{"avx512-wins", mk(TierGo, TierAVX512), TierAVX512},
+		{"neon-wins", mk(TierGo, TierNEON), TierNEON},
 	}
 	for _, tc := range cases {
 		if got := pickDefaultTier(tc.tables); got != tc.want {
 			t.Errorf("%s: pickDefaultTier = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	// The live registration must agree: if this host has TierAVX2, it is
-	// marked opt-in and must not be what init auto-selected.
-	if tbl, ok := tierTables[TierAVX2]; ok {
-		if !tbl.optIn {
-			t.Error("TierAVX2 is registered without optIn — it measured net-slower and must not auto-select")
-		}
-		if pickDefaultTier(tierTables) == TierAVX2 {
-			t.Error("pickDefaultTier chose the opt-in AVX2 tier")
-		}
+	if TierGo != 0 || TierNEON != 1 || TierAVX512 != 3 {
+		t.Errorf("tier numbering moved: go=%d neon=%d avx512=%d, want 0 1 3", TierGo, TierNEON, TierAVX512)
 	}
 }
 
@@ -159,25 +148,27 @@ func TestDispatchTierMatrix(t *testing.T) {
 					vecReduceTwoQGo(m, wp)
 					rowsEqual(t, "VecReduceTwoQ", tier, m, p, wp)
 				}
-				// Butterfly spans: lengths per the multiple-of-4 contract.
-				for _, n := range []int{4, 8, 20, 64} {
-					w := randBelow(rng, m.Q)
-					ws := m.ShoupPrecomp(w)
-					x := randRow(rng, n, 4*m.Q)
-					y := randRow(rng, n, 4*m.Q)
-					wx, wy := cloneRow(x), cloneRow(y)
-					m.VecFwdButterflyLazy(x, y, w, ws)
-					vecFwdButterflyGo(m, wx, wy, w, ws)
-					rowsEqual(t, "VecFwdButterflyLazy.x", tier, m, x, wx)
-					rowsEqual(t, "VecFwdButterflyLazy.y", tier, m, y, wy)
+				// NTT stage kernels through the public methods.
+				for _, span := range []int{1, 2, 4, 16} {
+					const nb = 9
+					psi, psiShoup := randTwiddles(rng, m, nb)
+					a := randRow(rng, 2*span*nb, 4*m.Q)
+					want := cloneRow(a)
+					m.VecFwdStage(a, psi, psiShoup, span, span, false)
+					vecFwdStageGo(m, want, psi, psiShoup, span, span, false)
+					rowsEqual(t, "VecFwdStage", tier, m, a, want)
 
-					x = randRow(rng, n, m.TwoQ)
-					y = randRow(rng, n, m.TwoQ)
-					wx, wy = cloneRow(x), cloneRow(y)
-					m.VecInvButterflyLazy(x, y, w, ws)
-					vecInvButterflyGo(m, wx, wy, w, ws)
-					rowsEqual(t, "VecInvButterflyLazy.x", tier, m, x, wx)
-					rowsEqual(t, "VecInvButterflyLazy.y", tier, m, y, wy)
+					a = randRow(rng, 2*span*nb, m.TwoQ)
+					want = cloneRow(a)
+					m.VecInvStage(a, psi, psiShoup, span, span)
+					vecInvStageGo(m, want, psi, psiShoup, span, span)
+					rowsEqual(t, "VecInvStage", tier, m, a, want)
+
+					x, y := a[:span*nb], a[span*nb:]
+					wx, wy := want[:span*nb], want[span*nb:]
+					m.VecInvFinal(x, y, psi[0], psiShoup[0], psi[1], psiShoup[1], false)
+					vecInvFinalGo(m, wx, wy, psi[0], psiShoup[0], psi[1], psiShoup[1], false)
+					rowsEqual(t, "VecInvFinal", tier, m, a, want)
 				}
 			}
 		})

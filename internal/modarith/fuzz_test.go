@@ -22,7 +22,7 @@ var fuzzModuli = func() []Modulus {
 
 // FuzzVecKernels cross-checks every registered assembly tier against the
 // pure-Go oracle on fuzzer-chosen operands. The row length is derived from
-// the data so lane tails (n mod 4, n mod 8) are exercised; operands are
+// the data so lane tails (n mod 8) are exercised; operands are
 // folded into the lazy domain the kernels are specified on. Any divergence —
 // a wrong Barrett carry, a missed conditional subtraction, a bad tail
 // split — is a crash here long before it corrupts a ciphertext.
@@ -94,19 +94,26 @@ func FuzzVecKernels(f *testing.F) {
 				}
 			}
 
-			// Butterflies need a multiple-of-4 span.
-			if n4 := n &^ 3; n4 > 0 {
-				x := append([]uint64(nil), a[:n4]...)
-				y := append([]uint64(nil), b[:n4]...)
-				wx := append([]uint64(nil), x...)
-				wy := append([]uint64(nil), y...)
-				tbl.fwdButterfly(m, x, y, w, ws)
-				vecFwdButterflyGo(m, wx, wy, w, ws)
-				tbl.invButterfly(m, x, y, w, ws)
-				vecInvButterflyGo(m, wx, wy, w, ws)
-				for j := range wx {
-					if x[j] != wx[j] || y[j] != wy[j] {
-						t.Fatalf("%v butterfly chain diverges at %d (q=%d n=%d)", tier, j, m.Q, n4)
+			// One forward and one inverse stage at a tail span chosen by the
+			// data (span 8 needs n >= 16), first word pair as the twiddles.
+			span := 1 << (n % 4)
+			if nb := n / (2 * span); nb > 0 {
+				psi, psiShoup := make([]uint64, nb), make([]uint64, nb)
+				for i := range psi {
+					psi[i] = b[i] % m.Q
+					psiShoup[i] = m.ShoupPrecomp(psi[i])
+				}
+				got := append([]uint64(nil), a[:2*span*nb]...)
+				want := append([]uint64(nil), got...)
+				tbl.fwdStage(m, got, psi, psiShoup, span, span, sel&4 != 0)
+				vecFwdStageGo(m, want, psi, psiShoup, span, span, sel&4 != 0)
+				tbl.invStage(m, got, psi, psiShoup, span, span)
+				vecInvStageGo(m, want, psi, psiShoup, span, span)
+				tbl.invFinal(m, got[:span*nb], got[span*nb:], w, ws, psi[0], psiShoup[0], sel&8 != 0)
+				vecInvFinalGo(m, want[:span*nb], want[span*nb:], w, ws, psi[0], psiShoup[0], sel&8 != 0)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%v stage chain diverges at %d (q=%d span=%d blocks=%d)", tier, j, m.Q, span, nb)
 					}
 				}
 			}

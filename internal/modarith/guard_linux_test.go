@@ -1,0 +1,91 @@
+//go:build linux
+
+package modarith
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedRow returns an n-word row whose last byte is the last byte before a
+// PROT_NONE page, so any read or write past the row faults.
+func guardedRow(t *testing.T, n int) []uint64 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (n*8 + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Munmap(mem); err != nil {
+			t.Errorf("munmap: %v", err)
+		}
+	})
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&mem[size-n*8])), n)
+}
+
+func guardedCopy(t *testing.T, src []uint64) []uint64 {
+	t.Helper()
+	dst := guardedRow(t, len(src))
+	copy(dst, src)
+	return dst
+}
+
+// TestStageKernelsStayInBounds runs every tier's stage kernels with the
+// coefficient row and both twiddle rows flush against an unmapped page. The
+// assembly does its own addressing, and the tail kernels consume fewer
+// twiddles per 16-coefficient step than a vector holds (2 at span 4, 4 at
+// span 2), so a full-width twiddle load — or any step past the last block —
+// faults here instead of silently reading a neighbour's memory.
+func TestStageKernelsStayInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	m := tierTestModuli(t)[1]
+	rng := rand.New(rand.NewSource(0x6a8d))
+	for _, tier := range AvailableTiers() {
+		tbl := tierTables[tier]
+		run := func(name string, kernel func()) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("tier %v %s touched memory outside its operands: %v", tier, name, r)
+				}
+			}()
+			kernel()
+		}
+		for _, span := range []int{1, 2, 4, 8} {
+			for _, nb := range []int{8 / span, 24 / span, 24/span + 1} {
+				psi, psiShoup := randTwiddles(rng, m, nb)
+				gPsi, gPsiShoup := guardedCopy(t, psi), guardedCopy(t, psiShoup)
+
+				in := randRow(rng, 2*span*nb, 4*m.Q)
+				for _, lazy := range []bool{false, true} {
+					a, want := guardedCopy(t, in), cloneRow(in)
+					vecFwdStageGo(m, want, psi, psiShoup, span, span, lazy)
+					run("fwdStage", func() { tbl.fwdStage(m, a, gPsi, gPsiShoup, span, span, lazy) })
+					rowsEqual(t, "fwdStage", tier, m, a, want)
+				}
+
+				in = randRow(rng, 2*span*nb, m.TwoQ)
+				a, want := guardedCopy(t, in), cloneRow(in)
+				vecInvStageGo(m, want, psi, psiShoup, span, span)
+				run("invStage", func() { tbl.invStage(m, a, gPsi, gPsiShoup, span, span) })
+				rowsEqual(t, "invStage", tier, m, a, want)
+			}
+		}
+		for _, n := range []int{8, 24, 27} {
+			inX, inY := randRow(rng, n, m.TwoQ), randRow(rng, n, m.TwoQ)
+			nInv, w := randBelow(rng, m.Q), randBelow(rng, m.Q)
+			x, y := guardedCopy(t, inX), guardedCopy(t, inY)
+			vecInvFinalGo(m, inX, inY, nInv, m.ShoupPrecomp(nInv), w, m.ShoupPrecomp(w), false)
+			run("invFinal", func() { tbl.invFinal(m, x, y, nInv, m.ShoupPrecomp(nInv), w, m.ShoupPrecomp(w), false) })
+			rowsEqual(t, "invFinal.x", tier, m, x, inX)
+			rowsEqual(t, "invFinal.y", tier, m, y, inY)
+		}
+	}
+}

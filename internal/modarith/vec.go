@@ -10,7 +10,7 @@ import "math/bits"
 //
 // Every method below dispatches through the runtime kernel table
 // (dispatch.go): one atomic load selects the active implementation tier
-// (pure Go, NEON, AVX2, or AVX-512) for the whole row, so the inner loops
+// (pure Go, NEON, or AVX-512) for the whole row, so the inner loops
 // never branch on CPU features. The pure-Go bodies live in vec_ref.go and
 // remain the differential oracle for every assembly tier.
 //
@@ -137,27 +137,40 @@ func (m Modulus) VecReduceTwoQ(p []uint64) {
 	active.Load().reduceTwoQ(m, p)
 }
 
-// VecFwdButterflyLazy applies the Harvey Cooley–Tukey butterfly pairwise
-// over the two halves of one NTT block:
+// VecFwdStage applies one forward (Cooley–Tukey) NTT stage to len(psi)
+// consecutive twiddle blocks of a — the unit the NTT dispatches, so a tier
+// pays its constant set-up once per stage rather than once per block. Block
+// i is a[2·i·span : 2·(i+1)·span] with twiddle w = psi[i] (Shoup companion
+// psiShoup[i]); the first cnt pairs (x, y) = (a[j], a[j+span]) of every
+// block get the Harvey butterfly
 //
 //	x' = x̃ + w·y,  y' = x̃ - w·y + 2q,  x̃ = x - 2q·[x ≥ 2q]
 //
 // Inputs and outputs live in [0, 4q); the twiddle product w·y lands in
-// [0, 2q) via the MulShoupLazy bound for any y. len(x) == len(y) must be a
-// positive multiple of 4. This is the span kernel of every forward NTT
-// stage with span ≥ 4 (internal/ntt).
-func (m Modulus) VecFwdButterflyLazy(x, y []uint64, w, wShoup uint64) {
-	active.Load().fwdButterfly(m, x, y, w, wShoup)
+// [0, 2q) via the MulShoupLazy bound for any y. span is a power of two;
+// cnt == span below span 4 and a positive multiple of 4 up to span
+// otherwise (cnt < span serves one worker's share of a block that a split
+// transform spreads over several). span == 1 is the last stage and folds the
+// exit reduction in: outputs in [0, 2q) when lazy, [0, q) otherwise.
+func (m Modulus) VecFwdStage(a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
+	active.Load().fwdStage(m, a, psi, psiShoup, span, cnt, lazy)
 }
 
-// VecInvButterflyLazy applies the Harvey Gentleman–Sande butterfly pairwise
-// over the two halves of one NTT block:
+// VecInvStage applies one inverse (Gentleman–Sande) NTT stage over the same
+// block layout and (span, cnt) contract as VecFwdStage:
 //
 //	x' = (x + y) - 2q·[x+y ≥ 2q],  y' = (x - y + 2q)·w  (MulShoupLazy)
 //
-// Inputs and outputs live in [0, 2q). len(x) == len(y) must be a positive
-// multiple of 4. This is the span kernel of every inverse NTT stage with
-// span ≥ 4 (internal/ntt).
-func (m Modulus) VecInvButterflyLazy(x, y []uint64, w, wShoup uint64) {
-	active.Load().invButterfly(m, x, y, w, wShoup)
+// Inputs and outputs live in [0, 2q) at every span.
+func (m Modulus) VecInvStage(a, psi, psiShoup []uint64, span, cnt int) {
+	active.Load().invStage(m, a, psi, psiShoup, span, cnt)
+}
+
+// VecInvFinal runs the last inverse stage over the paired halves x and y
+// (equal lengths) of the one remaining block, with the 1/N scaling fused
+// into both outputs: x' = (x+y)·nInv, y' = (x-y+2q)·w, where w already
+// carries the factor N^{-1}. Inputs in [0, 2q); outputs in [0, 2q) when
+// lazy, [0, q) otherwise.
+func (m Modulus) VecInvFinal(x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool) {
+	active.Load().invFinal(m, x, y, nInv, nInvShoup, w, wShoup, lazy)
 }

@@ -5,8 +5,8 @@
 // arm64 row kernels (TierNEON). AArch64 SIMD has no 64-bit vector multiply,
 // so the 64x64->128 products are scalar MUL/UMULH ladders; the tier's win
 // over compiled Go is bounds-check-free inner loops with post-increment
-// addressing, not lane parallelism. Like TierAVX2, only the kernels at or
-// above parity are implemented: the Shoup-multiply family, butterflies, wide
+// addressing, not lane parallelism. Only the kernels at or above parity are
+// implemented: the Shoup-multiply family, butterflies, wide
 // accumulation and the reductions. The Barrett-quotient family stays on the
 // Go fallback (the compiler already emits the same MUL/UMULH sequence).
 //
@@ -124,7 +124,7 @@ TEXT ·vecFwdButterflyNEON(SB), NOSPLIT, $0-80
 	MOVD wShoup+56(FP), R11
 	MOVD q+64(FP), R12
 	MOVD twoQ+72(FP), R13
-fwdButterflyLoop:
+fwdBlockLoop:
 	MOVD (R0), R4          // u
 	MOVD (R1), R5          // v
 	SUBS R13, R4, R6
@@ -139,7 +139,7 @@ fwdButterflyLoop:
 	MOVD.P R6, 8(R0)
 	MOVD.P R7, 8(R1)
 	SUBS $1, R3
-	BNE fwdButterflyLoop
+	BNE fwdBlockLoop
 	RET
 
 // func vecInvButterflyNEON(x, y []uint64, w, wShoup, q, twoQ uint64)
@@ -151,7 +151,7 @@ TEXT ·vecInvButterflyNEON(SB), NOSPLIT, $0-80
 	MOVD wShoup+56(FP), R11
 	MOVD q+64(FP), R12
 	MOVD twoQ+72(FP), R13
-invButterflyLoop:
+invBlockLoop:
 	MOVD (R0), R4          // u
 	MOVD (R1), R5          // v
 	ADD R5, R4, R6         // s = u + v
@@ -166,5 +166,5 @@ invButterflyLoop:
 	MOVD.P R6, 8(R0)
 	MOVD.P R7, 8(R1)
 	SUBS $1, R3
-	BNE invButterflyLoop
+	BNE invBlockLoop
 	RET

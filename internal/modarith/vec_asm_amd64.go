@@ -2,12 +2,13 @@
 
 package modarith
 
-// amd64 assembly tiers. Each raw asm kernel processes a multiple of its lane
-// count (8 for AVX-512, 4 for AVX2) and requires a non-empty input; the
-// wrappers below run the largest aligned prefix through assembly and hand the
-// remainder to the pure-Go kernel, which keeps the bit-identical contract
-// trivially (the Go kernel IS the spec). For the gather kernel the `a`
-// operand is never split — indices address it absolutely.
+// amd64 assembly tier. Each raw asm row kernel processes a multiple of its
+// lane count (8) and requires a non-empty input; the wrappers below run the
+// largest aligned prefix through assembly and hand the remainder to the
+// pure-Go kernel, which keeps the bit-identical contract trivially (the Go
+// kernel IS the spec). For the gather kernel the `a` operand is never split —
+// indices address it absolutely. The NTT stage kernels split by whole
+// 16-coefficient steps instead (see fwdStage below).
 
 // AVX-512 kernels (8 lanes, F+DQ). vec_avx512_amd64.s.
 //
@@ -53,11 +54,44 @@ func vecReduceWide128LazyAVX512(dst, accHi, accLo []uint64, q, twoQ, u0, u1 uint
 //go:noescape
 func vecReduceTwoQAVX512(p []uint64, q uint64)
 
-//go:noescape
-func vecFwdButterflyAVX512(x, y []uint64, w, wShoup, q, twoQ uint64)
+// NTT stage kernels. The wide forms (span ≥ 8) loop over len(psi) blocks
+// and cnt/8 vector steps per block; the tail forms (span 4, 2, 1) run `steps`
+// 16-coefficient steps, each covering tw = 8/span whole blocks, with x and y
+// gathered in registers through the idx permutations. exit2Q/exitQ are the
+// forward last-stage folds (0 disables a fold); exitQ likewise in invFinal.
 
 //go:noescape
-func vecInvButterflyAVX512(x, y []uint64, w, wShoup, q, twoQ uint64)
+func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+
+//go:noescape
+func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+
+//go:noescape
+func vecInvStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+
+//go:noescape
+func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+
+//go:noescape
+func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
+
+// tailIdx holds, per tail span (indexed by span>>1), the five lane
+// permutations of one 16-coefficient step as byte vectors (lane 0 in the low
+// byte): gather x, gather y (indices into the two loaded vectors, 0–15),
+// scatter to the first and second stored vector (indices into x' ‖ y'), and
+// the spread of the step's tw twiddles over the eight butterfly lanes.
+var tailIdx = [3][5]uint64{
+	{0x0e0c0a0806040200, 0x0f0d0b0907050301, 0x0b030a0209010800, 0x0f070e060d050c04, 0x0706050403020100}, // span 1
+	{0x0d0c090805040100, 0x0f0e0b0a07060302, 0x0b0a030209080100, 0x0f0e07060d0c0504, 0x0303020201010000}, // span 2
+	{0x0b0a090803020100, 0x0f0e0d0c07060504, 0x0b0a090803020100, 0x0f0e0d0c07060504, 0x0101010100000000}, // span 4
+}
+
+// stageBounds panics unless a holds every coefficient a stage call touches
+// and psiShoup covers psi: the assembly does no bounds checking of its own.
+func stageBounds(a, psi, psiShoup []uint64, span, cnt int) {
+	_ = psiShoup[len(psi)-1]
+	_ = a[2*span*(len(psi)-1)+span+cnt-1]
+}
 
 func avx512Table() kernelTable {
 	return kernelTable{
@@ -190,35 +224,67 @@ func avx512Table() kernelTable {
 				vecReduceTwoQGo(m, p[n:])
 			}
 		},
-		fwdButterfly: func(m Modulus, x, y []uint64, w, wShoup uint64) {
-			n := len(x) &^ 7
-			if n > 0 {
-				vecFwdButterflyAVX512(x[:n], y[:n], w, wShoup, m.Q, m.TwoQ)
+		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
+			stageBounds(a, psi, psiShoup, span, cnt)
+			switch {
+			case span >= 8 && cnt%8 == 0:
+				vecFwdStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+				return
+			case span < 8 && cnt == span:
+				tw := 8 / span
+				if steps := len(psi) / tw; steps > 0 {
+					var exit2Q, exitQ uint64
+					if span == 1 {
+						exit2Q = m.TwoQ
+						if !lazy {
+							exitQ = m.Q
+						}
+					}
+					vecFwdTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
+					a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
+				}
 			}
-			if n < len(x) { // tail is a multiple of 4 by the Vec*Butterfly contract
-				vecFwdButterflyGo(m, x[n:], y[n:], w, wShoup)
+			if len(psi) > 0 { // less than one vector step
+				vecFwdStageGo(m, a, psi, psiShoup, span, cnt, lazy)
 			}
 		},
-		invButterfly: func(m Modulus, x, y []uint64, w, wShoup uint64) {
+		invStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int) {
+			stageBounds(a, psi, psiShoup, span, cnt)
+			switch {
+			case span >= 8 && cnt%8 == 0:
+				vecInvStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+				return
+			case span < 8 && cnt == span:
+				tw := 8 / span
+				if steps := len(psi) / tw; steps > 0 {
+					vecInvTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
+					a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
+				}
+			}
+			if len(psi) > 0 {
+				vecInvStageGo(m, a, psi, psiShoup, span, cnt)
+			}
+		},
+		invFinal: func(m Modulus, x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool) {
 			n := len(x) &^ 7
 			if n > 0 {
-				vecInvButterflyAVX512(x[:n], y[:n], w, wShoup, m.Q, m.TwoQ)
+				exitQ := m.Q
+				if lazy {
+					exitQ = 0
+				}
+				vecInvFinalAVX512(x[:n], y[:n], nInv, nInvShoup, w, wShoup, m.Q, m.TwoQ, exitQ)
 			}
 			if n < len(x) {
-				vecInvButterflyGo(m, x[n:], y[n:], w, wShoup)
+				vecInvFinalGo(m, x[n:], y[n:], nInv, nInvShoup, w, wShoup, lazy)
 			}
 		},
 	}
 }
 
-// asmKernelTables registers the amd64 assembly tiers present on this CPU.
+// asmKernelTables registers the amd64 assembly tier if this CPU has it.
 func asmKernelTables() map[KernelTier]kernelTable {
-	tables := map[KernelTier]kernelTable{}
-	if hasAVX2 {
-		tables[TierAVX2] = avx2Table()
+	if !hasAVX512 {
+		return nil
 	}
-	if hasAVX512 {
-		tables[TierAVX512] = avx512Table()
-	}
-	return tables
+	return map[KernelTier]kernelTable{TierAVX512: avx512Table()}
 }

@@ -5,9 +5,9 @@ package modarith
 // arm64 assembly tier. Scalar kernels need no lane alignment, so the
 // wrappers only guard the empty case; there is no tail split. Advanced SIMD
 // is architecturally mandatory on AArch64 — the tier is always available and
-// needs no feature detection. Like TierAVX2, the Barrett-quotient family,
-// mulAddLazyIdx and rescaleStep stay on the per-kernel Go fallback
-// (vec_arm64.s explains why).
+// needs no feature detection. The Barrett-quotient family, mulAddLazyIdx,
+// rescaleStep and invFinal stay on the per-kernel Go fallback (vec_arm64.s
+// explains why).
 
 //go:noescape
 func vecMulShoupNEON(out, a []uint64, w, wShoup, q uint64)
@@ -59,14 +59,28 @@ func asmKernelTables() map[KernelTier]kernelTable {
 					vecReduceTwoQNEON(p, m.Q)
 				}
 			},
-			fwdButterfly: func(m Modulus, x, y []uint64, w, wShoup uint64) {
-				if len(x) > 0 {
-					vecFwdButterflyNEON(x, y[:len(x)], w, wShoup, m.Q, m.TwoQ)
+			// The stage kernels loop the per-block assembly; blocks shorter
+			// than 4 butterflies (and the forward exit-reducing span 1)
+			// would pay a call per one or two butterflies, so they stay on
+			// the Go kernel.
+			fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
+				if span < 4 {
+					vecFwdStageGo(m, a, psi, psiShoup, span, cnt, lazy)
+					return
+				}
+				for i, w := range psi {
+					j := 2 * i * span
+					vecFwdButterflyNEON(a[j:j+cnt], a[j+span:j+span+cnt], w, psiShoup[i], m.Q, m.TwoQ)
 				}
 			},
-			invButterfly: func(m Modulus, x, y []uint64, w, wShoup uint64) {
-				if len(x) > 0 {
-					vecInvButterflyNEON(x, y[:len(x)], w, wShoup, m.Q, m.TwoQ)
+			invStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int) {
+				if span < 4 {
+					vecInvStageGo(m, a, psi, psiShoup, span, cnt)
+					return
+				}
+				for i, w := range psi {
+					j := 2 * i * span
+					vecInvButterflyNEON(a[j:j+cnt], a[j+span:j+span+cnt], w, psiShoup[i], m.Q, m.TwoQ)
 				}
 			},
 		},

@@ -75,6 +75,139 @@
 	MOVQ $0x100000000, AX            \
 	VPBROADCASTQ AX, Z26
 
+// NTT stage kernels (the TEXT bodies are at the end of the file). One call
+// runs a whole stage, or one worker's slice of it, so the constant broadcasts
+// are paid once per stage, not once per twiddle block. They keep Z27 = q and
+// Z28 = 2q from the conventions above (not Z25/Z26: MULHI8 needs no carry
+// constants) and add:
+//	Z23, Z24 = w, wShoup per butterfly lane, Z14 = wShoup>>32
+//	Z15 = 2^32-1 per lane
+//	Z16..Z20 = tail permutations (gather x, gather y, scatter lo, scatter hi,
+//	           twiddle spread), K2 = twiddle load mask
+//	Z21, Z22 = exit-fold bounds (0 makes CONDSUB the identity: min_u(r, r-0))
+
+// MULHI8: HI = hi64(A*B) per lane, given BH = B>>32, without forming the
+// low word. With ll, hl, lh, hh the 32x32 partial products,
+//	t = hl + (ll>>32),  u = lh + lo32(t),  HI = hh + (t>>32) + (u>>32)
+// and no sum can wrap (each is at most (2^32-1)^2 + 2^32-1). The high word
+// is exact, so this is the same value bits.Mul64 and MUL128x8 produce.
+// Clobbers T0, T1, T2. A, B and BH are preserved.
+#define MULHI8(A, B, BH, HI, T0, T1, T2) \
+	VPSRLQ $32, A, T0      \ // ah
+	VPMULUDQ B, A, T1      \ // ll
+	VPMULUDQ BH, T0, HI    \ // hh
+	VPMULUDQ B, T0, T0     \ // hl
+	VPSRLQ $32, T1, T1     \
+	VPADDQ T1, T0, T0      \ // t
+	VPMULUDQ BH, A, T1     \ // lh
+	VPANDQ Z15, T0, T2     \
+	VPADDQ T2, T1, T1      \ // u
+	VPSRLQ $32, T0, T0     \
+	VPADDQ T0, HI, HI      \
+	VPSRLQ $32, T1, T1     \
+	VPADDQ T1, HI, HI
+
+// LO32_MASK loads Z15.
+#define LO32_MASK \
+	MOVL $0xffffffff, AX \
+	VPBROADCASTQ AX, Z15
+
+// FWD_BFLY: Harvey CT butterfly on x = Z0, y = Z1 (both in [0, 4q)):
+// Z2 = x' = u + v', Z3 = y' = u - v' + 2q, with u = x cond-sub 2q and
+// v' = MulShoupLazy(y, w) in [0, 2q). Clobbers Z0, Z1, Z4..Z7.
+#define FWD_BFLY \
+	CONDSUB(Z0, Z28, Z5)                     \
+	MULHI8(Z1, Z24, Z14, Z2, Z5, Z6, Z7)     \ // h = hi64(v*wShoup)
+	VPMULLQ Z23, Z1, Z3                      \ // v*w
+	VPMULLQ Z27, Z2, Z4                      \ // h*q
+	VPSUBQ Z4, Z3, Z1                        \ // v'
+	VPADDQ Z1, Z0, Z2                        \
+	VPSUBQ Z1, Z0, Z3                        \
+	VPADDQ Z28, Z3, Z3
+
+// INV_BFLY: Harvey GS butterfly on x = Z0, y = Z1 (both in [0, 2q)):
+// Z2 = x' = (u+v) cond-sub 2q, Z3 = y' = MulShoupLazy(u - v + 2q, w).
+// Clobbers Z4..Z7.
+#define INV_BFLY \
+	VPADDQ Z1, Z0, Z2                        \
+	CONDSUB(Z2, Z28, Z5)                     \
+	VPSUBQ Z1, Z0, Z3                        \
+	VPADDQ Z28, Z3, Z3                       \ // d = u - v + 2q
+	MULHI8(Z3, Z24, Z14, Z4, Z5, Z6, Z7)     \ // h = hi64(d*wShoup)
+	VPMULLQ Z23, Z3, Z5                      \ // d*w
+	VPMULLQ Z27, Z4, Z6                      \ // h*q
+	VPSUBQ Z6, Z5, Z3
+
+// WIDE_STAGE: span >= 8. DI = a, SI = psi, BX = psiShoup, R8 = blocks,
+// R9 = span, CX = cnt (a multiple of 8). Per block: broadcast its twiddle,
+// then cnt/8 vector steps over the x half (DI) and the y half (R10).
+#define WIDE_STAGE(BFLY, BLOCK, LOOP) \
+	SHLQ $3, R9                \ // span in bytes
+	LEAQ (DI)(R9*1), R10       \
+BLOCK:                         \
+	VPBROADCASTQ (SI), Z23     \
+	VPBROADCASTQ (BX), Z24     \
+	VPSRLQ $32, Z24, Z14       \
+	XORQ DX, DX                \
+LOOP:                          \
+	VMOVDQU64 (DI)(DX*8), Z0   \
+	VMOVDQU64 (R10)(DX*8), Z1  \
+	BFLY                       \
+	VMOVDQU64 Z2, (DI)(DX*8)   \
+	VMOVDQU64 Z3, (R10)(DX*8)  \
+	ADDQ $8, DX                \
+	CMPQ DX, CX                \
+	JL LOOP                    \
+	LEAQ (DI)(R9*2), DI        \
+	LEAQ (R10)(R9*2), R10      \
+	ADDQ $8, SI                \
+	ADDQ $8, BX                \
+	DECQ R8                    \
+	JNZ BLOCK
+
+// TAIL_SETUP: span 4, 2, 1. R10 = idx, CX = tw (twiddles per step). Expands
+// the five byte-index permutations, builds the mask selecting the tw
+// twiddles one step consumes — a masked load reads exactly the bytes it
+// selects, so the kernels never touch memory past the twiddles they use —
+// and leaves R9 = twiddle bytes per step.
+#define TAIL_SETUP \
+	VPMOVZXBQ 0(R10), Z16     \
+	VPMOVZXBQ 8(R10), Z17     \
+	VPMOVZXBQ 16(R10), Z18    \
+	VPMOVZXBQ 24(R10), Z19    \
+	VPMOVZXBQ 32(R10), Z20    \
+	MOVQ $1, AX               \
+	SHLQ CX, AX               \
+	DECQ AX                   \
+	KMOVW AX, K2              \
+	LEAQ (CX*8), R9
+
+// TAIL_LOAD gathers one step: 16 consecutive coefficients at DI split into
+// x = Z0 and y = Z1, and the step's twiddles spread over the lanes.
+#define TAIL_LOAD \
+	VMOVDQU64 (DI), Z0            \
+	VMOVDQU64 64(DI), Z9          \
+	VMOVDQA64 Z0, Z1              \
+	VPERMT2Q Z9, Z16, Z0          \ // x
+	VPERMT2Q Z9, Z17, Z1          \ // y
+	VMOVDQU64.Z (SI), K2, Z10     \
+	VMOVDQU64.Z (BX), K2, Z11     \
+	VPERMQ Z10, Z20, Z23          \
+	VPERMQ Z11, Z20, Z24          \
+	VPSRLQ $32, Z24, Z14
+
+// TAIL_STORE scatters x' = Z2, y' = Z3 back to the step's 16 coefficients
+// and advances to the next step.
+#define TAIL_STORE \
+	VMOVDQA64 Z2, Z0              \
+	VPERMT2Q Z3, Z18, Z0          \
+	VPERMT2Q Z3, Z19, Z2          \
+	VMOVDQU64 Z0, (DI)            \
+	VMOVDQU64 Z2, 64(DI)          \
+	ADDQ $128, DI                 \
+	ADDQ R9, SI                   \
+	ADDQ R9, BX
+
 // func vecMulAddLazyAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 TEXT ·vecMulAddLazyAVX512(SB), NOSPLIT, $0-104
 	MOVQ out_base+0(FP), DI
@@ -441,72 +574,124 @@ reduceTwoQLoop:
 	VZEROUPPER
 	RET
 
-// func vecFwdButterflyAVX512(x, y []uint64, w, wShoup, q, twoQ uint64)
-// Harvey CT butterfly over the span: x' = u + v', y' = u - v' + 2q with
-// u = x cond-sub 2q and v' = MulShoupLazy(y, w) in [0, 2q).
-TEXT ·vecFwdButterflyAVX512(SB), NOSPLIT, $0-80
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	MOVQ y_base+24(FP), BX
-	VPBROADCASTQ w+48(FP), Z23
-	VPBROADCASTQ wShoup+56(FP), Z24
-	VPBROADCASTQ q+64(FP), Z27
-	VPBROADCASTQ twoQ+72(FP), Z28
-	MOVQ $1, AX
-	VPBROADCASTQ AX, Z25
-	MOVQ $0x100000000, AX
-	VPBROADCASTQ AX, Z26
-	XORQ DX, DX
-fwdButterflyLoop:
-	VMOVDQU64 (DI)(DX*8), Z0                  // u
-	VMOVDQU64 (BX)(DX*8), Z1                  // v
-	CONDSUB(Z0, Z28, Z5)                      // u in [0, 2q)
-	MUL128x8(Z1, Z24, Z2, Z3, Z5, Z6, Z7)     // h = hi64(v*wShoup)
-	VPMULLQ Z23, Z1, Z3                       // v*w
-	VPMULLQ Z27, Z2, Z4                       // h*q
-	VPSUBQ Z4, Z3, Z1                         // v' in [0, 2q)
-	VPADDQ Z1, Z0, Z2                         // x' = u + v'
-	VPSUBQ Z1, Z0, Z3
-	VPADDQ Z28, Z3, Z3                        // y' = u - v' + 2q
-	VMOVDQU64 Z2, (DI)(DX*8)
-	VMOVDQU64 Z3, (BX)(DX*8)
-	ADDQ $8, DX
-	CMPQ DX, CX
-	JL fwdButterflyLoop
+// func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-104
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psi_len+32(FP), R8
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ span+72(FP), R9
+	MOVQ cnt+80(FP), CX
+	VPBROADCASTQ q+88(FP), Z27
+	VPBROADCASTQ twoQ+96(FP), Z28
+	LO32_MASK
+	WIDE_STAGE(FWD_BFLY, fwdStageBlock, fwdStageLoop)
 	VZEROUPPER
 	RET
 
-// func vecInvButterflyAVX512(x, y []uint64, w, wShoup, q, twoQ uint64)
-// Harvey GS butterfly over the span: x' = (u+v) cond-sub 2q,
-// y' = MulShoupLazy(u - v + 2q, w).
-TEXT ·vecInvButterflyAVX512(SB), NOSPLIT, $0-80
+// func vecInvStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-104
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psi_len+32(FP), R8
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ span+72(FP), R9
+	MOVQ cnt+80(FP), CX
+	VPBROADCASTQ q+88(FP), Z27
+	VPBROADCASTQ twoQ+96(FP), Z28
+	LO32_MASK
+	WIDE_STAGE(INV_BFLY, invStageBlock, invStageLoop)
+	VZEROUPPER
+	RET
+
+// func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+// The span-1 stage is the transform's last: exit2Q = 2q folds its outputs to
+// [0, 2q) and exitQ = q on to [0, q); both are 0 at spans 4 and 2.
+TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ idx+72(FP), R10
+	MOVQ tw+80(FP), CX
+	MOVQ steps+88(FP), R8
+	VPBROADCASTQ q+96(FP), Z27
+	VPBROADCASTQ twoQ+104(FP), Z28
+	VPBROADCASTQ exit2Q+112(FP), Z21
+	VPBROADCASTQ exitQ+120(FP), Z22
+	LO32_MASK
+	TAIL_SETUP
+fwdTailLoop:
+	TAIL_LOAD
+	FWD_BFLY
+	CONDSUB(Z2, Z21, Z5)
+	CONDSUB(Z3, Z21, Z5)
+	CONDSUB(Z2, Z22, Z5)
+	CONDSUB(Z3, Z22, Z5)
+	TAIL_STORE
+	DECQ R8
+	JNZ fwdTailLoop
+	VZEROUPPER
+	RET
+
+// func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ idx+72(FP), R10
+	MOVQ tw+80(FP), CX
+	MOVQ steps+88(FP), R8
+	VPBROADCASTQ q+96(FP), Z27
+	VPBROADCASTQ twoQ+104(FP), Z28
+	LO32_MASK
+	TAIL_SETUP
+invTailLoop:
+	TAIL_LOAD
+	INV_BFLY
+	TAIL_STORE
+	DECQ R8
+	JNZ invTailLoop
+	VZEROUPPER
+	RET
+
+// func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
+// Last inverse stage with 1/N fused: x' = MulShoupLazy(u + v, nInv),
+// y' = MulShoupLazy(u - v + 2q, w); exitQ = q folds both to [0, q).
+TEXT ·vecInvFinalAVX512(SB), NOSPLIT, $0-104
 	MOVQ x_base+0(FP), DI
 	MOVQ x_len+8(FP), CX
 	MOVQ y_base+24(FP), BX
-	VPBROADCASTQ w+48(FP), Z23
-	VPBROADCASTQ wShoup+56(FP), Z24
-	VPBROADCASTQ q+64(FP), Z27
-	VPBROADCASTQ twoQ+72(FP), Z28
-	MOVQ $1, AX
-	VPBROADCASTQ AX, Z25
-	MOVQ $0x100000000, AX
-	VPBROADCASTQ AX, Z26
+	VPBROADCASTQ nInv+48(FP), Z21             // second fixed operand: Z21, Z20, Z13
+	VPBROADCASTQ nInvShoup+56(FP), Z20
+	VPBROADCASTQ w+64(FP), Z23
+	VPBROADCASTQ wShoup+72(FP), Z24
+	VPBROADCASTQ q+80(FP), Z27
+	VPBROADCASTQ twoQ+88(FP), Z28
+	VPBROADCASTQ exitQ+96(FP), Z22
+	VPSRLQ $32, Z20, Z13
+	VPSRLQ $32, Z24, Z14
+	LO32_MASK
 	XORQ DX, DX
-invButterflyLoop:
+invFinalLoop:
 	VMOVDQU64 (DI)(DX*8), Z0                  // u
 	VMOVDQU64 (BX)(DX*8), Z1                  // v
-	VPADDQ Z1, Z0, Z2                         // s = u + v
-	CONDSUB(Z2, Z28, Z5)                      // x' in [0, 2q)
+	VPADDQ Z1, Z0, Z2                         // s = u + v, in [0, 4q)
 	VPSUBQ Z1, Z0, Z3
 	VPADDQ Z28, Z3, Z3                        // d = u - v + 2q
-	MUL128x8(Z3, Z24, Z4, Z8, Z5, Z6, Z7)     // h = hi64(d*wShoup) -> Z4
-	VPMULLQ Z23, Z3, Z5                       // d*w
-	VPMULLQ Z27, Z4, Z6                       // h*q
-	VPSUBQ Z6, Z5, Z3                         // y' in [0, 2q)
+	MULHI8(Z2, Z20, Z13, Z4, Z5, Z6, Z7)      // hi64(s*nInvShoup)
+	VPMULLQ Z21, Z2, Z2                       // s*nInv
+	VPMULLQ Z27, Z4, Z4
+	VPSUBQ Z4, Z2, Z2                         // x' in [0, 2q)
+	MULHI8(Z3, Z24, Z14, Z4, Z5, Z6, Z7)      // hi64(d*wShoup)
+	VPMULLQ Z23, Z3, Z3                       // d*w
+	VPMULLQ Z27, Z4, Z4
+	VPSUBQ Z4, Z3, Z3                         // y' in [0, 2q)
+	CONDSUB(Z2, Z22, Z5)
+	CONDSUB(Z3, Z22, Z5)
 	VMOVDQU64 Z2, (DI)(DX*8)
 	VMOVDQU64 Z3, (BX)(DX*8)
 	ADDQ $8, DX
 	CMPQ DX, CX
-	JL invButterflyLoop
+	JL invFinalLoop
 	VZEROUPPER
 	RET

@@ -12,12 +12,14 @@ import (
 // this degenerates to Go-vs-Go and passes trivially; CI's amd64 and arm64
 // legs provide the real coverage.
 
-// tierTestLens hits 0-tail, partial-tail and multi-block cases for both the
-// 4-lane (AVX2) and 8-lane (AVX-512) kernels.
+// tierTestLens hits 0-tail, partial-tail and multi-block cases for the 8-lane
+// (AVX-512) kernels.
 var tierTestLens = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 32, 33, 64, 100, 256, 1000, 1024}
 
-// butterflyLens must be positive multiples of 4 (the Vec*Butterfly contract).
-var butterflyLens = []int{4, 8, 12, 16, 24, 32, 64, 100, 256, 1024}
+// stageBlockCounts are the twiddle-block counts the stage kernels are swept
+// over: below, at and astride the 2/4/8 blocks one 16-coefficient tail step
+// covers at span 4/2/1, so both the vector steps and the Go remainder run.
+var stageBlockCounts = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64}
 
 func tierTestModuli(t testing.TB) []Modulus {
 	t.Helper()
@@ -54,6 +56,16 @@ func randRow(rng *rand.Rand, n int, bound uint64) []uint64 {
 		r[i] = randBelow(rng, bound)
 	}
 	return r
+}
+
+// randTwiddles returns nb random twiddles with their Shoup companions.
+func randTwiddles(rng *rand.Rand, m Modulus, nb int) (psi, psiShoup []uint64) {
+	psi = randRow(rng, nb, m.Q)
+	psiShoup = make([]uint64, nb)
+	for i, w := range psi {
+		psiShoup[i] = m.ShoupPrecomp(w)
+	}
+	return psi, psiShoup
 }
 
 func cloneRow(a []uint64) []uint64 {
@@ -249,25 +261,66 @@ func TestTierReduceTwoQ(t *testing.T) {
 	})
 }
 
+// stageCnts returns the per-block butterfly counts to sweep at one span: the
+// full block, and — where the contract allows partial blocks — the shares a
+// split transform hands one worker (multiples of 4, vector-aligned or not).
+func stageCnts(span int) []int {
+	cnts := []int{span}
+	for _, c := range []int{4, 8, 12, span / 2} {
+		if span >= 8 && c < span {
+			cnts = append(cnts, c)
+		}
+	}
+	return cnts
+}
+
+// stageRow returns a row for a stage kernel: random with the boundaries
+// over-sampled, or (every third call) saturated at bound-1, the operand that
+// drives every conditional subtraction and the Shoup product to their limits.
+func stageRow(rng *rand.Rand, n int, bound uint64) []uint64 {
+	r := randRow(rng, n, bound)
+	if rng.Intn(3) == 0 {
+		for i := range r {
+			r[i] = bound - 1
+		}
+	}
+	return r
+}
+
 func TestTierButterflies(t *testing.T) {
-	forEachTierCase(t, butterflyLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
-		w := randBelow(rng, m.Q)
-		ws := m.ShoupPrecomp(w)
+	forEachTierCase(t, stageBlockCounts, func(t *testing.T, tbl *kernelTable, m Modulus, nb int, rng *rand.Rand) {
+		for _, span := range []int{1, 2, 4, 8, 16, 32} {
+			psi, psiShoup := randTwiddles(rng, m, nb)
+			for _, cnt := range stageCnts(span) {
+				for _, lazy := range []bool{false, true} {
+					a := stageRow(rng, 2*span*nb, 4*m.Q) // CT butterfly domain [0, 4q)
+					want := cloneRow(a)
+					vecFwdStageGo(m, want, psi, psiShoup, span, cnt, lazy)
+					tbl.fwdStage(m, a, psi, psiShoup, span, cnt, lazy)
+					rowsEqual(t, "fwdStage", tbl.tier, m, a, want)
+				}
+				a := stageRow(rng, 2*span*nb, m.TwoQ) // GS butterfly domain [0, 2q)
+				want := cloneRow(a)
+				vecInvStageGo(m, want, psi, psiShoup, span, cnt)
+				tbl.invStage(m, a, psi, psiShoup, span, cnt)
+				rowsEqual(t, "invStage", tbl.tier, m, a, want)
+			}
+		}
+	})
+}
 
-		x := randRow(rng, n, 4*m.Q) // CT butterfly domain [0, 4q)
-		y := randRow(rng, n, 4*m.Q)
-		wantX, wantY := cloneRow(x), cloneRow(y)
-		vecFwdButterflyGo(m, wantX, wantY, w, ws)
-		tbl.fwdButterfly(m, x, y, w, ws)
-		rowsEqual(t, "fwdButterfly.x", tbl.tier, m, x, wantX)
-		rowsEqual(t, "fwdButterfly.y", tbl.tier, m, y, wantY)
-
-		x = randRow(rng, n, m.TwoQ) // GS butterfly domain [0, 2q)
-		y = randRow(rng, n, m.TwoQ)
-		wantX, wantY = cloneRow(x), cloneRow(y)
-		vecInvButterflyGo(m, wantX, wantY, w, ws)
-		tbl.invButterfly(m, x, y, w, ws)
-		rowsEqual(t, "invButterfly.x", tbl.tier, m, x, wantX)
-		rowsEqual(t, "invButterfly.y", tbl.tier, m, y, wantY)
+func TestTierInvFinal(t *testing.T) {
+	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		nInv, w := randBelow(rng, m.Q), randBelow(rng, m.Q)
+		nInvShoup, ws := m.ShoupPrecomp(nInv), m.ShoupPrecomp(w)
+		for _, lazy := range []bool{false, true} {
+			x := stageRow(rng, n, m.TwoQ)
+			y := stageRow(rng, n, m.TwoQ)
+			wantX, wantY := cloneRow(x), cloneRow(y)
+			vecInvFinalGo(m, wantX, wantY, nInv, nInvShoup, w, ws, lazy)
+			tbl.invFinal(m, x, y, nInv, nInvShoup, w, ws, lazy)
+			rowsEqual(t, "invFinal.x", tbl.tier, m, x, wantX)
+			rowsEqual(t, "invFinal.y", tbl.tier, m, y, wantY)
+		}
 	})
 }

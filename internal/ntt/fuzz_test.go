@@ -34,6 +34,11 @@ func FuzzNTTRoundTrip(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(6), []byte{})
+	// logN 4 and 5 (the byte maps to logN = b%6 + 1): the smallest sizes
+	// whose span-1/2/4 stages take the vector tail kernels.
+	f.Add(uint8(3), []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(4), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add(uint8(4), []byte{})
 	f.Fuzz(func(t *testing.T, logNByte uint8, data []byte) {
 		logN := int(logNByte)%6 + 1
 		tbl := fuzzTables[logN]

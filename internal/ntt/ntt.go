@@ -159,152 +159,28 @@ func (t *Tables) inverse(a []uint64, lazy bool) {
 }
 
 // fwdStage applies forward stage m (span = N/(2m)) to twiddle blocks
-// [i0, i1). Spans ≥ 4 run on the dispatched butterfly row kernel
-// (modarith.VecFwdButterflyLazy — pure Go, AVX2/AVX-512, or arm64 asm
-// depending on the active tier); the span=1 final stage folds the exit
-// reduction in, emitting [0, q) (exact) or [0, 2q) (lazy); all other stages
-// keep the [0, 4q) butterfly invariant.
+// [i0, i1) as one call of the dispatched stage kernel (modarith.VecFwdStage:
+// pure Go, AVX-512 or arm64 asm depending on the active tier, at every
+// span). The span=1 final stage folds the exit reduction in, emitting
+// [0, q) (exact) or [0, 2q) (lazy); all other stages keep the [0, 4q)
+// butterfly invariant.
 func (t *Tables) fwdStage(a []uint64, m, span, i0, i1 int, lazy bool) {
-	q, twoQ := t.Mod.Q, t.Mod.TwoQ
-	switch {
-	case span >= 4:
-		for i := i0; i < i1; i++ {
-			j1 := 2 * i * span
-			t.Mod.VecFwdButterflyLazy(a[j1:j1+span], a[j1+span:j1+2*span],
-				t.psiRev[m+i], t.psiRevShoup[m+i])
-		}
-	case span == 2:
-		for i := i0; i < i1; i++ {
-			w, ws := t.psiRev[m+i], t.psiRevShoup[m+i]
-			j1 := 4 * i
-			xy := a[j1 : j1+4 : j1+4]
-			u0, u1 := xy[0], xy[1]
-			v0, v1 := xy[2], xy[3]
-			if u0 >= twoQ {
-				u0 -= twoQ
-			}
-			if u1 >= twoQ {
-				u1 -= twoQ
-			}
-			h0, _ := bits.Mul64(v0, ws)
-			h1, _ := bits.Mul64(v1, ws)
-			v0 = v0*w - h0*q
-			v1 = v1*w - h1*q
-			xy[0], xy[2] = u0+v0, u0-v0+twoQ
-			xy[1], xy[3] = u1+v1, u1-v1+twoQ
-		}
-	default: // span == 1: final stage, reduce on the way out
-		for i := i0; i < i1; i++ {
-			w, ws := t.psiRev[m+i], t.psiRevShoup[m+i]
-			j1 := 2 * i
-			xy := a[j1 : j1+2 : j1+2]
-			u, v := xy[0], xy[1]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			h, _ := bits.Mul64(v, ws)
-			v = v*w - h*q
-			s0, s1 := u+v, u-v+twoQ
-			if s0 >= twoQ {
-				s0 -= twoQ
-			}
-			if s1 >= twoQ {
-				s1 -= twoQ
-			}
-			if !lazy {
-				if s0 >= q {
-					s0 -= q
-				}
-				if s1 >= q {
-					s1 -= q
-				}
-			}
-			xy[0], xy[1] = s0, s1
-		}
-	}
+	t.Mod.VecFwdStage(a[2*i0*span:2*i1*span], t.psiRev[m+i0:m+i1], t.psiRevShoup[m+i0:m+i1], span, span, lazy)
 }
 
 // invStage applies inverse stage m (span = N/(2m), m ≥ 2) to twiddle blocks
-// [i0, i1), maintaining the [0, 2q) invariant. Spans ≥ 4 run on the
-// dispatched butterfly row kernel (modarith.VecInvButterflyLazy).
+// [i0, i1) as one call of modarith.VecInvStage, maintaining the [0, 2q)
+// invariant.
 func (t *Tables) invStage(a []uint64, m, span, i0, i1 int) {
-	q, twoQ := t.Mod.Q, t.Mod.TwoQ
-	switch {
-	case span >= 4:
-		for i := i0; i < i1; i++ {
-			j1 := 2 * i * span
-			t.Mod.VecInvButterflyLazy(a[j1:j1+span], a[j1+span:j1+2*span],
-				t.psiInvRev[m+i], t.psiInvShoup[m+i])
-		}
-	case span == 2:
-		for i := i0; i < i1; i++ {
-			w, ws := t.psiInvRev[m+i], t.psiInvShoup[m+i]
-			j1 := 4 * i
-			xy := a[j1 : j1+4 : j1+4]
-			u0, u1 := xy[0], xy[1]
-			v0, v1 := xy[2], xy[3]
-			s0, s1 := u0+v0, u1+v1
-			if s0 >= twoQ {
-				s0 -= twoQ
-			}
-			if s1 >= twoQ {
-				s1 -= twoQ
-			}
-			d0, d1 := u0-v0+twoQ, u1-v1+twoQ
-			h0, _ := bits.Mul64(d0, ws)
-			h1, _ := bits.Mul64(d1, ws)
-			xy[0], xy[2] = s0, d0*w-h0*q
-			xy[1], xy[3] = s1, d1*w-h1*q
-		}
-	default: // span == 1: adjacent pairs
-		for i := i0; i < i1; i++ {
-			w, ws := t.psiInvRev[m+i], t.psiInvShoup[m+i]
-			j1 := 2 * i
-			xy := a[j1 : j1+2 : j1+2]
-			u, v := xy[0], xy[1]
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d := u - v + twoQ
-			h, _ := bits.Mul64(d, ws)
-			xy[0], xy[1] = s, d*w-h*q
-		}
-	}
+	t.Mod.VecInvStage(a[2*i0*span:2*i1*span], t.psiInvRev[m+i0:m+i1], t.psiInvShoup[m+i0:m+i1], span, span)
 }
 
 // invStageFinal runs the last inverse stage (m = 1, span = N/2) over the
 // butterfly index range [jLo, jHi) ⊆ [0, N/2), with the 1/N scaling fused
-// into both butterfly outputs: x' = (x+y)·N^{-1}, y' = (x-y+2q)·(w·N^{-1}).
-// Both Shoup products tolerate the unreduced [0, 4q) operands, so no
-// pre-reduction is needed; exact mode adds one conditional subtraction per
-// output.
+// into both butterfly outputs (modarith.VecInvFinal).
 func (t *Tables) invStageFinal(a []uint64, jLo, jHi int, lazy bool) {
-	q, twoQ := t.Mod.Q, t.Mod.TwoQ
-	nInv, nInvS := t.nInv, t.nInvShoup
-	w, ws := t.wLastNInv, t.wLastNInvShoup
 	span := t.N >> 1
-	x := a[jLo:jHi]
-	y := a[span+jLo : span+jHi]
-	y = y[:len(x)]
-	for j := range x {
-		u, v := x[j], y[j]
-		s := u + v // [0, 4q): MulShoupLazy absorbs it
-		h, _ := bits.Mul64(s, nInvS)
-		r0 := s*nInv - h*q
-		d := u - v + twoQ
-		h, _ = bits.Mul64(d, ws)
-		r1 := d*w - h*q
-		if !lazy {
-			if r0 >= q {
-				r0 -= q
-			}
-			if r1 >= q {
-				r1 -= q
-			}
-		}
-		x[j], y[j] = r0, r1
-	}
+	t.Mod.VecInvFinal(a[jLo:jHi], a[span+jLo:span+jHi], t.nInv, t.nInvShoup, t.wLastNInv, t.wLastNInvShoup, lazy)
 }
 
 // MulCoeffs computes the element-wise product c = a ⊙ b of two NTT-form
@@ -316,15 +192,4 @@ func (t *Tables) MulCoeffs(c, a, b []uint64) {
 	t.checkLen(a, "MulCoeffs (a)")
 	t.checkLen(b, "MulCoeffs (b)")
 	t.Mod.VecMulBarrett(c, a, b)
-}
-
-// MulCoeffsLazy is MulCoeffs with lazy [0, 2q) outputs for fused chains.
-func (t *Tables) MulCoeffsLazy(c, a, b []uint64) {
-	t.checkLen(c, "MulCoeffsLazy (out)")
-	t.checkLen(a, "MulCoeffsLazy (a)")
-	t.checkLen(b, "MulCoeffsLazy (b)")
-	mod := t.Mod
-	for i := range c {
-		c[i] = mod.MulBarrettLazy(a[i], b[i])
-	}
 }

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -487,5 +488,35 @@ func BenchmarkInverseN4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl.Inverse(a)
+	}
+}
+
+// BenchmarkStages times every stage of the forward and inverse transforms on
+// its own (one sub-benchmark per span, ns/butterfly alongside ns/op), so a
+// stage profile that is not flat — one span falling off the vector path —
+// shows from `go test -bench Stages`. The inverse span N/2 row is the
+// 1/N-fused final stage.
+func BenchmarkStages(b *testing.B) {
+	for _, logN := range []int{12, 16} {
+		tbl := newTestTables(b, logN)
+		n := tbl.N
+		a := randPoly(rand.New(rand.NewSource(9)), n, tbl.Mod.Q)
+		stage := func(name string, span int, run func()) {
+			b.Run(fmt.Sprintf("%s/n%d/span%d", name, logN, span), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					run() // every stage maps its input domain into itself
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n/2), "ns/butterfly")
+			})
+		}
+		for m := 1; m < n; m <<= 1 {
+			m, span := m, n/(2*m)
+			stage("fwd", span, func() { tbl.fwdStage(a, m, span, 0, m, false) })
+		}
+		for m := n >> 1; m > 1; m >>= 1 {
+			m, span := m, n/(2*m)
+			stage("inv", span, func() { tbl.invStage(a, m, span, 0, m) })
+		}
+		stage("inv", n/2, func() { tbl.invStageFinal(a, 0, n/2, false) })
 	}
 }

@@ -69,7 +69,7 @@ func transformPlan(limbs, n int) plan {
 }
 
 // forwardSplit runs the forward transform with its work split s ways
-// (s a power of two, 2 ≤ s ≤ N/4) across the shared pool: the first log2(s)
+// (s a power of two, 2 ≤ s ≤ N/8) across the shared pool: the first log2(s)
 // stages run with each stage's N/2 butterflies chunked contiguously over s
 // workers (barrier per stage), after which the array has decomposed into s
 // independent sub-transforms that finish without further synchronization.
@@ -84,8 +84,7 @@ func (t *Tables) forwardSplit(a []uint64, s int, lazy bool) {
 		par.ForEach(s, func(w int) {
 			i := w / wpb
 			j1 := 2*i*sp + (w%wpb)*chunk
-			t.Mod.VecFwdButterflyLazy(a[j1:j1+chunk], a[j1+sp:j1+sp+chunk],
-				t.psiRev[mm+i], t.psiRevShoup[mm+i])
+			t.Mod.VecFwdStage(a[j1:j1+sp+chunk], t.psiRev[mm+i:mm+i+1], t.psiRevShoup[mm+i:mm+i+1], sp, chunk, lazy)
 		})
 	}
 	// span is now n/s; worker c owns blocks [c·m/s, (c+1)·m/s) of every
@@ -122,8 +121,7 @@ func (t *Tables) inverseSplit(a []uint64, s int, lazy bool) {
 		par.ForEach(s, func(w int) {
 			i := w / wpb
 			j1 := 2*i*span + (w%wpb)*chunk
-			t.Mod.VecInvButterflyLazy(a[j1:j1+chunk], a[j1+span:j1+span+chunk],
-				t.psiInvRev[mm+i], t.psiInvShoup[mm+i])
+			t.Mod.VecInvStage(a[j1:j1+span+chunk], t.psiInvRev[mm+i:mm+i+1], t.psiInvShoup[mm+i:mm+i+1], span, chunk)
 		})
 	}
 	par.ForEach(s, func(w int) {
