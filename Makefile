@@ -7,7 +7,7 @@ GO ?= go
 TAGS ?=
 TAGFLAGS = $(if $(TAGS),-tags $(TAGS))
 
-.PHONY: all build vet lint test race bench micro load fuzz bench-compare cover profile serve clean
+.PHONY: all build vet lint test race benchmark-test bench micro load fuzz bench-compare cover profile serve clean
 
 all: vet build test
 
@@ -36,6 +36,14 @@ test:
 
 race:
 	$(GO) test $(TAGFLAGS) -race ./...
+
+# benchmark/ is a module of its own (it takes the library by `replace => ../`),
+# so `./...` above never compiles it: build and test it against this checkout's
+# library here, so that renaming an entry point it pins (benchmark/README.md,
+# "Pinned entry points") fails before the benchmark pipeline does.
+benchmark-test:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Paper-figure benchmarks (testing.B, one per artifact).
 bench:

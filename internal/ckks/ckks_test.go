@@ -26,6 +26,11 @@ func newTestContext(t testing.TB, lit ParametersLiteral) *testContext {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every borrow in this package's tests comes back poisoned, so scratch
+	// that is read before it is written fails the test instead of passing on
+	// what the previous, identical op left in the pool.
+	params.RingQ().PoisonPool()
+	params.RingP().PoisonPool()
 	tc := &testContext{params: params}
 	tc.enc = NewEncoder(params)
 	tc.kgen = NewKeyGenerator(params, 1)

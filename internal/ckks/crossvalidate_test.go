@@ -25,61 +25,156 @@ func traceParamsFor(p *Parameters) trace.Params {
 	}
 }
 
-func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	rq := tc.params.RingQ()
-	rp := tc.params.RingP()
-	r := rand.New(rand.NewSource(110))
-	v := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.encryptVec(t, v)
-	lvl := ct.Level()
-
-	// Functional: count limb transforms of one full HMULT key switch
-	// (ModUp + ModDown), excluding the tensor and rescale parts.
+// countTransforms returns the limb transforms (forward + inverse, Q and P
+// rings) f performs.
+func countTransforms(p *Parameters, f func()) int {
+	rq, rp := p.RingQ(), p.RingP()
 	rq.ResetCounters()
 	rp.ResetCounters()
-	dec := tc.eval.Decompose(ct.C1, lvl)
-	u0q, u0p, u1q, u1p := tc.eval.gadgetProduct(dec, tc.keys.Rlk)
-	tc.eval.ModDown(u0q, u0p, lvl)
-	tc.eval.ModDown(u1q, u1p, lvl)
-	nttQ, inttQ := rq.Counters()
-	nttP, inttP := rp.Counters()
-	functional := float64(nttQ + inttQ + nttP + inttP)
+	f()
+	nq, iq := rq.Counters()
+	np, ip := rp.Counters()
+	return int(nq + iq + np + ip)
+}
 
-	// Trace prediction: ModUp + KeyMult + ModDown kernels at the same level.
-	tp := traceParamsFor(tc.params)
-	b := trace.NewBuilder(tp, trace.GPUBaseline(), "ks")
-	b.ModUp(lvl)
-	b.KeyMult("ks", lvl)
-	b.ModDown(lvl, 2)
-	predicted := b.T.NTTLimbTransforms()
-
-	if rel := functional/predicted - 1; rel > 0.25 || rel < -0.25 {
-		t.Fatalf("trace predicts %.0f limb transforms, functional performs %.0f (rel err %.2f)",
-			predicted, functional, rel)
+// modUpTransforms is what one decomposition costs under pl: the INTT of the
+// input's ℓ+1 limbs, then per digit the forward transform of every row of
+// Q_ℓ ∪ P_α except the digit's own w_d limbs, which are the input's NTT rows.
+func modUpTransforms(pl GadgetPlan) int {
+	n := pl.Level + 1
+	for d := 0; d < pl.Digits; d++ {
+		lo, hi := pl.digitLimbs(d)
+		n += pl.Level + 1 + pl.Alpha - (hi - lo)
 	}
-	t.Logf("key switch: trace %.0f vs functional %.0f limb transforms", predicted, functional)
+	return n
+}
+
+// modDownTransforms is the ModDown of k components: α inverse transforms of
+// the P part and ℓ+1 forward transforms of the converted rows, each.
+func modDownTransforms(pl GadgetPlan, k int) int { return k * (pl.Alpha + pl.Level + 1) }
+
+// hksShapeParams is the benchmark's hks_n16 limb shape (26 Q limbs, α = 7,
+// D = 4 with digit widths 7/7/7/5 at the top) at a test-sized ring degree.
+func hksShapeParams() ParametersLiteral {
+	return ParametersLiteral{LogN: 10, LogQ: append([]int{55}, repeatInts(45, 25)...), LogP: repeatInts(50, 7), LogScale: 45}
+}
+
+// TestTraceMatchesFunctionalKeySwitchNTTCount pins the kernel multiset the evaluator
+// runs to the closed form, at three levels under both the level's plan and
+// the legacy plan: a key switch is (ℓ+1) + Σ_d(ℓ+1+α−w_d) + 2α + 2(ℓ+1) limb
+// transforms, a rescale 2 + 2ℓ. The HROT + HMULT step must also sit within
+// 2 % of the trace layer's own count for it: the two differ only by the
+// D·α − (ℓ+1) rows per key switch that a ragged last digit converts onto limbs
+// the trace's ModUp does not count (none at level 20 or under level 23's own
+// plan, α = 6; two at the top, the benchmark's 448 against 444).
+func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
+	tc := newTestContext(t, hksShapeParams())
+	p := tc.params
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
+	ct := tc.encryptVec(t, randomComplex(rand.New(rand.NewSource(110)), p.Slots(), 1))
+
+	sawBand := false
+	for _, sh := range []struct {
+		name string
+		keys *EvaluationKeySet
+		plan func(int) GadgetPlan
+	}{{"plan", tc.keys, p.PlanAt}, {"legacy", stripBands(tc.keys), p.LegacyPlanAt}} {
+		ev := NewEvaluator(p, sh.keys)
+		for _, lvl := range []int{p.MaxLevel(), 23, 20} {
+			pl := sh.plan(lvl)
+			a := ev.DropLevel(ct, lvl)
+			wantKS := modUpTransforms(pl) + modDownTransforms(pl, 2)
+			if got := countTransforms(p, func() { ev.keySwitch(a.C1, lvl, sh.keys.Rlk) }); got != wantKS {
+				t.Errorf("%s lvl %d %+v: key switch runs %d limb transforms, formula says %d", sh.name, lvl, pl, got, wantKS)
+			}
+			if got := countTransforms(p, func() { ev.Rescale(a) }); got != 2+2*lvl {
+				t.Errorf("%s lvl %d: rescale runs %d limb transforms, want %d", sh.name, lvl, got, 2+2*lvl)
+			}
+			step := countTransforms(p, func() {
+				rot, err := ev.Rotate(a, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev.Rescale(ev.MulRelin(rot, a, nil))
+			})
+			if step != 2*wantKS+2+2*lvl {
+				t.Errorf("%s lvl %d: HROT+HMULT runs %d limb transforms, want %d", sh.name, lvl, step, 2*wantKS+2+2*lvl)
+			}
+
+			tp := traceParamsFor(p)
+			tp.Alpha = pl.Alpha
+			if pl.Width != pl.Alpha || tp.Digits(lvl) != pl.Digits {
+				t.Fatalf("%s lvl %d %+v: a merged-digit shape the trace layer has no kernel list for", sh.name, lvl, pl)
+			}
+			b := trace.NewBuilder(tp, trace.GPUBaseline(), "step")
+			b.HROT(lvl)
+			b.HMULT(lvl)
+			predicted := b.T.NTTLimbTransforms()
+			if ratio := float64(step) / predicted; ratio < 0.98 || ratio > 1.02 {
+				t.Errorf("%s lvl %d: functional %d vs trace %.0f limb transforms (ratio %.3f)", sh.name, lvl, step, predicted, ratio)
+			}
+			sawBand = sawBand || !p.IsLegacyPlan(pl)
+		}
+	}
+	if !sawBand {
+		t.Fatal("no level ran a plan other than the legacy one")
+	}
+}
+
+// TestHoistedDigitsTransformOnce pins the coeffDomain hand-off: a shared
+// decomposition pays its windowed digit transforms in the first gadget
+// product only, whether the consumers are RotateHoisted's keys or the sweep's
+// babyAccum blocks, and every nonzero giant pays one ModDown plus one more
+// decomposition.
+func TestHoistedDigitsTransformOnce(t *testing.T) {
+	tc := newTestContext(t, hksShapeParams())
+	p := tc.params
+	rots := []int{1, 2, 3, 4, 5, 6, 7}
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
+	r := rand.New(rand.NewSource(112))
+	ct := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
+	lvl := ct.Level()
+	pl := p.PlanAt(lvl)
+
+	hoist := []int{1, 2, 5}
+	want := modUpTransforms(pl) + len(hoist)*modDownTransforms(pl, 2)
+	if got := countTransforms(p, func() {
+		if _, err := tc.eval.RotateHoisted(ct, hoist); err != nil {
+			t.Fatal(err)
+		}
+	}); got != want {
+		t.Errorf("RotateHoisted(%v) runs %d limb transforms, want %d", hoist, got, want)
+	}
+
+	// Diagonals 0..7 at baby step 4: babies 1..3 off one decomposition, one
+	// nonzero giant (rotation 4), one final ModDown pair.
+	lt := denseTestTransform(r, p.Slots(), 8)
+	plan := newBSGSPlan(lt.Diags, 4)
+	keys, err := tc.eval.sweepKeys(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() {
+		if _, err := tc.eval.evaluateSweep(ct, lt, tc.enc, plan, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // encodes and caches the diagonals, which transforms them
+	want = 2*modUpTransforms(pl) + modDownTransforms(pl, 1) + modDownTransforms(pl, 2)
+	if got := countTransforms(p, sweep); got != want {
+		t.Errorf("BSGS sweep runs %d limb transforms, want %d", got, want)
+	}
 }
 
 func TestTraceMatchesFunctionalHoistingSavings(t *testing.T) {
 	// Hoisting's (I)NTT savings must appear in the functional library with
 	// the same magnitude the trace predicts: K rotations share one ModUp.
 	tc := newTestContext(t, TestParameters())
-	rq := tc.params.RingQ()
-	rp := tc.params.RingP()
 	rots := []int{1, 2, 3, 5, 7, 11}
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
 	r := rand.New(rand.NewSource(111))
 	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
-
-	count := func(f func()) float64 {
-		rq.ResetCounters()
-		rp.ResetCounters()
-		f()
-		nq, iq := rq.Counters()
-		np, ip := rp.Counters()
-		return float64(nq + iq + np + ip)
-	}
+	count := func(f func()) float64 { return float64(countTransforms(tc.params, f)) }
 
 	hoisted := count(func() {
 		if _, err := tc.eval.RotateHoisted(ct, rots); err != nil {

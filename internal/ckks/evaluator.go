@@ -20,7 +20,7 @@ type Evaluator struct {
 	keys   *EvaluationKeySet
 
 	mu         sync.Mutex
-	digitConv  map[digitConvKey]*rns.BasisConverter // digit group -> Q_level ∪ P_alpha
+	digitConv  map[digitConvKey]*rns.BasisConverter // digit group -> (Q_level ∖ digit) ∪ P_alpha
 	pToQConv   map[pToQKey]*rns.BasisConverter      // P_alpha -> Q_level
 	rescalers  map[int]*rns.Rescaler                // level -> cached rescale constants
 	pInvModQ   [][]uint64                           // alpha -> P_alpha^{-1} mod q_i (full chain)
@@ -154,21 +154,29 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // ---------------------------------------------------------------------------
 // Key switching: ModUp -> KeyMult/MAC -> ModDown (Fig 1)
 
-// digitConverter returns the cached BConv for one digit group of a gadget
-// shape: Q limbs [digit·width, …) -> Q_level ∪ P_alpha.
-func (ev *Evaluator) digitConverter(level, digit, alpha, width int) *rns.BasisConverter {
-	key := digitConvKey{level: level, digit: digit, alpha: alpha, width: width}
+// digitLimbs returns the Q limbs [lo, hi) that form digit d of the plan.
+func (pl GadgetPlan) digitLimbs(d int) (lo, hi int) {
+	return d * pl.Width, min((d+1)*pl.Width, pl.Level+1)
+}
+
+// digitConverter returns the cached BConv for digit d of a gadget plan: the
+// digit's own Q limbs [lo, hi) -> every other limb of Q_level, then P_alpha.
+// The own limbs are not targets: BConv onto a source prime q_j returns the
+// source residue (every other Q_d/q_i term vanishes mod q_j), which the
+// input already holds.
+func (ev *Evaluator) digitConverter(pl GadgetPlan, d int) *rns.BasisConverter {
+	key := digitConvKey{level: pl.Level, digit: d, alpha: pl.Alpha, width: pl.Width}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if c, ok := ev.digitConv[key]; ok {
 		return c
 	}
 	p := ev.params
-	lo, hi := digit*width, min((digit+1)*width, level+1)
-	from := p.RingQ().Moduli[lo:hi]
-	to := make([]modarith.Modulus, 0, level+1+alpha)
-	to = append(append(to, p.RingQ().Moduli[:level+1]...), p.RingP().Moduli[:alpha]...)
-	bc, err := rns.NewBasisConverter(from, to)
+	lo, hi := pl.digitLimbs(d)
+	q := p.RingQ().Moduli[:pl.Level+1]
+	to := make([]modarith.Modulus, 0, len(q)-(hi-lo)+pl.Alpha)
+	to = append(append(append(to, q[:lo]...), q[hi:]...), p.RingP().Moduli[:pl.Alpha]...)
+	bc, err := rns.NewBasisConverter(q[lo:hi], to)
 	if err != nil {
 		panic(err)
 	}
@@ -245,25 +253,20 @@ type decomposed struct {
 	coeffDomain bool
 }
 
-// Decompose performs ModUp on c (NTT, level lvl) under the level's gadget
-// plan. Callers that consume the digits against specific switching keys
-// should prefer decomposePlan with planFor(lvl, keys...), which falls back
-// to the legacy shape when a key lacks the plan's band.
-func (ev *Evaluator) Decompose(c *ring.Poly, lvl int) *decomposed {
-	return ev.decomposePlan(c, lvl, ev.planFor(lvl))
-}
-
-// decomposePlan performs ModUp on c (NTT, level lvl): it INTTs c, and for
-// each digit d of the plan base-converts the digit's limbs to the extended
-// basis Q_lvl ∪ P_alpha (the INTT -> BConv half of §II-B's "ModSwitch"; the
-// NTT half runs inside the consuming gadget product, see coeffDomain). The
-// digit polynomials are borrowed from the ring buffer pools; callers that are
-// done with the decomposition should release it via dec.release.
+// decomposePlan performs ModUp on c (NTT, level lvl == pl.Level): it INTTs
+// c, and for each digit d of the plan base-converts the digit's limbs to the
+// rest of the extended basis Q_lvl ∪ P_alpha (the INTT -> BConv half of
+// §II-B's "ModSwitch"; the NTT half runs inside the consuming gadget product,
+// see coeffDomain). The digit's own Q rows need neither: they are c's NTT rows,
+// copied (the digit goes back to the pool, so it cannot alias c) while the
+// INTT chain has them in cache. Until that product runs, a digit is therefore
+// mixed-domain — own rows NTT, the others coefficient. The digit polynomials
+// are borrowed from the ring buffer pools; callers that are done with the
+// decomposition should release it via dec.release.
 func (ev *Evaluator) decomposePlan(c *ring.Poly, lvl int, pl GadgetPlan) *decomposed {
 	defer obsKSBConv.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
-	width := pl.Width
 	digits := pl.Digits
 	lvlP := pl.Alpha - 1
 	obsKSPlanAlpha.Observe(float64(pl.Alpha))
@@ -271,28 +274,25 @@ func (ev *Evaluator) decomposePlan(c *ring.Poly, lvl int, pl GadgetPlan) *decomp
 
 	dec := &decomposed{level: lvl, plan: pl, q: make([]*ring.Poly, digits), p: make([]*ring.Poly, digits), coeffDomain: true}
 
-	// Fuse the copy with the inverse transform per limb.
+	// Fuse the copies with the inverse transform per limb.
 	coeff := rq.GetPoly(lvl)
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
+	for d := range dec.q {
+		dec.q[d], dec.p[d] = rq.GetPoly(lvl), rp.GetPoly(lvlP)
+		lo, hi := pl.digitLimbs(d)
+		ln.CopyRows(dec.q[d], c, lo, hi)
+	}
 	ln.Copy(coeff, c)
 	ln.INTT(coeff)
 	pipe.Run()
 	pipe.Release()
 
-	nTargetsQ := lvl + 1
-	rowsPtr := ev.getRows(nTargetsQ + lvlP + 1)
-	outRows := *rowsPtr
-	for d := 0; d < digits; d++ {
-		lo, hi := d*width, min((d+1)*width, lvl+1)
-		bc := ev.digitConverter(lvl, d, pl.Alpha, width)
-		pq := rq.GetPoly(lvl)
-		pp := rp.GetPoly(lvlP)
-		copy(outRows[:nTargetsQ], pq.Coeffs)
-		copy(outRows[nTargetsQ:], pp.Coeffs[:lvlP+1])
-		bc.ConvertLazy(outRows, coeff.Coeffs[lo:hi])
-		pq.IsNTT, pp.IsNTT = false, false
-		dec.q[d], dec.p[d] = pq, pp
+	rowsPtr := ev.getRows(lvl + 1 + pl.Alpha)
+	for d, pq := range dec.q {
+		lo, hi := pl.digitLimbs(d)
+		outRows := append(append(append((*rowsPtr)[:0], pq.Coeffs[:lo]...), pq.Coeffs[hi:]...), dec.p[d].Coeffs...)
+		ev.digitConverter(pl, d).ConvertLazy(outRows, coeff.Coeffs[lo:hi])
 	}
 	ev.putRows(rowsPtr)
 	rq.PutPoly(coeff)
@@ -327,7 +327,10 @@ func (ev *Evaluator) getQP(lvl, lvlP int) (u0q, u0p, u1q, u1p *ring.Poly) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	u0q, u1q = rq.GetPoly(lvl), rq.GetPoly(lvl)
 	u0p, u1p = rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
+	for _, u := range [...]*ring.Poly{u0q, u0p, u1q, u1p} {
+		u.Zero()
+		u.IsNTT = true
+	}
 	return
 }
 
@@ -417,7 +420,7 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *SwitchingKey) *Cipherte
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
 	ln.MulCoeffs(t0, a0, b0)
-	ln.MulCoeffsAdd(t1, a0, b1)
+	ln.MulCoeffs(t1, a0, b1)
 	ln.MulCoeffsAdd(t1, a1, b0)
 	ln.MulCoeffs(d2, a1, b1)
 	pipe.Run()

@@ -36,7 +36,7 @@ func TestKeySwitchAllocs(t *testing.T) {
 		rq.PutPoly(d0)
 		rq.PutPoly(d1)
 	})
-	// Steady state measures 16. The BConv tmp rows, the Decompose row
+	// Steady state measures 15. The BConv tmp rows, the Decompose row
 	// headers, and every scratch polynomial are pooled; if any of those
 	// regress to per-call allocation the count jumps by O(limbs · digits).
 	if allocs > 20 {

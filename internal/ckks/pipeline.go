@@ -19,9 +19,10 @@ import (
 
 // recordGadgetMACs records the KeyMult chain of one gadget product into the
 // two lanes: per digit, the digit's forward NTT (first consumer only — the
-// decomposition leaves digits in the coefficient domain) immediately followed
-// by the four lazy MACs consuming it, so each digit row is transformed and
-// consumed while still cache-resident. The accumulators are left lazy.
+// decomposition leaves the base-converted rows in the coefficient domain; the
+// digit's own Q limbs are already NTT rows and are skipped) immediately
+// followed by the four lazy MACs consuming it, so each digit row is transformed
+// and consumed while still cache-resident. The accumulators are left lazy.
 func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
 	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, ev.params.Alpha())
 	if !ok {
@@ -29,7 +30,8 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 	}
 	for d := range dec.q {
 		if dec.coeffDomain {
-			lq.NTTLazy(dec.q[d])
+			lo, hi := dec.plan.digitLimbs(d)
+			lq.NTTLazyExcept(dec.q[d], lo, hi)
 			lp.NTTLazy(dec.p[d])
 		}
 		lq.MulCoeffsAddLazy(u0q, dec.q[d], bQ[d])
@@ -154,12 +156,13 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 }
 
 // Rescale divides the ciphertext by its top prime and drops a level,
-// restoring the scale after a multiplication. Both components' kernel chains
-// are pipelined: one Run fuses the two copy+INTT chains, the shared
-// [x + q_L/2]_{q_L} rows are computed serially (they are single rows, and
-// every limb of the second Run reads them — a cross-limb dependency the
-// pipeline must not span), and a second Run fuses, per limb, the rescale step,
-// the copy into the level-(L-1) output, and its forward NTT.
+// restoring the scale after a multiplication, without leaving the NTT domain
+// (rns.Rescaler states the identity). Only the two dropped rows are inverse-
+// transformed, into the shared t = [x_L + q_L/2]_{q_L} rows — single rows that
+// every kept limb reads, a cross-limb dependency the pipeline must not span, so
+// they are formed first. One Run then builds, per kept limb and in the output
+// row itself, the correction [t − q_L/2]_{q_i}, transforms it, and applies
+// out_i = (c_i − ŵ_i)·q_L^{-1} straight from ct's NTT rows.
 func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	defer obsRescale.done(time.Now())
 	rq := ev.params.RingQ()
@@ -168,41 +171,28 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 		panic("ckks: cannot rescale at level 0")
 	}
 	rs := ev.rescaler(lvl)
-	out := &Ciphertext{Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
+	in := [2]*ring.Poly{ct.C0, ct.C1}
+	// The outputs come zeroed from NewPoly, which CorrectionRow relies on.
+	out := [2]*ring.Poly{rq.NewPoly(lvl - 1), rq.NewPoly(lvl - 1)}
+	t := [2]*ring.Poly{rq.GetPoly(0), rq.GetPoly(0)}
 
-	w0, w1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
 	pipe := ring.GetPipeline()
-	ln := pipe.Lane(rq, lvl)
-	ln.Copy(w0, ct.C0)
-	ln.INTT(w0)
-	ln.Copy(w1, ct.C1)
-	ln.INTT(w1)
-	pipe.Run()
-
-	n := ev.params.N()
-	t0, t1 := rs.BorrowT(n), rs.BorrowT(n)
-	rs.LastRowPlusHalf(t0, w0.Coeffs[lvl])
-	rs.LastRowPlusHalf(t1, w1.Coeffs[lvl])
-
-	c0, c1 := rq.NewPoly(lvl-1), rq.NewPoly(lvl-1)
-	ln2 := pipe.Lane(rq, lvl-1)
-	ln2.Func(func(i int) {
-		rs.StepRow(i, w0.Coeffs[i], t0)
-		copy(c0.Coeffs[i], w0.Coeffs[i])
-		rs.StepRow(i, w1.Coeffs[i], t1)
-		copy(c1.Coeffs[i], w1.Coeffs[i])
-	}, []*ring.Poly{w0, w1}, []*ring.Poly{c0, c1})
-	ln2.NTT(c0)
-	ln2.NTT(c1)
+	ln := pipe.Lane(rq, lvl-1)
+	for k := range in {
+		tk, o := t[k].Coeffs[0], out[k]
+		copy(tk, in[k].Coeffs[lvl])
+		rq.INTTLimb(tk, lvl)
+		rs.LastRowPlusHalf(tk, tk)
+		ln.Func(func(i int) { rs.CorrectionRow(i, o.Coeffs[i], tk) }, nil, out[k:k+1])
+		ln.NTTLazy(o)
+		ln.SubMulByLimbScalarsLazy(o, in[k], o, rs.LastModulusInv())
+	}
 	pipe.Run()
 	pipe.Release()
 
-	rs.ReturnT(t0)
-	rs.ReturnT(t1)
-	rq.PutPoly(w0)
-	rq.PutPoly(w1)
-	out.C0, out.C1 = c0, c1
-	return out
+	rq.PutPoly(t[0])
+	rq.PutPoly(t[1])
+	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
 }
 
 // babyAccum is one baby rotation's block of the linear-transform sweep as a

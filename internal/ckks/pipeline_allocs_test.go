@@ -44,8 +44,8 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("pipelined Rotate allocates %.1f objects/op, want <= 20", allocs)
 	}
 
-	// Rescale measures 10: two NewPoly outputs, the ciphertext header, and
-	// the per-call Func closure of the divide stage.
+	// Rescale measures 9: two NewPoly outputs, the ciphertext header, and the
+	// two Func closures of the correction stage.
 	if allocs := testing.AllocsPerRun(20, func() {
 		tc.eval.Rescale(ct)
 	}); allocs > 14 {

@@ -60,9 +60,10 @@ type Lane struct {
 	stages  []stage
 	effects []polyEffect
 
-	nttStages  int // stages counting toward the forward limb-transform counter
-	inttStages int // ...and the inverse counter
-	naiveRows  int // per-limb row streams a barriered execution would move
+	rows      int // limbs the stage being recorded runs on (level+1 unless windowed)
+	nttRows   int // limb rows counting toward the forward limb-transform counter
+	inttRows  int // ...and the inverse counter
+	naiveRows int // row streams a barriered execution would move
 }
 
 type stageOp uint8
@@ -70,6 +71,7 @@ type stageOp uint8
 const (
 	opFunc stageOp = iota
 	opCopy
+	opCopyRows
 	opNTT
 	opNTTLazy
 	opINTT
@@ -96,19 +98,23 @@ type stage struct {
 	s    []uint64 // per-limb scalars (opSubMulScalars*)
 	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
 	fn   func(limb int)
+	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
+	// opNTTLazy leaves alone (NTTLazyExcept). Empty for whole-lane stages.
+	lo, hi int
 }
 
 // polyEffect tracks, per lane, what the chain does to one polynomial: the
 // pending IsNTT domain for record-time checks, whether the flag must be
-// applied after Run, and whether the chain reads/writes it (the distinct-row
-// traffic estimate: each distinct operand row is fetched at most once and
-// written back at most once per chain).
+// applied after Run, and how many of its rows the chain reads/writes (the
+// distinct-row traffic estimate: each distinct operand row is fetched at most
+// once and written back at most once per chain; the widest stage touching the
+// polynomial sets the count).
 type polyEffect struct {
-	p         *Poly
-	isNTT     bool
-	flagDirty bool
-	read      bool
-	written   bool
+	p           *Poly
+	isNTT       bool
+	flagDirty   bool
+	readRows    int
+	writtenRows int
 }
 
 var pipelinePool = sync.Pool{New: func() any { return &Pipeline{} }}
@@ -133,7 +139,7 @@ func (pl *Pipeline) reset() {
 		}
 		ln.stages = ln.stages[:0]
 		ln.effects = ln.effects[:0]
-		ln.nttStages, ln.inttStages, ln.naiveRows = 0, 0, 0
+		ln.nttRows, ln.inttRows, ln.naiveRows = 0, 0, 0
 		ln.r = nil
 	}
 	pl.nLanes = 0
@@ -146,11 +152,11 @@ func (pl *Pipeline) reset() {
 func (pl *Pipeline) Lane(r *Ring, level int) *Lane {
 	if pl.nLanes < len(pl.lanes) {
 		ln := pl.lanes[pl.nLanes]
-		ln.r, ln.level = r, level
+		ln.r, ln.level, ln.rows = r, level, level+1
 		pl.nLanes++
 		return ln
 	}
-	ln := &Lane{r: r, level: level}
+	ln := &Lane{r: r, level: level, rows: level + 1}
 	pl.lanes = append(pl.lanes, ln)
 	pl.nLanes++
 	return ln
@@ -161,8 +167,12 @@ func (pl *Pipeline) Lane(r *Ring, level int) *Lane {
 // the backing slice may grow.
 func (ln *Lane) use(p *Poly, read, write bool) {
 	e := ln.effect(p)
-	e.read = e.read || read
-	e.written = e.written || write
+	if read {
+		e.readRows = max(e.readRows, ln.rows)
+	}
+	if write {
+		e.writtenRows = max(e.writtenRows, ln.rows)
+	}
 }
 
 func (ln *Lane) effect(p *Poly) *polyEffect {
@@ -189,7 +199,7 @@ func (ln *Lane) setDomain(p *Poly, ntt bool) {
 
 func (ln *Lane) push(st stage, naiveRows int) {
 	ln.stages = append(ln.stages, st)
-	ln.naiveRows += naiveRows
+	ln.naiveRows += naiveRows * ln.rows
 }
 
 // Copy records out ← a (rows copied limb-wise; domain follows a).
@@ -200,20 +210,41 @@ func (ln *Lane) Copy(out, a *Poly) {
 	ln.push(stage{op: opCopy, out: out, a: a}, 2)
 }
 
+// CopyRows records out ← a on limbs [lo, hi) only; the other rows of out and
+// its domain flag are left alone. With NTTLazyExcept it lets a polynomial be
+// assembled from rows that are already in NTT form and rows that are not (the
+// ModUp digits, whose own limbs are the input's).
+func (ln *Lane) CopyRows(out, a *Poly, lo, hi int) {
+	ln.rows = hi - lo
+	ln.use(a, true, false)
+	ln.use(out, false, true)
+	ln.push(stage{op: opCopyRows, out: out, a: a, lo: lo, hi: hi}, 2)
+	ln.rows = ln.level + 1
+}
+
 // NTT records an in-place exact forward transform of p.
-func (ln *Lane) NTT(p *Poly) { ln.recordNTT(p, opNTT) }
+func (ln *Lane) NTT(p *Poly) { ln.recordNTT(p, opNTT, 0, 0) }
 
 // NTTLazy records an in-place forward transform with lazy [0, 2q) outputs.
-func (ln *Lane) NTTLazy(p *Poly) { ln.recordNTT(p, opNTTLazy) }
+func (ln *Lane) NTTLazy(p *Poly) { ln.recordNTT(p, opNTTLazy, 0, 0) }
 
-func (ln *Lane) recordNTT(p *Poly, op stageOp) {
+// NTTLazyExcept is NTTLazy for a polynomial whose limbs [lo, hi) already hold
+// NTT-domain rows: those rows are neither transformed nor counted, and must
+// be in [0, 2q) like the rows the transform produces.
+func (ln *Lane) NTTLazyExcept(p *Poly, lo, hi int) {
+	ln.rows = ln.level + 1 - (hi - lo)
+	ln.recordNTT(p, opNTTLazy, lo, hi)
+	ln.rows = ln.level + 1
+}
+
+func (ln *Lane) recordNTT(p *Poly, op stageOp, lo, hi int) {
 	if ln.domain(p) {
 		panic("ring: pipeline NTT on a polynomial already in NTT form")
 	}
 	ln.use(p, true, true)
 	ln.setDomain(p, true)
-	ln.nttStages++
-	ln.push(stage{op: op, out: p}, 2)
+	ln.nttRows += ln.rows
+	ln.push(stage{op: op, out: p, lo: lo, hi: hi}, 2)
 }
 
 // INTT records an in-place exact inverse transform of p.
@@ -228,7 +259,7 @@ func (ln *Lane) recordINTT(p *Poly, op stageOp) {
 	}
 	ln.use(p, true, true)
 	ln.setDomain(p, false)
-	ln.inttStages++
+	ln.inttRows += ln.rows
 	ln.push(stage{op: op, out: p}, 2)
 }
 
@@ -395,31 +426,23 @@ func (pl *Pipeline) Run() {
 // then resets the pipeline so it can record the next chain.
 func (pl *Pipeline) finish() {
 	for _, ln := range pl.lanes[:pl.nLanes] {
-		limbs := ln.level + 1
+		distinct := 0
 		for i := range ln.effects {
 			e := &ln.effects[i]
 			if e.flagDirty {
 				e.p.IsNTT = e.isNTT
 			}
+			distinct += e.readRows + e.writtenRows
 		}
-		if ln.nttStages > 0 {
-			ln.r.nttLimbs.Add(int64(ln.nttStages * limbs))
+		if ln.nttRows > 0 {
+			ln.r.nttLimbs.Add(int64(ln.nttRows))
 		}
-		if ln.inttStages > 0 {
-			ln.r.inttLimbs.Add(int64(ln.inttStages * limbs))
+		if ln.inttRows > 0 {
+			ln.r.inttLimbs.Add(int64(ln.inttRows))
 		}
-		distinct := 0
-		for i := range ln.effects {
-			if ln.effects[i].read {
-				distinct++
-			}
-			if ln.effects[i].written {
-				distinct++
-			}
-		}
-		accountRows(bytesPipelined, distinct, limbs, ln.r.N)
+		accountRows(bytesPipelined, distinct, 1, ln.r.N)
 		if saved := ln.naiveRows - distinct; saved > 0 {
-			accountRows(bytesSaved, saved, limbs, ln.r.N)
+			accountRows(bytesSaved, saved, 1, ln.r.N)
 		}
 	}
 	pl.reset()
@@ -437,10 +460,16 @@ func (ln *Lane) exec(i int) {
 		switch st.op {
 		case opCopy:
 			copy(st.out.Coeffs[i], st.a.Coeffs[i])
+		case opCopyRows:
+			if st.lo <= i && i < st.hi {
+				copy(st.out.Coeffs[i], st.a.Coeffs[i])
+			}
 		case opNTT:
 			r.Tables[i].Forward(st.out.Coeffs[i])
 		case opNTTLazy:
-			r.Tables[i].ForwardLazy(st.out.Coeffs[i])
+			if i < st.lo || i >= st.hi {
+				r.Tables[i].ForwardLazy(st.out.Coeffs[i])
+			}
 		case opINTT:
 			r.Tables[i].Inverse(st.out.Coeffs[i])
 		case opINTTLazy:

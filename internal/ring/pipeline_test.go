@@ -337,6 +337,78 @@ func TestPipelineTrafficAccounting(t *testing.T) {
 	}
 }
 
+// TestPipelineLimbWindow is the ModUp digit shape: a polynomial whose limbs
+// [lo, hi) are copied from an NTT-domain source (CopyRows) and whose other
+// limbs are coefficient rows gets NTTLazyExcept, and must equal the barriered
+// NTTLazy of the all-coefficient polynomial — while the counters and the
+// traffic model charge only the rows transformed or moved.
+func TestPipelineLimbWindow(t *testing.T) {
+	r := newTestRing(t, 6, 9)
+	s := NewSampler(41)
+	level := r.MaxLevel()
+	limbs := level + 1
+	for _, win := range [][2]int{{0, 3}, {3, 6}, {6, 9}, {0, 9}} {
+		lo, hi := win[0], win[1]
+		w := hi - lo
+		x := s.UniformPoly(r, level, false)
+		want := x.CopyNew()
+		r.NTT(want, level)
+
+		// dig: garbage in the own window, x's coefficient rows elsewhere.
+		dig := x.CopyNew()
+		for i := lo; i < hi; i++ {
+			for j := range dig.Coeffs[i] {
+				dig.Coeffs[i][j] = ^uint64(0)
+			}
+		}
+		acc := r.NewPoly(level)
+		acc.IsNTT = true
+
+		ntt0, _ := r.Counters()
+		pipe0, saved0 := bytesPipelined.Value(), bytesSaved.Value()
+		pl := GetPipeline()
+		ln := pl.Lane(r, level)
+		ln.CopyRows(dig, want, lo, hi)
+		pl.Run()
+		// CopyRows: w rows read, w rows written, nothing saved.
+		rowBytes := float64(r.N * 8)
+		if got := bytesPipelined.Value() - pipe0; got != float64(2*w)*rowBytes {
+			t.Fatalf("window %v: CopyRows charged %v bytes, want %v", win, got, float64(2*w)*rowBytes)
+		}
+		if dig.IsNTT {
+			t.Fatalf("window %v: CopyRows changed the destination's domain flag", win)
+		}
+
+		pipe0 = bytesPipelined.Value()
+		ln = pl.Lane(r, level)
+		ln.NTTLazyExcept(dig, lo, hi)
+		ln.MulCoeffsAddLazy(acc, dig, want)
+		pl.Run()
+		pl.Release()
+
+		if !dig.IsNTT {
+			t.Fatalf("window %v: NTTLazyExcept did not flag the polynomial", win)
+		}
+		r.ReduceLazy(dig, level)
+		if !dig.Equal(want) {
+			t.Fatalf("window %v: windowed digit != NTT of the coefficient polynomial", win)
+		}
+		if ntt1, _ := r.Counters(); ntt1-ntt0 != int64(limbs-w) {
+			t.Fatalf("window %v: ntt limb counter moved by %d, want %d", win, ntt1-ntt0, limbs-w)
+		}
+		// Distinct: dig read on every limb (the MAC) and written on limbs−w,
+		// want read, acc read+written. Naive: 2·(limbs−w) + 4·limbs.
+		distinct := float64(limbs + (limbs - w) + 3*limbs)
+		if got := bytesPipelined.Value() - pipe0; got != distinct*rowBytes {
+			t.Fatalf("window %v: pipelined bytes = %v, want %v", win, got, distinct*rowBytes)
+		}
+		naive := float64(2*(limbs-w) + 4*limbs)
+		if got := bytesSaved.Value() - saved0; got != (naive-distinct)*rowBytes {
+			t.Fatalf("window %v: saved bytes = %v, want %v", win, got, (naive-distinct)*rowBytes)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Automorphism cache satellites
 

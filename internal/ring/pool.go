@@ -24,8 +24,9 @@ var (
 // (no Truncated view or Coeffs row may outlive the Put). Double-Put is a
 // caller bug and corrupts the pool.
 type polyPool struct {
-	mu    sync.Mutex
-	pools []*sync.Pool // index = limbs-1
+	mu     sync.Mutex
+	pools  []*sync.Pool // index = limbs-1
+	poison bool         // see PoisonPool
 }
 
 func (pp *polyPool) pool(limbs int) *sync.Pool {
@@ -37,15 +38,15 @@ func (pp *polyPool) pool(limbs int) *sync.Pool {
 	return pp.pools[limbs-1]
 }
 
-// GetPoly borrows a zeroed coefficient-domain polynomial with level+1 limbs
-// from the ring's buffer pool. It is interchangeable with NewPoly; callers
-// that are done with the scratch value should hand it back via PutPoly.
+// GetPoly borrows a coefficient-flagged polynomial with level+1 limbs from
+// the ring's buffer pool. Its rows hold UNSPECIFIED values — whatever the last
+// borrower left — so the caller must write every row before reading it, or
+// call Zero first (an accumulator). Hand it back via PutPoly when done.
 func (r *Ring) GetPoly(level int) *Poly {
 	limbs := level + 1
 	if v := r.pool.pool(limbs).Get(); v != nil {
 		poolHits.Inc()
 		p := v.(*Poly)
-		p.Zero()
 		p.IsNTT = false
 		return p
 	}
@@ -60,5 +61,19 @@ func (r *Ring) PutPoly(p *Poly) {
 		return
 	}
 	poolPuts.Inc()
+	if r.pool.poison {
+		for _, row := range p.Coeffs {
+			for j := range row {
+				row[j] = ^uint64(0)
+			}
+		}
+	}
 	r.pool.pool(len(p.Coeffs)).Put(p)
 }
+
+// PoisonPool makes every later PutPoly overwrite the returned rows with an
+// out-of-range pattern. A recycled polynomial otherwise tends to come back
+// holding the very values the same op is about to compute, which hides a
+// borrower that reads a row before writing it; tests call this (before any
+// concurrent use of the ring) so that such a read corrupts the result.
+func (r *Ring) PoisonPool() { r.pool.poison = true }

@@ -207,6 +207,14 @@ func (r *Ring) INTT(p *Poly, level int) {
 	p.IsNTT = false
 }
 
+// INTTLimb inverse-transforms one row of limb i in place, for the callers
+// that need a single limb out of the NTT domain (Rescale's dropped prime).
+func (r *Ring) INTTLimb(row []uint64, i int) {
+	r.Tables[i].Inverse(row)
+	r.inttLimbs.Add(1)
+	accountRows(bytesTransform, 2, 1, r.N)
+}
+
 // NTTLazy is NTT with lazy outputs: coefficients land in [0, 2q) instead of
 // [0, q), skipping the transform's exit reduction. Use it when the result
 // feeds a lazy-tolerant chain (the fused gadget-product MACs); end the chain

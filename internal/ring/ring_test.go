@@ -98,6 +98,53 @@ func TestNTTRoundTripPoly(t *testing.T) {
 
 // TestNTTLazyMatchesExact: lazy transforms agree with exact ones modulo each
 // limb's prime, stay below 2q, and round-trip through ReduceLazy.
+// TestINTTLimbMatchesINTT: the single-limb inverse transform is the full one's
+// row, and counts as one limb transform.
+func TestINTTLimbMatchesINTT(t *testing.T) {
+	r := newTestRing(t, 6, 4)
+	level := r.MaxLevel()
+	p := NewSampler(7).UniformPoly(r, level, true)
+	row := append([]uint64(nil), p.Coeffs[2]...)
+	_, intt0 := r.Counters()
+	r.INTTLimb(row, 2)
+	if _, intt1 := r.Counters(); intt1-intt0 != 1 {
+		t.Fatalf("INTTLimb moved the inverse counter by %d, want 1", intt1-intt0)
+	}
+	r.INTT(p, level)
+	for j := range row {
+		if row[j] != p.Coeffs[2][j] {
+			t.Fatalf("INTTLimb row differs from INTT at coefficient %d", j)
+		}
+	}
+}
+
+// TestPoolContract: GetPoly hands back whatever the last borrower left (no
+// zero fill), flagged coefficient-domain, and a poisoned pool overwrites
+// returned polynomials so that stale contents cannot pass for results.
+func TestPoolContract(t *testing.T) {
+	r := newTestRing(t, 5, 3)
+	p := r.GetPoly(2) // pool miss: fresh
+	for i := range p.Coeffs {
+		for j := range p.Coeffs[i] {
+			if p.Coeffs[i][j] != 0 {
+				t.Fatal("a pool miss must return a zero polynomial")
+			}
+			p.Coeffs[i][j] = 7
+		}
+	}
+	p.IsNTT = true
+	r.PoisonPool()
+	r.PutPoly(p)
+	if p.Coeffs[1][3] != ^uint64(0) {
+		t.Fatal("PutPoly on a poisoned pool left the rows intact")
+	}
+	// sync.Pool may drop the item; either way the borrow is never the 7s.
+	q := r.GetPoly(2)
+	if q.IsNTT || q.Coeffs[1][3] == 7 {
+		t.Fatal("GetPoly returned an NTT-flagged or unpoisoned recycled polynomial")
+	}
+}
+
 func TestNTTLazyMatchesExact(t *testing.T) {
 	r := newTestRing(t, 7, 3)
 	s := NewSampler(5)

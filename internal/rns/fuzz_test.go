@@ -42,10 +42,26 @@ var fuzzBases = func() []*BasisConverter {
 	}
 }()
 
+// fuzzSelf converts each fuzz basis onto itself: the identity ModUp's own-row
+// skip rests on.
+var fuzzSelf = func() []*BasisConverter {
+	out := make([]*BasisConverter, len(fuzzBases))
+	for i, bc := range fuzzBases {
+		self, err := NewBasisConverter(bc.From, bc.From)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = self
+	}
+	return out
+}()
+
 // FuzzBConv feeds arbitrary residue rows through the wide-accumulation
-// Convert and cross-checks it three ways: exact equality with the scalar
+// Convert and cross-checks it four ways: exact equality with the scalar
 // reference oracle, the big.Int x + e·Q contract (0 ≤ e < k, one e across
-// all targets), and ConvertLazy staying in [0, 2q) congruent to Convert.
+// all targets), ConvertLazy staying in [0, 2q) congruent to Convert, and a
+// target that is one of the source primes getting the source row back exactly
+// (every other Q/q_i term vanishes mod it).
 // The rescale pair is differentially checked on the same draws.
 func FuzzBConv(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -103,6 +119,22 @@ func FuzzBConv(f *testing.F) {
 				}
 				if lazy[j][c] >= pj.TwoQ || (lazy[j][c] != got[j][c] && lazy[j][c] != got[j][c]+pj.Q) {
 					t.Fatalf("target %d col %d: lazy %d not a [0, 2q) residue of %d", j, c, lazy[j][c], got[j][c])
+				}
+			}
+		}
+
+		self := fuzzSelf[int(which)%len(fuzzBases)]
+		own, ownLazy := newRows(k, n), newRows(k, n)
+		self.Convert(own, in)
+		self.ConvertLazy(ownLazy, in)
+		for i := range in {
+			qi := bc.From[i]
+			for c := 0; c < n; c++ {
+				if own[i][c] != in[i][c] {
+					t.Fatalf("source prime %d col %d: Convert onto it gives %d, source residue is %d", i, c, own[i][c], in[i][c])
+				}
+				if ownLazy[i][c] != in[i][c] && ownLazy[i][c] != in[i][c]+qi.Q {
+					t.Fatalf("source prime %d col %d: lazy %d not a [0, 2q) residue of %d", i, c, ownLazy[i][c], in[i][c])
 				}
 			}
 		}

@@ -297,38 +297,31 @@ func (rs *Rescaler) DivRoundByLastModulus(rows [][]uint64) {
 	rs.tPool.Put(&t)
 }
 
-// Per-limb access to the rescale step, for callers that schedule limbs
-// themselves (the ckks limb pipeline): BorrowT/LastRowPlusHalf compute the
-// shared [x + q_L/2]_{q_L} row once, then StepRow applies the update to one
-// limb. The kernels are exactly the ones DivRoundByLastModulus dispatches,
-// so a per-limb schedule is bit-identical to the batch form.
+// NTT-domain rescaling, for callers whose value is in NTT form and should
+// stay there (ckks.Rescale). Only the last row has to leave the NTT domain:
+// with t = [x_L + q_L/2]_{q_L} the update above reads
+//
+//	out_i = (x_i − w_i) · q_L^{-1} ,  w_i = [t − q_L/2]_{q_i} ,
+//
+// and the NTT is linear, so NTT(out_i) = (NTT(x_i) − NTT(w_i)) · q_L^{-1}
+// mod q_i — the same residues, hence the same bytes, as transforming out_i.
 
-// BorrowT returns a pooled scratch row of length n for LastRowPlusHalf.
-// Return it with ReturnT.
-func (rs *Rescaler) BorrowT(n int) []uint64 {
-	var t []uint64
-	if v := rs.tPool.Get(); v != nil {
-		t = (*(v.(*[]uint64)))[:0]
-	}
-	if cap(t) < n {
-		t = make([]uint64, n)
-	}
-	return t[:n]
-}
-
-// ReturnT hands a BorrowT row back to the pool.
-func (rs *Rescaler) ReturnT(t []uint64) { rs.tPool.Put(&t) }
-
-// LastRowPlusHalf fills t with [x + q_L/2]_{q_L} from the chain's last row.
+// LastRowPlusHalf fills t with [x + q_L/2]_{q_L} from the chain's last row
+// (coefficient domain).
 func (rs *Rescaler) LastRowPlusHalf(t, last []uint64) {
 	rs.moduli[len(rs.moduli)-1].VecAddScalar(t, last, rs.half)
 }
 
-// StepRow applies the rescale update in place to limb i < L:
-// row[j] = (row[j] + (q_L/2 mod q_i) − t[j]) · q_L^{-1} mod q_i.
-func (rs *Rescaler) StepRow(i int, row, t []uint64) {
-	rs.moduli[i].VecRescaleStep(row, t, rs.halfMod[i], rs.inv[i], rs.invS[i])
+// CorrectionRow writes w_i = [t − q_L/2]_{q_i}, i < L, into row, which must
+// hold zeros on entry: the rescale step kernel run on 0 with the scalar −1.
+func (rs *Rescaler) CorrectionRow(i int, row, t []uint64) {
+	m := rs.moduli[i]
+	m.VecRescaleStep(row, t, rs.halfMod[i], m.Q-1, m.ShoupPrecomp(m.Q-1))
 }
+
+// LastModulusInv returns q_L^{-1} mod q_i for i < L. Callers must not modify
+// it.
+func (rs *Rescaler) LastModulusInv() []uint64 { return rs.inv }
 
 // DivRoundByLastModulus is the one-shot form of Rescaler: it derives the
 // constants for moduli (len(rows) limbs) and rescales rows in place. Hot

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
+	"github.com/anaheim-sim/anaheim/internal/ntt"
 )
 
 // crtReconstruct returns the unique x in [0, Q) with the given residues.
@@ -255,6 +256,85 @@ func TestRescalerMatchesRef(t *testing.T) {
 					if rows[i][c] != want[i][c] {
 						t.Fatalf("%d-bit l=%d round %d: limb %d col %d: got %d want %d",
 							shape.bits, shape.limbs, round, i, c, rows[i][c], want[i][c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRescaleNTTDomainMatchesRef: rescaling a value that stays in NTT form —
+// inverse-transform the last row only, LastRowPlusHalf, then per kept limb
+// CorrectionRow, forward transform, (x̂_i − ŵ_i)·q_L^{-1} — equals
+// NTT(DivRoundByLastModulusRef(INTT(x))) byte for byte: over mixed prime
+// widths (a dropped prime between, below and above the kept ones), on random
+// and all-(q−1) rows, on every kernel tier the host has.
+func TestRescaleNTTDomainMatchesRef(t *testing.T) {
+	const logN = 8
+	n := 1 << logN
+	p60, err := modarith.GenerateNTTPrimes(60, logN, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p45, err := modarith.GenerateNTTPrimes(45, logN, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origTier := modarith.ActiveTier()
+	t.Cleanup(func() { _ = modarith.SetKernelTier(origTier) })
+
+	r := rand.New(rand.NewSource(15))
+	for _, primes := range [][]uint64{
+		{p60[0], p45[0], p45[2], p45[1]}, // q_L between the 45-bit primes, below q_0
+		{p45[0], p45[1], p60[0]},         // q_L above every kept prime
+	} {
+		ms := make([]modarith.Modulus, len(primes))
+		tbl := make([]*ntt.Tables, len(primes))
+		for i, q := range primes {
+			ms[i] = modarith.MustModulus(q)
+			if tbl[i], err = ntt.NewTables(ms[i], logN); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := len(ms) - 1
+		rs := NewRescaler(ms)
+		for _, tier := range modarith.AvailableTiers() {
+			if err := modarith.SetKernelTier(tier); err != nil {
+				t.Fatal(err)
+			}
+			for _, maxed := range []bool{false, true} {
+				x := newRows(l+1, n)
+				for i := range x {
+					for c := range x[i] {
+						x[i][c] = ms[i].Q - 1
+						if !maxed {
+							x[i][c] = r.Uint64() % ms[i].Q
+						}
+					}
+				}
+
+				want := make([][]uint64, l+1)
+				for i := range want {
+					want[i] = append([]uint64(nil), x[i]...)
+					tbl[i].Inverse(want[i])
+				}
+				DivRoundByLastModulusRef(ms, want)
+
+				tRow := append([]uint64(nil), x[l]...)
+				tbl[l].Inverse(tRow)
+				rs.LastRowPlusHalf(tRow, tRow)
+				for i := 0; i < l; i++ {
+					tbl[i].Forward(want[i])
+					got := make([]uint64, n)
+					rs.CorrectionRow(i, got, tRow)
+					tbl[i].ForwardLazy(got)
+					inv := rs.LastModulusInv()[i]
+					ms[i].VecSubMulShoupLazy(got, x[i], got, inv, ms[i].ShoupPrecomp(inv))
+					for c := range got {
+						if got[c] != want[i][c] {
+							t.Fatalf("tier %v chain %v maxed=%v: limb %d col %d: NTT-domain %d, reference %d",
+								tier, primes, maxed, i, c, got[c], want[i][c])
+						}
 					}
 				}
 			}
