@@ -7,7 +7,7 @@ GO ?= go
 TAGS ?=
 TAGFLAGS = $(if $(TAGS),-tags $(TAGS))
 
-.PHONY: all build vet lint test race benchmark-test bench micro load fuzz bench-compare cover profile serve clean
+.PHONY: all build vet lint test race benchmark benchmark-test bench fuzz cover profile serve clean
 
 all: vet build test
 
@@ -45,23 +45,14 @@ benchmark-test:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
+# The repo benchmark (BENCHMARK.json): every listed workload once, reports
+# under benchmark/out/. The only place a speed number is taken.
+benchmark:
+	bash benchmark/run.sh -all -seed 1
+
 # Paper-figure benchmarks (testing.B, one per artifact).
 bench:
 	$(GO) test $(TAGFLAGS) -bench=. -benchmem -run=^$$ ./...
-
-# FHE op microbenchmarks -> BENCH_BASELINE.json (the perf trajectory file,
-# with -membw traffic columns on the probed rows), then the many-tenant
-# serving load driver merged in as the .serving field.
-micro:
-	$(GO) run ./cmd/anaheim-bench -micro -membw -o BENCH_BASELINE.json
-	$(GO) run ./cmd/anaheim-bench -tenants 8 -mix logreg,lintrans -duration 3s \
-		-batch both -merge BENCH_BASELINE.json -o /dev/null
-
-# Many-tenant serving load driver with the batching gate: batching-on must
-# beat batching-off throughput without regressing latency-tier p99 >10%.
-load:
-	$(GO) run ./cmd/anaheim-bench -tenants 8 -mix logreg,lintrans -duration 5s \
-		-batch both -gate
 
 # Fuzz smoke: 10s per untrusted-input decoder, plus the asm-vs-Go kernel
 # cross-check (CI runs the same). All legs honor TAGS, so `make fuzz
@@ -107,11 +98,6 @@ profile:
 		-cpuprofile=keyswitch_cpu.prof -o ckks_bench.test ./internal/ckks
 	@echo "wrote ntt_cpu.prof; inspect with: go tool pprof ntt_bench.test ntt_cpu.prof"
 	@echo "wrote keyswitch_cpu.prof; inspect with: go tool pprof ckks_bench.test keyswitch_cpu.prof"
-
-# Rerun the microbenchmarks and diff against the committed baseline.
-bench-compare:
-	$(GO) run ./cmd/anaheim-bench -micro -metrics -o /tmp/bench-new.json
-	$(GO) run ./cmd/anaheim-bench -compare BENCH_BASELINE.json -against /tmp/bench-new.json
 
 serve:
 	$(GO) run ./cmd/anaheim-serve -addr :8080

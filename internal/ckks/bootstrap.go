@@ -193,10 +193,3 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	cur.Scale = delta
 	return cur, nil
 }
-
-// MinLevelBudget reports how many levels a bootstrap invocation consumes
-// with this configuration (used by tests and the workload trace generators).
-func (b *Bootstrapper) MinLevelBudget() int {
-	chebDepth := 2 + bitsLen(b.cfg.EvalModDeg)
-	return b.cfg.FFTIterC2S + 1 + chebDepth + b.cfg.DoubleAngles + b.cfg.FFTIterS2C + 1
-}

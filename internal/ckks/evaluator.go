@@ -79,9 +79,6 @@ func (ev *Evaluator) planFor(lvl int, keys ...*SwitchingKey) GadgetPlan {
 	return pl
 }
 
-// Params returns the bound parameter set.
-func (ev *Evaluator) Params() *Parameters { return ev.params }
-
 // ---------------------------------------------------------------------------
 // Element-wise operations (the PIM-friendly class of the Anaheim paper)
 

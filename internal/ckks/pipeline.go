@@ -14,7 +14,7 @@ import (
 // stage bodies are the same row kernels the barriered ring ops dispatch, in
 // the same per-limb order, so the results are bit-identical to the barriered
 // exact composition on every kernel tier (oracle_test.go asserts this byte for
-// byte at every level); only the memory traffic changes. DESIGN.md §3.13
+// byte at every level); only the memory traffic changes. DESIGN.md §3.8.4
 // documents the discipline.
 
 // recordGadgetMACs records the KeyMult chain of one gadget product into the

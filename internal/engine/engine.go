@@ -270,9 +270,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Config returns the effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Close stops the runtime and releases per-session key material
 // deterministically: in-flight jobs fail with context.Canceled, and every
 // cached session is dropped and cleared so evaluation keys become

@@ -14,12 +14,12 @@ import (
 // stage kernels are the innermost loops of every FHE operation; on amd64
 // and arm64 they have hand-written assembly implementations selected once at
 // init into a function-pointer table, so the per-row call sites never branch
-// on CPU features. The pure-Go kernels (vec_ref.go, wide_ref.go) are always
+// on CPU features. The pure-Go kernels (vec_go.go, wide_go.go) are always
 // compiled and serve three roles: the only implementation under the `noasm`
 // build tag or on other architectures, the per-kernel fallback for tiers
 // that implement a subset of the table, and the differential oracle the
 // tier-sweep tests compare every assembly implementation against
-// (DESIGN.md §3.12).
+// (DESIGN.md §3.8.1).
 //
 // The active tier can be forced — for differential tests, benchmarking one
 // tier against another, or sidestepping a suspect kernel in production —
@@ -80,7 +80,6 @@ type kernelTable struct {
 	mulAddLazyIdx func(m Modulus, out, a, b []uint64, idx []uint32)
 	mulBarrett    func(m Modulus, out, a, b []uint64)
 	mulAddBarrett func(m Modulus, out, a, b []uint64)
-	mulSubBarrett func(m Modulus, out, a, b []uint64)
 
 	mulShoup        func(m Modulus, out, a []uint64, w, wShoup uint64)
 	subMulShoupLazy func(m Modulus, out, a, b []uint64, w, wShoup uint64)
@@ -105,7 +104,6 @@ var goKernels = kernelTable{
 	mulAddLazyIdx:     vecMulAddLazyIdxGo,
 	mulBarrett:        vecMulBarrettGo,
 	mulAddBarrett:     vecMulAddBarrettGo,
-	mulSubBarrett:     vecMulSubBarrettGo,
 	mulShoup:          vecMulShoupGo,
 	subMulShoupLazy:   vecSubMulShoupLazyGo,
 	rescaleStep:       vecRescaleStepGo,
@@ -144,9 +142,6 @@ func fillDefaults(t *kernelTable) {
 	}
 	if t.mulAddBarrett == nil {
 		t.mulAddBarrett = goKernels.mulAddBarrett
-	}
-	if t.mulSubBarrett == nil {
-		t.mulSubBarrett = goKernels.mulSubBarrett
 	}
 	if t.mulShoup == nil {
 		t.mulShoup = goKernels.mulShoup
@@ -241,10 +236,11 @@ func AvailableTiers() []KernelTier {
 }
 
 // SetKernelTier forces all row kernels onto the given implementation tier.
-// The swap is atomic: rows already executing finish on the table they
-// loaded; subsequent rows use the new tier. Used by the differential
-// tier-sweep tests and the per-tier bench grid; also a production escape
-// hatch (ANAHEIM_KERNEL_TIER reaches the same switch at init).
+// It is a test hook with no production caller (CI's lint job enforces that):
+// it is exported only because the tier-sweep tests of ckks, ntt and rns live
+// in other packages. The operator's switch is ANAHEIM_KERNEL_TIER, read once
+// at init. The swap is atomic: rows already executing finish on the table
+// they loaded; subsequent rows use the new tier.
 func SetKernelTier(t KernelTier) error {
 	tierMu.Lock()
 	defer tierMu.Unlock()

@@ -10,7 +10,7 @@
 // # Lazy-reduction domains
 //
 // The hot kernels defer exact reduction and instead track which interval a
-// value lives in (DESIGN.md §3.8 has the full discipline):
+// value lives in (DESIGN.md §3.8.1 has the full discipline):
 //
 //   - exact:     [0, q)  — what every public non-Lazy function accepts/returns
 //   - lazy:      [0, 2q) — *Lazy kernel outputs; normalized by ReduceTwoQ
@@ -121,9 +121,6 @@ func (m Modulus) Neg(a uint64) uint64 {
 	return m.Q - a
 }
 
-// Reduce returns a mod q for arbitrary a.
-func (m Modulus) Reduce(a uint64) uint64 { return a % m.Q }
-
 // Mul returns a*b mod q for a,b < q using a 128-bit product and hardware
 // division. Exact for all inputs; the hot NTT paths use MulShoup instead.
 func (m Modulus) Mul(a, b uint64) uint64 {
@@ -131,9 +128,6 @@ func (m Modulus) Mul(a, b uint64) uint64 {
 	_, r := bits.Div64(hi%m.Q, lo, m.Q)
 	return r
 }
-
-// MulAdd returns a*b + c mod q for a,b,c < q.
-func (m Modulus) MulAdd(a, b, c uint64) uint64 { return m.Add(m.Mul(a, b), c) }
 
 // MulBarrettLazy returns a*b mod q up to one multiple of q: the result is in
 // [0, 2q) and congruent to a*b. Operands may themselves be lazy (a,b < 2q):

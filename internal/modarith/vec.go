@@ -11,7 +11,7 @@ import "math/bits"
 // Every method below dispatches through the runtime kernel table
 // (dispatch.go): one atomic load selects the active implementation tier
 // (pure Go, NEON, or AVX-512) for the whole row, so the inner loops
-// never branch on CPU features. The pure-Go bodies live in vec_ref.go and
+// never branch on CPU features. The pure-Go bodies live in vec_go.go and
 // remain the differential oracle for every assembly tier.
 //
 // All "Lazy" kernels keep out in [0, 2q) (see MulBarrettLazy for the bound
@@ -48,27 +48,6 @@ func (m Modulus) VecMulShoupAddLazy(out, a []uint64, w, wShoup uint64) {
 	}
 }
 
-// VecSubMulShoup computes out[j] = (a[j] - b[j]) * w mod q exactly, for
-// a,b < q and fixed operand w with Shoup companion wShoup (the fused
-// subtract-and-scale epilogue of ModDown).
-func (m Modulus) VecSubMulShoup(out, a, b []uint64, w, wShoup uint64) {
-	q := m.Q
-	_ = out[len(a)-1]
-	_ = b[len(a)-1]
-	for j := range a {
-		d := a[j] - b[j]
-		if d > a[j] {
-			d += q
-		}
-		hi, _ := bits.Mul64(d, wShoup)
-		r := d*w - hi*q
-		if r >= q {
-			r -= q
-		}
-		out[j] = r
-	}
-}
-
 // VecMulBarrett computes out[j] = a[j]*b[j] mod q exactly via the Barrett
 // reciprocal — no hardware division in the loop, unlike the scalar Mul. This
 // is the element-wise (NTT-domain) polynomial product kernel.
@@ -80,12 +59,6 @@ func (m Modulus) VecMulBarrett(out, a, b []uint64) {
 // (out, a, b < q), keeping the Barrett constants in registers for the row.
 func (m Modulus) VecMulAddBarrett(out, a, b []uint64) {
 	active.Load().mulAddBarrett(m, out, a, b)
-}
-
-// VecMulSubBarrett computes out[j] = out[j] - a[j]*b[j] mod q exactly
-// (out, a, b < q).
-func (m Modulus) VecMulSubBarrett(out, a, b []uint64) {
-	active.Load().mulSubBarrett(m, out, a, b)
 }
 
 // VecMulShoup computes out[j] = a[j]*w mod q exactly for a < q and fixed

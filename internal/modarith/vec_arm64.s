@@ -10,7 +10,7 @@
 // accumulation and the reductions. The Barrett-quotient family stays on the
 // Go fallback (the compiler already emits the same MUL/UMULH sequence).
 //
-// Bit-identical contract as vec_ref.go: same products, same conditional
+// Bit-identical contract as vec_go.go: same products, same conditional
 // subtractions (CSEL on the HS/unsigned-no-borrow condition mirrors
 // `if r >= bound { r -= bound }` exactly).
 //

@@ -25,9 +25,6 @@ func vecMulBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 func vecMulAddBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 
 //go:noescape
-func vecMulSubBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
-
-//go:noescape
 func vecMulShoupAVX512(out, a []uint64, w, wShoup, q uint64)
 
 //go:noescape
@@ -130,15 +127,6 @@ func avx512Table() kernelTable {
 			}
 			if n < len(a) {
 				vecMulAddBarrettGo(m, out[n:], a[n:], b[n:])
-			}
-		},
-		mulSubBarrett: func(m Modulus, out, a, b []uint64) {
-			n := len(a) &^ 7
-			if n > 0 {
-				vecMulSubBarrettAVX512(out[:n], a[:n], b[:n], m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
-			}
-			if n < len(a) {
-				vecMulSubBarrettGo(m, out[n:], a[n:], b[n:])
 			}
 		},
 		mulShoup: func(m Modulus, out, a []uint64, w, wShoup uint64) {

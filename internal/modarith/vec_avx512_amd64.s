@@ -6,8 +6,8 @@
 // AVX-512 F + DQ (VPMULLQ, VPMOVM2Q-free masked adds) and OS ZMM state
 // support, both checked by cpu_amd64.go before the tier is registered.
 //
-// Every kernel is BIT-IDENTICAL to its pure-Go oracle in vec_ref.go /
-// wide_ref.go: the Barrett quotient is the same three-partial-product sum
+// Every kernel is BIT-IDENTICAL to its pure-Go oracle in vec_go.go /
+// wide_go.go: the Barrett quotient is the same three-partial-product sum
 // with the same dropped low-word carries, and the conditional folds use the
 // unsigned-min trick (min_u(r, r-bound) == r - bound iff r >= bound, since
 // the subtraction wraps otherwise), which matches the scalar
@@ -311,34 +311,6 @@ mulAddBarrettLoop:
 	ADDQ $8, DX
 	CMPQ DX, CX
 	JL mulAddBarrettLoop
-	VZEROUPPER
-	RET
-
-// func vecMulSubBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
-TEXT ·vecMulSubBarrettAVX512(SB), NOSPLIT, $0-104
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), CX
-	MOVQ b_base+48(FP), BX
-	BARRETT_CONSTS(72)
-	XORQ DX, DX
-mulSubBarrettLoop:
-	VMOVDQU64 (SI)(DX*8), Z0
-	VMOVDQU64 (BX)(DX*8), Z1
-	MUL128x8(Z0, Z1, Z2, Z3, Z5, Z6, Z7)
-	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7)
-	VPMULLQ Z27, Z4, Z5
-	VPSUBQ Z5, Z3, Z0
-	CONDSUB(Z0, Z28, Z5)
-	CONDSUB(Z0, Z27, Z5)                      // r in [0, q)
-	VMOVDQU64 (DI)(DX*8), Z1                  // out
-	VPSUBQ Z0, Z1, Z2                         // d = out - r
-	VPCMPUQ $1, Z0, Z1, K1                    // borrow: out <u r
-	VPADDQ Z27, Z2, K1, Z2                    // d += q where borrowed
-	VMOVDQU64 Z2, (DI)(DX*8)
-	ADDQ $8, DX
-	CMPQ DX, CX
-	JL mulSubBarrettLoop
 	VZEROUPPER
 	RET
 

@@ -2,19 +2,17 @@ package modarith
 
 import "math/bits"
 
-// Pure-Go row kernels. These are the bodies the public Vec* methods in
-// vec.go dispatched to before the assembly tiers existed, kept verbatim as
-// (a) the only implementation under the `noasm` build tag and on
-// architectures without an assembly tier, (b) the per-kernel fallback for
-// tiers that implement a subset of the kernel table, and (c) the
-// differential oracle every assembly tier is swept against (the same ref.go
-// role internal/ntt and internal/rns use for their retired scalar kernels).
+// Pure-Go row kernels: the production `go` tier. They are (a) the only
+// implementation under the `noasm` build tag and on architectures without an
+// assembly tier, (b) the per-kernel fallback for tiers that implement a
+// subset of the kernel table, and (c) the differential oracle every assembly
+// tier is swept against.
 //
 // Every assembly implementation must be BIT-IDENTICAL to these on all
 // inputs, including the lazy-domain representatives: the [0, 2q) kernels
 // must compute the same Barrett quotient t (the same three partial products,
 // dropping the same low-word carries), not merely a congruent residue.
-// DESIGN.md §3.12 spells out the contract.
+// DESIGN.md §3.8.1 spells out the contract.
 
 func vecMulAddLazyGo(m Modulus, out, a, b []uint64) {
 	q, twoQ, u0, u1 := m.Q, m.TwoQ, m.BRedHi, m.BRedLo
@@ -107,32 +105,6 @@ func vecMulAddBarrettGo(m Modulus, out, a, b []uint64) {
 			s -= q
 		}
 		out[j] = s
-	}
-}
-
-func vecMulSubBarrettGo(m Modulus, out, a, b []uint64) {
-	q, twoQ, u0, u1 := m.Q, m.TwoQ, m.BRedHi, m.BRedLo
-	_ = out[len(a)-1]
-	_ = b[len(a)-1]
-	for j := range a {
-		xhi, xlo := bits.Mul64(a[j], b[j])
-		t := xhi * u0
-		hhi, _ := bits.Mul64(xlo, u0)
-		t += hhi
-		hhi, _ = bits.Mul64(xhi, u1)
-		t += hhi
-		r := xlo - t*q
-		if r >= twoQ {
-			r -= twoQ
-		}
-		if r >= q {
-			r -= q
-		}
-		d := out[j] - r
-		if d > out[j] {
-			d += q
-		}
-		out[j] = d
 	}
 }
 

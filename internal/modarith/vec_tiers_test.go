@@ -136,7 +136,6 @@ func TestTierBarrettFamily(t *testing.T) {
 	}{
 		{"mulBarrett", vecMulBarrettGo, func(tbl *kernelTable) func(Modulus, []uint64, []uint64, []uint64) { return tbl.mulBarrett }},
 		{"mulAddBarrett", vecMulAddBarrettGo, func(tbl *kernelTable) func(Modulus, []uint64, []uint64, []uint64) { return tbl.mulAddBarrett }},
-		{"mulSubBarrett", vecMulSubBarrettGo, func(tbl *kernelTable) func(Modulus, []uint64, []uint64, []uint64) { return tbl.mulSubBarrett }},
 	}
 	for _, k := range kernels {
 		k := k

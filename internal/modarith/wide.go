@@ -10,7 +10,7 @@ import "math/bits"
 // reciprocal BRedHi:BRedLo = floor(2^128/q) that Modulus already carries.
 //
 // The row forms dispatch through the runtime kernel table (dispatch.go)
-// like the vec.go kernels; pure-Go bodies live in wide_ref.go.
+// like the vec.go kernels; pure-Go bodies live in wide_go.go.
 //
 // # Domain contracts
 //
@@ -23,7 +23,7 @@ import "math/bits"
 //     the exact residue in [0, q).
 //   - ReduceWide128Lazy / VecReduceWide128Lazy / VecFoldWide128Lazy return
 //     the lazy domain [0, 2q) (one fewer conditional subtraction), matching
-//     the [0, 2q) discipline of DESIGN.md §3.8.
+//     the [0, 2q) discipline of DESIGN.md §3.8.1.
 
 // Mul64AddWide returns (hi, lo) + a·b as a 128-bit pair. The caller is
 // responsible for the no-overflow bound on the accumulation chain.

@@ -3,7 +3,7 @@ package modarith
 import "math/bits"
 
 // Pure-Go wide-accumulation row kernels: oracle + fallback for the assembly
-// tiers, same contract as vec_ref.go (bit-identical outputs required).
+// tiers, same contract as vec_go.go (bit-identical outputs required).
 
 func vecMulWideGo(accHi, accLo, row []uint64, w uint64) {
 	_ = accHi[len(row)-1]

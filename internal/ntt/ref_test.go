@@ -1,9 +1,7 @@
 package ntt
 
-// Reference implementations: the pre-Harvey fully-reduced kernels, kept (a)
-// as an independently-derived oracle for the differential tests and (b) so
-// anaheim-bench can emit before/after pairs for the lazy-reduction rewrite
-// (the *_ref entries in BENCH_BASELINE.json). Not used on any hot path.
+// Reference implementations: the textbook fully-reduced kernels, an
+// independently-derived oracle for the differential tests.
 
 // ForwardRef is the textbook fully-reduced forward transform: one exact
 // Shoup multiply, one exact add, and one exact subtract per butterfly.
@@ -52,8 +50,7 @@ func (t *Tables) InverseRef(a []uint64) {
 	}
 }
 
-// MulCoeffsRef is the division-based element-wise product MulCoeffs used
-// before the Barrett rewrite.
+// MulCoeffsRef is the division-based element-wise product.
 func (t *Tables) MulCoeffsRef(c, a, b []uint64) {
 	mod := t.Mod
 	for i := range c {

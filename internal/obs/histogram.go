@@ -56,9 +56,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
 // BucketCounts returns a snapshot of per-bucket counts (last is +Inf).
 func (h *Histogram) BucketCounts() []int64 {
 	out := make([]int64, len(h.counts))

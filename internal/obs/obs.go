@@ -4,8 +4,8 @@
 // links. Every layer that wants to be measured — the engine scheduler, the
 // ckks evaluator hot paths, the ring buffer pool, the gpu/pim simulation
 // models — records into a Registry; cmd/anaheim-serve exposes the default
-// registry in Prometheus text format and cmd/anaheim-bench dumps it as
-// JSON next to the micro results.
+// registry in Prometheus text format and the repo benchmark reads its
+// Snapshot for the per-layer metrics.
 //
 // The package deliberately has no dependencies beyond the standard
 // library so that any package in the tree (including the lowest ring
@@ -115,14 +115,4 @@ func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	}
 	v, _ := r.hists.LoadOrStore(name, newHistogram(bounds))
 	return v.(*Histogram)
-}
-
-// Reset drops every registered metric (tests).
-func (r *Registry) Reset() {
-	for _, m := range []*sync.Map{&r.counters, &r.gauges, &r.gaugeFns, &r.hists} {
-		m.Range(func(k, _ any) bool {
-			m.Delete(k)
-			return true
-		})
-	}
 }

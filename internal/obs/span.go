@@ -124,12 +124,3 @@ func (t *Tracer) Snapshot() []SpanRecord {
 
 // Dropped returns how many spans were overwritten by ring wraparound.
 func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
-
-// Reset discards the retained spans (tests).
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.buf = t.buf[:0]
-	t.head = 0
-	t.full = false
-	t.mu.Unlock()
-}

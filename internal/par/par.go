@@ -35,9 +35,11 @@ func Workers() int {
 }
 
 // SetWorkers fixes the pool width and returns the previous value. n <= 1
-// forces serial execution. Intended for benchmarks comparing serial vs
-// parallel kernels; already-running workers beyond the new width drain
-// naturally (they only matter if a task is submitted to them).
+// forces serial execution. It is a test hook with no production caller (CI's
+// lint job enforces that), exported only because the width-sweep tests of
+// ckks, ntt and ring live in other packages; a process sets its width with
+// GOMAXPROCS. Already-running workers beyond the new width drain naturally
+// (they only matter if a task is submitted to them).
 func SetWorkers(n int) int {
 	mu.Lock()
 	defer mu.Unlock()

@@ -164,12 +164,3 @@ func (r *Ring) AutomorphismNTT(out, in *Poly, g uint64, level int) {
 	out.IsNTT = true
 	accountRows(bytesAut, 2, level+1, r.N)
 }
-
-// Automorphism dispatches on the polynomial's current domain.
-func (r *Ring) Automorphism(out, in *Poly, g uint64, level int) {
-	if in.IsNTT {
-		r.AutomorphismNTT(out, in, g, level)
-	} else {
-		r.AutomorphismCoeff(out, in, g, level)
-	}
-}

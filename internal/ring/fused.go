@@ -52,22 +52,12 @@ func (r *Ring) MulByLimbScalarsAddLazy(out, a *Poly, s []uint64, level int) {
 	accountRows(bytesMac, 3, level+1, r.N)
 }
 
-// SubMulByLimbScalars sets out = (a - b) * s[i] per limb in a single exact
+// SubMulByLimbScalarsLazy sets out = (a - b) * s[i] per limb in a single
 // pass (the fused ModDownEp epilogue of Table II: the subtraction and the
-// P^{-1} scaling share one traversal).
-func (r *Ring) SubMulByLimbScalars(out, a, b *Poly, s []uint64, level int) {
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		mod.VecSubMulShoup(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i], s[i], mod.ShoupPrecomp(s[i]))
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesMac, 3, level+1, r.N)
-}
-
-// SubMulByLimbScalarsLazy is SubMulByLimbScalars for a lazy subtrahend: b
-// may hold [0, 2q) values (e.g. straight out of NTTLazy on a ConvertLazy
-// row), a must be exact, out is exact. This lets the fused ModDown epilogue
-// consume the lazy BConv-NTT chain without an intermediate reduction pass.
+// P^{-1} scaling share one traversal). b may hold [0, 2q) values (e.g.
+// straight out of NTTLazy on a ConvertLazy row), a must be exact, out is
+// exact, so the epilogue consumes the lazy BConv-NTT chain without an
+// intermediate reduction pass.
 func (r *Ring) SubMulByLimbScalarsLazy(out, a, b *Poly, s []uint64, level int) {
 	forEachLimb(level, func(i int) {
 		mod := r.Moduli[i]

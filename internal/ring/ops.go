@@ -69,30 +69,6 @@ func (r *Ring) MulCoeffsAdd(out, a, b *Poly, level int) {
 	accountRows(bytesMac, 4, level+1, r.N)
 }
 
-// MulCoeffsSub sets out -= a ⊙ b.
-func (r *Ring) MulCoeffsSub(out, a, b *Poly, level int) {
-	forEachLimb(level, func(i int) {
-		r.Moduli[i].VecMulSubBarrett(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-	accountRows(bytesMac, 4, level+1, r.N)
-}
-
-// MulScalar sets out = a * s for a small unsigned scalar s (reduced per
-// limb).
-func (r *Ring) MulScalar(out, a *Poly, s uint64, level int) {
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		sr := s % mod.Q
-		srs := mod.ShoupPrecomp(sr)
-		oa, oo := a.Coeffs[i], out.Coeffs[i]
-		for j := range oo {
-			oo[j] = mod.MulShoup(oa[j], sr, srs)
-		}
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 2, level+1, r.N)
-}
-
 // MulByLimbScalars sets out[i] = a[i] * s[i] where s carries one scalar per
 // limb (already reduced). Used for gadget factors and rescaling constants.
 func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {

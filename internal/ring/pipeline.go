@@ -75,14 +75,12 @@ const (
 	opNTT
 	opNTTLazy
 	opINTT
-	opINTTLazy
 	opMulCoeffs
 	opMulCoeffsAdd
 	opMulCoeffsAddLazy
 	opAutMulAddLazy
 	opReduceLazy
 	opAdd
-	opSubMulScalars
 	opSubMulScalarsLazy
 	opAutNTT
 	opAddAutNTT
@@ -95,7 +93,7 @@ type stage struct {
 	op   stageOp
 	out  *Poly
 	a, b *Poly
-	s    []uint64 // per-limb scalars (opSubMulScalars*)
+	s    []uint64 // per-limb scalars (opSubMulScalarsLazy)
 	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
 	fn   func(limb int)
 	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
@@ -248,19 +246,14 @@ func (ln *Lane) recordNTT(p *Poly, op stageOp, lo, hi int) {
 }
 
 // INTT records an in-place exact inverse transform of p.
-func (ln *Lane) INTT(p *Poly) { ln.recordINTT(p, opINTT) }
-
-// INTTLazy records an in-place inverse transform with lazy outputs.
-func (ln *Lane) INTTLazy(p *Poly) { ln.recordINTT(p, opINTTLazy) }
-
-func (ln *Lane) recordINTT(p *Poly, op stageOp) {
+func (ln *Lane) INTT(p *Poly) {
 	if !ln.domain(p) {
 		panic("ring: pipeline INTT on a polynomial already in coefficient form")
 	}
 	ln.use(p, true, true)
 	ln.setDomain(p, false)
 	ln.inttRows += ln.rows
-	ln.push(stage{op: op, out: p}, 2)
+	ln.push(stage{op: opINTT, out: p}, 2)
 }
 
 // MulCoeffs records out = a ⊙ b (exact element-wise product).
@@ -318,18 +311,9 @@ func (ln *Lane) Add(out, a, b *Poly) {
 	ln.push(stage{op: opAdd, out: out, a: a, b: b}, 3)
 }
 
-// SubMulByLimbScalars records out = (a - b) · s[i] per limb (exact; the
-// fused ModDown epilogue).
-func (ln *Lane) SubMulByLimbScalars(out, a, b *Poly, s []uint64) {
-	ln.use(a, true, false)
-	ln.use(b, true, false)
-	ln.use(out, false, true)
-	ln.setDomain(out, ln.domain(a))
-	ln.push(stage{op: opSubMulScalars, out: out, a: a, b: b, s: s}, 3)
-}
-
-// SubMulByLimbScalarsLazy is SubMulByLimbScalars for a lazy subtrahend b in
-// [0, 2q) (e.g. straight out of an NTTLazy stage).
+// SubMulByLimbScalarsLazy records out = (a - b) · s[i] per limb (the fused
+// ModDown epilogue): a exact, b exact or lazy in [0, 2q) (e.g. straight out
+// of an NTTLazy stage), out exact.
 func (ln *Lane) SubMulByLimbScalarsLazy(out, a, b *Poly, s []uint64) {
 	ln.use(a, true, false)
 	ln.use(b, true, false)
@@ -472,8 +456,6 @@ func (ln *Lane) exec(i int) {
 			}
 		case opINTT:
 			r.Tables[i].Inverse(st.out.Coeffs[i])
-		case opINTTLazy:
-			r.Tables[i].InverseLazy(st.out.Coeffs[i])
 		case opMulCoeffs:
 			mod.VecMulBarrett(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
 		case opMulCoeffsAdd:
@@ -489,9 +471,6 @@ func (ln *Lane) exec(i int) {
 			for j := range oo {
 				oo[j] = mod.Add(oa[j], ob[j])
 			}
-		case opSubMulScalars:
-			s := st.s[i]
-			mod.VecSubMulShoup(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))
 		case opSubMulScalarsLazy:
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))

@@ -179,21 +179,6 @@ func TestNTTLazyMatchesExact(t *testing.T) {
 	}
 }
 
-func TestMulScalar(t *testing.T) {
-	r := newTestRing(t, 4, 2)
-	s := NewSampler(11)
-	level := r.MaxLevel()
-	a := s.UniformPoly(r, level, false)
-	out := r.NewPoly(level)
-	r.MulScalar(out, a, 3, level)
-	want := r.NewPoly(level)
-	r.Add(want, a, a, level)
-	r.Add(want, want, a, level)
-	if !out.Equal(want) {
-		t.Fatal("3*a != a+a+a")
-	}
-}
-
 func TestAutomorphismCoeffVsNTT(t *testing.T) {
 	r := newTestRing(t, 8, 2)
 	s := NewSampler(13)

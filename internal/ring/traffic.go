@@ -21,7 +21,8 @@ import "github.com/anaheim-sim/anaheim/internal/obs"
 // are excluded. Counters are exported as
 // `ring_bytes_moved_total{class=...,mode=...}` plus `ring_bytes_saved_total`
 // (the barriered-equivalent minus actual estimate of every pipelined chain),
-// which is what `anaheim-bench -membw` samples around each op.
+// which the repo benchmark samples around each op (`ring.bytes_moved_per_op`,
+// `ring.bytes_saved_per_op`).
 var (
 	bytesElemwise  = obs.Default.Counter(`ring_bytes_moved_total{class="elemwise",mode="barriered"}`)
 	bytesMac       = obs.Default.Counter(`ring_bytes_moved_total{class="mac",mode="barriered"}`)

@@ -8,10 +8,8 @@ import (
 
 // Reference implementations of the basis-conversion and rescale kernels: the
 // straightforward per-coefficient loops (exact reduction after every term,
-// division-based Modulus.Mul/Add) that predate the wide-accumulation
-// rewrite. They are kept (a) as an independently-derived oracle for the
-// differential tests and the fuzz target, and (b) so anaheim-bench can emit
-// before/after pairs. Nothing on a hot path calls them.
+// division-based Modulus.Mul/Add), an independently-derived oracle for the
+// differential tests and the fuzz target.
 
 // ConvertRef is the scalar reference for Convert: identical outputs (exact
 // residues in [0, p_j)), one modmul + one modadd per inner-product term.

@@ -37,7 +37,7 @@ const convTile = 256
 // limb as exact 128-bit (hi, lo) pairs, reducing ONCE per output coefficient
 // with the 128-bit Barrett reciprocal — no per-term reduction and no
 // hardware division anywhere (see modarith/wide.go for the domain
-// contracts, and ref.go for the retired scalar kernel kept as an oracle).
+// contracts; the scalar oracle the tests compare against is in ref_test.go).
 //
 // A BasisConverter must not be copied after creation (it embeds a
 // sync.Pool); use the *BasisConverter returned by NewBasisConverter.
