@@ -450,11 +450,12 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		decG := ev.decomposePlan(t1, lvl, gpl)
 		obsLinTransRotations.Inc()
 
-		// gadgetProductInto reduces its accumulators on exit, so the σ+add
-		// epilogue below reads exact values.
+		// The one accumulating gadget product: v0 lands on the live T0 (and
+		// v1 on the zeroed w1). gadgetProductInto reduces its accumulators on
+		// exit, so the σ+add epilogue below reads exact values.
 		w1q, w1p := rq.NewPoly(lvl), rp.NewPoly(lvlP)
 		w1q.IsNTT, w1p.IsNTT = true, true
-		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p)
+		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p, true)
 		decG.release(p)
 
 		// σ_g the giant's three partial results into the sweep accumulators.

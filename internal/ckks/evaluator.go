@@ -314,20 +314,18 @@ func (dec *decomposed) release(p *Parameters) {
 func (ev *Evaluator) gadgetProduct(dec *decomposed, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
 	defer obsKSKeyMult.done(time.Now())
 	u0q, u0p, u1q, u1p = ev.getQP(dec.level, dec.plan.Alpha-1)
-	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p)
+	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p, false)
 	return
 }
 
-// getQP borrows two zeroed, NTT-flagged QP accumulators (Q halves at lvl, P
-// halves at lvlP) from the ring pools; putQP returns them.
+// getQP borrows two NTT-flagged QP accumulators (Q halves at lvl, P halves at
+// lvlP) from the ring pools; putQP returns them. Their contents are
+// unspecified: the gadget product that fills them overwrites every row.
 func (ev *Evaluator) getQP(lvl, lvlP int) (u0q, u0p, u1q, u1p *ring.Poly) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	u0q, u1q = rq.GetPoly(lvl), rq.GetPoly(lvl)
 	u0p, u1p = rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-	for _, u := range [...]*ring.Poly{u0q, u0p, u1q, u1p} {
-		u.Zero()
-		u.IsNTT = true
-	}
+	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
 	return
 }
 

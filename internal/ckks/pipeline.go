@@ -18,40 +18,45 @@ import (
 // documents the discipline.
 
 // recordGadgetMACs records the KeyMult chain of one gadget product into the
-// two lanes: per digit, the digit's forward NTT (first consumer only — the
+// two lanes: every digit's forward NTT (first consumer only — the
 // decomposition leaves the base-converted rows in the coefficient domain; the
-// digit's own Q limbs are already NTT rows and are skipped) immediately
-// followed by the four lazy MACs consuming it, so each digit row is transformed
-// and consumed while still cache-resident. The accumulators are left lazy.
-func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
+// digit's own Q limbs are already NTT rows and are skipped), then one dot stage
+// per accumulator, u = Σ_d digit_d ⊙ key_d, which sums the D products of a
+// coefficient in a 128-bit register pair and reduces once. A limb's D digit
+// rows are transformed and consumed by both of its dot stages while still
+// cache-resident. The accumulators are left lazy; unless accumulate is set
+// they are overwritten, so they need not be initialised.
+func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, accumulate bool) {
 	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, ev.params.Alpha())
 	if !ok {
 		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
 	}
-	for d := range dec.q {
-		if dec.coeffDomain {
+	if dec.coeffDomain {
+		for d := range dec.q {
 			lo, hi := dec.plan.digitLimbs(d)
 			lq.NTTLazyExcept(dec.q[d], lo, hi)
 			lp.NTTLazy(dec.p[d])
 		}
-		lq.MulCoeffsAddLazy(u0q, dec.q[d], bQ[d])
-		lq.MulCoeffsAddLazy(u1q, dec.q[d], aQ[d])
-		lp.MulCoeffsAddLazy(u0p, dec.p[d], bP[d])
-		lp.MulCoeffsAddLazy(u1p, dec.p[d], aP[d])
+		dec.coeffDomain = false
 	}
-	dec.coeffDomain = false
+	n := len(dec.q) // a key serves lower levels with a prefix of its digits
+	lq.DotLazy(u0q, dec.q, bQ[:n], accumulate)
+	lq.DotLazy(u1q, dec.q, aQ[:n], accumulate)
+	lp.DotLazy(u0p, dec.p, bP[:n], accumulate)
+	lp.DotLazy(u1p, dec.p, aP[:n], accumulate)
 }
 
 // gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:
-// the digit NTTs and MACs of recordGadgetMACs, ending with the four
-// accumulator reductions — one barrier instead of 2·digits NTTs + 4·digits
-// MACs + 4 reductions. Accumulators must be NTT-flagged polynomials; the
-// product is added onto whatever (exact or lazy) value they hold.
-func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly) {
+// the digit NTTs and dot stages of recordGadgetMACs, ending with the four
+// accumulator reductions — one barrier instead of 2·digits NTTs + 4 dots + 4
+// reductions. Accumulators must be NTT-flagged polynomials; with accumulate
+// the product is added onto the (exact or lazy) value they hold, without it
+// their contents are never read.
+func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, accumulate bool) {
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), dec.level)
 	lp := pipe.Lane(ev.params.RingP(), dec.plan.Alpha-1)
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, accumulate)
 	lq.ReduceLazy(u0q)
 	lq.ReduceLazy(u1q)
 	lp.ReduceLazy(u0p)
@@ -197,7 +202,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 
 // babyAccum is one baby rotation's block of the linear-transform sweep as a
 // single pipeline Run: the digit NTTs (first consumer only),
-// the shared gadget-product MACs, and — per consuming giant — the five
+// the shared gadget product's dot stages, and — per consuming giant — the five
 // automorphism-fused multiply-accumulates into that giant's accumulators, all
 // executing per limb while the key-switched rows are cache-resident (§V-B
 // AutAccum). Every accumulator stays lazy; the sweep reduces them once at the
@@ -210,7 +215,7 @@ func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), dec.level)
 	lp := pipe.Lane(ev.params.RingP(), lvlP)
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, false)
 	for _, tg := range targets {
 		ga := tg.acc
 		lq.AutMulCoeffsAddLazy(ga.t0q, u0q, tg.ptQ, g)

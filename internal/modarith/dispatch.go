@@ -91,6 +91,10 @@ type kernelTable struct {
 	reduceWide128     func(m Modulus, dst, accHi, accLo []uint64)
 	reduceWide128Lazy func(m Modulus, dst, accHi, accLo []uint64)
 	reduceTwoQ        func(m Modulus, p []uint64)
+	dotLazy           func(m Modulus, out []uint64, a, b [][]uint64, accumulate bool)
+
+	add func(m Modulus, out, a, b []uint64)
+	sub func(m Modulus, out, a, b []uint64)
 
 	fwdStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool)
 	invStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int)
@@ -113,6 +117,9 @@ var goKernels = kernelTable{
 	reduceWide128:     vecReduceWide128Go,
 	reduceWide128Lazy: vecReduceWide128LazyGo,
 	reduceTwoQ:        vecReduceTwoQGo,
+	dotLazy:           vecDotLazyGo,
+	add:               vecAddGo,
+	sub:               vecSubGo,
 	fwdStage:          vecFwdStageGo,
 	invStage:          vecInvStageGo,
 	invFinal:          vecInvFinalGo,
@@ -169,6 +176,15 @@ func fillDefaults(t *kernelTable) {
 	}
 	if t.reduceTwoQ == nil {
 		t.reduceTwoQ = goKernels.reduceTwoQ
+	}
+	if t.dotLazy == nil {
+		t.dotLazy = goKernels.dotLazy
+	}
+	if t.add == nil {
+		t.add = goKernels.add
+	}
+	if t.sub == nil {
+		t.sub = goKernels.sub
 	}
 	if t.fwdStage == nil {
 		t.fwdStage = goKernels.fwdStage

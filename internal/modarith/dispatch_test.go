@@ -2,6 +2,7 @@ package modarith
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -93,6 +94,15 @@ func TestDispatchTierMatrix(t *testing.T) {
 	for _, tier := range AvailableTiers() {
 		tier := tier
 		t.Run(tier.String(), func(t *testing.T) {
+			// Every table is total: an entry added to kernelTable without a Go
+			// body (or without its fillDefaults arm) fails here, not as a nil
+			// call in production.
+			tbl := reflect.ValueOf(tierTables[tier]).Elem()
+			for i := 0; i < tbl.NumField(); i++ {
+				if f := tbl.Field(i); f.Kind() == reflect.Func && f.IsNil() {
+					t.Fatalf("tier %v: kernel table entry %s is nil", tier, tbl.Type().Field(i).Name)
+				}
+			}
 			if err := SetKernelTier(tier); err != nil {
 				t.Fatal(err)
 			}
@@ -147,6 +157,33 @@ func TestDispatchTierMatrix(t *testing.T) {
 					m.VecReduceTwoQ(p)
 					vecReduceTwoQGo(m, wp)
 					rowsEqual(t, "VecReduceTwoQ", tier, m, p, wp)
+
+					m.VecAdd(out, aq, wp)
+					vecAddGo(m, want, aq, wp)
+					rowsEqual(t, "VecAdd", tier, m, out, want)
+					m.VecSub(out, aq, wp)
+					vecSubGo(m, want, aq, wp)
+					rowsEqual(t, "VecSub", tier, m, out, want)
+
+					// One reduction's worth of terms is the Go kernel bit for
+					// bit; beyond MaxDotTerms the method folds, and the sum
+					// must still be the MAC chain's and big.Int's residue.
+					for _, k := range []int{1, 9, MaxDotTerms, MaxDotTerms + 1, 2*MaxDotTerms + 5} {
+						for _, accumulate := range []bool{false, true} {
+							saturated := k > MaxDotTerms
+							da := dotRows(rng, k, n, m.TwoQ, saturated)
+							db := dotRows(rng, k, n, m.Q, saturated)
+							in := dotRows(rng, 1, n, m.TwoQ, saturated)[0]
+							got := cloneRow(in)
+							m.VecDotLazy(got, da, db, accumulate)
+							if k <= MaxDotTerms {
+								want := cloneRow(in)
+								vecDotLazyGo(m, want, da, db, accumulate)
+								rowsEqual(t, "VecDotLazy", tier, m, got, want)
+							}
+							checkDot(t, "VecDotLazy tier "+tier.String(), m, got, in, da, db, accumulate)
+						}
+					}
 				}
 				// NTT stage kernels through the public methods.
 				for _, span := range []int{1, 2, 4, 16} {

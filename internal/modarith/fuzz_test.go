@@ -10,7 +10,7 @@ import (
 // mid-chain prime.
 var fuzzModuli = func() []Modulus {
 	var ms []Modulus
-	for _, bits := range []int{45, 55, 60} {
+	for _, bits := range []int{45, 55, 60, MaxModulusBits} {
 		ps, err := GenerateNTTPrimes(bits, 12, 1)
 		if err != nil {
 			panic(err)
@@ -30,6 +30,7 @@ func FuzzVecKernels(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(2), []byte{})
+	f.Add(uint8(0xf3), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f, 9, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		m := fuzzModuli[int(sel)%len(fuzzModuli)]
 		n := len(data)/16 + 1 // 1..65 for up to 1 KiB of data
@@ -93,6 +94,40 @@ func FuzzVecKernels(f *testing.F) {
 					t.Fatalf("%v mulAccWide/reduceWide128Lazy diverges at %d (q=%d n=%d)", tier, j, m.Q, n)
 				}
 			}
+
+			same := func(kernel string, k int) {
+				for j := range want {
+					if out[j] != want[j] {
+						t.Fatalf("%v %s diverges at %d: %#x != %#x (q=%d n=%d k=%d)", tier, kernel, j, out[j], want[j], m.Q, n, k)
+					}
+				}
+			}
+
+			// The exact element-wise pair, on full-range words: the tiers
+			// agree off the residue domain too.
+			tbl.add(m, out, acc, b)
+			vecAddGo(m, want, acc, b)
+			same("add", 1)
+			tbl.sub(m, out, b, acc)
+			vecSubGo(m, want, b, acc)
+			same("sub", 1)
+
+			// A dot of 1..MaxDotTerms terms (count from the selector's high
+			// bits) over rotations of the operand rows, onto b or onto nothing.
+			k := int(sel>>3)%MaxDotTerms + 1
+			da, db := make([][]uint64, k), make([][]uint64, k)
+			for i := range da {
+				da[i], db[i] = make([]uint64, n), make([]uint64, n)
+				for j := range da[i] {
+					da[i][j] = a[(j+i)%n]
+					db[i][j] = b[(j+2*i+1)%n] % m.Q
+				}
+			}
+			copy(out, b)
+			copy(want, b)
+			tbl.dotLazy(m, out, da, db, sel&2 != 0)
+			vecDotLazyGo(m, want, da, db, sel&2 != 0)
+			same("dotLazy", k)
 
 			// One forward and one inverse stage at a tail span chosen by the
 			// data (span 8 needs n >= 16), first word pair as the twiddles.

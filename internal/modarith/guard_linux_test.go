@@ -89,3 +89,49 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestDotKernelStaysInBounds puts out and every a[k] / b[k] row of the dot
+// kernel flush against an unmapped page: the assembly walks the row headers
+// and addresses the rows itself, so a step past len(out) faults here. Lengths
+// are one and three vector steps, and a ragged one (the wrapper's Go path).
+// add and sub ride along with their three rows guarded the same way.
+func TestDotKernelStaysInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	m := tierTestModuli(t)[3]
+	rng := rand.New(rand.NewSource(0xd07))
+	for _, tier := range AvailableTiers() {
+		tbl := tierTables[tier]
+		run := func(name string, kernel func()) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("tier %v %s touched memory outside its operands: %v", tier, name, r)
+				}
+			}()
+			kernel()
+		}
+		for _, n := range []int{8, 24, 27} {
+			for _, k := range []int{1, 9, MaxDotTerms} {
+				a, b := dotRows(rng, k, n, m.TwoQ, false), dotRows(rng, k, n, m.Q, false)
+				ga, gb := make([][]uint64, k), make([][]uint64, k)
+				for i := range a {
+					ga[i], gb[i] = guardedCopy(t, a[i]), guardedCopy(t, b[i])
+				}
+				in := randRow(rng, n, m.TwoQ)
+				for _, accumulate := range []bool{false, true} {
+					out, want := guardedCopy(t, in), cloneRow(in)
+					vecDotLazyGo(m, want, a, b, accumulate)
+					run("dotLazy", func() { tbl.dotLazy(m, out, ga, gb, accumulate) })
+					rowsEqual(t, "dotLazy", tier, m, out, want)
+				}
+			}
+			a, b := guardedCopy(t, randRow(rng, n, m.Q)), guardedCopy(t, randRow(rng, n, m.Q))
+			out, want := guardedRow(t, n), make([]uint64, n)
+			vecAddGo(m, want, a, b)
+			run("add", func() { tbl.add(m, out, a, b) })
+			rowsEqual(t, "add", tier, m, out, want)
+			vecSubGo(m, want, a, b)
+			run("sub", func() { tbl.sub(m, out, a, b) })
+			rowsEqual(t, "sub", tier, m, out, want)
+		}
+	}
+}

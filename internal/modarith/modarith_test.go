@@ -2,6 +2,7 @@ package modarith
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -200,8 +201,14 @@ func TestGenerateNTTPrimes(t *testing.T) {
 	for _, tc := range []struct{ bits, logN, count int }{
 		{28, 12, 8},
 		{40, 13, 10},
+		{45, 12, 8},
 		{55, 16, 20},
 		{60, 16, 4},
+		// The limit: the candidates above 2^61 are 62-bit, and at logN=12 the
+		// nearest prime to 2^61 is one of them.
+		{MaxModulusBits, 10, 8},
+		{MaxModulusBits, 12, 8},
+		{MaxModulusBits, 16, 8},
 	} {
 		primes, err := GenerateNTTPrimes(tc.bits, tc.logN, tc.count)
 		if err != nil {
@@ -219,6 +226,12 @@ func TestGenerateNTTPrimes(t *testing.T) {
 			}
 			if q%step != 1 {
 				t.Fatalf("%d != 1 mod 2N", q)
+			}
+			if _, err := NewModulus(q); err != nil {
+				t.Fatalf("GenerateNTTPrimes(%v) returned a prime NewModulus rejects: %v", tc, err)
+			}
+			if n := bits.Len64(q); n != tc.bits && n != tc.bits+1 {
+				t.Fatalf("GenerateNTTPrimes(%v): %d has %d bits", tc, q, n)
 			}
 		}
 	}

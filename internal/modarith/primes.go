@@ -63,13 +63,15 @@ witness:
 	return true
 }
 
-// GenerateNTTPrimes returns count distinct primes q with bit length bitSize
-// satisfying q ≡ 1 (mod 2N) where N = 2^logN, the eligibility condition for
-// negacyclic NTT (§VI-A of the Anaheim paper uses the same condition to build
-// the Montgomery reduction circuit). Primes are found by scanning outward
-// from 2^bitSize in steps of 2N, alternating above/below so the produced
-// primes straddle the target size as closely as possible (which keeps CKKS
-// rescaling near-exact).
+// GenerateNTTPrimes returns count distinct primes q ≡ 1 (mod 2N), N = 2^logN
+// — the eligibility condition for negacyclic NTT (§VI-A of the Anaheim paper
+// uses the same condition to build the Montgomery reduction circuit) — nearest
+// to 2^bitSize. Candidates are scanned outward from 2^bitSize in steps of 2N,
+// alternating above and below, so the primes straddle the target as closely
+// as possible (which keeps CKKS rescaling near-exact): those below it have
+// bit length bitSize, those above it bitSize+1. Every prime returned is one
+// NewModulus accepts: at bitSize == MaxModulusBits the candidates above the
+// centre would be one bit too long, and only the downward scan runs.
 func GenerateNTTPrimes(bitSize, logN, count int) ([]uint64, error) {
 	if bitSize < logN+2 || bitSize > MaxModulusBits {
 		return nil, fmt.Errorf("modarith: bitSize %d out of range for logN=%d", bitSize, logN)
@@ -83,7 +85,7 @@ func GenerateNTTPrimes(bitSize, logN, count int) ([]uint64, error) {
 	primes := make([]uint64, 0, count)
 	for len(primes) < count {
 		progressed := false
-		if bits.Len64(hi) == bitSize+1 || bits.Len64(hi) == bitSize {
+		if n := bits.Len64(hi); n <= bitSize+1 && n <= MaxModulusBits {
 			if IsPrime(hi) {
 				primes = append(primes, hi)
 			}

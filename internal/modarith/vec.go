@@ -77,6 +77,18 @@ func (m Modulus) VecSubMulShoupLazy(out, a, b []uint64, w, wShoup uint64) {
 	active.Load().subMulShoupLazy(m, out, a, b, w, wShoup)
 }
 
+// VecAdd computes out[j] = a[j] + b[j] mod q exactly for a, b < q — the row
+// form of Add (HADD). out may alias a or b.
+func (m Modulus) VecAdd(out, a, b []uint64) {
+	active.Load().add(m, out, a, b)
+}
+
+// VecSub computes out[j] = a[j] - b[j] mod q exactly for a, b < q — the row
+// form of Sub. out may alias a or b.
+func (m Modulus) VecSub(out, a, b []uint64) {
+	active.Load().sub(m, out, a, b)
+}
+
 // VecAddScalar computes out[j] = a[j] + c mod q exactly, for a, c < q.
 func (m Modulus) VecAddScalar(out, a []uint64, c uint64) {
 	q := m.Q

@@ -8,7 +8,8 @@ package modarith
 // pure-Go kernel, which keeps the bit-identical contract trivially (the Go
 // kernel IS the spec). For the gather kernel the `a` operand is never split —
 // indices address it absolutely. The NTT stage kernels split by whole
-// 16-coefficient steps instead (see fwdStage below).
+// 16-coefficient steps instead (see fwdStage below), and the dot kernel, whose
+// operands are arrays of rows, takes a whole call or none of it.
 
 // AVX-512 kernels (8 lanes, F+DQ). vec_avx512_amd64.s.
 //
@@ -50,6 +51,19 @@ func vecReduceWide128LazyAVX512(dst, accHi, accLo []uint64, q, twoQ, u0, u1 uint
 
 //go:noescape
 func vecReduceTwoQAVX512(p []uint64, q uint64)
+
+// vecDotLazyAVX512 reads the first len(out) words of every a[k] / b[k] row
+// (len(a) >= 1 rows each); accMask is the lane mask of the load of out, 0xff to
+// accumulate onto it and 0 to leave it unread.
+//
+//go:noescape
+func vecDotLazyAVX512(out []uint64, a, b [][]uint64, accMask, q, twoQ, u0, u1 uint64)
+
+//go:noescape
+func vecAddAVX512(out, a, b []uint64, q uint64)
+
+//go:noescape
+func vecSubAVX512(out, a, b []uint64, q uint64)
 
 // NTT stage kernels. The wide forms (span ≥ 8) loop over len(psi) blocks
 // and cnt/8 vector steps per block; the tail forms (span 4, 2, 1) run `steps`
@@ -210,6 +224,43 @@ func avx512Table() kernelTable {
 			}
 			if n < len(p) {
 				vecReduceTwoQGo(m, p[n:])
+			}
+		},
+		dotLazy: func(m Modulus, out []uint64, a, b [][]uint64, accumulate bool) {
+			n := len(out)
+			if n == 0 || n%8 != 0 || len(a) == 0 {
+				// No prefix/tail split here: a tail would need row headers
+				// of its own, and the rows are whole polynomials (N a power
+				// of two), so a ragged length only ever comes from a test.
+				vecDotLazyGo(m, out, a, b, accumulate)
+				return
+			}
+			// The assembly does its own addressing: every row must cover out.
+			for k := range a {
+				_, _ = a[k][n-1], b[k][n-1]
+			}
+			var accMask uint64
+			if accumulate {
+				accMask = 0xff
+			}
+			vecDotLazyAVX512(out, a, b[:len(a)], accMask, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
+		},
+		add: func(m Modulus, out, a, b []uint64) {
+			n := len(a) &^ 7
+			if n > 0 {
+				vecAddAVX512(out[:n], a[:n], b[:n], m.Q)
+			}
+			if n < len(a) {
+				vecAddGo(m, out[n:], a[n:], b[n:])
+			}
+		},
+		sub: func(m Modulus, out, a, b []uint64) {
+			n := len(a) &^ 7
+			if n > 0 {
+				vecSubAVX512(out[:n], a[:n], b[:n], m.Q)
+			}
+			if n < len(a) {
+				vecSubGo(m, out[n:], a[n:], b[n:])
 			}
 		},
 		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {

@@ -546,6 +546,93 @@ reduceTwoQLoop:
 	VZEROUPPER
 	RET
 
+// func vecDotLazyAVX512(out []uint64, a, b [][]uint64, accMask, q, twoQ, u0, u1 uint64)
+// Per 8 coefficients: the 128-bit sum Z2:Z3 starts from out (or from 0: a
+// load under the all-zero mask touches no memory), takes one MUL128x8 and a
+// carry-propagating add per term, and pays a single Barrett reduction. a and
+// b are walked as arrays of 24-byte slice headers; only the base words are read.
+TEXT ·vecDotLazyAVX512(SB), NOSPLIT, $0-112
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), R8
+	MOVQ a_len+32(FP), R10
+	MOVQ b_base+48(FP), R9
+	MOVQ accMask+72(FP), AX
+	KMOVW AX, K3
+	BARRETT_CONSTS(80)
+	XORQ DX, DX
+dotLazyLoop:
+	VPXORQ Z2, Z2, Z2                         // hi
+	VMOVDQU64.Z (DI)(DX*8), K3, Z3            // lo = out or 0
+	MOVQ R8, R11
+	MOVQ R9, R12
+	MOVQ R10, R13
+dotLazyTerm:
+	MOVQ (R11), SI
+	MOVQ (R12), BX
+	VMOVDQU64 (SI)(DX*8), Z0
+	VMOVDQU64 (BX)(DX*8), Z1
+	MUL128x8(Z0, Z1, Z10, Z11, Z5, Z6, Z7)    // phi:plo
+	VPADDQ Z11, Z3, Z3                        // lo += plo
+	VPCMPUQ $1, Z11, Z3, K1                   // carry: new lo <u plo
+	VPADDQ Z10, Z2, Z2                        // hi += phi
+	VPADDQ Z25, Z2, K1, Z2                    // hi += carry
+	ADDQ $24, R11
+	ADDQ $24, R12
+	DECQ R13
+	JNZ dotLazyTerm
+	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7)
+	VPMULLQ Z27, Z4, Z5
+	VPSUBQ Z5, Z3, Z0
+	CONDSUB(Z0, Z28, Z5)
+	VMOVDQU64 Z0, (DI)(DX*8)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL dotLazyLoop
+	VZEROUPPER
+	RET
+
+// func vecAddAVX512(out, a, b []uint64, q uint64)
+TEXT ·vecAddAVX512(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ b_base+48(FP), BX
+	VPBROADCASTQ q+72(FP), Z27
+	XORQ DX, DX
+addLoop:
+	VMOVDQU64 (SI)(DX*8), Z0
+	VPADDQ (BX)(DX*8), Z0, Z0
+	CONDSUB(Z0, Z27, Z5)
+	VMOVDQU64 Z0, (DI)(DX*8)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL addLoop
+	VZEROUPPER
+	RET
+
+// func vecSubAVX512(out, a, b []uint64, q uint64)
+// The fold is the scalar kernel's borrow test (d >u a), not an unsigned min:
+// the two agree on residues, and this one also does on arbitrary words.
+TEXT ·vecSubAVX512(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	MOVQ b_base+48(FP), BX
+	VPBROADCASTQ q+72(FP), Z27
+	XORQ DX, DX
+subLoop:
+	VMOVDQU64 (SI)(DX*8), Z0
+	VPSUBQ (BX)(DX*8), Z0, Z1                 // d = a - b
+	VPCMPUQ $6, Z0, Z1, K1                    // borrow: d >u a
+	VPADDQ Z27, Z1, K1, Z1                    // d += q
+	VMOVDQU64 Z1, (DI)(DX*8)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL subLoop
+	VZEROUPPER
+	RET
+
 // func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
 TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-104
 	MOVQ a_base+0(FP), DI

@@ -153,6 +153,30 @@ func vecRescaleStepGo(m Modulus, row, t []uint64, halfModQ, w, wShoup uint64) {
 	}
 }
 
+func vecAddGo(m Modulus, out, a, b []uint64) {
+	q := m.Q
+	out, b = out[:len(a)], b[:len(a)]
+	for j := range a {
+		s := a[j] + b[j]
+		if s >= q {
+			s -= q
+		}
+		out[j] = s
+	}
+}
+
+func vecSubGo(m Modulus, out, a, b []uint64) {
+	q := m.Q
+	out, b = out[:len(a)], b[:len(a)]
+	for j := range a {
+		d := a[j] - b[j]
+		if d > a[j] { // borrow
+			d += q
+		}
+		out[j] = d
+	}
+}
+
 func vecReduceTwoQGo(m Modulus, p []uint64) {
 	q := m.Q
 	for j := range p {

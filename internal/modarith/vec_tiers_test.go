@@ -1,6 +1,7 @@
 package modarith
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -24,7 +25,7 @@ var stageBlockCounts = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64}
 func tierTestModuli(t testing.TB) []Modulus {
 	t.Helper()
 	var ms []Modulus
-	for _, bits := range []int{45, 55, 60} {
+	for _, bits := range []int{45, 55, 60, MaxModulusBits} {
 		ps, err := GenerateNTTPrimes(bits, 12, 1)
 		if err != nil {
 			t.Fatalf("GenerateNTTPrimes(%d): %v", bits, err)
@@ -248,6 +249,120 @@ func TestTierFoldAndReduceWide(t *testing.T) {
 		tbl.reduceWide128Lazy(m, got, hi, lo)
 		rowsEqual(t, "reduceWide128Lazy", tbl.tier, m, got, want)
 	})
+}
+
+// dotTermCounts are the digit counts the dot kernel is swept over: the
+// degenerate single product, the shapes the key switch runs (D = 4 at
+// hks_n16, 9 at boot_n12), and the most one reduction may sum.
+var dotTermCounts = []int{1, 2, 4, 9, 16, MaxDotTerms}
+
+// dotRows returns k rows of n words below bound, or — saturated — all at
+// bound-1, the operands that push the 128-bit sum to its stated limit.
+func dotRows(rng *rand.Rand, k, n int, bound uint64, saturated bool) [][]uint64 {
+	rows := make([][]uint64, k)
+	for i := range rows {
+		rows[i] = randRow(rng, n, bound)
+		if saturated {
+			for j := range rows[i] {
+				rows[i][j] = bound - 1
+			}
+		}
+	}
+	return rows
+}
+
+// checkDot holds a dot-kernel result to its contract: in [0, 2q) and congruent
+// to acc·in + Σ_k a[k]·b[k], computed twice — by the sequential MAC chain the
+// kernel replaces and as a big.Int sum.
+func checkDot(t *testing.T, label string, m Modulus, got, in []uint64, a, b [][]uint64, accumulate bool) {
+	t.Helper()
+	chain := make([]uint64, len(in))
+	if accumulate {
+		copy(chain, in)
+	}
+	for k := range a {
+		vecMulAddLazyGo(m, chain, a[k][:len(in)], b[k][:len(in)])
+	}
+	vecReduceTwoQGo(m, chain)
+
+	q := new(big.Int).SetUint64(m.Q)
+	sum, x, y := new(big.Int), new(big.Int), new(big.Int)
+	for j, v := range got {
+		sum.SetUint64(0)
+		if accumulate {
+			sum.SetUint64(in[j])
+		}
+		for k := range a {
+			sum.Add(sum, x.Mul(x.SetUint64(a[k][j]), y.SetUint64(b[k][j])))
+		}
+		exact := sum.Mod(sum, q).Uint64()
+		if r := v % m.Q; v >= m.TwoQ || r != chain[j] || r != exact {
+			t.Fatalf("%s: q=%d k=%d n=%d acc=%v: out[%d] = %#x (≡ %d), MAC chain %d, big.Int %d",
+				label, m.Q, len(a), len(in), accumulate, j, v, r, chain[j], exact)
+		}
+	}
+}
+
+func TestTierDotLazy(t *testing.T) {
+	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		for _, k := range dotTermCounts {
+			for _, accumulate := range []bool{false, true} {
+				saturated := rng.Intn(3) == 0
+				a := dotRows(rng, k, n, m.TwoQ, saturated) // lazy digits
+				b := dotRows(rng, k, n, m.Q, saturated)    // exact key rows
+				in := dotRows(rng, 1, n, m.TwoQ, saturated)[0]
+
+				want := cloneRow(in)
+				vecDotLazyGo(m, want, a, b, accumulate)
+				got := cloneRow(in)
+				tbl.dotLazy(m, got, a, b, accumulate)
+				rowsEqual(t, "dotLazy", tbl.tier, m, got, want)
+				checkDot(t, "dotLazy tier "+tbl.tier.String(), m, got, in, a, b, accumulate)
+			}
+		}
+	})
+}
+
+// TestTierAddSub covers the exact element-wise pair, with out distinct from
+// and aliasing either input (Ring.Add(d0, d0, c0) and the pipeline's
+// accumulate-in-place adds both alias).
+func TestTierAddSub(t *testing.T) {
+	kernels := []struct {
+		name string
+		ref  func(m Modulus, out, a, b []uint64)
+		tab  func(tbl *kernelTable) func(m Modulus, out, a, b []uint64)
+	}{
+		{"add", vecAddGo, func(tbl *kernelTable) func(Modulus, []uint64, []uint64, []uint64) { return tbl.add }},
+		{"sub", vecSubGo, func(tbl *kernelTable) func(Modulus, []uint64, []uint64, []uint64) { return tbl.sub }},
+	}
+	for _, k := range kernels {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+				a := stageRow(rng, n, m.Q)
+				b := stageRow(rng, n, m.Q)
+				want := make([]uint64, n)
+				k.ref(m, want, a, b)
+				for j, v := range want {
+					if v >= m.Q {
+						t.Fatalf("%s oracle: out[%d] = %d not below q=%d", k.name, j, v, m.Q)
+					}
+				}
+
+				out := make([]uint64, n)
+				k.tab(tbl)(m, out, a, b)
+				rowsEqual(t, k.name, tbl.tier, m, out, want)
+
+				out = cloneRow(a)
+				k.tab(tbl)(m, out, out, b)
+				rowsEqual(t, k.name+" out==a", tbl.tier, m, out, want)
+
+				out = cloneRow(b)
+				k.tab(tbl)(m, out, a, out)
+				rowsEqual(t, k.name+" out==b", tbl.tier, m, out, want)
+			})
+		})
+	}
 }
 
 func TestTierReduceTwoQ(t *testing.T) {

@@ -19,6 +19,11 @@ import "math/bits"
 //     accumulated products so the 128-bit pair cannot overflow (with b1-bit
 //     and b2-bit factors, 2^(128-b1-b2) products always fit; see
 //     rns.BasisConverter.foldEvery for the guard).
+//   - VecDotLazy bounds its own chain: a[k] lazy (< 2q), b[k] exact (< q) and
+//     an optional lazy addend give, at MaxModulusBits = 61,
+//     k·(2^62−1)(2^61−1) + 2^62 < 2^128 for k ≤ MaxDotTerms = 32. Longer sums
+//     are folded every MaxDotTerms terms (the partial sum re-enters as the
+//     addend), so callers never count terms.
 //   - ReduceWide128 / VecReduceWide128 accept ANY 128-bit value and return
 //     the exact residue in [0, q).
 //   - ReduceWide128Lazy / VecReduceWide128Lazy / VecFoldWide128Lazy return
@@ -72,6 +77,29 @@ func VecMulWide(accHi, accLo, row []uint64, w uint64) {
 // chain length (see the package comment).
 func VecMulAccWide(accHi, accLo, row []uint64, w uint64) {
 	active.Load().mulAccWide(accHi, accLo, row, w)
+}
+
+// MaxDotTerms is the number of products one VecDotLazy reduction may sum: the
+// largest k with k·(2q−1)(q−1) + 2q < 2^128 at MaxModulusBits.
+const MaxDotTerms = 1 << (128 - 2*MaxModulusBits - 1)
+
+// VecDotLazy is the gadget-product inner product with ONE reduction per
+// output coefficient:
+//
+//	out[j] = [accumulate]·out[j] + Σ_k a[k][j]·b[k][j]  (mod q), in [0, 2q)
+//
+// for len(a) == len(b) rows of at least len(out) words, a[k] < 2q, b[k] < q
+// and, when accumulate is set, out < 2q. The products and the addend are
+// summed exactly as a 128-bit (hi, lo) pair held in registers and reduced
+// once (ReduceWide128Lazy), where a VecMulAddLazy chain pays a Barrett
+// reduction per term. Without accumulate, out is written and never read.
+func (m Modulus) VecDotLazy(out []uint64, a, b [][]uint64, accumulate bool) {
+	dot := active.Load().dotLazy
+	for len(a) > MaxDotTerms {
+		dot(m, out, a[:MaxDotTerms], b[:MaxDotTerms], accumulate)
+		a, b, accumulate = a[MaxDotTerms:], b[MaxDotTerms:], true
+	}
+	dot(m, out, a, b, accumulate)
 }
 
 // VecFoldWide128Lazy folds each accumulator pair back into a single word:

@@ -72,3 +72,33 @@ func vecReduceWide128LazyGo(m Modulus, dst, accHi, accLo []uint64) {
 		dst[j] = r
 	}
 }
+
+// vecDotLazyGo sums the products a block of coefficients at a time, so each
+// operand row is read in contiguous runs and the (hi, lo) pairs stay in L1.
+func vecDotLazyGo(m Modulus, out []uint64, a, b [][]uint64, accumulate bool) {
+	const block = 64
+	var hi, lo [block]uint64
+	b = b[:len(a)]
+	for j0 := 0; j0 < len(out); j0 += block {
+		o := out[j0:min(j0+block, len(out))]
+		h, l := hi[:len(o)], lo[:len(o)]
+		clear(h)
+		if accumulate {
+			copy(l, o)
+		} else {
+			clear(l)
+		}
+		for k, ak := range a {
+			ak, bk := ak[j0:][:len(o)], b[k][j0:][:len(o)]
+			for j, x := range ak {
+				phi, plo := bits.Mul64(x, bk[j])
+				s, carry := bits.Add64(l[j], plo, 0)
+				l[j] = s
+				h[j] += phi + carry
+			}
+		}
+		for j := range o {
+			o[j] = m.ReduceWide128Lazy(h[j], l[j])
+		}
+	}
+}

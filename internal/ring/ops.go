@@ -1,6 +1,9 @@
 package ring
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // Limb-wise ring operations. All operate on limbs 0..level and write into
 // out, which may alias either input. Domain flags are propagated from the
@@ -14,11 +17,7 @@ import "math/big"
 // Add sets out = a + b.
 func (r *Ring) Add(out, a, b *Poly, level int) {
 	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		oa, ob, oo := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range oo {
-			oo[j] = mod.Add(oa[j], ob[j])
-		}
+		r.Moduli[i].VecAdd(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	})
 	out.IsNTT = a.IsNTT
 	accountRows(bytesElemwise, 3, level+1, r.N)
@@ -27,11 +26,7 @@ func (r *Ring) Add(out, a, b *Poly, level int) {
 // Sub sets out = a - b.
 func (r *Ring) Sub(out, a, b *Poly, level int) {
 	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		oa, ob, oo := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range oo {
-			oo[j] = mod.Sub(oa[j], ob[j])
-		}
+		r.Moduli[i].VecSub(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	})
 	out.IsNTT = a.IsNTT
 	accountRows(bytesElemwise, 3, level+1, r.N)
@@ -74,12 +69,7 @@ func (r *Ring) MulCoeffsAdd(out, a, b *Poly, level int) {
 func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {
 	forEachLimb(level, func(i int) {
 		mod := r.Moduli[i]
-		sr := s[i]
-		srs := mod.ShoupPrecomp(sr)
-		oa, oo := a.Coeffs[i], out.Coeffs[i]
-		for j := range oo {
-			oo[j] = mod.MulShoup(oa[j], sr, srs)
-		}
+		mod.VecMulShoup(out.Coeffs[i], a.Coeffs[i], s[i], mod.ShoupPrecomp(s[i]))
 	})
 	out.IsNTT = a.IsNTT
 	accountRows(bytesElemwise, 2, level+1, r.N)
@@ -89,31 +79,13 @@ func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {
 // per limb). Needed by bootstrapping, where constants scale with q0 and
 // exceed int64. Domain handling matches AddScalarInt.
 func (r *Ring) AddScalarBig(out, a *Poly, v *big.Int, level int) {
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		c := new(big.Int).Mod(v, new(big.Int).SetUint64(mod.Q)).Uint64()
-		oa, oo := a.Coeffs[i], out.Coeffs[i]
-		if a.IsNTT {
-			for j := range oo {
-				oo[j] = mod.Add(oa[j], c)
-			}
-		} else {
-			copy(oo, oa)
-			oo[0] = mod.Add(oa[0], c)
-		}
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 2, level+1, r.N)
+	r.addLimbScalars(out, a, r.limbResidues(v, level), level)
 }
 
 // MulScalarBig multiplies by an arbitrarily large signed integer constant
 // (reduced per limb).
 func (r *Ring) MulScalarBig(out, a *Poly, v *big.Int, level int) {
-	s := make([]uint64, level+1)
-	for i := 0; i <= level; i++ {
-		s[i] = new(big.Int).Mod(v, new(big.Int).SetUint64(r.Moduli[i].Q)).Uint64()
-	}
-	r.MulByLimbScalars(out, a, s, level)
+	r.MulByLimbScalars(out, a, r.limbResidues(v, level), level)
 }
 
 // AddScalarInt adds a signed integer constant to the polynomial's constant
@@ -121,17 +93,47 @@ func (r *Ring) MulScalarBig(out, a *Poly, v *big.Int, level int) {
 // in the NTT domain a constant shifts every slot, so it is added to all
 // positions.
 func (r *Ring) AddScalarInt(out, a *Poly, v int64, level int) {
+	c := make([]uint64, level+1)
+	for i := range c {
+		c[i] = r.Moduli[i].FromCentered(v)
+	}
+	r.addLimbScalars(out, a, c, level)
+}
+
+// limbResidues returns v mod q_i in [0, q_i) for limbs 0..level. Each is a
+// Horner pass over v's words with one 128-by-64-bit division per word, so the
+// only allocation is the result.
+func (r *Ring) limbResidues(v *big.Int, level int) []uint64 {
+	// A big.Word is taken for 64 bits; a 32-bit int fails to compile here
+	// (as it already does in internal/rns).
+	const _ = uint(bits.UintSize - 64)
+	res := make([]uint64, level+1)
+	words := v.Bits() // |v|, least significant word first
+	for i := range res {
+		q := r.Moduli[i].Q
+		var rem uint64
+		for k := len(words) - 1; k >= 0; k-- {
+			_, rem = bits.Div64(rem, uint64(words[k]), q) // rem < q: no overflow
+		}
+		if v.Sign() < 0 && rem != 0 {
+			rem = q - rem
+		}
+		res[i] = rem
+	}
+	return res
+}
+
+// addLimbScalars sets out = a + c with one residue c[i] per limb: added to
+// every slot in the NTT domain, to coefficient 0 otherwise.
+func (r *Ring) addLimbScalars(out, a *Poly, c []uint64, level int) {
 	forEachLimb(level, func(i int) {
 		mod := r.Moduli[i]
-		c := mod.FromCentered(v)
 		oa, oo := a.Coeffs[i], out.Coeffs[i]
 		if a.IsNTT {
-			for j := range oo {
-				oo[j] = mod.Add(oa[j], c)
-			}
+			mod.VecAddScalar(oo, oa, c[i])
 		} else {
 			copy(oo, oa)
-			oo[0] = mod.Add(oa[0], c)
+			oo[0] = mod.Add(oa[0], c[i])
 		}
 	})
 	out.IsNTT = a.IsNTT

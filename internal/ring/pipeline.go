@@ -28,7 +28,7 @@ import (
 //	pl := ring.GetPipeline()
 //	ln := pl.Lane(rq, level)         // one lane per (ring, level) pair
 //	ln.NTTLazy(p)                    // record stages; no work yet
-//	ln.MulCoeffsAddLazy(acc, p, k)
+//	ln.DotLazy(acc, digits, keys, false)
 //	ln.ReduceLazy(acc)
 //	pl.Run()                         // one barrier for the whole chain
 //	pl.Release()
@@ -60,6 +60,12 @@ type Lane struct {
 	stages  []stage
 	effects []polyEffect
 
+	// dotRows is the row-header scratch of the DotLazy stages: limb i gathers
+	// its operand rows into dotRows[2·dotTerms·i:][:2·dotTerms], so concurrent
+	// limbs share nothing and executing a chain allocates nothing.
+	dotRows  [][]uint64
+	dotTerms int // most terms any recorded DotLazy stage sums
+
 	rows      int // limbs the stage being recorded runs on (level+1 unless windowed)
 	nttRows   int // limb rows counting toward the forward limb-transform counter
 	inttRows  int // ...and the inverse counter
@@ -77,7 +83,7 @@ const (
 	opINTT
 	opMulCoeffs
 	opMulCoeffsAdd
-	opMulCoeffsAddLazy
+	opDotLazy
 	opAutMulAddLazy
 	opReduceLazy
 	opAdd
@@ -93,9 +99,13 @@ type stage struct {
 	op   stageOp
 	out  *Poly
 	a, b *Poly
-	s    []uint64 // per-limb scalars (opSubMulScalarsLazy)
-	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
-	fn   func(limb int)
+	// opDotLazy: the caller's operand slices (not copied) and whether out is
+	// accumulated onto.
+	as, bs []*Poly
+	acc    bool
+	s      []uint64 // per-limb scalars (opSubMulScalarsLazy)
+	idx    []uint32 // NTT-domain automorphism permutation (opAut*)
+	fn     func(limb int)
 	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
 	// opNTTLazy leaves alone (NTTLazyExcept). Empty for whole-lane stages.
 	lo, hi int
@@ -137,6 +147,8 @@ func (pl *Pipeline) reset() {
 		}
 		ln.stages = ln.stages[:0]
 		ln.effects = ln.effects[:0]
+		clear(ln.dotRows) // drop the row references, like the stages above
+		ln.dotRows, ln.dotTerms = ln.dotRows[:0], 0
 		ln.nttRows, ln.inttRows, ln.naiveRows = 0, 0, 0
 		ln.r = nil
 	}
@@ -273,12 +285,28 @@ func (ln *Lane) MulCoeffsAdd(out, a, b *Poly) {
 	ln.push(stage{op: opMulCoeffsAdd, out: out, a: a, b: b}, 4)
 }
 
-// MulCoeffsAddLazy records out += a ⊙ b with out kept lazy in [0, 2q).
-func (ln *Lane) MulCoeffsAddLazy(out, a, b *Poly) {
-	ln.use(a, true, false)
-	ln.use(b, true, false)
-	ln.use(out, true, true)
-	ln.push(stage{op: opMulCoeffsAddLazy, out: out, a: a, b: b}, 4)
+// DotLazy records out = [accumulate]·out + Σ_k as[k] ⊙ bs[k], lazy in [0, 2q):
+// the gadget-product inner product as one stage, with a single reduction per
+// output coefficient (modarith.VecDotLazy) instead of one per term. as[k] may
+// be lazy (< 2q, e.g. straight out of NTTLazy), bs[k] must be exact, and out
+// must be lazy when accumulated onto; without accumulate out is only written,
+// so it need not be initialised. The stage keeps the as/bs slices themselves:
+// the caller must leave them alone until Run.
+func (ln *Lane) DotLazy(out *Poly, as, bs []*Poly, accumulate bool) {
+	if len(as) == 0 || len(as) != len(bs) {
+		panic("ring: pipeline DotLazy needs as many (and at least one) a rows as b rows")
+	}
+	for k := range as {
+		ln.use(as[k], true, false)
+		ln.use(bs[k], true, false)
+	}
+	ln.use(out, accumulate, true)
+	ln.dotTerms = max(ln.dotTerms, len(as))
+	naive := 2*len(as) + 1
+	if accumulate {
+		naive++
+	}
+	ln.push(stage{op: opDotLazy, out: out, as: as, bs: bs, acc: accumulate}, naive)
 }
 
 // AutMulCoeffsAddLazy records out += σ_g(a) ⊙ b lazily (the fused AutAccum
@@ -378,6 +406,11 @@ func (pl *Pipeline) Run() {
 	total := 0
 	for _, ln := range lanes {
 		total += ln.level + 1
+		if need := 2 * ln.dotTerms * (ln.level + 1); need <= cap(ln.dotRows) {
+			ln.dotRows = ln.dotRows[:need]
+		} else {
+			ln.dotRows = make([][]uint64, need)
+		}
 	}
 	if total > 0 {
 		if total < parallelLimbThreshold || par.Workers() < 2 {
@@ -460,17 +493,20 @@ func (ln *Lane) exec(i int) {
 			mod.VecMulBarrett(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
 		case opMulCoeffsAdd:
 			mod.VecMulAddBarrett(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
-		case opMulCoeffsAddLazy:
-			mod.VecMulAddLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
+		case opDotLazy:
+			k := len(st.as)
+			ra := ln.dotRows[2*ln.dotTerms*i:][:k:k]
+			rb := ln.dotRows[2*ln.dotTerms*i+k:][:k:k]
+			for d := range ra {
+				ra[d], rb[d] = st.as[d].Coeffs[i], st.bs[d].Coeffs[i]
+			}
+			mod.VecDotLazy(st.out.Coeffs[i], ra, rb, st.acc)
 		case opAutMulAddLazy:
 			mod.VecMulAddLazyIdx(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.idx)
 		case opReduceLazy:
 			mod.VecReduceTwoQ(st.out.Coeffs[i])
 		case opAdd:
-			oa, ob, oo := st.a.Coeffs[i], st.b.Coeffs[i], st.out.Coeffs[i]
-			for j := range oo {
-				oo[j] = mod.Add(oa[j], ob[j])
-			}
+			mod.VecAdd(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
 		case opSubMulScalarsLazy:
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))

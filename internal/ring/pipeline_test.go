@@ -11,63 +11,79 @@ import (
 // the same per-limb order — every test here demands bit-identical agreement
 // with the barriered composition it replaces.
 
-// TestPipelineKeySwitchShapedChain runs the gadget-product-shaped chain
-// (forward NTTLazy of each "digit" fused with the MACs consuming it, ending
-// in a reduction) and compares against the barriered composition, at every
-// level.
+// TestPipelineKeySwitchShapedChain runs the gadget-product-shaped chain (the
+// forward NTTLazy of every "digit", then one DotLazy per accumulator, ending
+// in a reduction) and compares against the barriered MAC-per-term composition,
+// at every level. The dot stage reduces once where the MAC chain reduces per
+// term, so the lazy representatives differ; the reduced residues may not. With
+// accumulate the product lands on a live accumulator; without it the stage
+// must overwrite whatever (here: garbage) the accumulator held.
 func TestPipelineKeySwitchShapedChain(t *testing.T) {
 	r := newTestRing(t, 6, 10)
 	s := NewSampler(19)
 	const digits = 3
 	for level := 0; level <= r.MaxLevel(); level++ {
-		digQ := make([]*Poly, digits)
-		keyB := make([]*Poly, digits)
-		keyA := make([]*Poly, digits)
-		for d := range digQ {
-			digQ[d] = s.UniformPoly(r, level, false) // coeff domain, exact
-			keyB[d] = s.UniformPoly(r, level, true)
-			keyA[d] = s.UniformPoly(r, level, true)
-		}
-
-		// Barriered reference.
-		wantDig := make([]*Poly, digits)
-		for d := range digQ {
-			wantDig[d] = digQ[d].CopyNew()
-			r.NTTLazy(wantDig[d], level)
-		}
-		want0, want1 := r.NewPoly(level), r.NewPoly(level)
-		want0.IsNTT, want1.IsNTT = true, true
-		for d := range digQ {
-			r.MulCoeffsAddLazy(want0, wantDig[d], keyB[d], level)
-			r.MulCoeffsAddLazy(want1, wantDig[d], keyA[d], level)
-		}
-		r.ReduceLazy(want0, level)
-		r.ReduceLazy(want1, level)
-
-		// Pipelined: whole chain per limb, one barrier.
-		got0, got1 := r.NewPoly(level), r.NewPoly(level)
-		got0.IsNTT, got1.IsNTT = true, true
-		pl := GetPipeline()
-		ln := pl.Lane(r, level)
-		for d := range digQ {
-			ln.NTTLazy(digQ[d])
-			ln.MulCoeffsAddLazy(got0, digQ[d], keyB[d])
-			ln.MulCoeffsAddLazy(got1, digQ[d], keyA[d])
-		}
-		ln.ReduceLazy(got0)
-		ln.ReduceLazy(got1)
-		pl.Run()
-		pl.Release()
-
-		if !got0.Equal(want0) || !got1.Equal(want1) {
-			t.Fatalf("level %d: pipelined gadget chain != barriered composition", level)
-		}
-		for d := range digQ {
-			if !digQ[d].IsNTT {
-				t.Fatalf("level %d: pipeline did not apply the NTT domain flag", level)
+		for _, accumulate := range []bool{false, true} {
+			digQ := make([]*Poly, digits)
+			keyB := make([]*Poly, digits)
+			keyA := make([]*Poly, digits)
+			for d := range digQ {
+				digQ[d] = s.UniformPoly(r, level, false) // coeff domain, exact
+				keyB[d] = s.UniformPoly(r, level, true)
+				keyA[d] = s.UniformPoly(r, level, true)
 			}
-			if !digQ[d].Equal(wantDig[d]) {
-				t.Fatalf("level %d digit %d: pipelined NTTLazy != barriered NTTLazy", level, d)
+			live0, live1 := s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
+
+			// Barriered reference.
+			wantDig := make([]*Poly, digits)
+			for d := range digQ {
+				wantDig[d] = digQ[d].CopyNew()
+				r.NTTLazy(wantDig[d], level)
+			}
+			want0, want1 := r.NewPoly(level), r.NewPoly(level)
+			want0.IsNTT, want1.IsNTT = true, true
+			if accumulate {
+				want0.Copy(live0)
+				want1.Copy(live1)
+			}
+			for d := range digQ {
+				r.MulCoeffsAddLazy(want0, wantDig[d], keyB[d], level)
+				r.MulCoeffsAddLazy(want1, wantDig[d], keyA[d], level)
+			}
+			r.ReduceLazy(want0, level)
+			r.ReduceLazy(want1, level)
+
+			// Pipelined: whole chain per limb, one barrier.
+			got0, got1 := live0.CopyNew(), live1.CopyNew()
+			if !accumulate {
+				for i := range got0.Coeffs {
+					for j := range got0.Coeffs[i] {
+						got0.Coeffs[i][j], got1.Coeffs[i][j] = ^uint64(0), ^uint64(0)
+					}
+				}
+			}
+			pl := GetPipeline()
+			ln := pl.Lane(r, level)
+			for d := range digQ {
+				ln.NTTLazy(digQ[d])
+			}
+			ln.DotLazy(got0, digQ, keyB, accumulate)
+			ln.DotLazy(got1, digQ, keyA, accumulate)
+			ln.ReduceLazy(got0)
+			ln.ReduceLazy(got1)
+			pl.Run()
+			pl.Release()
+
+			if !got0.Equal(want0) || !got1.Equal(want1) {
+				t.Fatalf("level %d accumulate=%v: pipelined gadget chain != barriered composition", level, accumulate)
+			}
+			for d := range digQ {
+				if !digQ[d].IsNTT {
+					t.Fatalf("level %d: pipeline did not apply the NTT domain flag", level)
+				}
+				if !digQ[d].Equal(wantDig[d]) {
+					t.Fatalf("level %d digit %d: pipelined NTTLazy != barriered NTTLazy", level, d)
+				}
 			}
 		}
 	}
@@ -225,9 +241,9 @@ func TestPipelineTwoLanes(t *testing.T) {
 		pl := GetPipeline()
 		lnQ := pl.Lane(rq, lq)
 		lnP := pl.Lane(rp, lp)
-		lnQ.MulCoeffsAddLazy(gotQ, aq, bq)
+		lnQ.DotLazy(gotQ, []*Poly{aq}, []*Poly{bq}, true)
 		lnQ.ReduceLazy(gotQ)
-		lnP.MulCoeffsAddLazy(gotP, ap, bp)
+		lnP.DotLazy(gotP, []*Poly{ap}, []*Poly{bp}, false)
 		lnP.ReduceLazy(gotP)
 		pl.Run()
 		pl.Release()
@@ -316,9 +332,9 @@ func TestPipelineTrafficAccounting(t *testing.T) {
 
 	pl := GetPipeline()
 	ln := pl.Lane(r, level)
-	ln.NTTLazy(a)                  // naive 2 rows
-	ln.MulCoeffsAddLazy(acc, a, b) // naive 4 rows
-	ln.ReduceLazy(acc)             // naive 2 rows
+	ln.NTTLazy(a)                                 // naive 2 rows
+	ln.DotLazy(acc, []*Poly{a}, []*Poly{b}, true) // naive 2·1 + 2 rows
+	ln.ReduceLazy(acc)                            // naive 2 rows
 	pl.Run()
 	pl.Release()
 
@@ -382,7 +398,7 @@ func TestPipelineLimbWindow(t *testing.T) {
 		pipe0 = bytesPipelined.Value()
 		ln = pl.Lane(r, level)
 		ln.NTTLazyExcept(dig, lo, hi)
-		ln.MulCoeffsAddLazy(acc, dig, want)
+		ln.DotLazy(acc, []*Poly{dig}, []*Poly{want}, true)
 		pl.Run()
 		pl.Release()
 
@@ -396,7 +412,7 @@ func TestPipelineLimbWindow(t *testing.T) {
 		if ntt1, _ := r.Counters(); ntt1-ntt0 != int64(limbs-w) {
 			t.Fatalf("window %v: ntt limb counter moved by %d, want %d", win, ntt1-ntt0, limbs-w)
 		}
-		// Distinct: dig read on every limb (the MAC) and written on limbs−w,
+		// Distinct: dig read on every limb (the dot) and written on limbs−w,
 		// want read, acc read+written. Naive: 2·(limbs−w) + 4·limbs.
 		distinct := float64(limbs + (limbs - w) + 3*limbs)
 		if got := bytesPipelined.Value() - pipe0; got != distinct*rowBytes {

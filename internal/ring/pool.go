@@ -40,8 +40,8 @@ func (pp *polyPool) pool(limbs int) *sync.Pool {
 
 // GetPoly borrows a coefficient-flagged polynomial with level+1 limbs from
 // the ring's buffer pool. Its rows hold UNSPECIFIED values — whatever the last
-// borrower left — so the caller must write every row before reading it, or
-// call Zero first (an accumulator). Hand it back via PutPoly when done.
+// borrower left — so the caller must write every row before reading it.
+// Hand it back via PutPoly when done.
 func (r *Ring) GetPoly(level int) *Poly {
 	limbs := level + 1
 	if v := r.pool.pool(limbs).Get(); v != nil {

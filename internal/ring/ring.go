@@ -134,16 +134,6 @@ func (p *Poly) Truncated(level int) *Poly {
 	return &Poly{Coeffs: p.Coeffs[:level+1], IsNTT: p.IsNTT}
 }
 
-// Zero clears all limbs.
-func (p *Poly) Zero() {
-	for i := range p.Coeffs {
-		row := p.Coeffs[i]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-}
-
 // Equal reports deep equality of coefficients and domain up to the smaller
 // of the two levels.
 func (p *Poly) Equal(q *Poly) bool {

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -312,6 +313,83 @@ func TestAddScalarInt(t *testing.T) {
 	r.AddScalarInt(out, out, 5, level)
 	if !out.Equal(a) {
 		t.Fatal("add scalar then its negation is not identity")
+	}
+}
+
+// TestRowOpsMatchScalar: the limb-wise ops that run on row kernels (Add, Sub,
+// MulByLimbScalars) against the scalar Modulus methods, one coefficient at a
+// time, with out distinct from and aliasing an input.
+func TestRowOpsMatchScalar(t *testing.T) {
+	r := newTestRing(t, 5, 3)
+	s := NewSampler(43)
+	level := r.MaxLevel()
+	a := s.UniformPoly(r, level, true)
+	b := s.UniformPoly(r, level, true)
+	scalars := make([]uint64, level+1)
+	for i := range scalars {
+		scalars[i] = r.Moduli[i].Q - uint64(i) - 1
+	}
+	sum, diff, prod := r.NewPoly(level), r.NewPoly(level), r.NewPoly(level)
+	r.Add(sum, a, b, level)
+	r.Sub(diff, a, b, level)
+	r.MulByLimbScalars(prod, a, scalars, level)
+	for i, mod := range r.Moduli {
+		for j := range a.Coeffs[i] {
+			x, y := a.Coeffs[i][j], b.Coeffs[i][j]
+			if sum.Coeffs[i][j] != mod.Add(x, y) || diff.Coeffs[i][j] != mod.Sub(x, y) ||
+				prod.Coeffs[i][j] != mod.Mul(x, scalars[i]) {
+				t.Fatalf("limb %d coefficient %d: row op differs from the scalar op", i, j)
+			}
+		}
+	}
+	if !sum.IsNTT || !diff.IsNTT || !prod.IsNTT {
+		t.Fatal("row ops did not propagate the domain flag")
+	}
+	inPlace := a.CopyNew()
+	r.Add(inPlace, inPlace, b, level)
+	if !inPlace.Equal(sum) {
+		t.Fatal("Add with out == a differs")
+	}
+	inPlace.Copy(b)
+	r.Sub(inPlace, a, inPlace, level)
+	if !inPlace.Equal(diff) {
+		t.Fatal("Sub with out == b differs")
+	}
+}
+
+// TestScalarBigMatchesBigInt: AddScalarBig (both domains) and MulScalarBig
+// reduce a signed multi-word constant per limb exactly as big.Int.Mod does.
+func TestScalarBigMatchesBigInt(t *testing.T) {
+	r := newTestRing(t, 4, 3)
+	s := NewSampler(47)
+	level := r.MaxLevel()
+	q0 := new(big.Int).SetUint64(r.Moduli[0].Q)
+	huge := new(big.Int).Lsh(big.NewInt(0x1234567), 150)
+	consts := []*big.Int{
+		new(big.Int), big.NewInt(1), big.NewInt(-1), q0, new(big.Int).Neg(q0),
+		huge, new(big.Int).Neg(huge), new(big.Int).Mul(q0, huge),
+		new(big.Int).SetUint64(^uint64(0)), new(big.Int).Lsh(big.NewInt(-1), 64),
+	}
+	for _, v := range consts {
+		for _, ntt := range []bool{false, true} {
+			a := s.UniformPoly(r, level, ntt)
+			sum, prod := r.NewPoly(level), r.NewPoly(level)
+			r.AddScalarBig(sum, a, v, level)
+			r.MulScalarBig(prod, a, v, level)
+			for i, mod := range r.Moduli {
+				c := new(big.Int).Mod(v, new(big.Int).SetUint64(mod.Q)).Uint64()
+				for j, x := range a.Coeffs[i] {
+					wantSum := x
+					if ntt || j == 0 {
+						wantSum = mod.Add(x, c)
+					}
+					if sum.Coeffs[i][j] != wantSum || prod.Coeffs[i][j] != mod.Mul(x, c) {
+						t.Fatalf("v=%v ntt=%v limb %d coefficient %d: got sum %d prod %d, want %d %d",
+							v, ntt, i, j, sum.Coeffs[i][j], prod.Coeffs[i][j], wantSum, mod.Mul(x, c))
+					}
+				}
+			}
+		}
 	}
 }
 
