@@ -19,7 +19,6 @@ package anaheim
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/engine"
@@ -87,7 +86,7 @@ func BootParameters() ParametersLiteral { return ckks.BootTestParameters() }
 //
 // A Context is safe for concurrent use once its keys are in place:
 // evaluation ops (Add/Mul/Rotate/...) and Decrypt may be called from many
-// goroutines, and Encrypt serializes its internal randomness sampler.
+// goroutines, and Encrypt's randomness sampler serializes its own draws.
 // Key-generation calls (GenRotationKeys, GenConjugationKey,
 // SetupBootstrapping) mutate the shared key set and must complete before
 // concurrent evaluation starts.
@@ -103,8 +102,6 @@ type Context struct {
 	decr *ckks.Decryptor
 	eval *ckks.Evaluator
 	boot *ckks.Bootstrapper
-
-	encMu sync.Mutex // serializes the encryptor's stateful sampler
 }
 
 // NewContext compiles parameters and generates the base keys (secret,
@@ -188,13 +185,7 @@ func (c *Context) Encrypt(values []complex128) (*Ciphertext, error) {
 	if c.encr == nil {
 		return nil, fmt.Errorf("anaheim: server context has no encryption key")
 	}
-	pt, err := c.enc.Encode(values, c.Params.MaxLevel(), c.Params.DefaultScale())
-	if err != nil {
-		return nil, err
-	}
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	return c.encr.EncryptNew(&ckks.Plaintext{Value: pt, Scale: c.Params.DefaultScale()}, c.pk), nil
+	return c.encr.EncodeEncryptNew(c.enc, values, c.Params.MaxLevel(), c.Params.DefaultScale(), c.pk)
 }
 
 // Decrypt returns the slot vector of a ciphertext. Safe for concurrent use.
@@ -202,8 +193,7 @@ func (c *Context) Decrypt(ct *Ciphertext) []complex128 {
 	if c.decr == nil {
 		panic("anaheim: server context holds no secret key and cannot decrypt")
 	}
-	pt := c.decr.DecryptNew(ct)
-	return c.enc.Decode(pt.Value, pt.Scale)
+	return c.decr.DecryptDecodeNew(ct, c.enc)
 }
 
 // Encode produces a plaintext at the ciphertext's level for use with

@@ -2,11 +2,14 @@ package anaheim
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 func newCtx(t *testing.T) *Context {
@@ -46,6 +49,87 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 	if e := facadeMaxErr(ctx.Decrypt(ct), u); e > 1e-6 {
 		t.Fatalf("round trip error %g", e)
+	}
+}
+
+// TestEncryptBytesUnchanged pins Context.Encrypt's wire bytes for a fixed
+// vector under a fixed seed to the SHA-256 recorded at commit fe63402, before
+// the message moved in front of e0's transform: the sampler's draw order and
+// the linearity argument both hold, over two consecutive encryptions.
+func TestEncryptBytesUnchanged(t *testing.T) {
+	ctx, err := NewContext(TestParameters(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := randVec(rand.New(rand.NewSource(7)), ctx.Params.Slots())
+	for i, want := range []string{
+		"d36ba9bbff477398996cd5984aa6f6a580f1bb553145d44dbac9802ce5c51785",
+		"aa29b815bfb5ac79bf9f3b443a2c719ff0e71b7697d452e6690e115553a16486",
+	} {
+		ct, err := ctx.Encrypt(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != want {
+			t.Errorf("encryption %d: sha256 %s, want %s", i, got, want)
+		}
+	}
+}
+
+// TestClientPathPins pins what one client round trip costs at the serving
+// workload's shape (logN 12, 10 limbs): limb transforms from the ring's own
+// counters — 3(ℓ+1) forward for an encrypt, k = 2 inverse for a decrypt — and
+// steady-state allocations.
+func TestClientPathPins(t *testing.T) {
+	ctx, err := NewContext(ParametersLiteral{LogN: 12, LogQ: append([]int{55}, 45, 45, 45, 45, 45, 45, 45, 45, 45),
+		LogP: []int{58, 58, 58}, LogScale: 45}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := randVec(rand.New(rand.NewSource(5)), ctx.Params.Slots())
+	rq := ctx.Params.RingQ()
+	limbs := int64(ctx.Params.MaxLevel() + 1)
+
+	rq.ResetCounters()
+	ct, err := ctx.Encrypt(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fwd, inv := rq.Counters(); fwd != 3*limbs || inv != 0 {
+		t.Errorf("Encrypt ran %d forward / %d inverse limb transforms, want %d / 0", fwd, inv, 3*limbs)
+	}
+	rq.ResetCounters()
+	got := ctx.Decrypt(ct)
+	if fwd, inv := rq.Counters(); fwd != 0 || inv != 2 {
+		t.Errorf("Decrypt ran %d forward / %d inverse limb transforms, want 0 / 2", fwd, inv)
+	}
+	if e := facadeMaxErr(got, u); e > 1e-6 {
+		t.Fatalf("round trip error %g", e)
+	}
+
+	if raceEnabled {
+		return // race-detector instrumentation inflates allocation counts
+	}
+	// Serially, as the other pins: the par dispatch allocates chunk closures.
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	// Encrypt measures 22: the two output polynomials (3 objects each), the
+	// ciphertext, three sampled vectors and the ternary permutation, the
+	// encoder's slot and coefficient scratch, two key views, per-limb
+	// closures. Decrypt measures 6: the slot vector, three row views, closures.
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ctx.Encrypt(u); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 28 {
+		t.Errorf("Encrypt allocates %.1f objects/op, want <= 28", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ctx.Decrypt(ct) }); allocs > 10 {
+		t.Errorf("Decrypt allocates %.1f objects/op, want <= 10", allocs)
 	}
 }
 

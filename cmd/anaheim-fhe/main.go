@@ -73,9 +73,8 @@ func encrypt(dir, valuesCSV, out string) {
 		die(err)
 		vals = append(vals, complex(f, 0))
 	}
-	pt, err := enc.Encode(vals, p.MaxLevel(), p.DefaultScale())
+	ct, err := ckks.NewEncryptor(p, 2).EncodeEncryptNew(enc, vals, p.MaxLevel(), p.DefaultScale(), &pk)
 	die(err)
-	ct := ckks.NewEncryptor(p, 2).EncryptNew(&ckks.Plaintext{Value: pt, Scale: p.DefaultScale()}, &pk)
 	writeFile(out, ct)
 	fmt.Printf("encrypted %d values into %s (level %d)\n", len(vals), out, ct.Level())
 }
@@ -113,7 +112,7 @@ func decrypt(dir, in string, n int) {
 	readFile(filepath.Join(dir, "sk.bin"), &sk)
 	var ct ckks.Ciphertext
 	readFile(in, &ct)
-	vals := ckks.NewEncoder(p).Decode(ckks.NewDecryptor(p, &sk).DecryptNew(&ct).Value, ct.Scale)
+	vals := ckks.NewDecryptor(p, &sk).DecryptDecodeNew(&ct, ckks.NewEncoder(p))
 	if n > len(vals) {
 		n = len(vals)
 	}

@@ -24,15 +24,45 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkEncryptDecrypt(b *testing.B) {
-	tc := benchContext(b)
-	r := rand.New(rand.NewSource(2))
-	v := randomComplex(r, tc.params.Slots(), 1)
-	pt, _ := tc.enc.Encode(v, tc.params.MaxLevel(), tc.params.DefaultScale())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct := tc.encr.EncryptNew(&Plaintext{Value: pt, Scale: tc.params.DefaultScale()}, tc.pk)
-		tc.decr.DecryptNew(ct)
+// BenchmarkClientRoundTrip times the two halves of the client path — encode +
+// encrypt, decrypt + decode — at the serving workload's shape and at the
+// paper-scale one (the hks_n16 chain), where they are the repo benchmark's
+// ckks.encrypt_ms / ckks.decrypt_ms.
+func BenchmarkClientRoundTrip(b *testing.B) {
+	for _, shape := range []struct {
+		name        string
+		logN, limbs int
+	}{{"n12_l10", 12, 10}, {"n16_l26", 16, 26}} {
+		params, err := NewParameters(ParametersLiteral{LogN: shape.logN, LogQ: append([]int{55}, repeatInts(45, shape.limbs-1)...),
+			LogP: []int{58}, LogScale: 45})
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc := NewEncoder(params)
+		kgen := NewKeyGenerator(params, 1)
+		sk := kgen.GenSecretKey()
+		pk := kgen.GenPublicKey(sk)
+		encr, decr := NewEncryptor(params, 2), NewDecryptor(params, sk)
+		v := randomComplex(rand.New(rand.NewSource(2)), params.Slots(), 1)
+		level, scale := params.MaxLevel(), params.DefaultScale()
+		ct, err := encr.EncodeEncryptNew(enc, v, level, scale, pk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name+"/encode+encrypt", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := encr.EncodeEncryptNew(enc, v, level, scale, pk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(shape.name+"/decrypt+decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decr.DecryptDecodeNew(ct, enc)
+			}
+		})
 	}
 }
 

@@ -93,16 +93,15 @@ func (b *Bootstrapper) ModRaise(ct *Ciphertext) *Ciphertext {
 	top := b.params.MaxLevel()
 	q0 := rq.Moduli[0]
 	out := &Ciphertext{Scale: ct.Scale}
+	v := make([]int64, b.params.N())
 	for k, src := range []*ring.Poly{ct.C0, ct.C1} {
 		w := src.Truncated(0).CopyNew()
 		rq.INTT(w, 0)
-		raised := rq.NewPoly(top)
-		for j := 0; j < b.params.N(); j++ {
-			v := q0.Centered(w.Coeffs[0][j])
-			for i := 0; i <= top; i++ {
-				raised.Coeffs[i][j] = rq.Moduli[i].FromCentered(v)
-			}
+		for j, x := range w.Coeffs[0] {
+			v[j] = q0.Centered(x)
 		}
+		raised := rq.NewPoly(top)
+		rq.EmbedCentered(raised, v, top)
 		rq.NTT(raised, top)
 		if k == 0 {
 			out.C0 = raised

@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"time"
+
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
@@ -39,38 +41,65 @@ func NewEncryptor(params *Parameters, seed int64) *Encryptor {
 	return &Encryptor{params: params, sampler: ring.NewSampler(seed)}
 }
 
-// EncryptNew encrypts pt under the public key:
+// EncryptNew encrypts the NTT-domain plaintext pt under the public key:
 // (C0, C1) = (B·u + e0 + pt, A·u + e1).
 func (e *Encryptor) EncryptNew(pt *Plaintext, pk *PublicKey) *Ciphertext {
+	defer obsEncrypt.done(time.Now())
+	lvl := pt.Level()
+	ct := e.encrypt(nil, pt.Scale, lvl, pk)
+	e.params.RingQ().Add(ct.C0, ct.C0, pt.Value, lvl)
+	return ct
+}
+
+// EncodeEncryptNew encodes values at the given level and scale and encrypts
+// them under the public key. The encoded message stays in the coefficient
+// domain and joins e0 before its transform — the NTT is linear and both sums
+// are exact mod q_i — so the ciphertext is, byte for byte, EncryptNew of
+// Encode at 3(ℓ+1) forward transforms instead of 4(ℓ+1).
+func (e *Encryptor) EncodeEncryptNew(enc *Encoder, values []complex128, level int, scale float64, pk *PublicKey) (*Ciphertext, error) {
+	defer obsEncrypt.done(time.Now())
+	rq := e.params.RingQ()
+	m := rq.GetPoly(level)
+	defer rq.PutPoly(m)
+	if err := enc.encodeCoeffs(m, values, scale); err != nil {
+		return nil, err
+	}
+	return e.encrypt(m, scale, level, pk), nil
+}
+
+// encrypt returns (B·u + e0 + m, A·u + e1) for a coefficient-domain message m
+// (nil for an encryption of zero). The sampler is drawn in the order u, e0,
+// e1, which fixes the ciphertext bytes of a seeded encryptor.
+func (e *Encryptor) encrypt(m *ring.Poly, scale float64, lvl int, pk *PublicKey) *Ciphertext {
 	p := e.params
 	rq := p.RingQ()
-	lvl := pt.Level()
 
-	u := e.sampler.TernaryPoly(rq, lvl, p.HDense())
+	u := rq.GetPoly(lvl)
+	defer rq.PutPoly(u)
+	rq.EmbedCentered(u, e.sampler.TernaryVector(rq.N, p.HDense()), lvl)
 	rq.NTT(u, lvl)
-	e0 := e.sampler.GaussianPoly(rq, lvl, p.Sigma())
-	rq.NTT(e0, lvl)
-	e1 := e.sampler.GaussianPoly(rq, lvl, p.Sigma())
-	rq.NTT(e1, lvl)
 
 	c0 := rq.NewPoly(lvl)
-	c0.IsNTT = true
-	rq.MulCoeffs(c0, pk.B.Truncated(lvl), u, lvl)
-	rq.Add(c0, c0, e0, lvl)
-	rq.Add(c0, c0, pt.Value, lvl)
+	rq.EmbedCentered(c0, e.sampler.GaussianVector(rq.N, p.Sigma()), lvl)
+	if m != nil {
+		rq.Add(c0, c0, m, lvl)
+	}
+	rq.NTT(c0, lvl)
+	rq.MulCoeffsAdd(c0, pk.B.Truncated(lvl), u, lvl)
 
 	c1 := rq.NewPoly(lvl)
-	c1.IsNTT = true
-	rq.MulCoeffs(c1, pk.A.Truncated(lvl), u, lvl)
-	rq.Add(c1, c1, e1, lvl)
+	rq.EmbedCentered(c1, e.sampler.GaussianVector(rq.N, p.Sigma()), lvl)
+	rq.NTT(c1, lvl)
+	rq.MulCoeffsAdd(c1, pk.A.Truncated(lvl), u, lvl)
 
-	return &Ciphertext{C0: c0, C1: c1, Scale: pt.Scale}
+	return &Ciphertext{C0: c0, C1: c1, Scale: scale}
 }
 
 // EncryptSkNew encrypts pt under the secret key (fresh uniform mask, lower
 // noise than public-key encryption; used by tests and bootstrapping
 // internals).
 func (e *Encryptor) EncryptSkNew(pt *Plaintext, sk *SecretKey) *Ciphertext {
+	defer obsEncrypt.done(time.Now())
 	p := e.params
 	rq := p.RingQ()
 	lvl := pt.Level()
@@ -100,13 +129,34 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 	return &Decryptor{params: params, sk: sk}
 }
 
-// DecryptNew returns the plaintext C0 + C1·s.
-func (d *Decryptor) DecryptNew(ct *Ciphertext) *Plaintext {
+// decryptRows sets the first len(m.Coeffs) limbs of m to C0 + C1·s (NTT
+// domain).
+func (d *Decryptor) decryptRows(m *ring.Poly, ct *Ciphertext) {
 	rq := d.params.RingQ()
-	lvl := ct.Level()
-	m := rq.NewPoly(lvl)
-	m.IsNTT = true
-	rq.MulCoeffs(m, ct.C1, d.sk.Q.Truncated(lvl), lvl)
-	rq.Add(m, m, ct.C0, lvl)
+	lvl := m.Level()
+	rq.MulCoeffs(m, ct.C1.Truncated(lvl), d.sk.Q.Truncated(lvl), lvl)
+	rq.Add(m, m, ct.C0.Truncated(lvl), lvl)
+}
+
+// DecryptNew returns the plaintext C0 + C1·s on every limb of ct.
+func (d *Decryptor) DecryptNew(ct *Ciphertext) *Plaintext {
+	defer obsDecrypt.done(time.Now())
+	m := d.params.RingQ().NewPoly(ct.Level())
+	d.decryptRows(m, ct)
 	return &Plaintext{Value: m, Scale: ct.Scale}
+}
+
+// DecryptDecodeNew returns the slot vector of ct. Only the limb prefix that
+// determines a plaintext of ct's scale (Encoder.decodeLimbs) is multiplied,
+// added and inverse-transformed, in pooled scratch.
+func (d *Decryptor) DecryptDecodeNew(ct *Ciphertext, enc *Encoder) []complex128 {
+	defer obsDecrypt.done(time.Now())
+	rq := d.params.RingQ()
+	m := rq.GetPoly(enc.decodeLimbs(ct.Level(), ct.Scale) - 1)
+	defer rq.PutPoly(m)
+	d.decryptRows(m, ct)
+	for i, row := range m.Coeffs {
+		rq.INTTLimb(row, i)
+	}
+	return enc.decodeCoeffs(m, ct.Scale)
 }

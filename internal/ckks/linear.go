@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -213,13 +212,9 @@ func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64)
 		}
 		vals = rotated
 	}
-	e.specialIFFT(vals)
-
-	nh := e.params.N() / 2
-	ints := make([]int64, e.params.N())
-	for j := 0; j < nh; j++ {
-		ints[j] = int64(math.Round(real(vals[j]) * scale))
-		ints[j+nh] = int64(math.Round(imag(vals[j]) * scale))
+	ints, err := e.roundCoeffs(vals, scale)
+	if err != nil {
+		return nil, nil, err
 	}
 	rq, rp := e.params.RingQ(), e.params.RingP()
 	pq := ring.SmallVectorToPoly(rq, lvl, ints)

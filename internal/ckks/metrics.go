@@ -47,6 +47,11 @@ var (
 	obsHoisted   = newOpObs("rotate-hoisted")
 	obsBootstrap = newOpObs("bootstrap")
 
+	// Client path. A decrypt fused with its decode (DecryptDecodeNew) is one
+	// "decrypt"; ckks_decode_limbs (encoder.go) records the limb prefix read.
+	obsEncrypt = newOpObs("encrypt")
+	obsDecrypt = newOpObs("decrypt")
+
 	// Fused element-wise ladders (§V) and the linear-transform sweep (the
 	// sweep's span annotation carries the plan: bs, diagonals, key switches).
 	obsAddMany       = newOpObs("addmany")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
+	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
 // testClient is the client side of a serving session: it owns the secret
@@ -168,6 +169,63 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: got error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestSubmitRejectsNonFiniteConstants: a NaN or infinite constant is a spec
+// error at Submit (the evaluator's fixed-point conversion would panic on it
+// inside a worker), it admits nothing and borrows nothing, and the engine
+// keeps serving.
+func TestSubmitRejectsNonFiniteConstants(t *testing.T) {
+	client := newTestClient(t)
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[string]*ckks.Ciphertext{"x": client.encrypt(t, []complex128{1})}
+	poolTraffic := func() float64 {
+		var sum float64
+		for name, v := range obs.Default.Snapshot().Counters {
+			if strings.HasPrefix(name, "ring_pool_") {
+				sum += v
+			}
+		}
+		return sum
+	}
+
+	before := poolTraffic()
+	for _, op := range []OpSpec{
+		{ID: "a", Op: "addconst", Args: []string{"x"}, Val: math.NaN()},
+		{ID: "a", Op: "mulconst", Args: []string{"x"}, Val: math.Inf(1)},
+		{ID: "a", Op: "mulconst", Args: []string{"x"}, Val: math.Inf(-1)},
+		{ID: "a", Op: "lincomb", Args: []string{"x", "x"}, Vals: []float64{1, math.NaN()}},
+	} {
+		_, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: in, Ops: []OpSpec{op}, Outputs: []string{"a"}})
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("%s with %v/%v: got error %v, want a not-finite spec error", op.Op, op.Val, op.Vals, err)
+		}
+	}
+	if n := e.active.Load(); n != 0 {
+		t.Errorf("%d jobs admitted by rejected submits", n)
+	}
+	if after := poolTraffic(); after != before {
+		t.Errorf("ring pool traffic moved by %v across rejected submits", after-before)
+	}
+
+	job, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: in,
+		Ops: []OpSpec{{ID: "a", Op: "addconst", Args: []string{"x"}, Val: 0.5}}, Outputs: []string{"a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatalf("job after the rejected ones: %v", err)
+	}
+	outs, err := job.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSlots(t, client.decrypt(outs["a"]), []complex128{1.5}, 1, 1e-6, "x + 0.5")
 }
 
 func TestBackpressure(t *testing.T) {

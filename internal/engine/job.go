@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -52,6 +53,13 @@ func checkOp(op *OpSpec) error {
 	}
 	if op.Op == "lintrans" && op.Name == "" {
 		return fmt.Errorf("engine: op %q: lintrans needs a transform name", op.ID)
+	}
+	// A NaN or infinite constant has no fixed-point encoding; the evaluator
+	// would panic on it inside a worker.
+	for _, v := range append([]float64{op.Val}, op.Vals...) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("engine: op %q (%s): constant %v is not finite", op.ID, op.Op, v)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -11,11 +12,7 @@ import (
 
 func newTestRing(t testing.TB, logN, nPrimes int) *Ring {
 	t.Helper()
-	primes, err := modarith.GenerateNTTPrimes(50, logN, nPrimes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRing(logN, primes)
+	r, err := NewRing(logN, mustPrimes(t, 50, logN, nPrimes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +298,54 @@ func TestGaussianPolyBounded(t *testing.T) {
 	if std < sigma*sigma/2 || std > sigma*sigma*2 {
 		t.Fatalf("sample variance %f implausible for sigma=%f", std, sigma)
 	}
+}
+
+// TestEmbedCenteredMatchesFromCentered: both rows of the embed (add-q for
+// vectors below the modulus, Barrett for the rest) against the dividing
+// scalar reference, over mixed prime sizes and the int64 extremes.
+func TestEmbedCenteredMatchesFromCentered(t *testing.T) {
+	primes := append(mustPrimes(t, 61, 5, 1), mustPrimes(t, 45, 5, 2)...)
+	r, err := NewRing(5, primes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(32))
+	for _, bitLen := range []uint{2, 44, 46, 60, 62, 63} { // below all, between, above all the moduli
+		v := make([]int64, r.N)
+		for j := range v {
+			v[j] = rnd.Int63() >> (63 - bitLen)
+			if rnd.Intn(2) == 0 {
+				v[j] = -v[j]
+			}
+		}
+		v[0], v[1], v[2] = 0, 1<<(bitLen-1), -(1 << (bitLen - 1))
+		if bitLen == 63 {
+			v[3], v[4], v[5] = math.MaxInt64, math.MinInt64, -int64(primes[1])
+		}
+		p := r.GetPoly(r.MaxLevel())
+		p.IsNTT = true
+		r.EmbedCentered(p, v, r.MaxLevel())
+		if p.IsNTT {
+			t.Fatal("EmbedCentered left the NTT flag set")
+		}
+		for i, mod := range r.Moduli {
+			for j, x := range v {
+				if got, want := p.Coeffs[i][j], mod.FromCentered(x); got != want {
+					t.Fatalf("%d-bit values, limb %d (q=%d): embed(%d) = %d, want %d", bitLen, i, mod.Q, x, got, want)
+				}
+			}
+		}
+		r.PutPoly(p)
+	}
+}
+
+func mustPrimes(t testing.TB, bits, logN, n int) []uint64 {
+	t.Helper()
+	primes, err := modarith.GenerateNTTPrimes(bits, logN, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return primes
 }
 
 func TestAddScalarInt(t *testing.T) {

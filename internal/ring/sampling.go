@@ -48,11 +48,46 @@ func (s *Sampler) UniformPoly(r *Ring, level int, asNTT bool) *Poly {
 	return p
 }
 
-// SmallVectorToPoly embeds a small signed integer vector into all limbs of a
-// fresh coefficient-domain polynomial. It is used to lift one sampled secret
-// or error into several rings (e.g. both the Q and P bases of a key).
+// EmbedCentered writes the residues of the signed vector v into limbs
+// 0..level of p, row by row: p.Coeffs[i][j] = v[j] mod q_i in [0, q_i). It is
+// the one centered embed of the client path (sampled secrets and errors, the
+// encoder's rounded coefficients, ModRaise), and it runs without the divider:
+// a row whose modulus exceeds every |v[j]| adds q_i to the negative entries
+// (branch-free), any other row reduces |v[j]| by the Barrett reciprocal and
+// negates. p is left in the coefficient domain.
+func (r *Ring) EmbedCentered(p *Poly, v []int64, level int) {
+	var maxAbs uint64
+	for _, x := range v {
+		s := uint64(x >> 63)
+		if a := (uint64(x) ^ s) - s; a > maxAbs {
+			maxAbs = a
+		}
+	}
+	forEachLimb(level, func(i int) {
+		mod := r.Moduli[i]
+		row := p.Coeffs[i][:len(v)]
+		if maxAbs < mod.Q {
+			for j, x := range v {
+				row[j] = uint64(x) + mod.Q&uint64(x>>63)
+			}
+			return
+		}
+		for j, x := range v {
+			s := uint64(x >> 63)                    // all ones when x < 0
+			a := mod.MulBarrett((uint64(x)^s)-s, 1) // |x| mod q: a·1 < 2^128 is all the reduction needs
+			row[j] = mod.ReduceTwoQ(a ^ (a^(mod.Q-a))&s)
+		}
+	})
+	p.IsNTT = false
+}
+
+// SmallVectorToPoly embeds a signed integer vector into all limbs of a fresh
+// coefficient-domain polynomial. It is used to lift one sampled secret or
+// error into several rings (e.g. both the Q and P bases of a key).
 func SmallVectorToPoly(r *Ring, level int, v []int64) *Poly {
-	return smallToPoly(r, level, v)
+	p := r.NewPoly(level)
+	r.EmbedCentered(p, v, level)
+	return p
 }
 
 // TernaryVector samples a length-n vector with exactly h entries in {-1,+1}.
@@ -90,30 +125,16 @@ func (s *Sampler) GaussianVector(n int, sigma float64) []int64 {
 	return v
 }
 
-// smallToPoly embeds a small signed integer vector into all limbs of a fresh
-// coefficient-domain polynomial.
-func smallToPoly(r *Ring, level int, v []int64) *Poly {
-	p := r.NewPoly(level)
-	for i := 0; i <= level; i++ {
-		mod := r.Moduli[i]
-		row := p.Coeffs[i]
-		for j, x := range v {
-			row[j] = mod.FromCentered(x)
-		}
-	}
-	return p
-}
-
 // TernaryPoly samples a polynomial with exactly h coefficients in {-1, +1}
 // (a fixed-Hamming-weight ternary secret, Table IV's H_d / H_s) and the rest
 // zero. Returned in the coefficient domain.
 func (s *Sampler) TernaryPoly(r *Ring, level, h int) *Poly {
-	return smallToPoly(r, level, s.TernaryVector(r.N, h))
+	return SmallVectorToPoly(r, level, s.TernaryVector(r.N, h))
 }
 
 // GaussianPoly samples a discrete Gaussian error polynomial with standard
 // deviation sigma (rounded continuous Gaussian, adequate for a research
 // implementation). Returned in the coefficient domain.
 func (s *Sampler) GaussianPoly(r *Ring, level int, sigma float64) *Poly {
-	return smallToPoly(r, level, s.GaussianVector(r.N, sigma))
+	return SmallVectorToPoly(r, level, s.GaussianVector(r.N, sigma))
 }
