@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	anaheim-serve -addr :8080 -workers 4 -queue 16 -maxjobs 64
+//	anaheim-serve -addr :8080 -workers 4 -queue 16 -maxjobs 64 -retainbytes 67108864 -retainfor 2m
 //
 // Endpoints:
 //
@@ -19,6 +19,11 @@
 //	                                      429 + Retry-After when saturated)
 //	GET    /v1/jobs/{id}                  poll job status
 //	GET    /v1/jobs/{id}/result           fetch output ciphertexts
+//	DELETE /v1/jobs/{id}                  release a job (cancels it if still running)
+//
+// A finished job stays fetchable until -retainfor has passed or newer results
+// push the total past -retainbytes; after that (or after DELETE) its id
+// answers 410 Gone. An id that was never issued answers 404.
 //
 // With -pprof ADDR, net/http/pprof is served on a side listener so
 // profiling traffic never competes with (or exposes itself to) the public
@@ -55,6 +60,8 @@ type serveConfig struct {
 	maxBatch    int
 	cacheBytes  int64
 	tenantJobs  int
+	retainBytes int64
+	retainFor   time.Duration
 }
 
 func parseFlags(args []string) (serveConfig, error) {
@@ -71,6 +78,8 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.IntVar(&cfg.maxBatch, "maxbatch", 0, "max ops per fused dispatch group (0 = default 8)")
 	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "eval-key cache byte budget; LRU sessions evicted beyond it (0 = 1GiB)")
 	fs.IntVar(&cfg.tenantJobs, "tenantjobs", 0, "max in-flight jobs per session before 429 (0 = default 16)")
+	fs.Int64Var(&cfg.retainBytes, "retainbytes", 0, "output bytes finished jobs may hold before the oldest are reaped (0 = 64MiB)")
+	fs.DurationVar(&cfg.retainFor, "retainfor", 0, "how long a finished job stays fetchable before it is reaped (0 = the default deadline)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -117,6 +126,9 @@ func run(ctx context.Context, cfg serveConfig, ready chan<- string) error {
 		MaxBatch:          cfg.maxBatch,
 		SessionCacheBytes: cfg.cacheBytes,
 		MaxJobsPerTenant:  cfg.tenantJobs,
+
+		RetainedResultBytes: cfg.retainBytes,
+		RetainFor:           cfg.retainFor,
 	})
 	defer e.Close()
 

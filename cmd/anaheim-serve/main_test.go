@@ -297,11 +297,13 @@ func TestServeBodyLimit(t *testing.T) {
 }
 
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-addr", "1.2.3.4:99", "-workers", "3", "-deadline", "5s"})
+	cfg, err := parseFlags([]string{"-addr", "1.2.3.4:99", "-workers", "3", "-deadline", "5s",
+		"-retainbytes", "1048576", "-retainfor", "90s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != "1.2.3.4:99" || cfg.workers != 3 || cfg.deadline != 5*time.Second {
+	if cfg.addr != "1.2.3.4:99" || cfg.workers != 3 || cfg.deadline != 5*time.Second ||
+		cfg.retainBytes != 1<<20 || cfg.retainFor != 90*time.Second {
 		t.Fatalf("bad config: %+v", cfg)
 	}
 	if _, err := parseFlags([]string{"-bogus"}); err == nil {

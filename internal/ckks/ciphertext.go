@@ -16,6 +16,13 @@ type Ciphertext struct {
 // Level returns the ciphertext level (limbs - 1).
 func (ct *Ciphertext) Level() int { return ct.C0.Level() }
 
+// CoeffBytes returns the coefficient bytes the ciphertext keeps alive: two
+// polynomials of Level()+1 limbs, 8 bytes per coefficient — the figure the
+// serving engine charges a retained result at.
+func (ct *Ciphertext) CoeffBytes() int64 {
+	return polysBytes([]*ring.Poly{ct.C0, ct.C1})
+}
+
 // CopyNew returns a deep copy.
 func (ct *Ciphertext) CopyNew() *Ciphertext {
 	return &Ciphertext{C0: ct.C0.CopyNew(), C1: ct.C1.CopyNew(), Scale: ct.Scale}

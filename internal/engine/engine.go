@@ -1,5 +1,5 @@
 // Package engine is the concurrent FHE serving runtime that sits between
-// the public facade and the ckks evaluator. It owns four things:
+// the public facade and the ckks evaluator. It owns five things:
 //
 //   - a session cache: per-tenant CKKS contexts (compiled parameters +
 //     uploaded evaluation keys + evaluator) held in a sharded, size-bounded
@@ -21,7 +21,12 @@
 //   - admission control: weighted priority tiers (latency | standard |
 //     batch) with per-tier capacity shares and per-tenant in-flight limits,
 //     shedding load with typed OverloadErrors that the HTTP layer maps to
-//     429 + Retry-After.
+//     429 + Retry-After;
+//
+//   - value lifetime: a running job holds each ciphertext only until its
+//     last use, a finished one only its outputs, and finished jobs stay in
+//     the table within a byte budget and a TTL (see retain.go) — the
+//     engine's memory follows the live set, not the history.
 //
 // The layering mirrors how the Cheddar GPU library (the substrate of the
 // Anaheim paper) gets its throughput: streams and kernel queues above the
@@ -29,6 +34,7 @@
 package engine
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -37,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/keycache"
 	"github.com/anaheim-sim/anaheim/internal/obs"
 	"github.com/anaheim-sim/anaheim/internal/par"
@@ -81,6 +88,15 @@ type Config struct {
 	// DefaultDeadline applies to jobs that do not set one. Defaults to 2
 	// minutes.
 	DefaultDeadline time.Duration
+	// RetainedResultBytes bounds what finished jobs keep alive for clients
+	// that have not fetched their result yet: the output coefficient bytes
+	// (plus a fixed per-job charge, so failed jobs count too) of all terminal
+	// jobs in the table. Beyond it the oldest are reaped first; the newest
+	// terminal job is always kept. Defaults to 64 MiB.
+	RetainedResultBytes int64
+	// RetainFor is how long a terminal job stays fetchable by ID before it
+	// is reaped. Defaults to DefaultDeadline.
+	RetainFor time.Duration
 	// MaxBodyBytes caps HTTP request bodies accepted by NewHTTPHandler;
 	// oversized POSTs get 413 instead of OOMing the server. Defaults to
 	// 64 MiB (evaluation-key uploads are the largest legitimate payloads).
@@ -129,6 +145,12 @@ func (c Config) withDefaults() Config {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Minute
 	}
+	if c.RetainedResultBytes <= 0 {
+		c.RetainedResultBytes = 64 << 20
+	}
+	if c.RetainFor <= 0 {
+		c.RetainFor = c.DefaultDeadline
+	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
@@ -157,17 +179,21 @@ type Engine struct {
 
 	sessions *keycache.Cache[*Session]
 
-	mu           sync.Mutex
-	closed       bool
-	jobs         map[string]*Job
-	tierActive   map[string]int // admitted jobs per tier
-	tenantActive map[string]int // admitted jobs per tenant (session ID)
+	mu            sync.Mutex
+	closed        bool
+	jobs          map[string]*Job // in-flight jobs plus the retained terminal ones
+	retained      *list.List      // terminal jobs in finish order, oldest first
+	retainedBytes int64           // sum of their cost
+	now           func() time.Time
+	tierActive    map[string]int // admitted jobs per tier
+	tenantActive  map[string]int // admitted jobs per tenant (session ID)
 
 	tierCaps  map[string]int // per-tier admission capacity (weight shares)
 	tierDepth map[string]*atomic.Int64
 
-	active atomic.Int64 // admitted (queued or running) jobs
-	seq    atomic.Uint64
+	active atomic.Int64  // admitted (queued or running) jobs
+	seq    atomic.Uint64 // session ids
+	jobSeq atomic.Uint64 // job ids; every id up to it was issued (see lookupLocked)
 
 	metrics *engineMetrics
 	tracer  *obs.Tracer
@@ -186,16 +212,18 @@ const (
 )
 
 type event struct {
-	kind   eventKind
-	job    *Job
-	task   *opTask
-	result *result
-	err    error
+	kind  eventKind
+	job   *Job
+	state *jobState        // evSubmit: the validated DAG
+	task  *opTask          // evOpDone
+	ct    *ckks.Ciphertext // evOpDone: the op's result
+	err   error
 }
 
 type opTask struct {
 	job     *Job
 	op      *OpSpec
+	idx     int       // position of op in the job's DAG
 	readyAt time.Time // when the op's dependencies were met (queue-wait origin)
 }
 
@@ -227,6 +255,8 @@ func New(cfg Config) *Engine {
 		ctx:          ctx,
 		cancel:       cancel,
 		jobs:         make(map[string]*Job),
+		retained:     list.New(),
+		now:          time.Now,
 		tierActive:   make(map[string]int),
 		tenantActive: make(map[string]int),
 		tierCaps:     tierCapacities(cfg.MaxActiveJobs, cfg.TierWeights),
@@ -248,6 +278,16 @@ func New(cfg Config) *Engine {
 	cfg.Obs.GaugeFunc("engine_ready_queue_depth", func() float64 { return float64(len(e.ready)) })
 	cfg.Obs.GaugeFunc("engine_sessions_live", func() float64 { return float64(e.sessions.Len()) })
 	cfg.Obs.GaugeFunc("engine_evalkey_resident_bytes", func() float64 { return float64(e.sessions.Bytes()) })
+	cfg.Obs.GaugeFunc("engine_jobs_retained", func() float64 {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return float64(e.retained.Len())
+	})
+	cfg.Obs.GaugeFunc("engine_retained_result_bytes", func() float64 {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return float64(e.retainedBytes)
+	})
 	for _, t := range tierOrder {
 		t := t
 		d := &atomic.Int64{}
@@ -285,10 +325,6 @@ func (e *Engine) Close() {
 	e.cancel()
 	e.wg.Wait()
 	e.sessions.Clear(func(_ string, s *Session) { s.release() })
-}
-
-func (e *Engine) newID(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, e.seq.Add(1))
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +366,7 @@ func (e *Engine) runBatch(g *dispatchGroup) {
 	sp := e.tracer.Start("batch:"+g.class, 0)
 	sp.Annotate(fmt.Sprintf("class=%s ops=%d", g.class, n))
 	e.metrics.workersBusy.Add(1)
-	results := make([]*result, n)
+	results := make([]*ckks.Ciphertext, n)
 	errs := make([]error, n)
 	par.ForEach(n, func(i int) {
 		results[i], errs[i] = e.runTask(g.tasks[i], sp.ID())
@@ -347,7 +383,7 @@ func (e *Engine) runBatch(g *dispatchGroup) {
 // runTask runs one op with its per-op instrumentation. Ops of jobs that
 // already expired or aborted are skipped without touching the evaluator
 // (counted under engine_ops_expired_total).
-func (e *Engine) runTask(t *opTask, parentSpan uint64) (*result, error) {
+func (e *Engine) runTask(t *opTask, parentSpan uint64) (*ckks.Ciphertext, error) {
 	if err := t.job.ctx.Err(); err != nil {
 		e.metrics.opsExpired.Inc()
 		return nil, err
@@ -369,9 +405,9 @@ func (e *Engine) runTask(t *opTask, parentSpan uint64) (*result, error) {
 
 // postDone reports one op completion to the dispatcher; false means the
 // engine is shutting down.
-func (e *Engine) postDone(t *opTask, res *result, err error) bool {
+func (e *Engine) postDone(t *opTask, ct *ckks.Ciphertext, err error) bool {
 	select {
-	case e.events <- event{kind: evOpDone, job: t.job, task: t, result: res, err: err}:
+	case e.events <- event{kind: evOpDone, job: t.job, task: t, ct: ct, err: err}:
 		return true
 	case <-e.ctx.Done():
 		return false
@@ -380,7 +416,7 @@ func (e *Engine) postDone(t *opTask, res *result, err error) bool {
 
 // executeTask runs one op, converting evaluator panics (scale mismatches,
 // level exhaustion) into job failures rather than process crashes.
-func (e *Engine) executeTask(t *opTask) (res *result, err error) {
+func (e *Engine) executeTask(t *opTask) (ct *ckks.Ciphertext, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("op %q (%s): panic: %v", t.op.ID, t.op.Op, r)
@@ -389,18 +425,23 @@ func (e *Engine) executeTask(t *opTask) (res *result, err error) {
 	if err := t.job.ctx.Err(); err != nil {
 		return nil, err
 	}
-	return t.job.sess.apply(t.job, t.op)
+	return t.job.sess.evalOp(t.op, t.job.arg)
 }
 
 // ---------------------------------------------------------------------------
 // Scheduler
 
-// jobState is dispatcher-private dependency bookkeeping for one job.
+// jobState is one job's validated op DAG and the dispatcher's bookkeeping
+// over it. validate builds it once per admitted spec; from evSubmit on it is
+// dispatcher-private, and it dies when the job finishes — a terminal Job
+// keeps none of it.
 type jobState struct {
-	waiting    map[string]int      // opID -> unmet dependency count
-	dependents map[string][]string // opID -> ops unblocked by it
-	byID       map[string]*OpSpec
+	ops        []OpSpec
+	waiting    []int          // per op: dependencies still to finish
+	dependents [][]int        // per op: the ops it unblocks
+	uses       map[string]int // per value name: consuming ops still to run, plus its listings as a requested output
 	remaining  int
+	stopAbort  func() bool // unregisters the job's deadline/cancel wake-up
 }
 
 func (e *Engine) dispatch() {
@@ -411,8 +452,8 @@ func (e *Engine) dispatch() {
 	flushTimer := time.NewTimer(time.Hour)
 	defer flushTimer.Stop()
 
-	enqueueReady := func(j *Job, st *jobState, opID string) {
-		t := &opTask{job: j, op: st.byID[opID], readyAt: time.Now()}
+	enqueueReady := func(j *Job, st *jobState, op int) {
+		t := &opTask{job: j, op: &st.ops[op], idx: op, readyAt: time.Now()}
 		e.tierDepth[j.tier].Add(1)
 		if e.cfg.BatchWindow > 0 {
 			if class, ok := e.batchClass(j, t.op); ok {
@@ -429,12 +470,22 @@ func (e *Engine) dispatch() {
 		j := ev.job
 		switch ev.kind {
 		case evSubmit:
-			st := newJobState(&j.spec)
+			st := ev.state
 			states[j] = st
-			j.setStatus(StatusRunning, nil)
-			for _, op := range j.spec.Ops {
-				if st.waiting[op.ID] == 0 {
-					enqueueReady(j, st, op.ID)
+			j.setRunning()
+			// Deadline/cancellation wake-up: jobs whose remaining ops never
+			// reach a worker (e.g. expired while queued) still terminate.
+			// Registered here, so the abort can never overtake the submit,
+			// and stopped by finishJob, so a normal finish posts nothing.
+			st.stopAbort = context.AfterFunc(j.ctx, func() {
+				select {
+				case e.events <- event{kind: evJobAbort, job: j}:
+				case <-e.ctx.Done():
+				}
+			})
+			for i := range st.ops {
+				if st.waiting[i] == 0 {
+					enqueueReady(j, st, i)
 				}
 			}
 		case evOpDone:
@@ -442,13 +493,25 @@ func (e *Engine) dispatch() {
 			if st == nil {
 				return // job already finished (failed or aborted)
 			}
+			op := ev.task.op
 			if ev.err != nil {
-				e.finishJob(j, states, fmt.Errorf("op %q: %w", ev.task.op.ID, ev.err))
+				e.finishJob(j, states, fmt.Errorf("op %q: %w", op.ID, ev.err))
 				return
 			}
-			j.storeResult(ev.task.op.ID, ev.result)
+			// The result enters the live set only if something will read it,
+			// and every argument leaves it at its last use: the job's
+			// footprint is its widest live set, not the sum of its DAG.
+			if st.uses[op.ID] > 0 {
+				j.store(op.ID, ev.ct)
+			}
+			for _, a := range op.Args {
+				if st.uses[a]--; st.uses[a] == 0 {
+					j.release(a)
+					e.metrics.valuesReleased.Inc()
+				}
+			}
 			st.remaining--
-			for _, dep := range st.dependents[ev.task.op.ID] {
+			for _, dep := range st.dependents[ev.task.idx] {
 				st.waiting[dep]--
 				if st.waiting[dep] == 0 {
 					enqueueReady(j, st, dep)
@@ -458,6 +521,7 @@ func (e *Engine) dispatch() {
 				e.finishJob(j, states, nil)
 			}
 		case evJobAbort:
+			e.metrics.abortEvents.Inc()
 			if states[j] != nil {
 				e.finishJob(j, states, j.ctx.Err())
 			}
@@ -488,10 +552,7 @@ func (e *Engine) dispatch() {
 		case <-e.ctx.Done():
 			// Fail whatever is still tracked so waiters wake up.
 			for j := range states {
-				j.setStatus(StatusFailed, context.Canceled)
-				j.cancel()
-				e.releaseJob(j)
-				e.metrics.jobsCancelled.Inc()
+				e.finishJob(j, states, context.Canceled)
 			}
 			return
 		case ev := <-e.events:
@@ -506,20 +567,22 @@ func (e *Engine) dispatch() {
 	}
 }
 
-// finishJob transitions a job to its terminal state and releases its
-// admission slot, tier/tenant accounting, and session pin.
+// finishJob transitions a job to its terminal state, releases its admission
+// slot, tier/tenant accounting and session pin, and moves it from the
+// in-flight set to the bounded retained one. Waiters wake last, so a client
+// that resubmits the moment Wait returns finds its slot free and the table
+// settled.
 func (e *Engine) finishJob(j *Job, states map[*Job]*jobState, err error) {
+	states[j].stopAbort()
 	delete(states, j)
-	if err != nil {
-		j.setStatus(StatusFailed, err)
-	} else {
-		j.setStatus(StatusDone, nil)
-	}
+	outputBytes := j.finish(err)
 	j.cancel()
 	e.releaseJob(j)
+	e.retain(j, outputBytes)
 	e.metrics.finished(err,
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled))
+	close(j.done)
 }
 
 // releaseJob returns a terminal job's admission slot: global count, tier
@@ -533,39 +596,8 @@ func (e *Engine) releaseJob(j *Job) {
 		e.tenantActive[j.tenant]--
 	}
 	e.mu.Unlock()
-	e.sessions.Unpin(j.spec.SessionID)
+	e.sessions.Unpin(j.tenant)
 	e.active.Add(-1)
-}
-
-// newJobState builds the dependency graph (validated at Submit).
-func newJobState(spec *JobSpec) *jobState {
-	st := &jobState{
-		waiting:    make(map[string]int),
-		dependents: make(map[string][]string),
-		byID:       make(map[string]*OpSpec),
-		remaining:  len(spec.Ops),
-	}
-	for i := range spec.Ops {
-		op := &spec.Ops[i]
-		st.byID[op.ID] = op
-		for _, a := range op.Args {
-			if _, isOp := opArg(spec, a); isOp {
-				st.waiting[op.ID]++
-				st.dependents[a] = append(st.dependents[a], op.ID)
-			}
-		}
-	}
-	return st
-}
-
-// opArg reports whether an argument name refers to an op (vs an input).
-func opArg(spec *JobSpec, name string) (*OpSpec, bool) {
-	for i := range spec.Ops {
-		if spec.Ops[i].ID == name {
-			return &spec.Ops[i], true
-		}
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------------------
@@ -576,6 +608,10 @@ func opArg(spec *JobSpec, name string) (*OpSpec, bool) {
 // in-flight cap — and rejections are typed OverloadErrors (wrapping ErrBusy)
 // carrying the reason and a Retry-After hint, giving HTTP clients an
 // explicit backpressure signal instead of unbounded queueing.
+//
+// The job takes a reference to each input it will read and drops it after
+// the input's last use; the caller's Inputs map and ciphertexts are never
+// written, so one spec (or one ciphertext) may be submitted many times.
 func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	tier, err := normalizeTier(spec.Tier)
 	if err != nil {
@@ -586,6 +622,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
+	e.reapLocked()
 	e.mu.Unlock()
 	// Resolve and pin the session before admission so a concurrent eviction
 	// cannot drop its keys between validation and execution.
@@ -594,12 +631,15 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	unpin := func() { e.sessions.Unpin(spec.SessionID) }
-	if err := validate(&spec); err != nil {
+	st, err := validate(&spec)
+	if err != nil {
 		unpin()
 		return nil, err
 	}
 	if !e.cfg.DisableFusion {
-		e.applyFusion(&spec)
+		if fused := e.applyFusion(&spec); fused != nil {
+			st = fused
+		}
 	}
 
 	// Admission control (backpressure + tier shares + tenant caps).
@@ -637,39 +677,37 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	}
 	ctx, cancel := context.WithTimeout(e.ctx, deadline)
 	j := &Job{
-		ID:      e.newID("job"),
+		ID:      fmt.Sprintf("job-%d", e.jobSeq.Add(1)),
 		sess:    sess,
-		spec:    spec,
+		outputs: spec.Outputs,
 		tier:    tier,
 		tenant:  spec.SessionID,
 		ctx:     ctx,
 		cancel:  cancel,
 		status:  StatusQueued,
-		results: make(map[string]*result, len(spec.Ops)),
+		values:  make(map[string]*ckks.Ciphertext, len(spec.Inputs)+1),
 		done:    make(chan struct{}),
 	}
+	for name, ct := range spec.Inputs {
+		if st.uses[name] > 0 { // an input no op reads is never held
+			j.values[name] = ct
+		}
+	}
+	j.peakLive = len(j.values)
 	j.span = e.tracer.Start("job", 0)
 	j.span.Annotate("id=" + j.ID + " sess=" + spec.SessionID + " tier=" + tier)
 	e.mu.Lock()
 	e.jobs[j.ID] = j
 	e.mu.Unlock()
 
-	// Deadline/cancellation watcher: wakes the dispatcher so jobs whose
-	// remaining ops never reach a worker (e.g. expired while queued) still
-	// terminate.
-	go func() {
-		<-ctx.Done()
-		select {
-		case e.events <- event{kind: evJobAbort, job: j}:
-		case <-e.ctx.Done():
-		}
-	}()
-
 	select {
-	case e.events <- event{kind: evSubmit, job: j}:
+	case e.events <- event{kind: evSubmit, job: j, state: st}:
 	case <-e.ctx.Done():
 		e.releaseJob(j)
 		cancel()
+		e.mu.Lock()
+		delete(e.jobs, j.ID)
+		e.mu.Unlock()
 		return nil, ErrClosed
 	}
 	e.metrics.jobsAdmitted.Inc()
@@ -687,77 +725,83 @@ func (e *Engine) retryAfter(tierDepth int) time.Duration {
 	return d
 }
 
-// Job returns a submitted job by ID.
-func (e *Engine) Job(id string) (*Job, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	return j, ok
-}
-
-// validate checks the job spec shape before admission: known op kinds,
-// resolvable references, unique IDs, and an acyclic dependency graph.
-func validate(spec *JobSpec) error {
+// validate checks the job spec shape before admission — known op kinds,
+// resolvable references, unique IDs, an acyclic dependency graph — and
+// returns the dependency state the dispatcher will run the job from. Every
+// name is resolved through one index built here, so admission is linear in
+// the size of the DAG.
+func validate(spec *JobSpec) (*jobState, error) {
 	if len(spec.Ops) == 0 {
-		return fmt.Errorf("engine: job has no ops")
+		return nil, fmt.Errorf("engine: job has no ops")
 	}
-	names := make(map[string]bool, len(spec.Inputs)+len(spec.Ops))
+	const input = -1
+	index := make(map[string]int, len(spec.Inputs)+len(spec.Ops)) // name -> op position, or input
 	for in := range spec.Inputs {
 		if in == "" {
-			return fmt.Errorf("engine: empty input name")
+			return nil, fmt.Errorf("engine: empty input name")
 		}
-		names[in] = true
+		index[in] = input
 	}
 	for i := range spec.Ops {
 		op := &spec.Ops[i]
 		if op.ID == "" {
-			return fmt.Errorf("engine: op %d has no id", i)
+			return nil, fmt.Errorf("engine: op %d has no id", i)
 		}
-		if names[op.ID] {
-			return fmt.Errorf("engine: duplicate name %q", op.ID)
+		if _, dup := index[op.ID]; dup {
+			return nil, fmt.Errorf("engine: duplicate name %q", op.ID)
 		}
-		names[op.ID] = true
+		index[op.ID] = i
 		if err := checkOp(op); err != nil {
-			return err
+			return nil, err
 		}
+	}
+	st := &jobState{
+		ops:        spec.Ops,
+		waiting:    make([]int, len(spec.Ops)),
+		dependents: make([][]int, len(spec.Ops)),
+		uses:       make(map[string]int, len(index)),
+		remaining:  len(spec.Ops),
 	}
 	for i := range spec.Ops {
 		for _, a := range spec.Ops[i].Args {
-			if !names[a] {
-				return fmt.Errorf("engine: op %q references unknown name %q", spec.Ops[i].ID, a)
+			src, ok := index[a]
+			if !ok {
+				return nil, fmt.Errorf("engine: op %q references unknown name %q", spec.Ops[i].ID, a)
+			}
+			st.uses[a]++
+			if src != input {
+				st.waiting[i]++
+				st.dependents[src] = append(st.dependents[src], i)
 			}
 		}
 	}
 	if len(spec.Outputs) == 0 {
-		return fmt.Errorf("engine: job has no outputs")
+		return nil, fmt.Errorf("engine: job has no outputs")
 	}
 	for _, o := range spec.Outputs {
-		if _, isOp := opArg(spec, o); !isOp {
-			return fmt.Errorf("engine: output %q is not an op id", o)
+		if src, ok := index[o]; !ok || src == input {
+			return nil, fmt.Errorf("engine: output %q is not an op id", o)
+		}
+		st.uses[o]++ // never counted down: a requested output outlives the DAG
+	}
+	// Cycle detection: Kahn's algorithm over the op-to-op edges, on a copy
+	// of the in-degrees so the state stays ready to run.
+	deg := append([]int(nil), st.waiting...)
+	queue := make([]int, 0, len(spec.Ops))
+	for i, d := range deg {
+		if d == 0 {
+			queue = append(queue, i)
 		}
 	}
-	// Cycle detection: Kahn's algorithm over the op-to-op edges.
-	st := newJobState(spec)
-	queue := make([]string, 0, len(spec.Ops))
-	for _, op := range spec.Ops {
-		if st.waiting[op.ID] == 0 {
-			queue = append(queue, op.ID)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, dep := range st.dependents[id] {
-			st.waiting[dep]--
-			if st.waiting[dep] == 0 {
+	for seen := 0; seen < len(queue); seen++ {
+		for _, dep := range st.dependents[queue[seen]] {
+			if deg[dep]--; deg[dep] == 0 {
 				queue = append(queue, dep)
 			}
 		}
 	}
-	if seen != len(spec.Ops) {
-		return fmt.Errorf("engine: op dependency cycle")
+	if len(queue) != len(spec.Ops) {
+		return nil, fmt.Errorf("engine: op dependency cycle")
 	}
-	return nil
+	return st, nil
 }

@@ -51,6 +51,6 @@ func FuzzJobSpecDecode(f *testing.F) {
 		}
 		// Decoded specs flow into validate() at Submit; it must classify,
 		// not crash, whatever shape survived JSON decoding.
-		_ = validate(&spec)
+		_, _ = validate(&spec)
 	})
 }

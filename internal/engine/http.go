@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
@@ -26,7 +25,12 @@ import (
 //	POST   /v1/sessions/{sid}/jobs          {inputs, ops, outputs, tier} -> {jobId}
 //	GET    /v1/jobs/{id}                                                 -> {status, error?}
 //	GET    /v1/jobs/{id}/result                                          -> {outputs}
+//	DELETE /v1/jobs/{id}                                                 -> {released}
 //	GET    /healthz
+//
+// A job id answers 404 if it was never issued and 410 Gone once the engine
+// has let go of the job: released by DELETE, or reaped by the retention
+// bounds (Config.RetainedResultBytes / RetainFor) before anyone fetched it.
 //
 // Admission rejections are 429 with a Retry-After header (seconds, derived
 // from the rejected tier's queue depth) and a JSON body carrying the
@@ -79,6 +83,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeJobError answers a failed job lookup: 410 for an id the engine issued
+// and no longer holds, 404 for one it never issued.
+func writeJobError(w http.ResponseWriter, err error) {
+	code := http.StatusNotFound
+	if errors.Is(err, ErrJobGone) {
+		code = http.StatusGone
+	}
+	writeError(w, code, err)
 }
 
 // writeOverload maps a load-shed rejection to 429 with a Retry-After header
@@ -278,7 +292,7 @@ func NewHTTPHandler(e *Engine) http.Handler {
 		case errors.Is(err, ErrBusy):
 			writeOverload(w, err)
 			return
-		case err != nil && strings.Contains(err.Error(), "unknown session"):
+		case errors.Is(err, ErrUnknownSession):
 			writeError(w, http.StatusNotFound, err)
 			return
 		case err != nil:
@@ -289,9 +303,9 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := e.Job(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job"))
+		job, err := e.Job(r.PathValue("id"))
+		if err != nil {
+			writeJobError(w, err)
 			return
 		}
 		st, err := job.Status()
@@ -303,9 +317,9 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := e.Job(r.PathValue("id"))
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job"))
+		job, err := e.Job(r.PathValue("id"))
+		if err != nil {
+			writeJobError(w, err)
 			return
 		}
 		outs, err := job.Results()
@@ -323,6 +337,15 @@ func NewHTTPHandler(e *Engine) http.Handler {
 			resp.Outputs[name] = base64.StdEncoding.EncodeToString(raw)
 		}
 		writeJSON(w, http.StatusOK, resp)
+	})
+
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if err := e.Forget(id); err != nil {
+			writeJobError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]string{"jobId": id, "status": "released"})
 	})
 
 	return mux

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"math"
@@ -91,28 +92,34 @@ const (
 	StatusFailed  Status = "failed"
 )
 
-// result is the value an op produced.
-type result struct {
-	ct *ckks.Ciphertext
-}
-
-// Job is an admitted job handle.
+// Job is an admitted job handle. It owns a reference to every value of the
+// job that something still has to read — an input or intermediate until its
+// last consuming op finished, a requested output for as long as the handle
+// lives — and to nothing else: the op DAG and the use counts belong to the
+// dispatcher and die when the job finishes. A handle keeps answering Status,
+// Wait and Results after the engine has reaped the job from its table.
 type Job struct {
 	ID string
 
-	sess   *Session
-	spec   JobSpec
-	tier   string // normalized priority tier
-	tenant string // session ID, for per-tenant admission accounting
-	ctx    context.Context
-	cancel context.CancelFunc
-	span   *obs.Span // root span; op spans are its children
+	sess    *Session
+	outputs []string // requested op ids
+	tier    string   // normalized priority tier
+	tenant  string   // session ID: admission accounting and the session pin
+	ctx     context.Context
+	cancel  context.CancelFunc
+	span    *obs.Span // root span; op spans are its children
 
-	mu      sync.Mutex
-	status  Status
-	err     error
-	results map[string]*result
-	done    chan struct{}
+	mu       sync.Mutex
+	status   Status
+	err      error
+	values   map[string]*ckks.Ciphertext // live values by name (inputs and op results)
+	peakLive int                         // widest len(values) the job reached
+	done     chan struct{}
+
+	// Retention bookkeeping, guarded by Engine.mu (see retain.go).
+	retained   *list.Element // position in Engine.retained once terminal
+	cost       int64         // bytes charged against Config.RetainedResultBytes
+	finishedAt time.Time
 }
 
 // Status returns the lifecycle state and, for failed jobs, the error.
@@ -122,19 +129,30 @@ func (j *Job) Status() (Status, error) {
 	return j.status, j.err
 }
 
-func (j *Job) setStatus(s Status, err error) {
+func (j *Job) setRunning() {
+	j.mu.Lock()
+	j.status = StatusRunning
+	j.mu.Unlock()
+}
+
+// finish moves the job to its terminal state: a done job holds exactly its
+// requested outputs by now, a failed one drops every value it still
+// referenced. It returns the coefficient bytes the terminal job keeps alive.
+// Waiters are woken separately (finishJob closes done last).
+func (j *Job) finish(err error) (outputBytes int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status == StatusDone || j.status == StatusFailed {
-		return // terminal states are sticky
+	if err != nil {
+		j.status, j.err, j.values = StatusFailed, err, nil
+	} else {
+		j.status = StatusDone
 	}
-	j.status = s
-	j.err = err
-	if s == StatusDone || s == StatusFailed {
-		j.span.Annotate("id=" + j.ID + " status=" + string(s))
-		j.span.End()
-		close(j.done)
+	for _, ct := range j.values {
+		outputBytes += ct.CoeffBytes()
 	}
+	j.span.Annotate(fmt.Sprintf("id=%s status=%s peak_live=%d", j.ID, j.status, j.peakLive))
+	j.span.End()
+	return outputBytes
 }
 
 // spanID returns the job's root span ID for parenting op spans.
@@ -146,21 +164,31 @@ func (j *Job) terminal() bool {
 	return j.status == StatusDone || j.status == StatusFailed
 }
 
-func (j *Job) storeResult(opID string, r *result) {
+// store records an op result some later op or the client will read.
+func (j *Job) store(name string, ct *ckks.Ciphertext) {
 	j.mu.Lock()
-	j.results[opID] = r
+	defer j.mu.Unlock()
+	j.values[name] = ct
+	if n := len(j.values); n > j.peakLive {
+		j.peakLive = n
+	}
+}
+
+// release drops the job's reference to a value after its last use. The
+// ciphertext itself is left alone: inputs stay caller-owned (one may be
+// shared across jobs) and nothing goes back to the ring pool.
+func (j *Job) release(name string) {
+	j.mu.Lock()
+	delete(j.values, name)
 	j.mu.Unlock()
 }
 
-// arg resolves a name to a ciphertext (input or prior op result).
+// arg resolves a name to a live ciphertext (input or prior op result).
 func (j *Job) arg(name string) (*ckks.Ciphertext, error) {
-	if ct, ok := j.spec.Inputs[name]; ok {
-		return ct, nil
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if r, ok := j.results[name]; ok {
-		return r.ct, nil
+	if ct, ok := j.values[name]; ok {
+		return ct, nil
 	}
 	return nil, fmt.Errorf("engine: argument %q not materialized", name)
 }
@@ -186,13 +214,13 @@ func (j *Job) Results() (map[string]*ckks.Ciphertext, error) {
 	if j.status != StatusDone {
 		return nil, fmt.Errorf("engine: job %s is %s, not done", j.ID, j.status)
 	}
-	out := make(map[string]*ckks.Ciphertext, len(j.spec.Outputs))
-	for _, o := range j.spec.Outputs {
-		r, ok := j.results[o]
-		if !ok || r.ct == nil {
+	out := make(map[string]*ckks.Ciphertext, len(j.outputs))
+	for _, o := range j.outputs {
+		ct, ok := j.values[o]
+		if !ok {
 			return nil, fmt.Errorf("engine: output %q missing", o)
 		}
-		out[o] = r.ct
+		out[o] = ct
 	}
 	return out, nil
 }

@@ -22,11 +22,14 @@ type engineMetrics struct {
 	fusionFallbacks *obs.Counter
 	workersBusy     *obs.Gauge
 
-	opsExpired        *obs.Counter   // ops skipped because their job expired before dispatch
-	batchesDispatched *obs.Counter   // fused dispatch groups (>1 op)
-	batchedOps        *obs.Counter   // ops that rode in fused groups
-	batchOccupancy    *obs.Histogram // ops per fused group
-	sessionsEvicted   *obs.Counter   // sessions dropped by the key cache for space
+	opsExpired        *obs.Counter            // ops skipped because their job expired before dispatch
+	batchesDispatched *obs.Counter            // fused dispatch groups (>1 op)
+	batchedOps        *obs.Counter            // ops that rode in fused groups
+	batchOccupancy    *obs.Histogram          // ops per fused group
+	sessionsEvicted   *obs.Counter            // sessions dropped by the key cache for space
+	valuesReleased    *obs.Counter            // job values dropped at their last use
+	abortEvents       *obs.Counter            // deadline/cancel wake-ups delivered to the dispatcher
+	reapedBy          map[string]*obs.Counter // jobs removed from the table, by reason
 
 	mu      sync.Mutex
 	perOp   map[string]*opMetrics
@@ -66,6 +69,13 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		batchOccupancy: reg.HistogramWith("engine_batch_occupancy",
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
 		sessionsEvicted: reg.Counter("engine_sessions_evicted_total"),
+		valuesReleased:  reg.Counter("engine_values_released_total"),
+		abortEvents:     reg.Counter("engine_job_abort_events_total"),
+		reapedBy: map[string]*obs.Counter{
+			"budget":  reg.Counter(`engine_jobs_reaped_total{reason="budget"}`),
+			"ttl":     reg.Counter(`engine_jobs_reaped_total{reason="ttl"}`),
+			"deleted": reg.Counter(`engine_jobs_reaped_total{reason="deleted"}`),
+		},
 
 		perOp:   make(map[string]*opMetrics),
 		perTier: make(map[string]*tierMetrics),

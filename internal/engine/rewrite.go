@@ -12,8 +12,10 @@ import (
 //
 // The rewritten spec is re-validated before it replaces the original; if the
 // rewrite ever produces an invalid graph the job falls back to its submitted
-// form (counted, never fatal) — fusion is an optimization, not a gate.
-func (e *Engine) applyFusion(spec *JobSpec) {
+// form (counted, never fatal) — fusion is an optimization, not a gate. It
+// returns the rewritten spec's dependency state, or nil when the spec is
+// unchanged.
+func (e *Engine) applyFusion(spec *JobSpec) *jobState {
 	protected := make(map[string]bool, len(spec.Outputs))
 	for _, o := range spec.Outputs {
 		protected[o] = true
@@ -31,7 +33,7 @@ func (e *Engine) applyFusion(spec *JobSpec) {
 		fused += s.Fused
 	}
 	if fused == 0 {
-		return
+		return nil
 	}
 	out := make([]OpSpec, len(rewritten))
 	for i, op := range rewritten {
@@ -42,10 +44,12 @@ func (e *Engine) applyFusion(spec *JobSpec) {
 	}
 	candidate := *spec
 	candidate.Ops = out
-	if err := validate(&candidate); err != nil {
+	st, err := validate(&candidate)
+	if err != nil {
 		e.metrics.fusionFallbacks.Inc()
-		return
+		return nil
 	}
 	spec.Ops = out
 	e.metrics.fusionOpsFused.Add(float64(fused))
+	return st
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -97,7 +98,7 @@ func (e *Engine) CreateSession(lit ckks.ParametersLiteral, keys *ckks.Evaluation
 // memory pressure it can be evicted and — if a SessionLoader is configured —
 // rematerialized on next use.
 func (e *Engine) AttachSession(params *ckks.Parameters, keys *ckks.EvaluationKeySet) (*Session, error) {
-	s, err := NewSession(e.newID("sess"), params, keys)
+	s, err := NewSession(fmt.Sprintf("sess-%d", e.seq.Add(1)), params, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -130,6 +131,10 @@ func (e *Engine) DetachSession(id string) bool {
 // original API).
 func (e *Engine) DropSession(id string) { e.sessions.Remove(id) }
 
+// ErrUnknownSession is wrapped by Submit when the job names a session that
+// is neither resident nor rematerializable; the HTTP layer maps it to 404.
+var ErrUnknownSession = errors.New("engine: unknown session")
+
 // acquireSession resolves and pins a session for a job, rematerializing an
 // evicted one through Config.SessionLoader (concurrent misses on the same
 // tenant coalesce onto a single load). The caller owns one Unpin.
@@ -150,7 +155,7 @@ func (e *Engine) acquireSession(id string) (*Session, error) {
 	}
 	s, err := e.sessions.Acquire(id, load)
 	if err != nil {
-		return nil, fmt.Errorf("engine: unknown session %q: %w", id, err)
+		return nil, fmt.Errorf("%w %q: %w", ErrUnknownSession, id, err)
 	}
 	return s, nil
 }
@@ -178,18 +183,9 @@ func (s *Session) transform(name string) (*ckks.LinearTransform, bool) {
 	return lt, ok
 }
 
-// apply executes one op of a job against this session's evaluator.
-func (s *Session) apply(j *Job, op *OpSpec) (*result, error) {
-	out, err := s.evalOp(op, j.arg)
-	if err != nil {
-		return nil, err
-	}
-	return &result{ct: out}, nil
-}
-
 // evalOp executes one op spec against the session's evaluator, resolving
 // argument names through arg. It is the single place the op vocabulary is
-// given semantics — the scheduler path (apply) and the direct path the
+// given semantics — the scheduler path (executeTask) and the direct path the
 // differential tests drive both go through it, so they cannot drift.
 func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error)) (*ckks.Ciphertext, error) {
 	args := make([]*ckks.Ciphertext, len(op.Args))
