@@ -15,6 +15,17 @@
 //
 // Context provides encrypted computation; Simulate and the Experiment
 // helpers regenerate the paper's tables and figures.
+//
+// Every Context operation returns a ciphertext of its own. A loop that keeps
+// only its latest value can hand the one it replaces back to the context's
+// buffer pool, and then runs without allocating polynomials:
+//
+//	acc := ctx.Mul(ct, ct)
+//	for i := 0; i < rounds; i++ {
+//		next := ctx.Mul(acc, ct)
+//		ctx.Release(acc) // optional, and final: acc must not be used again
+//		acc = next
+//	}
 package anaheim
 
 import (
@@ -212,14 +223,31 @@ func (c *Context) Add(ct0, ct1 *Ciphertext) *Ciphertext { return c.eval.Add(ct0,
 // Sub returns ct0 - ct1.
 func (c *Context) Sub(ct0, ct1 *Ciphertext) *Ciphertext { return c.eval.Sub(ct0, ct1) }
 
+// Release hands ciphertexts the caller is done with back to the context's
+// buffer pool, so the next operation reuses their memory instead of
+// allocating: in a loop that keeps only its latest result, release the
+// previous one. Every operation returns a ciphertext of its own, sharing
+// nothing with its operands. Releasing is optional — an unreleased result is
+// ordinary garbage — and final: the ciphertext is emptied and must not be used
+// again. Releasing nil, or the same ciphertext twice, does nothing.
+func (c *Context) Release(cts ...*Ciphertext) { c.eval.Release(cts...) }
+
+// rescaled returns Rescale of an intermediate this context created, releasing
+// it.
+func (c *Context) rescaled(ct *Ciphertext) *Ciphertext {
+	out := c.eval.Rescale(ct)
+	c.eval.Release(ct)
+	return out
+}
+
 // Mul returns ct0 ⊙ ct1 relinearized and rescaled (HMULT).
 func (c *Context) Mul(ct0, ct1 *Ciphertext) *Ciphertext {
-	return c.eval.Rescale(c.eval.MulRelin(ct0, ct1, nil))
+	return c.rescaled(c.eval.MulRelin(ct0, ct1, nil))
 }
 
 // MulPlain returns ct ⊙ pt rescaled (PMULT).
 func (c *Context) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	return c.eval.Rescale(c.eval.MulPlain(ct, pt))
+	return c.rescaled(c.eval.MulPlain(ct, pt))
 }
 
 // AddPlain returns ct + pt.
@@ -233,7 +261,7 @@ func (c *Context) AddConst(ct *Ciphertext, v float64) *Ciphertext { return c.eva
 // MulConst multiplies every slot by a real constant (one level).
 func (c *Context) MulConst(ct *Ciphertext, v float64) *Ciphertext {
 	qd := float64(c.Params.RingQ().Moduli[ct.Level()].Q)
-	return c.eval.Rescale(c.eval.MultConst(ct, v, qd))
+	return c.rescaled(c.eval.MultConst(ct, v, qd))
 }
 
 // Rotate cyclically rotates the slots by k (HROT); the rotation key must
@@ -253,7 +281,7 @@ func (c *Context) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 	if err != nil {
 		return nil, err
 	}
-	return c.eval.Rescale(out), nil
+	return c.rescaled(out), nil
 }
 
 // EvaluateLinearTransformMinKS applies the map with minimum key switching:
@@ -263,7 +291,7 @@ func (c *Context) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTransfo
 	if err != nil {
 		return nil, err
 	}
-	return c.eval.Rescale(out), nil
+	return c.rescaled(out), nil
 }
 
 // EvaluatePolynomial evaluates f(x) ≈ Chebyshev series of the given degree

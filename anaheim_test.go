@@ -151,6 +151,40 @@ func TestContextArithmetic(t *testing.T) {
 	}
 }
 
+// TestContextRelease: a loop that releases each value it replaces computes
+// what the same loop computes without releasing, byte for byte; releasing nil
+// or a value twice does nothing.
+func TestContextRelease(t *testing.T) {
+	ctx := newCtx(t)
+	r := rand.New(rand.NewSource(6))
+	ct, err := ctx.Encrypt(randVec(r, ctx.Params.Slots()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := func(release bool) []byte {
+		acc := ctx.Mul(ct, ct)
+		for i := 0; i < 3; i++ {
+			next := ctx.AddConst(ctx.Mul(acc, ct), 0.25)
+			if release {
+				ctx.Release(acc)
+				ctx.Release(acc, nil)
+			}
+			acc = next
+		}
+		b, err := acc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := loop(false)
+	for rep := 0; rep < 2; rep++ { // the second run reuses what the first released
+		if got := loop(true); string(got) != string(want) {
+			t.Fatalf("run %d: releasing intermediates changed the result", rep)
+		}
+	}
+}
+
 func TestContextConstOps(t *testing.T) {
 	ctx := newCtx(t)
 	r := rand.New(rand.NewSource(3))

@@ -19,10 +19,19 @@ func (ev *Evaluator) InnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 	out := ct
 	for s := 1; s < n; s <<= 1 {
 		rot, err := ev.Rotate(out, s)
+		if err == nil {
+			ev.addInPlace(rot, out)
+		}
+		if out != ct {
+			ev.Release(out)
+		}
 		if err != nil {
 			return nil, err
 		}
-		out = ev.Add(out, rot)
+		out = rot
+	}
+	if out == ct {
+		out = ev.copyAt(ct, ct.Level()) // n == 1
 	}
 	return out, nil
 }
@@ -33,6 +42,14 @@ func (ev *Evaluator) EvalPower(ct *Ciphertext, k int) (*Ciphertext, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("ckks: power %d must be >= 1", k)
 	}
+	// acc and base are ct itself or intermediates of this call; acc may share
+	// the base it was first set to. An intermediate is released once neither
+	// holds it.
+	drop := func(x, keep *Ciphertext) {
+		if x != ct && x != keep {
+			ev.Release(x)
+		}
+	}
 	var acc *Ciphertext
 	base := ct
 	for k > 0 {
@@ -40,15 +57,21 @@ func (ev *Evaluator) EvalPower(ct *Ciphertext, k int) (*Ciphertext, error) {
 			if acc == nil {
 				acc = base
 			} else {
-				a := ev.matchLevel(acc, base)
-				b := ev.matchLevel(base, acc)
-				acc = ev.Rescale(ev.MulRelin(a, b, nil))
+				prod := ev.rescaleOwned(ev.MulRelin(acc, base, nil))
+				drop(acc, base)
+				acc = prod
 			}
 		}
 		k >>= 1
 		if k > 0 {
-			base = ev.Rescale(ev.Square(base))
+			sq := ev.rescaleOwned(ev.Square(base))
+			drop(base, acc)
+			base = sq
 		}
+	}
+	drop(base, acc)
+	if acc == ct {
+		acc = ev.copyAt(ct, ct.Level()) // k == 1
 	}
 	return acc, nil
 }
@@ -58,13 +81,15 @@ func (ev *Evaluator) EvalPower(ct *Ciphertext, k int) (*Ciphertext, error) {
 // round. Each iteration consumes two levels.
 func (ev *Evaluator) EvalInverse(ct *Ciphertext, iterations int) *Ciphertext {
 	// y = 2 - x
-	y := ev.AddConst(ev.Neg(ct), 2)
-	x := ct
+	y := ev.Neg(ct)
+	ev.addConstInPlace(y, 2)
 	for i := 0; i < iterations; i++ {
-		xy := ev.Rescale(ev.MulRelin(ev.matchLevel(x, y), y, nil))
-		t := ev.AddConst(ev.Neg(xy), 2)
-		y = ev.Rescale(ev.MulRelin(ev.matchLevel(y, t), t, nil))
-		x = ev.matchLevel(x, y)
+		xy := ev.rescaleOwned(ev.MulRelin(ct, y, nil))
+		t := ev.Neg(xy)
+		ev.addConstInPlace(t, 2)
+		next := ev.rescaleOwned(ev.MulRelin(y, t, nil))
+		ev.Release(xy, t, y)
+		y = next
 	}
 	return y
 }

@@ -82,9 +82,12 @@ func BenchmarkHMULTFunc(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	ct1 := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
 	ct2 := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tc.eval.Rescale(tc.eval.MulRelin(ct1, ct2, nil))
+		prod := tc.eval.MulRelin(ct1, ct2, nil)
+		out := tc.eval.Rescale(prod)
+		tc.eval.Release(prod, out)
 	}
 }
 
@@ -93,11 +96,14 @@ func BenchmarkHROTFunc(b *testing.B) {
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
 	r := rand.New(rand.NewSource(5))
 	ct := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tc.eval.Rotate(ct, 1); err != nil {
+		out, err := tc.eval.Rotate(ct, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		tc.eval.Release(out)
 	}
 }
 
@@ -143,10 +149,13 @@ func BenchmarkBootstrapFunc(b *testing.B) {
 	}
 	r := rand.New(rand.NewSource(7))
 	ct := tc.eval.DropLevel(tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 0.7)), 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := boot.Bootstrap(ct); err != nil {
+		out, err := boot.Bootstrap(ct)
+		if err != nil {
 			b.Fatal(err)
 		}
+		tc.eval.Release(out)
 	}
 }

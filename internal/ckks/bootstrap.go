@@ -3,9 +3,8 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
-
-	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // BootstrapConfig selects the bootstrapping hyper-parameters (§II-C, §IV-C).
@@ -40,6 +39,8 @@ type Bootstrapper struct {
 	toDense  *SwitchingKey // sparse -> dense
 
 	q0 float64
+
+	centered sync.Pool // *[]int64: ModRaise's signed-coefficient scratch
 }
 
 // NewBootstrapper generates all keys (encapsulation, rotations for the DFT
@@ -92,23 +93,26 @@ func (b *Bootstrapper) ModRaise(ct *Ciphertext) *Ciphertext {
 	rq := b.params.RingQ()
 	top := b.params.MaxLevel()
 	q0 := rq.Moduli[0]
-	out := &Ciphertext{Scale: ct.Scale}
-	v := make([]int64, b.params.N())
-	for k, src := range []*ring.Poly{ct.C0, ct.C1} {
-		w := src.Truncated(0).CopyNew()
-		rq.INTT(w, 0)
-		for j, x := range w.Coeffs[0] {
-			v[j] = q0.Centered(x)
-		}
-		raised := rq.NewPoly(top)
-		rq.EmbedCentered(raised, v, top)
-		rq.NTT(raised, top)
-		if k == 0 {
-			out.C0 = raised
-		} else {
-			out.C1 = raised
-		}
+	out := &Ciphertext{C0: rq.GetPoly(top), C1: rq.GetPoly(top), Scale: ct.Scale}
+	vp, _ := b.centered.Get().(*[]int64)
+	if vp == nil {
+		v := make([]int64, b.params.N())
+		vp = &v
 	}
+	w := rq.GetPoly(0)
+	for k, src := range ct.polys() {
+		row := w.Coeffs[0]
+		copy(row, src.Coeffs[0])
+		rq.INTTLimb(row, 0)
+		for j, x := range row {
+			(*vp)[j] = q0.Centered(x)
+		}
+		raised := out.polys()[k]
+		rq.EmbedCentered(raised, *vp, top)
+		rq.NTT(raised, top)
+	}
+	rq.PutPoly(w)
+	b.centered.Put(vp)
 	return out
 }
 
@@ -119,15 +123,18 @@ func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
 	ev := b.eval
 	k1 := float64(b.cfg.K + 1)
 
-	// Re-declare the scale so the message becomes t = w/q0 ∈ [-K-1, K+1].
-	work := ct.CopyNew()
-	work.Scale = b.q0
+	// Re-declare the scale so the message becomes t = w/q0 ∈ [-K-1, K+1]: a
+	// second header over ct's polynomials, which are only read.
+	work := &Ciphertext{C0: ct.C0, C1: ct.C1, Scale: b.q0}
 
 	// cos(2π(t-1/4)/2^r), then r double angles -> sin(2πt).
 	out := ev.EvaluateChebyshev(work, b.evalMod, -k1, k1)
 	for i := 0; i < b.cfg.DoubleAngles; i++ {
-		sq := ev.Rescale(ev.Square(out))
-		out = ev.AddConst(ev.Add(sq, sq), -1)
+		sq := ev.rescaleOwned(ev.Square(out))
+		ev.Release(out)
+		ev.addInPlace(sq, sq)
+		ev.addConstInPlace(sq, -1)
+		out = sq
 	}
 	// sin(2πt) = 2π(Δu)/q0 + O((Δu/q0)³): fold q0/(2πΔ) into the scale.
 	out.Scale *= 2 * math.Pi * delta / b.q0
@@ -136,31 +143,30 @@ func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
 
 // Bootstrap refreshes ct (consumed at its lowest levels) back to a high
 // level. The input is dropped to level 0 first, matching the paper's L
-// schedule (2 -> 54 -> 24 for the full-scale Boot workload).
+// schedule (2 -> 54 -> 24 for the full-scale Boot workload). ct is only read;
+// every intermediate goes back to the ring pool as soon as its successor
+// exists, so a bootstrap's footprint is its widest live set.
 func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	defer obsBootstrap.done(time.Now())
 	ev := b.eval
 	rq := b.params.RingQ()
 	delta := ct.Scale
 
-	// 1. Sparse-secret encapsulation at the bottom of the chain.
-	low := ev.DropLevel(ct, 0)
-	low = ev.SwitchKeys(low, b.toSparse)
+	// 1. Sparse-secret encapsulation at the bottom of the chain (on a
+	// level-0 view of ct).
+	low := ev.SwitchKeys(&Ciphertext{C0: ct.C0.Truncated(0), C1: ct.C1.Truncated(0), Scale: ct.Scale}, b.toSparse)
 
 	// 2. ModRaise under the sparse secret, then switch back to the dense
 	// secret at the top of the chain.
 	raised := b.ModRaise(low)
-	raised = ev.SwitchKeys(raised, b.toDense)
+	ev.Release(low)
+	cur := ev.SwitchKeys(raised, b.toDense)
+	ev.Release(raised)
 
 	// 3. CoeffToSlot: slots now hold the raw coefficients (bit-reversed).
-	cur := raised
-	var err error
-	for _, g := range b.c2s {
-		cur, err = ev.EvaluateLinearTransform(cur, g, b.enc)
-		if err != nil {
-			return nil, err
-		}
-		cur = ev.Rescale(cur)
+	cur, err := b.transforms(cur, b.c2s)
+	if err != nil {
+		return nil, err
 	}
 
 	// 4. Split into real and imaginary coefficient vectors.
@@ -169,26 +175,46 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 		return nil, err
 	}
 	qd := float64(rq.Moduli[cur.Level()].Q)
-	ct0 := ev.Rescale(ev.MultConst(ev.Add(cur, conj), 0.5, qd))
-	ct1 := ev.Rescale(ev.MultConst(ev.MulByI(ev.Sub(conj, cur)), 0.5, qd))
+	sum := ev.Add(cur, conj)
+	ev.subInPlace(conj, cur) // conj − cur
+	ev.Release(cur)
+	ct0 := ev.rescaleOwned(ev.MultConst(sum, 0.5, qd))
+	diff := ev.MulByI(conj)
+	ct1 := ev.rescaleOwned(ev.MultConst(diff, 0.5, qd))
+	ev.Release(sum, conj, diff)
 
 	// 5. EvalMod on each real vector.
-	ct0 = b.evalModCt(ct0, delta)
-	ct1 = b.evalModCt(ct1, delta)
+	re := b.evalModCt(ct0, delta)
+	im := b.evalModCt(ct1, delta)
+	ev.Release(ct0, ct1)
 
-	// 6. Recombine z = ct0 + i·ct1 and return to coefficient packing.
-	cur = ev.Add(ct0, ev.MulByI(ev.matchLevel(ct1, ct0)))
-	for _, g := range b.s2c {
-		cur, err = ev.EvaluateLinearTransform(cur, g, b.enc)
-		if err != nil {
-			return nil, err
-		}
-		cur = ev.Rescale(cur)
+	// 6. Recombine z = re + i·im and return to coefficient packing.
+	iim := ev.MulByI(im)
+	cur = ev.Add(re, iim)
+	ev.Release(re, im, iim)
+	cur, err = b.transforms(cur, b.s2c)
+	if err != nil {
+		return nil, err
 	}
 
 	// 7. Normalize the scale back to exactly Δ using one level.
 	qd = float64(rq.Moduli[cur.Level()].Q)
-	cur = ev.Rescale(ev.MultConst(cur, 1.0, qd*delta/cur.Scale))
-	cur.Scale = delta
+	out := ev.rescaleOwned(ev.MultConst(cur, 1.0, qd*delta/cur.Scale))
+	ev.Release(cur)
+	out.Scale = delta
+	return out, nil
+}
+
+// transforms applies a DFT factorization, one rescaled linear transform per
+// group, consuming cur.
+func (b *Bootstrapper) transforms(cur *Ciphertext, groups []*LinearTransform) (*Ciphertext, error) {
+	for _, g := range groups {
+		next, err := b.eval.EvaluateLinearTransform(cur, g, b.enc)
+		b.eval.Release(cur)
+		if err != nil {
+			return nil, err
+		}
+		cur = b.eval.rescaleOwned(next)
+	}
 	return cur, nil
 }

@@ -263,19 +263,26 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	return ev.evaluateSweep(ct, lt, enc, plan, keys)
 }
 
-// giantAcc holds one giant step's accumulators. The baby-rotated key-switched
-// halves accumulate in the extended QP basis (t*), the σ_b(c0) products and
-// the unrotated (b == 0) c1 product stay in Q (a0/a1). For the rotation-0
-// giant the fields alias the sweep's final accumulators directly, so its
+// giantAcc holds one giant step's accumulators, each borrowed from the ring
+// pool by the first stage that writes it (nil until then). The baby-rotated
+// key-switched halves accumulate in the extended QP basis (t*), the σ_b(c0)
+// products and the unrotated (b == 0) c1 product stay in Q (a0q/a1q). The
+// rotation-0 giant's accumulators are the sweep's final ones, so its
 // contributions skip the giant epilogue entirely.
 type giantAcc struct {
 	t0q, t1q *ring.Poly // QP accumulators, Q half
 	t0p, t1p *ring.Poly // QP accumulators, P half
 	a0q      *ring.Poly // Q basis: Σ pt ⊙ σ_b(c0) over the giant's diagonals
 	a1q      *ring.Poly // Q basis: pt ⊙ c1 for the giant's b == 0 diagonal
-	ext      bool       // some b != 0 diagonal contributed (t* live)
-	hasA0    bool       // a0q carries content
-	hasA1    bool       // a1q carries content
+}
+
+// release returns the accumulators to the ring pools.
+func (ga *giantAcc) release(rq, rp *ring.Ring) {
+	for _, q := range [...]*ring.Poly{ga.t0q, ga.t1q, ga.a0q, ga.a1q} {
+		rq.PutPoly(q)
+	}
+	rp.PutPoly(ga.t0p)
+	rp.PutPoly(ga.t1p)
 }
 
 // bsgsBabyTarget is one (giant, diagonal) MAC set inside a baby's block: the
@@ -323,42 +330,17 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 	dec := ev.decomposePlan(ct.C1, lvl, gpl)
 	defer dec.release(p)
 
-	// Final accumulators: Q-basis for the rotation-0 term and the c0 parts,
-	// QP-basis for the hoisted key-switched parts. The rotation-0 giant writes
-	// them directly — its inner sum needs no giant rotation.
-	accE0q, accE1q := rq.NewPoly(lvl), rq.NewPoly(lvl)
-	accE0p, accE1p := rp.NewPoly(lvlP), rp.NewPoly(lvlP)
-	accQ0, accQ1 := rq.NewPoly(lvl), rq.NewPoly(lvl)
-	accE0q.IsNTT, accE1q.IsNTT, accE0p.IsNTT, accE1p.IsNTT = true, true, true, true
-	accQ0.IsNTT, accQ1.IsNTT = true, true
-
-	newQP := func() (q0, q1, p0, p1 *ring.Poly) {
-		q0, q1 = rq.NewPoly(lvl), rq.NewPoly(lvl)
-		p0, p1 = rp.NewPoly(lvlP), rp.NewPoly(lvlP)
-		q0.IsNTT, q1.IsNTT, p0.IsNTT, p1.IsNTT = true, true, true, true
-		return
-	}
+	// final collects the sweep's result: the QP-basis sum of the hoisted
+	// key-switched parts and the Q-basis sums of the c0 parts and of the
+	// rotation-0 term. The rotation-0 giant accumulates into it directly —
+	// its inner sum needs no giant rotation.
+	final := &giantAcc{}
 	accs := make([]*giantAcc, len(plan.giants))
 	for i, g := range plan.giants {
 		if g.rot == 0 {
-			accs[i] = &giantAcc{
-				t0q: accE0q, t1q: accE1q, t0p: accE0p, t1p: accE1p,
-				a0q: accQ0, a1q: accQ1,
-			}
+			accs[i] = final
 		} else {
 			accs[i] = &giantAcc{}
-		}
-	}
-	ensureExt := func(ga *giantAcc) {
-		if ga.t0q == nil {
-			ga.t0q, ga.t1q, ga.t0p, ga.t1p = newQP()
-		}
-		ga.ext = true
-	}
-	ensureA := func(ga *giantAcc) {
-		if ga.a0q == nil {
-			ga.a0q, ga.a1q = rq.NewPoly(lvl), rq.NewPoly(lvl)
-			ga.a0q.IsNTT, ga.a1q.IsNTT = true, true
 		}
 	}
 
@@ -376,41 +358,35 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		}
 	}
 
-	// Baby offset 0: no rotation — the products land in the giant's Q-basis
-	// accumulators directly (for the rotation-0 giant this is the classic
-	// r == 0 term).
+	// Baby offset 0: no rotation — the products open the giant's Q-basis
+	// accumulators (a giant owns at most one such diagonal; for the rotation-0
+	// giant this is the classic r == 0 term).
 	for _, tg := range perBaby[0] {
 		ga := tg.acc
-		ensureA(ga)
-		rq.MulCoeffsAddLazy(ga.a0q, ct.C0, tg.ptQ, lvl)
-		rq.MulCoeffsAddLazy(ga.a1q, ct.C1, tg.ptQ, lvl)
-		ga.hasA0, ga.hasA1 = true, true
+		ga.a0q, ga.a1q = getNTT(rq, lvl), getNTT(rq, lvl)
+		rq.MulCoeffs(ga.a0q, ct.C0, tg.ptQ, lvl)
+		rq.MulCoeffs(ga.a1q, ct.C1, tg.ptQ, lvl)
 	}
 
 	// Baby step: one gadget product per distinct nonzero baby offset, shared
 	// across every giant consuming it. The key-switched halves stay in the
 	// extended QP basis — no per-baby ModDown (first hoisting level).
 	for _, b := range plan.babies {
-		targets := perBaby[b]
-		for _, tg := range targets {
-			ensureExt(tg.acc)
-			ensureA(tg.acc)
-			tg.acc.hasA0 = true
-		}
 		obsLinTransRotations.Inc()
-		ev.babyAccum(dec, keys[b], targets, ct.C0, rq.GaloisElement(b))
+		ev.babyAccum(dec, keys[b], perBaby[b], ct.C0, rq.GaloisElement(b))
 	}
 
 	// Phase boundary: normalize every lazy accumulator once, so the giant
-	// phase can mix exact adds and σ permutations freely.
+	// phase can mix exact adds and σ permutations freely (a1q holds a single
+	// exact product).
 	var qs, ps []*ring.Poly
 	for _, ga := range accs {
-		if ga.ext {
+		if ga.t0q != nil {
 			qs = append(qs, ga.t0q, ga.t1q)
 			ps = append(ps, ga.t0p, ga.t1p)
 		}
-		if ga.hasA0 || ga.hasA1 {
-			qs = append(qs, ga.a0q, ga.a1q)
+		if ga.a0q != nil {
+			qs = append(qs, ga.a0q)
 		}
 	}
 	ev.reduceMany(qs, lvl, ps, lvlP)
@@ -421,57 +397,56 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 	// product's v0 half accumulates straight onto the giant's T0 so the σ_g
 	// permutation applies to the sum once — the final ModDown of the whole
 	// sweep stays deferred (second hoisting level).
-	anyExt := false
 	for i, g := range plan.giants {
 		ga := accs[i]
 		if g.rot == 0 {
-			if ga.ext {
-				anyExt = true
-			}
 			continue
 		}
-		anyExt = true
 		span := obs.DefaultTracer.Start("lintrans-giant", sweep.ID())
 		span.Annotate(fmt.Sprintf("rot=%d diags=%d", g.rot, len(g.diags)))
 
-		var t1 *ring.Poly
-		if ga.ext {
+		t1 := ga.a1q // a giant with only a b == 0 diagonal
+		if ga.t1q != nil {
 			t1 = ev.ModDown(ga.t1q, ga.t1p, lvl)
-			if ga.hasA1 {
+			if ga.a1q != nil {
 				rq.Add(t1, t1, ga.a1q, lvl)
 			}
-		} else {
-			// Giant with only a b == 0 diagonal: fresh zero QP accumulators
-			// receive the gadget product alone.
-			t1 = ga.a1q
-			ga.t0q, ga.t1q, ga.t0p, ga.t1p = newQP()
 		}
-
 		decG := ev.decomposePlan(t1, lvl, gpl)
 		obsLinTransRotations.Inc()
 
-		// The one accumulating gadget product: v0 lands on the live T0 (and
-		// v1 on the zeroed w1). gadgetProductInto reduces its accumulators on
-		// exit, so the σ+add epilogue below reads exact values.
-		w1q, w1p := rq.NewPoly(lvl), rp.NewPoly(lvlP)
-		w1q.IsNTT, w1p.IsNTT = true, true
-		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p, true)
+		// v0 lands on the live T0 — or opens it, when no baby fed this giant —
+		// and v1 in w1. gadgetProductInto reduces its accumulators on exit, so
+		// the σ+add epilogue below reads exact values.
+		w1q, w1p := getNTT(rq, lvl), getNTT(rp, lvlP)
+		onto := ga.t0q != nil
+		if !onto {
+			ga.t0q, ga.t0p = getNTT(rq, lvl), getNTT(rp, lvlP)
+		}
+		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p, onto)
 		decG.release(p)
+		if t1 != ga.a1q {
+			rq.PutPoly(t1)
+		}
 
 		// σ_g the giant's three partial results into the sweep accumulators.
-		var a0 *ring.Poly
-		if ga.hasA0 {
-			a0 = ga.a0q
-		}
-		ev.giantAccum(ga.t0q, w1q, ga.t0p, w1p, a0, accE0q, accE1q, accE0p, accE1p, accQ0, rq.GaloisElement(g.rot))
+		ev.giantAccum(final, ga.t0q, w1q, ga.t0p, w1p, ga.a0q, rq.GaloisElement(g.rot))
+		rq.PutPoly(w1q)
+		rp.PutPoly(w1p)
+		ga.release(rq, rp)
 		span.End()
 	}
 
-	out := &Ciphertext{Scale: ct.Scale * ptScale}
-	if anyExt {
-		out.C0, out.C1 = ev.modDownPair(accE0q, accE0p, accE1q, accE1p, accQ0, accQ1, lvl)
-	} else {
-		out.C0, out.C1 = accQ0, accQ1
+	scale := ct.Scale * ptScale
+	switch {
+	case final.t0q != nil:
+		c0, c1 := ev.modDownPair(final.t0q, final.t0p, final.t1q, final.t1p, final.a0q, final.a1q, lvl)
+		final.release(rq, rp)
+		return &Ciphertext{C0: c0, C1: c1, Scale: scale}, nil
+	case final.a0q != nil:
+		// Only the r == 0 diagonal: its two products are the result.
+		return &Ciphertext{C0: final.a0q, C1: final.a1q, Scale: scale}, nil
+	default:
+		return ev.zeroCiphertext(lvl, scale), nil // a transform without diagonals
 	}
-	return out, nil
 }

@@ -59,7 +59,8 @@ func splitChebyshev(coeffs []float64, split int) (quo, rem []float64) {
 // chebyshevPowers builds the Chebyshev basis ciphertexts T_1..T_{baby-1} and
 // the giant steps T_baby, T_{2·baby}, ... T_{2^k·baby} needed to evaluate a
 // series of the given degree via BSGS, using T_{2k} = 2T_k²-1 and
-// T_{i+j} = 2·T_i·T_j − T_{|i−j|}.
+// T_{i+j} = 2·T_i·T_j − T_{|i−j|}. Each new power is the rescaled product,
+// doubled and corrected in place; the caller owns the map's values.
 func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*Ciphertext {
 	pow := map[int]*Ciphertext{1: t1}
 	var build func(k int) *Ciphertext
@@ -71,16 +72,12 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 		// halves to minimize depth.
 		i := k / 2
 		j := k - i
-		ti := build(i)
-		tj := build(j)
-		prod := ev.Rescale(ev.MulRelin(ti, tj, nil))
-		two := ev.addCiphertexts(prod, prod)
-		var res *Ciphertext
+		res := ev.rescaleOwned(ev.MulRelin(build(i), build(j), nil))
+		ev.addInPlace(res, res)
 		if i == j {
-			res = ev.AddConst(two, -1) // 2T_i² − T_0
+			ev.addConstInPlace(res, -1) // 2T_i² − T_0
 		} else {
-			td := build(j - i)
-			res = ev.Sub(two, ev.matchLevel(td, two))
+			ev.subInPlace(res, build(j-i)) // j − i = 1: T_1 sits above every product
 		}
 		pow[k] = res
 		return res
@@ -94,17 +91,6 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 	return pow
 }
 
-// addCiphertexts is Add without the scale check (operands are identical).
-func (ev *Evaluator) addCiphertexts(a, b *Ciphertext) *Ciphertext { return ev.Add(a, b) }
-
-// matchLevel drops a to b's level if needed.
-func (ev *Evaluator) matchLevel(a, b *Ciphertext) *Ciphertext {
-	if a.Level() > b.Level() {
-		return ev.DropLevel(a, b.Level())
-	}
-	return a
-}
-
 // EvaluateChebyshev homomorphically evaluates the Chebyshev series on a
 // ciphertext whose slots lie in [a, b]. Consumes ~2+log2(degree) levels.
 // The primes spanned by the evaluation must have near-uniform sizes (as in
@@ -113,22 +99,18 @@ func (ev *Evaluator) matchLevel(a, b *Ciphertext) *Ciphertext {
 func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
 	rq := ev.params.RingQ()
 	// t = (2x - a - b)/(b - a), computed with one constant mult + add.
-	lvl := ct.Level()
-	t1 := ev.MultConst(ct, 2/(b-a), float64(rq.Moduli[lvl].Q))
-	t1 = ev.Rescale(t1)
-	t1 = ev.AddConst(t1, -(a+b)/(b-a))
+	t1 := ev.rescaleOwned(ev.MultConst(ct, 2/(b-a), float64(rq.Moduli[ct.Level()].Q)))
+	ev.addConstInPlace(t1, -(a+b)/(b-a))
 
 	degree := len(coeffs) - 1
-	if degree == 0 {
-		out := ev.MultConst(t1, 0, float64(rq.Moduli[t1.Level()].Q))
-		out = ev.Rescale(out)
-		return ev.AddConst(out, coeffs[0])
-	}
-	baby := 1 << ((bitsLen(degree) + 1) / 2)
-	if baby < 2 {
-		baby = 2
-	}
+	baby := max(2, 1<<((bitsLen(degree)+1)/2))
+	// Every power, T_1 included, is an intermediate of this evaluation.
 	pow := ev.chebyshevPowers(t1, degree, baby)
+	defer func() {
+		for _, ct := range pow {
+			ev.Release(ct)
+		}
+	}()
 
 	var eval func(c []float64) *Ciphertext
 	eval = func(c []float64) *Ciphertext {
@@ -143,45 +125,44 @@ func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b fl
 		quo, rem := splitChebyshev(c, split)
 		qc := eval(quo)
 		rc := eval(rem)
-		ts := pow[split]
-		prod := ev.Rescale(ev.MulRelin(qc, ev.matchLevel(ts, qc), nil))
-		return ev.Add(prod, ev.matchLevel(rc, prod))
+		prod := ev.rescaleOwned(ev.MulRelin(qc, pow[split], nil))
+		ev.Release(qc)
+		// prod + rc, summed into whichever sits lower.
+		scale := prod.Scale
+		if rc.Level() < prod.Level() {
+			prod, rc = rc, prod
+		}
+		ev.addInPlace(prod, rc)
+		ev.Release(rc)
+		prod.Scale = scale
+		return prod
 	}
 	return eval(coeffs)
 }
 
-// linearCombination computes Σ c_i·T_i for i < baby from the power basis,
-// encoding the constants at the dropped prime's scale so a single Rescale
-// lands all terms on a common scale.
+// linearCombination computes Σ c_i·T_i for i < baby from the power basis as
+// one CAccum over the needed powers — each contributes its limb prefix at the
+// lowest level among them — encoding the constants at the dropped prime's
+// scale so a single Rescale lands all terms on a common scale.
 func (ev *Evaluator) linearCombination(c []float64, pow map[int]*Ciphertext) *Ciphertext {
-	rq := ev.params.RingQ()
-	// Find the lowest level among the needed powers.
-	lvl := ev.params.MaxLevel()
+	terms := make([]*Ciphertext, 0, len(c))
+	consts := make([]float64, 0, len(c))
 	for i := 1; i < len(c); i++ {
-		if c[i] != 0 && pow[i].Level() < lvl {
-			lvl = pow[i].Level()
+		if c[i] != 0 {
+			terms, consts = append(terms, pow[i]), append(consts, c[i])
 		}
 	}
-	qd := float64(rq.Moduli[lvl].Q)
-	var acc *Ciphertext
-	for i := 1; i < len(c); i++ {
-		if c[i] == 0 {
-			continue
-		}
-		term := ev.MultConst(ev.DropLevel(pow[i], lvl), c[i], qd)
-		if acc == nil {
-			acc = term
-		} else {
-			acc = ev.Add(acc, term)
-		}
+	if len(terms) == 0 {
+		// Only the constant term: 0·T_1 puts a zero at the right scale.
+		terms, consts = append(terms, pow[1]), append(consts, 0)
 	}
-	if acc == nil {
-		// Only the constant term: manufacture a zero at the right scale.
-		t1 := pow[1]
-		acc = ev.MultConst(ev.DropLevel(t1, lvl), 0, qd)
+	lvl := terms[0].Level()
+	for _, t := range terms[1:] {
+		lvl = min(lvl, t.Level())
 	}
-	acc = ev.Rescale(acc)
-	return ev.AddConst(acc, c[0])
+	acc := ev.rescaleOwned(ev.MulConstAccum(terms, consts, float64(ev.params.RingQ().Moduli[lvl].Q)))
+	ev.addConstInPlace(acc, c[0])
+	return acc
 }
 
 func bitsLen(x int) int {

@@ -103,3 +103,26 @@ func TestEvaluateChebyshevDegree31(t *testing.T) {
 		t.Fatalf("deg-31 Chebyshev error %g", e)
 	}
 }
+
+// TestEvaluateChebyshevSparseSeries: a series whose BSGS leaves are mostly
+// empty — skipped zero terms, a leaf holding only its constant, and leaves
+// that are identically zero — evaluates like any other.
+func TestEvaluateChebyshevSparseSeries(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	r := rand.New(rand.NewSource(42))
+	coeffs := []float64{0.5, 0, 0, 0, 0, 0, -0.3, 0, 0, 0.25} // 1/2 − 0.3·T_6 + T_9/4
+	a, b := -1.0, 1.0
+
+	slots := tc.params.Slots()
+	u := make([]complex128, slots)
+	want := make([]complex128, slots)
+	for i := range u {
+		x := a + (b-a)*r.Float64()
+		u[i] = complex(x, 0)
+		want[i] = complex(EvalChebyshevSeries(coeffs, a, b, x), 0)
+	}
+	out := tc.eval.EvaluateChebyshev(tc.encryptVec(t, u), coeffs, a, b)
+	if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
+		t.Fatalf("sparse Chebyshev error %g", e)
+	}
+}

@@ -16,6 +16,9 @@ type Ciphertext struct {
 // Level returns the ciphertext level (limbs - 1).
 func (ct *Ciphertext) Level() int { return ct.C0.Level() }
 
+// polys returns the two components, for code that treats them alike.
+func (ct *Ciphertext) polys() [2]*ring.Poly { return [2]*ring.Poly{ct.C0, ct.C1} }
+
 // CoeffBytes returns the coefficient bytes the ciphertext keeps alive: two
 // polynomials of Level()+1 limbs, 8 bytes per coefficient — the figure the
 // serving engine charges a retained result at.

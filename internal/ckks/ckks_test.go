@@ -20,17 +20,28 @@ type testContext struct {
 	eval   *Evaluator
 }
 
+// newTestContext poisons the ring pools: every borrow in this package's tests
+// comes back poisoned, so scratch or an output that is read before it is
+// written — or a value read after its release — fails the test instead of
+// passing on what the previous, identical op left in the pool.
 func newTestContext(t testing.TB, lit ParametersLiteral) *testContext {
+	t.Helper()
+	return buildTestContext(t, lit, true)
+}
+
+// buildTestContext is deterministic in lit: two contexts over the same
+// literal hold the same keys and encrypt the same ciphertexts, poisoned pools
+// or not.
+func buildTestContext(t testing.TB, lit ParametersLiteral, poison bool) *testContext {
 	t.Helper()
 	params, err := NewParameters(lit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every borrow in this package's tests comes back poisoned, so scratch
-	// that is read before it is written fails the test instead of passing on
-	// what the previous, identical op left in the pool.
-	params.RingQ().PoisonPool()
-	params.RingP().PoisonPool()
+	if poison {
+		params.RingQ().PoisonPool()
+		params.RingP().PoisonPool()
+	}
 	tc := &testContext{params: params}
 	tc.enc = NewEncoder(params)
 	tc.kgen = NewKeyGenerator(params, 1)

@@ -11,14 +11,15 @@ package ckks
 func (ev *Evaluator) signPoly(ct *Ciphertext) *Ciphertext {
 	rq := ev.params.RingQ()
 	// x² (level -1)
-	x2 := ev.Rescale(ev.Square(ct))
+	x2 := ev.rescaleOwned(ev.Square(ct))
 	// (3 - x²)/2 at the scale of x², via constant ops.
-	half := ev.MultConst(x2, -0.5, float64(rq.Moduli[x2.Level()].Q))
-	half = ev.Rescale(half)
-	half = ev.AddConst(half, 1.5)
-	// x · (3 - x²)/2 (level -2)
-	x := ev.DropLevel(ct, half.Level())
-	return ev.Rescale(ev.MulRelin(x, half, nil))
+	half := ev.rescaleOwned(ev.MultConst(x2, -0.5, float64(rq.Moduli[x2.Level()].Q)))
+	ev.Release(x2)
+	ev.addConstInPlace(half, 1.5)
+	// x · (3 - x²)/2 (level -2); the product takes x at half's level.
+	out := ev.rescaleOwned(ev.MulRelin(ct, half, nil))
+	ev.Release(half)
+	return out
 }
 
 // EvalSign approximates sign(x) on slots in [-1, 1] with the given number
@@ -26,9 +27,16 @@ func (ev *Evaluator) signPoly(ct *Ciphertext) *Ciphertext {
 // sharpen the transition around zero: after k iterations inputs with
 // |x| ≳ 0.6^k are mapped close to ±1.
 func (ev *Evaluator) EvalSign(ct *Ciphertext, iterations int) *Ciphertext {
+	if iterations <= 0 {
+		return ev.copyAt(ct, ct.Level())
+	}
 	out := ct
 	for i := 0; i < iterations; i++ {
-		out = ev.signPoly(out)
+		next := ev.signPoly(out)
+		if out != ct {
+			ev.Release(out)
+		}
+		out = next
 	}
 	return out
 }
@@ -37,10 +45,12 @@ func (ev *Evaluator) EvalSign(ct *Ciphertext, iterations int) *Ciphertext {
 // a > b, zero where a < b. Inputs must lie in [-1/2, 1/2] so the difference
 // stays in [-1, 1].
 func (ev *Evaluator) EvalCompare(a, b *Ciphertext, iterations int) *Ciphertext {
-	s := ev.EvalSign(ev.Sub(a, b), iterations)
-	half := ev.MultConst(s, 0.5, float64(ev.params.RingQ().Moduli[s.Level()].Q))
-	half = ev.Rescale(half)
-	return ev.AddConst(half, 0.5)
+	diff := ev.Sub(a, b)
+	s := ev.EvalSign(diff, iterations)
+	half := ev.rescaleOwned(ev.MultConst(s, 0.5, float64(ev.params.RingQ().Moduli[s.Level()].Q)))
+	ev.Release(diff, s)
+	ev.addConstInPlace(half, 0.5)
+	return half
 }
 
 // EvalMinMax returns the slot-wise (min, max) of two ciphertexts with
@@ -54,15 +64,16 @@ func (ev *Evaluator) EvalMinMax(a, b *Ciphertext, iterations int) (minCt, maxCt 
 	diff := ev.Sub(a, b)
 	s := ev.EvalSign(diff, iterations)
 
-	// |a-b| ≈ (a-b)·sign(a-b)
-	d := ev.DropLevel(diff, s.Level())
-	abs := ev.Rescale(ev.MulRelin(d, s, nil))
+	// |a-b| ≈ (a-b)·sign(a-b), at sign's level.
+	abs := ev.rescaleOwned(ev.MulRelin(diff, s, nil))
+	ev.Release(diff, s)
 
+	// (sum + abs)/2 and (sum - abs)/2, at abs's level.
 	sum := ev.Add(a, b)
-	sum = ev.DropLevel(sum, abs.Level())
-	// (sum + abs)/2 and (sum - abs)/2.
 	qd := float64(rq.Moduli[abs.Level()].Q)
-	maxCt = ev.Rescale(ev.MultConst(ev.Add(sum, abs), 0.5, qd))
-	minCt = ev.Rescale(ev.MultConst(ev.Sub(sum, abs), 0.5, qd))
+	hi, lo := ev.Add(sum, abs), ev.Sub(sum, abs)
+	maxCt = ev.rescaleOwned(ev.MultConst(hi, 0.5, qd))
+	minCt = ev.rescaleOwned(ev.MultConst(lo, 0.5, qd))
+	ev.Release(abs, sum, hi, lo)
 	return minCt, maxCt
 }

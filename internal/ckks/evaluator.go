@@ -90,6 +90,52 @@ func (ev *Evaluator) checkScales(a, b float64) {
 	}
 }
 
+// newCiphertext returns an NTT-flagged ciphertext at lvl whose polynomials
+// come from the ring pool: their rows hold unspecified values, so the op that
+// asked must write every one of them.
+func (ev *Evaluator) newCiphertext(lvl int, scale float64) *Ciphertext {
+	rq := ev.params.RingQ()
+	return &Ciphertext{C0: getNTT(rq, lvl), C1: getNTT(rq, lvl), Scale: scale}
+}
+
+// zeroCiphertext returns the trivial encryption of zero at lvl.
+func (ev *Evaluator) zeroCiphertext(lvl int, scale float64) *Ciphertext {
+	out := ev.newCiphertext(lvl, scale)
+	for i := 0; i <= lvl; i++ {
+		clear(out.C0.Coeffs[i])
+		clear(out.C1.Coeffs[i])
+	}
+	return out
+}
+
+// copyAt returns a copy of ct's first level+1 limbs.
+func (ev *Evaluator) copyAt(ct *Ciphertext, level int) *Ciphertext {
+	out := ev.newCiphertext(level, ct.Scale)
+	out.C0.Copy(ct.C0.Truncated(level))
+	out.C1.Copy(ct.C1.Truncated(level))
+	return out
+}
+
+// Release hands the polynomials of ciphertexts the caller owns back to the
+// ring pool, for the next op to reuse instead of allocating. Every ciphertext
+// an evaluator op returns is a whole value of its own — it shares no row with
+// an operand — and belongs to whoever received it. Releasing is optional (an
+// unreleased result is collected like any other garbage) and final: the
+// ciphertext is emptied, nothing else may still reference its polynomials,
+// and a second Release of it, or one of nil, does nothing. A view or an
+// unmarshalled ciphertext owns no pooled rows and is only emptied.
+func (ev *Evaluator) Release(cts ...*Ciphertext) {
+	rq := ev.params.RingQ()
+	for _, ct := range cts {
+		if ct == nil {
+			continue
+		}
+		rq.PutPoly(ct.C0)
+		rq.PutPoly(ct.C1)
+		ct.C0, ct.C1 = nil, nil
+	}
+}
+
 // Add returns ct0 + ct1 (HADD). Operands are aligned to the lower of the two
 // levels; scales must agree up to the tolerance imposed by near-Δ primes.
 func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
@@ -99,9 +145,9 @@ func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	ev.checkScales(ct0.Scale, ct1.Scale)
 	rq := ev.params.RingQ()
 	lvl := min(ct0.Level(), ct1.Level())
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: ct0.Scale}
-	rq.Add(out.C0, ct0.C0.Truncated(lvl), ct1.C0.Truncated(lvl), lvl)
-	rq.Add(out.C1, ct0.C1.Truncated(lvl), ct1.C1.Truncated(lvl), lvl)
+	out := ev.newCiphertext(lvl, ct0.Scale)
+	rq.Add(out.C0, ct0.C0, ct1.C0, lvl)
+	rq.Add(out.C1, ct0.C1, ct1.C1, lvl)
 	obsAdd.done(start)
 	return out
 }
@@ -111,17 +157,34 @@ func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
 	ev.checkScales(ct0.Scale, ct1.Scale)
 	rq := ev.params.RingQ()
 	lvl := min(ct0.Level(), ct1.Level())
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: ct0.Scale}
-	rq.Sub(out.C0, ct0.C0.Truncated(lvl), ct1.C0.Truncated(lvl), lvl)
-	rq.Sub(out.C1, ct0.C1.Truncated(lvl), ct1.C1.Truncated(lvl), lvl)
+	out := ev.newCiphertext(lvl, ct0.Scale)
+	rq.Sub(out.C0, ct0.C0, ct1.C0, lvl)
+	rq.Sub(out.C1, ct0.C1, ct1.C1, lvl)
 	return out
+}
+
+// addInPlace sets ct += other for a ct the caller owns; other sits at ct's
+// level or above.
+func (ev *Evaluator) addInPlace(ct, other *Ciphertext) {
+	ev.checkScales(ct.Scale, other.Scale)
+	rq, lvl := ev.params.RingQ(), ct.Level()
+	rq.Add(ct.C0, ct.C0, other.C0, lvl)
+	rq.Add(ct.C1, ct.C1, other.C1, lvl)
+}
+
+// subInPlace sets ct -= other, as addInPlace.
+func (ev *Evaluator) subInPlace(ct, other *Ciphertext) {
+	ev.checkScales(ct.Scale, other.Scale)
+	rq, lvl := ev.params.RingQ(), ct.Level()
+	rq.Sub(ct.C0, ct.C0, other.C0, lvl)
+	rq.Sub(ct.C1, ct.C1, other.C1, lvl)
 }
 
 // Neg returns -ct.
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: ct.Scale}
+	out := ev.newCiphertext(lvl, ct.Scale)
 	rq.Neg(out.C0, ct.C0, lvl)
 	rq.Neg(out.C1, ct.C1, lvl)
 	return out
@@ -132,8 +195,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	ev.checkScales(ct.Scale, pt.Scale)
 	rq := ev.params.RingQ()
 	lvl := min(ct.Level(), pt.Level())
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: ct.C1.Truncated(lvl).CopyNew(), Scale: ct.Scale}
-	rq.Add(out.C0, ct.C0.Truncated(lvl), pt.Value.Truncated(lvl), lvl)
+	out := ev.newCiphertext(lvl, ct.Scale)
+	rq.Add(out.C0, ct.C0, pt.Value, lvl)
+	out.C1.Copy(ct.C1.Truncated(lvl))
 	return out
 }
 
@@ -142,9 +206,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	rq := ev.params.RingQ()
 	lvl := min(ct.Level(), pt.Level())
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: ct.Scale * pt.Scale}
-	rq.MulCoeffs(out.C0, ct.C0.Truncated(lvl), pt.Value.Truncated(lvl), lvl)
-	rq.MulCoeffs(out.C1, ct.C1.Truncated(lvl), pt.Value.Truncated(lvl), lvl)
+	out := ev.newCiphertext(lvl, ct.Scale*pt.Scale)
+	rq.MulCoeffs(out.C0, ct.C0, pt.Value, lvl)
+	rq.MulCoeffs(out.C1, ct.C1, pt.Value, lvl)
 	return out
 }
 
@@ -318,15 +382,20 @@ func (ev *Evaluator) gadgetProduct(dec *decomposed, swk *SwitchingKey) (u0q, u0p
 	return
 }
 
+// getNTT borrows an NTT-flagged polynomial from r's pool. Its contents are
+// unspecified.
+func getNTT(r *ring.Ring, level int) *ring.Poly {
+	p := r.GetPoly(level)
+	p.IsNTT = true
+	return p
+}
+
 // getQP borrows two NTT-flagged QP accumulators (Q halves at lvl, P halves at
 // lvlP) from the ring pools; putQP returns them. Their contents are
 // unspecified: the gadget product that fills them overwrites every row.
 func (ev *Evaluator) getQP(lvl, lvlP int) (u0q, u0p, u1q, u1p *ring.Poly) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
-	u0q, u1q = rq.GetPoly(lvl), rq.GetPoly(lvl)
-	u0p, u1p = rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-	u0q.IsNTT, u1q.IsNTT, u0p.IsNTT, u1p.IsNTT = true, true, true, true
-	return
+	return getNTT(rq, lvl), getNTT(rp, lvlP), getNTT(rq, lvl), getNTT(rp, lvlP)
 }
 
 func (ev *Evaluator) putQP(u0q, u0p, u1q, u1p *ring.Poly) {
@@ -355,8 +424,7 @@ func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
 	work := rp.GetPoly(lvlP)
 	work.Copy(up)
 	rp.INTT(work, lvlP)
-	conv := rq.GetPoly(lvl)
-	out := rq.NewPoly(lvl)
+	conv, out := rq.GetPoly(lvl), rq.GetPoly(lvl)
 	ev.pToQConverter(lvl, alpha).ConvertLazy(conv.Coeffs, work.Coeffs[:alpha])
 	rq.NTTLazy(conv, lvl)
 	rq.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[alpha][:lvl+1], lvl)
@@ -405,8 +473,7 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *SwitchingKey) *Cipherte
 	}
 	rq := ev.params.RingQ()
 	lvl := min(ct0.Level(), ct1.Level())
-	a0, a1 := ct0.C0.Truncated(lvl), ct0.C1.Truncated(lvl)
-	b0, b1 := ct1.C0.Truncated(lvl), ct1.C1.Truncated(lvl)
+	a0, a1, b0, b1 := ct0.C0, ct0.C1, ct1.C0, ct1.C1 // read on limbs 0..lvl only
 
 	// Tensor as one per-limb chain (each input row is read while hot across
 	// the four products), then the key switch of the degree-2 component with
@@ -437,13 +504,11 @@ func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext {
 	return ev.MulRelin(ct, ct, nil)
 }
 
-// DropLevel discards limbs down to the target level without scaling.
+// DropLevel discards limbs down to the target level without scaling. The
+// result is a copy, like every other op's: ops that take operands at
+// different levels align them themselves, without one.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
-	return &Ciphertext{
-		C0:    ct.C0.Truncated(level).CopyNew(),
-		C1:    ct.C1.Truncated(level).CopyNew(),
-		Scale: ct.Scale,
-	}
+	return ev.copyAt(ct, level)
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +536,7 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, galEl uint64) (*Ciphertext, er
 func (ev *Evaluator) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) {
 	defer obsRotate.done(time.Now())
 	if k%ev.params.Slots() == 0 {
-		return ct.CopyNew(), nil
+		return ev.copyAt(ct, ct.Level()), nil
 	}
 	return ev.automorphism(ct, ev.params.RingQ().GaloisElement(k))
 }
@@ -509,7 +574,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 	out := make(map[int]*Ciphertext, len(rotations))
 	for _, k := range rotations {
 		if k%ev.params.Slots() == 0 {
-			out[k] = ct.CopyNew()
+			out[k] = ev.copyAt(ct, lvl)
 			continue
 		}
 		g := rq.GaloisElement(k)
@@ -540,11 +605,14 @@ func bigScaled(c *big.Float, scale float64) *big.Int {
 
 // AddConst adds the real constant c to every slot.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
-	rq := ev.params.RingQ()
-	lvl := ct.Level()
-	out := ct.CopyNew()
-	rq.AddScalarBig(out.C0, out.C0, bigScaled(big.NewFloat(c), ct.Scale), lvl)
+	out := ev.copyAt(ct, ct.Level())
+	ev.addConstInPlace(out, c)
 	return out
+}
+
+// addConstInPlace adds c to every slot of a ct the caller owns.
+func (ev *Evaluator) addConstInPlace(ct *Ciphertext, c float64) {
+	ev.params.RingQ().AddScalarBig(ct.C0, ct.C0, bigScaled(big.NewFloat(c), ct.Scale), ct.Level())
 }
 
 // MultConst multiplies every slot by the real constant c, encoding it at
@@ -555,7 +623,7 @@ func (ev *Evaluator) MultConst(ct *Ciphertext, c float64, constScale float64) *C
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
 	k := bigScaled(big.NewFloat(c), constScale)
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: ct.Scale * constScale}
+	out := ev.newCiphertext(lvl, ct.Scale*constScale)
 	rq.MulScalarBig(out.C0, ct.C0, k, lvl)
 	rq.MulScalarBig(out.C1, ct.C1, k, lvl)
 	out.C0.IsNTT, out.C1.IsNTT = true, true
@@ -586,7 +654,7 @@ func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
 	m := ev.monomial(lvl)
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: ct.Scale}
+	out := ev.newCiphertext(lvl, ct.Scale)
 	rq.MulCoeffs(out.C0, ct.C0, m, lvl)
 	rq.MulCoeffs(out.C1, ct.C1, m, lvl)
 	return out

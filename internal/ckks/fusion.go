@@ -20,7 +20,7 @@ func (ev *Evaluator) AddMany(cts []*Ciphertext) *Ciphertext {
 		panic("ckks: AddMany needs at least one ciphertext")
 	}
 	if len(cts) == 1 {
-		return cts[0].CopyNew()
+		return ev.copyAt(cts[0], cts[0].Level())
 	}
 	defer obsAddMany.done(time.Now())
 	rq := ev.params.RingQ()
@@ -35,7 +35,7 @@ func (ev *Evaluator) AddMany(cts []*Ciphertext) *Ciphertext {
 		c0s[i] = ct.C0.Truncated(lvl)
 		c1s[i] = ct.C1.Truncated(lvl)
 	}
-	out := &Ciphertext{C0: rq.NewPoly(lvl), C1: rq.NewPoly(lvl), Scale: cts[0].Scale}
+	out := ev.newCiphertext(lvl, cts[0].Scale)
 	rq.AddMany(out.C0, c0s, lvl)
 	rq.AddMany(out.C1, c1s, lvl)
 	return out
@@ -43,9 +43,11 @@ func (ev *Evaluator) AddMany(cts []*Ciphertext) *Ciphertext {
 
 // MulConstAccum returns Σ_i consts[i]·cts[i], with every constant encoded at
 // scale constScale (as in MultConst; callers follow with Rescale). This is
-// the scheme-level PAccum/CAccum: one lazy accumulator per component and
-// len(cts) constant-multiply-accumulate passes, instead of len(cts) MultConst
-// temporaries plus len(cts)-1 Add passes.
+// the scheme-level PAccum/CAccum: the first term is written into the
+// accumulator, every other term added onto it by one lazy
+// constant-multiply-accumulate pass, and the sum reduced once — instead of
+// len(cts) MultConst temporaries plus len(cts)-1 Add passes. Operands above
+// the lowest level contribute their limb prefix.
 func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64, constScale float64) *Ciphertext {
 	if len(cts) == 0 || len(cts) != len(consts) {
 		panic("ckks: MulConstAccum needs matching non-empty ciphertexts and constants")
@@ -57,18 +59,19 @@ func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64, constSca
 		ev.checkScales(cts[0].Scale, ct.Scale)
 		lvl = min(lvl, ct.Level())
 	}
-	acc0, acc1 := rq.NewPoly(lvl), rq.NewPoly(lvl)
+	out := ev.newCiphertext(lvl, cts[0].Scale*constScale)
 	scalars := make([]uint64, lvl+1)
 	for i, ct := range cts {
-		k := bigScaled(big.NewFloat(consts[i]), constScale)
-		for l := 0; l <= lvl; l++ {
-			scalars[l] = new(big.Int).Mod(k, new(big.Int).SetUint64(rq.Moduli[l].Q)).Uint64()
+		rq.LimbResidues(scalars, bigScaled(big.NewFloat(consts[i]), constScale))
+		if i == 0 {
+			rq.MulByLimbScalars(out.C0, ct.C0, scalars, lvl)
+			rq.MulByLimbScalars(out.C1, ct.C1, scalars, lvl)
+			continue
 		}
-		rq.MulByLimbScalarsAddLazy(acc0, ct.C0.Truncated(lvl), scalars, lvl)
-		rq.MulByLimbScalarsAddLazy(acc1, ct.C1.Truncated(lvl), scalars, lvl)
+		rq.MulByLimbScalarsAddLazy(out.C0, ct.C0, scalars, lvl)
+		rq.MulByLimbScalarsAddLazy(out.C1, ct.C1, scalars, lvl)
 	}
-	rq.ReduceLazy(acc0, lvl)
-	rq.ReduceLazy(acc1, lvl)
-	acc0.IsNTT, acc1.IsNTT = true, true
-	return &Ciphertext{C0: acc0, C1: acc1, Scale: cts[0].Scale * constScale}
+	rq.ReduceLazy(out.C0, lvl)
+	rq.ReduceLazy(out.C1, lvl)
+	return out
 }

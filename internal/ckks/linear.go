@@ -246,25 +246,42 @@ func (ev *Evaluator) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTran
 		return nil, err
 	}
 
-	acc0, acc1 := rq.NewPoly(lvl), rq.NewPoly(lvl)
-	acc0.IsNTT, acc1.IsNTT = true, true
+	// The first diagonal met opens the accumulators, the others add onto them
+	// lazily; each rotated ciphertext is released once its successor exists.
+	var acc *Ciphertext
 	cur := ct
 	for k := 0; k <= maxRot; k++ {
 		if k > 0 {
-			var err error
-			cur, err = ev.Rotate(cur, 1)
+			next, err := ev.Rotate(cur, 1)
+			if cur != ct {
+				ev.Release(cur)
+			}
 			if err != nil {
+				ev.Release(acc)
 				return nil, err
 			}
+			cur = next
 		}
 		ed, ok := diags[k]
 		if !ok {
 			continue
 		}
-		rq.MulCoeffsAddLazy(acc0, cur.C0, ed.q, lvl)
-		rq.MulCoeffsAddLazy(acc1, cur.C1, ed.q, lvl)
+		if acc == nil {
+			acc = ev.newCiphertext(lvl, ct.Scale*ptScale)
+			rq.MulCoeffs(acc.C0, cur.C0, ed.q, lvl)
+			rq.MulCoeffs(acc.C1, cur.C1, ed.q, lvl)
+			continue
+		}
+		rq.MulCoeffsAddLazy(acc.C0, cur.C0, ed.q, lvl)
+		rq.MulCoeffsAddLazy(acc.C1, cur.C1, ed.q, lvl)
 	}
-	rq.ReduceLazy(acc0, lvl)
-	rq.ReduceLazy(acc1, lvl)
-	return &Ciphertext{C0: acc0, C1: acc1, Scale: ct.Scale * ptScale}, nil
+	if cur != ct {
+		ev.Release(cur)
+	}
+	if acc == nil {
+		return ev.zeroCiphertext(lvl, ct.Scale*ptScale), nil // a transform without diagonals
+	}
+	rq.ReduceLazy(acc.C0, lvl)
+	rq.ReduceLazy(acc.C1, lvl)
+	return acc, nil
 }

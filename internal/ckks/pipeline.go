@@ -24,9 +24,10 @@ import (
 // per accumulator, u = Σ_d digit_d ⊙ key_d, which sums the D products of a
 // coefficient in a 128-bit register pair and reduces once. A limb's D digit
 // rows are transformed and consumed by both of its dot stages while still
-// cache-resident. The accumulators are left lazy; unless accumulate is set
-// they are overwritten, so they need not be initialised.
-func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, accumulate bool) {
+// cache-resident. The accumulators are left lazy. u1 is overwritten, and so is
+// u0 unless onto0 asks for the product to be added onto it (the sweep's giant
+// step), so neither need be initialised otherwise.
+func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0 bool) {
 	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, ev.params.Alpha())
 	if !ok {
 		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
@@ -40,23 +41,23 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 		dec.coeffDomain = false
 	}
 	n := len(dec.q) // a key serves lower levels with a prefix of its digits
-	lq.DotLazy(u0q, dec.q, bQ[:n], accumulate)
-	lq.DotLazy(u1q, dec.q, aQ[:n], accumulate)
-	lp.DotLazy(u0p, dec.p, bP[:n], accumulate)
-	lp.DotLazy(u1p, dec.p, aP[:n], accumulate)
+	lq.DotLazy(u0q, dec.q, bQ[:n], onto0)
+	lq.DotLazy(u1q, dec.q, aQ[:n], false)
+	lp.DotLazy(u0p, dec.p, bP[:n], onto0)
+	lp.DotLazy(u1p, dec.p, aP[:n], false)
 }
 
 // gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:
 // the digit NTTs and dot stages of recordGadgetMACs, ending with the four
 // accumulator reductions — one barrier instead of 2·digits NTTs + 4 dots + 4
-// reductions. Accumulators must be NTT-flagged polynomials; with accumulate
-// the product is added onto the (exact or lazy) value they hold, without it
-// their contents are never read.
-func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, accumulate bool) {
+// reductions. Accumulators must be NTT-flagged polynomials; with onto0 the
+// u0 half of the product is added onto the (exact or lazy) value u0 holds,
+// otherwise no accumulator's contents are read.
+func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0 bool) {
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), dec.level)
 	lp := pipe.Lane(ev.params.RingP(), dec.plan.Alpha-1)
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, accumulate)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, onto0)
 	lq.ReduceLazy(u0q)
 	lq.ReduceLazy(u1q)
 	lp.ReduceLazy(u0p)
@@ -94,7 +95,7 @@ func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl 
 	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs[:alpha])
 	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs[:alpha])
 
-	d0, d1 = rq.NewPoly(lvl), rq.NewPoly(lvl)
+	d0, d1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
 	s := ev.pInvModQ[alpha][:lvl+1]
 	lnQ := pipe.Lane(rq, lvl)
 	lnQ.NTTLazy(conv0)
@@ -141,7 +142,7 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs[:alpha])
 
 	d0, d1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	o0, o1 = rq.NewPoly(lvl), rq.NewPoly(lvl)
+	o0, o1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
 	s := ev.pInvModQ[alpha][:lvl+1]
 	lnQ := pipe.Lane(rq, lvl)
 	lnQ.NTTLazy(conv0)
@@ -166,8 +167,9 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 // transformed, into the shared t = [x_L + q_L/2]_{q_L} rows — single rows that
 // every kept limb reads, a cross-limb dependency the pipeline must not span, so
 // they are formed first. One Run then builds, per kept limb and in the output
-// row itself, the correction [t − q_L/2]_{q_i}, transforms it, and applies
-// out_i = (c_i − ŵ_i)·q_L^{-1} straight from ct's NTT rows.
+// row itself (cleared in the lane: it comes from the pool), the correction
+// [t − q_L/2]_{q_i}, transforms it, and applies out_i = (c_i − ŵ_i)·q_L^{-1}
+// straight from ct's NTT rows.
 func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	defer obsRescale.done(time.Now())
 	rq := ev.params.RingQ()
@@ -177,8 +179,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	}
 	rs := ev.rescaler(lvl)
 	in := [2]*ring.Poly{ct.C0, ct.C1}
-	// The outputs come zeroed from NewPoly, which CorrectionRow relies on.
-	out := [2]*ring.Poly{rq.NewPoly(lvl - 1), rq.NewPoly(lvl - 1)}
+	out := [2]*ring.Poly{rq.GetPoly(lvl - 1), rq.GetPoly(lvl - 1)}
 	t := [2]*ring.Poly{rq.GetPoly(0), rq.GetPoly(0)}
 
 	pipe := ring.GetPipeline()
@@ -188,7 +189,10 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 		copy(tk, in[k].Coeffs[lvl])
 		rq.INTTLimb(tk, lvl)
 		rs.LastRowPlusHalf(tk, tk)
-		ln.Func(func(i int) { rs.CorrectionRow(i, o.Coeffs[i], tk) }, nil, out[k:k+1])
+		ln.Func(func(i int) {
+			clear(o.Coeffs[i]) // CorrectionRow's precondition
+			rs.CorrectionRow(i, o.Coeffs[i], tk)
+		}, nil, out[k:k+1])
 		ln.NTTLazy(o)
 		ln.SubMulByLimbScalarsLazy(o, in[k], o, rs.LastModulusInv())
 	}
@@ -200,24 +204,43 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
 }
 
+// rescaleOwned is Rescale of a value the caller owns and is done with.
+func (ev *Evaluator) rescaleOwned(ct *Ciphertext) *Ciphertext {
+	out := ev.Rescale(ct)
+	ev.Release(ct)
+	return out
+}
+
 // babyAccum is one baby rotation's block of the linear-transform sweep as a
 // single pipeline Run: the digit NTTs (first consumer only),
 // the shared gadget product's dot stages, and — per consuming giant — the five
 // automorphism-fused multiply-accumulates into that giant's accumulators, all
 // executing per limb while the key-switched rows are cache-resident (§V-B
-// AutAccum). Every accumulator stays lazy; the sweep reduces them once at the
-// baby/giant phase boundary.
+// AutAccum). An accumulator no earlier block has written is borrowed here and
+// cleared in the lane, right ahead of its first MAC. Every accumulator stays
+// lazy; the sweep reduces them once at the baby/giant phase boundary.
 func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 	targets []bsgsBabyTarget, c0 *ring.Poly, g uint64) {
-	lvlP := dec.plan.Alpha - 1
-	u0q, u0p, u1q, u1p := ev.getQP(dec.level, lvlP)
+	lvl, lvlP := dec.level, dec.plan.Alpha-1
+	u0q, u0p, u1q, u1p := ev.getQP(lvl, lvlP)
 
 	pipe := ring.GetPipeline()
-	lq := pipe.Lane(ev.params.RingQ(), dec.level)
+	lq := pipe.Lane(ev.params.RingQ(), lvl)
 	lp := pipe.Lane(ev.params.RingP(), lvlP)
 	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, false)
 	for _, tg := range targets {
 		ga := tg.acc
+		if ga.t0q == nil {
+			ga.t0q, ga.t0p, ga.t1q, ga.t1p = ev.getQP(lvl, lvlP)
+			lq.Zero(ga.t0q)
+			lq.Zero(ga.t1q)
+			lp.Zero(ga.t0p)
+			lp.Zero(ga.t1p)
+		}
+		if ga.a0q == nil {
+			ga.a0q = getNTT(ev.params.RingQ(), lvl)
+			lq.Zero(ga.a0q)
+		}
 		lq.AutMulCoeffsAddLazy(ga.t0q, u0q, tg.ptQ, g)
 		lq.AutMulCoeffsAddLazy(ga.t1q, u1q, tg.ptQ, g)
 		lp.AutMulCoeffsAddLazy(ga.t0p, u0p, tg.ptP, g)
@@ -233,33 +256,35 @@ func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 // giantAccum is one giant step's σ+add epilogue as a single pipeline Run: each
 // partial result (T0 + v0, v1, and the Q-basis σ_b(c0) sum when present) is
 // permuted by the giant's Galois element into a scratch row and added into the
-// sweep accumulator while the row is cache-resident. Inputs must be exact (the
-// sweep's giant phase reduces them before calling).
-func (ev *Evaluator) giantAccum(t0q, w1q, t0p, w1p, a0q,
-	accE0q, accE1q, accE0p, accE1p, accQ0 *ring.Poly, gal uint64) {
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvl := accE0q.Level()
-	lvlP := accE0p.Level()
-	tmp0, tmp1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	tmp0p, tmp1p := rp.GetPoly(lvlP), rp.GetPoly(lvlP)
-
+// sweep accumulator while the row is cache-resident — or, for the first partial
+// result an accumulator receives, permuted straight into it. Inputs must be
+// exact (the sweep's giant phase reduces them before calling).
+func (ev *Evaluator) giantAccum(final *giantAcc, t0q, w1q, t0p, w1p, a0q *ring.Poly, gal uint64) {
+	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	pipe := ring.GetPipeline()
-	lq := pipe.Lane(rq, lvl)
-	lp := pipe.Lane(rp, lvlP)
-	lq.AutomorphismNTT(tmp0, t0q, gal)
-	lq.Add(accE0q, accE0q, tmp0)
-	lq.AutomorphismNTT(tmp1, w1q, gal)
-	lq.Add(accE1q, accE1q, tmp1)
-	lp.AutomorphismNTT(tmp0p, t0p, gal)
-	lp.Add(accE0p, accE0p, tmp0p)
-	lp.AutomorphismNTT(tmp1p, w1p, gal)
-	lp.Add(accE1p, accE1p, tmp1p)
+	lq := pipe.Lane(rq, t0q.Level())
+	lp := pipe.Lane(rp, t0p.Level())
+	// sigmaAdd records acc += σ_gal(in) and returns the scratch polynomial to
+	// put back after Run; an accumulator nothing has been added to yet is
+	// borrowed and opened with the permutation itself.
+	sigmaAdd := func(ln *ring.Lane, r *ring.Ring, acc **ring.Poly, in *ring.Poly) *ring.Poly {
+		tmp := r.GetPoly(in.Level())
+		if *acc == nil {
+			*acc = tmp
+			ln.AutomorphismNTT(tmp, in, gal)
+			return nil
+		}
+		ln.AutomorphismNTT(tmp, in, gal)
+		ln.Add(*acc, *acc, tmp)
+		return tmp
+	}
+	tmp0 := sigmaAdd(lq, rq, &final.t0q, t0q)
+	tmp1 := sigmaAdd(lq, rq, &final.t1q, w1q)
+	tmp0p := sigmaAdd(lp, rp, &final.t0p, t0p)
+	tmp1p := sigmaAdd(lp, rp, &final.t1p, w1p)
 	var tmpA *ring.Poly
 	if a0q != nil {
-		tmpA = rq.GetPoly(lvl)
-		lq.AutomorphismNTT(tmpA, a0q, gal)
-		lq.Add(accQ0, accQ0, tmpA)
+		tmpA = sigmaAdd(lq, rq, &final.a0q, a0q)
 	}
 	pipe.Run()
 	pipe.Release()
@@ -268,9 +293,7 @@ func (ev *Evaluator) giantAccum(t0q, w1q, t0p, w1p, a0q,
 	rq.PutPoly(tmp1)
 	rp.PutPoly(tmp0p)
 	rp.PutPoly(tmp1p)
-	if tmpA != nil {
-		rq.PutPoly(tmpA)
-	}
+	rq.PutPoly(tmpA)
 }
 
 // reduceMany normalizes several lazy accumulators (Q-basis at lvl, P-basis at

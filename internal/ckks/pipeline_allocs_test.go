@@ -2,53 +2,166 @@ package ckks
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"github.com/anaheim-sim/anaheim/internal/obs"
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
-// TestPipelinedSteadyStateAllocs pins the steady-state allocation counts of
-// the op-level pipelined chains (Rotate, Rescale). Recording a chain is
-// allocation-free in steady state — stages are op-code structs in pooled
-// slices, not closures. Runs serially — the par dispatch allocates chunk
-// closures, which is noise here.
+// steadyState runs f warm times to fill the polynomial, scratch, row-header and
+// pipeline pools, then runs more times, and returns what one run allocates
+// (bytes, objects) and how many ring-pool gets missed over the measured runs.
+// Like testing.AllocsPerRun it measures on one P — a sync.Pool keeps a
+// per-P cache, so a migrating goroutine would miss what it just put — and
+// serially: the par dispatch allocates chunk closures, which is noise here.
+func steadyState(warm, runs int, f func()) (bytes, objects, misses float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer par.SetWorkers(par.SetWorkers(1))
+	for i := 0; i < warm; i++ {
+		f()
+	}
+	miss := obs.Default.Counter(`ring_pool_gets_total{result="miss"}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	miss0 := miss.Value()
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	misses = miss.Value() - miss0
+	runtime.ReadMemStats(&after)
+	n := float64(runs)
+	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n, misses
+}
+
+// TestPipelinedSteadyStateAllocs pins the steady state of the evaluator's ops:
+// with the result released each run, every polynomial — scratch and output —
+// comes out of the ring pool (no miss), and what is left is headers. Recording
+// a chain is allocation-free in steady state — stages are op-code structs in
+// pooled slices, not closures — so a regression to per-stage closures, unpooled
+// stage slices or a fresh output polynomial jumps these by O(digits) objects or
+// by a polynomial's bytes. (The bare key switch is pinned in
+// TestKeySwitchAllocs.)
 func TestPipelinedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
-
 	tc := newTestContext(t, TestParameters())
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{3})
+	p := tc.params
 	r := rand.New(rand.NewSource(11))
-	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
+	lt := denseTestTransform(r, p.Slots(), 8)
+	hoisted := []int{1, 2, 5}
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append([]int{3}, hoisted...))
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(p, lt))
+	ev := tc.eval
+	ct := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
+	ct2 := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
+	terms := []*Ciphertext{ct, ct2, ct, ct2, ct, ct2, ct}
+	consts := []float64{0.5, -1.25, 0.75, 0.1, 0.2, -0.3, 1}
+	qd := float64(p.RingQ().Moduli[ct.Level()].Q)
 
-	// Warm the polynomial, scratch, row-header, and pipeline pools.
-	for i := 0; i < 4; i++ {
-		if _, err := tc.eval.Rotate(ct, 3); err != nil {
+	for _, op := range []struct {
+		name    string
+		objects float64 // the measured count plus a little slack
+		run     func()
+	}{
+		// 4 (16 before the outputs were pooled and the serial BConv stopped
+		// allocating a chunk closure): the ciphertext header and the
+		// decomposition's bookkeeping.
+		{"Rotate", 6, func() {
+			out, err := ev.Rotate(ct, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Release(out)
+		}},
+		// 3 (9 before): the ciphertext header and the two Func closures of the
+		// correction stage.
+		{"Rescale", 5, func() { ev.Release(ev.Rescale(ct)) }},
+		// 7.
+		{"MulRelin+Rescale", 10, func() {
+			prod := ev.MulRelin(ct, ct2, nil)
+			out := ev.Rescale(prod)
+			ev.Release(prod, out)
+		}},
+		// 9: the result map and the key lists on top of three rotations'
+		// headers.
+		{"RotateHoisted", 12, func() {
+			outs, err := ev.RotateHoisted(ct, hoisted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, out := range outs {
+				ev.Release(out)
+			}
+		}},
+		// 37: the sweep's bookkeeping (key map, per-baby targets, giant
+		// accumulator headers, span annotations).
+		{"EvaluateLinearTransform", 45, func() {
+			out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Release(out)
+		}},
+		// 67: the header, one residue slice, a forEachLimb closure per ring
+		// pass (16), and bigScaled's big.Float / big.Int, seven per constant
+		// (49).
+		{"MulConstAccum", 75, func() { ev.Release(ev.MulConstAccum(terms, consts, qd)) }},
+	} {
+		bytes, objects, misses := steadyState(4, 20, op.run)
+		t.Logf("%-24s %7.0f B/op %5.1f objects/op, %v pool misses", op.name, bytes, objects, misses)
+		if misses != 0 {
+			t.Errorf("%s: %v ring-pool misses in steady state, want 0", op.name, misses)
+		}
+		if bytes > 64<<10 {
+			t.Errorf("%s allocates %.0f B/op, want <= 64 KiB", op.name, bytes)
+		}
+		if objects > op.objects {
+			t.Errorf("%s allocates %.1f objects/op, want <= %v", op.name, objects, op.objects)
+		}
+	}
+}
+
+// TestBootstrapAllocs pins what ROADMAP 5(a) asks for: a bootstrap whose
+// result is released runs out of the ring pool. What it still allocates is
+// headers — Truncated views, the Chebyshev power map, rns convert closures,
+// span annotations — and bigScaled's arbitrary-precision constants, not
+// polynomials (the parent allocated ≈ 315 MB in ≈ 7 100 objects here).
+func TestBootstrapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	tc := newTestContext(t, BootTestParameters())
+	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, DefaultBootstrapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	ct := tc.eval.DropLevel(tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 0.7)), 0)
+
+	hits := obs.Default.Counter(`ring_pool_gets_total{result="hit"}`)
+	hits0 := hits.Value()
+	const runs = 3
+	bytes, objects, misses := steadyState(2, runs, func() {
+		out, err := boot.Bootstrap(ct)
+		if err != nil {
 			t.Fatal(err)
 		}
-		tc.eval.Rescale(ct)
+		tc.eval.Release(out)
+	})
+	t.Logf("bootstrap: %.2f MB/op in %.0f objects/op; ring pool %v hits/op, %v misses over %d runs",
+		bytes/1e6, objects, (hits.Value()-hits0)/(runs+2), misses, runs)
+	if misses != 0 {
+		t.Errorf("%v ring-pool misses in steady state, want 0", misses)
 	}
-
-	// Pipeline recording itself must stay at zero — a regression to per-stage
-	// closures or unpooled stage slices jumps these by O(digits) per op. (The
-	// bare key switch is pinned in TestKeySwitchAllocs.) Rotate fuses the c0-add and both automorphisms into the ModDown Run;
-	// measures 16 (two NewPoly outputs, ciphertext header, bookkeeping).
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := tc.eval.Rotate(ct, 3); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 20 {
-		t.Errorf("pipelined Rotate allocates %.1f objects/op, want <= 20", allocs)
+	if bytes > 8e6 {
+		t.Errorf("bootstrap allocates %.2f MB/op, want <= 8 MB", bytes/1e6)
 	}
-
-	// Rescale measures 9: two NewPoly outputs, the ciphertext header, and the
-	// two Func closures of the correction stage.
-	if allocs := testing.AllocsPerRun(20, func() {
-		tc.eval.Rescale(ct)
-	}); allocs > 14 {
-		t.Errorf("pipelined Rescale allocates %.1f objects/op, want <= 14", allocs)
+	if objects > 2500 {
+		t.Errorf("bootstrap allocates %.0f objects/op, want <= 2500", objects)
 	}
 }

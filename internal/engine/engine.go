@@ -24,9 +24,10 @@
 //     429 + Retry-After;
 //
 //   - value lifetime: a running job holds each ciphertext only until its
-//     last use, a finished one only its outputs, and finished jobs stay in
-//     the table within a byte budget and a TTL (see retain.go) — the
-//     engine's memory follows the live set, not the history.
+//     last use — what one of its ops computed then goes back to the session's
+//     ring pool for the next op to reuse — a finished one only its outputs,
+//     and finished jobs stay in the table within a byte budget and a TTL (see
+//     retain.go): the engine's memory follows the live set, not the history.
 //
 // The layering mirrors how the Cheddar GPU library (the substrate of the
 // Anaheim paper) gets its throughput: streams and kernel queues above the
@@ -431,6 +432,9 @@ func (e *Engine) executeTask(t *opTask) (ct *ckks.Ciphertext, err error) {
 // ---------------------------------------------------------------------------
 // Scheduler
 
+// jobInput is the producer of a value the client supplied.
+const jobInput = -1
+
 // jobState is one job's validated op DAG and the dispatcher's bookkeeping
 // over it. validate builds it once per admitted spec; from evSubmit on it is
 // dispatcher-private, and it dies when the job finishes — a terminal Job
@@ -440,6 +444,7 @@ type jobState struct {
 	waiting    []int          // per op: dependencies still to finish
 	dependents [][]int        // per op: the ops it unblocks
 	uses       map[string]int // per value name: consuming ops still to run, plus its listings as a requested output
+	producer   map[string]int // per value name: position of the op that computes it, or jobInput
 	remaining  int
 	stopAbort  func() bool // unregisters the job's deadline/cancel wake-up
 }
@@ -500,13 +505,17 @@ func (e *Engine) dispatch() {
 			}
 			// The result enters the live set only if something will read it,
 			// and every argument leaves it at its last use: the job's
-			// footprint is its widest live set, not the sum of its DAG.
+			// footprint is its widest live set, not the sum of its DAG. What
+			// an op of this job computed goes back to the ring pool there —
+			// no op still reads it and no result shares a row with it.
 			if st.uses[op.ID] > 0 {
 				j.store(op.ID, ev.ct)
+			} else {
+				j.sess.Eval.Release(ev.ct)
 			}
 			for _, a := range op.Args {
 				if st.uses[a]--; st.uses[a] == 0 {
-					j.release(a)
+					j.release(a, st.producer[a] != jobInput)
 					e.metrics.valuesReleased.Inc()
 				}
 			}
@@ -734,13 +743,12 @@ func validate(spec *JobSpec) (*jobState, error) {
 	if len(spec.Ops) == 0 {
 		return nil, fmt.Errorf("engine: job has no ops")
 	}
-	const input = -1
-	index := make(map[string]int, len(spec.Inputs)+len(spec.Ops)) // name -> op position, or input
+	index := make(map[string]int, len(spec.Inputs)+len(spec.Ops)) // name -> op position, or jobInput
 	for in := range spec.Inputs {
 		if in == "" {
 			return nil, fmt.Errorf("engine: empty input name")
 		}
-		index[in] = input
+		index[in] = jobInput
 	}
 	for i := range spec.Ops {
 		op := &spec.Ops[i]
@@ -760,6 +768,7 @@ func validate(spec *JobSpec) (*jobState, error) {
 		waiting:    make([]int, len(spec.Ops)),
 		dependents: make([][]int, len(spec.Ops)),
 		uses:       make(map[string]int, len(index)),
+		producer:   index,
 		remaining:  len(spec.Ops),
 	}
 	for i := range spec.Ops {
@@ -769,7 +778,7 @@ func validate(spec *JobSpec) (*jobState, error) {
 				return nil, fmt.Errorf("engine: op %q references unknown name %q", spec.Ops[i].ID, a)
 			}
 			st.uses[a]++
-			if src != input {
+			if src != jobInput {
 				st.waiting[i]++
 				st.dependents[src] = append(st.dependents[src], i)
 			}
@@ -779,7 +788,7 @@ func validate(spec *JobSpec) (*jobState, error) {
 		return nil, fmt.Errorf("engine: job has no outputs")
 	}
 	for _, o := range spec.Outputs {
-		if src, ok := index[o]; !ok || src == input {
+		if src, ok := index[o]; !ok || src == jobInput {
 			return nil, fmt.Errorf("engine: output %q is not an op id", o)
 		}
 		st.uses[o]++ // never counted down: a requested output outlives the DAG

@@ -174,13 +174,19 @@ func (j *Job) store(name string, ct *ckks.Ciphertext) {
 	}
 }
 
-// release drops the job's reference to a value after its last use. The
-// ciphertext itself is left alone: inputs stay caller-owned (one may be
-// shared across jobs) and nothing goes back to the ring pool.
-func (j *Job) release(name string) {
+// release drops the job's reference to a value after its last use. A value
+// an op of this job computed belongs to the job alone and goes back to the
+// session's ring pool; an input stays caller-owned (one may be shared across
+// jobs) and is left alone. A failed job never gets here: it drops everything
+// to the collector, because one of its ops may still be reading.
+func (j *Job) release(name string, computed bool) {
 	j.mu.Lock()
+	ct := j.values[name]
 	delete(j.values, name)
 	j.mu.Unlock()
+	if computed {
+		j.sess.Eval.Release(ct)
+	}
 }
 
 // arg resolves a name to a live ciphertext (input or prior op result).

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -248,6 +249,73 @@ func TestValuesFreedAtLastUse(t *testing.T) {
 			t.Error("Results of a failed job succeeded")
 		}
 	})
+}
+
+// TestComputedValuesReturnToPool: on the success path a value an op of the job
+// computed goes back to the session's ring pool at its last use (or at once,
+// if nothing reads it); an input — here shared by every job — and a listed
+// output never do. The session's pools are poisoned, so a value handed back
+// while something still needed it would decrypt to garbage.
+func TestComputedValuesReturnToPool(t *testing.T) {
+	client := newTestClient(t, 1)
+	client.params.RingQ().PoisonPool()
+	client.params.RingP().PoisonPool()
+	e := New(Config{Workers: 1, DisableFusion: true, Obs: obs.NewRegistry()})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []complex128{0.5, -0.25, 0.125, 0.75}
+	ct := client.encrypt(t, x)
+	ctBytes, err := ct.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []OpSpec{
+		{ID: "sq", Op: "mul", Args: []string{"x", "x"}},
+		{ID: "rot", Op: "rotate", Args: []string{"sq"}, K: 1},
+		{ID: "sum", Op: "add", Args: []string{"rot", "sq"}}, // sq read twice
+		{ID: "dead", Op: "addconst", Args: []string{"x"}, Val: 1},
+		{ID: "out", Op: "mulconst", Args: []string{"sum"}, Val: 2},
+	}
+	sq := func(i int) complex128 { // slot i of x², zero past the values set
+		if i < len(x) {
+			return x[i] * x[i]
+		}
+		return 0
+	}
+	want, wantSq := make([]complex128, len(x)), make([]complex128, len(x))
+	for i := range x {
+		want[i], wantSq[i] = 2*(sq(i+1)+sq(i)), sq(i)
+	}
+
+	puts := obs.Default.Counter("ring_pool_puts_total")
+	run := func(outputs ...string) (*Job, float64) {
+		before := puts.Value()
+		job := finished(t, e, JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": ct}, Ops: ops, Outputs: outputs})
+		return job, puts.Value() - before
+	}
+	// With every op listed nothing may be released: what is put back is the
+	// ops' own scratch.
+	all, scratch := run("sq", "rot", "sum", "dead", "out")
+	first, released := run("out")
+	if got := released - scratch; got != 2*4 {
+		t.Errorf("a job keeping only its output put back %v polynomials more than one keeping all five results, want 8", got)
+	}
+	second, _ := run("out") // runs out of what the first job put back
+	for _, job := range []*Job{all, first, second} {
+		res, err := job.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSlots(t, client.decrypt(res["out"]), want, len(x), 1e-4, "out")
+	}
+	res, _ := all.Results()
+	checkSlots(t, client.decrypt(res["sq"]), wantSq, len(x), 1e-4, "listed intermediate")
+	if after, _ := ct.MarshalBinary(); !bytes.Equal(after, ctBytes) {
+		t.Fatal("the shared input was written to")
+	}
 }
 
 // TestEngineMemoryStaysFlat is the soak gate of ROADMAP item 0(i): under a

@@ -15,8 +15,8 @@ import (
 // only relinearization/Galois keys, and ship ciphertexts.
 //
 // A Session is safe for concurrent use: the evaluator's lazy caches are
-// internally locked and every op allocates its outputs. The session mutex
-// only serializes the few stateful extras (bootstrapper, transform map).
+// internally locked and every op returns a result of its own. The session
+// mutex only serializes the few stateful extras (bootstrapper, transform map).
 //
 // Sessions live in the engine's byte-bounded key cache, keyed by ID and
 // costed by their evaluation-key size; cold sessions are evicted under
@@ -197,6 +197,13 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		args[i] = ct
 	}
 	ev := s.Eval
+	// rescaled is Rescale of an intermediate this op created, which goes back
+	// to the pool.
+	rescaled := func(ct *ckks.Ciphertext) *ckks.Ciphertext {
+		out := ev.Rescale(ct)
+		ev.Release(ct)
+		return out
+	}
 	var out *ckks.Ciphertext
 	var err error
 	switch op.Op {
@@ -205,9 +212,9 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 	case "sub":
 		out = ev.Sub(args[0], args[1])
 	case "mul":
-		out = ev.Rescale(ev.MulRelin(args[0], args[1], nil))
+		out = rescaled(ev.MulRelin(args[0], args[1], nil))
 	case "square":
-		out = ev.Rescale(ev.Square(args[0]))
+		out = rescaled(ev.Square(args[0]))
 	case "rotate":
 		out, err = ev.Rotate(args[0], op.K)
 	case "conjugate":
@@ -216,7 +223,7 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		out = ev.AddConst(args[0], op.Val)
 	case "mulconst":
 		qd := float64(s.Params.RingQ().Moduli[args[0].Level()].Q)
-		out = ev.Rescale(ev.MultConst(args[0], op.Val, qd))
+		out = rescaled(ev.MultConst(args[0], op.Val, qd))
 	case "addn":
 		out = ev.AddMany(args)
 	case "lincomb":
@@ -227,7 +234,7 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 			}
 		}
 		qd := float64(s.Params.RingQ().Moduli[lvl].Q)
-		out = ev.Rescale(ev.MulConstAccum(args, op.Vals, qd))
+		out = rescaled(ev.MulConstAccum(args, op.Vals, qd))
 	case "rescale":
 		out = ev.Rescale(args[0])
 	case "droplevel":
@@ -242,7 +249,7 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		// the hoisted path.
 		out, err = ev.EvaluateLinearTransform(args[0], lt, s.Enc)
 		if err == nil {
-			out = ev.Rescale(out)
+			out = rescaled(out)
 		}
 	case "bootstrap":
 		s.mu.Lock()

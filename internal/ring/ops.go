@@ -79,13 +79,13 @@ func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {
 // per limb). Needed by bootstrapping, where constants scale with q0 and
 // exceed int64. Domain handling matches AddScalarInt.
 func (r *Ring) AddScalarBig(out, a *Poly, v *big.Int, level int) {
-	r.addLimbScalars(out, a, r.limbResidues(v, level), level)
+	r.addLimbScalars(out, a, r.LimbResidues(make([]uint64, level+1), v), level)
 }
 
 // MulScalarBig multiplies by an arbitrarily large signed integer constant
 // (reduced per limb).
 func (r *Ring) MulScalarBig(out, a *Poly, v *big.Int, level int) {
-	r.MulByLimbScalars(out, a, r.limbResidues(v, level), level)
+	r.MulByLimbScalars(out, a, r.LimbResidues(make([]uint64, level+1), v), level)
 }
 
 // AddScalarInt adds a signed integer constant to the polynomial's constant
@@ -100,14 +100,13 @@ func (r *Ring) AddScalarInt(out, a *Poly, v int64, level int) {
 	r.addLimbScalars(out, a, c, level)
 }
 
-// limbResidues returns v mod q_i in [0, q_i) for limbs 0..level. Each is a
-// Horner pass over v's words with one 128-by-64-bit division per word, so the
-// only allocation is the result.
-func (r *Ring) limbResidues(v *big.Int, level int) []uint64 {
+// LimbResidues sets res[i] = v mod q_i in [0, q_i) for the first len(res)
+// limbs and returns res. Each is a Horner pass over v's words with one
+// 128-by-64-bit division per word, so nothing is allocated.
+func (r *Ring) LimbResidues(res []uint64, v *big.Int) []uint64 {
 	// A big.Word is taken for 64 bits; a 32-bit int fails to compile here
 	// (as it already does in internal/rns).
 	const _ = uint(bits.UintSize - 64)
-	res := make([]uint64, level+1)
 	words := v.Bits() // |v|, least significant word first
 	for i := range res {
 		q := r.Moduli[i].Q

@@ -87,6 +87,7 @@ const (
 	opAutMulAddLazy
 	opReduceLazy
 	opAdd
+	opZero
 	opSubMulScalarsLazy
 	opAutNTT
 	opAddAutNTT
@@ -339,6 +340,14 @@ func (ln *Lane) Add(out, a, b *Poly) {
 	ln.push(stage{op: opAdd, out: out, a: a, b: b}, 3)
 }
 
+// Zero records out = 0: how an accumulator borrowed from the pool is cleared,
+// one row at a time and right before the stage that adds onto it, so the row
+// is in cache for that stage instead of being swept through memory up front.
+func (ln *Lane) Zero(out *Poly) {
+	ln.use(out, false, true)
+	ln.push(stage{op: opZero, out: out}, 1)
+}
+
 // SubMulByLimbScalarsLazy records out = (a - b) · s[i] per limb (the fused
 // ModDown epilogue): a exact, b exact or lazy in [0, 2q) (e.g. straight out
 // of an NTTLazy stage), out exact.
@@ -507,6 +516,8 @@ func (ln *Lane) exec(i int) {
 			mod.VecReduceTwoQ(st.out.Coeffs[i])
 		case opAdd:
 			mod.VecAdd(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
+		case opZero:
+			clear(st.out.Coeffs[i])
 		case opSubMulScalarsLazy:
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))

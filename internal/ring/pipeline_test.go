@@ -479,3 +479,32 @@ func TestAutomorphismCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPipelineZeroStage: a Zero stage ahead of a lazy MAC makes an accumulator
+// that starts as garbage (pool memory) equal to the MAC onto a zero
+// polynomial, at every level.
+func TestPipelineZeroStage(t *testing.T) {
+	r := newTestRing(t, 6, 9)
+	s := NewSampler(29)
+	for level := 0; level <= r.MaxLevel(); level++ {
+		a, b := s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
+		want := r.NewPoly(level)
+		want.IsNTT = true
+		r.MulCoeffsAddLazy(want, a, b, level)
+		r.ReduceLazy(want, level)
+
+		got := r.NewPoly(level)
+		got.IsNTT = true
+		got.poison()
+		pl := GetPipeline()
+		ln := pl.Lane(r, level)
+		ln.Zero(got)
+		ln.AutMulCoeffsAddLazy(got, a, b, 1) // σ_1 is the identity
+		ln.ReduceLazy(got)
+		pl.Run()
+		pl.Release()
+		if !got.Equal(want) {
+			t.Fatalf("level %d: Zero + MAC != MAC onto a zero polynomial", level)
+		}
+	}
+}

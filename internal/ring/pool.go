@@ -14,15 +14,16 @@ var (
 	poolPuts   = obs.Default.Counter("ring_pool_puts_total")
 )
 
-// polyPool recycles Poly scratch buffers, one sync.Pool per limb count.
-// Evaluator hot paths (Rescale, ModDown, Decompose) allocate and discard a
-// polynomial of N×limbs uint64 per call; at serving throughput that is the
-// dominant GC pressure, so they borrow from here instead.
+// polyPool recycles whole polynomials, one sync.Pool per limb count. Every
+// evaluator op draws its scratch and its outputs from here: a polynomial of
+// N×limbs uint64 per call is otherwise the dominant allocator, page-fault and
+// GC cost of a bootstrap.
 //
 // Ownership rules: a borrowed Poly is exclusively the caller's until
-// returned. Only return polynomials whose backing storage has not escaped
-// (no Truncated view or Coeffs row may outlive the Put). Double-Put is a
-// caller bug and corrupts the pool.
+// returned, and returning it is optional (an unreturned one is garbage like
+// any other). Only return polynomials nothing else references (no Truncated
+// view or Coeffs row may outlive the Put). Double-Put is a caller bug and
+// corrupts the pool.
 type polyPool struct {
 	mu     sync.Mutex
 	pools  []*sync.Pool // index = limbs-1
@@ -51,29 +52,41 @@ func (r *Ring) GetPoly(level int) *Poly {
 		return p
 	}
 	poolMisses.Inc()
-	return r.NewPoly(level)
+	p := r.NewPoly(level)
+	if r.pool.poison {
+		p.poison()
+	}
+	return p
 }
 
-// PutPoly returns a borrowed polynomial to the pool. Polynomials of foreign
-// shape (wrong N, truncated views) are dropped rather than pooled.
+// PutPoly returns a polynomial to the pool. Only a whole polynomial of this
+// ring's degree is pooled — one built by NewPoly, CopyNew or GetPoly. A
+// Truncated view shares its rows with the polynomial it was cut from and an
+// unmarshalled value was not allocated here; both are dropped.
 func (r *Ring) PutPoly(p *Poly) {
-	if p == nil || len(p.Coeffs) == 0 || len(p.Coeffs[0]) != r.N {
+	if p == nil || !p.whole || len(p.Coeffs) == 0 || len(p.Coeffs[0]) != r.N {
 		return
 	}
 	poolPuts.Inc()
 	if r.pool.poison {
-		for _, row := range p.Coeffs {
-			for j := range row {
-				row[j] = ^uint64(0)
-			}
-		}
+		p.poison()
 	}
 	r.pool.pool(len(p.Coeffs)).Put(p)
 }
 
-// PoisonPool makes every later PutPoly overwrite the returned rows with an
-// out-of-range pattern. A recycled polynomial otherwise tends to come back
-// holding the very values the same op is about to compute, which hides a
-// borrower that reads a row before writing it; tests call this (before any
-// concurrent use of the ring) so that such a read corrupts the result.
+// PoisonPool makes every later GetPoly hand out rows holding an out-of-range
+// pattern (PutPoly overwrites what it takes back, a pool miss what it
+// allocates). A recycled polynomial otherwise tends to come back holding the
+// very values the same op is about to compute, and a fresh one zeros, which
+// hides a borrower that reads a row before writing it — or a caller still
+// reading a value it released; tests call this (before any concurrent use of
+// the ring) so that such a read corrupts the result.
 func (r *Ring) PoisonPool() { r.pool.poison = true }
+
+func (p *Poly) poison() {
+	for _, row := range p.Coeffs {
+		for j := range row {
+			row[j] = ^uint64(0)
+		}
+	}
+}

@@ -92,6 +92,11 @@ func (r *Ring) AtLevel(level int) []modarith.Modulus { return r.Moduli[:level+1]
 type Poly struct {
 	Coeffs [][]uint64
 	IsNTT  bool
+
+	// whole marks a polynomial that owns every row of one backing allocation
+	// (NewPoly, CopyNew): the only kind PutPoly pools. A Truncated view or an
+	// unmarshalled value is not, so its rows can never be handed out twice.
+	whole bool
 }
 
 // NewPoly allocates a zero polynomial with level+1 limbs, backed by a single
@@ -99,7 +104,7 @@ type Poly struct {
 func (r *Ring) NewPoly(level int) *Poly {
 	limbs := level + 1
 	backing := make([]uint64, limbs*r.N)
-	p := &Poly{Coeffs: make([][]uint64, limbs)}
+	p := &Poly{Coeffs: make([][]uint64, limbs), whole: true}
 	for i := 0; i < limbs; i++ {
 		p.Coeffs[i], backing = backing[:r.N], backing[r.N:]
 	}
@@ -111,7 +116,7 @@ func (p *Poly) Level() int { return len(p.Coeffs) - 1 }
 
 // CopyNew returns a deep copy of p.
 func (p *Poly) CopyNew() *Poly {
-	q := &Poly{Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT}
+	q := &Poly{Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT, whole: true}
 	backing := make([]uint64, len(p.Coeffs)*len(p.Coeffs[0]))
 	for i := range p.Coeffs {
 		q.Coeffs[i], backing = backing[:len(p.Coeffs[i])], backing[len(p.Coeffs[i]):]

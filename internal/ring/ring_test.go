@@ -141,6 +141,60 @@ func TestPoolContract(t *testing.T) {
 	if q.IsNTT || q.Coeffs[1][3] == 7 {
 		t.Fatal("GetPoly returned an NTT-flagged or unpoisoned recycled polynomial")
 	}
+	// A miss on a poisoned pool is poisoned too: a borrower that skips a row
+	// fails the same way whether or not the pool had something to recycle.
+	if fresh := r.GetPoly(1); fresh.Coeffs[0][0] != ^uint64(0) || fresh.Coeffs[1][r.N-1] != ^uint64(0) {
+		t.Fatal("a pool miss on a poisoned pool returned zeros")
+	}
+}
+
+// TestPutPolyView: only a whole polynomial is pooled. A Truncated view shares
+// its rows with the polynomial it was cut from, so filing it would hand those
+// rows to the next borrower while their owner still uses them; an
+// unmarshalled polynomial was not allocated by the ring. Both are dropped.
+func TestPutPolyView(t *testing.T) {
+	r := newTestRing(t, 5, 4)
+	owner := NewSampler(3).UniformPoly(r, 3, true)
+	want := owner.CopyNew()
+
+	var decoded Poly
+	blob, err := owner.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decoded.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+
+	r.PoisonPool()
+	puts := poolPuts.Value()
+	r.PutPoly(owner.Truncated(1))
+	r.PutPoly(owner.Truncated(3)) // every limb, still a view
+	r.PutPoly(&decoded)
+	r.PutPoly(nil)
+	if got := poolPuts.Value(); got != puts {
+		t.Fatalf("PutPoly pooled %v views / unmarshalled polynomials", got-puts)
+	}
+	if !owner.Equal(want) || !decoded.Equal(want) {
+		t.Fatal("PutPoly wrote to a polynomial it did not pool")
+	}
+	for level := 0; level <= 3; level++ {
+		for k := 0; k < 4; k++ {
+			p := r.GetPoly(level)
+			for _, row := range owner.Coeffs {
+				if &p.Coeffs[0][0] == &row[0] || &p.Coeffs[level][0] == &row[0] {
+					t.Fatalf("GetPoly(%d) handed out a row its owner still holds", level)
+				}
+			}
+		}
+	}
+
+	// The whole polynomial itself, and a copy of it, are pooled.
+	r.PutPoly(owner)
+	r.PutPoly(want)
+	if got := poolPuts.Value(); got != puts+2 {
+		t.Fatalf("PutPoly pooled %v of two whole polynomials", got-puts)
+	}
 }
 
 func TestNTTLazyMatchesExact(t *testing.T) {

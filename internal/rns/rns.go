@@ -181,44 +181,53 @@ func (bc *BasisConverter) ConvertLazy(out, in [][]uint64) {
 
 func (bc *BasisConverter) convert(out, in [][]uint64, lazy bool) {
 	n := bc.checkShape(out, in)
-	k := len(bc.From)
 	nTiles := (n + convTile - 1) / convTile
-	par.ForEachChunk(nTiles, func(tileLo, tileHi int) {
-		s := bc.getScratch()
-		for t := tileLo; t < tileHi; t++ {
-			c0 := t * convTile
-			c1 := c0 + convTile
-			if c1 > n {
-				c1 = n
-			}
-			w := c1 - c0
-			// tmp_i = [x · qHatInv_i]_{q_i}, premultiplied once per tile and
-			// reused by every target limb below.
-			for i := 0; i < k; i++ {
-				bc.From[i].VecMulShoup(s.tmp[i][:w], in[i][c0:c1], bc.qHatInv[i], bc.qHatInvShoup[i])
-			}
-			for j := range bc.To {
-				pj := bc.To[j]
-				hat := bc.qHatModTo[j]
-				modarith.VecMulWide(s.hi[:w], s.lo[:w], s.tmp[0][:w], hat[0])
-				terms := 1
-				for i := 1; i < k; i++ {
-					if terms == bc.foldEvery {
-						pj.VecFoldWide128Lazy(s.hi[:w], s.lo[:w])
-						terms = 1 // folded residue < 2q re-enters as one term
-					}
-					modarith.VecMulAccWide(s.hi[:w], s.lo[:w], s.tmp[i][:w], hat[i])
-					terms++
+	if par.Workers() < 2 {
+		// Serial: no chunk closure to allocate (a bootstrap converts ~500
+		// times).
+		bc.convertTiles(out, in, lazy, 0, nTiles)
+		return
+	}
+	par.ForEachChunk(nTiles, func(tileLo, tileHi int) { bc.convertTiles(out, in, lazy, tileLo, tileHi) })
+}
+
+// convertTiles converts the column tiles [tileLo, tileHi) of in into out.
+func (bc *BasisConverter) convertTiles(out, in [][]uint64, lazy bool, tileLo, tileHi int) {
+	n, k := len(in[0]), len(bc.From)
+	s := bc.getScratch()
+	for t := tileLo; t < tileHi; t++ {
+		c0 := t * convTile
+		c1 := c0 + convTile
+		if c1 > n {
+			c1 = n
+		}
+		w := c1 - c0
+		// tmp_i = [x · qHatInv_i]_{q_i}, premultiplied once per tile and
+		// reused by every target limb below.
+		for i := 0; i < k; i++ {
+			bc.From[i].VecMulShoup(s.tmp[i][:w], in[i][c0:c1], bc.qHatInv[i], bc.qHatInvShoup[i])
+		}
+		for j := range bc.To {
+			pj := bc.To[j]
+			hat := bc.qHatModTo[j]
+			modarith.VecMulWide(s.hi[:w], s.lo[:w], s.tmp[0][:w], hat[0])
+			terms := 1
+			for i := 1; i < k; i++ {
+				if terms == bc.foldEvery {
+					pj.VecFoldWide128Lazy(s.hi[:w], s.lo[:w])
+					terms = 1 // folded residue < 2q re-enters as one term
 				}
-				if lazy {
-					pj.VecReduceWide128Lazy(out[j][c0:c1], s.hi[:w], s.lo[:w])
-				} else {
-					pj.VecReduceWide128(out[j][c0:c1], s.hi[:w], s.lo[:w])
-				}
+				modarith.VecMulAccWide(s.hi[:w], s.lo[:w], s.tmp[i][:w], hat[i])
+				terms++
+			}
+			if lazy {
+				pj.VecReduceWide128Lazy(out[j][c0:c1], s.hi[:w], s.lo[:w])
+			} else {
+				pj.VecReduceWide128(out[j][c0:c1], s.hi[:w], s.lo[:w])
 			}
 		}
-		bc.scratch.Put(s)
-	})
+	}
+	bc.scratch.Put(s)
 }
 
 // Rescaler precomputes the per-limb constants of DivRoundByLastModulus for a
