@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	anaheim-serve -addr :8080 -workers 4 -queue 16 -maxjobs 64 -retainbytes 67108864 -retainfor 2m
+//	anaheim-serve -addr :8080 -workers 4 -queue 16 -maxjobs 64 -tenantjobs 16 \
+//	    -cachebytes 1073741824 -retainbytes 67108864 -retainfor 2m
 //
 // Endpoints:
 //
@@ -24,6 +25,11 @@
 // A finished job stays fetchable until -retainfor has passed or newer results
 // push the total past -retainbytes; after that (or after DELETE) its id
 // answers 410 Gone. An id that was never issued answers 404.
+//
+// Sessions live in one LRU bounded by -cachebytes of evaluation keys. A
+// session with a job in flight is never evicted; one evicted to make room (or
+// detached with DELETE) answers 404 from then on, and the client creates it
+// again. Each ready op goes to a worker on its own, latency tier first.
 //
 // With -pprof ADDR, net/http/pprof is served on a side listener so
 // profiling traffic never competes with (or exposes itself to) the public
@@ -56,8 +62,6 @@ type serveConfig struct {
 	maxJobs     int
 	maxBody     int64
 	deadline    time.Duration
-	batchWindow time.Duration
-	maxBatch    int
 	cacheBytes  int64
 	tenantJobs  int
 	retainBytes int64
@@ -74,8 +78,6 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.IntVar(&cfg.maxJobs, "maxjobs", 0, "max in-flight jobs before 429 (0 = default)")
 	fs.Int64Var(&cfg.maxBody, "maxbody", 0, "max request body bytes before 413 (0 = 64MiB)")
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "default per-job deadline (0 = engine default)")
-	fs.DurationVar(&cfg.batchWindow, "batchwindow", 0, "cross-session batch staging window (0 = batching off)")
-	fs.IntVar(&cfg.maxBatch, "maxbatch", 0, "max ops per fused dispatch group (0 = default 8)")
 	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "eval-key cache byte budget; LRU sessions evicted beyond it (0 = 1GiB)")
 	fs.IntVar(&cfg.tenantJobs, "tenantjobs", 0, "max in-flight jobs per session before 429 (0 = default 16)")
 	fs.Int64Var(&cfg.retainBytes, "retainbytes", 0, "output bytes finished jobs may hold before the oldest are reaped (0 = 64MiB)")
@@ -122,8 +124,6 @@ func run(ctx context.Context, cfg serveConfig, ready chan<- string) error {
 		MaxActiveJobs:     cfg.maxJobs,
 		MaxBodyBytes:      cfg.maxBody,
 		DefaultDeadline:   cfg.deadline,
-		BatchWindow:       cfg.batchWindow,
-		MaxBatch:          cfg.maxBatch,
 		SessionCacheBytes: cfg.cacheBytes,
 		MaxJobsPerTenant:  cfg.tenantJobs,
 

@@ -25,7 +25,7 @@ func decodeBigCoeffs(e *Encoder, pt *ring.Poly) []float64 {
 
 	// CRT reconstruct each coefficient as a centered big integer, then to
 	// float64 via big.Float for full precision.
-	moduli := rq.AtLevel(level)
+	moduli := rq.Moduli[:level+1]
 	bigQ := big.NewInt(1)
 	for _, m := range moduli {
 		bigQ.Mul(bigQ, new(big.Int).SetUint64(m.Q))
@@ -200,7 +200,7 @@ func TestDecodeWholeChainIsCenteredCRT(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for _, level := range []int{0, 1, 2, params.MaxLevel()} {
 		bigQ := big.NewInt(1)
-		for _, m := range rq.AtLevel(level) {
+		for _, m := range rq.Moduli[:level+1] {
 			bigQ.Mul(bigQ, new(big.Int).SetUint64(m.Q))
 		}
 		half := new(big.Int).Rsh(bigQ, 1) // (Q−1)/2, the largest centered value

@@ -1,27 +1,21 @@
 // Package engine is the concurrent FHE serving runtime that sits between
-// the public facade and the ckks evaluator. It owns five things:
+// the public facade and the ckks evaluator. It owns four things:
 //
 //   - a session cache: per-tenant CKKS contexts (compiled parameters +
-//     uploaded evaluation keys + evaluator) held in a sharded, size-bounded
-//     LRU (internal/keycache) with byte accounting, singleflight
-//     rematerialization, and pinning for in-flight jobs — evaluation-key
-//     sets are by far the largest per-tenant object, so the session store
-//     behaves like a cache, not a map;
+//     uploaded evaluation keys + evaluator) held in one size-bounded LRU
+//     (internal/keycache) with exact byte accounting and pinning for
+//     in-flight jobs — evaluation-key sets are by far the largest per-tenant
+//     object, so the session store behaves like a cache, not a map;
 //
 //   - a job scheduler: clients submit encrypted-compute jobs — DAGs of
 //     homomorphic ops over named ciphertext handles — and the scheduler
-//     tracks dependencies, dispatching each op as soon as its inputs exist;
-//
-//   - cross-session batch dispatch: ready ops from different tenants that
-//     share a kernel class (op family × ring degree × level) are staged for
-//     a short window and dispatched to the worker pool as one group — the
-//     Go-worker-pool analog of the paper's Alg 1 / PolyGroups amortization
-//     (see batch.go);
+//     tracks dependencies, dispatching each op to the worker pool as soon as
+//     its inputs exist;
 //
 //   - admission control: weighted priority tiers (latency | standard |
 //     batch) with per-tier capacity shares and per-tenant in-flight limits,
 //     shedding load with typed OverloadErrors that the HTTP layer maps to
-//     429 + Retry-After;
+//     429 + Retry-After (see tiers.go);
 //
 //   - value lifetime: a running job holds each ciphertext only until its
 //     last use — what one of its ops computed then goes back to the session's
@@ -47,7 +41,6 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/keycache"
 	"github.com/anaheim-sim/anaheim/internal/obs"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // Config sizes the runtime.
@@ -64,28 +57,11 @@ type Config struct {
 	// MaxJobsPerTenant bounds one tenant's admitted jobs so a single
 	// session cannot consume the whole admission budget. Defaults to 16.
 	MaxJobsPerTenant int
-	// TierWeights sets each tier's share of admission capacity and of the
-	// ready-queue dispatch bandwidth. Defaults to latency 8, standard 4,
-	// batch 2. Unknown tiers in the map are ignored.
-	TierWeights map[string]int
-	// BatchWindow enables cross-session batch dispatch: ready ops of the
-	// same kernel class are staged up to this long (or until MaxBatch) and
-	// dispatched as one group. 0 disables batching. Latency-tier ops are
-	// never staged.
-	BatchWindow time.Duration
-	// MaxBatch caps the ops in one batched dispatch group. Defaults to 8.
-	MaxBatch int
 	// SessionCacheBytes bounds the resident evaluation-key bytes across all
 	// sessions; least-recently-used sessions are evicted beyond it (pinned
-	// sessions of in-flight jobs are never evicted). Defaults to 1 GiB.
+	// sessions of in-flight jobs are never evicted) and an evicted session is
+	// gone: its next job is an unknown-session error. Defaults to 1 GiB.
 	SessionCacheBytes int64
-	// SessionCacheShards is the session cache's shard count. Defaults to 8.
-	SessionCacheShards int
-	// SessionLoader rematerializes an evicted session from durable storage
-	// (or regenerates it). Concurrent requests for the same evicted session
-	// coalesce onto one load. Nil means evicted sessions are gone and
-	// Submit returns an unknown-session error.
-	SessionLoader func(id string) (*Session, error)
 	// DefaultDeadline applies to jobs that do not set one. Defaults to 2
 	// minutes.
 	DefaultDeadline time.Duration
@@ -126,22 +102,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobsPerTenant <= 0 {
 		c.MaxJobsPerTenant = 16
 	}
-	if c.TierWeights == nil {
-		c.TierWeights = map[string]int{TierLatency: 8, TierStandard: 4, TierBatch: 2}
-	}
-	for _, t := range tierOrder {
-		if c.TierWeights[t] <= 0 {
-			c.TierWeights[t] = 1
-		}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
 	if c.SessionCacheBytes <= 0 {
 		c.SessionCacheBytes = 1 << 30
-	}
-	if c.SessionCacheShards <= 0 {
-		c.SessionCacheShards = 8
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Minute
@@ -200,7 +162,7 @@ type Engine struct {
 	tracer  *obs.Tracer
 
 	events chan event
-	ready  chan *dispatchGroup
+	ready  chan *opTask
 	wg     sync.WaitGroup
 }
 
@@ -228,25 +190,6 @@ type opTask struct {
 	readyAt time.Time // when the op's dependencies were met (queue-wait origin)
 }
 
-// tierCapacities partitions the admission budget by tier weight. Every tier
-// gets at least one slot; a saturating batch tier therefore can never
-// occupy the capacity reserved for the latency tier.
-func tierCapacities(maxActive int, weights map[string]int) map[string]int {
-	sum := 0
-	for _, t := range tierOrder {
-		sum += weights[t]
-	}
-	caps := make(map[string]int, len(tierOrder))
-	for _, t := range tierOrder {
-		c := maxActive * weights[t] / sum
-		if c < 1 {
-			c = 1
-		}
-		caps[t] = c
-	}
-	return caps
-}
-
 // New starts the worker pool and scheduler.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
@@ -260,15 +203,14 @@ func New(cfg Config) *Engine {
 		now:          time.Now,
 		tierActive:   make(map[string]int),
 		tenantActive: make(map[string]int),
-		tierCaps:     tierCapacities(cfg.MaxActiveJobs, cfg.TierWeights),
+		tierCaps:     tierCapacities(cfg.MaxActiveJobs),
 		tierDepth:    make(map[string]*atomic.Int64),
 		metrics:      newEngineMetrics(cfg.Obs),
 		tracer:       cfg.Tracer,
 		events:       make(chan event),
-		ready:        make(chan *dispatchGroup, cfg.QueueSize),
+		ready:        make(chan *opTask, cfg.QueueSize),
 	}
 	e.sessions = keycache.New[*Session](keycache.Config{
-		Shards:      cfg.SessionCacheShards,
 		BudgetBytes: cfg.SessionCacheBytes,
 		Name:        "sessions",
 		Obs:         cfg.Obs,
@@ -337,46 +279,15 @@ func (e *Engine) worker() {
 		select {
 		case <-e.ctx.Done():
 			return
-		case g := <-e.ready:
-			if len(g.tasks) == 1 {
-				e.runSingle(g.tasks[0])
-			} else {
-				e.runBatch(g)
+		case t := <-e.ready:
+			e.metrics.workersBusy.Add(1)
+			res, err := e.runTask(t)
+			e.metrics.workersBusy.Add(-1)
+			select {
+			case e.events <- event{kind: evOpDone, job: t.job, task: t, ct: res, err: err}:
+			case <-e.ctx.Done():
+				return
 			}
-		}
-	}
-}
-
-// runSingle executes an unbatched op and reports its completion.
-func (e *Engine) runSingle(t *opTask) {
-	e.metrics.workersBusy.Add(1)
-	res, err := e.runTask(t, t.job.spanID())
-	e.metrics.workersBusy.Add(-1)
-	e.postDone(t, res, err)
-}
-
-// runBatch executes a fused dispatch group: the members fan out over the
-// shared par pool together (one wide dispatch instead of len(tasks) narrow
-// ones), sharing the batch span and a single scheduler round-trip. Per-op
-// metrics still tick individually.
-func (e *Engine) runBatch(g *dispatchGroup) {
-	n := len(g.tasks)
-	e.metrics.batchesDispatched.Inc()
-	e.metrics.batchedOps.Add(float64(n))
-	e.metrics.batchOccupancy.Observe(float64(n))
-	sp := e.tracer.Start("batch:"+g.class, 0)
-	sp.Annotate(fmt.Sprintf("class=%s ops=%d", g.class, n))
-	e.metrics.workersBusy.Add(1)
-	results := make([]*ckks.Ciphertext, n)
-	errs := make([]error, n)
-	par.ForEach(n, func(i int) {
-		results[i], errs[i] = e.runTask(g.tasks[i], sp.ID())
-	})
-	e.metrics.workersBusy.Add(-1)
-	sp.End()
-	for i, t := range g.tasks {
-		if !e.postDone(t, results[i], errs[i]) {
-			return
 		}
 	}
 }
@@ -384,14 +295,14 @@ func (e *Engine) runBatch(g *dispatchGroup) {
 // runTask runs one op with its per-op instrumentation. Ops of jobs that
 // already expired or aborted are skipped without touching the evaluator
 // (counted under engine_ops_expired_total).
-func (e *Engine) runTask(t *opTask, parentSpan uint64) (*ckks.Ciphertext, error) {
+func (e *Engine) runTask(t *opTask) (*ckks.Ciphertext, error) {
 	if err := t.job.ctx.Err(); err != nil {
 		e.metrics.opsExpired.Inc()
 		return nil, err
 	}
 	m := e.metrics.op(t.op.Op)
 	m.queueWait.Observe(time.Since(t.readyAt).Seconds())
-	sp := e.tracer.Start("op:"+t.op.Op, parentSpan)
+	sp := e.tracer.Start("op:"+t.op.Op, t.job.spanID())
 	sp.Annotate("id=" + t.op.ID + " job=" + t.job.ID)
 	start := time.Now()
 	res, err := e.executeTask(t)
@@ -402,17 +313,6 @@ func (e *Engine) runTask(t *opTask, parentSpan uint64) (*ckks.Ciphertext, error)
 		m.failures.Inc()
 	}
 	return res, err
-}
-
-// postDone reports one op completion to the dispatcher; false means the
-// engine is shutting down.
-func (e *Engine) postDone(t *opTask, ct *ckks.Ciphertext, err error) bool {
-	select {
-	case e.events <- event{kind: evOpDone, job: t.job, task: t, ct: ct, err: err}:
-		return true
-	case <-e.ctx.Done():
-		return false
-	}
 }
 
 // executeTask runs one op, converting evaluator panics (scale mismatches,
@@ -452,23 +352,10 @@ type jobState struct {
 func (e *Engine) dispatch() {
 	defer e.wg.Done()
 	states := make(map[*Job]*jobState)
-	queues := newTierQueues(e.cfg.TierWeights, e.tierDepth)
-	staged := newStaging(e.cfg.BatchWindow, e.cfg.MaxBatch)
-	flushTimer := time.NewTimer(time.Hour)
-	defer flushTimer.Stop()
+	queues := newTierQueues(e.tierDepth)
 
 	enqueueReady := func(j *Job, st *jobState, op int) {
-		t := &opTask{job: j, op: &st.ops[op], idx: op, readyAt: time.Now()}
-		e.tierDepth[j.tier].Add(1)
-		if e.cfg.BatchWindow > 0 {
-			if class, ok := e.batchClass(j, t.op); ok {
-				if g := staged.add(class, j.tier, t, t.readyAt); g != nil {
-					queues.push(g) // batch filled before its window expired
-				}
-				return
-			}
-		}
-		queues.push(&dispatchGroup{tasks: []*opTask{t}, tier: j.tier})
+		queues.push(&opTask{job: j, op: &st.ops[op], idx: op, readyAt: time.Now()})
 	}
 
 	handle := func(ev event) {
@@ -538,22 +425,10 @@ func (e *Engine) dispatch() {
 	}
 
 	for {
-		// Arm the flush timer to the earliest staged-batch deadline.
-		if !flushTimer.Stop() {
-			select {
-			case <-flushTimer.C:
-			default:
-			}
-		}
-		var timerCh <-chan time.Time
-		if due, ok := staged.earliest(); ok {
-			flushTimer.Reset(time.Until(due))
-			timerCh = flushTimer.C
-		}
-
-		var readyCh chan *dispatchGroup
-		tier, head, ok := queues.head()
-		if ok {
+		// A nil channel never sends: with nothing queued only events wake us.
+		var readyCh chan *opTask
+		head := queues.head()
+		if head != nil {
 			readyCh = e.ready
 		}
 
@@ -566,12 +441,8 @@ func (e *Engine) dispatch() {
 			return
 		case ev := <-e.events:
 			handle(ev)
-		case <-timerCh:
-			for _, g := range staged.due(time.Now()) {
-				queues.push(g)
-			}
 		case readyCh <- head:
-			queues.pop(tier, head)
+			queues.pop(head)
 		}
 	}
 }
@@ -635,9 +506,9 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	e.mu.Unlock()
 	// Resolve and pin the session before admission so a concurrent eviction
 	// cannot drop its keys between validation and execution.
-	sess, err := e.acquireSession(spec.SessionID)
-	if err != nil {
-		return nil, err
+	sess, ok := e.sessions.Acquire(spec.SessionID)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownSession, spec.SessionID)
 	}
 	unpin := func() { e.sessions.Unpin(spec.SessionID) }
 	st, err := validate(&spec)

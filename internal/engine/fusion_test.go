@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
-	"github.com/anaheim-sim/anaheim/internal/fusion"
 	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
@@ -199,19 +198,13 @@ func TestDifferentialFusionRandomDAGs(t *testing.T) {
 
 			// Count what the rewrite will do to this exact job (the engine
 			// applies the same passes at admission).
-			fops := make([]fusion.Op, len(dag.ops))
-			for i, op := range dag.ops {
-				fops[i] = fusion.Op{ID: op.ID, Kind: op.Op, Args: op.Args, K: op.K, Val: op.Val, Name: op.Name}
-			}
 			outs := sinks(dag.ops)
 			protected := make(map[string]bool, len(outs))
 			for _, o := range outs {
 				protected[o] = true
 			}
-			_, stats := fusion.RewriteDAG(fops, protected)
-			for _, s := range stats {
-				totalFused += s.Fused
-			}
+			_, fused := rewriteDAG(dag.ops, protected)
+			totalFused += fused
 
 			cts := make(map[string]*ckks.Ciphertext, len(dag.inputs))
 			for id, vals := range dag.inputs {

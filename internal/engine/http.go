@@ -267,8 +267,8 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/sessions/{sid}/jobs", func(w http.ResponseWriter, r *http.Request) {
-		// No session existence pre-check: Submit resolves the session itself
-		// and can rematerialize an evicted one through the session loader.
+		// No session existence pre-check: Submit resolves and pins the session
+		// itself and answers ErrUnknownSession, which maps to 404 below.
 		sid := r.PathValue("sid")
 		r.Body = http.MaxBytesReader(w, r.Body, e.cfg.MaxBodyBytes)
 		body, err := io.ReadAll(r.Body)

@@ -76,8 +76,8 @@ type JobSpec struct {
 	// engine default.
 	Deadline time.Duration
 	// Tier is the priority tier ("latency", "standard", "batch"); empty
-	// means standard. Latency-tier ops bypass batch staging and dequeue
-	// first; the batch tier trades latency for amortized throughput.
+	// means standard. The tier sets the job's admission share and the order
+	// its ready ops dequeue in: latency first, batch last (weights 8 / 4 / 2).
 	Tier string
 }
 

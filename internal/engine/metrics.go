@@ -22,14 +22,11 @@ type engineMetrics struct {
 	fusionFallbacks *obs.Counter
 	workersBusy     *obs.Gauge
 
-	opsExpired        *obs.Counter            // ops skipped because their job expired before dispatch
-	batchesDispatched *obs.Counter            // fused dispatch groups (>1 op)
-	batchedOps        *obs.Counter            // ops that rode in fused groups
-	batchOccupancy    *obs.Histogram          // ops per fused group
-	sessionsEvicted   *obs.Counter            // sessions dropped by the key cache for space
-	valuesReleased    *obs.Counter            // job values dropped at their last use
-	abortEvents       *obs.Counter            // deadline/cancel wake-ups delivered to the dispatcher
-	reapedBy          map[string]*obs.Counter // jobs removed from the table, by reason
+	opsExpired      *obs.Counter            // ops skipped because their job expired before dispatch
+	sessionsEvicted *obs.Counter            // sessions dropped by the key cache for space
+	valuesReleased  *obs.Counter            // job values dropped at their last use
+	abortEvents     *obs.Counter            // deadline/cancel wake-ups delivered to the dispatcher
+	reapedBy        map[string]*obs.Counter // jobs removed from the table, by reason
 
 	mu      sync.Mutex
 	perOp   map[string]*opMetrics
@@ -63,11 +60,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		fusionFallbacks: reg.Counter("engine_fusion_fallbacks_total"),
 		workersBusy:     reg.Gauge("engine_workers_busy"),
 
-		opsExpired:        reg.Counter("engine_ops_expired_total"),
-		batchesDispatched: reg.Counter("engine_batches_dispatched_total"),
-		batchedOps:        reg.Counter("engine_batched_ops_total"),
-		batchOccupancy: reg.HistogramWith("engine_batch_occupancy",
-			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
+		opsExpired:      reg.Counter("engine_ops_expired_total"),
 		sessionsEvicted: reg.Counter("engine_sessions_evicted_total"),
 		valuesReleased:  reg.Counter("engine_values_released_total"),
 		abortEvents:     reg.Counter("engine_job_abort_events_total"),

@@ -105,64 +105,6 @@ func TestAdmissionReasons(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchCorrectness runs the same multi-tenant workload through a
-// batching engine and checks both that fused groups actually formed and that
-// every job's math is right — batching must be a scheduling optimization,
-// never a semantic one.
-func TestBatchDispatchCorrectness(t *testing.T) {
-	client := newTestClient(t)
-	reg := obs.NewRegistry()
-	e := New(Config{Workers: 2, BatchWindow: 25 * time.Millisecond, MaxBatch: 4, Obs: reg})
-	defer e.Close()
-
-	const tenants = 6
-	u := []complex128{0.5, -1, 2}
-	jobs := make([]*Job, tenants)
-	for i := range jobs {
-		sess, err := e.AttachSession(client.params, client.keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := e.Submit(JobSpec{
-			SessionID: sess.ID,
-			Inputs:    map[string]*ckks.Ciphertext{"x": client.encrypt(t, u)},
-			Ops: []OpSpec{
-				{ID: "s", Op: "square", Args: []string{"x"}},
-				{ID: "o", Op: "add", Args: []string{"s", "s"}},
-			},
-			Outputs: []string{"o"},
-			Tier:    TierBatch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = job
-	}
-	for i, job := range jobs {
-		if err := job.Wait(context.Background()); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		outs, err := job.Results()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := client.decrypt(outs["o"])
-		for s, want := range []complex128{0.5, 2, 8} { // 2*u^2
-			d := got[s] - want
-			if real(d)*real(d)+imag(d)*imag(d) > 1e-6 {
-				t.Fatalf("job %d slot %d: got %v, want %v", i, s, got[s], want)
-			}
-		}
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["engine_batches_dispatched_total"] == 0 {
-		t.Fatal("no fused groups dispatched despite 6 same-class tenants and a 25ms window")
-	}
-	if snap.Counters["engine_batched_ops_total"] < 2 {
-		t.Fatalf("batched ops = %v, want >= 2", snap.Counters["engine_batched_ops_total"])
-	}
-}
-
 // TestTierIsolation is the admission-control acceptance gate: a saturating
 // batch-tier tenant must not starve the latency tier. The assertion is
 // ordering-based (robust under -race slowdown): every latency job completes
@@ -172,9 +114,8 @@ func TestTierIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tier isolation test is slow")
 	}
-	client := newTestClient(t)
-	e := New(Config{Workers: 2, MaxActiveJobs: 32, MaxJobsPerTenant: 24,
-		BatchWindow: time.Millisecond, DefaultDeadline: time.Minute})
+	client := newTestClient(t, 1)
+	e := New(Config{Workers: 2, MaxActiveJobs: 32, MaxJobsPerTenant: 24, DefaultDeadline: time.Minute})
 	defer e.Close()
 	batchSess, err := e.AttachSession(client.params, client.keys)
 	if err != nil {
@@ -193,11 +134,11 @@ func TestTierIsolation(t *testing.T) {
 		latSpecs = append(latSpecs, squareJob(t, client, latSess.ID, TierLatency))
 	}
 
-	// Flood: deep sequential chains on the batch tier, filling its share. Each
-	// chain alternates square (a key switch, one level) with a doubling add,
-	// six squares down the seven-level chain, so the backlog is ~24 key
-	// switches per latency job on any core count. Inputs below 1/2 keep the
-	// slots bounded through the chain.
+	// Flood: deep sequential chains on the batch tier, filling its share.
+	// Rotations spend a key switch and no level, so the chain can be as long
+	// as the premise needs: each ready op goes straight to a worker, and four
+	// admitted chains of 256 leave a backlog of ~256 key switches per latency
+	// job on any core count.
 	ct := client.encrypt(t, []complex128{0.5, 0.25})
 	deepSpec := JobSpec{
 		SessionID: batchSess.ID,
@@ -205,11 +146,8 @@ func TestTierIsolation(t *testing.T) {
 		Tier:      TierBatch,
 	}
 	prev := "x"
-	for i := 0; i < 12; i++ {
-		op := OpSpec{ID: fmt.Sprintf("op%d", i), Op: "square", Args: []string{prev}}
-		if i%2 == 1 {
-			op.Op, op.Args = "add", []string{prev, prev}
-		}
+	for i := 0; i < 256; i++ {
+		op := OpSpec{ID: fmt.Sprintf("op%d", i), Op: "rotate", Args: []string{prev}, K: 1}
 		deepSpec.Ops = append(deepSpec.Ops, op)
 		prev = op.ID
 	}
@@ -425,58 +363,74 @@ func TestSessionDetachAndClose(t *testing.T) {
 	}
 }
 
-// TestSessionLoaderRematerializes wires the rematerialization hook: a
-// detached (evicted) session comes back through Config.SessionLoader, and
-// concurrent submits coalesce onto one load.
-func TestSessionLoaderRematerializes(t *testing.T) {
+// TestSessionBudgetIsExact is keycache's TestBudgetIsExact through the engine:
+// SessionCacheBytes is one budget over all sessions, so fourteen key sets stay
+// resident under a budget of fourteen and a half, and the fifteenth evicts
+// exactly the least recently used one — whose next job is an unknown session.
+func TestSessionBudgetIsExact(t *testing.T) {
 	client := newTestClient(t)
-	var loads int
-	var mu sync.Mutex
-	var e *Engine
-	e = New(Config{Workers: 2, SessionLoader: func(id string) (*Session, error) {
-		mu.Lock()
-		loads++
-		mu.Unlock()
-		return NewSession(id, client.params, client.keys)
-	}})
+	size := client.keys.CoeffBytes()
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 1, SessionCacheBytes: 14*size + size/2, Obs: reg})
 	defer e.Close()
-	sess, err := e.AttachSession(client.params, client.keys)
-	if err != nil {
+	var ids []string
+	for i := 0; i < 14; i++ {
+		sess, err := e.AttachSession(client.params, client.keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sess.ID)
+	}
+	if got := e.sessions.Len(); got != 14 || e.sessions.Bytes() != 14*size {
+		t.Fatalf("14 sessions under a 14.5-session budget: %d resident / %d bytes, want 14 / %d",
+			got, e.sessions.Bytes(), 14*size)
+	}
+	if _, ok := e.Session(ids[0]); !ok { // ids[1] is now the least recently used
+		t.Fatalf("%s not resident", ids[0])
+	}
+	if _, err := e.AttachSession(client.params, client.keys); err != nil {
 		t.Fatal(err)
 	}
-	e.DetachSession(sess.ID) // simulate eviction
+	for i, id := range ids {
+		if _, ok := e.Session(id); ok == (i == 1) {
+			t.Errorf("%s resident = %v after the 15th attach", id, ok)
+		}
+	}
+	if got := reg.Counter("engine_sessions_evicted_total").Value(); got != 1 {
+		t.Fatalf("%v sessions evicted, want exactly 1", got)
+	}
+	if _, err := e.Submit(squareJob(t, client, ids[1], "")); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("submit on the evicted session: got %v, want ErrUnknownSession", err)
+	}
+}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
+// TestAttachDuringClose: a session attached while Close runs either fails with
+// ErrClosed or is cleared by Close; its keys never outlive the engine.
+func TestAttachDuringClose(t *testing.T) {
+	client := newTestClient(t)
+	for i := 0; i < 200; i++ {
+		e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+		var wg sync.WaitGroup
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			job, err := e.Submit(squareJob(t, client, sess.ID, ""))
-			if err != nil {
-				t.Errorf("submit after eviction: %v", err)
-				return
-			}
-			if err := job.Wait(context.Background()); err != nil {
-				t.Error(err)
+			if _, err := e.AttachSession(client.params, client.keys); err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("attach: %v", err)
 			}
 		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if loads < 1 {
-		t.Fatal("loader never ran")
-	}
-	// Coalescing: 8 concurrent submits on one evicted key should land far
-	// fewer than 8 loads; exactly-once is guaranteed only while the flight
-	// is open, so allow the (rare) sequential-miss case.
-	if loads > 3 {
-		t.Fatalf("loader ran %d times for 8 concurrent submits", loads)
+		go func() {
+			defer wg.Done()
+			e.Close()
+		}()
+		wg.Wait()
+		if n := e.sessions.Len(); n != 0 {
+			t.Fatalf("iteration %d: %d sessions resident after Close", i, n)
+		}
 	}
 }
 
 // TestServingMetricsExported is the export-shape gate for the serving
-// capacity gauge family and the batching counters.
+// capacity gauge family and the key cache's series.
 func TestServingMetricsExported(t *testing.T) {
 	client := newTestClient(t)
 	reg := obs.NewRegistry()
@@ -505,7 +459,6 @@ func TestServingMetricsExported(t *testing.T) {
 		`engine_tier_queue_depth{tier="batch"}`,
 		`engine_tier_active_jobs{tier="latency"}`,
 		`engine_tier_jobs_admitted_total{tier="latency"} 1`,
-		"engine_batches_dispatched_total",
 		"engine_ops_expired_total",
 		`keycache_resident_bytes{cache="sessions"}`,
 		`keycache_hits_total{cache="sessions"}`,

@@ -20,7 +20,7 @@ import (
 //
 // Sessions live in the engine's byte-bounded key cache, keyed by ID and
 // costed by their evaluation-key size; cold sessions are evicted under
-// memory pressure and come back through Config.SessionLoader.
+// memory pressure, and an evicted session is gone — the client attaches again.
 type Session struct {
 	ID      string
 	Params  *ckks.Parameters
@@ -34,25 +34,6 @@ type Session struct {
 	mu         sync.Mutex
 	boot       *ckks.Bootstrapper
 	transforms map[string]*ckks.LinearTransform
-}
-
-// NewSession builds a session object without registering it anywhere — the
-// constructor Config.SessionLoader implementations use to rematerialize an
-// evicted tenant.
-func NewSession(id string, params *ckks.Parameters, keys *ckks.EvaluationKeySet) (*Session, error) {
-	if keys == nil {
-		return nil, fmt.Errorf("engine: session needs an evaluation key set")
-	}
-	return &Session{
-		ID:         id,
-		Params:     params,
-		Keys:       keys,
-		Eval:       ckks.NewEvaluator(params, keys),
-		Enc:        ckks.NewEncoder(params),
-		Created:    time.Now(),
-		keyBytes:   evalKeySetBytes(keys),
-		transforms: make(map[string]*ckks.LinearTransform),
-	}, nil
 }
 
 // KeyBytes is the measured size of the session's evaluation-key material —
@@ -73,15 +54,6 @@ func (s *Session) release() {
 	s.transforms = nil
 }
 
-// evalKeySetBytes measures a key set's coefficient payload: every switching
-// key is D digit polynomials over Q plus the P extension, 8 bytes per
-// coefficient, plus any level-aware band variants the key carries. The
-// arithmetic lives with the key types so banded layouts can't silently
-// desynchronize the cache accounting.
-func evalKeySetBytes(keys *ckks.EvaluationKeySet) int64 {
-	return keys.CoeffBytes()
-}
-
 // CreateSession compiles a parameter literal, binds the client's evaluation
 // keys, and registers the session.
 func (e *Engine) CreateSession(lit ckks.ParametersLiteral, keys *ckks.EvaluationKeySet) (*Session, error) {
@@ -94,71 +66,53 @@ func (e *Engine) CreateSession(lit ckks.ParametersLiteral, keys *ckks.Evaluation
 
 // AttachSession registers a session over already-compiled parameters (the
 // embedded path, where the caller owns a full local context). The session
-// enters the key cache costed at its measured evaluation-key size; under
-// memory pressure it can be evicted and — if a SessionLoader is configured —
-// rematerialized on next use.
+// enters the key cache costed at its measured evaluation-key size — every
+// switching key's digit polynomials over Q and P plus its level-aware band
+// variants, 8 bytes per coefficient — and under memory pressure the least
+// recently used unpinned sessions are evicted to make room for it.
 func (e *Engine) AttachSession(params *ckks.Parameters, keys *ckks.EvaluationKeySet) (*Session, error) {
-	s, err := NewSession(fmt.Sprintf("sess-%d", e.seq.Add(1)), params, keys)
-	if err != nil {
-		return nil, err
+	if keys == nil {
+		return nil, fmt.Errorf("engine: session needs an evaluation key set")
 	}
+	s := &Session{
+		ID:         fmt.Sprintf("sess-%d", e.seq.Add(1)),
+		Params:     params,
+		Keys:       keys,
+		Eval:       ckks.NewEvaluator(params, keys),
+		Enc:        ckks.NewEncoder(params),
+		Created:    time.Now(),
+		keyBytes:   keys.CoeffBytes(),
+		transforms: make(map[string]*ckks.LinearTransform),
+	}
+	// Checked and inserted under one hold of e.mu, so Close — which sets
+	// closed under it before it clears the cache — never leaves a session
+	// behind. The cache's eviction hook only bumps a counter.
 	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	defer e.mu.Unlock()
+	if e.closed {
 		return nil, ErrClosed
 	}
 	e.sessions.Put(s.ID, s, s.keyBytes)
 	return s, nil
 }
 
-// Session returns a resident session by ID. It does not trigger
-// rematerialization; Submit does.
+// Session returns a resident session by ID.
 func (e *Engine) Session(id string) (*Session, bool) {
 	return e.sessions.Get(id)
 }
 
 // DetachSession removes a session and reports whether it was resident.
 // Running jobs keep their pinned reference and finish normally; the
-// session's key bytes just stop being accounted (and a detached session is
-// not rematerialized unless re-attached or re-loaded).
+// session's key bytes just stop being accounted.
 func (e *Engine) DetachSession(id string) bool {
 	_, ok := e.sessions.Remove(id)
 	return ok
 }
 
-// DropSession is DetachSession without the report (kept for callers of the
-// original API).
-func (e *Engine) DropSession(id string) { e.sessions.Remove(id) }
-
 // ErrUnknownSession is wrapped by Submit when the job names a session that
-// is neither resident nor rematerializable; the HTTP layer maps it to 404.
+// is not resident (never attached, detached or evicted); the HTTP layer maps
+// it to 404.
 var ErrUnknownSession = errors.New("engine: unknown session")
-
-// acquireSession resolves and pins a session for a job, rematerializing an
-// evicted one through Config.SessionLoader (concurrent misses on the same
-// tenant coalesce onto a single load). The caller owns one Unpin.
-func (e *Engine) acquireSession(id string) (*Session, error) {
-	var load func() (*Session, int64, error)
-	if e.cfg.SessionLoader != nil {
-		loader := e.cfg.SessionLoader
-		load = func() (*Session, int64, error) {
-			s, err := loader(id)
-			if err != nil {
-				return nil, 0, err
-			}
-			if s == nil {
-				return nil, 0, fmt.Errorf("session loader returned nil")
-			}
-			return s, s.keyBytes, nil
-		}
-	}
-	s, err := e.sessions.Acquire(id, load)
-	if err != nil {
-		return nil, fmt.Errorf("%w %q: %w", ErrUnknownSession, id, err)
-	}
-	return s, nil
-}
 
 // SetBootstrapper enables the "bootstrap" op for embedded sessions (the
 // HTTP path cannot: constructing a bootstrapper requires the secret key).

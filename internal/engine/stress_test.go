@@ -100,7 +100,7 @@ func TestSchedulerStress(t *testing.T) {
 					continue // backpressure under load is expected behavior
 				}
 				if err != nil {
-					// DropSession from a sibling iteration may have raced us.
+					// DetachSession from a sibling iteration may have raced us.
 					if strings.Contains(err.Error(), "unknown session") {
 						continue
 					}
@@ -116,7 +116,7 @@ func TestSchedulerStress(t *testing.T) {
 						t.Errorf("session %d job %d cancelled wait: %v", si, k, err)
 					}
 				case 3:
-					e.DropSession(sid)
+					e.DetachSession(sid)
 					fallthrough
 				default:
 					err := job.Wait(context.Background())

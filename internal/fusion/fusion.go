@@ -1,16 +1,11 @@
 // Package fusion implements the Anaheim op-sequence rewrite passes (§V) as
-// a small optimization-pass layer over the two IRs of this repository:
-//
-//   - the trace IR (internal/trace): kernel sequences emitted by the naive
-//     SplitKernels builder are rewritten by SwapAutPMult (§V-B plaintext
-//     pre-rotation), AutAccum (Fig 6), and PAccum/CAccum (Table II compound
-//     instructions) back into the fused sequences the Anaheim configuration
-//     executes, with per-pass kernel/byte savings accounted;
-//
-//   - the engine op DAG (internal/engine, via the mirrored Op type): ADD
-//     ladders collapse into one variadic sum and constant-multiply trees
-//     into one linear combination, which the evaluator executes with the
-//     fused single-pass ring kernels (ckks.AddMany, ckks.MulConstAccum).
+// a small optimization-pass layer over the trace IR (internal/trace): kernel
+// sequences emitted by the naive SplitKernels builder are rewritten by
+// SwapAutPMult (§V-B plaintext pre-rotation), AutAccum (Fig 6), and
+// PAccum/CAccum (Table II compound instructions) back into the fused
+// sequences the Anaheim configuration executes, with per-pass kernel/byte
+// savings accounted. (The serving engine's op-DAG folds — add ladders and
+// linear combinations — live with the op vocabulary in internal/engine.)
 //
 // Every pass is independently applicable and unit-testable; Apply runs a
 // pass list in order and records the savings as obs counters.

@@ -1,33 +1,26 @@
-// Package keycache is a sharded, size-bounded LRU for the serving layer's
-// largest per-tenant objects: evaluation-key sets and the session state
-// built around them. A production FHE service holds keys for far more
-// tenants than fit in memory (a single hybrid key-switching key set is tens
-// of megabytes at production parameters), so the session store must behave
-// like a cache, not a map:
+// Package keycache is a size-bounded LRU for the serving layer's largest
+// per-tenant objects: evaluation-key sets and the session state built around
+// them. A single hybrid key-switching key set is tens of megabytes at
+// production parameters, so the session store behaves like a cache, not a
+// map:
 //
 //   - byte accounting: each entry carries its measured size, and the cache
-//     evicts least-recently-used entries to stay under a byte budget;
-//
-//   - sharding: the key space is split across independently locked shards so
-//     session lookups on the hot submit path do not serialize behind one
-//     mutex;
-//
-//   - singleflight loading: when an evicted tenant comes back, concurrent
-//     requests for its keys materialize them exactly once — every other
-//     caller waits for the first load instead of duplicating a multi-second
-//     key generation or a storage fetch;
+//     evicts least-recently-used entries to stay under one exact byte budget;
 //
 //   - pinning: entries referenced by in-flight jobs are pin-counted and
 //     never evicted, so a running job's key material cannot vanish under it;
 //
-//   - observability: hit/miss/eviction/load counters and resident-bytes
-//     gauges, exported through the shared obs registry.
+//   - observability: hit/miss/eviction counters and resident-bytes gauges,
+//     exported through the shared obs registry.
 //
-// The package is generic over the cached value so the engine can cache
-// *Session while tests cache small fakes.
+// One mutex guards one list: a lookup is a map access and a list splice, far
+// below the cost of the homomorphic op that follows it. The package is generic
+// over the cached value so the engine can cache *Session while tests cache
+// small fakes.
 package keycache
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 
@@ -36,330 +29,145 @@ import (
 
 // Config sizes a cache.
 type Config struct {
-	// Shards is the number of independently locked shards. Defaults to 8.
-	Shards int
-	// BudgetBytes bounds the total resident size across all shards; 0 means
-	// unbounded. The budget is split evenly across shards (the classic
-	// sharded-LRU design: global LRU order is approximated per shard).
+	// BudgetBytes bounds the total resident size; 0 means unbounded.
 	BudgetBytes int64
 	// Name labels this cache's metrics, e.g. `keycache_hits_total{cache="sessions"}`.
+	// Defaults to "default".
 	Name string
 	// Obs receives the cache's metrics. Defaults to obs.Default.
 	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
-	if c.Name == "" {
-		c.Name = "default"
-	}
-	if c.Obs == nil {
-		c.Obs = obs.Default
-	}
-	return c
-}
-
-// entry is one resident value with its LRU links and pin count.
+// entry is one resident value with its size and pin count.
 type entry[V any] struct {
-	key        string
-	val        V
-	bytes      int64
-	pins       int
-	prev, next *entry[V] // LRU list: head = most recent
-}
-
-// flight is one in-progress load that concurrent callers coalesce onto.
-type flight[V any] struct {
-	done  chan struct{}
+	key   string
 	val   V
 	bytes int64
-	err   error
+	pins  int
 }
 
-// shard is one independently locked slice of the key space.
-type shard[V any] struct {
-	mu      sync.Mutex
-	entries map[string]*entry[V]
-	flights map[string]*flight[V]
-	head    *entry[V] // most recently used
-	tail    *entry[V] // least recently used
-	bytes   int64
-	budget  int64 // 0 = unbounded
-}
-
-// Cache is a sharded byte-bounded LRU. Create with New.
+// Cache is a byte-bounded LRU. Create with New.
 type Cache[V any] struct {
-	cfg     Config
-	shards  []*shard[V]
+	budget  int64 // 0 = unbounded
 	onEvict func(key string, val V)
+
+	mu      sync.Mutex
+	entries map[string]*list.Element // of *entry[V]
+	lru     *list.List               // front = most recently used
+	bytes   int64
 
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
-	loads     *obs.Counter
-	coalesced *obs.Counter
 }
 
 // New builds a cache. onEvict (may be nil) runs synchronously under the
-// shard lock whenever an entry is evicted for space — not on Remove or
-// Clear, whose callers already hold the value.
+// cache lock whenever an entry is evicted for space — not on Remove or
+// Clear, whose callers already hold the value — so it must not call back
+// into the cache.
 func New[V any](cfg Config, onEvict func(key string, val V)) *Cache[V] {
-	cfg = cfg.withDefaults()
+	if cfg.Name == "" {
+		cfg.Name = "default"
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.Default
+	}
+	name := func(family string) string {
+		return fmt.Sprintf(`%s{cache="%s"}`, family, cfg.Name)
+	}
 	c := &Cache[V]{
-		cfg:     cfg,
-		shards:  make([]*shard[V], cfg.Shards),
+		budget:  cfg.BudgetBytes,
 		onEvict: onEvict,
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
 
-		hits:      cfg.Obs.Counter(metricName("keycache_hits_total", cfg.Name)),
-		misses:    cfg.Obs.Counter(metricName("keycache_misses_total", cfg.Name)),
-		evictions: cfg.Obs.Counter(metricName("keycache_evictions_total", cfg.Name)),
-		loads:     cfg.Obs.Counter(metricName("keycache_loads_total", cfg.Name)),
-		coalesced: cfg.Obs.Counter(metricName("keycache_loads_coalesced_total", cfg.Name)),
+		hits:      cfg.Obs.Counter(name("keycache_hits_total")),
+		misses:    cfg.Obs.Counter(name("keycache_misses_total")),
+		evictions: cfg.Obs.Counter(name("keycache_evictions_total")),
 	}
-	perShard := int64(0)
-	if cfg.BudgetBytes > 0 {
-		perShard = cfg.BudgetBytes / int64(cfg.Shards)
-		if perShard == 0 {
-			perShard = 1
-		}
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard[V]{
-			entries: make(map[string]*entry[V]),
-			flights: make(map[string]*flight[V]),
-			budget:  perShard,
-		}
-	}
-	cfg.Obs.GaugeFunc(metricName("keycache_resident_bytes", cfg.Name),
+	cfg.Obs.GaugeFunc(name("keycache_resident_bytes"),
 		func() float64 { return float64(c.Bytes()) })
-	cfg.Obs.GaugeFunc(metricName("keycache_resident_entries", cfg.Name),
+	cfg.Obs.GaugeFunc(name("keycache_resident_entries"),
 		func() float64 { return float64(c.Len()) })
 	return c
 }
 
-func metricName(family, cache string) string {
-	return fmt.Sprintf(`%s{cache="%s"}`, family, cache)
-}
-
-// shardFor hashes a key onto its shard (FNV-1a).
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return c.shards[h%uint64(len(c.shards))]
-}
-
-// ---------------------------------------------------------------------------
-// Shard-local LRU plumbing (all called with sh.mu held).
-
-func (sh *shard[V]) unlink(e *entry[V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// Put inserts or replaces a value with its measured size, then evicts
+// unpinned entries from the least recently used end until the cache fits its
+// budget. The entry just put is never the one evicted, and if only it and
+// pinned entries remain the cache is allowed over budget: an in-flight job
+// must keep its keys.
+func (c *Cache[V]) Put(key string, val V, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if ok {
+		e := el.Value.(*entry[V])
+		c.bytes += bytes - e.bytes
+		e.val, e.bytes = val, bytes
+		c.lru.MoveToFront(el)
 	} else {
-		sh.head = e.next
+		el = c.lru.PushFront(&entry[V]{key: key, val: val, bytes: bytes})
+		c.entries[key] = el
+		c.bytes += bytes
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (sh *shard[V]) pushFront(e *entry[V]) {
-	e.prev, e.next = nil, sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-func (sh *shard[V]) touch(e *entry[V]) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
-}
-
-// insert stores (or replaces) an entry and evicts from the LRU tail until
-// the shard is within budget. Pinned entries are never evicted; if only
-// pinned entries remain the shard is allowed over budget (correctness wins
-// over the bound — an in-flight job must keep its keys).
-func (c *Cache[V]) insert(sh *shard[V], key string, val V, bytes int64) *entry[V] {
-	if old, ok := sh.entries[key]; ok {
-		sh.bytes -= old.bytes
-		old.val, old.bytes = val, bytes
-		sh.bytes += bytes
-		sh.touch(old)
-		c.evictOver(sh, old)
-		return old
-	}
-	e := &entry[V]{key: key, val: val, bytes: bytes}
-	sh.entries[key] = e
-	sh.bytes += bytes
-	sh.pushFront(e)
-	c.evictOver(sh, e)
-	return e
-}
-
-// evictOver walks from the LRU tail evicting unpinned entries (other than
-// keep) until the shard fits its budget.
-func (c *Cache[V]) evictOver(sh *shard[V], keep *entry[V]) {
-	if sh.budget <= 0 {
-		return
-	}
-	for e := sh.tail; e != nil && sh.bytes > sh.budget; {
-		prev := e.prev
-		if e != keep && e.pins == 0 {
-			sh.unlink(e)
-			delete(sh.entries, e.key)
-			sh.bytes -= e.bytes
+	for old := c.lru.Back(); c.budget > 0 && old != nil && c.bytes > c.budget; {
+		next := old.Prev()
+		if e := old.Value.(*entry[V]); old != el && e.pins == 0 {
+			c.drop(old)
 			c.evictions.Inc()
 			if c.onEvict != nil {
 				c.onEvict(e.key, e.val)
 			}
 		}
-		e = prev
+		old = next
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Public operations
+// drop unlinks an element and stops accounting its bytes. Called with c.mu
+// held.
+func (c *Cache[V]) drop(el *list.Element) {
+	e := c.lru.Remove(el).(*entry[V])
+	delete(c.entries, e.key)
+	c.bytes -= e.bytes
+}
 
-// Put inserts or replaces a value with its measured size, evicting LRU
-// entries as needed to stay under budget.
-func (c *Cache[V]) Put(key string, val V, bytes int64) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c.insert(sh, key, val, bytes)
+// lookup is Get with an optional pin, both under one hold of the lock.
+func (c *Cache[V]) lookup(key string, pin bool) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		c.misses.Inc()
+		var zero V
+		return zero, false
+	}
+	c.hits.Inc()
+	c.lru.MoveToFront(el)
+	e := el.Value.(*entry[V])
+	if pin {
+		e.pins++
+	}
+	return e.val, true
 }
 
 // Get returns the resident value for key, marking it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.entries[key]; ok {
-		sh.touch(e)
-		c.hits.Inc()
-		return e.val, true
-	}
-	c.misses.Inc()
-	var zero V
-	return zero, false
-}
+func (c *Cache[V]) Get(key string) (V, bool) { return c.lookup(key, false) }
 
-// GetOrLoad returns the resident value or materializes it via load,
-// coalescing concurrent loads of the same key onto a single call. load runs
-// without the shard lock held and returns the value with its measured size;
-// on success the value is inserted (evicting as needed).
-func (c *Cache[V]) GetOrLoad(key string, load func() (V, int64, error)) (V, error) {
-	v, _, err := c.acquire(key, load, false)
-	return v, err
-}
-
-// Acquire is GetOrLoad plus an atomic pin: the returned value's entry has
-// its pin count incremented before the shard lock is released, so it cannot
-// be evicted until the matching Unpin. Callers must pair every successful
+// Acquire is Get plus a pin taken under the same lock: the entry cannot be
+// evicted until the matching Unpin. Callers must pair every successful
 // Acquire with exactly one Unpin.
-func (c *Cache[V]) Acquire(key string, load func() (V, int64, error)) (V, error) {
-	v, _, err := c.acquire(key, load, true)
-	return v, err
-}
-
-func (c *Cache[V]) acquire(key string, load func() (V, int64, error), pin bool) (V, int64, error) {
-	sh := c.shardFor(key)
-	for {
-		sh.mu.Lock()
-		if e, ok := sh.entries[key]; ok {
-			sh.touch(e)
-			if pin {
-				e.pins++
-			}
-			c.hits.Inc()
-			v, n := e.val, e.bytes
-			sh.mu.Unlock()
-			return v, n, nil
-		}
-		if f, ok := sh.flights[key]; ok {
-			// Another goroutine is loading this key: wait for it, then loop
-			// to find (and possibly pin) the inserted entry. Looping rather
-			// than returning f.val directly keeps the pin atomic with
-			// residency.
-			sh.mu.Unlock()
-			c.coalesced.Inc()
-			<-f.done
-			if f.err != nil {
-				var zero V
-				return zero, 0, f.err
-			}
-			if !pin {
-				return f.val, f.bytes, nil
-			}
-			continue
-		}
-		if load == nil {
-			c.misses.Inc()
-			sh.mu.Unlock()
-			var zero V
-			return zero, 0, fmt.Errorf("keycache: %q not resident and no loader", key)
-		}
-		f := &flight[V]{done: make(chan struct{})}
-		sh.flights[key] = f
-		c.misses.Inc()
-		sh.mu.Unlock()
-
-		v, n, err := load()
-		sh.mu.Lock()
-		delete(sh.flights, key)
-		if err == nil {
-			e := c.insert(sh, key, v, n)
-			if pin {
-				e.pins++
-			}
-			c.loads.Inc()
-		}
-		f.val, f.bytes, f.err = v, n, err
-		close(f.done)
-		sh.mu.Unlock()
-		if err != nil {
-			var zero V
-			return zero, 0, err
-		}
-		return v, n, nil
-	}
-}
-
-// Pin increments the pin count of a resident entry, reporting whether the
-// key was resident. Pinned entries are never evicted.
-func (c *Cache[V]) Pin(key string) bool {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if ok {
-		e.pins++
-	}
-	return ok
-}
+func (c *Cache[V]) Acquire(key string) (V, bool) { return c.lookup(key, true) }
 
 // Unpin decrements the pin count. Unpinning a non-resident key (removed
 // while pinned) is a no-op.
 func (c *Cache[V]) Unpin(key string) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.entries[key]; ok && e.pins > 0 {
-		e.pins--
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		if e := el.Value.(*entry[V]); e.pins > 0 {
+			e.pins--
+		}
 	}
 }
 
@@ -367,69 +175,43 @@ func (c *Cache[V]) Unpin(key string) {
 // keep them; the bytes just stop being accounted). Returns the removed
 // value, if any.
 func (c *Cache[V]) Remove(key string) (V, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	sh.unlink(e)
-	delete(sh.entries, key)
-	sh.bytes -= e.bytes
-	return e.val, true
+	c.drop(el)
+	return el.Value.(*entry[V]).val, true
 }
 
 // Clear removes every entry, invoking fn (may be nil) on each — the
 // deterministic-release hook Engine.Close uses to drop key material.
 func (c *Cache[V]) Clear(fn func(key string, val V)) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			if fn != nil {
-				fn(key, e.val)
-			}
-			delete(sh.entries, key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fn != nil {
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*entry[V])
+			fn(e.key, e.val)
 		}
-		sh.head, sh.tail, sh.bytes = nil, nil, 0
-		sh.mu.Unlock()
 	}
-}
-
-// Range calls fn on every resident entry until fn returns false. Entries
-// are visited in no particular order; fn must not call back into the cache.
-func (c *Cache[V]) Range(fn func(key string, val V) bool) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			if !fn(key, e.val) {
-				sh.mu.Unlock()
-				return
-			}
-		}
-		sh.mu.Unlock()
-	}
+	clear(c.entries)
+	c.lru.Init()
+	c.bytes = 0
 }
 
 // Len returns the number of resident entries.
 func (c *Cache[V]) Len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // Bytes returns the total resident size.
 func (c *Cache[V]) Bytes() int64 {
-	var n int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }

@@ -2,28 +2,21 @@ package keycache
 
 import (
 	"fmt"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
-func newTestCache(t *testing.T, budget int64, shards int) (*Cache[string], *obs.Registry) {
+func newTestCache(t *testing.T, budget int64) (*Cache[string], *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	c := New[string](Config{
-		Shards:      shards,
-		BudgetBytes: budget,
-		Name:        "test",
-		Obs:         reg,
-	}, nil)
+	c := New[string](Config{BudgetBytes: budget, Name: "test", Obs: reg}, nil)
 	return c, reg
 }
 
 func TestPutGetTouch(t *testing.T) {
-	c, reg := newTestCache(t, 0, 1)
+	c, reg := newTestCache(t, 0)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache returned a hit")
 	}
@@ -56,7 +49,7 @@ func TestPutGetTouch(t *testing.T) {
 func TestLRUEvictionUnderBudget(t *testing.T) {
 	reg := obs.NewRegistry()
 	var evicted []string
-	c := New[string](Config{Shards: 1, BudgetBytes: 100, Name: "evict", Obs: reg},
+	c := New[string](Config{BudgetBytes: 100, Name: "evict", Obs: reg},
 		func(key string, _ string) { evicted = append(evicted, key) })
 
 	c.Put("a", "va", 40)
@@ -84,13 +77,16 @@ func TestLRUEvictionUnderBudget(t *testing.T) {
 	}
 }
 
-// TestPinnedNeverEvicted verifies pinned entries survive even when the shard
+// TestPinnedNeverEvicted verifies pinned entries survive even when the cache
 // is over budget, and become evictable again after Unpin.
 func TestPinnedNeverEvicted(t *testing.T) {
-	c, _ := newTestCache(t, 100, 1)
+	c, _ := newTestCache(t, 100)
 	c.Put("a", "va", 60)
-	if !c.Pin("a") {
-		t.Fatal("Pin(a) on resident entry failed")
+	if _, ok := c.Acquire("a"); !ok {
+		t.Fatal("Acquire(a) on resident entry failed")
+	}
+	if _, ok := c.Acquire("missing"); ok {
+		t.Fatal("Acquire of a key that was never put succeeded")
 	}
 	c.Put("b", "vb", 60) // over budget: a is LRU but pinned, so b fits by exceeding budget
 	if _, ok := c.Get("a"); !ok {
@@ -103,83 +99,36 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	}
 }
 
-// TestSingleflightExactlyOnce is the acceptance gate: after an eviction, 100
-// concurrent requesters for the same key must run the loader exactly once,
-// with every requester observing the loaded value.
-func TestSingleflightExactlyOnce(t *testing.T) {
-	c, reg := newTestCache(t, 1<<20, 4)
-	c.Put("tenant", "v0", 100)
-	c.Remove("tenant") // simulate eviction
-
-	var loads atomic.Int64
-	release := make(chan struct{})
-	load := func() (string, int64, error) {
-		loads.Add(1)
-		<-release // hold the flight open so every requester piles onto it
-		return "vloaded", 100, nil
+// TestBudgetIsExact: the budget is one number over the whole cache, not a
+// share per hash bucket. Fourteen 70 MiB key sets fit under 1 GiB and all stay
+// resident; the fifteenth evicts exactly the least recently used one.
+func TestBudgetIsExact(t *testing.T) {
+	const size = 70 << 20
+	c, reg := newTestCache(t, 1<<30)
+	for i := 1; i <= 14; i++ {
+		c.Put(fmt.Sprintf("sess-%d", i), "v", size)
 	}
-
-	const requesters = 100
-	var wg sync.WaitGroup
-	errs := make(chan error, requesters)
-	started := make(chan struct{}, requesters)
-	for i := 0; i < requesters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			started <- struct{}{}
-			v, err := c.Acquire("tenant", load)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if v != "vloaded" {
-				errs <- fmt.Errorf("got %q, want vloaded", v)
-				return
-			}
-			c.Unpin("tenant")
-		}()
+	if c.Len() != 14 || c.Bytes() != 14*size {
+		t.Fatalf("14 x 70 MiB under 1 GiB: %d entries / %d bytes resident, want 14 / %d", c.Len(), c.Bytes(), 14*size)
 	}
-	for i := 0; i < requesters; i++ {
-		<-started
+	if n := reg.Snapshot().Counters[`keycache_evictions_total{cache="test"}`]; n != 0 {
+		t.Fatalf("%v evictions while under budget", n)
 	}
-	close(release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	c.Get("sess-1") // sess-2 is now the least recently used
+	c.Put("sess-15", "v", size)
+	if _, ok := c.Get("sess-2"); ok {
+		t.Fatal("sess-2 (least recently used) survived the 15th insert")
 	}
-	if n := loads.Load(); n != 1 {
-		t.Fatalf("loader ran %d times, want exactly 1", n)
+	if c.Len() != 14 || c.Bytes() != 14*size {
+		t.Fatalf("after the 15th insert: %d entries / %d bytes, want 14 / %d", c.Len(), c.Bytes(), 14*size)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters[`keycache_loads_total{cache="test"}`] != 1 {
-		t.Fatalf("loads counter = %v, want 1", snap.Counters)
-	}
-}
-
-func TestGetOrLoadError(t *testing.T) {
-	c, _ := newTestCache(t, 0, 2)
-	wantErr := fmt.Errorf("storage down")
-	if _, err := c.GetOrLoad("k", func() (string, int64, error) { return "", 0, wantErr }); err != wantErr {
-		t.Fatalf("err = %v, want %v", err, wantErr)
-	}
-	// A failed load leaves nothing resident and a later load can succeed.
-	if c.Len() != 0 {
-		t.Fatalf("failed load left %d entries resident", c.Len())
-	}
-	v, err := c.GetOrLoad("k", func() (string, int64, error) { return "ok", 5, nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("retry after failed load: %q, %v", v, err)
-	}
-	// No loader and not resident is a typed miss.
-	if _, err := c.GetOrLoad("missing", nil); err == nil || !strings.Contains(err.Error(), "no loader") {
-		t.Fatalf("nil loader miss: %v", err)
+	if n := reg.Snapshot().Counters[`keycache_evictions_total{cache="test"}`]; n != 1 {
+		t.Fatalf("%v evictions, want exactly 1", n)
 	}
 }
 
 func TestRemoveAndClear(t *testing.T) {
-	c, _ := newTestCache(t, 0, 4)
+	c, _ := newTestCache(t, 0)
 	for i := 0; i < 32; i++ {
 		c.Put(fmt.Sprintf("k%d", i), "v", 8)
 	}
@@ -191,7 +140,7 @@ func TestRemoveAndClear(t *testing.T) {
 	}
 	// Remove while pinned is allowed: the caller keeps its reference, the
 	// cache just stops accounting the bytes.
-	c.Pin("k8")
+	c.Acquire("k8")
 	if _, ok := c.Remove("k8"); !ok {
 		t.Fatal("Remove of pinned entry failed")
 	}
@@ -210,7 +159,7 @@ func TestRemoveAndClear(t *testing.T) {
 // TestConcurrentChurn hammers every operation from many goroutines; run
 // under -race this is the cache's concurrency-safety gate.
 func TestConcurrentChurn(t *testing.T) {
-	c, _ := newTestCache(t, 4096, 8)
+	c, _ := newTestCache(t, 4096)
 	const workers = 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -226,11 +175,10 @@ func TestConcurrentChurn(t *testing.T) {
 				case 1:
 					c.Get(key)
 				case 2:
-					v, err := c.Acquire(key, func() (string, int64, error) { return key, 64, nil })
-					if err == nil && v != key {
-						t.Errorf("Acquire(%s) = %q", key, v)
-					}
-					if err == nil {
+					if v, ok := c.Acquire(key); ok {
+						if v != key {
+							t.Errorf("Acquire(%s) = %q", key, v)
+						}
 						c.Unpin(key)
 					}
 				case 3:
@@ -243,10 +191,9 @@ func TestConcurrentChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c.Range(func(key, val string) bool {
+	c.Clear(func(key, val string) {
 		if key != val {
 			t.Errorf("entry %q holds %q", key, val)
 		}
-		return true
 	})
 }

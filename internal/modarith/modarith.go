@@ -184,35 +184,6 @@ func (m Modulus) ReduceTwoQ(a uint64) uint64 {
 	return a
 }
 
-// SubLazy returns a value congruent to a-b in [0, 4q) for a,b < 2q, without
-// any conditional: a - b + 2q. This is the subtraction half of the Harvey
-// butterfly; the caller's domain bookkeeping must absorb the 4q bound (a
-// multiply via MulShoupLazy does so for free).
-func (m Modulus) SubLazy(a, b uint64) uint64 {
-	return a - b + m.TwoQ
-}
-
-// ReduceFourQ maps a butterfly-domain value in [0, 4q) to its exact residue
-// in [0, q): two conditional subtractions.
-func (m Modulus) ReduceFourQ(a uint64) uint64 {
-	if a >= m.TwoQ {
-		a -= m.TwoQ
-	}
-	if a >= m.Q {
-		a -= m.Q
-	}
-	return a
-}
-
-// ReduceFourQLazy maps a butterfly-domain value in [0, 4q) to the lazy
-// domain [0, 2q): one conditional subtraction.
-func (m Modulus) ReduceFourQLazy(a uint64) uint64 {
-	if a >= m.TwoQ {
-		a -= m.TwoQ
-	}
-	return a
-}
-
 // ShoupPrecomp returns floor(w * 2^64 / q), the Shoup companion constant for
 // multiplying by the fixed operand w < q.
 func (m Modulus) ShoupPrecomp(w uint64) uint64 {
@@ -261,12 +232,6 @@ func (m Modulus) MRed(a, b uint64) uint64 {
 	}
 	return r
 }
-
-// MForm converts a < q into Montgomery form: a*2^64 mod q.
-func (m Modulus) MForm(a uint64) uint64 { return m.MRed(a, m.RSq) }
-
-// IForm converts out of Montgomery form: a/2^64 mod q.
-func (m Modulus) IForm(a uint64) uint64 { return m.MRed(a, 1) }
 
 // Pow returns a^e mod q by square-and-multiply.
 func (m Modulus) Pow(a, e uint64) uint64 {

@@ -88,12 +88,12 @@ func TestMontgomery(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			a := r.Uint64() % q
 			b := r.Uint64() % q
-			bm := m.MForm(b)
+			bm := m.MRed(b, m.RSq) // b in Montgomery form: b*2^64 mod q
 			if got, want := m.MRed(a, bm), m.Mul(a, b); got != want {
-				t.Fatalf("MRed(%d, MForm(%d)) mod %d = %d, want %d", a, b, q, got, want)
+				t.Fatalf("MRed(%d, mform(%d)) mod %d = %d, want %d", a, b, q, got, want)
 			}
-			if got := m.IForm(m.MForm(a)); got != a {
-				t.Fatalf("IForm(MForm(%d)) = %d mod %d", a, got, q)
+			if got := m.MRed(bm, 1); got != b {
+				t.Fatalf("MRed(mform(%d), 1) = %d mod %d", b, got, q)
 			}
 		}
 	}
@@ -371,32 +371,6 @@ func TestMulBarrettLazyLazyOperands(t *testing.T) {
 		}
 		for i := 0; i < 5000; i++ {
 			check(r.Uint64()%m.TwoQ, r.Uint64()%m.TwoQ)
-		}
-	}
-}
-
-func TestSubLazyReduceFourQ(t *testing.T) {
-	for _, q := range testModuli {
-		m := MustModulus(q)
-		r := rand.New(rand.NewSource(12))
-		for i := 0; i < 2000; i++ {
-			a := r.Uint64() % m.TwoQ
-			b := r.Uint64() % m.TwoQ
-			d := m.SubLazy(a, b)
-			if d >= 4*q {
-				t.Fatalf("SubLazy(%d,%d) = %d >= 4q (q=%d)", a, b, d, q)
-			}
-			want := m.Sub(a%q, b%q)
-			if got := m.ReduceFourQ(d); got != want {
-				t.Fatalf("ReduceFourQ(SubLazy(%d,%d)) mod %d = %d, want %d", a, b, q, got, want)
-			}
-			lz := m.ReduceFourQLazy(d)
-			if lz >= m.TwoQ {
-				t.Fatalf("ReduceFourQLazy(%d) = %d >= 2q (q=%d)", d, lz, q)
-			}
-			if got := m.ReduceTwoQ(lz); got != want {
-				t.Fatalf("ReduceFourQLazy(%d) mod %d ≡ %d, want %d", d, q, got, want)
-			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -84,18 +83,6 @@ func GB(b float64) string { return fmt.Sprintf("%.2fGB", b/1e9) }
 
 // X formats a ratio as a multiplier.
 func X(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// Geomean returns the geometric mean of positive values.
-func Geomean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vs {
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vs)))
-}
 
 // CSV renders the table as comma-separated values (quoted where needed) for
 // downstream plotting.

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -45,18 +44,6 @@ func TestFormatters(t *testing.T) {
 	}
 	if X(1.62) != "1.62x" {
 		t.Fatal("X")
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
-		t.Fatalf("geomean(2,8) = %f", g)
-	}
-	if g := Geomean(nil); g != 0 {
-		t.Fatal("geomean of empty should be 0")
-	}
-	if g := Geomean([]float64{5}); math.Abs(g-5) > 1e-12 {
-		t.Fatal("geomean of singleton")
 	}
 }
 

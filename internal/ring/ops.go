@@ -77,7 +77,8 @@ func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {
 
 // AddScalarBig adds an arbitrarily large signed integer constant (reduced
 // per limb). Needed by bootstrapping, where constants scale with q0 and
-// exceed int64. Domain handling matches AddScalarInt.
+// exceed int64. In the coefficient domain this touches coefficient 0; in the
+// NTT domain a constant shifts every slot, so it is added to all positions.
 func (r *Ring) AddScalarBig(out, a *Poly, v *big.Int, level int) {
 	r.addLimbScalars(out, a, r.LimbResidues(make([]uint64, level+1), v), level)
 }
@@ -86,18 +87,6 @@ func (r *Ring) AddScalarBig(out, a *Poly, v *big.Int, level int) {
 // (reduced per limb).
 func (r *Ring) MulScalarBig(out, a *Poly, v *big.Int, level int) {
 	r.MulByLimbScalars(out, a, r.LimbResidues(make([]uint64, level+1), v), level)
-}
-
-// AddScalarInt adds a signed integer constant to the polynomial's constant
-// term representation: in the coefficient domain this touches coefficient 0;
-// in the NTT domain a constant shifts every slot, so it is added to all
-// positions.
-func (r *Ring) AddScalarInt(out, a *Poly, v int64, level int) {
-	c := make([]uint64, level+1)
-	for i := range c {
-		c[i] = r.Moduli[i].FromCentered(v)
-	}
-	r.addLimbScalars(out, a, c, level)
 }
 
 // LimbResidues sets res[i] = v mod q_i in [0, q_i) for the first len(res)

@@ -83,9 +83,6 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 // MaxLevel is the level of a polynomial using every prime of the chain.
 func (r *Ring) MaxLevel() int { return len(r.Moduli) - 1 }
 
-// AtLevel returns the moduli participating at the given level.
-func (r *Ring) AtLevel(level int) []modarith.Modulus { return r.Moduli[:level+1] }
-
 // Poly is an RNS polynomial. Coeffs[i][j] is coefficient j modulo the i-th
 // prime. IsNTT records the current domain; operations that require a
 // specific domain check it.

@@ -309,7 +309,7 @@ func TestTernaryPolyWeight(t *testing.T) {
 	r := newTestRing(t, 8, 2)
 	s := NewSampler(23)
 	h := 32
-	p := s.TernaryPoly(r, r.MaxLevel(), h)
+	p := SmallVectorToPoly(r, r.MaxLevel(), s.TernaryVector(r.N, h))
 	nonzero := 0
 	for j := 0; j < r.N; j++ {
 		c := r.Moduli[0].Centered(p.Coeffs[0][j])
@@ -400,19 +400,6 @@ func mustPrimes(t testing.TB, bits, logN, n int) []uint64 {
 		t.Fatal(err)
 	}
 	return primes
-}
-
-func TestAddScalarInt(t *testing.T) {
-	r := newTestRing(t, 4, 2)
-	s := NewSampler(31)
-	level := r.MaxLevel()
-	a := s.UniformPoly(r, level, false)
-	out := r.NewPoly(level)
-	r.AddScalarInt(out, a, -5, level)
-	r.AddScalarInt(out, out, 5, level)
-	if !out.Equal(a) {
-		t.Fatal("add scalar then its negation is not identity")
-	}
 }
 
 // TestRowOpsMatchScalar: the limb-wise ops that run on row kernels (Add, Sub,

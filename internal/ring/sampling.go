@@ -125,13 +125,6 @@ func (s *Sampler) GaussianVector(n int, sigma float64) []int64 {
 	return v
 }
 
-// TernaryPoly samples a polynomial with exactly h coefficients in {-1, +1}
-// (a fixed-Hamming-weight ternary secret, Table IV's H_d / H_s) and the rest
-// zero. Returned in the coefficient domain.
-func (s *Sampler) TernaryPoly(r *Ring, level, h int) *Poly {
-	return SmallVectorToPoly(r, level, s.TernaryVector(r.N, h))
-}
-
 // GaussianPoly samples a discrete Gaussian error polynomial with standard
 // deviation sigma (rounded continuous Gaussian, adequate for a research
 // implementation). Returned in the coefficient domain.
