@@ -62,7 +62,6 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzCiphertextUnmarshal -fuzztime=$(FUZZTIME) ./internal/ckks
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzEvaluationKeySetUnmarshal -fuzztime=$(FUZZTIME) ./internal/ckks
-	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzGadgetPlan -fuzztime=$(FUZZTIME) ./internal/ckks
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/ckks
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzJobSpecDecode -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME) ./internal/ntt

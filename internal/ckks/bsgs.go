@@ -115,7 +115,7 @@ func newBSGSPlan(diags map[int][]complex128, bs int) *bsgsPlan {
 // sweepShape counts the key-switch primitives one linear-transform sweep
 // executes; sweepRowCost prices it. The diagonal PMULT/accumulate volume is
 // identical across strategies (each diagonal is multiplied exactly once), so
-// it is omitted — only relative order matters, as in planCost.
+// it is omitted — only relative order matters.
 type sweepShape struct {
 	decomps  int // ModUp decompositions (INTT + per-digit BConv + NTT)
 	gadgets  int // key-switch gadget products (KeyMult MACs)
@@ -123,14 +123,12 @@ type sweepShape struct {
 	giants   int // nonzero giant steps (σ + add epilogue over QP)
 }
 
-// sweepRowCost models the limb-row transform volume of a sweep at level lvl,
-// in the same units as planCost: a decomposition is ~Digits passes over the
-// extended basis plus the source INTT, a gadget product 2·Digits extended
-// passes, a ModDown one pass over P plus Q, and a giant epilogue one σ+add
-// pass over the QP accumulators. The legacy plan shape is used so the choice
-// does not depend on which gadget bands the keys at hand carry.
+// sweepRowCost models the limb-row transform volume of a sweep at level lvl:
+// a decomposition is ~Digits passes over the extended basis plus the source
+// INTT, a gadget product 2·Digits extended passes, a ModDown one pass over P
+// plus Q, and a giant epilogue one σ+add pass over the QP accumulators.
 func sweepRowCost(p *Parameters, lvl int, s sweepShape) int {
-	pl := p.LegacyPlanAt(lvl)
+	pl := p.PlanAt(lvl)
 	ext := lvl + 1 + pl.Alpha
 	decompRows := pl.Digits*ext + lvl + 1
 	gadgetRows := 2 * pl.Digits * ext
@@ -317,17 +315,8 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		return nil, err
 	}
 
-	// The hoisted digits are shared across all baby rotations, so the gadget
-	// plan (and its per-key band check) must see the full baby + giant key
-	// list before decomposing.
-	planKeys := make([]*SwitchingKey, 0, len(keys))
-	for _, swk := range keys {
-		planKeys = append(planKeys, swk)
-	}
-	gpl := ev.planFor(lvl, planKeys...)
-	lvlP := gpl.Alpha - 1
-
-	dec := ev.decomposePlan(ct.C1, lvl, gpl)
+	lvlP := rp.MaxLevel()
+	dec := ev.decompose(ct.C1, lvl)
 	defer dec.release(p)
 
 	// final collects the sweep's result: the QP-basis sum of the hoisted
@@ -412,7 +401,7 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 				rq.Add(t1, t1, ga.a1q, lvl)
 			}
 		}
-		decG := ev.decomposePlan(t1, lvl, gpl)
+		decG := ev.decompose(t1, lvl)
 		obsLinTransRotations.Inc()
 
 		// v0 lands on the live T0 — or opens it, when no baby fed this giant —

@@ -200,17 +200,15 @@ func TestBSGSDispatcherFallsBackWithoutKeys(t *testing.T) {
 	}
 }
 
-// TestBSGSLegacyKeyFallback pins the band-compatibility property for the
-// sweep: with every key's level-aware bands stripped (old key blobs), the
-// shared decomposition must fall back to the legacy gadget shape and stay
-// correct at every level.
-func TestBSGSLegacyKeyFallback(t *testing.T) {
-	tc := newTestContext(t, richLevelAwareParams())
+// TestBSGSSweepPerLevel runs the baby-step/giant-step sweep at every level a
+// rescale can reach: the shared decomposition and each giant's second one
+// are cut into however many digits the level has, down to one.
+func TestBSGSSweepPerLevel(t *testing.T) {
+	tc := newTestContext(t, alpha4Params())
 	r := rand.New(rand.NewSource(64))
 	slots := tc.params.Slots()
 	lt := denseTestTransform(r, slots, 8)
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, newBSGSPlan(lt.Diags, 4).rotations())
-	tc.eval = NewEvaluator(tc.params, stripBands(tc.keys))
 
 	u := randomComplex(r, slots, 1)
 	want := lt.Apply(u)
@@ -219,7 +217,7 @@ func TestBSGSLegacyKeyFallback(t *testing.T) {
 		ct := tc.eval.DropLevel(ctTop, lvl)
 		got := tc.eval.Rescale(tc.sweepWith(t, ct, lt, 4))
 		if e := maxErr(tc.decryptVec(got), want); e > 1e-2 {
-			t.Fatalf("lvl %d: bandless sweep error %g", lvl, e)
+			t.Fatalf("lvl %d: sweep error %g", lvl, e)
 		}
 	}
 }

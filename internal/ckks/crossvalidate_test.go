@@ -59,65 +59,48 @@ func hksShapeParams() ParametersLiteral {
 	return ParametersLiteral{LogN: 10, LogQ: append([]int{55}, repeatInts(45, 25)...), LogP: repeatInts(50, 7), LogScale: 45}
 }
 
-// TestTraceMatchesFunctionalKeySwitchNTTCount pins the kernel multiset the evaluator
-// runs to the closed form, at three levels under both the level's plan and
-// the legacy plan: a key switch is (ℓ+1) + Σ_d(ℓ+1+α−w_d) + 2α + 2(ℓ+1) limb
-// transforms, a rescale 2 + 2ℓ. The HROT + HMULT step must also sit within
-// 2 % of the trace layer's own count for it: the two differ only by the
-// D·α − (ℓ+1) rows per key switch that a ragged last digit converts onto limbs
-// the trace's ModUp does not count (none at level 20 or under level 23's own
-// plan, α = 6; two at the top, the benchmark's 448 against 444).
+// TestTraceMatchesFunctionalKeySwitchNTTCount pins the kernel multiset the
+// evaluator runs to the closed form at three levels: a key switch is
+// (ℓ+1) + Σ_d(ℓ+1+α−w_d) + 2α + 2(ℓ+1) limb transforms, a rescale 2 + 2ℓ.
+// The HROT + HMULT step must also sit within 2 % of the trace layer's own
+// count for it: the two differ only by the D·α − (ℓ+1) rows per key switch
+// that a ragged last digit converts onto limbs the trace's ModUp does not
+// count (none at level 20, four at level 23, two at the top — the
+// benchmark's 448 against 444).
 func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
 	tc := newTestContext(t, hksShapeParams())
-	p := tc.params
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
+	p, ev := tc.params, tc.eval
 	ct := tc.encryptVec(t, randomComplex(rand.New(rand.NewSource(110)), p.Slots(), 1))
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
 
-	sawBand := false
-	for _, sh := range []struct {
-		name string
-		keys *EvaluationKeySet
-		plan func(int) GadgetPlan
-	}{{"plan", tc.keys, p.PlanAt}, {"legacy", stripBands(tc.keys), p.LegacyPlanAt}} {
-		ev := NewEvaluator(p, sh.keys)
-		for _, lvl := range []int{p.MaxLevel(), 23, 20} {
-			pl := sh.plan(lvl)
-			a := ev.DropLevel(ct, lvl)
-			wantKS := modUpTransforms(pl) + modDownTransforms(pl, 2)
-			if got := countTransforms(p, func() { ev.keySwitch(a.C1, lvl, sh.keys.Rlk) }); got != wantKS {
-				t.Errorf("%s lvl %d %+v: key switch runs %d limb transforms, formula says %d", sh.name, lvl, pl, got, wantKS)
-			}
-			if got := countTransforms(p, func() { ev.Rescale(a) }); got != 2+2*lvl {
-				t.Errorf("%s lvl %d: rescale runs %d limb transforms, want %d", sh.name, lvl, got, 2+2*lvl)
-			}
-			step := countTransforms(p, func() {
-				rot, err := ev.Rotate(a, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev.Rescale(ev.MulRelin(rot, a, nil))
-			})
-			if step != 2*wantKS+2+2*lvl {
-				t.Errorf("%s lvl %d: HROT+HMULT runs %d limb transforms, want %d", sh.name, lvl, step, 2*wantKS+2+2*lvl)
-			}
-
-			tp := traceParamsFor(p)
-			tp.Alpha = pl.Alpha
-			if pl.Width != pl.Alpha || tp.Digits(lvl) != pl.Digits {
-				t.Fatalf("%s lvl %d %+v: a merged-digit shape the trace layer has no kernel list for", sh.name, lvl, pl)
-			}
-			b := trace.NewBuilder(tp, trace.GPUBaseline(), "step")
-			b.HROT(lvl)
-			b.HMULT(lvl)
-			predicted := b.T.NTTLimbTransforms()
-			if ratio := float64(step) / predicted; ratio < 0.98 || ratio > 1.02 {
-				t.Errorf("%s lvl %d: functional %d vs trace %.0f limb transforms (ratio %.3f)", sh.name, lvl, step, predicted, ratio)
-			}
-			sawBand = sawBand || !p.IsLegacyPlan(pl)
+	for _, lvl := range []int{p.MaxLevel(), 23, 20} {
+		pl := p.PlanAt(lvl)
+		a := ev.DropLevel(ct, lvl)
+		wantKS := modUpTransforms(pl) + modDownTransforms(pl, 2)
+		if got := countTransforms(p, func() { ev.keySwitch(a.C1, lvl, tc.keys.Rlk) }); got != wantKS {
+			t.Errorf("lvl %d %+v: key switch runs %d limb transforms, formula says %d", lvl, pl, got, wantKS)
 		}
-	}
-	if !sawBand {
-		t.Fatal("no level ran a plan other than the legacy one")
+		if got := countTransforms(p, func() { ev.Rescale(a) }); got != 2+2*lvl {
+			t.Errorf("lvl %d: rescale runs %d limb transforms, want %d", lvl, got, 2+2*lvl)
+		}
+		step := countTransforms(p, func() {
+			rot, err := ev.Rotate(a, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Rescale(ev.MulRelin(rot, a, nil))
+		})
+		if step != 2*wantKS+2+2*lvl {
+			t.Errorf("lvl %d: HROT+HMULT runs %d limb transforms, want %d", lvl, step, 2*wantKS+2+2*lvl)
+		}
+
+		b := trace.NewBuilder(traceParamsFor(p), trace.GPUBaseline(), "step")
+		b.HROT(lvl)
+		b.HMULT(lvl)
+		predicted := b.T.NTTLimbTransforms()
+		if ratio := float64(step) / predicted; ratio < 0.98 || ratio > 1.02 {
+			t.Errorf("lvl %d: functional %d vs trace %.0f limb transforms (ratio %.3f)", lvl, step, predicted, ratio)
+		}
 	}
 }
 

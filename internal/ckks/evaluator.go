@@ -20,25 +20,18 @@ type Evaluator struct {
 	keys   *EvaluationKeySet
 
 	mu         sync.Mutex
-	digitConv  map[digitConvKey]*rns.BasisConverter // digit group -> (Q_level ∖ digit) ∪ P_alpha
-	pToQConv   map[pToQKey]*rns.BasisConverter      // P_alpha -> Q_level
+	digitConv  map[digitConvKey]*rns.BasisConverter // digit group -> (Q_level ∖ digit) ∪ P
+	pToQConv   map[int]*rns.BasisConverter          // level -> BConv P -> Q_level
 	rescalers  map[int]*rns.Rescaler                // level -> cached rescale constants
-	pInvModQ   [][]uint64                           // alpha -> P_alpha^{-1} mod q_i (full chain)
+	pInvModQ   []uint64                             // P^{-1} mod q_i (full chain)
 	monomialNT map[int]*ring.Poly                   // level -> NTT(X^{N/2})
 
 	rowsPool sync.Pool // *[][]uint64: Decompose's per-digit BConv target headers
 }
 
-// digitConvKey identifies one ModUp digit converter: the gadget shape
-// (alpha, width) changes both the source limb group and the P extension.
+// digitConvKey identifies one ModUp digit converter.
 type digitConvKey struct {
-	level, digit, alpha, width int
-}
-
-// pToQKey identifies a ModDown converter: the source basis is the P prefix
-// p_0···p_{alpha-1}.
-type pToQKey struct {
-	level, alpha int
+	level, digit int
 }
 
 // NewEvaluator binds a key set (which may be extended later; the map is
@@ -48,35 +41,13 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 		params:     params,
 		keys:       keys,
 		digitConv:  make(map[digitConvKey]*rns.BasisConverter),
-		pToQConv:   make(map[pToQKey]*rns.BasisConverter),
+		pToQConv:   make(map[int]*rns.BasisConverter),
 		rescalers:  make(map[int]*rns.Rescaler),
 		monomialNT: make(map[int]*ring.Poly),
-	}
-	// P_alpha^{-1} mod q_i for every prefix length the plans may use,
-	// computed eagerly so the hot paths never take the lock for them.
-	aTop := params.Alpha()
-	ev.pInvModQ = make([][]uint64, aTop+1)
-	for a := 1; a <= aTop; a++ {
-		ev.pInvModQ[a] = rns.ProductInvMod(params.RingP().Moduli[:a], params.RingQ().Moduli)
+		// Computed eagerly so the hot paths never take the lock for it.
+		pInvModQ: rns.ProductInvMod(params.RingP().Moduli, params.RingQ().Moduli),
 	}
 	return ev
-}
-
-// planFor picks the gadget plan for a key switch at lvl consumed by the
-// given keys: the level's plan when every key carries the matching band,
-// else the legacy plan (notably for keys unmarshalled from pre-band blobs).
-func (ev *Evaluator) planFor(lvl int, keys ...*SwitchingKey) GadgetPlan {
-	pl := ev.params.PlanAt(lvl)
-	if ev.params.IsLegacyPlan(pl) {
-		return pl
-	}
-	aTop := ev.params.Alpha()
-	for _, k := range keys {
-		if _, _, _, _, ok := k.gadget(pl, aTop); !ok {
-			return ev.params.LegacyPlanAt(lvl)
-		}
-	}
-	return pl
 }
 
 // ---------------------------------------------------------------------------
@@ -217,16 +188,16 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 
 // digitLimbs returns the Q limbs [lo, hi) that form digit d of the plan.
 func (pl GadgetPlan) digitLimbs(d int) (lo, hi int) {
-	return d * pl.Width, min((d+1)*pl.Width, pl.Level+1)
+	return d * pl.Alpha, min((d+1)*pl.Alpha, pl.Level+1)
 }
 
 // digitConverter returns the cached BConv for digit d of a gadget plan: the
-// digit's own Q limbs [lo, hi) -> every other limb of Q_level, then P_alpha.
+// digit's own Q limbs [lo, hi) -> every other limb of Q_level, then P.
 // The own limbs are not targets: BConv onto a source prime q_j returns the
 // source residue (every other Q_d/q_i term vanishes mod q_j), which the
 // input already holds.
 func (ev *Evaluator) digitConverter(pl GadgetPlan, d int) *rns.BasisConverter {
-	key := digitConvKey{level: pl.Level, digit: d, alpha: pl.Alpha, width: pl.Width}
+	key := digitConvKey{level: pl.Level, digit: d}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if c, ok := ev.digitConv[key]; ok {
@@ -236,7 +207,7 @@ func (ev *Evaluator) digitConverter(pl GadgetPlan, d int) *rns.BasisConverter {
 	lo, hi := pl.digitLimbs(d)
 	q := p.RingQ().Moduli[:pl.Level+1]
 	to := make([]modarith.Modulus, 0, len(q)-(hi-lo)+pl.Alpha)
-	to = append(append(append(to, q[:lo]...), q[hi:]...), p.RingP().Moduli[:pl.Alpha]...)
+	to = append(append(append(to, q[:lo]...), q[hi:]...), p.RingP().Moduli...)
 	bc, err := rns.NewBasisConverter(q[lo:hi], to)
 	if err != nil {
 		panic(err)
@@ -245,20 +216,19 @@ func (ev *Evaluator) digitConverter(pl GadgetPlan, d int) *rns.BasisConverter {
 	return bc
 }
 
-// pToQConverter returns the cached BConv P_alpha -> Q_level.
-func (ev *Evaluator) pToQConverter(level, alpha int) *rns.BasisConverter {
-	key := pToQKey{level: level, alpha: alpha}
+// pToQConverter returns the cached BConv P -> Q_level.
+func (ev *Evaluator) pToQConverter(level int) *rns.BasisConverter {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	if c, ok := ev.pToQConv[key]; ok {
+	if c, ok := ev.pToQConv[level]; ok {
 		return c
 	}
 	p := ev.params
-	bc, err := rns.NewBasisConverter(p.RingP().Moduli[:alpha], p.RingQ().Moduli[:level+1])
+	bc, err := rns.NewBasisConverter(p.RingP().Moduli, p.RingQ().Moduli[:level+1])
 	if err != nil {
 		panic(err)
 	}
-	ev.pToQConv[key] = bc
+	ev.pToQConv[level] = bc
 	return bc
 }
 
@@ -304,19 +274,19 @@ func (ev *Evaluator) putRows(p *[][]uint64) {
 // holds for operands < 2q.
 type decomposed struct {
 	level int
-	plan  GadgetPlan   // gadget shape the digits were cut with
+	plan  GadgetPlan   // the level's plan the digits were cut with
 	q     []*ring.Poly // digit -> poly at level
-	p     []*ring.Poly // digit -> poly over RingP at level plan.Alpha-1
+	p     []*ring.Poly // digit -> poly over RingP
 	// coeffDomain is set until the first gadget product consumes the digits:
-	// decomposePlan leaves them in the coefficient domain and that product
+	// decompose leaves them in the coefficient domain and that product
 	// fuses each digit's forward NTT with the MACs reading it, so the digit
 	// row never round-trips through DRAM in between.
 	coeffDomain bool
 }
 
-// decomposePlan performs ModUp on c (NTT, level lvl == pl.Level): it INTTs
-// c, and for each digit d of the plan base-converts the digit's limbs to the
-// rest of the extended basis Q_lvl ∪ P_alpha (the INTT -> BConv half of
+// decompose performs ModUp on c (NTT, level lvl): it INTTs c, and for each
+// digit d of the level's plan base-converts the digit's limbs to the rest of
+// the extended basis Q_lvl ∪ P (the INTT -> BConv half of
 // §II-B's "ModSwitch"; the NTT half runs inside the consuming gadget product,
 // see coeffDomain). The digit's own Q rows need neither: they are c's NTT rows,
 // copied (the digit goes back to the pool, so it cannot alias c) while the
@@ -324,13 +294,12 @@ type decomposed struct {
 // mixed-domain — own rows NTT, the others coefficient. The digit polynomials
 // are borrowed from the ring buffer pools; callers that are done with the
 // decomposition should release it via dec.release.
-func (ev *Evaluator) decomposePlan(c *ring.Poly, lvl int, pl GadgetPlan) *decomposed {
+func (ev *Evaluator) decompose(c *ring.Poly, lvl int) *decomposed {
 	defer obsKSBConv.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
+	pl := p.PlanAt(lvl)
 	digits := pl.Digits
-	lvlP := pl.Alpha - 1
-	obsKSPlanAlpha.Observe(float64(pl.Alpha))
 	obsKSDigits.Observe(float64(digits))
 
 	dec := &decomposed{level: lvl, plan: pl, q: make([]*ring.Poly, digits), p: make([]*ring.Poly, digits), coeffDomain: true}
@@ -340,7 +309,7 @@ func (ev *Evaluator) decomposePlan(c *ring.Poly, lvl int, pl GadgetPlan) *decomp
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
 	for d := range dec.q {
-		dec.q[d], dec.p[d] = rq.GetPoly(lvl), rp.GetPoly(lvlP)
+		dec.q[d], dec.p[d] = rq.GetPoly(lvl), rp.GetPoly(rp.MaxLevel())
 		lo, hi := pl.digitLimbs(d)
 		ln.CopyRows(dec.q[d], c, lo, hi)
 	}
@@ -377,7 +346,7 @@ func (dec *decomposed) release(p *Parameters) {
 // return them with putQP once the ModDown has consumed them.
 func (ev *Evaluator) gadgetProduct(dec *decomposed, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
 	defer obsKSKeyMult.done(time.Now())
-	u0q, u0p, u1q, u1p = ev.getQP(dec.level, dec.plan.Alpha-1)
+	u0q, u0p, u1q, u1p = ev.getQP(dec.level)
 	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p, false)
 	return
 }
@@ -390,11 +359,12 @@ func getNTT(r *ring.Ring, level int) *ring.Poly {
 	return p
 }
 
-// getQP borrows two NTT-flagged QP accumulators (Q halves at lvl, P halves at
-// lvlP) from the ring pools; putQP returns them. Their contents are
+// getQP borrows two NTT-flagged QP accumulators (Q halves at lvl, P halves
+// over all of P) from the ring pools; putQP returns them. Their contents are
 // unspecified: the gadget product that fills them overwrites every row.
-func (ev *Evaluator) getQP(lvl, lvlP int) (u0q, u0p, u1q, u1p *ring.Poly) {
+func (ev *Evaluator) getQP(lvl int) (u0q, u0p, u1q, u1p *ring.Poly) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
+	lvlP := rp.MaxLevel()
 	return getNTT(rq, lvl), getNTT(rp, lvlP), getNTT(rq, lvl), getNTT(rp, lvlP)
 }
 
@@ -406,12 +376,10 @@ func (ev *Evaluator) putQP(u0q, u0p, u1q, u1p *ring.Poly) {
 	rp.PutPoly(u1p)
 }
 
-// ModDown divides a Q∪P_alpha value by the P prefix with rounding,
-// returning a Q-basis polynomial at uq's level:
-// out_i = (uq_i - BConv(up)_i)·[P_alpha^{-1}]_{q_i} (the ModDownEp compound
-// instruction of Table II). The prefix length is read off up's level, so
-// the signature is shape-agnostic. The BConv -> NTT chain stays lazy
-// ([0, 2q) rows into NTTLazy) and the epilogue subtracts the lazy subtrahend
+// ModDown divides a Q∪P value by P with rounding, returning a Q-basis
+// polynomial at uq's level: out_i = (uq_i - BConv(up)_i)·[P^{-1}]_{q_i} (the
+// ModDownEp compound instruction of Table II). The BConv -> NTT chain stays
+// lazy ([0, 2q) rows into NTTLazy) and the epilogue subtracts the lazy subtrahend
 // while scaling by P^{-1} in a single exact pass. This single-component form
 // serves the BSGS giant step; key switches run both components through
 // modDownPair / modDownAut.
@@ -419,15 +387,14 @@ func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
 	defer obsKSModDown.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
-	lvlP := up.Level()
-	alpha := lvlP + 1
+	lvlP := rp.MaxLevel()
 	work := rp.GetPoly(lvlP)
 	work.Copy(up)
 	rp.INTT(work, lvlP)
 	conv, out := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	ev.pToQConverter(lvl, alpha).ConvertLazy(conv.Coeffs, work.Coeffs[:alpha])
+	ev.pToQConverter(lvl).ConvertLazy(conv.Coeffs, work.Coeffs)
 	rq.NTTLazy(conv, lvl)
-	rq.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[alpha][:lvl+1], lvl)
+	rq.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[:lvl+1], lvl)
 	out.IsNTT = true
 	rp.PutPoly(work)
 	rq.PutPoly(conv)
@@ -439,7 +406,7 @@ func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
 // differs per op (plain pair, HMULT adds, rotation automorphism). Return the
 // accumulators with putQP.
 func (ev *Evaluator) keySwitchQP(c *ring.Poly, lvl int, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
-	dec := ev.decomposePlan(c, lvl, ev.planFor(lvl, swk))
+	dec := ev.decompose(c, lvl)
 	u0q, u0p, u1q, u1p = ev.gadgetProduct(dec, swk)
 	dec.release(ev.params)
 	return
@@ -553,23 +520,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 	defer obsHoisted.done(time.Now())
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
-	// Resolve every Galois key before decomposing: the shared digits must be
-	// cut with a shape all consuming keys can serve, so the plan choice (and
-	// its per-key band check) has to see the full key list up front.
-	swks := make(map[int]*SwitchingKey, len(rotations))
-	planKeys := make([]*SwitchingKey, 0, len(rotations))
-	for _, k := range rotations {
-		if k%ev.params.Slots() == 0 {
-			continue
-		}
-		swk, err := ev.keys.GaloisKey(rq.GaloisElement(k))
-		if err != nil {
-			return nil, err
-		}
-		swks[k] = swk
-		planKeys = append(planKeys, swk)
-	}
-	dec := ev.decomposePlan(ct.C1, lvl, ev.planFor(lvl, planKeys...))
+	dec := ev.decompose(ct.C1, lvl)
 	defer dec.release(ev.params)
 	out := make(map[int]*Ciphertext, len(rotations))
 	for _, k := range rotations {
@@ -578,7 +529,14 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 			continue
 		}
 		g := rq.GaloisElement(k)
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swks[k])
+		swk, err := ev.keys.GaloisKey(g)
+		if err != nil {
+			for _, done := range out {
+				ev.Release(done)
+			}
+			return nil, err
+		}
+		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
 		o0, o1 := ev.modDownAut(u0q, u0p, u1q, u1p, ct.C0, g, lvl)
 		ev.putQP(u0q, u0p, u1q, u1p)
 		out[k] = &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}

@@ -30,43 +30,10 @@ type PublicKey struct {
 type SwitchingKey struct {
 	BQ, AQ []*ring.Poly // Q parts, indexed by digit, max level, NTT
 	BP, AP []*ring.Poly // P parts
-
-	// Bands holds the non-legacy gadget shapes of the parameter set's
-	// level-aware plans, one variant per (alpha, width). A key without
-	// bands (e.g. unmarshalled from an old blob) still serves every level
-	// through the legacy digits above; the evaluator falls back per key.
-	Bands []*SwitchingKeyBand
-}
-
-// SwitchingKeyBand is one realized gadget shape: digits Width Q limbs wide
-// at the band's top level, extended by the P prefix p_0···p_{Alpha-1}, so
-// digit d satisfies B[d] + A[d]·s' = P_Alpha·g_d·w + e_d over Q ∪ P_Alpha.
-// Lower levels of the band consume the same digits by limb truncation,
-// exactly as the legacy digits are consumed below the top level.
-type SwitchingKeyBand struct {
-	Alpha, Width   int
-	BQ, AQ, BP, AP []*ring.Poly
 }
 
 // Digits returns the decomposition number D of the key.
 func (k *SwitchingKey) Digits() int { return len(k.BQ) }
-
-// gadget resolves the digit arrays serving a plan: the base arrays for the
-// legacy shape (alpha and width both aTop), else the matching band. ok is
-// false when the key predates the parameter set's bands (old marshal blobs)
-// or the band cannot serve the plan's level.
-func (k *SwitchingKey) gadget(pl GadgetPlan, aTop int) (bQ, aQ, bP, aP []*ring.Poly, ok bool) {
-	if pl.Alpha == aTop && pl.Width == aTop {
-		return k.BQ, k.AQ, k.BP, k.AP, true
-	}
-	for _, b := range k.Bands {
-		if b.Alpha == pl.Alpha && b.Width == pl.Width &&
-			len(b.BQ) >= pl.Digits && b.BQ[pl.Digits-1].Level() >= pl.Level {
-			return b.BQ, b.AQ, b.BP, b.AP, true
-		}
-	}
-	return nil, nil, nil, nil, false
-}
 
 // polysBytes sums the coefficient storage of a digit array.
 func polysBytes(ps []*ring.Poly) int64 {
@@ -79,14 +46,10 @@ func polysBytes(ps []*ring.Poly) int64 {
 	return n
 }
 
-// CoeffBytes returns the coefficient bytes the key pins in memory,
-// including every band variant — the figure keycache accounting uses.
+// CoeffBytes returns the coefficient bytes the key pins in memory — the
+// figure keycache accounting uses; 2·D·(L+α)·N·8 for a key over L Q limbs.
 func (k *SwitchingKey) CoeffBytes() int64 {
-	n := polysBytes(k.BQ) + polysBytes(k.AQ) + polysBytes(k.BP) + polysBytes(k.AP)
-	for _, b := range k.Bands {
-		n += polysBytes(b.BQ) + polysBytes(b.AQ) + polysBytes(b.BP) + polysBytes(b.AP)
-	}
-	return n
+	return polysBytes(k.BQ) + polysBytes(k.AQ) + polysBytes(k.BP) + polysBytes(k.AP)
 }
 
 // EvaluationKeySet bundles the keys an Evaluator may need.
@@ -109,8 +72,7 @@ func (s *EvaluationKeySet) GaloisKey(galEl uint64) (*SwitchingKey, error) {
 	return nil, fmt.Errorf("ckks: missing Galois key for element %d", galEl)
 }
 
-// CoeffBytes returns the coefficient bytes of every key in the set,
-// band variants included.
+// CoeffBytes returns the coefficient bytes of every key in the set.
 func (s *EvaluationKeySet) CoeffBytes() int64 {
 	var n int64
 	if s.Rlk != nil {
@@ -175,42 +137,29 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 
 // genSwitchingKey produces a key with digit d satisfying
 // B[d] + A[d]·under = P·g_d·w + e_d over PQ, where w and under are NTT-form
-// secrets over (Q, P).
+// secrets over (Q, P) and digit d covers the Q limbs [d·α, (d+1)·α).
 func (kg *KeyGenerator) genSwitchingKey(wQ *ring.Poly, underQ, underP *ring.Poly) *SwitchingKey {
 	p := kg.params
-	aTop := p.Alpha()
-	bQ, aQ, bP, aP := kg.genGadgetDigits(wQ, underQ, underP, p.MaxLevel(), aTop, aTop)
-	key := &SwitchingKey{BQ: bQ, AQ: aQ, BP: bP, AP: aP}
-	kg.attachBands(key, wQ, underQ, underP)
-	return key
-}
-
-// genGadgetDigits emits the digit polynomials of one gadget shape: digits
-// width Q limbs wide at level lvlQ, extended by the P prefix
-// P_alpha = p_0···p_{alpha-1}, so digit d satisfies
-// B[d] + A[d]·under = P_alpha·g_d·w + e_d over Q_lvlQ ∪ P_alpha. The legacy
-// shape is (lvlQ, alpha, width) = (MaxLevel, α_top, α_top); its draw order
-// is unchanged, so base digits are bit-identical to pre-band keygen.
-func (kg *KeyGenerator) genGadgetDigits(wQ, underQ, underP *ring.Poly, lvlQ, alpha, width int) (bQs, aQs, bPs, aPs []*ring.Poly) {
-	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()
-	lvlP := alpha - 1
-	digits := (lvlQ + width) / width // ceil((lvlQ+1)/width)
+	lvlQ, lvlP, alpha := p.MaxLevel(), rp.MaxLevel(), p.Alpha()
+	digits := p.Digits(lvlQ)
 
-	// P_alpha mod q_i for the in-group gadget term.
+	// P mod q_i for the in-group gadget term.
 	pModQ := make([]uint64, lvlQ+1)
-	for i := 0; i <= lvlQ; i++ {
+	for i := range pModQ {
 		prod := uint64(1)
-		for _, pm := range rp.Moduli[:alpha] {
+		for _, pm := range rp.Moduli {
 			prod = rq.Moduli[i].Mul(prod, pm.Q%rq.Moduli[i].Q)
 		}
 		pModQ[i] = prod
 	}
 
-	bQs = make([]*ring.Poly, digits)
-	aQs = make([]*ring.Poly, digits)
-	bPs = make([]*ring.Poly, digits)
-	aPs = make([]*ring.Poly, digits)
+	k := &SwitchingKey{
+		BQ: make([]*ring.Poly, digits),
+		AQ: make([]*ring.Poly, digits),
+		BP: make([]*ring.Poly, digits),
+		AP: make([]*ring.Poly, digits),
+	}
 	for d := 0; d < digits; d++ {
 		aQ := kg.sampler.UniformPoly(rq, lvlQ, true)
 		aP := kg.sampler.UniformPoly(rp, lvlP, true)
@@ -225,11 +174,9 @@ func (kg *KeyGenerator) genGadgetDigits(wQ, underQ, underP *ring.Poly, lvlQ, alp
 		rq.MulCoeffs(bQ, aQ, underQ, lvlQ)
 		rq.Neg(bQ, bQ, lvlQ)
 		rq.Add(bQ, bQ, eQ, lvlQ)
-		// Gadget term: P_alpha·g_d·w has residue (P_alpha mod q_i)·w_i for
-		// i in the digit's prime group and 0 elsewhere (and 0 mod every
-		// p_j in the prefix).
-		lo, hi := d*width, min((d+1)*width, lvlQ+1)
-		for i := lo; i < hi; i++ {
+		// Gadget term: P·g_d·w has residue (P mod q_i)·w_i for i in the
+		// digit's prime group and 0 elsewhere (and 0 mod every p_j).
+		for i := d * alpha; i < min((d+1)*alpha, lvlQ+1); i++ {
 			mod := rq.Moduli[i]
 			dst, src := bQ.Coeffs[i], wQ.Coeffs[i]
 			c := pModQ[i]
@@ -245,76 +192,10 @@ func (kg *KeyGenerator) genGadgetDigits(wQ, underQ, underP *ring.Poly, lvlQ, alp
 		rp.Neg(bP, bP, lvlP)
 		rp.Add(bP, bP, eP, lvlP)
 
-		bQs[d], aQs[d] = bQ, aQ
-		bPs[d], aPs[d] = bP, aP
+		k.BQ[d], k.AQ[d] = bQ, aQ
+		k.BP[d], k.AP[d] = bP, aP
 	}
-	return bQs, aQs, bPs, aPs
-}
-
-// attachBands realizes the parameter set's non-legacy gadget shapes on the
-// key. Shapes whose width is a whole multiple of the base stride (and use
-// the full P) are merged from the base digits — no fresh secret-dependent
-// sampling; other shapes are generated fresh under the same secrets, so no
-// band introduces new secret-key material.
-func (kg *KeyGenerator) attachBands(key *SwitchingKey, wQ, underQ, underP *ring.Poly) {
-	p := kg.params
-	bands := p.GadgetBands()
-	if len(bands) == 0 {
-		return
-	}
-	aTop := p.Alpha()
-	for _, b := range bands {
-		var kb *SwitchingKeyBand
-		if b.Alpha == aTop && b.Width%aTop == 0 {
-			kb = kg.mergeBand(key, b)
-		} else {
-			bQ, aQ, bP, aP := kg.genGadgetDigits(wQ, underQ, underP, b.TopLevel, b.Alpha, b.Width)
-			kb = &SwitchingKeyBand{Alpha: b.Alpha, Width: b.Width, BQ: bQ, AQ: aQ, BP: bP, AP: aP}
-		}
-		key.Bands = append(key.Bands, kb)
-	}
-}
-
-// mergeBand realizes an (α_top, m·α_top) band by summing m adjacent base
-// digits: the merged gadget indicator is the disjoint union of the merged
-// base groups, so ΣB[d] + (ΣA[d])·under = P·g_e·w + Σe_d holds exactly with
-// the same secrets, the error growing only m-fold. This is sound precisely
-// because the band width is a whole multiple of the base stride; a
-// straddling width would overlap the next group's primes and is generated
-// fresh instead. Base digits whose groups lie entirely above the band's top
-// level are excluded — they would contribute pure mask noise.
-func (kg *KeyGenerator) mergeBand(key *SwitchingKey, b GadgetBand) *SwitchingKeyBand {
-	p := kg.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvlQ, lvlP := b.TopLevel, rp.MaxLevel()
-	aTop := p.Alpha()
-	m := b.Width / aTop
-	coveringBase := min((lvlQ+aTop)/aTop, len(key.BQ))
-	digits := (lvlQ + b.Width) / b.Width
-
-	kb := &SwitchingKeyBand{
-		Alpha: b.Alpha, Width: b.Width,
-		BQ: make([]*ring.Poly, digits),
-		AQ: make([]*ring.Poly, digits),
-		BP: make([]*ring.Poly, digits),
-		AP: make([]*ring.Poly, digits),
-	}
-	for e := 0; e < digits; e++ {
-		bQ := rq.NewPoly(lvlQ)
-		aQ := rq.NewPoly(lvlQ)
-		bP := rp.NewPoly(lvlP)
-		aP := rp.NewPoly(lvlP)
-		bQ.IsNTT, aQ.IsNTT, bP.IsNTT, aP.IsNTT = true, true, true, true
-		for d := e * m; d < min((e+1)*m, coveringBase); d++ {
-			rq.Add(bQ, bQ, key.BQ[d], lvlQ)
-			rq.Add(aQ, aQ, key.AQ[d], lvlQ)
-			rp.Add(bP, bP, key.BP[d], lvlP)
-			rp.Add(aP, aP, key.AP[d], lvlP)
-		}
-		kb.BQ[e], kb.AQ[e] = bQ, aQ
-		kb.BP[e], kb.AP[e] = bP, aP
-	}
-	return kb
+	return k
 }
 
 // GenRelinearizationKey returns the key switching s² -> s.

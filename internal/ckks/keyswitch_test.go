@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestKeySwitchConcurrentEquivalence(t *testing.T) {
 	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
 	lvl := ct.Level()
 	or := oracle{p: tc.params, keys: tc.keys, enc: tc.enc}
-	want0, want1 := or.keySwitch(ct.C1, lvl, tc.keys.Rlk, tc.params.PlanAt(lvl))
+	want0, want1 := or.keySwitch(ct.C1, lvl, tc.keys.Rlk)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -77,5 +78,174 @@ func TestKeySwitchConcurrentEquivalence(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// alpha4Params has α = 4 generous 51-bit special primes over 8 Q limbs: two
+// digits at the top four levels (the second ragged below level 7) and one
+// digit below.
+func alpha4Params() ParametersLiteral {
+	return ParametersLiteral{
+		LogN:     10,
+		LogQ:     []int{45, 35, 35, 35, 35, 35, 35, 35},
+		LogP:     []int{51, 51, 51, 51},
+		LogScale: 35,
+	}
+}
+
+// alpha2Params has α = 2 over 9 small Q limbs: five digits at the top (the
+// last one limb wide) down to one at levels 0 and 1.
+func alpha2Params() ParametersLiteral {
+	return ParametersLiteral{
+		LogN:     10,
+		LogQ:     []int{28, 28, 28, 28, 28, 28, 28, 28, 28},
+		LogP:     []int{59, 59},
+		LogScale: 25,
+	}
+}
+
+// ksAnalyticSlotBound is the worst-case extra slot error one key switch at
+// pl.Level may add: each digit contributes ||ĉ_d·e_d||/P with ||ĉ_d|| < Q_d/2,
+// plus the ModDown rounding term (1+h)/2. Coefficient error spreads across
+// slots by at most N through the embedding and is divided by the scale on
+// decode. The 32x margin absorbs the crudeness of the worst-case norms — the
+// bound's job is to catch a mis-cut digit or a wrong P (which blow it up by
+// ~2^{overrun bits}), not to be tight.
+func ksAnalyticSlotBound(p *Parameters, pl GadgetPlan) float64 {
+	lp := 0.0
+	for _, pm := range p.RingP().Moduli {
+		lp += math.Log2(float64(pm.Q))
+	}
+	n := float64(p.N())
+	digitSum := 0.0
+	for d := 0; d < pl.Digits; d++ {
+		lq := 0.0
+		lo, hi := pl.digitLimbs(d)
+		for _, qm := range p.RingQ().Moduli[lo:hi] {
+			lq += math.Log2(float64(qm.Q))
+		}
+		digitSum += math.Exp2(lq - lp)
+	}
+	coeffErr := digitSum*n*6*p.Sigma()/2 + float64(1+p.HDense())/2
+	return coeffErr * n / p.DefaultScale() * 32
+}
+
+// rotated returns v cyclically rotated left by k.
+func rotated(v []complex128, k int) []complex128 {
+	n := len(v)
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = v[(i+k)%n]
+	}
+	return out
+}
+
+// TestKeySwitchNoisePerLevel is the noise harness: at EVERY level of both
+// parameter chains it rotates the same ciphertext and asserts the result
+// decrypts to the rotated vector with no more error than the input carried
+// plus the level's analytic key-switch budget. Bit-exactness against the
+// exact kernels is TestDeterminismMatrix's job.
+func TestKeySwitchNoisePerLevel(t *testing.T) {
+	for name, lit := range map[string]ParametersLiteral{
+		"alpha4": alpha4Params(),
+		"alpha2": alpha2Params(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			tc := newTestContext(t, lit)
+			tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
+			r := rand.New(rand.NewSource(42))
+			v := randomComplex(r, tc.params.Slots(), 1)
+			want := rotated(v, 1)
+			ctTop := tc.encryptVec(t, v)
+
+			for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
+				ct := tc.eval.DropLevel(ctTop, lvl)
+				pl := tc.params.PlanAt(lvl)
+				in := ComputePrecision(tc.decryptVec(ct), v)
+				got, err := tc.eval.Rotate(ct, 1)
+				if err != nil {
+					t.Fatalf("lvl %d: rotate: %v", lvl, err)
+				}
+				stats := ComputePrecision(tc.decryptVec(got), want)
+				if bound := ksAnalyticSlotBound(tc.params, pl); stats.MaxErr > in.MaxErr+bound {
+					t.Fatalf("lvl %d plan %+v: rotation error %g exceeds the input's %g + analytic budget %g",
+						lvl, pl, stats.MaxErr, in.MaxErr, bound)
+				}
+			}
+		})
+	}
+}
+
+// TestHoistedMatchesRotatePerLevel drives the shared-digit (hoisted) path at
+// every level: RotateHoisted cuts one decomposition for all rotations and
+// must agree with the per-rotation pipeline.
+func TestHoistedMatchesRotatePerLevel(t *testing.T) {
+	tc := newTestContext(t, alpha4Params())
+	rots := []int{1, 3}
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
+	r := rand.New(rand.NewSource(43))
+	v := randomComplex(r, tc.params.Slots(), 1)
+	ctTop := tc.encryptVec(t, v)
+
+	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
+		ct := tc.eval.DropLevel(ctTop, lvl)
+		hoisted, err := tc.eval.RotateHoisted(ct, rots)
+		if err != nil {
+			t.Fatalf("lvl %d: %v", lvl, err)
+		}
+		for _, k := range rots {
+			want := rotated(v, k)
+			stats := ComputePrecision(tc.decryptVec(hoisted[k]), want)
+			if stats.MaxErr > 1e-2 {
+				t.Fatalf("lvl %d rot %d: hoisted error %v", lvl, k, stats)
+			}
+			plain, err := tc.eval.Rotate(ct, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxErr(tc.decryptVec(hoisted[k]), tc.decryptVec(plain)); d > 1e-3 {
+				t.Fatalf("lvl %d rot %d: hoisted and plain rotations diverge by %g", lvl, k, d)
+			}
+		}
+	}
+}
+
+// TestRelinNoisePerLevel runs the relinearization key switch (MulRelin) at
+// every level with enough modulus headroom for the squared scale, against
+// the error the exact square of the decrypted input carries plus the
+// analytic key-switch budget.
+func TestRelinNoisePerLevel(t *testing.T) {
+	tc := newTestContext(t, alpha4Params())
+	r := rand.New(rand.NewSource(44))
+	v := randomComplex(r, tc.params.Slots(), 1)
+	want := make([]complex128, len(v))
+	for i := range v {
+		want[i] = v[i] * v[i]
+	}
+	ctTop := tc.encryptVec(t, v)
+
+	logScale := math.Log2(tc.params.DefaultScale())
+	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
+		// The unrescaled product lives at scale Δ²; skip levels whose
+		// modulus cannot hold it.
+		bits := 0.0
+		for _, qm := range tc.params.RingQ().Moduli[:lvl+1] {
+			bits += math.Log2(float64(qm.Q))
+		}
+		if bits < 2*logScale+8 {
+			continue
+		}
+		ct := tc.eval.DropLevel(ctTop, lvl)
+		in := tc.decryptVec(ct)
+		sqIn := make([]complex128, len(in))
+		for i := range in {
+			sqIn[i] = in[i] * in[i]
+		}
+		inErr := ComputePrecision(sqIn, want).MaxErr
+		stats := ComputePrecision(tc.decryptVec(tc.eval.Square(ct)), want)
+		if bound := ksAnalyticSlotBound(tc.params, tc.params.PlanAt(lvl)); stats.MaxErr > inErr+bound {
+			t.Fatalf("lvl %d: relin error %g exceeds the squared input's %g + budget %g",
+				lvl, stats.MaxErr, inErr, bound)
+		}
 	}
 }

@@ -91,10 +91,10 @@ func TestHoistedAndMinKSAgree(t *testing.T) {
 
 // TestLinearTransformHoistedPostRescale runs the hoisted transform at every
 // level a rescale can reach, not just the freshly-encrypted top: deeper in a
-// circuit the ciphertext has fewer limbs and the evaluator picks smaller
-// gadget plans, both of which the hoisted shared-digit path must survive.
+// circuit the ciphertext has fewer limbs and its key switches cut fewer
+// digits, both of which the hoisted shared-digit path must survive.
 func TestLinearTransformHoistedPostRescale(t *testing.T) {
-	tc := newTestContext(t, richLevelAwareParams())
+	tc := newTestContext(t, alpha4Params())
 	r := rand.New(rand.NewSource(34))
 	offsets := []int{0, 1, 2}
 	lt := randomSparseLT(r, tc.params.Slots(), offsets)
@@ -123,7 +123,7 @@ func TestLinearTransformHoistedPostRescale(t *testing.T) {
 // minimum-key path, which reaches every diagonal through repeated
 // rotate-by-one key switches — the deepest key-switch chain in the repo.
 func TestLinearTransformMinKSPostRescale(t *testing.T) {
-	tc := newTestContext(t, richLevelAwareParams())
+	tc := newTestContext(t, alpha4Params())
 	r := rand.New(rand.NewSource(35))
 	offsets := []int{0, 1, 3}
 	lt := randomSparseLT(r, tc.params.Slots(), offsets)

@@ -258,10 +258,8 @@ func (s *EvaluationKeySet) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes a switching key (all digits, Q and P parts). When
-// the key carries level-aware band variants, a band section follows the
-// base digits; keys without bands keep the pre-band wire format exactly, so
-// old decoders read new bandless blobs and vice versa.
+// MarshalBinary encodes a switching key: the digit count, then every
+// digit's four polynomials (Q and P parts).
 func (k *SwitchingKey) MarshalBinary() ([]byte, error) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(k.Digits()))
@@ -274,31 +272,11 @@ func (k *SwitchingKey) MarshalBinary() ([]byte, error) {
 			}
 		}
 	}
-	if len(k.Bands) == 0 {
-		return buf, nil
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(k.Bands)))
-	buf = append(buf, u32[:]...)
-	for _, b := range k.Bands {
-		for _, v := range []int{b.Alpha, b.Width, len(b.BQ)} {
-			binary.LittleEndian.PutUint32(u32[:], uint32(v))
-			buf = append(buf, u32[:]...)
-		}
-		for d := range b.BQ {
-			for _, p := range []*ring.Poly{b.BQ[d], b.AQ[d], b.BP[d], b.AP[d]} {
-				if buf, err = appendPoly(buf, p); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a switching key. An absent band section (the
-// pre-band format) leaves Bands nil; the evaluator falls back to the legacy
-// gadget shape for such keys.
+// UnmarshalBinary decodes a switching key. Bytes after the last digit are an
+// error.
 func (k *SwitchingKey) UnmarshalBinary(data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("ckks: switching key truncated")
@@ -321,49 +299,8 @@ func (k *SwitchingKey) UnmarshalBinary(data []byte) error {
 			}
 		}
 	}
-	k.Bands = nil
-	if len(rest) == 0 {
-		return nil
-	}
-	if len(rest) < 4 {
-		return fmt.Errorf("ckks: switching key band header truncated")
-	}
-	nBands := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if nBands <= 0 || nBands > 64 {
-		return fmt.Errorf("ckks: implausible band count %d", nBands)
-	}
-	k.Bands = make([]*SwitchingKeyBand, nBands)
-	for i := 0; i < nBands; i++ {
-		if len(rest) < 12 {
-			return fmt.Errorf("ckks: switching key band %d header truncated", i)
-		}
-		alpha := int(binary.LittleEndian.Uint32(rest))
-		width := int(binary.LittleEndian.Uint32(rest[4:]))
-		bd := int(binary.LittleEndian.Uint32(rest[8:]))
-		rest = rest[12:]
-		if alpha < 1 || alpha > 256 || width < 1 || width > 256 || bd < 1 || bd > 256 {
-			return fmt.Errorf("ckks: implausible band shape (%d, %d, %d)", alpha, width, bd)
-		}
-		b := &SwitchingKeyBand{
-			Alpha: alpha, Width: width,
-			BQ: make([]*ring.Poly, bd),
-			AQ: make([]*ring.Poly, bd),
-			BP: make([]*ring.Poly, bd),
-			AP: make([]*ring.Poly, bd),
-		}
-		for d := 0; d < bd; d++ {
-			for _, dst := range []**ring.Poly{&b.BQ[d], &b.AQ[d], &b.BP[d], &b.AP[d]} {
-				*dst, rest, err = readPoly(rest)
-				if err != nil {
-					return err
-				}
-			}
-		}
-		k.Bands[i] = b
-	}
 	if len(rest) != 0 {
-		return fmt.Errorf("ckks: trailing bytes after switching key")
+		return fmt.Errorf("ckks: %d trailing bytes after switching key", len(rest))
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package ckks
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 func TestCiphertextSerialization(t *testing.T) {
@@ -181,5 +184,35 @@ func TestEvaluationKeySetSerialization(t *testing.T) {
 	}
 	if back2.Rlk != nil || len(back2.Gal) != 0 {
 		t.Fatal("empty set not preserved")
+	}
+}
+
+// TestSwitchingKeyRejectsBandSection: older encoders appended a section of
+// extra digit sets ("bands") after a key's digits — a band count, then per
+// band its (alpha, width, digits) header and digit polynomials. A key has one
+// gadget shape now, so such a blob is an error, from the key decoder and from
+// the key-set decoder around it, never a panic.
+func TestSwitchingKeyRejectsBandSection(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	key := tc.keys.Rlk
+	blob, err := key.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{1, 1, 1, 1} { // one band: alpha 1, width 1, one digit
+		blob = binary.LittleEndian.AppendUint32(blob, v)
+	}
+	for _, p := range []*ring.Poly{key.BQ[0], key.AQ[0], key.BP[0], key.AP[0]} {
+		if blob, err = appendPoly(blob, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var back SwitchingKey
+	if err := back.UnmarshalBinary(blob); err == nil {
+		t.Fatal("switching key with a band section decoded")
+	}
+	set := binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, blob), 0)
+	if err := (&EvaluationKeySet{}).UnmarshalBinary(set); err == nil {
+		t.Fatal("key set whose relinearization key has a band section decoded")
 	}
 }

@@ -69,10 +69,7 @@ var (
 	// across the process.
 	obsLinTransCacheBytes = obs.Default.Gauge("ckks_lintrans_cache_bytes")
 
-	// Level-aware key-switch plan shape, observed once per Decompose: the
-	// distribution of P-prefix lengths and digit counts actually used shows
-	// how often the level-aware plans beat the legacy shape in production
-	// traffic (legacy-only traffic pins ks_plan_alpha at α_top).
-	obsKSPlanAlpha = obs.Default.Histogram("ckks_ks_plan_alpha")
-	obsKSDigits    = obs.Default.Histogram("ckks_ks_digits")
+	// Key-switch digit count D(ℓ), observed once per decomposition: the
+	// distribution shows at which depths production traffic switches keys.
+	obsKSDigits = obs.Default.Histogram("ckks_ks_digits")
 )

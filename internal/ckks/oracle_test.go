@@ -16,8 +16,7 @@ import (
 // oracle is the plainly-correct reference the evaluator is held to: every
 // kernel is a barriered, exact, full-polynomial ring/rns primitive, nothing is
 // lazy, fused, pooled or cached (converters and rescale constants are rebuilt
-// per call), and the gadget plan is an explicit argument rather than something
-// resolved from the keys. Ciphertext bytes are a pure function of inputs and
+// per call). Ciphertext bytes are a pure function of inputs and
 // parameters, so the evaluator's one production path must reproduce these
 // results byte for byte (TestDeterminismMatrix).
 type oracle struct {
@@ -41,11 +40,11 @@ func (o oracle) converter(from, to []modarith.Modulus) *rns.BasisConverter {
 	return bc
 }
 
-// qp is a value over the extended basis Q_lvl ∪ P_alpha.
+// qp is a value over the extended basis Q_lvl ∪ P.
 type qp struct{ q, p *ring.Poly }
 
-func (o oracle) zeroQP(lvl, alpha int) qp {
-	return qp{nttZero(o.p.RingQ(), lvl), nttZero(o.p.RingP(), alpha-1)}
+func (o oracle) zeroQP(lvl int) qp {
+	return qp{nttZero(o.p.RingQ(), lvl), nttZero(o.p.RingP(), o.p.Alpha()-1)}
 }
 
 // macQP sets acc += a ⊙ (bq, bp).
@@ -69,81 +68,77 @@ func (o oracle) aut(r *ring.Ring, a *ring.Poly, g uint64) *ring.Poly {
 	return out
 }
 
-// decompose is ModUp: INTT, cut into plan-width digits, base-convert each
-// digit to Q_lvl ∪ P_alpha, NTT.
-func (o oracle) decompose(c *ring.Poly, lvl int, pl GadgetPlan) []qp {
+// decompose is ModUp: INTT, cut into α-limb digits, base-convert each digit
+// to Q_lvl ∪ P, NTT.
+func (o oracle) decompose(c *ring.Poly, lvl int) []qp {
 	rq, rp := o.p.RingQ(), o.p.RingP()
+	alpha := o.p.Alpha()
 	coeff := c.Truncated(lvl).CopyNew()
 	rq.INTT(coeff, lvl)
-	to := append(append([]modarith.Modulus{}, rq.Moduli[:lvl+1]...), rp.Moduli[:pl.Alpha]...)
-	digits := make([]qp, pl.Digits)
+	to := append(append([]modarith.Modulus{}, rq.Moduli[:lvl+1]...), rp.Moduli...)
+	digits := make([]qp, o.p.Digits(lvl))
 	for d := range digits {
-		lo, hi := d*pl.Width, min((d+1)*pl.Width, lvl+1)
-		dg := qp{rq.NewPoly(lvl), rp.NewPoly(pl.Alpha - 1)}
+		lo, hi := d*alpha, min((d+1)*alpha, lvl+1)
+		dg := qp{rq.NewPoly(lvl), rp.NewPoly(alpha - 1)}
 		rows := append(append([][]uint64{}, dg.q.Coeffs...), dg.p.Coeffs...)
 		o.converter(rq.Moduli[lo:hi], to).Convert(rows, coeff.Coeffs[lo:hi])
 		rq.NTT(dg.q, lvl)
-		rp.NTT(dg.p, pl.Alpha-1)
+		rp.NTT(dg.p, alpha-1)
 		digits[d] = dg
 	}
 	return digits
 }
 
 // gadget is KeyMult: the inner product of the digits with the key's digit
-// arrays for the plan's shape.
-func (o oracle) gadget(digits []qp, swk *SwitchingKey, lvl int, pl GadgetPlan) (u0, u1 qp) {
-	bQ, aQ, bP, aP, ok := swk.gadget(pl, o.p.Alpha())
-	if !ok {
-		panic("oracle: key cannot serve the plan")
-	}
-	u0, u1 = o.zeroQP(lvl, pl.Alpha), o.zeroQP(lvl, pl.Alpha)
+// arrays.
+func (o oracle) gadget(digits []qp, swk *SwitchingKey, lvl int) (u0, u1 qp) {
+	u0, u1 = o.zeroQP(lvl), o.zeroQP(lvl)
 	for d, dg := range digits {
-		o.macQP(u0, dg, bQ[d], bP[d])
-		o.macQP(u1, dg, aQ[d], aP[d])
+		o.macQP(u0, dg, swk.BQ[d], swk.BP[d])
+		o.macQP(u1, dg, swk.AQ[d], swk.AP[d])
 	}
 	return u0, u1
 }
 
-// modDown returns round(u / P_alpha) over Q_lvl:
-// (u.q − BConv_{P→Q}(u.p)) · P_alpha^{-1}.
+// modDown returns round(u / P) over Q_lvl: (u.q − BConv_{P→Q}(u.p)) · P^{-1}.
 func (o oracle) modDown(u qp) *ring.Poly {
 	rq, rp := o.p.RingQ(), o.p.RingP()
-	lvl, alpha := u.q.Level(), u.p.Level()+1
+	lvl := u.q.Level()
 	work := u.p.CopyNew()
-	rp.INTT(work, alpha-1)
+	rp.INTT(work, rp.MaxLevel())
 	conv := rq.NewPoly(lvl)
-	o.converter(rp.Moduli[:alpha], rq.Moduli[:lvl+1]).Convert(conv.Coeffs, work.Coeffs)
+	o.converter(rp.Moduli, rq.Moduli[:lvl+1]).Convert(conv.Coeffs, work.Coeffs)
 	rq.NTT(conv, lvl)
 	out := nttZero(rq, lvl)
 	rq.Sub(out, u.q, conv, lvl)
-	rq.MulByLimbScalars(out, out, rns.ProductInvMod(rp.Moduli[:alpha], rq.Moduli[:lvl+1]), lvl)
+	rq.MulByLimbScalars(out, out, rns.ProductInvMod(rp.Moduli, rq.Moduli[:lvl+1]), lvl)
 	return out
 }
 
-func (o oracle) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey, pl GadgetPlan) (d0, d1 *ring.Poly) {
-	u0, u1 := o.gadget(o.decompose(c, lvl, pl), swk, lvl, pl)
+func (o oracle) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey) (d0, d1 *ring.Poly) {
+	u0, u1 := o.gadget(o.decompose(c, lvl), swk, lvl)
 	return o.modDown(u0), o.modDown(u1)
 }
 
-func (o oracle) switchKeys(ct *Ciphertext, swk *SwitchingKey, pl GadgetPlan) *Ciphertext {
+func (o oracle) switchKeys(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
 	lvl := ct.Level()
-	d0, d1 := o.keySwitch(ct.C1, lvl, swk, pl)
+	d0, d1 := o.keySwitch(ct.C1, lvl, swk)
 	o.p.RingQ().Add(d0, d0, ct.C0, lvl)
 	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale}
 }
 
 // automorphism is σ_g(switchKeys(ct)) under the Galois key for g.
-func (o oracle) automorphism(ct *Ciphertext, g uint64, pl GadgetPlan) *Ciphertext {
-	sw := o.switchKeys(ct, o.keys.Gal[g], pl)
+func (o oracle) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
+	sw := o.switchKeys(ct, o.keys.Gal[g])
 	rq := o.p.RingQ()
 	return &Ciphertext{C0: o.aut(rq, sw.C0, g), C1: o.aut(rq, sw.C1, g), Scale: ct.Scale}
 }
 
-func (o oracle) rotate(ct *Ciphertext, k int, pl GadgetPlan) *Ciphertext {
-	return o.automorphism(ct, o.p.RingQ().GaloisElement(k), pl)
+func (o oracle) rotate(ct *Ciphertext, k int) *Ciphertext {
+	return o.automorphism(ct, o.p.RingQ().GaloisElement(k))
 }
 
-func (o oracle) mulRelin(a, b *Ciphertext, pl GadgetPlan) *Ciphertext {
+func (o oracle) mulRelin(a, b *Ciphertext) *Ciphertext {
 	rq := o.p.RingQ()
 	lvl := a.Level()
 	d0, d1, d2 := nttZero(rq, lvl), nttZero(rq, lvl), nttZero(rq, lvl)
@@ -151,7 +146,7 @@ func (o oracle) mulRelin(a, b *Ciphertext, pl GadgetPlan) *Ciphertext {
 	rq.MulCoeffs(d1, a.C0, b.C1, lvl)
 	rq.MulCoeffsAdd(d1, a.C1, b.C0, lvl)
 	rq.MulCoeffs(d2, a.C1, b.C1, lvl)
-	u0, u1 := o.keySwitch(d2, lvl, o.keys.Rlk, pl)
+	u0, u1 := o.keySwitch(d2, lvl, o.keys.Rlk)
 	rq.Add(d0, d0, u0, lvl)
 	rq.Add(d1, d1, u1, lvl)
 	return &Ciphertext{C0: d0, C1: d1, Scale: a.Scale * b.Scale}
@@ -197,20 +192,20 @@ func (o oracle) mulConstAccum(cts []*Ciphertext, consts []float64, constScale fl
 // baby rotations sharing one decomposition of c1 and staying in QP, each
 // giant's inner sum key-switched once more by g, one ModDown at the end.
 // bs = Slots is the per-diagonal hoisted sweep (a single giant, g = 0).
-func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, pl GadgetPlan) *Ciphertext {
+func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int) *Ciphertext {
 	rq := o.p.RingQ()
 	lvl := ct.Level()
 	ptScale := float64(rq.Moduli[lvl].Q)
-	digits := o.decompose(ct.C1, lvl, pl)
+	digits := o.decompose(ct.C1, lvl)
 
 	giants := map[int][]int{}
 	for r := range lt.Diags {
 		giants[r-r%bs] = append(giants[r-r%bs], r)
 	}
-	e0, e1 := o.zeroQP(lvl, pl.Alpha), o.zeroQP(lvl, pl.Alpha)
+	e0, e1 := o.zeroQP(lvl), o.zeroQP(lvl)
 	q0, q1 := nttZero(rq, lvl), nttZero(rq, lvl)
 	for rot, offsets := range giants {
-		t0, t1 := o.zeroQP(lvl, pl.Alpha), o.zeroQP(lvl, pl.Alpha)
+		t0, t1 := o.zeroQP(lvl), o.zeroQP(lvl)
 		a0, a1 := nttZero(rq, lvl), nttZero(rq, lvl)
 		anyBaby := false
 		for _, r := range offsets {
@@ -218,7 +213,6 @@ func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, pl GadgetPlan
 			if err != nil {
 				panic(err)
 			}
-			ptP = ptP.Truncated(pl.Alpha - 1)
 			b := r - rot
 			if b == 0 {
 				rq.MulCoeffsAdd(a0, ct.C0, ptQ, lvl)
@@ -227,7 +221,7 @@ func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, pl GadgetPlan
 			}
 			anyBaby = true
 			g := rq.GaloisElement(b)
-			u0, u1 := o.gadget(digits, o.keys.Gal[g], lvl, pl)
+			u0, u1 := o.gadget(digits, o.keys.Gal[g], lvl)
 			o.macQP(t0, o.autQP(u0, g), ptQ, ptP)
 			o.macQP(t1, o.autQP(u1, g), ptQ, ptP)
 			rq.MulCoeffsAdd(a0, o.aut(rq, ct.C0, g), ptQ, lvl)
@@ -248,7 +242,7 @@ func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, pl GadgetPlan
 			rq.Add(inner1, inner1, a1, lvl)
 		}
 		g := rq.GaloisElement(rot)
-		v0, v1 := o.gadget(o.decompose(inner1, lvl, pl), o.keys.Gal[g], lvl, pl)
+		v0, v1 := o.gadget(o.decompose(inner1, lvl), o.keys.Gal[g], lvl)
 		o.addQP(v0, t0)
 		o.addQP(e0, o.autQP(v0, g))
 		o.addQP(e1, o.autQP(v1, g))
@@ -257,21 +251,6 @@ func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, pl GadgetPlan
 	rq.Add(q0, q0, o.modDown(e0), lvl)
 	rq.Add(q1, q1, o.modDown(e1), lvl)
 	return &Ciphertext{C0: q0, C1: q1, Scale: ct.Scale * ptScale}
-}
-
-// stripBands returns the key set as a pre-band blob would decode it: base
-// digits only, so every plan resolved from these keys is the legacy shape.
-func stripBands(ks *EvaluationKeySet) *EvaluationKeySet {
-	out := NewEvaluationKeySet()
-	out.Rlk = stripKey(ks.Rlk)
-	for g, k := range ks.Gal {
-		out.Gal[g] = stripKey(k)
-	}
-	return out
-}
-
-func stripKey(k *SwitchingKey) *SwitchingKey {
-	return &SwitchingKey{BQ: k.BQ, AQ: k.AQ, BP: k.BP, AP: k.AP}
 }
 
 func ctBytes(t testing.TB, ct *Ciphertext) []byte {
@@ -284,12 +263,13 @@ func ctBytes(t testing.TB, ct *Ciphertext) []byte {
 }
 
 // TestDeterminismMatrix is the one differential the evaluator answers to:
-// op × every level × plan shape {the level's plan, legacy via band-stripped
-// keys} × par width {1, 2, 4} × every kernel tier the host has, each compared
-// byte for byte (MarshalBinary) against the oracle run on the pure-Go tier. It covers what the per-mode differential files used to:
-// lazy vs exact kernels, pipelined vs barriered chains, level-aware vs legacy
-// shapes, the per-diagonal sweep as the degenerate BSGS plan, and independence
-// from the worker count and from the CPU's kernel tier.
+// op × every level × par width {1, 2, 4} × every kernel tier the host has,
+// each compared byte for byte (MarshalBinary) against the oracle run on the
+// pure-Go tier. It covers what the per-mode differential files used to: lazy
+// vs exact kernels, pipelined vs barriered chains, the ragged last digit of
+// the levels α does not divide, the per-diagonal sweep as the degenerate BSGS
+// plan, and independence from the worker count and from the CPU's kernel
+// tier.
 func TestDeterminismMatrix(t *testing.T) {
 	origTier := modarith.ActiveTier()
 	setTier := func(tier modarith.KernelTier) {
@@ -299,7 +279,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 	t.Cleanup(func() { setTier(origTier) })
 
-	tc := newTestContext(t, richLevelAwareParams())
+	tc := newTestContext(t, alpha4Params())
 	p := tc.params
 	slots := p.Slots()
 	r := rand.New(rand.NewSource(70))
@@ -315,115 +295,97 @@ func TestDeterminismMatrix(t *testing.T) {
 	ctA := tc.encryptVec(t, randomComplex(r, slots, 1))
 	ctB := tc.encryptVec(t, randomComplex(r, slots, 1))
 
-	type shape struct {
-		name string
-		keys *EvaluationKeySet
-		swk  *SwitchingKey
-		plan func(lvl int) GadgetPlan
-	}
-	shapes := []shape{
-		{"plan", tc.keys, swk, p.PlanAt},
-		{"legacy", stripBands(tc.keys), stripKey(swk), p.LegacyPlanAt},
-	}
-	sawNonLegacy := false
-	for _, sh := range shapes {
-		ev := NewEvaluator(p, sh.keys)
-		or := oracle{p: p, keys: sh.keys, enc: tc.enc}
-		for lvl := 0; lvl <= p.MaxLevel(); lvl++ {
-			pl := sh.plan(lvl)
-			sawNonLegacy = sawNonLegacy || !p.IsLegacyPlan(pl)
-			a, b := ev.DropLevel(ctA, lvl), ev.DropLevel(ctB, lvl)
+	ev := tc.eval
+	or := oracle{p: p, keys: tc.keys, enc: tc.enc}
+	for lvl := 0; lvl <= p.MaxLevel(); lvl++ {
+		a, b := ev.DropLevel(ctA, lvl), ev.DropLevel(ctB, lvl)
 
-			type opCase struct {
-				name string
-				want func() []*Ciphertext
-				got  func() ([]*Ciphertext, error)
-			}
-			one := func(ct *Ciphertext, err error) ([]*Ciphertext, error) { return []*Ciphertext{ct}, err }
-			ops := []opCase{
-				{"switch-keys",
-					func() []*Ciphertext { return []*Ciphertext{or.switchKeys(a, sh.swk, pl)} },
-					func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, sh.swk), nil) }},
-				{"rotate",
-					func() []*Ciphertext { return []*Ciphertext{or.rotate(a, 3, pl)} },
-					func() ([]*Ciphertext, error) { return one(ev.Rotate(a, 3)) }},
-				{"conjugate",
-					func() []*Ciphertext { return []*Ciphertext{or.automorphism(a, conj, pl)} },
-					func() ([]*Ciphertext, error) { return one(ev.Conjugate(a)) }},
-				{"mul-relin",
-					func() []*Ciphertext { return []*Ciphertext{or.mulRelin(a, b, pl)} },
-					func() ([]*Ciphertext, error) { return one(ev.MulRelin(a, b, nil), nil) }},
-				{"add-many",
-					func() []*Ciphertext {
-						return []*Ciphertext{or.mulConstAccum([]*Ciphertext{a, b, a}, []float64{1, 1, 1}, 1)}
-					},
-					func() ([]*Ciphertext, error) { return one(ev.AddMany([]*Ciphertext{a, b, a}), nil) }},
-				{"mul-const-accum",
-					func() []*Ciphertext {
-						return []*Ciphertext{or.mulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale)}
-					},
-					func() ([]*Ciphertext, error) {
-						return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale), nil)
-					}},
-				{"rotate-hoisted",
-					func() []*Ciphertext {
-						var out []*Ciphertext
-						for _, k := range hoistRots {
-							out = append(out, or.rotate(a, k, pl))
-						}
-						return out
-					},
-					func() ([]*Ciphertext, error) {
-						m, err := ev.RotateHoisted(a, hoistRots)
-						var out []*Ciphertext
-						for _, k := range hoistRots {
-							out = append(out, m[k])
-						}
-						return out, err
-					}},
-			}
-			if lvl > 0 {
-				ops = append(ops, opCase{"rescale",
-					func() []*Ciphertext { return []*Ciphertext{or.rescale(a)} },
-					func() ([]*Ciphertext, error) { return one(ev.Rescale(a), nil) }})
-			}
-			for _, bs := range []int{slots, 4} {
-				ops = append(ops, opCase{fmt.Sprintf("sweep-bs%d", bs),
-					func() []*Ciphertext { return []*Ciphertext{or.sweep(a, lt, bs, pl)} },
-					func() ([]*Ciphertext, error) {
-						plan := newBSGSPlan(lt.Diags, bs)
-						keys, err := ev.sweepKeys(plan)
-						if err != nil {
-							return nil, err
-						}
-						return one(ev.evaluateSweep(a, lt, tc.enc, plan, keys))
-					}})
-			}
+		type opCase struct {
+			name string
+			want func() []*Ciphertext
+			got  func() ([]*Ciphertext, error)
+		}
+		one := func(ct *Ciphertext, err error) ([]*Ciphertext, error) { return []*Ciphertext{ct}, err }
+		ops := []opCase{
+			{"switch-keys",
+				func() []*Ciphertext { return []*Ciphertext{or.switchKeys(a, swk)} },
+				func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, swk), nil) }},
+			{"rotate",
+				func() []*Ciphertext { return []*Ciphertext{or.rotate(a, 3)} },
+				func() ([]*Ciphertext, error) { return one(ev.Rotate(a, 3)) }},
+			{"conjugate",
+				func() []*Ciphertext { return []*Ciphertext{or.automorphism(a, conj)} },
+				func() ([]*Ciphertext, error) { return one(ev.Conjugate(a)) }},
+			{"mul-relin",
+				func() []*Ciphertext { return []*Ciphertext{or.mulRelin(a, b)} },
+				func() ([]*Ciphertext, error) { return one(ev.MulRelin(a, b, nil), nil) }},
+			{"add-many",
+				func() []*Ciphertext {
+					return []*Ciphertext{or.mulConstAccum([]*Ciphertext{a, b, a}, []float64{1, 1, 1}, 1)}
+				},
+				func() ([]*Ciphertext, error) { return one(ev.AddMany([]*Ciphertext{a, b, a}), nil) }},
+			{"mul-const-accum",
+				func() []*Ciphertext {
+					return []*Ciphertext{or.mulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale)}
+				},
+				func() ([]*Ciphertext, error) {
+					return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale), nil)
+				}},
+			{"rotate-hoisted",
+				func() []*Ciphertext {
+					var out []*Ciphertext
+					for _, k := range hoistRots {
+						out = append(out, or.rotate(a, k))
+					}
+					return out
+				},
+				func() ([]*Ciphertext, error) {
+					m, err := ev.RotateHoisted(a, hoistRots)
+					var out []*Ciphertext
+					for _, k := range hoistRots {
+						out = append(out, m[k])
+					}
+					return out, err
+				}},
+		}
+		if lvl > 0 {
+			ops = append(ops, opCase{"rescale",
+				func() []*Ciphertext { return []*Ciphertext{or.rescale(a)} },
+				func() ([]*Ciphertext, error) { return one(ev.Rescale(a), nil) }})
+		}
+		for _, bs := range []int{slots, 4} {
+			ops = append(ops, opCase{fmt.Sprintf("sweep-bs%d", bs),
+				func() []*Ciphertext { return []*Ciphertext{or.sweep(a, lt, bs)} },
+				func() ([]*Ciphertext, error) {
+					plan := newBSGSPlan(lt.Diags, bs)
+					keys, err := ev.sweepKeys(plan)
+					if err != nil {
+						return nil, err
+					}
+					return one(ev.evaluateSweep(a, lt, tc.enc, plan, keys))
+				}})
+		}
 
-			for _, op := range ops {
-				setTier(modarith.TierGo)
-				want := op.want()
-				for _, tier := range modarith.AvailableTiers() {
-					setTier(tier)
-					for _, width := range []int{1, 2, 4} {
-						prev := par.SetWorkers(width)
-						got, err := op.got()
-						par.SetWorkers(prev)
-						if err != nil {
-							t.Fatalf("%s %s lvl %d tier %v width %d: %v", sh.name, op.name, lvl, tier, width, err)
-						}
-						for i := range want {
-							if !bytes.Equal(ctBytes(t, got[i]), ctBytes(t, want[i])) {
-								t.Fatalf("%s %s[%d] lvl %d plan %+v tier %v width %d: evaluator bytes differ from the oracle",
-									sh.name, op.name, i, lvl, pl, tier, width)
-							}
+		for _, op := range ops {
+			setTier(modarith.TierGo)
+			want := op.want()
+			for _, tier := range modarith.AvailableTiers() {
+				setTier(tier)
+				for _, width := range []int{1, 2, 4} {
+					prev := par.SetWorkers(width)
+					got, err := op.got()
+					par.SetWorkers(prev)
+					if err != nil {
+						t.Fatalf("%s lvl %d tier %v width %d: %v", op.name, lvl, tier, width, err)
+					}
+					for i := range want {
+						if !bytes.Equal(ctBytes(t, got[i]), ctBytes(t, want[i])) {
+							t.Fatalf("%s[%d] lvl %d plan %+v tier %v width %d: evaluator bytes differ from the oracle",
+								op.name, i, lvl, p.PlanAt(lvl), tier, width)
 						}
 					}
 				}
 			}
 		}
-	}
-	if !sawNonLegacy {
-		t.Fatal("matrix never exercised a non-legacy gadget plan")
 	}
 }

@@ -15,8 +15,6 @@ package ckks
 import (
 	"fmt"
 	"math"
-	"math/big"
-	"sort"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -46,155 +44,21 @@ type Parameters struct {
 	hDense  int
 	hSparse int
 	sigma   float64
-
-	plans []GadgetPlan // per-level key-switch plans, indexed by level
-	bands []GadgetBand // distinct non-legacy (alpha, width) shapes keygen realizes
 }
 
-// GadgetPlan describes the hybrid key-switch decomposition used for
-// ciphertexts at one level: the ModUp digits are Width Q limbs wide and the
-// extension basis is Q_Level ∪ P_Alpha, where P_Alpha = p_0···p_{Alpha-1} is
-// a prefix of the special modulus. The legacy (level-oblivious) shape is
-// Alpha = Width = α_top, which every switching key's base digits serve; any
-// other shape needs a matching SwitchingKeyBand on the key.
+// GadgetPlan describes the hybrid key-switch decomposition of a ciphertext at
+// one level. Every switching key has one gadget shape — the full special
+// modulus P (α primes) and digits α Q limbs wide — so the plan is a function
+// of the level alone: Digits = ⌈(Level+1)/α⌉, the last digit ragged.
 type GadgetPlan struct {
 	Level  int // ciphertext level the plan applies to
-	Alpha  int // special primes used for the extension and the ModDown divide
+	Alpha  int // special primes α: the extension basis is Q_Level ∪ P
 	Digits int // decomposition number at this level
-	Width  int // digit width in Q limbs
 }
 
-// GadgetBand names one non-legacy (alpha, width) gadget shape selected by at
-// least one level's plan. TopLevel is the highest level using the shape; the
-// keygen realizes the band's Q digits at that level and lower levels consume
-// them by truncation, exactly as they do the legacy digits.
-type GadgetBand struct {
-	Alpha    int
-	Width    int
-	TopLevel int
-}
-
-// PlanAt returns the level-aware gadget plan for a key switch at the given
-// level. The top level always returns the legacy plan, so enabling
-// level-aware key switching cannot change top-level behavior.
-func (p *Parameters) PlanAt(level int) GadgetPlan { return p.plans[level] }
-
-// LegacyPlanAt returns the level-oblivious plan (full P, digit stride α_top)
-// that reproduces the pre-level-aware pipeline at the given level.
-func (p *Parameters) LegacyPlanAt(level int) GadgetPlan {
-	a := p.Alpha()
-	return GadgetPlan{Level: level, Alpha: a, Digits: p.Digits(level), Width: a}
-}
-
-// IsLegacyPlan reports whether the plan is the level-oblivious shape served
-// directly by a switching key's base digit arrays.
-func (p *Parameters) IsLegacyPlan(pl GadgetPlan) bool {
-	return pl.Alpha == p.Alpha() && pl.Width == p.Alpha()
-}
-
-// GadgetBands lists the non-legacy gadget shapes keygen must realize as
-// per-key band variants, deterministically ordered.
-func (p *Parameters) GadgetBands() []GadgetBand { return p.bands }
-
-// ValidateGadgetPlan checks that (level, alpha, dnum) describes a sound
-// hybrid key-switch decomposition for this parameter set: in-range operands,
-// a digit count that actually tiles the level's limbs, and — the noise
-// condition — every digit's modulus product Q_d at most the P-prefix product
-// P_alpha, so the per-digit error term ||ĉ_d·e_d||/P_alpha stays below one
-// fresh-noise unit. Products are compared exactly over big.Int; the legacy
-// plan is grandfathered and never validated.
-func (p *Parameters) ValidateGadgetPlan(level, alpha, dnum int) error {
-	if level < 0 || level > p.MaxLevel() {
-		return fmt.Errorf("ckks: plan level %d outside [0,%d]", level, p.MaxLevel())
-	}
-	if alpha < 1 || alpha > p.Alpha() {
-		return fmt.Errorf("ckks: plan alpha %d outside [1,%d]", alpha, p.Alpha())
-	}
-	limbs := level + 1
-	if dnum < 1 || dnum > limbs {
-		return fmt.Errorf("ckks: plan dnum %d outside [1,%d]", dnum, limbs)
-	}
-	width := (limbs + dnum - 1) / dnum
-	if (limbs+width-1)/width != dnum {
-		return fmt.Errorf("ckks: plan dnum %d leaves empty digits at level %d (width %d tiles %d limbs in %d digits)",
-			dnum, level, width, limbs, (limbs+width-1)/width)
-	}
-	pProd := big.NewInt(1)
-	for _, pm := range p.ringP.Moduli[:alpha] {
-		pProd.Mul(pProd, new(big.Int).SetUint64(pm.Q))
-	}
-	qProd := new(big.Int)
-	for d := 0; d < dnum; d++ {
-		lo, hi := d*width, min((d+1)*width, limbs)
-		qProd.SetInt64(1)
-		for _, qm := range p.ringQ.Moduli[lo:hi] {
-			qProd.Mul(qProd, new(big.Int).SetUint64(qm.Q))
-		}
-		if qProd.Cmp(pProd) > 0 {
-			return fmt.Errorf("ckks: plan digit %d modulus product exceeds P_%d (level %d, dnum %d)",
-				d, alpha, level, dnum)
-		}
-	}
-	return nil
-}
-
-// planCost models the limb-row transform volume of one key switch under a
-// plan: Decompose NTTs plus gadget MACs are ~Digits passes over the extended
-// basis (Level+1+Alpha rows) and the two ModDowns are one pass each over the
-// P prefix plus the Q limbs. Only relative order matters — the selection
-// picks the cheapest valid plan and keeps legacy on ties.
-func planCost(pl GadgetPlan) int {
-	ext := pl.Level + 1 + pl.Alpha
-	return 2*pl.Digits*ext + 2*(pl.Alpha+pl.Level+1)
-}
-
-// selectGadgetPlans chooses, per level, the cheapest (alpha, dnum) that
-// passes ValidateGadgetPlan, keeping the legacy shape when nothing validates
-// strictly cheaper. The top level is pinned to legacy so the level-aware
-// path is opt-out-safe: behavior at full height is bit-identical.
-func (p *Parameters) selectGadgetPlans() {
-	l := p.MaxLevel()
-	p.plans = make([]GadgetPlan, l+1)
-	for lvl := 0; lvl <= l; lvl++ {
-		legacy := p.LegacyPlanAt(lvl)
-		p.plans[lvl] = legacy
-		if lvl == l {
-			continue
-		}
-		limbs := lvl + 1
-		bestCost := planCost(legacy)
-		for alpha := 1; alpha <= p.Alpha(); alpha++ {
-			for dnum := 1; dnum <= limbs; dnum++ {
-				if p.ValidateGadgetPlan(lvl, alpha, dnum) != nil {
-					continue
-				}
-				cand := GadgetPlan{Level: lvl, Alpha: alpha, Digits: dnum, Width: (limbs + dnum - 1) / dnum}
-				if c := planCost(cand); c < bestCost {
-					p.plans[lvl], bestCost = cand, c
-				}
-			}
-		}
-	}
-	byShape := make(map[[2]int]int)
-	for _, pl := range p.plans {
-		if p.IsLegacyPlan(pl) {
-			continue
-		}
-		shape := [2]int{pl.Alpha, pl.Width}
-		if top, ok := byShape[shape]; !ok || pl.Level > top {
-			byShape[shape] = pl.Level
-		}
-	}
-	p.bands = p.bands[:0]
-	for shape, top := range byShape {
-		p.bands = append(p.bands, GadgetBand{Alpha: shape[0], Width: shape[1], TopLevel: top})
-	}
-	sort.Slice(p.bands, func(i, j int) bool {
-		if p.bands[i].Alpha != p.bands[j].Alpha {
-			return p.bands[i].Alpha < p.bands[j].Alpha
-		}
-		return p.bands[i].Width < p.bands[j].Width
-	})
+// PlanAt returns the gadget plan for a key switch at the given level.
+func (p *Parameters) PlanAt(level int) GadgetPlan {
+	return GadgetPlan{Level: level, Alpha: p.Alpha(), Digits: p.Digits(level)}
 }
 
 // NewParameters compiles a literal into a usable parameter set, generating
@@ -231,7 +95,7 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		return nil, err
 	}
 	n := 1 << uint(lit.LogN)
-	p := &Parameters{
+	return &Parameters{
 		logN:    lit.LogN,
 		n:       n,
 		slots:   n / 2,
@@ -241,9 +105,7 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		hDense:  lit.HDense,
 		hSparse: lit.HSparse,
 		sigma:   lit.Sigma,
-	}
-	p.selectGadgetPlans()
-	return p, nil
+	}, nil
 }
 
 // N returns the ring degree.

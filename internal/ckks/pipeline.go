@@ -28,10 +28,6 @@ import (
 // u0 unless onto0 asks for the product to be added onto it (the sweep's giant
 // step), so neither need be initialised otherwise.
 func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0 bool) {
-	bQ, aQ, bP, aP, ok := swk.gadget(dec.plan, ev.params.Alpha())
-	if !ok {
-		panic("ckks: switching key lacks the band for the decomposition's gadget plan")
-	}
 	if dec.coeffDomain {
 		for d := range dec.q {
 			lo, hi := dec.plan.digitLimbs(d)
@@ -41,10 +37,10 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 		dec.coeffDomain = false
 	}
 	n := len(dec.q) // a key serves lower levels with a prefix of its digits
-	lq.DotLazy(u0q, dec.q, bQ[:n], onto0)
-	lq.DotLazy(u1q, dec.q, aQ[:n], false)
-	lp.DotLazy(u0p, dec.p, bP[:n], onto0)
-	lp.DotLazy(u1p, dec.p, aP[:n], false)
+	lq.DotLazy(u0q, dec.q, swk.BQ[:n], onto0)
+	lq.DotLazy(u1q, dec.q, swk.AQ[:n], false)
+	lp.DotLazy(u0p, dec.p, swk.BP[:n], onto0)
+	lp.DotLazy(u1p, dec.p, swk.AP[:n], false)
 }
 
 // gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:
@@ -56,7 +52,7 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0 bool) {
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), dec.level)
-	lp := pipe.Lane(ev.params.RingP(), dec.plan.Alpha-1)
+	lp := pipe.Lane(ev.params.RingP(), ev.params.RingP().MaxLevel())
 	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, onto0)
 	lq.ReduceLazy(u0q)
 	lq.ReduceLazy(u1q)
@@ -81,22 +77,20 @@ func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl 
 	defer obsKSModDown.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
-	lvlP := u0p.Level()
-	alpha := lvlP + 1
 
 	pipe := ring.GetPipeline()
-	lnP := pipe.Lane(rp, lvlP)
+	lnP := pipe.Lane(rp, rp.MaxLevel())
 	lnP.INTT(u0p)
 	lnP.INTT(u1p)
 	pipe.Run()
 
-	bc := ev.pToQConverter(lvl, alpha)
+	bc := ev.pToQConverter(lvl)
 	conv0, conv1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs[:alpha])
-	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs[:alpha])
+	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs)
+	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs)
 
 	d0, d1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
-	s := ev.pInvModQ[alpha][:lvl+1]
+	s := ev.pInvModQ[:lvl+1]
 	lnQ := pipe.Lane(rq, lvl)
 	lnQ.NTTLazy(conv0)
 	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv0, s)
@@ -127,23 +121,21 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 	defer obsKSModDown.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
-	lvlP := u0p.Level()
-	alpha := lvlP + 1
 
 	pipe := ring.GetPipeline()
-	lnP := pipe.Lane(rp, lvlP)
+	lnP := pipe.Lane(rp, rp.MaxLevel())
 	lnP.INTT(u0p)
 	lnP.INTT(u1p)
 	pipe.Run()
 
-	bc := ev.pToQConverter(lvl, alpha)
+	bc := ev.pToQConverter(lvl)
 	conv0, conv1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs[:alpha])
-	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs[:alpha])
+	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs)
+	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs)
 
 	d0, d1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
 	o0, o1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
-	s := ev.pInvModQ[alpha][:lvl+1]
+	s := ev.pInvModQ[:lvl+1]
 	lnQ := pipe.Lane(rq, lvl)
 	lnQ.NTTLazy(conv0)
 	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv0, s)
@@ -221,17 +213,17 @@ func (ev *Evaluator) rescaleOwned(ct *Ciphertext) *Ciphertext {
 // lazy; the sweep reduces them once at the baby/giant phase boundary.
 func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 	targets []bsgsBabyTarget, c0 *ring.Poly, g uint64) {
-	lvl, lvlP := dec.level, dec.plan.Alpha-1
-	u0q, u0p, u1q, u1p := ev.getQP(lvl, lvlP)
+	lvl := dec.level
+	u0q, u0p, u1q, u1p := ev.getQP(lvl)
 
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), lvl)
-	lp := pipe.Lane(ev.params.RingP(), lvlP)
+	lp := pipe.Lane(ev.params.RingP(), ev.params.RingP().MaxLevel())
 	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, false)
 	for _, tg := range targets {
 		ga := tg.acc
 		if ga.t0q == nil {
-			ga.t0q, ga.t0p, ga.t1q, ga.t1p = ev.getQP(lvl, lvlP)
+			ga.t0q, ga.t0p, ga.t1q, ga.t1p = ev.getQP(lvl)
 			lq.Zero(ga.t0q)
 			lq.Zero(ga.t1q)
 			lp.Zero(ga.t0p)

@@ -1,7 +1,14 @@
 package engine
 
 import (
+	"encoding/base64"
+	"errors"
+	"net/http"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -21,18 +28,15 @@ func rawPolysBytes(ps []*ring.Poly) int64 {
 }
 
 func rawSwitchingKeyBytes(k *ckks.SwitchingKey) int64 {
-	n := rawPolysBytes(k.BQ) + rawPolysBytes(k.AQ) + rawPolysBytes(k.BP) + rawPolysBytes(k.AP)
-	for _, b := range k.Bands {
-		n += rawPolysBytes(b.BQ) + rawPolysBytes(b.AQ) + rawPolysBytes(b.BP) + rawPolysBytes(b.AP)
-	}
-	return n
+	return rawPolysBytes(k.BQ) + rawPolysBytes(k.AQ) + rawPolysBytes(k.BP) + rawPolysBytes(k.AP)
 }
 
-// TestSessionKeyBytesAccounting pins the cache-costing contract: the bytes a
-// session is accounted at must equal an independent walk over every
-// switching key's limb matrices — base digits AND level-aware band variants.
-// If keygen grows a new key component without teaching CoeffBytes about it,
-// this test catches the cache under-accounting.
+// TestSessionKeyBytesAccounting pins the size of a switching key and the
+// cache-costing contract: every key is exactly 2·D·(L+α)·N·8 bytes (D digits
+// of a B and an A polynomial over L Q limbs and α P limbs), and the bytes a
+// session is accounted at equal an independent walk over every key's limb
+// matrices. If keygen grows a key component without teaching CoeffBytes
+// about it, this test catches the cache under-accounting.
 func TestSessionKeyBytesAccounting(t *testing.T) {
 	client := newTestClient(t, 1, 3)
 	e := New(Config{Workers: 1})
@@ -42,16 +46,19 @@ func TestSessionKeyBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	p := client.params
+	l, alpha := int64(p.MaxLevel()+1), int64(p.Alpha())
+	keyBytes := 2 * int64(p.Digits(p.MaxLevel())) * (l + alpha) * int64(p.N()) * 8
 	var want int64
-	bands := 0
-	want += rawSwitchingKeyBytes(client.keys.Rlk)
-	bands += len(client.keys.Rlk.Bands)
+	keys := []*ckks.SwitchingKey{client.keys.Rlk}
 	for _, k := range client.keys.Gal {
-		want += rawSwitchingKeyBytes(k)
-		bands += len(k.Bands)
+		keys = append(keys, k)
 	}
-	if bands == 0 {
-		t.Fatal("test parameters produced no banded keys; accounting test is vacuous")
+	for _, k := range keys {
+		if got := k.CoeffBytes(); got != keyBytes {
+			t.Fatalf("switching key holds %d coefficient bytes, want 2·D·(L+α)·N·8 = %d", got, keyBytes)
+		}
+		want += rawSwitchingKeyBytes(k)
 	}
 	if got := sess.KeyBytes(); got != want {
 		t.Fatalf("session accounted at %d bytes, independent sum is %d", got, want)
@@ -59,18 +66,63 @@ func TestSessionKeyBytesAccounting(t *testing.T) {
 	if got := e.sessions.Bytes(); got != want {
 		t.Fatalf("key cache holds %d bytes, independent sum is %d", got, want)
 	}
+}
 
-	// Bands must be a real fraction of the payload, and stripping them must
-	// shrink the measured size by exactly their raw bytes.
-	stripped := &ckks.SwitchingKey{
-		BQ: client.keys.Rlk.BQ, AQ: client.keys.Rlk.AQ,
-		BP: client.keys.Rlk.BP, AP: client.keys.Rlk.AP,
+// TestSessionRejectsMismatchedKeys: a key that does not have the session
+// parameters' shape is refused when the session is created — ErrKeyShape
+// embedded, 400 over HTTP — instead of failing inside a worker at first use,
+// and the refusal leaves no session and no goroutine behind.
+func TestSessionRejectsMismatchedKeys(t *testing.T) {
+	client := newTestClient(t, 1)
+	bootParams, err := ckks.NewParameters(ckks.BootTestParameters())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bandBytes := rawSwitchingKeyBytes(client.keys.Rlk) - rawSwitchingKeyBytes(stripped)
-	if bandBytes <= 0 {
-		t.Fatal("relinearization key bands carry no bytes")
+	baseline := runtime.NumGoroutine()
+	e := New(Config{Workers: 1})
+	h := NewHTTPHandler(e)
+
+	// Keys made under the "test" preset, uploaded for a "boot" session.
+	blob, err := client.keys.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := client.keys.Rlk.CoeffBytes() - stripped.CoeffBytes(); got != bandBytes {
-		t.Fatalf("CoeffBytes attributes %d bytes to bands, raw walk says %d", got, bandBytes)
+	body := `{"preset":"boot","evalKeys":"` + base64.StdEncoding.EncodeToString(blob) + `"}`
+	code, resp := doRequest(t, h, "POST", "/v1/sessions", body)
+	if code != http.StatusBadRequest || !strings.Contains(resp["error"].(string), ErrKeyShape.Error()) {
+		t.Fatalf("keys from another preset: %d %v, want 400 naming the key shape", code, resp)
+	}
+
+	rlk := client.keys.Rlk
+	notNTT := *rlk.AP[0]
+	notNTT.IsNTT = false
+	for name, keys := range map[string]*ckks.EvaluationKeySet{
+		"other parameters": client.keys,
+		"missing digit": {Rlk: &ckks.SwitchingKey{
+			BQ: rlk.BQ[1:], AQ: rlk.AQ[1:], BP: rlk.BP[1:], AP: rlk.AP[1:]}},
+		"coefficient-domain P row": {Rlk: &ckks.SwitchingKey{
+			BQ: rlk.BQ, AQ: rlk.AQ, BP: rlk.BP, AP: append([]*ring.Poly{&notNTT}, rlk.AP[1:]...)}},
+	} {
+		params := client.params
+		if name == "other parameters" {
+			params = bootParams
+		}
+		if _, err := e.AttachSession(params, keys); !errors.Is(err, ErrKeyShape) {
+			t.Errorf("%s: AttachSession returned %v, want ErrKeyShape", name, err)
+		}
+	}
+	if n := e.sessions.Bytes(); n != 0 {
+		t.Errorf("rejected sessions left %d key bytes in the cache", n)
+	}
+
+	e.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			var buf strings.Builder
+			pprof.Lookup("goroutine").WriteTo(&buf, 1)
+			t.Fatalf("goroutine leak: %d after close, baseline %d\n%s", runtime.NumGoroutine(), baseline, buf.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

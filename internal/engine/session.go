@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // Session is one client's serving context: compiled parameters, the
@@ -65,14 +66,19 @@ func (e *Engine) CreateSession(lit ckks.ParametersLiteral, keys *ckks.Evaluation
 }
 
 // AttachSession registers a session over already-compiled parameters (the
-// embedded path, where the caller owns a full local context). The session
-// enters the key cache costed at its measured evaluation-key size — every
-// switching key's digit polynomials over Q and P plus its level-aware band
-// variants, 8 bytes per coefficient — and under memory pressure the least
-// recently used unpinned sessions are evicted to make room for it.
+// embedded path, where the caller owns a full local context). A key without
+// the parameters' one switching-key shape is refused with an error wrapping
+// ErrKeyShape. The session enters the key cache costed at its
+// measured evaluation-key size — every switching key's 2·D digit
+// polynomials over Q and P, 8 bytes per coefficient — and under memory
+// pressure the least recently used unpinned sessions are evicted to make
+// room for it.
 func (e *Engine) AttachSession(params *ckks.Parameters, keys *ckks.EvaluationKeySet) (*Session, error) {
 	if keys == nil {
 		return nil, fmt.Errorf("engine: session needs an evaluation key set")
+	}
+	if err := checkKeyShapes(params, keys); err != nil {
+		return nil, err
 	}
 	s := &Session{
 		ID:         fmt.Sprintf("sess-%d", e.seq.Add(1)),
@@ -107,6 +113,52 @@ func (e *Engine) Session(id string) (*Session, bool) {
 func (e *Engine) DetachSession(id string) bool {
 	_, ok := e.sessions.Remove(id)
 	return ok
+}
+
+// ErrKeyShape is wrapped by CreateSession and AttachSession when an uploaded
+// switching key does not have the session parameters' shape; the HTTP layer
+// answers 400. Such a key would otherwise fail inside a worker at first use.
+var ErrKeyShape = errors.New("engine: evaluation key does not match the session parameters")
+
+// checkKeyShapes checks every switching key in keys against the one shape
+// keygen gives it under params: D(MaxLevel) digits, each four NTT-domain
+// polynomials of N coefficients per row — MaxLevel+1 Q rows, α P rows.
+func checkKeyShapes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) error {
+	digits, qRows, pRows := params.Digits(params.MaxLevel()), params.MaxLevel()+1, params.Alpha()
+	polyOK := func(p *ring.Poly, rows int) bool {
+		if p == nil || !p.IsNTT || len(p.Coeffs) != rows {
+			return false
+		}
+		for _, row := range p.Coeffs {
+			if len(row) != params.N() {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(name string, k *ckks.SwitchingKey) error {
+		if len(k.BQ) != digits || len(k.AQ) != digits || len(k.BP) != digits || len(k.AP) != digits {
+			return fmt.Errorf("%w: %s has %d digits, want %d", ErrKeyShape, name, k.Digits(), digits)
+		}
+		for d := 0; d < digits; d++ {
+			if !polyOK(k.BQ[d], qRows) || !polyOK(k.AQ[d], qRows) || !polyOK(k.BP[d], pRows) || !polyOK(k.AP[d], pRows) {
+				return fmt.Errorf("%w: %s digit %d is not %d Q and %d P NTT rows of %d coefficients",
+					ErrKeyShape, name, d, qRows, pRows, params.N())
+			}
+		}
+		return nil
+	}
+	if keys.Rlk != nil {
+		if err := check("relinearization key", keys.Rlk); err != nil {
+			return err
+		}
+	}
+	for g, k := range keys.Gal {
+		if err := check(fmt.Sprintf("Galois key %d", g), k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ErrUnknownSession is wrapped by Submit when the job names a session that

@@ -1,5 +1,5 @@
 // Package modarith provides 64-bit modular arithmetic primitives used by the
-// RNS-CKKS stack: Barrett and Montgomery reductions, Shoup multiplication for
+// RNS-CKKS stack: Barrett reduction, Shoup multiplication for
 // fixed operands (NTT twiddle factors), modular exponentiation and inversion,
 // and primitive-root search for number-theoretic transforms.
 //
@@ -36,11 +36,6 @@ type Modulus struct {
 	Bits  int    // bit length of Q
 	QHalf uint64 // floor(Q/2), used for centered representations
 
-	// Montgomery constants: QInvNeg = -Q^{-1} mod 2^64 and
-	// RSq = 2^128 mod Q (to enter Montgomery form with one MRed).
-	QInvNeg uint64
-	RSq     uint64
-
 	// Barrett constants: BRedHi:BRedLo = floor(2^128 / Q), the two words of
 	// the reciprocal used by MulBarrett/MulBarrettLazy to replace the
 	// hardware division in variable-operand products. TwoQ = 2*Q caches the
@@ -50,8 +45,8 @@ type Modulus struct {
 	TwoQ   uint64
 }
 
-// NewModulus precomputes reduction constants for an odd modulus q.
-// q must be odd (required by Montgomery reduction) and < 2^61.
+// NewModulus precomputes the Barrett constants for an odd modulus q < 2^61
+// (every modulus the stack uses is an NTT prime).
 func NewModulus(q uint64) (Modulus, error) {
 	if q < 3 || q&1 == 0 {
 		return Modulus{}, fmt.Errorf("modarith: modulus %d must be an odd integer >= 3", q)
@@ -64,17 +59,6 @@ func NewModulus(q uint64) (Modulus, error) {
 		Bits:  bits.Len64(q),
 		QHalf: q >> 1,
 	}
-	// Newton iteration for -q^{-1} mod 2^64.
-	qInv := q // correct mod 2^3
-	for i := 0; i < 5; i++ {
-		qInv *= 2 - q*qInv
-	}
-	m.QInvNeg = -qInv
-	// 2^128 mod q via two reductions of 2^64 mod q.
-	r := (1<<63)%q + (1<<63)%q // 2^64 mod q, < 2q < 2^62
-	r %= q
-	hi, lo := bits.Mul64(r, r)
-	_, m.RSq = bits.Div64(hi%q, lo, q)
 	// floor(2^128/q) by schoolbook long division over base-2^64 digits
 	// [1,0,0]: the leading digit divides to 0 remainder 1, then each
 	// bits.Div64 has its high word < q by construction.
@@ -214,23 +198,6 @@ func (m Modulus) MulShoup(a, w, wShoup uint64) uint64 {
 func (m Modulus) MulShoupLazy(a, w, wShoup uint64) uint64 {
 	hi, _ := bits.Mul64(a, wShoup)
 	return a*w - hi*m.Q
-}
-
-// MRed performs Montgomery reduction: returns a*b/2^64 mod q. If b is in
-// Montgomery form (b = x*2^64 mod q), the result is a*x mod q.
-func (m Modulus) MRed(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	mq := lo * m.QInvNeg
-	h2, _ := bits.Mul64(mq, m.Q)
-	var carry uint64
-	if lo != 0 {
-		carry = 1
-	}
-	r := hi + h2 + carry
-	if r >= m.Q {
-		r -= m.Q
-	}
-	return r
 }
 
 // Pow returns a^e mod q by square-and-multiply.

@@ -81,24 +81,6 @@ func TestMulShoup(t *testing.T) {
 	}
 }
 
-func TestMontgomery(t *testing.T) {
-	for _, q := range testModuli {
-		m := MustModulus(q)
-		r := rand.New(rand.NewSource(4))
-		for i := 0; i < 1000; i++ {
-			a := r.Uint64() % q
-			b := r.Uint64() % q
-			bm := m.MRed(b, m.RSq) // b in Montgomery form: b*2^64 mod q
-			if got, want := m.MRed(a, bm), m.Mul(a, b); got != want {
-				t.Fatalf("MRed(%d, mform(%d)) mod %d = %d, want %d", a, b, q, got, want)
-			}
-			if got := m.MRed(bm, 1); got != b {
-				t.Fatalf("MRed(mform(%d), 1) = %d mod %d", b, got, q)
-			}
-		}
-	}
-}
-
 func TestPowInv(t *testing.T) {
 	m := MustModulus(testModuli[1])
 	r := rand.New(rand.NewSource(5))
