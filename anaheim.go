@@ -233,16 +233,25 @@ func (c *Context) Sub(ct0, ct1 *Ciphertext) *Ciphertext { return c.eval.Sub(ct0,
 func (c *Context) Release(cts ...*Ciphertext) { c.eval.Release(cts...) }
 
 // rescaled returns Rescale of an intermediate this context created, releasing
-// it.
+// it. It panics with ckks.ErrLevel on a level-0 operand, like Mul.
 func (c *Context) rescaled(ct *Ciphertext) *Ciphertext {
-	out := c.eval.Rescale(ct)
+	out, err := c.eval.Rescale(ct)
 	c.eval.Release(ct)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
-// Mul returns ct0 ⊙ ct1 relinearized and rescaled (HMULT).
+// Mul returns ct0 ⊙ ct1 relinearized and rescaled (HMULT). It panics with
+// ckks.ErrLevel on a level-0 operand; the evaluator's Mul returns that error
+// instead.
 func (c *Context) Mul(ct0, ct1 *Ciphertext) *Ciphertext {
-	return c.rescaled(c.eval.MulRelin(ct0, ct1, nil))
+	out, err := c.eval.Mul(ct0, ct1)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // MulPlain returns ct ⊙ pt rescaled (PMULT).
@@ -277,11 +286,7 @@ func (c *Context) Conjugate(ct *Ciphertext) (*Ciphertext, error) { return c.eval
 // rotations, §III-B) is used. Keys from GenLinearTransformKeys (or rotation
 // keys for lt.Rotations()) must exist.
 func (c *Context) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	out, err := c.eval.EvaluateLinearTransform(ct, lt, c.enc)
-	if err != nil {
-		return nil, err
-	}
-	return c.rescaled(out), nil
+	return c.eval.EvaluateLinearTransform(ct, lt, c.enc)
 }
 
 // EvaluateLinearTransformMinKS applies the map with minimum key switching:

@@ -90,9 +90,11 @@ func eval(dir, op, in, out string) {
 	var ct ckks.Ciphertext
 	readFile(in, &ct)
 	var res *ckks.Ciphertext
+	var err error
 	switch op {
 	case "square":
-		res = ev.Rescale(ev.Square(&ct))
+		res, err = ev.Square(&ct)
+		die(err)
 	case "double":
 		res = ev.Add(&ct, &ct)
 	case "negate":

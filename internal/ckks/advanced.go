@@ -57,14 +57,14 @@ func (ev *Evaluator) EvalPower(ct *Ciphertext, k int) (*Ciphertext, error) {
 			if acc == nil {
 				acc = base
 			} else {
-				prod := ev.rescaleOwned(ev.MulRelin(acc, base, nil))
+				prod := ev.mul(acc, base)
 				drop(acc, base)
 				acc = prod
 			}
 		}
 		k >>= 1
 		if k > 0 {
-			sq := ev.rescaleOwned(ev.Square(base))
+			sq := ev.mul(base, base)
 			drop(base, acc)
 			base = sq
 		}
@@ -84,10 +84,10 @@ func (ev *Evaluator) EvalInverse(ct *Ciphertext, iterations int) *Ciphertext {
 	y := ev.Neg(ct)
 	ev.addConstInPlace(y, 2)
 	for i := 0; i < iterations; i++ {
-		xy := ev.rescaleOwned(ev.MulRelin(ct, y, nil))
+		xy := ev.mul(ct, y)
 		t := ev.Neg(xy)
 		ev.addConstInPlace(t, 2)
-		next := ev.rescaleOwned(ev.MulRelin(y, t, nil))
+		next := ev.mul(y, t)
 		ev.Release(xy, t, y)
 		y = next
 	}

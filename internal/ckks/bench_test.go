@@ -6,7 +6,8 @@ import (
 )
 
 // Benchmarks of the functional stack's basic CKKS functions (§II-A) at
-// research scale (N=2^10), plus bootstrapping at N=2^11.
+// research scale (N=2^10), plus HMULT at the repo benchmark's shapes and
+// bootstrapping at N=2^11.
 
 func benchContext(b *testing.B) *testContext {
 	return newTestContext(b, TestParameters())
@@ -77,17 +78,39 @@ func BenchmarkHADDFunc(b *testing.B) {
 	}
 }
 
-func BenchmarkHMULTFunc(b *testing.B) {
-	tc := benchContext(b)
-	r := rand.New(rand.NewSource(4))
-	ct1 := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
-	ct2 := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prod := tc.eval.MulRelin(ct1, ct2, nil)
-		out := tc.eval.Rescale(prod)
-		tc.eval.Release(prod, out)
+// BenchmarkHMult times one HMULT — tensor, relinearization and the rescale
+// merged into its ModDown — at the top of boot_n12's chain (logN 12, 27
+// limbs, α = 3) and of hks_n16's (N = 2^16, 26 limbs, α = 7): the per-op
+// figure DESIGN.md §3.8.5 quotes. Each shape's keys are built once, on first
+// use.
+func BenchmarkHMult(b *testing.B) {
+	n12 := BootTestParameters()
+	n12.LogN = 12
+	n16 := hksShapeParams()
+	n16.LogN = 16
+	for _, shape := range []struct {
+		name string
+		lit  ParametersLiteral
+	}{{"n12_l27", n12}, {"n16_l26", n16}} {
+		var tc *testContext
+		var ct0, ct1 *Ciphertext
+		b.Run(shape.name, func(b *testing.B) {
+			if tc == nil {
+				tc = buildTestContext(b, shape.lit, false)
+				r := rand.New(rand.NewSource(4))
+				ct0 = tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
+				ct1 = tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
+				b.ResetTimer()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := tc.eval.Mul(ct0, ct1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc.eval.Release(out)
+			}
+		})
 	}
 }
 

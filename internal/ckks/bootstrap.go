@@ -130,7 +130,7 @@ func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
 	// cos(2π(t-1/4)/2^r), then r double angles -> sin(2πt).
 	out := ev.EvaluateChebyshev(work, b.evalMod, -k1, k1)
 	for i := 0; i < b.cfg.DoubleAngles; i++ {
-		sq := ev.rescaleOwned(ev.Square(out))
+		sq := ev.mul(out, out)
 		ev.Release(out)
 		ev.addInPlace(sq, sq)
 		ev.addConstInPlace(sq, -1)
@@ -205,7 +205,7 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// transforms applies a DFT factorization, one rescaled linear transform per
+// transforms applies a DFT factorization, one (rescaled) linear transform per
 // group, consuming cur.
 func (b *Bootstrapper) transforms(cur *Ciphertext, groups []*LinearTransform) (*Ciphertext, error) {
 	for _, g := range groups {
@@ -214,7 +214,7 @@ func (b *Bootstrapper) transforms(cur *Ciphertext, groups []*LinearTransform) (*
 		if err != nil {
 			return nil, err
 		}
-		cur = b.eval.rescaleOwned(next)
+		cur = next
 	}
 	return cur, nil
 }

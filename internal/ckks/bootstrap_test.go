@@ -78,7 +78,10 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 
 	// The refreshed ciphertext must support further multiplications.
-	sq := tc.eval.Rescale(tc.eval.Square(out))
+	sq, err := tc.eval.Square(out)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]complex128, len(v))
 	for i := range want {
 		want[i] = v[i] * v[i]

@@ -241,14 +241,18 @@ func (ev *Evaluator) sweepKeys(plan *bsgsPlan) (map[int]*SwitchingKey, error) {
 	return keys, nil
 }
 
-// EvaluateLinearTransform computes M·u under the cost model's plan when the
-// key set holds its baby + giant Galois keys (it does when generated via
-// GaloisKeysForLinearTransform), else under the degenerate plan, which needs
-// exactly the diagonal offsets — so callers holding only per-diagonal keys
-// keep working unchanged. The diagonals are encoded at the scale of the
-// ciphertext's top prime so that the caller's Rescale restores the input
-// scale exactly.
+// EvaluateLinearTransform computes M·u, rescaled, under the cost model's plan
+// when the key set holds its baby + giant Galois keys (it does when generated
+// via GaloisKeysForLinearTransform), else under the degenerate plan, which
+// needs exactly the diagonal offsets — so callers holding only per-diagonal
+// keys keep working unchanged. The diagonals are encoded at the scale of the
+// ciphertext's top prime and the sweep's closing ModDown drops that prime, so
+// the output sits one level down at the input scale. A ciphertext at level 0
+// has no prime to drop: ErrLevel, before anything is written.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
+	if ct.Level() == 0 {
+		return nil, ErrLevel
+	}
 	plan := lt.sweepPlan(ev.params)
 	keys, err := ev.sweepKeys(plan)
 	if err != nil && plan.bs < lt.Slots {
@@ -295,9 +299,9 @@ type bsgsBabyTarget struct {
 // path: every baby rotation hoisted off one decomposition of c1, each nonzero
 // giant's inner sum key-switched once with its ModDown deferred (double
 // hoisting, Fig 1/Fig 5), PMULT and accumulation in the extended modulus PQ,
-// a single ModDown at the end. keys holds the Galois key of every rotation in
-// plan.rotations() (see sweepKeys). The output scale is ct.Scale · q_lvl, so
-// the caller's Rescale restores the input scale.
+// a single ModDown at the end, merged with the rescale that drops q_lvl again
+// (modDownRescale). keys holds the Galois key of every rotation in
+// plan.rotations() (see sweepKeys). ct must sit above level 0.
 func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Encoder,
 	plan *bsgsPlan, keys map[int]*SwitchingKey) (*Ciphertext, error) {
 	defer obsLinTrans.done(time.Now())
@@ -412,7 +416,7 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		if !onto {
 			ga.t0q, ga.t0p = getNTT(rq, lvl), getNTT(rp, lvlP)
 		}
-		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p, onto)
+		ev.gadgetProductInto(decG, keys[g.rot], ga.t0q, w1q, ga.t0p, w1p, onto, false)
 		decG.release(p)
 		if t1 != ga.a1q {
 			rq.PutPoly(t1)
@@ -426,16 +430,18 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		span.End()
 	}
 
+	// The diagonals multiplied the scale by q_lvl and the rescale divides it
+	// out again, in that order, as a separate Rescale would.
 	scale := ct.Scale * ptScale
 	switch {
 	case final.t0q != nil:
-		c0, c1 := ev.modDownPair(final.t0q, final.t0p, final.t1q, final.t1p, final.a0q, final.a1q, lvl)
+		c0, c1 := ev.modDownRescale(final.t0q, final.t0p, final.t1q, final.t1p, final.a0q, final.a1q, lvl)
 		final.release(rq, rp)
-		return &Ciphertext{C0: c0, C1: c1, Scale: scale}, nil
+		return &Ciphertext{C0: c0, C1: c1, Scale: scale / ptScale}, nil
 	case final.a0q != nil:
-		// Only the r == 0 diagonal: its two products are the result.
-		return &Ciphertext{C0: final.a0q, C1: final.a1q, Scale: scale}, nil
+		// Only the r == 0 diagonal: its two products, rescaled, are the result.
+		return ev.rescaleOwned(&Ciphertext{C0: final.a0q, C1: final.a1q, Scale: scale}), nil
 	default:
-		return ev.zeroCiphertext(lvl, scale), nil // a transform without diagonals
+		return ev.zeroCiphertext(lvl-1, scale/ptScale), nil // a transform without diagonals
 	}
 }

@@ -60,12 +60,12 @@ func TestBSGSMatchesDegenerateAndApply(t *testing.T) {
 
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
 		ct := tc.eval.DropLevel(ctTop, lvl)
-		ref := tc.decryptVec(tc.eval.Rescale(tc.sweepWith(t, ct, lt, slots)))
+		ref := tc.decryptVec(tc.sweepWith(t, ct, lt, slots))
 		if e := maxErr(ref, want); e > 1e-3 {
 			t.Fatalf("lvl %d: degenerate plan vs Apply error %g", lvl, e)
 		}
 		for _, bs := range steps[:len(steps)-1] {
-			got := tc.decryptVec(tc.eval.Rescale(tc.sweepWith(t, ct, lt, bs)))
+			got := tc.decryptVec(tc.sweepWith(t, ct, lt, bs))
 			if e := maxErr(got, want); e > 1e-3 {
 				t.Fatalf("bs %d lvl %d: sweep vs Apply error %g", bs, lvl, e)
 			}
@@ -102,7 +102,6 @@ func TestBSGSDFTAllFFTIters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ct = tc.eval.Rescale(ct)
 			}
 			if e := maxErr(tc.decryptVec(ct), u); e > 1e-3 {
 				t.Fatalf("fftIter=%d: S2C∘C2S round trip error %g", fftIter, e)
@@ -188,7 +187,6 @@ func TestBSGSDispatcherFallsBackWithoutKeys(t *testing.T) {
 	if spent := int(obsLinTransRotations.Value() - before); spent != k {
 		t.Fatalf("fallback sweep spent %d key switches, want per-diagonal count %d", spent, k)
 	}
-	got = tc.eval.Rescale(got)
 	if e := maxErr(tc.decryptVec(got), want); e > 1e-3 {
 		t.Fatalf("fallback result error %g", e)
 	}
@@ -215,7 +213,7 @@ func TestBSGSSweepPerLevel(t *testing.T) {
 	ctTop := tc.encryptVec(t, u)
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
 		ct := tc.eval.DropLevel(ctTop, lvl)
-		got := tc.eval.Rescale(tc.sweepWith(t, ct, lt, 4))
+		got := tc.sweepWith(t, ct, lt, 4)
 		if e := maxErr(tc.decryptVec(got), want); e > 1e-2 {
 			t.Fatalf("lvl %d: sweep error %g", lvl, e)
 		}

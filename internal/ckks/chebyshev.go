@@ -72,7 +72,7 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 		// halves to minimize depth.
 		i := k / 2
 		j := k - i
-		res := ev.rescaleOwned(ev.MulRelin(build(i), build(j), nil))
+		res := ev.mul(build(i), build(j))
 		ev.addInPlace(res, res)
 		if i == j {
 			ev.addConstInPlace(res, -1) // 2T_i² − T_0
@@ -125,7 +125,7 @@ func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b fl
 		quo, rem := splitChebyshev(c, split)
 		qc := eval(quo)
 		rc := eval(rem)
-		prod := ev.rescaleOwned(ev.MulRelin(qc, pow[split], nil))
+		prod := ev.mul(qc, pow[split])
 		ev.Release(qc)
 		// prod + rc, summed into whichever sits lower.
 		scale := prod.Scale

@@ -188,8 +188,7 @@ func TestPMULT(t *testing.T) {
 	p := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, a)
 	ptp, _ := tc.enc.Encode(p, ct.Level(), tc.params.DefaultScale())
-	prod := tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()})
-	prod = tc.eval.Rescale(prod)
+	prod := tc.eval.rescale(tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()}))
 	want := make([]complex128, len(a))
 	for i := range want {
 		want[i] = a[i] * p[i]
@@ -204,8 +203,10 @@ func TestHMULT(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	a := randomComplex(r, tc.params.Slots(), 1)
 	b := randomComplex(r, tc.params.Slots(), 1)
-	prod := tc.eval.MulRelin(tc.encryptVec(t, a), tc.encryptVec(t, b), nil)
-	prod = tc.eval.Rescale(prod)
+	prod, err := tc.eval.Mul(tc.encryptVec(t, a), tc.encryptVec(t, b))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]complex128, len(a))
 	for i := range want {
 		want[i] = a[i] * b[i]
@@ -223,7 +224,7 @@ func TestHMULTDepth(t *testing.T) {
 	ct := tc.encryptVec(t, v)
 	want := append([]complex128(nil), v...)
 	for d := 0; d < 3; d++ {
-		ct = tc.eval.Rescale(tc.eval.Square(ct))
+		ct = tc.eval.mul(ct, ct)
 		for i := range want {
 			want[i] *= want[i]
 		}
@@ -354,7 +355,7 @@ func TestAddConstMultConst(t *testing.T) {
 	}
 
 	dropQ := float64(tc.params.RingQ().Moduli[ct.Level()].Q)
-	ct3 := tc.eval.Rescale(tc.eval.MultConst(ct, -1.25, dropQ))
+	ct3 := tc.eval.rescale(tc.eval.MultConst(ct, -1.25, dropQ))
 	for i := range want {
 		want[i] = v[i] * -1.25
 	}

@@ -11,13 +11,13 @@ package ckks
 func (ev *Evaluator) signPoly(ct *Ciphertext) *Ciphertext {
 	rq := ev.params.RingQ()
 	// x² (level -1)
-	x2 := ev.rescaleOwned(ev.Square(ct))
+	x2 := ev.mul(ct, ct)
 	// (3 - x²)/2 at the scale of x², via constant ops.
 	half := ev.rescaleOwned(ev.MultConst(x2, -0.5, float64(rq.Moduli[x2.Level()].Q)))
 	ev.Release(x2)
 	ev.addConstInPlace(half, 1.5)
 	// x · (3 - x²)/2 (level -2); the product takes x at half's level.
-	out := ev.rescaleOwned(ev.MulRelin(ct, half, nil))
+	out := ev.mul(ct, half)
 	ev.Release(half)
 	return out
 }
@@ -65,7 +65,7 @@ func (ev *Evaluator) EvalMinMax(a, b *Ciphertext, iterations int) (minCt, maxCt 
 	s := ev.EvalSign(diff, iterations)
 
 	// |a-b| ≈ (a-b)·sign(a-b), at sign's level.
-	abs := ev.rescaleOwned(ev.MulRelin(diff, s, nil))
+	abs := ev.mul(diff, s)
 	ev.Release(diff, s)
 
 	// (sum + abs)/2 and (sum - abs)/2, at abs's level.

@@ -107,7 +107,6 @@ func TestHomomorphicC2SThenS2C(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct = tc.eval.Rescale(ct)
 	}
 	for _, g := range s2c {
 		var err error
@@ -115,7 +114,6 @@ func TestHomomorphicC2SThenS2C(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct = tc.eval.Rescale(ct)
 	}
 	if e := maxErr(tc.decryptVec(ct), u); e > 1e-3 {
 		t.Fatalf("homomorphic S2C∘C2S error %g", e)

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -23,6 +24,8 @@ type Evaluator struct {
 	digitConv  map[digitConvKey]*rns.BasisConverter // digit group -> (Q_level ∖ digit) ∪ P
 	pToQConv   map[int]*rns.BasisConverter          // level -> BConv P -> Q_level
 	rescalers  map[int]*rns.Rescaler                // level -> cached rescale constants
+	tails      map[int]*rescaleTail                 // level -> modDownRescale constants
+	pModQ      []uint64                             // P mod q_i (full chain)
 	pInvModQ   []uint64                             // P^{-1} mod q_i (full chain)
 	monomialNT map[int]*ring.Poly                   // level -> NTT(X^{N/2})
 
@@ -43,8 +46,10 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 		digitConv:  make(map[digitConvKey]*rns.BasisConverter),
 		pToQConv:   make(map[int]*rns.BasisConverter),
 		rescalers:  make(map[int]*rns.Rescaler),
+		tails:      make(map[int]*rescaleTail),
 		monomialNT: make(map[int]*ring.Poly),
-		// Computed eagerly so the hot paths never take the lock for it.
+		// Computed eagerly so the hot paths never take the lock for them.
+		pModQ:    rns.ProductMod(params.RingP().Moduli, params.RingQ().Moduli),
 		pInvModQ: rns.ProductInvMod(params.RingP().Moduli, params.RingQ().Moduli),
 	}
 	return ev
@@ -54,6 +59,12 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 // Element-wise operations (the PIM-friendly class of the Anaheim paper)
 
 const scaleTolerance = 1e-3
+
+// ErrLevel is returned by the ops that end in a rescale — Mul, Square,
+// Rescale, EvaluateLinearTransform — when an operand sits at level 0 and
+// there is no prime left to drop. They check before borrowing or writing
+// anything.
+var ErrLevel = errors.New("ckks: operand at level 0 has no prime left to rescale by")
 
 func (ev *Evaluator) checkScales(a, b float64) {
 	if math.Abs(a/b-1) > scaleTolerance {
@@ -244,6 +255,35 @@ func (ev *Evaluator) rescaler(lvl int) *rns.Rescaler {
 	return rs
 }
 
+// rescaleTail holds one level's constants of modDownRescale.
+type rescaleTail struct {
+	rs    *rns.Rescaler       // drops q_lvl
+	conv  *rns.BasisConverter // P -> Q_lvl, row i scaled by −P^{-1} mod q_i
+	pqInv []uint64            // (P·q_lvl)^{-1} mod q_i, i < lvl
+}
+
+// rescaleTail returns the cached modDownRescale constants for level lvl ≥ 1.
+func (ev *Evaluator) rescaleTail(lvl int) *rescaleTail {
+	rs, bc := ev.rescaler(lvl), ev.pToQConverter(lvl)
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	if t, ok := ev.tails[lvl]; ok {
+		return t
+	}
+	q := ev.params.RingQ().Moduli
+	negPInv := make([]uint64, lvl+1)
+	for i := range negPInv {
+		negPInv[i] = q[i].Neg(ev.pInvModQ[i])
+	}
+	pqInv := make([]uint64, lvl)
+	for i := range pqInv {
+		pqInv[i] = q[i].Mul(ev.pInvModQ[i], rs.LastModulusInv()[i])
+	}
+	t := &rescaleTail{rs: rs, conv: bc.Scaled(negPInv), pqInv: pqInv}
+	ev.tails[lvl] = t
+	return t
+}
+
 // getRows / putRows pool the [][]uint64 slice headers Decompose hands to
 // BConv as target rows (the rows themselves belong to pooled polynomials).
 // The pool traffics in pointers so the round trip itself is allocation-free.
@@ -345,9 +385,8 @@ func (dec *decomposed) release(p *Parameters) {
 // u0 + u1·under = P·c·w + e. The four accumulators are pooled; callers
 // return them with putQP once the ModDown has consumed them.
 func (ev *Evaluator) gadgetProduct(dec *decomposed, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
-	defer obsKSKeyMult.done(time.Now())
 	u0q, u0p, u1q, u1p = ev.getQP(dec.level)
-	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p, false)
+	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p, false, false)
 	return
 }
 
@@ -403,8 +442,8 @@ func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
 
 // keySwitchQP runs the ModUp -> KeyMult/MAC half of a key switch on c and
 // leaves (u0, u1) in the extended basis for the caller's ModDown tail, which
-// differs per op (plain pair, HMULT adds, rotation automorphism). Return the
-// accumulators with putQP.
+// differs per op (plain pair, rotation automorphism). Return the accumulators
+// with putQP.
 func (ev *Evaluator) keySwitchQP(c *ring.Poly, lvl int, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
 	dec := ev.decompose(c, lvl)
 	u0q, u0p, u1q, u1p = ev.gadgetProduct(dec, swk)
@@ -416,7 +455,7 @@ func (ev *Evaluator) keySwitchQP(c *ring.Poly, lvl int, swk *SwitchingKey) (u0q,
 func (ev *Evaluator) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey) (d0, d1 *ring.Poly) {
 	defer obsKeySwitch.done(time.Now())
 	u0q, u0p, u1q, u1p := ev.keySwitchQP(c, lvl, swk)
-	d0, d1 = ev.modDownPair(u0q, u0p, u1q, u1p, nil, nil, lvl)
+	d0, d1 = ev.modDownPair(u0q, u0p, u1q, u1p, lvl)
 	ev.putQP(u0q, u0p, u1q, u1p)
 	return d0, d1
 }
@@ -431,44 +470,56 @@ func (ev *Evaluator) SwitchKeys(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
 	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale}
 }
 
-// MulRelin returns ct0 ⊙ ct1 with relinearization (HMULT): the Tensor
-// element-wise step followed by key switching of the degree-2 component.
-func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *SwitchingKey) *Ciphertext {
-	defer obsMul.done(time.Now())
-	if rlk == nil {
-		rlk = ev.keys.Rlk
+// Mul returns ct0 ⊙ ct1 relinearized and rescaled (HMULT): the Tensor
+// element-wise step, the key switch of the degree-2 component, and the
+// rescale by the top prime of the lower operand's level, which rides the key
+// switch's ModDown (modDownRescale). An operand at level 0 leaves no prime to
+// rescale by: ErrLevel, before anything is written.
+func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
+	if min(ct0.Level(), ct1.Level()) == 0 {
+		return nil, ErrLevel
 	}
+	return ev.mul(ct0, ct1), nil
+}
+
+// Square returns ct ⊙ ct relinearized and rescaled, as Mul.
+func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) { return ev.Mul(ct, ct) }
+
+// mul is Mul for operands above level 0 — the compound ops budget their
+// levels up front.
+func (ev *Evaluator) mul(ct0, ct1 *Ciphertext) *Ciphertext {
+	defer obsMul.done(time.Now())
 	rq := ev.params.RingQ()
 	lvl := min(ct0.Level(), ct1.Level())
 	a0, a1, b0, b1 := ct0.C0, ct0.C1, ct1.C0, ct1.C1 // read on limbs 0..lvl only
 
 	// Tensor as one per-limb chain (each input row is read while hot across
-	// the four products), then the key switch of the degree-2 component with
-	// the HMULT tail adds fused into its ModDown.
-	t0, t1, d2 := rq.GetPoly(lvl), rq.GetPoly(lvl), rq.GetPoly(lvl)
+	// the four products). The degree-0 and -1 terms go straight into the key
+	// switch's Q accumulators, times P: the gadget product of the degree-2
+	// term adds onto them, and the ModDown of the merged tail, which also
+	// rescales, divides the P back out.
+	u0q, u0p, u1q, u1p := ev.getQP(lvl)
+	d2 := rq.GetPoly(lvl)
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
-	ln.MulCoeffs(t0, a0, b0)
-	ln.MulCoeffs(t1, a0, b1)
-	ln.MulCoeffsAdd(t1, a1, b0)
+	ln.MulCoeffs(u0q, a0, b0)
+	ln.MulByLimbScalars(u0q, u0q, ev.pModQ)
+	ln.MulCoeffs(u1q, a0, b1)
+	ln.MulCoeffsAdd(u1q, a1, b0)
+	ln.MulByLimbScalars(u1q, u1q, ev.pModQ)
 	ln.MulCoeffs(d2, a1, b1)
 	pipe.Run()
 	pipe.Release()
 
 	ksStart := time.Now()
-	u0q, u0p, u1q, u1p := ev.keySwitchQP(d2, lvl, rlk)
+	dec := ev.decompose(d2, lvl)
 	rq.PutPoly(d2)
-	o0, o1 := ev.modDownPair(u0q, u0p, u1q, u1p, t0, t1, lvl)
+	ev.gadgetProductInto(dec, ev.keys.Rlk, u0q, u1q, u0p, u1p, false, true)
+	dec.release(ev.params)
+	o0, o1 := ev.modDownRescale(u0q, u0p, u1q, u1p, nil, nil, lvl)
 	obsKeySwitch.done(ksStart)
 	ev.putQP(u0q, u0p, u1q, u1p)
-	rq.PutPoly(t0)
-	rq.PutPoly(t1)
-	return &Ciphertext{C0: o0, C1: o1, Scale: ct0.Scale * ct1.Scale}
-}
-
-// Square returns ct ⊙ ct using the TensorSq shortcut.
-func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext {
-	return ev.MulRelin(ct, ct, nil)
+	return &Ciphertext{C0: o0, C1: o1, Scale: ct0.Scale * ct1.Scale / float64(rq.Moduli[lvl].Q)}
 }
 
 // DropLevel discards limbs down to the target level without scaling. The

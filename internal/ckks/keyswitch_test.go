@@ -210,10 +210,10 @@ func TestHoistedMatchesRotatePerLevel(t *testing.T) {
 	}
 }
 
-// TestRelinNoisePerLevel runs the relinearization key switch (MulRelin) at
-// every level with enough modulus headroom for the squared scale, against
-// the error the exact square of the decrypted input carries plus the
-// analytic key-switch budget.
+// TestRelinNoisePerLevel runs the relinearization key switch of an HMULT
+// (with the rescale its ModDown folds in) at every level with enough modulus
+// headroom for the squared scale, against the error the exact square of the
+// decrypted input carries plus the analytic key-switch budget.
 func TestRelinNoisePerLevel(t *testing.T) {
 	tc := newTestContext(t, alpha4Params())
 	r := rand.New(rand.NewSource(44))
@@ -226,7 +226,7 @@ func TestRelinNoisePerLevel(t *testing.T) {
 
 	logScale := math.Log2(tc.params.DefaultScale())
 	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
-		// The unrescaled product lives at scale Δ²; skip levels whose
+		// The product lives at scale Δ² until the rescale; skip levels whose
 		// modulus cannot hold it.
 		bits := 0.0
 		for _, qm := range tc.params.RingQ().Moduli[:lvl+1] {
@@ -242,7 +242,7 @@ func TestRelinNoisePerLevel(t *testing.T) {
 			sqIn[i] = in[i] * in[i]
 		}
 		inErr := ComputePrecision(sqIn, want).MaxErr
-		stats := ComputePrecision(tc.decryptVec(tc.eval.Square(ct)), want)
+		stats := ComputePrecision(tc.decryptVec(tc.eval.mul(ct, ct)), want)
 		if bound := ksAnalyticSlotBound(tc.params, tc.params.PlanAt(lvl)); stats.MaxErr > inErr+bound {
 			t.Fatalf("lvl %d: relin error %g exceeds the squared input's %g + budget %g",
 				lvl, stats.MaxErr, inErr, bound)

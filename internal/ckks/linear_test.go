@@ -32,7 +32,6 @@ func TestLinearTransformHoisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = tc.eval.Rescale(out)
 
 	want := lt.Apply(u)
 	if e := maxErr(tc.decryptVec(out), want); e > 1e-4 {
@@ -58,7 +57,7 @@ func TestLinearTransformMinKS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = tc.eval.Rescale(out)
+	out = tc.eval.rescale(out)
 	want := lt.Apply(u)
 	if e := maxErr(tc.decryptVec(out), want); e > 1e-4 {
 		t.Fatalf("MinKS LT error %g", e)
@@ -82,8 +81,8 @@ func TestHoistedAndMinKSAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dh := tc.decryptVec(tc.eval.Rescale(h))
-	dm := tc.decryptVec(tc.eval.Rescale(m))
+	dh := tc.decryptVec(h)
+	dm := tc.decryptVec(tc.eval.rescale(m))
 	if e := maxErr(dh, dm); e > 1e-4 {
 		t.Fatalf("hoisted and MinKS disagree by %g", e)
 	}
@@ -109,7 +108,6 @@ func TestLinearTransformHoistedPostRescale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lvl %d: %v", lvl, err)
 		}
-		out = tc.eval.Rescale(out)
 		if out.Level() != lvl-1 {
 			t.Fatalf("lvl %d: output at level %d", lvl, out.Level())
 		}
@@ -138,7 +136,7 @@ func TestLinearTransformMinKSPostRescale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lvl %d: %v", lvl, err)
 		}
-		out = tc.eval.Rescale(out)
+		out = tc.eval.rescale(out)
 		if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
 			t.Fatalf("lvl %d: MinKS LT error %g", lvl, e)
 		}
@@ -160,7 +158,6 @@ func TestLinearTransformIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = tc.eval.Rescale(out)
 	if e := maxErr(tc.decryptVec(out), u); e > 1e-5 {
 		t.Fatalf("identity LT error %g", e)
 	}

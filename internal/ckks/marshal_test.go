@@ -78,7 +78,7 @@ func TestKeySerialization(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	v := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, v)
-	prod := tc.eval.Rescale(tc.eval.MulRelin(ct, ct, &rlk))
+	prod := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: &rlk}).mul(ct, ct)
 	want := make([]complex128, len(v))
 	for i := range v {
 		want[i] = v[i] * v[i]

@@ -108,9 +108,10 @@ func TestNoAlias(t *testing.T) {
 		{"MulConstAccum", []*Ciphertext{a, b, low}, func() ([]*Ciphertext, error) {
 			return one(ev.MulConstAccum([]*Ciphertext{a, b, low}, []float64{0.5, -1, 2}, qd))
 		}},
-		{"MulRelin", []*Ciphertext{a, b}, func() ([]*Ciphertext, error) { return one(ev.MulRelin(a, b, nil)) }},
-		{"Square", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.Square(a)) }},
-		{"Rescale", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.Rescale(a)) }},
+		{"Mul", []*Ciphertext{a, b}, func() ([]*Ciphertext, error) { return oneErr(ev.Mul(a, b)) }},
+		{"Mul/levels", []*Ciphertext{a, low}, func() ([]*Ciphertext, error) { return oneErr(ev.Mul(low, a)) }},
+		{"Square", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return oneErr(ev.Square(a)) }},
+		{"Rescale", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return oneErr(ev.Rescale(a)) }},
 		{"SwitchKeys", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, tc.keys.Rlk)) }},
 		{"DropLevel", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.DropLevel(a, 2)) }},
 		{"DropLevel/same", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.DropLevel(a, a.Level())) }},
@@ -259,7 +260,8 @@ func TestUseAfterRelease(t *testing.T) {
 					if bs >= sweepLT.Slots {
 						t.Fatal("the dense transform did not select a baby step")
 					}
-					want := oracle{p: tc.params, keys: tc.keys, enc: tc.enc}.sweep(in, sweepLT, bs)
+					or := oracle{p: tc.params, keys: tc.keys, enc: tc.enc}
+					want := or.rescale(or.sweep(in, sweepLT, bs))
 					if !bytes.Equal(ctBytes(t, out), ctBytes(t, want)) {
 						t.Fatal("sweep bytes differ from the oracle")
 					}
@@ -391,7 +393,7 @@ func TestReleaseIsHarmless(t *testing.T) {
 	built := &Ciphertext{C0: rq.NewPoly(3), C1: rq.NewPoly(3), Scale: a.Scale}
 	ev.Release(built, a.CopyNew())
 	for i := 0; i < 3; i++ {
-		sq := ev.Rescale(ev.Square(a))
+		sq := ev.mul(a, a)
 		got := tc.decryptVec(sq)
 		in := tc.decryptVec(a)
 		for j := range in {
@@ -415,7 +417,7 @@ func TestConcurrentRelease(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	a := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
 	step := func() *Ciphertext {
-		sq := ev.rescaleOwned(ev.Square(a))
+		sq := ev.mul(a, a)
 		rot, err := ev.Rotate(sq, 1)
 		if err != nil {
 			t.Error(err)

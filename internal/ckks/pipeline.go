@@ -4,18 +4,19 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
+	"github.com/anaheim-sim/anaheim/internal/rns"
 )
 
 // The evaluator's hot chains — the gadget-product inner loop of key
-// switching, the ModDown pair, the automorphism tail of rotations, rescaling,
-// and the linear-transform sweep blocks — record their per-limb kernel chains
-// into a ring.Pipeline and execute the whole chain limb-by-limb under a single
-// barrier, instead of one barriered full-polynomial sweep per kernel. The
-// stage bodies are the same row kernels the barriered ring ops dispatch, in
-// the same per-limb order, so the results are bit-identical to the barriered
-// exact composition on every kernel tier (oracle_test.go asserts this byte for
-// byte at every level); only the memory traffic changes. DESIGN.md §3.8.4
-// documents the discipline.
+// switching, the ModDown tails (plain, rotation, and merged with the
+// rescale), rescaling, and the linear-transform sweep blocks — record their
+// per-limb kernel chains into a ring.Pipeline and execute the whole chain
+// limb-by-limb under a single barrier, instead of one barriered
+// full-polynomial sweep per kernel. The stage bodies are the same row kernels
+// the barriered ring ops dispatch, in the same per-limb order, so the results
+// are bit-identical to the barriered exact composition on every kernel tier
+// (oracle_test.go asserts this byte for byte at every level); only the memory
+// traffic changes. DESIGN.md §3.8.4 documents the discipline.
 
 // recordGadgetMACs records the KeyMult chain of one gadget product into the
 // two lanes: every digit's forward NTT (first consumer only — the
@@ -24,10 +25,12 @@ import (
 // per accumulator, u = Σ_d digit_d ⊙ key_d, which sums the D products of a
 // coefficient in a 128-bit register pair and reduces once. A limb's D digit
 // rows are transformed and consumed by both of its dot stages while still
-// cache-resident. The accumulators are left lazy. u1 is overwritten, and so is
-// u0 unless onto0 asks for the product to be added onto it (the sweep's giant
-// step), so neither need be initialised otherwise.
-func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0 bool) {
+// cache-resident. The accumulators are left lazy. An accumulator is
+// overwritten, so it need not be initialised, unless the product is to be
+// added onto what it holds: onto0 asks that of u0 over Q ∪ P (the sweep's
+// giant step lands on T0), ontoQ of both Q halves (HMULT's P-scaled tensor
+// terms, which vanish mod every p_j).
+func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0, ontoQ bool) {
 	if dec.coeffDomain {
 		for d := range dec.q {
 			lo, hi := dec.plan.digitLimbs(d)
@@ -37,8 +40,8 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 		dec.coeffDomain = false
 	}
 	n := len(dec.q) // a key serves lower levels with a prefix of its digits
-	lq.DotLazy(u0q, dec.q, swk.BQ[:n], onto0)
-	lq.DotLazy(u1q, dec.q, swk.AQ[:n], false)
+	lq.DotLazy(u0q, dec.q, swk.BQ[:n], onto0 || ontoQ)
+	lq.DotLazy(u1q, dec.q, swk.AQ[:n], ontoQ)
 	lp.DotLazy(u0p, dec.p, swk.BP[:n], onto0)
 	lp.DotLazy(u1p, dec.p, swk.AP[:n], false)
 }
@@ -46,14 +49,15 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 // gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:
 // the digit NTTs and dot stages of recordGadgetMACs, ending with the four
 // accumulator reductions — one barrier instead of 2·digits NTTs + 4 dots + 4
-// reductions. Accumulators must be NTT-flagged polynomials; with onto0 the
-// u0 half of the product is added onto the (exact or lazy) value u0 holds,
-// otherwise no accumulator's contents are read.
-func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0 bool) {
+// reductions. Accumulators must be NTT-flagged polynomials; those onto0 /
+// ontoQ name are added onto (their exact or lazy values are read), the others
+// only written.
+func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0, ontoQ bool) {
+	defer obsKSKeyMult.done(time.Now())
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), dec.level)
 	lp := pipe.Lane(ev.params.RingP(), ev.params.RingP().MaxLevel())
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, onto0)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, onto0, ontoQ)
 	lq.ReduceLazy(u0q)
 	lq.ReduceLazy(u1q)
 	lp.ReduceLazy(u0p)
@@ -62,50 +66,45 @@ func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, 
 	pipe.Release()
 }
 
-// modDownPair runs both ModDowns of a key switch as two pipeline Runs (plus
-// the two cross-limb base conversions, which tile internally): one Run fuses
-// the two P-side INTT chains, one Run fuses each Q-side NTTLazy with the
-// SubMul epilogue consuming it — the converted rows are transformed and
-// subtracted while cache-resident. When add0/add1 are non-nil, the exact
-// additions d += add are fused into the same final Run (the HMULT tail and
-// the linear-transform sweep's Q-basis sums).
-//
-// The P-part accumulators u0p/u1p are CONSUMED: every caller releases them
-// right after ModDown, so the inverse transforms run in place instead of
-// paying a defensive copy pass per component.
-func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl int) (d0, d1 *ring.Poly) {
-	defer obsKSModDown.done(time.Now())
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-
+// pToQ is the head every ModDown tail shares: one Run inverse-transforms both
+// P halves in place — the accumulators u0p/u1p are CONSUMED, every caller
+// releases them right after the tail, so no defensive copy pass is paid — and
+// the two cross-limb base conversions (which tile internally) take them onto
+// Q_lvl through bc, exact. The caller returns conv0/conv1 with PutPoly.
+func (ev *Evaluator) pToQ(bc *rns.BasisConverter, u0p, u1p *ring.Poly, lvl int) (conv0, conv1 *ring.Poly) {
+	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	pipe := ring.GetPipeline()
 	lnP := pipe.Lane(rp, rp.MaxLevel())
 	lnP.INTT(u0p)
 	lnP.INTT(u1p)
 	pipe.Run()
+	pipe.Release()
 
-	bc := ev.pToQConverter(lvl)
-	conv0, conv1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs)
-	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs)
+	conv0, conv1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
+	bc.Convert(conv0.Coeffs, u0p.Coeffs)
+	bc.Convert(conv1.Coeffs, u1p.Coeffs)
+	return conv0, conv1
+}
 
-	d0, d1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
+// modDownPair runs both ModDowns of a key switch: after pToQ, one Run fuses
+// each Q-side NTTLazy with the SubMul epilogue consuming it — the converted
+// rows are transformed and subtracted while cache-resident.
+func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p *ring.Poly, lvl int) (d0, d1 *ring.Poly) {
+	defer obsKSModDown.done(time.Now())
+	rq := ev.params.RingQ()
+	conv0, conv1 := ev.pToQ(ev.pToQConverter(lvl), u0p, u1p, lvl)
+
+	d0, d1 = getNTT(rq, lvl), getNTT(rq, lvl)
 	s := ev.pInvModQ[:lvl+1]
+	pipe := ring.GetPipeline()
 	lnQ := pipe.Lane(rq, lvl)
 	lnQ.NTTLazy(conv0)
 	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv0, s)
-	if add0 != nil {
-		lnQ.Add(d0, d0, add0)
-	}
 	lnQ.NTTLazy(conv1)
 	lnQ.SubMulByLimbScalarsLazy(d1, u1q, conv1, s)
-	if add1 != nil {
-		lnQ.Add(d1, d1, add1)
-	}
 	pipe.Run()
 	pipe.Release()
 
-	d0.IsNTT, d1.IsNTT = true, true
 	rq.PutPoly(conv0)
 	rq.PutPoly(conv1)
 	return d0, d1
@@ -115,27 +114,16 @@ func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl 
 // into the final Run: o0 = σ_g(ModDown(u0) + c0),
 // o1 = σ_g(ModDown(u1)). The sum-then-permute is recorded as the fused
 // AddAutomorphismNTT stage (bit-identical because the sum is element-wise),
-// so the rotation epilogue moves each row once instead of four times. Like
-// modDownPair, the P-part accumulators are consumed in place.
+// so the rotation epilogue moves each row once instead of four times.
 func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl int) (o0, o1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-
-	pipe := ring.GetPipeline()
-	lnP := pipe.Lane(rp, rp.MaxLevel())
-	lnP.INTT(u0p)
-	lnP.INTT(u1p)
-	pipe.Run()
-
-	bc := ev.pToQConverter(lvl)
-	conv0, conv1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	bc.ConvertLazy(conv0.Coeffs, u0p.Coeffs)
-	bc.ConvertLazy(conv1.Coeffs, u1p.Coeffs)
+	rq := ev.params.RingQ()
+	conv0, conv1 := ev.pToQ(ev.pToQConverter(lvl), u0p, u1p, lvl)
 
 	d0, d1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
 	o0, o1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
 	s := ev.pInvModQ[:lvl+1]
+	pipe := ring.GetPipeline()
 	lnQ := pipe.Lane(rq, lvl)
 	lnQ.NTTLazy(conv0)
 	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv0, s)
@@ -153,22 +141,102 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 	return o0, o1
 }
 
+// modDownRescale is the merged tail of HMULT and of the linear-transform
+// sweep: it turns the gadget product's (u0, u1) over Q_ℓ ∪ P plus the exact
+// Q-basis terms add0/add1 (nil adds nothing) straight into the pair rescaled
+// to level ℓ − 1, o_k = Rescale(ModDown(u_k) + add_k), without forming the
+// level-ℓ pair. With u′ = u + P·add over Q (P·add vanishes mod every p_j, so
+// the P half is untouched) the ModDown row is (u′_i − NTT(conv_i))·P⁻¹,
+// conv = BConv_{P→Q}(INTT(u_P)); the NTT is linear over Z_{q_i}, so with the
+// converter's rows pre-scaled, r = −conv·P⁻¹,
+//
+//	t   = [INTT(u′_ℓ)·P⁻¹ + r_ℓ + q_ℓ/2]_{q_ℓ}              (the top limb, alone)
+//	c_i = conv_i + P·[t − q_ℓ/2]_{q_i}                     (CorrectionRow of r_i, scale P)
+//	o_i = (u′_i − NTT(c_i))·(P·q_ℓ)⁻¹
+//
+// Every step is exact mod q_i, so the bytes are those of ModDown, the adds and
+// Rescale run one after another (oracle_test.go holds this at every level and
+// tier), at ℓ + 1 limb transforms per component where that sequence pays
+// 2(ℓ + 1), and a kept limb's chain is the correction, its one NTT and one
+// multiply-subtract. HMULT passes no adds: its tensor terms enter u′ through
+// the gadget product (ontoQ). The P halves are consumed as in modDownPair, u_q
+// and the adds too. ℓ must be ≥ 1.
+func (ev *Evaluator) modDownRescale(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl int) (o0, o1 *ring.Poly) {
+	defer obsKSModDown.done(time.Now())
+	rq := ev.params.RingQ()
+	tail := ev.rescaleTail(lvl)
+	rs := tail.rs
+	r := [2]*ring.Poly{}
+	r[0], r[1] = ev.pToQ(tail.conv, u0p, u1p, lvl)
+	u, add := [2]*ring.Poly{u0q, u1q}, [2]*ring.Poly{add0, add1}
+	out := [2]*ring.Poly{getNTT(rq, lvl-1), getNTT(rq, lvl-1)}
+	t := [2]*ring.Poly{rq.GetPoly(0), rq.GetPoly(0)}
+
+	mL := rq.Moduli[lvl]
+	pL, pInvL := ev.pModQ[lvl], ev.pInvModQ[lvl]
+	pLShoup, pInvLShoup := mL.ShoupPrecomp(pL), mL.ShoupPrecomp(pInvL)
+	pipe := ring.GetPipeline()
+	ln := pipe.Lane(rq, lvl-1)
+	for k := range out {
+		// The top row is shared by every kept limb — a cross-limb dependency
+		// the pipeline must not span — so it is formed first, in t.
+		tk := t[k].Coeffs[0]
+		if a := add[k]; a != nil {
+			aL := a.Coeffs[lvl]
+			mL.VecMulShoup(aL, aL, pL, pLShoup)
+			mL.VecAdd(tk, u[k].Coeffs[lvl], aL)
+		} else {
+			copy(tk, u[k].Coeffs[lvl])
+		}
+		rq.INTTLimb(tk, lvl)
+		mL.VecMulShoup(tk, tk, pInvL, pInvLShoup)
+		mL.VecAdd(tk, tk, r[k].Coeffs[lvl])
+		rs.LastRowPlusHalf(tk, tk)
+
+		// Per kept limb: fold the add into u, turn r_i into c_i in place,
+		// transform it, and subtract it from u′_i into the output row.
+		if a := add[k]; a != nil {
+			ln.MulByLimbScalars(a, a, ev.pModQ)
+			ln.Add(u[k], u[k], a)
+		}
+		c := r[k]
+		ln.Func(func(i int) { rs.CorrectionRow(i, c.Coeffs[i], tk, ev.pModQ[i]) }, r[k:k+1], r[k:k+1])
+		ln.NTTLazy(c)
+		ln.SubMulByLimbScalarsLazy(out[k], u[k], c, tail.pqInv)
+	}
+	pipe.Run()
+	pipe.Release()
+
+	for k := range t {
+		rq.PutPoly(t[k])
+		rq.PutPoly(r[k])
+	}
+	return out[0], out[1]
+}
+
 // Rescale divides the ciphertext by its top prime and drops a level,
-// restoring the scale after a multiplication, without leaving the NTT domain
-// (rns.Rescaler states the identity). Only the two dropped rows are inverse-
-// transformed, into the shared t = [x_L + q_L/2]_{q_L} rows — single rows that
-// every kept limb reads, a cross-limb dependency the pipeline must not span, so
-// they are formed first. One Run then builds, per kept limb and in the output
-// row itself (cleared in the lane: it comes from the pool), the correction
-// [t − q_L/2]_{q_i}, transforms it, and applies out_i = (c_i − ŵ_i)·q_L^{-1}
-// straight from ct's NTT rows.
-func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
+// restoring the scale after a plaintext or constant multiplication (HMULT and
+// the linear-transform sweep rescale in their own key-switch tail), without
+// leaving the NTT domain (rns.Rescaler states the identity). A ciphertext at
+// level 0 has no prime left to drop: ErrLevel, before anything is written.
+func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
+	if ct.Level() == 0 {
+		return nil, ErrLevel
+	}
+	return ev.rescale(ct), nil
+}
+
+// rescale is Rescale for a ciphertext above level 0. Only the two dropped
+// rows are inverse-transformed, into the shared t = [x_L + q_L/2]_{q_L} rows —
+// single rows that every kept limb reads, a cross-limb dependency the pipeline
+// must not span, so they are formed first. One Run then builds, per kept limb
+// and in the output row itself (cleared in the lane: it comes from the pool),
+// the correction [t − q_L/2]_{q_i}, transforms it, and applies
+// out_i = (c_i − ŵ_i)·q_L^{-1} straight from ct's NTT rows.
+func (ev *Evaluator) rescale(ct *Ciphertext) *Ciphertext {
 	defer obsRescale.done(time.Now())
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
-	if lvl == 0 {
-		panic("ckks: cannot rescale at level 0")
-	}
 	rs := ev.rescaler(lvl)
 	in := [2]*ring.Poly{ct.C0, ct.C1}
 	out := [2]*ring.Poly{rq.GetPoly(lvl - 1), rq.GetPoly(lvl - 1)}
@@ -182,8 +250,8 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 		rq.INTTLimb(tk, lvl)
 		rs.LastRowPlusHalf(tk, tk)
 		ln.Func(func(i int) {
-			clear(o.Coeffs[i]) // CorrectionRow's precondition
-			rs.CorrectionRow(i, o.Coeffs[i], tk)
+			clear(o.Coeffs[i]) // CorrectionRow then writes w_i itself
+			rs.CorrectionRow(i, o.Coeffs[i], tk, 1)
 		}, nil, out[k:k+1])
 		ln.NTTLazy(o)
 		ln.SubMulByLimbScalarsLazy(o, in[k], o, rs.LastModulusInv())
@@ -196,9 +264,9 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	return &Ciphertext{C0: out[0], C1: out[1], Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
 }
 
-// rescaleOwned is Rescale of a value the caller owns and is done with.
+// rescaleOwned is rescale of a value the caller owns and is done with.
 func (ev *Evaluator) rescaleOwned(ct *Ciphertext) *Ciphertext {
-	out := ev.Rescale(ct)
+	out := ev.rescale(ct)
 	ev.Release(ct)
 	return out
 }
@@ -219,7 +287,7 @@ func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), lvl)
 	lp := pipe.Lane(ev.params.RingP(), ev.params.RingP().MaxLevel())
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, false)
+	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, false, false)
 	for _, tg := range targets {
 		ga := tg.acc
 		if ga.t0q == nil {

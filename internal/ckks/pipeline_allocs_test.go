@@ -77,12 +77,16 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		}},
 		// 3 (9 before): the ciphertext header and the two Func closures of the
 		// correction stage.
-		{"Rescale", 5, func() { ev.Release(ev.Rescale(ct)) }},
-		// 7.
-		{"MulRelin+Rescale", 10, func() {
-			prod := ev.MulRelin(ct, ct2, nil)
-			out := ev.Rescale(prod)
-			ev.Release(prod, out)
+		{"Rescale", 5, func() { ev.Release(ev.rescale(ct)) }},
+		// 6: the ciphertext header, the two Func closures of the merged
+		// tail's correction stage and the decomposition's bookkeeping. Its
+		// top-limb and conversion rows come from the pool like the output.
+		{"Mul", 8, func() {
+			out, err := ev.Mul(ct, ct2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Release(out)
 		}},
 		// 9: the result map and the key lists on top of three rotations'
 		// headers.
@@ -95,8 +99,9 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 				ev.Release(out)
 			}
 		}},
-		// 37: the sweep's bookkeeping (key map, per-baby targets, giant
-		// accumulator headers, span annotations).
+		// 38: the sweep's bookkeeping (key map, per-baby targets, giant
+		// accumulator headers, span annotations) and the merged tail's two
+		// Func closures.
 		{"EvaluateLinearTransform", 45, func() {
 			out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc)
 			if err != nil {

@@ -1,15 +1,18 @@
 package ckks
 
 import (
+	"errors"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
 // Failure-injection and adversarial-condition tests: the scheme must fail
-// loudly (panic on misuse) or safely (garbage without the right key), never
-// silently produce near-correct results for an attacker.
+// loudly (a typed error or a panic on misuse) or safely (garbage without the
+// right key), never silently produce near-correct results for an attacker.
 
 func TestDecryptWithWrongKeyIsGarbage(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
@@ -67,15 +70,37 @@ func TestFreshCiphertextsDiffer(t *testing.T) {
 	}
 }
 
-func TestRescaleAtLevelZeroPanics(t *testing.T) {
+// TestLevelZeroIsErrLevel: every op that ends in a rescale refuses a level-0
+// operand with ErrLevel before it borrows a row from the pool or writes one.
+func TestLevelZeroIsErrLevel(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
-	ct := tc.eval.DropLevel(tc.encryptVec(t, []complex128{1}), 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescale at level 0 must panic")
+	slots := tc.params.Slots()
+	lt := randomSparseLT(rand.New(rand.NewSource(104)), slots, []int{0, 1})
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
+	top := tc.encryptVec(t, []complex128{1})
+	ct := tc.eval.DropLevel(top, 0)
+	gets := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+	}
+	for _, op := range []struct {
+		name string
+		run  func() (*Ciphertext, error)
+	}{
+		{"Rescale", func() (*Ciphertext, error) { return tc.eval.Rescale(ct) }},
+		{"Mul", func() (*Ciphertext, error) { return tc.eval.Mul(ct, top) }},
+		{"Square", func() (*Ciphertext, error) { return tc.eval.Square(ct) }},
+		{"EvaluateLinearTransform", func() (*Ciphertext, error) { return tc.eval.EvaluateLinearTransform(ct, lt, tc.enc) }},
+	} {
+		before := gets()
+		out, err := op.run()
+		if !errors.Is(err, ErrLevel) || out != nil {
+			t.Errorf("%s at level 0: (%v, %v), want ErrLevel", op.name, out, err)
 		}
-	}()
-	tc.eval.Rescale(ct)
+		if n := gets() - before; n != 0 {
+			t.Errorf("%s at level 0 borrowed %v polynomials before failing", op.name, n)
+		}
+	}
 }
 
 func TestAddScaleMismatchPanics(t *testing.T) {
@@ -133,8 +158,8 @@ func TestMulCommutesWithPlain(t *testing.T) {
 	ct := tc.encryptVec(t, u)
 
 	ptp, _ := tc.enc.Encode(p, ct.Level(), tc.params.DefaultScale())
-	viaPlain := tc.decryptVec(tc.eval.Rescale(tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()})))
-	viaCipher := tc.decryptVec(tc.eval.Rescale(tc.eval.MulRelin(ct, tc.encryptVec(t, p), nil)))
+	viaPlain := tc.decryptVec(tc.eval.rescale(tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()})))
+	viaCipher := tc.decryptVec(tc.eval.mul(ct, tc.encryptVec(t, p)))
 	if e := maxErr(viaPlain, viaCipher); e > 1e-4 {
 		t.Fatalf("PMULT and HMULT disagree by %g", e)
 	}

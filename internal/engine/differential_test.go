@@ -99,7 +99,7 @@ func genDAG(r *rand.Rand, params *ckks.Parameters, nOps int) diffDAG {
 			}
 			b := a
 			if kind == "mul" {
-				// The partner can be any node: MulRelin truncates to the
+				// The partner can be any node: Mul truncates to the
 				// min level, which a's level>=1 keeps rescalable only if
 				// the partner also has level>=1.
 				if b2, ok := pickLeveled(); ok {

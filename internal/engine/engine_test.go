@@ -311,6 +311,59 @@ func TestOpFailureFailsJob(t *testing.T) {
 	}
 }
 
+// TestLevelZeroOpsFailWithErrLevel: every op that ends in a rescale, handed a
+// level-0 operand, fails its job with ckks.ErrLevel before it borrows — let
+// alone half-writes — a pooled row, and leaves the input as it was.
+func TestLevelZeroOpsFailWithErrLevel(t *testing.T) {
+	client := newTestClient(t, 1)
+	client.params.RingQ().PoisonPool()
+	client.params.RingP().PoisonPool()
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := client.params.Slots()
+	diag := make([]complex128, slots)
+	for i := range diag {
+		diag[i] = 0.5
+	}
+	sess.RegisterTransform("shift", ckks.NewLinearTransform(slots, map[int][]complex128{0: diag, 1: diag}))
+	x := ckks.NewEvaluator(client.params, client.keys).DropLevel(client.encrypt(t, []complex128{0.5, -0.25}), 0)
+	before, err := x.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+	}
+	for _, op := range []OpSpec{
+		{ID: "o", Op: "mul", Args: []string{"x", "x"}},
+		{ID: "o", Op: "square", Args: []string{"x"}},
+		{ID: "o", Op: "mulconst", Args: []string{"x"}, Val: 2},
+		{ID: "o", Op: "lincomb", Args: []string{"x", "x"}, Vals: []float64{1, -2}},
+		{ID: "o", Op: "lintrans", Args: []string{"x"}, Name: "shift"},
+		{ID: "o", Op: "rescale", Args: []string{"x"}},
+	} {
+		gets0 := gets()
+		job, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": x}, Ops: []OpSpec{op}, Outputs: []string{"o"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if werr := job.Wait(context.Background()); !errors.Is(werr, ckks.ErrLevel) {
+			t.Errorf("%s on a level-0 operand: job error %v, want ckks.ErrLevel", op.Op, werr)
+		}
+		if n := gets() - gets0; n != 0 {
+			t.Errorf("%s on a level-0 operand borrowed %v pooled polynomials before failing", op.Op, n)
+		}
+		if after, _ := x.MarshalBinary(); string(after) != string(before) {
+			t.Fatalf("%s on a level-0 operand changed its input", op.Op)
+		}
+	}
+}
+
 // TestConcurrentJobs drives several jobs through one shared session at once
 // and checks every result; run with -race this exercises the evaluator's
 // concurrency safety through the engine path.

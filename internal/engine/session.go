@@ -203,12 +203,15 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		args[i] = ct
 	}
 	ev := s.Eval
-	// rescaled is Rescale of an intermediate this op created, which goes back
-	// to the pool.
-	rescaled := func(ct *ckks.Ciphertext) *ckks.Ciphertext {
-		out := ev.Rescale(ct)
-		ev.Release(ct)
-		return out
+	// scaledDown rescales the constant product mul computes, checking first —
+	// mul writes rows — that lvl, the level it lands on, has a prime to drop.
+	scaledDown := func(lvl int, mul func(qd float64) *ckks.Ciphertext) (*ckks.Ciphertext, error) {
+		if lvl == 0 {
+			return nil, ckks.ErrLevel
+		}
+		prod := mul(float64(s.Params.RingQ().Moduli[lvl].Q))
+		defer ev.Release(prod)
+		return ev.Rescale(prod)
 	}
 	var out *ckks.Ciphertext
 	var err error
@@ -218,9 +221,9 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 	case "sub":
 		out = ev.Sub(args[0], args[1])
 	case "mul":
-		out = rescaled(ev.MulRelin(args[0], args[1], nil))
+		out, err = ev.Mul(args[0], args[1])
 	case "square":
-		out = rescaled(ev.Square(args[0]))
+		out, err = ev.Square(args[0])
 	case "rotate":
 		out, err = ev.Rotate(args[0], op.K)
 	case "conjugate":
@@ -228,21 +231,21 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 	case "addconst":
 		out = ev.AddConst(args[0], op.Val)
 	case "mulconst":
-		qd := float64(s.Params.RingQ().Moduli[args[0].Level()].Q)
-		out = rescaled(ev.MultConst(args[0], op.Val, qd))
+		out, err = scaledDown(args[0].Level(), func(qd float64) *ckks.Ciphertext {
+			return ev.MultConst(args[0], op.Val, qd)
+		})
 	case "addn":
 		out = ev.AddMany(args)
 	case "lincomb":
 		lvl := args[0].Level()
 		for _, ct := range args[1:] {
-			if ct.Level() < lvl {
-				lvl = ct.Level()
-			}
+			lvl = min(lvl, ct.Level())
 		}
-		qd := float64(s.Params.RingQ().Moduli[lvl].Q)
-		out = rescaled(ev.MulConstAccum(args, op.Vals, qd))
+		out, err = scaledDown(lvl, func(qd float64) *ckks.Ciphertext {
+			return ev.MulConstAccum(args, op.Vals, qd)
+		})
 	case "rescale":
-		out = ev.Rescale(args[0])
+		out, err = ev.Rescale(args[0])
 	case "droplevel":
 		out = ev.DropLevel(args[0], op.K)
 	case "lintrans":
@@ -252,11 +255,8 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		}
 		// Dispatches to the BSGS double-hoisted sweep when the session's key
 		// set carries the baby + giant rotations; per-diagonal key sets keep
-		// the hoisted path.
+		// the hoisted path. The result comes back rescaled.
 		out, err = ev.EvaluateLinearTransform(args[0], lt, s.Enc)
-		if err == nil {
-			out = rescaled(out)
-		}
 	case "bootstrap":
 		s.mu.Lock()
 		boot := s.boot

@@ -61,9 +61,11 @@ func (m Modulus) VecMulAddBarrett(out, a, b []uint64) {
 	active.Load().mulAddBarrett(m, out, a, b)
 }
 
-// VecMulShoup computes out[j] = a[j]*w mod q exactly for a < q and fixed
-// operand w with Shoup companion wShoup — the row form of MulShoup, used for
-// the BConv premultiply tmp_i = [x · qHatInv_i]_{q_i}.
+// VecMulShoup computes out[j] = a[j]*w mod q exactly for fixed operand w with
+// Shoup companion wShoup — the row form of MulShoup, used for the BConv
+// premultiply tmp_i = [x · qHatInv_i]_{q_i}. a may be lazy (any a < 2^64):
+// the Shoup remainder is < 2q for every a (see MulShoupLazy), so the one
+// conditional subtraction still lands in [0, q).
 func (m Modulus) VecMulShoup(out, a []uint64, w, wShoup uint64) {
 	active.Load().mulShoup(m, out, a, w, wShoup)
 }

@@ -156,12 +156,17 @@ func TestTierBarrettFamily(t *testing.T) {
 
 func TestTierMulShoup(t *testing.T) {
 	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
-		a := randRow(rng, n, m.Q)
+		a := randRow(rng, n, m.TwoQ) // lazy operands: the merged key-switch tail scales BConv rows straight
 		w := randBelow(rng, m.Q)
 		ws := m.ShoupPrecomp(w)
 		out := make([]uint64, n)
 		want := make([]uint64, n)
 		vecMulShoupGo(m, want, a, w, ws)
+		for j := range want {
+			if exact := m.Mul(a[j]%m.Q, w); want[j] != exact {
+				t.Fatalf("vecMulShoupGo(%d, %d) = %d, want the exact residue %d", a[j], w, want[j], exact)
+			}
+		}
 		tbl.mulShoup(m, out, a, w, ws)
 		rowsEqual(t, "mulShoup", tbl.tier, m, out, want)
 	})

@@ -88,6 +88,7 @@ const (
 	opReduceLazy
 	opAdd
 	opZero
+	opMulScalars
 	opSubMulScalarsLazy
 	opAutNTT
 	opAddAutNTT
@@ -104,7 +105,7 @@ type stage struct {
 	// accumulated onto.
 	as, bs []*Poly
 	acc    bool
-	s      []uint64 // per-limb scalars (opSubMulScalarsLazy)
+	s      []uint64 // per-limb scalars (opMulScalars, opSubMulScalarsLazy)
 	idx    []uint32 // NTT-domain automorphism permutation (opAut*)
 	fn     func(limb int)
 	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
@@ -348,6 +349,15 @@ func (ln *Lane) Zero(out *Poly) {
 	ln.push(stage{op: opZero, out: out}, 1)
 }
 
+// MulByLimbScalars records out = a · s[i] per limb, exact for any a (lazy
+// rows included). out may be a.
+func (ln *Lane) MulByLimbScalars(out, a *Poly, s []uint64) {
+	ln.use(a, true, false)
+	ln.use(out, false, true)
+	ln.setDomain(out, ln.domain(a))
+	ln.push(stage{op: opMulScalars, out: out, a: a, s: s}, 2)
+}
+
 // SubMulByLimbScalarsLazy records out = (a - b) · s[i] per limb (the fused
 // ModDown epilogue): a exact, b exact or lazy in [0, 2q) (e.g. straight out
 // of an NTTLazy stage), out exact.
@@ -518,6 +528,9 @@ func (ln *Lane) exec(i int) {
 			mod.VecAdd(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
 		case opZero:
 			clear(st.out.Coeffs[i])
+		case opMulScalars:
+			s := st.s[i]
+			mod.VecMulShoup(st.out.Coeffs[i], st.a.Coeffs[i], s, mod.ShoupPrecomp(s))
 		case opSubMulScalarsLazy:
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))

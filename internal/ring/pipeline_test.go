@@ -91,7 +91,8 @@ func TestPipelineKeySwitchShapedChain(t *testing.T) {
 
 // TestPipelineModDownShapedChain covers the ModDown epilogue ops: Copy+INTT
 // in one lane, NTTLazy+SubMulByLimbScalarsLazy+Add in another, plus the
-// automorphism tail (AddAutomorphismNTT / AutomorphismNTT), against the
+// automorphism tail (AddAutomorphismNTT / AutomorphismNTT) and the scalar
+// multiply the merged rescale tail applies to a lazy row, against the
 // barriered composition.
 func TestPipelineModDownShapedChain(t *testing.T) {
 	r := newTestRing(t, 6, 9)
@@ -118,6 +119,8 @@ func TestPipelineModDownShapedChain(t *testing.T) {
 	wantD := r.NewPoly(level)
 	r.SubMulByLimbScalarsLazy(wantD, uq, wantConv, scalars, level)
 	wantD.IsNTT = true
+	wantS := r.NewPoly(level)
+	r.MulByLimbScalars(wantS, wantConv, scalars, level)
 	preAdd := wantD.CopyNew()
 	r.Add(wantD, wantD, c0, level)
 	wantO := r.NewPoly(level)
@@ -133,12 +136,14 @@ func TestPipelineModDownShapedChain(t *testing.T) {
 	gotD := r.NewPoly(level)
 	gotO := r.NewPoly(level)
 	gotO1 := r.NewPoly(level)
+	gotS := r.NewPoly(level)
 	pl := GetPipeline()
 	ln := pl.Lane(r, level)
 	ln.Copy(gotW, src)
 	ln.INTT(gotW)
 	ln.NTTLazy(gotConv)
 	ln.SubMulByLimbScalarsLazy(gotD, uq, gotConv, scalars)
+	ln.MulByLimbScalars(gotS, gotConv, scalars)
 	ln.AddAutomorphismNTT(gotO, gotD, c0, g)
 	pl.Run()
 	// Separate Run on the same (released-and-reused) pipeline: the coeff
@@ -157,6 +162,9 @@ func TestPipelineModDownShapedChain(t *testing.T) {
 	}
 	if !gotO.Equal(wantO) {
 		t.Fatal("pipelined AddAutomorphismNTT != barriered Add + AutomorphismNTT")
+	}
+	if !gotS.Equal(wantS) || !gotS.IsNTT {
+		t.Fatal("pipelined MulByLimbScalars of a lazy row != barriered MulByLimbScalars")
 	}
 	if !gotW.Equal(wantW) {
 		t.Fatal("pipelined Copy+INTT != barriered Copy+INTT")

@@ -125,6 +125,30 @@ func NewBasisConverter(from, to []modarith.Modulus) (*BasisConverter, error) {
 	return bc, nil
 }
 
+// Scaled returns a converter over the same bases whose output row j comes out
+// multiplied by s[j] (reduced mod p_j): the factor is folded into the
+// (Q/q_i) mod p_j constants, so the conversion costs what Convert costs and
+// its residues are exactly those of Convert followed by a per-row scalar
+// multiply.
+func (bc *BasisConverter) Scaled(s []uint64) *BasisConverter {
+	out := &BasisConverter{
+		From:         bc.From,
+		To:           bc.To,
+		qHatInv:      bc.qHatInv,
+		qHatInvShoup: bc.qHatInvShoup,
+		qHatModTo:    make([][]uint64, len(bc.To)),
+		foldEvery:    bc.foldEvery,
+	}
+	for j, pj := range bc.To {
+		row := make([]uint64, len(bc.From))
+		for i, h := range bc.qHatModTo[j] {
+			row[i] = pj.Mul(h, s[j])
+		}
+		out.qHatModTo[j] = row
+	}
+	return out
+}
+
 func (bc *BasisConverter) getScratch() *convScratch {
 	if v := bc.scratch.Get(); v != nil {
 		return v.(*convScratch)
@@ -307,7 +331,8 @@ func (rs *Rescaler) DivRoundByLastModulus(rows [][]uint64) {
 }
 
 // NTT-domain rescaling, for callers whose value is in NTT form and should
-// stay there (ckks.Rescale). Only the last row has to leave the NTT domain:
+// stay there (ckks.Rescale and the merged key-switch tail). Only the last row
+// has to leave the NTT domain:
 // with t = [x_L + q_L/2]_{q_L} the update above reads
 //
 //	out_i = (x_i − w_i) · q_L^{-1} ,  w_i = [t − q_L/2]_{q_i} ,
@@ -321,11 +346,15 @@ func (rs *Rescaler) LastRowPlusHalf(t, last []uint64) {
 	rs.moduli[len(rs.moduli)-1].VecAddScalar(t, last, rs.half)
 }
 
-// CorrectionRow writes w_i = [t − q_L/2]_{q_i}, i < L, into row, which must
-// hold zeros on entry: the rescale step kernel run on 0 with the scalar −1.
-func (rs *Rescaler) CorrectionRow(i int, row, t []uint64) {
+// CorrectionRow sets row ← s·(w_i − row), w_i = [t − q_L/2]_{q_i}, i < L,
+// for a scalar 0 < s < q_i: the rescale step kernel run with the scalar −s.
+// row must be exact on entry. A zeroed row and s = 1 give w_i itself
+// (Rescale); a row holding −y·s⁻¹ gives y + s·w_i, which is how the merged
+// ModDown-and-rescale tail folds its converted row in.
+func (rs *Rescaler) CorrectionRow(i int, row, t []uint64, s uint64) {
 	m := rs.moduli[i]
-	m.VecRescaleStep(row, t, rs.halfMod[i], m.Q-1, m.ShoupPrecomp(m.Q-1))
+	w := m.Q - s
+	m.VecRescaleStep(row, t, rs.halfMod[i], w, m.ShoupPrecomp(w))
 }
 
 // LastModulusInv returns q_L^{-1} mod q_i for i < L. Callers must not modify

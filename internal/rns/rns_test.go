@@ -87,6 +87,50 @@ func TestConvertMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestScaledConvert: a Scaled converter's rows are the plain converter's
+// times the row's scalar, residue for residue, exact and lazy.
+func TestScaledConvert(t *testing.T) {
+	from := mustModuli(t, 50, 10, 5)
+	to := mustModuli(t, 45, 10, 4)
+	bc, err := NewBasisConverter(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(2))
+	s := make([]uint64, len(to))
+	for j, pj := range to {
+		s[j] = r.Uint64() % pj.Q
+	}
+	scaled := bc.Scaled(s)
+	const n = 600 // three column tiles, the last one ragged
+	in := make([][]uint64, len(from))
+	for i, qi := range from {
+		in[i] = make([]uint64, n)
+		for c := range in[i] {
+			in[i][c] = r.Uint64() % qi.Q
+		}
+	}
+	rows := func() [][]uint64 {
+		out := make([][]uint64, len(to))
+		for j := range out {
+			out[j] = make([]uint64, n)
+		}
+		return out
+	}
+	plain, got, lazy := rows(), rows(), rows()
+	bc.Convert(plain, in)
+	scaled.Convert(got, in)
+	scaled.ConvertLazy(lazy, in)
+	for j, pj := range to {
+		for c := 0; c < n; c++ {
+			want := pj.Mul(plain[j][c], s[j])
+			if got[j][c] != want || lazy[j][c]%pj.Q != want || lazy[j][c] >= pj.TwoQ {
+				t.Fatalf("row %d col %d: scaled %d / lazy %d, want %d", j, c, got[j][c], lazy[j][c], want)
+			}
+		}
+	}
+}
+
 func TestConvertOffsetIsSmallMultipleOfQ(t *testing.T) {
 	// The fast conversion returns x + e·Q with a single 0 ≤ e < k consistent
 	// across all target primes (§II-B approximate BConv).

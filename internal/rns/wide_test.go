@@ -326,7 +326,20 @@ func TestRescaleNTTDomainMatchesRef(t *testing.T) {
 				for i := 0; i < l; i++ {
 					tbl[i].Forward(want[i])
 					got := make([]uint64, n)
-					rs.CorrectionRow(i, got, tRow)
+					rs.CorrectionRow(i, got, tRow, 1)
+					// Scaled by s, a row holding −y comes back as s·(w_i + y).
+					s := uint64(12345+i) % ms[i].Q
+					y, folded := make([]uint64, n), make([]uint64, n)
+					for c := range y {
+						y[c] = x[i][(c+1)%n]
+						folded[c] = ms[i].Neg(y[c])
+					}
+					rs.CorrectionRow(i, folded, tRow, s)
+					for c := range folded {
+						if want := ms[i].Mul(s, ms[i].Add(got[c], y[c])); folded[c] != want {
+							t.Fatalf("tier %v limb %d col %d: CorrectionRow(−y, s) = %d, want s·(w + y) = %d", tier, i, c, folded[c], want)
+						}
+					}
 					tbl[i].ForwardLazy(got)
 					inv := rs.LastModulusInv()[i]
 					ms[i].VecSubMulShoupLazy(got, x[i], got, inv, ms[i].ShoupPrecomp(inv))
