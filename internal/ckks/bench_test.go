@@ -114,6 +114,58 @@ func BenchmarkHMult(b *testing.B) {
 	}
 }
 
+// BenchmarkSweep times one linear-transform sweep under the cost model's plan
+// at the repo benchmark's two shapes: boot_n12's 31-diagonal CoeffToSlot
+// group, which a bootstrap runs at level 25 (BootTestParameters at logN 12),
+// and serve_mix_n12's 8-diagonal map at the top of its 10-limb chain.
+func BenchmarkSweep(b *testing.B) {
+	boot := BootTestParameters()
+	boot.LogN = 12
+	serve := ParametersLiteral{LogN: 12, LogQ: append([]int{55}, repeatInts(45, 9)...), LogP: repeatInts(58, 3), LogScale: 45}
+	for _, shape := range []struct {
+		name  string
+		lit   ParametersLiteral
+		level int
+		lt    func(tc *testContext) *LinearTransform
+	}{
+		{"boot_c2s_l25", boot, 25, func(tc *testContext) *LinearTransform {
+			return tc.enc.CoeffToSlotMatrices(DefaultBootstrapConfig().FFTIterC2S)[1]
+		}},
+		{"serve_l9", serve, 9, func(tc *testContext) *LinearTransform {
+			return denseTestTransform(rand.New(rand.NewSource(6)), tc.params.Slots(), 8)
+		}},
+	} {
+		var tc *testContext
+		var lt *LinearTransform
+		var ct *Ciphertext
+		b.Run(shape.name, func(b *testing.B) {
+			if tc == nil {
+				tc = buildTestContext(b, shape.lit, false)
+				lt = shape.lt(tc)
+				tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
+				r := rand.New(rand.NewSource(7))
+				ct = tc.eval.DropLevel(tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1)), shape.level)
+				out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc) // encodes the diagonals
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc.eval.Release(out)
+				b.Logf("%d diagonals, plan bs=%d with %d key switches", len(lt.Diags), lt.sweepPlan(tc.params).bs,
+					lt.sweepPlan(tc.params).keySwitchCount())
+				b.ResetTimer()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc.eval.Release(out)
+			}
+		})
+	}
+}
+
 func BenchmarkHROTFunc(b *testing.B) {
 	tc := benchContext(b)
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})

@@ -351,38 +351,12 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		}
 	}
 
-	// Baby offset 0: no rotation — the products open the giant's Q-basis
-	// accumulators (a giant owns at most one such diagonal; for the rotation-0
-	// giant this is the classic r == 0 term).
-	for _, tg := range perBaby[0] {
-		ga := tg.acc
-		ga.a0q, ga.a1q = getNTT(rq, lvl), getNTT(rq, lvl)
-		rq.MulCoeffs(ga.a0q, ct.C0, tg.ptQ, lvl)
-		rq.MulCoeffs(ga.a1q, ct.C1, tg.ptQ, lvl)
-	}
-
-	// Baby step: one gadget product per distinct nonzero baby offset, shared
-	// across every giant consuming it. The key-switched halves stay in the
-	// extended QP basis — no per-baby ModDown (first hoisting level).
-	for _, b := range plan.babies {
-		obsLinTransRotations.Inc()
-		ev.babyAccum(dec, keys[b], perBaby[b], ct.C0, rq.GaloisElement(b))
-	}
-
-	// Phase boundary: normalize every lazy accumulator once, so the giant
-	// phase can mix exact adds and σ permutations freely (a1q holds a single
-	// exact product).
-	var qs, ps []*ring.Poly
-	for _, ga := range accs {
-		if ga.t0q != nil {
-			qs = append(qs, ga.t0q, ga.t1q)
-			ps = append(ps, ga.t0p, ga.t1p)
-		}
-		if ga.a0q != nil {
-			qs = append(qs, ga.a0q)
-		}
-	}
-	ev.reduceMany(qs, lvl, ps, lvlP)
+	// Baby step, one limb-major Run: the b == 0 products, then one gadget
+	// product per distinct nonzero baby offset, shared across every giant
+	// consuming it. The key-switched halves stay in the extended QP basis — no
+	// per-baby ModDown (first hoisting level) — and every accumulator leaves
+	// the Run exact.
+	ev.babyPhase(dec, ct, plan, keys, perBaby)
 
 	// Giant step: key-switch each nonzero giant's inner sum once by its
 	// rotation. The inner sum's c1 is reconstructed in Q (one ModDown of the

@@ -125,8 +125,8 @@ func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
 
 // TestHoistedDigitsTransformOnce pins the coeffDomain hand-off: a shared
 // decomposition pays its windowed digit transforms in the first gadget
-// product only, whether the consumers are RotateHoisted's keys or the sweep's
-// babyAccum blocks, every nonzero giant pays one ModDown plus one more
+// product only, whether the consumers are RotateHoisted's keys or the babies
+// of the sweep's baby phase, every nonzero giant pays one ModDown plus one more
 // decomposition, and the sweep closes with the merged tail.
 func TestHoistedDigitsTransformOnce(t *testing.T) {
 	tc := newTestContext(t, hksShapeParams())

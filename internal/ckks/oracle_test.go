@@ -262,23 +262,66 @@ func ctBytes(t testing.TB, ct *Ciphertext) []byte {
 	return b
 }
 
+// wideBoundParams has 61-bit moduli (modarith.MaxModulusBits), where the
+// products of a lazy and an exact residue come within a factor 32 of 2^128:
+// a sweep giant fed by more babies than modarith.MaxDotTerms must fold its
+// 128-bit accumulators mid-chain to stay exact.
+func wideBoundParams() ParametersLiteral {
+	return ParametersLiteral{
+		LogN:     10,
+		LogQ:     []int{61, 61, 61},
+		LogP:     []int{61, 61},
+		LogScale: 50,
+	}
+}
+
+// matchOracle evaluates want once on the pure-Go tier, then got on every
+// kernel tier the host has at par widths 1, 2 and 4, and fails unless every
+// result is byte for byte (MarshalBinary) the oracle's.
+func matchOracle(t *testing.T, label string, want func() []*Ciphertext, got func() ([]*Ciphertext, error)) {
+	t.Helper()
+	setTier := func(tier modarith.KernelTier) {
+		if err := modarith.SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setTier(modarith.TierGo)
+	ref := want()
+	for _, tier := range modarith.AvailableTiers() {
+		setTier(tier)
+		for _, width := range []int{1, 2, 4} {
+			prev := par.SetWorkers(width)
+			out, err := got()
+			par.SetWorkers(prev)
+			if err != nil {
+				t.Fatalf("%s tier %v width %d: %v", label, tier, width, err)
+			}
+			for i := range ref {
+				if !bytes.Equal(ctBytes(t, out[i]), ctBytes(t, ref[i])) {
+					t.Fatalf("%s[%d] tier %v width %d: evaluator bytes differ from the oracle", label, i, tier, width)
+				}
+			}
+		}
+	}
+}
+
 // TestDeterminismMatrix is the one differential the evaluator answers to:
 // op × every level × par width {1, 2, 4} × every kernel tier the host has,
 // each compared byte for byte (MarshalBinary) against the oracle run on the
 // pure-Go tier, on poisoned pools. It covers what the per-mode differential
 // files used to: lazy vs exact kernels, pipelined vs barriered chains, the
 // ragged last digit of the levels α does not divide, the per-diagonal sweep
-// as the degenerate BSGS plan, the rescale merged into the ModDown of HMULT
-// and of the sweep against the oracle's ModDown-then-Rescale, and
-// independence from the worker count and from the CPU's kernel tier.
+// as the degenerate BSGS plan, a sweep giant with more babies than one
+// 128-bit accumulation may sum at 61-bit moduli, the rescale merged into the
+// ModDown of HMULT and of the sweep against the oracle's ModDown-then-Rescale,
+// and independence from the worker count and from the CPU's kernel tier.
 func TestDeterminismMatrix(t *testing.T) {
 	origTier := modarith.ActiveTier()
-	setTier := func(tier modarith.KernelTier) {
-		if err := modarith.SetKernelTier(tier); err != nil {
+	t.Cleanup(func() {
+		if err := modarith.SetKernelTier(origTier); err != nil {
 			t.Fatal(err)
 		}
-	}
-	t.Cleanup(func() { setTier(origTier) })
+	})
 
 	tc := newTestContext(t, alpha4Params())
 	p := tc.params
@@ -378,25 +421,34 @@ func TestDeterminismMatrix(t *testing.T) {
 		}
 
 		for _, op := range ops {
-			setTier(modarith.TierGo)
-			want := op.want()
-			for _, tier := range modarith.AvailableTiers() {
-				setTier(tier)
-				for _, width := range []int{1, 2, 4} {
-					prev := par.SetWorkers(width)
-					got, err := op.got()
-					par.SetWorkers(prev)
-					if err != nil {
-						t.Fatalf("%s lvl %d tier %v width %d: %v", op.name, lvl, tier, width, err)
-					}
-					for i := range want {
-						if !bytes.Equal(ctBytes(t, got[i]), ctBytes(t, want[i])) {
-							t.Fatalf("%s[%d] lvl %d plan %+v tier %v width %d: evaluator bytes differ from the oracle",
-								op.name, i, lvl, p.PlanAt(lvl), tier, width)
-						}
-					}
-				}
-			}
+			matchOracle(t, fmt.Sprintf("%s lvl %d plan %+v", op.name, lvl, p.PlanAt(lvl)), op.want, op.got)
 		}
+	}
+
+	// The per-diagonal plan of a transform with more diagonals than
+	// modarith.MaxDotTerms: its one giant takes that many babies' MACs into
+	// each accumulator, so the baby phase folds the 128-bit sums mid-chain.
+	wide := newTestContext(t, wideBoundParams())
+	wslots := wide.params.Slots()
+	wlt := denseTestTransform(r, wslots, modarith.MaxDotTerms+8)
+	wplan := newBSGSPlan(wlt.Diags, wslots)
+	if len(wplan.babies) <= modarith.MaxDotTerms {
+		t.Fatalf("%d babies: the plan must exceed the wide term bound %d", len(wplan.babies), modarith.MaxDotTerms)
+	}
+	wide.kgen.GenRotationKeys(wide.sk, wide.keys, wplan.rotations())
+	wkeys, err := wide.eval.sweepKeys(wplan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wor := oracle{p: wide.params, keys: wide.keys, enc: wide.enc}
+	wct := wide.encryptVec(t, randomComplex(r, wslots, 1))
+	for lvl := 1; lvl <= wide.params.MaxLevel(); lvl++ {
+		a := wide.eval.DropLevel(wct, lvl)
+		matchOracle(t, fmt.Sprintf("sweep-%d-babies lvl %d", len(wplan.babies), lvl),
+			func() []*Ciphertext { return []*Ciphertext{wor.rescale(wor.sweep(a, wlt, wslots))} },
+			func() ([]*Ciphertext, error) {
+				ct, err := wide.eval.evaluateSweep(a, wlt, wide.enc, wplan, wkeys)
+				return []*Ciphertext{ct}, err
+			})
 	}
 }

@@ -271,41 +271,64 @@ func (ev *Evaluator) rescaleOwned(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// babyAccum is one baby rotation's block of the linear-transform sweep as a
-// single pipeline Run: the digit NTTs (first consumer only),
-// the shared gadget product's dot stages, and — per consuming giant — the five
-// automorphism-fused multiply-accumulates into that giant's accumulators, all
-// executing per limb while the key-switched rows are cache-resident (§V-B
-// AutAccum). An accumulator no earlier block has written is borrowed here and
-// cleared in the lane, right ahead of its first MAC. Every accumulator stays
-// lazy; the sweep reduces them once at the baby/giant phase boundary.
-func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
-	targets []bsgsBabyTarget, c0 *ring.Poly, g uint64) {
+// babyPhase is the whole baby step of the linear-transform sweep as one
+// limb-major pipeline Run (§V-B AutAccum, Table II MAC). Per limb, the b == 0
+// products open their giants' Q-basis accumulators; then, baby after baby,
+// the shared decomposition's dot stages overwrite one set of QP rows (the
+// digit transforms run in the first baby only) and each consuming giant's
+// five diagonal MACs add σ_b(u) ⊙ d′ — and σ_b(c0) ⊙ d′ — into 128-bit sums
+// whose high words live in the Run's scratch. The limb's chain ends by
+// reducing every sum once, exactly, so the accumulators leave the Run as
+// exact residues: the same bytes a per-product reduction would give.
+// Accumulators are borrowed here and, unless a b == 0 product opens them,
+// cleared in the lane right ahead of their first MAC.
+func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
+	keys map[int]*SwitchingKey, perBaby map[int][]bsgsBabyTarget) {
+	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	lvl := dec.level
 	u0q, u0p, u1q, u1p := ev.getQP(lvl)
 
 	pipe := ring.GetPipeline()
-	lq := pipe.Lane(ev.params.RingQ(), lvl)
-	lp := pipe.Lane(ev.params.RingP(), ev.params.RingP().MaxLevel())
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, false, false)
-	for _, tg := range targets {
+	lq := pipe.Lane(rq, lvl)
+	lp := pipe.Lane(rp, rp.MaxLevel())
+	for _, tg := range perBaby[0] { // a giant owns at most one b == 0 diagonal
 		ga := tg.acc
-		if ga.t0q == nil {
-			ga.t0q, ga.t0p, ga.t1q, ga.t1p = ev.getQP(lvl)
-			lq.Zero(ga.t0q)
-			lq.Zero(ga.t1q)
-			lp.Zero(ga.t0p)
-			lp.Zero(ga.t1p)
+		ga.a0q, ga.a1q = getNTT(rq, lvl), getNTT(rq, lvl)
+		lq.MulCoeffs(ga.a0q, ct.C0, tg.ptQ)
+		lq.MulCoeffs(ga.a1q, ct.C1, tg.ptQ)
+	}
+	var wide []*giantAcc // giants fed by a baby, in the order they are opened
+	for _, b := range plan.babies {
+		obsLinTransRotations.Inc()
+		ev.recordGadgetMACs(lq, lp, dec, keys[b], u0q, u1q, u0p, u1p, false, false)
+		g := rq.GaloisElement(b)
+		for _, tg := range perBaby[b] {
+			ga := tg.acc
+			if ga.t0q == nil {
+				wide = append(wide, ga)
+				ga.t0q, ga.t0p, ga.t1q, ga.t1p = ev.getQP(lvl)
+				lq.Zero(ga.t0q)
+				lq.Zero(ga.t1q)
+				lp.Zero(ga.t0p)
+				lp.Zero(ga.t1p)
+				if ga.a0q == nil {
+					ga.a0q = getNTT(rq, lvl)
+					lq.Zero(ga.a0q)
+				}
+			}
+			lq.AutMulAccWide(ga.t0q, u0q, tg.ptQ, g)
+			lq.AutMulAccWide(ga.t1q, u1q, tg.ptQ, g)
+			lp.AutMulAccWide(ga.t0p, u0p, tg.ptP, g)
+			lp.AutMulAccWide(ga.t1p, u1p, tg.ptP, g)
+			lq.AutMulAccWide(ga.a0q, ct.C0, tg.ptQ, g)
 		}
-		if ga.a0q == nil {
-			ga.a0q = getNTT(ev.params.RingQ(), lvl)
-			lq.Zero(ga.a0q)
-		}
-		lq.AutMulCoeffsAddLazy(ga.t0q, u0q, tg.ptQ, g)
-		lq.AutMulCoeffsAddLazy(ga.t1q, u1q, tg.ptQ, g)
-		lp.AutMulCoeffsAddLazy(ga.t0p, u0p, tg.ptP, g)
-		lp.AutMulCoeffsAddLazy(ga.t1p, u1p, tg.ptP, g)
-		lq.AutMulCoeffsAddLazy(ga.a0q, c0, tg.ptQ, g)
+	}
+	for _, ga := range wide {
+		lq.ReduceWide(ga.t0q)
+		lq.ReduceWide(ga.t1q)
+		lp.ReduceWide(ga.t0p)
+		lp.ReduceWide(ga.t1p)
+		lq.ReduceWide(ga.a0q)
 	}
 	pipe.Run()
 	pipe.Release()
@@ -318,7 +341,7 @@ func (ev *Evaluator) babyAccum(dec *decomposed, swk *SwitchingKey,
 // permuted by the giant's Galois element into a scratch row and added into the
 // sweep accumulator while the row is cache-resident — or, for the first partial
 // result an accumulator receives, permuted straight into it. Inputs must be
-// exact (the sweep's giant phase reduces them before calling).
+// exact, as the baby phase leaves them.
 func (ev *Evaluator) giantAccum(final *giantAcc, t0q, w1q, t0p, w1p, a0q *ring.Poly, gal uint64) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	pipe := ring.GetPipeline()
@@ -354,23 +377,4 @@ func (ev *Evaluator) giantAccum(final *giantAcc, t0q, w1q, t0p, w1p, a0q *ring.P
 	rp.PutPoly(tmp0p)
 	rp.PutPoly(tmp1p)
 	rq.PutPoly(tmpA)
-}
-
-// reduceMany normalizes several lazy accumulators (Q-basis at lvl, P-basis at
-// lvlP) in one pipeline Run — the sweep's phase-boundary reductions, one
-// barrier instead of one per accumulator.
-func (ev *Evaluator) reduceMany(qs []*ring.Poly, lvl int, ps []*ring.Poly, lvlP int) {
-	pipe := ring.GetPipeline()
-	lq := pipe.Lane(ev.params.RingQ(), lvl)
-	for _, p := range qs {
-		lq.ReduceLazy(p)
-	}
-	if len(ps) > 0 {
-		lp := pipe.Lane(ev.params.RingP(), lvlP)
-		for _, p := range ps {
-			lp.ReduceLazy(p)
-		}
-	}
-	pipe.Run()
-	pipe.Release()
 }

@@ -11,27 +11,30 @@ import (
 
 // steadyState runs f warm times to fill the polynomial, scratch, row-header and
 // pipeline pools, then runs more times, and returns what one run allocates
-// (bytes, objects) and how many ring-pool gets missed over the measured runs.
+// (bytes, objects), how many ring-pool gets missed over the measured runs and
+// how many polynomials one run borrows from the ring pools.
 // Like testing.AllocsPerRun it measures on one P — a sync.Pool keeps a
 // per-P cache, so a migrating goroutine would miss what it just put — and
 // serially: the par dispatch allocates chunk closures, which is noise here.
-func steadyState(warm, runs int, f func()) (bytes, objects, misses float64) {
+func steadyState(warm, runs int, f func()) (bytes, objects, misses, gets float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer par.SetWorkers(par.SetWorkers(1))
 	for i := 0; i < warm; i++ {
 		f()
 	}
 	miss := obs.Default.Counter(`ring_pool_gets_total{result="miss"}`)
+	hit := obs.Default.Counter(`ring_pool_gets_total{result="hit"}`)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	miss0 := miss.Value()
+	miss0, hit0 := miss.Value(), hit.Value()
 	for i := 0; i < runs; i++ {
 		f()
 	}
 	misses = miss.Value() - miss0
 	runtime.ReadMemStats(&after)
 	n := float64(runs)
-	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n, misses
+	gets = (misses + hit.Value() - hit0) / n
+	return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n, misses, gets
 }
 
 // TestPipelinedSteadyStateAllocs pins the steady state of the evaluator's ops:
@@ -63,12 +66,13 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 	for _, op := range []struct {
 		name    string
 		objects float64 // the measured count plus a little slack
+		gets    float64 // ring-pool borrows per run, at most (0: not pinned)
 		run     func()
 	}{
 		// 4 (16 before the outputs were pooled and the serial BConv stopped
 		// allocating a chunk closure): the ciphertext header and the
 		// decomposition's bookkeeping.
-		{"Rotate", 6, func() {
+		{"Rotate", 6, 0, func() {
 			out, err := ev.Rotate(ct, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -77,11 +81,11 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		}},
 		// 3 (9 before): the ciphertext header and the two Func closures of the
 		// correction stage.
-		{"Rescale", 5, func() { ev.Release(ev.rescale(ct)) }},
+		{"Rescale", 5, 0, func() { ev.Release(ev.rescale(ct)) }},
 		// 6: the ciphertext header, the two Func closures of the merged
 		// tail's correction stage and the decomposition's bookkeeping. Its
 		// top-limb and conversion rows come from the pool like the output.
-		{"Mul", 8, func() {
+		{"Mul", 8, 0, func() {
 			out, err := ev.Mul(ct, ct2)
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +94,7 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		}},
 		// 9: the result map and the key lists on top of three rotations'
 		// headers.
-		{"RotateHoisted", 12, func() {
+		{"RotateHoisted", 12, 0, func() {
 			outs, err := ev.RotateHoisted(ct, hoisted)
 			if err != nil {
 				t.Fatal(err)
@@ -99,10 +103,12 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 				ev.Release(out)
 			}
 		}},
-		// 38: the sweep's bookkeeping (key map, per-baby targets, giant
+		// 31: the sweep's bookkeeping (key map, per-baby targets, giant
 		// accumulator headers, span annotations) and the merged tail's two
-		// Func closures.
-		{"EvaluateLinearTransform", 45, func() {
+		// Func closures. 50 borrowed polynomials: the baby phase's one
+		// shared set of QP rows where a pool borrow per baby took 58, with
+		// the 128-bit sums' high words in per-limb scratch, not polynomials.
+		{"EvaluateLinearTransform", 45, 50, func() {
 			out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc)
 			if err != nil {
 				t.Fatal(err)
@@ -112,10 +118,10 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		// 67: the header, one residue slice, a forEachLimb closure per ring
 		// pass (16), and bigScaled's big.Float / big.Int, seven per constant
 		// (49).
-		{"MulConstAccum", 75, func() { ev.Release(ev.MulConstAccum(terms, consts, qd)) }},
+		{"MulConstAccum", 75, 0, func() { ev.Release(ev.MulConstAccum(terms, consts, qd)) }},
 	} {
-		bytes, objects, misses := steadyState(4, 20, op.run)
-		t.Logf("%-24s %7.0f B/op %5.1f objects/op, %v pool misses", op.name, bytes, objects, misses)
+		bytes, objects, misses, gets := steadyState(4, 20, op.run)
+		t.Logf("%-24s %7.0f B/op %5.1f objects/op, %v pool gets/op, %v misses", op.name, bytes, objects, gets, misses)
 		if misses != 0 {
 			t.Errorf("%s: %v ring-pool misses in steady state, want 0", op.name, misses)
 		}
@@ -124,6 +130,9 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		}
 		if objects > op.objects {
 			t.Errorf("%s allocates %.1f objects/op, want <= %v", op.name, objects, op.objects)
+		}
+		if op.gets > 0 && gets > op.gets {
+			t.Errorf("%s borrows %v pooled polynomials per run, want <= %v", op.name, gets, op.gets)
 		}
 	}
 }
@@ -148,18 +157,16 @@ func TestBootstrapAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ct := tc.eval.DropLevel(tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 0.7)), 0)
 
-	hits := obs.Default.Counter(`ring_pool_gets_total{result="hit"}`)
-	hits0 := hits.Value()
 	const runs = 3
-	bytes, objects, misses := steadyState(2, runs, func() {
+	bytes, objects, misses, gets := steadyState(2, runs, func() {
 		out, err := boot.Bootstrap(ct)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.eval.Release(out)
 	})
-	t.Logf("bootstrap: %.2f MB/op in %.0f objects/op; ring pool %v hits/op, %v misses over %d runs",
-		bytes/1e6, objects, (hits.Value()-hits0)/(runs+2), misses, runs)
+	t.Logf("bootstrap: %.2f MB/op in %.0f objects/op; ring pool %v gets/op, %v misses over %d runs",
+		bytes/1e6, objects, gets, misses, runs)
 	if misses != 0 {
 		t.Errorf("%v ring-pool misses in steady state, want 0", misses)
 	}

@@ -296,7 +296,7 @@ func (e *Engine) worker() {
 // already expired or aborted are skipped without touching the evaluator
 // (counted under engine_ops_expired_total).
 func (e *Engine) runTask(t *opTask) (*ckks.Ciphertext, error) {
-	if err := t.job.ctx.Err(); err != nil {
+	if err := t.job.expired(); err != nil {
 		e.metrics.opsExpired.Inc()
 		return nil, err
 	}
@@ -323,7 +323,7 @@ func (e *Engine) executeTask(t *opTask) (ct *ckks.Ciphertext, err error) {
 			err = fmt.Errorf("op %q (%s): panic: %v", t.op.ID, t.op.Op, r)
 		}
 	}()
-	if err := t.job.ctx.Err(); err != nil {
+	if err := t.job.expired(); err != nil {
 		return nil, err
 	}
 	return t.job.sess.evalOp(t.op, t.job.arg)

@@ -158,6 +158,20 @@ func (j *Job) finish(err error) (outputBytes int64) {
 // spanID returns the job's root span ID for parenting op spans.
 func (j *Job) spanID() uint64 { return j.span.ID() }
 
+// expired is the job context's error, or DeadlineExceeded once the deadline
+// has passed even if the context's timer has not fired yet: that timer runs
+// only when the scheduler does, and on a busy P the worker reaches the next
+// op first.
+func (j *Job) expired() error {
+	if err := j.ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := j.ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 func (j *Job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

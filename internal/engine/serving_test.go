@@ -234,38 +234,79 @@ func TestExpiredNeverDispatched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Blockers: latency-tier squares keep the single worker saturated. The
-	// latency tier's dequeue priority (credit weight 8) means the first
-	// standard-tier group cannot be offered before eight latency dispatches
-	// — several op-times, far beyond the victims' deadline.
+	// Blockers: latency-tier squares keep the single worker saturated.
+	// topUp keeps about 20 ms of them admitted — more than a scheduler time
+	// slice, so at GOMAXPROCS=1 the worker cannot drain the backlog before
+	// this goroutine runs again.
 	ct := client.encrypt(t, []complex128{1})
 	var blockers []*Job
-	for i := 0; i < 12; i++ {
-		job, err := e.Submit(JobSpec{
-			SessionID: sess.ID,
-			Inputs:    map[string]*ckks.Ciphertext{"x": ct},
-			Ops:       []OpSpec{{ID: "s", Op: "square", Args: []string{"x"}}},
-			Outputs:   []string{"s"},
-			Tier:      TierLatency,
-		})
-		if err != nil {
-			t.Fatal(err)
+	topUp := func() {
+		live := 0
+		for _, job := range blockers {
+			if !job.terminal() {
+				live++
+			}
 		}
-		blockers = append(blockers, job)
+		for ; live < 20; live++ {
+			job, err := e.Submit(JobSpec{
+				SessionID: sess.ID,
+				Inputs:    map[string]*ckks.Ciphertext{"x": ct},
+				Ops:       []OpSpec{{ID: "s", Op: "square", Args: []string{"x"}}},
+				Outputs:   []string{"s"},
+				Tier:      TierLatency,
+			})
+			if errors.Is(err, ErrBusy) {
+				return // the latency tier's admission share is full
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			blockers = append(blockers, job)
+		}
 	}
+	topUp()
 
 	// Victims: rotate-only standard-tier jobs with deadlines far shorter
-	// than the latency backlog. "rotate" appears in no other job, so its
-	// per-op execution counter staying at zero proves no expired op touched
-	// the evaluator.
+	// than one square. "rotate" appears in no other job, so its per-op
+	// execution counter staying at zero proves no expired op touched the
+	// evaluator. Each victim goes in only while a blocker sits pre-claimed in
+	// the ready queue and no earlier victim has left the standard queue: the
+	// worker then runs that whole blocker before it can take the victim. A
+	// victim offered to an idle worker would finish inside its deadline.
+	standard := `engine_tier_queue_depth{tier="standard"}`
 	var victims []*Job
+	queued := func() bool { // the dispatcher has taken in every victim so far
+		for _, job := range victims {
+			if st, _ := job.Status(); st == StatusQueued {
+				return false
+			}
+		}
+		return true
+	}
 	for i := 0; i < 8; i++ {
+		var g map[string]float64
+		for start := time.Now(); ; {
+			if queued() {
+				g = reg.Snapshot().Gauges
+				if g["engine_ready_queue_depth"] >= 1 {
+					break
+				}
+			}
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("no blocker ever seen pre-claimed: %v", g)
+			}
+			topUp()
+			time.Sleep(20 * time.Microsecond)
+		}
+		if int(g[standard]) != len(victims) {
+			break // the ready queue may hold an earlier victim, not a blocker
+		}
 		job, err := e.Submit(JobSpec{
 			SessionID: sess.ID,
 			Inputs:    map[string]*ckks.Ciphertext{"x": ct},
 			Ops:       []OpSpec{{ID: "r", Op: "rotate", Args: []string{"x"}, K: 1}},
 			Outputs:   []string{"r"},
-			Deadline:  500 * time.Microsecond,
+			Deadline:  200 * time.Microsecond,
 		})
 		if errors.Is(err, ErrBusy) {
 			continue // full backpressure shedding some victims is fine

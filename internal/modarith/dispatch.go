@@ -77,7 +77,6 @@ type kernelTable struct {
 	tier KernelTier
 
 	mulAddLazy    func(m Modulus, out, a, b []uint64)
-	mulAddLazyIdx func(m Modulus, out, a, b []uint64, idx []uint32)
 	mulBarrett    func(m Modulus, out, a, b []uint64)
 	mulAddBarrett func(m Modulus, out, a, b []uint64)
 
@@ -87,6 +86,7 @@ type kernelTable struct {
 
 	mulWide           func(accHi, accLo, row []uint64, w uint64)
 	mulAccWide        func(accHi, accLo, row []uint64, w uint64)
+	mulAccWideIdx     func(accHi, accLo, a, b []uint64, idx []uint32)
 	foldWide128Lazy   func(m Modulus, accHi, accLo []uint64)
 	reduceWide128     func(m Modulus, dst, accHi, accLo []uint64)
 	reduceWide128Lazy func(m Modulus, dst, accHi, accLo []uint64)
@@ -105,7 +105,6 @@ type kernelTable struct {
 var goKernels = kernelTable{
 	tier:              TierGo,
 	mulAddLazy:        vecMulAddLazyGo,
-	mulAddLazyIdx:     vecMulAddLazyIdxGo,
 	mulBarrett:        vecMulBarrettGo,
 	mulAddBarrett:     vecMulAddBarrettGo,
 	mulShoup:          vecMulShoupGo,
@@ -113,6 +112,7 @@ var goKernels = kernelTable{
 	rescaleStep:       vecRescaleStepGo,
 	mulWide:           vecMulWideGo,
 	mulAccWide:        vecMulAccWideGo,
+	mulAccWideIdx:     vecMulAccWideIdxGo,
 	foldWide128Lazy:   vecFoldWide128LazyGo,
 	reduceWide128:     vecReduceWide128Go,
 	reduceWide128Lazy: vecReduceWide128LazyGo,
@@ -141,9 +141,6 @@ func fillDefaults(t *kernelTable) {
 	if t.mulAddLazy == nil {
 		t.mulAddLazy = goKernels.mulAddLazy
 	}
-	if t.mulAddLazyIdx == nil {
-		t.mulAddLazyIdx = goKernels.mulAddLazyIdx
-	}
 	if t.mulBarrett == nil {
 		t.mulBarrett = goKernels.mulBarrett
 	}
@@ -164,6 +161,9 @@ func fillDefaults(t *kernelTable) {
 	}
 	if t.mulAccWide == nil {
 		t.mulAccWide = goKernels.mulAccWide
+	}
+	if t.mulAccWideIdx == nil {
+		t.mulAccWideIdx = goKernels.mulAccWideIdx
 	}
 	if t.foldWide128Lazy == nil {
 		t.foldWide128Lazy = goKernels.foldWide128Lazy

@@ -95,6 +95,22 @@ func FuzzVecKernels(f *testing.F) {
 				}
 			}
 
+			// The sweep's gather MAC, indices from the data, on the same
+			// full-range accumulator pair.
+			idx := make([]uint32, n)
+			for j := range idx {
+				idx[j] = uint32(word(j+1) % uint64(n))
+			}
+			gotHi, gotLo = append([]uint64(nil), acc...), append([]uint64(nil), b...)
+			wantHi, wantLo = append([]uint64(nil), acc...), append([]uint64(nil), b...)
+			tbl.mulAccWideIdx(gotHi, gotLo, a, b, idx)
+			vecMulAccWideIdxGo(wantHi, wantLo, a, b, idx)
+			for j := range wantLo {
+				if gotHi[j] != wantHi[j] || gotLo[j] != wantLo[j] {
+					t.Fatalf("%v mulAccWideIdx diverges at %d (q=%d n=%d)", tier, j, m.Q, n)
+				}
+			}
+
 			same := func(kernel string, k int) {
 				for j := range want {
 					if out[j] != want[j] {

@@ -24,14 +24,6 @@ func (m Modulus) VecMulAddLazy(out, a, b []uint64) {
 	active.Load().mulAddLazy(m, out, a, b)
 }
 
-// VecMulAddLazyIdx computes out[j] += a[idx[j]]*b[j] lazily — the fused
-// NTT-domain automorphism gather + multiply-accumulate (AutAccum). Indices
-// are uint32 (N ≤ 2^31): the permutation table is half the size of an []int
-// one, so it displaces less of the coefficient data from cache.
-func (m Modulus) VecMulAddLazyIdx(out, a, b []uint64, idx []uint32) {
-	active.Load().mulAddLazyIdx(m, out, a, b, idx)
-}
-
 // VecMulShoupAddLazy computes out[j] += a[j]*w lazily for a fixed operand w
 // with Shoup companion wShoup (the constant-multiply-accumulate of a fused
 // CMULT+ADD ladder).

@@ -17,9 +17,6 @@ package modarith
 func vecMulAddLazyAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 
 //go:noescape
-func vecMulAddLazyIdxAVX512(out, a, b []uint64, idx []uint32, q, twoQ, u0, u1 uint64)
-
-//go:noescape
 func vecMulBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 
 //go:noescape
@@ -39,6 +36,9 @@ func vecMulWideAVX512(accHi, accLo, row []uint64, w uint64)
 
 //go:noescape
 func vecMulAccWideAVX512(accHi, accLo, row []uint64, w uint64)
+
+//go:noescape
+func vecMulAccWideIdxAVX512(accHi, accLo, a, b []uint64, idx []uint32)
 
 //go:noescape
 func vecFoldWide128LazyAVX512(accHi, accLo []uint64, q, twoQ, u0, u1 uint64)
@@ -116,15 +116,6 @@ func avx512Table() kernelTable {
 				vecMulAddLazyGo(m, out[n:], a[n:], b[n:])
 			}
 		},
-		mulAddLazyIdx: func(m Modulus, out, a, b []uint64, idx []uint32) {
-			n := len(idx) &^ 7
-			if n > 0 {
-				vecMulAddLazyIdxAVX512(out[:n], a, b[:n], idx[:n], m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
-			}
-			if n < len(idx) {
-				vecMulAddLazyIdxGo(m, out[n:], a, b[n:], idx[n:])
-			}
-		},
 		mulBarrett: func(m Modulus, out, a, b []uint64) {
 			n := len(a) &^ 7
 			if n > 0 {
@@ -188,6 +179,15 @@ func avx512Table() kernelTable {
 			}
 			if n < len(row) {
 				vecMulAccWideGo(accHi[n:], accLo[n:], row[n:], w)
+			}
+		},
+		mulAccWideIdx: func(accHi, accLo, a, b []uint64, idx []uint32) {
+			n := len(idx) &^ 7
+			if n > 0 {
+				vecMulAccWideIdxAVX512(accHi[:n], accLo[:n], a, b[:n], idx[:n])
+			}
+			if n < len(idx) {
+				vecMulAccWideIdxGo(accHi[n:], accLo[n:], a, b[n:], idx[n:])
 			}
 		},
 		foldWide128Lazy: func(m Modulus, accHi, accLo []uint64) {

@@ -5,7 +5,7 @@ package modarith
 // arm64 assembly tier. Scalar kernels need no lane alignment, so the
 // wrappers only guard the empty case; there is no tail split. Advanced SIMD
 // is architecturally mandatory on AArch64 — the tier is always available and
-// needs no feature detection. The Barrett-quotient family, mulAddLazyIdx,
+// needs no feature detection. The Barrett-quotient family, mulAccWideIdx,
 // rescaleStep and invFinal stay on the per-kernel Go fallback (vec_arm64.s
 // explains why).
 

@@ -234,35 +234,6 @@ mulAddLazyLoop:
 	VZEROUPPER
 	RET
 
-// func vecMulAddLazyIdxAVX512(out, a, b []uint64, idx []uint32, q, twoQ, u0, u1 uint64)
-TEXT ·vecMulAddLazyIdxAVX512(SB), NOSPLIT, $0-128
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	MOVQ idx_base+72(FP), R8
-	MOVQ idx_len+80(FP), CX
-	BARRETT_CONSTS(96)
-	XORQ DX, DX
-mulAddLazyIdxLoop:
-	VPMOVZXDQ (R8)(DX*4), Z10                 // 8 uint32 indices zero-extended to qwords
-	KXNORQ K2, K2, K2                         // gather mask (consumed per use)
-	VPGATHERQQ (SI)(Z10*8), K2, Z0            // a[idx[j]]
-	VMOVDQU64 (BX)(DX*8), Z1
-	MUL128x8(Z0, Z1, Z2, Z3, Z5, Z6, Z7)
-	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7)
-	VPMULLQ Z27, Z4, Z5
-	VPSUBQ Z5, Z3, Z0
-	CONDSUB(Z0, Z28, Z5)
-	VMOVDQU64 (DI)(DX*8), Z1
-	VPADDQ Z1, Z0, Z0
-	CONDSUB(Z0, Z28, Z5)
-	VMOVDQU64 Z0, (DI)(DX*8)
-	ADDQ $8, DX
-	CMPQ DX, CX
-	JL mulAddLazyIdxLoop
-	VZEROUPPER
-	RET
-
 // func vecMulBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 TEXT ·vecMulBarrettAVX512(SB), NOSPLIT, $0-104
 	MOVQ out_base+0(FP), DI
@@ -459,6 +430,41 @@ mulAccWideLoop:
 	ADDQ $8, DX
 	CMPQ DX, CX
 	JL mulAccWideLoop
+	VZEROUPPER
+	RET
+
+// func vecMulAccWideIdxAVX512(accHi, accLo, a, b []uint64, idx []uint32)
+// vecMulAccWideAVX512 with the fixed operand replaced by the row b and the
+// row operand gathered through idx: (accHi, accLo) += a[idx[j]]·b[j].
+TEXT ·vecMulAccWideIdxAVX512(SB), NOSPLIT, $0-120
+	MOVQ accHi_base+0(FP), DI
+	MOVQ accLo_base+24(FP), BX
+	MOVQ a_base+48(FP), SI
+	MOVQ b_base+72(FP), R9
+	MOVQ idx_base+96(FP), R8
+	MOVQ idx_len+104(FP), CX
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z25
+	MOVQ $0x100000000, AX
+	VPBROADCASTQ AX, Z26
+	XORQ DX, DX
+mulAccWideIdxLoop:
+	VPMOVZXDQ (R8)(DX*4), Z10                 // 8 uint32 indices zero-extended to qwords
+	KXNORQ K2, K2, K2                         // gather mask (consumed per use)
+	VPGATHERQQ (SI)(Z10*8), K2, Z0            // a[idx[j]]
+	VMOVDQU64 (R9)(DX*8), Z1                  // b[j]
+	MUL128x8(Z0, Z1, Z2, Z3, Z5, Z6, Z7)      // phi:plo
+	VMOVDQU64 (BX)(DX*8), Z1                  // accLo
+	VPADDQ Z3, Z1, Z1                         // accLo += plo
+	VPCMPUQ $1, Z3, Z1, K1                    // carry: new accLo <u plo
+	VMOVDQU64 (DI)(DX*8), Z0                  // accHi
+	VPADDQ Z2, Z0, Z0                         // accHi += phi
+	VPADDQ Z25, Z0, K1, Z0                    // accHi += carry
+	VMOVDQU64 Z0, (DI)(DX*8)
+	VMOVDQU64 Z1, (BX)(DX*8)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL mulAccWideIdxLoop
 	VZEROUPPER
 	RET
 
@@ -665,7 +671,10 @@ TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-104
 
 // func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 // The span-1 stage is the transform's last: exit2Q = 2q folds its outputs to
-// [0, 2q) and exitQ = q on to [0, q); both are 0 at spans 4 and 2.
+// [0, 2q) and exitQ = q on to [0, q); both are 0 at spans 4 and 2. A fold by
+// 0 is the identity, so the call branches once to the loop that runs only
+// the folds whose bound is set: none at spans 4 and 2, the 2q pair in a lazy
+// span 1, both pairs in an exact one.
 TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
@@ -679,13 +688,37 @@ TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	VPBROADCASTQ exitQ+120(FP), Z22
 	LO32_MASK
 	TAIL_SETUP
-fwdTailLoop:
+	MOVQ exit2Q+112(FP), AX
+	TESTQ AX, AX
+	JZ fwdTailLoop
+	MOVQ exitQ+120(FP), AX
+	TESTQ AX, AX
+	JZ fwdTailLazyLoop
+fwdTailExactLoop:
 	TAIL_LOAD
 	FWD_BFLY
 	CONDSUB(Z2, Z21, Z5)
 	CONDSUB(Z3, Z21, Z5)
 	CONDSUB(Z2, Z22, Z5)
 	CONDSUB(Z3, Z22, Z5)
+	TAIL_STORE
+	DECQ R8
+	JNZ fwdTailExactLoop
+	VZEROUPPER
+	RET
+fwdTailLazyLoop:
+	TAIL_LOAD
+	FWD_BFLY
+	CONDSUB(Z2, Z21, Z5)
+	CONDSUB(Z3, Z21, Z5)
+	TAIL_STORE
+	DECQ R8
+	JNZ fwdTailLazyLoop
+	VZEROUPPER
+	RET
+fwdTailLoop:
+	TAIL_LOAD
+	FWD_BFLY
 	TAIL_STORE
 	DECQ R8
 	JNZ fwdTailLoop

@@ -37,29 +37,6 @@ func vecMulAddLazyGo(m Modulus, out, a, b []uint64) {
 	}
 }
 
-func vecMulAddLazyIdxGo(m Modulus, out, a, b []uint64, idx []uint32) {
-	q, twoQ, u0, u1 := m.Q, m.TwoQ, m.BRedHi, m.BRedLo
-	_ = out[len(idx)-1]
-	_ = b[len(idx)-1]
-	for j, k := range idx {
-		xhi, xlo := bits.Mul64(a[k], b[j])
-		t := xhi * u0
-		hhi, _ := bits.Mul64(xlo, u0)
-		t += hhi
-		hhi, _ = bits.Mul64(xhi, u1)
-		t += hhi
-		r := xlo - t*q
-		if r >= twoQ {
-			r -= twoQ
-		}
-		s := out[j] + r
-		if s >= twoQ {
-			s -= twoQ
-		}
-		out[j] = s
-	}
-}
-
 func vecMulBarrettGo(m Modulus, out, a, b []uint64) {
 	q, twoQ, u0, u1 := m.Q, m.TwoQ, m.BRedHi, m.BRedLo
 	_ = out[len(a)-1]

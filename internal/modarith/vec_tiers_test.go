@@ -112,20 +112,43 @@ func TestTierMulAddLazy(t *testing.T) {
 	})
 }
 
-func TestTierMulAddLazyIdx(t *testing.T) {
+// TestTierMulAccWideIdx runs the sweep's gather MAC at the bound its callers
+// rely on: MaxDotTerms products of a lazy a < 2q and an exact b < q, onto an
+// addend below 2q, stay exact in 128 bits at every modulus up to
+// MaxModulusBits. Checked word for word against the Go kernel after every
+// term, and the final pair against a big.Int sum.
+func TestTierMulAccWideIdx(t *testing.T) {
 	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
 		na := n + rng.Intn(17)
-		a := randRow(rng, na, m.TwoQ)
-		b := randRow(rng, n, m.TwoQ)
-		idx := make([]uint32, n)
-		for j := range idx {
-			idx[j] = uint32(rng.Intn(na))
+		saturated := rng.Intn(3) == 0
+		in := dotRows(rng, 1, n, m.TwoQ, saturated)[0]
+		gotHi, gotLo := make([]uint64, n), cloneRow(in)
+		wantHi, wantLo := make([]uint64, n), cloneRow(in)
+		sums := make([]*big.Int, n)
+		for j := range sums {
+			sums[j] = new(big.Int).SetUint64(in[j])
 		}
-		out := randRow(rng, n, m.TwoQ)
-		want := cloneRow(out)
-		vecMulAddLazyIdxGo(m, want, a, b, idx)
-		tbl.mulAddLazyIdx(m, out, a, b, idx)
-		rowsEqual(t, "mulAddLazyIdx", tbl.tier, m, out, want)
+		x, y := new(big.Int), new(big.Int)
+		for k := 0; k < MaxDotTerms; k++ {
+			a := dotRows(rng, 1, na, m.TwoQ, saturated)[0]
+			b := dotRows(rng, 1, n, m.Q, saturated)[0]
+			idx := make([]uint32, n)
+			for j := range idx {
+				idx[j] = uint32(rng.Intn(na))
+				sums[j].Add(sums[j], x.Mul(x.SetUint64(a[idx[j]]), y.SetUint64(b[j])))
+			}
+			vecMulAccWideIdxGo(wantHi, wantLo, a, b, idx)
+			tbl.mulAccWideIdx(gotHi, gotLo, a, b, idx)
+			rowsEqual(t, "mulAccWideIdx.hi", tbl.tier, m, gotHi, wantHi)
+			rowsEqual(t, "mulAccWideIdx.lo", tbl.tier, m, gotLo, wantLo)
+		}
+		for j, sum := range sums {
+			pair := new(big.Int).Lsh(x.SetUint64(gotHi[j]), 64)
+			if pair.Add(pair, y.SetUint64(gotLo[j])).Cmp(sum) != 0 {
+				t.Fatalf("mulAccWideIdx: tier %v q=%d n=%d: pair[%d] = %v, exact sum %v",
+					tbl.tier, m.Q, n, j, pair, sum)
+			}
+		}
 	})
 }
 

@@ -2,23 +2,26 @@ package modarith
 
 import "math/bits"
 
-// Wide-accumulation primitives for the BConv matrix product (internal/rns).
-// BConv computes, per output coefficient, an inner product of k terms
-// tmp_i · qHat_i with both factors < 2^61. Instead of k modular multiplies
-// and k modular additions, the terms are accumulated exactly as a 128-bit
-// (hi, lo) pair and reduced once per output with the 128-bit Barrett
-// reciprocal BRedHi:BRedLo = floor(2^128/q) that Modulus already carries.
+// Wide-accumulation primitives for the BConv matrix product (internal/rns),
+// the gadget product's dot kernel and the linear-transform sweep's diagonal
+// MACs (internal/ring's AutMulAccWide stage). BConv computes, per output
+// coefficient, an inner product of k terms tmp_i · qHat_i with both factors
+// < 2^61. Instead of k modular multiplies and k modular additions, the terms
+// are accumulated exactly as a 128-bit (hi, lo) pair and reduced once per
+// output with the 128-bit Barrett reciprocal BRedHi:BRedLo = floor(2^128/q)
+// that Modulus already carries.
 //
 // The row forms dispatch through the runtime kernel table (dispatch.go)
 // like the vec.go kernels; pure-Go bodies live in wide_go.go.
 //
 // # Domain contracts
 //
-//   - Mul64AddWide / VecMulWide / VecMulAccWide take arbitrary uint64
-//     factors and perform NO reduction: the caller must bound the number of
-//     accumulated products so the 128-bit pair cannot overflow (with b1-bit
-//     and b2-bit factors, 2^(128-b1-b2) products always fit; see
-//     rns.BasisConverter.foldEvery for the guard).
+//   - Mul64AddWide / VecMulWide / VecMulAccWide / VecMulAccWideIdx take
+//     arbitrary uint64 factors and perform NO reduction: the caller must
+//     bound the number of accumulated products so the 128-bit pair cannot
+//     overflow (with b1-bit and b2-bit factors, 2^(128-b1-b2) products always
+//     fit; see rns.BasisConverter.foldEvery and ring.Lane.AutMulAccWide for
+//     the guards).
 //   - VecDotLazy bounds its own chain: a[k] lazy (< 2q), b[k] exact (< q) and
 //     an optional lazy addend give, at MaxModulusBits = 61,
 //     k·(2^62−1)(2^61−1) + 2^62 < 2^128 for k ≤ MaxDotTerms = 32. Longer sums
@@ -77,6 +80,17 @@ func VecMulWide(accHi, accLo, row []uint64, w uint64) {
 // chain length (see the package comment).
 func VecMulAccWide(accHi, accLo, row []uint64, w uint64) {
 	active.Load().mulAccWide(accHi, accLo, row, w)
+}
+
+// VecMulAccWideIdx continues a gather accumulation chain:
+// (accHi[j], accLo[j]) += a[idx[j]]·b[j] — the NTT-domain automorphism σ
+// fused into a multiply-accumulate (AutAccum) whose sum stays exact in 128
+// bits. No reduction; the caller bounds the chain as for VecMulAccWide (with
+// a < 2q, b < q and an addend below 2q, MaxDotTerms products always fit).
+// Indices are uint32 (N ≤ 2^31): the permutation table is half the size of
+// an []int one, so it displaces less of the coefficient data from cache.
+func VecMulAccWideIdx(accHi, accLo, a, b []uint64, idx []uint32) {
+	active.Load().mulAccWideIdx(accHi, accLo, a, b, idx)
 }
 
 // MaxDotTerms is the number of products one VecDotLazy reduction may sum: the

@@ -3,9 +3,9 @@ package ring
 // Fused multiply-accumulate kernels with lazy (2q) reduction. These execute
 // the collapsed element-wise blocks produced by the fusion passes (paper §V):
 // a PAccum/CAccum chain becomes repeated *AddLazy calls into one accumulator
-// held in [0, 2q), and AutAccum becomes AutMulCoeffsAddLazy, which applies
-// the NTT-domain automorphism permutation and the multiply-accumulate in a
-// single pass instead of materializing the rotated polynomial.
+// held in [0, 2q). AutAccum — the NTT-domain automorphism permutation and the
+// multiply-accumulate in a single pass — is the pipeline's AutMulAccWide
+// stage (pipeline.go), which sums in 128 bits and reduces once.
 //
 // Protocol: accumulator limbs hold lazy values in [0, 2q) between calls;
 // the chain must end with ReduceLazy before the polynomial is handed to any
@@ -18,24 +18,6 @@ package ring
 func (r *Ring) MulCoeffsAddLazy(out, a, b *Poly, level int) {
 	forEachLimb(level, func(i int) {
 		r.Moduli[i].VecMulAddLazy(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-	accountRows(bytesMac, 4, level+1, r.N)
-}
-
-// AutMulCoeffsAddLazy sets out += σ_g(a) ⊙ b lazily, fusing the NTT-domain
-// automorphism into the accumulation (AutAccum): out[j] += a[idx[j]] * b[j].
-// Eliminates the rotated temporary and its extra read/write pass. a must be
-// in the NTT domain and must not alias out.
-func (r *Ring) AutMulCoeffsAddLazy(out, a, b *Poly, g uint64, level int) {
-	if !a.IsNTT {
-		panic("ring: AutMulCoeffsAddLazy requires NTT domain")
-	}
-	if out == a {
-		panic("ring: AutMulCoeffsAddLazy cannot accumulate in place over its input")
-	}
-	idx := r.nttAutoIndex(g)
-	forEachLimb(level, func(i int) {
-		r.Moduli[i].VecMulAddLazyIdx(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i], idx)
 	})
 	accountRows(bytesMac, 4, level+1, r.N)
 }
@@ -68,8 +50,8 @@ func (r *Ring) SubMulByLimbScalarsLazy(out, a, b *Poly, s []uint64, level int) {
 }
 
 // ReduceLazy normalizes a lazy accumulator from [0, 2q) back to exact
-// residues in [0, q). Every MulCoeffsAddLazy/AutMulCoeffsAddLazy/
-// MulByLimbScalarsAddLazy chain must end here.
+// residues in [0, q). Every MulCoeffsAddLazy/MulByLimbScalarsAddLazy chain
+// must end here.
 func (r *Ring) ReduceLazy(p *Poly, level int) {
 	forEachLimb(level, func(i int) {
 		r.Moduli[i].VecReduceTwoQ(p.Coeffs[i])

@@ -30,34 +30,6 @@ func TestMulCoeffsAddLazyMatchesUnfused(t *testing.T) {
 	}
 }
 
-func TestAutMulCoeffsAddLazyMatchesUnfused(t *testing.T) {
-	r := newTestRing(t, 6, 10)
-	s := NewSampler(13)
-	level := r.MaxLevel()
-
-	acc := s.UniformPoly(r, level, true)
-	want := acc.CopyNew()
-	fused := acc.CopyNew()
-
-	rot := r.NewPoly(level)
-	tmp := r.NewPoly(level)
-	for _, rotBy := range []int{1, 2, 5, -3} {
-		g := r.GaloisElement(rotBy)
-		a := s.UniformPoly(r, level, true)
-		b := s.UniformPoly(r, level, true)
-
-		r.AutMulCoeffsAddLazy(fused, a, b, g, level)
-
-		r.AutomorphismNTT(rot, a, g, level)
-		r.MulCoeffs(tmp, rot, b, level)
-		r.Add(want, want, tmp, level)
-	}
-	r.ReduceLazy(fused, level)
-	if !fused.Equal(want) {
-		t.Fatal("fused aut-MAC != Automorphism+MulCoeffs+Add composition")
-	}
-}
-
 func TestMulByLimbScalarsAddLazyMatchesUnfused(t *testing.T) {
 	r := newTestRing(t, 5, 9)
 	s := NewSampler(17)

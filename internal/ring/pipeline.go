@@ -3,6 +3,7 @@ package ring
 import (
 	"sync"
 
+	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
@@ -44,6 +45,12 @@ import (
 //   - Lazy-domain discipline is unchanged from fused.go: accumulators stay in
 //     [0, 2q) between MAC stages and must pass through ReduceLazy before an
 //     exact kernel or the end of the chain hands them to exact consumers.
+//   - A 128-bit accumulator (AutMulAccWide) keeps its low words in its own
+//     polynomial and its high words in a scratch row the Run owns, one per
+//     accumulator and per concurrently executing limb — never a pooled
+//     polynomial. It is opened by its first MAC of the limb's chain and must
+//     be closed by ReduceWide later in the same chain: the scratch row does
+//     not outlive the limb.
 //   - All polynomials recorded into a lane must have at least level+1 limbs.
 //     Run resets the pipeline for re-recording; Release returns it to a pool.
 type Pipeline struct {
@@ -66,6 +73,10 @@ type Lane struct {
 	dotRows  [][]uint64
 	dotTerms int // most terms any recorded DotLazy stage sums
 
+	// wide lists the lane's 128-bit accumulators; an accumulator's index is
+	// its high-word row in the Run's scratch.
+	wide []wideAcc
+
 	rows      int // limbs the stage being recorded runs on (level+1 unless windowed)
 	nttRows   int // limb rows counting toward the forward limb-transform counter
 	inttRows  int // ...and the inverse counter
@@ -84,7 +95,9 @@ const (
 	opMulCoeffs
 	opMulCoeffsAdd
 	opDotLazy
-	opAutMulAddLazy
+	opAutMulAccWide
+	opFoldWide
+	opReduceWide
 	opReduceLazy
 	opAdd
 	opZero
@@ -102,15 +115,26 @@ type stage struct {
 	out  *Poly
 	a, b *Poly
 	// opDotLazy: the caller's operand slices (not copied) and whether out is
-	// accumulated onto.
+	// accumulated onto. opAutMulAccWide: acc is false on the MAC that opens
+	// the accumulator, which clears its high-word row first.
 	as, bs []*Poly
 	acc    bool
+	wide   int      // opAutMulAccWide/opFoldWide/opReduceWide: high-word row
 	s      []uint64 // per-limb scalars (opMulScalars, opSubMulScalarsLazy)
 	idx    []uint32 // NTT-domain automorphism permutation (opAut*)
 	fn     func(limb int)
 	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
 	// opNTTLazy leaves alone (NTTLazyExcept). Empty for whole-lane stages.
 	lo, hi int
+}
+
+// wideAcc is one 128-bit accumulator of a lane: the polynomial holding its
+// low words, whether a MAC has opened it and no ReduceWide closed it yet, and
+// the products added since it was opened or last folded.
+type wideAcc struct {
+	lo    *Poly
+	open  bool
+	terms int
 }
 
 // polyEffect tracks, per lane, what the chain does to one polynomial: the
@@ -151,6 +175,8 @@ func (pl *Pipeline) reset() {
 		ln.effects = ln.effects[:0]
 		clear(ln.dotRows) // drop the row references, like the stages above
 		ln.dotRows, ln.dotTerms = ln.dotRows[:0], 0
+		clear(ln.wide)
+		ln.wide = ln.wide[:0]
 		ln.nttRows, ln.inttRows, ln.naiveRows = 0, 0, 0
 		ln.r = nil
 	}
@@ -311,19 +337,59 @@ func (ln *Lane) DotLazy(out *Poly, as, bs []*Poly, accumulate bool) {
 	ln.push(stage{op: opDotLazy, out: out, as: as, bs: bs, acc: accumulate}, naive)
 }
 
-// AutMulCoeffsAddLazy records out += σ_g(a) ⊙ b lazily (the fused AutAccum
-// gather-MAC). a must be pending-NTT and must not alias out.
-func (ln *Lane) AutMulCoeffsAddLazy(out, a, b *Poly, g uint64) {
+// AutMulAccWide records out += σ_g(a) ⊙ b into a 128-bit accumulator: the
+// product is summed exactly, with out holding the low words and a Run-owned
+// scratch row the high words, and reduced only by the ReduceWide that closes
+// the accumulator later in the chain (the sweep's fused AutAccum MAC, one
+// reduction per output coefficient instead of one per product). The first
+// MAC opens the accumulator on out's current value, which must be below 2q;
+// a must be below 2q and b below q. Every modarith.MaxDotTerms products the
+// sum is folded back into out (lazy) before the next one, so no chain
+// length or modulus up to modarith.MaxModulusBits can overflow it. a must be
+// pending-NTT and must not alias out.
+func (ln *Lane) AutMulAccWide(out, a, b *Poly, g uint64) {
 	if !ln.domain(a) {
-		panic("ring: pipeline AutMulCoeffsAddLazy requires NTT domain")
+		panic("ring: pipeline AutMulAccWide requires NTT domain")
 	}
 	if out == a {
-		panic("ring: pipeline AutMulCoeffsAddLazy cannot accumulate in place over its input")
+		panic("ring: pipeline AutMulAccWide cannot accumulate in place over its input")
+	}
+	w := ln.wideIndex(out)
+	acc := &ln.wide[w]
+	if acc.open && acc.terms == modarith.MaxDotTerms {
+		ln.push(stage{op: opFoldWide, out: out, wide: w}, 2)
+		acc.terms = 0
 	}
 	ln.use(a, true, false)
 	ln.use(b, true, false)
 	ln.use(out, true, true)
-	ln.push(stage{op: opAutMulAddLazy, out: out, a: a, b: b, idx: ln.r.nttAutoIndex(g)}, 4)
+	ln.push(stage{op: opAutMulAccWide, out: out, a: a, b: b, idx: ln.r.nttAutoIndex(g), acc: acc.open, wide: w}, 4)
+	acc.open = true
+	acc.terms++
+}
+
+// ReduceWide records the close of out's 128-bit accumulator: out becomes the
+// exact residue of the sum in [0, q).
+func (ln *Lane) ReduceWide(out *Poly) {
+	w := ln.wideIndex(out)
+	if !ln.wide[w].open {
+		panic("ring: pipeline ReduceWide of an accumulator no MAC opened")
+	}
+	ln.wide[w] = wideAcc{lo: out}
+	ln.use(out, true, true)
+	ln.push(stage{op: opReduceWide, out: out, wide: w}, 2)
+}
+
+// wideIndex returns the index of out's 128-bit accumulator, registering it
+// on first use.
+func (ln *Lane) wideIndex(out *Poly) int {
+	for w := range ln.wide {
+		if ln.wide[w].lo == out {
+			return w
+		}
+	}
+	ln.wide = append(ln.wide, wideAcc{lo: out})
+	return len(ln.wide) - 1
 }
 
 // ReduceLazy records the [0, 2q) → [0, q) normalization of p.
@@ -422,9 +488,15 @@ func (ln *Lane) Func(fn func(limb int), reads, writes []*Poly) {
 // re-recording.
 func (pl *Pipeline) Run() {
 	lanes := pl.lanes[:pl.nLanes]
-	total := 0
+	total, wideWords := 0, 0
 	for _, ln := range lanes {
+		for _, acc := range ln.wide {
+			if acc.open {
+				panic("ring: pipeline 128-bit accumulator left open: record its ReduceWide")
+			}
+		}
 		total += ln.level + 1
+		wideWords = max(wideWords, len(ln.wide)*ln.r.N)
 		if need := 2 * ln.dotTerms * (ln.level + 1); need <= cap(ln.dotRows) {
 			ln.dotRows = ln.dotRows[:need]
 		} else {
@@ -433,29 +505,44 @@ func (pl *Pipeline) Run() {
 	}
 	if total > 0 {
 		if total < parallelLimbThreshold || par.Workers() < 2 {
-			for _, ln := range lanes {
-				for i := 0; i <= ln.level; i++ {
-					ln.exec(i)
-				}
-			}
+			runLimbs(lanes, 0, total, wideWords)
 		} else {
-			par.ForEachChunk(total, func(lo, hi int) {
-				for t := lo; t < hi; t++ {
-					// Walk the lanes on a copy: t is the loop variable.
-					i := t
-					for _, ln := range lanes {
-						limbs := ln.level + 1
-						if i < limbs {
-							ln.exec(i)
-							break
-						}
-						i -= limbs
-					}
-				}
-			})
+			par.ForEachChunk(total, func(lo, hi int) { runLimbs(lanes, lo, hi, wideWords) })
 		}
 	}
 	pl.finish()
+}
+
+// wideScratch pools the high-word rows of the 128-bit accumulators: one
+// buffer of wideWords words per goroutine executing a Run's limbs, reused
+// limb after limb because every accumulator is opened and closed within one
+// limb's chain.
+var wideScratch sync.Pool // of *[]uint64
+
+// runLimbs executes the chains of the pipeline's limbs t ∈ [lo, hi), counted
+// lane after lane, on the calling goroutine.
+func runLimbs(lanes []*Lane, lo, hi, wideWords int) {
+	var wide []uint64
+	if wideWords > 0 {
+		b, _ := wideScratch.Get().(*[]uint64)
+		if b == nil || cap(*b) < wideWords {
+			s := make([]uint64, wideWords)
+			b = &s
+		}
+		defer wideScratch.Put(b)
+		wide = (*b)[:wideWords]
+	}
+	for t := lo; t < hi; t++ {
+		i := t
+		for _, ln := range lanes {
+			if limbs := ln.level + 1; i >= limbs {
+				i -= limbs
+				continue
+			}
+			ln.exec(i, wide)
+			break
+		}
+	}
 }
 
 // finish applies the deferred Poly-header updates and traffic accounting,
@@ -484,11 +571,12 @@ func (pl *Pipeline) finish() {
 	pl.reset()
 }
 
-// exec runs the lane's whole stage chain over limb i. This is the inner loop
-// of the executor: every stage body is the same row kernel its barriered
+// exec runs the lane's whole stage chain over limb i, with wide holding the
+// high-word rows of its 128-bit accumulators. This is the inner loop of the
+// executor: every stage body is the same row kernel its barriered
 // counterpart dispatches per limb, in the same order, so the results are
 // bit-identical on every kernel tier.
-func (ln *Lane) exec(i int) {
+func (ln *Lane) exec(i int, wide []uint64) {
 	r := ln.r
 	mod := r.Moduli[i]
 	for si := range ln.stages {
@@ -520,8 +608,16 @@ func (ln *Lane) exec(i int) {
 				ra[d], rb[d] = st.as[d].Coeffs[i], st.bs[d].Coeffs[i]
 			}
 			mod.VecDotLazy(st.out.Coeffs[i], ra, rb, st.acc)
-		case opAutMulAddLazy:
-			mod.VecMulAddLazyIdx(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.idx)
+		case opAutMulAccWide:
+			hi := wide[st.wide*r.N:][:r.N]
+			if !st.acc {
+				clear(hi)
+			}
+			modarith.VecMulAccWideIdx(hi, st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.idx)
+		case opFoldWide:
+			mod.VecFoldWide128Lazy(wide[st.wide*r.N:][:r.N], st.out.Coeffs[i])
+		case opReduceWide:
+			mod.VecReduceWide128(st.out.Coeffs[i], wide[st.wide*r.N:][:r.N], st.out.Coeffs[i])
 		case opReduceLazy:
 			mod.VecReduceTwoQ(st.out.Coeffs[i])
 		case opAdd:

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
@@ -488,7 +489,7 @@ func TestAutomorphismCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPipelineZeroStage: a Zero stage ahead of a lazy MAC makes an accumulator
+// TestPipelineZeroStage: a Zero stage ahead of a MAC makes an accumulator
 // that starts as garbage (pool memory) equal to the MAC onto a zero
 // polynomial, at every level.
 func TestPipelineZeroStage(t *testing.T) {
@@ -507,12 +508,137 @@ func TestPipelineZeroStage(t *testing.T) {
 		pl := GetPipeline()
 		ln := pl.Lane(r, level)
 		ln.Zero(got)
-		ln.AutMulCoeffsAddLazy(got, a, b, 1) // σ_1 is the identity
-		ln.ReduceLazy(got)
+		ln.AutMulAccWide(got, a, b, 1) // σ_1 is the identity
+		ln.ReduceWide(got)
 		pl.Run()
 		pl.Release()
 		if !got.Equal(want) {
 			t.Fatalf("level %d: Zero + MAC != MAC onto a zero polynomial", level)
 		}
 	}
+}
+
+// TestPipelineAutMulAccWide is the sweep's baby-phase shape: lazy operands
+// (< 2q, as a dot stage leaves them) permuted by σ_g and multiplied by exact
+// rows into 128-bit accumulators, more products per accumulator than one
+// 128-bit sum holds at 61-bit moduli — so the mid-chain fold must run — one
+// accumulator opened on a live exact value and one on a Zero stage, in two
+// lanes of one pipeline at pool widths 1, 2 and 4 (one scratch buffer per
+// chunk of limbs). Each must equal the barriered Automorphism + MulCoeffs +
+// Add composition, and the scratch must leave no trace between Runs.
+func TestPipelineAutMulAccWide(t *testing.T) {
+	r, err := NewRing(6, mustPrimes(t, modarith.MaxModulusBits, 6, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSampler(43)
+	levels := [2]int{r.MaxLevel(), 3}
+	terms := modarith.MaxDotTerms + 5
+	// Uniform rows, every other coefficient lifted by q into the lazy range;
+	// every coefficient at 0 mod 4 saturated (2q−1 and q−1), where the sum of
+	// the products overflows 128 bits unless it is folded. σ_g moves the
+	// saturated coefficients of a, so b is saturated where they land.
+	g := r.GaloisElement(3)
+	idx := r.nttAutoIndex(g)
+	operands := func(level int) (a, b *Poly) {
+		a, b = s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
+		for i := 0; i <= level; i++ {
+			q := r.Moduli[i].Q
+			for j := 0; j < r.N; j += 2 {
+				a.Coeffs[i][j] += q
+			}
+			for j := 0; j < r.N; j += 4 {
+				b.Coeffs[i][j], a.Coeffs[i][idx[j]] = q-1, 2*q-1
+			}
+		}
+		return a, b
+	}
+	var as, bs [2][]*Poly
+	var gs []uint64
+	for k := 0; k < terms; k++ {
+		gs = append(gs, g)
+		for l, level := range levels {
+			a, b := operands(level)
+			as[l], bs[l] = append(as[l], a), append(bs[l], b)
+		}
+	}
+	live := s.UniformPoly(r, levels[0], true)
+
+	var want [2]*Poly
+	for l, level := range levels {
+		want[l] = r.NewPoly(level)
+		want[l].IsNTT = true
+		if l == 0 {
+			want[l].Copy(live)
+		}
+		rot, tmp := r.NewPoly(level), r.NewPoly(level)
+		for k := range gs {
+			r.AutomorphismNTT(rot, as[l][k], gs[k], level)
+			r.MulCoeffs(tmp, rot, bs[l][k], level)
+			r.Add(want[l], want[l], tmp, level)
+		}
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		prev := par.SetWorkers(workers)
+		got := [2]*Poly{live.CopyNew(), r.NewPoly(levels[1])}
+		got[1].IsNTT = true
+		got[1].poison()
+		for run := 0; run < 2; run++ { // the second Run reuses pooled scratch
+			pl := GetPipeline()
+			ln := [2]*Lane{pl.Lane(r, levels[0]), pl.Lane(r, levels[1])}
+			if run == 1 {
+				got[0].Copy(live)
+				got[1].poison()
+			}
+			ln[1].Zero(got[1])
+			for k := range gs {
+				for l := range ln {
+					ln[l].AutMulAccWide(got[l], as[l][k], bs[l][k], gs[k])
+				}
+			}
+			for l := range ln {
+				ln[l].ReduceWide(got[l])
+			}
+			pl.Run()
+			pl.Release()
+			for l := range got {
+				if !got[l].Equal(want[l]) {
+					t.Fatalf("workers=%d run %d lane %d: 128-bit MAC chain != barriered composition", workers, run, l)
+				}
+			}
+		}
+		par.SetWorkers(prev)
+	}
+}
+
+// TestPipelineWideAccumulatorBalance: a 128-bit accumulator must be opened
+// by a MAC before ReduceWide closes it, and closed before Run.
+func TestPipelineWideAccumulatorBalance(t *testing.T) {
+	r := newTestRing(t, 4, 3)
+	level := r.MaxLevel()
+	s := NewSampler(47)
+	a, b := s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected a panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("ReduceWide before any MAC", func() {
+		pl := GetPipeline()
+		defer pl.Release()
+		pl.Lane(r, level).ReduceWide(r.NewPoly(level))
+	})
+	mustPanic("Run with an open accumulator", func() {
+		pl := GetPipeline()
+		defer pl.Release()
+		acc := r.NewPoly(level)
+		acc.IsNTT = true
+		pl.Lane(r, level).AutMulAccWide(acc, a, b, 1)
+		pl.Run()
+	})
 }
