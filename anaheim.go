@@ -34,8 +34,6 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/engine"
 	"github.com/anaheim-sim/anaheim/internal/experiments"
-	"github.com/anaheim-sim/anaheim/internal/gpu"
-	"github.com/anaheim-sim/anaheim/internal/pim"
 	"github.com/anaheim-sim/anaheim/internal/report"
 	"github.com/anaheim-sim/anaheim/internal/sched"
 	"github.com/anaheim-sim/anaheim/internal/trace"
@@ -59,8 +57,6 @@ type (
 	// EvaluationKeySet bundles the relinearization and Galois keys a server
 	// needs to evaluate on a client's ciphertexts.
 	EvaluationKeySet = ckks.EvaluationKeySet
-	// PublicKey is an RLWE public encryption key.
-	PublicKey = ckks.PublicKey
 
 	// Engine is the concurrent serving runtime (session manager, job DAG
 	// scheduler, bounded worker pool). See internal/engine.
@@ -156,9 +152,6 @@ func (c *Context) GenLinearTransformKeys(lts ...*LinearTransform) {
 // client uploads to a server (relinearization + Galois keys, no secret).
 func (c *Context) EvaluationKeys() *EvaluationKeySet { return c.keys }
 
-// PublicKey returns the encryption key.
-func (c *Context) PublicKey() *PublicKey { return c.pk }
-
 // NewServerContext builds an evaluation-only Context from a client's
 // uploaded evaluation keys: it can run Add/Mul/Rotate/linear transforms but
 // holds no secret or encryption key (Encrypt and Decrypt are unavailable).
@@ -208,7 +201,7 @@ func (c *Context) Decrypt(ct *Ciphertext) []complex128 {
 }
 
 // Encode produces a plaintext at the ciphertext's level for use with
-// MulPlain/AddPlain.
+// MulPlain.
 func (c *Context) Encode(values []complex128, level int) (*Plaintext, error) {
 	pt, err := c.enc.Encode(values, level, c.Params.DefaultScale())
 	if err != nil {
@@ -259,11 +252,6 @@ func (c *Context) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	return c.rescaled(c.eval.MulPlain(ct, pt))
 }
 
-// AddPlain returns ct + pt.
-func (c *Context) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	return c.eval.AddPlain(ct, pt)
-}
-
 // AddConst adds a real constant to every slot.
 func (c *Context) AddConst(ct *Ciphertext, v float64) *Ciphertext { return c.eval.AddConst(ct, v) }
 
@@ -304,18 +292,6 @@ func (c *Context) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTransfo
 func (c *Context) EvaluatePolynomial(ct *Ciphertext, f func(float64) float64, a, b float64, degree int) *Ciphertext {
 	coeffs := ckks.ChebyshevInterpolation(f, a, b, degree)
 	return c.eval.EvaluateChebyshev(ct, coeffs, a, b)
-}
-
-// Sign approximates slot-wise sign(x) for values in [-1, 1] using the given
-// number of composite polynomial iterations (three levels each).
-func (c *Context) Sign(ct *Ciphertext, iterations int) *Ciphertext {
-	return c.eval.EvalSign(ct, iterations)
-}
-
-// Compare approximates slot-wise (sign(a-b)+1)/2 for values in [-1/2, 1/2]:
-// 1 where a > b, 0 where a < b.
-func (c *Context) Compare(a, b *Ciphertext, iterations int) *Ciphertext {
-	return c.eval.EvalCompare(a, b, iterations)
 }
 
 // MinMax returns the slot-wise minimum and maximum of two ciphertexts with
@@ -369,36 +345,15 @@ const (
 
 // SimResult summarizes one simulated workload execution.
 type SimResult struct {
-	Workload   string
-	Platform   SimPlatform
-	TimeMs     float64
-	EnergyMJ   float64
-	EDP        float64
-	EWShare    float64
-	GPUDramGB  float64
-	PIMDramGB  float64
-	TbootEffMs float64 // time / L_eff
-	OoM        bool
-}
-
-func platformConfig(p SimPlatform) (sched.Config, float64, error) {
-	switch p {
-	case A100:
-		return sched.Config{GPU: gpu.A100(), Lib: gpu.Cheddar()}, gpu.A100().DRAM.CapacityGB, nil
-	case A100NearBank:
-		u := pim.A100NearBank()
-		return sched.Config{GPU: gpu.A100(), Lib: gpu.Cheddar(), PIM: &u}, gpu.A100().DRAM.CapacityGB, nil
-	case A100CustomHBM:
-		u := pim.A100CustomHBM()
-		return sched.Config{GPU: gpu.A100(), Lib: gpu.Cheddar(), PIM: &u}, gpu.A100().DRAM.CapacityGB, nil
-	case RTX4090:
-		return sched.Config{GPU: gpu.RTX4090(), Lib: gpu.Cheddar()}, gpu.RTX4090().DRAM.CapacityGB, nil
-	case RTX4090PIM:
-		u := pim.RTX4090NearBank()
-		return sched.Config{GPU: gpu.RTX4090(), Lib: gpu.Cheddar(), PIM: &u}, gpu.RTX4090().DRAM.CapacityGB, nil
-	default:
-		return sched.Config{}, 0, fmt.Errorf("anaheim: unknown platform %q", p)
-	}
+	Workload  string
+	Platform  SimPlatform
+	TimeMs    float64
+	EnergyMJ  float64
+	EDP       float64
+	EWShare   float64
+	GPUDramGB float64
+	PIMDramGB float64
+	OoM       bool
 }
 
 // Workloads lists the simulatable workload names (§VII-A).
@@ -417,97 +372,47 @@ func Simulate(workload string, platform SimPlatform) (SimResult, error) {
 	if !ok {
 		return SimResult{}, fmt.Errorf("anaheim: unknown workload %q (have %v)", workload, Workloads())
 	}
-	cfg, capacityGB, err := platformConfig(platform)
+	pl, err := experiments.PlatformByID(string(platform))
 	if err != nil {
-		return SimResult{}, err
+		return SimResult{}, fmt.Errorf("anaheim: %w", err)
 	}
 	p := trace.PaperParams()
 	res := SimResult{Workload: workload, Platform: platform}
-	if workloads.FootprintGB(workload, p) > capacityGB {
+	if workloads.FootprintGB(workload, p) > pl.GPU.DRAM.CapacityGB {
 		res.OoM = true
 		return res, nil
 	}
-	opt := trace.GPUBaseline()
-	if cfg.PIM != nil {
-		opt = trace.AnaheimDefault()
-	}
-	r := sched.Run(w.Gen(p, opt), cfg)
+	r := sched.Run(w.Gen(p, pl.Options()), pl.Sched())
 	res.TimeMs = r.TimeMs()
 	res.EnergyMJ = r.EnergyMJ()
 	res.EDP = r.EDP()
 	res.EWShare = r.EWShare()
 	res.GPUDramGB = r.GPUBytes / 1e9
 	res.PIMDramGB = r.PIMBytes / 1e9
-	res.TbootEffMs = r.TimeMs() / float64(w.LEff)
 	return res, nil
 }
 
-// ExperimentIDs lists the reproducible paper artifacts plus the two
-// extension studies backing the paper's §V-C and §VI-D discussion points.
+// ExperimentIDs lists the reproducible paper artifacts plus the extension
+// studies backing the paper's §V-C and §VI-D discussion points.
 func ExperimentIDs() []string {
-	return []string{"fig1-table", "fig2a", "fig2b", "fig2c", "fig3", "fig4a",
-		"fig4b", "fig8", "fig9", "fig10", "table3", "table4", "table5",
-		"ext-gp-pim", "ext-pipelining", "ext-memories", "ext-fusion"}
+	var ids []string
+	for _, e := range experiments.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
 }
 
 // RunExperiment regenerates one paper table/figure and returns its formatted
 // text table.
-func RunExperiment(id string) (string, error) {
-	tbl, err := experimentTable(id)
-	if err != nil {
-		return "", err
-	}
-	return tbl.String(), nil
-}
+func RunExperiment(id string) (string, error) { return runExperiment(id, (*report.Table).String) }
 
 // RunExperimentCSV regenerates one experiment as CSV for plotting.
-func RunExperimentCSV(id string) (string, error) {
-	tbl, err := experimentTable(id)
-	if err != nil {
-		return "", err
-	}
-	return tbl.CSV(), nil
-}
+func RunExperimentCSV(id string) (string, error) { return runExperiment(id, (*report.Table).CSV) }
 
-func experimentTable(id string) (*report.Table, error) {
-	var tbl *report.Table
-	switch id {
-	case "fig1-table":
-		_, tbl = experiments.Fig1Table()
-	case "fig2a":
-		_, tbl = experiments.Fig2a()
-	case "fig2b":
-		_, tbl = experiments.Fig2b()
-	case "fig2c":
-		_, tbl = experiments.Fig2c()
-	case "fig3":
-		_, tbl = experiments.Fig3()
-	case "fig4a":
-		_, tbl = experiments.Fig4a()
-	case "fig4b":
-		_, tbl = experiments.Fig4b()
-	case "fig8":
-		_, tbl = experiments.Fig8()
-	case "fig9":
-		_, tbl = experiments.Fig9()
-	case "fig10":
-		_, tbl = experiments.Fig10()
-	case "table3":
-		tbl = experiments.Table3()
-	case "table4":
-		tbl = experiments.Table4()
-	case "table5":
-		_, tbl = experiments.Table5()
-	case "ext-gp-pim":
-		_, tbl = experiments.ExtGeneralPurposePIM()
-	case "ext-pipelining":
-		_, tbl = experiments.ExtPipelining()
-	case "ext-memories":
-		_, tbl = experiments.ExtMemoryTechnologies()
-	case "ext-fusion":
-		_, tbl = experiments.ExtFusionPasses()
-	default:
-		return nil, fmt.Errorf("anaheim: unknown experiment %q (have %v)", id, ExperimentIDs())
+func runExperiment(id string, format func(*report.Table) string) (string, error) {
+	e, ok := experiments.Lookup(id)
+	if !ok {
+		return "", fmt.Errorf("anaheim: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}
-	return tbl, nil
+	return format(e.Table()), nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/anaheim-sim/anaheim/internal/experiments"
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
@@ -311,6 +312,22 @@ func TestSimulateFacade(t *testing.T) {
 	}
 }
 
+// TestSimPlatformsMatchTable: every SimPlatform constant names a row of the
+// platform table, and every row has a constant.
+func TestSimPlatformsMatchTable(t *testing.T) {
+	consts := map[SimPlatform]bool{A100: true, A100NearBank: true, A100CustomHBM: true, RTX4090: true, RTX4090PIM: true}
+	for p := range consts {
+		if _, err := experiments.PlatformByID(string(p)); err != nil {
+			t.Errorf("constant %q: %v", p, err)
+		}
+	}
+	for _, p := range experiments.Platforms() {
+		if !consts[SimPlatform(p.ID)] {
+			t.Errorf("platform table id %q has no SimPlatform constant", p.ID)
+		}
+	}
+}
+
 func TestRunExperimentFacade(t *testing.T) {
 	for _, id := range []string{"fig1-table", "table3", "table4"} {
 		out, err := RunExperiment(id)
@@ -324,8 +341,14 @@ func TestRunExperimentFacade(t *testing.T) {
 	if _, err := RunExperiment("fig99"); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
-	if len(ExperimentIDs()) != 17 {
-		t.Fatalf("want 17 experiment ids, got %d", len(ExperimentIDs()))
+	ids, reg := ExperimentIDs(), experiments.Experiments()
+	if len(ids) != len(reg) {
+		t.Fatalf("%d experiment ids for %d registry entries", len(ids), len(reg))
+	}
+	for i, e := range reg {
+		if ids[i] != e.ID {
+			t.Fatalf("ExperimentIDs()[%d] = %q, registry has %q", i, ids[i], e.ID)
+		}
 	}
 	if len(Workloads()) != 6 {
 		t.Fatalf("want 6 workloads, got %d", len(Workloads()))

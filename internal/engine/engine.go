@@ -78,10 +78,6 @@ type Config struct {
 	// oversized POSTs get 413 instead of OOMing the server. Defaults to
 	// 64 MiB (evaluation-key uploads are the largest legitimate payloads).
 	MaxBodyBytes int64
-	// DisableFusion turns off the admission-time op-DAG rewrite (add-ladder
-	// and linear-combination folding); jobs then execute exactly the ops
-	// they were submitted with.
-	DisableFusion bool
 	// Obs receives the engine's metrics (counters, gauges, latency
 	// histograms). Defaults to obs.Default.
 	Obs *obs.Registry
@@ -516,10 +512,8 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		unpin()
 		return nil, err
 	}
-	if !e.cfg.DisableFusion {
-		if fused := e.applyFusion(&spec); fused != nil {
-			st = fused
-		}
+	if fused := e.applyFusion(&spec); fused != nil {
+		st = fused
 	}
 
 	// Admission control (backpressure + tier shares + tenant caps).

@@ -33,17 +33,17 @@ func runJob(t *testing.T, client *testClient, e *Engine, sess *Session, spec Job
 
 // TestFusionRewriteCrafted drives a DAG with a known foldable shape — a
 // three-term constant linear combination and a four-term add ladder —
-// through an engine with fusion on and one with it disabled, and demands
-// the outputs agree within CKKS precision. The fused engine's metrics must
-// show the rewrite fired; the unfused engine's must not.
+// through one engine twice: first with every op listed as an output, which
+// protects each intermediate and so blocks the rewrite, then with only the
+// two sinks listed. The outputs must agree within CKKS precision, and the
+// engine's metrics must show the rewrite fired on the second job only.
 func TestFusionRewriteCrafted(t *testing.T) {
 	client := newTestClient(t, 1)
 
-	regOn, regOff := obs.NewRegistry(), obs.NewRegistry()
-	eOn := New(Config{Workers: 2, Obs: regOn})
-	defer eOn.Close()
-	eOff := New(Config{Workers: 2, Obs: regOff, DisableFusion: true})
-	defer eOff.Close()
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 2, Obs: reg})
+	defer e.Close()
+	eliminated := func() float64 { return reg.Counter("engine_fusion_ops_eliminated_total").Value() }
 
 	consts := []float64{0.75, -0.5, 0.25}
 	ops := []OpSpec{
@@ -57,6 +57,10 @@ func TestFusionRewriteCrafted(t *testing.T) {
 		{ID: "a2", Op: "add", Args: []string{"a1", "in0"}}, // -> addn(in0,in1,in2,in0)
 	}
 	outputs := []string{"s1", "a2"}
+	allOps := make([]string, len(ops))
+	for i, op := range ops {
+		allOps[i] = op.ID
+	}
 
 	slots := client.params.Slots()
 	vals := make(map[string][]complex128, 3)
@@ -78,7 +82,7 @@ func TestFusionRewriteCrafted(t *testing.T) {
 		want["a2"][s] += vals["in0"][s]
 	}
 
-	run := func(e *Engine) map[string][]complex128 {
+	run := func(listed []string) map[string][]complex128 {
 		sess, err := e.AttachSession(client.params, client.keys)
 		if err != nil {
 			t.Fatal(err)
@@ -90,12 +94,15 @@ func TestFusionRewriteCrafted(t *testing.T) {
 		specOps := make([]OpSpec, len(ops))
 		copy(specOps, ops)
 		return runJob(t, client, e, sess, JobSpec{
-			SessionID: sess.ID, Inputs: cts, Ops: specOps, Outputs: outputs,
+			SessionID: sess.ID, Inputs: cts, Ops: specOps, Outputs: listed,
 		})
 	}
 
-	fusedOut := run(eOn)
-	plainOut := run(eOff)
+	plainOut := run(allOps)
+	if got := eliminated(); got != 0 {
+		t.Errorf("the rewrite absorbed %.0f protected ops", got)
+	}
+	fusedOut := run(outputs)
 	for _, id := range outputs {
 		// The lincomb rescales the accumulated sum where the chain rescales
 		// each term, so the rounding differs slightly; both must still track
@@ -104,12 +111,9 @@ func TestFusionRewriteCrafted(t *testing.T) {
 		checkSlots(t, fusedOut[id], want[id], slots, 1e-2, id+" fused vs plaintext model")
 	}
 
-	if got := regOn.Counter("engine_fusion_ops_eliminated_total").Value(); got < 5 {
+	if got := eliminated(); got < 5 {
 		// 3 mulconsts + s0 fold into s1; a0 + a1 fold into a2.
-		t.Errorf("fused engine eliminated %.0f ops, want >= 5", got)
-	}
-	if got := regOff.Counter("engine_fusion_ops_eliminated_total").Value(); got != 0 {
-		t.Errorf("DisableFusion engine still rewrote %.0f ops", got)
+		t.Errorf("fused job eliminated %.0f ops, want >= 5", got)
 	}
 }
 

@@ -103,9 +103,11 @@ func finished(t testing.TB, e *Engine, spec JobSpec) *Job {
 func TestValuesFreedAtLastUse(t *testing.T) {
 	client := newTestClient(t)
 	reg := obs.NewRegistry()
-	// One worker and no fusion: the ops run one at a time in DAG order, so
-	// the widest live set is a property of the DAG, not of the schedule.
-	e := New(Config{Workers: 1, DisableFusion: true, Obs: reg})
+	// One worker: the ops run one at a time in DAG order, so the widest live
+	// set is a property of the DAG, not of the schedule. No DAG here has a
+	// foldable add ladder or linear combination (checked at the end), so the
+	// jobs run exactly the ops they were submitted with.
+	e := New(Config{Workers: 1, Obs: reg})
 	defer e.Close()
 	sess, err := e.AttachSession(client.params, client.keys)
 	if err != nil {
@@ -249,6 +251,10 @@ func TestValuesFreedAtLastUse(t *testing.T) {
 			t.Error("Results of a failed job succeeded")
 		}
 	})
+
+	if got := reg.Snapshot().Counters["engine_fusion_ops_eliminated_total"]; got != 0 {
+		t.Errorf("the rewrite folded %v ops; these DAGs must run as submitted", got)
+	}
 }
 
 // TestComputedValuesReturnToPool: on the success path a value an op of the job
@@ -260,7 +266,8 @@ func TestComputedValuesReturnToPool(t *testing.T) {
 	client := newTestClient(t, 1)
 	client.params.RingQ().PoisonPool()
 	client.params.RingP().PoisonPool()
-	e := New(Config{Workers: 1, DisableFusion: true, Obs: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 1, Obs: reg})
 	defer e.Close()
 	sess, err := e.AttachSession(client.params, client.keys)
 	if err != nil {
@@ -313,6 +320,9 @@ func TestComputedValuesReturnToPool(t *testing.T) {
 	}
 	res, _ := all.Results()
 	checkSlots(t, client.decrypt(res["sq"]), wantSq, len(x), 1e-4, "listed intermediate")
+	if got := reg.Snapshot().Counters["engine_fusion_ops_eliminated_total"]; got != 0 {
+		t.Errorf("the rewrite folded %v ops; this DAG must run as submitted", got)
+	}
 	if after, _ := ct.MarshalBinary(); !bytes.Equal(after, ctBytes) {
 		t.Fatal("the shared input was written to")
 	}
@@ -727,7 +737,7 @@ func TestNoAbortWakeupsOnNormalFinish(t *testing.T) {
 // admitted, outside the timed region.
 func BenchmarkSubmitChainDAG(b *testing.B) {
 	client := newTestClient(b)
-	e := New(Config{Workers: 1, DisableFusion: true, Obs: obs.NewRegistry()})
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()}) // the addconst chain has nothing to fold
 	defer e.Close()
 	sess, err := e.AttachSession(client.params, client.keys)
 	if err != nil {

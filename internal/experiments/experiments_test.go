@@ -315,8 +315,35 @@ func TestPlatformsEnumeration(t *testing.T) {
 		if p.PIM != nil {
 			pimCount++
 		}
+		got, err := PlatformByID(p.ID)
+		if err != nil || got.Name != p.Name {
+			t.Errorf("PlatformByID(%q) = %q, %v", p.ID, got.Name, err)
+		}
 	}
 	if pimCount != 3 {
 		t.Fatalf("want 3 PIM platforms (Table III), got %d", pimCount)
+	}
+	if _, err := PlatformByID("abacus"); err == nil {
+		t.Fatal("unknown platform id must error")
+	}
+}
+
+func TestRegistry(t *testing.T) {
+	es := Experiments()
+	if len(es) != 17 {
+		t.Fatalf("want 17 experiments, got %d", len(es))
+	}
+	seen := make(map[string]bool, len(es))
+	for _, e := range es {
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment id %q", e.ID)
+		}
+		seen[e.ID] = true
+		if got, ok := Lookup(e.ID); !ok || got.ID != e.ID {
+			t.Errorf("Lookup(%q) = %q, %v", e.ID, got.ID, ok)
+		}
+	}
+	if _, ok := Lookup("fig99"); ok {
+		t.Fatal("Lookup of an unknown id succeeded")
 	}
 }
