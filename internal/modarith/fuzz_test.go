@@ -145,9 +145,9 @@ func FuzzVecKernels(f *testing.F) {
 			vecDotLazyGo(m, want, da, db, sel&2 != 0)
 			same("dotLazy", k)
 
-			// One forward and one inverse stage at a tail span chosen by the
-			// data (span 8 needs n >= 16), first word pair as the twiddles.
-			span := 1 << (n % 4)
+			// One forward and one inverse stage at a span of 1–32 chosen by
+			// the data (span s needs n >= 2s), first word pair as the twiddles.
+			span := 1 << (n % 6)
 			if nb := n / (2 * span); nb > 0 {
 				psi, psiShoup := make([]uint64, nb), make([]uint64, nb)
 				for i := range psi {

@@ -43,7 +43,13 @@ func guardedCopy(t *testing.T, src []uint64) []uint64 {
 // assembly does its own addressing, and the tail kernels consume fewer
 // twiddles per 16-coefficient step than a vector holds (2 at span 4, 4 at
 // span 2), so a full-width twiddle load — or any step past the last block —
-// faults here instead of silently reading a neighbour's memory.
+// faults here instead of silently reading a neighbour's memory. The AVX-512
+// loops run two steps (or two span-8 blocks, or two vectors of a wider block)
+// per iteration, so the block counts give each tail loop 1, 2 and 3 steps —
+// the pair loop with and without its one-step remainder — and 3 plus blocks
+// too few for a step, and each wide loop 1 to 4 blocks. A worker's share of a
+// wide block (cnt = span-8: one vector at span 16, three at 32) ends the row
+// at its last y vector.
 func TestStageKernelsStayInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	m := tierTestModuli(t)[1]
@@ -58,24 +64,31 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 			}()
 			kernel()
 		}
-		for _, span := range []int{1, 2, 4, 8} {
-			for _, nb := range []int{8 / span, 24 / span, 24/span + 1} {
+		for _, span := range []int{1, 2, 4, 8, 16, 32} {
+			step := max(8/span, 1) // blocks per step
+			cnts := []int{span}
+			if span >= 16 {
+				cnts = append(cnts, span-8)
+			}
+			for _, nb := range []int{step, 2 * step, 3 * step, 3*step + 1} {
 				psi, psiShoup := randTwiddles(rng, m, nb)
 				gPsi, gPsiShoup := guardedCopy(t, psi), guardedCopy(t, psiShoup)
+				for _, cnt := range cnts {
+					n := 2*span*(nb-1) + span + cnt // ends at the last block's last y
+					in := randRow(rng, n, 4*m.Q)
+					for _, lazy := range []bool{false, true} {
+						a, want := guardedCopy(t, in), cloneRow(in)
+						vecFwdStageGo(m, want, psi, psiShoup, span, cnt, lazy)
+						run("fwdStage", func() { tbl.fwdStage(m, a, gPsi, gPsiShoup, span, cnt, lazy) })
+						rowsEqual(t, "fwdStage", tier, m, a, want)
+					}
 
-				in := randRow(rng, 2*span*nb, 4*m.Q)
-				for _, lazy := range []bool{false, true} {
+					in = randRow(rng, n, m.TwoQ)
 					a, want := guardedCopy(t, in), cloneRow(in)
-					vecFwdStageGo(m, want, psi, psiShoup, span, span, lazy)
-					run("fwdStage", func() { tbl.fwdStage(m, a, gPsi, gPsiShoup, span, span, lazy) })
-					rowsEqual(t, "fwdStage", tier, m, a, want)
+					vecInvStageGo(m, want, psi, psiShoup, span, cnt)
+					run("invStage", func() { tbl.invStage(m, a, gPsi, gPsiShoup, span, cnt) })
+					rowsEqual(t, "invStage", tier, m, a, want)
 				}
-
-				in = randRow(rng, 2*span*nb, m.TwoQ)
-				a, want := guardedCopy(t, in), cloneRow(in)
-				vecInvStageGo(m, want, psi, psiShoup, span, span)
-				run("invStage", func() { tbl.invStage(m, a, gPsi, gPsiShoup, span, span) })
-				rowsEqual(t, "invStage", tier, m, a, want)
 			}
 		}
 		for _, n := range []int{8, 24, 27} {

@@ -77,14 +77,20 @@
 
 // NTT stage kernels (the TEXT bodies are at the end of the file). One call
 // runs a whole stage, or one worker's slice of it, so the constant broadcasts
-// are paid once per stage, not once per twiddle block. They keep Z27 = q and
-// Z28 = 2q from the conventions above (not Z25/Z26: MULHI8 needs no carry
-// constants) and add:
-//	Z23, Z24 = w, wShoup per butterfly lane, Z14 = wShoup>>32
+// are paid once per stage, not once per twiddle block. Every loop carries two
+// independent butterfly chains per iteration, A and B, so the out-of-order
+// core overlaps one chain's load → MULHI8 → VPMULLQ → store latency with the
+// other's; a loop whose count is odd ends in one chain-A step. They keep
+// Z27 = q and Z28 = 2q from the conventions above (Z25/Z26 are chain-B
+// scratch here: MULHI8 needs no carry constants) and add:
+//	Z23, Z24 = w, wShoup per butterfly lane, Z14 = wShoup>>32 (chain A)
+//	Z29, Z30, Z31 = the same for chain B where its twiddle differs from A's
 //	Z15 = 2^32-1 per lane
 //	Z16..Z20 = tail permutations (gather x, gather y, scatter lo, scatter hi,
 //	           twiddle spread), K2 = twiddle load mask
 //	Z21, Z22 = exit-fold bounds (0 makes CONDSUB the identity: min_u(r, r-0))
+// Chain A holds x, y, x', y' in Z0..Z3 with scratch Z4..Z7; chain B in
+// Z8..Z11 with scratch Z12, Z13, Z25, Z26.
 
 // MULHI8: HI = hi64(A*B) per lane, given BH = B>>32, without forming the
 // low word. With ll, hl, lh, hh the 32x32 partial products,
@@ -112,58 +118,114 @@
 	MOVL $0xffffffff, AX \
 	VPBROADCASTQ AX, Z15
 
-// FWD_BFLY: Harvey CT butterfly on x = Z0, y = Z1 (both in [0, 4q)):
-// Z2 = x' = u + v', Z3 = y' = u - v' + 2q, with u = x cond-sub 2q and
-// v' = MulShoupLazy(y, w) in [0, 2q). Clobbers Z0, Z1, Z4..Z7.
-#define FWD_BFLY \
-	CONDSUB(Z0, Z28, Z5)                     \
-	MULHI8(Z1, Z24, Z14, Z2, Z5, Z6, Z7)     \ // h = hi64(v*wShoup)
-	VPMULLQ Z23, Z1, Z3                      \ // v*w
-	VPMULLQ Z27, Z2, Z4                      \ // h*q
-	VPSUBQ Z4, Z3, Z1                        \ // v'
-	VPADDQ Z1, Z0, Z2                        \
-	VPSUBQ Z1, Z0, Z3                        \
-	VPADDQ Z28, Z3, Z3
+// FWD_BFLY: Harvey CT butterfly on x = X, y = Y (both in [0, 4q)) with the
+// twiddle W, WS = wShoup, WSH = wShoup>>32: XO = x' = u + v', YO = y' =
+// u - v' + 2q, with u = x cond-sub 2q and v' = MulShoupLazy(y, w) in [0, 2q).
+// Clobbers X, Y, T0..T3.
+#define FWD_BFLY(X, Y, XO, YO, W, WS, WSH, T0, T1, T2, T3) \
+	CONDSUB(X, Z28, T1)                  \
+	MULHI8(Y, WS, WSH, XO, T1, T2, T3)   \ // h = hi64(v*wShoup)
+	VPMULLQ W, Y, YO                     \ // v*w
+	VPMULLQ Z27, XO, T0                  \ // h*q
+	VPSUBQ T0, YO, Y                     \ // v'
+	VPADDQ Y, X, XO                      \
+	VPSUBQ Y, X, YO                      \
+	VPADDQ Z28, YO, YO
 
-// INV_BFLY: Harvey GS butterfly on x = Z0, y = Z1 (both in [0, 2q)):
-// Z2 = x' = (u+v) cond-sub 2q, Z3 = y' = MulShoupLazy(u - v + 2q, w).
-// Clobbers Z4..Z7.
-#define INV_BFLY \
-	VPADDQ Z1, Z0, Z2                        \
-	CONDSUB(Z2, Z28, Z5)                     \
-	VPSUBQ Z1, Z0, Z3                        \
-	VPADDQ Z28, Z3, Z3                       \ // d = u - v + 2q
-	MULHI8(Z3, Z24, Z14, Z4, Z5, Z6, Z7)     \ // h = hi64(d*wShoup)
-	VPMULLQ Z23, Z3, Z5                      \ // d*w
-	VPMULLQ Z27, Z4, Z6                      \ // h*q
-	VPSUBQ Z6, Z5, Z3
+// INV_BFLY: Harvey GS butterfly on x = X, y = Y (both in [0, 2q)):
+// XO = x' = (u+v) cond-sub 2q, YO = y' = MulShoupLazy(u - v + 2q, w).
+// Clobbers T0..T3.
+#define INV_BFLY(X, Y, XO, YO, W, WS, WSH, T0, T1, T2, T3) \
+	VPADDQ Y, X, XO                      \
+	CONDSUB(XO, Z28, T1)                 \
+	VPSUBQ Y, X, YO                      \
+	VPADDQ Z28, YO, YO                   \ // d = u - v + 2q
+	MULHI8(YO, WS, WSH, T0, T1, T2, T3)  \ // h = hi64(d*wShoup)
+	VPMULLQ W, YO, T1                    \ // d*w
+	VPMULLQ Z27, T0, T2                  \ // h*q
+	VPSUBQ T2, T1, YO
 
 // WIDE_STAGE: span >= 8. DI = a, SI = psi, BX = psiShoup, R8 = blocks,
-// R9 = span, CX = cnt (a multiple of 8). Per block: broadcast its twiddle,
-// then cnt/8 vector steps over the x half (DI) and the y half (R10).
-#define WIDE_STAGE(BFLY, BLOCK, LOOP) \
-	SHLQ $3, R9                \ // span in bytes
-	LEAQ (DI)(R9*1), R10       \
-BLOCK:                         \
-	VPBROADCASTQ (SI), Z23     \
-	VPBROADCASTQ (BX), Z24     \
-	VPSRLQ $32, Z24, Z14       \
-	XORQ DX, DX                \
-LOOP:                          \
-	VMOVDQU64 (DI)(DX*8), Z0   \
-	VMOVDQU64 (R10)(DX*8), Z1  \
-	BFLY                       \
-	VMOVDQU64 Z2, (DI)(DX*8)   \
-	VMOVDQU64 Z3, (R10)(DX*8)  \
-	ADDQ $8, DX                \
-	CMPQ DX, CX                \
-	JL LOOP                    \
-	LEAQ (DI)(R9*2), DI        \
-	LEAQ (R10)(R9*2), R10      \
-	ADDQ $8, SI                \
-	ADDQ $8, BX                \
-	DECQ R8                    \
-	JNZ BLOCK
+// R9 = span, CX = cnt (a multiple of 8); x halves at DI, y halves at R10.
+// A block of one vector (cnt = 8: every span-8 block, or an 8-butterfly share
+// of a wider one) has no second vector to pair with, so that loop runs two
+// blocks per iteration, each with its own twiddle broadcast, and an odd last
+// block runs as a one-block pass of the block loop. The block loop broadcasts
+// its twiddle once per block and runs two vectors per iteration, then the one
+// vector an odd cnt/8 leaves.
+#define WIDE_STAGE(BFLY, PAIR, LASTBLOCK, BLOCK, LOOP, ONE, NEXT, DONE) \
+	SHLQ $3, R9                                                \ // span in bytes
+	LEAQ (DI)(R9*1), R10                                       \
+	MOVQ CX, R11                                               \
+	SUBQ $8, R11                                               \ // two vectors remain while DX < cnt-8
+	JNZ BLOCK                                                  \
+	MOVQ R8, R12                                               \
+	SHRQ $1, R12                                               \ // block pairs
+	JZ LASTBLOCK                                               \
+PAIR:                                                          \
+	VPBROADCASTQ (SI), Z23                                     \
+	VPBROADCASTQ (BX), Z24                                     \
+	VPSRLQ $32, Z24, Z14                                       \
+	VPBROADCASTQ 8(SI), Z29                                    \
+	VPBROADCASTQ 8(BX), Z30                                    \
+	VPSRLQ $32, Z30, Z31                                       \
+	VMOVDQU64 (DI), Z0                                         \
+	VMOVDQU64 (R10), Z1                                        \
+	VMOVDQU64 (DI)(R9*2), Z8                                   \
+	VMOVDQU64 (R10)(R9*2), Z9                                  \
+	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
+	BFLY(Z8, Z9, Z10, Z11, Z29, Z30, Z31, Z12, Z13, Z25, Z26)  \
+	VMOVDQU64 Z2, (DI)                                         \
+	VMOVDQU64 Z3, (R10)                                        \
+	VMOVDQU64 Z10, (DI)(R9*2)                                  \
+	VMOVDQU64 Z11, (R10)(R9*2)                                 \
+	LEAQ (DI)(R9*4), DI                                        \
+	LEAQ (R10)(R9*4), R10                                      \
+	ADDQ $16, SI                                               \
+	ADDQ $16, BX                                               \
+	DECQ R12                                                   \
+	JNZ PAIR                                                   \
+LASTBLOCK:                                                     \
+	TESTQ $1, R8                                               \
+	JZ DONE                                                    \
+	MOVQ $1, R8                                                \
+BLOCK:                                                         \
+	VPBROADCASTQ (SI), Z23                                     \
+	VPBROADCASTQ (BX), Z24                                     \
+	VPSRLQ $32, Z24, Z14                                       \
+	XORQ DX, DX                                                \
+	TESTQ R11, R11                                             \
+	JZ ONE                                                     \ // cnt = 8: no pair
+LOOP:                                                          \
+	VMOVDQU64 (DI)(DX*8), Z0                                   \
+	VMOVDQU64 (R10)(DX*8), Z1                                  \
+	VMOVDQU64 64(DI)(DX*8), Z8                                 \
+	VMOVDQU64 64(R10)(DX*8), Z9                                \
+	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
+	BFLY(Z8, Z9, Z10, Z11, Z23, Z24, Z14, Z12, Z13, Z25, Z26)  \
+	VMOVDQU64 Z2, (DI)(DX*8)                                   \
+	VMOVDQU64 Z3, (R10)(DX*8)                                  \
+	VMOVDQU64 Z10, 64(DI)(DX*8)                                \
+	VMOVDQU64 Z11, 64(R10)(DX*8)                               \
+	ADDQ $16, DX                                               \
+	CMPQ DX, R11                                               \
+	JL LOOP                                                    \
+ONE:                                                           \
+	CMPQ DX, CX                                                \
+	JEQ NEXT                                                   \
+	VMOVDQU64 (DI)(DX*8), Z0                                   \ // odd cnt/8: one last vector
+	VMOVDQU64 (R10)(DX*8), Z1                                  \
+	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
+	VMOVDQU64 Z2, (DI)(DX*8)                                   \
+	VMOVDQU64 Z3, (R10)(DX*8)                                  \
+NEXT:                                                          \
+	LEAQ (DI)(R9*2), DI                                        \
+	LEAQ (R10)(R9*2), R10                                      \
+	ADDQ $8, SI                                                \
+	ADDQ $8, BX                                                \
+	DECQ R8                                                    \
+	JNZ BLOCK                                                  \
+DONE:
 
 // TAIL_SETUP: span 4, 2, 1. R10 = idx, CX = tw (twiddles per step). Expands
 // the five byte-index permutations, builds the mask selecting the tw
@@ -182,31 +244,77 @@ LOOP:                          \
 	KMOVW AX, K2              \
 	LEAQ (CX*8), R9
 
-// TAIL_LOAD gathers one step: 16 consecutive coefficients at DI split into
-// x = Z0 and y = Z1, and the step's twiddles spread over the lanes.
-#define TAIL_LOAD \
-	VMOVDQU64 (DI), Z0            \
-	VMOVDQU64 64(DI), Z9          \
-	VMOVDQA64 Z0, Z1              \
-	VPERMT2Q Z9, Z16, Z0          \ // x
-	VPERMT2Q Z9, Z17, Z1          \ // y
-	VMOVDQU64.Z (SI), K2, Z10     \
-	VMOVDQU64.Z (BX), K2, Z11     \
-	VPERMQ Z10, Z20, Z23          \
-	VPERMQ Z11, Z20, Z24          \
-	VPSRLQ $32, Z24, Z14
+// TAIL_LOAD gathers one step: the 16 consecutive coefficients at OFF(DI)
+// split into x = X and y = Y, and the step's twiddles at (PSI), (PSISH)
+// spread over the lanes into W, WS, WSH. Clobbers T.
+#define TAIL_LOAD(OFF, PSI, PSISH, X, Y, W, WS, WSH, T) \
+	VMOVDQU64 OFF(DI), X          \
+	VMOVDQU64 OFF(DI), Y          \
+	VPERMT2Q (OFF+64)(DI), Z16, X \ // x
+	VPERMT2Q (OFF+64)(DI), Z17, Y \ // y
+	VMOVDQU64.Z (PSI), K2, T      \
+	VPERMQ T, Z20, W              \
+	VMOVDQU64.Z (PSISH), K2, T    \
+	VPERMQ T, Z20, WS             \
+	VPSRLQ $32, WS, WSH
 
-// TAIL_STORE scatters x' = Z2, y' = Z3 back to the step's 16 coefficients
-// and advances to the next step.
-#define TAIL_STORE \
-	VMOVDQA64 Z2, Z0              \
-	VPERMT2Q Z3, Z18, Z0          \
-	VPERMT2Q Z3, Z19, Z2          \
-	VMOVDQU64 Z0, (DI)            \
-	VMOVDQU64 Z2, 64(DI)          \
-	ADDQ $128, DI                 \
-	ADDQ R9, SI                   \
-	ADDQ R9, BX
+// TAIL_STORE scatters x' = XO, y' = YO back to the step's 16 coefficients at
+// OFF(DI). Clobbers XO and T.
+#define TAIL_STORE(OFF, XO, YO, T) \
+	VMOVDQA64 XO, T               \
+	VPERMT2Q YO, Z18, T           \
+	VPERMT2Q YO, Z19, XO          \
+	VMOVDQU64 T, OFF(DI)          \
+	VMOVDQU64 XO, (OFF+64)(DI)
+
+// TAIL_LOOP runs R8 = steps tail steps, two per iteration — chain A at DI with
+// its twiddles at SI/BX, chain B at 128(DI) with its twiddles at R12/R13,
+// one step's twiddles further on — and, when steps is odd, one chain-A step
+// at the end. BFLY is the butterfly and FOLDS its exit folds on the chain's
+// x', y' (the empty macro NOFOLD where there are none).
+#define TAIL_LOOP(BFLY, FOLDS, PAIR, LAST, DONE) \
+	LEAQ (SI)(R9*1), R12                                       \
+	LEAQ (BX)(R9*1), R13                                       \
+	MOVQ R8, R11                                               \
+	SHRQ $1, R11                                               \ // step pairs
+	JZ LAST                                                    \
+PAIR:                                                          \
+	TAIL_LOAD(0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)            \
+	TAIL_LOAD(128, R12, R13, Z8, Z9, Z29, Z30, Z31, Z12)       \
+	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
+	BFLY(Z8, Z9, Z10, Z11, Z29, Z30, Z31, Z12, Z13, Z25, Z26)  \
+	FOLDS(Z2, Z3, Z5)                                          \
+	FOLDS(Z10, Z11, Z13)                                       \
+	TAIL_STORE(0, Z2, Z3, Z0)                                  \
+	TAIL_STORE(128, Z10, Z11, Z8)                              \
+	ADDQ $256, DI                                              \
+	LEAQ (SI)(R9*2), SI                                        \
+	LEAQ (BX)(R9*2), BX                                        \
+	LEAQ (R12)(R9*2), R12                                      \
+	LEAQ (R13)(R9*2), R13                                      \
+	DECQ R11                                                   \
+	JNZ PAIR                                                   \
+LAST:                                                          \
+	TESTQ $1, R8                                               \
+	JZ DONE                                                    \
+	TAIL_LOAD(0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)            \
+	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
+	FOLDS(Z2, Z3, Z5)                                          \
+	TAIL_STORE(0, Z2, Z3, Z0)                                  \
+DONE:                                                          \
+	VZEROUPPER                                                 \
+	RET
+
+// The forward tail's exit folds (see vecFwdTailAVX512): none, the 2q pair of
+// a lazy span 1, both pairs of an exact one. Each clobbers T.
+#define NOFOLD(XO, YO, T)
+#define LAZYFOLD(XO, YO, T) \
+	CONDSUB(XO, Z21, T)           \
+	CONDSUB(YO, Z21, T)
+#define EXACTFOLD(XO, YO, T) \
+	LAZYFOLD(XO, YO, T)           \
+	CONDSUB(XO, Z22, T)           \
+	CONDSUB(YO, Z22, T)
 
 // func vecMulAddLazyAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 TEXT ·vecMulAddLazyAVX512(SB), NOSPLIT, $0-104
@@ -650,7 +758,7 @@ TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-104
 	VPBROADCASTQ q+88(FP), Z27
 	VPBROADCASTQ twoQ+96(FP), Z28
 	LO32_MASK
-	WIDE_STAGE(FWD_BFLY, fwdStageBlock, fwdStageLoop)
+	WIDE_STAGE(FWD_BFLY, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageOne, fwdStageNext, fwdStageDone)
 	VZEROUPPER
 	RET
 
@@ -665,7 +773,7 @@ TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-104
 	VPBROADCASTQ q+88(FP), Z27
 	VPBROADCASTQ twoQ+96(FP), Z28
 	LO32_MASK
-	WIDE_STAGE(INV_BFLY, invStageBlock, invStageLoop)
+	WIDE_STAGE(INV_BFLY, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageOne, invStageNext, invStageDone)
 	VZEROUPPER
 	RET
 
@@ -690,40 +798,15 @@ TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	TAIL_SETUP
 	MOVQ exit2Q+112(FP), AX
 	TESTQ AX, AX
-	JZ fwdTailLoop
+	JZ fwdTail
 	MOVQ exitQ+120(FP), AX
 	TESTQ AX, AX
-	JZ fwdTailLazyLoop
-fwdTailExactLoop:
-	TAIL_LOAD
-	FWD_BFLY
-	CONDSUB(Z2, Z21, Z5)
-	CONDSUB(Z3, Z21, Z5)
-	CONDSUB(Z2, Z22, Z5)
-	CONDSUB(Z3, Z22, Z5)
-	TAIL_STORE
-	DECQ R8
-	JNZ fwdTailExactLoop
-	VZEROUPPER
-	RET
-fwdTailLazyLoop:
-	TAIL_LOAD
-	FWD_BFLY
-	CONDSUB(Z2, Z21, Z5)
-	CONDSUB(Z3, Z21, Z5)
-	TAIL_STORE
-	DECQ R8
-	JNZ fwdTailLazyLoop
-	VZEROUPPER
-	RET
-fwdTailLoop:
-	TAIL_LOAD
-	FWD_BFLY
-	TAIL_STORE
-	DECQ R8
-	JNZ fwdTailLoop
-	VZEROUPPER
-	RET
+	JZ fwdTailLazy
+	TAIL_LOOP(FWD_BFLY, EXACTFOLD, fwdTailExactPair, fwdTailExactLast, fwdTailExactDone)
+fwdTailLazy:
+	TAIL_LOOP(FWD_BFLY, LAZYFOLD, fwdTailLazyPair, fwdTailLazyLast, fwdTailLazyDone)
+fwdTail:
+	TAIL_LOOP(FWD_BFLY, NOFOLD, fwdTailPair, fwdTailLast, fwdTailDone)
 
 // func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
 TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
@@ -737,14 +820,7 @@ TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
 	VPBROADCASTQ twoQ+104(FP), Z28
 	LO32_MASK
 	TAIL_SETUP
-invTailLoop:
-	TAIL_LOAD
-	INV_BFLY
-	TAIL_STORE
-	DECQ R8
-	JNZ invTailLoop
-	VZEROUPPER
-	RET
+	TAIL_LOOP(INV_BFLY, NOFOLD, invTailPair, invTailLast, invTailDone)
 
 // func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
 // Last inverse stage with 1/N fused: x' = MulShoupLazy(u + v, nInv),

@@ -406,9 +406,12 @@ func TestTierReduceTwoQ(t *testing.T) {
 // stageCnts returns the per-block butterfly counts to sweep at one span: the
 // full block, and — where the contract allows partial blocks — the shares a
 // split transform hands one worker (multiples of 4, vector-aligned or not).
+// 8 is the one-vector share that must stay on the block's own stride; 24 and
+// 40 are odd vector counts, so the AVX-512 two-vector loop ends in its
+// one-vector remainder; 48 is three whole pairs.
 func stageCnts(span int) []int {
 	cnts := []int{span}
-	for _, c := range []int{4, 8, 12, span / 2} {
+	for _, c := range []int{4, 8, 12, 24, 40, 48, span / 2} {
 		if span >= 8 && c < span {
 			cnts = append(cnts, c)
 		}
@@ -431,7 +434,7 @@ func stageRow(rng *rand.Rand, n int, bound uint64) []uint64 {
 
 func TestTierButterflies(t *testing.T) {
 	forEachTierCase(t, stageBlockCounts, func(t *testing.T, tbl *kernelTable, m Modulus, nb int, rng *rand.Rand) {
-		for _, span := range []int{1, 2, 4, 8, 16, 32} {
+		for _, span := range []int{1, 2, 4, 8, 16, 32, 64} {
 			psi, psiShoup := randTwiddles(rng, m, nb)
 			for _, cnt := range stageCnts(span) {
 				for _, lazy := range []bool{false, true} {

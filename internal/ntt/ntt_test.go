@@ -494,8 +494,9 @@ func BenchmarkInverseN4096(b *testing.B) {
 // BenchmarkStages times every stage of the forward and inverse transforms on
 // its own (one sub-benchmark per span, ns/butterfly alongside ns/op), so a
 // stage profile that is not flat — one span falling off the vector path —
-// shows from `go test -bench Stages`. The inverse span N/2 row is the
-// 1/N-fused final stage.
+// shows from `go test -bench Stages`. The fwd span-1 row is Forward's exact
+// exit and the fwdLazy one the [0, 2q) exit ForwardLazy (ModUp, ModDown)
+// runs; the inverse span N/2 row is the 1/N-fused final stage.
 func BenchmarkStages(b *testing.B) {
 	for _, logN := range []int{12, 16} {
 		tbl := newTestTables(b, logN)
@@ -513,6 +514,7 @@ func BenchmarkStages(b *testing.B) {
 			m, span := m, n/(2*m)
 			stage("fwd", span, func() { tbl.fwdStage(a, m, span, 0, m, false) })
 		}
+		stage("fwdLazy", 1, func() { tbl.fwdStage(a, n/2, 1, 0, n/2, true) })
 		for m := n >> 1; m > 1; m >>= 1 {
 			m, span := m, n/(2*m)
 			stage("inv", span, func() { tbl.invStage(a, m, span, 0, m) })
