@@ -141,9 +141,12 @@ func (c *Context) GenRotationKeys(rotations ...int) {
 func (c *Context) GenConjugationKey() { c.kgen.GenConjugationKey(c.sk, c.keys) }
 
 // GenLinearTransformKeys prepares exactly the Galois keys the given linear
-// transforms need under the evaluator's dispatch: the BSGS baby + giant
-// rotations for maps where the cost model selects a baby-step, and the raw
-// diagonal offsets for the rest.
+// transforms need: the baby + giant rotations of each transform's plan, which
+// for the per-diagonal plan are the raw diagonal offsets. A transform not yet
+// planned is planned alone and gets its leanest plan — the fewest keys, ties
+// to the lower modeled time — which is the plan EvaluateLinearTransform then
+// runs, here or on a server holding these keys. The bootstrapper plans its
+// own DFT matrices as one set instead (SetupBootstrapping).
 func (c *Context) GenLinearTransformKeys(lts ...*LinearTransform) {
 	c.kgen.GenRotationKeys(c.sk, c.keys, ckks.GaloisKeysForLinearTransform(c.Params, lts...))
 }
@@ -301,8 +304,10 @@ func (c *Context) MinMax(a, b *Ciphertext, iterations int) (*Ciphertext, *Cipher
 	return c.eval.EvalMinMax(a, b, iterations)
 }
 
-// SetupBootstrapping generates all bootstrapping keys and matrices. Requires
-// a parameter set with sufficient modulus budget (see BootParameters).
+// SetupBootstrapping generates all bootstrapping keys and matrices. The DFT
+// matrices are planned as one set: no more Galois keys than their leanest
+// plans need between them, the least modeled time within that. Requires a
+// parameter set with sufficient modulus budget (see BootParameters).
 func (c *Context) SetupBootstrapping(cfg BootstrapConfig) error {
 	b, err := ckks.NewBootstrapper(c.Params, c.enc, c.eval, c.kgen, c.sk, c.keys, cfg)
 	if err != nil {

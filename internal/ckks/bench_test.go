@@ -114,53 +114,78 @@ func BenchmarkHMult(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep times one linear-transform sweep under the cost model's plan
-// at the repo benchmark's two shapes: boot_n12's 31-diagonal CoeffToSlot
-// group, which a bootstrap runs at level 25 (BootTestParameters at logN 12),
-// and serve_mix_n12's 8-diagonal map at the top of its 10-limb chain.
+// BenchmarkSweep times one linear-transform sweep at the repo benchmark's
+// shapes and logs the plan's baby step, Galois keys and modeled time beside
+// it: boot_n12's six DFT matrices (BootTestParameters at logN 12), planned as
+// one set the way NewBootstrapper plans them and each run at the level a
+// bootstrap runs it (CoeffToSlot 26/25/24, SlotToCoeff 12/11/10), and
+// serve_mix_n12's 8-diagonal map at the top of its 10-limb chain, planned
+// alone. Each shape holds only its own transform's Galois keys.
 func BenchmarkSweep(b *testing.B) {
 	boot := BootTestParameters()
 	boot.LogN = 12
 	serve := ParametersLiteral{LogN: 12, LogQ: append([]int{55}, repeatInts(45, 9)...), LogP: repeatInts(58, 3), LogScale: 45}
+	var bootTC *testContext
+	var dft []*LinearTransform
+	bootMatrix := func(i int) func(b *testing.B) (*testContext, *LinearTransform) {
+		return func(b *testing.B) (*testContext, *LinearTransform) {
+			if bootTC == nil {
+				bootTC = buildTestContext(b, boot, false)
+				cfg := DefaultBootstrapConfig()
+				dft = append(bootTC.enc.CoeffToSlotMatrices(cfg.FFTIterC2S), bootTC.enc.SlotToCoeffMatrices(cfg.FFTIterS2C)...)
+				for i, pl := range planSweeps(bootTC.params, dft) {
+					dft[i].fixPlan(pl)
+				}
+			}
+			return bootTC, dft[i]
+		}
+	}
 	for _, shape := range []struct {
 		name  string
-		lit   ParametersLiteral
 		level int
-		lt    func(tc *testContext) *LinearTransform
+		setup func(b *testing.B) (*testContext, *LinearTransform)
 	}{
-		{"boot_c2s_l25", boot, 25, func(tc *testContext) *LinearTransform {
-			return tc.enc.CoeffToSlotMatrices(DefaultBootstrapConfig().FFTIterC2S)[1]
-		}},
-		{"serve_l9", serve, 9, func(tc *testContext) *LinearTransform {
-			return denseTestTransform(rand.New(rand.NewSource(6)), tc.params.Slots(), 8)
+		{"boot_c2s0_l26", 26, bootMatrix(0)},
+		{"boot_c2s1_l25", 25, bootMatrix(1)},
+		{"boot_c2s2_l24", 24, bootMatrix(2)},
+		{"boot_s2c0_l12", 12, bootMatrix(3)},
+		{"boot_s2c1_l11", 11, bootMatrix(4)},
+		{"boot_s2c2_l10", 10, bootMatrix(5)},
+		{"serve_l9", 9, func(b *testing.B) (*testContext, *LinearTransform) {
+			tc := buildTestContext(b, serve, false)
+			return tc, denseTestTransform(rand.New(rand.NewSource(6)), tc.params.Slots(), 8)
 		}},
 	} {
 		var tc *testContext
+		var ev *Evaluator
 		var lt *LinearTransform
 		var ct *Ciphertext
 		b.Run(shape.name, func(b *testing.B) {
-			if tc == nil {
-				tc = buildTestContext(b, shape.lit, false)
-				lt = shape.lt(tc)
-				tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
+			if ev == nil {
+				tc, lt = shape.setup(b)
+				p := tc.params
+				keys := NewEvaluationKeySet()
+				tc.kgen.GenRotationKeys(tc.sk, keys, GaloisKeysForLinearTransform(p, lt))
+				ev = NewEvaluator(p, keys)
 				r := rand.New(rand.NewSource(7))
-				ct = tc.eval.DropLevel(tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1)), shape.level)
-				out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc) // encodes the diagonals
+				ct = ev.DropLevel(tc.encryptVec(b, randomComplex(r, p.Slots(), 1)), shape.level)
+				out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc) // encodes the diagonals
 				if err != nil {
 					b.Fatal(err)
 				}
-				tc.eval.Release(out)
-				b.Logf("%d diagonals, plan bs=%d with %d key switches", len(lt.Diags), lt.sweepPlan(tc.params).bs,
-					lt.sweepPlan(tc.params).keySwitchCount())
+				ev.Release(out)
+				pl := lt.sweepPlan(p)
+				b.Logf("%d diagonals at level %d: plan bs=%d, %d Galois keys, %d key switches, modeled %.1f ms",
+					len(lt.Diags), shape.level, pl.bs, len(pl.rotations()), pl.keySwitchCount(), sweepCostAt(p, shape.level, pl).ms(p))
 				b.ResetTimer()
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
+				out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc)
 				if err != nil {
 					b.Fatal(err)
 				}
-				tc.eval.Release(out)
+				ev.Release(out)
 			}
 		})
 	}

@@ -76,11 +76,15 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 		keys.Rlk = kgen.GenRelinearizationKey(sk)
 	}
 	kgen.GenConjugationKey(sk, keys)
-	// Only the baby + giant rotations of the BSGS factorization (falling
-	// back to the raw diagonal offsets for matrices the cost model keeps on
-	// the per-diagonal sweep): the same helper the evaluator's dispatcher
-	// assumes, so the DFT sweeps below run BSGS by default.
+	// The six DFT sweeps are planned as one set (planSweeps): no more Galois
+	// keys than their leanest plans need between them, the least modeled time
+	// within that, so a key two matrices share is paid once. The plans are
+	// fixed on the bootstrapper's own matrices, and exactly their baby + giant
+	// rotations get keys.
 	lts := append(append([]*LinearTransform{}, b.c2s...), b.s2c...)
+	for i, pl := range planSweeps(params, lts) {
+		lts[i].fixPlan(pl)
+	}
 	kgen.GenRotationKeys(sk, keys, GaloisKeysForLinearTransform(params, lts...))
 	return b, nil
 }

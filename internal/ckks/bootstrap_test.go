@@ -59,9 +59,30 @@ func TestBootstrapEndToEnd(t *testing.T) {
 		t.Fatal("setup: ciphertext not at level 0")
 	}
 
+	before := obsLinTransRotations.Value()
 	out, err := boot.Bootstrap(ct)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The six DFT sweeps ran the plans planSweeps chose for them as a set —
+	// each transform's diagonals encoded for its planned baby step only — and
+	// none fell back to the degenerate plan: the rotation counter advanced by
+	// exactly the plans' key switches.
+	lts := append(append([]*LinearTransform{}, boot.c2s...), boot.s2c...)
+	wantKS := 0
+	for i, pl := range planSweeps(tc.params, lts) {
+		if got := lts[i].sweepPlan(tc.params); got.bs != pl.bs {
+			t.Errorf("matrix %d: bootstrapper plan bs %d, joint planner bs %d", i, got.bs, pl.bs)
+		}
+		for k := range lts[i].encCache {
+			if k.bs != pl.bs {
+				t.Errorf("matrix %d: diagonals encoded for bs %d, plan bs %d", i, k.bs, pl.bs)
+			}
+		}
+		wantKS += pl.keySwitchCount()
+	}
+	if got := int(obsLinTransRotations.Value() - before); got != wantKS {
+		t.Errorf("bootstrap sweeps spent %d key switches, the plans %d", got, wantKS)
 	}
 	if out.Level() <= 0 {
 		t.Fatalf("bootstrap did not regain levels: level=%d", out.Level())

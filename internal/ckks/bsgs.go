@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -112,104 +113,234 @@ func newBSGSPlan(diags map[int][]complex128, bs int) *bsgsPlan {
 	return pl
 }
 
-// sweepShape counts the key-switch primitives one linear-transform sweep
-// executes; sweepRowCost prices it. The diagonal PMULT/accumulate volume is
-// identical across strategies (each diagonal is multiplied exactly once), so
-// it is omitted — only relative order matters.
-type sweepShape struct {
-	decomps  int // ModUp decompositions (INTT + per-digit BConv + NTT)
-	gadgets  int // key-switch gadget products (KeyMult MACs)
-	modDowns int // ModDown compound ops
-	giants   int // nonzero giant steps (σ + add epilogue over QP)
+// hasGiantStep reports whether the plan has a nonzero giant. A plan without
+// one is the degenerate plan under another baby step.
+func (pl *bsgsPlan) hasGiantStep() bool {
+	return len(pl.giants) > 0 && pl.giants[len(pl.giants)-1].rot != 0
 }
 
-// sweepRowCost models the limb-row transform volume of a sweep at level lvl:
-// a decomposition is ~Digits passes over the extended basis plus the source
-// INTT, a gadget product 2·Digits extended passes, a ModDown one pass over P
-// plus Q, and a giant epilogue one σ+add pass over the QP accumulators.
-func sweepRowCost(p *Parameters, lvl int, s sweepShape) int {
-	pl := p.PlanAt(lvl)
-	ext := lvl + 1 + pl.Alpha
-	decompRows := pl.Digits*ext + lvl + 1
-	gadgetRows := 2 * pl.Digits * ext
-	modDownRows := pl.Alpha + lvl + 1
-	giantRows := 2*ext + lvl + 1
-	return s.decomps*decompRows + s.gadgets*gadgetRows + s.modDowns*modDownRows + s.giants*giantRows
+// The cost model prices a plan by kernel class: sweepCostAt counts what
+// evaluateSweep runs, and weight prices each class with a fixed time per row.
+// Nothing is timed at run time, so the chosen plans — and with them the Galois
+// key set and every ciphertext byte — are a pure function of the parameters
+// and the diagonals.
+//
+// The per-row times are those of one AVX-512 core at N = 2^12, in ns, read off
+// the repo benchmark's boot_n12 per-layer units (ntt.fwd_ns_per_limb,
+// rns.bconv_ns_per_rowpair, ring.aut_ns_per_limb) and the dot kernel's
+// per-term time (modarith's BenchmarkGadgetDot). A row of every class scales
+// with N, an NTT row also with logN. DESIGN.md §3.8.6 records the derivation.
+const (
+	nttRowNs    = 17900 // one forward or inverse NTT row
+	bconvPairNs = 3600  // one (source, target) row pair of a base conversion
+	dotTermNs   = 2900  // one term of a dot-product row
+	autRowNs    = 2100  // one automorphism row
+	refLogN     = 12    // the ring degree the times were taken at
+)
+
+// sweepCost counts one sweep's kernels by class. Copies, adds, zeroing and
+// reductions are data movement, which no class prices.
+type sweepCost struct {
+	nttRows     int // forward and inverse NTT rows, over Q and P
+	bconvPairs  int // (source, target) row pairs of base conversions
+	dotTerms    int // terms of dot-product rows: gadget products, diagonal products
+	autRows     int // automorphism rows of the giant epilogues
+	keySwitches int // gadget products: what ckks_lintrans_rotations_total advances by
 }
 
-// bsgsShape returns the sweep shape of evaluating the diagonal set with baby
-// step bs: (1 + G₁) decompositions, (B₁ + G₁) gadget products, (G₁ + 2)
-// ModDowns and G₁ giant epilogues, where B₁/G₁ are the distinct nonzero baby
-// and giant counts. G₁ == 0 means the factorization degenerates to the
-// per-diagonal plan.
-func bsgsShape(diags map[int][]complex128, bs int) (sweepShape, bool) {
-	babies := make(map[int]bool)
-	giants := make(map[int]bool)
-	for r := range diags {
-		b := r % bs
-		if b != 0 {
-			babies[b] = true
-		}
-		if rot := r - b; rot != 0 {
-			giants[rot] = true
-		}
-	}
-	g1 := len(giants)
-	if g1 == 0 {
-		return sweepShape{}, false
-	}
-	return sweepShape{
-		decomps:  1 + g1,
-		gadgets:  len(babies) + g1,
-		modDowns: g1 + 2,
-		giants:   g1,
-	}, true
+// weight is the modeled time at ring degree 2^logN, in units of 1/refLogN ns
+// per 2^refLogN coefficients. It is an integer so that comparing two plans
+// gives the same answer on every architecture (Go may fuse a float
+// multiply-add).
+func (c sweepCost) weight(logN int) int64 {
+	return int64(c.nttRows)*nttRowNs*int64(logN) +
+		refLogN*(int64(c.bconvPairs)*bconvPairNs+int64(c.dotTerms)*dotTermNs+int64(c.autRows)*autRowNs)
 }
 
-// selectBabyStep picks the baby step minimizing the modeled row cost at the
-// top level (the DFT sweeps run near the top of the chain, and a fixed level
-// keeps the choice — and hence the Galois key set — stable across the
-// ciphertext's descent). Candidates are the powers of two below the slot
-// count: the bootstrap DFT diagonals are symmetric sets of power-of-two
-// multiples, which power-of-two baby steps tile exactly. Returns the slot
-// count (the degenerate per-diagonal plan) when no factorization beats it.
-func (lt *LinearTransform) selectBabyStep(p *Parameters) int {
-	nonzero := 0
-	for r := range lt.Diags {
-		if r != 0 {
-			nonzero++
+// ms is the modeled time in milliseconds under the parameters.
+func (c sweepCost) ms(p *Parameters) float64 {
+	return float64(c.weight(p.LogN())) * float64(p.N()) / (1 << refLogN) / (refLogN * 1e6)
+}
+
+// sweepCostAt counts the kernels evaluateSweep runs for the plan at level lvl:
+// the shared decomposition (the input's INTT and each digit's BConv, plus the
+// digit NTTs that the first baby's gadget product runs), a gadget product per
+// nonzero baby, the diagonal products, and per nonzero giant a ModDown of its
+// inner sum (when a baby fed it), a decomposition, a gadget product and the σ
+// epilogue; then the merged ModDown + rescale tail, or a plain rescale when
+// only the r = 0 diagonal produced anything.
+func sweepCostAt(p *Parameters, lvl int, pl *bsgsPlan) sweepCost {
+	gp := p.PlanAt(lvl)
+	q, a := lvl+1, gp.Alpha
+	var c sweepCost
+	decompose := func(transformed bool) {
+		c.nttRows += q
+		for d := 0; d < gp.Digits; d++ {
+			lo, hi := gp.digitLimbs(d)
+			w := hi - lo
+			c.bconvPairs += w * (q + a - w)
+			if transformed {
+				c.nttRows += q + a - w
+			}
 		}
 	}
-	if nonzero <= 2 {
-		return lt.Slots
+	gadget := func() {
+		c.keySwitches++
+		c.dotTerms += 2 * gp.Digits * (q + a)
 	}
-	lvl := p.MaxLevel()
-	bestBS := lt.Slots
-	bestCost := sweepRowCost(p, lvl, sweepShape{decomps: 1, gadgets: nonzero, modDowns: 2})
-	for bs := 2; bs < lt.Slots; bs <<= 1 {
-		shape, ok := bsgsShape(lt.Diags, bs)
-		if !ok {
+
+	decompose(len(pl.babies) > 0)
+	for range pl.babies {
+		gadget()
+	}
+	tail := false // whether anything reaches the final QP accumulators
+	for _, g := range pl.giants {
+		fed := false
+		for _, d := range g.diags {
+			if d.b == 0 {
+				c.dotTerms += 2 * q // pt ⊙ c0 and pt ⊙ c1
+			} else {
+				fed = true
+				c.dotTerms += 3*q + 2*a // T0 and T1 over Q and P, and the c0 sum
+			}
+		}
+		if g.rot == 0 {
+			tail = tail || fed
 			continue
 		}
-		if c := sweepRowCost(p, lvl, shape); c < bestCost {
-			bestCost, bestBS = c, bs
+		tail = true
+		if fed { // ModDown of T1: INTT over P, BConv onto Q, NTT over Q
+			c.nttRows += a + q
+			c.bconvPairs += a * q
 		}
+		decompose(true)
+		gadget()
+		c.autRows += 3*q + 2*a // σ of T0 + v0 and v1 over Q and P, and of the c0 sum
 	}
-	return bestBS
+	switch {
+	case tail:
+		c.nttRows += 2 * (a + q)
+		c.bconvPairs += 2 * a * q
+	case len(pl.giants) > 0:
+		c.nttRows += 2 * q
+	}
+	return c
 }
 
-// sweepPlan returns the cost model's plan for the transform under the
-// parameters, computed once and cached.
+// planOption is one candidate plan of a transform, with its Galois rotations
+// and its modeled weight.
+type planOption struct {
+	plan   *bsgsPlan
+	rots   []int
+	weight int64
+}
+
+// planOptions returns the transform's candidate plans, cheapest first (ties
+// to the smaller baby step): one per power-of-two baby step below the slot
+// count whose factorization has a giant step — the bootstrap DFT diagonals are
+// symmetric sets of power-of-two multiples, which such steps tile exactly —
+// and the degenerate per-diagonal plan. Plans are priced at the top level:
+// the DFT sweeps run near it, and a fixed level keeps the choice, and hence
+// the Galois key set, stable across a ciphertext's descent.
+func (lt *LinearTransform) planOptions(p *Parameters) []planOption {
+	var opts []planOption
+	for bs := 2; bs <= lt.Slots; bs <<= 1 {
+		pl := newBSGSPlan(lt.Diags, bs)
+		if bs < lt.Slots && !pl.hasGiantStep() {
+			continue
+		}
+		w := sweepCostAt(p, p.MaxLevel(), pl).weight(p.LogN())
+		opts = append(opts, planOption{plan: pl, rots: pl.rotations(), weight: w})
+	}
+	sort.SliceStable(opts, func(i, j int) bool { return opts[i].weight < opts[j].weight })
+	return opts
+}
+
+// planSweeps chooses one plan per transform by the one selection rule: the
+// set may hold no more distinct Galois keys than the union of each
+// transform's leanest plan (fewest keys, ties to the cheaper), and within that
+// budget the assignment of least total modeled weight wins. A transform
+// planned alone thus gets its leanest plan; a set planned together may trade
+// keys between its members, since a key two of them share is paid once.
+func planSweeps(p *Parameters, lts []*LinearTransform) []*bsgsPlan {
+	opts := make([][]planOption, len(lts))
+	budget := make(map[int]bool)
+	for i, lt := range lts {
+		opts[i] = lt.planOptions(p)
+		lean := opts[i][0]
+		for _, o := range opts[i][1:] {
+			if len(o.rots) < len(lean.rots) {
+				lean = o
+			}
+		}
+		for _, r := range lean.rots {
+			budget[r] = true
+		}
+	}
+
+	// Branch and bound over the assignments, each transform's options cheapest
+	// first: a branch ends when its weight plus the cheapest completion cannot
+	// beat the best assignment found, or when its keys exceed the budget (a
+	// union only grows). The leanest plans are within budget, so one is found.
+	rest := make([]int64, len(lts)+1) // rest[i]: Σ_{j ≥ i} cheapest weight
+	for i := len(lts) - 1; i >= 0; i-- {
+		rest[i] = rest[i+1] + opts[i][0].weight
+	}
+	uses := make(map[int]int) // rotation -> options of the branch needing it
+	pick, best := make([]int, len(lts)), make([]int, len(lts))
+	bestWeight := int64(math.MaxInt64)
+	var search func(i int, w int64)
+	search = func(i int, w int64) {
+		if i == len(lts) {
+			bestWeight = w
+			copy(best, pick)
+			return
+		}
+		for k, o := range opts[i] {
+			if w+o.weight+rest[i+1] >= bestWeight {
+				return
+			}
+			for _, r := range o.rots {
+				uses[r]++
+			}
+			if len(uses) <= len(budget) {
+				pick[i] = k
+				search(i+1, w+o.weight)
+			}
+			for _, r := range o.rots {
+				if uses[r]--; uses[r] == 0 {
+					delete(uses, r)
+				}
+			}
+		}
+	}
+	search(0, 0)
+
+	plans := make([]*bsgsPlan, len(lts))
+	for i, k := range best {
+		plans[i] = opts[i][k].plan
+	}
+	return plans
+}
+
+// sweepPlan returns the transform's plan: the one fixed on it by fixPlan or,
+// on first use, the selection rule applied to the transform alone. Cached.
 func (lt *LinearTransform) sweepPlan(p *Parameters) *bsgsPlan {
-	lt.planOnce.Do(func() { lt.plan = newBSGSPlan(lt.Diags, lt.selectBabyStep(p)) })
+	lt.planOnce.Do(func() { lt.plan = planSweeps(p, []*LinearTransform{lt})[0] })
 	return lt.plan
 }
 
-// GaloisKeysForLinearTransform returns the rotation indices the evaluator's
-// selected plans need for the given transforms: the baby ∪ giant set, which
-// for the degenerate plan is the raw diagonal offsets. Generating exactly
-// these keys is what turns the BSGS rotation saving into an evaluation-key
-// memory saving too (≤ bs + ⌈K/bs⌉ keys instead of K).
+// fixPlan sets the plan sweepPlan returns. It has no effect on a transform
+// that has been planned already.
+func (lt *LinearTransform) fixPlan(pl *bsgsPlan) {
+	lt.planOnce.Do(func() { lt.plan = pl })
+}
+
+// GaloisKeysForLinearTransform returns the rotation indices the transforms'
+// plans need: the baby ∪ giant set, which for the degenerate plan is the raw
+// diagonal offsets. Each transform not yet planned is planned alone, so it
+// gets its leanest plan — the same plan EvaluateLinearTransform then runs on
+// any evaluator, a server's included.
 func GaloisKeysForLinearTransform(p *Parameters, lts ...*LinearTransform) []int {
 	set := make(map[int]bool)
 	for _, lt := range lts {
@@ -241,9 +372,10 @@ func (ev *Evaluator) sweepKeys(plan *bsgsPlan) (map[int]*SwitchingKey, error) {
 	return keys, nil
 }
 
-// EvaluateLinearTransform computes M·u, rescaled, under the cost model's plan
-// when the key set holds its baby + giant Galois keys (it does when generated
-// via GaloisKeysForLinearTransform), else under the degenerate plan, which
+// EvaluateLinearTransform computes M·u, rescaled, under the transform's plan
+// (sweepPlan) when the key set holds its baby + giant Galois keys (it does
+// when generated via GaloisKeysForLinearTransform, or by the Bootstrapper
+// owning the transform), else under the degenerate plan, which
 // needs exactly the diagonal offsets — so callers holding only per-diagonal
 // keys keep working unchanged. The diagonals are encoded at the scale of the
 // ciphertext's top prime and the sweep's closing ModDown drops that prime, so
@@ -305,13 +437,14 @@ type bsgsBabyTarget struct {
 func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Encoder,
 	plan *bsgsPlan, keys map[int]*SwitchingKey) (*Ciphertext, error) {
 	defer obsLinTrans.done(time.Now())
-	sweep := obs.DefaultTracer.Start("lintrans", 0)
-	sweep.Annotate(fmt.Sprintf("bs=%d diags=%d ks=%d", plan.bs, len(lt.Diags), plan.keySwitchCount()))
-	defer sweep.End()
-
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
 	lvl := ct.Level()
+	sweep := obs.DefaultTracer.Start("lintrans", 0)
+	sweep.Annotate(fmt.Sprintf("bs=%d diags=%d ks=%d lvl=%d model_ms=%.2f", plan.bs, len(lt.Diags),
+		plan.keySwitchCount(), lvl, sweepCostAt(p, lvl, plan).ms(p)))
+	defer sweep.End()
+
 	ptScale := float64(rq.Moduli[lvl].Q)
 
 	diags, err := lt.encodedAt(enc, lvl, ptScale, plan)
@@ -360,10 +493,10 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 
 	// Giant step: key-switch each nonzero giant's inner sum once by its
 	// rotation. The inner sum's c1 is reconstructed in Q (one ModDown of the
-	// baby accumulators plus the b == 0 term), decomposed, and the gadget
-	// product's v0 half accumulates straight onto the giant's T0 so the σ_g
-	// permutation applies to the sum once — the final ModDown of the whole
-	// sweep stays deferred (second hoisting level).
+	// baby accumulators with the b == 0 term added in its chain), decomposed,
+	// and the gadget product's v0 half accumulates straight onto the giant's
+	// T0 so the σ_g permutation applies to the sum once — the final ModDown of
+	// the whole sweep stays deferred (second hoisting level).
 	for i, g := range plan.giants {
 		ga := accs[i]
 		if g.rot == 0 {
@@ -374,10 +507,10 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 
 		t1 := ga.a1q // a giant with only a b == 0 diagonal
 		if ga.t1q != nil {
-			t1 = ev.ModDown(ga.t1q, ga.t1p, lvl)
-			if ga.a1q != nil {
-				rq.Add(t1, t1, ga.a1q, lvl)
-			}
+			t1 = ev.modDown(ga.t1q, ga.t1p, ga.a1q, lvl)
+			rq.PutPoly(ga.t1q)
+			rp.PutPoly(ga.t1p)
+			ga.t1q, ga.t1p = nil, nil
 		}
 		decG := ev.decompose(t1, lvl)
 		obsLinTransRotations.Inc()

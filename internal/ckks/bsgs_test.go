@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -335,5 +336,189 @@ func TestBSGSAutoSelection(t *testing.T) {
 	tiny := denseTestTransform(r, slots, 2)
 	if p := tiny.sweepPlan(tc.params); p.bs != slots || len(p.giants) != 1 {
 		t.Fatalf("2-diagonal transform selected bs=%d with %d giants", p.bs, len(p.giants))
+	}
+}
+
+// leanestBudget is the selection rule's key budget, derived the plain way:
+// the union of each transform's plan with the fewest keys, ties to the lower
+// weight.
+func leanestBudget(p *Parameters, lts []*LinearTransform) (keys map[int]bool, weight int64) {
+	keys = make(map[int]bool)
+	for _, lt := range lts {
+		opts := lt.planOptions(p)
+		lean := opts[0]
+		for _, o := range opts {
+			if len(o.rots) < len(lean.rots) || len(o.rots) == len(lean.rots) && o.weight < lean.weight {
+				lean = o
+			}
+		}
+		for _, r := range lean.rots {
+			keys[r] = true
+		}
+		weight += lean.weight
+	}
+	return keys, weight
+}
+
+// planSetCost returns the distinct Galois keys and the total modeled weight of
+// one plan per transform, priced as planOptions prices them.
+func planSetCost(p *Parameters, plans []*bsgsPlan) (keys map[int]bool, weight int64) {
+	keys = make(map[int]bool)
+	for _, pl := range plans {
+		for _, r := range pl.rotations() {
+			keys[r] = true
+		}
+		weight += sweepCostAt(p, p.MaxLevel(), pl).weight(p.LogN())
+	}
+	return keys, weight
+}
+
+// TestPlanSweepsMatchesBruteForce checks the branch and bound against an
+// exhaustive enumeration of every assignment: the bootstrap DFT sets at two
+// groupings and random sparse sets whose transforms share many offsets. The
+// planner's set must fit the leanest budget and weigh what the cheapest
+// assignment within it weighs; in some random sets that is less than the
+// leanest plans weigh.
+func TestPlanSweepsMatchesBruteForce(t *testing.T) {
+	params, err := NewParameters(TestParameters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder(params)
+	slots := params.Slots()
+	sets := map[string][]*LinearTransform{
+		"dft2": append(enc.CoeffToSlotMatrices(2), enc.SlotToCoeffMatrices(2)...),
+		"dft3": append(enc.CoeffToSlotMatrices(3), enc.SlotToCoeffMatrices(3)...),
+	}
+	r := rand.New(rand.NewSource(68))
+	for s := 0; s < 8; s++ {
+		var lts []*LinearTransform
+		for i := 0; i < 4; i++ {
+			offsets := make([]int, 4+r.Intn(8))
+			for j := range offsets {
+				offsets[j] = r.Intn(48)
+			}
+			lts = append(lts, randomSparseLT(r, slots, offsets))
+		}
+		sets[fmt.Sprintf("random%d", s)] = lts
+	}
+
+	traded := 0
+	for name, lts := range sets {
+		budget, leanWeight := leanestBudget(params, lts)
+		opts := make([][]planOption, len(lts))
+		for i, lt := range lts {
+			opts[i] = lt.planOptions(params)
+		}
+		best := int64(math.MaxInt64)
+		stamp, seen := 0, make([]int, slots)
+		for idx := make([]int, len(lts)); ; {
+			stamp++
+			n, w := 0, int64(0)
+			for i, k := range idx {
+				w += opts[i][k].weight
+				for _, rot := range opts[i][k].rots {
+					if seen[rot] != stamp {
+						seen[rot] = stamp
+						n++
+					}
+				}
+			}
+			if n <= len(budget) && w < best {
+				best = w
+			}
+			i := 0
+			for ; i < len(idx); i++ {
+				if idx[i]++; idx[i] < len(opts[i]) {
+					break
+				}
+				idx[i] = 0
+			}
+			if i == len(idx) {
+				break
+			}
+		}
+
+		keys, weight := planSetCost(params, planSweeps(params, lts))
+		if len(keys) > len(budget) {
+			t.Errorf("%s: planned set holds %d keys, budget %d", name, len(keys), len(budget))
+		}
+		if weight != best {
+			t.Errorf("%s: planned weight %d, exhaustive optimum %d", name, weight, best)
+		}
+		if weight < leanWeight {
+			traded++
+		}
+	}
+	if traded == 0 {
+		t.Error("no set planned below its leanest plans' weight: the budget was never traded")
+	}
+}
+
+// TestBootstrapPlanWithinLeanestBudget pins the joint plan of boot_n12's six
+// DFT matrices (logN 12, CoeffToSlot then SlotToCoeff, three groups each): no
+// more Galois keys than the leanest plans' 31, no more modeled time than
+// theirs, and — where the joint rule moves two matrices to longer baby steps
+// that re-use keys the others hold — the assignment DESIGN.md §3.8.6 quotes.
+// A copy of each matrix planned alone gets its leanest plan through both
+// GaloisKeysForLinearTransform and sweepPlan, the call EvaluateLinearTransform
+// makes, so a server planning a registered transform finds the client's keys.
+func TestBootstrapPlanWithinLeanestBudget(t *testing.T) {
+	lit := BootTestParameters()
+	lit.LogN = 12
+	params, err := NewParameters(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder(params)
+	cfg := DefaultBootstrapConfig()
+	dft := func() []*LinearTransform {
+		return append(enc.CoeffToSlotMatrices(cfg.FFTIterC2S), enc.SlotToCoeffMatrices(cfg.FFTIterS2C)...)
+	}
+	lts := dft()
+	plans := planSweeps(params, lts)
+	budget, leanWeight := leanestBudget(params, lts)
+	keys, weight := planSetCost(params, plans)
+	if len(budget) != 31 || len(keys) != 31 {
+		t.Errorf("joint plan holds %d Galois keys against a leanest budget of %d, want 31 and 31", len(keys), len(budget))
+	}
+	if weight > leanWeight {
+		t.Errorf("joint plan weighs %d, the leanest plans %d", weight, leanWeight)
+	}
+	wantBS := []int{1024, 64, 8, 8, 128, 1024}
+	for i, pl := range plans {
+		if pl.bs != wantBS[i] {
+			t.Errorf("matrix %d: joint plan bs %d, want %d", i, pl.bs, wantBS[i])
+		}
+	}
+
+	leanBS := []int{512, 64, 4, 8, 128, 1024}
+	for i, lt := range dft() {
+		alone := &LinearTransform{Slots: lt.Slots, Diags: lt.Diags}
+		viaKeys := GaloisKeysForLinearTransform(params, lt)
+		if pl := alone.sweepPlan(params); pl.bs != leanBS[i] || !slices.Equal(pl.rotations(), viaKeys) {
+			t.Errorf("matrix %d alone: sweepPlan bs %d rotations %v, GaloisKeysForLinearTransform %v, want bs %d",
+				i, pl.bs, pl.rotations(), viaKeys, leanBS[i])
+		}
+	}
+}
+
+// TestPlanAloneKeepsServeMap pins the serving workload's 8-diagonal map:
+// planned alone it keeps bs 4 and the keys {1, 2, 3, 4}, at the serve
+// parameters and at the bootstrap ones.
+func TestPlanAloneKeepsServeMap(t *testing.T) {
+	for _, lit := range []ParametersLiteral{
+		{LogN: 12, LogQ: append([]int{55}, repeatInts(45, 9)...), LogP: repeatInts(58, 3), LogScale: 45},
+		BootTestParameters(),
+	} {
+		params, err := NewParameters(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lt := denseTestTransform(rand.New(rand.NewSource(69)), params.Slots(), 8)
+		pl := lt.sweepPlan(params)
+		if rots := GaloisKeysForLinearTransform(params, lt); pl.bs != 4 || !slices.Equal(rots, []int{1, 2, 3, 4}) {
+			t.Errorf("logN %d: 8-diagonal map planned bs %d with keys %v, want bs 4 with [1 2 3 4]", lit.LogN, pl.bs, rots)
+		}
 	}
 }

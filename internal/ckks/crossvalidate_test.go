@@ -169,6 +169,65 @@ func TestHoistedDigitsTransformOnce(t *testing.T) {
 	}
 }
 
+// TestSweepCostCountsWhatRuns pins the sweep cost model to the library: for
+// every candidate plan of three transforms — dense, scattered (giants no baby
+// feeds) and one whose small baby steps leave no baby at all — at three levels
+// (two full digits, a ragged last digit, one digit), sweepCostAt's NTT rows
+// are the limb transforms the sweep runs, and its key-switch count is what
+// ckks_lintrans_rotations_total advances by.
+func TestSweepCostCountsWhatRuns(t *testing.T) {
+	tc := newTestContext(t, alpha4Params())
+	p := tc.params
+	r := rand.New(rand.NewSource(113))
+	slots := p.Slots()
+	lts := []*LinearTransform{
+		denseTestTransform(r, slots, 16),
+		randomSparseLT(r, slots, []int{0, 3, 8, 16, 19, 64, 100, 200}),
+		randomSparseLT(r, slots, []int{0, 4, 8}),
+	}
+	for _, lt := range lts {
+		for _, o := range lt.planOptions(p) {
+			tc.kgen.GenRotationKeys(tc.sk, tc.keys, o.rots)
+		}
+	}
+	ctTop := tc.encryptVec(t, randomComplex(r, slots, 1))
+
+	for _, lvl := range []int{p.MaxLevel(), 4, 2} {
+		ct := tc.eval.DropLevel(ctTop, lvl)
+		ptScale := float64(p.RingQ().Moduli[lvl].Q)
+		for i, lt := range lts {
+			for _, o := range lt.planOptions(p) {
+				keys, err := tc.eval.sweepKeys(o.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Encode outside the count: encoding transforms the diagonals.
+				if _, err := lt.encodedAt(tc.enc, lvl, ptScale, o.plan); err != nil {
+					t.Fatal(err)
+				}
+				want := sweepCostAt(p, lvl, o.plan)
+				before := obsLinTransRotations.Value()
+				got := countTransforms(p, func() {
+					out, err := tc.eval.evaluateSweep(ct, lt, tc.enc, o.plan, keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tc.eval.Release(out)
+				})
+				if got != want.nttRows {
+					t.Errorf("lvl %d transform %d bs %d: sweep runs %d limb transforms, model counts %d",
+						lvl, i, o.plan.bs, got, want.nttRows)
+				}
+				ks := int(obsLinTransRotations.Value() - before)
+				if ks != want.keySwitches || ks != o.plan.keySwitchCount() {
+					t.Errorf("lvl %d transform %d bs %d: sweep spends %d key switches, model %d, plan %d",
+						lvl, i, o.plan.bs, ks, want.keySwitches, o.plan.keySwitchCount())
+				}
+			}
+		}
+	}
+}
+
 func TestTraceMatchesFunctionalHoistingSavings(t *testing.T) {
 	// Hoisting's (I)NTT savings must appear in the functional library with
 	// the same magnitude the trace predicts: K rotations share one ModUp.

@@ -415,31 +415,6 @@ func (ev *Evaluator) putQP(u0q, u0p, u1q, u1p *ring.Poly) {
 	rp.PutPoly(u1p)
 }
 
-// ModDown divides a Q∪P value by P with rounding, returning a Q-basis
-// polynomial at uq's level: out_i = (uq_i - BConv(up)_i)·[P^{-1}]_{q_i} (the
-// ModDownEp compound instruction of Table II). The BConv -> NTT chain stays
-// lazy ([0, 2q) rows into NTTLazy) and the epilogue subtracts the lazy subtrahend
-// while scaling by P^{-1} in a single exact pass. This single-component form
-// serves the BSGS giant step; key switches run both components through
-// modDownPair / modDownAut.
-func (ev *Evaluator) ModDown(uq, up *ring.Poly, lvl int) *ring.Poly {
-	defer obsKSModDown.done(time.Now())
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	lvlP := rp.MaxLevel()
-	work := rp.GetPoly(lvlP)
-	work.Copy(up)
-	rp.INTT(work, lvlP)
-	conv, out := rq.GetPoly(lvl), rq.GetPoly(lvl)
-	ev.pToQConverter(lvl).ConvertLazy(conv.Coeffs, work.Coeffs)
-	rq.NTTLazy(conv, lvl)
-	rq.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[:lvl+1], lvl)
-	out.IsNTT = true
-	rp.PutPoly(work)
-	rq.PutPoly(conv)
-	return out
-}
-
 // keySwitchQP runs the ModUp -> KeyMult/MAC half of a key switch on c and
 // leaves (u0, u1) in the extended basis for the caller's ModDown tail, which
 // differs per op (plain pair, rotation automorphism). Return the accumulators

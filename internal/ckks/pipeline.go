@@ -70,20 +70,53 @@ func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, 
 // P halves in place — the accumulators u0p/u1p are CONSUMED, every caller
 // releases them right after the tail, so no defensive copy pass is paid — and
 // the two cross-limb base conversions (which tile internally) take them onto
-// Q_lvl through bc, exact. The caller returns conv0/conv1 with PutPoly.
+// Q_lvl through bc, exact. A nil u1p (the sweep's one-component ModDown)
+// converts u0p alone and returns a nil conv1. The caller returns conv0/conv1
+// with PutPoly.
 func (ev *Evaluator) pToQ(bc *rns.BasisConverter, u0p, u1p *ring.Poly, lvl int) (conv0, conv1 *ring.Poly) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	pipe := ring.GetPipeline()
 	lnP := pipe.Lane(rp, rp.MaxLevel())
 	lnP.INTT(u0p)
-	lnP.INTT(u1p)
+	if u1p != nil {
+		lnP.INTT(u1p)
+	}
 	pipe.Run()
 	pipe.Release()
 
-	conv0, conv1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
+	conv0 = rq.GetPoly(lvl)
 	bc.Convert(conv0.Coeffs, u0p.Coeffs)
-	bc.Convert(conv1.Coeffs, u1p.Coeffs)
+	if u1p != nil {
+		conv1 = rq.GetPoly(lvl)
+		bc.Convert(conv1.Coeffs, u1p.Coeffs)
+	}
 	return conv0, conv1
+}
+
+// modDown is the sweep's giant-step ModDown (the ModDownEp compound
+// instruction of Table II): a Q-basis polynomial at uq's level,
+// out_i = (uq_i − BConv(up)_i)·[P⁻¹]_{q_i} + add_i, the exact Q-basis term add
+// (nil adds nothing) riding the same chain. After pToQ, which consumes up,
+// one Run transforms each converted row, subtracts it, scales and adds while
+// the row is cache-resident.
+func (ev *Evaluator) modDown(uq, up, add *ring.Poly, lvl int) *ring.Poly {
+	defer obsKSModDown.done(time.Now())
+	rq := ev.params.RingQ()
+	conv, _ := ev.pToQ(ev.pToQConverter(lvl), up, nil, lvl)
+
+	out := getNTT(rq, lvl)
+	pipe := ring.GetPipeline()
+	ln := pipe.Lane(rq, lvl)
+	ln.NTTLazy(conv)
+	ln.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[:lvl+1])
+	if add != nil {
+		ln.Add(out, out, add)
+	}
+	pipe.Run()
+	pipe.Release()
+
+	rq.PutPoly(conv)
+	return out
 }
 
 // modDownPair runs both ModDowns of a key switch: after pToQ, one Run fuses

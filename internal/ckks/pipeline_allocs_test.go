@@ -103,12 +103,14 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 				ev.Release(out)
 			}
 		}},
-		// 31: the sweep's bookkeeping (key map, per-baby targets, giant
+		// 30: the sweep's bookkeeping (key map, per-baby targets, giant
 		// accumulator headers, span annotations) and the merged tail's two
-		// Func closures. 50 borrowed polynomials: the baby phase's one
+		// Func closures. 49 borrowed polynomials: the baby phase's one
 		// shared set of QP rows where a pool borrow per baby took 58, with
-		// the 128-bit sums' high words in per-limb scratch, not polynomials.
-		{"EvaluateLinearTransform", 45, 50, func() {
+		// the 128-bit sums' high words in per-limb scratch, not polynomials,
+		// and the giant's ModDown consuming its P half in place (50 with a
+		// copy of it).
+		{"EvaluateLinearTransform", 45, 49, func() {
 			out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc)
 			if err != nil {
 				t.Fatal(err)
