@@ -282,6 +282,30 @@ func TestContextBootstrapUnconfigured(t *testing.T) {
 	}
 }
 
+// A config the EvalMod construction cannot run is an error, not a panic
+// (an empty Chebyshev series, a negative shift, an inverted interval).
+func TestSetupBootstrappingRejectsBadConfig(t *testing.T) {
+	ctx := newCtx(t)
+	for name, mutate := range map[string]func(*BootstrapConfig){
+		"fftIter 0":        func(c *BootstrapConfig) { c.FFTIterC2S = 0 },
+		"degree 0":         func(c *BootstrapConfig) { c.EvalModDeg = 0 },
+		"degree -1":        func(c *BootstrapConfig) { c.EvalModDeg = -1 },
+		"double angles -1": func(c *BootstrapConfig) { c.DoubleAngles = -1 },
+		"K 0":              func(c *BootstrapConfig) { c.K = 0 },
+		"K -13":            func(c *BootstrapConfig) { c.K = -13 },
+	} {
+		cfg := DefaultBootstrapConfig()
+		mutate(&cfg)
+		if err := ctx.SetupBootstrapping(cfg); err == nil {
+			t.Errorf("%s: SetupBootstrapping accepted %+v", name, cfg)
+		}
+	}
+	ct, _ := ctx.Encrypt([]complex128{1})
+	if _, err := ctx.Bootstrap(ct); err == nil {
+		t.Fatal("a rejected config must leave bootstrapping unconfigured")
+	}
+}
+
 func TestSimulateFacade(t *testing.T) {
 	r, err := Simulate("Boot", A100NearBank)
 	if err != nil {

@@ -17,10 +17,16 @@ type BootstrapConfig struct {
 }
 
 // DefaultBootstrapConfig mirrors the paper's default fftIter mix of 3 and 4
-// at test scale (3 C2S / 3 S2C groups) with a deg-47 cosine and 3 double
-// angles.
+// at test scale (3 C2S / 3 S2C groups) with a degree-31 cosine and 3 double
+// angles. Degree 31 is the degree the error budget needs: its interpolation
+// error (2^-36.5 in sine units, 2^-29.1 once scaled by q0/(2πΔ) into
+// coefficient units) sits 5 bits under the noise at EvalMod's output at
+// logN 12 (3.4 at logN 11), so a higher degree only adds products and their
+// noise — degree 47 spends three more HMULTs per ciphertext and ends 1.4 bits
+// worse — while degree 27 (2^-19 in coefficient units) is limited by the
+// approximation.
 func DefaultBootstrapConfig() BootstrapConfig {
-	return BootstrapConfig{FFTIterC2S: 3, FFTIterS2C: 3, EvalModDeg: 47, DoubleAngles: 3, K: 12}
+	return BootstrapConfig{FFTIterC2S: 3, FFTIterS2C: 3, EvalModDeg: 31, DoubleAngles: 3, K: 12}
 }
 
 // Bootstrapper refreshes exhausted ciphertexts: sparse-secret encapsulation
@@ -49,8 +55,15 @@ type Bootstrapper struct {
 func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	kgen *KeyGenerator, sk *SecretKey, keys *EvaluationKeySet, cfg BootstrapConfig) (*Bootstrapper, error) {
 
-	if cfg.FFTIterC2S < 1 || cfg.FFTIterS2C < 1 {
+	switch {
+	case cfg.FFTIterC2S < 1 || cfg.FFTIterS2C < 1:
 		return nil, fmt.Errorf("ckks: fftIter must be >= 1")
+	case cfg.EvalModDeg < 1:
+		return nil, fmt.Errorf("ckks: EvalMod degree %d must be >= 1", cfg.EvalModDeg)
+	case cfg.DoubleAngles < 0:
+		return nil, fmt.Errorf("ckks: double angles %d must be >= 0", cfg.DoubleAngles)
+	case cfg.K < 1:
+		return nil, fmt.Errorf("ckks: EvalMod bound K %d must be >= 1", cfg.K)
 	}
 	b := &Bootstrapper{
 		params: params,
@@ -61,12 +74,7 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	}
 	b.c2s = enc.CoeffToSlotMatrices(cfg.FFTIterC2S)
 	b.s2c = enc.SlotToCoeffMatrices(cfg.FFTIterS2C)
-
-	// cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after r double-angle steps
-	// this becomes cos(2πt − π/2) = sin(2πt).
-	r := float64(int(1) << uint(cfg.DoubleAngles))
-	f := func(t float64) float64 { return math.Cos(2 * math.Pi * (t - 0.25) / r) }
-	b.evalMod = ChebyshevInterpolation(f, -float64(cfg.K+1), float64(cfg.K+1), cfg.EvalModDeg)
+	b.evalMod = evalModPoly(cfg)
 
 	// Keys.
 	skSparse := kgen.GenSparseSecretKey()
@@ -87,6 +95,14 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	}
 	kgen.GenRotationKeys(sk, keys, GaloisKeysForLinearTransform(params, lts...))
 	return b, nil
+}
+
+// evalModPoly interpolates cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after
+// r double-angle steps this becomes cos(2πt − π/2) = sin(2πt).
+func evalModPoly(cfg BootstrapConfig) []float64 {
+	r := float64(int(1) << uint(cfg.DoubleAngles))
+	f := func(t float64) float64 { return math.Cos(2 * math.Pi * (t - 0.25) / r) }
+	return ChebyshevInterpolation(f, -float64(cfg.K+1), float64(cfg.K+1), cfg.EvalModDeg)
 }
 
 // ModRaise reinterprets a level-0 ciphertext at the full modulus: each
@@ -149,60 +165,74 @@ func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
 // level. The input is dropped to level 0 first, matching the paper's L
 // schedule (2 -> 54 -> 24 for the full-scale Boot workload). ct is only read;
 // every intermediate goes back to the ring pool as soon as its successor
-// exists, so a bootstrap's footprint is its widest live set.
+// exists, so a bootstrap's footprint is its widest live set. The stages run
+// in order: raise, coeffsToSlots, evalModCt on each real vector,
+// slotsToCoeffs.
 func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	defer obsBootstrap.done(time.Now())
-	ev := b.eval
-	rq := b.params.RingQ()
 	delta := ct.Scale
+	ct0, ct1, err := b.coeffsToSlots(b.raise(ct))
+	if err != nil {
+		return nil, err
+	}
+	re := b.evalModCt(ct0, delta)
+	im := b.evalModCt(ct1, delta)
+	b.eval.Release(ct0, ct1)
+	return b.slotsToCoeffs(re, im, delta)
+}
 
-	// 1. Sparse-secret encapsulation at the bottom of the chain (on a
-	// level-0 view of ct).
+// raise is the bootstrap's first stage: sparse-secret encapsulation at the
+// bottom of the chain (on a level-0 view of ct, which is only read), ModRaise
+// under the sparse secret, then the switch back to the dense secret at the
+// top of the chain.
+func (b *Bootstrapper) raise(ct *Ciphertext) *Ciphertext {
+	ev := b.eval
 	low := ev.SwitchKeys(&Ciphertext{C0: ct.C0.Truncated(0), C1: ct.C1.Truncated(0), Scale: ct.Scale}, b.toSparse)
-
-	// 2. ModRaise under the sparse secret, then switch back to the dense
-	// secret at the top of the chain.
 	raised := b.ModRaise(low)
 	ev.Release(low)
-	cur := ev.SwitchKeys(raised, b.toDense)
+	out := ev.SwitchKeys(raised, b.toDense)
 	ev.Release(raised)
+	return out
+}
 
-	// 3. CoeffToSlot: slots now hold the raw coefficients (bit-reversed).
-	cur, err := b.transforms(cur, b.c2s)
+// coeffsToSlots consumes cur: CoeffToSlot puts its raw coefficients in the
+// slots (bit-reversed), and the conjugate split returns their real and
+// imaginary halves as two real-slotted ciphertexts.
+func (b *Bootstrapper) coeffsToSlots(cur *Ciphertext) (ct0, ct1 *Ciphertext, err error) {
+	ev := b.eval
+	cur, err = b.transforms(cur, b.c2s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	// 4. Split into real and imaginary coefficient vectors.
 	conj, err := ev.Conjugate(cur)
 	if err != nil {
-		return nil, err
+		ev.Release(cur)
+		return nil, nil, err
 	}
-	qd := float64(rq.Moduli[cur.Level()].Q)
+	qd := float64(b.params.RingQ().Moduli[cur.Level()].Q)
 	sum := ev.Add(cur, conj)
 	ev.subInPlace(conj, cur) // conj − cur
 	ev.Release(cur)
-	ct0 := ev.rescaleOwned(ev.MultConst(sum, 0.5, qd))
+	ct0 = ev.rescaleOwned(ev.MultConst(sum, 0.5, qd))
 	diff := ev.MulByI(conj)
-	ct1 := ev.rescaleOwned(ev.MultConst(diff, 0.5, qd))
+	ct1 = ev.rescaleOwned(ev.MultConst(diff, 0.5, qd))
 	ev.Release(sum, conj, diff)
+	return ct0, ct1, nil
+}
 
-	// 5. EvalMod on each real vector.
-	re := b.evalModCt(ct0, delta)
-	im := b.evalModCt(ct1, delta)
-	ev.Release(ct0, ct1)
-
-	// 6. Recombine z = re + i·im and return to coefficient packing.
+// slotsToCoeffs consumes the two EvalMod outputs: it recombines z = re + i·im,
+// returns to coefficient packing and normalizes the scale back to exactly Δ
+// using one level.
+func (b *Bootstrapper) slotsToCoeffs(re, im *Ciphertext, delta float64) (*Ciphertext, error) {
+	ev := b.eval
 	iim := ev.MulByI(im)
-	cur = ev.Add(re, iim)
+	cur := ev.Add(re, iim)
 	ev.Release(re, im, iim)
-	cur, err = b.transforms(cur, b.s2c)
+	cur, err := b.transforms(cur, b.s2c)
 	if err != nil {
 		return nil, err
 	}
-
-	// 7. Normalize the scale back to exactly Δ using one level.
-	qd = float64(rq.Moduli[cur.Level()].Q)
+	qd := float64(b.params.RingQ().Moduli[cur.Level()].Q)
 	out := ev.rescaleOwned(ev.MultConst(cur, 1.0, qd*delta/cur.Scale))
 	ev.Release(cur)
 	out.Scale = delta

@@ -2,8 +2,11 @@ package ckks
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 func TestModRaise(t *testing.T) {
@@ -60,9 +63,17 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 
 	before := obsLinTransRotations.Value()
+	ksBefore := obsKeySwitch.count.Value()
 	out, err := boot.Bootstrap(ct)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Outside the sweeps a bootstrap switches keys twice to encapsulate, once
+	// to conjugate, and once per HMULT of each EvalMod: 31 at the default
+	// config.
+	wantOutside := 2 + 1 + 2*(chebyshevProducts(cfg.EvalModDeg)+cfg.DoubleAngles)
+	if got := int(obsKeySwitch.count.Value() - ksBefore); got != wantOutside || wantOutside != 31 {
+		t.Errorf("bootstrap spent %d key switches outside its sweeps, the config %d (31 pinned)", got, wantOutside)
 	}
 	// The six DFT sweeps ran the plans planSweeps chose for them as a set —
 	// each transform's diagonals encoded for its planned baby step only — and
@@ -92,10 +103,9 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 	got := tc.decryptVec(out)
 	stats := ComputePrecision(got, v)
-	e := stats.MaxErr
 	t.Logf("bootstrap: regained level %d, %s", out.Level(), stats)
-	if e > 2e-2 {
-		t.Fatalf("bootstrap error %g too large", e)
+	if stats.MinBits < 16.5 {
+		t.Fatalf("bootstrap precision %.2f bits, floor 16.5", stats.MinBits)
 	}
 
 	// The refreshed ciphertext must support further multiplications.
@@ -145,19 +155,191 @@ func TestEvalModPlainReference(t *testing.T) {
 	// The Chebyshev-of-cosine + double-angle construction must approximate
 	// sin(2πt) on the EvalMod interval, in plaintext.
 	cfg := DefaultBootstrapConfig()
-	r := float64(int(1) << uint(cfg.DoubleAngles))
-	f := func(t float64) float64 { return math.Cos(2 * math.Pi * (t - 0.25) / r) }
+	e := evalModPlainError(cfg)
+	t.Logf("degree %d: plaintext EvalMod error 2^%.1f", cfg.EvalModDeg, math.Log2(e))
+	if e > 0x1p-30 {
+		t.Fatalf("EvalMod reference error 2^%.1f above 2^-30", math.Log2(e))
+	}
+}
+
+// evalModPlainError is the worst error, in sine units, of cfg's EvalMod
+// polynomial evaluated in plaintext — the Chebyshev interpolant, then the
+// double angles — against sin(2πt), on 256 points per period over
+// [−K−1, K+1].
+func evalModPlainError(cfg BootstrapConfig) float64 {
+	coeffs := evalModPoly(cfg)
 	k1 := float64(cfg.K + 1)
-	coeffs := ChebyshevInterpolation(f, -k1, k1, cfg.EvalModDeg)
-	for i := 0; i <= 200; i++ {
-		t0 := -k1 + 2*k1*float64(i)/200
+	n := 2 * (cfg.K + 1) * 256
+	worst := 0.0
+	for i := 0; i <= n; i++ {
+		t0 := -k1 + 2*k1*float64(i)/float64(n)
 		c := EvalChebyshevSeries(coeffs, -k1, k1, t0)
-		for d := 0; d < cfg.DoubleAngles; d++ {
+		for range cfg.DoubleAngles {
 			c = 2*c*c - 1
 		}
-		want := math.Sin(2 * math.Pi * t0)
-		if math.Abs(c-want) > 1e-6 {
-			t.Fatalf("EvalMod reference error %g at t=%g", math.Abs(c-want), t0)
+		worst = max(worst, math.Abs(c-math.Sin(2*math.Pi*t0)))
+	}
+	return worst
+}
+
+// chebyshevProducts counts the HMULTs EvaluateChebyshev spends on a series
+// of the given degree: the powers T_2 … T_{baby−1}, the giant steps, and one
+// product per split of the BSGS tree.
+func chebyshevProducts(degree int) int {
+	baby := max(2, 1<<((bitsLen(degree)+1)/2))
+	n := baby - 2
+	for g := baby; g <= degree; g <<= 1 {
+		n++
+	}
+	var splits func(deg int) int
+	splits = func(deg int) int {
+		if deg < baby {
+			return 0
+		}
+		s := max(baby, 1<<(bitsLen(deg)-1))
+		return 1 + splits(deg-s) + splits(s-1)
+	}
+	return n + splits(degree)
+}
+
+// stageRow is one line of TestBootstrapStagePrecision's table.
+type stageRow struct {
+	stage, units string
+	stats        PrecisionStats
+	floor        float64 // bits
+}
+
+// TestBootstrapStagePrecision runs the bootstrap's stages one by one and
+// measures each against a plaintext reference computed from its own decrypted
+// input, so a stage's row is the error it adds, not the error it inherits.
+// Coefficient units are those of the EvalMod output (a plaintext coefficient
+// over Δ); slot units those of the message. Each floor is its row's reading
+// at this shape less 0.5 bit: keys, noise and so every reading are a pure
+// function of the seeds. `go test -v` prints the table.
+func TestBootstrapStagePrecision(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	tc := newTestContext(t, BootTestParameters())
+	cfg := DefaultBootstrapConfig()
+	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(61))
+	v := randomComplex(r, tc.params.Slots(), 0.7)
+	ct := tc.eval.DropLevel(tc.encryptVec(t, v), 0)
+	delta, q0 := ct.Scale, boot.q0
+	nh := tc.params.Slots()
+
+	// Encapsulation and ModRaise: the raised plaintext W is the input's mod
+	// q0, but for the two key switches' noise.
+	raised := boot.raise(ct)
+	dw, dW := tc.plainDigits(ct, 1), tc.plainDigits(raised, 2)
+	noise := make([]complex128, 2*nh)
+	for j := range noise {
+		e := int64(dW.Coeffs[0][j]) - int64(dw.Coeffs[0][j])
+		if q := int64(tc.params.RingQ().Moduli[0].Q); e > q/2 {
+			e -= q
+		} else if e < -q/2 {
+			e += q
+		}
+		noise[j] = complex(float64(e)/delta, 0)
+	}
+	rows := []stageRow{{stage: "encapsulate + ModRaise", units: "coeff",
+		stats: ComputePrecision(noise, make([]complex128, 2*nh)), floor: 39.5}}
+
+	// CoeffToSlot and the conjugate split: EvalMod reads t = W/q0, real and
+	// imaginary halves in bit-reversed order, at the scale it re-declares.
+	z := make([]complex128, nh)
+	for j := range z {
+		z[j] = complex(tc.enc.digitsToFloat(dW, j), tc.enc.digitsToFloat(dW, j+nh)) / complex(delta, 0)
+	}
+	wantC2S := make([]complex128, 2*nh)
+	for s, x := range bitrevVec(z) {
+		wantC2S[s], wantC2S[s+nh] = complex(real(x), 0), complex(imag(x), 0)
+	}
+	ct0, ct1, err := boot.coeffsToSlots(raised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tIn, gotC2S []complex128
+	for _, half := range []*Ciphertext{ct0, ct1} {
+		for _, x := range tc.enc.Decode(tc.decr.DecryptNew(half).Value, q0) {
+			tIn = append(tIn, x)
+			gotC2S = append(gotC2S, x*complex(q0/delta, 0))
 		}
 	}
+	rows = append(rows, stageRow{stage: "CoeffToSlot + split", units: "coeff",
+		stats: ComputePrecision(gotC2S, wantC2S), floor: 30.3})
+
+	// EvalMod, against sin(2πt)·q0/(2πΔ) of its own decrypted input.
+	unit := q0 / (2 * math.Pi * delta)
+	re, im := boot.evalModCt(ct0, delta), boot.evalModCt(ct1, delta)
+	gotRe, gotIm := tc.decryptVec(re), tc.decryptVec(im)
+	gotMod := append(append([]complex128{}, gotRe...), gotIm...)
+	wantMod := make([]complex128, len(tIn))
+	for i, x := range tIn {
+		wantMod[i] = cmplx.Sin(2*math.Pi*x) * complex(unit, 0)
+	}
+	evalMod := ComputePrecision(gotMod, wantMod)
+	rows = append(rows, stageRow{stage: "EvalMod", units: "coeff", stats: evalMod, floor: 25.2})
+
+	// SlotToCoeff and the scale fix, against the plaintext S2C of its input.
+	zIn := make([]complex128, nh)
+	for s := range zIn {
+		zIn[s] = gotRe[s] + 1i*gotIm[s]
+	}
+	out, err := boot.slotsToCoeffs(re, im, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tc.decryptVec(out)
+	rows = append(rows,
+		stageRow{stage: "SlotToCoeff + scale fix", units: "slot", stats: ComputePrecision(got, applyGroups(boot.s2c, zIn)), floor: 32.8},
+		stageRow{stage: "bootstrap, end to end", units: "slot", stats: ComputePrecision(got, v), floor: 16.9})
+
+	t.Logf("bootstrap stage precision, logN=%d, EvalMod degree %d, %d double angles, K=%d, output level %d:",
+		tc.params.LogN(), cfg.EvalModDeg, cfg.DoubleAngles, cfg.K, out.Level())
+	t.Logf("%-26s %-6s %10s %7s %7s %7s", "stage", "units", "max err", "bits", "mean", "floor")
+	for _, row := range rows {
+		t.Logf("%-26s %-6s %10.3g %7.2f %7.2f %7.1f", row.stage, row.units, row.stats.MaxErr, row.stats.MinBits, row.stats.MeanBits, row.floor)
+		if row.stats.MinBits < row.floor {
+			t.Errorf("%s: %.2f bits, floor %.1f", row.stage, row.stats.MinBits, row.floor)
+		}
+	}
+
+	// The default degree is noise-limited: its interpolation error, scaled
+	// into coefficient units, sits at least 3 bits under the measured EvalMod
+	// error (3.4 at this shape; 5.0 at logN 12, whose output noise is 1.5 bits
+	// higher). Degree 27 is approximation-limited and fails the same check.
+	margin := func(deg int) float64 {
+		c := cfg
+		c.EvalModDeg = deg
+		plain := evalModPlainError(c) * unit
+		m := math.Log2(evalMod.MaxErr / plain)
+		t.Logf("degree %d: plaintext interpolation error %.3g coeff (%.2f bits), %.2f bits under EvalMod's", deg, plain, -math.Log2(plain), m)
+		return m
+	}
+	if m := margin(cfg.EvalModDeg); m < 3 {
+		t.Errorf("degree %d: interpolation error only %.2f bits under the EvalMod error", cfg.EvalModDeg, m)
+	}
+	if m := margin(27); m >= 3 {
+		t.Errorf("degree 27 passes the noise-limited check (%.2f bits)", m)
+	}
+}
+
+// plainDigits decrypts ct and returns its plaintext's centered mixed-radix
+// digits over the first k limbs (garnerDigits): row 0 holds each coefficient
+// centered mod q0, digitsToFloat the coefficient itself below Q_k/2.
+func (tc *testContext) plainDigits(ct *Ciphertext, k int) *ring.Poly {
+	rq := tc.params.RingQ()
+	pt := tc.decr.DecryptNew(ct)
+	work := rq.NewPoly(k - 1)
+	for i, row := range work.Coeffs {
+		copy(row, pt.Value.Coeffs[i])
+		rq.INTTLimb(row, i)
+	}
+	tc.enc.garnerDigits(work)
+	return work
 }
