@@ -5,8 +5,8 @@
 // It bundles two subsystems behind one facade:
 //
 //   - A functional RNS-CKKS library (encoding, encryption, evaluation,
-//     hoisted/MinKS linear transforms, full bootstrapping) — the FHE
-//     substrate the paper's software framework builds on.
+//     hoisted linear transforms, full bootstrapping) — the FHE substrate the
+//     paper's software framework builds on.
 //
 //   - A performance/energy simulator of the paper's hardware study: a
 //     roofline GPU model (A100 80GB, RTX 4090), a DRAM bank-timing model,
@@ -271,23 +271,13 @@ func (c *Context) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) { return c.
 // Conjugate returns the slot-wise complex conjugate.
 func (c *Context) Conjugate(ct *Ciphertext) (*Ciphertext, error) { return c.eval.Conjugate(ct) }
 
-// EvaluateLinearTransform applies a diagonal-form linear map. Dense maps run
-// the double-hoisted BSGS sweep (~bs + K/bs key switches) when its keys are
-// present; otherwise the per-diagonal hoisted sweep (one ModUp for all
-// rotations, §III-B) is used. Keys from GenLinearTransformKeys (or rotation
-// keys for lt.Rotations()) must exist.
+// EvaluateLinearTransform applies a diagonal-form linear map, rescaled, as
+// one double-hoisted sweep (§III-B, §V-B) under the map's planned baby step:
+// ~bs + K/bs key switches off one shared ModUp. The plan's keys must exist —
+// GenLinearTransformKeys generates them — or the error wraps
+// ckks.ErrMissingKey.
 func (c *Context) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
 	return c.eval.EvaluateLinearTransform(ct, lt, c.enc)
-}
-
-// EvaluateLinearTransformMinKS applies the map with minimum key switching:
-// only the rotation-by-one key is needed.
-func (c *Context) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	out, err := c.eval.EvaluateLinearTransformMinKS(ct, lt, c.enc)
-	if err != nil {
-		return nil, err
-	}
-	return c.rescaled(out), nil
 }
 
 // EvaluatePolynomial evaluates f(x) ≈ Chebyshev series of the given degree
@@ -306,8 +296,9 @@ func (c *Context) MinMax(a, b *Ciphertext, iterations int) (*Ciphertext, *Cipher
 
 // SetupBootstrapping generates all bootstrapping keys and matrices. The DFT
 // matrices are planned as one set: no more Galois keys than their leanest
-// plans need between them, the least modeled time within that. Requires a
-// parameter set with sufficient modulus budget (see BootParameters).
+// plans need between them, the least modeled time within that. A parameter
+// set with fewer levels than the config consumes is an error (see
+// BootParameters).
 func (c *Context) SetupBootstrapping(cfg BootstrapConfig) error {
 	b, err := ckks.NewBootstrapper(c.Params, c.enc, c.eval, c.kgen, c.sk, c.keys, cfg)
 	if err != nil {

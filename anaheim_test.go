@@ -262,7 +262,7 @@ func TestContextLinearTransform(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	diags := map[int][]complex128{0: randVec(r, n), 2: randVec(r, n)}
 	lt := NewLinearTransform(n, diags)
-	ctx.GenRotationKeys(lt.Rotations()...)
+	ctx.GenLinearTransformKeys(lt)
 	u := randVec(r, n)
 	ct, _ := ctx.Encrypt(u)
 	out, err := ctx.EvaluateLinearTransform(ct, lt)
@@ -303,6 +303,19 @@ func TestSetupBootstrappingRejectsBadConfig(t *testing.T) {
 	ct, _ := ctx.Encrypt([]complex128{1})
 	if _, err := ctx.Bootstrap(ct); err == nil {
 		t.Fatal("a rejected config must leave bootstrapping unconfigured")
+	}
+}
+
+// A preset too shallow for the config is refused at setup, not by a panic in
+// the first Bootstrap's rescale.
+func TestSetupBootstrappingNeedsDepth(t *testing.T) {
+	ctx := newCtx(t)
+	if err := ctx.SetupBootstrapping(DefaultBootstrapConfig()); err == nil {
+		t.Fatalf("SetupBootstrapping accepted %d levels for the default config", ctx.Params.MaxLevel())
+	}
+	ct, _ := ctx.Encrypt([]complex128{1})
+	if _, err := ctx.Bootstrap(ctx.DropToLevel(ct, 0)); err == nil {
+		t.Fatal("a refused setup must leave bootstrapping unconfigured")
 	}
 }
 

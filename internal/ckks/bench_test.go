@@ -228,7 +228,7 @@ func BenchmarkLinearTransformFunc(b *testing.B) {
 	tc := benchContext(b)
 	r := rand.New(rand.NewSource(6))
 	lt := randomSparseLT(r, tc.params.Slots(), []int{0, 1, 2, 3, 5, 8, 13, 21})
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
 	ct := tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

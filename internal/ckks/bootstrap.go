@@ -51,7 +51,8 @@ type Bootstrapper struct {
 
 // NewBootstrapper generates all keys (encapsulation, rotations for the DFT
 // matrices, conjugation, relinearization if absent) and precomputes the
-// transform matrices and EvalMod polynomial.
+// transform matrices and EvalMod polynomial. Parameters whose chain is
+// shorter than the levels the config consumes are an error.
 func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	kgen *KeyGenerator, sk *SecretKey, keys *EvaluationKeySet, cfg BootstrapConfig) (*Bootstrapper, error) {
 
@@ -64,6 +65,8 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 		return nil, fmt.Errorf("ckks: double angles %d must be >= 0", cfg.DoubleAngles)
 	case cfg.K < 1:
 		return nil, fmt.Errorf("ckks: EvalMod bound K %d must be >= 1", cfg.K)
+	case params.MaxLevel() < cfg.levels():
+		return nil, fmt.Errorf("ckks: bootstrapping consumes %d levels, the parameters have %d", cfg.levels(), params.MaxLevel())
 	}
 	b := &Bootstrapper{
 		params: params,
@@ -95,6 +98,27 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	}
 	kgen.GenRotationKeys(sk, keys, GaloisKeysForLinearTransform(params, lts...))
 	return b, nil
+}
+
+// levels returns the levels a bootstrap under cfg consumes from the top of the
+// chain, stage by stage: one per CoeffToSlot matrix and one for the conjugate
+// split; EvalMod's affine map onto the Chebyshev interval, its series and
+// one per double angle; one per SlotToCoeff matrix and one for the closing
+// scale fix. The series' depth follows EvaluateChebyshev: a leaf is one
+// CAccum over T_1 … T_deg, the deepest built ⌈log2 deg⌉ products up, and a
+// split multiplies the quotient by its giant step T_split.
+func (cfg BootstrapConfig) levels() int {
+	baby := max(2, 1<<((bitsLen(cfg.EvalModDeg)+1)/2))
+	var series func(deg int) int
+	series = func(deg int) int {
+		if deg < baby {
+			return 1 + bitsLen(deg-1)
+		}
+		split := max(baby, 1<<(bitsLen(deg)-1))
+		return max(1+max(series(deg-split), bitsLen(split-1)), series(split-1))
+	}
+	evalMod := 1 + series(cfg.EvalModDeg) + cfg.DoubleAngles
+	return cfg.FFTIterC2S + 1 + evalMod + cfg.FFTIterS2C + 1
 }
 
 // evalModPoly interpolates cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after

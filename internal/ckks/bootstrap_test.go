@@ -98,6 +98,9 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	if out.Level() <= 0 {
 		t.Fatalf("bootstrap did not regain levels: level=%d", out.Level())
 	}
+	if want := tc.params.MaxLevel() - cfg.levels(); out.Level() != want {
+		t.Errorf("bootstrap output at level %d, the config's depth puts it at %d", out.Level(), want)
+	}
 	if math.Abs(out.Scale/tc.params.DefaultScale()-1) > 1e-9 {
 		t.Fatalf("bootstrap scale %g != Δ %g", out.Scale, tc.params.DefaultScale())
 	}

@@ -373,24 +373,19 @@ func (ev *Evaluator) sweepKeys(plan *bsgsPlan) (map[int]*SwitchingKey, error) {
 }
 
 // EvaluateLinearTransform computes M·u, rescaled, under the transform's plan
-// (sweepPlan) when the key set holds its baby + giant Galois keys (it does
-// when generated via GaloisKeysForLinearTransform, or by the Bootstrapper
-// owning the transform), else under the degenerate plan, which
-// needs exactly the diagonal offsets — so callers holding only per-diagonal
-// keys keep working unchanged. The diagonals are encoded at the scale of the
-// ciphertext's top prime and the sweep's closing ModDown drops that prime, so
-// the output sits one level down at the input scale. A ciphertext at level 0
-// has no prime to drop: ErrLevel, before anything is written.
+// (sweepPlan). The key set must hold the plan's baby + giant Galois keys —
+// GaloisKeysForLinearTransform names them, and the Bootstrapper generates
+// them for its own transforms — or the call returns ErrMissingKey. The
+// diagonals are encoded at the scale of the ciphertext's top prime and the
+// sweep's closing ModDown drops that prime, so the output sits one level
+// down at the input scale. A ciphertext at level 0 has no prime to drop:
+// ErrLevel. Both errors come before anything is borrowed or written.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
 	if ct.Level() == 0 {
 		return nil, ErrLevel
 	}
 	plan := lt.sweepPlan(ev.params)
 	keys, err := ev.sweepKeys(plan)
-	if err != nil && plan.bs < lt.Slots {
-		plan = newBSGSPlan(lt.Diags, lt.Slots)
-		keys, err = ev.sweepKeys(plan)
-	}
 	if err != nil {
 		return nil, err
 	}

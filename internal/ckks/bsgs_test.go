@@ -1,12 +1,15 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
 // sweepWith evaluates lt under an explicit baby step, resolving the plan's
@@ -124,7 +127,7 @@ func TestBSGSRotationCount(t *testing.T) {
 	const k = 16
 	lt := denseTestTransform(r, slots, k)
 	plan := newBSGSPlan(lt.Diags, 4)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append(plan.rotations(), lt.Rotations()...))
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append(plan.rotations(), newBSGSPlan(lt.Diags, slots).rotations()...))
 
 	wantKS := (4 - 1) + (k/4 - 1)
 	if got := plan.keySwitchCount(); got != wantKS {
@@ -153,17 +156,17 @@ func TestBSGSRotationCount(t *testing.T) {
 	}
 }
 
-// TestBSGSDispatcherFallsBackWithoutKeys checks the compatibility contract:
-// a key set holding only the per-diagonal rotations (the pre-BSGS layout)
-// must route EvaluateLinearTransform through the degenerate plan rather than
-// fail on missing baby/giant keys.
-func TestBSGSDispatcherFallsBackWithoutKeys(t *testing.T) {
+// TestLinearTransformMissingKey: a key set without the Galois keys of the
+// transform's plan fails EvaluateLinearTransform with ErrMissingKey before the
+// sweep borrows or returns a pooled polynomial — as it fails Rotate and
+// Conjugate without theirs — and the keys GaloisKeysForLinearTransform names
+// then evaluate it. The held keys are the raw diagonal offsets, all odd, so
+// they lack every giant rotation of any factorization with a giant step.
+func TestLinearTransformMissingKey(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(63))
 	slots := tc.params.Slots()
 	const k = 16
-	// Odd offsets only, so the giant rotations of any factorization are not
-	// themselves diagonal offsets and the per-diagonal key set lacks them.
 	dense := denseTestTransform(r, slots, k)
 	diags := make(map[int][]complex128)
 	for d := 1; d < 2*k; d += 2 {
@@ -171,31 +174,38 @@ func TestBSGSDispatcherFallsBackWithoutKeys(t *testing.T) {
 	}
 	lt := NewLinearTransform(slots, diags)
 	if plan := lt.sweepPlan(tc.params); plan.bs >= slots {
-		t.Fatalf("cost model chose the degenerate plan (bs=%d); the fallback would not be exercised", plan.bs)
+		t.Fatalf("cost model chose the degenerate plan (bs=%d), which the raw offsets serve", plan.bs)
 	}
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, newBSGSPlan(lt.Diags, slots).rotations())
 
 	u := randomComplex(r, slots, 1)
-	want := lt.Apply(u)
 	ct := tc.encryptVec(t, u)
+	pool := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value() +
+			obs.Default.Counter("ring_pool_puts_total").Value()
+	}
+	for name, op := range map[string]func() (*Ciphertext, error){
+		"EvaluateLinearTransform": func() (*Ciphertext, error) { return tc.eval.EvaluateLinearTransform(ct, lt, tc.enc) },
+		"Rotate":                  func() (*Ciphertext, error) { return tc.eval.Rotate(ct, 2) },
+		"Conjugate":               func() (*Ciphertext, error) { return tc.eval.Conjugate(ct) },
+	} {
+		before := pool()
+		if out, err := op(); !errors.Is(err, ErrMissingKey) || out != nil {
+			t.Errorf("%s with the raw-offset keys: (%v, %v), want ErrMissingKey", name, out, err)
+		}
+		if n := pool() - before; n != 0 {
+			t.Errorf("%s moved %v polynomials through the pool before failing", name, n)
+		}
+	}
 
-	before := obsLinTransRotations.Value()
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
 	got, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All k diagonals are nonzero offsets -> the degenerate plan spends k.
-	if spent := int(obsLinTransRotations.Value() - before); spent != k {
-		t.Fatalf("fallback sweep spent %d key switches, want per-diagonal count %d", spent, k)
-	}
-	if e := maxErr(tc.decryptVec(got), want); e > 1e-3 {
-		t.Fatalf("fallback result error %g", e)
-	}
-
-	// A key set that cannot serve the degenerate plan either is an error.
-	bare := NewEvaluator(tc.params, &EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: map[uint64]*SwitchingKey{}})
-	if _, err := bare.EvaluateLinearTransform(ct, lt, tc.enc); err == nil {
-		t.Fatal("EvaluateLinearTransform succeeded without any Galois key")
+	if e := maxErr(tc.decryptVec(got), lt.Apply(u)); e > 1e-3 {
+		t.Fatalf("planned sweep error %g", e)
 	}
 }
 
@@ -232,6 +242,7 @@ func TestEncCacheConcurrent(t *testing.T) {
 	plans := []*bsgsPlan{newBSGSPlan(lt.Diags, lt.Slots), newBSGSPlan(lt.Diags, 4)}
 
 	rq := tc.params.RingQ()
+	gauge := obsLinTransCacheBytes.Value()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -251,12 +262,17 @@ func TestEncCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if lt.CacheBytes() <= 0 {
-		t.Fatalf("cache bytes = %d, want > 0", lt.CacheBytes())
+	if want := tc.params.MaxLevel() * len(plans); len(lt.encCache) != want {
+		t.Fatalf("%d cached encodings, want one per (level, plan): %d", len(lt.encCache), want)
 	}
-	lt.ClearEncodedCache()
-	if lt.CacheBytes() != 0 {
-		t.Fatalf("cache bytes after clear = %d, want 0", lt.CacheBytes())
+	var held int64
+	for _, e := range lt.encCache {
+		for _, d := range e.diags {
+			held += d.bytes()
+		}
+	}
+	if got := obsLinTransCacheBytes.Value() - gauge; held <= 0 || got != held {
+		t.Fatalf("gauge grew by %d bytes, the cache holds %d", got, held)
 	}
 }
 

@@ -274,71 +274,6 @@ func TestConjugate(t *testing.T) {
 	}
 }
 
-func TestRotateHoistedMatchesRotate(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	rots := []int{1, 3, 5, 8}
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
-	r := rand.New(rand.NewSource(20))
-	v := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.encryptVec(t, v)
-	hoisted, err := tc.eval.RotateHoisted(ct, rots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range rots {
-		direct, err := tc.eval.Rotate(ct, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dh := tc.decryptVec(hoisted[k])
-		dd := tc.decryptVec(direct)
-		if e := maxErr(dh, dd); e > 1e-5 {
-			t.Fatalf("hoisted rot %d differs from direct by %g", k, e)
-		}
-	}
-}
-
-// TestRotateHoistedErrors pins the failure modes of the hoisted path: a
-// missing Galois key must surface as an error before any work is done (the
-// key scan runs ahead of the shared decomposition), and full-slot rotations
-// must come back as plain copies without requiring a key at all.
-func TestRotateHoistedErrors(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
-	r := rand.New(rand.NewSource(22))
-	v := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.encryptVec(t, v)
-
-	// Key for rotation 2 was never generated.
-	if out, err := tc.eval.RotateHoisted(ct, []int{1, 2}); err == nil {
-		t.Fatalf("want missing-key error, got %d ciphertexts", len(out))
-	}
-
-	// k ≡ 0 mod slots is the identity: no key needed, result is a copy.
-	slots := tc.params.Slots()
-	out, err := tc.eval.RotateHoisted(ct, []int{0, slots, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, slots} {
-		got, ok := out[k]
-		if !ok {
-			t.Fatalf("identity rotation %d missing from result", k)
-		}
-		if got == ct {
-			t.Fatalf("identity rotation %d aliases the input", k)
-		}
-		if e := maxErr(tc.decryptVec(got), v); e > 1e-6 {
-			t.Fatalf("identity rotation %d error %g", k, e)
-		}
-	}
-
-	// Empty rotation list: no keys touched, empty result.
-	if out, err := tc.eval.RotateHoisted(ct, nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty rotation list: out=%v err=%v", out, err)
-	}
-}
-
 func TestAddConstMultConst(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(21))

@@ -3,7 +3,7 @@ package ckks
 // Homomorphic comparison primitives. The Sort workload of the paper's
 // evaluation ([35], §VII-A) is built from exactly these: an approximate
 // sign function evaluated as a composition of low-degree odd polynomials,
-// and the min/max "comparators" of a sorting network derived from it.
+// and the min/max "comparator" of a sorting network derived from it.
 
 // signPoly applies one step of the composite sign iteration
 // f(x) = (3x - x³)/2, which maps [-1,1] to itself and converges to sign(x).
@@ -39,18 +39,6 @@ func (ev *Evaluator) EvalSign(ct *Ciphertext, iterations int) *Ciphertext {
 		out = next
 	}
 	return out
-}
-
-// EvalCompare approximates (sign(a-b)+1)/2 ∈ {0, 1}: one for slots where
-// a > b, zero where a < b. Inputs must lie in [-1/2, 1/2] so the difference
-// stays in [-1, 1].
-func (ev *Evaluator) EvalCompare(a, b *Ciphertext, iterations int) *Ciphertext {
-	diff := ev.Sub(a, b)
-	s := ev.EvalSign(diff, iterations)
-	half := ev.rescaleOwned(ev.MultConst(s, 0.5, float64(ev.params.RingQ().Moduli[s.Level()].Q)))
-	ev.Release(diff, s)
-	ev.addConstInPlace(half, 0.5)
-	return half
 }
 
 // EvalMinMax returns the slot-wise (min, max) of two ciphertexts with

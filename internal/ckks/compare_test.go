@@ -45,35 +45,6 @@ func TestEvalSign(t *testing.T) {
 	}
 }
 
-func TestEvalCompare(t *testing.T) {
-	tc := newTestContext(t, compareParams())
-	r := rand.New(rand.NewSource(71))
-	slots := tc.params.Slots()
-	a := make([]complex128, slots)
-	b := make([]complex128, slots)
-	for i := range a {
-		a[i] = complex(r.Float64()-0.5, 0)
-		for {
-			b[i] = complex(r.Float64()-0.5, 0)
-			if math.Abs(real(a[i])-real(b[i])) > 0.3 {
-				break
-			}
-		}
-	}
-	cta, ctb := tc.encryptVec(t, a), tc.encryptVec(t, b)
-	out := tc.eval.EvalCompare(cta, ctb, 5)
-	got := tc.decryptVec(out)
-	for i := range a {
-		want := 0.0
-		if real(a[i]) > real(b[i]) {
-			want = 1
-		}
-		if math.Abs(real(got[i])-want) > 0.06 {
-			t.Fatalf("compare(%.3f, %.3f) = %.3f, want %.0f", real(a[i]), real(b[i]), real(got[i]), want)
-		}
-	}
-}
-
 func TestEvalMinMax(t *testing.T) {
 	tc := newTestContext(t, compareParams())
 	r := rand.New(rand.NewSource(72))

@@ -125,28 +125,16 @@ func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
 
 // TestHoistedDigitsTransformOnce pins the coeffDomain hand-off: a shared
 // decomposition pays its windowed digit transforms in the first gadget
-// product only, whether the consumers are RotateHoisted's keys or the babies
-// of the sweep's baby phase, every nonzero giant pays one ModDown plus one more
-// decomposition, and the sweep closes with the merged tail.
+// product only, however many babies of the sweep's baby phase consume it,
+// every nonzero giant pays one ModDown plus one more decomposition, and the
+// sweep closes with the merged tail.
 func TestHoistedDigitsTransformOnce(t *testing.T) {
 	tc := newTestContext(t, hksShapeParams())
 	p := tc.params
-	rots := []int{1, 2, 3, 4, 5, 6, 7}
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1, 2, 3, 4})
 	r := rand.New(rand.NewSource(112))
 	ct := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
-	lvl := ct.Level()
-	pl := p.PlanAt(lvl)
-
-	hoist := []int{1, 2, 5}
-	want := modUpTransforms(pl) + len(hoist)*modDownTransforms(pl, 2)
-	if got := countTransforms(p, func() {
-		if _, err := tc.eval.RotateHoisted(ct, hoist); err != nil {
-			t.Fatal(err)
-		}
-	}); got != want {
-		t.Errorf("RotateHoisted(%v) runs %d limb transforms, want %d", hoist, got, want)
-	}
+	pl := p.PlanAt(ct.Level())
 
 	// Diagonals 0..7 at baby step 4: babies 1..3 off one decomposition, one
 	// nonzero giant (rotation 4), one final ModDown pair merged with the
@@ -163,7 +151,7 @@ func TestHoistedDigitsTransformOnce(t *testing.T) {
 		}
 	}
 	sweep() // encodes and caches the diagonals, which transforms them
-	want = 2*modUpTransforms(pl) + modDownTransforms(pl, 1) + mergedTailTransforms(pl)
+	want := 2*modUpTransforms(pl) + modDownTransforms(pl, 1) + mergedTailTransforms(pl)
 	if got := countTransforms(p, sweep); got != want {
 		t.Errorf("BSGS sweep runs %d limb transforms, want %d", got, want)
 	}
@@ -230,31 +218,35 @@ func TestSweepCostCountsWhatRuns(t *testing.T) {
 
 func TestTraceMatchesFunctionalHoistingSavings(t *testing.T) {
 	// Hoisting's (I)NTT savings must appear in the functional library with
-	// the same magnitude the trace predicts: K rotations share one ModUp.
+	// the magnitude the trace predicts: the per-diagonal sweep of K rotated
+	// diagonals shares one ModUp across its K key switches and closes with one
+	// ModDown pair (merged with its rescale, which costs no transform more),
+	// so it runs the limb transforms of one rotation where K separate
+	// rotations run K times as many.
 	tc := newTestContext(t, TestParameters())
 	rots := []int{1, 2, 3, 5, 7, 11}
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
 	r := rand.New(rand.NewSource(111))
-	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
-	count := func(f func()) float64 { return float64(countTransforms(tc.params, f)) }
+	slots := tc.params.Slots()
+	ct := tc.encryptVec(t, randomComplex(r, slots, 1))
+	diags := make(map[int][]complex128, len(rots))
+	for _, k := range rots {
+		diags[k] = randomComplex(r, slots, 1)
+	}
+	lt := NewLinearTransform(slots, diags)
 
-	hoisted := count(func() {
-		if _, err := tc.eval.RotateHoisted(ct, rots); err != nil {
-			t.Fatal(err)
-		}
-	})
-	separate := count(func() {
+	tc.sweepWith(t, ct, lt, slots) // encodes the diagonals, which transforms them
+	hoisted := countTransforms(tc.params, func() { tc.sweepWith(t, ct, lt, slots) })
+	separate := countTransforms(tc.params, func() {
 		for _, k := range rots {
 			if _, err := tc.eval.Rotate(ct, k); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	ratio := separate / hoisted
-	// With K=6 rotations sharing one ModUp, the savings ratio should be
-	// well above 1 and below K.
-	if ratio < 1.5 || ratio > 6 {
-		t.Fatalf("hoisting savings ratio %.2f implausible", ratio)
+	if separate != len(rots)*hoisted {
+		t.Fatalf("hoisted sweep runs %d limb transforms, %d rotations %d: want a %dx saving",
+			hoisted, len(rots), separate, len(rots))
 	}
-	t.Logf("hoisting: %.0f vs %.0f limb transforms (%.2fx saved)", hoisted, separate, ratio)
+	t.Logf("hoisting: %d vs %d limb transforms", hoisted, separate)
 }

@@ -86,17 +86,7 @@ func TestHomomorphicC2SThenS2C(t *testing.T) {
 	fftIter := 2
 	c2s := tc.enc.CoeffToSlotMatrices(fftIter)
 	s2c := tc.enc.SlotToCoeffMatrices(fftIter)
-	rotSet := map[int]bool{}
-	for _, g := range append(append([]*LinearTransform{}, c2s...), s2c...) {
-		for _, r := range g.Rotations() {
-			rotSet[r] = true
-		}
-	}
-	rots := make([]int, 0, len(rotSet))
-	for r := range rotSet {
-		rots = append(rots, r)
-	}
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, append(c2s, s2c...)...))
 
 	r := rand.New(rand.NewSource(52))
 	u := randomComplex(r, tc.params.Slots(), 1)

@@ -172,17 +172,6 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// AddPlain returns ct + pt.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	ev.checkScales(ct.Scale, pt.Scale)
-	rq := ev.params.RingQ()
-	lvl := min(ct.Level(), pt.Level())
-	out := ev.newCiphertext(lvl, ct.Scale)
-	rq.Add(out.C0, ct.C0, pt.Value, lvl)
-	out.C1.Copy(ct.C1.Truncated(lvl))
-	return out
-}
-
 // MulPlain returns ct ⊙ pt (PMULT). The output scale is the product of the
 // operand scales; callers typically follow with Rescale.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
@@ -538,36 +527,6 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, k int) (*Ciphertext, error) {
 func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 	defer obsConjugate.done(time.Now())
 	return ev.automorphism(ct, ev.params.RingQ().GaloisElementConjugate())
-}
-
-// RotateHoisted evaluates many rotations of one ciphertext sharing a single
-// ModUp (hoisting, §III-B): K rotations cost one decomposition instead of K.
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ciphertext, error) {
-	defer obsHoisted.done(time.Now())
-	rq := ev.params.RingQ()
-	lvl := ct.Level()
-	dec := ev.decompose(ct.C1, lvl)
-	defer dec.release(ev.params)
-	out := make(map[int]*Ciphertext, len(rotations))
-	for _, k := range rotations {
-		if k%ev.params.Slots() == 0 {
-			out[k] = ev.copyAt(ct, lvl)
-			continue
-		}
-		g := rq.GaloisElement(k)
-		swk, err := ev.keys.GaloisKey(g)
-		if err != nil {
-			for _, done := range out {
-				ev.Release(done)
-			}
-			return nil, err
-		}
-		u0q, u0p, u1q, u1p := ev.gadgetProduct(dec, swk)
-		o0, o1 := ev.modDownAut(u0q, u0p, u1q, u1p, ct.C0, g, lvl)
-		ev.putQP(u0q, u0p, u1q, u1p)
-		out[k] = &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -63,13 +64,19 @@ func NewEvaluationKeySet() *EvaluationKeySet {
 	return &EvaluationKeySet{Gal: make(map[uint64]*SwitchingKey)}
 }
 
-// GaloisKey returns the switching key for a Galois element, or an error
-// listing it as missing.
+// ErrMissingKey is returned by the ops that switch keys — Rotate, Conjugate,
+// EvaluateLinearTransform — when the key set lacks a Galois key they need.
+// They check before borrowing or writing anything. The error wraps it with
+// the missing Galois element.
+var ErrMissingKey = errors.New("ckks: missing Galois key")
+
+// GaloisKey returns the switching key for a Galois element, or ErrMissingKey
+// naming the element.
 func (s *EvaluationKeySet) GaloisKey(galEl uint64) (*SwitchingKey, error) {
 	if k, ok := s.Gal[galEl]; ok {
 		return k, nil
 	}
-	return nil, fmt.Errorf("ckks: missing Galois key for element %d", galEl)
+	return nil, fmt.Errorf("%w for element %d", ErrMissingKey, galEl)
 }
 
 // CoeffBytes returns the coefficient bytes of every key in the set.

@@ -177,35 +177,42 @@ func TestKeySwitchNoisePerLevel(t *testing.T) {
 }
 
 // TestHoistedMatchesRotatePerLevel drives the shared-digit (hoisted) path at
-// every level: RotateHoisted cuts one decomposition for all rotations and
-// must agree with the per-rotation pipeline.
+// every level a sweep can run at: the per-diagonal sweep of σ_1 + σ_3 cuts one
+// decomposition for both rotations and must agree with the sum of the
+// per-rotation pipelines.
 func TestHoistedMatchesRotatePerLevel(t *testing.T) {
 	tc := newTestContext(t, alpha4Params())
 	rots := []int{1, 3}
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
 	r := rand.New(rand.NewSource(43))
-	v := randomComplex(r, tc.params.Slots(), 1)
+	slots := tc.params.Slots()
+	v := randomComplex(r, slots, 1)
 	ctTop := tc.encryptVec(t, v)
+	ones := make([]complex128, slots)
+	for i := range ones {
+		ones[i] = 1
+	}
+	lt := NewLinearTransform(slots, map[int][]complex128{rots[0]: ones, rots[1]: ones})
+	want := lt.Apply(v)
 
-	for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
+	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
 		ct := tc.eval.DropLevel(ctTop, lvl)
-		hoisted, err := tc.eval.RotateHoisted(ct, rots)
-		if err != nil {
-			t.Fatalf("lvl %d: %v", lvl, err)
+		hoisted := tc.decryptVec(tc.sweepWith(t, ct, lt, slots))
+		if stats := ComputePrecision(hoisted, want); stats.MaxErr > 1e-2 {
+			t.Fatalf("lvl %d: hoisted error %v", lvl, stats)
 		}
+		plain := make([]complex128, slots)
 		for _, k := range rots {
-			want := rotated(v, k)
-			stats := ComputePrecision(tc.decryptVec(hoisted[k]), want)
-			if stats.MaxErr > 1e-2 {
-				t.Fatalf("lvl %d rot %d: hoisted error %v", lvl, k, stats)
-			}
-			plain, err := tc.eval.Rotate(ct, k)
+			rot, err := tc.eval.Rotate(ct, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := maxErr(tc.decryptVec(hoisted[k]), tc.decryptVec(plain)); d > 1e-3 {
-				t.Fatalf("lvl %d rot %d: hoisted and plain rotations diverge by %g", lvl, k, d)
+			for i, x := range tc.decryptVec(rot) {
+				plain[i] += x
 			}
+		}
+		if d := maxErr(hoisted, plain); d > 1e-3 {
+			t.Fatalf("lvl %d: hoisted and plain rotations diverge by %g", lvl, d)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package ckks
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
@@ -31,12 +30,6 @@ type LinearTransform struct {
 	encMu    sync.Mutex
 	encCache map[encKey]*encEntry
 
-	// cacheBytes tracks the coefficient bytes held by encCache (also
-	// mirrored into the ckks_lintrans_cache_bytes gauge), so servers hosting
-	// many transforms can bound the pre-rotated plaintext working set via
-	// CacheBytes/ClearEncodedCache.
-	cacheBytes atomic.Int64
-
 	// The cost model's sweep plan (see bsgs.go), computed on first use.
 	planOnce sync.Once
 	plan     *bsgsPlan
@@ -49,11 +42,10 @@ type encKey struct {
 }
 
 // encEntry is one singleflight-built encoding variant: ready is closed when
-// the build finishes (diags/err/bytes are immutable afterwards).
+// the build finishes (diags/err are immutable afterwards).
 type encEntry struct {
 	ready chan struct{}
 	diags map[int]encodedDiag
-	bytes int64
 	err   error
 }
 
@@ -109,10 +101,8 @@ func (lt *LinearTransform) encodedVariant(key encKey, build func() (map[int]enco
 		lt.encMu.Unlock()
 	} else {
 		for _, d := range e.diags {
-			e.bytes += d.bytes()
+			obsLinTransCacheBytes.Add(d.bytes())
 		}
-		lt.cacheBytes.Add(e.bytes)
-		obsLinTransCacheBytes.Add(e.bytes)
 	}
 	close(e.ready)
 	return e.diags, e.err
@@ -140,46 +130,6 @@ func (lt *LinearTransform) encodedAt(enc *Encoder, lvl int, scale float64, plan 
 	})
 }
 
-// CacheBytes reports the coefficient bytes currently held by the encoded
-// diagonal cache.
-func (lt *LinearTransform) CacheBytes() int64 { return lt.cacheBytes.Load() }
-
-// ClearEncodedCache drops every completed cached encoding (entries still
-// being built are left for their builder to publish) and returns the bytes
-// freed.
-func (lt *LinearTransform) ClearEncodedCache() int64 {
-	var freed int64
-	lt.encMu.Lock()
-	for k, e := range lt.encCache {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				freed += e.bytes
-			}
-			delete(lt.encCache, k)
-		default:
-			// Still building: the builder owns the entry; leave it.
-		}
-	}
-	lt.encMu.Unlock()
-	if freed != 0 {
-		lt.cacheBytes.Add(-freed)
-		obsLinTransCacheBytes.Add(-freed)
-	}
-	return freed
-}
-
-// Rotations returns the rotation indices needed to evaluate the transform.
-func (lt *LinearTransform) Rotations() []int {
-	out := make([]int, 0, len(lt.Diags))
-	for r := range lt.Diags {
-		if r != 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Apply evaluates the transform on a plaintext vector (reference for tests).
 func (lt *LinearTransform) Apply(u []complex128) []complex128 {
 	n := lt.Slots
@@ -195,9 +145,9 @@ func (lt *LinearTransform) Apply(u []complex128) []complex128 {
 // encodeDiagQP encodes a diagonal into both the Q basis (level lvl) and the
 // P basis, sharing the same integer coefficients — the "larger plaintexts in
 // the extended modulus PQ" that hoisting requires (§III-B). rot slot-rotates
-// the values before encoding (v[j] = values[(j+rot) mod slots]); the BSGS
-// path passes −(giant rotation) so the pre-rotation happens offline, at
-// encode time, instead of on the ciphertext.
+// the values before encoding (v[j] = values[(j+rot) mod slots]); the sweep
+// passes −(giant rotation) so the pre-rotation happens offline, at encode
+// time, instead of on the ciphertext.
 func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64) (*ring.Poly, *ring.Poly, error) {
 	slots := e.params.Slots()
 	if len(values) > slots {
@@ -222,66 +172,4 @@ func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64)
 	rq.NTT(pq, lvl)
 	rp.NTT(pp, rp.MaxLevel())
 	return pq, pp, nil
-}
-
-// EvaluateLinearTransformMinKS computes M·u with the minimum-key-switching
-// strategy (§III-B): only the rotation-by-one key is used, iterating
-// HROT(·, 1) and accumulating the needed diagonals. It trades K evaluation
-// keys for K sequential key switches.
-func (ev *Evaluator) EvaluateLinearTransformMinKS(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
-	p := ev.params
-	rq := p.RingQ()
-	lvl := ct.Level()
-	ptScale := float64(rq.Moduli[lvl].Q)
-
-	maxRot := 0
-	for r := range lt.Diags {
-		if r > maxRot {
-			maxRot = r
-		}
-	}
-
-	diags, err := lt.encodedAt(enc, lvl, ptScale, newBSGSPlan(lt.Diags, lt.Slots))
-	if err != nil {
-		return nil, err
-	}
-
-	// The first diagonal met opens the accumulators, the others add onto them
-	// lazily; each rotated ciphertext is released once its successor exists.
-	var acc *Ciphertext
-	cur := ct
-	for k := 0; k <= maxRot; k++ {
-		if k > 0 {
-			next, err := ev.Rotate(cur, 1)
-			if cur != ct {
-				ev.Release(cur)
-			}
-			if err != nil {
-				ev.Release(acc)
-				return nil, err
-			}
-			cur = next
-		}
-		ed, ok := diags[k]
-		if !ok {
-			continue
-		}
-		if acc == nil {
-			acc = ev.newCiphertext(lvl, ct.Scale*ptScale)
-			rq.MulCoeffs(acc.C0, cur.C0, ed.q, lvl)
-			rq.MulCoeffs(acc.C1, cur.C1, ed.q, lvl)
-			continue
-		}
-		rq.MulCoeffsAddLazy(acc.C0, cur.C0, ed.q, lvl)
-		rq.MulCoeffsAddLazy(acc.C1, cur.C1, ed.q, lvl)
-	}
-	if cur != ct {
-		ev.Release(cur)
-	}
-	if acc == nil {
-		return ev.zeroCiphertext(lvl, ct.Scale*ptScale), nil // a transform without diagonals
-	}
-	rq.ReduceLazy(acc.C0, lvl)
-	rq.ReduceLazy(acc.C1, lvl)
-	return acc, nil
 }

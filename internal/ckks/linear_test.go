@@ -24,7 +24,7 @@ func TestLinearTransformHoisted(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	offsets := []int{0, 1, 2, 3, 5, 8}
 	lt := randomSparseLT(r, tc.params.Slots(), offsets)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
 
 	u := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, u)
@@ -43,51 +43,6 @@ func TestLinearTransformHoisted(t *testing.T) {
 	}
 }
 
-func TestLinearTransformMinKS(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	r := rand.New(rand.NewSource(31))
-	offsets := []int{0, 1, 3, 4}
-	lt := randomSparseLT(r, tc.params.Slots(), offsets)
-	// MinKS needs only the rotation-by-one key (4x fewer evks in Fig 1).
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
-
-	u := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.encryptVec(t, u)
-	out, err := tc.eval.EvaluateLinearTransformMinKS(ct, lt, tc.enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = tc.eval.rescale(out)
-	want := lt.Apply(u)
-	if e := maxErr(tc.decryptVec(out), want); e > 1e-4 {
-		t.Fatalf("MinKS LT error %g", e)
-	}
-}
-
-func TestHoistedAndMinKSAgree(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	r := rand.New(rand.NewSource(32))
-	offsets := []int{0, 1, 2, 4}
-	lt := randomSparseLT(r, tc.params.Slots(), offsets)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append(lt.Rotations(), 1))
-
-	u := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.encryptVec(t, u)
-	h, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := tc.eval.EvaluateLinearTransformMinKS(ct, lt, tc.enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dh := tc.decryptVec(h)
-	dm := tc.decryptVec(tc.eval.rescale(m))
-	if e := maxErr(dh, dm); e > 1e-4 {
-		t.Fatalf("hoisted and MinKS disagree by %g", e)
-	}
-}
-
 // TestLinearTransformHoistedPostRescale runs the hoisted transform at every
 // level a rescale can reach, not just the freshly-encrypted top: deeper in a
 // circuit the ciphertext has fewer limbs and its key switches cut fewer
@@ -97,7 +52,7 @@ func TestLinearTransformHoistedPostRescale(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	offsets := []int{0, 1, 2}
 	lt := randomSparseLT(r, tc.params.Slots(), offsets)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
 
 	u := randomComplex(r, tc.params.Slots(), 1)
 	want := lt.Apply(u)
@@ -113,32 +68,6 @@ func TestLinearTransformHoistedPostRescale(t *testing.T) {
 		}
 		if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
 			t.Fatalf("lvl %d: hoisted LT error %g", lvl, e)
-		}
-	}
-}
-
-// TestLinearTransformMinKSPostRescale is the same per-level sweep for the
-// minimum-key path, which reaches every diagonal through repeated
-// rotate-by-one key switches — the deepest key-switch chain in the repo.
-func TestLinearTransformMinKSPostRescale(t *testing.T) {
-	tc := newTestContext(t, alpha4Params())
-	r := rand.New(rand.NewSource(35))
-	offsets := []int{0, 1, 3}
-	lt := randomSparseLT(r, tc.params.Slots(), offsets)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
-
-	u := randomComplex(r, tc.params.Slots(), 1)
-	want := lt.Apply(u)
-	ctTop := tc.encryptVec(t, u)
-	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
-		ct := tc.eval.DropLevel(ctTop, lvl)
-		out, err := tc.eval.EvaluateLinearTransformMinKS(ct, lt, tc.enc)
-		if err != nil {
-			t.Fatalf("lvl %d: %v", lvl, err)
-		}
-		out = tc.eval.rescale(out)
-		if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
-			t.Fatalf("lvl %d: MinKS LT error %g", lvl, e)
 		}
 	}
 }

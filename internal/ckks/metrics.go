@@ -44,7 +44,6 @@ var (
 	obsRescale   = newOpObs("rescale")
 	obsRotate    = newOpObs("rotate")
 	obsConjugate = newOpObs("conjugate")
-	obsHoisted   = newOpObs("rotate-hoisted")
 	obsBootstrap = newOpObs("bootstrap")
 
 	// Client path. A decrypt fused with its decode (DecryptDecodeNew) is one

@@ -329,9 +329,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(70))
 	lt := denseTestTransform(r, slots, 8)
 	onlyDiag0 := randomSparseLT(r, slots, []int{0})
-	hoistRots := []int{1, 2, 5}
-	rots := append([]int{1, 2, 3, 4, 5, 6, 7}, hoistRots...)
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, rots)
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1, 2, 3, 4, 5, 6, 7})
 	tc.kgen.GenConjugationKey(tc.sk, tc.keys)
 	swk := tc.kgen.GenKeySwitchKey(tc.sk, tc.kgen.GenSparseSecretKey())
 	conj := p.RingQ().GaloisElementConjugate()
@@ -372,22 +370,6 @@ func TestDeterminismMatrix(t *testing.T) {
 				},
 				func() ([]*Ciphertext, error) {
 					return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts, accumScale), nil)
-				}},
-			{"rotate-hoisted",
-				func() []*Ciphertext {
-					var out []*Ciphertext
-					for _, k := range hoistRots {
-						out = append(out, or.rotate(a, k))
-					}
-					return out
-				},
-				func() ([]*Ciphertext, error) {
-					m, err := ev.RotateHoisted(a, hoistRots)
-					var out []*Ciphertext
-					for _, k := range hoistRots {
-						out = append(out, m[k])
-					}
-					return out, err
 				}},
 		}
 		// The ops that end in a rescale need a prime to drop; the oracle runs

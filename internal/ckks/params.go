@@ -2,7 +2,7 @@
 // scheme (Cheon–Kim–Kim–Song) with the structure assumed by the Anaheim
 // paper: residue-number-system polynomial arithmetic, hybrid key switching
 // with decomposition number D = ceil(L/α) and special modulus P (Table I),
-// hoisting- and MinKS-based homomorphic linear transforms (§III-B), and full
+// double-hoisted baby-step/giant-step linear transforms (§III-B, §V-B), and full
 // bootstrapping with sparse-secret encapsulation, grouped-DFT CoeffToSlot /
 // SlotToCoeff (the fftIter knob of §IV-C) and Chebyshev EvalMod.
 //

@@ -53,8 +53,7 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 	p := tc.params
 	r := rand.New(rand.NewSource(11))
 	lt := denseTestTransform(r, p.Slots(), 8)
-	hoisted := []int{1, 2, 5}
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append([]int{3}, hoisted...))
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{3})
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(p, lt))
 	ev := tc.eval
 	ct := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
@@ -91,17 +90,6 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			ev.Release(out)
-		}},
-		// 9: the result map and the key lists on top of three rotations'
-		// headers.
-		{"RotateHoisted", 12, 0, func() {
-			outs, err := ev.RotateHoisted(ct, hoisted)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, out := range outs {
-				ev.Release(out)
-			}
 		}},
 		// 30: the sweep's bookkeeping (key map, per-baby targets, giant
 		// accumulator headers, span annotations) and the merged tail's two

@@ -76,7 +76,7 @@ func TestLevelZeroIsErrLevel(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	slots := tc.params.Slots()
 	lt := randomSparseLT(rand.New(rand.NewSource(104)), slots, []int{0, 1})
-	tc.kgen.GenRotationKeys(tc.sk, tc.keys, lt.Rotations())
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
 	top := tc.encryptVec(t, []complex128{1})
 	ct := tc.eval.DropLevel(top, 0)
 	gets := func() float64 {

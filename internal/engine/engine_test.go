@@ -364,6 +364,50 @@ func TestLevelZeroOpsFailWithErrLevel(t *testing.T) {
 	}
 }
 
+// TestLintransMissingKeyFails: a session whose key set holds a transform's raw
+// diagonal offsets but not its plan's giant rotations fails a lintrans job
+// with ckks.ErrMissingKey, through Job.Wait.
+func TestLintransMissingKeyFails(t *testing.T) {
+	var offsets []int
+	for d := 1; d < 32; d += 2 {
+		offsets = append(offsets, d)
+	}
+	client := newTestClient(t, offsets...)
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := client.params.Slots()
+	diags := make(map[int][]complex128, len(offsets))
+	for _, d := range offsets {
+		diags[d] = make([]complex128, slots)
+		diags[d][0] = 0.5
+	}
+	lt := ckks.NewLinearTransform(slots, diags)
+	held := true
+	for _, r := range ckks.GaloisKeysForLinearTransform(client.params, lt) {
+		held = held && r%2 == 1
+	}
+	if held {
+		t.Fatal("the plan needs only odd rotations, all of which the session holds")
+	}
+	sess.RegisterTransform("odd", lt)
+	job, err := e.Submit(JobSpec{
+		SessionID: sess.ID,
+		Inputs:    map[string]*ckks.Ciphertext{"x": client.encrypt(t, []complex128{0.5})},
+		Ops:       []OpSpec{{ID: "o", Op: "lintrans", Args: []string{"x"}, Name: "odd"}},
+		Outputs:   []string{"o"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if werr := job.Wait(context.Background()); !errors.Is(werr, ckks.ErrMissingKey) {
+		t.Errorf("lintrans without the plan's keys: job error %v, want ckks.ErrMissingKey", werr)
+	}
+}
+
 // TestConcurrentJobs drives several jobs through one shared session at once
 // and checks every result; run with -race this exercises the evaluator's
 // concurrency safety through the engine path.

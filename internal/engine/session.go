@@ -253,9 +253,9 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown transform %q", op.Name)
 		}
-		// Dispatches to the BSGS double-hoisted sweep when the session's key
-		// set carries the baby + giant rotations; per-diagonal key sets keep
-		// the hoisted path. The result comes back rescaled.
+		// The transform's planned sweep, rescaled; a session whose key set
+		// lacks the plan's baby or giant rotations fails with
+		// ckks.ErrMissingKey.
 		out, err = ev.EvaluateLinearTransform(args[0], lt, s.Enc)
 	case "bootstrap":
 		s.mu.Lock()
