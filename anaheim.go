@@ -132,12 +132,13 @@ func NewContext(lit ParametersLiteral, seed int64) (*Context, error) {
 	return c, nil
 }
 
-// GenRotationKeys prepares Galois keys for the given slot rotations.
+// GenRotationKeys prepares top-level Galois keys for the given slot
+// rotations, replacing a lower-level key SetupBootstrapping left for one.
 func (c *Context) GenRotationKeys(rotations ...int) {
 	c.kgen.GenRotationKeys(c.sk, c.keys, rotations)
 }
 
-// GenConjugationKey prepares the complex-conjugation key.
+// GenConjugationKey prepares the top-level complex-conjugation key.
 func (c *Context) GenConjugationKey() { c.kgen.GenConjugationKey(c.sk, c.keys) }
 
 // GenLinearTransformKeys prepares exactly the Galois keys the given linear
@@ -145,8 +146,9 @@ func (c *Context) GenConjugationKey() { c.kgen.GenConjugationKey(c.sk, c.keys) }
 // for the per-diagonal plan are the raw diagonal offsets. A transform not yet
 // planned is planned alone and gets its leanest plan — the fewest keys, ties
 // to the lower modeled time — which is the plan EvaluateLinearTransform then
-// runs, here or on a server holding these keys. The bootstrapper plans its
-// own DFT matrices as one set instead (SetupBootstrapping).
+// runs, here or on a server holding these keys. The keys are top-level ones,
+// replacing any lower-level key of the set. The bootstrapper plans its own DFT
+// matrices as one set instead (SetupBootstrapping).
 func (c *Context) GenLinearTransformKeys(lts ...*LinearTransform) {
 	c.kgen.GenRotationKeys(c.sk, c.keys, ckks.GaloisKeysForLinearTransform(c.Params, lts...))
 }
@@ -296,9 +298,11 @@ func (c *Context) MinMax(a, b *Ciphertext, iterations int) (*Ciphertext, *Cipher
 
 // SetupBootstrapping generates all bootstrapping keys and matrices. The DFT
 // matrices are planned as one set: no more Galois keys than their leanest
-// plans need between them, the least modeled time within that. A parameter
-// set with fewer levels than the config consumes is an error (see
-// BootParameters).
+// plans need between them, the least modeled time within that. Each key is
+// generated at the highest level a bootstrap spends it, so a key the caller
+// shares at a higher level comes from GenRotationKeys or
+// GenLinearTransformKeys afterwards. A parameter set with fewer levels than
+// the config consumes is an error (see BootParameters).
 func (c *Context) SetupBootstrapping(cfg BootstrapConfig) error {
 	b, err := ckks.NewBootstrapper(c.Params, c.enc, c.eval, c.kgen, c.sk, c.keys, cfg)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/experiments"
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
@@ -303,6 +304,72 @@ func TestSetupBootstrappingRejectsBadConfig(t *testing.T) {
 	ct, _ := ctx.Encrypt([]complex128{1})
 	if _, err := ctx.Bootstrap(ct); err == nil {
 		t.Fatal("a rejected config must leave bootstrapping unconfigured")
+	}
+}
+
+// The benchmark's sequence: SetupBootstrapping generates each DFT key at the
+// level its sweeps run, below the top for most; GenLinearTransformKeys of an
+// 8-diagonal map must then give the map top-level keys — replacing the
+// bootstrap's lower ones it shares — so a top-level transform succeeds, and
+// the bootstrap still runs on the replaced keys.
+func TestLinearTransformKeysAfterBootstrapSetup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	ctx, err := NewContext(BootParameters(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.SetupBootstrapping(DefaultBootstrapConfig()); err != nil {
+		t.Fatal(err)
+	}
+	n, top := ctx.Params.Slots(), ctx.Params.MaxLevel()
+	r := rand.New(rand.NewSource(9))
+	diags := make(map[int][]complex128, 8)
+	for d := 0; d < 8; d++ {
+		diags[d] = randVec(r, n)
+	}
+	lt := NewLinearTransform(n, diags)
+	keyLevel := func(rot int) int {
+		if k, ok := ctx.EvaluationKeys().Gal[ctx.Params.RingQ().GaloisElement(rot)]; ok {
+			return k.Level()
+		}
+		return -1
+	}
+	shared := 0
+	for _, rot := range ckks.GaloisKeysForLinearTransform(ctx.Params, lt) {
+		if l := keyLevel(rot); l >= 0 && l < top {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("the bootstrap holds none of the map's keys below the top; the test checks nothing")
+	}
+
+	ctx.GenLinearTransformKeys(lt)
+	for _, rot := range ckks.GaloisKeysForLinearTransform(ctx.Params, lt) {
+		if l := keyLevel(rot); l != top {
+			t.Errorf("rotation %d key at level %d after GenLinearTransformKeys, want %d", rot, l, top)
+		}
+	}
+	u := randVec(r, n)
+	ct, err := ctx.Encrypt(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ctx.EvaluateLinearTransform(ct, lt)
+	if err != nil {
+		t.Fatalf("top-level transform after SetupBootstrapping: %v", err)
+	}
+	if e := facadeMaxErr(ctx.Decrypt(out), lt.Apply(u)); e > 1e-4 {
+		t.Fatalf("LT error %g", e)
+	}
+	boot, err := ctx.Bootstrap(ctx.DropToLevel(ct, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := facadeMaxErr(ctx.Decrypt(boot), u); e > 1e-3 {
+		t.Fatalf("bootstrap error %g", e)
 	}
 }
 

@@ -50,9 +50,10 @@ type Bootstrapper struct {
 }
 
 // NewBootstrapper generates all keys (encapsulation, rotations for the DFT
-// matrices, conjugation, relinearization if absent) and precomputes the
-// transform matrices and EvalMod polynomial. Parameters whose chain is
-// shorter than the levels the config consumes are an error.
+// matrices, conjugation, relinearization if absent), each at the highest
+// level a bootstrap spends it, and precomputes the transform matrices and
+// EvalMod polynomial. Parameters whose chain is shorter than the levels the
+// config consumes are an error.
 func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	kgen *KeyGenerator, sk *SecretKey, keys *EvaluationKeySet, cfg BootstrapConfig) (*Bootstrapper, error) {
 
@@ -79,35 +80,54 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	b.s2c = enc.SlotToCoeffMatrices(cfg.FFTIterS2C)
 	b.evalMod = evalModPoly(cfg)
 
-	// Keys.
+	// Keys, each at the highest level a bootstrap spends it (a key at level
+	// ℓ is the level-ℓ prefix of a full one: see SwitchingKey). The
+	// encapsulation switches to the sparse secret at level 0 and back at the
+	// top; the conjugation runs at the CoeffToSlot output. A key the set
+	// already holds at or above its level is kept; the relinearization key
+	// serves the caller's own products too, so it is a top-level one.
+	top := params.MaxLevel()
+	lv := cfg.stageLevels(top)
 	skSparse := kgen.GenSparseSecretKey()
-	b.toSparse = kgen.GenKeySwitchKey(sk, skSparse)
+	b.toSparse = kgen.genSwitchingKey(0, sk.Q, skSparse.Q, skSparse.P)
 	b.toDense = kgen.GenKeySwitchKey(skSparse, sk)
 	if keys.Rlk == nil {
 		keys.Rlk = kgen.GenRelinearizationKey(sk)
 	}
-	kgen.GenConjugationKey(sk, keys)
+	kgen.ensureGaloisKey(sk, keys, params.RingQ().GaloisElementConjugate(), lv.conj)
 	// The six DFT sweeps are planned as one set (planSweeps): no more Galois
 	// keys than their leanest plans need between them, the least modeled time
 	// within that, so a key two matrices share is paid once. The plans are
 	// fixed on the bootstrapper's own matrices, and exactly their baby + giant
-	// rotations get keys.
+	// rotations get keys, each at the highest level of a sweep spending it.
 	lts := append(append([]*LinearTransform{}, b.c2s...), b.s2c...)
+	sweepLevel := append(append([]int{}, lv.c2s...), lv.s2c...)
+	keyLevel := make(map[int]int)
 	for i, pl := range planSweeps(params, lts) {
 		lts[i].fixPlan(pl)
+		for _, r := range pl.rotations() {
+			keyLevel[r] = max(keyLevel[r], sweepLevel[i])
+		}
 	}
-	kgen.GenRotationKeys(sk, keys, GaloisKeysForLinearTransform(params, lts...))
+	for _, r := range GaloisKeysForLinearTransform(params, lts...) {
+		kgen.ensureGaloisKey(sk, keys, params.RingQ().GaloisElement(r), keyLevel[r])
+	}
 	return b, nil
 }
 
-// levels returns the levels a bootstrap under cfg consumes from the top of the
-// chain, stage by stage: one per CoeffToSlot matrix and one for the conjugate
-// split; EvalMod's affine map onto the Chebyshev interval, its series and
-// one per double angle; one per SlotToCoeff matrix and one for the closing
-// scale fix. The series' depth follows EvaluateChebyshev: a leaf is one
-// CAccum over T_1 … T_deg, the deepest built ⌈log2 deg⌉ products up, and a
-// split multiplies the quotient by its giant step T_split.
-func (cfg BootstrapConfig) levels() int {
+// bootDepths is the number of levels each stage of a bootstrap consumes.
+type bootDepths struct {
+	c2s, split, evalMod, s2c, fix int
+}
+
+// depths accounts a bootstrap under cfg stage by stage: one level per
+// CoeffToSlot matrix and one for the conjugate split; EvalMod's affine map
+// onto the Chebyshev interval, its series and one per double angle; one per
+// SlotToCoeff matrix and one for the closing scale fix. The series' depth
+// follows EvaluateChebyshev: a leaf is one CAccum over T_1 … T_deg, the
+// deepest built ⌈log2 deg⌉ products up, and a split multiplies the quotient
+// by its giant step T_split.
+func (cfg BootstrapConfig) depths() bootDepths {
 	baby := max(2, 1<<((bitsLen(cfg.EvalModDeg)+1)/2))
 	var series func(deg int) int
 	series = func(deg int) int {
@@ -117,8 +137,38 @@ func (cfg BootstrapConfig) levels() int {
 		split := max(baby, 1<<(bitsLen(deg)-1))
 		return max(1+max(series(deg-split), bitsLen(split-1)), series(split-1))
 	}
-	evalMod := 1 + series(cfg.EvalModDeg) + cfg.DoubleAngles
-	return cfg.FFTIterC2S + 1 + evalMod + cfg.FFTIterS2C + 1
+	return bootDepths{c2s: cfg.FFTIterC2S, split: 1, evalMod: 1 + series(cfg.EvalModDeg) + cfg.DoubleAngles,
+		s2c: cfg.FFTIterS2C, fix: 1}
+}
+
+// levels returns the levels a bootstrap under cfg consumes from the top of
+// the chain.
+func (cfg BootstrapConfig) levels() int {
+	d := cfg.depths()
+	return d.c2s + d.split + d.evalMod + d.s2c + d.fix
+}
+
+// bootLevels holds the levels a bootstrap's key switches run at, from the
+// same accounting as levels: each CoeffToSlot and SlotToCoeff sweep's input
+// level and the conjugation's.
+type bootLevels struct {
+	c2s, s2c []int
+	conj     int
+}
+
+// stageLevels returns the levels of a bootstrap under cfg raising to top.
+func (cfg BootstrapConfig) stageLevels(top int) bootLevels {
+	d := cfg.depths()
+	var lv bootLevels
+	for i := 0; i < d.c2s; i++ {
+		lv.c2s = append(lv.c2s, top-i)
+	}
+	lv.conj = top - d.c2s
+	s2cTop := lv.conj - d.split - d.evalMod
+	for i := 0; i < d.s2c; i++ {
+		lv.s2c = append(lv.s2c, s2cTop-i)
+	}
+	return lv
 }
 
 // evalModPoly interpolates cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after
@@ -195,7 +245,11 @@ func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
 func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	defer obsBootstrap.done(time.Now())
 	delta := ct.Scale
-	ct0, ct1, err := b.coeffsToSlots(b.raise(ct))
+	raised, err := b.raise(ct)
+	if err != nil {
+		return nil, err
+	}
+	ct0, ct1, err := b.coeffsToSlots(raised)
 	if err != nil {
 		return nil, err
 	}
@@ -209,14 +263,17 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 // bottom of the chain (on a level-0 view of ct, which is only read), ModRaise
 // under the sparse secret, then the switch back to the dense secret at the
 // top of the chain.
-func (b *Bootstrapper) raise(ct *Ciphertext) *Ciphertext {
+func (b *Bootstrapper) raise(ct *Ciphertext) (*Ciphertext, error) {
 	ev := b.eval
-	low := ev.SwitchKeys(&Ciphertext{C0: ct.C0.Truncated(0), C1: ct.C1.Truncated(0), Scale: ct.Scale}, b.toSparse)
+	low, err := ev.SwitchKeys(&Ciphertext{C0: ct.C0.Truncated(0), C1: ct.C1.Truncated(0), Scale: ct.Scale}, b.toSparse)
+	if err != nil {
+		return nil, err
+	}
 	raised := b.ModRaise(low)
 	ev.Release(low)
-	out := ev.SwitchKeys(raised, b.toDense)
+	out, err := ev.SwitchKeys(raised, b.toDense)
 	ev.Release(raised)
-	return out
+	return out, err
 }
 
 // coeffsToSlots consumes cur: CoeffToSlot puts its raw coefficients in the

@@ -356,14 +356,14 @@ func GaloisKeysForLinearTransform(p *Parameters, lts ...*LinearTransform) []int 
 	return out
 }
 
-// sweepKeys resolves the Galois key of every rotation the plan spends, keyed
-// by rotation index.
-func (ev *Evaluator) sweepKeys(plan *bsgsPlan) (map[int]*SwitchingKey, error) {
+// sweepKeys resolves the Galois key of every rotation the plan spends at
+// level lvl, keyed by rotation index.
+func (ev *Evaluator) sweepKeys(plan *bsgsPlan, lvl int) (map[int]*SwitchingKey, error) {
 	rq := ev.params.RingQ()
 	rots := plan.rotations()
 	keys := make(map[int]*SwitchingKey, len(rots))
 	for _, r := range rots {
-		swk, err := ev.keys.GaloisKey(rq.GaloisElement(r))
+		swk, err := ev.galoisKeyAt(rq.GaloisElement(r), lvl)
 		if err != nil {
 			return nil, err
 		}
@@ -373,19 +373,19 @@ func (ev *Evaluator) sweepKeys(plan *bsgsPlan) (map[int]*SwitchingKey, error) {
 }
 
 // EvaluateLinearTransform computes M·u, rescaled, under the transform's plan
-// (sweepPlan). The key set must hold the plan's baby + giant Galois keys —
-// GaloisKeysForLinearTransform names them, and the Bootstrapper generates
-// them for its own transforms — or the call returns ErrMissingKey. The
-// diagonals are encoded at the scale of the ciphertext's top prime and the
-// sweep's closing ModDown drops that prime, so the output sits one level
-// down at the input scale. A ciphertext at level 0 has no prime to drop:
+// (sweepPlan). The key set must hold the plan's baby + giant Galois keys at
+// or above ct's level — GaloisKeysForLinearTransform names them, and the
+// Bootstrapper generates them for its own transforms — or the call returns
+// ErrMissingKey. The diagonals are encoded at the scale of the ciphertext's
+// top prime and the sweep's closing ModDown drops that prime, so the output
+// sits one level down at the input scale. A ciphertext at level 0 has no prime to drop:
 // ErrLevel. Both errors come before anything is borrowed or written.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
 	if ct.Level() == 0 {
 		return nil, ErrLevel
 	}
 	plan := lt.sweepPlan(ev.params)
-	keys, err := ev.sweepKeys(plan)
+	keys, err := ev.sweepKeys(plan, ct.Level())
 	if err != nil {
 		return nil, err
 	}

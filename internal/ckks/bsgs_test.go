@@ -17,7 +17,7 @@ import (
 func (tc *testContext) sweepWith(t testing.TB, ct *Ciphertext, lt *LinearTransform, bs int) *Ciphertext {
 	t.Helper()
 	plan := newBSGSPlan(lt.Diags, bs)
-	keys, err := tc.eval.sweepKeys(plan)
+	keys, err := tc.eval.sweepKeys(plan, ct.Level())
 	if err != nil {
 		t.Fatal(err)
 	}

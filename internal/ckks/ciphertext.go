@@ -19,9 +19,10 @@ func (ct *Ciphertext) Level() int { return ct.C0.Level() }
 // polys returns the two components, for code that treats them alike.
 func (ct *Ciphertext) polys() [2]*ring.Poly { return [2]*ring.Poly{ct.C0, ct.C1} }
 
-// CoeffBytes returns the coefficient bytes the ciphertext keeps alive: two
-// polynomials of Level()+1 limbs, 8 bytes per coefficient — the figure the
-// serving engine charges a retained result at.
+// CoeffBytes returns the coefficient bytes the ciphertext keeps alive: its
+// two polynomials' capacity, 8 bytes per coefficient — at least Level()+1
+// limbs each, more for a result the pool served from a larger backing. It is
+// the figure the serving engine charges a retained result at.
 func (ct *Ciphertext) CoeffBytes() int64 {
 	return polysBytes([]*ring.Poly{ct.C0, ct.C1})
 }

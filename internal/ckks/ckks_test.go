@@ -326,7 +326,10 @@ func TestSwitchKeysEncapsulation(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	v := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, v)
-	ctSparse := tc.eval.SwitchKeys(ct, toSparse)
+	ctSparse, err := tc.eval.SwitchKeys(ct, toSparse)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Decrypts under the sparse key.
 	dSparse := NewDecryptor(tc.params, skSparse)
@@ -335,7 +338,10 @@ func TestSwitchKeysEncapsulation(t *testing.T) {
 		t.Fatalf("switch to sparse error %g", e)
 	}
 
-	ctBack := tc.eval.SwitchKeys(ctSparse, toDense)
+	ctBack, err := tc.eval.SwitchKeys(ctSparse, toDense)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e := maxErr(tc.decryptVec(ctBack), v); e > 1e-5 {
 		t.Fatalf("round-trip encapsulation error %g", e)
 	}

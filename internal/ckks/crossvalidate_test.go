@@ -141,7 +141,7 @@ func TestHoistedDigitsTransformOnce(t *testing.T) {
 	// rescale.
 	lt := denseTestTransform(r, p.Slots(), 8)
 	plan := newBSGSPlan(lt.Diags, 4)
-	keys, err := tc.eval.sweepKeys(plan)
+	keys, err := tc.eval.sweepKeys(plan, ct.Level())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSweepCostCountsWhatRuns(t *testing.T) {
 		ptScale := float64(p.RingQ().Moduli[lvl].Q)
 		for i, lt := range lts {
 			for _, o := range lt.planOptions(p) {
-				keys, err := tc.eval.sweepKeys(o.plan)
+				keys, err := tc.eval.sweepKeys(o.plan, lvl)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -425,23 +425,34 @@ func (ev *Evaluator) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey) (d0, d1
 }
 
 // SwitchKeys re-encrypts ct under the key targeted by swk (used for
-// sparse-secret encapsulation in bootstrapping).
-func (ev *Evaluator) SwitchKeys(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
+// sparse-secret encapsulation in bootstrapping). A key below ct's level
+// returns an error wrapping ErrMissingKey, before anything is borrowed.
+func (ev *Evaluator) SwitchKeys(ct *Ciphertext, swk *SwitchingKey) (*Ciphertext, error) {
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
+	if !swk.covers(ev.params, lvl) {
+		return nil, keyBelow("switching key", swk, lvl)
+	}
 	d0, d1 := ev.keySwitch(ct.C1, lvl, swk)
 	rq.Add(d0, d0, ct.C0, lvl)
-	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale}
+	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale}, nil
 }
 
 // Mul returns ct0 ⊙ ct1 relinearized and rescaled (HMULT): the Tensor
 // element-wise step, the key switch of the degree-2 component, and the
 // rescale by the top prime of the lower operand's level, which rides the key
 // switch's ModDown (modDownRescale). An operand at level 0 leaves no prime to
-// rescale by: ErrLevel, before anything is written.
+// rescale by: ErrLevel; a relinearization key that is absent or below the
+// operands' level: ErrMissingKey. Both come before anything is written.
 func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	if min(ct0.Level(), ct1.Level()) == 0 {
+	lvl := min(ct0.Level(), ct1.Level())
+	switch rlk := ev.keys.Rlk; {
+	case lvl == 0:
 		return nil, ErrLevel
+	case rlk == nil:
+		return nil, fmt.Errorf("%w: no relinearization key", ErrMissingKey)
+	case !rlk.covers(ev.params, lvl):
+		return nil, keyBelow("relinearization key", rlk, lvl)
 	}
 	return ev.mul(ct0, ct1), nil
 }
@@ -501,7 +512,7 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
 // rotation's c0-add and both permutations ride the ModDown's final per-limb
 // chain (one pass over each row instead of four).
 func (ev *Evaluator) automorphism(ct *Ciphertext, galEl uint64) (*Ciphertext, error) {
-	swk, err := ev.keys.GaloisKey(galEl)
+	swk, err := ev.galoisKeyAt(galEl, ct.Level())
 	if err != nil {
 		return nil, err
 	}
@@ -512,6 +523,20 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, galEl uint64) (*Ciphertext, er
 	obsKeySwitch.done(ksStart)
 	ev.putQP(u0q, u0p, u1q, u1p)
 	return &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}, nil
+}
+
+// galoisKeyAt returns the Galois key for galEl if it serves a key switch at
+// level lvl, or an error wrapping ErrMissingKey naming the element (and both
+// levels, for a key below lvl).
+func (ev *Evaluator) galoisKeyAt(galEl uint64, lvl int) (*SwitchingKey, error) {
+	swk, err := ev.keys.GaloisKey(galEl)
+	if err != nil {
+		return nil, err
+	}
+	if !swk.covers(ev.params, lvl) {
+		return nil, keyBelow(fmt.Sprintf("Galois key for element %d", galEl), swk, lvl)
+	}
+	return swk, nil
 }
 
 // Rotate returns HROT(ct, k): the slot vector cyclically rotated by k.

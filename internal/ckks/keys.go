@@ -28,27 +28,65 @@ type PublicKey struct {
 // For rotation keys, w = s and s' = σ_g^{-1}(s), the layout that supports
 // hoisting: the ModUp digits of c1 can be computed once and reused across
 // rotations, with the automorphism applied after the inner product (§III-B).
+//
+// A key has a level ℓ: D(ℓ) digits over Q_ℓ ∪ P. The gadget term of a
+// digit is (P mod q_i)·w_i on the digit's own limbs and zero elsewhere, so a
+// key at ℓ is the level-ℓ prefix of a full-level one — the prefix a key switch
+// at any level ≤ ℓ reads — and serves exactly those levels.
 type SwitchingKey struct {
-	BQ, AQ []*ring.Poly // Q parts, indexed by digit, max level, NTT
+	BQ, AQ []*ring.Poly // Q parts, indexed by digit, level ℓ, NTT
 	BP, AP []*ring.Poly // P parts
 }
 
 // Digits returns the decomposition number D of the key.
 func (k *SwitchingKey) Digits() int { return len(k.BQ) }
 
-// polysBytes sums the coefficient storage of a digit array.
+// Level returns the highest ciphertext level the key serves (−1 for a key
+// without digits).
+func (k *SwitchingKey) Level() int {
+	if len(k.BQ) == 0 || k.BQ[0] == nil {
+		return -1
+	}
+	return k.BQ[0].Level()
+}
+
+// covers reports whether the key serves a key switch at level lvl: at least
+// D(lvl) digits, each with lvl+1 Q rows and α P rows.
+func (k *SwitchingKey) covers(p *Parameters, lvl int) bool {
+	d := p.Digits(lvl)
+	if len(k.BQ) < d || len(k.AQ) < d || len(k.BP) < d || len(k.AP) < d {
+		return false
+	}
+	rows := func(x *ring.Poly, n int) bool { return x != nil && len(x.Coeffs) >= n }
+	for i := 0; i < d; i++ {
+		if !rows(k.BQ[i], lvl+1) || !rows(k.AQ[i], lvl+1) || !rows(k.BP[i], p.Alpha()) || !rows(k.AP[i], p.Alpha()) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyBelow is the error of an op at level lvl handed a key that does not
+// serve it.
+func keyBelow(name string, k *SwitchingKey, lvl int) error {
+	return fmt.Errorf("%w: %s at level %d does not cover level %d", ErrMissingKey, name, k.Level(), lvl)
+}
+
+// polysBytes sums the coefficient storage the polynomials pin: their
+// capacity, which for a result borrowed from a larger pooled polynomial
+// exceeds its limbs.
 func polysBytes(ps []*ring.Poly) int64 {
 	var n int64
 	for _, p := range ps {
 		if p != nil && len(p.Coeffs) > 0 {
-			n += int64(len(p.Coeffs)) * int64(len(p.Coeffs[0])) * 8
+			n += int64(p.Capacity()) * int64(len(p.Coeffs[0])) * 8
 		}
 	}
 	return n
 }
 
 // CoeffBytes returns the coefficient bytes the key pins in memory — the
-// figure keycache accounting uses; 2·D·(L+α)·N·8 for a key over L Q limbs.
+// figure keycache accounting uses; 2·D·(ℓ+1+α)·N·8 for a key at level ℓ.
 func (k *SwitchingKey) CoeffBytes() int64 {
 	return polysBytes(k.BQ) + polysBytes(k.AQ) + polysBytes(k.BP) + polysBytes(k.AP)
 }
@@ -65,10 +103,11 @@ func NewEvaluationKeySet() *EvaluationKeySet {
 }
 
 // ErrMissingKey is returned by the ops that switch keys — Rotate, Conjugate,
-// EvaluateLinearTransform — when the key set lacks a Galois key they need.
-// They check before borrowing or writing anything. The error wraps it with
-// the missing Galois element.
-var ErrMissingKey = errors.New("ckks: missing Galois key")
+// EvaluateLinearTransform, Mul, SwitchKeys — when the key they need is absent
+// or sits below the op's level. They check before borrowing or writing
+// anything. The error wraps it with the key and, for a key too low, both
+// levels.
+var ErrMissingKey = errors.New("ckks: missing key")
 
 // GaloisKey returns the switching key for a Galois element, or ErrMissingKey
 // naming the element.
@@ -76,7 +115,7 @@ func (s *EvaluationKeySet) GaloisKey(galEl uint64) (*SwitchingKey, error) {
 	if k, ok := s.Gal[galEl]; ok {
 		return k, nil
 	}
-	return nil, fmt.Errorf("%w for element %d", ErrMissingKey, galEl)
+	return nil, fmt.Errorf("%w: no Galois key for element %d", ErrMissingKey, galEl)
 }
 
 // CoeffBytes returns the coefficient bytes of every key in the set.
@@ -142,17 +181,20 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// genSwitchingKey produces a key with digit d satisfying
-// B[d] + A[d]·under = P·g_d·w + e_d over PQ, where w and under are NTT-form
-// secrets over (Q, P) and digit d covers the Q limbs [d·α, (d+1)·α).
-func (kg *KeyGenerator) genSwitchingKey(wQ *ring.Poly, underQ, underP *ring.Poly) *SwitchingKey {
+// genSwitchingKey produces a key at level ℓ with digit d satisfying
+// B[d] + A[d]·under = P·g_d·w + e_d over Q_ℓ ∪ P, where w and under are
+// NTT-form secrets over (Q, P) (rows 0..ℓ of their Q parts are read) and
+// digit d covers the Q limbs [d·α, min((d+1)·α, ℓ+1)). The error polynomials
+// are borrowed from the ring pools and handed back: a key keeps only its own
+// digits.
+func (kg *KeyGenerator) genSwitchingKey(level int, wQ *ring.Poly, underQ, underP *ring.Poly) *SwitchingKey {
 	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()
-	lvlQ, lvlP, alpha := p.MaxLevel(), rp.MaxLevel(), p.Alpha()
-	digits := p.Digits(lvlQ)
+	lvlP, alpha := rp.MaxLevel(), p.Alpha()
+	digits := p.Digits(level)
 
 	// P mod q_i for the in-group gadget term.
-	pModQ := make([]uint64, lvlQ+1)
+	pModQ := make([]uint64, level+1)
 	for i := range pModQ {
 		prod := uint64(1)
 		for _, pm := range rp.Moduli {
@@ -167,23 +209,26 @@ func (kg *KeyGenerator) genSwitchingKey(wQ *ring.Poly, underQ, underP *ring.Poly
 		BP: make([]*ring.Poly, digits),
 		AP: make([]*ring.Poly, digits),
 	}
+	eQ, eP := rq.GetPoly(level), rp.GetPoly(lvlP)
+	defer rq.PutPoly(eQ)
+	defer rp.PutPoly(eP)
 	for d := 0; d < digits; d++ {
-		aQ := kg.sampler.UniformPoly(rq, lvlQ, true)
+		aQ := kg.sampler.UniformPoly(rq, level, true)
 		aP := kg.sampler.UniformPoly(rp, lvlP, true)
 		ev := kg.sampler.GaussianVector(p.N(), p.Sigma())
-		eQ := ring.SmallVectorToPoly(rq, lvlQ, ev)
-		eP := ring.SmallVectorToPoly(rp, lvlP, ev)
-		rq.NTT(eQ, lvlQ)
+		rq.EmbedCentered(eQ, ev, level)
+		rp.EmbedCentered(eP, ev, lvlP)
+		rq.NTT(eQ, level)
 		rp.NTT(eP, lvlP)
 
-		bQ := rq.NewPoly(lvlQ)
+		bQ := rq.NewPoly(level)
 		bQ.IsNTT = true
-		rq.MulCoeffs(bQ, aQ, underQ, lvlQ)
-		rq.Neg(bQ, bQ, lvlQ)
-		rq.Add(bQ, bQ, eQ, lvlQ)
+		rq.MulCoeffs(bQ, aQ, underQ, level)
+		rq.Neg(bQ, bQ, level)
+		rq.Add(bQ, bQ, eQ, level)
 		// Gadget term: P·g_d·w has residue (P mod q_i)·w_i for i in the
 		// digit's prime group and 0 elsewhere (and 0 mod every p_j).
-		for i := d * alpha; i < min((d+1)*alpha, lvlQ+1); i++ {
+		for i := d * alpha; i < min((d+1)*alpha, level+1); i++ {
 			mod := rq.Moduli[i]
 			dst, src := bQ.Coeffs[i], wQ.Coeffs[i]
 			c := pModQ[i]
@@ -205,54 +250,66 @@ func (kg *KeyGenerator) genSwitchingKey(wQ *ring.Poly, underQ, underP *ring.Poly
 	return k
 }
 
-// GenRelinearizationKey returns the key switching s² -> s.
+// GenRelinearizationKey returns the key switching s² -> s, at the top level.
 func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *SwitchingKey {
 	p := kg.params
 	rq := p.RingQ()
 	lvl := p.MaxLevel()
-	s2 := rq.NewPoly(lvl)
+	s2 := rq.GetPoly(lvl)
+	defer rq.PutPoly(s2)
 	rq.MulCoeffs(s2, sk.Q, sk.Q, lvl)
 	s2.IsNTT = true
-	return kg.genSwitchingKey(s2, sk.Q, sk.P)
+	return kg.genSwitchingKey(lvl, s2, sk.Q, sk.P)
 }
 
-// GenGaloisKey returns the key enabling the automorphism σ_g on ciphertexts
-// under sk, in the hoisting-compatible layout (w = s, under = σ_g^{-1}(s)).
+// GenGaloisKey returns the top-level key enabling the automorphism σ_g on
+// ciphertexts under sk, in the hoisting-compatible layout (w = s,
+// under = σ_g^{-1}(s)).
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64) *SwitchingKey {
+	return kg.genGaloisKey(sk, galEl, kg.params.MaxLevel())
+}
+
+// genGaloisKey is GenGaloisKey at level ℓ; σ_g^{-1}(s) is pooled scratch.
+func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, galEl uint64, level int) *SwitchingKey {
 	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()
 	gInv := invGalois(galEl, uint64(2*p.N()))
-	underQ := rq.NewPoly(p.MaxLevel())
-	rq.AutomorphismNTT(underQ, sk.Q, gInv, p.MaxLevel())
-	underP := rp.NewPoly(rp.MaxLevel())
+	underQ, underP := rq.GetPoly(level), rp.GetPoly(rp.MaxLevel())
+	defer rq.PutPoly(underQ)
+	defer rp.PutPoly(underP)
+	rq.AutomorphismNTT(underQ, sk.Q, gInv, level)
 	rp.AutomorphismNTT(underP, sk.P, gInv, rp.MaxLevel())
-	return kg.genSwitchingKey(sk.Q, underQ, underP)
+	return kg.genSwitchingKey(level, sk.Q, underQ, underP)
 }
 
-// GenRotationKeys populates ks with Galois keys for the given slot
-// rotations.
+// ensureGaloisKey gives ks a Galois key for galEl that serves level: a key
+// at or above it is kept, a lower one replaced.
+func (kg *KeyGenerator) ensureGaloisKey(sk *SecretKey, ks *EvaluationKeySet, galEl uint64, level int) {
+	if k, ok := ks.Gal[galEl]; ok && k.Level() >= level {
+		return
+	}
+	ks.Gal[galEl] = kg.genGaloisKey(sk, galEl, level)
+}
+
+// GenRotationKeys populates ks with top-level Galois keys for the given slot
+// rotations, replacing any lower-level key the set holds for one of them.
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, ks *EvaluationKeySet, rotations []int) {
 	rq := kg.params.RingQ()
 	for _, r := range rotations {
-		g := rq.GaloisElement(r)
-		if _, ok := ks.Gal[g]; !ok {
-			ks.Gal[g] = kg.GenGaloisKey(sk, g)
-		}
+		kg.ensureGaloisKey(sk, ks, rq.GaloisElement(r), kg.params.MaxLevel())
 	}
 }
 
-// GenConjugationKey adds the key for complex conjugation.
+// GenConjugationKey adds the top-level key for complex conjugation,
+// replacing a lower-level one.
 func (kg *KeyGenerator) GenConjugationKey(sk *SecretKey, ks *EvaluationKeySet) {
-	g := kg.params.RingQ().GaloisElementConjugate()
-	if _, ok := ks.Gal[g]; !ok {
-		ks.Gal[g] = kg.GenGaloisKey(sk, g)
-	}
+	kg.ensureGaloisKey(sk, ks, kg.params.RingQ().GaloisElementConjugate(), kg.params.MaxLevel())
 }
 
-// GenKeySwitchKey returns the key switching ciphertexts under skFrom to
-// skTo (used by sparse-secret encapsulation).
+// GenKeySwitchKey returns the top-level key switching ciphertexts under
+// skFrom to skTo (used by sparse-secret encapsulation).
 func (kg *KeyGenerator) GenKeySwitchKey(skFrom, skTo *SecretKey) *SwitchingKey {
-	return kg.genSwitchingKey(skFrom.Q, skTo.Q, skTo.P)
+	return kg.genSwitchingKey(kg.params.MaxLevel(), skFrom.Q, skTo.Q, skTo.P)
 }
 
 // invGalois returns g^{-1} mod m for odd g (m a power of two).

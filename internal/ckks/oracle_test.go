@@ -352,7 +352,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		ops := []opCase{
 			{"switch-keys",
 				func() []*Ciphertext { return []*Ciphertext{or.switchKeys(a, swk)} },
-				func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, swk), nil) }},
+				func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, swk)) }},
 			{"rotate",
 				func() []*Ciphertext { return []*Ciphertext{or.rotate(a, 3)} },
 				func() ([]*Ciphertext, error) { return one(ev.Rotate(a, 3)) }},
@@ -393,7 +393,7 @@ func TestDeterminismMatrix(t *testing.T) {
 					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.sweep(a, lt, bs))} },
 					func() ([]*Ciphertext, error) {
 						plan := newBSGSPlan(lt.Diags, bs)
-						keys, err := ev.sweepKeys(plan)
+						keys, err := ev.sweepKeys(plan, a.Level())
 						if err != nil {
 							return nil, err
 						}
@@ -418,7 +418,7 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Fatalf("%d babies: the plan must exceed the wide term bound %d", len(wplan.babies), modarith.MaxDotTerms)
 	}
 	wide.kgen.GenRotationKeys(wide.sk, wide.keys, wplan.rotations())
-	wkeys, err := wide.eval.sweepKeys(wplan)
+	wkeys, err := wide.eval.sweepKeys(wplan, wide.params.MaxLevel())
 	if err != nil {
 		t.Fatal(err)
 	}

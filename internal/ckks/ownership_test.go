@@ -110,7 +110,7 @@ func TestNoAlias(t *testing.T) {
 		{"Mul/levels", []*Ciphertext{a, low}, func() ([]*Ciphertext, error) { return oneErr(ev.Mul(low, a)) }},
 		{"Square", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return oneErr(ev.Square(a)) }},
 		{"Rescale", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return oneErr(ev.Rescale(a)) }},
-		{"SwitchKeys", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, tc.keys.Rlk)) }},
+		{"SwitchKeys", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return oneErr(ev.SwitchKeys(a, tc.keys.Rlk)) }},
 		{"DropLevel", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.DropLevel(a, 2)) }},
 		{"DropLevel/same", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return one(ev.DropLevel(a, a.Level())) }},
 		{"Rotate", []*Ciphertext{a}, func() ([]*Ciphertext, error) { return oneErr(ev.Rotate(a, 3)) }},

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"encoding/base64"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"runtime/pprof"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
+	"github.com/anaheim-sim/anaheim/internal/obs"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
@@ -124,5 +127,79 @@ func TestSessionRejectsMismatchedKeys(t *testing.T) {
 			t.Fatalf("goroutine leak: %d after close, baseline %d\n%s", runtime.NumGoroutine(), baseline, buf.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// truncatedKey copies the level-lvl prefix of a switching key: D(lvl) digits
+// of lvl+1 Q rows and every P row — the key keygen draws at that level.
+func truncatedKey(params *ckks.Parameters, k *ckks.SwitchingKey, lvl int) *ckks.SwitchingKey {
+	cut := func(ps []*ring.Poly, rows int) []*ring.Poly {
+		out := make([]*ring.Poly, params.Digits(lvl))
+		for d := range out {
+			out[d] = &ring.Poly{Coeffs: make([][]uint64, rows), IsNTT: true}
+			for i := range out[d].Coeffs {
+				out[d].Coeffs[i] = append([]uint64(nil), ps[d].Coeffs[i]...)
+			}
+		}
+		return out
+	}
+	a := params.Alpha()
+	return &ckks.SwitchingKey{BQ: cut(k.BQ, lvl+1), AQ: cut(k.AQ, lvl+1), BP: cut(k.BP, a), AP: cut(k.AP, a)}
+}
+
+// TestSessionKeysAtTheirLevel: a session accepts a key at any level ℓ below
+// the top that has that level's shape, and accounts it at its own size. A job
+// that spends it at ℓ succeeds; one that spends it above ℓ fails with
+// ckks.ErrMissingKey at Job.Wait — the evaluator's check, not a recovered
+// panic — and its result answers 409 over HTTP.
+func TestSessionKeysAtTheirLevel(t *testing.T) {
+	client := newTestClient(t, 1)
+	p := client.params
+	lvl := p.MaxLevel() - 2
+	g := p.RingQ().GaloisElement(1)
+	low := truncatedKey(p, client.keys.Gal[g], lvl)
+	keys := &ckks.EvaluationKeySet{Rlk: client.keys.Rlk, Gal: map[uint64]*ckks.SwitchingKey{g: low}}
+
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	defer e.Close()
+	h := NewHTTPHandler(e)
+	sess, err := e.AttachSession(p, keys)
+	if err != nil {
+		t.Fatalf("a key at level %d: %v", lvl, err)
+	}
+	lowBytes := 2 * int64(p.Digits(lvl)) * int64(lvl+1+p.Alpha()) * int64(p.N()) * 8
+	if got, want := sess.KeyBytes(), rawSwitchingKeyBytes(client.keys.Rlk)+lowBytes; got != want || rawSwitchingKeyBytes(low) != lowBytes {
+		t.Errorf("session accounted at %d bytes, want %d", got, want)
+	}
+
+	x := client.encrypt(t, []complex128{0.5, 0.25})
+	rotate := func(level int) *Job {
+		job, err := e.Submit(JobSpec{
+			SessionID: sess.ID,
+			Inputs:    map[string]*ckks.Ciphertext{"x": x},
+			Ops: []OpSpec{
+				{ID: "d", Op: "droplevel", Args: []string{"x"}, K: level},
+				{ID: "r", Op: "rotate", Args: []string{"d"}, K: 1},
+			},
+			Outputs: []string{"r"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	if err := rotate(lvl).Wait(context.Background()); err != nil {
+		t.Errorf("rotation at the key's level %d: %v", lvl, err)
+	}
+	job := rotate(lvl + 1)
+	werr := job.Wait(context.Background())
+	if !errors.Is(werr, ckks.ErrMissingKey) || strings.Contains(werr.Error(), "panic") {
+		t.Fatalf("rotation above the key's level: job error %v, want ckks.ErrMissingKey", werr)
+	}
+	if !strings.Contains(werr.Error(), fmt.Sprintf("at level %d does not cover level %d", lvl, lvl+1)) {
+		t.Errorf("error %q does not name both levels", werr)
+	}
+	if code, _ := doRequest(t, h, "GET", "/v1/jobs/"+job.ID+"/result", ""); code != http.StatusConflict {
+		t.Errorf("result of the failed job: HTTP %d, want 409", code)
 	}
 }

@@ -358,9 +358,15 @@ func TestEngineMemoryStaysFlat(t *testing.T) {
 		return float64(ms.HeapAlloc) / 1e6
 	}
 
+	// A retained job is charged its result's capacity: two polynomials of at
+	// least the output level's limbs (mul, square and mulconst each drop one
+	// from the top), more when the pool served them from a larger backing.
+	// The least charge bounds how many jobs the budget can retain.
+	p := client.params
+	minCost := int64(2 * (p.MaxLevel() - 3 + 1) * p.N() * 8)
+
 	const clients, total, early = 4, 3000, 500
 	var at500 float64
-	var minCost int64
 	done := 0
 	for done < total {
 		var wg sync.WaitGroup
@@ -388,9 +394,6 @@ func TestEngineMemoryStaysFlat(t *testing.T) {
 		}
 		done += clients
 		jobs, retained, bytes := e.tableSizes()
-		if minCost == 0 {
-			minCost = bytes / int64(retained)
-		}
 		if bound := int(budget/minCost) + 1; retained > bound || jobs > int(e.active.Load())+bound {
 			t.Fatalf("after %d jobs: table holds %d (%d retained, %d bytes), bound %d retained", done, jobs, retained, bytes, bound)
 		}
@@ -422,11 +425,27 @@ func TestEngineMemoryStaysFlat(t *testing.T) {
 // nothing, and a held handle survives either.
 func TestRetentionBounds(t *testing.T) {
 	client := newTestClient(t)
-	probe := New(Config{Workers: 1, Obs: obs.NewRegistry()})
-	psess, _ := probe.AttachSession(client.params, client.keys)
-	finished(t, probe, squareJob(t, client, psess.ID, ""))
-	_, _, cost := probe.tableSizes() // what one square job is charged
-	probe.Close()
+	// A square job is charged its result's capacity — two polynomials of the
+	// level below the top, in backings of that many limbs or, when the pool
+	// served them from a top-level one, one more — plus the fixed overhead.
+	// Two and a half of the largest charge retain exactly two jobs, since
+	// three of the smallest exceed it.
+	p := client.params
+	cost := int64(2*(p.MaxLevel()+1)*p.N()*8) + retainedJobOverhead
+	charged := func(jobs ...*Job) int64 {
+		var n int64
+		for _, j := range jobs {
+			n += retainedJobOverhead
+			outs, err := j.Results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ct := range outs {
+				n += ct.CoeffBytes()
+			}
+		}
+		return n
+	}
 
 	reaped := func(reg *obs.Registry, reason string) float64 {
 		return reg.Snapshot().Counters[`engine_jobs_reaped_total{reason="`+reason+`"}`]
@@ -442,8 +461,8 @@ func TestRetentionBounds(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			jobs = append(jobs, finished(t, e, squareJob(t, client, sess.ID, "")))
 		}
-		if n, retained, bytes := e.tableSizes(); n != 2 || retained != 2 || bytes != 2*cost {
-			t.Fatalf("table %d jobs, retained %d / %d bytes; want 2, 2, %d", n, retained, bytes, 2*cost)
+		if n, retained, bytes := e.tableSizes(); n != 2 || retained != 2 || bytes != charged(jobs[3:]...) {
+			t.Fatalf("table %d jobs, retained %d / %d bytes; want 2, 2, %d", n, retained, bytes, charged(jobs[3:]...))
 		}
 		for i, j := range jobs {
 			_, err := e.Job(j.ID)

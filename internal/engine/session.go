@@ -67,9 +67,9 @@ func (e *Engine) CreateSession(lit ckks.ParametersLiteral, keys *ckks.Evaluation
 
 // AttachSession registers a session over already-compiled parameters (the
 // embedded path, where the caller owns a full local context). A key without
-// the parameters' one switching-key shape is refused with an error wrapping
-// ErrKeyShape. The session enters the key cache costed at its
-// measured evaluation-key size — every switching key's 2·D digit
+// the switching-key shape of its level under the parameters is refused with
+// an error wrapping ErrKeyShape. The session enters the key cache costed at
+// its measured evaluation-key size — every switching key's 2·D digit
 // polynomials over Q and P, 8 bytes per coefficient — and under memory
 // pressure the least recently used unpinned sessions are evicted to make
 // room for it.
@@ -120,11 +120,13 @@ func (e *Engine) DetachSession(id string) bool {
 // answers 400. Such a key would otherwise fail inside a worker at first use.
 var ErrKeyShape = errors.New("engine: evaluation key does not match the session parameters")
 
-// checkKeyShapes checks every switching key in keys against the one shape
-// keygen gives it under params: D(MaxLevel) digits, each four NTT-domain
-// polynomials of N coefficients per row — MaxLevel+1 Q rows, α P rows.
+// checkKeyShapes checks every switching key in keys against the shape
+// keygen gives a key at its level ℓ ≤ MaxLevel under params: D(ℓ) digits,
+// each four NTT-domain polynomials of N coefficients per row — ℓ+1 Q rows,
+// α P rows. A key below the level an op runs at is refused by that op with
+// ckks.ErrMissingKey.
 func checkKeyShapes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) error {
-	digits, qRows, pRows := params.Digits(params.MaxLevel()), params.MaxLevel()+1, params.Alpha()
+	pRows := params.Alpha()
 	polyOK := func(p *ring.Poly, rows int) bool {
 		if p == nil || !p.IsNTT || len(p.Coeffs) != rows {
 			return false
@@ -137,8 +139,13 @@ func checkKeyShapes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) error 
 		return true
 	}
 	check := func(name string, k *ckks.SwitchingKey) error {
+		lvl := k.Level()
+		if lvl < 0 || lvl > params.MaxLevel() {
+			return fmt.Errorf("%w: %s is at level %d, want 0 to %d", ErrKeyShape, name, lvl, params.MaxLevel())
+		}
+		digits, qRows := params.Digits(lvl), lvl+1
 		if len(k.BQ) != digits || len(k.AQ) != digits || len(k.BP) != digits || len(k.AP) != digits {
-			return fmt.Errorf("%w: %s has %d digits, want %d", ErrKeyShape, name, k.Digits(), digits)
+			return fmt.Errorf("%w: %s has %d digits, want %d at level %d", ErrKeyShape, name, k.Digits(), digits, lvl)
 		}
 		for d := 0; d < digits; d++ {
 			if !polyOK(k.BQ[d], qRows) || !polyOK(k.AQ[d], qRows) || !polyOK(k.BP[d], pRows) || !polyOK(k.AP[d], pRows) {

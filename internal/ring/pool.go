@@ -7,17 +7,22 @@ import (
 )
 
 // Pool traffic counters: the hit rate is the direct measure of how much GC
-// pressure the buffer pool is absorbing on the evaluator hot paths.
+// pressure the buffer pool is absorbing on the evaluator hot paths, and the
+// miss bytes are what filling it cost.
 var (
-	poolHits   = obs.Default.Counter(`ring_pool_gets_total{result="hit"}`)
-	poolMisses = obs.Default.Counter(`ring_pool_gets_total{result="miss"}`)
-	poolPuts   = obs.Default.Counter("ring_pool_puts_total")
+	poolHits      = obs.Default.Counter(`ring_pool_gets_total{result="hit"}`)
+	poolMisses    = obs.Default.Counter(`ring_pool_gets_total{result="miss"}`)
+	poolPuts      = obs.Default.Counter("ring_pool_puts_total")
+	poolMissBytes = obs.Default.Counter("ring_pool_miss_bytes_total")
 )
 
-// polyPool recycles whole polynomials, one sync.Pool per limb count. Every
-// evaluator op draws its scratch and its outputs from here: a polynomial of
-// N×limbs uint64 per call is otherwise the dominant allocator, page-fault and
-// GC cost of a bootstrap.
+// polyPool recycles whole polynomials, filed by capacity (the limbs of their
+// backing), one sync.Pool per capacity. Every evaluator op draws its scratch
+// and its outputs from here: a polynomial of N×limbs uint64 per call is
+// otherwise the dominant allocator, page-fault and GC cost of a bootstrap.
+// A borrow takes the smallest pooled capacity that fits, so a ciphertext
+// walking down the modulus chain reuses the rows it freed higher up instead
+// of filling one pool per level.
 //
 // Ownership rules: a borrowed Poly is exclusively the caller's until
 // returned, and returning it is optional (an unreturned one is garbage like
@@ -26,32 +31,41 @@ var (
 // corrupts the pool.
 type polyPool struct {
 	mu     sync.Mutex
-	pools  []*sync.Pool // index = limbs-1
+	pools  []*sync.Pool // index = capacity-1
 	poison bool         // see PoisonPool
 }
 
-func (pp *polyPool) pool(limbs int) *sync.Pool {
+// from returns the pools of every capacity ≥ limbs, smallest first. The
+// slice only grows and its entries never change, so the caller may scan it
+// without the lock.
+func (pp *polyPool) from(limbs int) []*sync.Pool {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	for len(pp.pools) < limbs {
 		pp.pools = append(pp.pools, &sync.Pool{})
 	}
-	return pp.pools[limbs-1]
+	return pp.pools[limbs-1:]
 }
 
 // GetPoly borrows a coefficient-flagged polynomial with level+1 limbs from
-// the ring's buffer pool. Its rows hold UNSPECIFIED values — whatever the last
-// borrower left — so the caller must write every row before reading it.
-// Hand it back via PutPoly when done.
+// the ring's buffer pool: the smallest pooled polynomial of at least that
+// many limbs, cut to level+1 rows, or on a miss a fresh one of exactly that
+// size. Its rows hold UNSPECIFIED values — whatever the last borrower left —
+// so the caller must write every row before reading it. Hand it back via
+// PutPoly when done.
 func (r *Ring) GetPoly(level int) *Poly {
 	limbs := level + 1
-	if v := r.pool.pool(limbs).Get(); v != nil {
-		poolHits.Inc()
-		p := v.(*Poly)
-		p.IsNTT = false
-		return p
+	for _, sp := range r.pool.from(limbs) {
+		if v := sp.Get(); v != nil {
+			poolHits.Inc()
+			p := v.(*Poly)
+			p.Coeffs = p.rows[:limbs:limbs]
+			p.IsNTT = false
+			return p
+		}
 	}
 	poolMisses.Inc()
+	poolMissBytes.Add(float64(limbs * r.N * 8))
 	p := r.NewPoly(level)
 	if r.pool.poison {
 		p.poison()
@@ -59,19 +73,21 @@ func (r *Ring) GetPoly(level int) *Poly {
 	return p
 }
 
-// PutPoly returns a polynomial to the pool. Only a whole polynomial of this
-// ring's degree is pooled — one built by NewPoly, CopyNew or GetPoly. A
-// Truncated view shares its rows with the polynomial it was cut from and an
-// unmarshalled value was not allocated here; both are dropped.
+// PutPoly returns a polynomial to the pool at its full capacity. Only a
+// polynomial that owns its backing and has this ring's degree is pooled — one
+// built by NewPoly, CopyNew or GetPoly. A Truncated view shares its rows with
+// the polynomial it was cut from and an unmarshalled value was not allocated
+// here; both are dropped.
 func (r *Ring) PutPoly(p *Poly) {
-	if p == nil || !p.whole || len(p.Coeffs) == 0 || len(p.Coeffs[0]) != r.N {
+	if p == nil || p.rows == nil || len(p.rows[0]) != r.N {
 		return
 	}
 	poolPuts.Inc()
+	p.Coeffs = p.rows
 	if r.pool.poison {
 		p.poison()
 	}
-	r.pool.pool(len(p.Coeffs)).Put(p)
+	r.pool.from(len(p.rows))[0].Put(p)
 }
 
 // PoisonPool makes every later GetPoly hand out rows holding an out-of-range

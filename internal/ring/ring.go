@@ -31,7 +31,7 @@ type Ring struct {
 	autoMu   sync.Mutex                 // serializes autoSnap writers (cold path only)
 	autoSnap atomic.Pointer[autoTables] // automorphism caches; lock-free reads
 
-	// pool recycles Poly scratch buffers per limb count (see pool.go).
+	// pool recycles Poly scratch buffers by capacity (see pool.go).
 	pool polyPool
 
 	// Limb-transform counters (atomic), used to cross-validate the
@@ -90,10 +90,12 @@ type Poly struct {
 	Coeffs [][]uint64
 	IsNTT  bool
 
-	// whole marks a polynomial that owns every row of one backing allocation
-	// (NewPoly, CopyNew): the only kind PutPoly pools. A Truncated view or an
-	// unmarshalled value is not, so its rows can never be handed out twice.
-	whole bool
+	// rows is every row of the one backing allocation the polynomial owns
+	// (NewPoly, CopyNew), nil for a Truncated view or an unmarshalled value.
+	// Only an owner is pooled, so a row can never be handed out twice. Coeffs
+	// is a prefix of rows: the pool lends a larger backing cut to the limbs
+	// asked for, and PutPoly files it whole again.
+	rows [][]uint64
 }
 
 // NewPoly allocates a zero polynomial with level+1 limbs, backed by a single
@@ -101,24 +103,36 @@ type Poly struct {
 func (r *Ring) NewPoly(level int) *Poly {
 	limbs := level + 1
 	backing := make([]uint64, limbs*r.N)
-	p := &Poly{Coeffs: make([][]uint64, limbs), whole: true}
+	p := &Poly{Coeffs: make([][]uint64, limbs)}
 	for i := 0; i < limbs; i++ {
 		p.Coeffs[i], backing = backing[:r.N], backing[r.N:]
 	}
+	p.rows = p.Coeffs
 	return p
 }
 
 // Level returns the polynomial's level (number of limbs minus one).
 func (p *Poly) Level() int { return len(p.Coeffs) - 1 }
 
+// Capacity returns the number of limbs of storage the polynomial keeps alive:
+// its backing's, which for a borrow served from a larger pooled polynomial
+// exceeds Level()+1. A view counts its own limbs.
+func (p *Poly) Capacity() int {
+	if p.rows != nil {
+		return len(p.rows)
+	}
+	return len(p.Coeffs)
+}
+
 // CopyNew returns a deep copy of p.
 func (p *Poly) CopyNew() *Poly {
-	q := &Poly{Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT, whole: true}
+	q := &Poly{Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT}
 	backing := make([]uint64, len(p.Coeffs)*len(p.Coeffs[0]))
 	for i := range p.Coeffs {
 		q.Coeffs[i], backing = backing[:len(p.Coeffs[i])], backing[len(p.Coeffs[i]):]
 		copy(q.Coeffs[i], p.Coeffs[i])
 	}
+	q.rows = q.Coeffs
 	return q
 }
 

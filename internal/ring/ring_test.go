@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,58 @@ func TestPoolContract(t *testing.T) {
 	// fails the same way whether or not the pool had something to recycle.
 	if fresh := r.GetPoly(1); fresh.Coeffs[0][0] != ^uint64(0) || fresh.Coeffs[1][r.N-1] != ^uint64(0) {
 		t.Fatal("a pool miss on a poisoned pool returned zeros")
+	}
+}
+
+// TestPoolAcrossCapacities: a borrow takes the smallest pooled polynomial
+// that fits and is cut to exactly level+1 rows (poisoned, under PoisonPool),
+// a row past them is out of range, and PutPoly files the polynomial at its
+// full capacity again. A miss allocates exactly what was asked.
+func TestPoolAcrossCapacities(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	// One P: a sync.Pool's per-P slot is not visible from another P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := newTestRing(t, 5, 6)
+	r.PoisonPool()
+	big, mid := r.NewPoly(5), r.NewPoly(3)
+	r.PutPoly(big)
+	r.PutPoly(mid)
+
+	p := r.GetPoly(1)
+	if p != mid || len(p.Coeffs) != 2 || p.Capacity() != 4 {
+		t.Fatalf("GetPoly(1) took %d rows of capacity %d, want 2 rows of the 4-limb polynomial", len(p.Coeffs), p.Capacity())
+	}
+	for i, row := range p.Coeffs {
+		for j, v := range row {
+			if v != ^uint64(0) {
+				t.Fatalf("borrowed row %d coefficient %d is %d, not poisoned", i, j, v)
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("slicing a borrow past its level reached the pooled capacity")
+			}
+		}()
+		_ = p.Coeffs[:3]
+	}()
+	if q := r.GetPoly(1); q != big || len(q.Coeffs) != 2 || q.Capacity() != 6 {
+		t.Fatalf("second GetPoly(1) took %d rows of capacity %d, want the 6-limb polynomial", len(q.Coeffs), q.Capacity())
+	}
+	miss := poolMissBytes.Value()
+	if q := r.GetPoly(2); q.Capacity() != 3 || poolMissBytes.Value()-miss != float64(3*r.N*8) {
+		t.Fatalf("a miss allocated capacity %d", q.Capacity())
+	}
+
+	r.PutPoly(p)
+	if len(p.Coeffs) != 4 {
+		t.Fatalf("PutPoly left %d rows, want the full capacity 4", len(p.Coeffs))
+	}
+	if q := r.GetPoly(3); q != p || len(q.Coeffs) != 4 {
+		t.Fatalf("GetPoly(3) did not get the 4-limb polynomial back whole")
 	}
 }
 
