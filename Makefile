@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME) ./internal/ntt
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzBConv -fuzztime=$(FUZZTIME) ./internal/rns
 	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzVecKernels -fuzztime=$(FUZZTIME) ./internal/modarith
+	$(GO) test $(TAGFLAGS) -run=^$$ -fuzz=FuzzExpandUniform -fuzztime=$(FUZZTIME) ./internal/modarith
 
 # Coverage profile + per-package summary. The crypto core (internal/ckks,
 # internal/rns) and the dispatched row kernels (internal/modarith,

@@ -93,7 +93,8 @@ func BootParameters() ParametersLiteral { return ckks.BootTestParameters() }
 //
 // A Context is safe for concurrent use once its keys are in place:
 // evaluation ops (Add/Mul/Rotate/...) and Decrypt may be called from many
-// goroutines, and Encrypt's randomness sampler serializes its own draws.
+// goroutines, and Encrypt draws its randomness from the encryptor's one
+// keyed stream under the encryptor's mutex.
 // Key-generation calls (GenRotationKeys, GenConjugationKey,
 // SetupBootstrapping) mutate the shared key set and must complete before
 // concurrent evaluation starts.
@@ -112,8 +113,9 @@ type Context struct {
 }
 
 // NewContext compiles parameters and generates the base keys (secret,
-// public, relinearization). The seed makes the context deterministic;
-// production deployments would derive it from crypto/rand.
+// public, relinearization). The seed is the master of every key and of the
+// encryptor's stream, so the context is deterministic; it is not a secret
+// drawn from crypto/rand, and a context for real data needs one that is.
 func NewContext(lit ParametersLiteral, seed int64) (*Context, error) {
 	params, err := ckks.NewParameters(lit)
 	if err != nil {

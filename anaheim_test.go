@@ -55,9 +55,12 @@ func TestContextRoundTrip(t *testing.T) {
 }
 
 // TestEncryptBytesUnchanged pins Context.Encrypt's wire bytes for a fixed
-// vector under a fixed seed to the SHA-256 recorded at commit fe63402, before
-// the message moved in front of e0's transform: the sampler's draw order and
-// the linearity argument both hold, over two consecutive encryptions.
+// vector under a fixed seed, over two consecutive encryptions: the
+// encryptor's draw order (u, e0, e1 from its one keyed stream) and the
+// linearity argument that lets the message join e0 before its transform. The
+// SHA-256 values were recorded when the encryptor's sampler became the keyed
+// AES-256-CTR stream; the message reordering had left the earlier ones, of the
+// math/rand sampler, unchanged.
 func TestEncryptBytesUnchanged(t *testing.T) {
 	ctx, err := NewContext(TestParameters(), 7)
 	if err != nil {
@@ -65,8 +68,8 @@ func TestEncryptBytesUnchanged(t *testing.T) {
 	}
 	u := randVec(rand.New(rand.NewSource(7)), ctx.Params.Slots())
 	for i, want := range []string{
-		"d36ba9bbff477398996cd5984aa6f6a580f1bb553145d44dbac9802ce5c51785",
-		"aa29b815bfb5ac79bf9f3b443a2c719ff0e71b7697d452e6690e115553a16486",
+		"7e8059b39827743277b361475996d48af8e2cf706b82d79bbc10789abc500d84",
+		"96102217b8e072429537a3a2c8f472435673343ecec2290db03073a6368d0eac",
 	} {
 		ct, err := ctx.Encrypt(u)
 		if err != nil {

@@ -89,8 +89,8 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
 	top := params.MaxLevel()
 	lv := cfg.stageLevels(top)
 	skSparse := kgen.GenSparseSecretKey()
-	b.toSparse = kgen.genSwitchingKey(0, sk.Q, skSparse.Q, skSparse.P)
-	b.toDense = kgen.GenKeySwitchKey(skSparse, sk)
+	b.toSparse = kgen.genSwitchingKey(0, idToSparse, sk.Q, skSparse.Q, skSparse.P)
+	b.toDense = kgen.genSwitchingKey(top, idToDense, skSparse.Q, sk.Q, sk.P)
 	if keys.Rlk == nil {
 		keys.Rlk = kgen.GenRelinearizationKey(sk)
 	}

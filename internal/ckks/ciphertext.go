@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"sync"
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -41,15 +42,20 @@ type Plaintext struct {
 // Level returns the plaintext level.
 func (pt *Plaintext) Level() int { return pt.Value.Level() }
 
-// Encryptor encrypts plaintexts under a public or secret key.
+// Encryptor encrypts plaintexts under a public or secret key. It is safe for
+// concurrent use: its one stream is drawn under its mutex, and everything
+// after the draws runs unlocked. Concurrent callers get valid encryptions
+// whose randomness depends on the order their draws take the lock.
 type Encryptor struct {
-	params  *Parameters
-	sampler *ring.Sampler
+	params *Parameters
+	mu     sync.Mutex // serializes the draws from stream
+	stream *ring.Stream
 }
 
-// NewEncryptor returns a deterministic encryptor (seeded sampler).
+// NewEncryptor returns a deterministic encryptor: its stream is seeded from
+// seed.
 func NewEncryptor(params *Parameters, seed int64) *Encryptor {
-	return &Encryptor{params: params, sampler: ring.NewSampler(seed)}
+	return &Encryptor{params: params, stream: ring.NewStream(seedFromInt64("anaheim/encryptor", seed))}
 }
 
 // EncryptNew encrypts the NTT-domain plaintext pt under the public key:
@@ -79,19 +85,24 @@ func (e *Encryptor) EncodeEncryptNew(enc *Encoder, values []complex128, level in
 }
 
 // encrypt returns (B·u + e0 + m, A·u + e1) for a coefficient-domain message m
-// (nil for an encryption of zero). The sampler is drawn in the order u, e0,
+// (nil for an encryption of zero). The stream is drawn in the order u, e0,
 // e1, which fixes the ciphertext bytes of a seeded encryptor.
 func (e *Encryptor) encrypt(m *ring.Poly, scale float64, lvl int, pk *PublicKey) *Ciphertext {
 	p := e.params
 	rq := p.RingQ()
+	e.mu.Lock()
+	uv := e.stream.TernaryVector(rq.N, p.HDense())
+	e0 := e.stream.GaussianVector(rq.N, p.Sigma())
+	e1 := e.stream.GaussianVector(rq.N, p.Sigma())
+	e.mu.Unlock()
 
 	u := rq.GetPoly(lvl)
 	defer rq.PutPoly(u)
-	rq.EmbedCentered(u, e.sampler.TernaryVector(rq.N, p.HDense()), lvl)
+	rq.EmbedCentered(u, uv, lvl)
 	rq.NTT(u, lvl)
 
 	c0 := rq.NewPoly(lvl)
-	rq.EmbedCentered(c0, e.sampler.GaussianVector(rq.N, p.Sigma()), lvl)
+	rq.EmbedCentered(c0, e0, lvl)
 	if m != nil {
 		rq.Add(c0, c0, m, lvl)
 	}
@@ -99,7 +110,7 @@ func (e *Encryptor) encrypt(m *ring.Poly, scale float64, lvl int, pk *PublicKey)
 	rq.MulCoeffsAdd(c0, pk.B.Truncated(lvl), u, lvl)
 
 	c1 := rq.NewPoly(lvl)
-	rq.EmbedCentered(c1, e.sampler.GaussianVector(rq.N, p.Sigma()), lvl)
+	rq.EmbedCentered(c1, e1, lvl)
 	rq.NTT(c1, lvl)
 	rq.MulCoeffsAdd(c1, pk.A.Truncated(lvl), u, lvl)
 
@@ -115,8 +126,11 @@ func (e *Encryptor) EncryptSkNew(pt *Plaintext, sk *SecretKey) *Ciphertext {
 	rq := p.RingQ()
 	lvl := pt.Level()
 
-	a := e.sampler.UniformPoly(rq, lvl, true)
-	err := e.sampler.GaussianPoly(rq, lvl, p.Sigma())
+	e.mu.Lock()
+	a := e.stream.UniformPoly(rq, lvl, true)
+	ev := e.stream.GaussianVector(rq.N, p.Sigma())
+	e.mu.Unlock()
+	err := ring.SmallVectorToPoly(rq, lvl, ev)
 	rq.NTT(err, lvl)
 
 	c0 := rq.NewPoly(lvl)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // fuzzParameters is a deliberately tiny (insecure) parameter set: the wire
@@ -99,7 +101,11 @@ func FuzzCiphertextUnmarshal(f *testing.F) {
 }
 
 // FuzzEvaluationKeySetUnmarshal covers the other untrusted decode surface
-// of the HTTP session path: client-uploaded evaluation keys.
+// of the HTTP session path: client-uploaded evaluation keys, down to the
+// switching-key wire form (seed chunk, digit count, B rows). A key set that
+// decodes must re-marshal to its bytes, and a key in it of the parameters'
+// shape must serve a key switch at its level without a panic: the decoder
+// lets no key through that the evaluator cannot take.
 func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 	params, err := NewParameters(fuzzParameters())
 	if err != nil {
@@ -109,6 +115,7 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 	sk := kgen.GenSecretKey()
 	keys := NewEvaluationKeySet()
 	keys.Rlk = kgen.GenRelinearizationKey(sk)
+	kgen.GenRotationKeys(sk, keys, []int{1})
 	valid, err := keys.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
@@ -117,11 +124,17 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 	f.Add(valid[:len(valid)/3])
 	f.Add([]byte{})
 	f.Add([]byte{1}) // claims a relin key, then nothing
+	for _, k := range hostileKeys(f, keys.Rlk) {
+		f.Add(binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, k), 0))
+	}
 
 	// Claims 2^32-1 Galois keys: must fail on truncation, not allocate.
 	greedy := []byte{0, 0xff, 0xff, 0xff, 0xff}
 	f.Add(greedy)
 
+	ev := NewEvaluator(params, keys)
+	ct := NewEncryptor(params, 2).EncryptNew(&Plaintext{Value: params.RingQ().NewPoly(params.MaxLevel()), Scale: params.DefaultScale()},
+		kgen.GenPublicKey(sk))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &EvaluationKeySet{}
 		if err := s.UnmarshalBinary(data); err != nil {
@@ -134,5 +147,51 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("round-trip mismatch: %d bytes in, %d bytes out", len(data), len(out))
 		}
+		all := []*SwitchingKey{s.Rlk}
+		for _, k := range s.Gal {
+			all = append(all, k)
+		}
+		for _, k := range all {
+			if k == nil {
+				continue
+			}
+			lvl := k.Level()
+			if lvl > params.MaxLevel() || len(k.BP[0].Coeffs) != params.Alpha() || len(k.BQ[0].Coeffs[0]) != params.N() {
+				continue // another parameter set's shape: the engine's checkKeyShapes refuses it
+			}
+			if _, err := ev.SwitchKeys(ev.DropLevel(ct, lvl), k); err != nil {
+				t.Fatalf("a decoded key of the parameters' shape failed its level's key switch: %v", err)
+			}
+		}
 	})
+}
+
+// hostileKeys returns wire forms of k that a generator cannot produce: a seed
+// one byte short and one byte long, a digit count one short of the level's,
+// a last B row missing, and a digit with one Q row fewer than the others.
+func hostileKeys(t testing.TB, k *SwitchingKey) map[string][]byte {
+	t.Helper()
+	digits := func(seed []byte, n int, polys ...*ring.Poly) []byte {
+		b := binary.LittleEndian.AppendUint32(appendChunk(nil, seed), uint32(n))
+		var err error
+		for _, p := range polys {
+			if b, err = appendPoly(b, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	var rows []*ring.Poly
+	for d := range k.BQ {
+		rows = append(rows, k.BQ[d], k.BP[d])
+	}
+	d := len(k.BQ)
+	short := k.BQ[d-1].Truncated(k.BQ[d-1].Level() - 1)
+	return map[string][]byte{
+		"seed short":      digits(k.Seed[:31], d, rows...),
+		"seed long":       digits(append(k.Seed[:], 0), d, rows...),
+		"digits disagree": digits(k.Seed[:], d-1, rows[:2*d-2]...),
+		"B row missing":   digits(k.Seed[:], d, rows[:2*d-1]...),
+		"B row short":     digits(k.Seed[:], d, append(rows[:2*d-2:2*d-2], short, rows[2*d-1])...),
+	}
 }

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,7 +27,7 @@ func truncatedKey(p *Parameters, k *SwitchingKey, lvl int) *SwitchingKey {
 		return out
 	}
 	a := p.Alpha()
-	return &SwitchingKey{BQ: cut(k.BQ, lvl+1), AQ: cut(k.AQ, lvl+1), BP: cut(k.BP, a), AP: cut(k.AP, a)}
+	return &SwitchingKey{Seed: k.Seed, BQ: cut(k.BQ, lvl+1), BP: cut(k.BP, a)}
 }
 
 // truncatedKeySet is every key of ks cut to level lvl.
@@ -40,10 +41,12 @@ func truncatedKeySet(p *Parameters, ks *EvaluationKeySet, lvl int) *EvaluationKe
 }
 
 // TestKeyPrefixServesLowerLevels: a key at level ℓ is the level-ℓ prefix of
-// a full-level one. With every key of a set cut to ℓ (copied rows), Rotate,
-// the planned sweep, Mul and SwitchKeys give byte-identical outputs to the
-// full set at every level ≤ ℓ, on a chain whose last digit is ragged at some
-// levels and whole at others.
+// a full-level one. The generator drawing a key at ℓ gives, byte for byte,
+// the full-level key with the same id cut to ℓ — same seed, same B rows. With
+// every key of a set cut to ℓ (copied rows), Rotate, the planned sweep, Mul
+// and SwitchKeys give byte-identical outputs to the full set at every level
+// ≤ ℓ, on a chain whose last digit is ragged at some levels and whole at
+// others.
 func TestKeyPrefixServesLowerLevels(t *testing.T) {
 	tc := newTestContext(t, alpha2Params())
 	p := tc.params
@@ -52,8 +55,24 @@ func TestKeyPrefixServesLowerLevels(t *testing.T) {
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, append([]int{3}, GaloisKeysForLinearTransform(p, lt)...))
 	ctTop := tc.encryptVec(t, randomComplex(r, p.Slots(), 0.5))
 
+	s2 := p.RingQ().NewPoly(p.MaxLevel())
+	p.RingQ().MulCoeffs(s2, tc.sk.Q, tc.sk.Q, p.MaxLevel())
 	for _, keyLvl := range []int{3, 6} {
-		low := NewEvaluator(p, truncatedKeySet(p, tc.keys, keyLvl))
+		cut := truncatedKeySet(p, tc.keys, keyLvl)
+		drawn := map[uint64]*SwitchingKey{0: tc.kgen.genSwitchingKey(keyLvl, idRelinearization, s2, tc.sk.Q, tc.sk.P)}
+		for g := range tc.keys.Gal {
+			drawn[g] = tc.kgen.genGaloisKey(tc.sk, g, keyLvl)
+		}
+		for g, k := range drawn {
+			want := cut.Rlk
+			if g != 0 {
+				want = cut.Gal[g]
+			}
+			if !bytes.Equal(keyWire(t, k), keyWire(t, want)) {
+				t.Errorf("key %d drawn at level %d is not the top-level key's prefix", g, keyLvl)
+			}
+		}
+		low := NewEvaluator(p, cut)
 		for lvl := 0; lvl <= keyLvl; lvl++ {
 			ct := tc.eval.DropLevel(ctTop, lvl)
 			ops := map[string]func(ev *Evaluator) (*Ciphertext, error){

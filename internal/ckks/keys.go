@@ -1,9 +1,13 @@
 package ckks
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
+	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
@@ -19,23 +23,42 @@ type PublicKey struct {
 	B, A *ring.Poly
 }
 
-// SwitchingKey is a gadget ("hybrid") key-switching key with D digits
-// (Table I: 2·D polynomials in R_PQ). Digit d encrypts P·g_d·w under the key
-// s', where g_d = (Q/Q_d)·[(Q/Q_d)^{-1}]_{Q_d} is the RNS gadget factor:
+// SwitchingKey is a gadget ("hybrid") key-switching key with D digits. Digit
+// d encrypts P·g_d·w under the key s', where g_d = (Q/Q_d)·[(Q/Q_d)^{-1}]_{Q_d}
+// is the RNS gadget factor:
 //
 //	B[d] + A[d]·s' = P·g_d·w + e_d  (mod PQ).
+//
+// Table I counts 2·D polynomials in R_PQ; a key here stores D of them, the B
+// halves, and a public 32-byte Seed. A[d] is uniform, and the seed determines
+// it: row i of A[d]'s Q (P) part is modarith.ExpandUniform under the seed at
+// tag ring.KeyRowTag(d, 0 (1), i). Key generation and every key switch call
+// that one expander — the key switch expands each row where its dot consumes
+// it (Lane.DotKeyLazy) — so A is never stored, shipped or cached.
 //
 // For rotation keys, w = s and s' = σ_g^{-1}(s), the layout that supports
 // hoisting: the ModUp digits of c1 can be computed once and reused across
 // rotations, with the automorphism applied after the inner product (§III-B).
 //
 // A key has a level ℓ: D(ℓ) digits over Q_ℓ ∪ P. The gadget term of a
-// digit is (P mod q_i)·w_i on the digit's own limbs and zero elsewhere, so a
-// key at ℓ is the level-ℓ prefix of a full-level one — the prefix a key switch
-// at any level ≤ ℓ reads — and serves exactly those levels.
+// digit is (P mod q_i)·w_i on the digit's own limbs and zero elsewhere, and
+// neither A's rows nor a digit's error depend on the level, so a key at ℓ is
+// the level-ℓ prefix of a full-level one with the same seed — the prefix a key
+// switch at any level ≤ ℓ reads — and serves exactly those levels.
 type SwitchingKey struct {
-	BQ, AQ []*ring.Poly // Q parts, indexed by digit, level ℓ, NTT
-	BP, AP []*ring.Poly // P parts
+	Seed   [32]byte     // AES-256 key of the uniform A rows; set before first use
+	BQ, BP []*ring.Poly // Q and P parts of B, indexed by digit, level ℓ, NTT
+
+	uniform atomic.Pointer[modarith.StreamKey] // Seed expanded, on first use
+}
+
+// uniformKey returns the expanded Seed the A rows are generated under.
+func (k *SwitchingKey) uniformKey() *modarith.StreamKey {
+	if u := k.uniform.Load(); u != nil {
+		return u
+	}
+	k.uniform.CompareAndSwap(nil, modarith.NewStreamKey(k.Seed))
+	return k.uniform.Load()
 }
 
 // Digits returns the decomposition number D of the key.
@@ -51,15 +74,16 @@ func (k *SwitchingKey) Level() int {
 }
 
 // covers reports whether the key serves a key switch at level lvl: at least
-// D(lvl) digits, each with lvl+1 Q rows and α P rows.
+// D(lvl) digits, each with lvl+1 Q rows and α P rows of B (A comes from the
+// seed, at any level).
 func (k *SwitchingKey) covers(p *Parameters, lvl int) bool {
 	d := p.Digits(lvl)
-	if len(k.BQ) < d || len(k.AQ) < d || len(k.BP) < d || len(k.AP) < d {
+	if len(k.BQ) < d || len(k.BP) < d {
 		return false
 	}
 	rows := func(x *ring.Poly, n int) bool { return x != nil && len(x.Coeffs) >= n }
 	for i := 0; i < d; i++ {
-		if !rows(k.BQ[i], lvl+1) || !rows(k.AQ[i], lvl+1) || !rows(k.BP[i], p.Alpha()) || !rows(k.AP[i], p.Alpha()) {
+		if !rows(k.BQ[i], lvl+1) || !rows(k.BP[i], p.Alpha()) {
 			return false
 		}
 	}
@@ -85,10 +109,11 @@ func polysBytes(ps []*ring.Poly) int64 {
 	return n
 }
 
-// CoeffBytes returns the coefficient bytes the key pins in memory — the
-// figure keycache accounting uses; 2·D·(ℓ+1+α)·N·8 for a key at level ℓ.
+// CoeffBytes returns the bytes the key pins in memory — the figure keycache
+// accounting uses: its B rows and its seed, D·(ℓ+1+α)·N·8 + 32 for a key at
+// level ℓ.
 func (k *SwitchingKey) CoeffBytes() int64 {
-	return polysBytes(k.BQ) + polysBytes(k.AQ) + polysBytes(k.BP) + polysBytes(k.AP)
+	return polysBytes(k.BQ) + polysBytes(k.BP) + int64(len(k.Seed))
 }
 
 // EvaluationKeySet bundles the keys an Evaluator may need.
@@ -130,19 +155,74 @@ func (s *EvaluationKeySet) CoeffBytes() int64 {
 	return n
 }
 
-// KeyGenerator samples keys for a parameter set.
+// KeyGenerator samples keys for a parameter set. Every key's bytes are a
+// function of the generator's master seed, the key's id and its level only,
+// never of what else the generator drew before, so generating keys in another
+// order, or one key more or fewer, leaves every other key byte-identical.
+//
+// Two derivations hang off the master, in separate domains: the public one
+// gives each key the Seed its uniform half expands from, and the secret one
+// gives a secret key its stream and each key digit its error stream, keyed by
+// (key id, digit). A key id is the Galois element for a Galois key, a fixed
+// role for the relinearization key, the public key and the bootstrap's two
+// encapsulation keys, and a fresh counter value for every GenSecretKey,
+// GenSparseSecretKey and GenKeySwitchKey call. The level is never part of an
+// id: a key at level ℓ is the prefix of the top-level key with its id.
 type KeyGenerator struct {
-	params  *Parameters
-	sampler *ring.Sampler
+	params       *Parameters
+	master       [32]byte
+	secretDomain string // domainSecret; a field so a test can move it alone
+	fresh        uint64 // ids handed out to calls without a role
 }
 
-// NewKeyGenerator returns a deterministic key generator (seeded; see
-// ring.NewSampler).
+// The derivation domains of a KeyGenerator's master seed.
+const (
+	domainPublic = "anaheim/key/public"
+	domainSecret = "anaheim/key/secret"
+)
+
+// Key ids with a fixed role, and the base of the fresh ones. Galois elements
+// are odd and below 2N, far below both.
+const (
+	idRelinearization uint64 = 1<<62 + iota
+	idPublicKey
+	idToSparse
+	idToDense
+	idFresh uint64 = 1 << 63
+)
+
+// NewKeyGenerator returns a deterministic key generator: its master seed is
+// derived from seed.
 func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {
-	return &KeyGenerator{params: params, sampler: ring.NewSampler(seed)}
+	return &KeyGenerator{params: params, master: seedFromInt64("anaheim/key/master", seed), secretDomain: domainSecret}
+}
+
+// seedFromInt64 hashes an integer seed into a 32-byte stream seed under a
+// domain label.
+func seedFromInt64(domain string, seed int64) [32]byte {
+	return sha256.Sum256(binary.LittleEndian.AppendUint64([]byte(domain+"\x00"), uint64(seed)))
+}
+
+// derive returns the 32-byte seed of (id, digit) in a domain of the master.
+func (kg *KeyGenerator) derive(domain string, id, digit uint64) [32]byte {
+	b := append([]byte(domain+"\x00"), kg.master[:]...)
+	b = binary.LittleEndian.AppendUint64(b, id)
+	return sha256.Sum256(binary.LittleEndian.AppendUint64(b, digit))
+}
+
+// secretStream returns the secret stream of (id, digit).
+func (kg *KeyGenerator) secretStream(id, digit uint64) *ring.Stream {
+	return ring.NewStream(kg.derive(kg.secretDomain, id, digit))
+}
+
+// freshID returns an id no other call of this generator gets.
+func (kg *KeyGenerator) freshID() uint64 {
+	kg.fresh++
+	return idFresh | kg.fresh
 }
 
 // GenSecretKey samples a dense ternary secret of Hamming weight params.HDense.
+// Each call draws a new secret.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	return kg.genSecretKeyWithWeight(kg.params.HDense())
 }
@@ -155,7 +235,7 @@ func (kg *KeyGenerator) GenSparseSecretKey() *SecretKey {
 
 func (kg *KeyGenerator) genSecretKeyWithWeight(h int) *SecretKey {
 	p := kg.params
-	v := kg.sampler.TernaryVector(p.N(), h)
+	v := kg.secretStream(kg.freshID(), 0).TernaryVector(p.N(), h)
 	sk := &SecretKey{
 		Q: ring.SmallVectorToPoly(p.RingQ(), p.MaxLevel(), v),
 		P: ring.SmallVectorToPoly(p.RingP(), p.RingP().MaxLevel(), v),
@@ -170,8 +250,8 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	p := kg.params
 	rq := p.RingQ()
 	lvl := p.MaxLevel()
-	a := kg.sampler.UniformPoly(rq, lvl, true)
-	e := kg.sampler.GaussianPoly(rq, lvl, p.Sigma())
+	a := ring.NewStream(kg.derive(domainPublic, idPublicKey, 0)).UniformPoly(rq, lvl, true)
+	e := kg.secretStream(idPublicKey, 0).GaussianPoly(rq, lvl, p.Sigma())
 	rq.NTT(e, lvl)
 	b := rq.NewPoly(lvl)
 	b.IsNTT = true
@@ -181,13 +261,14 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// genSwitchingKey produces a key at level ℓ with digit d satisfying
-// B[d] + A[d]·under = P·g_d·w + e_d over Q_ℓ ∪ P, where w and under are
-// NTT-form secrets over (Q, P) (rows 0..ℓ of their Q parts are read) and
-// digit d covers the Q limbs [d·α, min((d+1)·α, ℓ+1)). The error polynomials
-// are borrowed from the ring pools and handed back: a key keeps only its own
-// digits.
-func (kg *KeyGenerator) genSwitchingKey(level int, wQ *ring.Poly, underQ, underP *ring.Poly) *SwitchingKey {
+// genSwitchingKey produces the key with the given id at level ℓ, digit d
+// satisfying B[d] + A[d]·under = P·g_d·w + e_d over Q_ℓ ∪ P, where w and under
+// are NTT-form secrets over (Q, P) (rows 0..ℓ of their Q parts are read) and
+// digit d covers the Q limbs [d·α, min((d+1)·α, ℓ+1)). A[d] is expanded row by
+// row from the key's seed (ring.SubUniformProduct) and never held whole; the
+// error polynomials are borrowed from the ring pools and handed back: a key
+// keeps only its B digits.
+func (kg *KeyGenerator) genSwitchingKey(level int, id uint64, wQ *ring.Poly, underQ, underP *ring.Poly) *SwitchingKey {
 	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()
 	lvlP, alpha := rp.MaxLevel(), p.Alpha()
@@ -204,28 +285,23 @@ func (kg *KeyGenerator) genSwitchingKey(level int, wQ *ring.Poly, underQ, underP
 	}
 
 	k := &SwitchingKey{
-		BQ: make([]*ring.Poly, digits),
-		AQ: make([]*ring.Poly, digits),
-		BP: make([]*ring.Poly, digits),
-		AP: make([]*ring.Poly, digits),
+		Seed: kg.derive(domainPublic, id, 0),
+		BQ:   make([]*ring.Poly, digits),
+		BP:   make([]*ring.Poly, digits),
 	}
+	a := k.uniformKey()
 	eQ, eP := rq.GetPoly(level), rp.GetPoly(lvlP)
 	defer rq.PutPoly(eQ)
 	defer rp.PutPoly(eP)
 	for d := 0; d < digits; d++ {
-		aQ := kg.sampler.UniformPoly(rq, level, true)
-		aP := kg.sampler.UniformPoly(rp, lvlP, true)
-		ev := kg.sampler.GaussianVector(p.N(), p.Sigma())
+		ev := kg.secretStream(id, uint64(d)).GaussianVector(p.N(), p.Sigma())
 		rq.EmbedCentered(eQ, ev, level)
 		rp.EmbedCentered(eP, ev, lvlP)
 		rq.NTT(eQ, level)
 		rp.NTT(eP, lvlP)
 
 		bQ := rq.NewPoly(level)
-		bQ.IsNTT = true
-		rq.MulCoeffs(bQ, aQ, underQ, level)
-		rq.Neg(bQ, bQ, level)
-		rq.Add(bQ, bQ, eQ, level)
+		rq.SubUniformProduct(bQ, eQ, underQ, a, d, 0, level)
 		// Gadget term: P·g_d·w has residue (P mod q_i)·w_i for i in the
 		// digit's prime group and 0 elsewhere (and 0 mod every p_j).
 		for i := d * alpha; i < min((d+1)*alpha, level+1); i++ {
@@ -239,13 +315,9 @@ func (kg *KeyGenerator) genSwitchingKey(level int, wQ *ring.Poly, underQ, underP
 		}
 
 		bP := rp.NewPoly(lvlP)
-		bP.IsNTT = true
-		rp.MulCoeffs(bP, aP, underP, lvlP)
-		rp.Neg(bP, bP, lvlP)
-		rp.Add(bP, bP, eP, lvlP)
+		rp.SubUniformProduct(bP, eP, underP, a, d, 1, lvlP)
 
-		k.BQ[d], k.AQ[d] = bQ, aQ
-		k.BP[d], k.AP[d] = bP, aP
+		k.BQ[d], k.BP[d] = bQ, bP
 	}
 	return k
 }
@@ -259,7 +331,7 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *SwitchingKey {
 	defer rq.PutPoly(s2)
 	rq.MulCoeffs(s2, sk.Q, sk.Q, lvl)
 	s2.IsNTT = true
-	return kg.genSwitchingKey(lvl, s2, sk.Q, sk.P)
+	return kg.genSwitchingKey(lvl, idRelinearization, s2, sk.Q, sk.P)
 }
 
 // GenGaloisKey returns the top-level key enabling the automorphism σ_g on
@@ -269,7 +341,8 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64) *SwitchingKey 
 	return kg.genGaloisKey(sk, galEl, kg.params.MaxLevel())
 }
 
-// genGaloisKey is GenGaloisKey at level ℓ; σ_g^{-1}(s) is pooled scratch.
+// genGaloisKey is GenGaloisKey at level ℓ: the level-ℓ prefix of the
+// top-level key, id galEl. σ_g^{-1}(s) is pooled scratch.
 func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, galEl uint64, level int) *SwitchingKey {
 	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()
@@ -279,7 +352,7 @@ func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, galEl uint64, level int) *Sw
 	defer rp.PutPoly(underP)
 	rq.AutomorphismNTT(underQ, sk.Q, gInv, level)
 	rp.AutomorphismNTT(underP, sk.P, gInv, rp.MaxLevel())
-	return kg.genSwitchingKey(level, sk.Q, underQ, underP)
+	return kg.genSwitchingKey(level, galEl, sk.Q, underQ, underP)
 }
 
 // ensureGaloisKey gives ks a Galois key for galEl that serves level: a key
@@ -307,9 +380,9 @@ func (kg *KeyGenerator) GenConjugationKey(sk *SecretKey, ks *EvaluationKeySet) {
 }
 
 // GenKeySwitchKey returns the top-level key switching ciphertexts under
-// skFrom to skTo (used by sparse-secret encapsulation).
+// skFrom to skTo. Each call draws a new key, under a fresh id.
 func (kg *KeyGenerator) GenKeySwitchKey(skFrom, skTo *SecretKey) *SwitchingKey {
-	return kg.genSwitchingKey(kg.params.MaxLevel(), skFrom.Q, skTo.Q, skTo.P)
+	return kg.genSwitchingKey(kg.params.MaxLevel(), kg.freshID(), skFrom.Q, skTo.Q, skTo.P)
 }
 
 // invGalois returns g^{-1} mod m for odd g (m a power of two).

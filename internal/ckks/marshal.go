@@ -258,15 +258,15 @@ func (s *EvaluationKeySet) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes a switching key: the digit count, then every
-// digit's four polynomials (Q and P parts).
+// MarshalBinary encodes a switching key: its seed (a 32-byte chunk), the
+// digit count, then every digit's two B polynomials (Q and P parts). The A
+// half is not on the wire: the seed regenerates it.
 func (k *SwitchingKey) MarshalBinary() ([]byte, error) {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(k.Digits()))
-	buf := append([]byte{}, hdr[:]...)
+	buf := appendChunk(nil, k.Seed[:])
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k.Digits()))
 	var err error
 	for d := 0; d < k.Digits(); d++ {
-		for _, p := range []*ring.Poly{k.BQ[d], k.AQ[d], k.BP[d], k.AP[d]} {
+		for _, p := range []*ring.Poly{k.BQ[d], k.BP[d]} {
 			if buf, err = appendPoly(buf, p); err != nil {
 				return nil, err
 			}
@@ -275,26 +275,34 @@ func (k *SwitchingKey) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a switching key. Bytes after the last digit are an
-// error.
+// UnmarshalBinary decodes a switching key. Beyond framing, it rejects a key
+// no generator could have produced, so a hostile upload cannot panic a key
+// switch later: a seed that is not 32 bytes, bytes after the last digit, a B
+// polynomial in the coefficient domain, digits that disagree on the ring
+// degree or on their Q or P row counts, and a digit count other than
+// ⌈(ℓ+1)/α⌉ for the level ℓ and α the rows give. Whether the shape is the
+// one a parameter set expects is the caller's check (the engine's
+// checkKeyShapes).
 func (k *SwitchingKey) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
+	seed, rest, err := readChunk(data)
+	if err != nil {
+		return err
+	}
+	if len(seed) != len(k.Seed) {
+		return fmt.Errorf("ckks: switching key seed is %d bytes, want %d", len(seed), len(k.Seed))
+	}
+	if len(rest) < 4 {
 		return fmt.Errorf("ckks: switching key truncated")
 	}
-	digits := int(binary.LittleEndian.Uint32(data))
+	digits := int(binary.LittleEndian.Uint32(rest))
 	if digits <= 0 || digits > 256 {
 		return fmt.Errorf("ckks: implausible digit count %d", digits)
 	}
-	rest := data[4:]
-	k.BQ = make([]*ring.Poly, digits)
-	k.AQ = make([]*ring.Poly, digits)
-	k.BP = make([]*ring.Poly, digits)
-	k.AP = make([]*ring.Poly, digits)
-	var err error
+	rest = rest[4:]
+	bq, bp := make([]*ring.Poly, digits), make([]*ring.Poly, digits)
 	for d := 0; d < digits; d++ {
-		for _, dst := range []**ring.Poly{&k.BQ[d], &k.AQ[d], &k.BP[d], &k.AP[d]} {
-			*dst, rest, err = readPoly(rest)
-			if err != nil {
+		for _, dst := range []**ring.Poly{&bq[d], &bp[d]} {
+			if *dst, rest, err = readPoly(rest); err != nil {
 				return err
 			}
 		}
@@ -302,5 +310,20 @@ func (k *SwitchingKey) UnmarshalBinary(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("ckks: %d trailing bytes after switching key", len(rest))
 	}
+	qRows, pRows, n := len(bq[0].Coeffs), len(bp[0].Coeffs), len(bq[0].Coeffs[0])
+	for d := 0; d < digits; d++ {
+		q, p := bq[d], bp[d]
+		if !q.IsNTT || !p.IsNTT {
+			return fmt.Errorf("ckks: switching key digit %d is not in the NTT domain", d)
+		}
+		if len(q.Coeffs) != qRows || len(p.Coeffs) != pRows || len(q.Coeffs[0]) != n || len(p.Coeffs[0]) != n {
+			return fmt.Errorf("ckks: switching key digit %d is not %d Q and %d P rows of %d coefficients like digit 0", d, qRows, pRows, n)
+		}
+	}
+	if want := (qRows + pRows - 1) / pRows; digits != want {
+		return fmt.Errorf("ckks: switching key has %d digits, want %d for %d Q rows at α = %d", digits, want, qRows, pRows)
+	}
+	k.Seed, k.BQ, k.BP = [32]byte(seed), bq, bp
+	k.uniform.Store(nil)
 	return nil
 }

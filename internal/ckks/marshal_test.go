@@ -202,7 +202,7 @@ func TestSwitchingKeyRejectsBandSection(t *testing.T) {
 	for _, v := range []uint32{1, 1, 1, 1} { // one band: alpha 1, width 1, one digit
 		blob = binary.LittleEndian.AppendUint32(blob, v)
 	}
-	for _, p := range []*ring.Poly{key.BQ[0], key.AQ[0], key.BP[0], key.AP[0]} {
+	for _, p := range []*ring.Poly{key.BQ[0], key.BP[0]} {
 		if blob, err = appendPoly(blob, p); err != nil {
 			t.Fatal(err)
 		}
@@ -214,5 +214,31 @@ func TestSwitchingKeyRejectsBandSection(t *testing.T) {
 	set := binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, blob), 0)
 	if err := (&EvaluationKeySet{}).UnmarshalBinary(set); err == nil {
 		t.Fatal("key set whose relinearization key has a band section decoded")
+	}
+}
+
+// TestSwitchingKeyRejectsHostileWireForms: a seed of the wrong length, a
+// digit count that disagrees with the level the rows give, and a missing or
+// short B row are each an error from the key decoder and from the key-set
+// decoder around it — never a panic, never a key.
+func TestSwitchingKeyRejectsHostileWireForms(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	good, err := tc.keys.Rlk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back SwitchingKey
+	if err := back.UnmarshalBinary(good); err != nil || back.Seed != tc.keys.Rlk.Seed {
+		t.Fatalf("the honest key does not decode to itself: %v", err)
+	}
+	for name, blob := range hostileKeys(t, tc.keys.Rlk) {
+		var k SwitchingKey
+		if err := k.UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+		set := binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, blob), 0)
+		if err := (&EvaluationKeySet{}).UnmarshalBinary(set); err == nil {
+			t.Errorf("%s: a key set holding it decoded", name)
+		}
 	}
 }

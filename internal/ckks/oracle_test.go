@@ -95,9 +95,24 @@ func (o oracle) gadget(digits []qp, swk *SwitchingKey, lvl int) (u0, u1 qp) {
 	u0, u1 = o.zeroQP(lvl), o.zeroQP(lvl)
 	for d, dg := range digits {
 		o.macQP(u0, dg, swk.BQ[d], swk.BP[d])
-		o.macQP(u1, dg, swk.AQ[d], swk.AP[d])
+		aq, ap := keyA(o.p, swk, d, lvl)
+		o.macQP(u1, dg, aq, ap)
 	}
 	return u0, u1
+}
+
+// keyA expands digit d of the key's uniform half over Q_lvl and P, whole, in
+// fresh NTT-flagged polynomials: what the key stored before its seed did.
+func keyA(p *Parameters, swk *SwitchingKey, d, lvl int) (aq, ap *ring.Poly) {
+	expand := func(r *ring.Ring, half, level int) *ring.Poly {
+		a := r.NewPoly(level)
+		for i := 0; i <= level; i++ {
+			r.Moduli[i].ExpandUniform(a.Coeffs[i], modarith.NewStreamKey(swk.Seed), ring.KeyRowTag(d, half, i), 0)
+		}
+		a.IsNTT = true
+		return a
+	}
+	return expand(p.RingQ(), 0, lvl), expand(p.RingP(), 1, p.RingP().MaxLevel())
 }
 
 // modDown returns round(u / P) over Q_lvl: (u.q − BConv_{P→Q}(u.p)) · P^{-1}.

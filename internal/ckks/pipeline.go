@@ -23,8 +23,11 @@ import (
 // decomposition leaves the base-converted rows in the coefficient domain; the
 // digit's own Q limbs are already NTT rows and are skipped), then one dot stage
 // per accumulator, u = Σ_d digit_d ⊙ key_d, which sums the D products of a
-// coefficient in a 128-bit register pair and reduces once. A limb's D digit
-// rows are transformed and consumed by both of its dot stages while still
+// coefficient in a 128-bit register pair and reduces once. The B side reads
+// the key's stored rows; the A side expands them from the key's seed, tile by
+// tile, inside the one dot stage per lane that also runs the B side
+// (DotKeyLazy). A limb's D digit rows are
+// transformed and consumed by both of its dot stages while still
 // cache-resident. The accumulators are left lazy. An accumulator is
 // overwritten, so it need not be initialised, unless the product is to be
 // added onto what it holds: onto0 asks that of u0 over Q ∪ P (the sweep's
@@ -40,10 +43,9 @@ func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *S
 		dec.coeffDomain = false
 	}
 	n := len(dec.q) // a key serves lower levels with a prefix of its digits
-	lq.DotLazy(u0q, dec.q, swk.BQ[:n], onto0 || ontoQ)
-	lq.DotLazy(u1q, dec.q, swk.AQ[:n], ontoQ)
-	lp.DotLazy(u0p, dec.p, swk.BP[:n], onto0)
-	lp.DotLazy(u1p, dec.p, swk.AP[:n], false)
+	a := swk.uniformKey()
+	lq.DotKeyLazy(u0q, u1q, dec.q, swk.BQ[:n], a, 0, onto0 || ontoQ, ontoQ)
+	lp.DotKeyLazy(u0p, u1p, dec.p, swk.BP[:n], a, 1, onto0, false)
 }
 
 // gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:

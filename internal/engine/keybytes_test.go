@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -31,15 +32,16 @@ func rawPolysBytes(ps []*ring.Poly) int64 {
 }
 
 func rawSwitchingKeyBytes(k *ckks.SwitchingKey) int64 {
-	return rawPolysBytes(k.BQ) + rawPolysBytes(k.AQ) + rawPolysBytes(k.BP) + rawPolysBytes(k.AP)
+	return rawPolysBytes(k.BQ) + rawPolysBytes(k.BP) + int64(len(k.Seed))
 }
 
 // TestSessionKeyBytesAccounting pins the size of a switching key and the
-// cache-costing contract: every key is exactly 2·D·(L+α)·N·8 bytes (D digits
-// of a B and an A polynomial over L Q limbs and α P limbs), and the bytes a
-// session is accounted at equal an independent walk over every key's limb
-// matrices. If keygen grows a key component without teaching CoeffBytes
-// about it, this test catches the cache under-accounting.
+// cache-costing contract: every key is exactly D·(L+α)·N·8 + 32 bytes (D
+// digits of a B polynomial over L Q limbs and α P limbs, and the 32-byte seed
+// its uniform half expands from), and the bytes a session is accounted at
+// equal an independent walk over every key's limb matrices. If keygen grows a
+// key component without teaching CoeffBytes about it, this test catches the
+// cache under-accounting.
 func TestSessionKeyBytesAccounting(t *testing.T) {
 	client := newTestClient(t, 1, 3)
 	e := New(Config{Workers: 1})
@@ -51,7 +53,7 @@ func TestSessionKeyBytesAccounting(t *testing.T) {
 
 	p := client.params
 	l, alpha := int64(p.MaxLevel()+1), int64(p.Alpha())
-	keyBytes := 2 * int64(p.Digits(p.MaxLevel())) * (l + alpha) * int64(p.N()) * 8
+	keyBytes := int64(p.Digits(p.MaxLevel()))*(l+alpha)*int64(p.N())*8 + 32
 	var want int64
 	keys := []*ckks.SwitchingKey{client.keys.Rlk}
 	for _, k := range client.keys.Gal {
@@ -59,7 +61,7 @@ func TestSessionKeyBytesAccounting(t *testing.T) {
 	}
 	for _, k := range keys {
 		if got := k.CoeffBytes(); got != keyBytes {
-			t.Fatalf("switching key holds %d coefficient bytes, want 2·D·(L+α)·N·8 = %d", got, keyBytes)
+			t.Fatalf("switching key holds %d bytes, want D·(L+α)·N·8 + 32 = %d", got, keyBytes)
 		}
 		want += rawSwitchingKeyBytes(k)
 	}
@@ -96,15 +98,34 @@ func TestSessionRejectsMismatchedKeys(t *testing.T) {
 		t.Fatalf("keys from another preset: %d %v, want 400 naming the key shape", code, resp)
 	}
 
+	// A relinearization key whose seed is one byte short fails to decode: a
+	// 4xx naming the seed, not a panic.
+	rlkBlob, err := client.keys.Rlk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(binary.LittleEndian.AppendUint32(nil, 31), rlkBlob[4:4+31]...)
+	bad = append(bad, rlkBlob[4+32:]...)
+	set := binary.LittleEndian.AppendUint32([]byte{1}, uint32(len(bad)))
+	set = binary.LittleEndian.AppendUint32(append(set, bad...), 0)
+	body = `{"preset":"test","evalKeys":"` + base64.StdEncoding.EncodeToString(set) + `"}`
+	if code, resp := doRequest(t, h, "POST", "/v1/sessions", body); code/100 != 4 || !strings.Contains(fmt.Sprint(resp["error"]), "seed") {
+		t.Fatalf("key with a 31-byte seed: %d %v, want a 4xx naming the seed", code, resp)
+	}
+
 	rlk := client.keys.Rlk
-	notNTT := *rlk.AP[0]
+	notNTT := *rlk.BP[0]
 	notNTT.IsNTT = false
+	short := &ring.Poly{Coeffs: append([][]uint64{rlk.BQ[0].Coeffs[0][:client.params.N()-1]}, rlk.BQ[0].Coeffs[1:]...), IsNTT: true}
 	for name, keys := range map[string]*ckks.EvaluationKeySet{
 		"other parameters": client.keys,
-		"missing digit": {Rlk: &ckks.SwitchingKey{
-			BQ: rlk.BQ[1:], AQ: rlk.AQ[1:], BP: rlk.BP[1:], AP: rlk.AP[1:]}},
+		"missing digit":    {Rlk: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: rlk.BQ[1:], BP: rlk.BP[1:]}},
+		"digits disagree":  {Rlk: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: rlk.BQ, BP: rlk.BP[1:]}},
+		"missing B row":    {Rlk: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: append([]*ring.Poly{nil}, rlk.BQ[1:]...), BP: rlk.BP}},
+		"short B row":      {Rlk: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: append([]*ring.Poly{short}, rlk.BQ[1:]...), BP: rlk.BP}},
+		"missing key":      {Rlk: rlk, Gal: map[uint64]*ckks.SwitchingKey{5: nil}},
 		"coefficient-domain P row": {Rlk: &ckks.SwitchingKey{
-			BQ: rlk.BQ, AQ: rlk.AQ, BP: rlk.BP, AP: append([]*ring.Poly{&notNTT}, rlk.AP[1:]...)}},
+			Seed: rlk.Seed, BQ: rlk.BQ, BP: append([]*ring.Poly{&notNTT}, rlk.BP[1:]...)}},
 	} {
 		params := client.params
 		if name == "other parameters" {
@@ -144,7 +165,7 @@ func truncatedKey(params *ckks.Parameters, k *ckks.SwitchingKey, lvl int) *ckks.
 		return out
 	}
 	a := params.Alpha()
-	return &ckks.SwitchingKey{BQ: cut(k.BQ, lvl+1), AQ: cut(k.AQ, lvl+1), BP: cut(k.BP, a), AP: cut(k.AP, a)}
+	return &ckks.SwitchingKey{Seed: k.Seed, BQ: cut(k.BQ, lvl+1), BP: cut(k.BP, a)}
 }
 
 // TestSessionKeysAtTheirLevel: a session accepts a key at any level ℓ below
@@ -167,7 +188,7 @@ func TestSessionKeysAtTheirLevel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a key at level %d: %v", lvl, err)
 	}
-	lowBytes := 2 * int64(p.Digits(lvl)) * int64(lvl+1+p.Alpha()) * int64(p.N()) * 8
+	lowBytes := int64(p.Digits(lvl))*int64(lvl+1+p.Alpha())*int64(p.N())*8 + 32
 	if got, want := sess.KeyBytes(), rawSwitchingKeyBytes(client.keys.Rlk)+lowBytes; got != want || rawSwitchingKeyBytes(low) != lowBytes {
 		t.Errorf("session accounted at %d bytes, want %d", got, want)
 	}

@@ -122,8 +122,9 @@ var ErrKeyShape = errors.New("engine: evaluation key does not match the session 
 
 // checkKeyShapes checks every switching key in keys against the shape
 // keygen gives a key at its level ℓ ≤ MaxLevel under params: D(ℓ) digits,
-// each four NTT-domain polynomials of N coefficients per row — ℓ+1 Q rows,
-// α P rows. A key below the level an op runs at is refused by that op with
+// each two NTT-domain B polynomials of N coefficients per row — ℓ+1 Q rows,
+// α P rows — beside the key's seed, which regenerates the A half. A key
+// below the level an op runs at is refused by that op with
 // ckks.ErrMissingKey.
 func checkKeyShapes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) error {
 	pRows := params.Alpha()
@@ -139,16 +140,19 @@ func checkKeyShapes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) error 
 		return true
 	}
 	check := func(name string, k *ckks.SwitchingKey) error {
+		if k == nil {
+			return fmt.Errorf("%w: %s is missing", ErrKeyShape, name)
+		}
 		lvl := k.Level()
 		if lvl < 0 || lvl > params.MaxLevel() {
 			return fmt.Errorf("%w: %s is at level %d, want 0 to %d", ErrKeyShape, name, lvl, params.MaxLevel())
 		}
 		digits, qRows := params.Digits(lvl), lvl+1
-		if len(k.BQ) != digits || len(k.AQ) != digits || len(k.BP) != digits || len(k.AP) != digits {
-			return fmt.Errorf("%w: %s has %d digits, want %d at level %d", ErrKeyShape, name, k.Digits(), digits, lvl)
+		if len(k.BQ) != digits || len(k.BP) != digits {
+			return fmt.Errorf("%w: %s has %d Q and %d P digits, want %d at level %d", ErrKeyShape, name, len(k.BQ), len(k.BP), digits, lvl)
 		}
 		for d := 0; d < digits; d++ {
-			if !polyOK(k.BQ[d], qRows) || !polyOK(k.AQ[d], qRows) || !polyOK(k.BP[d], pRows) || !polyOK(k.AP[d], pRows) {
+			if !polyOK(k.BQ[d], qRows) || !polyOK(k.BP[d], pRows) {
 				return fmt.Errorf("%w: %s digit %d is not %d Q and %d P NTT rows of %d coefficients",
 					ErrKeyShape, name, d, qRows, pRows, params.N())
 			}

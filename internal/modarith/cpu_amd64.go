@@ -16,7 +16,11 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // in cpu_amd64.s.
 func xgetbv() (eax, edx uint32)
 
-var hasAVX512 = detectAVX512()
+var (
+	hasAVX512 = detectAVX512()
+	hasVAES   = hasAVX512 && detectVAES()
+	hasIFMA   = hasAVX512 && detectIFMA()
+)
 
 func detectAVX512() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -42,4 +46,21 @@ func detectAVX512() bool {
 	// F + DQ and full ZMM state saving from the OS.
 	return xcr0&zmmState == zmmState &&
 		ebx7&avx512FBit != 0 && ebx7&avx512DQBit != 0
+}
+
+// detectVAES reports the vector AES instructions (CPUID leaf 7, ECX bit 9),
+// which the fused uniform expander runs its AES rounds on in ZMM registers;
+// the ZMM state itself is detectAVX512's check.
+func detectVAES() bool {
+	_, _, ecx7, _ := cpuid(7, 0)
+	const vaesBit = 1 << 9
+	return ecx7&vaesBit != 0
+}
+
+// detectIFMA reports the 52-bit integer multiply-adds (AVX512_IFMA, CPUID leaf
+// 7, EBX bit 21), which the key switch's two-output dot runs on.
+func detectIFMA() bool {
+	_, ebx7, _, _ := cpuid(7, 0)
+	const ifmaBit = 1 << 21
+	return ebx7&ifmaBit != 0
 }

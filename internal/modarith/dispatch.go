@@ -92,6 +92,8 @@ type kernelTable struct {
 	reduceWide128Lazy func(m Modulus, dst, accHi, accLo []uint64)
 	reduceTwoQ        func(m Modulus, p []uint64)
 	dotLazy           func(m Modulus, out []uint64, a, b [][]uint64, accumulate bool)
+	dotKeyLazy        func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool)
+	expandUniform     func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int)
 
 	add func(m Modulus, out, a, b []uint64)
 	sub func(m Modulus, out, a, b []uint64)
@@ -118,6 +120,8 @@ var goKernels = kernelTable{
 	reduceWide128Lazy: vecReduceWide128LazyGo,
 	reduceTwoQ:        vecReduceTwoQGo,
 	dotLazy:           vecDotLazyGo,
+	dotKeyLazy:        vecDotKeyLazyGo,
+	expandUniform:     expandUniformGo,
 	add:               vecAddGo,
 	sub:               vecSubGo,
 	fwdStage:          vecFwdStageGo,
@@ -179,6 +183,12 @@ func fillDefaults(t *kernelTable) {
 	}
 	if t.dotLazy == nil {
 		t.dotLazy = goKernels.dotLazy
+	}
+	if t.dotKeyLazy == nil {
+		t.dotKeyLazy = goKernels.dotKeyLazy
+	}
+	if t.expandUniform == nil {
+		t.expandUniform = goKernels.expandUniform
 	}
 	if t.add == nil {
 		t.add = goKernels.add

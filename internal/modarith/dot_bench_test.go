@@ -13,7 +13,8 @@ import (
 // (hks_n16). The k digit rows are reused across output rows, as a limb's
 // digits are by its two accumulators; the key rows are all distinct and cover
 // at least 64 MB, so they stream from DRAM the way switching keys do. ns/op
-// is per output row.
+// is per output row, except for dot-pair and keydot: the two rows a key
+// switch's B and A accumulators take, as two dots and as one VecDotKeyLazy.
 func BenchmarkGadgetDot(b *testing.B) {
 	const keyBytes = 64 << 20
 	for _, sh := range []struct{ logN, k int }{{12, 9}, {16, 4}} {
@@ -57,6 +58,21 @@ func BenchmarkGadgetDot(b *testing.B) {
 		b.Run(name+"/dot", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.VecDotLazy(out, digits, keys[i%outputs], false)
+			}
+		})
+		// Both accumulators of a key switch, B and A: two dots, then the
+		// one pass that loads each digit word once for both. ns/op is per
+		// pair of output rows.
+		outA := make([]uint64, n)
+		b.Run(name+"/dot-pair", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.VecDotLazy(out, digits, keys[i%outputs], false)
+				m.VecDotLazy(outA, digits, keys[(i+1)%outputs], false)
+			}
+		})
+		b.Run(name+"/keydot", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.VecDotKeyLazy(out, outA, digits, keys[i%outputs], keys[(i+1)%outputs], false, false)
 			}
 		})
 	}

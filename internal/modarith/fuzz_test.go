@@ -145,6 +145,28 @@ func FuzzVecKernels(f *testing.F) {
 			vecDotLazyGo(m, want, da, db, sel&2 != 0)
 			same("dotLazy", k)
 
+			// The key switch's two-output dot: B over db, A over the key
+			// rows reversed, each output with its own flag.
+			du := make([][]uint64, k)
+			for i := range du {
+				du[i] = db[k-1-i]
+			}
+			outA, wantA := append([]uint64(nil), acc...), append([]uint64(nil), acc...)
+			for j := range outA {
+				outA[j] %= m.TwoQ
+				wantA[j] = outA[j]
+			}
+			copy(out, b)
+			copy(want, b)
+			tbl.dotKeyLazy(m, out, outA, da, db, du, sel&2 != 0, sel&4 != 0)
+			vecDotKeyLazyGo(m, want, wantA, da, db, du, sel&2 != 0, sel&4 != 0)
+			same("dotKeyLazy B", k)
+			for j := range wantA {
+				if outA[j] != wantA[j] {
+					t.Fatalf("%v dotKeyLazy A diverges at %d (q=%d n=%d k=%d)", tier, j, m.Q, n, k)
+				}
+			}
+
 			// One forward and one inverse stage at a span of 1–32 chosen by
 			// the data (span s needs n >= 2s), first word pair as the twiddles.
 			span := 1 << (n % 6)
@@ -166,6 +188,42 @@ func FuzzVecKernels(f *testing.F) {
 					if got[j] != want[j] {
 						t.Fatalf("%v stage chain diverges at %d (q=%d span=%d blocks=%d)", tier, j, m.Q, span, nb)
 					}
+				}
+			}
+		}
+	})
+}
+
+// expandFuzzModuli adds two moduli that reject one word in sixteen and in
+// nine to fuzzModuli: the expander's map needs an odd q, not a prime.
+var expandFuzzModuli = append(append([]Modulus{}, fuzzModuli...), MustModulus(1<<60+1), MustModulus((1<<64-1)/9+1|1))
+
+// FuzzExpandUniform holds every assembly tier's uniform expander to the Go
+// oracle on fuzzer-chosen keys, tags, tiles, moduli and lengths (a tile's
+// worth and a few words past it, so the masked tail of the fused kernel and
+// the step into the next tile both run), and every value below q.
+func FuzzExpandUniform(f *testing.F) {
+	f.Add(uint8(0), uint64(0), uint8(0), uint16(1), []byte{1})
+	f.Add(uint8(3), ^uint64(0), uint8(255), uint16(UniformTile+7), []byte("a key of thirty-two bytes or so"))
+	f.Add(uint8(1), uint64(1)<<31, uint8(3), uint16(9), []byte{})
+	f.Fuzz(func(t *testing.T, sel uint8, tag uint64, tile uint8, n uint16, seed []byte) {
+		m := expandFuzzModuli[int(sel)%len(expandFuzzModuli)]
+		var key [32]byte
+		copy(key[:], seed)
+		k := NewStreamKey(key)
+		n = n%(2*UniformTile) + 1
+		want := make([]uint64, n)
+		for rest, tl := want, int(tile); len(rest) > 0; tl++ {
+			c := min(len(rest), UniformTile)
+			expandUniformGo(m, rest[:c], k, []TileRef{Tile(tag, tl)}, c)
+			rest = rest[c:]
+		}
+		for _, tier := range AvailableTiers() {
+			got := make([]uint64, n)
+			expandOnTier(tier, m, got, k, tag, int(tile))
+			for j := range want {
+				if got[j] != want[j] || got[j] >= m.Q {
+					t.Fatalf("%v expandUniform diverges at %d: %d, oracle %d (q=%d n=%d tile=%d)", tier, j, got[j], want[j], m.Q, n, tile)
 				}
 			}
 		}

@@ -135,6 +135,11 @@ func TestDotKernelStaysInBounds(t *testing.T) {
 					vecDotLazyGo(m, want, a, b, accumulate)
 					run("dotLazy", func() { tbl.dotLazy(m, out, ga, gb, accumulate) })
 					rowsEqual(t, "dotLazy", tier, m, out, want)
+
+					outB, outA := guardedCopy(t, in), guardedCopy(t, in)
+					run("dotKeyLazy", func() { tbl.dotKeyLazy(m, outB, outA, ga, gb, gb, accumulate, accumulate) })
+					rowsEqual(t, "dotKeyLazy B", tier, m, outB, want)
+					rowsEqual(t, "dotKeyLazy A", tier, m, outA, want)
 				}
 			}
 			a, b := guardedCopy(t, randRow(rng, n, m.Q)), guardedCopy(t, randRow(rng, n, m.Q))

@@ -43,6 +43,10 @@ type Modulus struct {
 	BRedHi uint64
 	BRedLo uint64
 	TwoQ   uint64
+
+	// rejectBelow = 2^64 mod Q: ExpandUniform rejects a word whose product
+	// with Q has a low word below it.
+	rejectBelow uint64
 }
 
 // NewModulus precomputes the Barrett constants for an odd modulus q < 2^61
@@ -66,6 +70,7 @@ func NewModulus(q uint64) (Modulus, error) {
 	m.BRedHi, rem = bits.Div64(1, 0, q)
 	m.BRedLo, _ = bits.Div64(rem, 0, q)
 	m.TwoQ = 2 * q
+	m.rejectBelow = -q % q
 	return m, nil
 }
 

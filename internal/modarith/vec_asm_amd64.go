@@ -59,6 +59,20 @@ func vecReduceTwoQAVX512(p []uint64, q uint64)
 //go:noescape
 func vecDotLazyAVX512(out []uint64, a, b [][]uint64, accMask, q, twoQ, u0, u1 uint64)
 
+// vecDotKeyLazyAVX512 is vecDotLazyAVX512 for two outputs over one a, on the
+// AVX-512 IFMA multiply-adds: outB from the b rows, outA from the u rows,
+// each with its own accumulate mask.
+//
+//go:noescape
+func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
+
+// expandUniformAVX512 fills dst with len(tiles) runs of n ≥ 1 words, run r
+// the accepted words of the counter blocks of tiles[r]: uniform.go's stream,
+// fused in registers.
+//
+//go:noescape
+func expandUniformAVX512(dst []uint64, rk *[15][16]byte, tiles []TileRef, n int, q, rejectBelow uint64)
+
 //go:noescape
 func vecAddAVX512(out, a, b []uint64, q uint64)
 
@@ -105,6 +119,45 @@ func stageBounds(a, psi, psiShoup []uint64, span, cnt int) {
 }
 
 func avx512Table() kernelTable {
+	t := avx512Kernels()
+	// Without IFMA the key switch's two dots are two calls of the one-output
+	// kernel; with it, one pass on the 52-bit multiply-adds.
+	dot := t.dotLazy
+	t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
+		dot(m, outB, a, b, accB)
+		dot(m, outA[:len(outB)], a, u, accA)
+	}
+	if hasIFMA {
+		t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
+			n := len(outB)
+			if n == 0 || n%8 != 0 || len(a) == 0 {
+				vecDotKeyLazyGo(m, outB, outA, a, b, u, accB, accA)
+				return
+			}
+			_ = outA[n-1]
+			for k := range a {
+				_, _, _ = a[k][n-1], b[k][n-1], u[k][n-1]
+			}
+			var maskB, maskA uint64
+			if accB {
+				maskB = 0xff
+			}
+			if accA {
+				maskA = 0xff
+			}
+			vecDotKeyLazyAVX512(outB, outA, a, b[:len(a)], u[:len(a)], maskB, maskA, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
+		}
+	}
+	if hasVAES {
+		t.expandUniform = func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int) {
+			_ = dst[len(tiles)*n-1]
+			expandUniformAVX512(dst, &k.rk, tiles, n, m.Q, m.rejectBelow)
+		}
+	}
+	return t
+}
+
+func avx512Kernels() kernelTable {
 	return kernelTable{
 		tier: TierAVX512,
 		mulAddLazy: func(m Modulus, out, a, b []uint64) {

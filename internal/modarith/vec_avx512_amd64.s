@@ -706,6 +706,109 @@ dotLazyTerm:
 	VZEROUPPER
 	RET
 
+// IFMA_TERM adds a·b into the radix-2^52 accumulator L, M1, M2, H1, H2 of one
+// output, with A1 = a>>52 and B1 = b>>52 (the 52-bit multipliers read only
+// the low 52 bits of A and B):
+//	a·b = a0b0 + (a0b1 + a1b0)·2^52 + a1b1·2^104
+// lo52 and hi52 of each partial product land in the accumulator of their
+// weight — L at 1, M at 2^52, H at 2^104 — split over two registers where a
+// weight takes two products, so no accumulator chains more than two 4-cycle
+// multiply-adds per term.
+#define IFMA_TERM(A, A1, B, B1, L, M1, M2, H1, H2) \
+	VPMADD52LUQ B, A, L     \ // lo(a0b0)
+	VPMADD52HUQ B, A, M1    \ // hi(a0b0)
+	VPMADD52LUQ B, A1, M1   \ // lo(a1b0)
+	VPMADD52LUQ B1, A, M2   \ // lo(a0b1)
+	VPMADD52HUQ B1, A, H1   \ // hi(a0b1)
+	VPMADD52LUQ B1, A1, H1  \ // lo(a1b1)
+	VPMADD52HUQ B, A1, H2     // hi(a1b0)
+
+// IFMA_OPEN opens an accumulator on the lanes of (PTR)(DX*8) under mask K
+// (all-zero: on nothing): L = out mod 2^52, M1 = out>>52, the rest 0.
+#define IFMA_OPEN(PTR, K, L, M1, M2, H1, H2) \
+	VMOVDQU64.Z (PTR)(DX*8), K, Z4 \
+	VPANDQ Z24, Z4, L              \
+	VPSRLQ $52, Z4, M1             \
+	VPXORQ M2, M2, M2              \
+	VPXORQ H1, H1, H1              \
+	VPXORQ H2, H2, H2
+
+// IFMA_CLOSE turns the accumulator into the 128-bit HI:LO it stands for,
+// L + M·2^52 + H·2^104 with M = M1 + M2 and H = H1 + H2:
+//	LO = L + (M mod 2^12)·2^52   (one carry out)
+//	HI = M>>12 + H·2^40 + carry
+// then reduces it to [0, 2q) as vecDotLazyAVX512 does and stores it at
+// (PTR)(DX*8). Term bounds (a < 2^62, b < 2^61, at most MaxDotTerms terms)
+// keep every register below 2^64 and H·2^40 below 2^64 (the sum is < 2^128).
+// Clobbers Z0–Z9, K1.
+#define IFMA_CLOSE(PTR, L, M1, M2, H1, H2) \
+	VPADDQ M2, M1, M1                         \
+	VPADDQ H2, H1, H1                         \
+	VPSLLQ $52, M1, Z5                        \
+	VPADDQ Z5, L, Z3                          \ // LO
+	VPCMPUQ $1, Z5, Z3, K1                    \ // carry: LO <u (M<<52)
+	VPSRLQ $12, M1, Z2                        \
+	VPSLLQ $40, H1, Z6                        \
+	VPADDQ Z6, Z2, Z2                         \
+	VPADDQ Z25, Z2, K1, Z2                    \ // HI
+	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7) \
+	VPMULLQ Z27, Z4, Z5                       \
+	VPSUBQ Z5, Z3, Z0                         \
+	CONDSUB(Z0, Z28, Z5)                      \
+	VMOVDQU64 Z0, (PTR)(DX*8)
+
+// func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
+// The two dots of a gadget product against one key, out of one pass over the
+// digit rows, on the 52-bit multiply-add units (AVX-512 IFMA): per 8
+// coefficients, each term loads and splits a[k] once and adds a[k]·b[k] into
+// the B accumulator Z10–Z14 and a[k]·u[k] into the A accumulator Z15–Z19 at
+// seven multiply-adds each, where a 64×64 product costs vecDotLazyAVX512 four
+// 32×32 multiplies and eleven carry operations. Each output then pays
+// vecDotLazyAVX512's single Barrett reduction, so the bytes are its bytes.
+TEXT ·vecDotKeyLazyAVX512(SB), NOSPLIT, $0-168
+	MOVQ outB_base+0(FP), DI
+	MOVQ outB_len+8(FP), CX
+	MOVQ outA_base+24(FP), BX
+	MOVQ a_base+48(FP), R8
+	MOVQ a_len+56(FP), R13
+	IMULQ $24, R13                            // end offset of the row headers
+	MOVQ b_base+72(FP), R9
+	MOVQ u_base+96(FP), R10
+	MOVQ accMaskB+120(FP), AX
+	KMOVW AX, K3
+	MOVQ accMaskA+128(FP), AX
+	KMOVW AX, K4
+	BARRETT_CONSTS(136)
+	MOVQ $0xfffffffffffff, AX
+	VPBROADCASTQ AX, Z24                      // 2^52 − 1
+	XORQ DX, DX
+dotKeyLoop:
+	IFMA_OPEN(DI, K3, Z10, Z11, Z12, Z13, Z14)
+	IFMA_OPEN(BX, K4, Z15, Z16, Z17, Z18, Z19)
+	XORQ R12, R12
+dotKeyTerm:
+	MOVQ (R8)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z0
+	VPSRLQ $52, Z0, Z1                        // a1
+	MOVQ (R9)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z2
+	VPSRLQ $52, Z2, Z3                        // b1
+	IFMA_TERM(Z0, Z1, Z2, Z3, Z10, Z11, Z12, Z13, Z14)
+	MOVQ (R10)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z20
+	VPSRLQ $52, Z20, Z21                      // u1
+	IFMA_TERM(Z0, Z1, Z20, Z21, Z15, Z16, Z17, Z18, Z19)
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JL dotKeyTerm
+	IFMA_CLOSE(DI, Z10, Z11, Z12, Z13, Z14)
+	IFMA_CLOSE(BX, Z15, Z16, Z17, Z18, Z19)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL dotKeyLoop
+	VZEROUPPER
+	RET
+
 // func vecAddAVX512(out, a, b []uint64, q uint64)
 TEXT ·vecAddAVX512(SB), NOSPLIT, $0-80
 	MOVQ out_base+0(FP), DI

@@ -351,6 +351,32 @@ func TestTierDotLazy(t *testing.T) {
 	})
 }
 
+// TestTierDotKeyLazy: the two-output dot of a key switch is, on every tier,
+// exactly two dotLazy calls — each output with its own accumulate flag, the
+// saturated operands included.
+func TestTierDotKeyLazy(t *testing.T) {
+	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		for _, k := range dotTermCounts {
+			for flags := 0; flags < 4; flags++ {
+				accB, accA := flags&1 != 0, flags&2 != 0
+				saturated := rng.Intn(3) == 0
+				a := dotRows(rng, k, n, m.TwoQ, saturated)
+				b := dotRows(rng, k, n, m.Q, saturated)
+				u := dotRows(rng, k, n, m.Q, saturated)
+				inB, inA := dotRows(rng, 1, n, m.TwoQ, saturated)[0], dotRows(rng, 1, n, m.TwoQ, saturated)[0]
+
+				wantB, wantA := cloneRow(inB), cloneRow(inA)
+				vecDotLazyGo(m, wantB, a, b, accB)
+				vecDotLazyGo(m, wantA, a, u, accA)
+				gotB, gotA := cloneRow(inB), cloneRow(inA)
+				tbl.dotKeyLazy(m, gotB, gotA, a, b, u, accB, accA)
+				rowsEqual(t, "dotKeyLazy B", tbl.tier, m, gotB, wantB)
+				rowsEqual(t, "dotKeyLazy A", tbl.tier, m, gotA, wantA)
+			}
+		}
+	})
+}
+
 // TestTierAddSub covers the exact element-wise pair, with out distinct from
 // and aliasing either input (Ring.Add(d0, d0, c0) and the pipeline's
 // accumulate-in-place adds both alias).

@@ -116,6 +116,23 @@ func (m Modulus) VecDotLazy(out []uint64, a, b [][]uint64, accumulate bool) {
 	dot(m, out, a, b, accumulate)
 }
 
+// VecDotKeyLazy is the two inner products of a gadget product against one
+// switching key, out of one pass over the digit rows a:
+//
+//	outB = [accB]·outB + Σ_k a[k]·b[k],  outA = [accA]·outA + Σ_k a[k]·u[k]
+//
+// each with VecDotLazy's contract (len(outA) ≥ len(outB) words are written,
+// b[k] and u[k] exact) and bytes: it is two VecDotLazy calls that load and
+// split each a[k] word once.
+func (m Modulus) VecDotKeyLazy(outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
+	dot := active.Load().dotKeyLazy
+	for len(a) > MaxDotTerms {
+		dot(m, outB, outA, a[:MaxDotTerms], b[:MaxDotTerms], u[:MaxDotTerms], accB, accA)
+		a, b, u, accB, accA = a[MaxDotTerms:], b[MaxDotTerms:], u[MaxDotTerms:], true, true
+	}
+	dot(m, outB, outA, a, b, u, accB, accA)
+}
+
 // VecFoldWide128Lazy folds each accumulator pair back into a single word:
 // accLo[j] becomes the lazy residue in [0, 2q) and accHi[j] is cleared. This
 // is the mid-chain overflow guard for accumulations longer than the 128-bit

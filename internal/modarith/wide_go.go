@@ -114,3 +114,9 @@ func vecDotLazyGo(m Modulus, out []uint64, a, b [][]uint64, accumulate bool) {
 		}
 	}
 }
+
+// vecDotKeyLazyGo is the two dots of VecDotKeyLazy, one after the other.
+func vecDotKeyLazyGo(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
+	vecDotLazyGo(m, outB, a, b, accB)
+	vecDotLazyGo(m, outA[:len(outB)], a, u, accA)
+}

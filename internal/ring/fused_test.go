@@ -9,7 +9,7 @@ import (
 
 func TestMulCoeffsAddLazyMatchesUnfused(t *testing.T) {
 	r := newTestRing(t, 6, 10) // above the parallel-limb threshold
-	s := NewSampler(11)
+	s := testStream(11)
 	level := r.MaxLevel()
 
 	acc := s.UniformPoly(r, level, true)
@@ -32,7 +32,7 @@ func TestMulCoeffsAddLazyMatchesUnfused(t *testing.T) {
 
 func TestMulByLimbScalarsAddLazyMatchesUnfused(t *testing.T) {
 	r := newTestRing(t, 5, 9)
-	s := NewSampler(17)
+	s := testStream(17)
 	level := r.MaxLevel()
 
 	scalars := make([]uint64, level+1)
@@ -58,7 +58,7 @@ func TestMulByLimbScalarsAddLazyMatchesUnfused(t *testing.T) {
 
 func TestAddManyMatchesAddChain(t *testing.T) {
 	r := newTestRing(t, 5, 9)
-	s := NewSampler(19)
+	s := testStream(19)
 	level := r.MaxLevel()
 
 	var ins []*Poly

@@ -30,7 +30,7 @@ func BenchmarkParallelLimbs(b *testing.B) {
 		b.Fatal(err)
 	}
 	level := limbs - 1
-	s := NewSampler(1)
+	s := testStream(1)
 	a := s.UniformPoly(r, level, false)
 	c := s.UniformPoly(r, level, false)
 	out := r.NewPoly(level)

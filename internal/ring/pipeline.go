@@ -29,8 +29,8 @@ import (
 //	pl := ring.GetPipeline()
 //	ln := pl.Lane(rq, level)         // one lane per (ring, level) pair
 //	ln.NTTLazy(p)                    // record stages; no work yet
-//	ln.DotLazy(acc, digits, keys, false)
-//	ln.ReduceLazy(acc)
+//	ln.DotKeyLazy(u0, u1, digits, keyB, key, 0, false, false)
+//	ln.ReduceLazy(u0)
 //	pl.Run()                         // one barrier for the whole chain
 //	pl.Release()
 //
@@ -50,7 +50,8 @@ import (
 //     accumulator and per concurrently executing limb — never a pooled
 //     polynomial. It is opened by its first MAC of the limb's chain and must
 //     be closed by ReduceWide later in the same chain: the scratch row does
-//     not outlive the limb.
+//     not outlive the limb. DotKeyLazy's expanded key rows live in the
+//     same per-goroutine scratch, one tile per term.
 //   - All polynomials recorded into a lane must have at least level+1 limbs.
 //     Run resets the pipeline for re-recording; Release returns it to a pool.
 type Pipeline struct {
@@ -67,11 +68,13 @@ type Lane struct {
 	stages  []stage
 	effects []polyEffect
 
-	// dotRows is the row-header scratch of the DotLazy stages: limb i gathers
-	// its operand rows into dotRows[2·dotTerms·i:][:2·dotTerms], so concurrent
-	// limbs share nothing and executing a chain allocates nothing.
+	// dotRows is the row-header scratch of the DotKeyLazy stages: limb i
+	// gathers its operand rows into dotRows[3·dotTerms·i:][:3·dotTerms], and
+	// names the key tiles it expands in tileRefs[dotTerms·i:][:dotTerms], so
+	// concurrent limbs share nothing and executing a chain allocates nothing.
 	dotRows  [][]uint64
-	dotTerms int // most terms any recorded DotLazy stage sums
+	tileRefs []modarith.TileRef
+	dotTerms int // most terms any recorded DotKeyLazy stage sums
 
 	// wide lists the lane's 128-bit accumulators; an accumulator's index is
 	// its high-word row in the Run's scratch.
@@ -94,7 +97,7 @@ const (
 	opINTT
 	opMulCoeffs
 	opMulCoeffsAdd
-	opDotLazy
+	opDotKeyLazy
 	opAutMulAccWide
 	opFoldWide
 	opReduceWide
@@ -114,15 +117,21 @@ type stage struct {
 	op   stageOp
 	out  *Poly
 	a, b *Poly
-	// opDotLazy: the caller's operand slices (not copied) and whether out is
-	// accumulated onto. opAutMulAccWide: acc is false on the MAC that opens
-	// the accumulator, which clears its high-word row first.
+	// opDotKeyLazy: the caller's operand slices (not copied) and whether
+	// out is accumulated onto. opAutMulAccWide: acc is false on the MAC that
+	// opens the accumulator, which clears its high-word row first.
 	as, bs []*Poly
 	acc    bool
-	wide   int      // opAutMulAccWide/opFoldWide/opReduceWide: high-word row
-	s      []uint64 // per-limb scalars (opMulScalars, opSubMulScalarsLazy)
-	idx    []uint32 // NTT-domain automorphism permutation (opAut*)
-	fn     func(limb int)
+	// opDotKeyLazy: the second accumulator, whether it is accumulated onto,
+	// and the key whose uniform rows it dots with as, by their half (0 Q, 1 P).
+	out2 *Poly
+	acc2 bool
+	key  *modarith.StreamKey
+	half int
+	wide int      // opAutMulAccWide/opFoldWide/opReduceWide: high-word row
+	s    []uint64 // per-limb scalars (opMulScalars, opSubMulScalarsLazy)
+	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
+	fn   func(limb int)
 	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
 	// opNTTLazy leaves alone (NTTLazyExcept). Empty for whole-lane stages.
 	lo, hi int
@@ -174,7 +183,7 @@ func (pl *Pipeline) reset() {
 		ln.stages = ln.stages[:0]
 		ln.effects = ln.effects[:0]
 		clear(ln.dotRows) // drop the row references, like the stages above
-		ln.dotRows, ln.dotTerms = ln.dotRows[:0], 0
+		ln.dotRows, ln.tileRefs, ln.dotTerms = ln.dotRows[:0], ln.tileRefs[:0], 0
 		clear(ln.wide)
 		ln.wide = ln.wide[:0]
 		ln.nttRows, ln.inttRows, ln.naiveRows = 0, 0, 0
@@ -313,28 +322,43 @@ func (ln *Lane) MulCoeffsAdd(out, a, b *Poly) {
 	ln.push(stage{op: opMulCoeffsAdd, out: out, a: a, b: b}, 4)
 }
 
-// DotLazy records out = [accumulate]·out + Σ_k as[k] ⊙ bs[k], lazy in [0, 2q):
-// the gadget-product inner product as one stage, with a single reduction per
-// output coefficient (modarith.VecDotLazy) instead of one per term. as[k] may
-// be lazy (< 2q, e.g. straight out of NTTLazy), bs[k] must be exact, and out
-// must be lazy when accumulated onto; without accumulate out is only written,
-// so it need not be initialised. The stage keeps the as/bs slices themselves:
-// the caller must leave them alone until Run.
-func (ln *Lane) DotLazy(out *Poly, as, bs []*Poly, accumulate bool) {
+// DotKeyLazy records both inner products of a gadget product against a
+// switching key in one stage, lazy in [0, 2q):
+//
+//	outB = [accB]·outB + Σ_k as[k] ⊙ bs[k]
+//	outA = [accA]·outA + Σ_k as[k] ⊙ a_k
+//
+// where row i of a_k is the uniform row KeyRowTag(k, half, i) under key — the
+// key's A half, never stored — with a single reduction per output
+// coefficient (modarith.VecDotKeyLazy). Per limb the stage walks the row one
+// modarith.UniformTile at a time: it expands every term's A tile into the
+// Run's scratch, then runs the B dot and the A dot over that tile in one
+// pass over the digit rows, so the expansion (compute) and the stream of B
+// rows (memory) alternate at tile grain and the expanded words are consumed
+// while L1-resident. as[k] may be lazy (< 2q, e.g. straight out of NTTLazy),
+// bs[k] must be exact, and an output accumulated onto must be lazy; without
+// accB / accA an output is only written, so it need not be initialised. The
+// stage keeps the as/bs slices themselves: the caller must leave them alone
+// until Run.
+func (ln *Lane) DotKeyLazy(outB, outA *Poly, as, bs []*Poly, key *modarith.StreamKey, half int, accB, accA bool) {
 	if len(as) == 0 || len(as) != len(bs) {
-		panic("ring: pipeline DotLazy needs as many (and at least one) a rows as b rows")
+		panic("ring: pipeline DotKeyLazy needs as many (and at least one) a rows as b rows")
 	}
 	for k := range as {
 		ln.use(as[k], true, false)
 		ln.use(bs[k], true, false)
 	}
-	ln.use(out, accumulate, true)
+	ln.use(outB, accB, true)
+	ln.use(outA, accA, true)
 	ln.dotTerms = max(ln.dotTerms, len(as))
-	naive := 2*len(as) + 1
-	if accumulate {
+	naive := 3*len(as) + 2 // two barriered dots, less the A rows never read
+	if accB {
 		naive++
 	}
-	ln.push(stage{op: opDotLazy, out: out, as: as, bs: bs, acc: accumulate}, naive)
+	if accA {
+		naive++
+	}
+	ln.push(stage{op: opDotKeyLazy, out: outB, out2: outA, as: as, bs: bs, key: key, half: half, acc: accB, acc2: accA}, naive)
 }
 
 // AutMulAccWide records out += σ_g(a) ⊙ b into a 128-bit accumulator: the
@@ -488,7 +512,7 @@ func (ln *Lane) Func(fn func(limb int), reads, writes []*Poly) {
 // re-recording.
 func (pl *Pipeline) Run() {
 	lanes := pl.lanes[:pl.nLanes]
-	total, wideWords := 0, 0
+	total, wideWords, uniWords := 0, 0, 0
 	for _, ln := range lanes {
 		for _, acc := range ln.wide {
 			if acc.open {
@@ -497,40 +521,47 @@ func (pl *Pipeline) Run() {
 		}
 		total += ln.level + 1
 		wideWords = max(wideWords, len(ln.wide)*ln.r.N)
-		if need := 2 * ln.dotTerms * (ln.level + 1); need <= cap(ln.dotRows) {
+		uniWords = max(uniWords, ln.dotTerms*modarith.UniformTile)
+		if need := 3 * ln.dotTerms * (ln.level + 1); need <= cap(ln.dotRows) {
 			ln.dotRows = ln.dotRows[:need]
 		} else {
 			ln.dotRows = make([][]uint64, need)
 		}
+		if need := ln.dotTerms * (ln.level + 1); need <= cap(ln.tileRefs) {
+			ln.tileRefs = ln.tileRefs[:need]
+		} else {
+			ln.tileRefs = make([]modarith.TileRef, need)
+		}
 	}
 	if total > 0 {
 		if total < parallelLimbThreshold || par.Workers() < 2 {
-			runLimbs(lanes, 0, total, wideWords)
+			runLimbs(lanes, 0, total, wideWords, uniWords)
 		} else {
-			par.ForEachChunk(total, func(lo, hi int) { runLimbs(lanes, lo, hi, wideWords) })
+			par.ForEachChunk(total, func(lo, hi int) { runLimbs(lanes, lo, hi, wideWords, uniWords) })
 		}
 	}
 	pl.finish()
 }
 
-// wideScratch pools the high-word rows of the 128-bit accumulators: one
-// buffer of wideWords words per goroutine executing a Run's limbs, reused
-// limb after limb because every accumulator is opened and closed within one
-// limb's chain.
-var wideScratch sync.Pool // of *[]uint64
+// runScratch pools the Run-owned scratch: the high-word rows of the 128-bit
+// accumulators, then the expanded key tiles of DotKeyLazy. One buffer per
+// goroutine executing a Run's limbs, reused limb after limb because every
+// accumulator is opened and closed, and every tile expanded and consumed,
+// within one limb's chain.
+var runScratch sync.Pool // of *[]uint64
 
 // runLimbs executes the chains of the pipeline's limbs t ∈ [lo, hi), counted
 // lane after lane, on the calling goroutine.
-func runLimbs(lanes []*Lane, lo, hi, wideWords int) {
-	var wide []uint64
-	if wideWords > 0 {
-		b, _ := wideScratch.Get().(*[]uint64)
-		if b == nil || cap(*b) < wideWords {
-			s := make([]uint64, wideWords)
+func runLimbs(lanes []*Lane, lo, hi, wideWords, uniWords int) {
+	var wide, uni []uint64
+	if words := wideWords + uniWords; words > 0 {
+		b, _ := runScratch.Get().(*[]uint64)
+		if b == nil || cap(*b) < words {
+			s := make([]uint64, words)
 			b = &s
 		}
-		defer wideScratch.Put(b)
-		wide = (*b)[:wideWords]
+		defer runScratch.Put(b)
+		wide, uni = (*b)[:wideWords], (*b)[wideWords:words]
 	}
 	for t := lo; t < hi; t++ {
 		i := t
@@ -539,7 +570,7 @@ func runLimbs(lanes []*Lane, lo, hi, wideWords int) {
 				i -= limbs
 				continue
 			}
-			ln.exec(i, wide)
+			ln.exec(i, wide, uni)
 			break
 		}
 	}
@@ -572,11 +603,11 @@ func (pl *Pipeline) finish() {
 }
 
 // exec runs the lane's whole stage chain over limb i, with wide holding the
-// high-word rows of its 128-bit accumulators. This is the inner loop of the
-// executor: every stage body is the same row kernel its barriered
-// counterpart dispatches per limb, in the same order, so the results are
-// bit-identical on every kernel tier.
-func (ln *Lane) exec(i int, wide []uint64) {
+// high-word rows of its 128-bit accumulators and uni the expanded key tiles.
+// This is the inner loop of the executor: every stage body is the same row
+// kernel its barriered counterpart dispatches per limb, in the same order, so
+// the results are bit-identical on every kernel tier.
+func (ln *Lane) exec(i int, wide, uni []uint64) {
 	r := ln.r
 	mod := r.Moduli[i]
 	for si := range ln.stages {
@@ -600,14 +631,24 @@ func (ln *Lane) exec(i int, wide []uint64) {
 			mod.VecMulBarrett(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
 		case opMulCoeffsAdd:
 			mod.VecMulAddBarrett(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
-		case opDotLazy:
+		case opDotKeyLazy:
 			k := len(st.as)
-			ra := ln.dotRows[2*ln.dotTerms*i:][:k:k]
-			rb := ln.dotRows[2*ln.dotTerms*i+k:][:k:k]
-			for d := range ra {
-				ra[d], rb[d] = st.as[d].Coeffs[i], st.bs[d].Coeffs[i]
+			ra := ln.dotRows[3*ln.dotTerms*i:][:k:k]
+			rb := ln.dotRows[3*ln.dotTerms*i+k:][:k:k]
+			ru := ln.dotRows[3*ln.dotTerms*i+2*k:][:k:k]
+			refs := ln.tileRefs[ln.dotTerms*i:][:k:k]
+			outB, outA := st.out.Coeffs[i], st.out2.Coeffs[i]
+			for lo := 0; lo < len(outB); lo += modarith.UniformTile {
+				hi := min(lo+modarith.UniformTile, len(outB))
+				for d := range ra {
+					ra[d] = st.as[d].Coeffs[i][lo:hi]
+					rb[d] = st.bs[d].Coeffs[i][lo:hi]
+					ru[d] = uni[d*(hi-lo):][:hi-lo]
+					refs[d] = modarith.Tile(KeyRowTag(d, st.half, i), lo/modarith.UniformTile)
+				}
+				mod.ExpandUniformTiles(uni[:k*(hi-lo)], st.key, refs)
+				mod.VecDotKeyLazy(outB[lo:hi], outA[lo:hi], ra, rb, ru, st.acc, st.acc2)
 			}
-			mod.VecDotLazy(st.out.Coeffs[i], ra, rb, st.acc)
 		case opAutMulAccWide:
 			hi := wide[st.wide*r.N:][:r.N]
 			if !st.acc {

@@ -13,25 +13,40 @@ import (
 // with the barriered composition it replaces.
 
 // TestPipelineKeySwitchShapedChain runs the gadget-product-shaped chain (the
-// forward NTTLazy of every "digit", then one DotLazy per accumulator, ending
-// in a reduction) and compares against the barriered MAC-per-term composition,
-// at every level. The dot stage reduces once where the MAC chain reduces per
-// term, so the lazy representatives differ; the reduced residues may not. With
-// accumulate the product lands on a live accumulator; without it the stage
-// must overwrite whatever (here: garbage) the accumulator held.
+// forward NTTLazy of every "digit", then the one DotKeyLazy stage that fills
+// both accumulators, the A side from key rows it expands tile by tile, ending
+// in a reduction) and compares against the barriered MAC-per-term
+// composition over the stored B rows and the A rows expanded whole — at
+// every level, on both halves' row tags, at a degree below one expansion tile
+// and at several, and on every kernel tier. The dot stage reduces once where
+// the MAC chain reduces per term, so the lazy representatives differ; the
+// reduced residues may not. An accumulator flagged accumulate takes the
+// product onto its live value; one that is not must be overwritten whatever
+// (here: garbage) it held.
 func TestPipelineKeySwitchShapedChain(t *testing.T) {
-	r := newTestRing(t, 6, 10)
-	s := NewSampler(19)
+	for _, tier := range modarith.AvailableTiers() {
+		withTier(t, tier, func() {
+			for _, logN := range []int{6, 10} {
+				keySwitchShapedChain(t, tier, newTestRing(t, logN, 6))
+			}
+		})
+	}
+}
+
+func keySwitchShapedChain(t *testing.T, tier modarith.KernelTier, r *Ring) {
+	s := testStream(19)
+	key := modarith.NewStreamKey([32]byte{19})
 	const digits = 3
 	for level := 0; level <= r.MaxLevel(); level++ {
-		for _, accumulate := range []bool{false, true} {
+		for flags := 0; flags < 8; flags++ {
+			accB, accA, half := flags&1 != 0, flags&2 != 0, flags>>2
 			digQ := make([]*Poly, digits)
 			keyB := make([]*Poly, digits)
 			keyA := make([]*Poly, digits)
 			for d := range digQ {
 				digQ[d] = s.UniformPoly(r, level, false) // coeff domain, exact
 				keyB[d] = s.UniformPoly(r, level, true)
-				keyA[d] = s.UniformPoly(r, level, true)
+				keyA[d] = keyRows(r, key, d, half, level)
 			}
 			live0, live1 := s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
 
@@ -43,8 +58,10 @@ func TestPipelineKeySwitchShapedChain(t *testing.T) {
 			}
 			want0, want1 := r.NewPoly(level), r.NewPoly(level)
 			want0.IsNTT, want1.IsNTT = true, true
-			if accumulate {
+			if accB {
 				want0.Copy(live0)
+			}
+			if accA {
 				want1.Copy(live1)
 			}
 			for d := range digQ {
@@ -54,12 +71,18 @@ func TestPipelineKeySwitchShapedChain(t *testing.T) {
 			r.ReduceLazy(want0, level)
 			r.ReduceLazy(want1, level)
 
-			// Pipelined: whole chain per limb, one barrier.
+			// Pipelined: whole chain per limb, one barrier. An output not
+			// accumulated onto starts as garbage.
 			got0, got1 := live0.CopyNew(), live1.CopyNew()
-			if !accumulate {
-				for i := range got0.Coeffs {
-					for j := range got0.Coeffs[i] {
-						got0.Coeffs[i][j], got1.Coeffs[i][j] = ^uint64(0), ^uint64(0)
+			for _, g := range []struct {
+				p   *Poly
+				acc bool
+			}{{got0, accB}, {got1, accA}} {
+				for i := range g.p.Coeffs {
+					for j := range g.p.Coeffs[i] {
+						if !g.acc {
+							g.p.Coeffs[i][j] = ^uint64(0)
+						}
 					}
 				}
 			}
@@ -68,15 +91,15 @@ func TestPipelineKeySwitchShapedChain(t *testing.T) {
 			for d := range digQ {
 				ln.NTTLazy(digQ[d])
 			}
-			ln.DotLazy(got0, digQ, keyB, accumulate)
-			ln.DotLazy(got1, digQ, keyA, accumulate)
+			ln.DotKeyLazy(got0, got1, digQ, keyB, key, half, accB, accA)
 			ln.ReduceLazy(got0)
 			ln.ReduceLazy(got1)
 			pl.Run()
 			pl.Release()
 
 			if !got0.Equal(want0) || !got1.Equal(want1) {
-				t.Fatalf("level %d accumulate=%v: pipelined gadget chain != barriered composition", level, accumulate)
+				t.Fatalf("%v N=%d level %d accB=%v accA=%v half %d: pipelined gadget chain != barriered composition",
+					tier, r.N, level, accB, accA, half)
 			}
 			for d := range digQ {
 				if !digQ[d].IsNTT {
@@ -97,7 +120,7 @@ func TestPipelineKeySwitchShapedChain(t *testing.T) {
 // barriered composition.
 func TestPipelineModDownShapedChain(t *testing.T) {
 	r := newTestRing(t, 6, 9)
-	s := NewSampler(23)
+	s := testStream(23)
 	level := r.MaxLevel()
 	g := r.GaloisElement(3)
 
@@ -179,7 +202,7 @@ func TestPipelineModDownShapedChain(t *testing.T) {
 // MulCoeffsAdd, Add) against the barriered composition.
 func TestPipelineTensorChain(t *testing.T) {
 	r := newTestRing(t, 5, 8)
-	s := NewSampler(29)
+	s := testStream(29)
 	level := r.MaxLevel()
 	a0 := s.UniformPoly(r, level, true)
 	a1 := s.UniformPoly(r, level, true)
@@ -224,41 +247,52 @@ func TestPipelineTensorChain(t *testing.T) {
 func TestPipelineTwoLanes(t *testing.T) {
 	rq := newTestRing(t, 5, 9)
 	rp := newTestRing(t, 5, 2)
-	s := NewSampler(31)
+	s := testStream(31)
 	lq, lp := rq.MaxLevel(), rp.MaxLevel()
 
+	key := modarith.NewStreamKey([32]byte{31})
 	aq := s.UniformPoly(rq, lq, true)
 	bq := s.UniformPoly(rq, lq, true)
 	ap := s.UniformPoly(rp, lp, true)
 	bp := s.UniformPoly(rp, lp, true)
 
-	wantQ := rq.NewPoly(lq)
-	wantQ.IsNTT = true
+	// The B side over the stored rows, the A side over the key's uniform
+	// rows of the lane's half.
+	wantQ, wantQA := rq.NewPoly(lq), rq.NewPoly(lq)
+	wantQ.IsNTT, wantQA.IsNTT = true, true
 	rq.MulCoeffsAddLazy(wantQ, aq, bq, lq)
-	rq.ReduceLazy(wantQ, lq)
-	wantP := rp.NewPoly(lp)
-	wantP.IsNTT = true
+	rq.MulCoeffsAddLazy(wantQA, aq, keyRows(rq, key, 0, 0, lq), lq)
+	wantP, wantPA := rp.NewPoly(lp), rp.NewPoly(lp)
+	wantP.IsNTT, wantPA.IsNTT = true, true
 	rp.MulCoeffsAddLazy(wantP, ap, bp, lp)
-	rp.ReduceLazy(wantP, lp)
+	rp.MulCoeffsAddLazy(wantPA, ap, keyRows(rp, key, 0, 1, lp), lp)
+	for _, w := range []*Poly{wantQ, wantQA} {
+		rq.ReduceLazy(w, lq)
+	}
+	for _, w := range []*Poly{wantP, wantPA} {
+		rp.ReduceLazy(w, lp)
+	}
 
 	for _, workers := range []int{2, 4} {
 		prev := par.SetWorkers(workers)
-		gotQ := rq.NewPoly(lq)
-		gotQ.IsNTT = true
-		gotP := rp.NewPoly(lp)
-		gotP.IsNTT = true
+		gotQ, gotQA := rq.NewPoly(lq), rq.NewPoly(lq)
+		gotQ.IsNTT, gotQA.IsNTT = true, true
+		gotP, gotPA := rp.NewPoly(lp), rp.NewPoly(lp)
+		gotP.IsNTT, gotPA.IsNTT = true, true
 		pl := GetPipeline()
 		lnQ := pl.Lane(rq, lq)
 		lnP := pl.Lane(rp, lp)
-		lnQ.DotLazy(gotQ, []*Poly{aq}, []*Poly{bq}, true)
+		lnQ.DotKeyLazy(gotQ, gotQA, []*Poly{aq}, []*Poly{bq}, key, 0, true, false)
 		lnQ.ReduceLazy(gotQ)
-		lnP.DotLazy(gotP, []*Poly{ap}, []*Poly{bp}, false)
+		lnQ.ReduceLazy(gotQA)
+		lnP.DotKeyLazy(gotP, gotPA, []*Poly{ap}, []*Poly{bp}, key, 1, false, true)
 		lnP.ReduceLazy(gotP)
+		lnP.ReduceLazy(gotPA)
 		pl.Run()
 		pl.Release()
 		par.SetWorkers(prev)
 
-		if !gotQ.Equal(wantQ) || !gotP.Equal(wantP) {
+		if !gotQ.Equal(wantQ) || !gotQA.Equal(wantQA) || !gotP.Equal(wantP) || !gotPA.Equal(wantPA) {
 			t.Fatalf("workers=%d: two-lane pipeline != barriered per-ring composition", workers)
 		}
 	}
@@ -326,14 +360,15 @@ func TestPipelineDomainValidation(t *testing.T) {
 // counters exactly like the barriered transforms.
 func TestPipelineTrafficAccounting(t *testing.T) {
 	r := newTestRing(t, 5, 4)
-	s := NewSampler(37)
+	s := testStream(37)
 	level := r.MaxLevel()
 	limbs := level + 1
 
-	acc := r.NewPoly(level)
-	acc.IsNTT = true
+	acc, accA := r.NewPoly(level), r.NewPoly(level)
+	acc.IsNTT, accA.IsNTT = true, true
 	a := s.UniformPoly(r, level, false)
 	b := s.UniformPoly(r, level, true)
+	key := modarith.NewStreamKey([32]byte{37})
 
 	ntt0, _ := r.Counters()
 	pipeBefore := bytesPipelined.Value()
@@ -341,9 +376,9 @@ func TestPipelineTrafficAccounting(t *testing.T) {
 
 	pl := GetPipeline()
 	ln := pl.Lane(r, level)
-	ln.NTTLazy(a)                                 // naive 2 rows
-	ln.DotLazy(acc, []*Poly{a}, []*Poly{b}, true) // naive 2·1 + 2 rows
-	ln.ReduceLazy(acc)                            // naive 2 rows
+	ln.NTTLazy(a)                                                         // naive 2 rows
+	ln.DotKeyLazy(acc, accA, []*Poly{a}, []*Poly{b}, key, 0, true, false) // naive 2·3 − 1 + 1 rows
+	ln.ReduceLazy(acc)                                                    // naive 2 rows
 	pl.Run()
 	pl.Release()
 
@@ -352,13 +387,14 @@ func TestPipelineTrafficAccounting(t *testing.T) {
 		t.Fatalf("ntt limb counter moved by %d, want %d", ntt1-ntt0, limbs)
 	}
 	rowBytes := float64(limbs * r.N * 8)
-	// Distinct rows: a (read+written), b (read), acc (read+written) = 5.
-	if got := bytesPipelined.Value() - pipeBefore; got != 5*rowBytes {
-		t.Fatalf("pipelined bytes = %v, want %v", got, 5*rowBytes)
+	// Distinct rows: a (read+written), b (read), acc (read+written), accA
+	// (written) = 6; the key's A row is expanded, never moved.
+	if got := bytesPipelined.Value() - pipeBefore; got != 6*rowBytes {
+		t.Fatalf("pipelined bytes = %v, want %v", got, 6*rowBytes)
 	}
-	// Naive 8 rows - distinct 5 = 3 rows saved.
-	if got := bytesSaved.Value() - savedBefore; got != 3*rowBytes {
-		t.Fatalf("saved bytes = %v, want %v", got, 3*rowBytes)
+	// Naive 10 rows - distinct 6 = 4 rows saved.
+	if got := bytesSaved.Value() - savedBefore; got != 4*rowBytes {
+		t.Fatalf("saved bytes = %v, want %v", got, 4*rowBytes)
 	}
 }
 
@@ -369,7 +405,7 @@ func TestPipelineTrafficAccounting(t *testing.T) {
 // traffic model charge only the rows transformed or moved.
 func TestPipelineLimbWindow(t *testing.T) {
 	r := newTestRing(t, 6, 9)
-	s := NewSampler(41)
+	s := testStream(41)
 	level := r.MaxLevel()
 	limbs := level + 1
 	for _, win := range [][2]int{{0, 3}, {3, 6}, {6, 9}, {0, 9}} {
@@ -386,8 +422,8 @@ func TestPipelineLimbWindow(t *testing.T) {
 				dig.Coeffs[i][j] = ^uint64(0)
 			}
 		}
-		acc := r.NewPoly(level)
-		acc.IsNTT = true
+		acc, accA := r.NewPoly(level), r.NewPoly(level)
+		acc.IsNTT, accA.IsNTT = true, true
 
 		ntt0, _ := r.Counters()
 		pipe0, saved0 := bytesPipelined.Value(), bytesSaved.Value()
@@ -407,7 +443,7 @@ func TestPipelineLimbWindow(t *testing.T) {
 		pipe0 = bytesPipelined.Value()
 		ln = pl.Lane(r, level)
 		ln.NTTLazyExcept(dig, lo, hi)
-		ln.DotLazy(acc, []*Poly{dig}, []*Poly{want}, true)
+		ln.DotKeyLazy(acc, accA, []*Poly{dig}, []*Poly{want}, modarith.NewStreamKey([32]byte{41}), 0, true, false)
 		pl.Run()
 		pl.Release()
 
@@ -422,12 +458,13 @@ func TestPipelineLimbWindow(t *testing.T) {
 			t.Fatalf("window %v: ntt limb counter moved by %d, want %d", win, ntt1-ntt0, limbs-w)
 		}
 		// Distinct: dig read on every limb (the dot) and written on limbs−w,
-		// want read, acc read+written. Naive: 2·(limbs−w) + 4·limbs.
-		distinct := float64(limbs + (limbs - w) + 3*limbs)
+		// want read, acc read+written, accA written. Naive: 2·(limbs−w) +
+		// 6·limbs (the key's A row is expanded, not read).
+		distinct := float64(limbs + (limbs - w) + 4*limbs)
 		if got := bytesPipelined.Value() - pipe0; got != distinct*rowBytes {
 			t.Fatalf("window %v: pipelined bytes = %v, want %v", win, got, distinct*rowBytes)
 		}
-		naive := float64(2*(limbs-w) + 4*limbs)
+		naive := float64(2*(limbs-w) + 6*limbs)
 		if got := bytesSaved.Value() - saved0; got != (naive-distinct)*rowBytes {
 			t.Fatalf("window %v: saved bytes = %v, want %v", win, got, (naive-distinct)*rowBytes)
 		}
@@ -459,7 +496,7 @@ func TestGaloisElementMatchesLoop(t *testing.T) {
 // is the S2 regression: hot rotate paths must never contend or tear).
 func TestAutomorphismCacheConcurrent(t *testing.T) {
 	r := newTestRing(t, 6, 2)
-	s := NewSampler(41)
+	s := testStream(41)
 	level := r.MaxLevel()
 	in := s.UniformPoly(r, level, true)
 
@@ -494,7 +531,7 @@ func TestAutomorphismCacheConcurrent(t *testing.T) {
 // polynomial, at every level.
 func TestPipelineZeroStage(t *testing.T) {
 	r := newTestRing(t, 6, 9)
-	s := NewSampler(29)
+	s := testStream(29)
 	for level := 0; level <= r.MaxLevel(); level++ {
 		a, b := s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
 		want := r.NewPoly(level)
@@ -531,7 +568,7 @@ func TestPipelineAutMulAccWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSampler(43)
+	s := testStream(43)
 	levels := [2]int{r.MaxLevel(), 3}
 	terms := modarith.MaxDotTerms + 5
 	// Uniform rows, every other coefficient lifted by q into the lazy range;
@@ -617,7 +654,7 @@ func TestPipelineAutMulAccWide(t *testing.T) {
 func TestPipelineWideAccumulatorBalance(t *testing.T) {
 	r := newTestRing(t, 4, 3)
 	level := r.MaxLevel()
-	s := NewSampler(47)
+	s := testStream(47)
 	a, b := s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
 	mustPanic := func(name string, f func()) {
 		t.Helper()

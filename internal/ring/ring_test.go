@@ -33,7 +33,7 @@ func TestNewPolyShape(t *testing.T) {
 
 func TestAddSubNegIdentities(t *testing.T) {
 	r := newTestRing(t, 5, 3)
-	s := NewSampler(7)
+	s := testStream(7)
 	level := r.MaxLevel()
 	a := s.UniformPoly(r, level, false)
 	b := s.UniformPoly(r, level, false)
@@ -59,7 +59,7 @@ func TestMulCoeffsDistributes(t *testing.T) {
 	r := newTestRing(t, 5, 2)
 	level := r.MaxLevel()
 	f := func(seed int64) bool {
-		s := NewSampler(seed)
+		s := testStream(seed)
 		a := s.UniformPoly(r, level, true)
 		b := s.UniformPoly(r, level, true)
 		c := s.UniformPoly(r, level, true)
@@ -81,7 +81,7 @@ func TestMulCoeffsDistributes(t *testing.T) {
 
 func TestNTTRoundTripPoly(t *testing.T) {
 	r := newTestRing(t, 7, 3)
-	s := NewSampler(3)
+	s := testStream(3)
 	level := r.MaxLevel()
 	a := s.UniformPoly(r, level, false)
 	orig := a.CopyNew()
@@ -102,7 +102,7 @@ func TestNTTRoundTripPoly(t *testing.T) {
 func TestINTTLimbMatchesINTT(t *testing.T) {
 	r := newTestRing(t, 6, 4)
 	level := r.MaxLevel()
-	p := NewSampler(7).UniformPoly(r, level, true)
+	p := testStream(7).UniformPoly(r, level, true)
 	row := append([]uint64(nil), p.Coeffs[2]...)
 	_, intt0 := r.Counters()
 	r.INTTLimb(row, 2)
@@ -207,7 +207,7 @@ func TestPoolAcrossCapacities(t *testing.T) {
 // unmarshalled polynomial was not allocated by the ring. Both are dropped.
 func TestPutPolyView(t *testing.T) {
 	r := newTestRing(t, 5, 4)
-	owner := NewSampler(3).UniformPoly(r, 3, true)
+	owner := testStream(3).UniformPoly(r, 3, true)
 	want := owner.CopyNew()
 
 	var decoded Poly
@@ -252,7 +252,7 @@ func TestPutPolyView(t *testing.T) {
 
 func TestNTTLazyMatchesExact(t *testing.T) {
 	r := newTestRing(t, 7, 3)
-	s := NewSampler(5)
+	s := testStream(5)
 	level := r.MaxLevel()
 	a := s.UniformPoly(r, level, false)
 	exact := a.CopyNew()
@@ -286,7 +286,7 @@ func TestNTTLazyMatchesExact(t *testing.T) {
 
 func TestAutomorphismCoeffVsNTT(t *testing.T) {
 	r := newTestRing(t, 8, 2)
-	s := NewSampler(13)
+	s := testStream(13)
 	level := r.MaxLevel()
 	for _, rot := range []int{1, 2, 5, 31, -1, -7} {
 		g := r.GaloisElement(rot)
@@ -312,7 +312,7 @@ func TestAutomorphismCoeffVsNTT(t *testing.T) {
 func TestAutomorphismGroupLaw(t *testing.T) {
 	// σ_g1 ∘ σ_g2 = σ_{g1*g2 mod 2N}
 	r := newTestRing(t, 6, 2)
-	s := NewSampler(17)
+	s := testStream(17)
 	level := r.MaxLevel()
 	a := s.UniformPoly(r, level, false)
 	g1, g2 := r.GaloisElement(3), r.GaloisElement(7)
@@ -332,7 +332,7 @@ func TestAutomorphismGroupLaw(t *testing.T) {
 
 func TestAutomorphismConjugateInvolution(t *testing.T) {
 	r := newTestRing(t, 6, 2)
-	s := NewSampler(19)
+	s := testStream(19)
 	level := r.MaxLevel()
 	a := s.UniformPoly(r, level, true)
 	g := r.GaloisElementConjugate()
@@ -360,7 +360,7 @@ func TestGaloisElementRotationComposition(t *testing.T) {
 
 func TestTernaryPolyWeight(t *testing.T) {
 	r := newTestRing(t, 8, 2)
-	s := NewSampler(23)
+	s := testStream(23)
 	h := 32
 	p := SmallVectorToPoly(r, r.MaxLevel(), s.TernaryVector(r.N, h))
 	nonzero := 0
@@ -387,7 +387,7 @@ func TestTernaryPolyWeight(t *testing.T) {
 
 func TestGaussianPolyBounded(t *testing.T) {
 	r := newTestRing(t, 8, 1)
-	s := NewSampler(29)
+	s := testStream(29)
 	sigma := 3.2
 	p := s.GaussianPoly(r, 0, sigma)
 	var sum, sumSq float64
@@ -460,7 +460,7 @@ func mustPrimes(t testing.TB, bits, logN, n int) []uint64 {
 // time, with out distinct from and aliasing an input.
 func TestRowOpsMatchScalar(t *testing.T) {
 	r := newTestRing(t, 5, 3)
-	s := NewSampler(43)
+	s := testStream(43)
 	level := r.MaxLevel()
 	a := s.UniformPoly(r, level, true)
 	b := s.UniformPoly(r, level, true)
@@ -500,7 +500,7 @@ func TestRowOpsMatchScalar(t *testing.T) {
 // reduce a signed multi-word constant per limb exactly as big.Int.Mod does.
 func TestScalarBigMatchesBigInt(t *testing.T) {
 	r := newTestRing(t, 4, 3)
-	s := NewSampler(47)
+	s := testStream(47)
 	level := r.MaxLevel()
 	q0 := new(big.Int).SetUint64(r.Moduli[0].Q)
 	huge := new(big.Int).Lsh(big.NewInt(0x1234567), 150)
@@ -535,7 +535,7 @@ func TestScalarBigMatchesBigInt(t *testing.T) {
 func TestUniformRejectionIsUniform(t *testing.T) {
 	// Crude sanity: mean of residues should be ~q/2.
 	r := newTestRing(t, 10, 1)
-	s := NewSampler(rand.Int63())
+	s := testStream(rand.Int63())
 	p := s.UniformPoly(r, 0, false)
 	q := float64(r.Moduli[0].Q)
 	var sum float64
