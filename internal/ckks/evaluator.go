@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"sync"
 	"time"
 
@@ -557,20 +556,6 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 // ---------------------------------------------------------------------------
 // Scalar operations
 
-// bigScaled returns round(c * scale) as a big.Int, computed in high
-// precision (bootstrapping constants overflow float64 mantissas).
-func bigScaled(c *big.Float, scale float64) *big.Int {
-	v := new(big.Float).SetPrec(200).Mul(c, big.NewFloat(scale))
-	half := big.NewFloat(0.5)
-	if v.Sign() >= 0 {
-		v.Add(v, half)
-	} else {
-		v.Sub(v, half)
-	}
-	out, _ := v.Int(nil)
-	return out
-}
-
 // AddConst adds the real constant c to every slot.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
 	out := ev.copyAt(ct, ct.Level())
@@ -580,7 +565,8 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) *Ciphertext {
 
 // addConstInPlace adds c to every slot of a ct the caller owns.
 func (ev *Evaluator) addConstInPlace(ct *Ciphertext, c float64) {
-	ev.params.RingQ().AddScalarBig(ct.C0, ct.C0, bigScaled(big.NewFloat(c), ct.Scale), ct.Level())
+	rq, lvl := ev.params.RingQ(), ct.Level()
+	rq.AddLimbScalars(ct.C0, ct.C0, rq.ScaledResidues(make([]uint64, lvl+1), c, ct.Scale), lvl)
 }
 
 // MultConst multiplies every slot by the real constant c, encoding it at
@@ -590,10 +576,10 @@ func (ev *Evaluator) addConstInPlace(ct *Ciphertext, c float64) {
 func (ev *Evaluator) MultConst(ct *Ciphertext, c float64, constScale float64) *Ciphertext {
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
-	k := bigScaled(big.NewFloat(c), constScale)
+	k := rq.ScaledResidues(make([]uint64, lvl+1), c, constScale)
 	out := ev.newCiphertext(lvl, ct.Scale*constScale)
-	rq.MulScalarBig(out.C0, ct.C0, k, lvl)
-	rq.MulScalarBig(out.C1, ct.C1, k, lvl)
+	rq.MulByLimbScalars(out.C0, ct.C0, k, lvl)
+	rq.MulByLimbScalars(out.C1, ct.C1, k, lvl)
 	out.C0.IsNTT, out.C1.IsNTT = true, true
 	return out
 }

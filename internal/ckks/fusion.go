@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"math/big"
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -62,7 +61,7 @@ func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64, constSca
 	out := ev.newCiphertext(lvl, cts[0].Scale*constScale)
 	scalars := make([]uint64, lvl+1)
 	for i, ct := range cts {
-		rq.LimbResidues(scalars, bigScaled(big.NewFloat(consts[i]), constScale))
+		rq.ScaledResidues(scalars, consts[i], constScale)
 		if i == 0 {
 			rq.MulByLimbScalars(out.C0, ct.C0, scalars, lvl)
 			rq.MulByLimbScalars(out.C1, ct.C1, scalars, lvl)

@@ -3,6 +3,7 @@ package ckks
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -181,6 +182,30 @@ func (o oracle) rescale(ct *Ciphertext) *Ciphertext {
 	return &Ciphertext{C0: drop(ct.C0), C1: drop(ct.C1), Scale: ct.Scale / float64(rq.Moduli[lvl].Q)}
 }
 
+// bigScaled returns round(c * scale) as a big.Int, computed in high
+// precision (bootstrapping constants overflow float64 mantissas): the
+// reference ring.ScaledResidues is held to.
+func bigScaled(c *big.Float, scale float64) *big.Int {
+	v := new(big.Float).SetPrec(200).Mul(c, big.NewFloat(scale))
+	half := big.NewFloat(0.5)
+	if v.Sign() >= 0 {
+		v.Add(v, half)
+	} else {
+		v.Sub(v, half)
+	}
+	out, _ := v.Int(nil)
+	return out
+}
+
+// bigResidues returns v mod q_i in [0, q_i) for the first n limbs of r.
+func bigResidues(r *ring.Ring, v *big.Int, n int) []uint64 {
+	res := make([]uint64, n)
+	for i := range res {
+		res[i] = new(big.Int).Mod(v, new(big.Int).SetUint64(r.Moduli[i].Q)).Uint64()
+	}
+	return res
+}
+
 // mulConstAccum returns Σ_i consts[i]·cts[i] as MultConst temporaries chained
 // through two-operand adds; with every constant 1 at scale 1 it is the HADD
 // ladder AddMany collapses.
@@ -189,10 +214,10 @@ func (o oracle) mulConstAccum(cts []*Ciphertext, consts []float64, constScale fl
 	lvl := cts[0].Level()
 	out := &Ciphertext{C0: nttZero(rq, lvl), C1: nttZero(rq, lvl), Scale: cts[0].Scale * constScale}
 	for i, ct := range cts {
-		k := bigScaled(big.NewFloat(consts[i]), constScale)
+		k := bigResidues(rq, bigScaled(big.NewFloat(consts[i]), constScale), lvl+1)
 		t0, t1 := nttZero(rq, lvl), nttZero(rq, lvl)
-		rq.MulScalarBig(t0, ct.C0, k, lvl)
-		rq.MulScalarBig(t1, ct.C1, k, lvl)
+		rq.MulByLimbScalars(t0, ct.C0, k, lvl)
+		rq.MulByLimbScalars(t1, ct.C1, k, lvl)
 		rq.Add(out.C0, out.C0, t0, lvl)
 		rq.Add(out.C1, out.C1, t1, lvl)
 	}
@@ -447,5 +472,69 @@ func TestDeterminismMatrix(t *testing.T) {
 				ct, err := wide.eval.evaluateSweep(a, wlt, wide.enc, wplan, wkeys)
 				return []*Ciphertext{ct}, err
 			})
+	}
+}
+
+// TestScaledResiduesMatchBigFloat holds ring.ScaledResidues, the word
+// arithmetic every constant op encodes its constant with, to bigScaled's
+// 200-bit big.Float rounding: the EvalMod and Chebyshev constants at the
+// scales they are encoded at, exact ties of either sign, values rounding to
+// zero, |c·scale| past 2^128, extreme exponents and random pairs.
+func TestScaledResiduesMatchBigFloat(t *testing.T) {
+	params, err := NewParameters(BootTestParameters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rq := params.RingQ()
+	var scales []float64
+	for _, m := range rq.Moduli {
+		scales = append(scales, float64(m.Q))
+	}
+	q0 := scales[0]
+	delta := params.DefaultScale()
+	scales = append(scales, delta, q0, 2*math.Pi*delta, q0*delta/(q0+12345), 1, 0.5, -1)
+
+	cfg := DefaultBootstrapConfig()
+	k1 := float64(cfg.K + 1)
+	consts := append(evalModPoly(cfg), 2/(2*k1), 0, -1, 0.5, -0.5, 1.5, 1.0)
+	consts = append(consts, ChebyshevInterpolation(math.Exp, -1, 1, 31)...)
+	consts = append(consts, ChebyshevInterpolation(func(x float64) float64 { return 1 / x }, 1, 8, 63)...)
+
+	type pair struct{ c, scale float64 }
+	var pairs []pair
+	for _, c := range consts {
+		for _, s := range scales {
+			pairs = append(pairs, pair{c, s}, pair{-c, s})
+		}
+	}
+	pairs = append(pairs,
+		// Exact ties: k + 1/2 rounds away from zero on both sides.
+		pair{0.5, 1}, pair{-0.5, 1}, pair{2.5, 1}, pair{-2.5, 1}, pair{3.5, 1},
+		pair{0x1.8p-60, 0x1p60}, pair{-0x1.8p-60, 0x1p60},
+		pair{(1<<52 + 1) * 0x1p-1, 1}, pair{-(1<<52 + 1) * 0x1p-1, 1},
+		// Just below and above one half, and far below.
+		pair{math.Nextafter(0.5, 0), 1}, pair{math.Nextafter(0.5, 1), 1},
+		pair{0x1p-107, 1}, pair{0x1.fffffffffffffp-54, 0x1p52}, pair{-0x1p-300, 0x1p100},
+		pair{math.SmallestNonzeroFloat64, math.MaxFloat64}, pair{-math.SmallestNonzeroFloat64, 0x1p1023},
+		// |c·scale| ≥ 2^128, up to the float64 range squared.
+		pair{0x1.23456789abcdep70, 0x1p60}, pair{-1e30, 1e30}, pair{math.MaxFloat64, math.MaxFloat64},
+		pair{-math.MaxFloat64, 3.7}, pair{1e200, -1e-100}, pair{0, math.MaxFloat64},
+	)
+	rng := rand.New(rand.NewSource(11))
+	for range 2000 {
+		c := math.Ldexp(rng.NormFloat64(), rng.Intn(260)-130)
+		s := math.Ldexp(1+rng.Float64(), rng.Intn(260)-100)
+		pairs = append(pairs, pair{c, s})
+	}
+
+	got := make([]uint64, len(rq.Moduli))
+	for _, p := range pairs {
+		want := bigResidues(rq, bigScaled(big.NewFloat(p.c), p.scale), len(rq.Moduli))
+		rq.ScaledResidues(got, p.c, p.scale)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round(%b · %b) mod q_%d = %d, want %d", p.c, p.scale, i, got[i], want[i])
+			}
+		}
 	}
 }

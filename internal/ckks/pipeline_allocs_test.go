@@ -105,10 +105,9 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 			}
 			ev.Release(out)
 		}},
-		// 67: the header, one residue slice, a forEachLimb closure per ring
-		// pass (16), and bigScaled's big.Float / big.Int, seven per constant
-		// (49).
-		{"MulConstAccum", 75, 0, func() { ev.Release(ev.MulConstAccum(terms, consts, qd)) }},
+		// 18: the header, one residue slice and a forEachLimb closure per
+		// ring pass (16); the constants are reduced in word arithmetic.
+		{"MulConstAccum", 24, 0, func() { ev.Release(ev.MulConstAccum(terms, consts, qd)) }},
 	} {
 		bytes, objects, misses, gets := steadyState(4, 20, op.run)
 		t.Logf("%-24s %7.0f B/op %5.1f objects/op, %v pool gets/op, %v misses", op.name, bytes, objects, gets, misses)
@@ -130,8 +129,8 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 // TestBootstrapAllocs pins what ROADMAP 5(a) asks for: a bootstrap whose
 // result is released runs out of the ring pool. What it still allocates is
 // headers — Truncated views, the Chebyshev power map, rns convert closures,
-// span annotations — and bigScaled's arbitrary-precision constants, not
-// polynomials (the parent allocated ≈ 315 MB in ≈ 7 100 objects here).
+// span annotations, one residue slice per constant — not polynomials (≈ 840
+// objects per bootstrap at N = 2^11).
 func TestBootstrapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")

@@ -13,7 +13,7 @@ import (
 // with in-flight rows to prove the atomic table swap is race-clean
 // (CI runs this under -race -count=2 -shuffle=on).
 
-func restoreTier(t *testing.T) {
+func restoreTier(t testing.TB) {
 	t.Helper()
 	orig := ActiveTier()
 	t.Cleanup(func() {
@@ -23,18 +23,29 @@ func restoreTier(t *testing.T) {
 	})
 }
 
+// forEachTier runs fn as one sub-benchmark per available tier, named after
+// it, with that tier's table active.
+func forEachTier(b *testing.B, fn func(b *testing.B)) {
+	restoreTier(b)
+	for _, tier := range AvailableTiers() {
+		b.Run(tier.String(), func(b *testing.B) {
+			if err := SetKernelTier(tier); err != nil {
+				b.Fatal(err)
+			}
+			fn(b)
+		})
+	}
+}
+
 func TestKernelTierStrings(t *testing.T) {
-	for _, tier := range []KernelTier{TierGo, TierNEON, TierAVX512} {
-		got, err := ParseKernelTier(tier.String())
-		if err != nil || got != tier {
-			t.Errorf("ParseKernelTier(%q) = %v, %v; want %v", tier.String(), got, err, tier)
+	for tier, want := range map[KernelTier]string{TierGo: "go", TierAVX512: "avx512", KernelTier(42): "tier(42)"} {
+		if s := tier.String(); s != want {
+			t.Errorf("KernelTier(%d).String() = %q, want %q", uint8(tier), s, want)
 		}
 	}
-	if _, err := ParseKernelTier("sse9"); err == nil {
-		t.Error("ParseKernelTier(sse9) should fail")
-	}
-	if s := KernelTier(42).String(); s != "tier(42)" {
-		t.Errorf("KernelTier(42).String() = %q", s)
+	// Dashboards read the modarith_kernel_tier gauge by number.
+	if TierGo != 0 || TierAVX512 != 3 {
+		t.Errorf("tier numbering moved: go=%d avx512=%d, want 0 3", TierGo, TierAVX512)
 	}
 }
 
@@ -46,42 +57,12 @@ func TestSetKernelTierUnavailable(t *testing.T) {
 	if !avail[TierGo] {
 		t.Fatal("TierGo must always be available")
 	}
-	for _, tier := range []KernelTier{TierNEON, KernelTier(2), TierAVX512, KernelTier(42)} {
+	for _, tier := range []KernelTier{KernelTier(1), KernelTier(2), TierAVX512, KernelTier(42)} {
 		if !avail[tier] {
 			if err := SetKernelTier(tier); err == nil {
 				t.Errorf("SetKernelTier(%v) should fail on this host", tier)
 			}
 		}
-	}
-}
-
-// TestPickDefaultTier pins the auto-selection rule — the highest available
-// tier wins — and the numbering dashboards read the modarith_kernel_tier
-// gauge by: avx512 stays 3 with slot 2 left empty.
-func TestPickDefaultTier(t *testing.T) {
-	mk := func(tiers ...KernelTier) map[KernelTier]*kernelTable {
-		tables := map[KernelTier]*kernelTable{}
-		for _, tier := range tiers {
-			tables[tier] = &kernelTable{tier: tier}
-		}
-		return tables
-	}
-	cases := []struct {
-		name   string
-		tables map[KernelTier]*kernelTable
-		want   KernelTier
-	}{
-		{"go-only", mk(TierGo), TierGo},
-		{"avx512-wins", mk(TierGo, TierAVX512), TierAVX512},
-		{"neon-wins", mk(TierGo, TierNEON), TierNEON},
-	}
-	for _, tc := range cases {
-		if got := pickDefaultTier(tc.tables); got != tc.want {
-			t.Errorf("%s: pickDefaultTier = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	if TierGo != 0 || TierNEON != 1 || TierAVX512 != 3 {
-		t.Errorf("tier numbering moved: go=%d neon=%d avx512=%d, want 0 1 3", TierGo, TierNEON, TierAVX512)
 	}
 }
 
@@ -94,10 +75,9 @@ func TestDispatchTierMatrix(t *testing.T) {
 	for _, tier := range AvailableTiers() {
 		tier := tier
 		t.Run(tier.String(), func(t *testing.T) {
-			// Every table is total: an entry added to kernelTable without a Go
-			// body (or without its fillDefaults arm) fails here, not as a nil
-			// call in production.
-			tbl := reflect.ValueOf(tierTables[tier]).Elem()
+			// Every table is total: an entry added to kernelTable without a
+			// body in each table fails here, not as a nil call in production.
+			tbl := reflect.ValueOf(tableFor(tier)).Elem()
 			for i := 0; i < tbl.NumField(); i++ {
 				if f := tbl.Field(i); f.Kind() == reflect.Func && f.IsNil() {
 					t.Fatalf("tier %v: kernel table entry %s is nil", tier, tbl.Type().Field(i).Name)

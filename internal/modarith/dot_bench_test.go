@@ -15,7 +15,10 @@ import (
 // at least 64 MB, so they stream from DRAM the way switching keys do. ns/op
 // is per output row, except for dot-pair and keydot: the two rows a key
 // switch's B and A accumulators take, as two dots and as one VecDotKeyLazy.
-func BenchmarkGadgetDot(b *testing.B) {
+// Every row runs once per available tier (go/…, avx512/…).
+func BenchmarkGadgetDot(b *testing.B) { forEachTier(b, benchGadgetDot) }
+
+func benchGadgetDot(b *testing.B) {
 	const keyBytes = 64 << 20
 	for _, sh := range []struct{ logN, k int }{{12, 9}, {16, 4}} {
 		n := 1 << sh.logN

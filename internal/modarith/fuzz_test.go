@@ -61,7 +61,7 @@ func FuzzVecKernels(f *testing.F) {
 			if tier == TierGo {
 				continue
 			}
-			tbl := tierTables[tier]
+			tbl := tableFor(tier)
 
 			out := append([]uint64(nil), b...)
 			want := append([]uint64(nil), b...)

@@ -55,7 +55,7 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 	m := tierTestModuli(t)[1]
 	rng := rand.New(rand.NewSource(0x6a8d))
 	for _, tier := range AvailableTiers() {
-		tbl := tierTables[tier]
+		tbl := tableFor(tier)
 		run := func(name string, kernel func()) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -113,7 +113,7 @@ func TestDotKernelStaysInBounds(t *testing.T) {
 	m := tierTestModuli(t)[3]
 	rng := rand.New(rand.NewSource(0xd07))
 	for _, tier := range AvailableTiers() {
-		tbl := tierTables[tier]
+		tbl := tableFor(tier)
 		run := func(name string, kernel func()) {
 			defer func() {
 				if r := recover(); r != nil {

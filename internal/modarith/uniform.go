@@ -60,13 +60,30 @@ func Tile(tag uint64, tile int) TileRef { return TileRef{tag, uint64(tile) << 32
 // kernel tier writes the same words.
 func (m Modulus) ExpandUniform(dst []uint64, k *StreamKey, tag uint64, tile int) {
 	expand := active.Load().expandUniform
-	for ; len(dst) > 0; tile++ {
-		n := min(len(dst), UniformTile)
-		ref := [1]TileRef{Tile(tag, tile)}
-		expand(m, dst[:n], k, ref[:], n)
-		dst = dst[n:]
+	refs := tileRefs.Get().(*[tileBatch]TileRef)
+	defer tileRefs.Put(refs)
+	for len(dst) > 0 {
+		// Whole tiles go up to tileBatch a call; a partial last one alone.
+		cnt, n := min(len(dst)/UniformTile, tileBatch), UniformTile
+		if cnt == 0 {
+			cnt, n = 1, len(dst)
+		}
+		for r := range refs[:cnt] {
+			refs[r] = Tile(tag, tile+r)
+		}
+		expand(m, dst[:cnt*n], k, refs[:cnt], n)
+		dst, tile = dst[cnt*n:], tile+cnt
 	}
 }
+
+// tileBatch is the most tile references ExpandUniform hands the kernel in one
+// call: a whole row of N = 2^16.
+const tileBatch = 1 << 16 / UniformTile
+
+// tileRefs lends ExpandUniform its tile references. A slice passed through
+// the kernel table's function pointer escapes, so a local array would be a
+// heap allocation per call.
+var tileRefs = sync.Pool{New: func() any { return new([tileBatch]TileRef) }}
 
 // ExpandUniformTiles fills dst with len(tiles) runs of n = len(dst)/len(tiles)
 // words, 1 ≤ n ≤ UniformTile, back to back: run r is the first n values of

@@ -151,7 +151,7 @@ func TestExpandUniformTilesAcrossTiers(t *testing.T) {
 			}
 			for _, tier := range AvailableTiers() {
 				got := make([]uint64, len(want))
-				tierTables[tier].expandUniform(m, got, k, refs, n)
+				tableFor(tier).expandUniform(m, got, k, refs, n)
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("%v q=%d n=%d runs=%d: word %d = %d, want %d", tier, m.Q, n, len(refs), j, got[j], want[j])
@@ -190,6 +190,23 @@ func TestExpandUniformTilesIndependent(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("rows 5 and 6 agree on %d of %d words", same, n)
+	}
+}
+
+// TestExpandUniformAllocs: expanding a 2^16-word row allocates nothing on
+// any tier — its tile references stay off the heap.
+func TestExpandUniformAllocs(t *testing.T) {
+	restoreTier(t)
+	m := tierTestModuli(t)[2]
+	k := randStreamKey(rand.New(rand.NewSource(8)))
+	row := make([]uint64, 1<<16)
+	for _, tier := range AvailableTiers() {
+		if err := SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(100, func() { m.ExpandUniform(row, k, 9, 0) }); a != 0 {
+			t.Errorf("%v: ExpandUniform of a 2^16-word row makes %v allocations, want 0", tier, a)
+		}
 	}
 }
 
@@ -245,7 +262,7 @@ func TestKeystreamMatchesCryptoAES(t *testing.T) {
 func expandOnTier(tier KernelTier, m Modulus, dst []uint64, k *StreamKey, tag uint64, tile int) {
 	for ; len(dst) > 0; tile++ {
 		n := min(len(dst), UniformTile)
-		tierTables[tier].expandUniform(m, dst[:n], k, []TileRef{Tile(tag, tile)}, n)
+		tableFor(tier).expandUniform(m, dst[:n], k, []TileRef{Tile(tag, tile)}, n)
 		dst = dst[n:]
 	}
 }
@@ -256,8 +273,10 @@ func expandOnTier(tier KernelTier, m Modulus, dst []uint64, k *StreamKey, tag ui
 // (hks_n16), one call per tile for all k rows as the key switch expands
 // them, and reports the
 // rate in GB/s of key bytes produced: the figure to set against
-// BenchmarkGadgetDot's key read.
-func BenchmarkExpandUniform(b *testing.B) {
+// BenchmarkGadgetDot's key read. Every row runs once per available tier.
+func BenchmarkExpandUniform(b *testing.B) { forEachTier(b, benchExpandUniform) }
+
+func benchExpandUniform(b *testing.B) {
 	for _, sh := range []struct{ logN, k int }{{12, 9}, {16, 4}} {
 		n := 1 << sh.logN
 		ps, err := GenerateNTTPrimes(55, sh.logN, 1)

@@ -9,9 +9,9 @@ import "math/bits"
 // budgets.
 //
 // Every method below dispatches through the runtime kernel table
-// (dispatch.go): one atomic load selects the active implementation tier
-// (pure Go, NEON, or AVX-512) for the whole row, so the inner loops
-// never branch on CPU features. The pure-Go bodies live in vec_go.go and
+// (dispatch.go): one atomic load selects the active table (pure Go or
+// AVX-512) for the whole row, so the inner loops never branch on CPU
+// features. The pure-Go bodies live in vec_go.go and
 // remain the differential oracle for every assembly tier.
 //
 // All "Lazy" kernels keep out in [0, 2q) (see MulBarrettLazy for the bound

@@ -118,7 +118,11 @@ func stageBounds(a, psi, psiShoup []uint64, span, cnt int) {
 	_ = a[2*span*(len(psi)-1)+span+cnt-1]
 }
 
-func avx512Table() kernelTable {
+// asmKernelTable returns the AVX-512 table, or nil if this CPU lacks AVX-512.
+func asmKernelTable() *kernelTable {
+	if !hasAVX512 {
+		return nil
+	}
 	t := avx512Kernels()
 	// Without IFMA the key switch's two dots are two calls of the one-output
 	// kernel; with it, one pass on the 52-bit multiply-adds.
@@ -148,13 +152,14 @@ func avx512Table() kernelTable {
 			vecDotKeyLazyAVX512(outB, outA, a, b[:len(a)], u[:len(a)], maskB, maskA, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
 		}
 	}
+	t.expandUniform = expandUniformGo
 	if hasVAES {
 		t.expandUniform = func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int) {
 			_ = dst[len(tiles)*n-1]
 			expandUniformAVX512(dst, &k.rk, tiles, n, m.Q, m.rejectBelow)
 		}
 	}
-	return t
+	return &t
 }
 
 func avx512Kernels() kernelTable {
@@ -371,12 +376,4 @@ func avx512Kernels() kernelTable {
 			}
 		},
 	}
-}
-
-// asmKernelTables registers the amd64 assembly tier if this CPU has it.
-func asmKernelTables() map[KernelTier]kernelTable {
-	if !hasAVX512 {
-		return nil
-	}
-	return map[KernelTier]kernelTable{TierAVX512: avx512Table()}
 }

@@ -10,7 +10,7 @@ import (
 // output to the pure-Go oracle on every kernel, for random and adversarial
 // inputs across the supported modulus range and across lengths that exercise
 // both the vector body and the scalar tail. On a host with no assembly tier
-// this degenerates to Go-vs-Go and passes trivially; CI's amd64 and arm64
+// this degenerates to Go-vs-Go and passes trivially; CI's AVX-512 amd64
 // legs provide the real coverage.
 
 // tierTestLens hits 0-tail, partial-tail and multi-block cases for the 8-lane
@@ -88,7 +88,7 @@ func forEachTierCase(t *testing.T, lens []int, fn func(t *testing.T, tbl *kernel
 	t.Helper()
 	moduli := tierTestModuli(t)
 	for _, tier := range AvailableTiers() {
-		tbl := tierTables[tier]
+		tbl := tableFor(tier)
 		t.Run(tier.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x5eed + int64(tier)))
 			for _, m := range moduli {

@@ -160,10 +160,9 @@ func (t *Tables) inverse(a []uint64, lazy bool) {
 
 // fwdStage applies forward stage m (span = N/(2m)) to twiddle blocks
 // [i0, i1) as one call of the dispatched stage kernel (modarith.VecFwdStage:
-// pure Go, AVX-512 or arm64 asm depending on the active tier, at every
-// span). The span=1 final stage folds the exit reduction in, emitting
-// [0, q) (exact) or [0, 2q) (lazy); all other stages keep the [0, 4q)
-// butterfly invariant.
+// pure Go or AVX-512 depending on the active tier, at every span). The
+// span=1 final stage folds the exit reduction in, emitting [0, q) (exact) or
+// [0, 2q) (lazy); all other stages keep the [0, 4q) butterfly invariant.
 func (t *Tables) fwdStage(a []uint64, m, span, i0, i1 int, lazy bool) {
 	t.Mod.VecFwdStage(a[2*i0*span:2*i1*span], t.psiRev[m+i0:m+i1], t.psiRevShoup[m+i0:m+i1], span, span, lazy)
 }

@@ -496,8 +496,26 @@ func BenchmarkInverseN4096(b *testing.B) {
 // stage profile that is not flat — one span falling off the vector path —
 // shows from `go test -bench Stages`. The fwd span-1 row is Forward's exact
 // exit and the fwdLazy one the [0, 2q) exit ForwardLazy (ModUp, ModDown)
-// runs; the inverse span N/2 row is the 1/N-fused final stage.
+// runs; the inverse span N/2 row is the 1/N-fused final stage. Every row runs
+// once per available kernel tier (go/…, avx512/…).
 func BenchmarkStages(b *testing.B) {
+	orig := modarith.ActiveTier()
+	b.Cleanup(func() {
+		if err := modarith.SetKernelTier(orig); err != nil {
+			b.Fatalf("restoring tier %v: %v", orig, err)
+		}
+	})
+	for _, tier := range modarith.AvailableTiers() {
+		b.Run(tier.String(), func(b *testing.B) {
+			if err := modarith.SetKernelTier(tier); err != nil {
+				b.Fatal(err)
+			}
+			benchStages(b)
+		})
+	}
+}
+
+func benchStages(b *testing.B) {
 	for _, logN := range []int{12, 16} {
 		tbl := newTestTables(b, logN)
 		n := tbl.N

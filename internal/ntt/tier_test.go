@@ -18,7 +18,7 @@ import (
 //
 // The "modarith kernel tier" log line below is asserted by CI (each matrix
 // leg greps the test log for the tier it expects), so a misconfigured leg —
-// e.g. the arm64 runner silently falling back to pure Go — fails loudly
+// e.g. an AVX-512 runner silently falling back to pure Go — fails loudly
 // instead of green-washing the matrix.
 func TestTransformAcrossKernelTiers(t *testing.T) {
 	t.Logf("modarith kernel tier: active=%s available=%v", modarith.ActiveTier(), modarith.AvailableTiers())

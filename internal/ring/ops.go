@@ -1,7 +1,7 @@
 package ring
 
 import (
-	"math/big"
+	"math"
 	"math/bits"
 )
 
@@ -75,45 +75,60 @@ func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {
 	accountRows(bytesElemwise, 2, level+1, r.N)
 }
 
-// AddScalarBig adds an arbitrarily large signed integer constant (reduced
-// per limb). Needed by bootstrapping, where constants scale with q0 and
-// exceed int64. In the coefficient domain this touches coefficient 0; in the
-// NTT domain a constant shifts every slot, so it is added to all positions.
-func (r *Ring) AddScalarBig(out, a *Poly, v *big.Int, level int) {
-	r.addLimbScalars(out, a, r.LimbResidues(make([]uint64, level+1), v), level)
-}
-
-// MulScalarBig multiplies by an arbitrarily large signed integer constant
-// (reduced per limb).
-func (r *Ring) MulScalarBig(out, a *Poly, v *big.Int, level int) {
-	r.MulByLimbScalars(out, a, r.LimbResidues(make([]uint64, level+1), v), level)
-}
-
-// LimbResidues sets res[i] = v mod q_i in [0, q_i) for the first len(res)
-// limbs and returns res. Each is a Horner pass over v's words with one
-// 128-by-64-bit division per word, so nothing is allocated.
-func (r *Ring) LimbResidues(res []uint64, v *big.Int) []uint64 {
-	// A big.Word is taken for 64 bits; a 32-bit int fails to compile here
-	// (as it already does in internal/rns).
-	const _ = uint(bits.UintSize - 64)
-	words := v.Bits() // |v|, least significant word first
+// ScaledResidues sets res[i] = round(c·scale) mod q_i in [0, q_i) for the
+// first len(res) limbs, rounding half away from zero, and returns res. It is
+// how a real constant becomes a ring scalar: bootstrapping's constants scale
+// with q0 and exceed int64, but c·scale is exact as the 106-bit product of the
+// two 53-bit mantissas times a power of two, so word arithmetic suffices — a
+// rounded right shift of the product when the exponent is negative, a
+// multiplication by 2^e mod q_i when it is not. Nothing is allocated.
+func (r *Ring) ScaledResidues(res []uint64, c, scale float64) []uint64 {
+	if math.IsNaN(c) || math.IsInf(c, 0) || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		panic("ring: ScaledResidues of a non-finite value")
+	}
+	fc, ec := math.Frexp(math.Abs(c))
+	fs, es := math.Frexp(math.Abs(scale))
+	// |c·scale| = hi·2^64 + lo, times 2^e.
+	hi, lo := bits.Mul64(uint64(fc*(1<<53)), uint64(fs*(1<<53)))
+	e := ec + es - 106
+	if e < 0 {
+		if k := uint(-e); k > 106 {
+			hi, lo = 0, 0 // hi·2^64 + lo < 2^106: below 1/2, rounds to 0
+		} else {
+			// Add half an output unit, then shift the 128-bit sum right by k.
+			var carry uint64
+			if k <= 64 {
+				lo, carry = bits.Add64(lo, 1<<(k-1), 0)
+				hi += carry
+			} else {
+				hi += 1 << (k - 65)
+			}
+			if k >= 64 {
+				hi, lo = 0, hi>>(k-64)
+			} else {
+				hi, lo = hi>>k, lo>>k|hi<<(64-k)
+			}
+		}
+		e = 0
+	}
+	neg := (c < 0) != (scale < 0)
 	for i := range res {
-		q := r.Moduli[i].Q
-		var rem uint64
-		for k := len(words) - 1; k >= 0; k-- {
-			_, rem = bits.Div64(rem, uint64(words[k]), q) // rem < q: no overflow
+		mod := r.Moduli[i]
+		_, v := bits.Div64(hi%mod.Q, lo, mod.Q)
+		if e > 0 {
+			v = mod.Mul(v, mod.Pow(2, uint64(e)))
 		}
-		if v.Sign() < 0 && rem != 0 {
-			rem = q - rem
+		if neg {
+			v = mod.Neg(v)
 		}
-		res[i] = rem
+		res[i] = v
 	}
 	return res
 }
 
-// addLimbScalars sets out = a + c with one residue c[i] per limb: added to
+// AddLimbScalars sets out = a + c with one residue c[i] per limb: added to
 // every slot in the NTT domain, to coefficient 0 otherwise.
-func (r *Ring) addLimbScalars(out, a *Poly, c []uint64, level int) {
+func (r *Ring) AddLimbScalars(out, a *Poly, c []uint64, level int) {
 	forEachLimb(level, func(i int) {
 		mod := r.Moduli[i]
 		oa, oo := a.Coeffs[i], out.Coeffs[i]

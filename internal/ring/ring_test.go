@@ -496,25 +496,28 @@ func TestRowOpsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestScalarBigMatchesBigInt: AddScalarBig (both domains) and MulScalarBig
-// reduce a signed multi-word constant per limb exactly as big.Int.Mod does.
-func TestScalarBigMatchesBigInt(t *testing.T) {
+// TestScaledResiduesMatchBigInt: ScaledResidues reduces a signed multi-word
+// integer c·scale per limb exactly as big.Int.Mod does, and AddLimbScalars
+// (both domains) and MulByLimbScalars apply the residues.
+func TestScaledResiduesMatchBigInt(t *testing.T) {
 	r := newTestRing(t, 4, 3)
 	s := testStream(47)
 	level := r.MaxLevel()
-	q0 := new(big.Int).SetUint64(r.Moduli[0].Q)
-	huge := new(big.Int).Lsh(big.NewInt(0x1234567), 150)
-	consts := []*big.Int{
-		new(big.Int), big.NewInt(1), big.NewInt(-1), q0, new(big.Int).Neg(q0),
-		huge, new(big.Int).Neg(huge), new(big.Int).Mul(q0, huge),
-		new(big.Int).SetUint64(^uint64(0)), new(big.Int).Lsh(big.NewInt(-1), 64),
+	q0 := float64(r.Moduli[0].Q) // below 2^53: exact
+	consts := []struct{ c, scale float64 }{
+		{0, 1}, {1, 1}, {-1, 1}, {q0, 1}, {-q0, 1},
+		{0x1234567, 0x1p150}, {-0x1234567, 0x1p150}, {q0, 0x1234567p150},
+		{1<<32 - 1, 1<<32 + 1}, {-1, 0x1p64}, // 2^64 − 1 and −2^64
 	}
-	for _, v := range consts {
+	for _, k := range consts {
+		v := new(big.Int)
+		new(big.Float).SetPrec(106).Mul(big.NewFloat(k.c), big.NewFloat(k.scale)).Int(v)
+		res := r.ScaledResidues(make([]uint64, level+1), k.c, k.scale)
 		for _, ntt := range []bool{false, true} {
 			a := s.UniformPoly(r, level, ntt)
 			sum, prod := r.NewPoly(level), r.NewPoly(level)
-			r.AddScalarBig(sum, a, v, level)
-			r.MulScalarBig(prod, a, v, level)
+			r.AddLimbScalars(sum, a, res, level)
+			r.MulByLimbScalars(prod, a, res, level)
 			for i, mod := range r.Moduli {
 				c := new(big.Int).Mod(v, new(big.Int).SetUint64(mod.Q)).Uint64()
 				for j, x := range a.Coeffs[i] {
