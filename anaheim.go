@@ -232,40 +232,32 @@ func (c *Context) Sub(ct0, ct1 *Ciphertext) *Ciphertext { return c.eval.Sub(ct0,
 // again. Releasing nil, or the same ciphertext twice, does nothing.
 func (c *Context) Release(cts ...*Ciphertext) { c.eval.Release(cts...) }
 
-// rescaled returns Rescale of an intermediate this context created, releasing
-// it. It panics with ckks.ErrLevel on a level-0 operand, like Mul.
-func (c *Context) rescaled(ct *Ciphertext) *Ciphertext {
-	out, err := c.eval.Rescale(ct)
-	c.eval.Release(ct)
+// must returns an evaluator op's result, panicking with its error instead.
+func must(ct *Ciphertext, err error) *Ciphertext {
 	if err != nil {
 		panic(err)
 	}
-	return out
+	return ct
 }
 
 // Mul returns ct0 ⊙ ct1 relinearized and rescaled (HMULT). It panics with
 // ckks.ErrLevel on a level-0 operand; the evaluator's Mul returns that error
 // instead.
-func (c *Context) Mul(ct0, ct1 *Ciphertext) *Ciphertext {
-	out, err := c.eval.Mul(ct0, ct1)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
+func (c *Context) Mul(ct0, ct1 *Ciphertext) *Ciphertext { return must(c.eval.Mul(ct0, ct1)) }
 
-// MulPlain returns ct ⊙ pt rescaled (PMULT).
+// MulPlain returns ct ⊙ pt rescaled (PMULT). It panics with ckks.ErrLevel on
+// a level-0 operand, like Mul.
 func (c *Context) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	return c.rescaled(c.eval.MulPlain(ct, pt))
+	return must(c.eval.MulPlain(ct, pt))
 }
 
 // AddConst adds a real constant to every slot.
 func (c *Context) AddConst(ct *Ciphertext, v float64) *Ciphertext { return c.eval.AddConst(ct, v) }
 
-// MulConst multiplies every slot by a real constant (one level).
+// MulConst multiplies every slot by a real constant (one level). It panics
+// with ckks.ErrLevel on a level-0 operand, like Mul.
 func (c *Context) MulConst(ct *Ciphertext, v float64) *Ciphertext {
-	qd := float64(c.Params.RingQ().Moduli[ct.Level()].Q)
-	return c.rescaled(c.eval.MultConst(ct, v, qd))
+	return must(c.eval.MultConst(ct, v))
 }
 
 // Rotate cyclically rotates the slots by k (HROT); the rotation key must
@@ -325,9 +317,10 @@ func (c *Context) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	return c.boot.Bootstrap(ct)
 }
 
-// DropToLevel discards limbs (used to emulate computation depth in demos).
+// DropToLevel discards limbs (used to emulate computation depth in demos). It
+// panics with ckks.ErrLevel on a level outside [0, ct.Level()].
 func (c *Context) DropToLevel(ct *Ciphertext, level int) *Ciphertext {
-	return c.eval.DropLevel(ct, level)
+	return must(c.eval.DropLevel(ct, level))
 }
 
 // ---------------------------------------------------------------------------

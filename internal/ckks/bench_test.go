@@ -168,7 +168,7 @@ func BenchmarkSweep(b *testing.B) {
 				tc.kgen.GenRotationKeys(tc.sk, keys, GaloisKeysForLinearTransform(p, lt))
 				ev = NewEvaluator(p, keys)
 				r := rand.New(rand.NewSource(7))
-				ct = ev.DropLevel(tc.encryptVec(b, randomComplex(r, p.Slots(), 1)), shape.level)
+				ct = dropTo(ev, tc.encryptVec(b, randomComplex(r, p.Slots(), 1)), shape.level)
 				out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc) // encodes the diagonals
 				if err != nil {
 					b.Fatal(err)
@@ -248,7 +248,7 @@ func BenchmarkBootstrapFunc(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
-	ct := tc.eval.DropLevel(tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 0.7)), 0)
+	ct := dropTo(tc.eval, tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 0.7)), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

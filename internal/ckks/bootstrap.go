@@ -294,9 +294,9 @@ func (b *Bootstrapper) coeffsToSlots(cur *Ciphertext) (ct0, ct1 *Ciphertext, err
 	sum := ev.Add(cur, conj)
 	ev.subInPlace(conj, cur) // conj − cur
 	ev.Release(cur)
-	ct0 = ev.rescaleOwned(ev.MultConst(sum, 0.5, qd))
+	ct0 = ev.multConst(sum, 0.5, qd)
 	diff := ev.MulByI(conj)
-	ct1 = ev.rescaleOwned(ev.MultConst(diff, 0.5, qd))
+	ct1 = ev.multConst(diff, 0.5, qd)
 	ev.Release(sum, conj, diff)
 	return ct0, ct1, nil
 }
@@ -314,7 +314,7 @@ func (b *Bootstrapper) slotsToCoeffs(re, im *Ciphertext, delta float64) (*Cipher
 		return nil, err
 	}
 	qd := float64(b.params.RingQ().Moduli[cur.Level()].Q)
-	out := ev.rescaleOwned(ev.MultConst(cur, 1.0, qd*delta/cur.Scale))
+	out := ev.multConst(cur, 1.0, qd*delta/cur.Scale)
 	ev.Release(cur)
 	out.Scale = delta
 	return out, nil

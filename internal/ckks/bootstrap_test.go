@@ -13,7 +13,7 @@ func TestModRaise(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(60))
 	v := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.eval.DropLevel(tc.encryptVec(t, v), 0)
+	ct := dropTo(tc.eval, tc.encryptVec(t, v), 0)
 
 	b := &Bootstrapper{params: tc.params, q0: float64(tc.params.RingQ().Moduli[0].Q)}
 	raised := b.ModRaise(ct)
@@ -57,7 +57,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	v := randomComplex(r, tc.params.Slots(), 0.7)
 	ct := tc.encryptVec(t, v)
 	// Exhaust the ciphertext.
-	ct = tc.eval.DropLevel(ct, 0)
+	ct = dropTo(tc.eval, ct, 0)
 	if ct.Level() != 0 {
 		t.Fatal("setup: ciphertext not at level 0")
 	}
@@ -141,7 +141,7 @@ func TestBootstrapFFTIterVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct := tc.eval.DropLevel(tc.encryptVec(t, v), 0)
+		ct := dropTo(tc.eval, tc.encryptVec(t, v), 0)
 		out, err := boot.Bootstrap(ct)
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +231,7 @@ func TestBootstrapStagePrecision(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(61))
 	v := randomComplex(r, tc.params.Slots(), 0.7)
-	ct := tc.eval.DropLevel(tc.encryptVec(t, v), 0)
+	ct := dropTo(tc.eval, tc.encryptVec(t, v), 0)
 	delta, q0 := ct.Scale, boot.q0
 	nh := tc.params.Slots()
 

@@ -382,7 +382,7 @@ func (ev *Evaluator) sweepKeys(plan *bsgsPlan, lvl int) (map[int]*SwitchingKey, 
 // ErrLevel. Both errors come before anything is borrowed or written.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
 	if ct.Level() == 0 {
-		return nil, ErrLevel
+		return nil, errLevelZero
 	}
 	plan := lt.sweepPlan(ev.params)
 	keys, err := ev.sweepKeys(plan, ct.Level())

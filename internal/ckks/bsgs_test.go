@@ -63,7 +63,7 @@ func TestBSGSMatchesDegenerateAndApply(t *testing.T) {
 	ctTop := tc.encryptVec(t, u)
 
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
-		ct := tc.eval.DropLevel(ctTop, lvl)
+		ct := dropTo(tc.eval, ctTop, lvl)
 		ref := tc.decryptVec(tc.sweepWith(t, ct, lt, slots))
 		if e := maxErr(ref, want); e > 1e-3 {
 			t.Fatalf("lvl %d: degenerate plan vs Apply error %g", lvl, e)
@@ -223,7 +223,7 @@ func TestBSGSSweepPerLevel(t *testing.T) {
 	want := lt.Apply(u)
 	ctTop := tc.encryptVec(t, u)
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
-		ct := tc.eval.DropLevel(ctTop, lvl)
+		ct := dropTo(tc.eval, ctTop, lvl)
 		got := tc.sweepWith(t, ct, lt, 4)
 		if e := maxErr(tc.decryptVec(got), want); e > 1e-2 {
 			t.Fatalf("lvl %d: sweep error %g", lvl, e)

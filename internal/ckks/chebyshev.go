@@ -99,7 +99,7 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
 	rq := ev.params.RingQ()
 	// t = (2x - a - b)/(b - a), computed with one constant mult + add.
-	t1 := ev.rescaleOwned(ev.MultConst(ct, 2/(b-a), float64(rq.Moduli[ct.Level()].Q)))
+	t1 := ev.multConst(ct, 2/(b-a), float64(rq.Moduli[ct.Level()].Q))
 	ev.addConstInPlace(t1, -(a+b)/(b-a))
 
 	degree := len(coeffs) - 1
@@ -141,9 +141,8 @@ func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b fl
 }
 
 // linearCombination computes Σ c_i·T_i for i < baby from the power basis as
-// one CAccum over the needed powers — each contributes its limb prefix at the
-// lowest level among them — encoding the constants at the dropped prime's
-// scale so a single Rescale lands all terms on a common scale.
+// one CAccum over the needed powers, rescaled once: each contributes its limb
+// prefix at the lowest level among them.
 func (ev *Evaluator) linearCombination(c []float64, pow map[int]*Ciphertext) *Ciphertext {
 	terms := make([]*Ciphertext, 0, len(c))
 	consts := make([]float64, 0, len(c))
@@ -156,11 +155,7 @@ func (ev *Evaluator) linearCombination(c []float64, pow map[int]*Ciphertext) *Ci
 		// Only the constant term: 0·T_1 puts a zero at the right scale.
 		terms, consts = append(terms, pow[1]), append(consts, 0)
 	}
-	lvl := terms[0].Level()
-	for _, t := range terms[1:] {
-		lvl = min(lvl, t.Level())
-	}
-	acc := ev.rescaleOwned(ev.MulConstAccum(terms, consts, float64(ev.params.RingQ().Moduli[lvl].Q)))
+	acc := ev.mulConstAccum(terms, consts)
 	ev.addConstInPlace(acc, c[0])
 	return acc
 }

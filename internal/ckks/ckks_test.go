@@ -63,6 +63,15 @@ func randomComplex(r *rand.Rand, n int, bound float64) []complex128 {
 	return v
 }
 
+// dropTo is DropLevel to a level the caller knows ct has.
+func dropTo(ev *Evaluator, ct *Ciphertext, level int) *Ciphertext {
+	out, err := ev.DropLevel(ct, level)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // maxErr returns the max absolute slot-wise error between got and want.
 func maxErr(got, want []complex128) float64 {
 	m := 0.0
@@ -188,7 +197,10 @@ func TestPMULT(t *testing.T) {
 	p := randomComplex(r, tc.params.Slots(), 1)
 	ct := tc.encryptVec(t, a)
 	ptp, _ := tc.enc.Encode(p, ct.Level(), tc.params.DefaultScale())
-	prod := tc.eval.rescale(tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()}))
+	prod, err := tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]complex128, len(a))
 	for i := range want {
 		want[i] = a[i] * p[i]
@@ -289,8 +301,10 @@ func TestAddConstMultConst(t *testing.T) {
 		t.Fatalf("AddConst error %g", e)
 	}
 
-	dropQ := float64(tc.params.RingQ().Moduli[ct.Level()].Q)
-	ct3 := tc.eval.rescale(tc.eval.MultConst(ct, -1.25, dropQ))
+	ct3, err := tc.eval.MultConst(ct, -1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		want[i] = v[i] * -1.25
 	}
@@ -351,7 +365,10 @@ func TestDropLevel(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(24))
 	v := randomComplex(r, tc.params.Slots(), 1)
-	ct := tc.eval.DropLevel(tc.encryptVec(t, v), 2)
+	ct, err := tc.eval.DropLevel(tc.encryptVec(t, v), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ct.Level() != 2 {
 		t.Fatalf("level = %d", ct.Level())
 	}

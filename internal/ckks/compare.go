@@ -13,7 +13,7 @@ func (ev *Evaluator) signPoly(ct *Ciphertext) *Ciphertext {
 	// x² (level -1)
 	x2 := ev.mul(ct, ct)
 	// (3 - x²)/2 at the scale of x², via constant ops.
-	half := ev.rescaleOwned(ev.MultConst(x2, -0.5, float64(rq.Moduli[x2.Level()].Q)))
+	half := ev.multConst(x2, -0.5, float64(rq.Moduli[x2.Level()].Q))
 	ev.Release(x2)
 	ev.addConstInPlace(half, 1.5)
 	// x · (3 - x²)/2 (level -2); the product takes x at half's level.
@@ -60,8 +60,8 @@ func (ev *Evaluator) EvalMinMax(a, b *Ciphertext, iterations int) (minCt, maxCt 
 	sum := ev.Add(a, b)
 	qd := float64(rq.Moduli[abs.Level()].Q)
 	hi, lo := ev.Add(sum, abs), ev.Sub(sum, abs)
-	maxCt = ev.rescaleOwned(ev.MultConst(hi, 0.5, qd))
-	minCt = ev.rescaleOwned(ev.MultConst(lo, 0.5, qd))
+	maxCt = ev.multConst(hi, 0.5, qd)
+	minCt = ev.multConst(lo, 0.5, qd)
 	ev.Release(abs, sum, hi, lo)
 	return minCt, maxCt
 }

@@ -89,7 +89,7 @@ func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
 
 	for _, lvl := range []int{p.MaxLevel(), 23, 20} {
 		pl := p.PlanAt(lvl)
-		a := ev.DropLevel(ct, lvl)
+		a := dropTo(ev, ct, lvl)
 		wantKS := modUpTransforms(pl) + modDownTransforms(pl, 2)
 		if got := countTransforms(p, func() { ev.keySwitch(a.C1, lvl, tc.keys.Rlk) }); got != wantKS {
 			t.Errorf("lvl %d %+v: key switch runs %d limb transforms, formula says %d", lvl, pl, got, wantKS)
@@ -181,7 +181,7 @@ func TestSweepCostCountsWhatRuns(t *testing.T) {
 	ctTop := tc.encryptVec(t, randomComplex(r, slots, 1))
 
 	for _, lvl := range []int{p.MaxLevel(), 4, 2} {
-		ct := tc.eval.DropLevel(ctTop, lvl)
+		ct := dropTo(tc.eval, ctTop, lvl)
 		ptScale := float64(p.RingQ().Moduli[lvl].Q)
 		for i, lt := range lts {
 			for _, o := range lt.planOptions(p) {

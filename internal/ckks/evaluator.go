@@ -59,11 +59,14 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 
 const scaleTolerance = 1e-3
 
-// ErrLevel is returned by the ops that end in a rescale — Mul, Square,
-// Rescale, EvaluateLinearTransform — when an operand sits at level 0 and
-// there is no prime left to drop. They check before borrowing or writing
-// anything.
-var ErrLevel = errors.New("ckks: operand at level 0 has no prime left to rescale by")
+// ErrLevel marks an operand whose level does not allow the op. The ops that
+// end in a rescale — Mul, Square, Rescale, MulPlain, MultConst,
+// MulConstAccum, EvaluateLinearTransform — return it for an operand at level
+// 0, which has no prime left to drop, and DropLevel for a target outside
+// [0, ct.Level()]. Each checks before borrowing or writing anything.
+var ErrLevel = errors.New("ckks: operand level out of range")
+
+var errLevelZero = fmt.Errorf("%w: operand at level 0 has no prime left to rescale by", ErrLevel)
 
 func (ev *Evaluator) checkScales(a, b float64) {
 	if math.Abs(a/b-1) > scaleTolerance {
@@ -171,15 +174,19 @@ func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// MulPlain returns ct ⊙ pt (PMULT). The output scale is the product of the
-// operand scales; callers typically follow with Rescale.
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	rq := ev.params.RingQ()
+// MulPlain returns ct ⊙ pt rescaled (PMULT): the product, at the product of
+// the operand scales, divided by the prime of the lower operand level ℓ. At
+// ℓ = 0 there is no prime to drop: ErrLevel, before anything is borrowed.
+func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	lvl := min(ct.Level(), pt.Level())
-	out := ev.newCiphertext(lvl, ct.Scale*pt.Scale)
-	rq.MulCoeffs(out.C0, ct.C0, pt.Value, lvl)
-	rq.MulCoeffs(out.C1, ct.C1, pt.Value, lvl)
-	return out
+	if lvl == 0 {
+		return nil, errLevelZero
+	}
+	rq := ev.params.RingQ()
+	prod := ev.newCiphertext(lvl, ct.Scale*pt.Scale)
+	rq.MulCoeffs(prod.C0, ct.C0, pt.Value, lvl)
+	rq.MulCoeffs(prod.C1, ct.C1, pt.Value, lvl)
+	return ev.rescaleOwned(prod), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +454,7 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 	lvl := min(ct0.Level(), ct1.Level())
 	switch rlk := ev.keys.Rlk; {
 	case lvl == 0:
-		return nil, ErrLevel
+		return nil, errLevelZero
 	case rlk == nil:
 		return nil, fmt.Errorf("%w: no relinearization key", ErrMissingKey)
 	case !rlk.covers(ev.params, lvl):
@@ -498,9 +505,13 @@ func (ev *Evaluator) mul(ct0, ct1 *Ciphertext) *Ciphertext {
 
 // DropLevel discards limbs down to the target level without scaling. The
 // result is a copy, like every other op's: ops that take operands at
-// different levels align them themselves, without one.
-func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) *Ciphertext {
-	return ev.copyAt(ct, level)
+// different levels align them themselves, without one. A target outside
+// [0, ct.Level()] is an error wrapping ErrLevel, before anything is borrowed.
+func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
+	if level < 0 || level > ct.Level() {
+		return nil, fmt.Errorf("%w: cannot drop a level-%d operand to level %d", ErrLevel, ct.Level(), level)
+	}
+	return ev.copyAt(ct, level), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -569,19 +580,28 @@ func (ev *Evaluator) addConstInPlace(ct *Ciphertext, c float64) {
 	rq.AddLimbScalars(ct.C0, ct.C0, rq.ScaledResidues(make([]uint64, lvl+1), c, ct.Scale), lvl)
 }
 
-// MultConst multiplies every slot by the real constant c, encoding it at
-// scale constScale (the ciphertext scale is multiplied accordingly; choosing
-// constScale equal to the prime dropped by the following Rescale restores
-// the original scale exactly).
-func (ev *Evaluator) MultConst(ct *Ciphertext, c float64, constScale float64) *Ciphertext {
+// MultConst returns c·ct rescaled: c is encoded at the prime the rescale
+// drops, q_ℓ of ct's level ℓ, so the result keeps ct's scale one level
+// lower. At ℓ = 0 there is no prime to drop: ErrLevel, before anything is
+// borrowed.
+func (ev *Evaluator) MultConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
+	if ct.Level() == 0 {
+		return nil, errLevelZero
+	}
+	return ev.multConst(ct, c, float64(ev.params.RingQ().Moduli[ct.Level()].Q)), nil
+}
+
+// multConst is MultConst for an operand above level 0 with c encoded at
+// constScale: the result's scale is ct.Scale·constScale/q_ℓ.
+func (ev *Evaluator) multConst(ct *Ciphertext, c, constScale float64) *Ciphertext {
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
 	k := rq.ScaledResidues(make([]uint64, lvl+1), c, constScale)
-	out := ev.newCiphertext(lvl, ct.Scale*constScale)
-	rq.MulByLimbScalars(out.C0, ct.C0, k, lvl)
-	rq.MulByLimbScalars(out.C1, ct.C1, k, lvl)
-	out.C0.IsNTT, out.C1.IsNTT = true, true
-	return out
+	prod := ev.newCiphertext(lvl, ct.Scale*constScale)
+	rq.MulByLimbScalars(prod.C0, ct.C0, k, lvl)
+	rq.MulByLimbScalars(prod.C1, ct.C1, k, lvl)
+	prod.C0.IsNTT, prod.C1.IsNTT = true, true
+	return ev.rescaleOwned(prod)
 }
 
 // monomial returns the cached NTT form of X^{N/2} at the given level; its

@@ -1,63 +1,49 @@
 package ckks
 
 import (
+	"fmt"
 	"time"
-
-	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
-// Fused element-wise ladders: multiply-accumulate chains run through the lazy
-// single-pass ring kernels (ring.MulCoeffsAddLazy and friends, paper §V's
-// fused element-wise blocks) instead of discrete multiply-then-add passes with
-// temporary polynomials. Results are congruent mod q either way — fusion
-// changes memory traffic and reduction strategy, not arithmetic.
+// The scheme-level PAccum/CAccum (paper §V's fused element-wise blocks): a
+// constant multiply-accumulate chain runs through the lazy single-pass ring
+// kernels (ring.MulByLimbScalarsAddLazy and friends) instead of discrete
+// multiply-then-add passes with temporary polynomials, and the sum is
+// rescaled once. Nothing rewrites a chain into this form behind its caller's
+// back: the rounding of one rescale differs from that of one rescale per
+// term, so MulConstAccum runs only where it is asked for — the engine's
+// lincomb op and the Chebyshev leaf.
 
-// AddMany returns ct0 + ct1 + ... in a single pass per limb (the collapsed
-// form of an HADD ladder).
-func (ev *Evaluator) AddMany(cts []*Ciphertext) *Ciphertext {
-	if len(cts) == 0 {
-		panic("ckks: AddMany needs at least one ciphertext")
+// MulConstAccum returns Σ_i consts[i]·cts[i] rescaled: every constant is
+// encoded at the prime the rescale drops, q_ℓ of the lowest operand level ℓ,
+// so the result keeps cts[0]'s scale at level ℓ−1. The first term is written
+// into the accumulator, every other one added onto it by one lazy
+// constant-multiply-accumulate pass, and the sum reduced once — instead of
+// len(cts) constant-product temporaries plus len(cts)-1 Add passes. Operands
+// above the lowest level contribute their limb prefix. Mismatched lengths are
+// an error, and so is ℓ = 0 (ErrLevel); both come before anything is borrowed.
+func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64) (*Ciphertext, error) {
+	if len(cts) == 0 || len(cts) != len(consts) {
+		return nil, fmt.Errorf("ckks: MulConstAccum needs matching non-empty ciphertexts and constants, got %d and %d", len(cts), len(consts))
 	}
-	if len(cts) == 1 {
-		return ev.copyAt(cts[0], cts[0].Level())
+	for _, ct := range cts {
+		if ct.Level() == 0 {
+			return nil, errLevelZero
+		}
 	}
-	defer obsAddMany.done(time.Now())
-	rq := ev.params.RingQ()
-	lvl := cts[0].Level()
-	for _, ct := range cts[1:] {
-		ev.checkScales(cts[0].Scale, ct.Scale)
-		lvl = min(lvl, ct.Level())
-	}
-	c0s := make([]*ring.Poly, len(cts))
-	c1s := make([]*ring.Poly, len(cts))
-	for i, ct := range cts {
-		c0s[i] = ct.C0.Truncated(lvl)
-		c1s[i] = ct.C1.Truncated(lvl)
-	}
-	out := ev.newCiphertext(lvl, cts[0].Scale)
-	rq.AddMany(out.C0, c0s, lvl)
-	rq.AddMany(out.C1, c1s, lvl)
-	return out
+	return ev.mulConstAccum(cts, consts), nil
 }
 
-// MulConstAccum returns Σ_i consts[i]·cts[i], with every constant encoded at
-// scale constScale (as in MultConst; callers follow with Rescale). This is
-// the scheme-level PAccum/CAccum: the first term is written into the
-// accumulator, every other term added onto it by one lazy
-// constant-multiply-accumulate pass, and the sum reduced once — instead of
-// len(cts) MultConst temporaries plus len(cts)-1 Add passes. Operands above
-// the lowest level contribute their limb prefix.
-func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64, constScale float64) *Ciphertext {
-	if len(cts) == 0 || len(cts) != len(consts) {
-		panic("ckks: MulConstAccum needs matching non-empty ciphertexts and constants")
-	}
-	defer obsMulConstAccum.done(time.Now())
+// mulConstAccum is MulConstAccum for operands above level 0.
+func (ev *Evaluator) mulConstAccum(cts []*Ciphertext, consts []float64) *Ciphertext {
+	start := time.Now()
 	rq := ev.params.RingQ()
 	lvl := cts[0].Level()
 	for _, ct := range cts[1:] {
 		ev.checkScales(cts[0].Scale, ct.Scale)
 		lvl = min(lvl, ct.Level())
 	}
+	constScale := float64(rq.Moduli[lvl].Q)
 	out := ev.newCiphertext(lvl, cts[0].Scale*constScale)
 	scalars := make([]uint64, lvl+1)
 	for i, ct := range cts {
@@ -72,5 +58,6 @@ func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64, constSca
 	}
 	rq.ReduceLazy(out.C0, lvl)
 	rq.ReduceLazy(out.C1, lvl)
-	return out
+	obsMulConstAccum.done(start)
+	return ev.rescaleOwned(out)
 }

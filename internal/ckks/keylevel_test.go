@@ -74,7 +74,7 @@ func TestKeyPrefixServesLowerLevels(t *testing.T) {
 		}
 		low := NewEvaluator(p, cut)
 		for lvl := 0; lvl <= keyLvl; lvl++ {
-			ct := tc.eval.DropLevel(ctTop, lvl)
+			ct := dropTo(tc.eval, ctTop, lvl)
 			ops := map[string]func(ev *Evaluator) (*Ciphertext, error){
 				"Rotate":     func(ev *Evaluator) (*Ciphertext, error) { return ev.Rotate(ct, 3) },
 				"SwitchKeys": func(ev *Evaluator) (*Ciphertext, error) { return ev.SwitchKeys(ct, ev.keys.Rlk) },
@@ -113,7 +113,7 @@ func TestKeyBelowLevelFails(t *testing.T) {
 	tc.kgen.GenConjugationKey(tc.sk, tc.keys)
 	keyLvl := p.MaxLevel() - 2
 	ev := NewEvaluator(p, truncatedKeySet(p, tc.keys, keyLvl))
-	ct := tc.eval.DropLevel(tc.encryptVec(t, randomComplex(r, p.Slots(), 0.5)), keyLvl+1)
+	ct := dropTo(tc.eval, tc.encryptVec(t, randomComplex(r, p.Slots(), 0.5)), keyLvl+1)
 	noP := truncatedKey(p, tc.keys.Rlk, p.MaxLevel())
 	noP.BP[0] = noP.BP[0].Truncated(p.Alpha() - 2)
 
@@ -217,7 +217,7 @@ func TestBootstrapKeysAtTheirLevels(t *testing.T) {
 		}
 	}
 
-	ct := tc.eval.DropLevel(tc.encryptVec(t, randomComplex(rand.New(rand.NewSource(73)), p.Slots(), 0.7)), 0)
+	ct := dropTo(tc.eval, tc.encryptVec(t, randomComplex(rand.New(rand.NewSource(73)), p.Slots(), 0.7)), 0)
 	missBytes := obs.Default.Counter("ring_pool_miss_bytes_total")
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool mid-run
 	start, miss0 := time.Now().UnixNano(), missBytes.Value()

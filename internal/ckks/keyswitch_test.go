@@ -159,7 +159,7 @@ func TestKeySwitchNoisePerLevel(t *testing.T) {
 			ctTop := tc.encryptVec(t, v)
 
 			for lvl := 0; lvl <= tc.params.MaxLevel(); lvl++ {
-				ct := tc.eval.DropLevel(ctTop, lvl)
+				ct := dropTo(tc.eval, ctTop, lvl)
 				pl := tc.params.PlanAt(lvl)
 				in := ComputePrecision(tc.decryptVec(ct), v)
 				got, err := tc.eval.Rotate(ct, 1)
@@ -196,7 +196,7 @@ func TestHoistedMatchesRotatePerLevel(t *testing.T) {
 	want := lt.Apply(v)
 
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
-		ct := tc.eval.DropLevel(ctTop, lvl)
+		ct := dropTo(tc.eval, ctTop, lvl)
 		hoisted := tc.decryptVec(tc.sweepWith(t, ct, lt, slots))
 		if stats := ComputePrecision(hoisted, want); stats.MaxErr > 1e-2 {
 			t.Fatalf("lvl %d: hoisted error %v", lvl, stats)
@@ -242,7 +242,7 @@ func TestRelinNoisePerLevel(t *testing.T) {
 		if bits < 2*logScale+8 {
 			continue
 		}
-		ct := tc.eval.DropLevel(ctTop, lvl)
+		ct := dropTo(tc.eval, ctTop, lvl)
 		in := tc.decryptVec(ct)
 		sqIn := make([]complex128, len(in))
 		for i := range in {

@@ -58,7 +58,7 @@ func TestLinearTransformHoistedPostRescale(t *testing.T) {
 	want := lt.Apply(u)
 	ctTop := tc.encryptVec(t, u)
 	for lvl := 1; lvl <= tc.params.MaxLevel(); lvl++ {
-		ct := tc.eval.DropLevel(ctTop, lvl)
+		ct := dropTo(tc.eval, ctTop, lvl)
 		out, err := tc.eval.EvaluateLinearTransform(ct, lt, tc.enc)
 		if err != nil {
 			t.Fatalf("lvl %d: %v", lvl, err)

@@ -53,7 +53,6 @@ var (
 
 	// Fused element-wise ladders (§V) and the linear-transform sweep (the
 	// sweep's span annotation carries the plan: bs, diagonals, key switches).
-	obsAddMany       = newOpObs("addmany")
 	obsMulConstAccum = newOpObs("mulconst-accum")
 	obsLinTrans      = newOpObs("lintrans")
 

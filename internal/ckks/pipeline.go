@@ -249,14 +249,14 @@ func (ev *Evaluator) modDownRescale(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, l
 	return out[0], out[1]
 }
 
-// Rescale divides the ciphertext by its top prime and drops a level,
-// restoring the scale after a plaintext or constant multiplication (HMULT and
-// the linear-transform sweep rescale in their own key-switch tail), without
-// leaving the NTT domain (rns.Rescaler states the identity). A ciphertext at
-// level 0 has no prime left to drop: ErrLevel, before anything is written.
+// Rescale divides the ciphertext by its top prime and drops a level without
+// leaving the NTT domain (rns.Rescaler states the identity). Every
+// multiplying op already returns its product rescaled, so Rescale serves a
+// client's explicit rescale. A ciphertext at level 0 has no prime left to
+// drop: ErrLevel, before anything is written.
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level() == 0 {
-		return nil, ErrLevel
+		return nil, errLevelZero
 	}
 	return ev.rescale(ct), nil
 }

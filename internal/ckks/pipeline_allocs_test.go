@@ -60,7 +60,6 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 	ct2 := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
 	terms := []*Ciphertext{ct, ct2, ct, ct2, ct, ct2, ct}
 	consts := []float64{0.5, -1.25, 0.75, 0.1, 0.2, -0.3, 1}
-	qd := float64(p.RingQ().Moduli[ct.Level()].Q)
 
 	for _, op := range []struct {
 		name    string
@@ -105,9 +104,16 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 			}
 			ev.Release(out)
 		}},
-		// 18: the header, one residue slice and a forEachLimb closure per
-		// ring pass (16); the constants are reduced in word arithmetic.
-		{"MulConstAccum", 24, 0, func() { ev.Release(ev.MulConstAccum(terms, consts, qd)) }},
+		// 21: the product's header, one residue slice and a forEachLimb
+		// closure per ring pass (16; the constants are reduced in word
+		// arithmetic), then the rescale's 3.
+		{"MulConstAccum", 24, 0, func() {
+			out, err := ev.MulConstAccum(terms, consts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Release(out)
+		}},
 	} {
 		bytes, objects, misses, gets := steadyState(4, 20, op.run)
 		t.Logf("%-24s %7.0f B/op %5.1f objects/op, %v pool gets/op, %v misses", op.name, bytes, objects, gets, misses)
@@ -144,7 +150,7 @@ func TestBootstrapAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
-	ct := tc.eval.DropLevel(tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 0.7)), 0)
+	ct := dropTo(tc.eval, tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 0.7)), 0)
 
 	const runs = 3
 	bytes, objects, misses, gets := steadyState(2, runs, func() {

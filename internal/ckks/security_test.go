@@ -71,14 +71,16 @@ func TestFreshCiphertextsDiffer(t *testing.T) {
 }
 
 // TestLevelZeroIsErrLevel: every op that ends in a rescale refuses a level-0
-// operand with ErrLevel before it borrows a row from the pool or writes one.
+// operand with ErrLevel before it borrows a row from the pool or writes one,
+// and so does DropLevel a target outside [0, ct.Level()].
 func TestLevelZeroIsErrLevel(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	slots := tc.params.Slots()
 	lt := randomSparseLT(rand.New(rand.NewSource(104)), slots, []int{0, 1})
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(tc.params, lt))
 	top := tc.encryptVec(t, []complex128{1})
-	ct := tc.eval.DropLevel(top, 0)
+	ct := dropTo(tc.eval, top, 0)
+	pt := &Plaintext{Value: tc.params.RingQ().NewPoly(top.Level()), Scale: tc.params.DefaultScale()}
 	gets := func() float64 {
 		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
 			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
@@ -91,6 +93,14 @@ func TestLevelZeroIsErrLevel(t *testing.T) {
 		{"Mul", func() (*Ciphertext, error) { return tc.eval.Mul(ct, top) }},
 		{"Square", func() (*Ciphertext, error) { return tc.eval.Square(ct) }},
 		{"EvaluateLinearTransform", func() (*Ciphertext, error) { return tc.eval.EvaluateLinearTransform(ct, lt, tc.enc) }},
+		{"MultConst", func() (*Ciphertext, error) { return tc.eval.MultConst(ct, 0.5) }},
+		{"MulPlain", func() (*Ciphertext, error) { return tc.eval.MulPlain(ct, pt) }},
+		{"MulConstAccum", func() (*Ciphertext, error) {
+			return tc.eval.MulConstAccum([]*Ciphertext{top, ct}, []float64{0.5, -1})
+		}},
+		{"DropLevel/-1", func() (*Ciphertext, error) { return tc.eval.DropLevel(top, -1) }},
+		{"DropLevel/above", func() (*Ciphertext, error) { return tc.eval.DropLevel(ct, 1) }},
+		{"DropLevel/huge", func() (*Ciphertext, error) { return tc.eval.DropLevel(top, 1<<20) }},
 	} {
 		before := gets()
 		out, err := op.run()
@@ -158,7 +168,11 @@ func TestMulCommutesWithPlain(t *testing.T) {
 	ct := tc.encryptVec(t, u)
 
 	ptp, _ := tc.enc.Encode(p, ct.Level(), tc.params.DefaultScale())
-	viaPlain := tc.decryptVec(tc.eval.rescale(tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()})))
+	prod, err := tc.eval.MulPlain(ct, &Plaintext{Value: ptp, Scale: tc.params.DefaultScale()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaPlain := tc.decryptVec(prod)
 	viaCipher := tc.decryptVec(tc.eval.mul(ct, tc.encryptVec(t, p)))
 	if e := maxErr(viaPlain, viaCipher); e > 1e-4 {
 		t.Fatalf("PMULT and HMULT disagree by %g", e)

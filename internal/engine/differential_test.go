@@ -16,7 +16,9 @@ import (
 // on top of the evaluator; any divergence (lost op, wrong arg resolution,
 // result aliasing between concurrent ops) shows up as a slot mismatch here.
 // Both paths also have to agree with a plaintext model of the DAG within
-// CKKS precision, so "both paths equally wrong" cannot slip through.
+// CKKS precision, so "both paths equally wrong" cannot slip through. The
+// same job listing only its sinks must return them byte for byte: what a job
+// lists as outputs never changes how its ops run.
 
 // diffNode tracks what the generator knows about one DAG value: its CKKS
 // level/scale (mirroring the evaluator's own arithmetic, so scale-compat
@@ -219,6 +221,10 @@ func TestDifferentialSchedulerVsEvaluator(t *testing.T) {
 			viaEngine, err := job.Results()
 			if err != nil {
 				t.Fatal(err)
+			}
+			onlySinks := results(t, e, JobSpec{SessionID: sess.ID, Inputs: cts, Ops: dag.ops, Outputs: sinks(dag.ops)})
+			for id, ct := range onlySinks {
+				sameBytes(t, ct, viaEngine[id], id+" sinks-only vs every op listed")
 			}
 
 			// Path 2: sequential walk over the same op semantics, no

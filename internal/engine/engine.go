@@ -507,13 +507,10 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSession, spec.SessionID)
 	}
 	unpin := func() { e.sessions.Unpin(spec.SessionID) }
-	st, err := validate(&spec)
+	st, err := validate(&spec, sess.Params.MaxLevel())
 	if err != nil {
 		unpin()
 		return nil, err
-	}
-	if fused := e.applyFusion(&spec); fused != nil {
-		st = fused
 	}
 
 	// Admission control (backpressure + tier shares + tenant caps).
@@ -600,11 +597,11 @@ func (e *Engine) retryAfter(tierDepth int) time.Duration {
 }
 
 // validate checks the job spec shape before admission — known op kinds,
-// resolvable references, unique IDs, an acyclic dependency graph — and
-// returns the dependency state the dispatcher will run the job from. Every
-// name is resolved through one index built here, so admission is linear in
-// the size of the DAG.
-func validate(spec *JobSpec) (*jobState, error) {
+// resolvable references, unique IDs, droplevel targets within the session's
+// [0, maxLevel], an acyclic dependency graph — and returns the dependency
+// state the dispatcher will run the job from. Every name is resolved through
+// one index built here, so admission is linear in the size of the DAG.
+func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
 	if len(spec.Ops) == 0 {
 		return nil, fmt.Errorf("engine: job has no ops")
 	}
@@ -624,7 +621,7 @@ func validate(spec *JobSpec) (*jobState, error) {
 			return nil, fmt.Errorf("engine: duplicate name %q", op.ID)
 		}
 		index[op.ID] = i
-		if err := checkOp(op); err != nil {
+		if err := checkOp(op, maxLevel); err != nil {
 			return nil, err
 		}
 	}

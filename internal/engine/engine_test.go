@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -330,7 +333,10 @@ func TestLevelZeroOpsFailWithErrLevel(t *testing.T) {
 		diag[i] = 0.5
 	}
 	sess.RegisterTransform("shift", ckks.NewLinearTransform(slots, map[int][]complex128{0: diag, 1: diag}))
-	x := ckks.NewEvaluator(client.params, client.keys).DropLevel(client.encrypt(t, []complex128{0.5, -0.25}), 0)
+	x, err := ckks.NewEvaluator(client.params, client.keys).DropLevel(client.encrypt(t, []complex128{0.5, -0.25}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before, err := x.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -362,6 +368,66 @@ func TestLevelZeroOpsFailWithErrLevel(t *testing.T) {
 			t.Fatalf("%s on a level-0 operand changed its input", op.Op)
 		}
 	}
+}
+
+// TestHostileDropLevel: a droplevel target outside the session's levels is
+// refused at Submit (HTTP 400), and one inside them but above the operand's
+// level fails the job, both with an error wrapping ckks.ErrLevel and before a
+// pooled row is borrowed. The pools are poisoned, so a row handed back dirty
+// would spoil the clean job that runs last.
+func TestHostileDropLevel(t *testing.T) {
+	client := newTestClient(t, 1)
+	client.params.RingQ().PoisonPool()
+	client.params.RingP().PoisonPool()
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := client.params.MaxLevel()
+	x, err := ckks.NewEvaluator(client.params, client.keys).DropLevel(client.encrypt(t, []complex128{0.5, -0.25}), top-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := x.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+	}
+	drop := func(k int) JobSpec {
+		return JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": x},
+			Ops: []OpSpec{{ID: "d", Op: "droplevel", Args: []string{"x"}, K: k}}, Outputs: []string{"d"}}
+	}
+	for _, k := range []int{-1, x.Level() + 1, 1 << 20} {
+		gets0 := gets()
+		job, err := e.Submit(drop(k))
+		if (err == nil) != (k == x.Level()+1) {
+			t.Errorf("droplevel to %d: Submit error %v; want one exactly for targets outside [0, %d]", k, err, top)
+		}
+		if err == nil {
+			err = job.Wait(context.Background())
+		}
+		if !errors.Is(err, ckks.ErrLevel) {
+			t.Errorf("droplevel to %d from level %d: error %v, want ckks.ErrLevel", k, x.Level(), err)
+		}
+		if n := gets() - gets0; n != 0 {
+			t.Errorf("droplevel to %d borrowed %v pooled polynomials before failing", k, n)
+		}
+	}
+	if after, _ := x.MarshalBinary(); !bytes.Equal(after, before) {
+		t.Fatal("a failed droplevel changed its input")
+	}
+	body := fmt.Sprintf(`{"inputs":{"x":%q},"ops":[{"id":"d","op":"droplevel","args":["x"],"k":%d}],"outputs":["d"]}`,
+		base64.StdEncoding.EncodeToString(before), 1<<20)
+	if code, resp := doRequest(t, NewHTTPHandler(e), "POST", "/v1/sessions/"+sess.ID+"/jobs", body); code != http.StatusBadRequest {
+		t.Errorf("POST droplevel to 2^20: %d %v, want 400", code, resp)
+	}
+	out := results(t, e, drop(0))
+	checkSlots(t, client.decrypt(out["d"]), []complex128{0.5, -0.25}, 2, 1e-4, "droplevel to 0 after the hostile ones")
 }
 
 // TestLintransMissingKeyFails: a session whose key set holds a transform's raw

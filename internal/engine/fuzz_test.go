@@ -36,6 +36,12 @@ func FuzzJobSpecDecode(f *testing.F) {
 		"ops":     []map[string]any{{"id": "a", "op": "add", "args": []string{"a", "a"}}},
 		"outputs": []string{"a"},
 	})
+	for _, k := range []int64{-1, 1 << 40} { // droplevel targets admission must refuse
+		seed(map[string]any{
+			"ops":     []map[string]any{{"id": "d", "op": "droplevel", "args": []string{"x"}, "k": k}},
+			"outputs": []string{"d"},
+		})
+	}
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"inputs":{"":""}}`))
@@ -49,8 +55,9 @@ func FuzzJobSpecDecode(f *testing.F) {
 		if spec.SessionID != "sess-fuzz" {
 			t.Fatalf("session id not threaded through: %q", spec.SessionID)
 		}
-		// Decoded specs flow into validate() at Submit; it must classify,
-		// not crash, whatever shape survived JSON decoding.
-		_, _ = validate(&spec)
+		// Decoded specs flow into validate() at Submit, under the session's
+		// top level; it must classify, not crash, whatever shape survived
+		// JSON decoding.
+		_, _ = validate(&spec, 8)
 	})
 }

@@ -17,7 +17,7 @@ import (
 // produced its result.
 type OpSpec struct {
 	ID   string    `json:"id"`
-	Op   string    `json:"op"`             // add|sub|mul|square|rotate|conjugate|addconst|mulconst|rescale|droplevel|lintrans|bootstrap|addn|lincomb
+	Op   string    `json:"op"`             // add|sub|mul|square|rotate|conjugate|addconst|mulconst|rescale|droplevel|lintrans|bootstrap|lincomb
 	Args []string  `json:"args"`           // input names or op ids
 	K    int       `json:"k,omitempty"`    // rotation amount / target level
 	Val  float64   `json:"val,omitempty"`  // constant for addconst/mulconst
@@ -25,18 +25,18 @@ type OpSpec struct {
 	Name string    `json:"name,omitempty"` // registered linear-transform name
 }
 
-// arity of each op kind (number of ciphertext arguments); variadic ops
-// (addn, lincomb) use -1 and accept two or more.
+// arity of each op kind (number of ciphertext arguments); the variadic
+// lincomb uses -1 and accepts two or more.
 var opArity = map[string]int{
 	"add": 2, "sub": 2, "mul": 2,
 	"square": 1, "rotate": 1, "conjugate": 1,
 	"addconst": 1, "mulconst": 1,
 	"rescale": 1, "droplevel": 1,
 	"lintrans": 1, "bootstrap": 1,
-	"addn": -1, "lincomb": -1,
+	"lincomb": -1,
 }
 
-func checkOp(op *OpSpec) error {
+func checkOp(op *OpSpec, maxLevel int) error {
 	want, ok := opArity[op.Op]
 	if !ok {
 		return fmt.Errorf("engine: op %q: unknown kind %q", op.ID, op.Op)
@@ -51,6 +51,11 @@ func checkOp(op *OpSpec) error {
 	if op.Op == "lincomb" && len(op.Vals) != len(op.Args) {
 		return fmt.Errorf("engine: op %q: lincomb wants one constant per arg, got %d for %d args",
 			op.ID, len(op.Vals), len(op.Args))
+	}
+	// A target outside every level of the session is a malformed request,
+	// answered at admission rather than by a failed job.
+	if op.Op == "droplevel" && (op.K < 0 || op.K > maxLevel) {
+		return fmt.Errorf("engine: op %q: droplevel target %d outside [0, %d]: %w", op.ID, op.K, maxLevel, ckks.ErrLevel)
 	}
 	if op.Op == "lintrans" && op.Name == "" {
 		return fmt.Errorf("engine: op %q: lintrans needs a transform name", op.ID)

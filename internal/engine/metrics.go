@@ -12,15 +12,13 @@ import (
 type engineMetrics struct {
 	reg *obs.Registry
 
-	jobsAdmitted    *obs.Counter
-	jobsRejected    *obs.Counter
-	jobsDone        *obs.Counter
-	jobsFailed      *obs.Counter
-	jobsExpired     *obs.Counter
-	jobsCancelled   *obs.Counter
-	fusionOpsFused  *obs.Counter
-	fusionFallbacks *obs.Counter
-	workersBusy     *obs.Gauge
+	jobsAdmitted  *obs.Counter
+	jobsRejected  *obs.Counter
+	jobsDone      *obs.Counter
+	jobsFailed    *obs.Counter
+	jobsExpired   *obs.Counter
+	jobsCancelled *obs.Counter
+	workersBusy   *obs.Gauge
 
 	opsExpired      *obs.Counter            // ops skipped because their job expired before dispatch
 	sessionsEvicted *obs.Counter            // sessions dropped by the key cache for space
@@ -49,16 +47,14 @@ type opMetrics struct {
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	return &engineMetrics{
-		reg:             reg,
-		jobsAdmitted:    reg.Counter("engine_jobs_admitted_total"),
-		jobsRejected:    reg.Counter("engine_jobs_rejected_total"),
-		jobsDone:        reg.Counter("engine_jobs_done_total"),
-		jobsFailed:      reg.Counter("engine_jobs_failed_total"),
-		jobsExpired:     reg.Counter("engine_jobs_expired_total"),
-		jobsCancelled:   reg.Counter("engine_jobs_cancelled_total"),
-		fusionOpsFused:  reg.Counter("engine_fusion_ops_eliminated_total"),
-		fusionFallbacks: reg.Counter("engine_fusion_fallbacks_total"),
-		workersBusy:     reg.Gauge("engine_workers_busy"),
+		reg:           reg,
+		jobsAdmitted:  reg.Counter("engine_jobs_admitted_total"),
+		jobsRejected:  reg.Counter("engine_jobs_rejected_total"),
+		jobsDone:      reg.Counter("engine_jobs_done_total"),
+		jobsFailed:    reg.Counter("engine_jobs_failed_total"),
+		jobsExpired:   reg.Counter("engine_jobs_expired_total"),
+		jobsCancelled: reg.Counter("engine_jobs_cancelled_total"),
+		workersBusy:   reg.Gauge("engine_workers_busy"),
 
 		opsExpired:      reg.Counter("engine_ops_expired_total"),
 		sessionsEvicted: reg.Counter("engine_sessions_evicted_total"),

@@ -214,16 +214,6 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		args[i] = ct
 	}
 	ev := s.Eval
-	// scaledDown rescales the constant product mul computes, checking first —
-	// mul writes rows — that lvl, the level it lands on, has a prime to drop.
-	scaledDown := func(lvl int, mul func(qd float64) *ckks.Ciphertext) (*ckks.Ciphertext, error) {
-		if lvl == 0 {
-			return nil, ckks.ErrLevel
-		}
-		prod := mul(float64(s.Params.RingQ().Moduli[lvl].Q))
-		defer ev.Release(prod)
-		return ev.Rescale(prod)
-	}
 	var out *ckks.Ciphertext
 	var err error
 	switch op.Op {
@@ -242,23 +232,13 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 	case "addconst":
 		out = ev.AddConst(args[0], op.Val)
 	case "mulconst":
-		out, err = scaledDown(args[0].Level(), func(qd float64) *ckks.Ciphertext {
-			return ev.MultConst(args[0], op.Val, qd)
-		})
-	case "addn":
-		out = ev.AddMany(args)
+		out, err = ev.MultConst(args[0], op.Val)
 	case "lincomb":
-		lvl := args[0].Level()
-		for _, ct := range args[1:] {
-			lvl = min(lvl, ct.Level())
-		}
-		out, err = scaledDown(lvl, func(qd float64) *ckks.Ciphertext {
-			return ev.MulConstAccum(args, op.Vals, qd)
-		})
+		out, err = ev.MulConstAccum(args, op.Vals)
 	case "rescale":
 		out, err = ev.Rescale(args[0])
 	case "droplevel":
-		out = ev.DropLevel(args[0], op.K)
+		out, err = ev.DropLevel(args[0], op.K)
 	case "lintrans":
 		lt, ok := s.transform(op.Name)
 		if !ok {

@@ -58,27 +58,3 @@ func (r *Ring) ReduceLazy(p *Poly, level int) {
 	})
 	accountRows(bytesReduce, 2, level+1, r.N)
 }
-
-// AddMany sets out = ins[0] + ins[1] + ... in a single pass per limb (the
-// fused form of an ADD ladder): intermediate sums stay lazy and are reduced
-// once at the end, instead of len(ins)-1 separate read-modify-write passes.
-// out may alias ins[0]. All inputs must share the domain of ins[0].
-func (r *Ring) AddMany(out *Poly, ins []*Poly, level int) {
-	if len(ins) == 0 {
-		panic("ring: AddMany needs at least one input")
-	}
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		oo := out.Coeffs[i]
-		first := ins[0].Coeffs[i]
-		for j := range oo {
-			acc := first[j]
-			for _, in := range ins[1:] {
-				acc = mod.AddLazy(acc, in.Coeffs[i][j])
-			}
-			oo[j] = mod.ReduceTwoQ(acc)
-		}
-	})
-	out.IsNTT = ins[0].IsNTT
-	accountRows(bytesElemwise, len(ins)+1, level+1, r.N)
-}

@@ -55,36 +55,3 @@ func TestMulByLimbScalarsAddLazyMatchesUnfused(t *testing.T) {
 		t.Fatal("fused scalar MAC != MulByLimbScalars+Add composition")
 	}
 }
-
-func TestAddManyMatchesAddChain(t *testing.T) {
-	r := newTestRing(t, 5, 9)
-	s := testStream(19)
-	level := r.MaxLevel()
-
-	var ins []*Poly
-	for k := 0; k < 6; k++ {
-		ins = append(ins, s.UniformPoly(r, level, true))
-	}
-
-	want := ins[0].CopyNew()
-	for _, in := range ins[1:] {
-		r.Add(want, want, in, level)
-	}
-
-	out := r.NewPoly(level)
-	r.AddMany(out, ins, level)
-	if !out.Equal(want) {
-		t.Fatal("AddMany != chained Add")
-	}
-	if out.IsNTT != ins[0].IsNTT {
-		t.Fatal("AddMany dropped domain flag")
-	}
-
-	// Aliasing out with ins[0] is allowed.
-	alias := ins[0].CopyNew()
-	insAlias := append([]*Poly{alias}, ins[1:]...)
-	r.AddMany(alias, insAlias, level)
-	if !alias.Equal(want) {
-		t.Fatal("AddMany aliased with ins[0] diverged")
-	}
-}
