@@ -29,6 +29,7 @@
 package anaheim
 
 import (
+	"crypto/rand"
 	"fmt"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
@@ -115,23 +116,45 @@ type Context struct {
 // NewContext compiles parameters and generates the base keys (secret,
 // public, relinearization). The seed is the master of every key and of the
 // encryptor's stream, so the context is deterministic; it is not a secret
-// drawn from crypto/rand, and a context for real data needs one that is.
+// drawn from crypto/rand, and a context for real data needs one that is
+// (NewRandomContext).
 func NewContext(lit ParametersLiteral, seed int64) (*Context, error) {
 	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		return nil, err
 	}
-	c := &Context{Params: params}
+	return newContext(params, ckks.NewKeyGenerator(params, seed), ckks.NewEncryptor(params, seed+1)), nil
+}
+
+// NewRandomContext is NewContext with its key master and its encryptor's
+// stream seed, 32 bytes each, read from crypto/rand: the context for real
+// data. Its keys and ciphertexts differ from one context to the next.
+func NewRandomContext(lit ParametersLiteral) (*Context, error) {
+	params, err := ckks.NewParameters(lit)
+	if err != nil {
+		return nil, err
+	}
+	var master, seed [32]byte
+	if _, err := rand.Read(master[:]); err != nil {
+		return nil, err
+	}
+	if _, err := rand.Read(seed[:]); err != nil {
+		return nil, err
+	}
+	return newContext(params, ckks.NewKeyGeneratorFromMaster(params, master), ckks.NewEncryptorFromSeed(params, seed)), nil
+}
+
+// newContext generates the base keys from kgen and binds the engines.
+func newContext(params *Parameters, kgen *ckks.KeyGenerator, encr *ckks.Encryptor) *Context {
+	c := &Context{Params: params, kgen: kgen, encr: encr}
 	c.enc = ckks.NewEncoder(params)
-	c.kgen = ckks.NewKeyGenerator(params, seed)
 	c.sk = c.kgen.GenSecretKey()
 	c.pk = c.kgen.GenPublicKey(c.sk)
 	c.keys = ckks.NewEvaluationKeySet()
 	c.keys.Rlk = c.kgen.GenRelinearizationKey(c.sk)
-	c.encr = ckks.NewEncryptor(params, seed+1)
 	c.decr = ckks.NewDecryptor(params, c.sk)
 	c.eval = ckks.NewEvaluator(params, c.keys)
-	return c, nil
+	return c
 }
 
 // GenRotationKeys prepares top-level Galois keys for the given slot

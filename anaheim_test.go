@@ -1,6 +1,7 @@
 package anaheim
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -51,6 +52,47 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 	if e := facadeMaxErr(ctx.Decrypt(ct), u); e > 1e-6 {
 		t.Fatalf("round trip error %g", e)
+	}
+}
+
+// TestRandomContexts: two contexts whose masters come from crypto/rand hold
+// different keys and encrypt differently, and each decrypts its own
+// ciphertexts — and not the other's.
+func TestRandomContexts(t *testing.T) {
+	var ctxs [2]*Context
+	var rlk [2][]byte
+	for i := range ctxs {
+		ctx, err := NewRandomContext(TestParameters())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rlk[i], err = ctx.EvaluationKeys().Rlk.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		ctxs[i] = ctx
+	}
+	if bytes.Equal(rlk[0], rlk[1]) {
+		t.Fatal("two random contexts hold the same relinearization key")
+	}
+	u := randVec(rand.New(rand.NewSource(3)), ctxs[0].Params.Slots())
+	var wire [2][]byte
+	for i, ctx := range ctxs {
+		ct, err := ctx.Encrypt(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire[i], err = ct.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		if e := facadeMaxErr(ctx.Decrypt(ct), u); e > 1e-6 {
+			t.Errorf("context %d decrypts its own ciphertext with error %g", i, e)
+		}
+		if e := facadeMaxErr(ctxs[1-i].Decrypt(ct), u); e < 1 {
+			t.Errorf("context %d decrypts context %d's ciphertext (error %g)", 1-i, i, e)
+		}
+	}
+	if bytes.Equal(wire[0], wire[1]) {
+		t.Fatal("two random contexts encrypt a vector to the same bytes")
 	}
 }
 

@@ -448,8 +448,6 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 	}
 
 	lvlP := rp.MaxLevel()
-	dec := ev.decompose(ct.C1, lvl)
-	defer dec.release(p)
 
 	// final collects the sweep's result: the QP-basis sum of the hoisted
 	// key-switched parts and the Q-basis sums of the c0 parts and of the
@@ -484,7 +482,9 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 	// consuming it. The key-switched halves stay in the extended QP basis — no
 	// per-baby ModDown (first hoisting level) — and every accumulator leaves
 	// the Run exact.
+	dec := ev.decompose(ct.C1, lvl)
 	ev.babyPhase(dec, ct, plan, keys, perBaby)
+	dec.release(p)
 
 	// Giant step: key-switch each nonzero giant's inner sum once by its
 	// rotation. The inner sum's c1 is reconstructed in Q (one ModDown of the

@@ -55,7 +55,13 @@ type Encryptor struct {
 // NewEncryptor returns a deterministic encryptor: its stream is seeded from
 // seed.
 func NewEncryptor(params *Parameters, seed int64) *Encryptor {
-	return &Encryptor{params: params, stream: ring.NewStream(seedFromInt64("anaheim/encryptor", seed))}
+	return NewEncryptorFromSeed(params, seedFromInt64("anaheim/encryptor", seed))
+}
+
+// NewEncryptorFromSeed returns the encryptor whose stream is keyed by seed
+// itself. Draw it from crypto/rand, independently of the key master.
+func NewEncryptorFromSeed(params *Parameters, seed [32]byte) *Encryptor {
+	return &Encryptor{params: params, stream: ring.NewStream(seed)}
 }
 
 // EncryptNew encrypts the NTT-domain plaintext pt under the public key:

@@ -123,9 +123,9 @@ func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
 	}
 }
 
-// TestHoistedDigitsTransformOnce pins the coeffDomain hand-off: a shared
-// decomposition pays its windowed digit transforms in the first gadget
-// product only, however many babies of the sweep's baby phase consume it,
+// TestHoistedDigitsTransformOnce pins the hoisting of the per-limb ModUp: a
+// shared decomposition pays its digit conversions and transforms once, in the
+// baby phase's Run, however many babies consume it,
 // every nonzero giant pays one ModDown plus one more decomposition, and the
 // sweep closes with the merged tail.
 func TestHoistedDigitsTransformOnce(t *testing.T) {

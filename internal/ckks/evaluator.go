@@ -20,20 +20,13 @@ type Evaluator struct {
 	keys   *EvaluationKeySet
 
 	mu         sync.Mutex
-	digitConv  map[digitConvKey]*rns.BasisConverter // digit group -> (Q_level ∖ digit) ∪ P
-	pToQConv   map[int]*rns.BasisConverter          // level -> BConv P -> Q_level
-	rescalers  map[int]*rns.Rescaler                // level -> cached rescale constants
-	tails      map[int]*rescaleTail                 // level -> modDownRescale constants
-	pModQ      []uint64                             // P mod q_i (full chain)
-	pInvModQ   []uint64                             // P^{-1} mod q_i (full chain)
-	monomialNT map[int]*ring.Poly                   // level -> NTT(X^{N/2})
-
-	rowsPool sync.Pool // *[][]uint64: Decompose's per-digit BConv target headers
-}
-
-// digitConvKey identifies one ModUp digit converter.
-type digitConvKey struct {
-	level, digit int
+	modUps     map[int]*modUpConsts        // level -> ModUp converters
+	pToQConv   map[int]*rns.BasisConverter // level -> BConv P -> Q_level
+	rescalers  map[int]*rns.Rescaler       // level -> cached rescale constants
+	tails      map[int]*rescaleTail        // level -> modDownRescale constants
+	pModQ      []uint64                    // P mod q_i (full chain)
+	pInvModQ   []uint64                    // P^{-1} mod q_i (full chain)
+	monomialNT map[int]*ring.Poly          // level -> NTT(X^{N/2})
 }
 
 // NewEvaluator binds a key set (which may be extended later; the map is
@@ -42,7 +35,7 @@ func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
 	ev := &Evaluator{
 		params:     params,
 		keys:       keys,
-		digitConv:  make(map[digitConvKey]*rns.BasisConverter),
+		modUps:     make(map[int]*modUpConsts),
 		pToQConv:   make(map[int]*rns.BasisConverter),
 		rescalers:  make(map[int]*rns.Rescaler),
 		tails:      make(map[int]*rescaleTail),
@@ -68,8 +61,28 @@ var ErrLevel = errors.New("ckks: operand level out of range")
 
 var errLevelZero = fmt.Errorf("%w: operand at level 0 has no prime left to rescale by", ErrLevel)
 
+// ErrScale marks operands whose scales disagree by more than the tolerance
+// that near-Δ primes need: their sum would mean nothing. MulConstAccum returns
+// it before borrowing anything; CheckScales is the same test for callers of
+// Add and Sub, which panic on it.
+var ErrScale = errors.New("ckks: operand scales differ")
+
+// CheckScales returns nil if every ciphertext's scale agrees with the first's
+// up to the tolerance Add, Sub and MulConstAccum allow, and an error wrapping
+// ErrScale naming the first that does not.
+func CheckScales(cts ...*Ciphertext) error {
+	for i, ct := range cts[min(1, len(cts)):] {
+		if !scalesMatch(cts[0].Scale, ct.Scale) {
+			return fmt.Errorf("%w: operand %d at scale %g, operand 0 at %g", ErrScale, i+1, ct.Scale, cts[0].Scale)
+		}
+	}
+	return nil
+}
+
+func scalesMatch(a, b float64) bool { return math.Abs(a/b-1) <= scaleTolerance }
+
 func (ev *Evaluator) checkScales(a, b float64) {
-	if math.Abs(a/b-1) > scaleTolerance {
+	if !scalesMatch(a, b) {
 		panic(fmt.Sprintf("ckks: scale mismatch on add: %g vs %g", a, b))
 	}
 }
@@ -197,29 +210,41 @@ func (pl GadgetPlan) digitLimbs(d int) (lo, hi int) {
 	return d * pl.Alpha, min((d+1)*pl.Alpha, pl.Level+1)
 }
 
-// digitConverter returns the cached BConv for digit d of a gadget plan: the
-// digit's own Q limbs [lo, hi) -> every other limb of Q_level, then P.
-// The own limbs are not targets: BConv onto a source prime q_j returns the
-// source residue (every other Q_d/q_i term vanishes mod q_j), which the
-// input already holds.
-func (ev *Evaluator) digitConverter(pl GadgetPlan, d int) *rns.BasisConverter {
-	key := digitConvKey{level: pl.Level, digit: d}
+// modUpConsts holds one level's ModUp constants: per digit of the level's
+// plan, the BConv from the digit's Q limbs onto Q_level ∪ P (target row i is
+// limb i of Q, target ℓ+1+j limb j of P), and per Q limb the factor its
+// digit's conversion premultiplies it by.
+type modUpConsts struct {
+	conv    []*rns.BasisConverter
+	qHatInv []uint64
+}
+
+// modUpAt returns the cached ModUp constants of level lvl. A digit's own
+// limbs are targets too but are never converted: BConv onto a source prime
+// q_j returns the source residue (every other Q_d/q_i term vanishes mod q_j),
+// which the input already holds.
+func (ev *Evaluator) modUpAt(lvl int) *modUpConsts {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	if c, ok := ev.digitConv[key]; ok {
-		return c
+	if m, ok := ev.modUps[lvl]; ok {
+		return m
 	}
 	p := ev.params
-	lo, hi := pl.digitLimbs(d)
-	q := p.RingQ().Moduli[:pl.Level+1]
-	to := make([]modarith.Modulus, 0, len(q)-(hi-lo)+pl.Alpha)
-	to = append(append(append(to, q[:lo]...), q[hi:]...), p.RingP().Moduli...)
-	bc, err := rns.NewBasisConverter(q[lo:hi], to)
-	if err != nil {
-		panic(err)
+	pl := p.PlanAt(lvl)
+	q := p.RingQ().Moduli[:lvl+1]
+	to := append(append(make([]modarith.Modulus, 0, lvl+1+pl.Alpha), q...), p.RingP().Moduli...)
+	m := &modUpConsts{conv: make([]*rns.BasisConverter, pl.Digits)}
+	for d := range m.conv {
+		lo, hi := pl.digitLimbs(d)
+		bc, err := rns.NewBasisConverter(q[lo:hi], to)
+		if err != nil {
+			panic(err)
+		}
+		m.conv[d] = bc
+		m.qHatInv = append(m.qHatInv, bc.QHatInv()...)
 	}
-	ev.digitConv[key] = bc
-	return bc
+	ev.modUps[lvl] = m
+	return m
 }
 
 // pToQConverter returns the cached BConv P -> Q_level.
@@ -279,100 +304,50 @@ func (ev *Evaluator) rescaleTail(lvl int) *rescaleTail {
 	return t
 }
 
-// getRows / putRows pool the [][]uint64 slice headers Decompose hands to
-// BConv as target rows (the rows themselves belong to pooled polynomials).
-// The pool traffics in pointers so the round trip itself is allocation-free.
-func (ev *Evaluator) getRows(n int) *[][]uint64 {
-	if v := ev.rowsPool.Get(); v != nil {
-		p := v.(*[][]uint64)
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	rows := make([][]uint64, n)
-	return &rows
-}
-
-func (ev *Evaluator) putRows(p *[][]uint64) {
-	rows := *p
-	for i := range rows {
-		rows[i] = nil
-	}
-	ev.rowsPool.Put(p)
-}
-
-// decomposed holds the ModUp digits of a polynomial in the extended basis
-// Q_level ∪ P. Computing it once and reusing it across rotations is exactly
-// the hoisting optimization of §III-B. The digit coefficients are lazy
-// ([0, 2q)): they only ever feed the gadget-product MACs, whose Barrett bound
-// holds for operands < 2q.
+// decomposed is a polynomial made ready for ModUp in the extended basis
+// Q_level ∪ P. No digit polynomial exists: the Run that consumes the
+// decomposition converts each digit onto each limb into that limb's scratch
+// and transforms it there (ring.Lane.ModUp), so its digit rows are formed
+// where the dots read them. One decomposition feeding many gadget products in
+// one Run — the sweep's babies — is exactly the hoisting optimization of
+// §III-B.
 type decomposed struct {
 	level int
-	plan  GadgetPlan   // the level's plan the digits were cut with
-	q     []*ring.Poly // digit -> poly at level
-	p     []*ring.Poly // digit -> poly over RingP
-	// coeffDomain is set until the first gadget product consumes the digits:
-	// decompose leaves them in the coefficient domain and that product
-	// fuses each digit's forward NTT with the MACs reading it, so the digit
-	// row never round-trips through DRAM in between.
-	coeffDomain bool
+	in    *ring.Poly            // the NTT-domain input: each digit's own Q rows
+	pre   *ring.Poly            // its coefficient rows, premultiplied by their digit's q̂⁻¹
+	conv  []*rns.BasisConverter // digit -> its limbs onto Q_level ∪ P
 }
 
-// decompose performs ModUp on c (NTT, level lvl): it INTTs c, and for each
-// digit d of the level's plan base-converts the digit's limbs to the rest of
-// the extended basis Q_lvl ∪ P (the INTT -> BConv half of
-// §II-B's "ModSwitch"; the NTT half runs inside the consuming gadget product,
-// see coeffDomain). The digit's own Q rows need neither: they are c's NTT rows,
-// copied (the digit goes back to the pool, so it cannot alias c) while the
-// INTT chain has them in cache. Until that product runs, a digit is therefore
-// mixed-domain — own rows NTT, the others coefficient. The digit polynomials
-// are borrowed from the ring buffer pools; callers that are done with the
-// decomposition should release it via dec.release.
+// decompose performs the whole-polynomial half of ModUp on c (NTT, level
+// lvl): one Run copies c, inverse-transforms the copy and premultiplies each
+// row by its digit's q̂⁻¹ in place, the per-source-row half of every digit's
+// BConv, done once (§II-B's "ModSwitch" INTT). The rest of ModUp runs per
+// limb inside the consuming gadget product. c is read there too — a digit's
+// own Q rows are c's NTT rows, not a copy — so the caller keeps c unchanged
+// until that Run ends. The premultiplied copy is borrowed from the ring pool;
+// release it with dec.release.
 func (ev *Evaluator) decompose(c *ring.Poly, lvl int) *decomposed {
 	defer obsKSBConv.done(time.Now())
-	p := ev.params
-	rq, rp := p.RingQ(), p.RingP()
-	pl := p.PlanAt(lvl)
-	digits := pl.Digits
-	obsKSDigits.Observe(float64(digits))
+	rq := ev.params.RingQ()
+	m := ev.modUpAt(lvl)
+	obsKSDigits.Observe(float64(len(m.conv)))
 
-	dec := &decomposed{level: lvl, plan: pl, q: make([]*ring.Poly, digits), p: make([]*ring.Poly, digits), coeffDomain: true}
-
-	// Fuse the copies with the inverse transform per limb.
-	coeff := rq.GetPoly(lvl)
+	pre := rq.GetPoly(lvl)
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
-	for d := range dec.q {
-		dec.q[d], dec.p[d] = rq.GetPoly(lvl), rp.GetPoly(rp.MaxLevel())
-		lo, hi := pl.digitLimbs(d)
-		ln.CopyRows(dec.q[d], c, lo, hi)
-	}
-	ln.Copy(coeff, c)
-	ln.INTT(coeff)
+	ln.Copy(pre, c)
+	ln.INTT(pre)
+	ln.MulByLimbScalars(pre, pre, m.qHatInv)
 	pipe.Run()
 	pipe.Release()
-
-	rowsPtr := ev.getRows(lvl + 1 + pl.Alpha)
-	for d, pq := range dec.q {
-		lo, hi := pl.digitLimbs(d)
-		outRows := append(append(append((*rowsPtr)[:0], pq.Coeffs[:lo]...), pq.Coeffs[hi:]...), dec.p[d].Coeffs...)
-		ev.digitConverter(pl, d).ConvertLazy(outRows, coeff.Coeffs[lo:hi])
-	}
-	ev.putRows(rowsPtr)
-	rq.PutPoly(coeff)
-	return dec
+	return &decomposed{level: lvl, in: c, pre: pre, conv: m.conv}
 }
 
-// release returns the decomposition's digit polynomials to the buffer pools.
-// The decomposed value must not be used afterwards.
+// release returns the premultiplied copy to the buffer pool. The decomposed
+// value must not be used afterwards.
 func (dec *decomposed) release(p *Parameters) {
-	rq, rp := p.RingQ(), p.RingP()
-	for d := range dec.q {
-		rq.PutPoly(dec.q[d])
-		rp.PutPoly(dec.p[d])
-		dec.q[d], dec.p[d] = nil, nil
-	}
+	p.RingQ().PutPoly(dec.pre)
+	dec.pre = nil
 }
 
 // gadgetProduct computes the inner product of the digits with a switching
@@ -494,9 +469,9 @@ func (ev *Evaluator) mul(ct0, ct1 *Ciphertext) *Ciphertext {
 
 	ksStart := time.Now()
 	dec := ev.decompose(d2, lvl)
-	rq.PutPoly(d2)
 	ev.gadgetProductInto(dec, ev.keys.Rlk, u0q, u1q, u0p, u1p, false, true)
 	dec.release(ev.params)
+	rq.PutPoly(d2)
 	o0, o1 := ev.modDownRescale(u0q, u0p, u1q, u1p, nil, nil, lvl)
 	obsKeySwitch.done(ksStart)
 	ev.putQP(u0q, u0p, u1q, u1p)

@@ -21,7 +21,8 @@ import (
 // constant-multiply-accumulate pass, and the sum reduced once — instead of
 // len(cts) constant-product temporaries plus len(cts)-1 Add passes. Operands
 // above the lowest level contribute their limb prefix. Mismatched lengths are
-// an error, and so is ℓ = 0 (ErrLevel); both come before anything is borrowed.
+// an error, and so are ℓ = 0 (ErrLevel) and operand scales that disagree
+// (ErrScale); all come before anything is borrowed.
 func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64) (*Ciphertext, error) {
 	if len(cts) == 0 || len(cts) != len(consts) {
 		return nil, fmt.Errorf("ckks: MulConstAccum needs matching non-empty ciphertexts and constants, got %d and %d", len(cts), len(consts))
@@ -30,6 +31,9 @@ func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64) (*Cipher
 		if ct.Level() == 0 {
 			return nil, errLevelZero
 		}
+	}
+	if err := CheckScales(cts...); err != nil {
+		return nil, err
 	}
 	return ev.mulConstAccum(cts, consts), nil
 }

@@ -262,9 +262,10 @@ func TestBootstrapKeysAtTheirLevels(t *testing.T) {
 	}
 	t.Logf("%d DFT rotation keys, %d below the top; key set %.1f MB; first bootstrap's pool misses %.2f MB",
 		len(want), below, float64(tc.keys.CoeffBytes())/1e6, fill/1e6)
-	// Measured 18.3 MB at this shape on one core (100.3 MB with one pool per
-	// limb count); 10 % over it fails.
-	if limit := 18.3e6 * 1.1; fill > limit && !raceEnabled { // sync.Pool drops puts under -race
+	// Measured 12.8 MB at this shape on one core (18.3 MB with pooled ModUp
+	// digits and ModDown conversions, 100.3 MB with one pool per limb
+	// count); 10 % over it fails.
+	if limit := 12.8e6 * 1.1; fill > limit && !raceEnabled { // sync.Pool drops puts under -race
 		t.Errorf("first bootstrap missed the pool for %.2f MB, want <= %.2f", fill/1e6, limit/1e6)
 	}
 }
@@ -290,5 +291,77 @@ func TestCoeffBytesCountsCapacity(t *testing.T) {
 	}
 	if got, want := ct.CoeffBytes(), int64(2*(top+1)*p.N()*8); got != want {
 		t.Errorf("CoeffBytes %d, want the two %d-limb backings' %d", got, top+1, want)
+	}
+}
+
+// TestKeySwitchScratchBound holds each key switch to its resident set. With
+// the pool emptied (two GCs), an op's ring_pool_miss_bytes_total delta is its
+// peak borrow. At the hks_n16 limb shape (26 Q limbs, α = 7, D = 4; logN 12)
+// a Rotate, a Mul and a SwitchKeys at the top level ℓ borrow at most
+// (4·(ℓ+1) + 2α)·N·8 bytes — the four QP accumulators, the input's
+// premultiplied coefficient copy (and a Mul's degree-2 term, which the
+// digits' own rows read) or the two outputs — plus (D + 2)·N·8 for the rows
+// the merged tail borrows (its two top rows and a conversion tile). The ModUp
+// digits (D·(ℓ+1+α) rows) and the ModDown's converted rows live in the
+// pipeline's per-goroutine scratch, not in the pool. An EvaluateLinearTransform
+// may hold every giant's accumulators besides (T0 and T1 over Q ∪ P and the
+// two Q-basis sums: 4Q + 2P per giant). Each op's peak is the least of three
+// runs, so a pooled row that a goroutine migration strands once does not count.
+func TestKeySwitchScratchBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop puts at random")
+	}
+	lit := hksShapeParams()
+	lit.LogN = 12
+	tc := newTestContext(t, lit)
+	p, ev := tc.params, tc.eval
+	r := rand.New(rand.NewSource(121))
+	lt := denseTestTransform(r, p.Slots(), 8)
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, GaloisKeysForLinearTransform(p, lt))
+	ct := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
+	ct2 := tc.encryptVec(t, randomComplex(r, p.Slots(), 1))
+	lvl := ct.Level()
+	row := float64(p.N() * 8)
+	qp := float64(4*(lvl+1)+2*p.Alpha()) * row
+	ks := qp + float64(p.PlanAt(lvl).Digits+2)*row
+	giants := float64(len(lt.sweepPlan(p).giants))
+
+	missBytes := obs.Default.Counter("ring_pool_miss_bytes_total")
+	peak := func(op func() (*Ciphertext, error)) float64 {
+		least := 0.0
+		for try := 0; try < 3; try++ {
+			runtime.GC()
+			runtime.GC()
+			gc := debug.SetGCPercent(-1)
+			miss0 := missBytes.Value()
+			out, err := op()
+			miss := missBytes.Value() - miss0
+			debug.SetGCPercent(gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev.Release(out)
+			if try == 0 || miss < least {
+				least = miss
+			}
+		}
+		return least
+	}
+	for _, c := range []struct {
+		name  string
+		bound float64
+		op    func() (*Ciphertext, error)
+	}{
+		{"Rotate", ks, func() (*Ciphertext, error) { return ev.Rotate(ct, 1) }},
+		{"Mul", ks, func() (*Ciphertext, error) { return ev.Mul(ct, ct2) }},
+		{"SwitchKeys", ks, func() (*Ciphertext, error) { return ev.SwitchKeys(ct, tc.keys.Rlk) }},
+		{"EvaluateLinearTransform", ks + giants*qp, func() (*Ciphertext, error) { return ev.EvaluateLinearTransform(ct, lt, tc.enc) }},
+	} {
+		got := peak(c.op)
+		t.Logf("%-24s peak borrow %6.2f MB (%5.1f rows), bound %6.2f MB (%5.1f rows)", c.name, got/1e6, got/row, c.bound/1e6, c.bound/row)
+		if got > c.bound {
+			t.Errorf("%s at level %d borrowed %.2f MB from the pool, want <= %.2f MB", c.name, lvl, got/1e6, c.bound/1e6)
+		}
 	}
 }

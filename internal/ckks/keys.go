@@ -192,9 +192,18 @@ const (
 )
 
 // NewKeyGenerator returns a deterministic key generator: its master seed is
-// derived from seed.
+// derived from seed, so every secret it draws carries at most 64 bits of
+// entropy. Tests and the benchmark use it; real data needs a master from
+// crypto/rand (NewKeyGeneratorFromMaster).
 func NewKeyGenerator(params *Parameters, seed int64) *KeyGenerator {
-	return &KeyGenerator{params: params, master: seedFromInt64("anaheim/key/master", seed), secretDomain: domainSecret}
+	return NewKeyGeneratorFromMaster(params, seedFromInt64("anaheim/key/master", seed))
+}
+
+// NewKeyGeneratorFromMaster returns the key generator whose master seed is
+// master itself. Drawn from crypto/rand, it gives every key the master's 256
+// bits of entropy.
+func NewKeyGeneratorFromMaster(params *Parameters, master [32]byte) *KeyGenerator {
+	return &KeyGenerator{params: params, master: master, secretDomain: domainSecret}
 }
 
 // seedFromInt64 hashes an integer seed into a 32-byte stream seed under a

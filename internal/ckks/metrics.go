@@ -38,8 +38,8 @@ var (
 	// /metrics breaks ModUp -> KeyMult -> ModDown down. The hoisted path
 	// records them too (one ks-bconv amortized over many ks-keymult/ks-moddown
 	// pairs — the hoisting win is visible as the count skew).
-	obsKSBConv   = newOpObs("ks-bconv")   // Decompose: INTT + BConv + NTT per digit
-	obsKSKeyMult = newOpObs("ks-keymult") // gadgetProduct: digit × key MACs
+	obsKSBConv   = newOpObs("ks-bconv")   // decompose: INTT + BConv premultiply
+	obsKSKeyMult = newOpObs("ks-keymult") // gadgetProduct: per-limb BConv + NTT, digit × key MACs
 	obsKSModDown = newOpObs("ks-moddown") // ModDown: INTT + BConv + NTT + epilogue
 	obsRescale   = newOpObs("rescale")
 	obsRotate    = newOpObs("rotate")

@@ -18,40 +18,41 @@ import (
 // (oracle_test.go asserts this byte for byte at every level); only the memory
 // traffic changes. DESIGN.md §3.8.4 documents the discipline.
 
-// recordGadgetMACs records the KeyMult chain of one gadget product into the
-// two lanes: every digit's forward NTT (first consumer only — the
-// decomposition leaves the base-converted rows in the coefficient domain; the
-// digit's own Q limbs are already NTT rows and are skipped), then one dot stage
-// per accumulator, u = Σ_d digit_d ⊙ key_d, which sums the D products of a
-// coefficient in a 128-bit register pair and reduces once. The B side reads
-// the key's stored rows; the A side expands them from the key's seed, tile by
-// tile, inside the one dot stage per lane that also runs the B side
-// (DotKeyLazy). A limb's D digit rows are
-// transformed and consumed by both of its dot stages while still
-// cache-resident. The accumulators are left lazy. An accumulator is
+// recordModUp records the per-limb half of dec's ModUp into the two lanes
+// and returns its digit rows: per limb, each digit base-converted onto the
+// limb and forward-transformed in the Run's scratch, a digit's own Q limbs
+// read from the input itself (ring.Lane.ModUp). The rows live until the end
+// of the limb's chain, so every gadget product recorded after this in the
+// same Run reads them while they are cache-resident, and no row is converted
+// twice as long as one Run consumes the decomposition.
+func (ev *Evaluator) recordModUp(lq, lp *ring.Lane, dec *decomposed) (dq, dp []*ring.Poly) {
+	dq, dp = lq.Scratch(len(dec.conv)), lp.Scratch(len(dec.conv))
+	lq.ModUp(dq, dec.in, dec.pre, dec.conv, 0)
+	lp.ModUp(dp, nil, dec.pre, dec.conv, dec.level+1)
+	return dq, dp
+}
+
+// recordGadgetMACs records the KeyMult chain of one gadget product over the
+// digit rows of recordModUp: one dot stage per lane, u = Σ_d digit_d ⊙ key_d
+// for both accumulators, which sums the D products of a coefficient in a
+// 128-bit register pair and reduces once. The B side reads the key's stored
+// rows; the A side expands them from the key's seed, tile by tile, inside the
+// same stage (DotKeyLazy). The accumulators are left lazy. An accumulator is
 // overwritten, so it need not be initialised, unless the product is to be
 // added onto what it holds: onto0 asks that of u0 over Q ∪ P (the sweep's
 // giant step lands on T0), ontoQ of both Q halves (HMULT's P-scaled tensor
 // terms, which vanish mod every p_j).
-func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0, ontoQ bool) {
-	if dec.coeffDomain {
-		for d := range dec.q {
-			lo, hi := dec.plan.digitLimbs(d)
-			lq.NTTLazyExcept(dec.q[d], lo, hi)
-			lp.NTTLazy(dec.p[d])
-		}
-		dec.coeffDomain = false
-	}
-	n := len(dec.q) // a key serves lower levels with a prefix of its digits
+func (ev *Evaluator) recordGadgetMACs(lq, lp *ring.Lane, dq, dp []*ring.Poly, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0, ontoQ bool) {
+	n := len(dq) // a key serves lower levels with a prefix of its digits
 	a := swk.uniformKey()
-	lq.DotKeyLazy(u0q, u1q, dec.q, swk.BQ[:n], a, 0, onto0 || ontoQ, ontoQ)
-	lp.DotKeyLazy(u0p, u1p, dec.p, swk.BP[:n], a, 1, onto0, false)
+	lq.DotKeyLazy(u0q, u1q, dq, swk.BQ[:n], a, 0, onto0 || ontoQ, ontoQ)
+	lp.DotKeyLazy(u0p, u1p, dp, swk.BP[:n], a, 1, onto0, false)
 }
 
-// gadgetProductInto is the KeyMult/MAC of a key switch as one pipeline Run:
-// the digit NTTs and dot stages of recordGadgetMACs, ending with the four
-// accumulator reductions — one barrier instead of 2·digits NTTs + 4 dots + 4
-// reductions. Accumulators must be NTT-flagged polynomials; those onto0 /
+// gadgetProductInto is the per-limb ModUp and the KeyMult/MAC of a key switch
+// as one pipeline Run: recordModUp's conversions and transforms, the dot
+// stages of recordGadgetMACs and the four accumulator reductions — one
+// barrier, and no digit polynomial. Accumulators must be NTT-flagged polynomials; those onto0 /
 // ontoQ name are added onto (their exact or lazy values are read), the others
 // only written.
 func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, u1q, u0p, u1p *ring.Poly, onto0, ontoQ bool) {
@@ -59,7 +60,8 @@ func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, 
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(ev.params.RingQ(), dec.level)
 	lp := pipe.Lane(ev.params.RingP(), ev.params.RingP().MaxLevel())
-	ev.recordGadgetMACs(lq, lp, dec, swk, u0q, u1q, u0p, u1p, onto0, ontoQ)
+	dq, dp := ev.recordModUp(lq, lp, dec)
+	ev.recordGadgetMACs(lq, lp, dq, dp, swk, u0q, u1q, u0p, u1p, onto0, ontoQ)
 	lq.ReduceLazy(u0q)
 	lq.ReduceLazy(u1q)
 	lp.ReduceLazy(u0p)
@@ -68,47 +70,44 @@ func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, 
 	pipe.Release()
 }
 
-// pToQ is the head every ModDown tail shares: one Run inverse-transforms both
-// P halves in place — the accumulators u0p/u1p are CONSUMED, every caller
-// releases them right after the tail, so no defensive copy pass is paid — and
-// the two cross-limb base conversions (which tile internally) take them onto
-// Q_lvl through bc, exact. A nil u1p (the sweep's one-component ModDown)
-// converts u0p alone and returns a nil conv1. The caller returns conv0/conv1
-// with PutPoly.
-func (ev *Evaluator) pToQ(bc *rns.BasisConverter, u0p, u1p *ring.Poly, lvl int) (conv0, conv1 *ring.Poly) {
-	rq, rp := ev.params.RingQ(), ev.params.RingP()
+// pToQ is the head every ModDown tail shares: one Run inverse-transforms the
+// P halves in place and premultiplies them by bc's q̂⁻¹ — the accumulators
+// u0p/u1p are CONSUMED, every caller releases them right after the tail, so
+// no defensive copy pass is paid. A nil u1p (the sweep's one-component
+// ModDown) prepares u0p alone. The tail's Run then converts them onto each Q
+// limb where it consumes the row (ring.Lane.BConv), so no converted
+// polynomial exists.
+func (ev *Evaluator) pToQ(bc *rns.BasisConverter, u0p, u1p *ring.Poly) {
+	rp := ev.params.RingP()
 	pipe := ring.GetPipeline()
 	lnP := pipe.Lane(rp, rp.MaxLevel())
-	lnP.INTT(u0p)
-	if u1p != nil {
-		lnP.INTT(u1p)
+	for _, u := range [2]*ring.Poly{u0p, u1p} {
+		if u != nil {
+			lnP.INTT(u)
+			lnP.MulByLimbScalars(u, u, bc.QHatInv())
+		}
 	}
 	pipe.Run()
 	pipe.Release()
-
-	conv0 = rq.GetPoly(lvl)
-	bc.Convert(conv0.Coeffs, u0p.Coeffs)
-	if u1p != nil {
-		conv1 = rq.GetPoly(lvl)
-		bc.Convert(conv1.Coeffs, u1p.Coeffs)
-	}
-	return conv0, conv1
 }
 
 // modDown is the sweep's giant-step ModDown (the ModDownEp compound
 // instruction of Table II): a Q-basis polynomial at uq's level,
 // out_i = (uq_i − BConv(up)_i)·[P⁻¹]_{q_i} + add_i, the exact Q-basis term add
 // (nil adds nothing) riding the same chain. After pToQ, which consumes up,
-// one Run transforms each converted row, subtracts it, scales and adds while
-// the row is cache-resident.
+// one Run converts each limb's row into scratch, transforms it, subtracts it,
+// scales and adds while the row is cache-resident.
 func (ev *Evaluator) modDown(uq, up, add *ring.Poly, lvl int) *ring.Poly {
 	defer obsKSModDown.done(time.Now())
 	rq := ev.params.RingQ()
-	conv, _ := ev.pToQ(ev.pToQConverter(lvl), up, nil, lvl)
+	bc := ev.pToQConverter(lvl)
+	ev.pToQ(bc, up, nil)
 
 	out := getNTT(rq, lvl)
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
+	conv := ln.Scratch(1)[0]
+	ln.BConv(conv, up, bc)
 	ln.NTTLazy(conv)
 	ln.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[:lvl+1])
 	if add != nil {
@@ -116,63 +115,63 @@ func (ev *Evaluator) modDown(uq, up, add *ring.Poly, lvl int) *ring.Poly {
 	}
 	pipe.Run()
 	pipe.Release()
-
-	rq.PutPoly(conv)
 	return out
 }
 
-// modDownPair runs both ModDowns of a key switch: after pToQ, one Run fuses
-// each Q-side NTTLazy with the SubMul epilogue consuming it — the converted
-// rows are transformed and subtracted while cache-resident.
+// modDownPair runs both ModDowns of a key switch: after pToQ, one Run
+// converts each limb's row of a component into scratch and fuses its NTTLazy
+// with the SubMul epilogue consuming it, one scratch row serving both
+// components in turn.
 func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p *ring.Poly, lvl int) (d0, d1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	rq := ev.params.RingQ()
-	conv0, conv1 := ev.pToQ(ev.pToQConverter(lvl), u0p, u1p, lvl)
+	bc := ev.pToQConverter(lvl)
+	ev.pToQ(bc, u0p, u1p)
 
 	d0, d1 = getNTT(rq, lvl), getNTT(rq, lvl)
 	s := ev.pInvModQ[:lvl+1]
 	pipe := ring.GetPipeline()
 	lnQ := pipe.Lane(rq, lvl)
-	lnQ.NTTLazy(conv0)
-	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv0, s)
-	lnQ.NTTLazy(conv1)
-	lnQ.SubMulByLimbScalarsLazy(d1, u1q, conv1, s)
+	conv := lnQ.Scratch(1)[0]
+	lnQ.BConv(conv, u0p, bc)
+	lnQ.NTTLazy(conv)
+	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv, s)
+	lnQ.BConv(conv, u1p, bc)
+	lnQ.NTTLazy(conv)
+	lnQ.SubMulByLimbScalarsLazy(d1, u1q, conv, s)
 	pipe.Run()
 	pipe.Release()
-
-	rq.PutPoly(conv0)
-	rq.PutPoly(conv1)
 	return d0, d1
 }
 
 // modDownAut is modDownPair with the automorphism tail of a rotation fused
 // into the final Run: o0 = σ_g(ModDown(u0) + c0),
-// o1 = σ_g(ModDown(u1)). The sum-then-permute is recorded as the fused
+// o1 = σ_g(ModDown(u1)). The ModDown row d and the converted row it consumes
+// are scratch rows; the sum-then-permute is recorded as the fused
 // AddAutomorphismNTT stage (bit-identical because the sum is element-wise),
 // so the rotation epilogue moves each row once instead of four times.
 func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl int) (o0, o1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	rq := ev.params.RingQ()
-	conv0, conv1 := ev.pToQ(ev.pToQConverter(lvl), u0p, u1p, lvl)
+	bc := ev.pToQConverter(lvl)
+	ev.pToQ(bc, u0p, u1p)
 
-	d0, d1 := rq.GetPoly(lvl), rq.GetPoly(lvl)
 	o0, o1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
 	s := ev.pInvModQ[:lvl+1]
 	pipe := ring.GetPipeline()
 	lnQ := pipe.Lane(rq, lvl)
-	lnQ.NTTLazy(conv0)
-	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv0, s)
-	lnQ.AddAutomorphismNTT(o0, d0, c0, g)
-	lnQ.NTTLazy(conv1)
-	lnQ.SubMulByLimbScalarsLazy(d1, u1q, conv1, s)
-	lnQ.AutomorphismNTT(o1, d1, g)
+	sc := lnQ.Scratch(2)
+	conv, d := sc[0], sc[1]
+	lnQ.BConv(conv, u0p, bc)
+	lnQ.NTTLazy(conv)
+	lnQ.SubMulByLimbScalarsLazy(d, u0q, conv, s)
+	lnQ.AddAutomorphismNTT(o0, d, c0, g)
+	lnQ.BConv(conv, u1p, bc)
+	lnQ.NTTLazy(conv)
+	lnQ.SubMulByLimbScalarsLazy(d, u1q, conv, s)
+	lnQ.AutomorphismNTT(o1, d, g)
 	pipe.Run()
 	pipe.Release()
-
-	rq.PutPoly(conv0)
-	rq.PutPoly(conv1)
-	rq.PutPoly(d0)
-	rq.PutPoly(d1)
 	return o0, o1
 }
 
@@ -192,60 +191,62 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 // Every step is exact mod q_i, so the bytes are those of ModDown, the adds and
 // Rescale run one after another (oracle_test.go holds this at every level and
 // tier), at ℓ + 1 limb transforms per component where that sequence pays
-// 2(ℓ + 1), and a kept limb's chain is the correction, its one NTT and one
-// multiply-subtract. HMULT passes no adds: its tensor terms enter u′ through
-// the gadget product (ontoQ). The P halves are consumed as in modDownPair, u_q
-// and the adds too. ℓ must be ≥ 1.
+// 2(ℓ + 1), and a kept limb's chain is its row's conversion into scratch, the
+// correction, its one NTT and one multiply-subtract. HMULT passes no adds: its
+// tensor terms enter u′ through the gadget product (ontoQ). The P halves are
+// consumed as in modDownPair, u_q (its top row is transformed in place) and
+// the adds too. ℓ must be ≥ 1.
 func (ev *Evaluator) modDownRescale(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl int) (o0, o1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	rq := ev.params.RingQ()
 	tail := ev.rescaleTail(lvl)
 	rs := tail.rs
-	r := [2]*ring.Poly{}
-	r[0], r[1] = ev.pToQ(tail.conv, u0p, u1p, lvl)
-	u, add := [2]*ring.Poly{u0q, u1q}, [2]*ring.Poly{add0, add1}
+	ev.pToQ(tail.conv, u0p, u1p)
+	u, up, add := [2]*ring.Poly{u0q, u1q}, [2]*ring.Poly{u0p, u1p}, [2]*ring.Poly{add0, add1}
 	out := [2]*ring.Poly{getNTT(rq, lvl-1), getNTT(rq, lvl-1)}
-	t := [2]*ring.Poly{rq.GetPoly(0), rq.GetPoly(0)}
+	// Rows 0 and 1: the components' top rows t; row 2: the accumulator tile
+	// of their conversions.
+	t := rq.GetPoly(2)
 
 	mL := rq.Moduli[lvl]
 	pL, pInvL := ev.pModQ[lvl], ev.pInvModQ[lvl]
 	pLShoup, pInvLShoup := mL.ShoupPrecomp(pL), mL.ShoupPrecomp(pInvL)
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl-1)
+	c := ln.Scratch(1)
 	for k := range out {
 		// The top row is shared by every kept limb — a cross-limb dependency
-		// the pipeline must not span — so it is formed first, in t.
-		tk := t[k].Coeffs[0]
+		// the pipeline must not span — so it is formed first, in t, from the
+		// one converted row ℓ.
+		tk, uL := t.Coeffs[k], u[k].Coeffs[lvl]
+		tail.conv.ConvertRow(tk, up[k].Coeffs, lvl, false, t.Coeffs[2])
 		if a := add[k]; a != nil {
 			aL := a.Coeffs[lvl]
 			mL.VecMulShoup(aL, aL, pL, pLShoup)
-			mL.VecAdd(tk, u[k].Coeffs[lvl], aL)
-		} else {
-			copy(tk, u[k].Coeffs[lvl])
+			mL.VecAdd(uL, uL, aL)
 		}
-		rq.INTTLimb(tk, lvl)
-		mL.VecMulShoup(tk, tk, pInvL, pInvLShoup)
-		mL.VecAdd(tk, tk, r[k].Coeffs[lvl])
+		rq.INTTLimb(uL, lvl)
+		mL.VecMulShoup(uL, uL, pInvL, pInvLShoup)
+		mL.VecAdd(tk, uL, tk)
 		rs.LastRowPlusHalf(tk, tk)
 
-		// Per kept limb: fold the add into u, turn r_i into c_i in place,
-		// transform it, and subtract it from u′_i into the output row.
+		// Per kept limb: fold the add into u, convert the limb's row of r
+		// into scratch and turn it into c_i there, transform it, and subtract
+		// it from u′_i into the output row.
 		if a := add[k]; a != nil {
 			ln.MulByLimbScalars(a, a, ev.pModQ)
 			ln.Add(u[k], u[k], a)
 		}
-		c := r[k]
-		ln.Func(func(i int) { rs.CorrectionRow(i, c.Coeffs[i], tk, ev.pModQ[i]) }, r[k:k+1], r[k:k+1])
-		ln.NTTLazy(c)
-		ln.SubMulByLimbScalarsLazy(out[k], u[k], c, tail.pqInv)
+		ci := c[0]
+		ln.BConv(ci, up[k], tail.conv)
+		ln.Func(func(i int) { rs.CorrectionRow(i, ci.Coeffs[i], tk, ev.pModQ[i]) }, c, c)
+		ln.NTTLazy(ci)
+		ln.SubMulByLimbScalarsLazy(out[k], u[k], ci, tail.pqInv)
 	}
 	pipe.Run()
 	pipe.Release()
 
-	for k := range t {
-		rq.PutPoly(t[k])
-		rq.PutPoly(r[k])
-	}
+	rq.PutPoly(t)
 	return out[0], out[1]
 }
 
@@ -308,11 +309,13 @@ func (ev *Evaluator) rescaleOwned(ct *Ciphertext) *Ciphertext {
 
 // babyPhase is the whole baby step of the linear-transform sweep as one
 // limb-major pipeline Run (§V-B AutAccum, Table II MAC). Per limb, the b == 0
-// products open their giants' Q-basis accumulators; then, baby after baby,
-// the shared decomposition's dot stages overwrite one set of QP rows (the
-// digit transforms run in the first baby only) and each consuming giant's
-// five diagonal MACs add σ_b(u) ⊙ d′ — and σ_b(c0) ⊙ d′ — into 128-bit sums
-// whose high words live in the Run's scratch. The limb's chain ends by
+// products open their giants' Q-basis accumulators; the shared
+// decomposition's digit rows are converted and transformed once, into the
+// Run's scratch; then, baby after baby, the dot stages overwrite one set of
+// QP scratch rows — σ_b permutes within a limb, so the key-switched row is
+// consumed in the chain that forms it — and each consuming giant's five
+// diagonal MACs add σ_b(u) ⊙ d′ — and σ_b(c0) ⊙ d′ — into 128-bit sums
+// whose high words live in the Run's scratch too. The limb's chain ends by
 // reducing every sum once, exactly, so the accumulators leave the Run as
 // exact residues: the same bytes a per-product reduction would give.
 // Accumulators are borrowed here and, unless a b == 0 product opens them,
@@ -321,7 +324,6 @@ func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 	keys map[int]*SwitchingKey, perBaby map[int][]bsgsBabyTarget) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
 	lvl := dec.level
-	u0q, u0p, u1q, u1p := ev.getQP(lvl)
 
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(rq, lvl)
@@ -333,9 +335,15 @@ func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 		lq.MulCoeffs(ga.a1q, ct.C1, tg.ptQ)
 	}
 	var wide []*giantAcc // giants fed by a baby, in the order they are opened
+	var dq, dp, uq, up []*ring.Poly
+	if len(plan.babies) > 0 { // with no baby, nothing reads the digits
+		dq, dp = ev.recordModUp(lq, lp, dec)
+		uq, up = lq.Scratch(2), lp.Scratch(2)
+	}
 	for _, b := range plan.babies {
+		u0q, u1q, u0p, u1p := uq[0], uq[1], up[0], up[1]
 		obsLinTransRotations.Inc()
-		ev.recordGadgetMACs(lq, lp, dec, keys[b], u0q, u1q, u0p, u1p, false, false)
+		ev.recordGadgetMACs(lq, lp, dq, dp, keys[b], u0q, u1q, u0p, u1p, false, false)
 		g := rq.GaloisElement(b)
 		for _, tg := range perBaby[b] {
 			ga := tg.acc
@@ -367,8 +375,6 @@ func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 	}
 	pipe.Run()
 	pipe.Release()
-
-	ev.putQP(u0q, u0p, u1q, u1p)
 }
 
 // giantAccum is one giant step's σ+add epilogue as a single pipeline Run: each
@@ -382,34 +388,25 @@ func (ev *Evaluator) giantAccum(final *giantAcc, t0q, w1q, t0p, w1p, a0q *ring.P
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(rq, t0q.Level())
 	lp := pipe.Lane(rp, t0p.Level())
-	// sigmaAdd records acc += σ_gal(in) and returns the scratch polynomial to
-	// put back after Run; an accumulator nothing has been added to yet is
-	// borrowed and opened with the permutation itself.
-	sigmaAdd := func(ln *ring.Lane, r *ring.Ring, acc **ring.Poly, in *ring.Poly) *ring.Poly {
-		tmp := r.GetPoly(in.Level())
+	tq, tp := lq.Scratch(1)[0], lp.Scratch(1)[0]
+	// sigmaAdd records acc += σ_gal(in); an accumulator nothing has been
+	// added to yet is borrowed and opened with the permutation itself.
+	sigmaAdd := func(ln *ring.Lane, r *ring.Ring, tmp *ring.Poly, acc **ring.Poly, in *ring.Poly) {
 		if *acc == nil {
-			*acc = tmp
-			ln.AutomorphismNTT(tmp, in, gal)
-			return nil
+			*acc = getNTT(r, in.Level())
+			ln.AutomorphismNTT(*acc, in, gal)
+			return
 		}
 		ln.AutomorphismNTT(tmp, in, gal)
 		ln.Add(*acc, *acc, tmp)
-		return tmp
 	}
-	tmp0 := sigmaAdd(lq, rq, &final.t0q, t0q)
-	tmp1 := sigmaAdd(lq, rq, &final.t1q, w1q)
-	tmp0p := sigmaAdd(lp, rp, &final.t0p, t0p)
-	tmp1p := sigmaAdd(lp, rp, &final.t1p, w1p)
-	var tmpA *ring.Poly
+	sigmaAdd(lq, rq, tq, &final.t0q, t0q)
+	sigmaAdd(lq, rq, tq, &final.t1q, w1q)
+	sigmaAdd(lp, rp, tp, &final.t0p, t0p)
+	sigmaAdd(lp, rp, tp, &final.t1p, w1p)
 	if a0q != nil {
-		tmpA = sigmaAdd(lq, rq, &final.a0q, a0q)
+		sigmaAdd(lq, rq, tq, &final.a0q, a0q)
 	}
 	pipe.Run()
 	pipe.Release()
-
-	rq.PutPoly(tmp0)
-	rq.PutPoly(tmp1)
-	rp.PutPoly(tmp0p)
-	rp.PutPoly(tmp1p)
-	rq.PutPoly(tmpA)
 }

@@ -67,10 +67,11 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		gets    float64 // ring-pool borrows per run, at most (0: not pinned)
 		run     func()
 	}{
-		// 4 (16 before the outputs were pooled and the serial BConv stopped
-		// allocating a chunk closure): the ciphertext header and the
-		// decomposition's bookkeeping.
-		{"Rotate", 6, 0, func() {
+		// 2 (16 before the outputs were pooled and the serial BConv stopped
+		// allocating a chunk closure, 4 before the digits left the pool): the
+		// ciphertext header and the decomposition's bookkeeping. 7 borrowed
+		// polynomials (19 with pooled digit and conversion polynomials).
+		{"Rotate", 4, 7, func() {
 			out, err := ev.Rotate(ct, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -80,24 +81,28 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 		// 3 (9 before): the ciphertext header and the two Func closures of the
 		// correction stage.
 		{"Rescale", 5, 0, func() { ev.Release(ev.rescale(ct)) }},
-		// 6: the ciphertext header, the two Func closures of the merged
+		// 4: the ciphertext header, the two Func closures of the merged
 		// tail's correction stage and the decomposition's bookkeeping. Its
-		// top-limb and conversion rows come from the pool like the output.
-		{"Mul", 8, 0, func() {
+		// top-limb rows come from the pool like the output, and its
+		// conversion rows from the Run's scratch. 9 borrowed polynomials (20
+		// with pooled digit and conversion polynomials).
+		{"Mul", 6, 9, func() {
 			out, err := ev.Mul(ct, ct2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ev.Release(out)
 		}},
-		// 30: the sweep's bookkeeping (key map, per-baby targets, giant
+		// 26: the sweep's bookkeeping (key map, per-baby targets, giant
 		// accumulator headers, span annotations) and the merged tail's two
-		// Func closures. 49 borrowed polynomials: the baby phase's one
-		// shared set of QP rows where a pool borrow per baby took 58, with
-		// the 128-bit sums' high words in per-limb scratch, not polynomials,
-		// and the giant's ModDown consuming its P half in place (50 with a
-		// copy of it).
-		{"EvaluateLinearTransform", 45, 49, func() {
+		// Func closures. 25 borrowed polynomials: each decomposition's
+		// premultiplied copy, the giants' accumulators, the top rows and the
+		// output. The digit rows, the baby phase's key-switched QP rows, the
+		// 128-bit sums' high words, the ModDowns' converted rows and the σ
+		// epilogue's permuted rows are per-goroutine Run scratch, not
+		// polynomials (49 borrows with pooled digits, conversions and QP
+		// rows; 58 with a pool borrow per baby).
+		{"EvaluateLinearTransform", 30, 25, func() {
 			out, err := ev.EvaluateLinearTransform(ct, lt, tc.enc)
 			if err != nil {
 				t.Fatal(err)
@@ -134,9 +139,9 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 
 // TestBootstrapAllocs pins what ROADMAP 5(a) asks for: a bootstrap whose
 // result is released runs out of the ring pool. What it still allocates is
-// headers — Truncated views, the Chebyshev power map, rns convert closures,
-// span annotations, one residue slice per constant — not polynomials (≈ 840
-// objects per bootstrap at N = 2^11).
+// headers — Truncated views, the Chebyshev power map, span annotations, one
+// residue slice per constant — not polynomials (≈ 740 objects and ≈ 600 pool
+// borrows per bootstrap at N = 2^11).
 func TestBootstrapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")

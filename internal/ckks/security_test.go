@@ -113,6 +113,35 @@ func TestLevelZeroIsErrLevel(t *testing.T) {
 	}
 }
 
+// TestScaleMismatchIsErrScale: CheckScales names a mismatch with ErrScale and
+// passes scales within the tolerance, and MulConstAccum over operands whose
+// scales disagree returns it before borrowing a polynomial.
+func TestScaleMismatchIsErrScale(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	a := tc.encryptVec(t, []complex128{1})
+	near, far := *a, *a
+	near.Scale *= 1 + scaleTolerance/2
+	far.Scale *= 2
+	if err := CheckScales(a, &near, a); err != nil {
+		t.Errorf("scales within the tolerance: %v", err)
+	}
+	if err := CheckScales(a, &near, &far); !errors.Is(err, ErrScale) {
+		t.Errorf("CheckScales of a doubled scale: %v, want ErrScale", err)
+	}
+	gets := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+	}
+	before := gets()
+	out, err := tc.eval.MulConstAccum([]*Ciphertext{a, &far}, []float64{0.5, -1})
+	if !errors.Is(err, ErrScale) || out != nil {
+		t.Errorf("MulConstAccum at scales %g and %g: (%v, %v), want ErrScale", a.Scale, far.Scale, out, err)
+	}
+	if n := gets() - before; n != 0 {
+		t.Errorf("MulConstAccum borrowed %v polynomials before failing", n)
+	}
+}
+
 func TestAddScaleMismatchPanics(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	a := tc.encryptVec(t, []complex128{1})

@@ -598,7 +598,8 @@ func (e *Engine) retryAfter(tierDepth int) time.Duration {
 
 // validate checks the job spec shape before admission — known op kinds,
 // resolvable references, unique IDs, droplevel targets within the session's
-// [0, maxLevel], an acyclic dependency graph — and returns the dependency
+// [0, maxLevel], agreeing scales where a summing op adds job inputs, an
+// acyclic dependency graph — and returns the dependency
 // state the dispatcher will run the job from. Every name is resolved through
 // one index built here, so admission is linear in the size of the DAG.
 func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
@@ -634,6 +635,9 @@ func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
 		remaining:  len(spec.Ops),
 	}
 	for i := range spec.Ops {
+		if err := checkInputScales(&spec.Ops[i], spec.Inputs); err != nil {
+			return nil, err
+		}
 		for _, a := range spec.Ops[i].Args {
 			src, ok := index[a]
 			if !ok {
@@ -675,4 +679,24 @@ func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
 		return nil, fmt.Errorf("engine: op dependency cycle")
 	}
 	return st, nil
+}
+
+// checkInputScales refuses a summing op (scaleChecked) whose arguments that
+// are job inputs disagree in scale: a malformed request, answered at
+// admission like a droplevel target outside the session's levels. Arguments
+// computed by other ops are checked when the op runs.
+func checkInputScales(op *OpSpec, inputs map[string]*ckks.Ciphertext) error {
+	if !scaleChecked[op.Op] {
+		return nil
+	}
+	var cts []*ckks.Ciphertext
+	for _, a := range op.Args {
+		if ct := inputs[a]; ct != nil {
+			cts = append(cts, ct)
+		}
+	}
+	if err := ckks.CheckScales(cts...); err != nil {
+		return fmt.Errorf("engine: op %q (%s): %w", op.ID, op.Op, err)
+	}
+	return nil
 }

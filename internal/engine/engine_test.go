@@ -430,6 +430,90 @@ func TestHostileDropLevel(t *testing.T) {
 	checkSlots(t, client.decrypt(out["d"]), []complex128{0.5, -0.25}, 2, 1e-4, "droplevel to 0 after the hostile ones")
 }
 
+// TestHostileScales: add, sub and lincomb over operands whose scales differ
+// fail with ckks.ErrScale before anything is borrowed — at admission where
+// the operands are job inputs, so HTTP answers 400, and when the op runs where
+// one is computed — leave their inputs' bytes alone, and a clean job runs
+// after.
+func TestHostileScales(t *testing.T) {
+	client := newTestClient(t)
+	client.params.RingQ().PoisonPool()
+	client.params.RingP().PoisonPool()
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := client.encrypt(t, []complex128{0.5, -0.25})
+	y := *x
+	y.Scale *= 2
+	inputs := map[string]*ckks.Ciphertext{"x": x, "y": &y}
+	var wire [2][]byte
+	for i, ct := range []*ckks.Ciphertext{x, &y} {
+		if wire[i], err = ct.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gets := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+	}
+	summing := []OpSpec{
+		{ID: "s", Op: "add", Args: []string{"x", "y"}},
+		{ID: "s", Op: "sub", Args: []string{"y", "x"}},
+		{ID: "s", Op: "lincomb", Args: []string{"x", "y"}, Vals: []float64{1, 1}},
+	}
+	for _, op := range summing {
+		gets0 := gets()
+		_, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: inputs, Ops: []OpSpec{op}, Outputs: []string{"s"}})
+		if !errors.Is(err, ckks.ErrScale) {
+			t.Errorf("%s of inputs at scales %g and %g: Submit error %v, want ckks.ErrScale", op.Op, x.Scale, y.Scale, err)
+		}
+		if n := gets() - gets0; n != 0 {
+			t.Errorf("%s: borrowed %v pooled polynomials before failing", op.Op, n)
+		}
+	}
+
+	// A computed operand: the rescaled x against x itself. The failing op
+	// borrows nothing beyond what the rescale before it does.
+	rescaled := OpSpec{ID: "r", Op: "rescale", Args: []string{"x"}}
+	gets0 := gets()
+	results(t, e, JobSpec{SessionID: sess.ID, Inputs: inputs, Ops: []OpSpec{rescaled}, Outputs: []string{"r"}})
+	rescaleGets := gets() - gets0
+	for _, op := range summing {
+		op.Args[0] = "r"
+		if op.Op == "sub" {
+			op.Args = []string{"x", "r"}
+		}
+		gets0 := gets()
+		job, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: inputs, Ops: []OpSpec{rescaled, op}, Outputs: []string{"s"}})
+		if err != nil {
+			t.Fatalf("%s of a computed operand: Submit: %v", op.Op, err)
+		}
+		if err := job.Wait(context.Background()); !errors.Is(err, ckks.ErrScale) {
+			t.Errorf("%s of x and rescale(x): error %v, want ckks.ErrScale", op.Op, err)
+		}
+		if n := gets() - gets0; n != rescaleGets {
+			t.Errorf("%s of a computed operand borrowed %v pooled polynomials, the rescale alone %v", op.Op, n, rescaleGets)
+		}
+	}
+	for i, ct := range []*ckks.Ciphertext{x, &y} {
+		if after, _ := ct.MarshalBinary(); !bytes.Equal(after, wire[i]) {
+			t.Fatal("a failed op changed its input")
+		}
+	}
+
+	body := fmt.Sprintf(`{"inputs":{"x":%q,"y":%q},"ops":[{"id":"s","op":"add","args":["x","y"]}],"outputs":["s"]}`,
+		base64.StdEncoding.EncodeToString(wire[0]), base64.StdEncoding.EncodeToString(wire[1]))
+	if code, resp := doRequest(t, NewHTTPHandler(e), "POST", "/v1/sessions/"+sess.ID+"/jobs", body); code != http.StatusBadRequest {
+		t.Errorf("POST add of mismatched scales: %d %v, want 400", code, resp)
+	}
+	out := results(t, e, JobSpec{SessionID: sess.ID, Inputs: inputs,
+		Ops: []OpSpec{{ID: "s", Op: "add", Args: []string{"x", "x"}}}, Outputs: []string{"s"}})
+	checkSlots(t, client.decrypt(out["s"]), []complex128{1, -0.5}, 2, 1e-4, "add after the hostile ones")
+}
+
 // TestLintransMissingKeyFails: a session whose key set holds a transform's raw
 // diagonal offsets but not its plan's giant rotations fails a lintrans job
 // with ckks.ErrMissingKey, through Job.Wait.

@@ -36,6 +36,11 @@ var opArity = map[string]int{
 	"lincomb": -1,
 }
 
+// scaleChecked lists the op kinds that sum their arguments, whose scales must
+// agree (ckks.CheckScales): checked at admission where the arguments are job
+// inputs, and again before the evaluator runs where they are not.
+var scaleChecked = map[string]bool{"add": true, "sub": true, "lincomb": true}
+
 func checkOp(op *OpSpec, maxLevel int) error {
 	want, ok := opArity[op.Op]
 	if !ok {

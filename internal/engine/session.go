@@ -213,6 +213,14 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		}
 		args[i] = ct
 	}
+	if scaleChecked[op.Op] {
+		// The evaluator panics on mismatched scales (Add, Sub) or would
+		// return the same error after resolving levels (MulConstAccum);
+		// fail the op first, with nothing borrowed.
+		if err := ckks.CheckScales(args...); err != nil {
+			return nil, fmt.Errorf("engine: op %q (%s): %w", op.ID, op.Op, err)
+		}
+	}
 	ev := s.Eval
 	var out *ckks.Ciphertext
 	var err error

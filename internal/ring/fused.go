@@ -37,7 +37,7 @@ func (r *Ring) MulByLimbScalarsAddLazy(out, a *Poly, s []uint64, level int) {
 // SubMulByLimbScalarsLazy sets out = (a - b) * s[i] per limb in a single
 // pass (the fused ModDownEp epilogue of Table II: the subtraction and the
 // P^{-1} scaling share one traversal). b may hold [0, 2q) values (e.g.
-// straight out of NTTLazy on a ConvertLazy row), a must be exact, out is
+// straight out of NTTLazy on a lazily converted row), a must be exact, out is
 // exact, so the epilogue consumes the lazy BConv-NTT chain without an
 // intermediate reduction pass.
 func (r *Ring) SubMulByLimbScalarsLazy(out, a, b *Poly, s []uint64, level int) {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/par"
+	"github.com/anaheim-sim/anaheim/internal/rns"
 )
 
 // Limb-resident pipeline executor. A Pipeline records a chain of per-limb
@@ -28,7 +29,8 @@ import (
 //
 //	pl := ring.GetPipeline()
 //	ln := pl.Lane(rq, level)         // one lane per (ring, level) pair
-//	ln.NTTLazy(p)                    // record stages; no work yet
+//	digits := ln.Scratch(d)          // per-limb scratch rows, no polynomial
+//	ln.ModUp(digits, in, pre, conv, 0) // record stages; no work yet
 //	ln.DotKeyLazy(u0, u1, digits, keyB, key, 0, false, false)
 //	ln.ReduceLazy(u0)
 //	pl.Run()                         // one barrier for the whole chain
@@ -39,6 +41,14 @@ import (
 //     limbs (and lanes) are mutually independent, exactly like forEachLimb.
 //     A chain must therefore never make limb i read a row that another limb's
 //     stage writes — the same RNS independence every barriered op relies on.
+//     The one cross-limb read is a base conversion's (ModUp, BConv): a limb
+//     forms its own row from every row of a premultiplied source, which a
+//     previous Run wrote and which this Run must leave alone.
+//   - A Scratch polynomial has no rows of its own: while a limb's chain runs,
+//     its row is one of the executing goroutine's Run scratch rows, so it
+//     holds a value only from the stage that writes it to the end of that
+//     limb's chain. Stages read and write it like any polynomial; it never
+//     reaches memory, and the traffic model charges nothing for it.
 //   - Domain (IsNTT) checks happen at record time against the *pending*
 //     domain (the flag the polynomial will have at that point of the chain);
 //     flags are applied to the Poly headers when Run completes.
@@ -80,7 +90,12 @@ type Lane struct {
 	// its high-word row in the Run's scratch.
 	wide []wideAcc
 
-	rows      int // limbs the stage being recorded runs on (level+1 unless windowed)
+	// scratch holds the lane's Scratch polynomials, the first nScratch of
+	// them handed out for the chain being recorded; scratch polynomial k's
+	// row is the executing goroutine's scratch row k.
+	scratch  []*Poly
+	nScratch int
+
 	nttRows   int // limb rows counting toward the forward limb-transform counter
 	inttRows  int // ...and the inverse counter
 	naiveRows int // row streams a barriered execution would move
@@ -91,13 +106,14 @@ type stageOp uint8
 const (
 	opFunc stageOp = iota
 	opCopy
-	opCopyRows
 	opNTT
 	opNTTLazy
 	opINTT
 	opMulCoeffs
 	opMulCoeffsAdd
 	opDotKeyLazy
+	opModUp
+	opBConv
 	opAutMulAccWide
 	opFoldWide
 	opReduceWide
@@ -119,9 +135,15 @@ type stage struct {
 	a, b *Poly
 	// opDotKeyLazy: the caller's operand slices (not copied) and whether
 	// out is accumulated onto. opAutMulAccWide: acc is false on the MAC that
-	// opens the accumulator, which clears its high-word row first.
+	// opens the accumulator, which clears its high-word row first. opModUp:
+	// as are the digit rows.
 	as, bs []*Poly
 	acc    bool
+	// opModUp: one converter per digit, lane limb i being target row off+i
+	// of each. opBConv: the converter, lane limb i being its target row i.
+	conv []*rns.BasisConverter
+	bc   *rns.BasisConverter
+	off  int
 	// opDotKeyLazy: the second accumulator, whether it is accumulated onto,
 	// and the key whose uniform rows it dots with as, by their half (0 Q, 1 P).
 	out2 *Poly
@@ -132,9 +154,6 @@ type stage struct {
 	s    []uint64 // per-limb scalars (opMulScalars, opSubMulScalarsLazy)
 	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
 	fn   func(limb int)
-	// Limb window [lo, hi): the only rows opCopyRows touches, the rows
-	// opNTTLazy leaves alone (NTTLazyExcept). Empty for whole-lane stages.
-	lo, hi int
 }
 
 // wideAcc is one 128-bit accumulator of a lane: the polynomial holding its
@@ -156,6 +175,7 @@ type polyEffect struct {
 	p           *Poly
 	isNTT       bool
 	flagDirty   bool
+	scratch     bool // a Scratch polynomial: no rows to charge
 	readRows    int
 	writtenRows int
 }
@@ -186,6 +206,10 @@ func (pl *Pipeline) reset() {
 		ln.dotRows, ln.tileRefs, ln.dotTerms = ln.dotRows[:0], ln.tileRefs[:0], 0
 		clear(ln.wide)
 		ln.wide = ln.wide[:0]
+		for _, p := range ln.scratch[:ln.nScratch] {
+			clear(p.Coeffs) // drop the goroutines' scratch rows
+		}
+		ln.nScratch = 0
 		ln.nttRows, ln.inttRows, ln.naiveRows = 0, 0, 0
 		ln.r = nil
 	}
@@ -199,37 +223,39 @@ func (pl *Pipeline) reset() {
 func (pl *Pipeline) Lane(r *Ring, level int) *Lane {
 	if pl.nLanes < len(pl.lanes) {
 		ln := pl.lanes[pl.nLanes]
-		ln.r, ln.level, ln.rows = r, level, level+1
+		ln.r, ln.level = r, level
 		pl.nLanes++
 		return ln
 	}
-	ln := &Lane{r: r, level: level, rows: level + 1}
+	ln := &Lane{r: r, level: level}
 	pl.lanes = append(pl.lanes, ln)
 	pl.nLanes++
 	return ln
 }
 
-// use records a read and/or write of p, returning the index of its effect
-// entry. Never hold the returned pointer across another use/effect call —
-// the backing slice may grow.
+// use records a read and/or write of p, which must have a row for every limb
+// of the lane.
 func (ln *Lane) use(p *Poly, read, write bool) {
+	if len(p.Coeffs) < ln.level+1 {
+		panic("ring: pipeline operand has fewer limbs than the lane level")
+	}
 	e := ln.effect(p)
 	if read {
-		e.readRows = max(e.readRows, ln.rows)
+		e.readRows = max(e.readRows, ln.level+1)
 	}
 	if write {
-		e.writtenRows = max(e.writtenRows, ln.rows)
+		e.writtenRows = ln.level + 1
 	}
 }
 
+// effect returns p's effect entry, adding it on first use. Never hold the
+// returned pointer across another use/effect call — the backing slice may
+// grow.
 func (ln *Lane) effect(p *Poly) *polyEffect {
 	for i := range ln.effects {
 		if ln.effects[i].p == p {
 			return &ln.effects[i]
 		}
-	}
-	if len(p.Coeffs) < ln.level+1 {
-		panic("ring: pipeline operand has fewer limbs than the lane level")
 	}
 	ln.effects = append(ln.effects, polyEffect{p: p, isNTT: p.IsNTT})
 	return &ln.effects[len(ln.effects)-1]
@@ -246,7 +272,7 @@ func (ln *Lane) setDomain(p *Poly, ntt bool) {
 
 func (ln *Lane) push(st stage, naiveRows int) {
 	ln.stages = append(ln.stages, st)
-	ln.naiveRows += naiveRows * ln.rows
+	ln.naiveRows += naiveRows * (ln.level + 1)
 }
 
 // Copy records out ← a (rows copied limb-wise; domain follows a).
@@ -257,41 +283,52 @@ func (ln *Lane) Copy(out, a *Poly) {
 	ln.push(stage{op: opCopy, out: out, a: a}, 2)
 }
 
-// CopyRows records out ← a on limbs [lo, hi) only; the other rows of out and
-// its domain flag are left alone. With NTTLazyExcept it lets a polynomial be
-// assembled from rows that are already in NTT form and rows that are not (the
-// ModUp digits, whose own limbs are the input's).
-func (ln *Lane) CopyRows(out, a *Poly, lo, hi int) {
-	ln.rows = hi - lo
-	ln.use(a, true, false)
-	ln.use(out, false, true)
-	ln.push(stage{op: opCopyRows, out: out, a: a, lo: lo, hi: hi}, 2)
-	ln.rows = ln.level + 1
+// Scratch returns n polynomials whose rows are the Run's per-goroutine
+// scratch (see the contract above): a value that lives within one limb's
+// chain — a ModUp digit row, a converted ModDown row, a key-switched row the
+// same limb permutes — costs a row per goroutine instead of a polynomial.
+// Each starts the chain in the coefficient domain.
+func (ln *Lane) Scratch(n int) []*Poly {
+	first := ln.nScratch
+	for ; ln.nScratch < first+n; ln.nScratch++ {
+		if ln.nScratch == len(ln.scratch) {
+			ln.scratch = append(ln.scratch, &Poly{})
+		}
+		p := ln.scratch[ln.nScratch]
+		if cap(p.Coeffs) < ln.level+1 {
+			p.Coeffs = make([][]uint64, ln.level+1)
+		}
+		p.Coeffs, p.IsNTT = p.Coeffs[:ln.level+1], false
+		ln.effects = append(ln.effects, polyEffect{p: p, scratch: true})
+	}
+	return ln.scratch[first:ln.nScratch:ln.nScratch]
+}
+
+// readAcross records that every limb's stage reads all of src's rows, the
+// premultiplied source of a base conversion. src must be in the coefficient
+// domain at this point of the chain.
+func (ln *Lane) readAcross(src *Poly) {
+	e := ln.effect(src)
+	if e.isNTT {
+		panic("ring: pipeline base conversion of an NTT-domain source")
+	}
+	e.readRows = max(e.readRows, len(src.Coeffs))
 }
 
 // NTT records an in-place exact forward transform of p.
-func (ln *Lane) NTT(p *Poly) { ln.recordNTT(p, opNTT, 0, 0) }
+func (ln *Lane) NTT(p *Poly) { ln.recordNTT(p, opNTT) }
 
 // NTTLazy records an in-place forward transform with lazy [0, 2q) outputs.
-func (ln *Lane) NTTLazy(p *Poly) { ln.recordNTT(p, opNTTLazy, 0, 0) }
+func (ln *Lane) NTTLazy(p *Poly) { ln.recordNTT(p, opNTTLazy) }
 
-// NTTLazyExcept is NTTLazy for a polynomial whose limbs [lo, hi) already hold
-// NTT-domain rows: those rows are neither transformed nor counted, and must
-// be in [0, 2q) like the rows the transform produces.
-func (ln *Lane) NTTLazyExcept(p *Poly, lo, hi int) {
-	ln.rows = ln.level + 1 - (hi - lo)
-	ln.recordNTT(p, opNTTLazy, lo, hi)
-	ln.rows = ln.level + 1
-}
-
-func (ln *Lane) recordNTT(p *Poly, op stageOp, lo, hi int) {
+func (ln *Lane) recordNTT(p *Poly, op stageOp) {
 	if ln.domain(p) {
 		panic("ring: pipeline NTT on a polynomial already in NTT form")
 	}
 	ln.use(p, true, true)
 	ln.setDomain(p, true)
-	ln.nttRows += ln.rows
-	ln.push(stage{op: op, out: p, lo: lo, hi: hi}, 2)
+	ln.nttRows += ln.level + 1
+	ln.push(stage{op: op, out: p}, 2)
 }
 
 // INTT records an in-place exact inverse transform of p.
@@ -301,7 +338,7 @@ func (ln *Lane) INTT(p *Poly) {
 	}
 	ln.use(p, true, true)
 	ln.setDomain(p, false)
-	ln.inttRows += ln.rows
+	ln.inttRows += ln.level + 1
 	ln.push(stage{op: opINTT, out: p}, 2)
 }
 
@@ -350,6 +387,8 @@ func (ln *Lane) DotKeyLazy(outB, outA *Poly, as, bs []*Poly, key *modarith.Strea
 	}
 	ln.use(outB, accB, true)
 	ln.use(outA, accA, true)
+	ln.setDomain(outB, true)
+	ln.setDomain(outA, true)
 	ln.dotTerms = max(ln.dotTerms, len(as))
 	naive := 3*len(as) + 2 // two barriered dots, less the A rows never read
 	if accB {
@@ -359,6 +398,54 @@ func (ln *Lane) DotKeyLazy(outB, outA *Poly, as, bs []*Poly, key *modarith.Strea
 		naive++
 	}
 	ln.push(stage{op: opDotKeyLazy, out: outB, out2: outA, as: as, bs: bs, key: key, half: half, acc: accB, acc2: accA}, naive)
+}
+
+// ModUp records the per-limb half of a key switch's ModUp. pre holds the
+// decomposed value's coefficient rows, each premultiplied by its digit's
+// QHatInv factor, and conv[d] converts digit d — the next len(conv[d].From)
+// rows of pre — onto a basis whose target row off+i is this lane's limb i.
+// For every limb, digits[d] (a Scratch polynomial) receives digit d's row:
+// the lazy conversion of the digit's premultiplied rows onto the limb,
+// forward-transformed in scratch (lazy, [0, 2q)). With in non-nil the lane is
+// over in's own ring, and a digit's own limbs instead read in's NTT row
+// itself — not a copy — so in must be left alone until the Run ends. The
+// digits are pending-NTT afterwards, ready for DotKeyLazy.
+func (ln *Lane) ModUp(digits []*Poly, in, pre *Poly, conv []*rns.BasisConverter, off int) {
+	rows := 0
+	for _, bc := range conv {
+		rows += len(bc.From)
+	}
+	if len(digits) != len(conv) || rows != len(pre.Coeffs) {
+		panic("ring: pipeline ModUp needs one digit row per converter, the converters one source row per premultiplied row")
+	}
+	ln.readAcross(pre)
+	if in != nil {
+		ln.use(in, true, false)
+	}
+	for d, bc := range conv {
+		ln.use(digits[d], false, true)
+		ln.setDomain(digits[d], true)
+		ln.nttRows += ln.level + 1
+		if in != nil {
+			ln.nttRows -= len(bc.From) // the digit's own limbs are in's rows
+		}
+	}
+	// A barriered ModUp writes each converted row and transforms it in place.
+	ln.push(stage{op: opModUp, as: digits, a: in, b: pre, conv: conv, off: off}, 3*len(digits))
+}
+
+// BConv records out ← the exact conversion of src, whose rows are
+// premultiplied by conv's QHatInv factors, onto each limb i of the lane as
+// conv's target row i: the ModDown's P → Q conversion, one row where it is
+// consumed. out is in the coefficient domain afterwards.
+func (ln *Lane) BConv(out, src *Poly, conv *rns.BasisConverter) {
+	if len(src.Coeffs) != len(conv.From) || len(conv.To) < ln.level+1 {
+		panic("ring: pipeline BConv source or target basis does not match the lane")
+	}
+	ln.readAcross(src)
+	ln.use(out, false, true)
+	ln.setDomain(out, false)
+	ln.push(stage{op: opBConv, out: out, b: src, bc: conv}, 1)
 }
 
 // AutMulAccWide records out += σ_g(a) ⊙ b into a 128-bit accumulator: the
@@ -512,7 +599,8 @@ func (ln *Lane) Func(fn func(limb int), reads, writes []*Poly) {
 // re-recording.
 func (pl *Pipeline) Run() {
 	lanes := pl.lanes[:pl.nLanes]
-	total, wideWords, uniWords := 0, 0, 0
+	var sz runSizes
+	total := 0
 	for _, ln := range lanes {
 		for _, acc := range ln.wide {
 			if acc.open {
@@ -520,8 +608,9 @@ func (pl *Pipeline) Run() {
 			}
 		}
 		total += ln.level + 1
-		wideWords = max(wideWords, len(ln.wide)*ln.r.N)
-		uniWords = max(uniWords, ln.dotTerms*modarith.UniformTile)
+		sz.wide = max(sz.wide, len(ln.wide)*ln.r.N)
+		sz.uni = max(sz.uni, ln.dotTerms*modarith.UniformTile)
+		sz.rows = max(sz.rows, ln.nScratch*ln.r.N)
 		if need := 3 * ln.dotTerms * (ln.level + 1); need <= cap(ln.dotRows) {
 			ln.dotRows = ln.dotRows[:need]
 		} else {
@@ -535,34 +624,47 @@ func (pl *Pipeline) Run() {
 	}
 	if total > 0 {
 		if total < parallelLimbThreshold || par.Workers() < 2 {
-			runLimbs(lanes, 0, total, wideWords, uniWords)
+			runLimbs(lanes, 0, total, sz)
 		} else {
-			par.ForEachChunk(total, func(lo, hi int) { runLimbs(lanes, lo, hi, wideWords, uniWords) })
+			par.ForEachChunk(total, func(lo, hi int) { runLimbs(lanes, lo, hi, sz) })
 		}
 	}
 	pl.finish()
 }
 
 // runScratch pools the Run-owned scratch: the high-word rows of the 128-bit
-// accumulators, then the expanded key tiles of DotKeyLazy. One buffer per
-// goroutine executing a Run's limbs, reused limb after limb because every
-// accumulator is opened and closed, and every tile expanded and consumed,
-// within one limb's chain.
+// accumulators, the expanded key tiles of DotKeyLazy, the rows of the
+// Scratch polynomials and a base conversion's accumulator tile. One buffer
+// per goroutine executing a Run's limbs, reused limb after limb because every
+// accumulator is opened and closed, every tile expanded and consumed, and
+// every scratch row written and read within one limb's chain.
 var runScratch sync.Pool // of *[]uint64
+
+// runSizes is the word count of each part of a goroutine's Run scratch.
+type runSizes struct{ wide, uni, rows int }
+
+// scratch is one goroutine's share of the Run scratch.
+type scratch struct {
+	wide, uni []uint64 // 128-bit high words, expanded key tiles
+	rows      []uint64 // the Scratch polynomials' rows, N words each
+	hi        []uint64 // the base conversion's accumulator tile
+}
 
 // runLimbs executes the chains of the pipeline's limbs t ∈ [lo, hi), counted
 // lane after lane, on the calling goroutine.
-func runLimbs(lanes []*Lane, lo, hi, wideWords, uniWords int) {
-	var wide, uni []uint64
-	if words := wideWords + uniWords; words > 0 {
-		b, _ := runScratch.Get().(*[]uint64)
-		if b == nil || cap(*b) < words {
-			s := make([]uint64, words)
-			b = &s
-		}
-		defer runScratch.Put(b)
-		wide, uni = (*b)[:wideWords], (*b)[wideWords:words]
+func runLimbs(lanes []*Lane, lo, hi int, sz runSizes) {
+	words := sz.wide + sz.uni + sz.rows + rns.RowTile
+	b, _ := runScratch.Get().(*[]uint64)
+	if b == nil || cap(*b) < words {
+		s := make([]uint64, words)
+		b = &s
 	}
+	defer runScratch.Put(b)
+	var sc scratch
+	buf := (*b)[:words]
+	sc.wide, buf = buf[:sz.wide], buf[sz.wide:]
+	sc.uni, buf = buf[:sz.uni], buf[sz.uni:]
+	sc.rows, sc.hi = buf[:sz.rows], buf[sz.rows:]
 	for t := lo; t < hi; t++ {
 		i := t
 		for _, ln := range lanes {
@@ -570,7 +672,11 @@ func runLimbs(lanes []*Lane, lo, hi, wideWords, uniWords int) {
 				i -= limbs
 				continue
 			}
-			ln.exec(i, wide, uni)
+			n := ln.r.N
+			for k, p := range ln.scratch[:ln.nScratch] {
+				p.Coeffs[i] = sc.rows[k*n : (k+1)*n : (k+1)*n]
+			}
+			ln.exec(i, &sc)
 			break
 		}
 	}
@@ -583,6 +689,9 @@ func (pl *Pipeline) finish() {
 		distinct := 0
 		for i := range ln.effects {
 			e := &ln.effects[i]
+			if e.scratch {
+				continue
+			}
 			if e.flagDirty {
 				e.p.IsNTT = e.isNTT
 			}
@@ -602,29 +711,23 @@ func (pl *Pipeline) finish() {
 	pl.reset()
 }
 
-// exec runs the lane's whole stage chain over limb i, with wide holding the
-// high-word rows of its 128-bit accumulators and uni the expanded key tiles.
-// This is the inner loop of the executor: every stage body is the same row
-// kernel its barriered counterpart dispatches per limb, in the same order, so
-// the results are bit-identical on every kernel tier.
-func (ln *Lane) exec(i int, wide, uni []uint64) {
+// exec runs the lane's whole stage chain over limb i on the goroutine's
+// scratch sc. This is the inner loop of the executor: every stage body is the
+// same row kernel its barriered counterpart dispatches per limb, in the same
+// order, so the results are bit-identical on every kernel tier.
+func (ln *Lane) exec(i int, sc *scratch) {
 	r := ln.r
+	wide, uni := sc.wide, sc.uni
 	mod := r.Moduli[i]
 	for si := range ln.stages {
 		st := &ln.stages[si]
 		switch st.op {
 		case opCopy:
 			copy(st.out.Coeffs[i], st.a.Coeffs[i])
-		case opCopyRows:
-			if st.lo <= i && i < st.hi {
-				copy(st.out.Coeffs[i], st.a.Coeffs[i])
-			}
 		case opNTT:
 			r.Tables[i].Forward(st.out.Coeffs[i])
 		case opNTTLazy:
-			if i < st.lo || i >= st.hi {
-				r.Tables[i].ForwardLazy(st.out.Coeffs[i])
-			}
+			r.Tables[i].ForwardLazy(st.out.Coeffs[i])
 		case opINTT:
 			r.Tables[i].Inverse(st.out.Coeffs[i])
 		case opMulCoeffs:
@@ -649,6 +752,21 @@ func (ln *Lane) exec(i int, wide, uni []uint64) {
 				mod.ExpandUniformTiles(uni[:k*(hi-lo)], st.key, refs)
 				mod.VecDotKeyLazy(outB[lo:hi], outA[lo:hi], ra, rb, ru, st.acc, st.acc2)
 			}
+		case opModUp:
+			lo := 0
+			for d, bc := range st.conv {
+				hi := lo + len(bc.From)
+				if st.a != nil && lo <= i && i < hi {
+					st.as[d].Coeffs[i] = st.a.Coeffs[i] // the digit's own limb
+				} else {
+					row := st.as[d].Coeffs[i]
+					bc.ConvertRow(row, st.b.Coeffs[lo:hi], st.off+i, true, sc.hi)
+					r.Tables[i].ForwardLazy(row)
+				}
+				lo = hi
+			}
+		case opBConv:
+			st.bc.ConvertRow(st.out.Coeffs[i], st.b.Coeffs, i, false, sc.hi)
 		case opAutMulAccWide:
 			hi := wide[st.wide*r.N:][:r.N]
 			if !st.acc {

@@ -59,7 +59,7 @@ var fuzzSelf = func() []*BasisConverter {
 // FuzzBConv feeds arbitrary residue rows through the wide-accumulation
 // Convert and cross-checks it four ways: exact equality with the scalar
 // reference oracle, the big.Int x + e·Q contract (0 ≤ e < k, one e across
-// all targets), ConvertLazy staying in [0, 2q) congruent to Convert, and a
+// all targets), the lazy row conversion staying in [0, 2q) congruent to Convert, and a
 // target that is one of the source primes getting the source row back exactly
 // (every other Q/q_i term vanishes mod it).
 // The rescale pair is differentially checked on the same draws.
@@ -88,7 +88,7 @@ func FuzzBConv(f *testing.F) {
 		lazy := newRows(len(bc.To), n)
 		bc.Convert(got, in)
 		bc.ConvertRef(want, in)
-		bc.ConvertLazy(lazy, in)
+		convertRows(bc, lazy, in, true)
 		Q := basisProduct(bc.From)
 		for c := 0; c < n; c++ {
 			x := crtReconstruct(in, c, bc.From)
@@ -126,7 +126,7 @@ func FuzzBConv(f *testing.F) {
 		self := fuzzSelf[int(which)%len(fuzzBases)]
 		own, ownLazy := newRows(k, n), newRows(k, n)
 		self.Convert(own, in)
-		self.ConvertLazy(ownLazy, in)
+		convertRows(self, ownLazy, in, true)
 		for i := range in {
 			qi := bc.From[i]
 			for c := 0; c < n; c++ {

@@ -22,7 +22,8 @@ func (bc *BasisConverter) ConvertRef(out, in [][]uint64) {
 		qi := bc.From[i]
 		row := make([]uint64, n)
 		src := in[i]
-		w, ws := bc.qHatInv[i], bc.qHatInvShoup[i]
+		w := bc.qHatInv[i]
+		ws := qi.ShoupPrecomp(w)
 		for c := 0; c < n; c++ {
 			row[c] = qi.MulShoup(src[c], w, ws)
 		}

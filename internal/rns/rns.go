@@ -12,13 +12,12 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
-// convTile is the coefficient-tile width of the blocked Convert kernel. A
-// tile keeps k premultiplied tmp rows plus two accumulator rows resident in
-// L1 while every target limb consumes them: at 256 coefficients a k=32 digit
-// needs 32·256·8 = 64 KiB of tmp plus 4 KiB of accumulators, the L1d
-// footprint the kernel is sized for (per-core L1d is 32–64 KiB; the hot
-// working set at any instant is one tmp row + the accumulators).
-const convTile = 256
+// RowTile is the coefficient-tile width of ConvertRow, and the length of the
+// accumulator scratch it takes: a tile keeps one high-word row of RowTile
+// words plus the output tile's low words L1-resident while the k
+// premultiplied source tiles stream past (4 KiB of accumulator against the
+// 32–64 KiB of a core's L1d).
+const RowTile = 256
 
 // BasisConverter performs the fast base conversion of a value represented in
 // basis "from" (moduli q_0..q_{k-1}, product Q) into basis "to": for each
@@ -31,23 +30,24 @@ const convTile = 256
 // is "mostly equivalent to a matrix-matrix mult between a predefined α×L
 // BConv matrix and the L×N input" (§II-B).
 //
-// The kernel blocks the coefficient dimension into convTile-wide tiles
-// (dispatched over the par worker pool), Shoup-premultiplies the k tmp rows
-// once per tile, and accumulates the k products tmp_i·qHat_i of each target
-// limb as exact 128-bit (hi, lo) pairs, reducing ONCE per output coefficient
-// with the 128-bit Barrett reciprocal — no per-term reduction and no
-// hardware division anywhere (see modarith/wide.go for the domain
-// contracts; the scalar oracle the tests compare against is in ref_test.go).
-//
-// A BasisConverter must not be copied after creation (it embeds a
-// sync.Pool); use the *BasisConverter returned by NewBasisConverter.
+// The conversion runs in two halves. The premultiply, x_i·(Q/q_i)^{-1} mod
+// q_i, is per source row and is done once, in place, by whoever owns the rows
+// (QHatInv gives the factors). ConvertRow then forms one target row at a
+// time: it accumulates the k products pre_i·(Q/q_i) of each coefficient as
+// exact 128-bit (hi, lo) pairs, RowTile coefficients at a time, and reduces
+// ONCE per output coefficient with the 128-bit Barrett reciprocal — no
+// per-term reduction and no hardware division anywhere (see modarith/wide.go
+// for the domain contracts; the scalar oracle the tests compare against is in
+// ref_test.go). A target row depends only on the premultiplied rows, so a
+// caller converting limb by limb (the key switch's pipelined ModUp and
+// ModDown) forms each row where it is consumed, and the rows never exist
+// together.
 type BasisConverter struct {
 	From []modarith.Modulus
 	To   []modarith.Modulus
 
-	qHatInv      []uint64   // [ (Q/q_i)^{-1} ]_{q_i}
-	qHatInvShoup []uint64   // Shoup companions for the per-limb premultiply
-	qHatModTo    [][]uint64 // qHatModTo[j][i] = (Q/q_i) mod p_j
+	qHatInv   []uint64   // [ (Q/q_i)^{-1} ]_{q_i}
+	qHatModTo [][]uint64 // qHatModTo[j][i] = (Q/q_i) mod p_j
 
 	// foldEvery bounds the number of b1×b2-bit products a 128-bit
 	// accumulator absorbs before VecFoldWide128Lazy must compress it:
@@ -55,16 +55,6 @@ type BasisConverter struct {
 	// 61-bit modulus ceiling that is 64 terms; for the 45–55-bit primes of
 	// real parameter sets it is ≥ 2^33, so the fold never fires in practice.
 	foldEvery int
-
-	scratch sync.Pool // *convScratch
-}
-
-// convScratch is the per-worker tile scratch: k premultiplied tmp rows plus
-// one (hi, lo) accumulator pair, all convTile wide.
-type convScratch struct {
-	tmp     [][]uint64
-	backing []uint64
-	hi, lo  []uint64
 }
 
 // NewBasisConverter precomputes the conversion constants.
@@ -74,11 +64,10 @@ func NewBasisConverter(from, to []modarith.Modulus) (*BasisConverter, error) {
 	}
 	k := len(from)
 	bc := &BasisConverter{
-		From:         from,
-		To:           to,
-		qHatInv:      make([]uint64, k),
-		qHatInvShoup: make([]uint64, k),
-		qHatModTo:    make([][]uint64, len(to)),
+		From:      from,
+		To:        to,
+		qHatInv:   make([]uint64, k),
+		qHatModTo: make([][]uint64, len(to)),
 	}
 	for i, qi := range from {
 		// Q/q_i mod q_i = prod of the other primes mod q_i.
@@ -93,7 +82,6 @@ func NewBasisConverter(from, to []modarith.Modulus) (*BasisConverter, error) {
 			return nil, fmt.Errorf("rns: duplicate primes in basis (q_%d)", i)
 		}
 		bc.qHatInv[i] = inv
-		bc.qHatInvShoup[i] = qi.ShoupPrecomp(inv)
 	}
 	for j, pj := range to {
 		row := make([]uint64, k)
@@ -129,15 +117,14 @@ func NewBasisConverter(from, to []modarith.Modulus) (*BasisConverter, error) {
 // multiplied by s[j] (reduced mod p_j): the factor is folded into the
 // (Q/q_i) mod p_j constants, so the conversion costs what Convert costs and
 // its residues are exactly those of Convert followed by a per-row scalar
-// multiply.
+// multiply. The premultiply factors are the plain converter's.
 func (bc *BasisConverter) Scaled(s []uint64) *BasisConverter {
 	out := &BasisConverter{
-		From:         bc.From,
-		To:           bc.To,
-		qHatInv:      bc.qHatInv,
-		qHatInvShoup: bc.qHatInvShoup,
-		qHatModTo:    make([][]uint64, len(bc.To)),
-		foldEvery:    bc.foldEvery,
+		From:      bc.From,
+		To:        bc.To,
+		qHatInv:   bc.qHatInv,
+		qHatModTo: make([][]uint64, len(bc.To)),
+		foldEvery: bc.foldEvery,
 	}
 	for j, pj := range bc.To {
 		row := make([]uint64, len(bc.From))
@@ -149,22 +136,11 @@ func (bc *BasisConverter) Scaled(s []uint64) *BasisConverter {
 	return out
 }
 
-func (bc *BasisConverter) getScratch() *convScratch {
-	if v := bc.scratch.Get(); v != nil {
-		return v.(*convScratch)
-	}
-	k := len(bc.From)
-	s := &convScratch{
-		tmp:     make([][]uint64, k),
-		backing: make([]uint64, k*convTile),
-		hi:      make([]uint64, convTile),
-		lo:      make([]uint64, convTile),
-	}
-	for i := range s.tmp {
-		s.tmp[i] = s.backing[i*convTile : (i+1)*convTile]
-	}
-	return s
-}
+// QHatInv returns the premultiply factors [(Q/q_i)^{-1}]_{q_i}, one per
+// source row: ConvertRow expects source row i multiplied by the i-th
+// (Modulus.VecMulShoup, or ring's MulByLimbScalars). Callers must not modify
+// the slice.
+func (bc *BasisConverter) QHatInv() []uint64 { return bc.qHatInv }
 
 // checkShape validates in/out against the converter bases: all rows of in
 // (len(From) of them) and out (len(To)) must have equal length. Mirrors the
@@ -190,68 +166,58 @@ func (bc *BasisConverter) checkShape(out, in [][]uint64) int {
 
 // Convert converts coefficient-domain residue rows in (len(From) rows of
 // equal length) into out (len(To) rows), producing exact residues in
-// [0, p_j). out must not alias in.
+// [0, p_j). It walks RowTile-wide column tiles: it premultiplies a tile of
+// every source row into scratch, then runs ConvertRow on that tile for every
+// target. out must not alias in.
 func (bc *BasisConverter) Convert(out, in [][]uint64) {
-	bc.convert(out, in, false)
-}
-
-// ConvertLazy is Convert with lazy outputs: each target row stays in the
-// [0, 2p_j) domain (one conditional subtraction fewer per coefficient),
-// which ring.NTTLazy / ring.NTT accept directly — Decompose feeds these rows
-// straight into the forward transform without an intermediate reduction.
-func (bc *BasisConverter) ConvertLazy(out, in [][]uint64) {
-	bc.convert(out, in, true)
-}
-
-func (bc *BasisConverter) convert(out, in [][]uint64, lazy bool) {
 	n := bc.checkShape(out, in)
-	nTiles := (n + convTile - 1) / convTile
-	if par.Workers() < 2 {
-		// Serial: no chunk closure to allocate (a bootstrap converts ~500
-		// times).
-		bc.convertTiles(out, in, lazy, 0, nTiles)
-		return
+	k := len(in)
+	scratch := make([]uint64, (k+1)*RowTile)
+	pre, hi := make([][]uint64, k), scratch[k*RowTile:]
+	for c0 := 0; c0 < n; c0 += RowTile {
+		c1 := min(c0+RowTile, n)
+		for i, qi := range bc.From {
+			pre[i] = scratch[i*RowTile:][:c1-c0]
+			w := bc.qHatInv[i]
+			qi.VecMulShoup(pre[i], in[i][c0:c1], w, qi.ShoupPrecomp(w))
+		}
+		for j := range out {
+			bc.ConvertRow(out[j][c0:c1], pre, j, false, hi)
+		}
 	}
-	par.ForEachChunk(nTiles, func(tileLo, tileHi int) { bc.convertTiles(out, in, lazy, tileLo, tileHi) })
 }
 
-// convertTiles converts the column tiles [tileLo, tileHi) of in into out.
-func (bc *BasisConverter) convertTiles(out, in [][]uint64, lazy bool, tileLo, tileHi int) {
-	n, k := len(in[0]), len(bc.From)
-	s := bc.getScratch()
-	for t := tileLo; t < tileHi; t++ {
-		c0 := t * convTile
-		c1 := c0 + convTile
-		if c1 > n {
-			c1 = n
-		}
-		w := c1 - c0
-		// tmp_i = [x · qHatInv_i]_{q_i}, premultiplied once per tile and
-		// reused by every target limb below.
-		for i := 0; i < k; i++ {
-			bc.From[i].VecMulShoup(s.tmp[i][:w], in[i][c0:c1], bc.qHatInv[i], bc.qHatInvShoup[i])
-		}
-		for j := range bc.To {
-			pj := bc.To[j]
-			hat := bc.qHatModTo[j]
-			modarith.VecMulWide(s.hi[:w], s.lo[:w], s.tmp[0][:w], hat[0])
-			terms := 1
-			for i := 1; i < k; i++ {
-				if terms == bc.foldEvery {
-					pj.VecFoldWide128Lazy(s.hi[:w], s.lo[:w])
-					terms = 1 // folded residue < 2q re-enters as one term
-				}
-				modarith.VecMulAccWide(s.hi[:w], s.lo[:w], s.tmp[i][:w], hat[i])
-				terms++
+// ConvertRow sets out to target row j of the conversion of pre, the source
+// rows already multiplied by their QHatInv factors: exact residues in
+// [0, p_j), or with lazy in [0, 2p_j) (one conditional subtraction fewer per
+// coefficient, which a lazy forward NTT accepts directly). hi is accumulator
+// scratch of at least min(len(out), RowTile) words. Every pre row must be at
+// least len(out) long; out must alias neither them nor hi. Only pre and the
+// constants are read, so concurrent calls for different rows may share pre.
+func (bc *BasisConverter) ConvertRow(out []uint64, pre [][]uint64, j int, lazy bool, hi []uint64) {
+	if len(pre) != len(bc.From) {
+		panic(fmt.Sprintf("rns: ConvertRow has %d source rows, want %d", len(pre), len(bc.From)))
+	}
+	pj, hat := bc.To[j], bc.qHatModTo[j]
+	for c0 := 0; c0 < len(out); c0 += RowTile {
+		c1 := min(c0+RowTile, len(out))
+		h, lo := hi[:c1-c0], out[c0:c1]
+		modarith.VecMulWide(h, lo, pre[0][c0:c1], hat[0])
+		terms := 1
+		for i := 1; i < len(pre); i++ {
+			if terms == bc.foldEvery {
+				pj.VecFoldWide128Lazy(h, lo)
+				terms = 1 // folded residue < 2q re-enters as one term
 			}
-			if lazy {
-				pj.VecReduceWide128Lazy(out[j][c0:c1], s.hi[:w], s.lo[:w])
-			} else {
-				pj.VecReduceWide128(out[j][c0:c1], s.hi[:w], s.lo[:w])
-			}
+			modarith.VecMulAccWide(h, lo, pre[i][c0:c1], hat[i])
+			terms++
+		}
+		if lazy {
+			pj.VecReduceWide128Lazy(lo, h, lo)
+		} else {
+			pj.VecReduceWide128(lo, h, lo)
 		}
 	}
-	bc.scratch.Put(s)
 }
 
 // Rescaler precomputes the per-limb constants of DivRoundByLastModulus for a

@@ -87,6 +87,63 @@ func TestConvertMatchesBigInt(t *testing.T) {
 	}
 }
 
+// convertRows is Convert through the row conversion, lazy or exact: the
+// premultiply once, then every target row on its own.
+func convertRows(bc *BasisConverter, out, in [][]uint64, lazy bool) {
+	pre := make([][]uint64, len(in))
+	for i, qi := range bc.From {
+		pre[i] = make([]uint64, len(in[i]))
+		w := bc.QHatInv()[i]
+		qi.VecMulShoup(pre[i], in[i], w, qi.ShoupPrecomp(w))
+	}
+	hi := make([]uint64, RowTile)
+	for j := range out {
+		bc.ConvertRow(out[j], pre, j, lazy, hi)
+	}
+}
+
+// TestConvertRowMatchesBigInt holds the row conversion to the big.Int
+// definition of TestConvertMatchesBigInt, v = Σ_i [x·qHatInv_i]_{q_i}·(Q/q_i):
+// every target row, exact and lazy, for the digit widths a key switch
+// converts (α = 1, 3 and 7) and a 33-limb source, over a row longer than one
+// accumulator tile with a ragged last tile.
+func TestConvertRowMatchesBigInt(t *testing.T) {
+	const nTo, n = 5, RowTile + 17
+	r := rand.New(rand.NewSource(3))
+	for _, k := range []int{1, 3, 7, 33} {
+		mods := mustModuli(t, 45, 10, k+nTo)
+		from, to := mods[:k], mods[k:]
+		bc, err := NewBasisConverter(from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := newRows(k, n)
+		Q := basisProduct(from)
+		for c := 0; c < n; c++ {
+			decompose(new(big.Int).Rand(r, Q), from, n, c, in)
+		}
+		exact, lazy := newRows(nTo, n), newRows(nTo, n)
+		convertRows(bc, exact, in, false)
+		convertRows(bc, lazy, in, true)
+		for c := 0; c < n; c++ {
+			v := big.NewInt(0)
+			for i, qi := range from {
+				term := new(big.Int).SetUint64(qi.Mul(in[i][c], bc.qHatInv[i]))
+				v.Add(v, term.Mul(term, new(big.Int).Div(Q, new(big.Int).SetUint64(qi.Q))))
+			}
+			for j, pj := range to {
+				want := new(big.Int).Mod(v, new(big.Int).SetUint64(pj.Q)).Uint64()
+				if exact[j][c] != want {
+					t.Fatalf("k=%d target %d col %d: exact %d, want %d", k, j, c, exact[j][c], want)
+				}
+				if lz := lazy[j][c]; lz >= pj.TwoQ || lz%pj.Q != want {
+					t.Fatalf("k=%d target %d col %d: lazy %d is not a [0, 2p) residue of %d", k, j, c, lz, want)
+				}
+			}
+		}
+	}
+}
+
 // TestScaledConvert: a Scaled converter's rows are the plain converter's
 // times the row's scalar, residue for residue, exact and lazy.
 func TestScaledConvert(t *testing.T) {
@@ -120,7 +177,7 @@ func TestScaledConvert(t *testing.T) {
 	plain, got, lazy := rows(), rows(), rows()
 	bc.Convert(plain, in)
 	scaled.Convert(got, in)
-	scaled.ConvertLazy(lazy, in)
+	convertRows(scaled, lazy, in, true)
 	for j, pj := range to {
 		for c := 0; c < n; c++ {
 			want := pj.Mul(plain[j][c], s[j])

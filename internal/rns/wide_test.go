@@ -79,8 +79,8 @@ func TestConvertMatchesRefAndContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// n > convTile exercises the tile loop and the ragged final tile.
-		n := convTile + 33
+		// n > RowTile exercises the tile loop and the ragged final tile.
+		n := RowTile + 33
 		in := newRows(shape.k, n)
 		Q := basisProduct(from)
 		for c := 0; c < n; c++ {
@@ -106,7 +106,7 @@ func TestConvertMatchesRefAndContract(t *testing.T) {
 		lazy := newRows(shape.nTo, n)
 		bc.Convert(got, in)
 		bc.ConvertRef(want, in)
-		bc.ConvertLazy(lazy, in)
+		convertRows(bc, lazy, in, true)
 		for j := range got {
 			pj := to[j]
 			for c := 0; c < n; c++ {
@@ -232,7 +232,7 @@ func TestRescalerMatchesRef(t *testing.T) {
 		ms := mustModuli(t, shape.bits, 9, shape.limbs)
 		rs := NewRescaler(ms)
 		Q := basisProduct(ms)
-		n := convTile + 17
+		n := RowTile + 17
 		for round := 0; round < 2; round++ {
 			rows := newRows(shape.limbs, n)
 			for c := 0; c < n; c++ {
