@@ -69,7 +69,10 @@ type kernelTable struct {
 	reduceTwoQ        func(m Modulus, p []uint64)
 	dotLazy           func(m Modulus, out []uint64, a, b [][]uint64, accumulate bool)
 	dotKeyLazy        func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool)
-	expandUniform     func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int)
+	// convertRow takes its own table: the tiled entries run on the table's
+	// wide kernels, and the IFMA one hands them the row tail.
+	convertRow    func(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64)
+	expandUniform func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int)
 
 	add func(m Modulus, out, a, b []uint64)
 	sub func(m Modulus, out, a, b []uint64)
@@ -97,6 +100,7 @@ var goKernels = kernelTable{
 	reduceTwoQ:        vecReduceTwoQGo,
 	dotLazy:           vecDotLazyGo,
 	dotKeyLazy:        vecDotKeyLazyGo,
+	convertRow:        convertRowTiled,
 	expandUniform:     expandUniformGo,
 	add:               vecAddGo,
 	sub:               vecSubGo,
@@ -108,8 +112,11 @@ var goKernels = kernelTable{
 var (
 	// asmKernels is the AVX-512 table, or nil where the binary or the CPU
 	// lacks it.
-	asmKernels = asmKernelTable()
-	tierMu     sync.Mutex
+	asmKernels = asmKernelTable(hasIFMA)
+	// noIFMAKernels is the AVX-512 table a host without IFMA runs, built for
+	// SetKernelTierWithoutIFMA only.
+	noIFMAKernels = sync.OnceValue(func() *kernelTable { return asmKernelTable(false) })
+	tierMu        sync.Mutex
 	// active is the table the public kernel methods dispatch through. An
 	// atomic pointer so SetKernelTier is race-clean against in-flight rows:
 	// a concurrent row sees either the old or the new table, both total.
@@ -163,6 +170,22 @@ func SetKernelTier(t KernelTier) error {
 	tbl := tableFor(t)
 	if tbl == nil {
 		return fmt.Errorf("modarith: kernel tier %s not available on this host (have %v)", t, AvailableTiers())
+	}
+	tierMu.Lock()
+	defer tierMu.Unlock()
+	setTier(tbl)
+	return nil
+}
+
+// SetKernelTierWithoutIFMA forces the AVX-512 table a host without AVX-512
+// IFMA runs — its key-switch dot as two one-output dots, its row conversion
+// on the MUL128x8 kernels — so tests and benchmarks on an IFMA host cover it
+// too; SetKernelTier with TierAVX512 restores the host's own table. A test hook
+// under SetKernelTier's rules, with no production caller.
+func SetKernelTierWithoutIFMA() error {
+	tbl := noIFMAKernels()
+	if tbl == nil {
+		return fmt.Errorf("modarith: kernel tier %s not available on this host (have %v)", TierAVX512, AvailableTiers())
 	}
 	tierMu.Lock()
 	defer tierMu.Unlock()

@@ -66,30 +66,37 @@ func TestSetKernelTierUnavailable(t *testing.T) {
 	}
 }
 
-// TestDispatchTierMatrix runs the full public kernel surface on every
-// available tier and compares against results computed with the Go table
-// directly — the contract suite the ISSUE calls the dispatch matrix.
+// TestDispatchTierMatrix runs the full public kernel surface on every table
+// the host can run — each available tier's, and the AVX-512 table without
+// IFMA through SetKernelTierWithoutIFMA — and compares against results
+// computed with the Go table directly: the dispatch matrix.
 func TestDispatchTierMatrix(t *testing.T) {
 	restoreTier(t)
 	moduli := tierTestModuli(t)
-	for _, tier := range AvailableTiers() {
-		tier := tier
-		t.Run(tier.String(), func(t *testing.T) {
+	srcs := convSources(t)
+	for _, tt := range testTables() {
+		tier := tt.tbl.tier
+		t.Run(tt.name, func(t *testing.T) {
 			// Every table is total: an entry added to kernelTable without a
 			// body in each table fails here, not as a nil call in production.
-			tbl := reflect.ValueOf(tableFor(tier)).Elem()
+			tbl := reflect.ValueOf(tt.tbl).Elem()
 			for i := 0; i < tbl.NumField(); i++ {
 				if f := tbl.Field(i); f.Kind() == reflect.Func && f.IsNil() {
-					t.Fatalf("tier %v: kernel table entry %s is nil", tier, tbl.Type().Field(i).Name)
+					t.Fatalf("table %s: kernel table entry %s is nil", tt.name, tbl.Type().Field(i).Name)
 				}
 			}
-			if err := SetKernelTier(tier); err != nil {
+			set := func() error { return SetKernelTier(tier) }
+			if tt.tbl != tableFor(tier) {
+				set = SetKernelTierWithoutIFMA
+			}
+			if err := set(); err != nil {
 				t.Fatal(err)
 			}
-			if got := ActiveTier(); got != tier {
-				t.Fatalf("ActiveTier() = %v after SetKernelTier(%v)", got, tier)
+			if got := active.Load(); got != tt.tbl {
+				t.Fatalf("table %s is not the active one after setting it (active tier %v)", tt.name, got.tier)
 			}
 			rng := rand.New(rand.NewSource(0xd15b + int64(tier)))
+			convHi := make([]uint64, ConvertTile)
 			for _, m := range moduli {
 				for _, n := range []int{1, 5, 8, 13, 64, 777} {
 					a := randRow(rng, n, m.TwoQ)
@@ -120,14 +127,14 @@ func TestDispatchTierMatrix(t *testing.T) {
 
 					hi, lo := make([]uint64, n), make([]uint64, n)
 					whi, wlo := make([]uint64, n), make([]uint64, n)
-					VecMulWide(hi, lo, a, w)
+					vecMulWide(hi, lo, a, w)
 					vecMulWideGo(whi, wlo, a, w)
-					rowsEqual(t, "VecMulWide.hi", tier, m, hi, whi)
-					rowsEqual(t, "VecMulWide.lo", tier, m, lo, wlo)
-					VecMulAccWide(hi, lo, b, w)
+					rowsEqual(t, "vecMulWide.hi", tier, m, hi, whi)
+					rowsEqual(t, "vecMulWide.lo", tier, m, lo, wlo)
+					vecMulAccWide(hi, lo, b, w)
 					vecMulAccWideGo(whi, wlo, b, w)
-					rowsEqual(t, "VecMulAccWide.hi", tier, m, hi, whi)
-					rowsEqual(t, "VecMulAccWide.lo", tier, m, lo, wlo)
+					rowsEqual(t, "vecMulAccWide.hi", tier, m, hi, whi)
+					rowsEqual(t, "vecMulAccWide.lo", tier, m, lo, wlo)
 					m.VecReduceWide128(out, hi, lo)
 					vecReduceWide128Go(m, want, whi, wlo)
 					rowsEqual(t, "VecReduceWide128", tier, m, out, want)
@@ -163,6 +170,27 @@ func TestDispatchTierMatrix(t *testing.T) {
 							}
 							checkDot(t, "VecDotLazy tier "+tier.String(), m, got, in, da, db, accumulate)
 						}
+					}
+				}
+				// The row conversion, and the key switch's two-output dot,
+				// against the Go table's entries.
+				for _, n := range []int{5, 16, 777} {
+					for _, k := range []int{1, 7} {
+						rows, c, fold := convOperands(rng, srcs, m, k, n, false)
+						for _, lazy := range []bool{false, true} {
+							got, want := make([]uint64, n), make([]uint64, n)
+							m.VecConvertRow(got, rows, &c, fold, lazy, convHi)
+							convertRowTiled(&goKernels, m, want, rows, &c, fold, lazy, convHi)
+							rowsEqual(t, "VecConvertRow", tier, m, got, want)
+						}
+						a := dotRows(rng, k, n, m.TwoQ, false)
+						b, u := dotRows(rng, k, n, m.Q, false), dotRows(rng, k, n, m.Q, false)
+						gotB, gotA := make([]uint64, n), make([]uint64, n)
+						wantB, wantA := make([]uint64, n), make([]uint64, n)
+						m.VecDotKeyLazy(gotB, gotA, a, b, u, false, false)
+						vecDotKeyLazyGo(m, wantB, wantA, a, b, u, false, false)
+						rowsEqual(t, "VecDotKeyLazy B", tier, m, gotB, wantB)
+						rowsEqual(t, "VecDotKeyLazy A", tier, m, gotA, wantA)
 					}
 				}
 				// NTT stage kernels through the public methods.

@@ -104,25 +104,43 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 }
 
 // TestDotKernelStaysInBounds puts out and every a[k] / b[k] row of the dot
-// kernel flush against an unmapped page: the assembly walks the row headers
-// and addresses the rows itself, so a step past len(out) faults here. Lengths
-// are one and three vector steps, and a ragged one (the wrapper's Go path).
-// add and sub ride along with their three rows guarded the same way.
+// kernels, and out and every source row of the row conversion, flush against
+// an unmapped page: the assembly walks the row headers and addresses the rows
+// itself, so a step past len(out) faults here. Lengths are one, two and three
+// vector steps, and a ragged one (the wrappers' Go path; the conversion's
+// IFMA kernel takes 16 coefficients a step and leaves 8 or 11 of 24 and 27 to
+// the tiled loop). add and sub ride along with their three rows guarded the
+// same way.
 func TestDotKernelStaysInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	m := tierTestModuli(t)[3]
+	srcs := convSources(t)
 	rng := rand.New(rand.NewSource(0xd07))
-	for _, tier := range AvailableTiers() {
-		tbl := tableFor(tier)
+	for _, tt := range testTables() {
+		tbl, tier := tt.tbl, tt.tbl.tier
 		run := func(name string, kernel func()) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("tier %v %s touched memory outside its operands: %v", tier, name, r)
+					t.Fatalf("table %s %s touched memory outside its operands: %v", tt.name, name, r)
 				}
 			}()
 			kernel()
 		}
-		for _, n := range []int{8, 24, 27} {
+		for _, n := range []int{8, 16, 24, 27} {
+			for _, k := range []int{1, 9} {
+				rows, c, fold := convOperands(rng, srcs, m, k, n, false)
+				grows := make([][]uint64, k)
+				for i, row := range rows {
+					grows[i] = guardedCopy(t, row)
+				}
+				hi := make([]uint64, n)
+				for _, lazy := range []bool{false, true} {
+					out, want := guardedRow(t, n), make([]uint64, n)
+					convertRowTiled(&goKernels, m, want, rows, &c, fold, lazy, hi)
+					run("convertRow", func() { tbl.convertRow(tbl, m, out, grows, &c, fold, lazy, hi) })
+					rowsEqual(t, "convertRow", tier, m, out, want)
+				}
+			}
 			for _, k := range []int{1, 9, MaxDotTerms} {
 				a, b := dotRows(rng, k, n, m.TwoQ, false), dotRows(rng, k, n, m.Q, false)
 				ga, gb := make([][]uint64, k), make([][]uint64, k)

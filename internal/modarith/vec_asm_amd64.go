@@ -66,6 +66,22 @@ func vecDotLazyAVX512(out []uint64, a, b [][]uint64, accMask, q, twoQ, u0, u1 ui
 //go:noescape
 func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
 
+// vecConvertRowAVX512 sets out (a multiple of 16 words) to the row conversion
+// over rows, one terms entry per row (len(rows) ≥ 1, at most maxIFMATerms),
+// on the AVX-512 IFMA multiply-adds: the sum opens on out under accMask (0xff:
+// the addend of a fold, 0: nothing) and closes to [0, 2q), then to [0, q)
+// when exitQ is q (0 leaves it lazy).
+//
+//go:noescape
+func vecConvertRowAVX512(out []uint64, rows [][]uint64, terms []convTerm, accMask, exitQ, q, twoQ, u0, u1 uint64)
+
+// maxIFMATerms is the most terms one vecConvertRowAVX512 call may sum. A
+// term adds below 2^52 to each accumulator register at most twice, and to
+// the two weight-2^52 registers three times together, which the close adds
+// up: with the opening addend, 3·1024·2^52 + 2^52 < 2^64 keeps that sum, and
+// every register, exact for any operands.
+const maxIFMATerms = 1024
+
 // expandUniformAVX512 fills dst with len(tiles) runs of n ≥ 1 words, run r
 // the accepted words of the counter blocks of tiles[r]: uniform.go's stream,
 // fused in registers.
@@ -119,19 +135,25 @@ func stageBounds(a, psi, psiShoup []uint64, span, cnt int) {
 }
 
 // asmKernelTable returns the AVX-512 table, or nil if this CPU lacks AVX-512.
-func asmKernelTable() *kernelTable {
+// ifma selects the entries that run on the 52-bit multiply-adds; production
+// passes what CPUID reports, and tests pass false to reach, on an IFMA host,
+// the table a host without IFMA runs.
+func asmKernelTable(ifma bool) *kernelTable {
 	if !hasAVX512 {
 		return nil
 	}
 	t := avx512Kernels()
 	// Without IFMA the key switch's two dots are two calls of the one-output
-	// kernel; with it, one pass on the 52-bit multiply-adds.
+	// kernel, and the row conversion is the tiled loop on the MUL128x8
+	// kernels; with it, each is one register-held pass on the 52-bit
+	// multiply-adds.
 	dot := t.dotLazy
 	t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
 		dot(m, outB, a, b, accB)
 		dot(m, outA[:len(outB)], a, u, accA)
 	}
-	if hasIFMA {
+	t.convertRow = convertRowTiled
+	if ifma {
 		t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
 			n := len(outB)
 			if n == 0 || n%8 != 0 || len(a) == 0 {
@@ -151,6 +173,7 @@ func asmKernelTable() *kernelTable {
 			}
 			vecDotKeyLazyAVX512(outB, outA, a, b[:len(a)], u[:len(a)], maskB, maskA, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
 		}
+		t.convertRow = convertRowIFMA
 	}
 	t.expandUniform = expandUniformGo
 	if hasVAES {
@@ -160,6 +183,43 @@ func asmKernelTable() *kernelTable {
 		}
 	}
 	return &t
+}
+
+// convertRowIFMA runs the row's whole multiple of 16 coefficients through
+// vecConvertRowAVX512, one call per run of terms between folds — the tiled
+// loop's fold points, so the lazy words agree too — and the rest through the
+// tiled loop on t's MUL128x8 kernels. So does a row longer than one call may
+// sum without a fold, which no parameter set comes near.
+func convertRowIFMA(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64) {
+	k, n := len(rows), len(out)&^15
+	if n == 0 || (k > maxIFMATerms && fold > maxIFMATerms) {
+		convertRowTiles(t, m, out, rows, 0, c, fold, lazy, hi)
+		return
+	}
+	for _, row := range rows {
+		_ = row[n-1] // the assembly does its own addressing
+	}
+	var exitQ uint64
+	if !lazy {
+		exitQ = m.Q
+	}
+	// The first call sums fold terms; each later one opens on the folded
+	// [0, 2q) residue and sums fold−1 more, as the tiled loop does.
+	var accMask uint64
+	for k0, k1 := 0, min(fold, k); ; k0, k1 = k1, min(k1+fold-1, k) {
+		exit := exitQ
+		if k1 < k {
+			exit = 0
+		}
+		vecConvertRowAVX512(out[:n], rows[k0:k1], c.terms[k0:k1], accMask, exit, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
+		if k1 == k {
+			break
+		}
+		accMask = 0xff
+	}
+	if n < len(out) {
+		convertRowTiles(t, m, out[n:], rows, n, c, fold, lazy, hi)
+	}
 }
 
 func avx512Kernels() kernelTable {

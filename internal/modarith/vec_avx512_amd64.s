@@ -723,25 +723,24 @@ dotLazyTerm:
 	VPMADD52LUQ B1, A1, H1  \ // lo(a1b1)
 	VPMADD52HUQ B, A1, H2     // hi(a1b0)
 
-// IFMA_OPEN opens an accumulator on the lanes of (PTR)(DX*8) under mask K
+// IFMA_OPEN opens an accumulator on the eight words at ADDR under mask K
 // (all-zero: on nothing): L = out mod 2^52, M1 = out>>52, the rest 0.
-#define IFMA_OPEN(PTR, K, L, M1, M2, H1, H2) \
-	VMOVDQU64.Z (PTR)(DX*8), K, Z4 \
-	VPANDQ Z24, Z4, L              \
-	VPSRLQ $52, Z4, M1             \
-	VPXORQ M2, M2, M2              \
-	VPXORQ H1, H1, H1              \
+#define IFMA_OPEN(ADDR, K, L, M1, M2, H1, H2) \
+	VMOVDQU64.Z ADDR, K, Z4 \
+	VPANDQ Z24, Z4, L       \
+	VPSRLQ $52, Z4, M1      \
+	VPXORQ M2, M2, M2       \
+	VPXORQ H1, H1, H1       \
 	VPXORQ H2, H2, H2
 
 // IFMA_CLOSE turns the accumulator into the 128-bit HI:LO it stands for,
 // L + M·2^52 + H·2^104 with M = M1 + M2 and H = H1 + H2:
 //	LO = L + (M mod 2^12)·2^52   (one carry out)
 //	HI = M>>12 + H·2^40 + carry
-// then reduces it to [0, 2q) as vecDotLazyAVX512 does and stores it at
-// (PTR)(DX*8). Term bounds (a < 2^62, b < 2^61, at most MaxDotTerms terms)
-// keep every register below 2^64 and H·2^40 below 2^64 (the sum is < 2^128).
-// Clobbers Z0–Z9, K1.
-#define IFMA_CLOSE(PTR, L, M1, M2, H1, H2) \
+// then reduces it to [0, 2q) in Z0 as vecDotLazyAVX512 does. With every
+// register below 2^64, HI:LO is the sum mod 2^128, which the callers' term
+// bounds keep below 2^128. Clobbers Z0–Z9, K1.
+#define IFMA_CLOSE(L, M1, M2, H1, H2) \
 	VPADDQ M2, M1, M1                         \
 	VPADDQ H2, H1, H1                         \
 	VPSLLQ $52, M1, Z5                        \
@@ -754,8 +753,7 @@ dotLazyTerm:
 	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7) \
 	VPMULLQ Z27, Z4, Z5                       \
 	VPSUBQ Z5, Z3, Z0                         \
-	CONDSUB(Z0, Z28, Z5)                      \
-	VMOVDQU64 Z0, (PTR)(DX*8)
+	CONDSUB(Z0, Z28, Z5)
 
 // func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
 // The two dots of a gadget product against one key, out of one pass over the
@@ -765,6 +763,8 @@ dotLazyTerm:
 // seven multiply-adds each, where a 64×64 product costs vecDotLazyAVX512 four
 // 32×32 multiplies and eleven carry operations. Each output then pays
 // vecDotLazyAVX512's single Barrett reduction, so the bytes are its bytes.
+// Term bounds (a < 2^62, b < 2^61, at most MaxDotTerms terms) keep every
+// register below 2^64.
 TEXT ·vecDotKeyLazyAVX512(SB), NOSPLIT, $0-168
 	MOVQ outB_base+0(FP), DI
 	MOVQ outB_len+8(FP), CX
@@ -783,8 +783,8 @@ TEXT ·vecDotKeyLazyAVX512(SB), NOSPLIT, $0-168
 	VPBROADCASTQ AX, Z24                      // 2^52 − 1
 	XORQ DX, DX
 dotKeyLoop:
-	IFMA_OPEN(DI, K3, Z10, Z11, Z12, Z13, Z14)
-	IFMA_OPEN(BX, K4, Z15, Z16, Z17, Z18, Z19)
+	IFMA_OPEN((DI)(DX*8), K3, Z10, Z11, Z12, Z13, Z14)
+	IFMA_OPEN((BX)(DX*8), K4, Z15, Z16, Z17, Z18, Z19)
 	XORQ R12, R12
 dotKeyTerm:
 	MOVQ (R8)(R12*1), SI
@@ -801,11 +801,76 @@ dotKeyTerm:
 	ADDQ $24, R12
 	CMPQ R12, R13
 	JL dotKeyTerm
-	IFMA_CLOSE(DI, Z10, Z11, Z12, Z13, Z14)
-	IFMA_CLOSE(BX, Z15, Z16, Z17, Z18, Z19)
+	IFMA_CLOSE(Z10, Z11, Z12, Z13, Z14)
+	VMOVDQU64 Z0, (DI)(DX*8)
+	IFMA_CLOSE(Z15, Z16, Z17, Z18, Z19)
+	VMOVDQU64 Z0, (BX)(DX*8)
 	ADDQ $8, DX
 	CMPQ DX, CX
 	JL dotKeyLoop
+	VZEROUPPER
+	RET
+
+// func vecConvertRowAVX512(out []uint64, rows [][]uint64, terms []convTerm, accMask, exitQ, q, twoQ, u0, u1 uint64)
+// The base-conversion row Σ_k rows[k]·w[k] on the 52-bit multiply-adds, two
+// output vectors per step: the first eight coefficients accumulate in
+// Z10–Z14, the next eight in Z15–Z19, all in registers for the whole step.
+// A narrow term (terms[k].wide == 0: row and constant below 2^52) is one
+// product of two 52-bit limbs, lo52 into L and hi52 into M1 — two
+// multiply-adds per vector; any other takes IFMA_TERM's seven. The branch
+// goes the same way for a term at every step. Each vector then closes as the
+// dot's do, and exitQ (q, or 0 to stay lazy) takes the last fold to [0, q).
+// rows and terms are walked with one offset: a row header and a convTerm
+// are both 24 bytes.
+TEXT ·vecConvertRowAVX512(SB), NOSPLIT, $0-120
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ rows_base+24(FP), R8
+	MOVQ rows_len+32(FP), R13
+	IMULQ $24, R13                            // end offset of the row headers
+	MOVQ terms_base+48(FP), R9
+	MOVQ accMask+72(FP), AX
+	KMOVW AX, K3
+	VPBROADCASTQ exitQ+80(FP), Z31
+	BARRETT_CONSTS(88)
+	MOVQ $0xfffffffffffff, AX
+	VPBROADCASTQ AX, Z24                      // 2^52 − 1
+	XORQ DX, DX
+convRowLoop:
+	IFMA_OPEN((DI)(DX*8), K3, Z10, Z11, Z12, Z13, Z14)
+	IFMA_OPEN(64(DI)(DX*8), K3, Z15, Z16, Z17, Z18, Z19)
+	XORQ R12, R12
+convRowTerm:
+	MOVQ (R8)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z0
+	VMOVDQU64 64(SI)(DX*8), Z20
+	VPBROADCASTQ (R9)(R12*1), Z2              // w
+	CMPQ 16(R9)(R12*1), $0
+	JNE convRowWide
+	VPMADD52LUQ Z2, Z0, Z10
+	VPMADD52HUQ Z2, Z0, Z11
+	VPMADD52LUQ Z2, Z20, Z15
+	VPMADD52HUQ Z2, Z20, Z16
+	JMP convRowNext
+convRowWide:
+	VPBROADCASTQ 8(R9)(R12*1), Z3             // w1
+	VPSRLQ $52, Z0, Z1                        // a1
+	VPSRLQ $52, Z20, Z21
+	IFMA_TERM(Z0, Z1, Z2, Z3, Z10, Z11, Z12, Z13, Z14)
+	IFMA_TERM(Z20, Z21, Z2, Z3, Z15, Z16, Z17, Z18, Z19)
+convRowNext:
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JL convRowTerm
+	IFMA_CLOSE(Z10, Z11, Z12, Z13, Z14)
+	CONDSUB(Z0, Z31, Z5)
+	VMOVDQU64 Z0, (DI)(DX*8)
+	IFMA_CLOSE(Z15, Z16, Z17, Z18, Z19)
+	CONDSUB(Z0, Z31, Z5)
+	VMOVDQU64 Z0, 64(DI)(DX*8)
+	ADDQ $16, DX
+	CMPQ DX, CX
+	JL convRowLoop
 	VZEROUPPER
 	RET
 

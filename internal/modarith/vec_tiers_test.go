@@ -2,6 +2,7 @@ package modarith
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -83,14 +84,34 @@ func rowsEqual(t *testing.T, kernel string, tier KernelTier, m Modulus, got, wan
 	}
 }
 
-// forEachTierCase runs fn for every registered tier × modulus × length.
+// testTable is one kernel table the tier tests hold to the Go oracle.
+type testTable struct {
+	name string
+	tbl  *kernelTable
+}
+
+// testTables returns every table this host can run: each available tier's
+// and, on an IFMA host, the AVX-512 table without its IFMA entries — the one
+// an AVX-512 host without IFMA runs, which no tier name reaches.
+func testTables() []testTable {
+	var ts []testTable
+	for _, tier := range AvailableTiers() {
+		ts = append(ts, testTable{tier.String(), tableFor(tier)})
+	}
+	if hasIFMA {
+		ts = append(ts, testTable{"avx512-noifma", noIFMAKernels()})
+	}
+	return ts
+}
+
+// forEachTierCase runs fn for every test table × modulus × length.
 func forEachTierCase(t *testing.T, lens []int, fn func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand)) {
 	t.Helper()
 	moduli := tierTestModuli(t)
-	for _, tier := range AvailableTiers() {
-		tbl := tableFor(tier)
-		t.Run(tier.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x5eed + int64(tier)))
+	for _, tt := range testTables() {
+		tbl := tt.tbl
+		t.Run(tt.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0x5eed + int64(tbl.tier)))
 			for _, m := range moduli {
 				for _, n := range lens {
 					fn(t, tbl, m, n, rng)
@@ -375,6 +396,139 @@ func TestTierDotKeyLazy(t *testing.T) {
 			}
 		}
 	})
+}
+
+// convSourceBits are the source-modulus sizes the row conversion is tested
+// over. GenerateNTTPrimes puts primes either side of 2^bits, so 51 bits
+// gives moduli on both sides of the narrow bound (2^51) and 52 bits rows
+// that may cross 2^52 once lazy.
+var convSourceBits = []int{50, 51, 52, 55, 60, MaxModulusBits}
+
+// convTermCounts: one term, the digit widths a key switch converts (α = 3
+// and 7), and rows longer than the small folds below allow.
+var convTermCounts = []int{1, 3, 7, 12, 40}
+
+// convSources returns two moduli of every convSourceBits size.
+func convSources(t testing.TB) []Modulus {
+	t.Helper()
+	var ms []Modulus
+	for _, bits := range convSourceBits {
+		ps, err := GenerateNTTPrimes(bits, 12, 2)
+		if err != nil {
+			t.Fatalf("GenerateNTTPrimes(%d): %v", bits, err)
+		}
+		for _, q := range ps {
+			ms = append(ms, MustModulus(q))
+		}
+	}
+	return ms
+}
+
+// convOperands draws a conversion row of k terms onto m over n coefficients:
+// sources picked from srcs, lazy rows below 2q_k (saturated: all 2q_k − 1),
+// and constants below m's q with the 52-bit boundary over-sampled, so one
+// row mixes narrow and wide terms. fold is the most products the 128-bit sum
+// always takes, as rns.BasisConverter bounds it.
+func convOperands(rng *rand.Rand, srcs []Modulus, m Modulus, k, n int, saturated bool) (rows [][]uint64, c ConvRow, fold int) {
+	from, w := make([]Modulus, k), make([]uint64, k)
+	prodBits := 0
+	for i := range from {
+		from[i] = srcs[rng.Intn(len(srcs))]
+		switch rng.Intn(4) {
+		case 0:
+			w[i] = 1<<52 - 1 - uint64(rng.Intn(2))
+		case 1:
+			w[i] = rng.Uint64() % (1 << 52)
+		default:
+			w[i] = randBelow(rng, m.Q)
+		}
+		w[i] %= m.Q
+		prodBits = max(prodBits, bits.Len64(from[i].TwoQ-1)+bits.Len64(w[i]))
+	}
+	rows = make([][]uint64, k)
+	for i := range rows {
+		rows[i] = dotRows(rng, 1, n, from[i].TwoQ, saturated)[0]
+	}
+	return rows, NewConvRow(from, w), 1 << min(31, 128-prodBits)
+}
+
+// checkConvertRow holds a converted row to the big.Int sum of its terms: the
+// exact residue, or a [0, 2q) one congruent to it.
+func checkConvertRow(t *testing.T, label string, m Modulus, got []uint64, rows [][]uint64, c *ConvRow, lazy bool) {
+	t.Helper()
+	q := new(big.Int).SetUint64(m.Q)
+	sum, x, y := new(big.Int), new(big.Int), new(big.Int)
+	for j, v := range got {
+		sum.SetUint64(0)
+		for k, row := range rows {
+			sum.Add(sum, x.Mul(x.SetUint64(row[j]), y.SetUint64(c.terms[k].w)))
+		}
+		exact := sum.Mod(sum, q).Uint64()
+		if (!lazy && v != exact) || v >= m.TwoQ || v%m.Q != exact {
+			t.Fatalf("%s: q=%d k=%d n=%d lazy=%v: out[%d] = %d, big.Int %d", label, m.Q, len(rows), len(got), lazy, j, v, exact)
+		}
+	}
+}
+
+// TestTierConvertRow: the row conversion is, on every table, the Go table's
+// tiled loop word for word — exact and lazy, with and without folds, over
+// sources and constants on both sides of the narrow bound, on lengths with
+// and without a 16-coefficient tail and across tiles — and that loop is the
+// big.Int sum.
+func TestTierConvertRow(t *testing.T) {
+	srcs := convSources(t)
+	lens := append(append([]int(nil), tierTestLens...), ConvertTile+17)
+	hi := make([]uint64, ConvertTile)
+	forEachTierCase(t, lens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		for _, k := range convTermCounts {
+			rows, c, bound := convOperands(rng, srcs, m, k, n, rng.Intn(3) == 0)
+			for _, fold := range []int{bound, 2, 5} {
+				for _, lazy := range []bool{false, true} {
+					want := make([]uint64, n)
+					convertRowTiled(&goKernels, m, want, rows, &c, fold, lazy, hi)
+					got := make([]uint64, n)
+					tbl.convertRow(tbl, m, got, rows, &c, fold, lazy, hi)
+					rowsEqual(t, "convertRow", tbl.tier, m, got, want)
+					if tbl == &goKernels && fold == bound {
+						checkConvertRow(t, "convertRow", m, got, rows, &c, lazy)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestTierConvertRowTermLimit runs the row conversion at the most terms one
+// IFMA kernel call sums (1024), one past it and 1400, where the IFMA table
+// hands the row to the tiled loop, with every operand word all ones: every
+// term wide and its limbs near their largest, about 3·2^52 a term into the
+// two weight-2^52 registers, whose sum would wrap past 1365 terms in one
+// call. The sum exceeds 2^128 and
+// no fold is asked for, so each table returns the sum mod 2^128 reduced —
+// the same words on every table.
+func TestTierConvertRowTermLimit(t *testing.T) {
+	ms := tierTestModuli(t)
+	m, wide := ms[0], ms[len(ms)-1]
+	const n = 19 // one 16-coefficient step and a tail
+	hi := make([]uint64, ConvertTile)
+	for _, tt := range testTables() {
+		for _, k := range []int{1024, 1025, 1400} {
+			from, w, rows := make([]Modulus, k), make([]uint64, k), make([][]uint64, k)
+			for i := range rows {
+				from[i], w[i], rows[i] = wide, ^uint64(0), make([]uint64, n)
+				for j := range rows[i] {
+					rows[i][j] = ^uint64(0)
+				}
+			}
+			c := NewConvRow(from, w)
+			for _, lazy := range []bool{false, true} {
+				got, want := make([]uint64, n), make([]uint64, n)
+				convertRowTiled(&goKernels, m, want, rows, &c, 1<<31, lazy, hi)
+				tt.tbl.convertRow(tt.tbl, m, got, rows, &c, 1<<31, lazy, hi)
+				rowsEqual(t, "convertRow "+tt.name, tt.tbl.tier, m, got, want)
+			}
+		}
+	}
 }
 
 // TestTierAddSub covers the exact element-wise pair, with out distinct from

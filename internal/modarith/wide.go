@@ -1,6 +1,9 @@
 package modarith
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Wide-accumulation primitives for the BConv matrix product (internal/rns),
 // the gadget product's dot kernel and the linear-transform sweep's diagonal
@@ -16,7 +19,7 @@ import "math/bits"
 //
 // # Domain contracts
 //
-//   - Mul64AddWide / VecMulWide / VecMulAccWide / VecMulAccWideIdx take
+//   - Mul64AddWide / vecMulWide / vecMulAccWide / VecMulAccWideIdx take
 //     arbitrary uint64 factors and perform NO reduction: the caller must
 //     bound the number of accumulated products so the 128-bit pair cannot
 //     overflow (with b1-bit and b2-bit factors, 2^(128-b1-b2) products always
@@ -27,6 +30,9 @@ import "math/bits"
 //     k·(2^62−1)(2^61−1) + 2^62 < 2^128 for k ≤ MaxDotTerms = 32. Longer sums
 //     are folded every MaxDotTerms terms (the partial sum re-enters as the
 //     addend), so callers never count terms.
+//   - VecConvertRow bounds its own chain: the caller passes the fold bound
+//     (rns.BasisConverter.foldEvery) and the kernel folds at it, in every
+//     table at the same terms, so the lazy outputs agree word for word.
 //   - ReduceWide128 / VecReduceWide128 accept ANY 128-bit value and return
 //     the exact residue in [0, q).
 //   - ReduceWide128Lazy / VecReduceWide128Lazy / VecFoldWide128Lazy return
@@ -69,16 +75,16 @@ func (m Modulus) ReduceWide128(hi, lo uint64) uint64 {
 	return r
 }
 
-// VecMulWide starts an accumulation chain: (accHi[j], accLo[j]) = row[j]·w.
+// vecMulWide starts an accumulation chain: (accHi[j], accLo[j]) = row[j]·w.
 // No reduction; factors are arbitrary uint64.
-func VecMulWide(accHi, accLo, row []uint64, w uint64) {
+func vecMulWide(accHi, accLo, row []uint64, w uint64) {
 	active.Load().mulWide(accHi, accLo, row, w)
 }
 
-// VecMulAccWide continues an accumulation chain:
+// vecMulAccWide continues an accumulation chain:
 // (accHi[j], accLo[j]) += row[j]·w. No reduction; the caller bounds the
 // chain length (see the package comment).
-func VecMulAccWide(accHi, accLo, row []uint64, w uint64) {
+func vecMulAccWide(accHi, accLo, row []uint64, w uint64) {
 	active.Load().mulAccWide(accHi, accLo, row, w)
 }
 
@@ -151,4 +157,79 @@ func (m Modulus) VecReduceWide128(dst, accHi, accLo []uint64) {
 // dst[j] = (accHi[j]:accLo[j]) mod q up to one multiple of q, in [0, 2q).
 func (m Modulus) VecReduceWide128Lazy(dst, accHi, accLo []uint64) {
 	active.Load().reduceWide128Lazy(m, dst, accHi, accLo)
+}
+
+// ConvertTile is the coefficient-tile width of the tiled row conversion, and
+// the length of the accumulator scratch VecConvertRow takes: the tables
+// without IFMA accumulate a tile's 128-bit sums as a ConvertTile-word row of
+// high words next to the output tile's low words, both L1-resident while the
+// source tiles stream past (4 KiB against the 32–64 KiB of a core's L1d).
+// The IFMA kernel holds its sums in registers and leaves the scratch unused.
+const ConvertTile = 256
+
+// ConvRow is one output row of a base conversion,
+//
+//	out[j] = Σ_k rows[k][j]·w[k]  mod q ,
+//
+// with its terms classified once, at construction, for the 52-bit
+// multiply-adds: a term whose source row and constant both fit 52 bits costs
+// the IFMA kernel two of them, any other term seven (see IFMA_TERM in
+// vec_avx512_amd64.s). The classification picks instructions, never values:
+// every table computes the same exact 128-bit sums.
+type ConvRow struct {
+	terms []convTerm
+}
+
+// convTerm is one term of a ConvRow, laid out for the assembly: 24 bytes,
+// the stride of the row headers, so one offset walks both.
+type convTerm struct {
+	w    uint64 // the constant
+	w1   uint64 // w >> 52, the constant's high limb in radix 2^52
+	wide uint64 // 0 when the source row and w both fit 52 bits
+}
+
+// narrowModulus is the largest source modulus whose rows, exact or lazy
+// (< 2q), always fit the 52 bits a multiply-add reads.
+const narrowModulus = 1 << 51
+
+// NewConvRow returns the conversion row with constants w[k] over source rows
+// holding residues of from[k], exact or lazy (below 2·from[k].Q).
+func NewConvRow(from []Modulus, w []uint64) ConvRow {
+	if len(from) != len(w) {
+		panic("modarith: NewConvRow needs one constant per source modulus")
+	}
+	terms := make([]convTerm, len(w))
+	for k, x := range w {
+		terms[k] = convTerm{w: x, w1: x >> 52, wide: 1}
+		if from[k].Q < narrowModulus && x < 1<<52 {
+			terms[k].wide = 0
+		}
+	}
+	return ConvRow{terms: terms}
+}
+
+// VecConvertRow sets out to the conversion row c over rows, one source row
+// per term, each at least len(out) words and below twice its modulus:
+//
+//	out[j] = Σ_k rows[k][j]·w[k]  mod q ,
+//
+// exact in [0, q), or with lazy in [0, 2q). The products are summed exactly
+// in 128 bits and reduced once per coefficient; every fold terms (fold ≥ 2,
+// the most products the 128-bit sum may take) the sum is folded to [0, 2q)
+// and re-enters as one term. hi is accumulator scratch of at least
+// min(len(out), ConvertTile) words. out must alias neither rows nor hi; only
+// rows and c are read, so concurrent calls may share them.
+func (m Modulus) VecConvertRow(out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64) {
+	if len(rows) != len(c.terms) || len(rows) == 0 {
+		panic(fmt.Sprintf("modarith: VecConvertRow has %d source rows for %d terms", len(rows), len(c.terms)))
+	}
+	if fold < 2 {
+		panic(fmt.Sprintf("modarith: VecConvertRow fold bound %d makes no progress", fold))
+	}
+	if len(out) == 0 {
+		return
+	}
+	_ = hi[min(len(out), ConvertTile)-1]
+	t := active.Load()
+	t.convertRow(t, m, out, rows, c, fold, lazy, hi)
 }

@@ -120,3 +120,35 @@ func vecDotKeyLazyGo(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, a
 	vecDotLazyGo(m, outB, a, b, accB)
 	vecDotLazyGo(m, outA[:len(outB)], a, u, accA)
 }
+
+// convertRowTiles is the row conversion on t's 128-bit accumulator kernels,
+// ConvertTile coefficients at a time: out = rows[·][off:off+len(out)]
+// converted through c. It is the Go table's entry, the oracle every other is
+// held to, and the AVX-512 table's without IFMA, on the MUL128x8 kernels.
+func convertRowTiles(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, off int, c *ConvRow, fold int, lazy bool, hi []uint64) {
+	for c0 := 0; c0 < len(out); c0 += ConvertTile {
+		c1 := min(c0+ConvertTile, len(out))
+		h, lo := hi[:c1-c0], out[c0:c1]
+		t.mulWide(h, lo, rows[0][off+c0:off+c1], c.terms[0].w)
+		terms := 1
+		for k := 1; k < len(rows); k++ {
+			if terms == fold {
+				t.foldWide128Lazy(m, h, lo)
+				terms = 1 // folded residue < 2q re-enters as one term
+			}
+			t.mulAccWide(h, lo, rows[k][off+c0:off+c1], c.terms[k].w)
+			terms++
+		}
+		if lazy {
+			t.reduceWide128Lazy(m, lo, h, lo)
+		} else {
+			t.reduceWide128(m, lo, h, lo)
+		}
+	}
+}
+
+// convertRowTiled is the tiled conversion as a table entry, from the row's
+// first coefficient.
+func convertRowTiled(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64) {
+	convertRowTiles(t, m, out, rows, 0, c, fold, lazy, hi)
+}

@@ -68,7 +68,7 @@ func TestReduceWide128(t *testing.T) {
 }
 
 func TestVecWideAccumulateChain(t *testing.T) {
-	// Full chain differential vs big.Int: VecMulWide + (k-1)×VecMulAccWide
+	// Full chain differential vs big.Int: vecMulWide + (k-1)×vecMulAccWide
 	// + VecReduceWide128[Lazy] computes an exact k-term inner product mod q.
 	r := rand.New(rand.NewSource(3))
 	primes, err := GenerateNTTPrimes(55, 10, 1)
@@ -95,9 +95,9 @@ func TestVecWideAccumulateChain(t *testing.T) {
 	}
 	hi := make([]uint64, n)
 	lo := make([]uint64, n)
-	VecMulWide(hi, lo, rows[0], ws[0])
+	vecMulWide(hi, lo, rows[0], ws[0])
 	for i := 1; i < k; i++ {
-		VecMulAccWide(hi, lo, rows[i], ws[i])
+		vecMulAccWide(hi, lo, rows[i], ws[i])
 	}
 	exact := make([]uint64, n)
 	lazy := make([]uint64, n)

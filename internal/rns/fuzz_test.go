@@ -9,26 +9,25 @@ import (
 )
 
 // fuzzBases are fixed prime chains so the fuzzer spends its budget on
-// residue patterns, not prime generation. Three shapes cover small/large
-// digits and the near-cap 60-bit moduli.
+// residue patterns, not prime generation. The shapes cover small and large
+// digits, sources and targets on both sides of the row kernel's narrow bound
+// (sources below 2^51, constants below 2^52: the primes nearest 2^51 and
+// 2^52 fall either side), hks_n16's digit 0 — a 55-bit q0 among 45-bit
+// primes, narrow and wide terms in one row — and the near-cap 60- and 61-bit
+// moduli.
 var fuzzBases = func() []*BasisConverter {
-	mk := func(fromBits, k, toBits, nTo int) *BasisConverter {
-		fp, err := modarith.GenerateNTTPrimes(fromBits, 8, k)
+	primes := func(bits, k int) []modarith.Modulus {
+		ps, err := modarith.GenerateNTTPrimes(bits, 8, k)
 		if err != nil {
 			panic(err)
 		}
-		tp, err := modarith.GenerateNTTPrimes(toBits, 8, nTo)
-		if err != nil {
-			panic(err)
+		ms := make([]modarith.Modulus, k)
+		for i, q := range ps {
+			ms[i] = modarith.MustModulus(q)
 		}
-		from := make([]modarith.Modulus, k)
-		for i, q := range fp {
-			from[i] = modarith.MustModulus(q)
-		}
-		to := make([]modarith.Modulus, nTo)
-		for j, q := range tp {
-			to[j] = modarith.MustModulus(q)
-		}
+		return ms
+	}
+	mk := func(from, to []modarith.Modulus) *BasisConverter {
 		bc, err := NewBasisConverter(from, to)
 		if err != nil {
 			panic(err)
@@ -36,10 +35,30 @@ var fuzzBases = func() []*BasisConverter {
 		return bc
 	}
 	return []*BasisConverter{
-		mk(45, 3, 50, 2),
-		mk(50, 6, 55, 4),
-		mk(60, 2, 60, 3),
+		mk(primes(45, 3), primes(50, 2)),
+		mk(primes(50, 6), primes(55, 4)),
+		mk(primes(60, 2), primes(60, 3)),
+		mk(primes(51, 4), primes(52, 3)),
+		mk(primes(61, 2), append(primes(50, 2), primes(51, 2)...)),
+		mk(append(primes(55, 1), primes(45, 6)...), append(primes(45, 9)[6:], primes(50, 2)...)),
 	}
+}()
+
+// fuzzScaled is each fuzz basis as a Scaled converter, and fuzzFolded each
+// with a fold every two terms — more terms than one fold allows, on every
+// basis with k > 2.
+var fuzzScaled, fuzzFolded = func() (scaled, folded []*BasisConverter) {
+	for _, bc := range fuzzBases {
+		s := make([]uint64, len(bc.To))
+		for j, pj := range bc.To {
+			s[j] = (0x9e3779b97f4a7c15 * uint64(j+1)) % pj.Q
+		}
+		scaled = append(scaled, bc.Scaled(s))
+		f := *bc
+		f.foldEvery = 2
+		folded = append(folded, &f)
+	}
+	return scaled, folded
 }()
 
 // fuzzSelf converts each fuzz basis onto itself: the identity ModUp's own-row
@@ -57,20 +76,27 @@ var fuzzSelf = func() []*BasisConverter {
 }()
 
 // FuzzBConv feeds arbitrary residue rows through the wide-accumulation
-// Convert and cross-checks it four ways: exact equality with the scalar
-// reference oracle, the big.Int x + e·Q contract (0 ≤ e < k, one e across
-// all targets), the lazy row conversion staying in [0, 2q) congruent to Convert, and a
-// target that is one of the source primes getting the source row back exactly
-// (every other Q/q_i term vanishes mod it).
+// Convert and cross-checks it: exact equality with the scalar reference
+// oracle, the big.Int x + e·Q contract (0 ≤ e < k, one e across all targets),
+// and a target that is one of the source primes getting the source row back
+// exactly (every other Q/q_i term vanishes mod it). The plain, Scaled and
+// folded converters then run on every kernel table, Convert and the row
+// conversion exact and lazy, over a row length (17 to 32) with and without a
+// 16-coefficient tail: every output equals the reference, every lazy one is
+// a [0, 2q) residue of it, and every table's lazy words are the Go table's.
 // The rescale pair is differentially checked on the same draws.
 func FuzzBConv(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add(uint8(2), []byte{})
+	f.Add(uint8(0x7b), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add(uint8(10), []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(uint8(53), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		bc := fuzzBases[int(which)%len(fuzzBases)]
+		b := int(which) % len(fuzzBases)
+		bc := fuzzBases[b]
 		k := len(bc.From)
-		const n = 4
+		n := 17 + int(which/8)%16
 		in := make([][]uint64, k)
 		for i := range in {
 			in[i] = make([]uint64, n)
@@ -84,11 +110,7 @@ func FuzzBConv(f *testing.F) {
 			}
 		}
 		got := newRows(len(bc.To), n)
-		want := newRows(len(bc.To), n)
-		lazy := newRows(len(bc.To), n)
 		bc.Convert(got, in)
-		bc.ConvertRef(want, in)
-		convertRows(bc, lazy, in, true)
 		Q := basisProduct(bc.From)
 		for c := 0; c < n; c++ {
 			x := crtReconstruct(in, c, bc.From)
@@ -111,19 +133,36 @@ func FuzzBConv(f *testing.F) {
 				t.Fatalf("col %d: Convert output is not x + e·Q for any 0 ≤ e < %d", c, k)
 			}
 		}
-		for j := range got {
-			pj := bc.To[j]
-			for c := 0; c < n; c++ {
-				if got[j][c] != want[j][c] {
-					t.Fatalf("target %d col %d: wide %d != ref %d", j, c, got[j][c], want[j][c])
+
+		for _, conv := range []*BasisConverter{bc, fuzzScaled[b], fuzzFolded[b]} {
+			want := newRows(len(conv.To), n)
+			conv.ConvertRef(want, in)
+			var goLazy [][]uint64 // the first table run is the Go one
+			forEachTable(t, func(table string) {
+				whole, exact, lazy := newRows(len(conv.To), n), newRows(len(conv.To), n), newRows(len(conv.To), n)
+				conv.Convert(whole, in)
+				convertRows(conv, exact, in, false)
+				convertRows(conv, lazy, in, true)
+				if goLazy == nil {
+					goLazy = lazy
 				}
-				if lazy[j][c] >= pj.TwoQ || (lazy[j][c] != got[j][c] && lazy[j][c] != got[j][c]+pj.Q) {
-					t.Fatalf("target %d col %d: lazy %d not a [0, 2q) residue of %d", j, c, lazy[j][c], got[j][c])
+				for j, pj := range conv.To {
+					for c := 0; c < n; c++ {
+						if whole[j][c] != want[j][c] || exact[j][c] != want[j][c] {
+							t.Fatalf("%s: target %d col %d: Convert %d, row %d, ref %d", table, j, c, whole[j][c], exact[j][c], want[j][c])
+						}
+						if lz := lazy[j][c]; lz >= pj.TwoQ || (lz != want[j][c] && lz != want[j][c]+pj.Q) {
+							t.Fatalf("%s: target %d col %d: lazy %d not a [0, 2q) residue of %d", table, j, c, lz, want[j][c])
+						}
+						if lazy[j][c] != goLazy[j][c] {
+							t.Fatalf("%s: target %d col %d: lazy %d, Go table %d", table, j, c, lazy[j][c], goLazy[j][c])
+						}
+					}
 				}
-			}
+			})
 		}
 
-		self := fuzzSelf[int(which)%len(fuzzBases)]
+		self := fuzzSelf[b]
 		own, ownLazy := newRows(k, n), newRows(k, n)
 		self.Convert(own, in)
 		convertRows(self, ownLazy, in, true)

@@ -12,12 +12,10 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
-// RowTile is the coefficient-tile width of ConvertRow, and the length of the
-// accumulator scratch it takes: a tile keeps one high-word row of RowTile
-// words plus the output tile's low words L1-resident while the k
-// premultiplied source tiles stream past (4 KiB of accumulator against the
-// 32–64 KiB of a core's L1d).
-const RowTile = 256
+// RowTile is the length of the accumulator scratch ConvertRow takes
+// (modarith.ConvertTile): the kernel tables without IFMA keep one tile's
+// high words there; the IFMA kernel holds its sums in registers.
+const RowTile = modarith.ConvertTile
 
 // BasisConverter performs the fast base conversion of a value represented in
 // basis "from" (moduli q_0..q_{k-1}, product Q) into basis "to": for each
@@ -33,11 +31,11 @@ const RowTile = 256
 // The conversion runs in two halves. The premultiply, x_i·(Q/q_i)^{-1} mod
 // q_i, is per source row and is done once, in place, by whoever owns the rows
 // (QHatInv gives the factors). ConvertRow then forms one target row at a
-// time: it accumulates the k products pre_i·(Q/q_i) of each coefficient as
-// exact 128-bit (hi, lo) pairs, RowTile coefficients at a time, and reduces
-// ONCE per output coefficient with the 128-bit Barrett reciprocal — no
-// per-term reduction and no hardware division anywhere (see modarith/wide.go
-// for the domain contracts; the scalar oracle the tests compare against is in
+// time with modarith's row-conversion kernel: it sums the k products
+// pre_i·(Q/q_i) of each coefficient exactly in 128 bits and reduces ONCE per
+// output coefficient with the 128-bit Barrett reciprocal — no per-term
+// reduction and no hardware division anywhere (see modarith/wide.go for the
+// domain contracts; the scalar oracle the tests compare against is in
 // ref_test.go). A target row depends only on the premultiplied rows, so a
 // caller converting limb by limb (the key switch's pipelined ModUp and
 // ModDown) forms each row where it is consumed, and the rows never exist
@@ -46,11 +44,12 @@ type BasisConverter struct {
 	From []modarith.Modulus
 	To   []modarith.Modulus
 
-	qHatInv   []uint64   // [ (Q/q_i)^{-1} ]_{q_i}
-	qHatModTo [][]uint64 // qHatModTo[j][i] = (Q/q_i) mod p_j
+	qHatInv   []uint64           // [ (Q/q_i)^{-1} ]_{q_i}
+	qHatModTo [][]uint64         // qHatModTo[j][i] = (Q/q_i) mod p_j
+	rows      []modarith.ConvRow // qHatModTo[j] as the kernel's row j
 
 	// foldEvery bounds the number of b1×b2-bit products a 128-bit
-	// accumulator absorbs before VecFoldWide128Lazy must compress it:
+	// accumulator absorbs before the kernel must fold it to [0, 2p_j):
 	// 2^(128-b1-b2) products of b1-bit by b2-bit factors always fit. At the
 	// 61-bit modulus ceiling that is 64 terms; for the 45–55-bit primes of
 	// real parameter sets it is ≥ 2^33, so the fold never fires in practice.
@@ -96,6 +95,7 @@ func NewBasisConverter(from, to []modarith.Modulus) (*BasisConverter, error) {
 		}
 		bc.qHatModTo[j] = row
 	}
+	bc.rows = convRows(from, bc.qHatModTo)
 	maxBits := func(ms []modarith.Modulus) int {
 		b := 0
 		for _, m := range ms {
@@ -133,7 +133,17 @@ func (bc *BasisConverter) Scaled(s []uint64) *BasisConverter {
 		}
 		out.qHatModTo[j] = row
 	}
+	out.rows = convRows(bc.From, out.qHatModTo)
 	return out
+}
+
+// convRows classifies the terms of every target row once, for the kernel.
+func convRows(from []modarith.Modulus, hat [][]uint64) []modarith.ConvRow {
+	rows := make([]modarith.ConvRow, len(hat))
+	for j, w := range hat {
+		rows[j] = modarith.NewConvRow(from, w)
+	}
+	return rows
 }
 
 // QHatInv returns the premultiply factors [(Q/q_i)^{-1}]_{q_i}, one per
@@ -198,26 +208,7 @@ func (bc *BasisConverter) ConvertRow(out []uint64, pre [][]uint64, j int, lazy b
 	if len(pre) != len(bc.From) {
 		panic(fmt.Sprintf("rns: ConvertRow has %d source rows, want %d", len(pre), len(bc.From)))
 	}
-	pj, hat := bc.To[j], bc.qHatModTo[j]
-	for c0 := 0; c0 < len(out); c0 += RowTile {
-		c1 := min(c0+RowTile, len(out))
-		h, lo := hi[:c1-c0], out[c0:c1]
-		modarith.VecMulWide(h, lo, pre[0][c0:c1], hat[0])
-		terms := 1
-		for i := 1; i < len(pre); i++ {
-			if terms == bc.foldEvery {
-				pj.VecFoldWide128Lazy(h, lo)
-				terms = 1 // folded residue < 2q re-enters as one term
-			}
-			modarith.VecMulAccWide(h, lo, pre[i][c0:c1], hat[i])
-			terms++
-		}
-		if lazy {
-			pj.VecReduceWide128Lazy(lo, h, lo)
-		} else {
-			pj.VecReduceWide128(lo, h, lo)
-		}
-	}
+	bc.To[j].VecConvertRow(out, pre, &bc.rows[j], bc.foldEvery, lazy, hi)
 }
 
 // Rescaler precomputes the per-limb constants of DivRoundByLastModulus for a

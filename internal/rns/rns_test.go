@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -102,29 +103,109 @@ func convertRows(bc *BasisConverter, out, in [][]uint64, lazy bool) {
 	}
 }
 
-// TestConvertRowMatchesBigInt holds the row conversion to the big.Int
-// definition of TestConvertMatchesBigInt, v = Σ_i [x·qHatInv_i]_{q_i}·(Q/q_i):
-// every target row, exact and lazy, for the digit widths a key switch
-// converts (α = 1, 3 and 7) and a 33-limb source, over a row longer than one
-// accumulator tile with a ragged last tile.
-func TestConvertRowMatchesBigInt(t *testing.T) {
-	const nTo, n = 5, RowTile + 17
-	r := rand.New(rand.NewSource(3))
+// forEachTable runs fn once under every kernel table the host can run — go,
+// avx512 and, on an IFMA host, avx512-noifma, the table an AVX-512 host
+// without IFMA runs — and restores the host's own table after.
+func forEachTable(t testing.TB, fn func(name string)) {
+	t.Helper()
+	orig := modarith.ActiveTier()
+	defer func() {
+		if err := modarith.SetKernelTier(orig); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, tier := range modarith.AvailableTiers() {
+		if err := modarith.SetKernelTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		fn(tier.String())
+		if tier == modarith.TierAVX512 {
+			if err := modarith.SetKernelTierWithoutIFMA(); err != nil {
+				t.Fatal(err)
+			}
+			fn("avx512-noifma")
+		}
+	}
+}
+
+// convertRowCase is one converter the row conversion is held to big.Int on.
+type convertRowCase struct {
+	name     string
+	from, to []modarith.Modulus
+	fold     int  // overrides foldEvery when > 0
+	scaled   bool // convert through bc.Scaled
+}
+
+// convertRowCases: the digit widths a key switch converts (α = 1, 3, 7) and
+// a 33-limb source at 45 bits; sources and targets of 50, 51, 52, 55, 60 and
+// 61 bits, on both sides of the kernel's narrow bound (sources below 2^51,
+// constants below 2^52: the primes nearest 2^51 and 2^52 fall either side);
+// hks_n16's digit 0, a 55-bit q0 among 45-bit primes, which mixes narrow and
+// wide terms in one row; Scaled converters; and rows with more terms than
+// one fold allows.
+func convertRowCases(t *testing.T) []convertRowCase {
+	const logN, nTo = 10, 5
+	var cs []convertRowCase
 	for _, k := range []int{1, 3, 7, 33} {
-		mods := mustModuli(t, 45, 10, k+nTo)
-		from, to := mods[:k], mods[k:]
+		mods := mustModuli(t, 45, logN, k+nTo)
+		cs = append(cs, convertRowCase{name: fmt.Sprintf("45/k%d", k), from: mods[:k], to: mods[k:]})
+	}
+	sizes := []int{50, 51, 52, 55, 60, modarith.MaxModulusBits}
+	var mixed []modarith.Modulus // one target of every size
+	for _, b := range sizes {
+		mixed = append(mixed, mustModuli(t, b, logN, 3)[2])
+	}
+	for _, b := range sizes {
+		cs = append(cs, convertRowCase{name: fmt.Sprintf("%d/mixed", b), from: mustModuli(t, b, logN, 2), to: mixed})
+	}
+	digit0 := append(mustModuli(t, 55, logN, 1), mustModuli(t, 45, logN, 6)...)
+	hksTo := append(mustModuli(t, 45, logN, 9)[6:], mustModuli(t, 50, logN, 2)...)
+	return append(cs,
+		convertRowCase{name: "hks-digit0", from: digit0, to: hksTo},
+		convertRowCase{name: "hks-digit0/scaled", from: digit0, to: hksTo, scaled: true},
+		convertRowCase{name: "61/mixed/scaled", from: mustModuli(t, 61, logN, 2), to: mixed, scaled: true},
+		convertRowCase{name: "hks-digit0/fold3", from: digit0, to: hksTo, fold: 3},
+		convertRowCase{name: "45/k33/fold5/scaled", from: cs[3].from, to: cs[3].to, fold: 5, scaled: true},
+	)
+}
+
+// TestConvertRowMatchesBigInt holds the row conversion to the big.Int
+// definition of TestConvertMatchesBigInt, v = Σ_i [x·qHatInv_i]_{q_i}·(Q/q_i)
+// (times s_j for a Scaled converter): every target row, exact and lazy, on
+// every kernel table, over a row longer than one accumulator tile whose
+// length is not a multiple of 16, so the IFMA kernel's row tail runs too.
+// Every table's words equal the Go table's, lazy ones included.
+func TestConvertRowMatchesBigInt(t *testing.T) {
+	const n = RowTile + 17
+	r := rand.New(rand.NewSource(3))
+	for _, tc := range convertRowCases(t) {
+		from, to := tc.from, tc.to
 		bc, err := NewBasisConverter(from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := newRows(k, n)
+		s := make([]uint64, len(to))
+		for j := range s {
+			s[j] = 1
+		}
+		if tc.scaled {
+			for j, pj := range to {
+				s[j] = r.Uint64() % pj.Q
+			}
+			bc = bc.Scaled(s)
+		}
+		if tc.fold > 0 {
+			bc.foldEvery = tc.fold
+		}
+		in := newRows(len(from), n)
 		Q := basisProduct(from)
 		for c := 0; c < n; c++ {
 			decompose(new(big.Int).Rand(r, Q), from, n, c, in)
 		}
-		exact, lazy := newRows(nTo, n), newRows(nTo, n)
-		convertRows(bc, exact, in, false)
-		convertRows(bc, lazy, in, true)
+		for i, qi := range from {
+			in[i][2] = qi.Q - 1 // every product at its largest
+		}
+		want := newRows(len(to), n)
 		for c := 0; c < n; c++ {
 			v := big.NewInt(0)
 			for i, qi := range from {
@@ -132,15 +213,32 @@ func TestConvertRowMatchesBigInt(t *testing.T) {
 				v.Add(v, term.Mul(term, new(big.Int).Div(Q, new(big.Int).SetUint64(qi.Q))))
 			}
 			for j, pj := range to {
-				want := new(big.Int).Mod(v, new(big.Int).SetUint64(pj.Q)).Uint64()
-				if exact[j][c] != want {
-					t.Fatalf("k=%d target %d col %d: exact %d, want %d", k, j, c, exact[j][c], want)
-				}
-				if lz := lazy[j][c]; lz >= pj.TwoQ || lz%pj.Q != want {
-					t.Fatalf("k=%d target %d col %d: lazy %d is not a [0, 2p) residue of %d", k, j, c, lz, want)
-				}
+				vs := new(big.Int).Mul(v, new(big.Int).SetUint64(s[j]))
+				want[j][c] = vs.Mod(vs, new(big.Int).SetUint64(pj.Q)).Uint64()
 			}
 		}
+		var goLazy [][]uint64 // the first table run is the Go one
+		forEachTable(t, func(table string) {
+			exact, lazy := newRows(len(to), n), newRows(len(to), n)
+			convertRows(bc, exact, in, false)
+			convertRows(bc, lazy, in, true)
+			if goLazy == nil {
+				goLazy = lazy
+			}
+			for j, pj := range to {
+				for c := 0; c < n; c++ {
+					if exact[j][c] != want[j][c] {
+						t.Fatalf("%s on %s: target %d col %d: exact %d, want %d", tc.name, table, j, c, exact[j][c], want[j][c])
+					}
+					if lz := lazy[j][c]; lz >= pj.TwoQ || lz%pj.Q != want[j][c] {
+						t.Fatalf("%s on %s: target %d col %d: lazy %d is not a [0, 2p) residue of %d", tc.name, table, j, c, lz, want[j][c])
+					}
+					if lazy[j][c] != goLazy[j][c] {
+						t.Fatalf("%s on %s: target %d col %d: lazy %d, Go table %d", tc.name, table, j, c, lazy[j][c], goLazy[j][c])
+					}
+				}
+			}
+		})
 	}
 }
 
