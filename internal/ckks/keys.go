@@ -411,10 +411,3 @@ func invGalois(g, m uint64) uint64 {
 	}
 	return uint64(inv(int64(g%m), int64(m)))
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

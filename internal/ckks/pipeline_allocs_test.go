@@ -109,10 +109,10 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 			}
 			ev.Release(out)
 		}},
-		// 21: the product's header, one residue slice and a forEachLimb
-		// closure per ring pass (16; the constants are reduced in word
-		// arithmetic), then the rescale's 3.
-		{"MulConstAccum", 24, 0, func() {
+		// 5: the product's header and one residue slice (the constants are
+		// reduced in word arithmetic, each ring pass is a pooled one-stage
+		// chain), then the rescale's 3.
+		{"MulConstAccum", 8, 0, func() {
 			out, err := ev.MulConstAccum(terms, consts)
 			if err != nil {
 				t.Fatal(err)
@@ -140,7 +140,7 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 // TestBootstrapAllocs pins what ROADMAP 5(a) asks for: a bootstrap whose
 // result is released runs out of the ring pool. What it still allocates is
 // headers — Truncated views, the Chebyshev power map, span annotations, one
-// residue slice per constant — not polynomials (≈ 740 objects and ≈ 600 pool
+// residue slice per constant — not polynomials (≈ 500 objects and ≈ 540 pool
 // borrows per bootstrap at N = 2^11).
 func TestBootstrapAllocs(t *testing.T) {
 	if raceEnabled {
@@ -173,7 +173,7 @@ func TestBootstrapAllocs(t *testing.T) {
 	if bytes > 8e6 {
 		t.Errorf("bootstrap allocates %.2f MB/op, want <= 8 MB", bytes/1e6)
 	}
-	if objects > 2500 {
-		t.Errorf("bootstrap allocates %.0f objects/op, want <= 2500", objects)
+	if objects > 1000 {
+		t.Errorf("bootstrap allocates %.0f objects/op, want <= 1000", objects)
 	}
 }

@@ -52,7 +52,6 @@ func (t KernelTier) String() string {
 type kernelTable struct {
 	tier KernelTier
 
-	mulAddLazy    func(m Modulus, out, a, b []uint64)
 	mulBarrett    func(m Modulus, out, a, b []uint64)
 	mulAddBarrett func(m Modulus, out, a, b []uint64)
 
@@ -85,7 +84,6 @@ type kernelTable struct {
 // goKernels is the pure-Go table: the noasm fallback and the oracle.
 var goKernels = kernelTable{
 	tier:              TierGo,
-	mulAddLazy:        vecMulAddLazyGo,
 	mulBarrett:        vecMulBarrettGo,
 	mulAddBarrett:     vecMulAddBarrettGo,
 	mulShoup:          vecMulShoupGo,

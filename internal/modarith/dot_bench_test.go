@@ -7,8 +7,7 @@ import (
 )
 
 // BenchmarkGadgetDot times one output row of the key switch's inner product
-// Σ_d digit_d ⊙ evk_d two ways — the chain of k VecMulAddLazy calls (one
-// Barrett reduction per term) and one VecDotLazy call (one per output) — at
+// Σ_d digit_d ⊙ evk_d as one VecDotLazy call (one reduction per output) at
 // the benchmark's two shapes: N=2^12 with k=9 (boot_n12) and N=2^16 with k=4
 // (hks_n16). The k digit rows are reused across output rows, as a limb's
 // digits are by its two accumulators; the key rows are all distinct and cover
@@ -49,15 +48,6 @@ func benchGadgetDot(b *testing.B) {
 		}
 		out := make([]uint64, n)
 		name := fmt.Sprintf("n%d-k%d", sh.logN, sh.k)
-		b.Run(name+"/mac", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				key := keys[i%outputs]
-				clear(out)
-				for d, dig := range digits {
-					m.VecMulAddLazy(out, dig, key[d])
-				}
-			}
-		})
 		b.Run(name+"/dot", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.VecDotLazy(out, digits, keys[i%outputs], false)

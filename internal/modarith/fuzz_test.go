@@ -63,18 +63,8 @@ func FuzzVecKernels(f *testing.F) {
 			}
 			tbl := tableFor(tier)
 
-			out := append([]uint64(nil), b...)
-			want := append([]uint64(nil), b...)
-			tbl.mulAddLazy(m, out, a, b)
-			vecMulAddLazyGo(m, want, a, b)
-			for j := range want {
-				if out[j] != want[j] {
-					t.Fatalf("%v mulAddLazy diverges at %d: %#x != %#x (q=%d n=%d)", tier, j, out[j], want[j], m.Q, n)
-				}
-			}
-
-			out = make([]uint64, n)
-			want = make([]uint64, n)
+			out := make([]uint64, n)
+			want := make([]uint64, n)
 			tbl.mulShoup(m, out, a, w, ws)
 			vecMulShoupGo(m, want, a, w, ws)
 			for j := range want {

@@ -17,13 +17,6 @@ import "math/bits"
 // All "Lazy" kernels keep out in [0, 2q) (see MulBarrettLazy for the bound
 // derivation); chains end with VecReduceTwoQ.
 
-// VecMulAddLazy computes out[j] += a[j]*b[j] lazily for full rows. The
-// multiplicands may themselves be lazy (a,b < 2q — see MulBarrettLazy),
-// which lets the gadget product consume NTTLazy digits directly.
-func (m Modulus) VecMulAddLazy(out, a, b []uint64) {
-	active.Load().mulAddLazy(m, out, a, b)
-}
-
 // VecMulShoupAddLazy computes out[j] += a[j]*w lazily for a fixed operand w
 // with Shoup companion wShoup (the constant-multiply-accumulate of a fused
 // CMULT+ADD ladder).

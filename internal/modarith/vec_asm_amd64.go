@@ -14,9 +14,6 @@ package modarith
 // AVX-512 kernels (8 lanes, F+DQ). vec_avx512_amd64.s.
 //
 //go:noescape
-func vecMulAddLazyAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
-
-//go:noescape
 func vecMulBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 
 //go:noescape
@@ -225,15 +222,6 @@ func convertRowIFMA(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c 
 func avx512Kernels() kernelTable {
 	return kernelTable{
 		tier: TierAVX512,
-		mulAddLazy: func(m Modulus, out, a, b []uint64) {
-			n := len(a) &^ 7
-			if n > 0 {
-				vecMulAddLazyAVX512(out[:n], a[:n], b[:n], m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
-			}
-			if n < len(a) {
-				vecMulAddLazyGo(m, out[n:], a[n:], b[n:])
-			}
-		},
 		mulBarrett: func(m Modulus, out, a, b []uint64) {
 			n := len(a) &^ 7
 			if n > 0 {

@@ -316,32 +316,6 @@ DONE:                                                          \
 	CONDSUB(XO, Z22, T)           \
 	CONDSUB(YO, Z22, T)
 
-// func vecMulAddLazyAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
-TEXT ·vecMulAddLazyAVX512(SB), NOSPLIT, $0-104
-	MOVQ out_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), CX
-	MOVQ b_base+48(FP), BX
-	BARRETT_CONSTS(72)
-	XORQ DX, DX
-mulAddLazyLoop:
-	VMOVDQU64 (SI)(DX*8), Z0
-	VMOVDQU64 (BX)(DX*8), Z1
-	MUL128x8(Z0, Z1, Z2, Z3, Z5, Z6, Z7)      // xhi:xlo
-	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7) // t
-	VPMULLQ Z27, Z4, Z5
-	VPSUBQ Z5, Z3, Z0                         // r = xlo - t*q
-	CONDSUB(Z0, Z28, Z5)                      // r in [0, 2q)
-	VMOVDQU64 (DI)(DX*8), Z1
-	VPADDQ Z1, Z0, Z0                         // s = out + r
-	CONDSUB(Z0, Z28, Z5)
-	VMOVDQU64 Z0, (DI)(DX*8)
-	ADDQ $8, DX
-	CMPQ DX, CX
-	JL mulAddLazyLoop
-	VZEROUPPER
-	RET
-
 // func vecMulBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 TEXT ·vecMulBarrettAVX512(SB), NOSPLIT, $0-104
 	MOVQ out_base+0(FP), DI

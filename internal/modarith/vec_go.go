@@ -14,29 +14,6 @@ import "math/bits"
 // dropping the same low-word carries), not merely a congruent residue.
 // DESIGN.md §3.8.1 spells out the contract.
 
-func vecMulAddLazyGo(m Modulus, out, a, b []uint64) {
-	q, twoQ, u0, u1 := m.Q, m.TwoQ, m.BRedHi, m.BRedLo
-	_ = out[len(a)-1]
-	_ = b[len(a)-1]
-	for j := range a {
-		xhi, xlo := bits.Mul64(a[j], b[j])
-		t := xhi * u0
-		hhi, _ := bits.Mul64(xlo, u0)
-		t += hhi
-		hhi, _ = bits.Mul64(xhi, u1)
-		t += hhi
-		r := xlo - t*q
-		if r >= twoQ {
-			r -= twoQ
-		}
-		s := out[j] + r
-		if s >= twoQ {
-			s -= twoQ
-		}
-		out[j] = s
-	}
-}
-
 func vecMulBarrettGo(m Modulus, out, a, b []uint64) {
 	q, twoQ, u0, u1 := m.Q, m.TwoQ, m.BRedHi, m.BRedLo
 	_ = out[len(a)-1]

@@ -121,18 +121,6 @@ func forEachTierCase(t *testing.T, lens []int, fn func(t *testing.T, tbl *kernel
 	}
 }
 
-func TestTierMulAddLazy(t *testing.T) {
-	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
-		a := randRow(rng, n, m.TwoQ)
-		b := randRow(rng, n, m.TwoQ)
-		out := randRow(rng, n, m.TwoQ)
-		want := cloneRow(out)
-		vecMulAddLazyGo(m, want, a, b)
-		tbl.mulAddLazy(m, out, a, b)
-		rowsEqual(t, "mulAddLazy", tbl.tier, m, out, want)
-	})
-}
-
 // TestTierMulAccWideIdx runs the sweep's gather MAC at the bound its callers
 // rely on: MaxDotTerms products of a lazy a < 2q and an exact b < q, onto an
 // addend below 2q, stay exact in 128 bits at every modulus up to
@@ -321,18 +309,18 @@ func dotRows(rng *rand.Rand, k, n int, bound uint64, saturated bool) [][]uint64 
 }
 
 // checkDot holds a dot-kernel result to its contract: in [0, 2q) and congruent
-// to acc·in + Σ_k a[k]·b[k], computed twice — by the sequential MAC chain the
-// kernel replaces and as a big.Int sum.
+// to acc·in + Σ_k a[k]·b[k], computed twice — by a chain of exact MACs (one
+// reduction per term) and as a big.Int sum.
 func checkDot(t *testing.T, label string, m Modulus, got, in []uint64, a, b [][]uint64, accumulate bool) {
 	t.Helper()
 	chain := make([]uint64, len(in))
 	if accumulate {
 		copy(chain, in)
+		vecReduceTwoQGo(m, chain)
 	}
 	for k := range a {
-		vecMulAddLazyGo(m, chain, a[k][:len(in)], b[k][:len(in)])
+		vecMulAddBarrettGo(m, chain, a[k][:len(in)], b[k][:len(in)])
 	}
-	vecReduceTwoQGo(m, chain)
 
 	q := new(big.Int).SetUint64(m.Q)
 	sum, x, y := new(big.Int), new(big.Int), new(big.Int)

@@ -111,7 +111,7 @@ const MaxDotTerms = 1 << (128 - 2*MaxModulusBits - 1)
 // for len(a) == len(b) rows of at least len(out) words, a[k] < 2q, b[k] < q
 // and, when accumulate is set, out < 2q. The products and the addend are
 // summed exactly as a 128-bit (hi, lo) pair held in registers and reduced
-// once (ReduceWide128Lazy), where a VecMulAddLazy chain pays a Barrett
+// once (ReduceWide128Lazy), where a VecMulAddBarrett chain pays a Barrett
 // reduction per term. Without accumulate, out is written and never read.
 func (m Modulus) VecDotLazy(out []uint64, a, b [][]uint64, accumulate bool) {
 	dot := active.Load().dotLazy

@@ -24,8 +24,8 @@
 //
 // Both require only q < 2^62; modarith guarantees q < 2^61. Exact reduction
 // happens once, folded into the final stage. The Lazy entry points skip even
-// that, producing [0, 2q) outputs for fused MAC chains (ring/fused.go, the
-// CKKS gadget product) that tolerate lazy operands.
+// that, producing [0, 2q) outputs for the chains that tolerate lazy operands
+// (the key switch's ModUp digits and ModDown conversions).
 //
 // Domains: Forward/Inverse accept [0, 2q) and produce [0, q);
 // ForwardLazy/InverseLazy accept [0, 2q) and produce [0, 2q).
@@ -142,44 +142,40 @@ func (t *Tables) InverseLazy(a []uint64) {
 }
 
 func (t *Tables) forward(a []uint64, lazy bool) {
-	span := t.N
 	for m := 1; m < t.N; m <<= 1 {
-		span >>= 1
-		t.fwdStage(a, m, span, 0, m, lazy)
+		t.fwdStage(a, m, lazy)
 	}
 }
 
 func (t *Tables) inverse(a []uint64, lazy bool) {
-	span := 1
 	for m := t.N >> 1; m > 1; m >>= 1 {
-		t.invStage(a, m, span, 0, m)
-		span <<= 1
+		t.invStage(a, m)
 	}
-	t.invStageFinal(a, 0, t.N>>1, lazy)
+	t.invStageFinal(a, lazy)
 }
 
-// fwdStage applies forward stage m (span = N/(2m)) to twiddle blocks
-// [i0, i1) as one call of the dispatched stage kernel (modarith.VecFwdStage:
-// pure Go or AVX-512 depending on the active tier, at every span). The
-// span=1 final stage folds the exit reduction in, emitting [0, q) (exact) or
-// [0, 2q) (lazy); all other stages keep the [0, 4q) butterfly invariant.
-func (t *Tables) fwdStage(a []uint64, m, span, i0, i1 int, lazy bool) {
-	t.Mod.VecFwdStage(a[2*i0*span:2*i1*span], t.psiRev[m+i0:m+i1], t.psiRevShoup[m+i0:m+i1], span, span, lazy)
+// fwdStage applies forward stage m (m twiddle blocks of span N/(2m)) as one
+// call of the dispatched stage kernel (modarith.VecFwdStage: pure Go or
+// AVX-512 depending on the active tier, at every span). The span=1 final
+// stage folds the exit reduction in, emitting [0, q) (exact) or [0, 2q)
+// (lazy); all other stages keep the [0, 4q) butterfly invariant.
+func (t *Tables) fwdStage(a []uint64, m int, lazy bool) {
+	span := t.N / (2 * m)
+	t.Mod.VecFwdStage(a, t.psiRev[m:2*m], t.psiRevShoup[m:2*m], span, span, lazy)
 }
 
-// invStage applies inverse stage m (span = N/(2m), m ≥ 2) to twiddle blocks
-// [i0, i1) as one call of modarith.VecInvStage, maintaining the [0, 2q)
-// invariant.
-func (t *Tables) invStage(a []uint64, m, span, i0, i1 int) {
-	t.Mod.VecInvStage(a[2*i0*span:2*i1*span], t.psiInvRev[m+i0:m+i1], t.psiInvShoup[m+i0:m+i1], span, span)
+// invStage applies inverse stage m (span N/(2m), m ≥ 2) as one call of
+// modarith.VecInvStage, maintaining the [0, 2q) invariant.
+func (t *Tables) invStage(a []uint64, m int) {
+	span := t.N / (2 * m)
+	t.Mod.VecInvStage(a, t.psiInvRev[m:2*m], t.psiInvShoup[m:2*m], span, span)
 }
 
-// invStageFinal runs the last inverse stage (m = 1, span = N/2) over the
-// butterfly index range [jLo, jHi) ⊆ [0, N/2), with the 1/N scaling fused
-// into both butterfly outputs (modarith.VecInvFinal).
-func (t *Tables) invStageFinal(a []uint64, jLo, jHi int, lazy bool) {
+// invStageFinal runs the last inverse stage (m = 1, span = N/2) with the 1/N
+// scaling fused into both butterfly outputs (modarith.VecInvFinal).
+func (t *Tables) invStageFinal(a []uint64, lazy bool) {
 	span := t.N >> 1
-	t.Mod.VecInvFinal(a[jLo:jHi], a[span+jLo:span+jHi], t.nInv, t.nInvShoup, t.wLastNInv, t.wLastNInvShoup, lazy)
+	t.Mod.VecInvFinal(a[:span], a[span:], t.nInv, t.nInvShoup, t.wLastNInv, t.wLastNInvShoup, lazy)
 }
 
 // MulCoeffs computes the element-wise product c = a ⊙ b of two NTT-form

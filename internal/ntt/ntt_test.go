@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 func newTestTables(t testing.TB, logN int) *Tables {
@@ -344,123 +342,6 @@ func TestMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSplitMatchesSerial checks the intra-polynomial parallel path against
-// the serial transform for every split width, exact and lazy. Runs on a
-// widened pool so the split actually fans out (and so `go test -race` sees
-// the concurrent stage writes).
-func TestSplitMatchesSerial(t *testing.T) {
-	prev := par.SetWorkers(8)
-	defer par.SetWorkers(prev)
-	for _, logN := range []int{13, 14} {
-		tbl := newTestTables(t, logN)
-		r := rand.New(rand.NewSource(int64(13 * logN)))
-		a := randPoly(r, tbl.N, tbl.Mod.Q)
-		for _, s := range []int{2, 4, 8, 16} {
-			for _, lazy := range []bool{false, true} {
-				want := append([]uint64(nil), a...)
-				tbl.forward(want, lazy)
-				got := append([]uint64(nil), a...)
-				tbl.forwardSplit(got, s, lazy)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("logN=%d s=%d lazy=%v: forwardSplit differs at %d: %d != %d", logN, s, lazy, i, got[i], want[i])
-					}
-				}
-				want = append([]uint64(nil), a...)
-				tbl.inverse(want, lazy)
-				got = append([]uint64(nil), a...)
-				tbl.inverseSplit(got, s, lazy)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("logN=%d s=%d lazy=%v: inverseSplit differs at %d: %d != %d", logN, s, lazy, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestManyMatchesSerial drives ForwardMany/InverseMany through every plan
-// branch (serial, limb-parallel, intra-poly split) and checks against the
-// per-limb serial transforms.
-func TestManyMatchesSerial(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		prev := par.SetWorkers(workers)
-		for _, logN := range []int{6, 13} {
-			for _, limbs := range []int{1, 2, 3, 8, 12} {
-				primes, err := modarith.GenerateNTTPrimes(55, logN, limbs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tables := make([]*Tables, limbs)
-				for i, q := range primes {
-					tbl, err := NewTables(modarith.MustModulus(q), logN)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tables[i] = tbl
-				}
-				r := rand.New(rand.NewSource(int64(workers*1000 + logN*10 + limbs)))
-				rows := make([][]uint64, limbs)
-				want := make([][]uint64, limbs)
-				for i := range rows {
-					rows[i] = randPoly(r, tables[i].N, tables[i].Mod.Q)
-					want[i] = append([]uint64(nil), rows[i]...)
-				}
-				ForwardMany(tables, rows)
-				for i := range rows {
-					tables[i].ForwardRef(want[i])
-					for j := range rows[i] {
-						if rows[i][j] != want[i][j] {
-							t.Fatalf("w=%d logN=%d limbs=%d: ForwardMany limb %d differs at %d", workers, logN, limbs, i, j)
-						}
-					}
-				}
-				InverseMany(tables, rows)
-				for i := range rows {
-					tables[i].InverseRef(want[i])
-					for j := range rows[i] {
-						if rows[i][j] != want[i][j] {
-							t.Fatalf("w=%d logN=%d limbs=%d: InverseMany limb %d differs at %d", workers, logN, limbs, i, j)
-						}
-					}
-				}
-			}
-		}
-		par.SetWorkers(prev)
-	}
-}
-
-// TestParallelTransformsConcurrent runs split-plan transforms from several
-// goroutines at once so the race detector can watch the pool-shared stage
-// writes under contention (the engine's serving pattern).
-func TestParallelTransformsConcurrent(t *testing.T) {
-	prev := par.SetWorkers(4)
-	defer par.SetWorkers(prev)
-	tbl := newTestTables(t, 13)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			a := randPoly(r, tbl.N, tbl.Mod.Q)
-			orig := append([]uint64(nil), a...)
-			for iter := 0; iter < 3; iter++ {
-				ForwardMany([]*Tables{tbl}, [][]uint64{a})
-				InverseMany([]*Tables{tbl}, [][]uint64{a})
-			}
-			for i := range a {
-				if a[i] != orig[i] {
-					t.Errorf("seed %d: concurrent round trip differs at %d", seed, i)
-					return
-				}
-			}
-		}(int64(g))
-	}
-	wg.Wait()
-}
-
 func TestMulCoeffsRejectsWrongLength(t *testing.T) {
 	tbl := newTestTables(t, 4)
 	defer func() {
@@ -530,13 +411,13 @@ func benchStages(b *testing.B) {
 		}
 		for m := 1; m < n; m <<= 1 {
 			m, span := m, n/(2*m)
-			stage("fwd", span, func() { tbl.fwdStage(a, m, span, 0, m, false) })
+			stage("fwd", span, func() { tbl.fwdStage(a, m, false) })
 		}
-		stage("fwdLazy", 1, func() { tbl.fwdStage(a, n/2, 1, 0, n/2, true) })
+		stage("fwdLazy", 1, func() { tbl.fwdStage(a, n/2, true) })
 		for m := n >> 1; m > 1; m >>= 1 {
 			m, span := m, n/(2*m)
-			stage("inv", span, func() { tbl.invStage(a, m, span, 0, m) })
+			stage("inv", span, func() { tbl.invStage(a, m) })
 		}
-		stage("inv", n/2, func() { tbl.invStageFinal(a, 0, n/2, false) })
+		stage("inv", n/2, func() { tbl.invStageFinal(a, false) })
 	}
 }

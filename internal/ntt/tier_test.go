@@ -95,63 +95,3 @@ func TestTransformAcrossKernelTiers(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchTransformsAcrossKernelTiers covers the split/parallel transform
-// paths (forwardSplit/inverseSplit drive the dispatched stage kernels with
-// part-block counts and per-worker block ranges the serial path never uses).
-func TestBatchTransformsAcrossKernelTiers(t *testing.T) {
-	orig := modarith.ActiveTier()
-	t.Cleanup(func() {
-		if err := modarith.SetKernelTier(orig); err != nil {
-			t.Fatalf("restoring tier %v: %v", orig, err)
-		}
-	})
-
-	const logN, limbs = 13, 3
-	primes, err := modarith.GenerateNTTPrimes(55, logN, limbs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := make([]*Tables, limbs)
-	mkRows := func() [][]uint64 {
-		rows := make([][]uint64, limbs)
-		for l := range rows {
-			rows[l] = make([]uint64, 1<<logN)
-			for i := range rows[l] {
-				rows[l][i] = (uint64(i)*0xbf58476d1ce4e5b9 + uint64(l)) % primes[l]
-			}
-		}
-		return rows
-	}
-	for l := range tables {
-		if tables[l], err = NewTables(modarith.MustModulus(primes[l]), logN); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if err := modarith.SetKernelTier(modarith.TierGo); err != nil {
-		t.Fatal(err)
-	}
-	want := mkRows()
-	ForwardMany(tables, want)
-	InverseMany(tables, want)
-
-	for _, tier := range modarith.AvailableTiers() {
-		if tier == modarith.TierGo {
-			continue
-		}
-		if err := modarith.SetKernelTier(tier); err != nil {
-			t.Fatal(err)
-		}
-		got := mkRows()
-		ForwardMany(tables, got)
-		InverseMany(tables, got)
-		for l := range want {
-			for i := range want[l] {
-				if got[l][i] != want[l][i] {
-					t.Fatalf("tier=%v limb=%d: output[%d] = %#x, go tier %#x", tier, l, i, got[l][i], want[l][i])
-				}
-			}
-		}
-	}
-}

@@ -1,9 +1,9 @@
 // Package par provides the process-wide worker pool that the RNS limb-level
-// kernels (ring element-wise ops, per-limb NTT/INTT) share. Limbs of an RNS
-// polynomial are independent, so spreading them across cores is always safe;
-// what needs care is doing it without spawning goroutines per call and
+// kernels share through ring.Pipeline.Run, the one limb executor. Limbs of an
+// RNS polynomial are independent, so spreading them across cores is always
+// safe; what needs care is doing it without spawning goroutines per call and
 // without deadlocking when parallel sections nest (e.g. an engine job worker
-// calling into a parallel NTT).
+// calling into a parallel limb chain).
 //
 // The pool keeps a fixed set of long-lived workers fed by an unbuffered task
 // channel. Submission never blocks: if no worker is idle, the submitting
@@ -79,8 +79,7 @@ func ensure() (chan func(), int) {
 // and runs f(lo, hi) for each on the shared pool, returning after every
 // range completed. Contiguous ranges keep each worker's memory accesses
 // sequential — the right split for limb loops over a polynomial's single
-// backing array, where ForEach's strided assignment is cache-hostile. With a
-// pool width of 1 it is exactly f(0, n).
+// backing array. With a pool width of 1 it is exactly f(0, n).
 func ForEachChunk(n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -113,43 +112,6 @@ func ForEachChunk(n int, f func(lo, hi int)) {
 			task() // no idle worker: run inline (nesting-safe)
 		}
 		lo = hi
-	}
-	wg.Wait()
-}
-
-// ForEach runs f(i) for every i in [0, n), spreading the iterations over the
-// shared pool in strided chunks. It returns only after every call completed.
-// With a pool width of 1 (or n == 1) it is exactly a for loop.
-// For index ranges that walk contiguous memory, prefer ForEachChunk.
-func ForEach(n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	ch, width := ensure()
-	if width > n {
-		width = n
-	}
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(width)
-	for w := 0; w < width; w++ {
-		w := w
-		chunk := func() {
-			defer wg.Done()
-			for i := w; i < n; i += width {
-				f(i)
-			}
-		}
-		select {
-		case ch <- chunk:
-		default:
-			chunk() // no idle worker: run inline (nesting-safe)
-		}
 	}
 	wg.Wait()
 }

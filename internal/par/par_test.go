@@ -7,41 +7,6 @@ import (
 	"testing"
 )
 
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		var sum atomic.Int64
-		seen := make([]atomic.Bool, n)
-		ForEach(n, func(i int) {
-			if seen[i].Swap(true) {
-				t.Errorf("n=%d: index %d visited twice", n, i)
-			}
-			sum.Add(int64(i))
-		})
-		want := int64(n) * int64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if sum.Load() != want {
-			t.Fatalf("n=%d: sum=%d want %d", n, sum.Load(), want)
-		}
-	}
-}
-
-func TestForEachNested(t *testing.T) {
-	// Nested parallel sections must not deadlock and must still cover every
-	// index (inner sections fall back to inline execution when the pool is
-	// saturated).
-	var count atomic.Int64
-	ForEach(8, func(i int) {
-		ForEach(16, func(j int) {
-			count.Add(1)
-		})
-	})
-	if count.Load() != 8*16 {
-		t.Fatalf("nested count=%d want %d", count.Load(), 8*16)
-	}
-}
-
 func TestForEachChunkCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 		var sum atomic.Int64
@@ -113,11 +78,9 @@ func TestForEachChunkNested(t *testing.T) {
 func TestSetWorkersSerial(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
-	var order []int // no lock needed: width 1 means serial execution
-	ForEach(5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if i != v {
-			t.Fatalf("serial execution out of order: %v", order)
-		}
+	var calls [][2]int // no lock needed: width 1 means serial execution
+	ForEachChunk(5, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+	if len(calls) != 1 || calls[0] != [2]int{0, 5} {
+		t.Fatalf("width 1 ran %v, want the one range [0, 5)", calls)
 	}
 }

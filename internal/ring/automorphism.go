@@ -79,34 +79,6 @@ func (r *Ring) galoisElementLoop(rot int) uint64 {
 // GaloisElementConjugate returns the Galois element for complex conjugation.
 func (r *Ring) GaloisElementConjugate() uint64 { return uint64(2*r.N) - 1 }
 
-// AutomorphismCoeff applies σ_g to a coefficient-domain polynomial:
-// coefficient j of the input lands at position g*j mod 2N, negated when the
-// exponent wraps past N.
-func (r *Ring) AutomorphismCoeff(out, in *Poly, g uint64, level int) {
-	if in.IsNTT {
-		panic("ring: AutomorphismCoeff requires coefficient domain")
-	}
-	if out == in {
-		panic("ring: AutomorphismCoeff cannot operate in place")
-	}
-	n := uint64(r.N)
-	mask := 2*n - 1
-	for i := 0; i <= level; i++ {
-		mod := r.Moduli[i]
-		src, dst := in.Coeffs[i], out.Coeffs[i]
-		for j := uint64(0); j < n; j++ {
-			k := (j * g) & mask
-			if k < n {
-				dst[k] = src[j]
-			} else {
-				dst[k-n] = mod.Neg(src[j])
-			}
-		}
-	}
-	out.IsNTT = false
-	accountRows(bytesAut, 2, level+1, r.N)
-}
-
 // nttAutoIndex returns (building and caching on first use) the NTT-domain
 // permutation for σ_g: with the bit-reversed evaluation order, output slot i
 // holds the value at root exponent e_i = 2·brv(i)+1, and σ_g moves the value
@@ -146,21 +118,7 @@ func (r *Ring) nttAutoIndex(g uint64) []uint32 {
 func brv(x uint64, n int) uint64 { return bits.Reverse64(x) >> uint(64-n) }
 
 // AutomorphismNTT applies σ_g to an NTT-domain polynomial via slot
-// permutation (no arithmetic).
+// permutation (no arithmetic). out must not alias in.
 func (r *Ring) AutomorphismNTT(out, in *Poly, g uint64, level int) {
-	if !in.IsNTT {
-		panic("ring: AutomorphismNTT requires NTT domain")
-	}
-	if out == in {
-		panic("ring: AutomorphismNTT cannot operate in place")
-	}
-	idx := r.nttAutoIndex(g)
-	for i := 0; i <= level; i++ {
-		src, dst := in.Coeffs[i], out.Coeffs[i]
-		for j, k := range idx {
-			dst[j] = src[k]
-		}
-	}
-	out.IsNTT = true
-	accountRows(bytesAut, 2, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.AutomorphismNTT(out, in, g) })
 }

@@ -5,74 +5,86 @@ import (
 	"math/bits"
 )
 
-// Limb-wise ring operations. All operate on limbs 0..level and write into
-// out, which may alias either input. Domain flags are propagated from the
-// first input; element-wise operations are valid in either domain (they are
-// coefficient-wise in both).
-//
-// Every loop body touches only its own limb, so the loops are spread over
-// the shared worker pool (forEachLimb) once the limb count crosses the
-// parallel threshold — the same pattern as the per-limb NTT batches.
+// Limb-wise ring operations. Each is a one-stage chain on the limb pipeline
+// (pipeline.go) over limbs 0..level — the same executor, parallel dispatch,
+// limb-transform counters and traffic model as the multi-stage chains, just
+// with one stage. out may alias any input unless stated otherwise. Domain
+// flags follow the first input; element-wise operations are valid in either
+// domain (they are coefficient-wise in both).
+
+// run records one chain over limbs 0..level of r with rec and executes it.
+func (r *Ring) run(level int, rec func(ln *Lane)) {
+	pl := GetPipeline()
+	rec(pl.Lane(r, level))
+	pl.Run()
+	pl.Release()
+}
 
 // Add sets out = a + b.
 func (r *Ring) Add(out, a, b *Poly, level int) {
-	forEachLimb(level, func(i int) {
-		r.Moduli[i].VecAdd(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 3, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.Add(out, a, b) })
 }
 
 // Sub sets out = a - b.
 func (r *Ring) Sub(out, a, b *Poly, level int) {
-	forEachLimb(level, func(i int) {
-		r.Moduli[i].VecSub(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 3, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.Sub(out, a, b) })
 }
 
 // Neg sets out = -a.
 func (r *Ring) Neg(out, a *Poly, level int) {
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		oa, oo := a.Coeffs[i], out.Coeffs[i]
-		for j := range oo {
-			oo[j] = mod.Neg(oa[j])
-		}
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 2, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.Neg(out, a) })
 }
 
 // MulCoeffs sets out = a ⊙ b (element-wise product). In the NTT domain this
 // is the ring product. Runs on the Barrett-reciprocal row kernel — no
 // hardware division per coefficient.
 func (r *Ring) MulCoeffs(out, a, b *Poly, level int) {
-	forEachLimb(level, func(i int) {
-		r.Moduli[i].VecMulBarrett(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesMac, 3, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.MulCoeffs(out, a, b) })
 }
 
 // MulCoeffsAdd sets out += a ⊙ b.
 func (r *Ring) MulCoeffsAdd(out, a, b *Poly, level int) {
-	forEachLimb(level, func(i int) {
-		r.Moduli[i].VecMulAddBarrett(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	})
-	accountRows(bytesMac, 4, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.MulCoeffsAdd(out, a, b) })
 }
 
 // MulByLimbScalars sets out[i] = a[i] * s[i] where s carries one scalar per
 // limb (already reduced). Used for gadget factors and rescaling constants.
 func (r *Ring) MulByLimbScalars(out, a *Poly, s []uint64, level int) {
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		mod.VecMulShoup(out.Coeffs[i], a.Coeffs[i], s[i], mod.ShoupPrecomp(s[i]))
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 2, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.MulByLimbScalars(out, a, s) })
+}
+
+// MulByLimbScalarsAddLazy sets out += a * s[i] per limb (s already reduced),
+// keeping out in the lazy [0, 2q) domain: the constant-multiply-accumulate
+// step of a CMULT+ADD ladder, whose chain must end with ReduceLazy before an
+// exact kernel sees out.
+func (r *Ring) MulByLimbScalarsAddLazy(out, a *Poly, s []uint64, level int) {
+	r.run(level, func(ln *Lane) { ln.MulByLimbScalarsAddLazy(out, a, s) })
+}
+
+// ReduceLazy normalizes a lazy accumulator from [0, 2q) back to exact
+// residues in [0, q).
+func (r *Ring) ReduceLazy(p *Poly, level int) {
+	r.run(level, func(ln *Lane) { ln.ReduceLazy(p) })
+}
+
+// NTT transforms p in place to the NTT domain (all limbs up to level).
+func (r *Ring) NTT(p *Poly, level int) {
+	r.run(level, func(ln *Lane) { ln.NTT(p) })
+}
+
+// INTT transforms p in place back to the coefficient domain.
+func (r *Ring) INTT(p *Poly, level int) {
+	r.run(level, func(ln *Lane) { ln.INTT(p) })
+}
+
+// INTTLimb inverse-transforms one row of limb i in place, for the callers
+// that need a single limb out of the NTT domain (Rescale's dropped prime).
+// It is the one transform outside a pipeline chain, so it charges the
+// counters itself.
+func (r *Ring) INTTLimb(row []uint64, i int) {
+	r.Tables[i].Inverse(row)
+	r.inttLimbs.Add(1)
+	accountRows(bytesMoved, 2, 1, r.N)
 }
 
 // ScaledResidues sets res[i] = round(c·scale) mod q_i in [0, q_i) for the
@@ -129,16 +141,5 @@ func (r *Ring) ScaledResidues(res []uint64, c, scale float64) []uint64 {
 // AddLimbScalars sets out = a + c with one residue c[i] per limb: added to
 // every slot in the NTT domain, to coefficient 0 otherwise.
 func (r *Ring) AddLimbScalars(out, a *Poly, c []uint64, level int) {
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		oa, oo := a.Coeffs[i], out.Coeffs[i]
-		if a.IsNTT {
-			mod.VecAddScalar(oo, oa, c[i])
-		} else {
-			copy(oo, oa)
-			oo[0] = mod.Add(oa[0], c[i])
-		}
-	})
-	out.IsNTT = a.IsNTT
-	accountRows(bytesElemwise, 2, level+1, r.N)
+	r.run(level, func(ln *Lane) { ln.AddLimbScalars(out, a, c) })
 }

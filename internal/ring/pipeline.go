@@ -8,22 +8,24 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/rns"
 )
 
-// Limb-resident pipeline executor. A Pipeline records a chain of per-limb
-// stages (NTT/INTT, MAC row kernels, automorphism permutations, rescale
-// epilogues) and executes the *entire chain for one limb* before moving to
-// the next, inside a single par dispatch — one barrier per chain instead of
-// one per kernel.
+// Limb-resident pipeline executor, the package's one limb executor. A
+// Pipeline records a chain of per-limb stages (NTT/INTT, MAC row kernels,
+// automorphism permutations, rescale epilogues) and executes the *entire
+// chain for one limb* before moving to the next, inside a single par
+// dispatch — one barrier per chain instead of one per kernel. Every Ring limb
+// op (ops.go) is a one-stage chain on it, so parallel dispatch, the
+// limb-transform counters and the traffic model live in Run and finish only.
 //
 // The point is cache residency, the software analog of Anaheim's
-// move-the-kernel-to-the-data thesis: a barriered chain streams every operand
-// (limbs × N × 8 bytes, megabytes at bootstrap parameters) through DRAM once
-// per kernel, while the pipelined chain touches one N×8-byte row per operand
-// (128 KB at N=2^14) that stays L2-resident across all stages. The stage set
-// is a fixed op-code enum executed over the same Vec* row kernels the
-// barriered ops use, in the same per-limb order, so pipelined execution is
-// bit-identical to the barriered kernel sequence on every tier — the
-// differential tests in pipeline_test.go and the ckks evaluator hold this
-// line.
+// move-the-kernel-to-the-data thesis: running each kernel as its own sweep
+// streams every operand (limbs × N × 8 bytes, megabytes at bootstrap
+// parameters) through DRAM once per kernel, while a chain touches one
+// N×8-byte row per operand (128 KB at N=2^14) that stays L2-resident across
+// all its stages. The stage set is a fixed op-code enum executed over the
+// modarith row kernels, in the same per-limb order whatever the chain, so a
+// chain is bit-identical to the same stages run one Ring op at a time on
+// every tier — the differential tests in pipeline_test.go and the ckks
+// evaluator hold this line.
 //
 // Usage:
 //
@@ -38,9 +40,9 @@ import (
 //
 // Contracts:
 //   - Stages within a lane run strictly in recorded order for each limb;
-//     limbs (and lanes) are mutually independent, exactly like forEachLimb.
-//     A chain must therefore never make limb i read a row that another limb's
-//     stage writes — the same RNS independence every barriered op relies on.
+//     limbs (and lanes) are mutually independent RNS residues. A chain must
+//     therefore never make limb i read a row that another limb's stage
+//     writes.
 //     The one cross-limb read is a base conversion's (ModUp, BConv): a limb
 //     forms its own row from every row of a premultiplied source, which a
 //     previous Run wrote and which this Run must leave alone.
@@ -52,9 +54,9 @@ import (
 //   - Domain (IsNTT) checks happen at record time against the *pending*
 //     domain (the flag the polynomial will have at that point of the chain);
 //     flags are applied to the Poly headers when Run completes.
-//   - Lazy-domain discipline is unchanged from fused.go: accumulators stay in
-//     [0, 2q) between MAC stages and must pass through ReduceLazy before an
-//     exact kernel or the end of the chain hands them to exact consumers.
+//   - Lazy-domain discipline: accumulators stay in [0, 2q) between MAC
+//     stages and must pass through ReduceLazy before an exact kernel or the
+//     end of the chain hands them to exact consumers.
 //   - A 128-bit accumulator (AutMulAccWide) keeps its low words in its own
 //     polynomial and its high words in a scratch row the Run owns, one per
 //     accumulator and per concurrently executing limb — never a pooled
@@ -98,7 +100,7 @@ type Lane struct {
 
 	nttRows   int // limb rows counting toward the forward limb-transform counter
 	inttRows  int // ...and the inverse counter
-	naiveRows int // row streams a barriered execution would move
+	naiveRows int // row streams the stages would move, each run as its own sweep
 }
 
 type stageOp uint8
@@ -119,8 +121,13 @@ const (
 	opReduceWide
 	opReduceLazy
 	opAdd
+	opSub
+	opNeg
 	opZero
 	opMulScalars
+	opMulScalarsAddLazy
+	opAddScalars
+	opAddScalarsCoeff
 	opSubMulScalarsLazy
 	opAutNTT
 	opAddAutNTT
@@ -151,7 +158,7 @@ type stage struct {
 	key  *modarith.StreamKey
 	half int
 	wide int      // opAutMulAccWide/opFoldWide/opReduceWide: high-word row
-	s    []uint64 // per-limb scalars (opMulScalars, opSubMulScalarsLazy)
+	s    []uint64 // per-limb scalars (opMulScalars*, opAddScalars*, opSubMulScalarsLazy)
 	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
 	fn   func(limb int)
 }
@@ -179,6 +186,11 @@ type polyEffect struct {
 	readRows    int
 	writtenRows int
 }
+
+// parallelLimbThreshold is the limb count of a Run below which its limbs run
+// on the calling goroutine: under it the synchronization of a par dispatch
+// costs more than the limbs it would spread.
+const parallelLimbThreshold = 8
 
 var pipelinePool = sync.Pool{New: func() any { return &Pipeline{} }}
 
@@ -390,7 +402,7 @@ func (ln *Lane) DotKeyLazy(outB, outA *Poly, as, bs []*Poly, key *modarith.Strea
 	ln.setDomain(outB, true)
 	ln.setDomain(outA, true)
 	ln.dotTerms = max(ln.dotTerms, len(as))
-	naive := 3*len(as) + 2 // two barriered dots, less the A rows never read
+	naive := 3*len(as) + 2 // two one-sweep dots, less the A rows never read
 	if accB {
 		naive++
 	}
@@ -430,7 +442,8 @@ func (ln *Lane) ModUp(digits []*Poly, in, pre *Poly, conv []*rns.BasisConverter,
 			ln.nttRows -= len(bc.From) // the digit's own limbs are in's rows
 		}
 	}
-	// A barriered ModUp writes each converted row and transforms it in place.
+	// Run as its own sweep, ModUp writes each converted row and transforms it
+	// in place.
 	ln.push(stage{op: opModUp, as: digits, a: in, b: pre, conv: conv, off: off}, 3*len(digits))
 }
 
@@ -518,6 +531,23 @@ func (ln *Lane) Add(out, a, b *Poly) {
 	ln.push(stage{op: opAdd, out: out, a: a, b: b}, 3)
 }
 
+// Sub records out = a - b (exact element-wise difference; domain follows a).
+func (ln *Lane) Sub(out, a, b *Poly) {
+	ln.use(a, true, false)
+	ln.use(b, true, false)
+	ln.use(out, false, true)
+	ln.setDomain(out, ln.domain(a))
+	ln.push(stage{op: opSub, out: out, a: a, b: b}, 3)
+}
+
+// Neg records out = -a (domain follows a).
+func (ln *Lane) Neg(out, a *Poly) {
+	ln.use(a, true, false)
+	ln.use(out, false, true)
+	ln.setDomain(out, ln.domain(a))
+	ln.push(stage{op: opNeg, out: out, a: a}, 2)
+}
+
 // Zero records out = 0: how an accumulator borrowed from the pool is cleared,
 // one row at a time and right before the stage that adds onto it, so the row
 // is in cache for that stage instead of being swept through memory up front.
@@ -533,6 +563,29 @@ func (ln *Lane) MulByLimbScalars(out, a *Poly, s []uint64) {
 	ln.use(out, false, true)
 	ln.setDomain(out, ln.domain(a))
 	ln.push(stage{op: opMulScalars, out: out, a: a, s: s}, 2)
+}
+
+// MulByLimbScalarsAddLazy records out += a · s[i] per limb, keeping out lazy
+// in [0, 2q): the constant-multiply-accumulate step of a CMULT+ADD ladder,
+// whose chain must end with ReduceLazy. a must be exact.
+func (ln *Lane) MulByLimbScalarsAddLazy(out, a *Poly, s []uint64) {
+	ln.use(a, true, false)
+	ln.use(out, true, true)
+	ln.push(stage{op: opMulScalarsAddLazy, out: out, a: a, s: s}, 3)
+}
+
+// AddLimbScalars records out = a + s[i] per limb, in the domain a has at this
+// point of the chain: added to every slot in the NTT domain, to coefficient 0
+// in the coefficient domain.
+func (ln *Lane) AddLimbScalars(out, a *Poly, s []uint64) {
+	op := opAddScalarsCoeff
+	if ln.domain(a) {
+		op = opAddScalars
+	}
+	ln.use(a, true, false)
+	ln.use(out, false, true)
+	ln.setDomain(out, ln.domain(a))
+	ln.push(stage{op: op, out: out, a: a, s: s}, 2)
 }
 
 // SubMulByLimbScalarsLazy records out = (a - b) · s[i] per limb (the fused
@@ -703,7 +756,7 @@ func (pl *Pipeline) finish() {
 		if ln.inttRows > 0 {
 			ln.r.inttLimbs.Add(int64(ln.inttRows))
 		}
-		accountRows(bytesPipelined, distinct, 1, ln.r.N)
+		accountRows(bytesMoved, distinct, 1, ln.r.N)
 		if saved := ln.naiveRows - distinct; saved > 0 {
 			accountRows(bytesSaved, saved, 1, ln.r.N)
 		}
@@ -712,9 +765,9 @@ func (pl *Pipeline) finish() {
 }
 
 // exec runs the lane's whole stage chain over limb i on the goroutine's
-// scratch sc. This is the inner loop of the executor: every stage body is the
-// same row kernel its barriered counterpart dispatches per limb, in the same
-// order, so the results are bit-identical on every kernel tier.
+// scratch sc. This is the inner loop of the executor: every stage body is one
+// modarith row kernel (or a plain loop where none exists), the same whichever
+// chain records it, so the results are bit-identical on every kernel tier.
 func (ln *Lane) exec(i int, sc *scratch) {
 	r := ln.r
 	wide, uni := sc.wide, sc.uni
@@ -781,11 +834,27 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			mod.VecReduceTwoQ(st.out.Coeffs[i])
 		case opAdd:
 			mod.VecAdd(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
+		case opSub:
+			mod.VecSub(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i])
+		case opNeg:
+			src, dst := st.a.Coeffs[i], st.out.Coeffs[i]
+			for j := range dst {
+				dst[j] = mod.Neg(src[j])
+			}
 		case opZero:
 			clear(st.out.Coeffs[i])
 		case opMulScalars:
 			s := st.s[i]
 			mod.VecMulShoup(st.out.Coeffs[i], st.a.Coeffs[i], s, mod.ShoupPrecomp(s))
+		case opMulScalarsAddLazy:
+			s := st.s[i]
+			mod.VecMulShoupAddLazy(st.out.Coeffs[i], st.a.Coeffs[i], s, mod.ShoupPrecomp(s))
+		case opAddScalars:
+			mod.VecAddScalar(st.out.Coeffs[i], st.a.Coeffs[i], st.s[i])
+		case opAddScalarsCoeff:
+			src, dst := st.a.Coeffs[i], st.out.Coeffs[i]
+			copy(dst, src)
+			dst[0] = mod.Add(src[0], st.s[i])
 		case opSubMulScalarsLazy:
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))

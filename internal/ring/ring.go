@@ -16,7 +16,6 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ntt"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // Ring is an RNS cyclotomic ring: degree N = 2^LogN with a chain of NTT-
@@ -164,85 +163,4 @@ func (p *Poly) Equal(q *Poly) bool {
 		}
 	}
 	return true
-}
-
-// parallelLimbThreshold is the limb count above which per-limb work is
-// spread over the shared worker pool (internal/par). Limbs are independent
-// (RNS), so this is safe; below the threshold the synchronization overhead
-// dominates.
-const parallelLimbThreshold = 8
-
-// forEachLimb runs f over limbs 0..level, on the shared worker pool when
-// worthwhile. Workers get contiguous limb ranges (par.ForEachChunk): the
-// limb rows of a Poly share one backing array, so a contiguous split keeps
-// each worker streaming sequential memory instead of striding across it.
-func forEachLimb(level int, f func(i int)) {
-	limbs := level + 1
-	if limbs < parallelLimbThreshold || par.Workers() < 2 {
-		for i := 0; i < limbs; i++ {
-			f(i)
-		}
-		return
-	}
-	par.ForEachChunk(limbs, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
-}
-
-// NTT transforms p in place to the NTT domain (all limbs up to level).
-func (r *Ring) NTT(p *Poly, level int) {
-	if p.IsNTT {
-		panic("ring: NTT on a polynomial already in NTT form")
-	}
-	ntt.ForwardMany(r.Tables[:level+1], p.Coeffs[:level+1])
-	r.nttLimbs.Add(int64(level + 1))
-	accountRows(bytesTransform, 2, level+1, r.N)
-	p.IsNTT = true
-}
-
-// INTT transforms p in place back to the coefficient domain.
-func (r *Ring) INTT(p *Poly, level int) {
-	if !p.IsNTT {
-		panic("ring: INTT on a polynomial already in coefficient form")
-	}
-	ntt.InverseMany(r.Tables[:level+1], p.Coeffs[:level+1])
-	r.inttLimbs.Add(int64(level + 1))
-	accountRows(bytesTransform, 2, level+1, r.N)
-	p.IsNTT = false
-}
-
-// INTTLimb inverse-transforms one row of limb i in place, for the callers
-// that need a single limb out of the NTT domain (Rescale's dropped prime).
-func (r *Ring) INTTLimb(row []uint64, i int) {
-	r.Tables[i].Inverse(row)
-	r.inttLimbs.Add(1)
-	accountRows(bytesTransform, 2, 1, r.N)
-}
-
-// NTTLazy is NTT with lazy outputs: coefficients land in [0, 2q) instead of
-// [0, q), skipping the transform's exit reduction. Use it when the result
-// feeds a lazy-tolerant chain (the fused gadget-product MACs); end the chain
-// with ReduceLazy before any exact kernel sees the polynomial. Counts toward
-// the same limb-transform counters as NTT.
-func (r *Ring) NTTLazy(p *Poly, level int) {
-	if p.IsNTT {
-		panic("ring: NTTLazy on a polynomial already in NTT form")
-	}
-	ntt.ForwardManyLazy(r.Tables[:level+1], p.Coeffs[:level+1])
-	r.nttLimbs.Add(int64(level + 1))
-	accountRows(bytesTransform, 2, level+1, r.N)
-	p.IsNTT = true
-}
-
-// INTTLazy is INTT with lazy [0, 2q) outputs (inputs may also be lazy).
-func (r *Ring) INTTLazy(p *Poly, level int) {
-	if !p.IsNTT {
-		panic("ring: INTTLazy on a polynomial already in coefficient form")
-	}
-	ntt.InverseManyLazy(r.Tables[:level+1], p.Coeffs[:level+1])
-	r.inttLimbs.Add(int64(level + 1))
-	accountRows(bytesTransform, 2, level+1, r.N)
-	p.IsNTT = false
 }

@@ -259,7 +259,7 @@ func TestNTTLazyMatchesExact(t *testing.T) {
 	lazy := a.CopyNew()
 
 	r.NTT(exact, level)
-	r.NTTLazy(lazy, level)
+	nttLazy(r, lazy, level)
 	if !lazy.IsNTT {
 		t.Fatal("NTTLazy did not set domain flag")
 	}
@@ -276,12 +276,35 @@ func TestNTTLazyMatchesExact(t *testing.T) {
 		}
 	}
 
-	r.INTTLazy(lazy, level)
-	r.ReduceLazy(lazy, level)
-	lazy.IsNTT = a.IsNTT
+	// The exact inverse takes lazy inputs.
+	r.INTT(lazy, level)
 	if !lazy.Equal(a) {
-		t.Fatal("NTTLazy/INTTLazy/ReduceLazy round trip failed")
+		t.Fatal("NTTLazy/INTT round trip failed")
 	}
+}
+
+// automorphismCoeff is the coefficient-domain oracle for AutomorphismNTT:
+// coefficient j of in lands at position g*j mod 2N of out, negated when the
+// exponent wraps past N.
+func automorphismCoeff(r *Ring, out, in *Poly, g uint64, level int) {
+	if in.IsNTT || out == in {
+		panic("automorphismCoeff needs a coefficient-domain input it does not overwrite")
+	}
+	n := uint64(r.N)
+	mask := 2*n - 1
+	for i := 0; i <= level; i++ {
+		mod := r.Moduli[i]
+		src, dst := in.Coeffs[i], out.Coeffs[i]
+		for j := uint64(0); j < n; j++ {
+			k := (j * g) & mask
+			if k < n {
+				dst[k] = src[j]
+			} else {
+				dst[k-n] = mod.Neg(src[j])
+			}
+		}
+	}
+	out.IsNTT = false
 }
 
 func TestAutomorphismCoeffVsNTT(t *testing.T) {
@@ -294,7 +317,7 @@ func TestAutomorphismCoeffVsNTT(t *testing.T) {
 
 		// Path 1: coefficient-domain automorphism then NTT.
 		c1 := r.NewPoly(level)
-		r.AutomorphismCoeff(c1, a, g, level)
+		automorphismCoeff(r, c1, a, g, level)
 		r.NTT(c1, level)
 
 		// Path 2: NTT then NTT-domain automorphism.
@@ -319,12 +342,12 @@ func TestAutomorphismGroupLaw(t *testing.T) {
 	twoN := uint64(2 * r.N)
 
 	t1 := r.NewPoly(level)
-	r.AutomorphismCoeff(t1, a, g2, level)
+	automorphismCoeff(r, t1, a, g2, level)
 	t2 := r.NewPoly(level)
-	r.AutomorphismCoeff(t2, t1, g1, level)
+	automorphismCoeff(r, t2, t1, g1, level)
 
 	t3 := r.NewPoly(level)
-	r.AutomorphismCoeff(t3, a, g1*g2%twoN, level)
+	automorphismCoeff(r, t3, a, g1*g2%twoN, level)
 	if !t2.Equal(t3) {
 		t.Fatal("automorphism composition law violated")
 	}
@@ -548,5 +571,33 @@ func TestUniformRejectionIsUniform(t *testing.T) {
 	mean := sum / float64(r.N)
 	if mean < 0.4*q || mean > 0.6*q {
 		t.Fatalf("uniform sample mean %.3g implausible for q=%.3g", mean, q)
+	}
+}
+
+// TestMulByLimbScalarsAddLazyMatchesUnfused: a lazy scalar MAC chain ended
+// by ReduceLazy equals the exact MulByLimbScalars + Add composition.
+func TestMulByLimbScalarsAddLazyMatchesUnfused(t *testing.T) {
+	r := newTestRing(t, 5, 9)
+	s := testStream(17)
+	level := r.MaxLevel()
+
+	scalars := make([]uint64, level+1)
+	for i := range scalars {
+		scalars[i] = uint64(i*i+3) % r.Moduli[i].Q
+	}
+
+	acc := s.UniformPoly(r, level, true)
+	want := acc.CopyNew()
+	fused := acc.CopyNew()
+	tmp := r.NewPoly(level)
+	for k := 0; k < 5; k++ {
+		a := s.UniformPoly(r, level, true)
+		r.MulByLimbScalarsAddLazy(fused, a, scalars, level)
+		r.MulByLimbScalars(tmp, a, scalars, level)
+		r.Add(want, want, tmp, level)
+	}
+	r.ReduceLazy(fused, level)
+	if !fused.Equal(want) {
+		t.Fatal("fused scalar MAC != MulByLimbScalars+Add composition")
 	}
 }

@@ -76,14 +76,19 @@ func KeyRowTag(digit, half, limb int) uint64 {
 // switching key's digit before its gadget term, with each row of a expanded
 // into pooled scratch and consumed at once — the key generator's twin of
 // Lane.DotKeyLazy. e and s are NTT-domain and exact; out is flagged NTT.
+//
+// Like EmbedCentered it runs as a pipeline Func stage that declares no rows:
+// key generation and encryption stay outside the traffic model.
 func (r *Ring) SubUniformProduct(out, e, s *Poly, key *modarith.StreamKey, digit, half, level int) {
-	forEachLimb(level, func(i int) {
-		a := r.GetPoly(0)
-		defer r.PutPoly(a)
-		row, mod := a.Coeffs[0], r.Moduli[i]
-		mod.ExpandUniform(row, key, KeyRowTag(digit, half, i), 0)
-		mod.VecMulBarrett(row, row, s.Coeffs[i])
-		mod.VecSub(out.Coeffs[i], e.Coeffs[i], row)
+	r.run(level, func(ln *Lane) {
+		ln.Func(func(i int) {
+			a := r.GetPoly(0)
+			defer r.PutPoly(a)
+			row, mod := a.Coeffs[0], r.Moduli[i]
+			mod.ExpandUniform(row, key, KeyRowTag(digit, half, i), 0)
+			mod.VecMulBarrett(row, row, s.Coeffs[i])
+			mod.VecSub(out.Coeffs[i], e.Coeffs[i], row)
+		}, nil, nil)
 	})
 	out.IsNTT = true
 }
@@ -103,20 +108,22 @@ func (r *Ring) EmbedCentered(p *Poly, v []int64, level int) {
 			maxAbs = a
 		}
 	}
-	forEachLimb(level, func(i int) {
-		mod := r.Moduli[i]
-		row := p.Coeffs[i][:len(v)]
-		if maxAbs < mod.Q {
-			for j, x := range v {
-				row[j] = uint64(x) + mod.Q&uint64(x>>63)
+	r.run(level, func(ln *Lane) {
+		ln.Func(func(i int) {
+			mod := r.Moduli[i]
+			row := p.Coeffs[i][:len(v)]
+			if maxAbs < mod.Q {
+				for j, x := range v {
+					row[j] = uint64(x) + mod.Q&uint64(x>>63)
+				}
+				return
 			}
-			return
-		}
-		for j, x := range v {
-			s := uint64(x >> 63)                    // all ones when x < 0
-			a := mod.MulBarrett((uint64(x)^s)-s, 1) // |x| mod q: a·1 < 2^128 is all the reduction needs
-			row[j] = mod.ReduceTwoQ(a ^ (a^(mod.Q-a))&s)
-		}
+			for j, x := range v {
+				s := uint64(x >> 63)                    // all ones when x < 0
+				a := mod.MulBarrett((uint64(x)^s)-s, 1) // |x| mod q: a·1 < 2^128 is all the reduction needs
+				row[j] = mod.ReduceTwoQ(a ^ (a^(mod.Q-a))&s)
+			}
+		}, nil, nil)
 	})
 	p.IsNTT = false
 }
