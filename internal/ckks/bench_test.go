@@ -218,7 +218,7 @@ func BenchmarkKeySwitch(b *testing.B) {
 	rq := tc.params.RingQ()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
+		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk, nil, 0)
 		rq.PutPoly(d0)
 		rq.PutPoly(d1)
 	}

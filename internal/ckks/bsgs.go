@@ -502,7 +502,7 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 
 		t1 := ga.a1q // a giant with only a b == 0 diagonal
 		if ga.t1q != nil {
-			t1 = ev.modDown(ga.t1q, ga.t1p, ga.a1q, lvl)
+			t1 = ev.modDown([2]*ring.Poly{ga.t1q}, [2]*ring.Poly{ga.t1p}, [2]*ring.Poly{ga.a1q}, 0, lvl)[0]
 			rq.PutPoly(ga.t1q)
 			rp.PutPoly(ga.t1p)
 			ga.t1q, ga.t1p = nil, nil

@@ -91,7 +91,7 @@ func TestTraceMatchesFunctionalKeySwitchNTTCount(t *testing.T) {
 		pl := p.PlanAt(lvl)
 		a := dropTo(ev, ct, lvl)
 		wantKS := modUpTransforms(pl) + modDownTransforms(pl, 2)
-		if got := countTransforms(p, func() { ev.keySwitch(a.C1, lvl, tc.keys.Rlk) }); got != wantKS {
+		if got := countTransforms(p, func() { ev.keySwitch(a.C1, lvl, tc.keys.Rlk, nil, 0) }); got != wantKS {
 			t.Errorf("lvl %d %+v: key switch runs %d limb transforms, formula says %d", lvl, pl, got, wantKS)
 		}
 		if got := countTransforms(p, func() { ev.rescale(a) }); got != 2+2*lvl {

@@ -14,37 +14,87 @@ import (
 
 // Evaluator executes homomorphic operations: the basic functions HADD,
 // PMULT, HMULT and HROT of §II-A and the primitives they decompose into
-// (ModUp, KeyMult, MAC, automorphism, ModDown, rescaling).
+// (ModUp, KeyMult, MAC, automorphism, ModDown, rescaling). Its constants are
+// built by NewEvaluator (the monomial once, on first use) and only read
+// afterwards, so ops share them without a lock.
 type Evaluator struct {
 	params *Parameters
 	keys   *EvaluationKeySet
 
-	mu         sync.Mutex
-	modUps     map[int]*modUpConsts        // level -> ModUp converters
-	pToQConv   map[int]*rns.BasisConverter // level -> BConv P -> Q_level
-	rescalers  map[int]*rns.Rescaler       // level -> cached rescale constants
-	tails      map[int]*rescaleTail        // level -> modDownRescale constants
-	pModQ      []uint64                    // P mod q_i (full chain)
-	pInvModQ   []uint64                    // P^{-1} mod q_i (full chain)
-	monomialNT map[int]*ring.Poly          // level -> NTT(X^{N/2})
+	levels      []levelConsts       // indexed by level
+	downConv    *rns.BasisConverter // BConv P -> Q over the full chain
+	rescaleConv *rns.BasisConverter // downConv with row i scaled by −P^{-1} mod q_i
+	pModQ       []uint64            // P mod q_i (full chain)
+	pInvModQ    []uint64            // P^{-1} mod q_i (full chain)
+
+	monoOnce sync.Once
+	mono     *ring.Poly // NTT(X^{N/2}) over the full chain
+}
+
+// levelConsts holds one level's key-switch and rescale constants: per digit
+// of the level's plan, the ModUp BConv from the digit's Q limbs onto
+// Q_ℓ ∪ P (target row i is limb i of Q, target ℓ+1+j limb j of P), and per Q
+// limb the factor its digit's conversion premultiplies it by; the rescaler
+// dropping q_ℓ and (P·q_ℓ)^{-1} mod q_i, i < ℓ, for modDownRescale (both nil
+// at level 0). A digit's own limbs are targets too but are never converted:
+// BConv onto a source prime q_j returns the source residue (every other
+// Q_d/q_i term vanishes mod q_j), which the input already holds.
+type levelConsts struct {
+	conv    []*rns.BasisConverter
+	qHatInv []uint64
+	rs      *rns.Rescaler
+	pqInv   []uint64
 }
 
 // NewEvaluator binds a key set (which may be extended later; the map is
-// shared).
+// shared) and builds every level's constants. A BConv target row depends only
+// on the source basis and its own prime, so one P -> Q converter serves every
+// level.
 func NewEvaluator(params *Parameters, keys *EvaluationKeySet) *Evaluator {
+	q, pm := params.RingQ().Moduli, params.RingP().Moduli
 	ev := &Evaluator{
-		params:     params,
-		keys:       keys,
-		modUps:     make(map[int]*modUpConsts),
-		pToQConv:   make(map[int]*rns.BasisConverter),
-		rescalers:  make(map[int]*rns.Rescaler),
-		tails:      make(map[int]*rescaleTail),
-		monomialNT: make(map[int]*ring.Poly),
-		// Computed eagerly so the hot paths never take the lock for them.
-		pModQ:    rns.ProductMod(params.RingP().Moduli, params.RingQ().Moduli),
-		pInvModQ: rns.ProductInvMod(params.RingP().Moduli, params.RingQ().Moduli),
+		params:   params,
+		keys:     keys,
+		levels:   make([]levelConsts, params.MaxLevel()+1),
+		downConv: mustConverter(pm, q),
+		pModQ:    rns.ProductMod(pm, q),
+		pInvModQ: rns.ProductInvMod(pm, q),
+	}
+	negPInv := make([]uint64, len(q))
+	for i := range negPInv {
+		negPInv[i] = q[i].Neg(ev.pInvModQ[i])
+	}
+	ev.rescaleConv = ev.downConv.Scaled(negPInv)
+	for lvl := range ev.levels {
+		lc := &ev.levels[lvl]
+		pl := params.PlanAt(lvl)
+		to := append(append(make([]modarith.Modulus, 0, lvl+1+pl.Alpha), q[:lvl+1]...), pm...)
+		for d := 0; d < pl.Digits; d++ {
+			lo, hi := pl.digitLimbs(d)
+			bc := mustConverter(q[lo:hi], to)
+			lc.conv = append(lc.conv, bc)
+			lc.qHatInv = append(lc.qHatInv, bc.QHatInv()...)
+		}
+		if lvl == 0 {
+			continue
+		}
+		lc.rs = rns.NewRescaler(q[:lvl+1])
+		lc.pqInv = make([]uint64, lvl)
+		for i := range lc.pqInv {
+			lc.pqInv[i] = q[i].Mul(ev.pInvModQ[i], lc.rs.LastModulusInv()[i])
+		}
 	}
 	return ev
+}
+
+// mustConverter is rns.NewBasisConverter over prime chains NewParameters
+// already checked to be distinct.
+func mustConverter(from, to []modarith.Modulus) *rns.BasisConverter {
+	bc, err := rns.NewBasisConverter(from, to)
+	if err != nil {
+		panic(err)
+	}
+	return bc
 }
 
 // ---------------------------------------------------------------------------
@@ -210,100 +260,6 @@ func (pl GadgetPlan) digitLimbs(d int) (lo, hi int) {
 	return d * pl.Alpha, min((d+1)*pl.Alpha, pl.Level+1)
 }
 
-// modUpConsts holds one level's ModUp constants: per digit of the level's
-// plan, the BConv from the digit's Q limbs onto Q_level ∪ P (target row i is
-// limb i of Q, target ℓ+1+j limb j of P), and per Q limb the factor its
-// digit's conversion premultiplies it by.
-type modUpConsts struct {
-	conv    []*rns.BasisConverter
-	qHatInv []uint64
-}
-
-// modUpAt returns the cached ModUp constants of level lvl. A digit's own
-// limbs are targets too but are never converted: BConv onto a source prime
-// q_j returns the source residue (every other Q_d/q_i term vanishes mod q_j),
-// which the input already holds.
-func (ev *Evaluator) modUpAt(lvl int) *modUpConsts {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if m, ok := ev.modUps[lvl]; ok {
-		return m
-	}
-	p := ev.params
-	pl := p.PlanAt(lvl)
-	q := p.RingQ().Moduli[:lvl+1]
-	to := append(append(make([]modarith.Modulus, 0, lvl+1+pl.Alpha), q...), p.RingP().Moduli...)
-	m := &modUpConsts{conv: make([]*rns.BasisConverter, pl.Digits)}
-	for d := range m.conv {
-		lo, hi := pl.digitLimbs(d)
-		bc, err := rns.NewBasisConverter(q[lo:hi], to)
-		if err != nil {
-			panic(err)
-		}
-		m.conv[d] = bc
-		m.qHatInv = append(m.qHatInv, bc.QHatInv()...)
-	}
-	ev.modUps[lvl] = m
-	return m
-}
-
-// pToQConverter returns the cached BConv P -> Q_level.
-func (ev *Evaluator) pToQConverter(level int) *rns.BasisConverter {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if c, ok := ev.pToQConv[level]; ok {
-		return c
-	}
-	p := ev.params
-	bc, err := rns.NewBasisConverter(p.RingP().Moduli, p.RingQ().Moduli[:level+1])
-	if err != nil {
-		panic(err)
-	}
-	ev.pToQConv[level] = bc
-	return bc
-}
-
-// rescaler returns the cached rescale constants for dropping q_lvl.
-func (ev *Evaluator) rescaler(lvl int) *rns.Rescaler {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if rs, ok := ev.rescalers[lvl]; ok {
-		return rs
-	}
-	rs := rns.NewRescaler(ev.params.RingQ().Moduli[:lvl+1])
-	ev.rescalers[lvl] = rs
-	return rs
-}
-
-// rescaleTail holds one level's constants of modDownRescale.
-type rescaleTail struct {
-	rs    *rns.Rescaler       // drops q_lvl
-	conv  *rns.BasisConverter // P -> Q_lvl, row i scaled by −P^{-1} mod q_i
-	pqInv []uint64            // (P·q_lvl)^{-1} mod q_i, i < lvl
-}
-
-// rescaleTail returns the cached modDownRescale constants for level lvl ≥ 1.
-func (ev *Evaluator) rescaleTail(lvl int) *rescaleTail {
-	rs, bc := ev.rescaler(lvl), ev.pToQConverter(lvl)
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if t, ok := ev.tails[lvl]; ok {
-		return t
-	}
-	q := ev.params.RingQ().Moduli
-	negPInv := make([]uint64, lvl+1)
-	for i := range negPInv {
-		negPInv[i] = q[i].Neg(ev.pInvModQ[i])
-	}
-	pqInv := make([]uint64, lvl)
-	for i := range pqInv {
-		pqInv[i] = q[i].Mul(ev.pInvModQ[i], rs.LastModulusInv()[i])
-	}
-	t := &rescaleTail{rs: rs, conv: bc.Scaled(negPInv), pqInv: pqInv}
-	ev.tails[lvl] = t
-	return t
-}
-
 // decomposed is a polynomial made ready for ModUp in the extended basis
 // Q_level ∪ P. No digit polynomial exists: the Run that consumes the
 // decomposition converts each digit onto each limb into that limb's scratch
@@ -329,7 +285,7 @@ type decomposed struct {
 func (ev *Evaluator) decompose(c *ring.Poly, lvl int) *decomposed {
 	defer obsKSBConv.done(time.Now())
 	rq := ev.params.RingQ()
-	m := ev.modUpAt(lvl)
+	m := &ev.levels[lvl]
 	obsKSDigits.Observe(float64(len(m.conv)))
 
 	pre := rq.GetPoly(lvl)
@@ -348,16 +304,6 @@ func (ev *Evaluator) decompose(c *ring.Poly, lvl int) *decomposed {
 func (dec *decomposed) release(p *Parameters) {
 	p.RingQ().PutPoly(dec.pre)
 	dec.pre = nil
-}
-
-// gadgetProduct computes the inner product of the digits with a switching
-// key (KeyMult + MAC): (u0, u1) over Q_level ∪ P such that
-// u0 + u1·under = P·c·w + e. The four accumulators are pooled; callers
-// return them with putQP once the ModDown has consumed them.
-func (ev *Evaluator) gadgetProduct(dec *decomposed, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
-	u0q, u0p, u1q, u1p = ev.getQP(dec.level)
-	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p, false, false)
-	return
 }
 
 // getNTT borrows an NTT-flagged polynomial from r's pool. Its contents are
@@ -385,37 +331,30 @@ func (ev *Evaluator) putQP(u0q, u0p, u1q, u1p *ring.Poly) {
 	rp.PutPoly(u1p)
 }
 
-// keySwitchQP runs the ModUp -> KeyMult/MAC half of a key switch on c and
-// leaves (u0, u1) in the extended basis for the caller's ModDown tail, which
-// differs per op (plain pair, rotation automorphism). Return the accumulators
-// with putQP.
-func (ev *Evaluator) keySwitchQP(c *ring.Poly, lvl int, swk *SwitchingKey) (u0q, u0p, u1q, u1p *ring.Poly) {
-	dec := ev.decompose(c, lvl)
-	u0q, u0p, u1q, u1p = ev.gadgetProduct(dec, swk)
-	dec.release(ev.params)
-	return
-}
-
-// keySwitch applies the full ModUp -> KeyMult/MAC -> ModDown pipeline to c.
-func (ev *Evaluator) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey) (d0, d1 *ring.Poly) {
+// keySwitch applies the full ModUp -> KeyMult/MAC -> ModDown pipeline to c
+// at level lvl: (d0, d1) with d0 + d1·under = c·w + e over Q_lvl, plus add on
+// d0 (nil adds nothing), both permuted by σ_g when g ≠ 0 — all of it fused
+// into the one modDown tail.
+func (ev *Evaluator) keySwitch(c *ring.Poly, lvl int, swk *SwitchingKey, add *ring.Poly, g uint64) (d0, d1 *ring.Poly) {
 	defer obsKeySwitch.done(time.Now())
-	u0q, u0p, u1q, u1p := ev.keySwitchQP(c, lvl, swk)
-	d0, d1 = ev.modDownPair(u0q, u0p, u1q, u1p, lvl)
+	dec := ev.decompose(c, lvl)
+	u0q, u0p, u1q, u1p := ev.getQP(lvl)
+	ev.gadgetProductInto(dec, swk, u0q, u1q, u0p, u1p, false, false)
+	dec.release(ev.params)
+	out := ev.modDown([2]*ring.Poly{u0q, u1q}, [2]*ring.Poly{u0p, u1p}, [2]*ring.Poly{add}, g, lvl)
 	ev.putQP(u0q, u0p, u1q, u1p)
-	return d0, d1
+	return out[0], out[1]
 }
 
 // SwitchKeys re-encrypts ct under the key targeted by swk (used for
 // sparse-secret encapsulation in bootstrapping). A key below ct's level
 // returns an error wrapping ErrMissingKey, before anything is borrowed.
 func (ev *Evaluator) SwitchKeys(ct *Ciphertext, swk *SwitchingKey) (*Ciphertext, error) {
-	rq := ev.params.RingQ()
 	lvl := ct.Level()
 	if !swk.covers(ev.params, lvl) {
 		return nil, keyBelow("switching key", swk, lvl)
 	}
-	d0, d1 := ev.keySwitch(ct.C1, lvl, swk)
-	rq.Add(d0, d0, ct.C0, lvl)
+	d0, d1 := ev.keySwitch(ct.C1, lvl, swk, ct.C0, 0)
 	return &Ciphertext{C0: d0, C1: d1, Scale: ct.Scale}, nil
 }
 
@@ -501,12 +440,7 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, galEl uint64) (*Ciphertext, er
 	if err != nil {
 		return nil, err
 	}
-	lvl := ct.Level()
-	ksStart := time.Now()
-	u0q, u0p, u1q, u1p := ev.keySwitchQP(ct.C1, lvl, swk)
-	o0, o1 := ev.modDownAut(u0q, u0p, u1q, u1p, ct.C0, galEl, lvl)
-	obsKeySwitch.done(ksStart)
-	ev.putQP(u0q, u0p, u1q, u1p)
+	o0, o1 := ev.keySwitch(ct.C1, ct.Level(), swk, ct.C0, galEl)
 	return &Ciphertext{C0: o0, C1: o1, Scale: ct.Scale}, nil
 }
 
@@ -579,22 +513,21 @@ func (ev *Evaluator) multConst(ct *Ciphertext, c, constScale float64) *Ciphertex
 	return ev.rescaleOwned(prod)
 }
 
-// monomial returns the cached NTT form of X^{N/2} at the given level; its
-// slots are the constant i, so multiplying by it is an exact multiply-by-i.
-func (ev *Evaluator) monomial(lvl int) *ring.Poly {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if m, ok := ev.monomialNT[lvl]; ok {
-		return m
-	}
-	rq := ev.params.RingQ()
-	m := rq.NewPoly(lvl)
-	for i := 0; i <= lvl; i++ {
-		m.Coeffs[i][ev.params.N()/2] = 1
-	}
-	rq.NTT(m, lvl)
-	ev.monomialNT[lvl] = m
-	return m
+// monomial returns the NTT form of X^{N/2} over the full chain, built on
+// first use; its slots are the constant i, so multiplying by it is an exact
+// multiply-by-i. Level ℓ reads its first ℓ+1 rows.
+func (ev *Evaluator) monomial() *ring.Poly {
+	ev.monoOnce.Do(func() {
+		rq := ev.params.RingQ()
+		lvl := ev.params.MaxLevel()
+		m := rq.NewPoly(lvl)
+		for i := 0; i <= lvl; i++ {
+			m.Coeffs[i][ev.params.N()/2] = 1
+		}
+		rq.NTT(m, lvl)
+		ev.mono = m
+	})
+	return ev.mono
 }
 
 // MulByI multiplies every slot by the imaginary unit, exactly and without
@@ -602,7 +535,7 @@ func (ev *Evaluator) monomial(lvl int) *ring.Poly {
 func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
-	m := ev.monomial(lvl)
+	m := ev.monomial()
 	out := ev.newCiphertext(lvl, ct.Scale)
 	rq.MulCoeffs(out.C0, ct.C0, m, lvl)
 	rq.MulCoeffs(out.C1, ct.C1, m, lvl)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ring"
+	"github.com/anaheim-sim/anaheim/internal/rns"
 )
 
 // SecretKey holds the ternary secret s embedded in both the Q and P bases
@@ -273,36 +274,26 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 // genSwitchingKey produces the key with the given id at level ℓ, digit d
 // satisfying B[d] + A[d]·under = P·g_d·w + e_d over Q_ℓ ∪ P, where w and under
 // are NTT-form secrets over (Q, P) (rows 0..ℓ of their Q parts are read) and
-// digit d covers the Q limbs [d·α, min((d+1)·α, ℓ+1)). A[d] is expanded row by
-// row from the key's seed (ring.SubUniformProduct) and never held whole; the
-// error polynomials are borrowed from the ring pools and handed back: a key
-// keeps only its B digits.
+// digit d covers the Q limbs PlanAt(ℓ).digitLimbs(d). A[d] is expanded row
+// by row from the key's seed (ring.SubUniformProduct) and never held whole;
+// the error polynomials are borrowed from the ring pools and handed back: a
+// key keeps only its B digits.
 func (kg *KeyGenerator) genSwitchingKey(level int, id uint64, wQ *ring.Poly, underQ, underP *ring.Poly) *SwitchingKey {
 	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()
-	lvlP, alpha := rp.MaxLevel(), p.Alpha()
-	digits := p.Digits(level)
-
-	// P mod q_i for the in-group gadget term.
-	pModQ := make([]uint64, level+1)
-	for i := range pModQ {
-		prod := uint64(1)
-		for _, pm := range rp.Moduli {
-			prod = rq.Moduli[i].Mul(prod, pm.Q%rq.Moduli[i].Q)
-		}
-		pModQ[i] = prod
-	}
+	lvlP, pl := rp.MaxLevel(), p.PlanAt(level)
+	pModQ := rns.ProductMod(rp.Moduli, rq.Moduli[:level+1]) // the in-group gadget term
 
 	k := &SwitchingKey{
 		Seed: kg.derive(domainPublic, id, 0),
-		BQ:   make([]*ring.Poly, digits),
-		BP:   make([]*ring.Poly, digits),
+		BQ:   make([]*ring.Poly, pl.Digits),
+		BP:   make([]*ring.Poly, pl.Digits),
 	}
 	a := k.uniformKey()
 	eQ, eP := rq.GetPoly(level), rp.GetPoly(lvlP)
 	defer rq.PutPoly(eQ)
 	defer rp.PutPoly(eP)
-	for d := 0; d < digits; d++ {
+	for d := 0; d < pl.Digits; d++ {
 		ev := kg.secretStream(id, uint64(d)).GaussianVector(p.N(), p.Sigma())
 		rq.EmbedCentered(eQ, ev, level)
 		rp.EmbedCentered(eP, ev, lvlP)
@@ -313,7 +304,8 @@ func (kg *KeyGenerator) genSwitchingKey(level int, id uint64, wQ *ring.Poly, und
 		rq.SubUniformProduct(bQ, eQ, underQ, a, d, 0, level)
 		// Gadget term: P·g_d·w has residue (P mod q_i)·w_i for i in the
 		// digit's prime group and 0 elsewhere (and 0 mod every p_j).
-		for i := d * alpha; i < min((d+1)*alpha, level+1); i++ {
+		lo, hi := pl.digitLimbs(d)
+		for i := lo; i < hi; i++ {
 			mod := rq.Moduli[i]
 			dst, src := bQ.Coeffs[i], wQ.Coeffs[i]
 			c := pModQ[i]
@@ -343,15 +335,10 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *SwitchingKey {
 	return kg.genSwitchingKey(lvl, idRelinearization, s2, sk.Q, sk.P)
 }
 
-// GenGaloisKey returns the top-level key enabling the automorphism σ_g on
+// genGaloisKey returns the level-ℓ key enabling the automorphism σ_g on
 // ciphertexts under sk, in the hoisting-compatible layout (w = s,
-// under = σ_g^{-1}(s)).
-func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64) *SwitchingKey {
-	return kg.genGaloisKey(sk, galEl, kg.params.MaxLevel())
-}
-
-// genGaloisKey is GenGaloisKey at level ℓ: the level-ℓ prefix of the
-// top-level key, id galEl. σ_g^{-1}(s) is pooled scratch.
+// under = σ_g^{-1}(s)): the level-ℓ prefix of the top-level key, id galEl.
+// σ_g^{-1}(s) is pooled scratch.
 func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, galEl uint64, level int) *SwitchingKey {
 	p := kg.params
 	rq, rp := p.RingQ(), p.RingP()

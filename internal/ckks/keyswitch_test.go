@@ -1,12 +1,14 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/par"
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // TestKeySwitchAllocs pins the steady-state allocation count of the full
@@ -27,13 +29,13 @@ func TestKeySwitchAllocs(t *testing.T) {
 	lvl := ct.Level()
 	// Warm the polynomial, scratch, and row-header pools.
 	for i := 0; i < 4; i++ {
-		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
+		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk, nil, 0)
 		tc.params.RingQ().PutPoly(d0)
 		tc.params.RingQ().PutPoly(d1)
 	}
 	rq := tc.params.RingQ()
 	allocs := testing.AllocsPerRun(20, func() {
-		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
+		d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk, nil, 0)
 		rq.PutPoly(d0)
 		rq.PutPoly(d1)
 	})
@@ -46,31 +48,65 @@ func TestKeySwitchAllocs(t *testing.T) {
 	}
 }
 
-// TestKeySwitchConcurrentEquivalence hammers keySwitch from many goroutines
-// (the BasisConverter scratch pool, row-header pool, and polynomial pools
-// are all shared) and checks every result against the oracle's. Run with
+// TestKeySwitchConcurrentEquivalence hammers one fresh evaluator from 8
+// goroutines — its per-level constants, its monomial (built on first use),
+// the BasisConverter scratch pool, row-header pool and polynomial pools are
+// all shared — and checks every result against the oracle's: the bare key
+// switch, SwitchKeys (the oracle's key switch plus the c0 add), the rotation
+// form of the tail (add = c0, g ≠ 0) and MulByI at two levels. Run with
 // -race in CI.
 func TestKeySwitchConcurrentEquivalence(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
+	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1})
+	ev := NewEvaluator(tc.params, tc.keys)
 	r := rand.New(rand.NewSource(12))
 	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
 	lvl := ct.Level()
 	or := oracle{p: tc.params, keys: tc.keys, enc: tc.enc}
+	g := tc.params.RingQ().GaloisElement(1)
+
+	type check struct {
+		name string
+		run  func() (*Ciphertext, error)
+		want *Ciphertext
+	}
+	switched := func(swk *SwitchingKey, add *ring.Poly, g uint64) func() (*Ciphertext, error) {
+		return func() (*Ciphertext, error) {
+			d0, d1 := ev.keySwitch(ct.C1, lvl, swk, add, g)
+			return &Ciphertext{C0: d0, C1: d1}, nil
+		}
+	}
 	want0, want1 := or.keySwitch(ct.C1, lvl, tc.keys.Rlk)
+	checks := []check{
+		{"keySwitch", switched(tc.keys.Rlk, nil, 0), &Ciphertext{C0: want0, C1: want1}},
+		{"SwitchKeys", func() (*Ciphertext, error) { return ev.SwitchKeys(ct, tc.keys.Rlk) }, or.switchKeys(ct, tc.keys.Rlk)},
+		{"rotation", switched(tc.keys.Gal[g], ct.C0, g), or.automorphism(ct, g)},
+	}
+	for _, l := range []int{lvl, lvl / 2} {
+		in := dropTo(tc.eval, ct, l)
+		want := &Ciphertext{C0: mulByIRef(tc.params.RingQ(), in.C0), C1: mulByIRef(tc.params.RingQ(), in.C1)}
+		checks = append(checks, check{fmt.Sprintf("MulByI/level%d", l), func() (*Ciphertext, error) { return ev.MulByI(in), nil }, want})
+	}
+
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				d0, d1 := tc.eval.keySwitch(ct.C1, lvl, tc.keys.Rlk)
-				if !d0.Equal(want0) || !d1.Equal(want1) {
-					errs <- "concurrent keySwitch result differs from the oracle"
-					return
+				for _, c := range checks {
+					got, err := c.run()
+					if err != nil {
+						errs <- c.name + ": " + err.Error()
+						return
+					}
+					if !got.C0.Equal(c.want.C0) || !got.C1.Equal(c.want.C1) {
+						errs <- "concurrent " + c.name + " result differs from the oracle"
+						return
+					}
+					ev.Release(got)
 				}
-				tc.params.RingQ().PutPoly(d0)
-				tc.params.RingQ().PutPoly(d1)
 			}
 		}()
 	}
@@ -79,6 +115,24 @@ func TestKeySwitchConcurrentEquivalence(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
+}
+
+// mulByIRef multiplies c (NTT form) by X^{N/2} in the coefficient domain — a
+// negacyclic shift by N/2 — the reference for MulByI's NTT-domain product.
+func mulByIRef(rq *ring.Ring, c *ring.Poly) *ring.Poly {
+	lvl := c.Level()
+	x := c.CopyNew()
+	rq.INTT(x, lvl)
+	out := rq.NewPoly(lvl)
+	h := len(x.Coeffs[0]) / 2
+	for i, row := range x.Coeffs {
+		for j := 0; j < h; j++ {
+			out.Coeffs[i][j+h] = row[j]
+			out.Coeffs[i][j] = rq.Moduli[i].Neg(row[j+h])
+		}
+	}
+	rq.NTT(out, lvl)
+	return out
 }
 
 // alpha4Params has α = 4 generous 51-bit special primes over 8 Q limbs: two

@@ -39,7 +39,7 @@ var (
 	// records them too (one ks-bconv amortized over many ks-keymult/ks-moddown
 	// pairs — the hoisting win is visible as the count skew).
 	obsKSBConv   = newOpObs("ks-bconv")   // decompose: INTT + BConv premultiply
-	obsKSKeyMult = newOpObs("ks-keymult") // gadgetProduct: per-limb BConv + NTT, digit × key MACs
+	obsKSKeyMult = newOpObs("ks-keymult") // gadgetProductInto: per-limb BConv + NTT, digit × key MACs
 	obsKSModDown = newOpObs("ks-moddown") // ModDown: INTT + BConv + NTT + epilogue
 	obsRescale   = newOpObs("rescale")
 	obsRotate    = newOpObs("rotate")

@@ -174,7 +174,7 @@ func (o oracle) rescale(ct *Ciphertext) *Ciphertext {
 	drop := func(c *ring.Poly) *ring.Poly {
 		w := c.CopyNew()
 		rq.INTT(w, lvl)
-		rns.DivRoundByLastModulus(rq.Moduli, w.Coeffs)
+		rns.NewRescaler(rq.Moduli[:lvl+1]).DivRoundByLastModulus(w.Coeffs)
 		out := w.Truncated(lvl - 1).CopyNew()
 		rq.NTT(out, lvl-1)
 		return out

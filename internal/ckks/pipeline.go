@@ -4,19 +4,18 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
-	"github.com/anaheim-sim/anaheim/internal/rns"
 )
 
 // The evaluator's hot chains — the gadget-product inner loop of key
-// switching, the ModDown tails (plain, rotation, and merged with the
-// rescale), rescaling, and the linear-transform sweep blocks — record their
-// per-limb kernel chains into a ring.Pipeline and execute the whole chain
-// limb-by-limb under a single barrier, instead of one barriered
-// full-polynomial sweep per kernel. The stage bodies are the same row kernels
-// the barriered ring ops dispatch, in the same per-limb order, so the results
-// are bit-identical to the barriered exact composition on every kernel tier
-// (oracle_test.go asserts this byte for byte at every level); only the memory
-// traffic changes. DESIGN.md §3.8.4 documents the discipline.
+// switching, the two ModDown tails (one with the op's add and automorphism
+// fused in, one merged with the rescale), rescaling, and the linear-transform
+// sweep blocks — record their per-limb kernel chains into a ring.Pipeline and
+// execute the whole chain limb-by-limb under a single barrier, instead of one
+// barriered full-polynomial sweep per kernel. The stage bodies are the same
+// row kernels the barriered ring ops dispatch, in the same per-limb order, so
+// the results are bit-identical to the barriered exact composition on every
+// kernel tier (oracle_test.go asserts this byte for byte at every level); only
+// the memory traffic changes. DESIGN.md §3.8.4 documents the discipline.
 
 // recordModUp records the per-limb half of dec's ModUp into the two lanes
 // and returns its digit rows: per limb, each digit base-converted onto the
@@ -70,109 +69,79 @@ func (ev *Evaluator) gadgetProductInto(dec *decomposed, swk *SwitchingKey, u0q, 
 	pipe.Release()
 }
 
-// pToQ is the head every ModDown tail shares: one Run inverse-transforms the
-// P halves in place and premultiplies them by bc's q̂⁻¹ — the accumulators
-// u0p/u1p are CONSUMED, every caller releases them right after the tail, so
-// no defensive copy pass is paid. A nil u1p (the sweep's one-component
-// ModDown) prepares u0p alone. The tail's Run then converts them onto each Q
-// limb where it consumes the row (ring.Lane.BConv), so no converted
+// pToQ is the head both ModDown tails share: one Run inverse-transforms the
+// P halves in place and premultiplies them by the P -> Q converter's q̂⁻¹ —
+// the accumulators are CONSUMED, every caller releases them right after the
+// tail, so no defensive copy pass is paid. A nil half (the sweep's
+// one-component ModDown) is skipped. The tail's Run then converts them onto
+// each Q limb where it consumes the row (ring.Lane.BConv), so no converted
 // polynomial exists.
-func (ev *Evaluator) pToQ(bc *rns.BasisConverter, u0p, u1p *ring.Poly) {
+func (ev *Evaluator) pToQ(up [2]*ring.Poly) {
 	rp := ev.params.RingP()
 	pipe := ring.GetPipeline()
 	lnP := pipe.Lane(rp, rp.MaxLevel())
-	for _, u := range [2]*ring.Poly{u0p, u1p} {
+	for _, u := range up {
 		if u != nil {
 			lnP.INTT(u)
-			lnP.MulByLimbScalars(u, u, bc.QHatInv())
+			lnP.MulByLimbScalars(u, u, ev.downConv.QHatInv())
 		}
 	}
 	pipe.Run()
 	pipe.Release()
 }
 
-// modDown is the sweep's giant-step ModDown (the ModDownEp compound
-// instruction of Table II): a Q-basis polynomial at uq's level,
-// out_i = (uq_i − BConv(up)_i)·[P⁻¹]_{q_i} + add_i, the exact Q-basis term add
-// (nil adds nothing) riding the same chain. After pToQ, which consumes up,
-// one Run converts each limb's row into scratch, transforms it, subtracts it,
-// scales and adds while the row is cache-resident.
-func (ev *Evaluator) modDown(uq, up, add *ring.Poly, lvl int) *ring.Poly {
+// modDown is the key switch's ModDown (the ModDownEp compound instruction of
+// Table II) with the op's epilogue fused in: per component k present (uq[1]
+// nil runs the sweep giant's one component), a Q-basis polynomial at level lvl,
+//
+//	out_k = σ_g((uq_k − BConv(up_k))·[P⁻¹]_{q_i} + add_k),
+//
+// where a nil add_k adds nothing and g = 0 permutes nothing. After pToQ, which
+// consumes up, one Run converts each limb's row into scratch, transforms it,
+// subtracts and scales it, then adds and permutes while the row is
+// cache-resident — the sum-then-permute as the fused AddAutomorphismNTT
+// stage (bit-identical because the sum is element-wise), so a rotation's
+// epilogue moves each row once instead of four times. SwitchKeys passes its
+// c0 as add_0, a rotation (c0, σ_g), the sweep's giants their b = 0 term.
+func (ev *Evaluator) modDown(uq, up, add [2]*ring.Poly, g uint64, lvl int) (out [2]*ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	rq := ev.params.RingQ()
-	bc := ev.pToQConverter(lvl)
-	ev.pToQ(bc, up, nil)
+	ev.pToQ(up)
 
-	out := getNTT(rq, lvl)
+	s := ev.pInvModQ[:lvl+1]
 	pipe := ring.GetPipeline()
 	ln := pipe.Lane(rq, lvl)
-	conv := ln.Scratch(1)[0]
-	ln.BConv(conv, up, bc)
-	ln.NTTLazy(conv)
-	ln.SubMulByLimbScalarsLazy(out, uq, conv, ev.pInvModQ[:lvl+1])
-	if add != nil {
-		ln.Add(out, out, add)
+	n := 1
+	if g != 0 {
+		n = 2 // the ModDown row, ahead of its permutation
+	}
+	sc := ln.Scratch(n)
+	conv := sc[0]
+	for k, u := range uq {
+		if u == nil {
+			continue
+		}
+		out[k] = getNTT(rq, lvl)
+		ln.BConv(conv, up[k], ev.downConv)
+		ln.NTTLazy(conv)
+		if g == 0 {
+			ln.SubMulByLimbScalarsLazy(out[k], u, conv, s)
+			if add[k] != nil {
+				ln.Add(out[k], out[k], add[k])
+			}
+			continue
+		}
+		d := sc[1]
+		ln.SubMulByLimbScalarsLazy(d, u, conv, s)
+		if add[k] != nil {
+			ln.AddAutomorphismNTT(out[k], d, add[k], g)
+		} else {
+			ln.AutomorphismNTT(out[k], d, g)
+		}
 	}
 	pipe.Run()
 	pipe.Release()
 	return out
-}
-
-// modDownPair runs both ModDowns of a key switch: after pToQ, one Run
-// converts each limb's row of a component into scratch and fuses its NTTLazy
-// with the SubMul epilogue consuming it, one scratch row serving both
-// components in turn.
-func (ev *Evaluator) modDownPair(u0q, u0p, u1q, u1p *ring.Poly, lvl int) (d0, d1 *ring.Poly) {
-	defer obsKSModDown.done(time.Now())
-	rq := ev.params.RingQ()
-	bc := ev.pToQConverter(lvl)
-	ev.pToQ(bc, u0p, u1p)
-
-	d0, d1 = getNTT(rq, lvl), getNTT(rq, lvl)
-	s := ev.pInvModQ[:lvl+1]
-	pipe := ring.GetPipeline()
-	lnQ := pipe.Lane(rq, lvl)
-	conv := lnQ.Scratch(1)[0]
-	lnQ.BConv(conv, u0p, bc)
-	lnQ.NTTLazy(conv)
-	lnQ.SubMulByLimbScalarsLazy(d0, u0q, conv, s)
-	lnQ.BConv(conv, u1p, bc)
-	lnQ.NTTLazy(conv)
-	lnQ.SubMulByLimbScalarsLazy(d1, u1q, conv, s)
-	pipe.Run()
-	pipe.Release()
-	return d0, d1
-}
-
-// modDownAut is modDownPair with the automorphism tail of a rotation fused
-// into the final Run: o0 = σ_g(ModDown(u0) + c0),
-// o1 = σ_g(ModDown(u1)). The ModDown row d and the converted row it consumes
-// are scratch rows; the sum-then-permute is recorded as the fused
-// AddAutomorphismNTT stage (bit-identical because the sum is element-wise),
-// so the rotation epilogue moves each row once instead of four times.
-func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl int) (o0, o1 *ring.Poly) {
-	defer obsKSModDown.done(time.Now())
-	rq := ev.params.RingQ()
-	bc := ev.pToQConverter(lvl)
-	ev.pToQ(bc, u0p, u1p)
-
-	o0, o1 = rq.GetPoly(lvl), rq.GetPoly(lvl)
-	s := ev.pInvModQ[:lvl+1]
-	pipe := ring.GetPipeline()
-	lnQ := pipe.Lane(rq, lvl)
-	sc := lnQ.Scratch(2)
-	conv, d := sc[0], sc[1]
-	lnQ.BConv(conv, u0p, bc)
-	lnQ.NTTLazy(conv)
-	lnQ.SubMulByLimbScalarsLazy(d, u0q, conv, s)
-	lnQ.AddAutomorphismNTT(o0, d, c0, g)
-	lnQ.BConv(conv, u1p, bc)
-	lnQ.NTTLazy(conv)
-	lnQ.SubMulByLimbScalarsLazy(d, u1q, conv, s)
-	lnQ.AutomorphismNTT(o1, d, g)
-	pipe.Run()
-	pipe.Release()
-	return o0, o1
 }
 
 // modDownRescale is the merged tail of HMULT and of the linear-transform
@@ -194,15 +163,15 @@ func (ev *Evaluator) modDownAut(u0q, u0p, u1q, u1p, c0 *ring.Poly, g uint64, lvl
 // 2(ℓ + 1), and a kept limb's chain is its row's conversion into scratch, the
 // correction, its one NTT and one multiply-subtract. HMULT passes no adds: its
 // tensor terms enter u′ through the gadget product (ontoQ). The P halves are
-// consumed as in modDownPair, u_q (its top row is transformed in place) and
+// consumed as in modDown, u_q (its top row is transformed in place) and
 // the adds too. ℓ must be ≥ 1.
 func (ev *Evaluator) modDownRescale(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, lvl int) (o0, o1 *ring.Poly) {
 	defer obsKSModDown.done(time.Now())
 	rq := ev.params.RingQ()
-	tail := ev.rescaleTail(lvl)
-	rs := tail.rs
-	ev.pToQ(tail.conv, u0p, u1p)
+	lc := &ev.levels[lvl]
+	rs := lc.rs
 	u, up, add := [2]*ring.Poly{u0q, u1q}, [2]*ring.Poly{u0p, u1p}, [2]*ring.Poly{add0, add1}
+	ev.pToQ(up)
 	out := [2]*ring.Poly{getNTT(rq, lvl-1), getNTT(rq, lvl-1)}
 	// Rows 0 and 1: the components' top rows t; row 2: the accumulator tile
 	// of their conversions.
@@ -219,7 +188,7 @@ func (ev *Evaluator) modDownRescale(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, l
 		// the pipeline must not span — so it is formed first, in t, from the
 		// one converted row ℓ.
 		tk, uL := t.Coeffs[k], u[k].Coeffs[lvl]
-		tail.conv.ConvertRow(tk, up[k].Coeffs, lvl, false, t.Coeffs[2])
+		ev.rescaleConv.ConvertRow(tk, up[k].Coeffs, lvl, false, t.Coeffs[2])
 		if a := add[k]; a != nil {
 			aL := a.Coeffs[lvl]
 			mL.VecMulShoup(aL, aL, pL, pLShoup)
@@ -238,10 +207,10 @@ func (ev *Evaluator) modDownRescale(u0q, u0p, u1q, u1p, add0, add1 *ring.Poly, l
 			ln.Add(u[k], u[k], a)
 		}
 		ci := c[0]
-		ln.BConv(ci, up[k], tail.conv)
+		ln.BConv(ci, up[k], ev.rescaleConv)
 		ln.Func(func(i int) { rs.CorrectionRow(i, ci.Coeffs[i], tk, ev.pModQ[i]) }, c, c)
 		ln.NTTLazy(ci)
-		ln.SubMulByLimbScalarsLazy(out[k], u[k], ci, tail.pqInv)
+		ln.SubMulByLimbScalarsLazy(out[k], u[k], ci, lc.pqInv)
 	}
 	pipe.Run()
 	pipe.Release()
@@ -273,7 +242,7 @@ func (ev *Evaluator) rescale(ct *Ciphertext) *Ciphertext {
 	defer obsRescale.done(time.Now())
 	rq := ev.params.RingQ()
 	lvl := ct.Level()
-	rs := ev.rescaler(lvl)
+	rs := ev.levels[lvl].rs
 	in := [2]*ring.Poly{ct.C0, ct.C1}
 	out := [2]*ring.Poly{rq.GetPoly(lvl - 1), rq.GetPoly(lvl - 1)}
 	t := [2]*ring.Poly{rq.GetPoly(0), rq.GetPoly(0)}

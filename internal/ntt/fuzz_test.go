@@ -70,7 +70,7 @@ func FuzzNTTRoundTrip(f *testing.F) {
 			}
 		}
 		tbl.Inverse(exact)
-		tbl.InverseLazy(lazy)
+		tbl.inverseLazy(lazy)
 		for i := range exact {
 			want := tbl.Mod.ReduceTwoQ(a[i])
 			if exact[i] != want {

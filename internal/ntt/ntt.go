@@ -23,12 +23,12 @@
 //     and (x-y+2q)·w lands back in [0, 2q) via MulShoupLazy.
 //
 // Both require only q < 2^62; modarith guarantees q < 2^61. Exact reduction
-// happens once, folded into the final stage. The Lazy entry points skip even
-// that, producing [0, 2q) outputs for the chains that tolerate lazy operands
-// (the key switch's ModUp digits and ModDown conversions).
+// happens once, folded into the final stage. ForwardLazy skips even that,
+// producing [0, 2q) outputs for the chains that tolerate lazy operands (the
+// key switch's ModUp digits and ModDown conversions).
 //
-// Domains: Forward/Inverse accept [0, 2q) and produce [0, q);
-// ForwardLazy/InverseLazy accept [0, 2q) and produce [0, 2q).
+// Domains: Forward/Inverse accept [0, 2q) and produce [0, q); ForwardLazy
+// accepts [0, 2q) and produces [0, 2q).
 package ntt
 
 import (
@@ -133,12 +133,6 @@ func (t *Tables) ForwardLazy(a []uint64) {
 func (t *Tables) Inverse(a []uint64) {
 	t.checkLen(a, "Inverse")
 	t.inverse(a, false)
-}
-
-// InverseLazy is Inverse with lazy outputs in [0, 2q).
-func (t *Tables) InverseLazy(a []uint64) {
-	t.checkLen(a, "InverseLazy")
-	t.inverse(a, true)
 }
 
 func (t *Tables) forward(a []uint64, lazy bool) {

@@ -169,6 +169,14 @@ func TestRejectsWrongLength(t *testing.T) {
 	tbl.Forward(make([]uint64, 3))
 }
 
+// inverseLazy is Inverse with lazy outputs in [0, 2q). No production chain
+// runs it; it stays here as the lazy inverse the round-trip, tier and fuzz
+// tests hold the stage kernels to.
+func (t *Tables) inverseLazy(a []uint64) {
+	t.checkLen(a, "inverseLazy")
+	t.inverse(a, true)
+}
+
 // randLazy returns a vector with coefficients in the lazy domain [0, 2q).
 func randLazy(r *rand.Rand, n int, q uint64) []uint64 {
 	a := make([]uint64, n)
@@ -260,7 +268,7 @@ func TestRoundTripEveryLogN(t *testing.T) {
 				t.Fatalf("logN=%d: ForwardLazy output %d at %d not < 2q", logN, v, i)
 			}
 		}
-		tbl.InverseLazy(lazy)
+		tbl.inverseLazy(lazy)
 		for i := range orig {
 			if exact[i] != orig[i] {
 				t.Fatalf("logN=%d: exact round trip differs at %d: %d != %d", logN, i, exact[i], orig[i])
@@ -293,10 +301,10 @@ func TestLazyMatchesExact(t *testing.T) {
 			ie := append([]uint64(nil), in...)
 			il := append([]uint64(nil), in...)
 			tbl.Inverse(ie)
-			tbl.InverseLazy(il)
+			tbl.inverseLazy(il)
 			for i := range ie {
 				if ie[i] != mod.ReduceTwoQ(il[i]) {
-					t.Fatalf("logN=%d: InverseLazy[%d]=%d !≡ Inverse=%d", logN, i, il[i], ie[i])
+					t.Fatalf("logN=%d: inverseLazy[%d]=%d !≡ Inverse=%d", logN, i, il[i], ie[i])
 				}
 			}
 		}

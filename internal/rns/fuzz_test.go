@@ -186,7 +186,7 @@ func FuzzBConv(f *testing.F) {
 				rows[i] = append([]uint64(nil), in[i]...)
 				ref[i] = append([]uint64(nil), in[i]...)
 			}
-			DivRoundByLastModulus(bc.From, rows)
+			NewRescaler(bc.From).DivRoundByLastModulus(rows)
 			DivRoundByLastModulusRef(bc.From, ref)
 			for i := 0; i < k-1; i++ {
 				for c := 0; c < n; c++ {

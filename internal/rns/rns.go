@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // RowTile is the length of the accumulator scratch ConvertRow takes
@@ -279,11 +278,9 @@ func (rs *Rescaler) DivRoundByLastModulus(rows [][]uint64) {
 	t = t[:n]
 	// t = [x + q_L/2]_{q_L}
 	rs.moduli[l].VecAddScalar(t, rows[l], rs.half)
-	par.ForEachChunk(l, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rs.moduli[i].VecRescaleStep(rows[i], t, rs.halfMod[i], rs.inv[i], rs.invS[i])
-		}
-	})
+	for i := 0; i < l; i++ {
+		rs.moduli[i].VecRescaleStep(rows[i], t, rs.halfMod[i], rs.inv[i], rs.invS[i])
+	}
 	rs.tPool.Put(&t)
 }
 
@@ -317,13 +314,6 @@ func (rs *Rescaler) CorrectionRow(i int, row, t []uint64, s uint64) {
 // LastModulusInv returns q_L^{-1} mod q_i for i < L. Callers must not modify
 // it.
 func (rs *Rescaler) LastModulusInv() []uint64 { return rs.inv }
-
-// DivRoundByLastModulus is the one-shot form of Rescaler: it derives the
-// constants for moduli (len(rows) limbs) and rescales rows in place. Hot
-// paths should cache a Rescaler per level instead.
-func DivRoundByLastModulus(moduli []modarith.Modulus, rows [][]uint64) {
-	NewRescaler(moduli[:len(rows)]).DivRoundByLastModulus(rows)
-}
 
 // ProductMod returns (∏ primes) mod each modulus of target.
 func ProductMod(primes []modarith.Modulus, target []modarith.Modulus) []uint64 {

@@ -343,7 +343,7 @@ func TestDivRoundByLastModulus(t *testing.T) {
 		xs[c] = x
 		decompose(x, ms, n, c, rows)
 	}
-	DivRoundByLastModulus(ms, rows)
+	NewRescaler(ms).DivRoundByLastModulus(rows)
 	for c := 0; c < n; c++ {
 		// round(x/qL) = floor((x + qL/2)/qL)
 		want := new(big.Int).Add(xs[c], new(big.Int).Rsh(qL, 1))
