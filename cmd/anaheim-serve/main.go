@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	anaheim-serve -addr :8080 -workers 4 -queue 16 -maxjobs 64 -tenantjobs 16 \
+//	anaheim-serve -addr :8080 -workers 4 -maxjobs 64 -tenantjobs 16 \
 //	    -cachebytes 1073741824 -retainbytes 67108864 -retainfor 2m
 //
 // Endpoints:
@@ -29,7 +29,8 @@
 // Sessions live in one LRU bounded by -cachebytes of evaluation keys. A
 // session with a job in flight is never evicted; one evicted to make room (or
 // detached with DELETE) answers 404 from then on, and the client creates it
-// again. Each ready op goes to a worker on its own, latency tier first.
+// again. A free worker takes the next ready op from the tier queues, latency
+// tier first by weight.
 //
 // With -pprof ADDR, net/http/pprof is served on a side listener so
 // profiling traffic never competes with (or exposes itself to) the public
@@ -58,7 +59,6 @@ type serveConfig struct {
 	addr        string
 	pprofAddr   string
 	workers     int
-	queue       int
 	maxJobs     int
 	maxBody     int64
 	deadline    time.Duration
@@ -74,7 +74,6 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&cfg.pprofAddr, "pprof", "", "side-port address for net/http/pprof (empty = disabled)")
 	fs.IntVar(&cfg.workers, "workers", 0, "op worker goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.queue, "queue", 0, "ready-op queue depth (0 = 4x workers)")
 	fs.IntVar(&cfg.maxJobs, "maxjobs", 0, "max in-flight jobs before 429 (0 = default)")
 	fs.Int64Var(&cfg.maxBody, "maxbody", 0, "max request body bytes before 413 (0 = 64MiB)")
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "default per-job deadline (0 = engine default)")
@@ -120,7 +119,6 @@ func pprofMux() *http.ServeMux {
 func run(ctx context.Context, cfg serveConfig, ready chan<- string) error {
 	e := engine.New(engine.Config{
 		Workers:           cfg.workers,
-		QueueSize:         cfg.queue,
 		MaxActiveJobs:     cfg.maxJobs,
 		MaxBodyBytes:      cfg.maxBody,
 		DefaultDeadline:   cfg.deadline,

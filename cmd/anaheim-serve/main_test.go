@@ -273,26 +273,36 @@ func TestServeBodyLimit(t *testing.T) {
 	}
 	base := "http://" + addr
 
-	// Valid JSON so the decoder keeps reading until the byte cap trips
-	// (a syntax error would 400 before the limit is ever reached).
-	big := []byte(`{"evalKeys":"` + strings.Repeat("a", 64<<10) + `"}`)
-	r, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413", r.StatusCode)
-	}
-
-	// A within-limit malformed body must still be a plain 400.
-	r, err = http.Post(base+"/v1/sessions", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", r.StatusCode)
+	// Every POST body goes through one capped reader: past the cap it is
+	// 413 on each route, and a within-limit malformed body a plain 400 (the
+	// jobs route reads the body before it looks up the session). The
+	// oversized body is valid JSON, so only the cap can refuse it.
+	big := `{"evalKeys":"` + strings.Repeat("a", 64<<10) + `"}`
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/sessions", big, http.StatusRequestEntityTooLarge},
+		{"/v1/sessions", "{", http.StatusBadRequest},
+		{"/v1/sessions/sess-1/jobs", big, http.StatusRequestEntityTooLarge},
+		{"/v1/sessions/sess-1/jobs", "{", http.StatusBadRequest},
+	} {
+		r, err := http.Post(base+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp map[string]string
+		json.NewDecoder(r.Body).Decode(&resp)
+		r.Body.Close()
+		if r.StatusCode != c.want {
+			t.Errorf("POST %s with %d bytes: status %d %q, want %d", c.path, len(c.body), r.StatusCode, resp["error"], c.want)
+		}
+		if c.want == http.StatusRequestEntityTooLarge && resp["error"] != "request body exceeds 512 bytes" {
+			t.Errorf("POST %s oversized: error %q", c.path, resp["error"])
+		}
+		if c.want == http.StatusBadRequest && !strings.HasPrefix(resp["error"], "bad request body: ") {
+			t.Errorf("POST %s malformed: error %q", c.path, resp["error"])
+		}
 	}
 }
 
@@ -306,8 +316,10 @@ func TestParseFlags(t *testing.T) {
 		cfg.retainBytes != 1<<20 || cfg.retainFor != 90*time.Second {
 		t.Fatalf("bad config: %+v", cfg)
 	}
-	if _, err := parseFlags([]string{"-bogus"}); err == nil {
-		t.Fatal("want error for unknown flag")
+	for _, gone := range []string{"-bogus", "-queue"} {
+		if _, err := parseFlags([]string{gone, "16"}); err == nil {
+			t.Fatalf("want error for unknown flag %s", gone)
+		}
 	}
 }
 

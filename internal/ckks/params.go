@@ -6,10 +6,10 @@
 // bootstrapping with sparse-secret encapsulation, grouped-DFT CoeffToSlot /
 // SlotToCoeff (the fftIter knob of §IV-C) and Chebyshev EvalMod.
 //
-// The functional implementation targets research-scale parameters; the
-// paper-scale N = 2^16 configurations are exercised by the performance
-// simulator (internal/trace, internal/gpu, internal/pim), which consumes the
-// op structure defined here.
+// The functional implementation targets research-scale parameters. The
+// performance simulator (internal/trace, internal/gpu, internal/pim) models
+// the paper-scale N = 2^16 configuration from its own description,
+// trace.PaperParams, not from the parameters defined here.
 package ckks
 
 import (
@@ -183,18 +183,18 @@ func TestParameters() ParametersLiteral {
 
 // BootTestParameters returns an insecure but functionally complete
 // bootstrapping parameter set (N=2^11) with enough modulus budget for
-// CoeffToSlot, EvalMod and SlotToCoeff. Chain bottom-to-top:
-// q0 (60b) | 3 usable (50b) | 1 scale-fix (50b) | 3 S2C (50b) |
-// 15 EvalMod (60b, scale ≈ q0 during the sine evaluation) |
-// 1 conj-split (50b) | 3 C2S (50b).
+// CoeffToSlot, EvalMod and SlotToCoeff. A bootstrap under
+// DefaultBootstrapConfig spends, from the top level 26 down (its depths):
+// C2S 3 and the conjugate split 1 on 50-bit primes, then EvalMod 10 (scale
+// ≈ q0 during the sine evaluation), S2C 3 and the scale fix 1 on 60-bit
+// primes, leaving 8 levels. Chain bottom-to-top: q0 (60b) | levels 1–7
+// (50b) | level 8 (60b) | fix, S2C, EvalMod: levels 9–22 (60b) | split,
+// C2S: levels 23–26 (50b).
 func BootTestParameters() ParametersLiteral {
 	logQ := []int{60}
-	logQ = append(logQ, repeatInts(50, 3)...)  // usable post-boot levels
-	logQ = append(logQ, 50)                    // scale fix
-	logQ = append(logQ, repeatInts(50, 3)...)  // SlotToCoeff
-	logQ = append(logQ, repeatInts(60, 15)...) // EvalMod
-	logQ = append(logQ, 50)                    // conjugate split
-	logQ = append(logQ, repeatInts(50, 3)...)  // CoeffToSlot
+	logQ = append(logQ, repeatInts(50, 7)...)  // levels 1–7: left after a bootstrap
+	logQ = append(logQ, repeatInts(60, 15)...) // level 8 left, 9 fix, 10–12 S2C, 13–22 EvalMod
+	logQ = append(logQ, repeatInts(50, 4)...)  // 23 conjugate split, 24–26 CoeffToSlot
 	return ParametersLiteral{
 		LogN:     11,
 		LogQ:     logQ,
@@ -208,9 +208,9 @@ func BootTestParameters() ParametersLiteral {
 // PaperParameters returns the Table IV configuration used by the Anaheim
 // evaluation as a *structural* description: N = 2^16, L = 54, α = 14, D = 4,
 // primes < 2^28 with double-prime scaling (Δ = 2^48 spans two 24-bit primes
-// [1,45]), log PQ = 1618 < 1623 for standard 128-bit security (§IV-B). It is
-// consumed by the performance simulator; instantiating it functionally is
-// possible but slow.
+// [1,45]), log PQ = 1618 < 1623 for standard 128-bit security (§IV-B). The
+// performance simulator does not read it (it models Table IV from
+// trace.PaperParams); instantiating it functionally is possible but slow.
 func PaperParameters() ParametersLiteral {
 	return ParametersLiteral{
 		LogN:     16,

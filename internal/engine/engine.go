@@ -9,8 +9,9 @@
 //
 //   - a job scheduler: clients submit encrypted-compute jobs — DAGs of
 //     homomorphic ops over named ciphertext handles — and the scheduler
-//     tracks dependencies, dispatching each op to the worker pool as soon as
-//     its inputs exist;
+//     tracks dependencies under one lock, queueing each op in its job's tier
+//     as soon as its inputs exist; a free worker takes the next op from the
+//     tier queues itself;
 //
 //   - admission control: weighted priority tiers (latency | standard |
 //     batch) with per-tier capacity shares and per-tenant in-flight limits,
@@ -48,9 +49,6 @@ type Config struct {
 	// Workers is the number of op-executing goroutines. Defaults to
 	// GOMAXPROCS.
 	Workers int
-	// QueueSize bounds the ready-op queue between scheduler and workers.
-	// Defaults to 4×Workers.
-	QueueSize int
 	// MaxActiveJobs bounds admitted (queued or running) jobs; Submit fails
 	// fast with an OverloadError beyond it. Defaults to 64.
 	MaxActiveJobs int
@@ -88,9 +86,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 4 * c.Workers
 	}
 	if c.MaxActiveJobs <= 0 {
 		c.MaxActiveJobs = 64
@@ -147,8 +142,7 @@ type Engine struct {
 	tierActive    map[string]int // admitted jobs per tier
 	tenantActive  map[string]int // admitted jobs per tenant (session ID)
 
-	tierCaps  map[string]int // per-tier admission capacity (weight shares)
-	tierDepth map[string]*atomic.Int64
+	tierCaps map[string]int // per-tier admission capacity (weight shares)
 
 	active atomic.Int64  // admitted (queued or running) jobs
 	seq    atomic.Uint64 // session ids
@@ -157,26 +151,14 @@ type Engine struct {
 	metrics *engineMetrics
 	tracer  *obs.Tracer
 
-	events chan event
-	ready  chan *opTask
+	// Scheduler state, under sched (taken before mu, never after): the DAG
+	// of every running job and the tier queues of ready ops. wake signals a
+	// queued op or the engine closing to idle workers.
+	sched  sync.Mutex
+	wake   sync.Cond
+	states map[*Job]*jobState
+	queues tierQueues
 	wg     sync.WaitGroup
-}
-
-type eventKind int
-
-const (
-	evSubmit eventKind = iota
-	evOpDone
-	evJobAbort
-)
-
-type event struct {
-	kind  eventKind
-	job   *Job
-	state *jobState        // evSubmit: the validated DAG
-	task  *opTask          // evOpDone
-	ct    *ckks.Ciphertext // evOpDone: the op's result
-	err   error
 }
 
 type opTask struct {
@@ -200,12 +182,12 @@ func New(cfg Config) *Engine {
 		tierActive:   make(map[string]int),
 		tenantActive: make(map[string]int),
 		tierCaps:     tierCapacities(cfg.MaxActiveJobs),
-		tierDepth:    make(map[string]*atomic.Int64),
 		metrics:      newEngineMetrics(cfg.Obs),
 		tracer:       cfg.Tracer,
-		events:       make(chan event),
-		ready:        make(chan *opTask, cfg.QueueSize),
+		states:       make(map[*Job]*jobState),
+		queues:       newTierQueues(),
 	}
+	e.wake.L = &e.sched
 	e.sessions = keycache.New[*Session](keycache.Config{
 		BudgetBytes: cfg.SessionCacheBytes,
 		Name:        "sessions",
@@ -214,7 +196,6 @@ func New(cfg Config) *Engine {
 	// Sampled-at-scrape gauges; when several engines share a registry the
 	// most recently started one wins, which is what a serving process wants.
 	cfg.Obs.GaugeFunc("engine_active_jobs", func() float64 { return float64(e.active.Load()) })
-	cfg.Obs.GaugeFunc("engine_ready_queue_depth", func() float64 { return float64(len(e.ready)) })
 	cfg.Obs.GaugeFunc("engine_sessions_live", func() float64 { return float64(e.sessions.Len()) })
 	cfg.Obs.GaugeFunc("engine_evalkey_resident_bytes", func() float64 { return float64(e.sessions.Bytes()) })
 	cfg.Obs.GaugeFunc("engine_jobs_retained", func() float64 {
@@ -229,10 +210,12 @@ func New(cfg Config) *Engine {
 	})
 	for _, t := range tierOrder {
 		t := t
-		d := &atomic.Int64{}
-		e.tierDepth[t] = d
 		cfg.Obs.GaugeFunc(fmt.Sprintf(`engine_tier_queue_depth{tier="%s"}`, t),
-			func() float64 { return float64(d.Load()) })
+			func() float64 {
+				e.sched.Lock()
+				defer e.sched.Unlock()
+				return float64(len(e.queues.ops[t]))
+			})
 		cfg.Obs.GaugeFunc(fmt.Sprintf(`engine_tier_active_jobs{tier="%s"}`, t),
 			func() float64 {
 				e.mu.Lock()
@@ -240,8 +223,6 @@ func New(cfg Config) *Engine {
 				return float64(e.tierActive[t])
 			})
 	}
-	e.wg.Add(1)
-	go e.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -262,6 +243,14 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 	e.cancel()
+	// Fail whatever is still tracked so waiters wake up, and send idle
+	// workers home.
+	e.sched.Lock()
+	for j := range e.states {
+		e.finishJob(j, context.Canceled)
+	}
+	e.wake.Broadcast()
+	e.sched.Unlock()
 	e.wg.Wait()
 	e.sessions.Clear(func(_ string, s *Session) { s.release() })
 }
@@ -271,21 +260,26 @@ func (e *Engine) Close() {
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	for {
-		select {
-		case <-e.ctx.Done():
-			return
-		case t := <-e.ready:
-			e.metrics.workersBusy.Add(1)
-			res, err := e.runTask(t)
-			e.metrics.workersBusy.Add(-1)
-			select {
-			case e.events <- event{kind: evOpDone, job: t.job, task: t, ct: res, err: err}:
-			case <-e.ctx.Done():
-				return
-			}
-		}
+	for t := e.next(); t != nil; t = e.next() {
+		e.metrics.workersBusy.Add(1)
+		res, err := e.runTask(t)
+		e.metrics.workersBusy.Add(-1)
+		e.opDone(t, res, err)
 	}
+}
+
+// next blocks until the tier queues yield an op, which it takes off them,
+// or the engine closes (nil).
+func (e *Engine) next() *opTask {
+	e.sched.Lock()
+	defer e.sched.Unlock()
+	for e.ctx.Err() == nil {
+		if t := e.queues.pop(); t != nil {
+			return t
+		}
+		e.wake.Wait()
+	}
+	return nil
 }
 
 // runTask runs one op with its per-op instrumentation. Ops of jobs that
@@ -331,9 +325,9 @@ func (e *Engine) executeTask(t *opTask) (ct *ckks.Ciphertext, err error) {
 // jobInput is the producer of a value the client supplied.
 const jobInput = -1
 
-// jobState is one job's validated op DAG and the dispatcher's bookkeeping
-// over it. validate builds it once per admitted spec; from evSubmit on it is
-// dispatcher-private, and it dies when the job finishes — a terminal Job
+// jobState is one job's validated op DAG and the scheduler's bookkeeping
+// over it. validate builds it once per admitted spec; from start on it is
+// guarded by Engine.sched, and it dies when the job finishes — a terminal Job
 // keeps none of it.
 type jobState struct {
 	ops        []OpSpec
@@ -342,104 +336,86 @@ type jobState struct {
 	uses       map[string]int // per value name: consuming ops still to run, plus its listings as a requested output
 	producer   map[string]int // per value name: position of the op that computes it, or jobInput
 	remaining  int
-	stopAbort  func() bool // unregisters the job's deadline/cancel wake-up
+	stopAbort  func() bool // unregisters the job's deadline/cancel abort
 }
 
-func (e *Engine) dispatch() {
-	defer e.wg.Done()
-	states := make(map[*Job]*jobState)
-	queues := newTierQueues(e.tierDepth)
+// enqueue puts one op whose dependencies are met on its tier queue and wakes
+// a worker for it. e.sched must be held.
+func (e *Engine) enqueue(j *Job, st *jobState, op int) {
+	e.queues.push(&opTask{job: j, op: &st.ops[op], idx: op, readyAt: time.Now()})
+	e.wake.Signal()
+}
 
-	enqueueReady := func(j *Job, st *jobState, op int) {
-		queues.push(&opTask{job: j, op: &st.ops[op], idx: op, readyAt: time.Now()})
+// start hands an admitted job to the scheduler: it queues the ops that read
+// only job inputs and arms the job's deadline/cancel abort. It reports false,
+// tracking nothing, once the engine is closing.
+func (e *Engine) start(j *Job, st *jobState) bool {
+	e.sched.Lock()
+	defer e.sched.Unlock()
+	if e.ctx.Err() != nil {
+		return false
 	}
-
-	handle := func(ev event) {
-		j := ev.job
-		switch ev.kind {
-		case evSubmit:
-			st := ev.state
-			states[j] = st
-			j.setRunning()
-			// Deadline/cancellation wake-up: jobs whose remaining ops never
-			// reach a worker (e.g. expired while queued) still terminate.
-			// Registered here, so the abort can never overtake the submit,
-			// and stopped by finishJob, so a normal finish posts nothing.
-			st.stopAbort = context.AfterFunc(j.ctx, func() {
-				select {
-				case e.events <- event{kind: evJobAbort, job: j}:
-				case <-e.ctx.Done():
-				}
-			})
-			for i := range st.ops {
-				if st.waiting[i] == 0 {
-					enqueueReady(j, st, i)
-				}
-			}
-		case evOpDone:
-			st := states[j]
-			if st == nil {
-				return // job already finished (failed or aborted)
-			}
-			op := ev.task.op
-			if ev.err != nil {
-				e.finishJob(j, states, fmt.Errorf("op %q: %w", op.ID, ev.err))
-				return
-			}
-			// The result enters the live set only if something will read it,
-			// and every argument leaves it at its last use: the job's
-			// footprint is its widest live set, not the sum of its DAG. What
-			// an op of this job computed goes back to the ring pool there —
-			// no op still reads it and no result shares a row with it.
-			if st.uses[op.ID] > 0 {
-				j.store(op.ID, ev.ct)
-			} else {
-				j.sess.Eval.Release(ev.ct)
-			}
-			for _, a := range op.Args {
-				if st.uses[a]--; st.uses[a] == 0 {
-					j.release(a, st.producer[a] != jobInput)
-					e.metrics.valuesReleased.Inc()
-				}
-			}
-			st.remaining--
-			for _, dep := range st.dependents[ev.task.idx] {
-				st.waiting[dep]--
-				if st.waiting[dep] == 0 {
-					enqueueReady(j, st, dep)
-				}
-			}
-			if st.remaining == 0 {
-				e.finishJob(j, states, nil)
-			}
-		case evJobAbort:
-			e.metrics.abortEvents.Inc()
-			if states[j] != nil {
-				e.finishJob(j, states, j.ctx.Err())
-			}
+	e.states[j] = st
+	j.setRunning()
+	// Jobs whose remaining ops never reach a worker (e.g. expired while
+	// queued) still terminate. Armed under the lock that tracks the job, so
+	// the abort cannot overtake the start, and stopped by finishJob, so a
+	// normal finish costs nothing.
+	st.stopAbort = context.AfterFunc(j.ctx, func() {
+		e.sched.Lock()
+		defer e.sched.Unlock()
+		e.metrics.abortEvents.Inc()
+		if e.states[j] != nil {
+			e.finishJob(j, j.ctx.Err())
+		}
+	})
+	for i := range st.ops {
+		if st.waiting[i] == 0 {
+			e.enqueue(j, st, i)
 		}
 	}
+	return true
+}
 
-	for {
-		// A nil channel never sends: with nothing queued only events wake us.
-		var readyCh chan *opTask
-		head := queues.head()
-		if head != nil {
-			readyCh = e.ready
+// opDone records a finished op: its result and arguments enter or leave the
+// job's live set, its dependents that have every input now join their tier
+// queue, and the job finishes with its last op or its first failure.
+func (e *Engine) opDone(t *opTask, ct *ckks.Ciphertext, err error) {
+	e.sched.Lock()
+	defer e.sched.Unlock()
+	j, op := t.job, t.op
+	st := e.states[j]
+	if st == nil {
+		return // job already finished (failed or aborted)
+	}
+	if err != nil {
+		e.finishJob(j, fmt.Errorf("op %q: %w", op.ID, err))
+		return
+	}
+	// The result enters the live set only if something will read it, and
+	// every argument leaves it at its last use: the job's footprint is its
+	// widest live set, not the sum of its DAG. What an op of this job
+	// computed goes back to the ring pool there — no op still reads it and
+	// no result shares a row with it.
+	if st.uses[op.ID] > 0 {
+		j.store(op.ID, ct)
+	} else {
+		j.sess.Eval.Release(ct)
+	}
+	for _, a := range op.Args {
+		if st.uses[a]--; st.uses[a] == 0 {
+			j.release(a, st.producer[a] != jobInput)
+			e.metrics.valuesReleased.Inc()
 		}
-
-		select {
-		case <-e.ctx.Done():
-			// Fail whatever is still tracked so waiters wake up.
-			for j := range states {
-				e.finishJob(j, states, context.Canceled)
-			}
-			return
-		case ev := <-e.events:
-			handle(ev)
-		case readyCh <- head:
-			queues.pop(head)
+	}
+	st.remaining--
+	for _, dep := range st.dependents[t.idx] {
+		if st.waiting[dep]--; st.waiting[dep] == 0 {
+			e.enqueue(j, st, dep)
 		}
+	}
+	if st.remaining == 0 {
+		e.finishJob(j, nil)
 	}
 }
 
@@ -447,10 +423,10 @@ func (e *Engine) dispatch() {
 // slot, tier/tenant accounting and session pin, and moves it from the
 // in-flight set to the bounded retained one. Waiters wake last, so a client
 // that resubmits the moment Wait returns finds its slot free and the table
-// settled.
-func (e *Engine) finishJob(j *Job, states map[*Job]*jobState, err error) {
-	states[j].stopAbort()
-	delete(states, j)
+// settled. e.sched must be held.
+func (e *Engine) finishJob(j *Job, err error) {
+	e.states[j].stopAbort()
+	delete(e.states, j)
 	outputBytes := j.finish(err)
 	j.cancel()
 	e.releaseJob(j)
@@ -530,12 +506,12 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		reason = "tenant_limit"
 	}
 	if reason != "" {
-		depth := e.tierActive[tier]
+		admitted := e.tierActive[tier]
 		e.mu.Unlock()
 		unpin()
 		e.metrics.jobsRejected.Inc()
 		e.metrics.tier(tier).rejected.Inc()
-		return nil, &OverloadError{Tier: tier, Reason: reason, RetryAfter: e.retryAfter(depth)}
+		return nil, &OverloadError{Tier: tier, Reason: reason, RetryAfter: e.retryAfter(admitted)}
 	}
 	e.tierActive[tier]++
 	e.tenantActive[spec.SessionID]++
@@ -571,9 +547,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	e.jobs[j.ID] = j
 	e.mu.Unlock()
 
-	select {
-	case e.events <- event{kind: evSubmit, job: j, state: st}:
-	case <-e.ctx.Done():
+	if !e.start(j, st) {
 		e.releaseJob(j)
 		cancel()
 		e.mu.Lock()
@@ -586,10 +560,10 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// retryAfter estimates when tier capacity frees up from its queue depth:
-// one second per queued job ahead per worker, capped at 30s.
-func (e *Engine) retryAfter(tierDepth int) time.Duration {
-	d := time.Duration(1+tierDepth/e.cfg.Workers) * time.Second
+// retryAfter estimates when tier capacity frees up from the tier's admitted
+// jobs: one second per admitted job per worker, capped at 30s.
+func (e *Engine) retryAfter(tierActive int) time.Duration {
+	d := time.Duration(1+tierActive/e.cfg.Workers) * time.Second
 	if d > 30*time.Second {
 		d = 30 * time.Second
 	}
@@ -600,7 +574,7 @@ func (e *Engine) retryAfter(tierDepth int) time.Duration {
 // resolvable references, unique IDs, droplevel targets within the session's
 // [0, maxLevel], agreeing scales where a summing op adds job inputs, an
 // acyclic dependency graph — and returns the dependency
-// state the dispatcher will run the job from. Every name is resolved through
+// state the scheduler will run the job from. Every name is resolved through
 // one index built here, so admission is linear in the size of the DAG.
 func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
 	if len(spec.Ops) == 0 {

@@ -33,7 +33,7 @@ import (
 // bounds (Config.RetainedResultBytes / RetainFor) before anyone fetched it.
 //
 // Admission rejections are 429 with a Retry-After header (seconds, derived
-// from the rejected tier's queue depth) and a JSON body carrying the
+// from the rejected tier's admitted jobs) and a JSON body carrying the
 // machine-readable rejection reason.
 
 type createSessionRequest struct {
@@ -116,12 +116,12 @@ func writeOverload(w http.ResponseWriter, err error) {
 	})
 }
 
-// decodeJSON decodes a request body into v under the engine's body-size
-// cap. Oversized bodies get 413, malformed ones 400; either way the
-// response has been written and the caller should return.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// readBody reads a POST body under the engine's body-size cap. An oversized
+// body gets 413, an unreadable one 400; either way the response has been
+// written and the caller should return.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -129,6 +129,20 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 		} else {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		}
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeJSON decodes a capped request body (readBody) into v; a malformed
+// one gets 400. It reports whether the caller should go on.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return false
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
@@ -269,20 +283,11 @@ func NewHTTPHandler(e *Engine) http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{sid}/jobs", func(w http.ResponseWriter, r *http.Request) {
 		// No session existence pre-check: Submit resolves and pins the session
 		// itself and answers ErrUnknownSession, which maps to 404 below.
-		sid := r.PathValue("sid")
-		r.Body = http.MaxBytesReader(w, r.Body, e.cfg.MaxBodyBytes)
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			} else {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			}
+		body, ok := readBody(w, r, e.cfg.MaxBodyBytes)
+		if !ok {
 			return
 		}
-		spec, err := decodeSubmitJob(sid, body)
+		spec, err := decodeSubmitJob(r.PathValue("sid"), body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

@@ -106,7 +106,7 @@ const (
 // job that something still has to read — an input or intermediate until its
 // last consuming op finished, a requested output for as long as the handle
 // lives — and to nothing else: the op DAG and the use counts belong to the
-// dispatcher and die when the job finishes. A handle keeps answering Status,
+// scheduler and die when the job finishes. A handle keeps answering Status,
 // Wait and Results after the engine has reaped the job from its table.
 type Job struct {
 	ID string
@@ -224,9 +224,9 @@ func (j *Job) arg(name string) (*ckks.Ciphertext, error) {
 }
 
 // Wait blocks until the job reaches a terminal state (returning its error,
-// if any) or ctx expires. Every admitted job terminates: op completion and
-// deadline expiry both wake the dispatcher, and engine shutdown fails all
-// tracked jobs.
+// if any) or ctx expires. Every admitted job terminates: its last op or its
+// first failure finishes it, deadline expiry and cancellation abort it, and
+// engine shutdown fails all tracked jobs.
 func (j *Job) Wait(ctx context.Context) error {
 	select {
 	case <-j.done:

@@ -695,8 +695,8 @@ func TestUnknownSessionIsTyped(t *testing.T) {
 	}
 }
 
-// TestNoAbortWakeupsOnNormalFinish: a job that finishes normally costs the
-// dispatcher no deadline event and the process no goroutine.
+// TestNoAbortWakeupsOnNormalFinish: a job that finishes normally runs no
+// deadline/cancel abort and costs the process no goroutine.
 func TestNoAbortWakeupsOnNormalFinish(t *testing.T) {
 	client := newTestClient(t, 1)
 	reg := obs.NewRegistry()
@@ -744,7 +744,7 @@ func TestNoAbortWakeupsOnNormalFinish(t *testing.T) {
 }
 
 // BenchmarkSubmitChainDAG times admission of a 2 000-op chain (validation,
-// the dependency state, the hand-off to the dispatcher): linear in the DAG
+// the dependency state, the hand-off to the scheduler): linear in the DAG
 // since the name index is built once. The job is cancelled as soon as it is
 // admitted, outside the timed region.
 func BenchmarkSubmitChainDAG(b *testing.B) {

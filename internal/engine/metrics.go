@@ -20,10 +20,10 @@ type engineMetrics struct {
 	jobsCancelled *obs.Counter
 	workersBusy   *obs.Gauge
 
-	opsExpired      *obs.Counter            // ops skipped because their job expired before dispatch
+	opsExpired      *obs.Counter            // ops skipped because their job expired before they ran
 	sessionsEvicted *obs.Counter            // sessions dropped by the key cache for space
 	valuesReleased  *obs.Counter            // job values dropped at their last use
-	abortEvents     *obs.Counter            // deadline/cancel wake-ups delivered to the dispatcher
+	abortEvents     *obs.Counter            // deadline/cancel aborts that ran (zero for jobs that finish first)
 	reapedBy        map[string]*obs.Counter // jobs removed from the table, by reason
 
 	mu      sync.Mutex

@@ -224,17 +224,17 @@ func TestExpiredNeverDispatched(t *testing.T) {
 	}()
 	baseline := runtime.NumGoroutine()
 
-	// QueueSize 1 means at most one dispatch group sits pre-claimed beyond
-	// the busy worker; everything else waits in the tier queues, where
-	// terminal jobs are pruned before dispatch.
+	// One worker; blockers and victims share the standard tier, so its queue
+	// is first in first out between them and a victim queued behind a
+	// blocker cannot reach the worker before that blocker has run.
 	reg := obs.NewRegistry()
-	e := New(Config{Workers: 1, QueueSize: 1, MaxActiveJobs: 48, MaxJobsPerTenant: 32, Obs: reg})
+	e := New(Config{Workers: 1, MaxActiveJobs: 112, MaxJobsPerTenant: 32, Obs: reg})
 	sess, err := e.AttachSession(client.params, client.keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Blockers: latency-tier squares keep the single worker saturated.
+	// Blockers: standard-tier squares keep the single worker saturated.
 	// topUp keeps about 20 ms of them admitted — more than a scheduler time
 	// slice, so at GOMAXPROCS=1 the worker cannot drain the backlog before
 	// this goroutine runs again.
@@ -253,10 +253,9 @@ func TestExpiredNeverDispatched(t *testing.T) {
 				Inputs:    map[string]*ckks.Ciphertext{"x": ct},
 				Ops:       []OpSpec{{ID: "s", Op: "square", Args: []string{"x"}}},
 				Outputs:   []string{"s"},
-				Tier:      TierLatency,
 			})
 			if errors.Is(err, ErrBusy) {
-				return // the latency tier's admission share is full
+				return // the standard tier's admission share is full
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -269,37 +268,26 @@ func TestExpiredNeverDispatched(t *testing.T) {
 	// Victims: rotate-only standard-tier jobs with deadlines far shorter
 	// than one square. "rotate" appears in no other job, so its per-op
 	// execution counter staying at zero proves no expired op touched the
-	// evaluator. Each victim goes in only while a blocker sits pre-claimed in
-	// the ready queue and no earlier victim has left the standard queue: the
-	// worker then runs that whole blocker before it can take the victim. A
-	// victim offered to an idle worker would finish inside its deadline.
+	// evaluator. Each victim goes in only while the worker is busy and at
+	// least two blockers wait in the standard queue: a victim never runs, so
+	// every queued entry beyond the victims admitted so far is a blocker
+	// ahead of the new one, and even if the worker takes one of them before
+	// the Submit lands, it runs the other whole before it can reach the
+	// victim. A victim offered to an idle worker would finish inside its
+	// deadline.
 	standard := `engine_tier_queue_depth{tier="standard"}`
 	var victims []*Job
-	queued := func() bool { // the dispatcher has taken in every victim so far
-		for _, job := range victims {
-			if st, _ := job.Status(); st == StatusQueued {
-				return false
-			}
-		}
-		return true
-	}
 	for i := 0; i < 8; i++ {
-		var g map[string]float64
 		for start := time.Now(); ; {
-			if queued() {
-				g = reg.Snapshot().Gauges
-				if g["engine_ready_queue_depth"] >= 1 {
-					break
-				}
+			g := reg.Snapshot().Gauges
+			if g["engine_workers_busy"] >= 1 && int(g[standard]) >= len(victims)+2 {
+				break
 			}
 			if time.Since(start) > 10*time.Second {
-				t.Fatalf("no blocker ever seen pre-claimed: %v", g)
+				t.Fatalf("never saw the worker busy with two blockers queued: %v", g)
 			}
 			topUp()
 			time.Sleep(20 * time.Microsecond)
-		}
-		if int(g[standard]) != len(victims) {
-			break // the ready queue may hold an earlier victim, not a blocker
 		}
 		job, err := e.Submit(JobSpec{
 			SessionID: sess.ID,
@@ -349,6 +337,154 @@ func TestExpiredNeverDispatched(t *testing.T) {
 			t.Fatalf("goroutine leak: %d after close, baseline %d\n%s", n, baseline, buf.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// startLongOp submits a batch-tier job of one long op — a lincomb over 4 096
+// copies of one input, over a hundred milliseconds of work that no other op
+// can interrupt — and returns once the engine's one worker is running it.
+func startLongOp(t *testing.T, e *Engine, reg *obs.Registry, client *testClient, sid string) *Job {
+	t.Helper()
+	const copies = 4096
+	long := OpSpec{ID: "long", Op: "lincomb"}
+	for i := 0; i < copies; i++ {
+		long.Args = append(long.Args, "x")
+		long.Vals = append(long.Vals, 1.0/copies)
+	}
+	job, err := e.Submit(JobSpec{
+		SessionID: sid,
+		Inputs:    map[string]*ckks.Ciphertext{"x": client.encrypt(t, []complex128{1})},
+		Ops:       []OpSpec{long},
+		Outputs:   []string{"long"},
+		Tier:      TierBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); reg.Snapshot().Gauges["engine_workers_busy"] < 1; time.Sleep(50 * time.Microsecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the worker never took the long op")
+		}
+	}
+	return job
+}
+
+// TestLatencyOpTakesTheFreeWorker: a worker takes its next op from the tier
+// queues only when it is free, so a latency job that becomes ready after four
+// standard ones, while the one worker is busy, still runs before all four.
+func TestLatencyOpTakesTheFreeWorker(t *testing.T) {
+	client := newTestClient(t)
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 1, Obs: reg})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var standard []JobSpec
+	for i := 0; i < 4; i++ {
+		standard = append(standard, squareJob(t, client, sess.ID, TierStandard))
+	}
+	latency := squareJob(t, client, sess.ID, TierLatency)
+
+	blocker := startLongOp(t, e, reg, client, sess.ID)
+	var jobs []*Job
+	for _, spec := range standard {
+		job, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	lat, err := e.Submit(latency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocker.terminal() {
+		t.Fatal("the long op finished before the latency job was submitted: premise failed")
+	}
+	for _, job := range append([]*Job{blocker, lat}, jobs...) {
+		if err := job.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, job := range jobs {
+		if !lat.finishedAt.Before(job.finishedAt) {
+			t.Errorf("standard job %d finished %v after the long op, the latency job %v: want the latency job first",
+				i, job.finishedAt.Sub(blocker.finishedAt), lat.finishedAt.Sub(blocker.finishedAt))
+		}
+	}
+}
+
+// TestAbortDoesNotWaitForTheWorker: a queued job whose deadline passes, or
+// that the client releases, fails at once while the one worker is still busy
+// on another job's op; Close fails every job still tracked before it returns.
+func TestAbortDoesNotWaitForTheWorker(t *testing.T) {
+	client := newTestClient(t)
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 1, Obs: reg})
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []JobSpec{
+		squareJob(t, client, sess.ID, ""),
+		squareJob(t, client, sess.ID, ""),
+		squareJob(t, client, sess.ID, ""),
+	}
+	specs[0].Deadline = 5 * time.Millisecond
+
+	blocker := startLongOp(t, e, reg, client, sess.ID)
+	var jobs []*Job
+	for _, spec := range specs {
+		job, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	expiring, forgotten, closed := jobs[0], jobs[1], jobs[2]
+	if err := e.Forget(forgotten.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := expiring.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired job: %v, want context.DeadlineExceeded", err)
+	}
+	if err := forgotten.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Errorf("forgotten job: %v, want context.Canceled", err)
+	}
+	if blocker.terminal() {
+		t.Error("the long op finished before the aborts: they waited for the worker")
+	}
+	e.Close()
+	for name, job := range map[string]*Job{"running": blocker, "queued": closed} {
+		if st, err := job.Status(); st != StatusFailed || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s job after Close: %s %v, want failed with context.Canceled", name, st, err)
+		}
+	}
+}
+
+// TestEngineRunsOnlyItsWorkers: New starts exactly Workers goroutines — the
+// workers schedule ops themselves — and Close ends them.
+func TestEngineRunsOnlyItsWorkers(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		// Another test's goroutines may still be exiting: a reading is taken
+		// as soon as one attempt sees no such drift.
+		var rise int
+		for attempt := 0; attempt < 5; attempt++ {
+			before := runtime.NumGoroutine()
+			e := New(Config{Workers: n, Obs: obs.NewRegistry()})
+			rise = runtime.NumGoroutine() - before
+			e.Close()
+			if rise == n {
+				break
+			}
+		}
+		if rise != n {
+			t.Errorf("New(Config{Workers: %d}) started %d goroutines, want %d", n, rise, n)
+		}
 	}
 }
 

@@ -140,9 +140,9 @@ func TestSchedulerStress(t *testing.T) {
 
 	e.Close()
 
-	// Every engine goroutine (dispatcher, workers, per-job deadline
-	// watchers) must exit once Close returns. Poll with a drain timeout:
-	// watcher goroutines race Close by one scheduling quantum.
+	// Every engine goroutine (workers, per-job deadline/cancel aborts)
+	// must exit once Close returns. Poll with a drain timeout: abort
+	// goroutines race Close by one scheduling quantum.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline+2 {

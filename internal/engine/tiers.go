@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -10,7 +9,7 @@ import (
 //
 // Every job belongs to a tier (latency | standard | batch). A tier's weight
 // is both its share of the admission budget (tierCapacities) and its share of
-// dispatch bandwidth once the ready queues back up (tierQueues), so bulk
+// the ops workers take once the tier queues back up (tierQueues), so bulk
 // traffic can run next to latency-sensitive traffic without starving it.
 
 // Job priority tiers.
@@ -23,8 +22,8 @@ const (
 // tierOrder lists tiers from highest to lowest dequeue priority.
 var tierOrder = []string{TierLatency, TierStandard, TierBatch}
 
-// tierWeights is each tier's share of admission capacity and of ready-queue
-// dispatch bandwidth.
+// tierWeights is each tier's share of admission capacity and of the workers'
+// dispatches.
 var tierWeights = map[string]int{TierLatency: 8, TierStandard: 4, TierBatch: 2}
 
 // tierCapacities partitions the admission budget by tier weight. Every tier
@@ -56,8 +55,8 @@ func normalizeTier(t string) (string, error) {
 // OverloadError is the typed load-shed rejection returned by Submit when
 // admission control refuses a job. It unwraps to ErrBusy so existing
 // errors.Is(err, ErrBusy) checks keep working, and carries the reason plus a
-// queue-depth-derived retry hint that the HTTP layer surfaces as a 429 with
-// a Retry-After header.
+// retry hint derived from the tier's admitted jobs, which the HTTP layer
+// surfaces as a 429 with a Retry-After header.
 type OverloadError struct {
 	// Tier the rejected job targeted.
 	Tier string
@@ -65,8 +64,8 @@ type OverloadError struct {
 	// "tier_full" (the tier's capacity share is exhausted), or
 	// "tenant_limit" (the tenant's in-flight job cap).
 	Reason string
-	// RetryAfter estimates when capacity frees up: one second per queued
-	// job ahead per worker, capped at 30s. A heuristic, not a promise.
+	// RetryAfter estimates when capacity frees up: one second per job the
+	// tier has admitted per worker, capped at 30s. A heuristic, not a promise.
 	RetryAfter time.Duration
 }
 
@@ -81,20 +80,16 @@ func (e *OverloadError) Unwrap() error { return ErrBusy }
 // weighted round-robin: each refill grants every tier its weight in credits,
 // and tiers are drained in priority order while they have credit. A saturated
 // batch tier therefore gets at most weight_batch of every sum(weights)
-// dispatches once higher tiers have work. Dispatcher-private except for the
-// depth gauges, which the metrics exporter samples.
+// dispatches once higher tiers have work. Guarded by Engine.sched; a worker
+// takes its next op from here only when it is free, so the weights decide
+// every dispatch.
 type tierQueues struct {
-	queues map[string][]*opTask
+	ops    map[string][]*opTask
 	credit map[string]int
-	depth  map[string]*atomic.Int64 // ops queued, per tier
 }
 
-func newTierQueues(depth map[string]*atomic.Int64) *tierQueues {
-	q := &tierQueues{
-		queues: make(map[string][]*opTask),
-		credit: make(map[string]int),
-		depth:  depth,
-	}
+func newTierQueues() tierQueues {
+	q := tierQueues{ops: make(map[string][]*opTask), credit: make(map[string]int)}
 	q.refill()
 	return q
 }
@@ -107,20 +102,23 @@ func (q *tierQueues) refill() {
 
 // push appends a ready op to its job's tier queue.
 func (q *tierQueues) push(t *opTask) {
-	tier := t.job.tier
-	q.queues[tier] = append(q.queues[tier], t)
-	q.depth[tier].Add(1)
+	q.ops[t.job.tier] = append(q.ops[t.job.tier], t)
 }
 
-// head returns the op that should be served next, pruning ops of terminal
-// (failed/expired) jobs as it goes, or nil when every queue is empty.
-func (q *tierQueues) head() *opTask {
+// pop removes and returns the op that should be served next, spending one of
+// its tier's credits and pruning ops of terminal (failed/expired) jobs as it
+// goes, or returns nil when every queue is empty.
+func (q *tierQueues) pop() *opTask {
 	for pass := 0; pass < 2; pass++ {
 		for _, t := range tierOrder {
 			if q.credit[t] <= 0 && pass == 0 {
 				continue
 			}
 			if task := q.prunedHead(t); task != nil {
+				q.ops[t] = q.ops[t][1:]
+				if q.credit[t] > 0 {
+					q.credit[t]--
+				}
 				return task
 			}
 		}
@@ -134,25 +132,13 @@ func (q *tierQueues) head() *opTask {
 // prunedHead drops dead ops from the front of one tier queue and returns its
 // live head, if any.
 func (q *tierQueues) prunedHead(t string) *opTask {
-	queue := q.queues[t]
+	queue := q.ops[t]
 	for len(queue) > 0 && queue[0].job.terminal() {
 		queue = queue[1:]
-		q.depth[t].Add(-1)
 	}
-	q.queues[t] = queue
+	q.ops[t] = queue
 	if len(queue) == 0 {
 		return nil
 	}
 	return queue[0]
-}
-
-// pop removes the op that head returned, once it was handed to a worker, and
-// spends one of its tier's credits.
-func (q *tierQueues) pop(task *opTask) {
-	t := task.job.tier
-	q.queues[t] = q.queues[t][1:]
-	if q.credit[t] > 0 {
-		q.credit[t]--
-	}
-	q.depth[t].Add(-1)
 }
