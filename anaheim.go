@@ -186,13 +186,15 @@ func (c *Context) EvaluationKeys() *EvaluationKeySet { return c.keys }
 // uploaded evaluation keys: it can run Add/Mul/Rotate/linear transforms but
 // holds no secret or encryption key (Encrypt and Decrypt are unavailable).
 // This is the trust model of the serving runtime: secrets stay client-side.
+// A key without the parameters' shape is refused with an error wrapping
+// ckks.ErrShape (Parameters.CheckKeys) instead of panicking the first op.
 func NewServerContext(lit ParametersLiteral, keys *EvaluationKeySet) (*Context, error) {
 	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		return nil, err
 	}
-	if keys == nil {
-		return nil, fmt.Errorf("anaheim: server context needs evaluation keys")
+	if err := params.CheckKeys(keys); err != nil {
+		return nil, fmt.Errorf("anaheim: server context: %w", err)
 	}
 	c := &Context{Params: params, keys: keys}
 	c.enc = ckks.NewEncoder(params)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/cmplx"
 	"math/rand"
@@ -586,6 +587,17 @@ func TestServerContext(t *testing.T) {
 	want := []complex128{4, 9, 16}
 	if e := facadeMaxErr(got[:3], want); e > 1e-3 {
 		t.Fatalf("server-evaluated result off by %g", e)
+	}
+
+	// Keys one level above a shorter chain are refused, not run into by the
+	// first key switch.
+	short := TestParameters()
+	short.LogQ = short.LogQ[:len(short.LogQ)-1]
+	if _, err := NewServerContext(short, client.EvaluationKeys()); !errors.Is(err, ckks.ErrShape) {
+		t.Fatalf("keys of a longer chain: NewServerContext error %v, want ckks.ErrShape", err)
+	}
+	if _, err := NewServerContext(TestParameters(), nil); !errors.Is(err, ckks.ErrShape) {
+		t.Fatalf("no key set: NewServerContext error %v, want ckks.ErrShape", err)
 	}
 }
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"crypto/rand"
 	"flag"
 	"fmt"
 	"os"
@@ -47,10 +48,18 @@ func readFile(path string, m interface{ UnmarshalBinary([]byte) error }) {
 	die(m.UnmarshalBinary(data))
 }
 
+// randomSeed draws a 32-byte key master or encryptor seed from crypto/rand,
+// so no two installs share a secret key or an encryption stream.
+func randomSeed() (seed [32]byte) {
+	_, err := rand.Read(seed[:])
+	die(err)
+	return seed
+}
+
 func keygen(dir string) {
 	die(os.MkdirAll(dir, 0o700))
 	p := params()
-	kg := ckks.NewKeyGenerator(p, 1)
+	kg := ckks.NewKeyGeneratorFromMaster(p, randomSeed())
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
@@ -73,7 +82,7 @@ func encrypt(dir, valuesCSV, out string) {
 		die(err)
 		vals = append(vals, complex(f, 0))
 	}
-	ct, err := ckks.NewEncryptor(p, 2).EncodeEncryptNew(enc, vals, p.MaxLevel(), p.DefaultScale(), &pk)
+	ct, err := ckks.NewEncryptorFromSeed(p, randomSeed()).EncodeEncryptNew(enc, vals, p.MaxLevel(), p.DefaultScale(), &pk)
 	die(err)
 	writeFile(out, ct)
 	fmt.Printf("encrypted %d values into %s (level %d)\n", len(vals), out, ct.Level())
@@ -85,10 +94,12 @@ func eval(dir, op, in, out string) {
 	readFile(filepath.Join(dir, "rlk.bin"), &rlk)
 	keys := ckks.NewEvaluationKeySet()
 	keys.Rlk = &rlk
+	die(p.CheckKeys(keys))
 	ev := ckks.NewEvaluator(p, keys)
 
 	var ct ckks.Ciphertext
 	readFile(in, &ct)
+	die(p.CheckCiphertext(&ct))
 	var res *ckks.Ciphertext
 	var err error
 	switch op {

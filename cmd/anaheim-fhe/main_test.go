@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -36,5 +38,22 @@ func TestFileWorkflow(t *testing.T) {
 	// The other eval ops must run too.
 	for _, op := range []string{"double", "negate", "addone"} {
 		eval(keys, op, ct1, filepath.Join(dir, op+".bin"))
+	}
+}
+
+// TestKeygenDrawsFreshKeys: keygen seeds from crypto/rand, so two runs write
+// different secret keys.
+func TestKeygenDrawsFreshKeys(t *testing.T) {
+	var sks [2][]byte
+	for i := range sks {
+		dir := filepath.Join(t.TempDir(), "keys")
+		keygen(dir)
+		var err error
+		if sks[i], err = os.ReadFile(filepath.Join(dir, "sk.bin")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(sks[0], sks[1]) {
+		t.Fatal("two keygen runs wrote the same sk.bin")
 	}
 }

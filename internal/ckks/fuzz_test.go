@@ -56,7 +56,8 @@ var fuzzSeedCiphertext = sync.OnceValue(func() []byte {
 // decoder. The contract under fuzz: malformed input errors out — it never
 // panics and never allocates unbounded memory (the ring layer caps poly
 // shape before allocating). Anything that decodes cleanly must re-marshal
-// to the identical bytes.
+// to the identical bytes, and if it passes Parameters.CheckCiphertext, Add
+// must take it.
 func FuzzCiphertextUnmarshal(f *testing.F) {
 	valid := fuzzSeedCiphertext()
 	f.Add(valid)
@@ -75,6 +76,11 @@ func FuzzCiphertextUnmarshal(f *testing.F) {
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f) // chunk length
 	f.Add(huge)
 
+	params, err := NewParameters(fuzzParameters())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ev := NewEvaluator(params, NewEvaluationKeySet())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ct := &Ciphertext{}
 		if err := ct.UnmarshalBinary(data); err != nil {
@@ -96,6 +102,10 @@ func FuzzCiphertextUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("round-trip mismatch: %d bytes in, %d bytes out", len(data), len(out))
+		}
+		// A ciphertext the parameters' gate admits is one an op can take.
+		if params.CheckCiphertext(ct) == nil {
+			ev.Release(ev.Add(ct, ct))
 		}
 	})
 }

@@ -74,21 +74,11 @@ func (k *SwitchingKey) Level() int {
 	return k.BQ[0].Level()
 }
 
-// covers reports whether the key serves a key switch at level lvl: at least
-// D(lvl) digits, each with lvl+1 Q rows and α P rows of B (A comes from the
-// seed, at any level).
+// covers reports whether the key serves a key switch at level lvl, which
+// reads its level-lvl prefix: a key of the parameters' layout (checkKeyRows)
+// at lvl or above.
 func (k *SwitchingKey) covers(p *Parameters, lvl int) bool {
-	d := p.Digits(lvl)
-	if len(k.BQ) < d || len(k.BP) < d {
-		return false
-	}
-	rows := func(x *ring.Poly, n int) bool { return x != nil && len(x.Coeffs) >= n }
-	for i := 0; i < d; i++ {
-		if !rows(k.BQ[i], lvl+1) || !rows(k.BP[i], p.Alpha()) {
-			return false
-		}
-	}
-	return true
+	return k.Level() >= lvl && checkKeyRows(k, k.Level()+1, p.Alpha(), p.N(), nil, nil) == nil
 }
 
 // keyBelow is the error of an op at level lvl handed a key that does not

@@ -3,7 +3,6 @@ package ckks
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -31,76 +30,68 @@ func readChunk(data []byte) ([]byte, []byte, error) {
 	return data[:n], data[n:], nil
 }
 
-func appendPoly(buf []byte, p *ring.Poly) ([]byte, error) {
-	b, err := p.MarshalBinary()
-	if err != nil {
-		return nil, err
+// appendPoly appends each polynomial as a length-prefixed chunk.
+func appendPoly(buf []byte, ps ...*ring.Poly) ([]byte, error) {
+	for _, p := range ps {
+		b, err := p.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		buf = appendChunk(buf, b)
 	}
-	return appendChunk(buf, b), nil
+	return buf, nil
 }
 
-func readPoly(data []byte) (*ring.Poly, []byte, error) {
-	chunk, rest, err := readChunk(data)
-	if err != nil {
-		return nil, nil, err
+// readPolys decodes n length-prefixed polynomials and refuses bytes after
+// the last; what names the value in that error.
+func readPolys(data []byte, what string, n int) ([]*ring.Poly, error) {
+	ps := make([]*ring.Poly, n)
+	for i := range ps {
+		chunk, rest, err := readChunk(data)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = &ring.Poly{}
+		if err := ps[i].UnmarshalBinary(chunk); err != nil {
+			return nil, err
+		}
+		data = rest
 	}
-	p := &ring.Poly{}
-	if err := p.UnmarshalBinary(chunk); err != nil {
-		return nil, nil, err
+	if len(data) != 0 {
+		return nil, fmt.Errorf("ckks: %d trailing bytes after %s", len(data), what)
 	}
-	return p, rest, nil
+	return ps, nil
 }
 
 // MarshalBinary encodes the ciphertext (scale + both components).
 func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
-	buf := ring.AppendFloat64(nil, ct.Scale)
-	var err error
-	if buf, err = appendPoly(buf, ct.C0); err != nil {
-		return nil, err
-	}
-	return appendPoly(buf, ct.C1)
+	return appendPoly(ring.AppendFloat64(nil, ct.Scale), ct.C0, ct.C1)
 }
 
 // UnmarshalBinary decodes a ciphertext. Beyond framing, it rejects inputs
 // that decode but could never have come from MarshalBinary — mismatched
-// component shapes or a non-finite/non-positive scale — so untrusted wire
-// bytes cannot smuggle a structurally broken ciphertext past the decoder
-// and panic an evaluator op later.
+// component shapes or a non-finite/non-positive scale (checkComponents).
+// Whether the ciphertext is one of a given parameter set is
+// Parameters.CheckCiphertext.
 func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	scale, rest, err := ring.ReadFloat64(data)
 	if err != nil {
 		return err
 	}
-	if !(scale > 0) || math.IsInf(scale, 0) { // !(>0) also catches NaN
-		return fmt.Errorf("ckks: ciphertext scale %v is not a positive finite number", scale)
-	}
-	c0, rest, err := readPoly(rest)
+	c, err := readPolys(rest, "ciphertext", 2)
 	if err != nil {
 		return err
 	}
-	c1, rest, err := readPoly(rest)
-	if err != nil {
+	if err := checkComponents(c[0], c[1], scale); err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("ckks: %d trailing bytes after ciphertext", len(rest))
-	}
-	if len(c0.Coeffs) != len(c1.Coeffs) {
-		return fmt.Errorf("ckks: ciphertext components disagree on level (%d vs %d limbs)",
-			len(c0.Coeffs), len(c1.Coeffs))
-	}
-	if len(c0.Coeffs) > 0 && len(c0.Coeffs[0]) != len(c1.Coeffs[0]) {
-		return fmt.Errorf("ckks: ciphertext components disagree on ring degree (%d vs %d)",
-			len(c0.Coeffs[0]), len(c1.Coeffs[0]))
-	}
-	ct.Scale, ct.C0, ct.C1 = scale, c0, c1
+	ct.Scale, ct.C0, ct.C1 = scale, c[0], c[1]
 	return nil
 }
 
 // MarshalBinary encodes the plaintext.
 func (pt *Plaintext) MarshalBinary() ([]byte, error) {
-	buf := ring.AppendFloat64(nil, pt.Scale)
-	return appendPoly(buf, pt.Value)
+	return appendPoly(ring.AppendFloat64(nil, pt.Scale), pt.Value)
 }
 
 // UnmarshalBinary decodes a plaintext.
@@ -109,66 +100,37 @@ func (pt *Plaintext) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	v, rest, err := readPoly(rest)
+	v, err := readPolys(rest, "plaintext", 1)
 	if err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("ckks: trailing bytes after plaintext")
-	}
-	pt.Scale, pt.Value = scale, v
+	pt.Scale, pt.Value = scale, v[0]
 	return nil
 }
 
 // MarshalBinary encodes the secret key (both basis embeddings).
-func (sk *SecretKey) MarshalBinary() ([]byte, error) {
-	buf, err := appendPoly(nil, sk.Q)
-	if err != nil {
-		return nil, err
-	}
-	return appendPoly(buf, sk.P)
-}
+func (sk *SecretKey) MarshalBinary() ([]byte, error) { return appendPoly(nil, sk.Q, sk.P) }
 
 // UnmarshalBinary decodes a secret key.
 func (sk *SecretKey) UnmarshalBinary(data []byte) error {
-	q, rest, err := readPoly(data)
+	ps, err := readPolys(data, "secret key", 2)
 	if err != nil {
 		return err
 	}
-	p, rest, err := readPoly(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("ckks: trailing bytes after secret key")
-	}
-	sk.Q, sk.P = q, p
+	sk.Q, sk.P = ps[0], ps[1]
 	return nil
 }
 
 // MarshalBinary encodes the public key.
-func (pk *PublicKey) MarshalBinary() ([]byte, error) {
-	buf, err := appendPoly(nil, pk.B)
-	if err != nil {
-		return nil, err
-	}
-	return appendPoly(buf, pk.A)
-}
+func (pk *PublicKey) MarshalBinary() ([]byte, error) { return appendPoly(nil, pk.B, pk.A) }
 
 // UnmarshalBinary decodes a public key.
 func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	b, rest, err := readPoly(data)
+	ps, err := readPolys(data, "public key", 2)
 	if err != nil {
 		return err
 	}
-	a, rest, err := readPoly(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("ckks: trailing bytes after public key")
-	}
-	pk.B, pk.A = b, a
+	pk.B, pk.A = ps[0], ps[1]
 	return nil
 }
 
@@ -266,10 +228,8 @@ func (k *SwitchingKey) MarshalBinary() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(k.Digits()))
 	var err error
 	for d := 0; d < k.Digits(); d++ {
-		for _, p := range []*ring.Poly{k.BQ[d], k.BP[d]} {
-			if buf, err = appendPoly(buf, p); err != nil {
-				return nil, err
-			}
+		if buf, err = appendPoly(buf, k.BQ[d], k.BP[d]); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
@@ -277,12 +237,9 @@ func (k *SwitchingKey) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a switching key. Beyond framing, it rejects a key
 // no generator could have produced, so a hostile upload cannot panic a key
-// switch later: a seed that is not 32 bytes, bytes after the last digit, a B
-// polynomial in the coefficient domain, digits that disagree on the ring
-// degree or on their Q or P row counts, and a digit count other than
-// ⌈(ℓ+1)/α⌉ for the level ℓ and α the rows give. Whether the shape is the
-// one a parameter set expects is the caller's check (the engine's
-// checkKeyShapes).
+// switch later: a seed that is not 32 bytes, bytes after the last digit, or
+// digits that break checkKeyRows for digit 0's shape. Whether the shape is
+// the one a parameter set expects is Parameters.CheckKeys.
 func (k *SwitchingKey) UnmarshalBinary(data []byte) error {
 	seed, rest, err := readChunk(data)
 	if err != nil {
@@ -298,32 +255,18 @@ func (k *SwitchingKey) UnmarshalBinary(data []byte) error {
 	if digits <= 0 || digits > 256 {
 		return fmt.Errorf("ckks: implausible digit count %d", digits)
 	}
-	rest = rest[4:]
-	bq, bp := make([]*ring.Poly, digits), make([]*ring.Poly, digits)
-	for d := 0; d < digits; d++ {
-		for _, dst := range []**ring.Poly{&bq[d], &bp[d]} {
-			if *dst, rest, err = readPoly(rest); err != nil {
-				return err
-			}
-		}
+	ps, err := readPolys(rest[4:], "switching key", 2*digits)
+	if err != nil {
+		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("ckks: %d trailing bytes after switching key", len(rest))
+	key := &SwitchingKey{Seed: [32]byte(seed), BQ: make([]*ring.Poly, digits), BP: make([]*ring.Poly, digits)}
+	for d := range key.BQ {
+		key.BQ[d], key.BP[d] = ps[2*d], ps[2*d+1]
 	}
-	qRows, pRows, n := len(bq[0].Coeffs), len(bp[0].Coeffs), len(bq[0].Coeffs[0])
-	for d := 0; d < digits; d++ {
-		q, p := bq[d], bp[d]
-		if !q.IsNTT || !p.IsNTT {
-			return fmt.Errorf("ckks: switching key digit %d is not in the NTT domain", d)
-		}
-		if len(q.Coeffs) != qRows || len(p.Coeffs) != pRows || len(q.Coeffs[0]) != n || len(p.Coeffs[0]) != n {
-			return fmt.Errorf("ckks: switching key digit %d is not %d Q and %d P rows of %d coefficients like digit 0", d, qRows, pRows, n)
-		}
+	if err := checkKeyRows(key, len(key.BQ[0].Coeffs), len(key.BP[0].Coeffs), len(key.BQ[0].Coeffs[0]), nil, nil); err != nil {
+		return err
 	}
-	if want := (qRows + pRows - 1) / pRows; digits != want {
-		return fmt.Errorf("ckks: switching key has %d digits, want %d for %d Q rows at α = %d", digits, want, qRows, pRows)
-	}
-	k.Seed, k.BQ, k.BP = [32]byte(seed), bq, bp
+	k.Seed, k.BQ, k.BP = key.Seed, key.BQ, key.BP
 	k.uniform.Store(nil)
 	return nil
 }

@@ -125,10 +125,10 @@ func (p *Parameters) Alpha() int { return len(p.ringP.Moduli) }
 
 // Digits returns the decomposition number D = ceil(#limbs/α) for a
 // key-switching operation at the given level.
-func (p *Parameters) Digits(level int) int {
-	a := p.Alpha()
-	return (level + 1 + a - 1) / a
-}
+func (p *Parameters) Digits(level int) int { return digitCount(level+1, p.Alpha()) }
+
+// digitCount is ⌈limbs/α⌉, the digit count of a gadget decomposition.
+func digitCount(limbs, alpha int) int { return (limbs + alpha - 1) / alpha }
 
 // RingQ returns the ciphertext-modulus ring.
 func (p *Parameters) RingQ() *ring.Ring { return p.ringQ }

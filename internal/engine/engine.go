@@ -483,7 +483,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSession, spec.SessionID)
 	}
 	unpin := func() { e.sessions.Unpin(spec.SessionID) }
-	st, err := validate(&spec, sess.Params.MaxLevel())
+	st, err := validate(&spec, sess.Params)
 	if err != nil {
 		unpin()
 		return nil, err
@@ -570,20 +570,24 @@ func (e *Engine) retryAfter(tierActive int) time.Duration {
 	return d
 }
 
-// validate checks the job spec shape before admission — known op kinds,
+// validate checks the job spec shape before admission — inputs that pass
+// params.CheckCiphertext (an error wrapping ckks.ErrShape), known op kinds,
 // resolvable references, unique IDs, droplevel targets within the session's
-// [0, maxLevel], agreeing scales where a summing op adds job inputs, an
+// [0, MaxLevel], agreeing scales where a summing op adds job inputs, an
 // acyclic dependency graph — and returns the dependency
 // state the scheduler will run the job from. Every name is resolved through
 // one index built here, so admission is linear in the size of the DAG.
-func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
+func validate(spec *JobSpec, params *ckks.Parameters) (*jobState, error) {
 	if len(spec.Ops) == 0 {
 		return nil, fmt.Errorf("engine: job has no ops")
 	}
 	index := make(map[string]int, len(spec.Inputs)+len(spec.Ops)) // name -> op position, or jobInput
-	for in := range spec.Inputs {
+	for in, ct := range spec.Inputs {
 		if in == "" {
 			return nil, fmt.Errorf("engine: empty input name")
+		}
+		if err := params.CheckCiphertext(ct); err != nil {
+			return nil, fmt.Errorf("engine: input %q: %w", in, err)
 		}
 		index[in] = jobInput
 	}
@@ -596,7 +600,7 @@ func validate(spec *JobSpec, maxLevel int) (*jobState, error) {
 			return nil, fmt.Errorf("engine: duplicate name %q", op.ID)
 		}
 		index[op.ID] = i
-		if err := checkOp(op, maxLevel); err != nil {
+		if err := checkOp(op, params.MaxLevel()); err != nil {
 			return nil, err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,8 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/obs"
+	"github.com/anaheim-sim/anaheim/internal/par"
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // testClient is the client side of a serving session: it owns the secret
@@ -512,6 +515,96 @@ func TestHostileScales(t *testing.T) {
 	out := results(t, e, JobSpec{SessionID: sess.ID, Inputs: inputs,
 		Ops: []OpSpec{{ID: "s", Op: "add", Args: []string{"x", "x"}}}, Outputs: []string{"s"}})
 	checkSlots(t, client.decrypt(out["s"]), []complex128{1, -0.5}, 2, 1e-4, "add after the hostile ones")
+}
+
+// TestSubmitRefusesMalformedInputs: an input that is not a ciphertext of
+// the session's parameters — one limb above MaxLevel, half the ring degree, a
+// coefficient-domain component, a residue at or above its q_i, a nil
+// component — is refused by Submit with ckks.ErrShape, and over HTTP with a
+// 400, before anything is borrowed or a job exists. At pool width 2 the
+// limbs of an add run on par workers, where such an input used to panic
+// outside the engine's recover and end the process.
+func TestSubmitRefusesMalformedInputs(t *testing.T) {
+	prev := par.SetWorkers(2)
+	defer par.SetWorkers(prev)
+	client := newTestClient(t)
+	client.params.RingQ().PoisonPool()
+	client.params.RingP().PoisonPool()
+	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
+	defer e.Close()
+	h := NewHTTPHandler(e)
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := client.encrypt(t, []complex128{0.5, -0.25})
+	results(t, e, JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": x},
+		Ops: []OpSpec{{ID: "s", Op: "add", Args: []string{"x", "x"}}}, Outputs: []string{"s"}}) // starts the pool
+	gets := func() float64 {
+		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+	}
+	// hostile returns a copy of x with edit applied to its component i.
+	hostile := func(i int, edit func(p *ring.Poly) *ring.Poly) *ckks.Ciphertext {
+		ct := x.CopyNew()
+		c := &ct.C0
+		if i == 1 {
+			c = &ct.C1
+		}
+		*c = edit(*c)
+		return ct
+	}
+	q1 := client.params.RingQ().Moduli[1].Q
+	cases := map[string]*ckks.Ciphertext{
+		"one limb above MaxLevel": hostile(0, func(p *ring.Poly) *ring.Poly {
+			p.Coeffs = append(p.Coeffs, p.Coeffs[0])
+			return p
+		}),
+		"half ring degree": hostile(0, func(p *ring.Poly) *ring.Poly {
+			for i := range p.Coeffs {
+				p.Coeffs[i] = p.Coeffs[i][:len(p.Coeffs[i])/2]
+			}
+			return p
+		}),
+		"coefficient-domain component": hostile(1, func(p *ring.Poly) *ring.Poly { p.IsNTT = false; return p }),
+		"residue at q_1":               hostile(1, func(p *ring.Poly) *ring.Poly { p.Coeffs[1][3] = q1; return p }),
+		"nil component":                hostile(1, func(*ring.Poly) *ring.Poly { return nil }),
+	}
+	goroutines := runtime.NumGoroutine()
+	for name, ct := range cases {
+		for _, op := range []OpSpec{{ID: "s", Op: "add", Args: []string{"x", "x"}}, {ID: "s", Op: "square", Args: []string{"x"}}} {
+			gets0 := gets()
+			job, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": ct}, Ops: []OpSpec{op}, Outputs: []string{"s"}})
+			if !errors.Is(err, ckks.ErrShape) || job != nil {
+				t.Errorf("%s of an input with %s: Submit error %v, job admitted %v; want ckks.ErrShape and no job", op.Op, name, err, job != nil)
+			}
+			if n := gets() - gets0; n != 0 {
+				t.Errorf("%s of an input with %s: borrowed %v pooled polynomials", op.Op, name, n)
+			}
+		}
+		if ct.C1 == nil {
+			continue // no wire form
+		}
+		wire, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"inputs":{"x":%q},"ops":[{"id":"s","op":"add","args":["x","x"]}],"outputs":["s"]}`,
+			base64.StdEncoding.EncodeToString(wire))
+		if code, resp := doRequest(t, h, "POST", "/v1/sessions/"+sess.ID+"/jobs", body); code != http.StatusBadRequest ||
+			!strings.Contains(fmt.Sprint(resp["error"]), ckks.ErrShape.Error()) {
+			t.Errorf("POST add of an input with %s: %d %v, want 400 naming the shape", name, code, resp)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("refused jobs left %d goroutines, %d before", n, goroutines)
+	}
+	if n := e.active.Load(); n != 0 {
+		t.Errorf("%d jobs admitted after the refusals", n)
+	}
+	out := results(t, e, JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": x},
+		Ops: []OpSpec{{ID: "s", Op: "add", Args: []string{"x", "x"}}}, Outputs: []string{"s"}})
+	checkSlots(t, client.decrypt(out["s"]), []complex128{1, -0.5}, 2, 1e-4, "add after the refusals")
 }
 
 // TestLintransMissingKeyFails: a session whose key set holds a transform's raw

@@ -3,6 +3,8 @@ package engine
 import (
 	"encoding/json"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/ckks"
 )
 
 // FuzzJobSpecDecode feeds arbitrary bytes to the HTTP job-spec decoder —
@@ -47,6 +49,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"inputs":{"":""}}`))
 	f.Add([]byte(`{"ops":[{"id":"x","op":"nope"}],"outputs":["x"]}`))
 
+	params, err := ckks.NewParameters(ckks.TestParameters())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeSubmitJob("sess-fuzz", data)
 		if err != nil {
@@ -56,8 +62,8 @@ func FuzzJobSpecDecode(f *testing.F) {
 			t.Fatalf("session id not threaded through: %q", spec.SessionID)
 		}
 		// Decoded specs flow into validate() at Submit, under the session's
-		// top level; it must classify, not crash, whatever shape survived
+		// parameters; it must classify, not crash, whatever shape survived
 		// JSON decoding.
-		_, _ = validate(&spec, 8)
+		_, _ = validate(&spec, params)
 	})
 }

@@ -228,7 +228,12 @@ func NewHTTPHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("evalKeys: %w", err))
 			return
 		}
-		sess, err := e.CreateSession(lit, keys)
+		params, err := ckks.NewParameters(lit)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		sess, err := e.AttachSession(params, keys)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
-	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // Session is one client's serving context: compiled parameters, the
@@ -55,30 +54,16 @@ func (s *Session) release() {
 	s.transforms = nil
 }
 
-// CreateSession compiles a parameter literal, binds the client's evaluation
-// keys, and registers the session.
-func (e *Engine) CreateSession(lit ckks.ParametersLiteral, keys *ckks.EvaluationKeySet) (*Session, error) {
-	params, err := ckks.NewParameters(lit)
-	if err != nil {
-		return nil, err
-	}
-	return e.AttachSession(params, keys)
-}
-
-// AttachSession registers a session over already-compiled parameters (the
-// embedded path, where the caller owns a full local context). A key without
-// the switching-key shape of its level under the parameters is refused with
-// an error wrapping ErrKeyShape. The session enters the key cache costed at
+// AttachSession registers a session over compiled parameters. A key that
+// fails ckks.Parameters.CheckKeys is refused with an error wrapping
+// ErrKeyShape and the ckks error. The session enters the key cache costed at
 // its measured evaluation-key size — every switching key's 2·D digit
 // polynomials over Q and P, 8 bytes per coefficient — and under memory
 // pressure the least recently used unpinned sessions are evicted to make
 // room for it.
 func (e *Engine) AttachSession(params *ckks.Parameters, keys *ckks.EvaluationKeySet) (*Session, error) {
-	if keys == nil {
-		return nil, fmt.Errorf("engine: session needs an evaluation key set")
-	}
-	if err := checkKeyShapes(params, keys); err != nil {
-		return nil, err
+	if err := params.CheckKeys(keys); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrKeyShape, err)
 	}
 	s := &Session{
 		ID:         fmt.Sprintf("sess-%d", e.seq.Add(1)),
@@ -115,62 +100,10 @@ func (e *Engine) DetachSession(id string) bool {
 	return ok
 }
 
-// ErrKeyShape is wrapped by CreateSession and AttachSession when an uploaded
-// switching key does not have the session parameters' shape; the HTTP layer
-// answers 400. Such a key would otherwise fail inside a worker at first use.
+// ErrKeyShape is wrapped by AttachSession, beside the ckks.ErrShape error
+// naming the key, when a switching key does not have the session parameters'
+// shape; the HTTP layer answers 400.
 var ErrKeyShape = errors.New("engine: evaluation key does not match the session parameters")
-
-// checkKeyShapes checks every switching key in keys against the shape
-// keygen gives a key at its level ℓ ≤ MaxLevel under params: D(ℓ) digits,
-// each two NTT-domain B polynomials of N coefficients per row — ℓ+1 Q rows,
-// α P rows — beside the key's seed, which regenerates the A half. A key
-// below the level an op runs at is refused by that op with
-// ckks.ErrMissingKey.
-func checkKeyShapes(params *ckks.Parameters, keys *ckks.EvaluationKeySet) error {
-	pRows := params.Alpha()
-	polyOK := func(p *ring.Poly, rows int) bool {
-		if p == nil || !p.IsNTT || len(p.Coeffs) != rows {
-			return false
-		}
-		for _, row := range p.Coeffs {
-			if len(row) != params.N() {
-				return false
-			}
-		}
-		return true
-	}
-	check := func(name string, k *ckks.SwitchingKey) error {
-		if k == nil {
-			return fmt.Errorf("%w: %s is missing", ErrKeyShape, name)
-		}
-		lvl := k.Level()
-		if lvl < 0 || lvl > params.MaxLevel() {
-			return fmt.Errorf("%w: %s is at level %d, want 0 to %d", ErrKeyShape, name, lvl, params.MaxLevel())
-		}
-		digits, qRows := params.Digits(lvl), lvl+1
-		if len(k.BQ) != digits || len(k.BP) != digits {
-			return fmt.Errorf("%w: %s has %d Q and %d P digits, want %d at level %d", ErrKeyShape, name, len(k.BQ), len(k.BP), digits, lvl)
-		}
-		for d := 0; d < digits; d++ {
-			if !polyOK(k.BQ[d], qRows) || !polyOK(k.BP[d], pRows) {
-				return fmt.Errorf("%w: %s digit %d is not %d Q and %d P NTT rows of %d coefficients",
-					ErrKeyShape, name, d, qRows, pRows, params.N())
-			}
-		}
-		return nil
-	}
-	if keys.Rlk != nil {
-		if err := check("relinearization key", keys.Rlk); err != nil {
-			return err
-		}
-	}
-	for g, k := range keys.Gal {
-		if err := check(fmt.Sprintf("Galois key %d", g), k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // ErrUnknownSession is wrapped by Submit when the job names a session that
 // is not resident (never attached, detached or evicted); the HTTP layer maps
@@ -267,8 +200,5 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 	default:
 		err = fmt.Errorf("engine: unknown op kind %q", op.Op)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

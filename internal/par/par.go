@@ -80,6 +80,11 @@ func ensure() (chan func(), int) {
 // range completed. Contiguous ranges keep each worker's memory accesses
 // sequential — the right split for limb loops over a polynomial's single
 // backing array. With a pool width of 1 it is exactly f(0, n).
+//
+// A panic in any range, on a pool worker or inline, is recovered; once every
+// range has finished, the first one recovered is raised again on the calling
+// goroutine. So a caller's recover sees it, and no range is still writing
+// when that recover runs.
 func ForEachChunk(n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -92,8 +97,12 @@ func ForEachChunk(n int, f func(lo, hi int)) {
 		f(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(width)
+	var run struct { // one allocation for what the ranges share
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked any
+	}
+	run.wg.Add(width)
 	chunk, rem := n/width, n%width
 	lo := 0
 	for w := 0; w < width; w++ {
@@ -103,7 +112,12 @@ func ForEachChunk(n int, f func(lo, hi int)) {
 		}
 		lo0, hi0 := lo, hi
 		task := func() {
-			defer wg.Done()
+			defer run.wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					run.once.Do(func() { run.panicked = r })
+				}
+			}()
 			f(lo0, hi0)
 		}
 		select {
@@ -113,5 +127,8 @@ func ForEachChunk(n int, f func(lo, hi int)) {
 		}
 		lo = hi
 	}
-	wg.Wait()
+	run.wg.Wait()
+	if run.panicked != nil {
+		panic(run.panicked)
+	}
 }

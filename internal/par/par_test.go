@@ -1,10 +1,12 @@
 package par
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachChunkCoversAllIndices(t *testing.T) {
@@ -82,5 +84,91 @@ func TestSetWorkersSerial(t *testing.T) {
 	ForEachChunk(5, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
 	if len(calls) != 1 || calls[0] != [2]int{0, 5} {
 		t.Fatalf("width 1 ran %v, want the one range [0, 5)", calls)
+	}
+}
+
+// holdWorkers parks every pool worker on a task of its own until the
+// returned function is called, so that ForEachChunk meanwhile runs every
+// range inline.
+func holdWorkers() (release func()) {
+	ch, _ := ensure()
+	mu.Lock()
+	n := started
+	mu.Unlock()
+	stop := make(chan struct{})
+	for i := 0; i < n; i++ {
+		ch <- func() { <-stop } // an unbuffered send: taken by a worker
+	}
+	return func() { close(stop) }
+}
+
+// onCaller reports whether the range calling it runs inline, on
+// ForEachChunk's own goroutine, rather than on a pool worker.
+func onCaller() bool {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if f.Function == "github.com/anaheim-sim/anaheim/internal/par.ForEachChunk" {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestForEachChunkRaisesPanicOnCaller: at width 2, a range that panics on a
+// pool worker or inline reaches the caller's recover, only after the other
+// range finished, and the pool keeps working afterwards. Without the
+// re-raise a worker's panic ends the process, and an inline one returns
+// while the other range may still run.
+func TestForEachChunkRaisesPanicOnCaller(t *testing.T) {
+	prev := SetWorkers(2)
+	defer SetWorkers(prev)
+	// run has range 0 panic and range 1 finish late, and reports whether
+	// range 0 ran inline.
+	run := func(name string) (inline bool) {
+		var finished atomic.Bool
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			ForEachChunk(2, func(lo, hi int) {
+				if lo == 0 {
+					inline = onCaller()
+					panic("range 0")
+				}
+				time.Sleep(20 * time.Millisecond)
+				finished.Store(true)
+			})
+			return nil
+		}()
+		if got != "range 0" {
+			t.Errorf("%s: caller recovered %v, want the range's panic", name, got)
+		}
+		if !finished.Load() {
+			t.Errorf("%s: the panic reached the caller before the other range finished", name)
+		}
+		return inline
+	}
+	for i := 0; run("pool idle"); i++ {
+		if i == 100 {
+			t.Fatal("range 0 never ran on a pool worker")
+		}
+		time.Sleep(time.Millisecond) // let the workers reach the task channel
+	}
+	release := holdWorkers()
+	if !run("pool held") {
+		t.Error("range 0 ran on a pool worker held by another task")
+	}
+	release()
+
+	var sum atomic.Int64
+	ForEachChunk(100, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sum.Add(int64(i))
+		}
+	})
+	if sum.Load() != 4950 {
+		t.Fatalf("after the panics the pool summed %d, want 4950", sum.Load())
 	}
 }

@@ -52,6 +52,10 @@ func (p *Poly) UnmarshalBinary(data []byte) error {
 	if want := 16 + 8*limbs*n; len(data) != want {
 		return fmt.Errorf("ring: polynomial data length %d, want %d", len(data), want)
 	}
+	// The flag word is 0 or 1; anything else would not re-marshal to itself.
+	if flag := binary.LittleEndian.Uint32(data[12:]); flag > 1 {
+		return fmt.Errorf("ring: bad polynomial domain flag %#x", flag)
+	}
 	p.IsNTT = data[12] == 1
 	backing := make([]uint64, limbs*n)
 	p.Coeffs = make([][]uint64, limbs)
