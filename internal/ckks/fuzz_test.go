@@ -167,7 +167,7 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 			}
 			lvl := k.Level()
 			if lvl > params.MaxLevel() || len(k.BP[0].Coeffs) != params.Alpha() || len(k.BQ[0].Coeffs[0]) != params.N() {
-				continue // another parameter set's shape: the engine's checkKeyShapes refuses it
+				continue // another parameter set's shape: Parameters.CheckKeys refuses it
 			}
 			if _, err := ev.SwitchKeys(dropTo(ev, ct, lvl), k); err != nil {
 				t.Fatalf("a decoded key of the parameters' shape failed its level's key switch: %v", err)

@@ -177,8 +177,9 @@ func SetKernelTier(t KernelTier) error {
 
 // SetKernelTierWithoutIFMA forces the AVX-512 table a host without AVX-512
 // IFMA runs — its key-switch dot as two one-output dots, its row conversion
-// on the MUL128x8 kernels — so tests and benchmarks on an IFMA host cover it
-// too; SetKernelTier with TierAVX512 restores the host's own table. A test hook
+// on the MUL128x8 kernels, its NTT butterflies on MULHI8 at every modulus —
+// so tests and benchmarks on an IFMA host cover it too; SetKernelTier with
+// TierAVX512 restores the host's own table. A test hook
 // under SetKernelTier's rules, with no production caller.
 func SetKernelTierWithoutIFMA() error {
 	tbl := noIFMAKernels()

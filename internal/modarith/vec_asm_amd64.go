@@ -97,6 +97,8 @@ func vecSubAVX512(out, a, b []uint64, q uint64)
 // 16-coefficient steps, each covering tw = 8/span whole blocks, with x and y
 // gathered in registers through the idx permutations. exit2Q/exitQ are the
 // forward last-stage folds (0 disables a fold); exitQ likewise in invFinal.
+// Each has a Narrow form for q < nttNarrowModulus on the AVX-512 IFMA
+// multiply-adds, with the same arguments and the same output words.
 
 //go:noescape
 func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
@@ -112,6 +114,26 @@ func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, 
 
 //go:noescape
 func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
+
+//go:noescape
+func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+
+//go:noescape
+func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+
+//go:noescape
+func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+
+//go:noescape
+func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+
+//go:noescape
+func vecInvFinalNarrowAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
+
+// nttNarrowModulus bounds the moduli whose butterflies run on the IFMA
+// multiply-adds: below it every butterfly operand (< 4q) fits the 52 bits
+// they read, and the Shoup product they form is exact.
+const nttNarrowModulus = 1 << 50
 
 // tailIdx holds, per tail span (indexed by span>>1), the five lane
 // permutations of one 16-coefficient step as byte vectors (lane 0 in the low
@@ -139,11 +161,12 @@ func asmKernelTable(ifma bool) *kernelTable {
 	if !hasAVX512 {
 		return nil
 	}
-	t := avx512Kernels()
+	t := avx512Kernels(ifma)
 	// Without IFMA the key switch's two dots are two calls of the one-output
 	// kernel, and the row conversion is the tiled loop on the MUL128x8
 	// kernels; with it, each is one register-held pass on the 52-bit
-	// multiply-adds.
+	// multiply-adds. (avx512Kernels puts the NTT butterflies of a modulus
+	// below nttNarrowModulus on them too.)
 	dot := t.dotLazy
 	t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
 		dot(m, outB, a, b, accB)
@@ -219,7 +242,10 @@ func convertRowIFMA(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c 
 	}
 }
 
-func avx512Kernels() kernelTable {
+// avx512Kernels returns the AVX-512 table without the entries asmKernelTable
+// sets; with ifma, the NTT stages of a modulus below nttNarrowModulus run the
+// Narrow kernels.
+func avx512Kernels(ifma bool) kernelTable {
 	return kernelTable{
 		tier: TierAVX512,
 		mulBarrett: func(m Modulus, out, a, b []uint64) {
@@ -370,58 +396,93 @@ func avx512Kernels() kernelTable {
 			}
 		},
 		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
-			stageBounds(a, psi, psiShoup, span, cnt)
-			switch {
-			case span >= 8 && cnt%8 == 0:
-				vecFwdStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
-				return
-			case span < 8 && cnt == span:
-				tw := 8 / span
-				if steps := len(psi) / tw; steps > 0 {
-					var exit2Q, exitQ uint64
-					if span == 1 {
-						exit2Q = m.TwoQ
-						if !lazy {
-							exitQ = m.Q
-						}
-					}
-					vecFwdTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
-					a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
-				}
-			}
-			if len(psi) > 0 { // less than one vector step
-				vecFwdStageGo(m, a, psi, psiShoup, span, cnt, lazy)
-			}
+			fwdStageAVX512(m, a, psi, psiShoup, span, cnt, lazy, ifma && m.Q < nttNarrowModulus)
 		},
 		invStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int) {
-			stageBounds(a, psi, psiShoup, span, cnt)
-			switch {
-			case span >= 8 && cnt%8 == 0:
-				vecInvStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
-				return
-			case span < 8 && cnt == span:
-				tw := 8 / span
-				if steps := len(psi) / tw; steps > 0 {
-					vecInvTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
-					a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
-				}
-			}
-			if len(psi) > 0 {
-				vecInvStageGo(m, a, psi, psiShoup, span, cnt)
-			}
+			invStageAVX512(m, a, psi, psiShoup, span, cnt, ifma && m.Q < nttNarrowModulus)
 		},
 		invFinal: func(m Modulus, x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool) {
-			n := len(x) &^ 7
-			if n > 0 {
-				exitQ := m.Q
-				if lazy {
-					exitQ = 0
-				}
-				vecInvFinalAVX512(x[:n], y[:n], nInv, nInvShoup, w, wShoup, m.Q, m.TwoQ, exitQ)
-			}
-			if n < len(x) {
-				vecInvFinalGo(m, x[n:], y[n:], nInv, nInvShoup, w, wShoup, lazy)
-			}
+			invFinalAVX512(m, x, y, nInv, nInvShoup, w, wShoup, lazy, ifma && m.Q < nttNarrowModulus)
 		},
+	}
+}
+
+// fwdStageAVX512, invStageAVX512 and invFinalAVX512 run a stage on the
+// assembly kernels, the Narrow ones when narrow is set, and what is left of
+// less than one vector step on the Go kernel.
+func fwdStageAVX512(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy, narrow bool) {
+	stageBounds(a, psi, psiShoup, span, cnt)
+	switch {
+	case span >= 8 && cnt%8 == 0:
+		if narrow {
+			vecFwdStageNarrowAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+		} else {
+			vecFwdStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+		}
+		return
+	case span < 8 && cnt == span:
+		tw := 8 / span
+		if steps := len(psi) / tw; steps > 0 {
+			var exit2Q, exitQ uint64
+			if span == 1 {
+				exit2Q = m.TwoQ
+				if !lazy {
+					exitQ = m.Q
+				}
+			}
+			if narrow {
+				vecFwdTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
+			} else {
+				vecFwdTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
+			}
+			a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
+		}
+	}
+	if len(psi) > 0 { // less than one vector step
+		vecFwdStageGo(m, a, psi, psiShoup, span, cnt, lazy)
+	}
+}
+
+func invStageAVX512(m Modulus, a, psi, psiShoup []uint64, span, cnt int, narrow bool) {
+	stageBounds(a, psi, psiShoup, span, cnt)
+	switch {
+	case span >= 8 && cnt%8 == 0:
+		if narrow {
+			vecInvStageNarrowAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+		} else {
+			vecInvStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+		}
+		return
+	case span < 8 && cnt == span:
+		tw := 8 / span
+		if steps := len(psi) / tw; steps > 0 {
+			if narrow {
+				vecInvTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
+			} else {
+				vecInvTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
+			}
+			a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
+		}
+	}
+	if len(psi) > 0 {
+		vecInvStageGo(m, a, psi, psiShoup, span, cnt)
+	}
+}
+
+func invFinalAVX512(m Modulus, x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy, narrow bool) {
+	n := len(x) &^ 7
+	if n > 0 {
+		exitQ := m.Q
+		if lazy {
+			exitQ = 0
+		}
+		if narrow {
+			vecInvFinalNarrowAVX512(x[:n], y[:n], nInv, nInvShoup, w, wShoup, m.Q, m.TwoQ, exitQ)
+		} else {
+			vecInvFinalAVX512(x[:n], y[:n], nInv, nInvShoup, w, wShoup, m.Q, m.TwoQ, exitQ)
+		}
+	}
+	if n < len(x) {
+		vecInvFinalGo(m, x[n:], y[n:], nInv, nInvShoup, w, wShoup, lazy)
 	}
 }

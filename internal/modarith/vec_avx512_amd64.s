@@ -90,7 +90,10 @@
 //	           twiddle spread), K2 = twiddle load mask
 //	Z21, Z22 = exit-fold bounds (0 makes CONDSUB the identity: min_u(r, r-0))
 // Chain A holds x, y, x', y' in Z0..Z3 with scratch Z4..Z7; chain B in
-// Z8..Z11 with scratch Z12, Z13, Z25, Z26.
+// Z8..Z11 with scratch Z12, Z13, Z25, Z26. The narrow kernels (q < 2^50, the
+// ...NarrowAVX512 bodies) run the same loops on the IFMA butterflies with
+// Z27 = 2^52 − q, Z15 = 2^52 − 1, and each wShoup split into its radix-2^52
+// limbs: WS = wShoup mod 2^52, WSH = wShoup>>52.
 
 // MULHI8: HI = hi64(A*B) per lane, given BH = B>>32, without forming the
 // low word. With ll, hl, lh, hh the 32x32 partial products,
@@ -113,10 +116,55 @@
 	VPSRLQ $32, T1, T1     \
 	VPADDQ T1, HI, HI
 
-// LO32_MASK loads Z15.
-#define LO32_MASK \
-	MOVL $0xffffffff, AX \
+// MULHI_CONSTS loads Z27 = q and Z15 = 2^32 − 1 from the argument Q;
+// IFMA_CONSTS loads their narrow forms, Z27 = 2^52 − q and Z15 = 2^52 − 1.
+#define MULHI_CONSTS(Q) \
+	VPBROADCASTQ Q, Z27          \
+	MOVL $0xffffffff, AX         \
 	VPBROADCASTQ AX, Z15
+#define IFMA_CONSTS(Q) \
+	MOVQ $0x10000000000000, AX   \
+	SUBQ Q, AX                   \
+	VPBROADCASTQ AX, Z27         \
+	MOVQ $0xfffffffffffff, AX    \
+	VPBROADCASTQ AX, Z15
+
+// SPLIT32 and SPLIT52 split a wShoup vector WS for MULHI8 and for SHOUP52.
+#define SPLIT32(WS, WSH) \
+	VPSRLQ $32, WS, WSH
+#define SPLIT52(WS, WSH) \
+	VPSRLQ $52, WS, WSH \
+	VPANDQ Z15, WS, WS
+
+// SHOUP32 sets Y to MulShoupLazy(y, w) = y·w − hi64(y·wShoup)·q in [0, 2q),
+// with WS = wShoup, WSH = wShoup>>32. Clobbers T0..T3.
+#define SHOUP32(Y, W, WS, WSH, T0, T1, T2, T3) \
+	MULHI8(Y, WS, WSH, T0, T1, T2, T3) \
+	VPMULLQ W, Y, Y                    \
+	VPMULLQ Z27, T0, T0                \
+	VPSUBQ T0, Y, Y
+
+// SHOUP52 is SHOUP32 on the IFMA multiply-adds for y, w, q < 2^52 (so
+// q < 2^50 in the butterflies, whose y is below 4q), with WS = wShoup mod
+// 2^52 and WSH = wShoup>>52. With y·wShoup = lo52(y·WS) + S·2^52, the same
+// quotient MULHI8 forms is
+//	h = hi64(y·wShoup) = S>>12,  S = hi52(y·WS) + lo52(y·WSH) + hi52(y·WSH)·2^52
+// (S < 2^64 since y·wShoup < 2^116), and h < y < 2^52, so
+//	y·w − h·q = (lo52(y·w) + lo52(h·(2^52 − q))) mod 2^52
+// as the result lies in [0, 2q): eight uops and two zeroing idioms where
+// SHOUP32 takes 20 (MULHI8's 13, two 3-uop VPMULLQ and a subtract).
+// Clobbers T0, T1.
+#define SHOUP52(Y, W, WS, WSH, T0, T1, T2, T3) \
+	VPXORQ T0, T0, T0     \
+	VPMADD52HUQ WSH, Y, T0 \ // hi52(y·WSH)
+	VPXORQ T1, T1, T1     \
+	VPMADD52LUQ W, Y, T1  \ // lo52(y·w)
+	VPSLLQ $52, T0, T0    \
+	VPMADD52HUQ WS, Y, T0 \
+	VPMADD52LUQ WSH, Y, T0 \ // S
+	VPSRLQ $12, T0, T0    \ // h
+	VPMADD52LUQ Z27, T0, T1 \ // − h·q
+	VPANDQ Z15, T1, Y
 
 // FWD_BFLY: Harvey CT butterfly on x = X, y = Y (both in [0, 4q)) with the
 // twiddle W, WS = wShoup, WSH = wShoup>>32: XO = x' = u + v', YO = y' =
@@ -145,6 +193,22 @@
 	VPMULLQ Z27, T0, T2                  \ // h*q
 	VPSUBQ T2, T1, YO
 
+// FWD_BFLY52 and INV_BFLY52 are FWD_BFLY and INV_BFLY for q < 2^50 on
+// SHOUP52, with WS, WSH its split of wShoup: 13 uops a butterfly where the
+// MULHI8 forms take 25, and the same output words.
+#define FWD_BFLY52(X, Y, XO, YO, W, WS, WSH, T0, T1, T2, T3) \
+	CONDSUB(X, Z28, T1)                        \
+	SHOUP52(Y, W, WS, WSH, T0, T1, T2, T3)     \ // v'
+	VPADDQ Y, X, XO                            \
+	VPSUBQ Y, X, YO                            \
+	VPADDQ Z28, YO, YO
+#define INV_BFLY52(X, Y, XO, YO, W, WS, WSH, T0, T1, T2, T3) \
+	VPADDQ Y, X, XO                            \
+	CONDSUB(XO, Z28, T1)                       \
+	VPSUBQ Y, X, YO                            \
+	VPADDQ Z28, YO, YO                         \
+	SHOUP52(YO, W, WS, WSH, T0, T1, T2, T3)
+
 // WIDE_STAGE: span >= 8. DI = a, SI = psi, BX = psiShoup, R8 = blocks,
 // R9 = span, CX = cnt (a multiple of 8); x halves at DI, y halves at R10.
 // A block of one vector (cnt = 8: every span-8 block, or an 8-butterfly share
@@ -153,7 +217,7 @@
 // block runs as a one-block pass of the block loop. The block loop broadcasts
 // its twiddle once per block and runs two vectors per iteration, then the one
 // vector an odd cnt/8 leaves.
-#define WIDE_STAGE(BFLY, PAIR, LASTBLOCK, BLOCK, LOOP, ONE, NEXT, DONE) \
+#define WIDE_STAGE(BFLY, SPLIT, PAIR, LASTBLOCK, BLOCK, LOOP, ONE, NEXT, DONE) \
 	SHLQ $3, R9                                                \ // span in bytes
 	LEAQ (DI)(R9*1), R10                                       \
 	MOVQ CX, R11                                               \
@@ -165,10 +229,10 @@
 PAIR:                                                          \
 	VPBROADCASTQ (SI), Z23                                     \
 	VPBROADCASTQ (BX), Z24                                     \
-	VPSRLQ $32, Z24, Z14                                       \
+	SPLIT(Z24, Z14)                                            \
 	VPBROADCASTQ 8(SI), Z29                                    \
 	VPBROADCASTQ 8(BX), Z30                                    \
-	VPSRLQ $32, Z30, Z31                                       \
+	SPLIT(Z30, Z31)                                            \
 	VMOVDQU64 (DI), Z0                                         \
 	VMOVDQU64 (R10), Z1                                        \
 	VMOVDQU64 (DI)(R9*2), Z8                                   \
@@ -192,7 +256,7 @@ LASTBLOCK:                                                     \
 BLOCK:                                                         \
 	VPBROADCASTQ (SI), Z23                                     \
 	VPBROADCASTQ (BX), Z24                                     \
-	VPSRLQ $32, Z24, Z14                                       \
+	SPLIT(Z24, Z14)                                            \
 	XORQ DX, DX                                                \
 	TESTQ R11, R11                                             \
 	JZ ONE                                                     \ // cnt = 8: no pair
@@ -246,8 +310,9 @@ DONE:
 
 // TAIL_LOAD gathers one step: the 16 consecutive coefficients at OFF(DI)
 // split into x = X and y = Y, and the step's twiddles at (PSI), (PSISH)
-// spread over the lanes into W, WS, WSH. Clobbers T.
-#define TAIL_LOAD(OFF, PSI, PSISH, X, Y, W, WS, WSH, T) \
+// spread over the lanes into W and WS, which SPLIT splits into WS, WSH.
+// Clobbers T.
+#define TAIL_LOAD(SPLIT, OFF, PSI, PSISH, X, Y, W, WS, WSH, T) \
 	VMOVDQU64 OFF(DI), X          \
 	VMOVDQU64 OFF(DI), Y          \
 	VPERMT2Q (OFF+64)(DI), Z16, X \ // x
@@ -256,7 +321,7 @@ DONE:
 	VPERMQ T, Z20, W              \
 	VMOVDQU64.Z (PSISH), K2, T    \
 	VPERMQ T, Z20, WS             \
-	VPSRLQ $32, WS, WSH
+	SPLIT(WS, WSH)
 
 // TAIL_STORE scatters x' = XO, y' = YO back to the step's 16 coefficients at
 // OFF(DI). Clobbers XO and T.
@@ -270,17 +335,18 @@ DONE:
 // TAIL_LOOP runs R8 = steps tail steps, two per iteration — chain A at DI with
 // its twiddles at SI/BX, chain B at 128(DI) with its twiddles at R12/R13,
 // one step's twiddles further on — and, when steps is odd, one chain-A step
-// at the end. BFLY is the butterfly and FOLDS its exit folds on the chain's
-// x', y' (the empty macro NOFOLD where there are none).
-#define TAIL_LOOP(BFLY, FOLDS, PAIR, LAST, DONE) \
+// at the end. BFLY is the butterfly, SPLIT its twiddle split and FOLDS its
+// exit folds on the chain's x', y' (the empty macro NOFOLD where there are
+// none).
+#define TAIL_LOOP(BFLY, SPLIT, FOLDS, PAIR, LAST, DONE) \
 	LEAQ (SI)(R9*1), R12                                       \
 	LEAQ (BX)(R9*1), R13                                       \
 	MOVQ R8, R11                                               \
 	SHRQ $1, R11                                               \ // step pairs
 	JZ LAST                                                    \
 PAIR:                                                          \
-	TAIL_LOAD(0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)            \
-	TAIL_LOAD(128, R12, R13, Z8, Z9, Z29, Z30, Z31, Z12)       \
+	TAIL_LOAD(SPLIT, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)     \
+	TAIL_LOAD(SPLIT, 128, R12, R13, Z8, Z9, Z29, Z30, Z31, Z12) \
 	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
 	BFLY(Z8, Z9, Z10, Z11, Z29, Z30, Z31, Z12, Z13, Z25, Z26)  \
 	FOLDS(Z2, Z3, Z5)                                          \
@@ -297,7 +363,7 @@ PAIR:                                                          \
 LAST:                                                          \
 	TESTQ $1, R8                                               \
 	JZ DONE                                                    \
-	TAIL_LOAD(0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)            \
+	TAIL_LOAD(SPLIT, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)     \
 	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
 	FOLDS(Z2, Z3, Z5)                                          \
 	TAIL_STORE(0, Z2, Z3, Z0)                                  \
@@ -889,6 +955,54 @@ subLoop:
 	VZEROUPPER
 	RET
 
+// The stage kernels come in two forms over the same loops: MULHI8's
+// (...AVX512) for every modulus, and the IFMA one (...NarrowAVX512) for
+// q < 2^50, whose output words are the same. Labels are local to a TEXT
+// body, so the two forms share the loop macros' label names.
+
+// FWD_TAIL_LOOPS: the span-1 stage is the transform's last: exit2Q = 2q
+// (in DX and Z21) folds its outputs to [0, 2q) and exitQ = q (in AX and Z22)
+// on to [0, q); both are 0 at spans 4 and 2. A fold by 0 is the identity, so
+// the call branches once to the loop that runs only the folds whose bound is
+// set: none at spans 4 and 2, the 2q pair in a lazy span 1, both pairs in an
+// exact one.
+#define FWD_TAIL_LOOPS(BFLY, SPLIT) \
+	TESTQ DX, DX                                               \
+	JZ fwdTail                                                 \
+	TESTQ AX, AX                                               \
+	JZ fwdTailLazy                                             \
+	TAIL_LOOP(BFLY, SPLIT, EXACTFOLD, fwdTailExactPair, fwdTailExactLast, fwdTailExactDone) \
+fwdTailLazy:                                                   \
+	TAIL_LOOP(BFLY, SPLIT, LAZYFOLD, fwdTailLazyPair, fwdTailLazyLast, fwdTailLazyDone) \
+fwdTail:                                                       \
+	TAIL_LOOP(BFLY, SPLIT, NOFOLD, fwdTailPair, fwdTailLast, fwdTailDone)
+
+// INV_FINAL_LOOP: the last inverse stage with 1/N fused, x' =
+// MulShoupLazy(u + v, nInv), y' = MulShoupLazy(u - v + 2q, w); exitQ = q
+// folds both to [0, q). nInv, nInvShoup are in Z21, Z20 and w, wShoup in
+// Z23, Z24, which SPLIT splits into Z20, Z13 and Z24, Z14 for SHOUP.
+#define INV_FINAL_LOOP(SHOUP, SPLIT) \
+	SPLIT(Z20, Z13)                                            \
+	SPLIT(Z24, Z14)                                            \
+	XORQ DX, DX                                                \
+invFinalLoop:                                                  \
+	VMOVDQU64 (DI)(DX*8), Z0                                   \ // u
+	VMOVDQU64 (BX)(DX*8), Z1                                   \ // v
+	VPADDQ Z1, Z0, Z2                                          \ // s = u + v, in [0, 4q)
+	VPSUBQ Z1, Z0, Z3                                          \
+	VPADDQ Z28, Z3, Z3                                         \ // d = u - v + 2q
+	SHOUP(Z2, Z21, Z20, Z13, Z4, Z5, Z6, Z7)                   \ // x' in [0, 2q)
+	SHOUP(Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)                   \ // y' in [0, 2q)
+	CONDSUB(Z2, Z22, Z5)                                       \
+	CONDSUB(Z3, Z22, Z5)                                       \
+	VMOVDQU64 Z2, (DI)(DX*8)                                   \
+	VMOVDQU64 Z3, (BX)(DX*8)                                   \
+	ADDQ $8, DX                                                \
+	CMPQ DX, CX                                                \
+	JL invFinalLoop                                            \
+	VZEROUPPER                                                 \
+	RET
+
 // func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
 TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-104
 	MOVQ a_base+0(FP), DI
@@ -897,10 +1011,9 @@ TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-104
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
 	MOVQ cnt+80(FP), CX
-	VPBROADCASTQ q+88(FP), Z27
+	MULHI_CONSTS(q+88(FP))
 	VPBROADCASTQ twoQ+96(FP), Z28
-	LO32_MASK
-	WIDE_STAGE(FWD_BFLY, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageOne, fwdStageNext, fwdStageDone)
+	WIDE_STAGE(FWD_BFLY, SPLIT32, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageOne, fwdStageNext, fwdStageDone)
 	VZEROUPPER
 	RET
 
@@ -912,19 +1025,13 @@ TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-104
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
 	MOVQ cnt+80(FP), CX
-	VPBROADCASTQ q+88(FP), Z27
+	MULHI_CONSTS(q+88(FP))
 	VPBROADCASTQ twoQ+96(FP), Z28
-	LO32_MASK
-	WIDE_STAGE(INV_BFLY, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageOne, invStageNext, invStageDone)
+	WIDE_STAGE(INV_BFLY, SPLIT32, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageOne, invStageNext, invStageDone)
 	VZEROUPPER
 	RET
 
 // func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
-// The span-1 stage is the transform's last: exit2Q = 2q folds its outputs to
-// [0, 2q) and exitQ = q on to [0, q); both are 0 at spans 4 and 2. A fold by
-// 0 is the identity, so the call branches once to the loop that runs only
-// the folds whose bound is set: none at spans 4 and 2, the 2q pair in a lazy
-// span 1, both pairs in an exact one.
 TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
@@ -932,23 +1039,14 @@ TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	MOVQ idx+72(FP), R10
 	MOVQ tw+80(FP), CX
 	MOVQ steps+88(FP), R8
-	VPBROADCASTQ q+96(FP), Z27
+	MULHI_CONSTS(q+96(FP))
 	VPBROADCASTQ twoQ+104(FP), Z28
 	VPBROADCASTQ exit2Q+112(FP), Z21
 	VPBROADCASTQ exitQ+120(FP), Z22
-	LO32_MASK
 	TAIL_SETUP
-	MOVQ exit2Q+112(FP), AX
-	TESTQ AX, AX
-	JZ fwdTail
+	MOVQ exit2Q+112(FP), DX
 	MOVQ exitQ+120(FP), AX
-	TESTQ AX, AX
-	JZ fwdTailLazy
-	TAIL_LOOP(FWD_BFLY, EXACTFOLD, fwdTailExactPair, fwdTailExactLast, fwdTailExactDone)
-fwdTailLazy:
-	TAIL_LOOP(FWD_BFLY, LAZYFOLD, fwdTailLazyPair, fwdTailLazyLast, fwdTailLazyDone)
-fwdTail:
-	TAIL_LOOP(FWD_BFLY, NOFOLD, fwdTailPair, fwdTailLast, fwdTailDone)
+	FWD_TAIL_LOOPS(FWD_BFLY, SPLIT32)
 
 // func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
 TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
@@ -958,50 +1056,93 @@ TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
 	MOVQ idx+72(FP), R10
 	MOVQ tw+80(FP), CX
 	MOVQ steps+88(FP), R8
-	VPBROADCASTQ q+96(FP), Z27
+	MULHI_CONSTS(q+96(FP))
 	VPBROADCASTQ twoQ+104(FP), Z28
-	LO32_MASK
 	TAIL_SETUP
-	TAIL_LOOP(INV_BFLY, NOFOLD, invTailPair, invTailLast, invTailDone)
+	TAIL_LOOP(INV_BFLY, SPLIT32, NOFOLD, invTailPair, invTailLast, invTailDone)
 
 // func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
-// Last inverse stage with 1/N fused: x' = MulShoupLazy(u + v, nInv),
-// y' = MulShoupLazy(u - v + 2q, w); exitQ = q folds both to [0, q).
 TEXT ·vecInvFinalAVX512(SB), NOSPLIT, $0-104
 	MOVQ x_base+0(FP), DI
 	MOVQ x_len+8(FP), CX
 	MOVQ y_base+24(FP), BX
-	VPBROADCASTQ nInv+48(FP), Z21             // second fixed operand: Z21, Z20, Z13
+	VPBROADCASTQ nInv+48(FP), Z21
 	VPBROADCASTQ nInvShoup+56(FP), Z20
 	VPBROADCASTQ w+64(FP), Z23
 	VPBROADCASTQ wShoup+72(FP), Z24
-	VPBROADCASTQ q+80(FP), Z27
+	MULHI_CONSTS(q+80(FP))
 	VPBROADCASTQ twoQ+88(FP), Z28
 	VPBROADCASTQ exitQ+96(FP), Z22
-	VPSRLQ $32, Z20, Z13
-	VPSRLQ $32, Z24, Z14
-	LO32_MASK
-	XORQ DX, DX
-invFinalLoop:
-	VMOVDQU64 (DI)(DX*8), Z0                  // u
-	VMOVDQU64 (BX)(DX*8), Z1                  // v
-	VPADDQ Z1, Z0, Z2                         // s = u + v, in [0, 4q)
-	VPSUBQ Z1, Z0, Z3
-	VPADDQ Z28, Z3, Z3                        // d = u - v + 2q
-	MULHI8(Z2, Z20, Z13, Z4, Z5, Z6, Z7)      // hi64(s*nInvShoup)
-	VPMULLQ Z21, Z2, Z2                       // s*nInv
-	VPMULLQ Z27, Z4, Z4
-	VPSUBQ Z4, Z2, Z2                         // x' in [0, 2q)
-	MULHI8(Z3, Z24, Z14, Z4, Z5, Z6, Z7)      // hi64(d*wShoup)
-	VPMULLQ Z23, Z3, Z3                       // d*w
-	VPMULLQ Z27, Z4, Z4
-	VPSUBQ Z4, Z3, Z3                         // y' in [0, 2q)
-	CONDSUB(Z2, Z22, Z5)
-	CONDSUB(Z3, Z22, Z5)
-	VMOVDQU64 Z2, (DI)(DX*8)
-	VMOVDQU64 Z3, (BX)(DX*8)
-	ADDQ $8, DX
-	CMPQ DX, CX
-	JL invFinalLoop
+	INV_FINAL_LOOP(SHOUP32, SPLIT32)
+
+// func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+TEXT ·vecFwdStageNarrowAVX512(SB), NOSPLIT, $0-104
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psi_len+32(FP), R8
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ span+72(FP), R9
+	MOVQ cnt+80(FP), CX
+	IFMA_CONSTS(q+88(FP))
+	VPBROADCASTQ twoQ+96(FP), Z28
+	WIDE_STAGE(FWD_BFLY52, SPLIT52, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageOne, fwdStageNext, fwdStageDone)
 	VZEROUPPER
 	RET
+
+// func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+TEXT ·vecInvStageNarrowAVX512(SB), NOSPLIT, $0-104
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psi_len+32(FP), R8
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ span+72(FP), R9
+	MOVQ cnt+80(FP), CX
+	IFMA_CONSTS(q+88(FP))
+	VPBROADCASTQ twoQ+96(FP), Z28
+	WIDE_STAGE(INV_BFLY52, SPLIT52, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageOne, invStageNext, invStageDone)
+	VZEROUPPER
+	RET
+
+// func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+TEXT ·vecFwdTailNarrowAVX512(SB), NOSPLIT, $0-128
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ idx+72(FP), R10
+	MOVQ tw+80(FP), CX
+	MOVQ steps+88(FP), R8
+	IFMA_CONSTS(q+96(FP))
+	VPBROADCASTQ twoQ+104(FP), Z28
+	VPBROADCASTQ exit2Q+112(FP), Z21
+	VPBROADCASTQ exitQ+120(FP), Z22
+	TAIL_SETUP
+	MOVQ exit2Q+112(FP), DX
+	MOVQ exitQ+120(FP), AX
+	FWD_TAIL_LOOPS(FWD_BFLY52, SPLIT52)
+
+// func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+TEXT ·vecInvTailNarrowAVX512(SB), NOSPLIT, $0-112
+	MOVQ a_base+0(FP), DI
+	MOVQ psi_base+24(FP), SI
+	MOVQ psiShoup_base+48(FP), BX
+	MOVQ idx+72(FP), R10
+	MOVQ tw+80(FP), CX
+	MOVQ steps+88(FP), R8
+	IFMA_CONSTS(q+96(FP))
+	VPBROADCASTQ twoQ+104(FP), Z28
+	TAIL_SETUP
+	TAIL_LOOP(INV_BFLY52, SPLIT52, NOFOLD, invTailPair, invTailLast, invTailDone)
+
+// func vecInvFinalNarrowAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
+TEXT ·vecInvFinalNarrowAVX512(SB), NOSPLIT, $0-104
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), BX
+	VPBROADCASTQ nInv+48(FP), Z21
+	VPBROADCASTQ nInvShoup+56(FP), Z20
+	VPBROADCASTQ w+64(FP), Z23
+	VPBROADCASTQ wShoup+72(FP), Z24
+	IFMA_CONSTS(q+80(FP))
+	VPBROADCASTQ twoQ+88(FP), Z28
+	VPBROADCASTQ exitQ+96(FP), Z22
+	INV_FINAL_LOOP(SHOUP52, SPLIT52)

@@ -23,6 +23,9 @@ var tierTestLens = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 32,
 // covers at span 4/2/1, so both the vector steps and the Go remainder run.
 var stageBlockCounts = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64}
 
+// tierTestModuli returns a 45-, 55-, 60- and MaxModulusBits-bit prime, in
+// that order, then the two primes straddling 2^50, the bound below which the
+// NTT butterflies run on the IFMA multiply-adds.
 func tierTestModuli(t testing.TB) []Modulus {
 	t.Helper()
 	var ms []Modulus
@@ -32,6 +35,13 @@ func tierTestModuli(t testing.TB) []Modulus {
 			t.Fatalf("GenerateNTTPrimes(%d): %v", bits, err)
 		}
 		ms = append(ms, MustModulus(ps[0]))
+	}
+	ps, err := GenerateNTTPrimes(50, 12, 2)
+	if err != nil {
+		t.Fatalf("GenerateNTTPrimes(50): %v", err)
+	}
+	for _, p := range ps {
+		ms = append(ms, MustModulus(p))
 	}
 	return ms
 }
@@ -496,7 +506,7 @@ func TestTierConvertRow(t *testing.T) {
 // the same words on every table.
 func TestTierConvertRowTermLimit(t *testing.T) {
 	ms := tierTestModuli(t)
-	m, wide := ms[0], ms[len(ms)-1]
+	m, wide := ms[0], ms[3]
 	const n = 19 // one 16-coefficient step and a tail
 	hi := make([]uint64, ConvertTile)
 	for _, tt := range testTables() {

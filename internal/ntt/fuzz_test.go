@@ -8,19 +8,24 @@ import (
 )
 
 // fuzzTables are fixed per-logN tables so the fuzzer spends its budget on
-// coefficient patterns, not prime generation.
-var fuzzTables = func() []*Tables {
-	tables := make([]*Tables, 7) // logN 1..6
-	for logN := 1; logN <= 6; logN++ {
-		primes, err := modarith.GenerateNTTPrimes(55, logN, 1)
-		if err != nil {
-			panic(err)
+// coefficient patterns, not prime generation: fuzzTables[0] on 55-bit primes,
+// fuzzTables[1] on 45-bit ones, whose butterflies run on the IFMA kernels
+// where the host has them.
+var fuzzTables = func() [2][]*Tables {
+	var tables [2][]*Tables
+	for i, bits := range []int{55, 45} {
+		tables[i] = make([]*Tables, 7) // logN 1..6
+		for logN := 1; logN <= 6; logN++ {
+			primes, err := modarith.GenerateNTTPrimes(bits, logN, 1)
+			if err != nil {
+				panic(err)
+			}
+			tbl, err := NewTables(modarith.MustModulus(primes[0]), logN)
+			if err != nil {
+				panic(err)
+			}
+			tables[i][logN] = tbl
 		}
-		tbl, err := NewTables(modarith.MustModulus(primes[0]), logN)
-		if err != nil {
-			panic(err)
-		}
-		tables[logN] = tbl
 	}
 	return tables
 }()
@@ -39,9 +44,13 @@ func FuzzNTTRoundTrip(f *testing.F) {
 	f.Add(uint8(3), []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add(uint8(4), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add(uint8(4), []byte{})
+	// The same two sizes on the 45-bit tables (the byte picks them when
+	// b/6 is odd).
+	f.Add(uint8(9), []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(10), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Fuzz(func(t *testing.T, logNByte uint8, data []byte) {
 		logN := int(logNByte)%6 + 1
-		tbl := fuzzTables[logN]
+		tbl := fuzzTables[int(logNByte)/6%2][logN]
 		q := tbl.Mod.Q
 		a := make([]uint64, tbl.N)
 		b := make([]uint64, tbl.N)

@@ -386,7 +386,9 @@ func BenchmarkInverseN4096(b *testing.B) {
 // shows from `go test -bench Stages`. The fwd span-1 row is Forward's exact
 // exit and the fwdLazy one the [0, 2q) exit ForwardLazy (ModUp, ModDown)
 // runs; the inverse span N/2 row is the 1/N-fused final stage. Every row runs
-// once per available kernel tier (go/…, avx512/…).
+// on a 55-bit prime (fwd/n16/…) and on a 45-bit one (fwd/n16-q45/…), whose
+// butterflies take the IFMA kernels on a host that has them, once per
+// available kernel tier (go/…, avx512/…).
 func BenchmarkStages(b *testing.B) {
 	orig := modarith.ActiveTier()
 	b.Cleanup(func() {
@@ -405,27 +407,43 @@ func BenchmarkStages(b *testing.B) {
 }
 
 func benchStages(b *testing.B) {
-	for _, logN := range []int{12, 16} {
-		tbl := newTestTables(b, logN)
-		n := tbl.N
-		a := randPoly(rand.New(rand.NewSource(9)), n, tbl.Mod.Q)
-		stage := func(name string, span int, run func()) {
-			b.Run(fmt.Sprintf("%s/n%d/span%d", name, logN, span), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					run() // every stage maps its input domain into itself
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n/2), "ns/butterfly")
-			})
+	for _, shape := range []struct {
+		bits   int
+		suffix string
+	}{{55, ""}, {45, "-q45"}} {
+		for _, logN := range []int{12, 16} {
+			benchStagesAt(b, shape.bits, logN, shape.suffix)
 		}
-		for m := 1; m < n; m <<= 1 {
-			m, span := m, n/(2*m)
-			stage("fwd", span, func() { tbl.fwdStage(a, m, false) })
-		}
-		stage("fwdLazy", 1, func() { tbl.fwdStage(a, n/2, true) })
-		for m := n >> 1; m > 1; m >>= 1 {
-			m, span := m, n/(2*m)
-			stage("inv", span, func() { tbl.invStage(a, m) })
-		}
-		stage("inv", n/2, func() { tbl.invStageFinal(a, false) })
 	}
+}
+
+func benchStagesAt(b *testing.B, bits, logN int, suffix string) {
+	primes, err := modarith.GenerateNTTPrimes(bits, logN, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := NewTables(modarith.MustModulus(primes[0]), logN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := tbl.N
+	a := randPoly(rand.New(rand.NewSource(9)), n, tbl.Mod.Q)
+	stage := func(name string, span int, run func()) {
+		b.Run(fmt.Sprintf("%s/n%d%s/span%d", name, logN, suffix, span), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run() // every stage maps its input domain into itself
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n/2), "ns/butterfly")
+		})
+	}
+	for m := 1; m < n; m <<= 1 {
+		m, span := m, n/(2*m)
+		stage("fwd", span, func() { tbl.fwdStage(a, m, false) })
+	}
+	stage("fwdLazy", 1, func() { tbl.fwdStage(a, n/2, true) })
+	for m := n >> 1; m > 1; m >>= 1 {
+		m, span := m, n/(2*m)
+		stage("inv", span, func() { tbl.invStage(a, m) })
+	}
+	stage("inv", n/2, func() { tbl.invStageFinal(a, false) })
 }

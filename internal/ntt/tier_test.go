@@ -30,7 +30,7 @@ func TestTransformAcrossKernelTiers(t *testing.T) {
 		}
 	})
 
-	for _, bits := range []int{45, 55, 61} {
+	for _, bits := range []int{45, 50, 55, 61} {
 		for _, logN := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16} {
 			// The generator straddles 2^bits; take the first prime below it
 			// (at 61 bits the ones above exceed the modulus range).
