@@ -9,8 +9,10 @@ import (
 // research scale (N=2^10), plus HMULT at the repo benchmark's shapes and
 // bootstrapping at N=2^11.
 
+// benchContext leaves the ring pools unpoisoned: poisoning every returned
+// polynomial is test-only work a benchmark must not time.
 func benchContext(b *testing.B) *testContext {
-	return newTestContext(b, TestParameters())
+	return buildTestContext(b, TestParameters(), false)
 }
 
 func BenchmarkEncode(b *testing.B) {
@@ -242,7 +244,7 @@ func BenchmarkBootstrapFunc(b *testing.B) {
 	if testing.Short() {
 		b.Skip("bootstrapping bench is expensive")
 	}
-	tc := newTestContext(b, BootTestParameters())
+	tc := buildTestContext(b, BootTestParameters(), false)
 	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, DefaultBootstrapConfig())
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/gpu"
+	"github.com/anaheim-sim/anaheim/internal/pim"
+	"github.com/anaheim-sim/anaheim/internal/sched"
+	"github.com/anaheim-sim/anaheim/internal/trace"
+)
 
 func TestExtGeneralPurposePIM(t *testing.T) {
 	ms, tbl := ExtGeneralPurposePIM()
@@ -68,3 +75,54 @@ func TestExtMemoryTechnologies(t *testing.T) {
 		t.Error("PIM leverage should grow as external bandwidth shrinks")
 	}
 }
+
+// buildMixed emits a representative op mix with no pass selected:
+// ciphertext multiply, rotation, hoisted linear transform, Chebyshev leaf
+// accumulation, affine map.
+func buildMixed() *trace.Trace {
+	b := trace.NewBuilder(trace.PaperParams(), trace.Options{Hoist: true, PIM: true}, "mixed")
+	b.HMULT(20)
+	b.HROT(20)
+	b.LinearTransform(20, 16)
+	b.CAccum("cheb.leaf", 10, 8)
+	b.EW2("evalmod.affine", 10)
+	return b.T
+}
+
+// TestReportStages: cumulative per-pass simulation must show monotonically
+// non-increasing traffic and a strictly faster final stage.
+func TestReportStages(t *testing.T) {
+	tr := buildMixed()
+	cfg := sched.Config{GPU: gpu.A100(), Lib: gpu.Cheddar()}
+	stages := passReport(tr, cfg, trace.AllPasses()...)
+	if len(stages) != 5 {
+		t.Fatalf("want 5 stages (naive + 4 passes), got %d", len(stages))
+	}
+	for i := 1; i < len(stages); i++ {
+		if stages[i].Bytes > stages[i-1].Bytes+1 {
+			t.Fatalf("stage %s increased traffic: %.0f -> %.0f",
+				stages[i].Name, stages[i-1].Bytes, stages[i].Bytes)
+		}
+	}
+	first, last := stages[0], stages[len(stages)-1]
+	if last.SimTimeNs >= first.SimTimeNs {
+		t.Fatalf("fusion did not speed up the GPU simulation: %.3fms -> %.3fms",
+			first.SimTimeNs/1e6, last.SimTimeNs/1e6)
+	}
+	t.Logf("GPU sim: naive %.3f ms -> fused %.3f ms (%.2fx)",
+		first.SimTimeNs/1e6, last.SimTimeNs/1e6, last.speedupOver(first))
+
+	// And on the PIM co-execution model.
+	pimCfg := sched.Config{GPU: gpu.A100(), Lib: gpu.Cheddar(), PIM: ptr(pim.A100NearBank())}
+	tr2 := buildMixed()
+	pimStages := passReport(tr2, pimCfg, trace.AllPasses()...)
+	pf, pl := pimStages[0], pimStages[len(pimStages)-1]
+	if pl.SimTimeNs >= pf.SimTimeNs {
+		t.Fatalf("fusion did not speed up the PIM co-execution: %.3fms -> %.3fms",
+			pf.SimTimeNs/1e6, pl.SimTimeNs/1e6)
+	}
+	t.Logf("PIM sim: naive %.3f ms -> fused %.3f ms (%.2fx)",
+		pf.SimTimeNs/1e6, pl.SimTimeNs/1e6, pl.speedupOver(pf))
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -2,32 +2,21 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/anaheim-sim/anaheim/internal/pim"
 )
 
 // Options selects the Anaheim algorithm/fusion configuration (§V, Fig 10).
+// The builder always emits the naive kernel sequence; BasicFuse and AutFuse
+// only select the rewrite passes (fusion.go) it runs over each op.
 type Options struct {
 	Hoist     bool // hoisting-based linear transforms (vs. Base)
 	MinKS     bool // minimum-key-switching linear transforms (excludes Hoist)
-	BasicFuse bool // PAccum/CAccum compound instructions (+BasicFuse)
-	AutFuse   bool // automorphism fused with accumulation (+AutFuse)
+	BasicFuse bool // PAccum/CAccum passes: compound instructions (+BasicFuse)
+	AutFuse   bool // swap and AutAccum passes: automorphism fused with accumulation (+AutFuse)
 	ExtraFuse bool // GPU-only extra fusions, e.g. ModDown fusion [38]
 	PIM       bool // mark element-wise kernels for PIM offloading
-
-	// SplitKernels emits every compound instruction as its naive kernel
-	// sequence — K tagged PMAC/CMAC kernels instead of one PAccum/CAccum,
-	// a bare automorphism plus a separate accumulation instead of the fused
-	// form — so the internal/fusion passes can rediscover the compounds.
-	// Combine with BasicFuse/AutFuse off; the passes restore those fusions.
-	SplitKernels bool
-}
-
-// SplitNaive is the pre-fusion configuration the rewrite passes start from:
-// hoisted linear transforms, but every compound emitted as separate tagged
-// kernels in the naive §V-B order.
-func SplitNaive() Options {
-	return Options{Hoist: true, SplitKernels: true, PIM: true}
 }
 
 // AnaheimDefault is the full Anaheim configuration.
@@ -45,22 +34,31 @@ type Builder struct {
 	P   Params
 	Opt Options
 	T   *Trace
-
-	fuseSeq int // distinguishes same-named fuse groups across emissions
-}
-
-// newFuseGroup mints a trace-unique fuse-group identity for a compound named
-// name. Repeated emissions (two linear transforms in one bootstrap trace)
-// produce distinct groups, so the fusion passes never merge members of
-// different compounds that happen to share a display name.
-func (b *Builder) newFuseGroup(name string) string {
-	b.fuseSeq++
-	return fmt.Sprintf("%s#%d", name, b.fuseSeq)
 }
 
 // NewBuilder starts a trace.
 func NewBuilder(p Params, opt Options, name string) *Builder {
 	return &Builder{P: p, Opt: opt, T: &Trace{Name: name, P: p}}
+}
+
+// fuse runs the passes the options select, in canonical order, over the
+// kernels emitted since index from: one op's naive sequence becomes its
+// fused one. AutFuse selects the reorder and AutAccum, BasicFuse the
+// PAccum/CAccum merges.
+func (b *Builder) fuse(from int) {
+	if !b.Opt.AutFuse && !b.Opt.BasicFuse {
+		return
+	}
+	op := &Trace{P: b.P, Kernels: b.T.Kernels[from:]}
+	if b.Opt.AutFuse {
+		SwapAutPMult().Apply(op)
+		AutAccum().Apply(op)
+	}
+	if b.Opt.BasicFuse {
+		PAccum().Apply(op)
+		CAccum().Apply(op)
+	}
+	b.T.Kernels = append(b.T.Kernels[:from], op.Kernels...)
 }
 
 // --- primitive emissions ---------------------------------------------------
@@ -101,107 +99,63 @@ func (b *Builder) bconv(name string, kin, kout int) {
 // ew emits an element-wise kernel of `instances` instruction instances over
 // polynomials of `limbs` limbs. oneTime is the streaming portion of its
 // traffic (whole kernel).
-func (b *Builder) ew(name string, op pim.Opcode, k, limbs, instances int, oneTime float64) {
-	// SplitKernels: emit the naive chain as k (resp. 2k) *separate* kernels
-	// tagged with a shared FuseGroup so the PAccum/CAccum passes can merge
-	// them back into the compound instruction.
-	if b.Opt.SplitKernels {
-		switch op {
-		case pim.PAccum:
-			b.ewSplit(name, pim.PMAC, k, limbs, instances, oneTime)
-			return
-		case pim.CAccum:
-			b.ewSplit(name, pim.CMAC, 2*k, limbs, instances, oneTime)
-			return
-		}
-	}
-	// Without compound fusion (+BasicFuse off), accumulations execute as
-	// unfused PMAC/CMAC chains re-touching their accumulators — on the GPU
-	// and on PIM alike (§VII-D).
-	if !b.Opt.BasicFuse {
-		switch op {
-		case pim.PAccum:
-			op, instances, k = pim.PMAC, instances*k, 0
-		case pim.CAccum:
-			op, instances, k = pim.CMAC, instances*2*k, 0
-		}
-	}
-	spec := pim.Spec(op, k)
-	accesses := spec.PIMAccesses()
+func (b *Builder) ew(name string, op pim.Opcode, limbs, instances int, oneTime float64) {
+	spec := pim.Spec(op, 0)
 	b.T.Append(Kernel{
 		Name: name, Class: ClassEW,
 		WeightedOps: float64(spec.ModMuls) * float64(limbs) * float64(b.P.N) * modMulW * float64(instances),
-		Bytes:       float64(accesses) * b.P.PolyBytes(limbs) * float64(instances),
+		Bytes:       float64(spec.PIMAccesses()) * b.P.PolyBytes(limbs) * float64(instances),
 		OneTime:     oneTime,
-		Op:          op, OpK: k, Limbs: limbs, Instances: instances,
+		Op:          op, Limbs: limbs, Instances: instances,
 		Offload: b.Opt.PIM,
 	})
 }
 
-// ewSplit emits n naive single-instruction kernels sharing one fuse group,
-// splitting the compound's one-time streaming bytes evenly across them.
-func (b *Builder) ewSplit(name string, op pim.Opcode, n, limbs, instances int, oneTime float64) {
-	spec := pim.Spec(op, 0)
-	gid := b.newFuseGroup(name)
+// macChain emits the naive form of a PAccum/CAccum compound: n
+// single-instruction op (PMAC or CMAC) kernels sharing one fuse group, the
+// compound's one-time streaming bytes split evenly across them.
+func (b *Builder) macChain(name string, op pim.Opcode, n, limbs int, oneTime float64) {
+	g := b.T.newFuseGroup(name)
+	prefix := name + "." + op.String() + "["
 	for i := 0; i < n; i++ {
-		b.T.Append(Kernel{
-			Name: fmt.Sprintf("%s.%s[%d]", name, op, i), Class: ClassEW,
-			WeightedOps: float64(spec.ModMuls) * float64(limbs) * float64(b.P.N) * modMulW * float64(instances),
-			Bytes:       float64(spec.PIMAccesses()) * b.P.PolyBytes(limbs) * float64(instances),
-			OneTime:     oneTime / float64(n),
-			Op:          op, Limbs: limbs, Instances: instances,
-			Offload:   b.Opt.PIM,
-			FuseGroup: gid, FuseRole: RoleMAC,
-		})
+		b.ew(prefix+strconv.Itoa(i)+"]", op, limbs, 1, oneTime/float64(n))
+		b.tag(g, RoleMAC)
 	}
 }
 
-// autSplit emits the naive unfused automorphism half-pair: the bare
-// permutation (2 accesses), tagged for the AutAccum pass.
-func (b *Builder) autSplit(name, gid string, limbs, instances int) {
+// tag marks the most recent kernel as a member of fuse group g.
+func (b *Builder) tag(g FuseGroup, role string) {
+	k := &b.T.Kernels[len(b.T.Kernels)-1]
+	k.FuseGroup, k.FuseRole = g, role
+}
+
+// aut emits an automorphism kernel (GPU-only: complex data movement is
+// unsuited to PIM, §V-A): the bare permutation, 2 accesses.
+func (b *Builder) aut(name string, limbs int) {
 	b.T.Append(Kernel{
 		Name: name, Class: ClassAut,
-		Bytes: 2 * b.P.PolyBytes(limbs) * float64(instances),
-		Limbs: limbs, Instances: instances,
-		FuseGroup: gid, FuseRole: RoleAut,
+		Bytes: 2 * b.P.PolyBytes(limbs),
+		Limbs: limbs, Instances: 1,
 	})
 }
 
-// autSplitAccum emits the separate accumulation kernel an unfused
-// automorphism round-trips through (3 accesses). It is welded to the
-// GPU-only automorphism and never offloads on its own.
-func (b *Builder) autSplitAccum(name, gid string, limbs, instances int) {
-	b.T.Append(Kernel{
-		Name: name + ".accum", Class: ClassEW,
-		Bytes: 3 * b.P.PolyBytes(limbs) * float64(instances),
-		Op:    pim.Add, Limbs: limbs, Instances: instances,
-		FuseGroup: gid, FuseRole: RoleAccum,
-	})
+// autSplit and autSplitAccum emit an automorphism that feeds an
+// accumulation in its naive form: the permutation round-trips DRAM (2
+// accesses) before a separate accumulation (3 accesses). The accumulation is
+// welded to the automorphism: it never offloads and counts in the
+// automorphism class. Once the two are adjacent the AutAccum pass fuses
+// them (5 → 3 accesses).
+func (b *Builder) autSplit(name string, g FuseGroup, limbs int) {
+	b.aut(name, limbs)
+	b.tag(g, RoleAut)
 }
 
-// aut emits automorphism kernels (GPU-only: complex data movement is
-// unsuited to PIM, §V-A). With AutFuse the permutation is fused with the
-// accumulation (read src + read acc + write acc); without it the
-// permutation round-trips DRAM before a separate accumulation kernel.
-func (b *Builder) aut(name string, limbs, instances int, withAccum bool) {
-	if withAccum && b.Opt.SplitKernels {
-		gid := b.newFuseGroup(name)
-		b.autSplit(name, gid, limbs, instances)
-		b.autSplitAccum(name, gid, limbs, instances)
-		return
-	}
-	accesses := 2.0
-	if withAccum {
-		if b.Opt.AutFuse {
-			accesses = 3
-		} else {
-			accesses = 5 // Aut (2) + separate accumulate (3)
-		}
-	}
+func (b *Builder) autSplitAccum(name string, g FuseGroup, limbs int) {
 	b.T.Append(Kernel{
-		Name: name, Class: ClassAut,
-		Bytes: accesses * b.P.PolyBytes(limbs) * float64(instances),
-		Limbs: limbs, Instances: instances,
+		Name: name + ".accum", Class: ClassAut,
+		Bytes: 3 * b.P.PolyBytes(limbs),
+		Op:    pim.Add, Limbs: limbs, Instances: 1,
+		FuseGroup: g, FuseRole: RoleAccum,
 	})
 }
 
@@ -250,13 +204,15 @@ func (b *Builder) ModUpNoINTT(level int) {
 	b.markWriteBack(float64(d) * b.P.PolyBytes(level+1+b.P.Alpha))
 }
 
-// KeyMult performs the inner product with a switching key: with BasicFuse a
-// single PAccum⟨D⟩ per component pair, reading the 2·D evk polynomials as
-// one-time data.
+// KeyMult performs the inner product with a switching key: D PMACs per
+// component pair, reading the 2·D evk polynomials as one-time data; with
+// BasicFuse the PAccum pass merges them into one PAccum⟨D⟩.
 func (b *Builder) KeyMult(name string, level int) {
+	from := len(b.T.Kernels)
 	d := b.P.Digits(level)
 	ext := level + 1 + b.P.Alpha
-	b.ew(name, pim.PAccum, d, ext, 1, 2*float64(d)*b.P.PolyBytes(ext))
+	b.macChain(name, pim.PMAC, d, ext, 2*float64(d)*b.P.PolyBytes(ext))
+	b.fuse(from)
 }
 
 // ModDown lowers both components from the extended basis back to Q:
@@ -274,7 +230,7 @@ func (b *Builder) ModDown(level, components int) {
 			b.T.Kernels[len(b.T.Kernels)-1].Bytes += b.P.PolyBytes(level + 1)
 			continue
 		}
-		b.ew(fmt.Sprintf("ModDown.Ep[%d]", c), pim.ModDownEp, 0, level+1, 1, 0)
+		b.ew(fmt.Sprintf("ModDown.Ep[%d]", c), pim.ModDownEp, level+1, 1, 0)
 	}
 }
 
@@ -288,53 +244,56 @@ func (b *Builder) Rescale(level int) {
 		WeightedOps: nttWeightedOps(b.P, float64(2*level)),
 		Limbs:       2 * level, Instances: 1,
 	})
-	b.ew("Rescale.Ep", pim.ModDownEp, 0, 2*level, 1, 0)
+	b.ew("Rescale.Ep", pim.ModDownEp, 2*level, 1, 0)
 }
 
 // --- basic functions (Fig 2a) -----------------------------------------------
 
 // HADD emits an inter-ciphertext addition.
 func (b *Builder) HADD(level int) {
-	b.ew("HADD", pim.Add, 0, 2*(level+1), 1, 0)
+	b.ew("HADD", pim.Add, 2*(level+1), 1, 0)
 }
 
 // PMULT emits a plaintext-ciphertext multiplication; the plaintext is
 // one-time data.
 func (b *Builder) PMULT(level int) {
-	b.ew("PMULT", pim.PMult, 0, level+1, 1, b.P.PolyBytes(level+1))
+	b.ew("PMULT", pim.PMult, level+1, 1, b.P.PolyBytes(level+1))
 }
 
 // HMULT emits an inter-ciphertext multiplication with relinearization and
 // rescaling.
 func (b *Builder) HMULT(level int) {
-	b.ew("HMULT.Tensor", pim.Tensor, 0, level+1, 1, 0)
+	b.ew("HMULT.Tensor", pim.Tensor, level+1, 1, 0)
 	b.ModUp(level)
 	b.KeyMult("HMULT.KeyMult", level)
 	b.ModDown(level, 2)
-	b.ew("HMULT.Add", pim.Add, 0, 2*(level+1), 1, 0)
+	b.ew("HMULT.Add", pim.Add, 2*(level+1), 1, 0)
 	b.Rescale(level)
 }
 
 // HSQUARE is HMULT with the TensorSq shortcut.
 func (b *Builder) HSQUARE(level int) {
-	b.ew("HSQ.TensorSq", pim.TensorSq, 0, level+1, 1, 0)
+	b.ew("HSQ.TensorSq", pim.TensorSq, level+1, 1, 0)
 	b.ModUp(level)
 	b.KeyMult("HSQ.KeyMult", level)
 	b.ModDown(level, 2)
-	b.ew("HSQ.Add", pim.Add, 0, 2*(level+1), 1, 0)
+	b.ew("HSQ.Add", pim.Add, 2*(level+1), 1, 0)
 	b.Rescale(level)
 }
 
 // EW2 emits a constant multiply-and-add over both ciphertext components
 // (CMAC), the shape of EvalMod's affine maps and double-angle epilogues.
 func (b *Builder) EW2(name string, level int) {
-	b.ew(name, pim.CMAC, 0, 2*(level+1), 1, 0)
+	b.ew(name, pim.CMAC, 2*(level+1), 1, 0)
 }
 
 // CAccum emits a K-term constant accumulation (the BSGS leaf linear
-// combinations of Chebyshev evaluation).
+// combinations of Chebyshev evaluation): 2K CMACs, merged into one
+// CAccum⟨K⟩ by the CAccum pass under BasicFuse.
 func (b *Builder) CAccum(name string, level, k int) {
-	b.ew(name, pim.CAccum, k, level+1, 1, 0)
+	from := len(b.T.Kernels)
+	b.macChain(name, pim.CMAC, 2*k, level+1, 0)
+	b.fuse(from)
 }
 
 // HROT emits a ciphertext rotation: ModUp → KeyMult → automorphism →
@@ -342,7 +301,7 @@ func (b *Builder) CAccum(name string, level, k int) {
 func (b *Builder) HROT(level int) {
 	b.ModUp(level)
 	b.KeyMult("HROT.KeyMult", level)
-	b.aut("HROT.Aut", 2*(level+1+b.P.Alpha), 1, false)
+	b.aut("HROT.Aut", 2*(level+1+b.P.Alpha))
 	b.ModDown(level, 2)
-	b.ew("HROT.Add", pim.Add, 0, level+1, 1, 0)
+	b.ew("HROT.Add", pim.Add, level+1, 1, 0)
 }

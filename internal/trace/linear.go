@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/anaheim-sim/anaheim/internal/pim"
 )
@@ -18,9 +19,12 @@ import (
 //     hoisted ModDown per giant (Fig 5). Plaintexts are extended (larger)
 //     but ModSwitch counts drop sharply.
 //
-// The PIM-offloaded variant additionally reorders automorphism past PMULT
-// (plaintext preprocessing) and fuses it with accumulation (§V-B).
+// The fusion passes the options select then rewrite the transform's
+// kernels: the swap reorders each automorphism past the PMULTs that consume
+// it (plaintext preprocessing), AutAccum fuses it with its accumulation and
+// PAccum merges each giant sum (§V-B).
 func (b *Builder) LinearTransform(level, k int) {
+	from := len(b.T.Kernels)
 	switch {
 	case b.Opt.Hoist:
 		b.linearHoisted(level, k)
@@ -30,13 +34,15 @@ func (b *Builder) LinearTransform(level, k int) {
 		b.linearBase(level, k)
 	}
 	b.Rescale(level)
+	b.fuse(from)
 }
 
+// linearHoisted emits the hoisted transform in the naive order (§V-B
+// "before"): the diagonal plaintext multiplies come *after* each baby
+// automorphism — they consume the rotated value, so the automorphism cannot
+// reach its accumulation until the swap pass pre-rotates the plaintexts and
+// reorders them.
 func (b *Builder) linearHoisted(level, k int) {
-	if b.Opt.SplitKernels {
-		b.linearHoistedNaive(level, k)
-		return
-	}
 	p := b.P
 	bs := ceilSqrt(k)
 	gs := (k + bs - 1) / bs
@@ -44,18 +50,27 @@ func (b *Builder) linearHoisted(level, k int) {
 
 	// One hoisted ModUp feeds every baby rotation.
 	b.ModUp(level)
+	// Giant inner sums: PMULT+accumulation in the extended modulus with
+	// one-time extended plaintexts. One fuse group per giant sum; its
+	// members (one diagonal PMAC per baby step) are scattered across the
+	// baby blocks below.
+	giant := make([]FuseGroup, gs)
+	for j := range giant {
+		giant[j] = b.T.newFuseGroup(fmt.Sprintf("LT.giant[%d].PAccum", j))
+	}
+	// The unrotated (r=0) contribution to every giant sum.
+	for j := range giant {
+		b.diagMAC(giant[j], j, 0, ext, RoleMAC)
+	}
 	for r := 1; r < bs; r++ {
 		b.KeyMult(fmt.Sprintf("LT.baby[%d].KeyMult", r), level)
-		// Reordered automorphism: performed on the GPU after the
-		// element-wise block, fused with the accumulation when AutFuse is
-		// on (§V-B AutAccum).
-		b.aut(fmt.Sprintf("LT.baby[%d].Aut", r), 2*ext, 1, true)
-	}
-	// Giant inner sums: PMULT+accumulation in the extended modulus with
-	// one-time extended plaintexts (PAccum⟨bs⟩ per component pair).
-	for j := 0; j < gs; j++ {
-		b.ew(fmt.Sprintf("LT.giant[%d].PAccum", j), pim.PAccum, bs, ext, 1,
-			float64(bs)*b.P.PolyBytes(ext))
+		name := fmt.Sprintf("LT.baby[%d].Aut", r)
+		g := b.T.newFuseGroup(name)
+		b.autSplit(name, g, 2*ext)
+		for j := range giant {
+			b.diagMAC(giant[j], j, r, ext, RoleSwapPMult)
+		}
+		b.autSplitAccum(name, g, 2*ext)
 	}
 	// Giant rotations with double hoisting [8]: the partial sums stay in the
 	// extended basis; each giant needs a re-decomposition (BConv+NTT, no
@@ -63,69 +78,22 @@ func (b *Builder) linearHoisted(level, k int) {
 	for j := 1; j < gs; j++ {
 		b.ModUpNoINTT(level)
 		b.KeyMult(fmt.Sprintf("LT.giantRot[%d].KeyMult", j), level)
-		b.aut(fmt.Sprintf("LT.giantRot[%d].Aut", j), 2*ext, 1, true)
+		name := fmt.Sprintf("LT.giantRot[%d].Aut", j)
+		g := b.T.newFuseGroup(name)
+		b.autSplit(name, g, 2*ext)
+		b.autSplitAccum(name, g, 2*ext)
 	}
-	b.ew("LT.accum", pim.Add, 0, 2*ext, gs-1, 0)
-	b.ModDown(level, 2)
-}
-
-// linearHoistedNaive emits the hoisted transform in the naive pre-fusion
-// order (§V-B "before"): every compound as separate tagged kernels, and the
-// diagonal plaintext multiplies placed *after* each baby automorphism — they
-// consume the rotated value, so the automorphism cannot reach its
-// accumulation until the SwapAutPMult pass pre-rotates the plaintexts and
-// reorders them. After all internal/fusion passes the kernel multiset
-// matches what the fused builder (AnaheimDefault) emits directly.
-func (b *Builder) linearHoistedNaive(level, k int) {
-	p := b.P
-	bs := ceilSqrt(k)
-	gs := (k + bs - 1) / bs
-	ext := level + 1 + p.Alpha
-
-	b.ModUp(level)
-	// One fuse group per giant sum; its members (one diagonal PMAC per baby
-	// step) are scattered across the baby blocks below.
-	giantGid := make([]string, gs)
-	for j := 0; j < gs; j++ {
-		giantGid[j] = b.newFuseGroup(fmt.Sprintf("LT.giant[%d].PAccum", j))
-	}
-	// The unrotated (r=0) contribution to every giant sum.
-	for j := 0; j < gs; j++ {
-		b.diagMAC(giantGid[j], j, 0, ext, RoleMAC)
-	}
-	for r := 1; r < bs; r++ {
-		b.KeyMult(fmt.Sprintf("LT.baby[%d].KeyMult", r), level)
-		autName := fmt.Sprintf("LT.baby[%d].Aut", r)
-		autGid := b.newFuseGroup(autName)
-		b.autSplit(autName, autGid, 2*ext, 1)
-		for j := 0; j < gs; j++ {
-			b.diagMAC(giantGid[j], j, r, ext, RoleSwapPMult)
-		}
-		b.autSplitAccum(autName, autGid, 2*ext, 1)
-	}
-	for j := 1; j < gs; j++ {
-		b.ModUpNoINTT(level)
-		b.KeyMult(fmt.Sprintf("LT.giantRot[%d].KeyMult", j), level)
-		b.aut(fmt.Sprintf("LT.giantRot[%d].Aut", j), 2*ext, 1, true)
-	}
-	b.ew("LT.accum", pim.Add, 0, 2*ext, gs-1, 0)
+	b.ew("LT.accum", pim.Add, 2*ext, gs-1, 0)
 	b.ModDown(level, 2)
 }
 
 // diagMAC emits one naive diagonal multiply-accumulate of giant sum j: a
 // PMAC streaming its (extended) plaintext as one-time data, tagged as a
 // member of that giant's PAccum group.
-func (b *Builder) diagMAC(gid string, j, r, ext int, role string) {
-	spec := pim.Spec(pim.PMAC, 0)
-	b.T.Append(Kernel{
-		Name: fmt.Sprintf("LT.giant[%d].diag[%d]", j, r), Class: ClassEW,
-		WeightedOps: float64(spec.ModMuls) * float64(ext) * float64(b.P.N) * modMulW,
-		Bytes:       float64(spec.PIMAccesses()) * b.P.PolyBytes(ext),
-		OneTime:     b.P.PolyBytes(ext),
-		Op:          pim.PMAC, Limbs: ext, Instances: 1,
-		Offload:   b.Opt.PIM,
-		FuseGroup: gid, FuseRole: role,
-	})
+func (b *Builder) diagMAC(g FuseGroup, j, r, ext int, role string) {
+	name := "LT.giant[" + strconv.Itoa(j) + "].diag[" + strconv.Itoa(r) + "]"
+	b.ew(name, pim.PMAC, ext, 1, b.P.PolyBytes(ext))
+	b.tag(g, role)
 }
 
 func (b *Builder) linearMinKS(level, k int) {
@@ -141,8 +109,8 @@ func (b *Builder) linearMinKS(level, k int) {
 		b.HROT(level)
 	}
 	// K PMULTs in the base modulus and accumulation.
-	b.ew("LT.PMult", pim.PMult, 0, level+1, k, float64(k)*b.P.PolyBytes(level+1))
-	b.ew("LT.accum", pim.Add, 0, 2*(level+1), k-1, 0)
+	b.ew("LT.PMult", pim.PMult, level+1, k, float64(k)*b.P.PolyBytes(level+1))
+	b.ew("LT.accum", pim.Add, 2*(level+1), k-1, 0)
 }
 
 func (b *Builder) linearBase(level, k int) {
@@ -154,8 +122,8 @@ func (b *Builder) linearBase(level, k int) {
 	for r := 1; r < bs+gs-1; r++ {
 		b.HROT(level)
 	}
-	b.ew("LT.PMult", pim.PMult, 0, level+1, k, float64(k)*b.P.PolyBytes(level+1))
-	b.ew("LT.accum", pim.Add, 0, 2*(level+1), k-1, 0)
+	b.ew("LT.PMult", pim.PMult, level+1, k, float64(k)*b.P.PolyBytes(level+1))
+	b.ew("LT.accum", pim.Add, 2*(level+1), k-1, 0)
 }
 
 // EvkCount returns how many distinct evaluation keys the transform needs

@@ -5,7 +5,8 @@
 // (evk/plaintext streaming) bytes, PIM-offloadability, and the coherence
 // write-backs a PIM offload requires. Builders emit the op sequences of the
 // basic CKKS functions and of hoisting-, MinKS- and BSGS-based linear
-// transforms under the paper's fusion options.
+// transforms in their naive §V-B form, and the §V rewrite passes the
+// options select (fusion.go) fuse each op's kernels.
 package trace
 
 import (
@@ -103,16 +104,25 @@ type Kernel struct {
 	// following PIM kernel may read this kernel's products (§V-C coherence).
 	WriteBack float64
 
-	// FuseGroup/FuseRole tag kernels emitted by the naive (SplitKernels)
-	// builder for the internal/fusion rewrite passes: kernels sharing a
-	// FuseGroup form one fusable compound (the members of a PAccum/CAccum
-	// chain, or an automorphism and its accumulation). Untagged kernels are
-	// never touched by the passes.
-	FuseGroup string
+	// FuseGroup/FuseRole tag the per-term kernels of a compound the builder
+	// emits in its naive §V-B form, for the fusion passes (fusion.go):
+	// kernels sharing a FuseGroup form one fusable compound (the members of
+	// a PAccum/CAccum chain, or an automorphism and its accumulation). The
+	// passes clear the tags of what they merge; untagged kernels are never
+	// touched.
+	FuseGroup FuseGroup
 	FuseRole  string
 }
 
-// Fuse roles recognized by the internal/fusion passes.
+// FuseGroup identifies one compound of a trace: the name its fused kernel
+// takes and an ID unique within the trace (Concat re-mints the IDs of every
+// appended copy). The zero value tags nothing.
+type FuseGroup struct {
+	Name string
+	ID   int
+}
+
+// Fuse roles recognized by the fusion passes.
 const (
 	// RoleMAC tags one naive multiply-accumulate instruction of a compound
 	// PAccum/CAccum chain (Table II).
@@ -137,15 +147,35 @@ type Trace struct {
 	P       Params
 	Kernels []Kernel
 	LEff    int // multiplicative levels per bootstrap (T_boot,eff divisor)
+
+	fuseGroups int // fuse-group IDs minted so far
 }
 
 // Append adds kernels.
 func (t *Trace) Append(ks ...Kernel) { t.Kernels = append(t.Kernels, ks...) }
 
-// Concat appends another trace's kernels n times.
+// newFuseGroup mints a trace-unique fuse group for a compound named name, so
+// the passes never merge members of different compounds that share a name.
+func (t *Trace) newFuseGroup(name string) FuseGroup {
+	t.fuseGroups++
+	return FuseGroup{Name: name, ID: t.fuseGroups}
+}
+
+// Concat appends another trace's kernels n times. Each copy's fuse groups
+// get IDs of their own, so two copies of one compound stay two compounds.
 func (t *Trace) Concat(o *Trace, n int) {
 	for i := 0; i < n; i++ {
+		from := len(t.Kernels)
 		t.Kernels = append(t.Kernels, o.Kernels...)
+		if o.fuseGroups == 0 {
+			continue
+		}
+		for j := from; j < len(t.Kernels); j++ {
+			if g := &t.Kernels[j].FuseGroup; g.ID != 0 {
+				g.ID += t.fuseGroups
+			}
+		}
+		t.fuseGroups += o.fuseGroups
 	}
 }
 

@@ -133,3 +133,32 @@ func TestHELRUsesSparseBoot(t *testing.T) {
 		t.Fatal("sparse-slot bootstrapping should stream less one-time data")
 	}
 }
+
+// TestPassesFuseWholeTraces runs all four fusion passes once over the whole
+// trace each workload builds with no pass selected, and requires exactly
+// the trace the builder emits when it fuses op by op. It fails when two
+// copies of one compound (a bootstrap concatenated twice) share a fuse group.
+func TestPassesFuseWholeTraces(t *testing.T) {
+	p := trace.PaperParams()
+	for _, opt := range []trace.Options{trace.AnaheimDefault(), trace.GPUBaseline()} {
+		naive := opt
+		naive.BasicFuse, naive.AutFuse = false, false
+		for _, w := range All() {
+			got := w.Gen(p, naive)
+			trace.Apply(got, trace.AllPasses()...)
+			want := w.Gen(p, opt)
+			if len(got.Kernels) != len(want.Kernels) {
+				t.Errorf("%s %+v: %d kernels after the passes, builder emits %d",
+					w.Name, opt, len(got.Kernels), len(want.Kernels))
+				continue
+			}
+			for i := range want.Kernels {
+				if got.Kernels[i] != want.Kernels[i] {
+					t.Errorf("%s %+v: kernel %d after the passes\n  %+v\nbuilder emits\n  %+v",
+						w.Name, opt, i, got.Kernels[i], want.Kernels[i])
+					break
+				}
+			}
+		}
+	}
+}
