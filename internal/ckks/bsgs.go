@@ -134,7 +134,7 @@ const (
 	nttRowNs    = 17900 // one forward or inverse NTT row
 	bconvPairNs = 3600  // one (source, target) row pair of a base conversion
 	dotTermNs   = 2900  // one term of a dot-product row
-	autRowNs    = 2100  // one automorphism row
+	autRowNs    = 2100  // one automorphism row as the retired gather index ran it (≈ 3× a block permutation's; kept so plans do not move)
 	refLogN     = 12    // the ring degree the times were taken at
 )
 

@@ -8,13 +8,13 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
-// Runtime kernel dispatch. The row kernels in vec.go / wide.go and the NTT
-// stage kernels are the innermost loops of every FHE operation. They run
-// through a function-pointer table selected once at init, so the per-row call
-// sites never branch on CPU features. There are two tables: the pure-Go one
-// (vec_go.go, wide_go.go), compiled everywhere, and the AVX-512 one, which
-// exists only in an amd64 build without the `noasm` tag on a CPU that reports
-// AVX-512. The active table is the AVX-512 one where it exists and the Go one
+// Runtime kernel dispatch. The row kernels in vec.go / wide.go / perm.go and
+// the NTT stage kernels are the innermost loops of every FHE operation. They
+// run through a function-pointer table selected once at init, so the per-row
+// call sites never branch on CPU features. There are two tables: the pure-Go
+// one (vec_go.go, wide_go.go, perm.go), compiled everywhere, and the AVX-512
+// one, which exists only in an amd64 build without the `noasm` tag on a CPU
+// that reports AVX-512. The active table is the AVX-512 one where it exists and the Go one
 // otherwise — a function of the binary and CPUID, nothing else. The Go kernels
 // are also the AVX-512 wrappers' remainder path and the differential oracle
 // the tier-sweep tests compare every assembly kernel against (DESIGN.md
@@ -61,7 +61,7 @@ type kernelTable struct {
 
 	mulWide           func(accHi, accLo, row []uint64, w uint64)
 	mulAccWide        func(accHi, accLo, row []uint64, w uint64)
-	mulAccWideIdx     func(accHi, accLo, a, b []uint64, idx []uint32)
+	mulAccWidePerm    func(accHi, accLo, a, b []uint64, p *BlockPerm)
 	foldWide128Lazy   func(m Modulus, accHi, accLo []uint64)
 	reduceWide128     func(m Modulus, dst, accHi, accLo []uint64)
 	reduceWide128Lazy func(m Modulus, dst, accHi, accLo []uint64)
@@ -75,6 +75,9 @@ type kernelTable struct {
 
 	add func(m Modulus, out, a, b []uint64)
 	sub func(m Modulus, out, a, b []uint64)
+
+	permute    func(out, a []uint64, p *BlockPerm)
+	addPermute func(m Modulus, out, a, b []uint64, p *BlockPerm)
 
 	fwdStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool)
 	invStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int)
@@ -91,7 +94,7 @@ var goKernels = kernelTable{
 	rescaleStep:       vecRescaleStepGo,
 	mulWide:           vecMulWideGo,
 	mulAccWide:        vecMulAccWideGo,
-	mulAccWideIdx:     vecMulAccWideIdxGo,
+	mulAccWidePerm:    vecMulAccWidePermGo,
 	foldWide128Lazy:   vecFoldWide128LazyGo,
 	reduceWide128:     vecReduceWide128Go,
 	reduceWide128Lazy: vecReduceWide128LazyGo,
@@ -102,6 +105,8 @@ var goKernels = kernelTable{
 	expandUniform:     expandUniformGo,
 	add:               vecAddGo,
 	sub:               vecSubGo,
+	permute:           vecPermuteGo,
+	addPermute:        vecAddPermuteGo,
 	fwdStage:          vecFwdStageGo,
 	invStage:          vecInvStageGo,
 	invFinal:          vecInvFinalGo,

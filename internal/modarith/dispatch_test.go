@@ -187,6 +187,25 @@ func TestDispatchTierMatrix(t *testing.T) {
 						rowsEqual(t, "VecDotKeyLazy A", tier, m, gotA, wantA)
 					}
 				}
+				// The block permutations through the public functions.
+				for _, n := range []int{4, 8, 777 &^ 7} {
+					bp, _ := randBlockPerm(rng, n)
+					a, b := randRow(rng, n, m.TwoQ), randRow(rng, n, m.Q)
+					hi, lo := make([]uint64, n), randRow(rng, n, m.TwoQ)
+					whi, wlo := make([]uint64, n), cloneRow(lo)
+					VecMulAccWidePerm(hi, lo, a, b, bp)
+					vecMulAccWidePermGo(whi, wlo, a, b, bp)
+					rowsEqual(t, "VecMulAccWidePerm.hi", tier, m, hi, whi)
+					rowsEqual(t, "VecMulAccWidePerm.lo", tier, m, lo, wlo)
+					got, want := make([]uint64, n), make([]uint64, n)
+					VecPermute(got, a, bp)
+					vecPermuteGo(want, a, bp)
+					rowsEqual(t, "VecPermute", tier, m, got, want)
+					a = randRow(rng, n, m.Q)
+					m.VecAddPermute(got, a, b, bp)
+					vecAddPermuteGo(m, want, a, b, bp)
+					rowsEqual(t, "VecAddPermute", tier, m, got, want)
+				}
 				// NTT stage kernels through the public methods.
 				for _, span := range []int{1, 2, 4, 16} {
 					const nb = 9

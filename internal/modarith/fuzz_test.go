@@ -57,11 +57,11 @@ func FuzzVecKernels(f *testing.F) {
 		w := word(0) % m.Q
 		ws := m.ShoupPrecomp(w)
 
-		for _, tier := range AvailableTiers() {
-			if tier == TierGo {
+		for _, tt := range testTables() {
+			if tt.tbl.tier == TierGo {
 				continue
 			}
-			tbl := tableFor(tier)
+			tier, tbl := tt.name, tt.tbl
 
 			out := make([]uint64, n)
 			want := make([]uint64, n)
@@ -85,22 +85,6 @@ func FuzzVecKernels(f *testing.F) {
 				}
 			}
 
-			// The sweep's gather MAC, indices from the data, on the same
-			// full-range accumulator pair.
-			idx := make([]uint32, n)
-			for j := range idx {
-				idx[j] = uint32(word(j+1) % uint64(n))
-			}
-			gotHi, gotLo = append([]uint64(nil), acc...), append([]uint64(nil), b...)
-			wantHi, wantLo = append([]uint64(nil), acc...), append([]uint64(nil), b...)
-			tbl.mulAccWideIdx(gotHi, gotLo, a, b, idx)
-			vecMulAccWideIdxGo(wantHi, wantLo, a, b, idx)
-			for j := range wantLo {
-				if gotHi[j] != wantHi[j] || gotLo[j] != wantLo[j] {
-					t.Fatalf("%v mulAccWideIdx diverges at %d (q=%d n=%d)", tier, j, m.Q, n)
-				}
-			}
-
 			same := func(kernel string, k int) {
 				for j := range want {
 					if out[j] != want[j] {
@@ -117,6 +101,38 @@ func FuzzVecKernels(f *testing.F) {
 			tbl.sub(m, out, b, acc)
 			vecSubGo(m, want, b, acc)
 			same("sub", 1)
+
+			// The automorphism kernels on a block permutation from the data
+			// (the row's whole blocks, or one block below eight words): the
+			// MAC on the full-range accumulator pair, the permutes on
+			// full-range words.
+			np := n
+			if np > permLanes {
+				np &^= permLanes - 1
+			}
+			lanes := min(np, permLanes)
+			p := NewBlockPerm(np, func(i int) int {
+				j := i / lanes
+				sh := word(j+2) % permLanes
+				return int(word(j+1)%uint64(np/lanes))*lanes + int(word(int(sh))>>(8*(i%lanes))&0xff)%lanes
+			})
+			gotHi, gotLo = append([]uint64(nil), acc...), append([]uint64(nil), b...)
+			wantHi, wantLo = append([]uint64(nil), acc...), append([]uint64(nil), b...)
+			tbl.mulAccWidePerm(gotHi, gotLo, a, b, p)
+			vecMulAccWidePermGo(wantHi, wantLo, a, b, p)
+			for j := range wantLo {
+				if gotHi[j] != wantHi[j] || gotLo[j] != wantLo[j] {
+					t.Fatalf("%v mulAccWidePerm diverges at %d (q=%d n=%d)", tier, j, m.Q, n)
+				}
+			}
+			clear(out)
+			clear(want)
+			tbl.permute(out, acc, p)
+			vecPermuteGo(want, acc, p)
+			same("permute", 1)
+			tbl.addPermute(m, out, acc, b, p)
+			vecAddPermuteGo(m, want, acc, b, p)
+			same("addPermute", 1)
 
 			// A dot of 1..MaxDotTerms terms (count from the selector's high
 			// bits) over rotations of the operand rows, onto b or onto nothing.

@@ -110,7 +110,8 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 // vector steps, and a ragged one (the wrappers' Go path; the conversion's
 // IFMA kernel takes 16 coefficients a step and leaves 8 or 11 of 24 and 27 to
 // the tiled loop). add and sub ride along with their three rows guarded the
-// same way.
+// same way, and so do the block permutations, on the reversal (the first
+// output block reads the last source block).
 func TestDotKernelStaysInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	m := tierTestModuli(t)[3]
@@ -168,6 +169,22 @@ func TestDotKernelStaysInBounds(t *testing.T) {
 			vecSubGo(m, want, a, b)
 			run("sub", func() { tbl.sub(m, out, a, b) })
 			rowsEqual(t, "sub", tier, m, out, want)
+			if n%permLanes != 0 {
+				continue
+			}
+			p := NewBlockPerm(n, func(i int) int { return n - 1 - i })
+			vecPermuteGo(want, a, p)
+			run("permute", func() { tbl.permute(out, a, p) })
+			rowsEqual(t, "permute", tier, m, out, want)
+			vecAddPermuteGo(m, want, a, b, p)
+			run("addPermute", func() { tbl.addPermute(m, out, a, b, p) })
+			rowsEqual(t, "addPermute", tier, m, out, want)
+			hi, lo := guardedRow(t, n), guardedCopy(t, want)
+			whi, wlo := make([]uint64, n), cloneRow(want)
+			vecMulAccWidePermGo(whi, wlo, a, b, p)
+			run("mulAccWidePerm", func() { tbl.mulAccWidePerm(hi, lo, a, b, p) })
+			rowsEqual(t, "mulAccWidePerm.hi", tier, m, hi, whi)
+			rowsEqual(t, "mulAccWidePerm.lo", tier, m, lo, wlo)
 		}
 	}
 }

@@ -6,8 +6,9 @@ package modarith
 // lane count (8) and requires a non-empty input; the wrappers below run the
 // largest aligned prefix through assembly and hand the remainder to the
 // pure-Go kernel, which keeps the bit-identical contract trivially (the Go
-// kernel IS the spec). For the gather kernel the `a` operand is never split —
-// indices address it absolutely. The NTT stage kernels split by whole
+// kernel IS the spec). The block-permutation kernels take whole rows: a
+// BlockPerm's entries address its source row absolutely, and a row of
+// eight words or more is whole blocks. The NTT stage kernels split by whole
 // 16-coefficient steps instead (see fwdStage below), and the dot kernel, whose
 // operands are arrays of rows, takes a whole call or none of it.
 
@@ -34,8 +35,17 @@ func vecMulWideAVX512(accHi, accLo, row []uint64, w uint64)
 //go:noescape
 func vecMulAccWideAVX512(accHi, accLo, row []uint64, w uint64)
 
+// The block-permutation kernels take a BlockPerm's entries and lane table,
+// blocks of eight words only.
+//
 //go:noescape
-func vecMulAccWideIdxAVX512(accHi, accLo, a, b []uint64, idx []uint32)
+func vecMulAccWidePermAVX512(accHi, accLo, a, b []uint64, blocks []uint32, shuf *[8][8]uint64)
+
+//go:noescape
+func vecPermuteAVX512(out, a []uint64, blocks []uint32, shuf *[8][8]uint64)
+
+//go:noescape
+func vecAddPermuteAVX512(out, a, b []uint64, blocks []uint32, shuf *[8][8]uint64, q uint64)
 
 //go:noescape
 func vecFoldWide128LazyAVX512(accHi, accLo []uint64, q, twoQ, u0, u1 uint64)
@@ -313,14 +323,13 @@ func avx512Kernels(ifma bool) kernelTable {
 				vecMulAccWideGo(accHi[n:], accLo[n:], row[n:], w)
 			}
 		},
-		mulAccWideIdx: func(accHi, accLo, a, b []uint64, idx []uint32) {
-			n := len(idx) &^ 7
-			if n > 0 {
-				vecMulAccWideIdxAVX512(accHi[:n], accLo[:n], a, b[:n], idx[:n])
+		mulAccWidePerm: func(accHi, accLo, a, b []uint64, p *BlockPerm) {
+			if p.lanes < permLanes {
+				vecMulAccWidePermGo(accHi, accLo, a, b, p)
+				return
 			}
-			if n < len(idx) {
-				vecMulAccWideIdxGo(accHi[n:], accLo[n:], a, b[n:], idx[n:])
-			}
+			n := p.Len()
+			vecMulAccWidePermAVX512(accHi[:n], accLo[:n], a[:n], b[:n], p.blocks, &p.shuf)
 		},
 		foldWide128Lazy: func(m Modulus, accHi, accLo []uint64) {
 			n := len(accLo) &^ 7
@@ -394,6 +403,22 @@ func avx512Kernels(ifma bool) kernelTable {
 			if n < len(a) {
 				vecSubGo(m, out[n:], a[n:], b[n:])
 			}
+		},
+		permute: func(out, a []uint64, p *BlockPerm) {
+			if p.lanes < permLanes {
+				vecPermuteGo(out, a, p)
+				return
+			}
+			n := p.Len()
+			vecPermuteAVX512(out[:n], a[:n], p.blocks, &p.shuf)
+		},
+		addPermute: func(m Modulus, out, a, b []uint64, p *BlockPerm) {
+			if p.lanes < permLanes {
+				vecAddPermuteGo(m, out, a, b, p)
+				return
+			}
+			n := p.Len()
+			vecAddPermuteAVX512(out[:n], a[:n], b[:n], p.blocks, &p.shuf, m.Q)
 		},
 		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
 			fwdStageAVX512(m, a, psi, psiShoup, span, cnt, lazy, ifma && m.Q < nttNarrowModulus)

@@ -581,38 +581,100 @@ mulAccWideLoop:
 	VZEROUPPER
 	RET
 
-// func vecMulAccWideIdxAVX512(accHi, accLo, a, b []uint64, idx []uint32)
+// Block-permutation kernels (perm.go): each step reads one BlockPerm entry,
+// source block << 3 | shuffle id, loads that shuffle's lane-index vector from
+// the 512-byte table and the source block with one VPERMQ, so a block of
+// eight permuted words costs one load and one in-register shuffle. DX walks
+// the entries, R12 the output block's byte offset.
+#define PERM_ENTRY(BLOCKS, SHUF, IDX) \
+	MOVL (BLOCKS)(DX*4), AX \
+	MOVL AX, R10            \
+	ANDL $7, R10            \
+	SHLQ $6, R10            \
+	VMOVDQU64 (SHUF)(R10*1), IDX \
+	ANDQ $-8, AX              // source block × 8 words; scale 8 makes it bytes
+
+// func vecMulAccWidePermAVX512(accHi, accLo, a, b []uint64, blocks []uint32, shuf *[8][8]uint64)
 // vecMulAccWideAVX512 with the fixed operand replaced by the row b and the
-// row operand gathered through idx: (accHi, accLo) += a[idx[j]]·b[j].
-TEXT ·vecMulAccWideIdxAVX512(SB), NOSPLIT, $0-120
+// row operand permuted: (accHi, accLo) += a[π(j)]·b[j].
+TEXT ·vecMulAccWidePermAVX512(SB), NOSPLIT, $0-128
 	MOVQ accHi_base+0(FP), DI
 	MOVQ accLo_base+24(FP), BX
 	MOVQ a_base+48(FP), SI
 	MOVQ b_base+72(FP), R9
-	MOVQ idx_base+96(FP), R8
-	MOVQ idx_len+104(FP), CX
+	MOVQ blocks_base+96(FP), R8
+	MOVQ blocks_len+104(FP), CX
+	MOVQ shuf+120(FP), R11
 	MOVQ $1, AX
 	VPBROADCASTQ AX, Z25
 	MOVQ $0x100000000, AX
 	VPBROADCASTQ AX, Z26
 	XORQ DX, DX
-mulAccWideIdxLoop:
-	VPMOVZXDQ (R8)(DX*4), Z10                 // 8 uint32 indices zero-extended to qwords
-	KXNORQ K2, K2, K2                         // gather mask (consumed per use)
-	VPGATHERQQ (SI)(Z10*8), K2, Z0            // a[idx[j]]
-	VMOVDQU64 (R9)(DX*8), Z1                  // b[j]
+	XORQ R12, R12
+mulAccWidePermLoop:
+	PERM_ENTRY(R8, R11, Z10)
+	VPERMQ (SI)(AX*8), Z10, Z0                // a[π(j)]
+	VMOVDQU64 (R9)(R12*1), Z1                 // b[j]
 	MUL128x8(Z0, Z1, Z2, Z3, Z5, Z6, Z7)      // phi:plo
-	VMOVDQU64 (BX)(DX*8), Z1                  // accLo
+	VMOVDQU64 (BX)(R12*1), Z1                 // accLo
 	VPADDQ Z3, Z1, Z1                         // accLo += plo
 	VPCMPUQ $1, Z3, Z1, K1                    // carry: new accLo <u plo
-	VMOVDQU64 (DI)(DX*8), Z0                  // accHi
+	VMOVDQU64 (DI)(R12*1), Z0                 // accHi
 	VPADDQ Z2, Z0, Z0                         // accHi += phi
 	VPADDQ Z25, Z0, K1, Z0                    // accHi += carry
-	VMOVDQU64 Z0, (DI)(DX*8)
-	VMOVDQU64 Z1, (BX)(DX*8)
-	ADDQ $8, DX
+	VMOVDQU64 Z0, (DI)(R12*1)
+	VMOVDQU64 Z1, (BX)(R12*1)
+	ADDQ $64, R12
+	INCQ DX
 	CMPQ DX, CX
-	JL mulAccWideIdxLoop
+	JL mulAccWidePermLoop
+	VZEROUPPER
+	RET
+
+// func vecPermuteAVX512(out, a []uint64, blocks []uint32, shuf *[8][8]uint64)
+TEXT ·vecPermuteAVX512(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ blocks_base+48(FP), R8
+	MOVQ blocks_len+56(FP), CX
+	MOVQ shuf+72(FP), R11
+	XORQ DX, DX
+	XORQ R12, R12
+permuteLoop:
+	PERM_ENTRY(R8, R11, Z10)
+	VPERMQ (SI)(AX*8), Z10, Z0
+	VMOVDQU64 Z0, (DI)(R12*1)
+	ADDQ $64, R12
+	INCQ DX
+	CMPQ DX, CX
+	JL permuteLoop
+	VZEROUPPER
+	RET
+
+// func vecAddPermuteAVX512(out, a, b []uint64, blocks []uint32, shuf *[8][8]uint64, q uint64)
+// The sum is element-wise, so the source blocks are added and folded as
+// vecAddAVX512 does, then permuted once.
+TEXT ·vecAddPermuteAVX512(SB), NOSPLIT, $0-112
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), BX
+	MOVQ blocks_base+72(FP), R8
+	MOVQ blocks_len+80(FP), CX
+	MOVQ shuf+96(FP), R11
+	VPBROADCASTQ q+104(FP), Z27
+	XORQ DX, DX
+	XORQ R12, R12
+addPermuteLoop:
+	PERM_ENTRY(R8, R11, Z10)
+	VMOVDQU64 (SI)(AX*8), Z0
+	VPADDQ (BX)(AX*8), Z0, Z0
+	CONDSUB(Z0, Z27, Z5)
+	VPERMQ Z0, Z10, Z0
+	VMOVDQU64 Z0, (DI)(R12*1)
+	ADDQ $64, R12
+	INCQ DX
+	CMPQ DX, CX
+	JL addPermuteLoop
 	VZEROUPPER
 	RET
 

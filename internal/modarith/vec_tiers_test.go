@@ -131,14 +131,40 @@ func forEachTierCase(t *testing.T, lens []int, fn func(t *testing.T, tbl *kernel
 	}
 }
 
-// TestTierMulAccWideIdx runs the sweep's gather MAC at the bound its callers
-// rely on: MaxDotTerms products of a lazy a < 2q and an exact b < q, onto an
-// addend below 2q, stay exact in 128 bits at every modulus up to
+// permTestLens are the row lengths of the block-permutation tests: one block
+// of fewer than eight lanes, one of eight, and several.
+var permTestLens = []int{1, 2, 3, 4, 7, 8, 16, 24, 64, 256, 1000, 1024}
+
+// randBlockPerm returns a random block permutation of n words and its scalar
+// form: each output block reads a random source block through one of eight
+// random lane maps (repeated lanes allowed: the kernels do not need a
+// bijection).
+func randBlockPerm(rng *rand.Rand, n int) (*BlockPerm, []int) {
+	lanes := min(n, permLanes)
+	var shuf [permLanes][permLanes]int
+	for s := range shuf {
+		for l := range shuf[s] {
+			shuf[s][l] = rng.Intn(lanes)
+		}
+	}
+	src := make([]int, n)
+	for j := 0; j < n; j += lanes {
+		sb, sh := rng.Intn(n/lanes), rng.Intn(permLanes)
+		for l := 0; l < lanes; l++ {
+			src[j+l] = sb*lanes + shuf[sh][l]
+		}
+	}
+	return NewBlockPerm(n, func(i int) int { return src[i] }), src
+}
+
+// TestTierMulAccWidePerm runs the sweep's automorphism MAC at the bound its
+// callers rely on: MaxDotTerms products of a lazy a < 2q and an exact b < q,
+// onto an addend below 2q, stay exact in 128 bits at every modulus up to
 // MaxModulusBits. Checked word for word against the Go kernel after every
-// term, and the final pair against a big.Int sum.
-func TestTierMulAccWideIdx(t *testing.T) {
-	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
-		na := n + rng.Intn(17)
+// term, and the final pair against a big.Int sum over the scalar
+// permutation.
+func TestTierMulAccWidePerm(t *testing.T) {
+	forEachTierCase(t, permTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
 		saturated := rng.Intn(3) == 0
 		in := dotRows(rng, 1, n, m.TwoQ, saturated)[0]
 		gotHi, gotLo := make([]uint64, n), cloneRow(in)
@@ -149,26 +175,83 @@ func TestTierMulAccWideIdx(t *testing.T) {
 		}
 		x, y := new(big.Int), new(big.Int)
 		for k := 0; k < MaxDotTerms; k++ {
-			a := dotRows(rng, 1, na, m.TwoQ, saturated)[0]
+			a := dotRows(rng, 1, n, m.TwoQ, saturated)[0]
 			b := dotRows(rng, 1, n, m.Q, saturated)[0]
-			idx := make([]uint32, n)
-			for j := range idx {
-				idx[j] = uint32(rng.Intn(na))
-				sums[j].Add(sums[j], x.Mul(x.SetUint64(a[idx[j]]), y.SetUint64(b[j])))
+			p, src := randBlockPerm(rng, n)
+			for j, s := range src {
+				sums[j].Add(sums[j], x.Mul(x.SetUint64(a[s]), y.SetUint64(b[j])))
 			}
-			vecMulAccWideIdxGo(wantHi, wantLo, a, b, idx)
-			tbl.mulAccWideIdx(gotHi, gotLo, a, b, idx)
-			rowsEqual(t, "mulAccWideIdx.hi", tbl.tier, m, gotHi, wantHi)
-			rowsEqual(t, "mulAccWideIdx.lo", tbl.tier, m, gotLo, wantLo)
+			vecMulAccWidePermGo(wantHi, wantLo, a, b, p)
+			tbl.mulAccWidePerm(gotHi, gotLo, a, b, p)
+			rowsEqual(t, "mulAccWidePerm.hi", tbl.tier, m, gotHi, wantHi)
+			rowsEqual(t, "mulAccWidePerm.lo", tbl.tier, m, gotLo, wantLo)
 		}
 		for j, sum := range sums {
 			pair := new(big.Int).Lsh(x.SetUint64(gotHi[j]), 64)
 			if pair.Add(pair, y.SetUint64(gotLo[j])).Cmp(sum) != 0 {
-				t.Fatalf("mulAccWideIdx: tier %v q=%d n=%d: pair[%d] = %v, exact sum %v",
+				t.Fatalf("mulAccWidePerm: tier %v q=%d n=%d: pair[%d] = %v, exact sum %v",
 					tbl.tier, m.Q, n, j, pair, sum)
 			}
 		}
 	})
+}
+
+// TestTierPermute holds the two permutation entries to the Go kernels and
+// to the scalar permutation: out = σ(a) on full-range words, and
+// out = σ(a + b mod q) on residues with the boundary values over-sampled.
+func TestTierPermute(t *testing.T) {
+	forEachTierCase(t, permTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		p, src := randBlockPerm(rng, n)
+		a, b := randRow(rng, n, m.Q), randRow(rng, n, m.Q)
+		full := make([]uint64, n)
+		for j := range full {
+			full[j] = rng.Uint64()
+		}
+		got, want := make([]uint64, n), make([]uint64, n)
+		tbl.permute(got, full, p)
+		vecPermuteGo(want, full, p)
+		rowsEqual(t, "permute", tbl.tier, m, got, want)
+		for j, s := range src {
+			if want[j] != full[s] {
+				t.Fatalf("permute: q=%d n=%d: Go kernel out[%d] = %#x, scalar %#x", m.Q, n, j, want[j], full[s])
+			}
+		}
+		tbl.addPermute(m, got, a, b, p)
+		vecAddPermuteGo(m, want, a, b, p)
+		rowsEqual(t, "addPermute", tbl.tier, m, got, want)
+		for j, s := range src {
+			if want[j] != m.Add(a[s], b[s]) {
+				t.Fatalf("addPermute: q=%d n=%d: Go kernel out[%d] = %#x, scalar %#x", m.Q, n, j, want[j], m.Add(a[s], b[s]))
+			}
+		}
+	})
+}
+
+// TestBlockPermRejects: a permutation whose output block reads two source
+// blocks, or that needs a ninth lane shuffle, is refused at construction.
+func TestBlockPermRejects(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  func(i int) int
+	}{
+		{"open block", func(i int) int { return (i + 1) % 64 }},
+		{"nine shuffles", func(i int) int { // eight rotations, then a reversal
+			if b, l := i/8, i%8; b < 8 {
+				return 8*b + (l+b)%8
+			}
+			return i&^7 | (7 - i%8)
+		}},
+		{"out of range", func(i int) int { return i + 8 }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewBlockPerm accepted it", c.name)
+				}
+			}()
+			NewBlockPerm(72, c.src)
+		}()
+	}
 }
 
 func TestTierBarrettFamily(t *testing.T) {

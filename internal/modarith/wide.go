@@ -19,7 +19,7 @@ import (
 //
 // # Domain contracts
 //
-//   - Mul64AddWide / vecMulWide / vecMulAccWide / VecMulAccWideIdx take
+//   - Mul64AddWide / vecMulWide / vecMulAccWide / VecMulAccWidePerm take
 //     arbitrary uint64 factors and perform NO reduction: the caller must
 //     bound the number of accumulated products so the 128-bit pair cannot
 //     overflow (with b1-bit and b2-bit factors, 2^(128-b1-b2) products always
@@ -86,17 +86,6 @@ func vecMulWide(accHi, accLo, row []uint64, w uint64) {
 // chain length (see the package comment).
 func vecMulAccWide(accHi, accLo, row []uint64, w uint64) {
 	active.Load().mulAccWide(accHi, accLo, row, w)
-}
-
-// VecMulAccWideIdx continues a gather accumulation chain:
-// (accHi[j], accLo[j]) += a[idx[j]]·b[j] — the NTT-domain automorphism σ
-// fused into a multiply-accumulate (AutAccum) whose sum stays exact in 128
-// bits. No reduction; the caller bounds the chain as for VecMulAccWide (with
-// a < 2q, b < q and an addend below 2q, MaxDotTerms products always fit).
-// Indices are uint32 (N ≤ 2^31): the permutation table is half the size of
-// an []int one, so it displaces less of the coefficient data from cache.
-func VecMulAccWideIdx(accHi, accLo, a, b []uint64, idx []uint32) {
-	active.Load().mulAccWideIdx(accHi, accLo, a, b, idx)
 }
 
 // MaxDotTerms is the number of products one VecDotLazy reduction may sum: the

@@ -24,18 +24,6 @@ func vecMulAccWideGo(accHi, accLo, row []uint64, w uint64) {
 	}
 }
 
-func vecMulAccWideIdxGo(accHi, accLo, a, b []uint64, idx []uint32) {
-	_ = accHi[len(idx)-1]
-	_ = accLo[len(idx)-1]
-	_ = b[len(idx)-1]
-	for j, k := range idx {
-		phi, plo := bits.Mul64(a[k], b[j])
-		lo, carry := bits.Add64(accLo[j], plo, 0)
-		accLo[j] = lo
-		accHi[j] += phi + carry
-	}
-}
-
 func vecFoldWide128LazyGo(m Modulus, accHi, accLo []uint64) {
 	_ = accHi[len(accLo)-1]
 	for j := range accLo {

@@ -69,7 +69,7 @@ type InstrSpec struct {
 	// BufferSlots > B are unsupported at that buffer size (§VII-C: "some
 	// compound PIM instructions are not supported when using a small B").
 	BufferSlots int
-	Phases      []Phase
+	Phases      []Phase // read-only: Spec shares one slice per fixed-shape opcode
 	// OutPolys is the number of output polynomials (normalizes iteration
 	// count: one iteration produces G chunks of each output).
 	OutPolys int
@@ -82,36 +82,49 @@ type InstrSpec struct {
 	ModMuls int
 }
 
+// The phases of the fixed-shape opcodes, shared by every Spec of them:
+// InstrSpec.Phases is read-only to its callers.
+var (
+	phasesOneIn     = []Phase{{1, 1}, {1, 1}}
+	phasesTwoIn     = []Phase{{2, 2}, {1, 1}}
+	phasesMAC       = []Phase{{2, 2}, {2, 2}}
+	phasesPMult     = []Phase{{1, 1}, {2, 2}, {2, 2}}
+	phasesPMAC      = []Phase{{1, 1}, {2, 2}, {4, 4}}
+	phasesTensor    = []Phase{{2, 2}, {2, 2}, {3, 3}}
+	phasesTensorSq  = []Phase{{2, 2}, {3, 3}}
+	phasesModDownEp = []Phase{{1, 1}, {2, 2}}
+)
+
 // Spec returns the execution shape for op with fan-in k (only used by
-// PAccum/CAccum; pass 0 otherwise).
+// PAccum/CAccum; pass 0 otherwise). Its Phases must not be written.
 func Spec(op Opcode, k int) InstrSpec {
 	switch op {
 	case Move, Neg:
-		return InstrSpec{op, 2, []Phase{{1, 1}, {1, 1}}, 1, 2, 0}
+		return InstrSpec{op, 2, phasesOneIn, 1, 2, 0}
 	case Add, Sub:
-		return InstrSpec{op, 3, []Phase{{2, 2}, {1, 1}}, 1, 3, 0}
+		return InstrSpec{op, 3, phasesTwoIn, 1, 3, 0}
 	case Mult:
-		return InstrSpec{op, 3, []Phase{{2, 2}, {1, 1}}, 1, 3, 1}
+		return InstrSpec{op, 3, phasesTwoIn, 1, 3, 1}
 	case MAC:
 		// c is co-located with the destination PolyGroup.
-		return InstrSpec{op, 4, []Phase{{2, 2}, {2, 2}}, 1, 4, 1}
+		return InstrSpec{op, 4, phasesMAC, 1, 4, 1}
 	case PMult:
-		return InstrSpec{op, 5, []Phase{{1, 1}, {2, 2}, {2, 2}}, 2, 5, 2}
+		return InstrSpec{op, 5, phasesPMult, 2, 5, 2}
 	case PMAC:
-		return InstrSpec{op, 7, []Phase{{1, 1}, {2, 2}, {4, 4}}, 2, 7, 2}
+		return InstrSpec{op, 7, phasesPMAC, 2, 7, 2}
 	case CAdd, CSub:
-		return InstrSpec{op, 2, []Phase{{1, 1}, {1, 1}}, 1, 2, 0}
+		return InstrSpec{op, 2, phasesOneIn, 1, 2, 0}
 	case CMult:
-		return InstrSpec{op, 2, []Phase{{1, 1}, {1, 1}}, 1, 2, 1}
+		return InstrSpec{op, 2, phasesOneIn, 1, 2, 1}
 	case CMAC:
-		return InstrSpec{op, 3, []Phase{{2, 2}, {1, 1}}, 1, 3, 1}
+		return InstrSpec{op, 3, phasesTwoIn, 1, 3, 1}
 	case Tensor:
-		return InstrSpec{op, 7, []Phase{{2, 2}, {2, 2}, {3, 3}}, 3, 7, 4}
+		return InstrSpec{op, 7, phasesTensor, 3, 7, 4}
 	case TensorSq:
-		return InstrSpec{op, 5, []Phase{{2, 2}, {3, 3}}, 3, 5, 3}
+		return InstrSpec{op, 5, phasesTensorSq, 3, 5, 3}
 	case ModDownEp:
 		// b (the BConv write-back) is co-located with the destination x.
-		return InstrSpec{op, 3, []Phase{{1, 1}, {2, 2}}, 1, 3, 1}
+		return InstrSpec{op, 3, phasesModDownEp, 1, 3, 1}
 	case PAccum:
 		if k < 1 {
 			k = 4

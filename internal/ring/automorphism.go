@@ -2,6 +2,8 @@ package ring
 
 import (
 	"math/bits"
+
+	"github.com/anaheim-sim/anaheim/internal/modarith"
 )
 
 // Galois automorphisms σ_g: X -> X^g for odd g mod 2N. In CKKS, the rotation
@@ -14,8 +16,8 @@ import (
 // lock; writers (cold path, first use of a rotation) copy-on-write under
 // autoMu and publish a new snapshot, so hot rotate paths never contend.
 type autoTables struct {
-	perm map[uint64][]uint32 // galois element -> NTT-domain permutation
-	gal  map[int]uint64      // canonical rotation -> 5^r mod 2N
+	perm map[uint64]*modarith.BlockPerm // galois element -> NTT-domain permutation
+	gal  map[int]uint64                 // canonical rotation -> 5^r mod 2N
 }
 
 // modExp computes b^e mod m by square-and-multiply. All operands stay below
@@ -79,26 +81,16 @@ func (r *Ring) galoisElementLoop(rot int) uint64 {
 // GaloisElementConjugate returns the Galois element for complex conjugation.
 func (r *Ring) GaloisElementConjugate() uint64 { return uint64(2*r.N) - 1 }
 
-// nttAutoIndex returns (building and caching on first use) the NTT-domain
-// permutation for σ_g: with the bit-reversed evaluation order, output slot i
-// holds the value at root exponent e_i = 2·brv(i)+1, and σ_g moves the value
-// from exponent g·e_i. Entries are uint32 (valid for N ≤ 2^31), halving the
-// table's cache footprint; lookups are lock-free snapshot reads.
-func (r *Ring) nttAutoIndex(g uint64) []uint32 {
+// autoPerm returns (building and caching on first use) the NTT-domain
+// permutation for σ_g (autoBlockPerm): N/8 uint32 entries and one 512-byte
+// lane table. Lookups are lock-free snapshot reads.
+func (r *Ring) autoPerm(g uint64) *modarith.BlockPerm {
 	if t := r.autoSnap.Load(); t != nil {
-		if idx, ok := t.perm[g]; ok {
-			return idx
+		if p, ok := t.perm[g]; ok {
+			return p
 		}
 	}
-	n := uint64(r.N)
-	logN := r.LogN
-	mask := 2*n - 1
-	idx := make([]uint32, n)
-	for i := uint64(0); i < n; i++ {
-		e := 2*brv(i, logN) + 1
-		src := (g * e) & mask
-		idx[i] = uint32(brv((src-1)>>1, logN))
-	}
+	p := autoBlockPerm(r.LogN, g)
 
 	r.autoMu.Lock()
 	defer r.autoMu.Unlock()
@@ -106,13 +98,27 @@ func (r *Ring) nttAutoIndex(g uint64) []uint32 {
 	if old, ok := cur.perm[g]; ok {
 		return old
 	}
-	next := &autoTables{perm: make(map[uint64][]uint32, len(cur.perm)+1), gal: cur.gal}
+	next := &autoTables{perm: make(map[uint64]*modarith.BlockPerm, len(cur.perm)+1), gal: cur.gal}
 	for k, v := range cur.perm {
 		next.perm[k] = v
 	}
-	next.perm[g] = idx
+	next.perm[g] = p
 	r.autoSnap.Store(next)
-	return idx
+	return p
+}
+
+// autoBlockPerm returns σ_g's permutation of a bit-reversed NTT row of
+// 2^logN words: output slot i holds the value at root exponent
+// e_i = 2·brv(i)+1, and σ_g moves there the value from exponent g·e_i. It
+// is a block permutation (DESIGN.md §3.8.1): every aligned 8-slot block
+// reads one aligned 8-slot block, through one of at most 8 lane shuffles,
+// and modarith.NewBlockPerm panics were it not.
+func autoBlockPerm(logN int, g uint64) *modarith.BlockPerm {
+	mask := uint64(2)<<logN - 1
+	return modarith.NewBlockPerm(1<<logN, func(i int) int {
+		src := (g * (2*brv(uint64(i), logN) + 1)) & mask
+		return int(brv((src-1)>>1, logN))
+	})
 }
 
 func brv(x uint64, n int) uint64 { return bits.Reverse64(x) >> uint(64-n) }

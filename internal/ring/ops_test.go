@@ -120,7 +120,7 @@ func ringOpsOnePipeline(t *testing.T, label string, r *Ring) {
 	}
 	g := r.GaloisElement(5)
 	rowBytes := float64(limbs * r.N * 8)
-	for _, c := range ringOpCases(g, r.nttAutoIndex(g)) {
+	for _, c := range ringOpCases(g, nttAutoIndex(r.LogN, g)) {
 		a, b := s.UniformPoly(r, level, c.inNTT), s.UniformPoly(r, level, c.inNTT)
 		out := s.UniformPoly(r, level, c.inNTT)
 		if c.lazyOut {
@@ -161,7 +161,7 @@ func ringOpsOnePipeline(t *testing.T, label string, r *Ring) {
 // forEachTable runs fn once under every kernel table the host can run — go,
 // avx512 and, on an IFMA host, avx512-noifma — and restores the host's own
 // table after.
-func forEachTable(t *testing.T, fn func(name string)) {
+func forEachTable(t testing.TB, fn func(name string)) {
 	t.Helper()
 	orig := modarith.ActiveTier()
 	defer func() {

@@ -157,9 +157,9 @@ type stage struct {
 	acc2 bool
 	key  *modarith.StreamKey
 	half int
-	wide int      // opAutMulAccWide/opFoldWide/opReduceWide: high-word row
-	s    []uint64 // per-limb scalars (opMulScalars*, opAddScalars*, opSubMulScalarsLazy)
-	idx  []uint32 // NTT-domain automorphism permutation (opAut*)
+	wide int                 // opAutMulAccWide/opFoldWide/opReduceWide: high-word row
+	s    []uint64            // per-limb scalars (opMulScalars*, opAddScalars*, opSubMulScalarsLazy)
+	perm *modarith.BlockPerm // NTT-domain automorphism permutation (opAut*)
 	fn   func(limb int)
 }
 
@@ -487,7 +487,7 @@ func (ln *Lane) AutMulAccWide(out, a, b *Poly, g uint64) {
 	ln.use(a, true, false)
 	ln.use(b, true, false)
 	ln.use(out, true, true)
-	ln.push(stage{op: opAutMulAccWide, out: out, a: a, b: b, idx: ln.r.nttAutoIndex(g), acc: acc.open, wide: w}, 4)
+	ln.push(stage{op: opAutMulAccWide, out: out, a: a, b: b, perm: ln.r.autoPerm(g), acc: acc.open, wide: w}, 4)
 	acc.open = true
 	acc.terms++
 }
@@ -611,7 +611,7 @@ func (ln *Lane) AutomorphismNTT(out, a *Poly, g uint64) {
 	ln.use(a, true, false)
 	ln.use(out, false, true)
 	ln.setDomain(out, true)
-	ln.push(stage{op: opAutNTT, out: out, a: a, idx: ln.r.nttAutoIndex(g)}, 2)
+	ln.push(stage{op: opAutNTT, out: out, a: a, perm: ln.r.autoPerm(g)}, 2)
 }
 
 // AddAutomorphismNTT records out = σ_g(a + b): the exact sum permuted in the
@@ -628,7 +628,7 @@ func (ln *Lane) AddAutomorphismNTT(out, a, b *Poly, g uint64) {
 	ln.use(b, true, false)
 	ln.use(out, false, true)
 	ln.setDomain(out, true)
-	ln.push(stage{op: opAddAutNTT, out: out, a: a, b: b, idx: ln.r.nttAutoIndex(g)}, 3)
+	ln.push(stage{op: opAddAutNTT, out: out, a: a, b: b, perm: ln.r.autoPerm(g)}, 3)
 }
 
 // Func records an arbitrary per-limb stage (the escape hatch for steps with
@@ -825,7 +825,7 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			if !st.acc {
 				clear(hi)
 			}
-			modarith.VecMulAccWideIdx(hi, st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.idx)
+			modarith.VecMulAccWidePerm(hi, st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.perm)
 		case opFoldWide:
 			mod.VecFoldWide128Lazy(wide[st.wide*r.N:][:r.N], st.out.Coeffs[i])
 		case opReduceWide:
@@ -859,15 +859,9 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))
 		case opAutNTT:
-			src, dst := st.a.Coeffs[i], st.out.Coeffs[i]
-			for j, k := range st.idx {
-				dst[j] = src[k]
-			}
+			modarith.VecPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.perm)
 		case opAddAutNTT:
-			oa, ob, dst := st.a.Coeffs[i], st.b.Coeffs[i], st.out.Coeffs[i]
-			for j, k := range st.idx {
-				dst[j] = mod.Add(oa[k], ob[k])
-			}
+			mod.VecAddPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.perm)
 		case opFunc:
 			st.fn(i)
 		}

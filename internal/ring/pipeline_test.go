@@ -702,8 +702,8 @@ func TestAutomorphismCacheConcurrent(t *testing.T) {
 					t.Errorf("concurrent GaloisElement(%d) disagreed with loop oracle", rot)
 					return
 				}
-				if idx := r.nttAutoIndex(g); len(idx) != r.N {
-					t.Errorf("concurrent nttAutoIndex(%d) returned short table", g)
+				if p := r.autoPerm(g); p.Len() != r.N {
+					t.Errorf("concurrent autoPerm(%d) returned short table", g)
 					return
 				}
 				r.AutomorphismNTT(out, in, g, level)
@@ -763,7 +763,7 @@ func TestPipelineAutMulAccWide(t *testing.T) {
 	// the products overflows 128 bits unless it is folded. σ_g moves the
 	// saturated coefficients of a, so b is saturated where they land.
 	g := r.GaloisElement(3)
-	idx := r.nttAutoIndex(g)
+	idx := nttAutoIndex(r.LogN, g)
 	operands := func(level int) (a, b *Poly) {
 		a, b = s.UniformPoly(r, level, true), s.UniformPoly(r, level, true)
 		for i := 0; i <= level; i++ {

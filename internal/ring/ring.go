@@ -63,7 +63,7 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 		Moduli: make([]modarith.Modulus, len(primes)),
 		Tables: make([]*ntt.Tables, len(primes)),
 	}
-	r.autoSnap.Store(&autoTables{perm: map[uint64][]uint32{}, gal: map[int]uint64{}})
+	r.autoSnap.Store(&autoTables{perm: map[uint64]*modarith.BlockPerm{}, gal: map[int]uint64{}})
 	for i, q := range primes {
 		mod, err := modarith.NewModulus(q)
 		if err != nil {

@@ -15,36 +15,30 @@ import (
 	"github.com/anaheim-sim/anaheim/internal/trace"
 )
 
-// classObs accumulates, per kernel class and execution platform, the
-// simulated time/bytes the model predicts alongside the wall-clock time the
-// model itself took to evaluate — the "simulated vs wall-clock" pair the
-// §VII methodology asks to keep visible.
-type classObs struct {
-	kernels *obs.Counter
-	simNs   *obs.Counter
-	bytes   *obs.Counter
-	wall    *obs.Counter
+// classKey is one (class, platform) pair of the per-kernel-class counters.
+type classKey struct {
+	class trace.Class
+	pim   bool
 }
 
-func newClassObs(class trace.Class, pim bool) classObs {
+// classSum is one Run's share of a pair's counters: the simulated time and
+// bytes the model predicts alongside the wall-clock time the model itself
+// took to evaluate — the "simulated vs wall-clock" pair the §VII methodology
+// asks to keep visible. Run sums it locally and flushes it once.
+type classSum struct {
+	kernels, simNs, bytes, wallS float64
+}
+
+func (s classSum) flush(key classKey) {
 	platform := "gpu"
-	if pim {
+	if key.pim {
 		platform = "pim"
 	}
-	label := `{class="` + class.String() + `",platform="` + platform + `"}`
-	return classObs{
-		kernels: obs.Default.Counter("sched_sim_kernels_total" + label),
-		simNs:   obs.Default.Counter("sched_sim_time_ns_total" + label),
-		bytes:   obs.Default.Counter("sched_sim_bytes_total" + label),
-		wall:    obs.Default.Counter("sched_model_wall_seconds_total" + label),
-	}
-}
-
-func (o classObs) record(timeNs, bytes float64, wallStart time.Time) {
-	o.kernels.Inc()
-	o.simNs.Add(timeNs)
-	o.bytes.Add(bytes)
-	o.wall.Add(time.Since(wallStart).Seconds())
+	label := `{class="` + key.class.String() + `",platform="` + platform + `"}`
+	obs.Default.Counter("sched_sim_kernels_total" + label).Add(s.kernels)
+	obs.Default.Counter("sched_sim_time_ns_total" + label).Add(s.simNs)
+	obs.Default.Counter("sched_sim_bytes_total" + label).Add(s.bytes)
+	obs.Default.Counter("sched_model_wall_seconds_total" + label).Add(s.wallS)
 }
 
 // writeBackFraction is the share of PIM-bound producer output that would
@@ -127,23 +121,29 @@ func Run(t *trace.Trace, cfg Config) Result {
 	cursor := 0.0
 	transitionNs := cfg.GPU.TransitionUs * 1e3
 
-	// Metric handles resolved once per (class, platform) pair per run.
-	classMetrics := map[[2]any]classObs{}
-	metric := func(c trace.Class, pim bool) classObs {
-		key := [2]any{c, pim}
-		m, ok := classMetrics[key]
-		if !ok {
-			m = newClassObs(c, pim)
-			classMetrics[key] = m
-		}
-		return m
-	}
+	// The counters' sums, per (class, platform) pair, flushed at the end.
+	// The wall clock is read once per run of kernels of one pair, and the
+	// run's time charged to it.
+	sums := map[classKey]*classSum{}
+	var cur *classSum
+	var curKey classKey
+	var runStart time.Time
 
 	for _, k := range t.Kernels {
 		onPIM := k.Offload && cfg.PIM != nil && k.Class == trace.ClassEW
 		var timeNs, energyNJ float64
 		var bytes float64
-		wallStart := time.Now()
+		if key := (classKey{k.Class, onPIM}); cur == nil || key != curKey {
+			now := time.Now()
+			if cur != nil {
+				cur.wallS += now.Sub(runStart).Seconds()
+			}
+			if cur = sums[key]; cur == nil {
+				cur = &classSum{}
+				sums[key] = cur
+			}
+			curKey, runStart = key, now
+		}
 
 		if onPIM {
 			cost := pimKernelCost(*cfg.PIM, k, t.P.N, bufferSize, !cfg.NaiveLayout)
@@ -174,7 +174,9 @@ func Run(t *trace.Trace, cfg Config) Result {
 			res.GPUBytes += bytes
 			res.OneTimeBytes += k.OneTime
 		}
-		metric(k.Class, onPIM).record(timeNs, bytes, wallStart)
+		cur.kernels++
+		cur.simNs += timeNs
+		cur.bytes += bytes
 
 		if onPIM != prevPIM {
 			res.Transitions++
@@ -190,6 +192,12 @@ func Run(t *trace.Trace, cfg Config) Result {
 		res.TimeNs += timeNs
 		res.EnergyNJ += energyNJ
 		res.ClassTimeNs[k.Class] += timeNs
+	}
+	if cur != nil {
+		cur.wallS += time.Since(runStart).Seconds()
+	}
+	for key, sum := range sums {
+		sum.flush(key)
 	}
 	return res
 }

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 
 	"github.com/anaheim-sim/anaheim/internal/pim"
 )
@@ -164,6 +165,7 @@ func (t *Trace) newFuseGroup(name string) FuseGroup {
 // Concat appends another trace's kernels n times. Each copy's fuse groups
 // get IDs of their own, so two copies of one compound stay two compounds.
 func (t *Trace) Concat(o *Trace, n int) {
+	t.Kernels = slices.Grow(t.Kernels, max(n, 0)*len(o.Kernels))
 	for i := 0; i < n; i++ {
 		from := len(t.Kernels)
 		t.Kernels = append(t.Kernels, o.Kernels...)
