@@ -183,11 +183,14 @@ func (c *Context) GenLinearTransformKeys(lts ...*LinearTransform) {
 func (c *Context) EvaluationKeys() *EvaluationKeySet { return c.keys }
 
 // NewServerContext builds an evaluation-only Context from a client's
-// uploaded evaluation keys: it can run Add/Mul/Rotate/linear transforms but
-// holds no secret or encryption key (Encrypt and Decrypt are unavailable).
-// This is the trust model of the serving runtime: secrets stay client-side.
-// A key without the parameters' shape is refused with an error wrapping
-// ckks.ErrShape (Parameters.CheckKeys) instead of panicking the first op.
+// uploaded evaluation keys: it can run Add/Mul/Rotate/linear transforms, and
+// Bootstrap when the keys carry a bootstrap section (SetupBootstrapping on
+// the client), but holds no secret or encryption key (Encrypt and Decrypt
+// are unavailable). This is the trust model of the serving runtime: secrets
+// stay client-side. A key without the parameters' shape is refused with an
+// error wrapping ckks.ErrShape (Parameters.CheckKeys), and a bootstrap key
+// set missing a key with one wrapping ckks.ErrMissingKey, instead of
+// failing the first op.
 func NewServerContext(lit ParametersLiteral, keys *EvaluationKeySet) (*Context, error) {
 	params, err := ckks.NewParameters(lit)
 	if err != nil {
@@ -199,20 +202,20 @@ func NewServerContext(lit ParametersLiteral, keys *EvaluationKeySet) (*Context, 
 	c := &Context{Params: params, keys: keys}
 	c.enc = ckks.NewEncoder(params)
 	c.eval = ckks.NewEvaluator(params, keys)
+	if keys.Boot != nil {
+		if c.boot, err = ckks.NewBootstrapper(params, c.enc, c.eval, keys); err != nil {
+			return nil, fmt.Errorf("anaheim: server context: %w", err)
+		}
+	}
 	return c, nil
 }
 
 // AttachSession registers this context's parameters and evaluation keys as
-// a session of the serving runtime and returns the session handle.
+// a session of the serving runtime and returns the session handle. After
+// SetupBootstrapping the keys carry a bootstrap section, and the session
+// builds its own bootstrapper from them.
 func (c *Context) AttachSession(e *Engine) (*EngineSession, error) {
-	s, err := e.AttachSession(c.Params, c.keys)
-	if err != nil {
-		return nil, err
-	}
-	if c.boot != nil {
-		s.SetBootstrapper(c.boot)
-	}
-	return s, nil
+	return e.AttachSession(c.Params, c.keys)
 }
 
 // Encrypt encodes and encrypts a complex vector (at most N/2 values) at the
@@ -315,15 +318,25 @@ func (c *Context) MinMax(a, b *Ciphertext, iterations int) (*Ciphertext, *Cipher
 	return c.eval.EvalMinMax(a, b, iterations)
 }
 
-// SetupBootstrapping generates all bootstrapping keys and matrices. The DFT
+// SetupBootstrapping runs both halves of bootstrapping setup: the client's
+// GenBootstrapKeys adds every bootstrap key and the bootstrap section to the
+// context's evaluation keys, and NewBootstrapper builds the bootstrapper from
+// those keys alone, as a server does from the same keys uploaded. The DFT
 // matrices are planned as one set: no more Galois keys than their leanest
 // plans need between them, the least modeled time within that. Each key is
 // generated at the highest level a bootstrap spends it, so a key the caller
 // shares at a higher level comes from GenRotationKeys or
 // GenLinearTransformKeys afterwards. A parameter set with fewer levels than
-// the config consumes is an error (see BootParameters).
+// the config consumes, or whose EvalMod primes cannot carry its scale, is an
+// error (see BootParameters).
 func (c *Context) SetupBootstrapping(cfg BootstrapConfig) error {
-	b, err := ckks.NewBootstrapper(c.Params, c.enc, c.eval, c.kgen, c.sk, c.keys, cfg)
+	if c.kgen == nil {
+		return fmt.Errorf("anaheim: server context holds no secret key to generate bootstrap keys")
+	}
+	if err := c.kgen.GenBootstrapKeys(c.sk, c.keys, cfg); err != nil {
+		return err
+	}
+	b, err := ckks.NewBootstrapper(c.Params, c.enc, c.eval, c.keys)
 	if err != nil {
 		return err
 	}

@@ -419,6 +419,50 @@ func TestLinearTransformKeysAfterBootstrapSetup(t *testing.T) {
 	}
 }
 
+// A server context built from the client's uploaded key set — after
+// SetupBootstrapping it carries the bootstrap section — bootstraps without
+// the secret, and the client decrypts the result.
+func TestServerContextBootstraps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	client, err := NewContext(BootParameters(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.SetupBootstrapping(DefaultBootstrapConfig()); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := client.EvaluationKeys().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys EvaluationKeySet
+	if err := keys.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	server, err := NewServerContext(BootParameters(), &keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := randVec(rand.New(rand.NewSource(10)), client.Params.Slots())
+	ct, err := client.Encrypt(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := server.Bootstrap(client.DropToLevel(ct, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := facadeMaxErr(client.Decrypt(out), u); e > 1e-3 {
+		t.Fatalf("bootstrap on the server context: error %g", e)
+	}
+	keys.Boot.ToDense = nil
+	if _, err := NewServerContext(BootParameters(), &keys); !errors.Is(err, ckks.ErrMissingKey) {
+		t.Fatalf("server context over a key set without an encapsulation key: %v, want ckks.ErrMissingKey", err)
+	}
+}
+
 // A preset too shallow for the config is refused at setup, not by a panic in
 // the first Bootstrap's rescale.
 func TestSetupBootstrappingNeedsDepth(t *testing.T) {

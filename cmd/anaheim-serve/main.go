@@ -1,7 +1,8 @@
 // Command anaheim-serve runs the FHE serving runtime as an HTTP/JSON
 // service. Clients create a session by uploading their evaluation keys
-// (relinearization + Galois; the secret key never leaves the client), then
-// submit op-DAG jobs over base64-encoded ciphertexts and poll for results.
+// (relinearization + Galois, and a bootstrap section for sessions that
+// bootstrap; the secret key never leaves the client), then submit op-DAG
+// jobs over base64-encoded ciphertexts and poll for results.
 //
 // Usage:
 //

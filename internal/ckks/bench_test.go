@@ -119,8 +119,8 @@ func BenchmarkHMult(b *testing.B) {
 // BenchmarkSweep times one linear-transform sweep at the repo benchmark's
 // shapes and logs the plan's baby step, Galois keys and modeled time beside
 // it: boot_n12's six DFT matrices (BootTestParameters at logN 12), planned as
-// one set the way NewBootstrapper plans them and each run at the level a
-// bootstrap runs it (CoeffToSlot 26/25/24, SlotToCoeff 12/11/10), and
+// one set by newBootPlan and each run at the level a bootstrap runs it
+// (CoeffToSlot 26/25/24, SlotToCoeff 12/11/10), and
 // serve_mix_n12's 8-diagonal map at the top of its 10-limb chain, planned
 // alone. Each shape holds only its own transform's Galois keys.
 func BenchmarkSweep(b *testing.B) {
@@ -133,11 +133,11 @@ func BenchmarkSweep(b *testing.B) {
 		return func(b *testing.B) (*testContext, *LinearTransform) {
 			if bootTC == nil {
 				bootTC = buildTestContext(b, boot, false)
-				cfg := DefaultBootstrapConfig()
-				dft = append(bootTC.enc.CoeffToSlotMatrices(cfg.FFTIterC2S), bootTC.enc.SlotToCoeffMatrices(cfg.FFTIterS2C)...)
-				for i, pl := range planSweeps(bootTC.params, dft) {
-					dft[i].fixPlan(pl)
+				bp, err := newBootPlan(bootTC.params, bootTC.enc, DefaultBootstrapConfig())
+				if err != nil {
+					b.Fatal(err)
 				}
+				dft = append(bp.c2s, bp.s2c...)
 			}
 			return bootTC, dft[i]
 		}
@@ -245,7 +245,7 @@ func BenchmarkBootstrapFunc(b *testing.B) {
 		b.Skip("bootstrapping bench is expensive")
 	}
 	tc := buildTestContext(b, BootTestParameters(), false)
-	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, DefaultBootstrapConfig())
+	boot, err := tc.bootstrapper(DefaultBootstrapConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

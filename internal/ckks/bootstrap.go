@@ -29,6 +29,19 @@ func DefaultBootstrapConfig() BootstrapConfig {
 	return BootstrapConfig{FFTIterC2S: 3, FFTIterS2C: 3, EvalModDeg: 31, DoubleAngles: 3, K: 12}
 }
 
+// BootstrapKeys is the bootstrap section of an evaluation key set: the config
+// the set was generated under and the two encapsulation keys of the
+// sparse-secret encapsulation [9], dense to sparse at level 0 and sparse to
+// dense at the top. The relinearization, conjugation and DFT Galois keys a
+// bootstrap spends sit in the set itself. Which keys a bootstrap needs, and
+// at which levels, is a pure function of the parameters and the config, so
+// the config travels with the keys.
+type BootstrapKeys struct {
+	Config   BootstrapConfig
+	ToSparse *SwitchingKey
+	ToDense  *SwitchingKey
+}
+
 // Bootstrapper refreshes exhausted ciphertexts: sparse-secret encapsulation
 // [9], ModRaise, CoeffToSlot, EvalMod (homomorphic modular reduction by q0
 // via a scaled sine), SlotToCoeff.
@@ -49,75 +62,183 @@ type Bootstrapper struct {
 	centered sync.Pool // *[]int64: ModRaise's signed-coefficient scratch
 }
 
-// NewBootstrapper generates all keys (encapsulation, rotations for the DFT
-// matrices, conjugation, relinearization if absent), each at the highest
-// level a bootstrap spends it, and precomputes the transform matrices and
-// EvalMod polynomial. Parameters whose chain is shorter than the levels the
-// config consumes are an error.
-func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator,
-	kgen *KeyGenerator, sk *SecretKey, keys *EvaluationKeySet, cfg BootstrapConfig) (*Bootstrapper, error) {
+// bootPlan is what key generation and the bootstrapper both derive from the
+// parameters and a config: the DFT matrices with their sweeps planned as one
+// set, and the highest level a stage spends each Galois key at, by element.
+type bootPlan struct {
+	lv       bootLevels
+	c2s, s2c []*LinearTransform
+	galois   map[uint64]int
+}
 
-	switch {
-	case cfg.FFTIterC2S < 1 || cfg.FFTIterS2C < 1:
-		return nil, fmt.Errorf("ckks: fftIter must be >= 1")
-	case cfg.EvalModDeg < 1:
-		return nil, fmt.Errorf("ckks: EvalMod degree %d must be >= 1", cfg.EvalModDeg)
-	case cfg.DoubleAngles < 0:
-		return nil, fmt.Errorf("ckks: double angles %d must be >= 0", cfg.DoubleAngles)
-	case cfg.K < 1:
-		return nil, fmt.Errorf("ckks: EvalMod bound K %d must be >= 1", cfg.K)
-	case params.MaxLevel() < cfg.levels():
-		return nil, fmt.Errorf("ckks: bootstrapping consumes %d levels, the parameters have %d", cfg.levels(), params.MaxLevel())
+// newBootPlan checks cfg against params and plans a bootstrap under it. The
+// six DFT sweeps are planned as one set (planSweeps): no more Galois keys
+// than their leanest plans need between them, the least modeled time within
+// that, so a key two matrices share is paid once. The plans are fixed on the
+// returned matrices, and exactly their baby + giant rotations get keys, each
+// at the highest level of a sweep spending it; the conjugation runs at the
+// CoeffToSlot output.
+func newBootPlan(params *Parameters, enc *Encoder, cfg BootstrapConfig) (*bootPlan, error) {
+	if err := cfg.check(params); err != nil {
+		return nil, err
 	}
-	b := &Bootstrapper{
-		params: params,
-		enc:    enc,
-		eval:   eval,
-		cfg:    cfg,
-		q0:     float64(params.RingQ().Moduli[0].Q),
+	rq := params.RingQ()
+	bp := &bootPlan{
+		lv:  cfg.stageLevels(params.MaxLevel()),
+		c2s: enc.CoeffToSlotMatrices(cfg.FFTIterC2S),
+		s2c: enc.SlotToCoeffMatrices(cfg.FFTIterS2C),
 	}
-	b.c2s = enc.CoeffToSlotMatrices(cfg.FFTIterC2S)
-	b.s2c = enc.SlotToCoeffMatrices(cfg.FFTIterS2C)
-	b.evalMod = evalModPoly(cfg)
-
-	// Keys, each at the highest level a bootstrap spends it (a key at level
-	// ℓ is the level-ℓ prefix of a full one: see SwitchingKey). The
-	// encapsulation switches to the sparse secret at level 0 and back at the
-	// top; the conjugation runs at the CoeffToSlot output. A key the set
-	// already holds at or above its level is kept; the relinearization key
-	// serves the caller's own products too, so it is a top-level one.
-	top := params.MaxLevel()
-	lv := cfg.stageLevels(top)
-	skSparse := kgen.GenSparseSecretKey()
-	b.toSparse = kgen.genSwitchingKey(0, idToSparse, sk.Q, skSparse.Q, skSparse.P)
-	b.toDense = kgen.genSwitchingKey(top, idToDense, skSparse.Q, sk.Q, sk.P)
-	if keys.Rlk == nil {
-		keys.Rlk = kgen.GenRelinearizationKey(sk)
-	}
-	kgen.ensureGaloisKey(sk, keys, params.RingQ().GaloisElementConjugate(), lv.conj)
-	// The six DFT sweeps are planned as one set (planSweeps): no more Galois
-	// keys than their leanest plans need between them, the least modeled time
-	// within that, so a key two matrices share is paid once. The plans are
-	// fixed on the bootstrapper's own matrices, and exactly their baby + giant
-	// rotations get keys, each at the highest level of a sweep spending it.
-	lts := append(append([]*LinearTransform{}, b.c2s...), b.s2c...)
-	sweepLevel := append(append([]int{}, lv.c2s...), lv.s2c...)
-	keyLevel := make(map[int]int)
+	bp.galois = map[uint64]int{rq.GaloisElementConjugate(): bp.lv.conj}
+	lts := append(append([]*LinearTransform{}, bp.c2s...), bp.s2c...)
+	sweepLevel := append(append([]int{}, bp.lv.c2s...), bp.lv.s2c...)
 	for i, pl := range planSweeps(params, lts) {
 		lts[i].fixPlan(pl)
 		for _, r := range pl.rotations() {
-			keyLevel[r] = max(keyLevel[r], sweepLevel[i])
+			el := rq.GaloisElement(r)
+			bp.galois[el] = max(bp.galois[el], sweepLevel[i])
 		}
 	}
-	for _, r := range GaloisKeysForLinearTransform(params, lts...) {
-		kgen.ensureGaloisKey(sk, keys, params.RingQ().GaloisElement(r), keyLevel[r])
-	}
-	return b, nil
+	return bp, nil
 }
 
-// bootDepths is the number of levels each stage of a bootstrap consumes.
+// GenBootstrapKeys is the client half of bootstrapping. It adds to ks every
+// key a bootstrap under cfg spends, each at the highest level a stage spends
+// it (a key at level ℓ is the level-ℓ prefix of a full one: see
+// SwitchingKey), and the bootstrap section holding cfg and the two
+// encapsulation keys, at level 0 and at the top. A Galois key ks already
+// holds at or above its level is kept; the relinearization key serves the
+// caller's own products too, so an absent one is generated at the top. A
+// config the parameters cannot bootstrap under is an error, and ks is left as
+// it was. NewBootstrapper then builds the bootstrapper from ks alone.
+func (kg *KeyGenerator) GenBootstrapKeys(sk *SecretKey, ks *EvaluationKeySet, cfg BootstrapConfig) error {
+	p := kg.params
+	bp, err := newBootPlan(p, NewEncoder(p), cfg)
+	if err != nil {
+		return err
+	}
+	skSparse := kg.GenSparseSecretKey()
+	ks.Boot = &BootstrapKeys{
+		Config:   cfg,
+		ToSparse: kg.genSwitchingKey(0, idToSparse, sk.Q, skSparse.Q, skSparse.P),
+		ToDense:  kg.genSwitchingKey(p.MaxLevel(), idToDense, skSparse.Q, sk.Q, sk.P),
+	}
+	if ks.Rlk == nil {
+		ks.Rlk = kg.GenRelinearizationKey(sk)
+	}
+	for el, level := range bp.galois {
+		kg.ensureGaloisKey(sk, ks, el, level)
+	}
+	return nil
+}
+
+// NewBootstrapper is the server half of bootstrapping: it builds a
+// bootstrapper from an evaluation key set with a bootstrap section
+// (GenBootstrapKeys) and holds no secret. It re-plans the DFT sweeps from the
+// section's config and precomputes the transform matrices and the EvalMod
+// polynomial. A config the parameters cannot run is an error: a chain
+// shorter than the levels it consumes, or EvalMod primes that cannot carry
+// its scale (ErrScale). A key a bootstrap spends that is absent, or below the
+// level a stage spends it at, is ErrMissingKey. The keys' layout is
+// Parameters.CheckKeys, which a server runs on every uploaded set; eval must
+// be an evaluator over keys.
+func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator, keys *EvaluationKeySet) (*Bootstrapper, error) {
+	if keys == nil || keys.Boot == nil {
+		return nil, fmt.Errorf("%w: the key set has no bootstrap section", ErrMissingKey)
+	}
+	bk := keys.Boot
+	bp, err := newBootPlan(params, enc, bk.Config)
+	if err != nil {
+		return nil, err
+	}
+	type need struct {
+		name  string
+		k     *SwitchingKey
+		level int
+	}
+	needs := []need{
+		{"dense-to-sparse encapsulation key", bk.ToSparse, 0},
+		{"sparse-to-dense encapsulation key", bk.ToDense, params.MaxLevel()},
+		{"relinearization key", keys.Rlk, bp.lv.mul},
+	}
+	for el, level := range bp.galois {
+		needs = append(needs, need{fmt.Sprintf("Galois key for element %d", el), keys.Gal[el], level})
+	}
+	for _, n := range needs {
+		switch {
+		case n.k == nil:
+			return nil, fmt.Errorf("%w: no %s", ErrMissingKey, n.name)
+		case !n.k.covers(params, n.level):
+			return nil, keyBelow(n.name, n.k, n.level)
+		}
+	}
+	return &Bootstrapper{
+		params:   params,
+		enc:      enc,
+		eval:     eval,
+		cfg:      bk.Config,
+		c2s:      bp.c2s,
+		s2c:      bp.s2c,
+		evalMod:  evalModPoly(bk.Config),
+		toSparse: bk.ToSparse,
+		toDense:  bk.ToDense,
+		q0:       float64(params.RingQ().Moduli[0].Q),
+	}, nil
+}
+
+// maxBootParam bounds every field of a config, far above any chain's depth:
+// a config off the wire that exceeds it is refused before anything is sized
+// by it.
+const maxBootParam = 1 << 10
+
+// valid refuses a config no bootstrap runs under any parameters.
+func (cfg BootstrapConfig) valid() error {
+	switch {
+	case cfg.FFTIterC2S < 1 || cfg.FFTIterS2C < 1:
+		return fmt.Errorf("ckks: fftIter must be >= 1")
+	case cfg.EvalModDeg < 1:
+		return fmt.Errorf("ckks: EvalMod degree %d must be >= 1", cfg.EvalModDeg)
+	case cfg.DoubleAngles < 0:
+		return fmt.Errorf("ckks: double angles %d must be >= 0", cfg.DoubleAngles)
+	case cfg.K < 1:
+		return fmt.Errorf("ckks: EvalMod bound K %d must be >= 1", cfg.K)
+	case max(cfg.FFTIterC2S, cfg.FFTIterS2C, cfg.EvalModDeg, cfg.DoubleAngles, cfg.K) > maxBootParam:
+		return fmt.Errorf("ckks: implausible bootstrap config %+v: a field exceeds %d", cfg, maxBootParam)
+	}
+	return nil
+}
+
+// check refuses a config a bootstrap under p cannot run: one that is not
+// valid, one consuming more levels than the chain has, or one whose EvalMod
+// runs on primes that cannot carry its scale. EvalMod re-declares the scale
+// as q0, and its Chebyshev series adds branches that rescaled by different
+// primes: a series term's scale is q0 times the ratios q0/q_ℓ of fewer than
+// deg of them, so every prime the series rescales by must lie within
+// scaleTolerance/(2·deg) of q0 for two branches to agree within the add
+// tolerance. A chain that breaks this would panic inside Bootstrap.
+func (cfg BootstrapConfig) check(p *Parameters) error {
+	if err := cfg.valid(); err != nil {
+		return err
+	}
+	if p.MaxLevel() < cfg.levels() {
+		return fmt.Errorf("ckks: bootstrapping consumes %d levels, the parameters have %d", cfg.levels(), p.MaxLevel())
+	}
+	moduli := p.RingQ().Moduli
+	q0 := float64(moduli[0].Q)
+	lv := cfg.stageLevels(p.MaxLevel())
+	for l := lv.mul; l > lv.mul-cfg.depths().series; l-- {
+		if q := float64(moduli[l].Q); math.Abs(q/q0-1) > scaleTolerance/float64(2*cfg.EvalModDeg) {
+			return fmt.Errorf("%w: EvalMod rescales by q_%d = 2^%.1f, which cannot carry its scale q0 = 2^%.1f",
+				ErrScale, l, math.Log2(q), math.Log2(q0))
+		}
+	}
+	return nil
+}
+
+// bootDepths is the number of levels each stage of a bootstrap consumes;
+// series is the part of evalMod the Chebyshev series takes.
 type bootDepths struct {
 	c2s, split, evalMod, s2c, fix int
+	series                        int
 }
 
 // depths accounts a bootstrap under cfg stage by stage: one level per
@@ -137,8 +258,9 @@ func (cfg BootstrapConfig) depths() bootDepths {
 		split := max(baby, 1<<(bitsLen(deg)-1))
 		return max(1+max(series(deg-split), bitsLen(split-1)), series(split-1))
 	}
-	return bootDepths{c2s: cfg.FFTIterC2S, split: 1, evalMod: 1 + series(cfg.EvalModDeg) + cfg.DoubleAngles,
-		s2c: cfg.FFTIterS2C, fix: 1}
+	d := series(cfg.EvalModDeg)
+	return bootDepths{c2s: cfg.FFTIterC2S, split: 1, evalMod: 1 + d + cfg.DoubleAngles,
+		s2c: cfg.FFTIterS2C, fix: 1, series: d}
 }
 
 // levels returns the levels a bootstrap under cfg consumes from the top of
@@ -150,10 +272,10 @@ func (cfg BootstrapConfig) levels() int {
 
 // bootLevels holds the levels a bootstrap's key switches run at, from the
 // same accounting as levels: each CoeffToSlot and SlotToCoeff sweep's input
-// level and the conjugation's.
+// level, the conjugation's and that of EvalMod's first product.
 type bootLevels struct {
-	c2s, s2c []int
-	conj     int
+	c2s, s2c  []int
+	conj, mul int
 }
 
 // stageLevels returns the levels of a bootstrap under cfg raising to top.
@@ -164,6 +286,7 @@ func (cfg BootstrapConfig) stageLevels(top int) bootLevels {
 		lv.c2s = append(lv.c2s, top-i)
 	}
 	lv.conj = top - d.c2s
+	lv.mul = lv.conj - d.split - 1 // after EvalMod's affine map
 	s2cTop := lv.conj - d.split - d.evalMod
 	for i := 0; i < d.s2c; i++ {
 		lv.s2c = append(lv.s2c, s2cTop-i)

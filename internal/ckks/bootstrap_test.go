@@ -1,9 +1,14 @@
 package ckks
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -48,7 +53,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 	tc := newTestContext(t, BootTestParameters())
 	cfg := DefaultBootstrapConfig()
-	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, cfg)
+	boot, err := tc.bootstrapper(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +130,131 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBootstrapperFromUploadedKeys: the server half of bootstrapping needs
+// only the key set. GenBootstrapKeys' output, sent through the wire form,
+// builds a bootstrapper over an evaluator of its own that never sees the
+// secret, and its bootstrap is byte-identical to the one built beside the
+// key generator.
+func TestBootstrapperFromUploadedKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	tc := newTestContext(t, BootTestParameters())
+	local, err := tc.bootstrapper(DefaultBootstrapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := tc.keys.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys EvaluationKeySet
+	if err := keys.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.params.CheckKeys(&keys); err != nil {
+		t.Fatal(err)
+	}
+	if keys.Boot == nil || keys.Boot.Config != DefaultBootstrapConfig() || keys.CoeffBytes() != tc.keys.CoeffBytes() {
+		t.Fatalf("bootstrap section lost on the wire: %+v", keys.Boot)
+	}
+	server, err := NewBootstrapper(tc.params, NewEncoder(tc.params), NewEvaluator(tc.params, &keys), &keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := randomComplex(rand.New(rand.NewSource(64)), tc.params.Slots(), 0.7)
+	ct := dropTo(tc.eval, tc.encryptVec(t, v), 0)
+	want, err := local.Bootstrap(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := server.Bootstrap(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, _ := want.MarshalBinary()
+	gb, _ := got.MarshalBinary()
+	if !bytes.Equal(wb, gb) {
+		t.Fatal("the bootstrapper built from the uploaded keys differs from the local one")
+	}
+	if stats := ComputePrecision(tc.decryptVec(got), v); stats.MinBits < 16.5 {
+		t.Fatalf("bootstrap from uploaded keys: %s, floor 16.5 bits", stats)
+	}
+}
+
+// TestNewBootstrapperRefusesMissingKeys: a key set without a bootstrap
+// section, or lacking any key a bootstrap spends, or holding one below the
+// level a stage spends it at, is refused at construction with ErrMissingKey
+// naming the key.
+func TestNewBootstrapperRefusesMissingKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the bootstrap key set")
+	}
+	tc := newTestContext(t, BootTestParameters())
+	if _, err := tc.bootstrapper(DefaultBootstrapConfig()); err != nil {
+		t.Fatal(err)
+	}
+	p := tc.params
+	bk := *tc.keys.Boot
+	lv := bk.Config.stageLevels(p.MaxLevel())
+	conj := p.RingQ().GaloisElementConjugate()
+	var dft uint64 // a DFT key below the top
+	for g, k := range tc.keys.Gal {
+		if g != conj && k.Level() < p.MaxLevel() {
+			dft = g
+		}
+	}
+	without := func(g uint64) map[uint64]*SwitchingKey {
+		m := maps.Clone(tc.keys.Gal)
+		delete(m, g)
+		return m
+	}
+	lowConj := maps.Clone(tc.keys.Gal)
+	lowConj[conj] = bk.ToSparse
+	for name, c := range map[string]struct {
+		keys *EvaluationKeySet
+		want string
+	}{
+		"no section":       {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: tc.keys.Gal}, "no bootstrap section"},
+		"no toSparse":      {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: tc.keys.Gal, Boot: &BootstrapKeys{Config: bk.Config, ToDense: bk.ToDense}}, "dense-to-sparse"},
+		"no toDense":       {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: tc.keys.Gal, Boot: &BootstrapKeys{Config: bk.Config, ToSparse: bk.ToSparse}}, "sparse-to-dense"},
+		"toDense at 0":     {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: tc.keys.Gal, Boot: &BootstrapKeys{Config: bk.Config, ToSparse: bk.ToSparse, ToDense: bk.ToSparse}}, fmt.Sprintf("at level 0 does not cover level %d", p.MaxLevel())},
+		"no relin":         {&EvaluationKeySet{Gal: tc.keys.Gal, Boot: &bk}, "relinearization"},
+		"no conjugation":   {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: without(conj), Boot: &bk}, fmt.Sprint("element ", conj)},
+		"no DFT key":       {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: without(dft), Boot: &bk}, fmt.Sprint("element ", dft)},
+		"conjugation at 0": {&EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: lowConj, Boot: &bk}, fmt.Sprintf("does not cover level %d", lv.conj)},
+	} {
+		_, err := NewBootstrapper(p, tc.enc, NewEvaluator(p, c.keys), c.keys)
+		if !errors.Is(err, ErrMissingKey) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want ErrMissingKey naming %q", name, err, c.want)
+		}
+	}
+}
+
+// TestBootstrapRefusesEvalModChain: EvalMod re-declares its scale as q0, so
+// a chain whose EvalMod primes are 50-bit under a 60-bit q0 would panic on a
+// scale mismatch inside the first Bootstrap. Both halves refuse it up front
+// with ErrScale, and the key generator adds nothing to the set.
+func TestBootstrapRefusesEvalModChain(t *testing.T) {
+	lit := BootTestParameters()
+	for l := 9; l <= 22; l++ {
+		lit.LogQ[l] = 50
+	}
+	tc := newTestContext(t, lit)
+	cfg := DefaultBootstrapConfig()
+	before := len(tc.keys.Gal)
+	if err := tc.kgen.GenBootstrapKeys(tc.sk, tc.keys, cfg); !errors.Is(err, ErrScale) {
+		t.Fatalf("GenBootstrapKeys: %v, want ErrScale", err)
+	}
+	if tc.keys.Boot != nil || len(tc.keys.Gal) != before {
+		t.Fatal("a refused config left keys in the set")
+	}
+	keys := &EvaluationKeySet{Rlk: tc.keys.Rlk, Gal: tc.keys.Gal, Boot: &BootstrapKeys{Config: cfg}}
+	if _, err := NewBootstrapper(tc.params, tc.enc, tc.eval, keys); !errors.Is(err, ErrScale) {
+		t.Fatalf("NewBootstrapper: %v, want ErrScale", err)
+	}
+}
+
 func TestBootstrapFFTIterVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping test is expensive")
@@ -137,7 +267,7 @@ func TestBootstrapFFTIterVariants(t *testing.T) {
 	for _, iters := range []int{2, 3} {
 		cfg := DefaultBootstrapConfig()
 		cfg.FFTIterC2S, cfg.FFTIterS2C = iters, iters
-		boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, cfg)
+		boot, err := tc.bootstrapper(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +355,7 @@ func TestBootstrapStagePrecision(t *testing.T) {
 	}
 	tc := newTestContext(t, BootTestParameters())
 	cfg := DefaultBootstrapConfig()
-	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, cfg)
+	boot, err := tc.bootstrapper(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

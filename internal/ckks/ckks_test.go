@@ -55,6 +55,16 @@ func buildTestContext(t testing.TB, lit ParametersLiteral, poison bool) *testCon
 	return tc
 }
 
+// bootstrapper runs both halves of bootstrapping setup: GenBootstrapKeys adds
+// the keys under cfg to tc.keys, and NewBootstrapper builds the bootstrapper
+// from tc.keys alone.
+func (tc *testContext) bootstrapper(cfg BootstrapConfig) (*Bootstrapper, error) {
+	if err := tc.kgen.GenBootstrapKeys(tc.sk, tc.keys, cfg); err != nil {
+		return nil, err
+	}
+	return NewBootstrapper(tc.params, tc.enc, tc.eval, tc.keys)
+}
+
 func randomComplex(r *rand.Rand, n int, bound float64) []complex128 {
 	v := make([]complex128, n)
 	for i := range v {

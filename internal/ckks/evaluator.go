@@ -114,7 +114,8 @@ var errLevelZero = fmt.Errorf("%w: operand at level 0 has no prime left to resca
 // ErrScale marks operands whose scales disagree by more than the tolerance
 // that near-Δ primes need: their sum would mean nothing. MulConstAccum returns
 // it before borrowing anything; CheckScales is the same test for callers of
-// Add and Sub, which panic on it.
+// Add and Sub, which panic on it. GenBootstrapKeys and NewBootstrapper return
+// it for a chain whose EvalMod primes would make such a sum.
 var ErrScale = errors.New("ckks: operand scales differ")
 
 // CheckScales returns nil if every ciphertext's scale agrees with the first's

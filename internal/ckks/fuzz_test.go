@@ -134,9 +134,22 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 	f.Add(valid[:len(valid)/3])
 	f.Add([]byte{})
 	f.Add([]byte{1}) // claims a relin key, then nothing
-	for _, k := range hostileKeys(f, keys.Rlk) {
-		f.Add(binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, k), 0))
+	rlk, err := keys.Rlk.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
 	}
+	cfg := [5]uint32{3, 3, 31, 3, 12} // DefaultBootstrapConfig
+	for _, k := range hostileKeys(f, keys.Rlk) {
+		f.Add(keySetWire(k, nil))
+		f.Add(keySetWire(nil, bootSectionWire(cfg, rlk, k)))
+	}
+	// Bootstrap sections: one that decodes (the relinearization key standing
+	// in for both encapsulation keys), then a truncated and an implausible
+	// config.
+	section := bootSectionWire(cfg, rlk, rlk)
+	f.Add(keySetWire(rlk, section))
+	f.Add(keySetWire(nil, section[:bootConfigBytes-2]))
+	f.Add(keySetWire(nil, bootSectionWire([5]uint32{3, 3, 1 << 31, 3, 12}, rlk, rlk)))
 
 	// Claims 2^32-1 Galois keys: must fail on truncation, not allocate.
 	greedy := []byte{0, 0xff, 0xff, 0xff, 0xff}
@@ -158,6 +171,9 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 			t.Fatalf("round-trip mismatch: %d bytes in, %d bytes out", len(data), len(out))
 		}
 		all := []*SwitchingKey{s.Rlk}
+		if s.Boot != nil {
+			all = append(all, s.Boot.ToSparse, s.Boot.ToDense)
+		}
 		for _, k := range s.Gal {
 			all = append(all, k)
 		}

@@ -198,7 +198,7 @@ func TestBootstrapKeysAtTheirLevels(t *testing.T) {
 	p := tc.params
 	top := p.MaxLevel()
 	cfg := DefaultBootstrapConfig()
-	boot, err := NewBootstrapper(p, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, cfg)
+	boot, err := tc.bootstrapper(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

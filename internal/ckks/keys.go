@@ -107,10 +107,11 @@ func (k *SwitchingKey) CoeffBytes() int64 {
 	return polysBytes(k.BQ) + polysBytes(k.BP) + int64(len(k.Seed))
 }
 
-// EvaluationKeySet bundles the keys an Evaluator may need.
+// EvaluationKeySet bundles the keys an Evaluator and a Bootstrapper may need.
 type EvaluationKeySet struct {
-	Rlk *SwitchingKey            // relinearization key (w = s²)
-	Gal map[uint64]*SwitchingKey // Galois keys by Galois element
+	Rlk  *SwitchingKey            // relinearization key (w = s²)
+	Gal  map[uint64]*SwitchingKey // Galois keys by Galois element
+	Boot *BootstrapKeys           // bootstrap section, if the set serves bootstraps
 }
 
 // NewEvaluationKeySet returns an empty key set.
@@ -120,7 +121,8 @@ func NewEvaluationKeySet() *EvaluationKeySet {
 
 // ErrMissingKey is returned by the ops that switch keys — Rotate, Conjugate,
 // EvaluateLinearTransform, Mul, SwitchKeys — when the key they need is absent
-// or sits below the op's level. They check before borrowing or writing
+// or sits below the op's level, and by NewBootstrapper for any key a
+// bootstrap would spend so. They check before borrowing or writing
 // anything. The error wraps it with the key and, for a key too low, both
 // levels.
 var ErrMissingKey = errors.New("ckks: missing key")
@@ -134,11 +136,18 @@ func (s *EvaluationKeySet) GaloisKey(galEl uint64) (*SwitchingKey, error) {
 	return nil, fmt.Errorf("%w: no Galois key for element %d", ErrMissingKey, galEl)
 }
 
-// CoeffBytes returns the coefficient bytes of every key in the set.
+// CoeffBytes returns the coefficient bytes of every key in the set, the
+// bootstrap section's encapsulation keys included.
 func (s *EvaluationKeySet) CoeffBytes() int64 {
+	opt := []*SwitchingKey{s.Rlk}
+	if s.Boot != nil {
+		opt = append(opt, s.Boot.ToSparse, s.Boot.ToDense)
+	}
 	var n int64
-	if s.Rlk != nil {
-		n += s.Rlk.CoeffBytes()
+	for _, k := range opt {
+		if k != nil {
+			n += k.CoeffBytes()
+		}
 	}
 	for _, k := range s.Gal {
 		n += k.CoeffBytes()

@@ -201,14 +201,15 @@ func withKernelTier(t *testing.T, tier modarith.KernelTier, fn func()) {
 // with A stored. Every key of the logN 11 bootstrap key set — the evaluation
 // keys and both encapsulation keys — is D·(ℓ+1+α)·N·8 + 32 bytes, within
 // 32 B of half its former 2·D·(ℓ+1+α)·N·8, and the set is half of the
-// 210 632 704 bytes it measured with A stored, plus 32 per key.
+// 210 632 704 bytes its evaluation keys measured with A stored, plus 32 per
+// key, plus the encapsulation pair its bootstrap section now carries.
 func TestSeededKeyBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the bootstrap key set")
 	}
 	tc := buildTestContext(t, BootTestParameters(), false)
 	p := tc.params
-	boot, err := NewBootstrapper(p, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, DefaultBootstrapConfig())
+	boot, err := tc.bootstrapper(DefaultBootstrapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +230,10 @@ func TestSeededKeyBytes(t *testing.T) {
 	}
 	const before = 210632704 // 26 Galois keys and the relinearization key, A stored
 	n := int64(len(tc.keys.Gal) + 1)
-	if got, want := tc.keys.CoeffBytes(), int64(before/2)+32*n; got != want {
-		t.Errorf("key set %d bytes, want half of %d plus 32 per key = %d", got, before, want)
+	pair := boot.toSparse.CoeffBytes() + boot.toDense.CoeffBytes()
+	if got, want := tc.keys.CoeffBytes(), int64(before/2)+32*n+pair; got != want {
+		t.Errorf("key set %d bytes, want half of %d plus 32 per key plus the encapsulation pair's %d = %d", got, before, pair, want)
 	}
-	t.Logf("key set %.1f MB in %d keys (%.1f MB with A stored); toDense %.2f MB, toSparse %.3f MB",
+	t.Logf("key set %.1f MB in %d keys and the encapsulation pair (%.1f MB with A stored, without the pair); toDense %.2f MB, toSparse %.3f MB",
 		float64(tc.keys.CoeffBytes())/1e6, n, before/1e6, float64(boot.toDense.CoeffBytes())/1e6, float64(boot.toSparse.CoeffBytes())/1e6)
 }

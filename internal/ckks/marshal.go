@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -134,22 +135,58 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the full evaluation key set: the relinearization
-// key (if present) and every Galois key with its element.
-func (s *EvaluationKeySet) MarshalBinary() ([]byte, error) {
-	var buf []byte
-	if s.Rlk != nil {
-		b, err := s.Rlk.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		buf = appendChunk([]byte{1}, b)
-	} else {
-		buf = []byte{0}
+// appendOptional appends v behind a presence byte: 1 and v's length-prefixed
+// encoding, or a lone 0 for nil. It frames every optional part of a key set.
+func appendOptional[T any, PT interface {
+	*T
+	encoding.BinaryMarshaler
+}](buf []byte, v PT) ([]byte, error) {
+	if v == nil {
+		return append(buf, 0), nil
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(s.Gal)))
-	buf = append(buf, hdr[:]...)
+	b, err := v.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return appendChunk(append(buf, 1), b), nil
+}
+
+// readOptional decodes what appendOptional wrote, nil for an absent part;
+// what names the part in errors.
+func readOptional[T any, PT interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](data []byte, what string) (PT, []byte, error) {
+	if len(data) < 1 {
+		return nil, nil, fmt.Errorf("ckks: %s truncated", what)
+	}
+	switch data[0] {
+	case 0:
+		return nil, data[1:], nil
+	case 1:
+	default:
+		return nil, nil, fmt.Errorf("ckks: bad %s flag byte %#x", what, data[0])
+	}
+	chunk, rest, err := readChunk(data[1:])
+	if err != nil {
+		return nil, nil, err
+	}
+	v := PT(new(T))
+	if err := v.UnmarshalBinary(chunk); err != nil {
+		return nil, nil, err
+	}
+	return v, rest, nil
+}
+
+// MarshalBinary encodes the full evaluation key set: the relinearization
+// key (if present), every Galois key with its element, and the bootstrap
+// section (if present).
+func (s *EvaluationKeySet) MarshalBinary() ([]byte, error) {
+	buf, err := appendOptional(nil, s.Rlk)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Gal)))
 	// Deterministic order.
 	els := make([]uint64, 0, len(s.Gal))
 	for g := range s.Gal {
@@ -157,53 +194,34 @@ func (s *EvaluationKeySet) MarshalBinary() ([]byte, error) {
 	}
 	sort.Slice(els, func(i, j int) bool { return els[i] < els[j] })
 	for _, g := range els {
-		var ge [8]byte
-		binary.LittleEndian.PutUint64(ge[:], g)
-		buf = append(buf, ge[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, g)
 		b, err := s.Gal[g].MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
 		buf = appendChunk(buf, b)
 	}
-	return buf, nil
+	return appendOptional(buf, s.Boot)
 }
 
 // UnmarshalBinary decodes an evaluation key set.
 func (s *EvaluationKeySet) UnmarshalBinary(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("ckks: key set truncated")
-	}
-	if data[0] > 1 {
-		return fmt.Errorf("ckks: bad key set flag byte %#x", data[0])
-	}
-	hasRlk := data[0] == 1
-	rest := data[1:]
-	s.Rlk = nil
-	s.Gal = make(map[uint64]*SwitchingKey)
-	if hasRlk {
-		chunk, r, err := readChunk(rest)
-		if err != nil {
-			return err
-		}
-		s.Rlk = &SwitchingKey{}
-		if err := s.Rlk.UnmarshalBinary(chunk); err != nil {
-			return err
-		}
-		rest = r
+	rlk, rest, err := readOptional[SwitchingKey](data, "key set")
+	if err != nil {
+		return err
 	}
 	if len(rest) < 4 {
 		return fmt.Errorf("ckks: key set galois header truncated")
 	}
 	n := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
+	gal := make(map[uint64]*SwitchingKey)
 	for i := 0; i < n; i++ {
 		if len(rest) < 8 {
 			return fmt.Errorf("ckks: key set galois element truncated")
 		}
 		g := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		chunk, r, err := readChunk(rest)
+		chunk, r, err := readChunk(rest[8:])
 		if err != nil {
 			return err
 		}
@@ -211,12 +229,66 @@ func (s *EvaluationKeySet) UnmarshalBinary(data []byte) error {
 		if err := k.UnmarshalBinary(chunk); err != nil {
 			return err
 		}
-		s.Gal[g] = k
+		gal[g] = k
 		rest = r
+	}
+	boot, rest, err := readOptional[BootstrapKeys](rest, "bootstrap section")
+	if err != nil {
+		return err
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("ckks: trailing bytes after key set")
 	}
+	s.Rlk, s.Gal, s.Boot = rlk, gal, boot
+	return nil
+}
+
+// bootConfigBytes is the wire size of a BootstrapConfig: five uint32 fields.
+const bootConfigBytes = 5 * 4
+
+// MarshalBinary encodes a bootstrap section: the config's five fields, then
+// each encapsulation key framed as optional, as the relinearization key is.
+func (b *BootstrapKeys) MarshalBinary() ([]byte, error) {
+	c := b.Config
+	var buf []byte
+	for _, v := range []int{c.FFTIterC2S, c.FFTIterS2C, c.EvalModDeg, c.DoubleAngles, c.K} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	buf, err := appendOptional(buf, b.ToSparse)
+	if err != nil {
+		return nil, err
+	}
+	return appendOptional(buf, b.ToDense)
+}
+
+// UnmarshalBinary decodes a bootstrap section. Beyond framing, it refuses a
+// config no bootstrap runs under any parameters (a field out of range), so a
+// hostile upload cannot size anything by it; whether the parameters can run
+// it is NewBootstrapper's check.
+func (b *BootstrapKeys) UnmarshalBinary(data []byte) error {
+	if len(data) < bootConfigBytes {
+		return fmt.Errorf("ckks: bootstrap config truncated (%d < %d bytes)", len(data), bootConfigBytes)
+	}
+	var f [5]int
+	for i := range f {
+		f[i] = int(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	cfg := BootstrapConfig{FFTIterC2S: f[0], FFTIterS2C: f[1], EvalModDeg: f[2], DoubleAngles: f[3], K: f[4]}
+	if err := cfg.valid(); err != nil {
+		return err
+	}
+	toSparse, rest, err := readOptional[SwitchingKey](data[bootConfigBytes:], "encapsulation key")
+	if err != nil {
+		return err
+	}
+	toDense, rest, err := readOptional[SwitchingKey](rest, "encapsulation key")
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("ckks: %d trailing bytes after bootstrap section", len(rest))
+	}
+	*b = BootstrapKeys{Config: cfg, ToSparse: toSparse, ToDense: toDense}
 	return nil
 }
 

@@ -211,16 +211,43 @@ func TestSwitchingKeyRejectsBandSection(t *testing.T) {
 	if err := back.UnmarshalBinary(blob); err == nil {
 		t.Fatal("switching key with a band section decoded")
 	}
-	set := binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, blob), 0)
-	if err := (&EvaluationKeySet{}).UnmarshalBinary(set); err == nil {
+	if err := (&EvaluationKeySet{}).UnmarshalBinary(keySetWire(blob, nil)); err == nil {
 		t.Fatal("key set whose relinearization key has a band section decoded")
 	}
+}
+
+// keySetWire is the wire form of a key set holding no Galois key: the
+// relinearization key and the bootstrap section as given in their wire forms,
+// either nil for an absent one.
+func keySetWire(rlk, boot []byte) []byte {
+	set := []byte{0}
+	if rlk != nil {
+		set = appendChunk([]byte{1}, rlk)
+	}
+	set = binary.LittleEndian.AppendUint32(set, 0)
+	if boot == nil {
+		return append(set, 0)
+	}
+	return appendChunk(append(set, 1), boot)
+}
+
+// bootSectionWire is the wire form of a bootstrap section: the config's five
+// fields, then the two encapsulation keys as given in their wire forms.
+func bootSectionWire(cfg [5]uint32, toSparse, toDense []byte) []byte {
+	var b []byte
+	for _, v := range cfg {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return appendChunk(append(appendChunk(append(b, 1), toSparse), 1), toDense)
 }
 
 // TestSwitchingKeyRejectsHostileWireForms: a seed of the wrong length, a
 // digit count that disagrees with the level the rows give, and a missing or
 // short B row are each an error from the key decoder and from the key-set
-// decoder around it — never a panic, never a key.
+// decoder around it, as a relinearization or an encapsulation key — never a
+// panic, never a key. So is a bootstrap section whose config is truncated or
+// out of range, whose key flag is neither 0 nor 1, or that has bytes after
+// its keys.
 func TestSwitchingKeyRejectsHostileWireForms(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	good, err := tc.keys.Rlk.MarshalBinary()
@@ -231,13 +258,41 @@ func TestSwitchingKeyRejectsHostileWireForms(t *testing.T) {
 	if err := back.UnmarshalBinary(good); err != nil || back.Seed != tc.keys.Rlk.Seed {
 		t.Fatalf("the honest key does not decode to itself: %v", err)
 	}
+	cfg := [5]uint32{3, 3, 31, 3, 12} // DefaultBootstrapConfig
 	for name, blob := range hostileKeys(t, tc.keys.Rlk) {
 		var k SwitchingKey
 		if err := k.UnmarshalBinary(blob); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
-		set := binary.LittleEndian.AppendUint32(appendChunk([]byte{1}, blob), 0)
-		if err := (&EvaluationKeySet{}).UnmarshalBinary(set); err == nil {
+		if err := (&EvaluationKeySet{}).UnmarshalBinary(keySetWire(blob, nil)); err == nil {
+			t.Errorf("%s: a key set holding it decoded", name)
+		}
+		if err := (&EvaluationKeySet{}).UnmarshalBinary(keySetWire(nil, bootSectionWire(cfg, good, blob))); err == nil {
+			t.Errorf("%s: a key set holding it as an encapsulation key decoded", name)
+		}
+	}
+
+	section := bootSectionWire(cfg, good, good)
+	var back2 EvaluationKeySet
+	if err := back2.UnmarshalBinary(keySetWire(nil, section)); err != nil || back2.Boot.Config != DefaultBootstrapConfig() {
+		t.Fatalf("the honest bootstrap section does not decode to itself: %v", err)
+	}
+	for name, sec := range map[string][]byte{
+		"config truncated":      section[:bootConfigBytes-1],
+		"no keys":               section[:bootConfigBytes],
+		"fftIter 0":             bootSectionWire([5]uint32{0, 3, 31, 3, 12}, good, good),
+		"degree 2^31":           bootSectionWire([5]uint32{3, 3, 1 << 31, 3, 12}, good, good),
+		"double angles 2^32-1":  bootSectionWire([5]uint32{3, 3, 31, 1<<32 - 1, 12}, good, good),
+		"K 0":                   bootSectionWire([5]uint32{3, 3, 31, 3, 0}, good, good),
+		"key flag 2":            append(append([]byte{}, section[:bootConfigBytes]...), 2),
+		"byte after the keys":   append(append([]byte{}, section...), 0),
+		"encapsulation key cut": section[:len(section)-1],
+	} {
+		var b BootstrapKeys
+		if err := b.UnmarshalBinary(sec); err == nil {
+			t.Errorf("%s: bootstrap section decoded", name)
+		}
+		if err := (&EvaluationKeySet{}).UnmarshalBinary(keySetWire(nil, sec)); err == nil {
 			t.Errorf("%s: a key set holding it decoded", name)
 		}
 	}

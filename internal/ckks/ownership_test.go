@@ -258,7 +258,7 @@ func TestUseAfterRelease(t *testing.T) {
 		}},
 		{lit: BootTestParameters(), values: func(r *rand.Rand, n int) []complex128 { return randomComplex(r, n, 0.7) }, level: 0,
 			setup: func(tc *testContext) {
-				boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, DefaultBootstrapConfig())
+				boot, err := tc.bootstrapper(DefaultBootstrapConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -150,7 +150,7 @@ func TestBootstrapAllocs(t *testing.T) {
 		t.Skip("bootstrapping test is expensive")
 	}
 	tc := newTestContext(t, BootTestParameters())
-	boot, err := NewBootstrapper(tc.params, tc.enc, tc.eval, tc.kgen, tc.sk, tc.keys, DefaultBootstrapConfig())
+	boot, err := tc.bootstrapper(DefaultBootstrapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,8 @@ func checkKeyRows(k *SwitchingKey, qRows, pRows, n int, qm, pm []modarith.Modulu
 // CheckKeys returns an error wrapping ErrShape, naming the key, unless every
 // switching key of keys is one key generation gives at its level under p:
 // a level in [0, MaxLevel] and checkKeyRows with every residue reduced. An
-// absent relinearization key passes; a nil Galois key or key set does not.
+// absent relinearization or encapsulation key passes (NewBootstrapper refuses
+// the latter as missing); a nil Galois key or key set does not.
 func (p *Parameters) CheckKeys(keys *EvaluationKeySet) error {
 	if keys == nil {
 		return fmt.Errorf("%w: no evaluation key set", ErrShape)
@@ -72,9 +73,16 @@ func (p *Parameters) CheckKeys(keys *EvaluationKeySet) error {
 		}
 		return nil
 	}
-	if keys.Rlk != nil {
-		if err := check("relinearization key", keys.Rlk); err != nil {
-			return err
+	optional := map[string]*SwitchingKey{"relinearization key": keys.Rlk}
+	if b := keys.Boot; b != nil {
+		optional["dense-to-sparse encapsulation key"] = b.ToSparse
+		optional["sparse-to-dense encapsulation key"] = b.ToDense
+	}
+	for name, k := range optional {
+		if k != nil {
+			if err := check(name, k); err != nil {
+				return err
+			}
 		}
 	}
 	for g, k := range keys.Gal {

@@ -71,6 +71,26 @@ func TestSessionKeyBytesAccounting(t *testing.T) {
 	if got := e.sessions.Bytes(); got != want {
 		t.Fatalf("key cache holds %d bytes, independent sum is %d", got, want)
 	}
+
+	// A bootstrap key set is accounted with its bootstrap section's
+	// encapsulation pair, which the session's bootstrapper spends.
+	boot := newBootClient(t)
+	bk := boot.keys.Boot
+	pair := rawSwitchingKeyBytes(bk.ToSparse) + rawSwitchingKeyBytes(bk.ToDense)
+	bootWant := rawSwitchingKeyBytes(boot.keys.Rlk) + pair
+	for _, k := range boot.keys.Gal {
+		bootWant += rawSwitchingKeyBytes(k)
+	}
+	bootSess, err := e.AttachSession(boot.params, boot.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bootSess.KeyBytes(); got != bootWant || pair == 0 {
+		t.Fatalf("bootstrap session accounted at %d bytes, independent sum with the encapsulation pair is %d", got, bootWant)
+	}
+	if got := e.sessions.Bytes(); got != want+bootWant {
+		t.Fatalf("key cache holds %d bytes, independent sum is %d", got, want+bootWant)
+	}
 }
 
 // TestSessionRejectsMismatchedKeys: a key that does not have the session
@@ -107,7 +127,7 @@ func TestSessionRejectsMismatchedKeys(t *testing.T) {
 	bad := append(binary.LittleEndian.AppendUint32(nil, 31), rlkBlob[4:4+31]...)
 	bad = append(bad, rlkBlob[4+32:]...)
 	set := binary.LittleEndian.AppendUint32([]byte{1}, uint32(len(bad)))
-	set = binary.LittleEndian.AppendUint32(append(set, bad...), 0)
+	set = append(binary.LittleEndian.AppendUint32(append(set, bad...), 0), 0) // no Galois keys, no bootstrap section
 	body = `{"preset":"test","evalKeys":"` + base64.StdEncoding.EncodeToString(set) + `"}`
 	if code, resp := doRequest(t, h, "POST", "/v1/sessions", body); code/100 != 4 || !strings.Contains(fmt.Sprint(resp["error"]), "seed") {
 		t.Fatalf("key with a 31-byte seed: %d %v, want a 4xx naming the seed", code, resp)
@@ -124,6 +144,8 @@ func TestSessionRejectsMismatchedKeys(t *testing.T) {
 		"missing B row":    {Rlk: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: append([]*ring.Poly{nil}, rlk.BQ[1:]...), BP: rlk.BP}},
 		"short B row":      {Rlk: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: append([]*ring.Poly{short}, rlk.BQ[1:]...), BP: rlk.BP}},
 		"missing key":      {Rlk: rlk, Gal: map[uint64]*ckks.SwitchingKey{5: nil}},
+		"encapsulation key missing a digit": {Rlk: rlk, Boot: &ckks.BootstrapKeys{Config: ckks.DefaultBootstrapConfig(),
+			ToDense: &ckks.SwitchingKey{Seed: rlk.Seed, BQ: rlk.BQ[1:], BP: rlk.BP[1:]}}},
 		"coefficient-domain P row": {Rlk: &ckks.SwitchingKey{
 			Seed: rlk.Seed, BQ: rlk.BQ, BP: append([]*ring.Poly{&notNTT}, rlk.BP[1:]...)}},
 	} {

@@ -10,13 +10,23 @@ import (
 )
 
 // Session is one client's serving context: compiled parameters, the
-// client-uploaded evaluation keys, and the evaluator bound to them. The
-// server never holds secret material — clients keep the secret key, upload
-// only relinearization/Galois keys, and ship ciphertexts.
+// client-uploaded evaluation keys, the evaluator bound to them and, when the
+// keys carry a bootstrap section, the bootstrapper built from them.
+//
+// Trust model: the server holds no secret material, for any op, bootstrap
+// included. The client keeps the secret key and uploads only switching keys —
+// relinearization, Galois and, for a session that bootstraps, the two
+// encapsulation keys of its bootstrap section (made by GenBootstrapKeys in package ckks) — each
+// an RLWE encryption under its secret, and ships ciphertexts; the server
+// evaluates and never decrypts. What it checks of the upload is the keys'
+// shape and, for a bootstrap section, that every key a bootstrap spends is
+// present at its level; a key that passes but is wrong only spoils that
+// client's own results.
 //
 // A Session is safe for concurrent use: the evaluator's lazy caches are
-// internally locked and every op returns a result of its own. The session
-// mutex only serializes the few stateful extras (bootstrapper, transform map).
+// internally locked, every op returns a result of its own, and the
+// bootstrapper is fixed when the session is attached. The session mutex only
+// serializes the transform map.
 //
 // Sessions live in the engine's byte-bounded key cache, keyed by ID and
 // costed by their evaluation-key size; cold sessions are evicted under
@@ -30,9 +40,9 @@ type Session struct {
 	Created time.Time
 
 	keyBytes int64
+	boot     *ckks.Bootstrapper // nil unless Keys has a bootstrap section
 
 	mu         sync.Mutex
-	boot       *ckks.Bootstrapper
 	transforms map[string]*ckks.LinearTransform
 }
 
@@ -56,11 +66,13 @@ func (s *Session) release() {
 
 // AttachSession registers a session over compiled parameters. A key that
 // fails ckks.Parameters.CheckKeys is refused with an error wrapping
-// ErrKeyShape and the ckks error. The session enters the key cache costed at
-// its measured evaluation-key size — every switching key's 2·D digit
-// polynomials over Q and P, 8 bytes per coefficient — and under memory
-// pressure the least recently used unpinned sessions are evicted to make
-// room for it.
+// ErrKeyShape and the ckks error. A key set with a bootstrap section gets the
+// session's bootstrapper (ckks.NewBootstrapper), so a key a bootstrap would
+// miss is refused here, wrapping ckks.ErrMissingKey, not at the first
+// bootstrap. The session enters the key cache costed at its measured
+// evaluation-key size — every switching key's digit polynomials over Q and
+// P, 8 bytes per coefficient, and its seed — and under memory pressure the
+// least recently used unpinned sessions are evicted to make room for it.
 func (e *Engine) AttachSession(params *ckks.Parameters, keys *ckks.EvaluationKeySet) (*Session, error) {
 	if err := params.CheckKeys(keys); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrKeyShape, err)
@@ -74,6 +86,12 @@ func (e *Engine) AttachSession(params *ckks.Parameters, keys *ckks.EvaluationKey
 		Created:    time.Now(),
 		keyBytes:   keys.CoeffBytes(),
 		transforms: make(map[string]*ckks.LinearTransform),
+	}
+	if keys.Boot != nil {
+		var err error
+		if s.boot, err = ckks.NewBootstrapper(params, s.Enc, s.Eval, keys); err != nil {
+			return nil, fmt.Errorf("engine: bootstrap keys: %w", err)
+		}
 	}
 	// Checked and inserted under one hold of e.mu, so Close — which sets
 	// closed under it before it clears the cache — never leaves a session
@@ -109,14 +127,6 @@ var ErrKeyShape = errors.New("engine: evaluation key does not match the session 
 // is not resident (never attached, detached or evicted); the HTTP layer maps
 // it to 404.
 var ErrUnknownSession = errors.New("engine: unknown session")
-
-// SetBootstrapper enables the "bootstrap" op for embedded sessions (the
-// HTTP path cannot: constructing a bootstrapper requires the secret key).
-func (s *Session) SetBootstrapper(b *ckks.Bootstrapper) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.boot = b
-}
 
 // RegisterTransform names a linear transform for use by "lintrans" ops.
 // The needed rotation keys must be present in the session's key set.
@@ -190,13 +200,10 @@ func (s *Session) evalOp(op *OpSpec, arg func(string) (*ckks.Ciphertext, error))
 		// ckks.ErrMissingKey.
 		out, err = ev.EvaluateLinearTransform(args[0], lt, s.Enc)
 	case "bootstrap":
-		s.mu.Lock()
-		boot := s.boot
-		s.mu.Unlock()
-		if boot == nil {
-			return nil, fmt.Errorf("engine: session has no bootstrapper")
+		if s.boot == nil {
+			return nil, fmt.Errorf("%w: the session's key set has no bootstrap section", ckks.ErrMissingKey)
 		}
-		out, err = boot.Bootstrap(args[0])
+		out, err = s.boot.Bootstrap(args[0])
 	default:
 		err = fmt.Errorf("engine: unknown op kind %q", op.Op)
 	}

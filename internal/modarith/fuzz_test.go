@@ -2,6 +2,7 @@ package modarith
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -31,6 +32,9 @@ func FuzzVecKernels(f *testing.F) {
 	f.Add(uint8(1), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(0xf3), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	// A span-2 stage chain at the 45-bit prime whose forward outputs reach
+	// [2q, 4q): the inverse stage is specified on [0, 2q) only.
+	f.Add(uint8(0), []byte(strings.Repeat("0", 45)+"A"+strings.Repeat("0", 242)))
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		m := fuzzModuli[int(sel)%len(fuzzModuli)]
 		n := len(data)/16 + 1 // 1..65 for up to 1 KiB of data
@@ -186,6 +190,16 @@ func FuzzVecKernels(f *testing.F) {
 				want := append([]uint64(nil), got...)
 				tbl.fwdStage(m, got, psi, psiShoup, span, span, sel&4 != 0)
 				vecFwdStageGo(m, want, psi, psiShoup, span, span, sel&4 != 0)
+				// A forward stage above span 1 leaves [0, 4q) and the inverse
+				// stage reads [0, 2q): fold both copies alike, as a transform
+				// does between its directions.
+				for _, v := range [][]uint64{got, want} {
+					for j, x := range v {
+						if x >= m.TwoQ {
+							v[j] = x - m.TwoQ
+						}
+					}
+				}
 				tbl.invStage(m, got, psi, psiShoup, span, span)
 				vecInvStageGo(m, want, psi, psiShoup, span, span)
 				tbl.invFinal(m, got[:span*nb], got[span*nb:], w, ws, psi[0], psiShoup[0], sel&8 != 0)
