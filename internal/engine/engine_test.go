@@ -520,8 +520,9 @@ func TestHostileScales(t *testing.T) {
 // TestSubmitRefusesMalformedInputs: an input that is not a ciphertext of
 // the session's parameters — one limb above MaxLevel, half the ring degree, a
 // coefficient-domain component, a residue at or above its q_i, a nil
-// component — is refused by Submit with ckks.ErrShape, and over HTTP with a
-// 400, before anything is borrowed or a job exists. At pool width 2 the
+// component — is refused by Submit with ckks.ErrShape as the argument of an op
+// of every kind the engine knows (opArity), and over HTTP with a 400, before
+// anything is borrowed, a goroutine started or a job exists. At pool width 2 the
 // limbs of an add run on par workers, where such an input used to panic
 // outside the engine's recover and end the process.
 func TestSubmitRefusesMalformedInputs(t *testing.T) {
@@ -570,9 +571,29 @@ func TestSubmitRefusesMalformedInputs(t *testing.T) {
 		"residue at q_1":               hostile(1, func(p *ring.Poly) *ring.Poly { p.Coeffs[1][3] = q1; return p }),
 		"nil component":                hostile(1, func(*ring.Poly) *ring.Poly { return nil }),
 	}
+	// One op of every kind the engine admits, each on the hostile input.
+	var ops []OpSpec
+	for kind, arity := range opArity {
+		op := OpSpec{ID: "s", Op: kind, Args: []string{"x"}}
+		switch {
+		case arity < 0:
+			op.Args, op.Vals = []string{"x", "x"}, []float64{1, 1}
+		case arity == 2:
+			op.Args = []string{"x", "x"}
+		}
+		switch kind {
+		case "rotate":
+			op.K = 1
+		case "addconst", "mulconst":
+			op.Val = 0.5
+		case "lintrans":
+			op.Name = "shift"
+		}
+		ops = append(ops, op)
+	}
 	goroutines := runtime.NumGoroutine()
 	for name, ct := range cases {
-		for _, op := range []OpSpec{{ID: "s", Op: "add", Args: []string{"x", "x"}}, {ID: "s", Op: "square", Args: []string{"x"}}} {
+		for _, op := range ops {
 			gets0 := gets()
 			job, err := e.Submit(JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": ct}, Ops: []OpSpec{op}, Outputs: []string{"s"}})
 			if !errors.Is(err, ckks.ErrShape) || job != nil {
@@ -580,6 +601,9 @@ func TestSubmitRefusesMalformedInputs(t *testing.T) {
 			}
 			if n := gets() - gets0; n != 0 {
 				t.Errorf("%s of an input with %s: borrowed %v pooled polynomials", op.Op, name, n)
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("%s of an input with %s: %d goroutines, %d before", op.Op, name, n, goroutines)
 			}
 		}
 		if ct.C1 == nil {

@@ -39,9 +39,11 @@ import (
 type createSessionRequest struct {
 	// Preset names a built-in parameter set ("test" or "boot"); Params
 	// supplies an explicit literal instead.
-	Preset   string                  `json:"preset,omitempty"`
-	Params   *ckks.ParametersLiteral `json:"params,omitempty"`
-	EvalKeys string                  `json:"evalKeys"`
+	Preset string                  `json:"preset,omitempty"`
+	Params *ckks.ParametersLiteral `json:"params,omitempty"`
+	// EvalKeys is the base64 key set; the JSON decoder writes it straight
+	// into bytes, so no base64 string of it ever exists.
+	EvalKeys []byte `json:"evalKeys"`
 }
 
 type createSessionResponse struct {
@@ -122,27 +124,30 @@ func writeOverload(w http.ResponseWriter, err error) {
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		}
+		writeBodyError(w, err)
 		return nil, false
 	}
 	return body, true
 }
 
-// decodeJSON decodes a capped request body (readBody) into v; a malformed
-// one gets 400. It reports whether the caller should go on.
-func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body, ok := readBody(w, r, limit)
-	if !ok {
-		return false
+// writeBodyError answers a request whose body could not be read or decoded:
+// 413 past the body-size cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		return
 	}
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+}
+
+// decodeJSON decodes a request body into v as it is read, under the engine's
+// body-size cap, without a copy of the body: 413 past the cap, 400 if it is
+// malformed. It reports whether the caller should go on.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		writeBodyError(w, err)
 		return false
 	}
 	return true
@@ -218,13 +223,10 @@ func NewHTTPHandler(e *Engine) http.Handler {
 				return
 			}
 		}
-		raw, err := base64.StdEncoding.DecodeString(req.EvalKeys)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("evalKeys: %w", err))
-			return
-		}
 		keys := &ckks.EvaluationKeySet{}
-		if err := keys.UnmarshalBinary(raw); err != nil {
+		err := keys.UnmarshalBinary(req.EvalKeys)
+		req.EvalKeys = nil // the key set holds copies: drop the upload before the session is built
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("evalKeys: %w", err))
 			return
 		}

@@ -70,7 +70,10 @@ type kernelTable struct {
 	dotKeyLazy        func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool)
 	// convertRow takes its own table: the tiled entries run on the table's
 	// wide kernels, and the IFMA one hands them the row tail.
-	convertRow    func(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64)
+	convertRow func(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64)
+	// convertRows converts a group of targets (VecConvertRows); without the
+	// IFMA kernel it is convertRow once per target.
+	convertRows   func(t *kernelTable, outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows [][]uint64, fold int, lazy bool, hi []uint64)
 	expandUniform func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int)
 
 	add func(m Modulus, out, a, b []uint64)
@@ -102,6 +105,7 @@ var goKernels = kernelTable{
 	dotLazy:           vecDotLazyGo,
 	dotKeyLazy:        vecDotKeyLazyGo,
 	convertRow:        convertRowTiled,
+	convertRows:       convertRowsLoop,
 	expandUniform:     expandUniformGo,
 	add:               vecAddGo,
 	sub:               vecSubGo,

@@ -82,6 +82,23 @@ func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accM
 //go:noescape
 func vecConvertRowAVX512(out []uint64, rows [][]uint64, terms []convTerm, accMask, exitQ, q, twoQ, u0, u1 uint64)
 
+// vecConvertRowsAVX512 is vecConvertRowAVX512 for the first ng targets of tg
+// at once, 2 ≤ ng ≤ ConvertGroup, over n (a multiple of 8) words: each
+// eight-word load of a source row feeds every target's accumulator, each
+// target with its own output, terms, modulus and exit.
+//
+//go:noescape
+func vecConvertRowsAVX512(tg *[ConvertGroup]convTarget, ng int, rows [][]uint64, n int, accMask uint64)
+
+// convTarget is one target of vecConvertRowsAVX512, laid out for the
+// assembly (56 bytes, the offsets GROUP_OPEN and GROUP_CLOSE read).
+type convTarget struct {
+	out             *uint64
+	terms           *convTerm // the first term of the call's run
+	q, twoQ, u0, u1 uint64
+	exitQ           uint64 // q for an exact exit, 0 for a lazy one
+}
+
 // maxIFMATerms is the most terms one vecConvertRowAVX512 call may sum. A
 // term adds below 2^52 to each accumulator register at most twice, and to
 // the two weight-2^52 registers three times together, which the close adds
@@ -183,6 +200,7 @@ func asmKernelTable(ifma bool) *kernelTable {
 		dot(m, outA[:len(outB)], a, u, accA)
 	}
 	t.convertRow = convertRowTiled
+	t.convertRows = convertRowsLoop
 	if ifma {
 		t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
 			n := len(outB)
@@ -204,6 +222,7 @@ func asmKernelTable(ifma bool) *kernelTable {
 			vecDotKeyLazyAVX512(outB, outA, a, b[:len(a)], u[:len(a)], maskB, maskA, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
 		}
 		t.convertRow = convertRowIFMA
+		t.convertRows = convertRowsIFMA
 	}
 	t.expandUniform = expandUniformGo
 	if hasVAES {
@@ -249,6 +268,63 @@ func convertRowIFMA(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c 
 	}
 	if n < len(out) {
 		convertRowTiles(t, m, out[n:], rows, n, c, fold, lazy, hi)
+	}
+}
+
+// convertRowsIFMA runs the targets' whole multiple of 8 coefficients through
+// vecConvertRowsAVX512, ConvertGroup targets a call, at convertRowIFMA's fold
+// points, and the rest of each row through the tiled loop. A lone target, two
+// targets with a wide term (whose chains of three multiply-adds two targets
+// cannot hide), a target of at most 24 bits (past BARRETT_T52's bound) and a
+// shape convertRowIFMA hands the tiled loop go to convertRowIFMA, whose two
+// vectors a step outrun them.
+func convertRowsIFMA(t *kernelTable, outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows [][]uint64, fold int, lazy bool, hi []uint64) {
+	k, n := len(rows), len(outs[0])&^7
+	if n == 0 || (k > maxIFMATerms && fold > maxIFMATerms) {
+		convertRowsLoop(t, outs, ms, cs, js, rows, fold, lazy, hi)
+		return
+	}
+	for _, row := range rows {
+		_ = row[n-1] // the assembly does its own addressing
+	}
+	for len(js) > 0 {
+		g := min(len(js), ConvertGroup)
+		var tg [ConvertGroup]convTarget
+		for i, j := range js[:g] {
+			m := ms[j]
+			if m.BRedHi >= 1<<40 {
+				g = 1 // q ≤ 2^24: BARRETT_T52 does not hold
+			}
+			tg[i] = convTarget{out: &outs[i][0], q: m.Q, twoQ: m.TwoQ, u0: m.BRedHi, u1: m.BRedLo}
+		}
+		if g == 2 && (cs[js[0]].wide || cs[js[1]].wide) {
+			g = 1
+		}
+		if g == 1 {
+			convertRowIFMA(t, ms[js[0]], outs[0], rows, &cs[js[0]], fold, lazy, hi)
+			outs, js = outs[1:], js[1:]
+			continue
+		}
+		var accMask uint64
+		for k0, k1 := 0, min(fold, k); ; k0, k1 = k1, min(k1+fold-1, k) {
+			for i, j := range js[:g] {
+				tg[i].terms, tg[i].exitQ = &cs[j].terms[k0], 0
+				if k1 == k && !lazy {
+					tg[i].exitQ = tg[i].q
+				}
+			}
+			vecConvertRowsAVX512(&tg, g, rows[k0:k1], n, accMask)
+			if k1 == k {
+				break
+			}
+			accMask = 0xff
+		}
+		if n < len(outs[0]) {
+			for i, j := range js[:g] {
+				convertRowTiles(t, ms[j], outs[i][n:], rows, n, &cs[j], fold, lazy, hi)
+			}
+		}
+		outs, js = outs[g:], js[g:]
 	}
 }
 

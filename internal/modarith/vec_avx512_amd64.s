@@ -827,12 +827,16 @@ dotLazyTerm:
 
 // IFMA_OPEN opens an accumulator on the eight words at ADDR under mask K
 // (all-zero: on nothing): L = out mod 2^52, M1 = out>>52, the rest 0.
-#define IFMA_OPEN(ADDR, K, L, M1, M2, H1, H2) \
+// IFMA_OPEN3 opens the three-register form L, M, H the group kernel keeps.
+#define IFMA_OPEN3(ADDR, K, L, M, H) \
 	VMOVDQU64.Z ADDR, K, Z4 \
 	VPANDQ Z24, Z4, L       \
-	VPSRLQ $52, Z4, M1      \
-	VPXORQ M2, M2, M2       \
-	VPXORQ H1, H1, H1       \
+	VPSRLQ $52, Z4, M       \
+	VPXORQ H, H, H
+
+#define IFMA_OPEN(ADDR, K, L, M1, M2, H1, H2) \
+	IFMA_OPEN3(ADDR, K, L, M1, H1) \
+	VPXORQ M2, M2, M2              \
 	VPXORQ H2, H2, H2
 
 // IFMA_CLOSE turns the accumulator into the 128-bit HI:LO it stands for,
@@ -841,21 +845,44 @@ dotLazyTerm:
 //	HI = M>>12 + H·2^40 + carry
 // then reduces it to [0, 2q) in Z0 as vecDotLazyAVX512 does. With every
 // register below 2^64, HI:LO is the sum mod 2^128, which the callers' term
-// bounds keep below 2^128. Clobbers Z0–Z9, K1.
-#define IFMA_CLOSE(L, M1, M2, H1, H2) \
-	VPADDQ M2, M1, M1                         \
-	VPADDQ H2, H1, H1                         \
-	VPSLLQ $52, M1, Z5                        \
-	VPADDQ Z5, L, Z3                          \ // LO
-	VPCMPUQ $1, Z5, Z3, K1                    \ // carry: LO <u (M<<52)
-	VPSRLQ $12, M1, Z2                        \
-	VPSLLQ $40, H1, Z6                        \
-	VPADDQ Z6, Z2, Z2                         \
-	VPADDQ Z25, Z2, K1, Z2                    \ // HI
-	BARRETT_T(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7) \
-	VPMULLQ Z27, Z4, Z5                       \
-	VPSUBQ Z5, Z3, Z0                         \
+// bounds keep below 2^128. IFMA_CLOSE3 closes the three-register form.
+// Clobbers Z0–Z9, K1.
+#define IFMA_CLOSE3(BARRETT, L, M, H) \
+	VPSLLQ $52, M, Z5                       \
+	VPADDQ Z5, L, Z3                        \ // LO
+	VPCMPUQ $1, Z5, Z3, K1                  \ // carry: LO <u (M<<52)
+	VPSRLQ $12, M, Z2                       \
+	VPSLLQ $40, H, Z6                       \
+	VPADDQ Z6, Z2, Z2                       \
+	VPADDQ Z25, Z2, K1, Z2                  \ // HI
+	BARRETT(Z2, Z3, Z4, Z8, Z9, Z5, Z6, Z7) \
+	VPMULLQ Z27, Z4, Z5                     \
+	VPSUBQ Z5, Z3, Z0                       \
 	CONDSUB(Z0, Z28, Z5)
+
+#define IFMA_CLOSE(L, M1, M2, H1, H2) \
+	VPADDQ M2, M1, M1                \
+	VPADDQ H2, H1, H1                \
+	IFMA_CLOSE3(BARRETT_T, L, M1, H1)
+
+// BARRETT_T52 is BARRETT_T for u0 < 2^40 (q > 2^24), whose term
+// hi64(xlo·u0) it forms on two multiply-adds, with Z24 = 2^52 − 1: for
+// xlo = x0 + x1·2^52 and S = hi52(x0·u0) + x1·u0 (x1·u0 < 2^52, so its low
+// 52 bits are all of it), xlo·u0 = lo52(x0·u0) + S·2^52 and
+//	hi64(xlo·u0) = S>>12 ,
+// the dropped lo52(x0·u0)/2^64 < 2^-12 never carrying past the fraction of
+// S/2^12. The same quotient, so the same words.
+#define BARRETT_T52(XHI, XLO, T, H, L, T0, T1, T2) \
+	VPMULLQ Z29, XHI, T                  \
+	VPANDQ Z24, XLO, T0                  \
+	VPSRLQ $52, XLO, T1                  \
+	VPXORQ H, H, H                       \
+	VPMADD52HUQ Z29, T0, H               \
+	VPMADD52LUQ Z29, T1, H               \
+	VPSRLQ $12, H, H                     \
+	VPADDQ H, T, T                       \
+	MUL128x8(XHI, Z30, H, L, T0, T1, T2) \
+	VPADDQ H, T, T
 
 // func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
 // The two dots of a gadget product against one key, out of one pass over the
@@ -973,6 +1000,112 @@ convRowNext:
 	ADDQ $16, DX
 	CMPQ DX, CX
 	JL convRowLoop
+	VZEROUPPER
+	RET
+
+// The group conversion's per-target steps. A target's convTarget sits at
+// OFF(DI) (out +0, terms +8, q, twoQ, u0, u1 at +16..+40, exitQ +48) and its
+// terms pointer in a register of its own; its accumulator is L, M, H.
+#define GROUP_OPEN(OFF, L, M, H) \
+	MOVQ OFF(DI), SI \
+	IFMA_OPEN3((SI)(DX*8), K3, L, M, H)
+
+// GROUP_TERM adds the term at R12 of TERMS to the accumulator, for the
+// source vector Z0 and Z1 = Z0>>52: two multiply-adds if narrow, IFMA_TERM's
+// seven into L, M, M, H, H if not.
+#define GROUP_TERM(TERMS, L, M, H, WIDE, NEXT) \
+	CMPQ 16(TERMS)(R12*1), $0                \
+	JNE WIDE                                 \
+	VPMADD52LUQ.BCST (TERMS)(R12*1), Z0, L   \ // w
+	VPMADD52HUQ.BCST (TERMS)(R12*1), Z0, M   \
+	JMP NEXT                                 \
+WIDE:                                        \
+	VPBROADCASTQ (TERMS)(R12*1), Z2          \ // w
+	VPBROADCASTQ 8(TERMS)(R12*1), Z3         \ // w1
+	IFMA_TERM(Z0, Z1, Z2, Z3, L, M, M, H, H) \
+NEXT:
+
+// GROUP_CLOSE closes the accumulator on the target's own constants, the
+// quotient by BARRETT_T52 (the caller keeps targets with q ≤ 2^24 out), and
+// stores it at DX.
+#define GROUP_CLOSE(OFF, L, M, H) \
+	VPBROADCASTQ (OFF+16)(DI), Z27    \
+	VPBROADCASTQ (OFF+24)(DI), Z28    \
+	VPBROADCASTQ (OFF+32)(DI), Z29    \
+	VPBROADCASTQ (OFF+40)(DI), Z30    \
+	VPBROADCASTQ (OFF+48)(DI), Z31    \
+	IFMA_CLOSE3(BARRETT_T52, L, M, H) \
+	CONDSUB(Z0, Z31, Z5)              \
+	MOVQ OFF(DI), SI                  \
+	VMOVDQU64 Z0, (SI)(DX*8)
+
+// func vecConvertRowsAVX512(tg *[ConvertGroup]convTarget, ng int, rows [][]uint64, n int, accMask uint64)
+// vecConvertRowAVX512 for 2 ≤ ng ≤ 4 targets per pass over the rows, eight
+// coefficients a step: each source vector is loaded once and feeds target
+// t's accumulator Z(10+3t)–Z(12+3t), held in three registers, as the weights
+// 2^52 and 2^104 each take at most three of a term's multiply-adds and the
+// four targets give the core twelve independent chains. The targets past ng
+// are skipped at every step, on branches that go the same way each time.
+// (A lone target runs vecConvertRowAVX512, two vectors a step.)
+TEXT ·vecConvertRowsAVX512(SB), NOSPLIT, $0-56
+	MOVQ tg+0(FP), DI
+	MOVQ ng+8(FP), R11
+	MOVQ rows_base+16(FP), R8
+	MOVQ rows_len+24(FP), R13
+	IMULQ $24, R13                            // end offset of the row headers
+	MOVQ n+40(FP), CX
+	MOVQ accMask+48(FP), AX
+	KMOVW AX, K3
+	MOVQ 8(DI), R9                            // the four targets' terms
+	MOVQ 64(DI), R10
+	MOVQ 120(DI), R14
+	MOVQ 176(DI), BX
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z25
+	MOVQ $0x100000000, AX
+	VPBROADCASTQ AX, Z26
+	MOVQ $0xfffffffffffff, AX
+	VPBROADCASTQ AX, Z24                      // 2^52 − 1
+	XORQ DX, DX
+convRowsLoop:
+	GROUP_OPEN(0, Z10, Z11, Z12)
+	GROUP_OPEN(56, Z13, Z14, Z15)
+	CMPQ R11, $2
+	JEQ convRowsOpen
+	GROUP_OPEN(112, Z16, Z17, Z18)
+	CMPQ R11, $3
+	JEQ convRowsOpen
+	GROUP_OPEN(168, Z19, Z20, Z21)
+convRowsOpen:
+	XORQ R12, R12
+convRowsTerm:
+	MOVQ (R8)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z0
+	VPSRLQ $52, Z0, Z1                        // a1
+	GROUP_TERM(R9, Z10, Z11, Z12, convRowsWide0, convRowsNext0)
+	GROUP_TERM(R10, Z13, Z14, Z15, convRowsWide1, convRowsNext1)
+	CMPQ R11, $2
+	JEQ convRowsNext
+	GROUP_TERM(R14, Z16, Z17, Z18, convRowsWide2, convRowsNext2)
+	CMPQ R11, $3
+	JEQ convRowsNext
+	GROUP_TERM(BX, Z19, Z20, Z21, convRowsWide3, convRowsNext3)
+convRowsNext:
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JL convRowsTerm
+	GROUP_CLOSE(0, Z10, Z11, Z12)
+	GROUP_CLOSE(56, Z13, Z14, Z15)
+	CMPQ R11, $2
+	JEQ convRowsStored
+	GROUP_CLOSE(112, Z16, Z17, Z18)
+	CMPQ R11, $3
+	JEQ convRowsStored
+	GROUP_CLOSE(168, Z19, Z20, Z21)
+convRowsStored:
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL convRowsLoop
 	VZEROUPPER
 	RET
 

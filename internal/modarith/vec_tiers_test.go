@@ -1,6 +1,7 @@
 package modarith
 
 import (
+	"fmt"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -607,6 +608,106 @@ func TestTierConvertRowTermLimit(t *testing.T) {
 				convertRowTiled(&goKernels, m, want, rows, &c, 1<<31, lazy, hi)
 				tt.tbl.convertRow(tt.tbl, m, got, rows, &c, 1<<31, lazy, hi)
 				rowsEqual(t, "convertRow "+tt.name, tt.tbl.tier, m, got, want)
+			}
+		}
+	}
+}
+
+// convGroupOperands draws the source rows of a group conversion as
+// convOperands does, and one conversion row onto each of ms over them. fold
+// is the most products every target's 128-bit sum always takes.
+func convGroupOperands(rng *rand.Rand, srcs, ms []Modulus, k, n int, saturated bool) (rows [][]uint64, cs []ConvRow, fold int) {
+	from := make([]Modulus, k)
+	rows = make([][]uint64, k)
+	for i := range from {
+		from[i] = srcs[rng.Intn(len(srcs))]
+		rows[i] = dotRows(rng, 1, n, from[i].TwoQ, saturated)[0]
+	}
+	fold = 1 << 31
+	for _, m := range ms {
+		w, prodBits := make([]uint64, k), 0
+		for i := range w {
+			switch rng.Intn(4) {
+			case 0:
+				w[i] = 1<<52 - 1 - uint64(rng.Intn(2))
+			case 1:
+				w[i] = rng.Uint64() % (1 << 52)
+			default:
+				w[i] = randBelow(rng, m.Q)
+			}
+			w[i] %= m.Q
+			prodBits = max(prodBits, bits.Len64(from[i].TwoQ-1)+bits.Len64(w[i]))
+		}
+		cs = append(cs, NewConvRow(from, w))
+		fold = min(fold, 1<<min(31, 128-prodBits))
+	}
+	return rows, cs, fold
+}
+
+// TestTierConvertRows: the group conversion is, on every table, the Go
+// table's tiled row loop run target by target, word for word — for 1 to
+// ConvertGroup + 1 targets, in order, scattered and repeated, exact and
+// lazy, with and without folds, over sources on both sides of the narrow
+// bound and targets of every size (the 55-bit and wider targets' constants
+// cross 2^52, as q0's do; a group with a target at or below 2^24 takes the
+// row kernel, one just above it the group close), and again with every
+// source and target below the narrow bounds, so every term is narrow, on
+// lengths with and without an 8-coefficient tail and across tiles.
+func TestTierConvertRows(t *testing.T) {
+	allSrcs := convSources(t)
+	allMs := append(tierTestModuli(t), MustModulus(1<<20-3), MustModulus(1<<24+43))
+	below := func(ms []Modulus, bound uint64) (out []Modulus) {
+		for _, m := range ms {
+			if m.Q < bound {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	hi := make([]uint64, ConvertTile)
+	for _, tt := range testTables() {
+		tbl := tt.tbl
+		t.Run(tt.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(0x6c0de))
+			for _, set := range []struct{ srcs, ms []Modulus }{
+				{allSrcs, allMs},
+				{below(allSrcs, narrowModulus), below(allMs, 1<<52)},
+			} {
+				testConvertRowsSet(t, tbl, rng, set.srcs, set.ms, hi)
+			}
+		})
+	}
+}
+
+// testConvertRowsSet is TestTierConvertRows over one set of sources and
+// targets, at least five of them.
+func testConvertRowsSet(t *testing.T, tbl *kernelTable, rng *rand.Rand, srcs, ms []Modulus, hi []uint64) {
+	t.Helper()
+	small := []int{len(ms) - 1, 0, len(ms) - 2, 1, 2}
+	for _, n := range []int{1, 7, 8, 9, 16, 17, 64, 100, ConvertTile + 17} {
+		for _, k := range convTermCounts {
+			rows, cs, bound := convGroupOperands(rng, srcs, ms, k, n, rng.Intn(3) == 0)
+			for g := 1; g <= ConvertGroup+1; g++ {
+				inOrder, repeated := make([]int, g), make([]int, g)
+				for i := range inOrder {
+					inOrder[i], repeated[i] = i, rng.Intn(2)
+				}
+				for _, js := range [][]int{inOrder, rng.Perm(len(ms))[:g], repeated, small[:g]} {
+					for _, fold := range []int{bound, 2, 5} {
+						for _, lazy := range []bool{false, true} {
+							outs := make([][]uint64, g)
+							for i := range outs {
+								outs[i] = make([]uint64, n)
+							}
+							tbl.convertRows(tbl, outs, ms, cs, js, rows, fold, lazy, hi)
+							for i, j := range js {
+								want := make([]uint64, n)
+								convertRowTiled(&goKernels, ms[j], want, rows, &cs[j], fold, lazy, hi)
+								rowsEqual(t, fmt.Sprintf("convertRows target %d of %v", i, js), tbl.tier, ms[j], outs[i], want)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

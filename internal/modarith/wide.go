@@ -30,9 +30,10 @@ import (
 //     k·(2^62−1)(2^61−1) + 2^62 < 2^128 for k ≤ MaxDotTerms = 32. Longer sums
 //     are folded every MaxDotTerms terms (the partial sum re-enters as the
 //     addend), so callers never count terms.
-//   - VecConvertRow bounds its own chain: the caller passes the fold bound
-//     (rns.BasisConverter.foldEvery) and the kernel folds at it, in every
-//     table at the same terms, so the lazy outputs agree word for word.
+//   - VecConvertRow and VecConvertRows bound their own chain: the caller
+//     passes the fold bound (rns.BasisConverter.foldEvery) and the kernel
+//     folds at it, in every table at the same terms, so the lazy outputs
+//     agree word for word.
 //   - ReduceWide128 / VecReduceWide128 accept ANY 128-bit value and return
 //     the exact residue in [0, q).
 //   - ReduceWide128Lazy / VecReduceWide128Lazy / VecFoldWide128Lazy return
@@ -167,6 +168,7 @@ const ConvertTile = 256
 // every table computes the same exact 128-bit sums.
 type ConvRow struct {
 	terms []convTerm
+	wide  bool // some term is wide
 }
 
 // convTerm is one term of a ConvRow, laid out for the assembly: 24 bytes,
@@ -187,14 +189,15 @@ func NewConvRow(from []Modulus, w []uint64) ConvRow {
 	if len(from) != len(w) {
 		panic("modarith: NewConvRow needs one constant per source modulus")
 	}
-	terms := make([]convTerm, len(w))
+	c := ConvRow{terms: make([]convTerm, len(w))}
 	for k, x := range w {
-		terms[k] = convTerm{w: x, w1: x >> 52, wide: 1}
+		c.terms[k] = convTerm{w: x, w1: x >> 52, wide: 1}
 		if from[k].Q < narrowModulus && x < 1<<52 {
-			terms[k].wide = 0
+			c.terms[k].wide = 0
 		}
+		c.wide = c.wide || c.terms[k].wide != 0
 	}
-	return ConvRow{terms: terms}
+	return c
 }
 
 // VecConvertRow sets out to the conversion row c over rows, one source row
@@ -221,4 +224,45 @@ func (m Modulus) VecConvertRow(out []uint64, rows [][]uint64, c *ConvRow, fold i
 	_ = hi[min(len(out), ConvertTile)-1]
 	t := active.Load()
 	t.convertRow(t, m, out, rows, c, fold, lazy, hi)
+}
+
+// ConvertGroup is the most target rows the IFMA kernel converts per pass over
+// the source rows, a register budget: each target's 128-bit sum of an 8-word
+// vector takes three accumulator registers, and four targets' twelve leave the
+// source words, the close's scratch and its constants the rest of the 32.
+// VecConvertRows takes any number of targets and hands the kernel at most
+// this many at a time.
+const ConvertGroup = 4
+
+// VecConvertRows sets outs[t] to the conversion row cs[js[t]] onto
+// ms[js[t]] over rows, for every t: the words VecConvertRow sets, exact or
+// lazy alike, with one pass over the source rows per ConvertGroup targets
+// where VecConvertRow takes one per target. The outs are of one length and
+// alias neither rows, hi nor each other; js may list any targets of cs, in
+// any order. The other arguments are VecConvertRow's.
+func VecConvertRows(outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows [][]uint64, fold int, lazy bool, hi []uint64) {
+	if len(outs) != len(js) {
+		panic(fmt.Sprintf("modarith: VecConvertRows has %d outputs for %d targets", len(outs), len(js)))
+	}
+	if len(js) == 0 {
+		return
+	}
+	n := len(outs[0])
+	for t, j := range js {
+		if len(outs[t]) != n {
+			panic(fmt.Sprintf("modarith: VecConvertRows output %d has length %d, want %d", t, len(outs[t]), n))
+		}
+		if len(rows) != len(cs[j].terms) || len(rows) == 0 {
+			panic(fmt.Sprintf("modarith: VecConvertRows has %d source rows for %d terms", len(rows), len(cs[j].terms)))
+		}
+	}
+	if fold < 2 {
+		panic(fmt.Sprintf("modarith: VecConvertRows fold bound %d makes no progress", fold))
+	}
+	if n == 0 {
+		return
+	}
+	_ = hi[min(n, ConvertTile)-1]
+	t := active.Load()
+	t.convertRows(t, outs, ms, cs, js, rows, fold, lazy, hi)
 }

@@ -140,3 +140,12 @@ func convertRowTiles(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, o
 func convertRowTiled(t *kernelTable, m Modulus, out []uint64, rows [][]uint64, c *ConvRow, fold int, lazy bool, hi []uint64) {
 	convertRowTiles(t, m, out, rows, 0, c, fold, lazy, hi)
 }
+
+// convertRowsLoop is the group conversion as the table's row entry run once
+// per target: the Go table's group entry, the oracle, and the AVX-512 table's
+// without IFMA.
+func convertRowsLoop(t *kernelTable, outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows [][]uint64, fold int, lazy bool, hi []uint64) {
+	for k, j := range js {
+		t.convertRow(t, ms[j], outs[k], rows, &cs[j], fold, lazy, hi)
+	}
+}

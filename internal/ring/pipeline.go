@@ -43,9 +43,10 @@ import (
 //     limbs (and lanes) are mutually independent RNS residues. A chain must
 //     therefore never make limb i read a row that another limb's stage
 //     writes.
-//     The one cross-limb read is a base conversion's (ModUp, BConv): a limb
-//     forms its own row from every row of a premultiplied source, which a
-//     previous Run wrote and which this Run must leave alone.
+//     The one cross-limb read is a base conversion's (ModUp, BConv): the
+//     first limb of a limb group forms the group's rows from every row of a
+//     premultiplied source, which a previous Run wrote and which this Run
+//     must leave alone; Run hands such a lane's limbs out by whole groups.
 //   - A Scratch polynomial has no rows of its own: while a limb's chain runs,
 //     its row is one of the executing goroutine's Run scratch rows, so it
 //     holds a value only from the stage that writes it to the end of that
@@ -91,6 +92,14 @@ type Lane struct {
 	// wide lists the lane's 128-bit accumulators; an accumulator's index is
 	// its high-word row in the Run's scratch.
 	wide []wideAcc
+
+	// group is the limbs the Run hands out together: modarith.ConvertGroup
+	// once a base conversion is recorded, so a ModUp or BConv stage converts
+	// its group's rows in one pass over the sources, else 1. convSets counts
+	// the conversion outputs per limb (a ModUp's digits, a BConv's row); each
+	// has a set of group rows in the Run's scratch.
+	group    int
+	convSets int
 
 	// scratch holds the lane's Scratch polynomials, the first nScratch of
 	// them handed out for the chain being recorded; scratch polynomial k's
@@ -151,6 +160,7 @@ type stage struct {
 	conv []*rns.BasisConverter
 	bc   *rns.BasisConverter
 	off  int
+	grp  int // opModUp/opBConv: the first of the stage's sets of group rows
 	// opDotKeyLazy: the second accumulator, whether it is accumulated onto,
 	// and the key whose uniform rows it dots with as, by their half (0 Q, 1 P).
 	out2 *Poly
@@ -218,6 +228,7 @@ func (pl *Pipeline) reset() {
 		ln.dotRows, ln.tileRefs, ln.dotTerms = ln.dotRows[:0], ln.tileRefs[:0], 0
 		clear(ln.wide)
 		ln.wide = ln.wide[:0]
+		ln.group, ln.convSets = 1, 0
 		for _, p := range ln.scratch[:ln.nScratch] {
 			clear(p.Coeffs) // drop the goroutines' scratch rows
 		}
@@ -239,7 +250,7 @@ func (pl *Pipeline) Lane(r *Ring, level int) *Lane {
 		pl.nLanes++
 		return ln
 	}
-	ln := &Lane{r: r, level: level}
+	ln := &Lane{r: r, level: level, group: 1}
 	pl.lanes = append(pl.lanes, ln)
 	pl.nLanes++
 	return ln
@@ -418,10 +429,13 @@ func (ln *Lane) DotKeyLazy(outB, outA *Poly, as, bs []*Poly, key *modarith.Strea
 // rows of pre — onto a basis whose target row off+i is this lane's limb i.
 // For every limb, digits[d] (a Scratch polynomial) receives digit d's row:
 // the lazy conversion of the digit's premultiplied rows onto the limb,
-// forward-transformed in scratch (lazy, [0, 2q)). With in non-nil the lane is
-// over in's own ring, and a digit's own limbs instead read in's NTT row
-// itself — not a copy — so in must be left alone until the Run ends. The
-// digits are pending-NTT afterwards, ready for DotKeyLazy.
+// forward-transformed in scratch (lazy, [0, 2q)). The first limb of each
+// limb group converts the whole group's rows, digit by digit, in one pass
+// over the digit's sources (rns.BasisConverter.ConvertRows) into the Run's
+// group rows, and each limb's chain takes its own. With in non-nil the lane
+// is over in's own ring, and a digit's own limbs instead read in's NTT row
+// itself — not a copy, and not converted — so in must be left alone until
+// the Run ends. The digits are pending-NTT afterwards, ready for DotKeyLazy.
 func (ln *Lane) ModUp(digits []*Poly, in, pre *Poly, conv []*rns.BasisConverter, off int) {
 	rows := 0
 	for _, bc := range conv {
@@ -444,21 +458,30 @@ func (ln *Lane) ModUp(digits []*Poly, in, pre *Poly, conv []*rns.BasisConverter,
 	}
 	// Run as its own sweep, ModUp writes each converted row and transforms it
 	// in place.
-	ln.push(stage{op: opModUp, as: digits, a: in, b: pre, conv: conv, off: off}, 3*len(digits))
+	ln.push(stage{op: opModUp, as: digits, a: in, b: pre, conv: conv, off: off, grp: ln.convSets}, 3*len(digits))
+	ln.convSets += len(digits)
+	ln.group = modarith.ConvertGroup
 }
 
 // BConv records out ← the exact conversion of src, whose rows are
 // premultiplied by conv's QHatInv factors, onto each limb i of the lane as
-// conv's target row i: the ModDown's P → Q conversion, one row where it is
-// consumed. out is in the coefficient domain afterwards.
+// conv's target row i: the ModDown's P → Q conversion, formed a limb group
+// at a time where it is consumed, as ModUp forms its digits. out must be a
+// Scratch polynomial, whose row becomes the limb's group row; it is in the
+// coefficient domain afterwards.
 func (ln *Lane) BConv(out, src *Poly, conv *rns.BasisConverter) {
 	if len(src.Coeffs) != len(conv.From) || len(conv.To) < ln.level+1 {
 		panic("ring: pipeline BConv source or target basis does not match the lane")
 	}
+	if !ln.effect(out).scratch {
+		panic("ring: pipeline BConv output must be a Scratch polynomial")
+	}
 	ln.readAcross(src)
 	ln.use(out, false, true)
 	ln.setDomain(out, false)
-	ln.push(stage{op: opBConv, out: out, b: src, bc: conv}, 1)
+	ln.push(stage{op: opBConv, out: out, b: src, bc: conv, grp: ln.convSets}, 1)
+	ln.convSets++
+	ln.group = modarith.ConvertGroup
 }
 
 // AutMulAccWide records out += σ_g(a) ⊙ b into a 128-bit accumulator: the
@@ -653,7 +676,7 @@ func (ln *Lane) Func(fn func(limb int), reads, writes []*Poly) {
 func (pl *Pipeline) Run() {
 	lanes := pl.lanes[:pl.nLanes]
 	var sz runSizes
-	total := 0
+	total, units := 0, 0
 	for _, ln := range lanes {
 		for _, acc := range ln.wide {
 			if acc.open {
@@ -661,7 +684,9 @@ func (pl *Pipeline) Run() {
 			}
 		}
 		total += ln.level + 1
+		units += ln.units()
 		sz.wide = max(sz.wide, len(ln.wide)*ln.r.N)
+		sz.group = max(sz.group, ln.convSets*ln.group*ln.r.N)
 		sz.uni = max(sz.uni, ln.dotTerms*modarith.UniformTile)
 		sz.rows = max(sz.rows, ln.nScratch*ln.r.N)
 		if need := 3 * ln.dotTerms * (ln.level + 1); need <= cap(ln.dotRows) {
@@ -677,59 +702,81 @@ func (pl *Pipeline) Run() {
 	}
 	if total > 0 {
 		if total < parallelLimbThreshold || par.Workers() < 2 {
-			runLimbs(lanes, 0, total, sz)
+			runUnits(lanes, 0, units, sz)
 		} else {
-			par.ForEachChunk(total, func(lo, hi int) { runLimbs(lanes, lo, hi, sz) })
+			par.ForEachChunk(units, func(lo, hi int) { runUnits(lanes, lo, hi, sz) })
 		}
 	}
 	pl.finish()
 }
 
+// units returns the number of limb groups the Run hands out for the lane.
+func (ln *Lane) units() int { return (ln.level + ln.group) / ln.group }
+
 // runScratch pools the Run-owned scratch: the high-word rows of the 128-bit
 // accumulators, the expanded key tiles of DotKeyLazy, the rows of the
-// Scratch polynomials and a base conversion's accumulator tile. One buffer
-// per goroutine executing a Run's limbs, reused limb after limb because every
-// accumulator is opened and closed, every tile expanded and consumed, and
-// every scratch row written and read within one limb's chain.
-var runScratch sync.Pool // of *[]uint64
+// Scratch polynomials, the group rows of the base conversions and their
+// accumulator tile. One buffer per goroutine executing a Run's limbs, reused
+// limb after limb because every accumulator is opened and closed, every tile
+// expanded and consumed, and every scratch row written and read within one
+// limb's chain — a group row within its limb group's, which the goroutine
+// runs whole.
+var runScratch sync.Pool // of *runBuf
+
+// runBuf is one pooled Run scratch: its words and a group conversion's
+// target list.
+type runBuf struct {
+	words []uint64
+	js    [modarith.ConvertGroup]int
+	outs  [modarith.ConvertGroup][]uint64
+}
 
 // runSizes is the word count of each part of a goroutine's Run scratch.
-type runSizes struct{ wide, uni, rows int }
+type runSizes struct{ wide, uni, rows, group int }
 
 // scratch is one goroutine's share of the Run scratch.
 type scratch struct {
-	wide, uni []uint64 // 128-bit high words, expanded key tiles
-	rows      []uint64 // the Scratch polynomials' rows, N words each
-	hi        []uint64 // the base conversion's accumulator tile
+	wide, uni []uint64   // 128-bit high words, expanded key tiles
+	rows      []uint64   // the Scratch polynomials' rows, N words each
+	group     []uint64   // the conversions' group rows, N words each
+	hi        []uint64   // the base conversion's accumulator tile
+	js        []int      // a group conversion's targets...
+	outs      [][]uint64 // ...and their rows
 }
 
-// runLimbs executes the chains of the pipeline's limbs t ∈ [lo, hi), counted
-// lane after lane, on the calling goroutine.
-func runLimbs(lanes []*Lane, lo, hi int, sz runSizes) {
-	words := sz.wide + sz.uni + sz.rows + rns.RowTile
-	b, _ := runScratch.Get().(*[]uint64)
-	if b == nil || cap(*b) < words {
-		s := make([]uint64, words)
-		b = &s
+// runUnits executes the chains of the pipeline's limb groups u ∈ [lo, hi),
+// counted lane after lane, on the calling goroutine, limb after limb.
+func runUnits(lanes []*Lane, lo, hi int, sz runSizes) {
+	words := sz.wide + sz.uni + sz.rows + sz.group + rns.RowTile
+	b, _ := runScratch.Get().(*runBuf)
+	if b == nil {
+		b = new(runBuf)
+	}
+	if cap(b.words) < words {
+		b.words = make([]uint64, words)
+		clear(b.outs[:]) // rows of the words just dropped
 	}
 	defer runScratch.Put(b)
-	var sc scratch
-	buf := (*b)[:words]
+	sc := scratch{js: b.js[:], outs: b.outs[:]}
+	buf := b.words[:words]
 	sc.wide, buf = buf[:sz.wide], buf[sz.wide:]
 	sc.uni, buf = buf[:sz.uni], buf[sz.uni:]
-	sc.rows, sc.hi = buf[:sz.rows], buf[sz.rows:]
+	sc.rows, buf = buf[:sz.rows], buf[sz.rows:]
+	sc.group, sc.hi = buf[:sz.group], buf[sz.group:]
 	for t := lo; t < hi; t++ {
-		i := t
+		u := t
 		for _, ln := range lanes {
-			if limbs := ln.level + 1; i >= limbs {
-				i -= limbs
+			if u >= ln.units() {
+				u -= ln.units()
 				continue
 			}
 			n := ln.r.N
-			for k, p := range ln.scratch[:ln.nScratch] {
-				p.Coeffs[i] = sc.rows[k*n : (k+1)*n : (k+1)*n]
+			for i := u * ln.group; i < min((u+1)*ln.group, ln.level+1); i++ {
+				for k, p := range ln.scratch[:ln.nScratch] {
+					p.Coeffs[i] = sc.rows[k*n : (k+1)*n : (k+1)*n]
+				}
+				ln.exec(i, &sc)
 			}
-			ln.exec(i, &sc)
 			break
 		}
 	}
@@ -806,20 +853,30 @@ func (ln *Lane) exec(i int, sc *scratch) {
 				mod.VecDotKeyLazy(outB[lo:hi], outA[lo:hi], ra, rb, ru, st.acc, st.acc2)
 			}
 		case opModUp:
+			if i%ln.group == 0 {
+				ln.modUpGroup(st, i, sc)
+			}
 			lo := 0
 			for d, bc := range st.conv {
 				hi := lo + len(bc.From)
 				if st.a != nil && lo <= i && i < hi {
 					st.as[d].Coeffs[i] = st.a.Coeffs[i] // the digit's own limb
 				} else {
-					row := st.as[d].Coeffs[i]
-					bc.ConvertRow(row, st.b.Coeffs[lo:hi], st.off+i, true, sc.hi)
+					row := ln.groupRow(sc, st.grp+d, i)
 					r.Tables[i].ForwardLazy(row)
+					st.as[d].Coeffs[i] = row
 				}
 				lo = hi
 			}
 		case opBConv:
-			st.bc.ConvertRow(st.out.Coeffs[i], st.b.Coeffs, i, false, sc.hi)
+			if i%ln.group == 0 {
+				js, outs := sc.js[:0], sc.outs[:0]
+				for j := i; j < min(i+ln.group, ln.level+1); j++ {
+					js, outs = append(js, j), append(outs, ln.groupRow(sc, st.grp, j))
+				}
+				st.bc.ConvertRows(outs, st.b.Coeffs, js, false, sc.hi)
+			}
+			st.out.Coeffs[i] = ln.groupRow(sc, st.grp, i)
 		case opAutMulAccWide:
 			hi := wide[st.wide*r.N:][:r.N]
 			if !st.acc {
@@ -865,5 +922,30 @@ func (ln *Lane) exec(i int, sc *scratch) {
 		case opFunc:
 			st.fn(i)
 		}
+	}
+}
+
+// groupRow returns limb i's row of the conversion output set in the
+// goroutine's group rows.
+func (ln *Lane) groupRow(sc *scratch, set, i int) []uint64 {
+	n, k := ln.r.N, set*ln.group+i%ln.group
+	return sc.group[k*n : (k+1)*n : (k+1)*n]
+}
+
+// modUpGroup converts, at the first limb g0 of a limb group, every digit of
+// the ModUp stage st onto the group's limbs but the digit's own, into the
+// goroutine's group rows: one pass over a digit's sources for the group.
+func (ln *Lane) modUpGroup(st *stage, g0 int, sc *scratch) {
+	lo := 0
+	for d, bc := range st.conv {
+		hi := lo + len(bc.From)
+		js, outs := sc.js[:0], sc.outs[:0]
+		for i := g0; i < min(g0+ln.group, ln.level+1); i++ {
+			if st.a == nil || i < lo || i >= hi {
+				js, outs = append(js, st.off+i), append(outs, ln.groupRow(sc, st.grp+d, i))
+			}
+		}
+		bc.ConvertRows(outs, st.b.Coeffs[lo:hi], js, true, sc.hi)
+		lo = hi
 	}
 }

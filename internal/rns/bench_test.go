@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/modarith"
 )
 
 // BenchmarkConvertRow times one target row of a base conversion, ConvertRow
@@ -15,7 +17,9 @@ import (
 // iteration converts the next of eight target rows, so the outputs are as
 // cold as a limb pipeline finds them. Every row runs once per kernel table:
 // go, avx512 and, on an IFMA host, avx512-noifma, the table an AVX-512 host
-// without IFMA runs.
+// without IFMA runs. The -g1 … -g4 rows convert g targets a call through
+// ConvertRows, one pass over the sources per group, in ns per MAC of the
+// g rows.
 func BenchmarkConvertRow(b *testing.B) {
 	const nTo = 8
 	forEachTable(b, func(table string) {
@@ -47,6 +51,19 @@ func BenchmarkConvertRow(b *testing.B) {
 							}
 							b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*alpha*n), "ns/MAC")
 						})
+						for g := 1; g <= modarith.ConvertGroup; g++ {
+							js, outs := make([]int, g), make([][]uint64, g)
+							b.Run(fmt.Sprintf("%s-g%d", name, g), func(b *testing.B) {
+								for i := 0; i < b.N; i++ {
+									for t := range js {
+										js[t] = (i*g + t) % nTo
+										outs[t] = out[js[t]]
+									}
+									bc.ConvertRows(outs, pre, js, true, hi)
+								}
+								b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g*alpha*n), "ns/MAC")
+							})
+						}
 					}
 				}
 			}

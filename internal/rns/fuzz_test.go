@@ -84,6 +84,9 @@ var fuzzSelf = func() []*BasisConverter {
 // conversion exact and lazy, over a row length (17 to 32) with and without a
 // 16-coefficient tail: every output equals the reference, every lazy one is
 // a [0, 2q) residue of it, and every table's lazy words are the Go table's.
+// The group conversion, 1 to modarith.ConvertGroup + 1 targets a call over
+// scattered target lists, gives each table's row-by-row words, exact and
+// lazy.
 // The rescale pair is differentially checked on the same draws.
 func FuzzBConv(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -145,6 +148,19 @@ func FuzzBConv(f *testing.F) {
 				convertRows(conv, lazy, in, true)
 				if goLazy == nil {
 					goLazy = lazy
+				}
+				for g := 1; g <= modarith.ConvertGroup+1; g++ {
+					gExact, gLazy := newRows(len(conv.To), n), newRows(len(conv.To), n)
+					convertGroups(conv, gExact, in, false, g)
+					convertGroups(conv, gLazy, in, true, g)
+					for j := range conv.To {
+						for c := 0; c < n; c++ {
+							if gExact[j][c] != exact[j][c] || gLazy[j][c] != lazy[j][c] {
+								t.Fatalf("%s: %d-target groups: target %d col %d: exact %d lazy %d, row by row %d %d",
+									table, g, j, c, gExact[j][c], gLazy[j][c], exact[j][c], lazy[j][c])
+							}
+						}
+					}
 				}
 				for j, pj := range conv.To {
 					for c := 0; c < n; c++ {

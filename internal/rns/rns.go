@@ -29,16 +29,19 @@ const RowTile = modarith.ConvertTile
 //
 // The conversion runs in two halves. The premultiply, x_i·(Q/q_i)^{-1} mod
 // q_i, is per source row and is done once, in place, by whoever owns the rows
-// (QHatInv gives the factors). ConvertRow then forms one target row at a
-// time with modarith's row-conversion kernel: it sums the k products
-// pre_i·(Q/q_i) of each coefficient exactly in 128 bits and reduces ONCE per
-// output coefficient with the 128-bit Barrett reciprocal — no per-term
-// reduction and no hardware division anywhere (see modarith/wide.go for the
-// domain contracts; the scalar oracle the tests compare against is in
-// ref_test.go). A target row depends only on the premultiplied rows, so a
-// caller converting limb by limb (the key switch's pipelined ModUp and
-// ModDown) forms each row where it is consumed, and the rows never exist
-// together.
+// (QHatInv gives the factors). ConvertRow then forms one target row, and
+// ConvertRows a group of them, with modarith's row-conversion kernels: they
+// sum the k products pre_i·(Q/q_i) of each coefficient exactly in 128 bits
+// and reduce ONCE per output coefficient with the 128-bit Barrett reciprocal
+// — no per-term reduction and no hardware division anywhere (see
+// modarith/wide.go for the domain contracts; the scalar oracle the tests
+// compare against is in ref_test.go). The group kernel reads each source word
+// once for up to modarith.ConvertGroup targets, the matrix–matrix form of
+// §II-B, where a row at a time streams the k sources once per target. A
+// target row depends only on the premultiplied rows, so a caller converting
+// limb by limb (the key switch's pipelined ModUp and ModDown) forms a group of
+// limbs' rows at the group's first limb, and each row lives until its own
+// limb's chain has consumed it.
 type BasisConverter struct {
 	From []modarith.Modulus
 	To   []modarith.Modulus
@@ -176,13 +179,17 @@ func (bc *BasisConverter) checkShape(out, in [][]uint64) int {
 // Convert converts coefficient-domain residue rows in (len(From) rows of
 // equal length) into out (len(To) rows), producing exact residues in
 // [0, p_j). It walks RowTile-wide column tiles: it premultiplies a tile of
-// every source row into scratch, then runs ConvertRow on that tile for every
-// target. out must not alias in.
+// every source row into scratch, then converts that tile onto every target
+// (ConvertRows). out must not alias in.
 func (bc *BasisConverter) Convert(out, in [][]uint64) {
 	n := bc.checkShape(out, in)
 	k := len(in)
 	scratch := make([]uint64, (k+1)*RowTile)
 	pre, hi := make([][]uint64, k), scratch[k*RowTile:]
+	tile, js := make([][]uint64, len(out)), make([]int, len(out))
+	for j := range js {
+		js[j] = j
+	}
 	for c0 := 0; c0 < n; c0 += RowTile {
 		c1 := min(c0+RowTile, n)
 		for i, qi := range bc.From {
@@ -190,9 +197,10 @@ func (bc *BasisConverter) Convert(out, in [][]uint64) {
 			w := bc.qHatInv[i]
 			qi.VecMulShoup(pre[i], in[i][c0:c1], w, qi.ShoupPrecomp(w))
 		}
-		for j := range out {
-			bc.ConvertRow(out[j][c0:c1], pre, j, false, hi)
+		for j := range tile {
+			tile[j] = out[j][c0:c1]
 		}
+		bc.ConvertRows(tile, pre, js, false, hi)
 	}
 }
 
@@ -208,6 +216,18 @@ func (bc *BasisConverter) ConvertRow(out []uint64, pre [][]uint64, j int, lazy b
 		panic(fmt.Sprintf("rns: ConvertRow has %d source rows, want %d", len(pre), len(bc.From)))
 	}
 	bc.To[j].VecConvertRow(out, pre, &bc.rows[j], bc.foldEvery, lazy, hi)
+}
+
+// ConvertRows sets outs[t] to target row js[t] of the conversion of pre, for
+// every t: the words ConvertRow sets, formed with one pass over pre per
+// modarith.ConvertGroup targets (modarith.VecConvertRows). js may list any
+// targets in any order — a ModUp skips a digit's own limbs — and the outs,
+// of one length, alias neither pre, hi nor each other.
+func (bc *BasisConverter) ConvertRows(outs, pre [][]uint64, js []int, lazy bool, hi []uint64) {
+	if len(pre) != len(bc.From) {
+		panic(fmt.Sprintf("rns: ConvertRows has %d source rows, want %d", len(pre), len(bc.From)))
+	}
+	modarith.VecConvertRows(outs, bc.To, bc.rows, js, pre, bc.foldEvery, lazy, hi)
 }
 
 // Rescaler precomputes the per-limb constants of DivRoundByLastModulus for a

@@ -103,6 +103,35 @@ func convertRows(bc *BasisConverter, out, in [][]uint64, lazy bool) {
 	}
 }
 
+// convertGroups is convertRows through the group conversion, g targets a
+// call, the targets taken out of order — the odd ones, then the even ones —
+// so a group's rows are scattered over the basis as a ModUp's are around a
+// digit's own limbs.
+func convertGroups(bc *BasisConverter, out, in [][]uint64, lazy bool, g int) {
+	pre := make([][]uint64, len(in))
+	for i, qi := range bc.From {
+		pre[i] = make([]uint64, len(in[i]))
+		w := bc.QHatInv()[i]
+		qi.VecMulShoup(pre[i], in[i], w, qi.ShoupPrecomp(w))
+	}
+	var order []int
+	for _, first := range []int{1, 0} {
+		for j := first; j < len(out); j += 2 {
+			order = append(order, j)
+		}
+	}
+	hi := make([]uint64, RowTile)
+	for len(order) > 0 {
+		js := order[:min(g, len(order))]
+		outs := make([][]uint64, len(js))
+		for t, j := range js {
+			outs[t] = out[j]
+		}
+		bc.ConvertRows(outs, pre, js, lazy, hi)
+		order = order[len(js):]
+	}
+}
+
 // forEachTable runs fn once under every kernel table the host can run — go,
 // avx512 and, on an IFMA host, avx512-noifma, the table an AVX-512 host
 // without IFMA runs — and restores the host's own table after.
