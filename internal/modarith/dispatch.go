@@ -56,6 +56,7 @@ type kernelTable struct {
 	mulAddBarrett func(m Modulus, out, a, b []uint64)
 
 	mulShoup        func(m Modulus, out, a []uint64, w, wShoup uint64)
+	mulShoupAddLazy func(m Modulus, out, a []uint64, w, wShoup uint64)
 	subMulShoupLazy func(m Modulus, out, a, b []uint64, w, wShoup uint64)
 	rescaleStep     func(m Modulus, row, t []uint64, halfModQ, w, wShoup uint64)
 
@@ -76,8 +77,9 @@ type kernelTable struct {
 	convertRows   func(t *kernelTable, outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows [][]uint64, fold int, lazy bool, hi []uint64)
 	expandUniform func(m Modulus, dst []uint64, k *StreamKey, tiles []TileRef, n int)
 
-	add func(m Modulus, out, a, b []uint64)
-	sub func(m Modulus, out, a, b []uint64)
+	add       func(m Modulus, out, a, b []uint64)
+	sub       func(m Modulus, out, a, b []uint64)
+	addScalar func(m Modulus, out, a []uint64, c uint64)
 
 	permute    func(out, a []uint64, p *BlockPerm)
 	addPermute func(m Modulus, out, a, b []uint64, p *BlockPerm)
@@ -93,6 +95,7 @@ var goKernels = kernelTable{
 	mulBarrett:        vecMulBarrettGo,
 	mulAddBarrett:     vecMulAddBarrettGo,
 	mulShoup:          vecMulShoupGo,
+	mulShoupAddLazy:   vecMulShoupAddLazyGo,
 	subMulShoupLazy:   vecSubMulShoupLazyGo,
 	rescaleStep:       vecRescaleStepGo,
 	mulWide:           vecMulWideGo,
@@ -109,6 +112,7 @@ var goKernels = kernelTable{
 	expandUniform:     expandUniformGo,
 	add:               vecAddGo,
 	sub:               vecSubGo,
+	addScalar:         vecAddScalarGo,
 	permute:           vecPermuteGo,
 	addPermute:        vecAddPermuteGo,
 	fwdStage:          vecFwdStageGo,

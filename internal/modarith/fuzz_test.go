@@ -97,14 +97,25 @@ func FuzzVecKernels(f *testing.F) {
 				}
 			}
 
-			// The exact element-wise pair, on full-range words: the tiers
-			// agree off the residue domain too.
+			// The exact element-wise pair and the scalar add, on full-range
+			// words: the tiers agree off the residue domain too.
 			tbl.add(m, out, acc, b)
 			vecAddGo(m, want, acc, b)
 			same("add", 1)
 			tbl.sub(m, out, b, acc)
 			vecSubGo(m, want, b, acc)
 			same("sub", 1)
+			tbl.addScalar(m, out, acc, w)
+			vecAddScalarGo(m, want, acc, w)
+			same("addScalar", 1)
+
+			// The constant multiply-accumulate onto b, with a full-range
+			// multiplicand.
+			copy(out, b)
+			copy(want, b)
+			tbl.mulShoupAddLazy(m, out, acc, w, ws)
+			vecMulShoupAddLazyGo(m, want, acc, w, ws)
+			same("mulShoupAddLazy", 1)
 
 			// The automorphism kernels on a block permutation from the data
 			// (the row's whole blocks, or one block below eight words): the

@@ -104,18 +104,22 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 }
 
 // TestDotKernelStaysInBounds puts out and every a[k] / b[k] row of the dot
-// kernels, and out and every source row of the row conversion, flush against
-// an unmapped page: the assembly walks the row headers and addresses the rows
-// itself, so a step past len(out) faults here. Lengths are one, two and three
-// vector steps, and a ragged one (the wrappers' Go path; the conversion's
-// IFMA kernel takes 16 coefficients a step and leaves 8 or 11 of 24 and 27 to
-// the tiled loop). add and sub ride along with their three rows guarded the
-// same way, and so do the block permutations, on the reversal (the first
-// output block reads the last source block).
+// kernels, and out and every source row of the row conversion and of the
+// group conversion (2 to ConvertGroup targets, each output guarded), flush
+// against an unmapped page: the assembly walks the row headers and addresses
+// the rows itself, so a step past len(out) faults here, while the PREFETCHT0
+// the group conversion and the key-switch dot issue a fixed distance past the
+// word they load reaches the unmapped page harmlessly. Lengths are one, two
+// and three vector steps, and a ragged one (the wrappers' Go path; the
+// conversion's IFMA kernel takes 16 coefficients a step and leaves 8 or 11 of
+// 24 and 27 to the tiled loop). add and sub ride along with their three rows
+// guarded the same way, and so do the block permutations, on the reversal
+// (the first output block reads the last source block).
 func TestDotKernelStaysInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	m := tierTestModuli(t)[3]
 	srcs := convSources(t)
+	groupMs := tierTestModuli(t)[:ConvertGroup]
 	rng := rand.New(rand.NewSource(0xd07))
 	for _, tt := range testTables() {
 		tbl, tier := tt.tbl, tt.tbl.tier
@@ -140,6 +144,34 @@ func TestDotKernelStaysInBounds(t *testing.T) {
 					convertRowTiled(&goKernels, m, want, rows, &c, fold, lazy, hi)
 					run("convertRow", func() { tbl.convertRow(tbl, m, out, grows, &c, fold, lazy, hi) })
 					rowsEqual(t, "convertRow", tier, m, out, want)
+				}
+			}
+			// The group conversion: 2 to ConvertGroup guarded targets over
+			// guarded sources, one pass each.
+			for _, k := range []int{1, 9} {
+				rows, cs, fold := convGroupOperands(rng, srcs, groupMs, k, n, false)
+				grows := make([][]uint64, k)
+				for i, row := range rows {
+					grows[i] = guardedCopy(t, row)
+				}
+				hi := make([]uint64, n)
+				for g := 2; g <= ConvertGroup; g++ {
+					js := make([]int, g)
+					for i := range js {
+						js[i] = i
+					}
+					for _, lazy := range []bool{false, true} {
+						outs := make([][]uint64, g)
+						for i := range outs {
+							outs[i] = guardedRow(t, n)
+						}
+						run("convertRows", func() { tbl.convertRows(tbl, outs, groupMs, cs, js, grows, fold, lazy, hi) })
+						for i, j := range js {
+							want := make([]uint64, n)
+							convertRowTiled(&goKernels, groupMs[j], want, rows, &cs[j], fold, lazy, hi)
+							rowsEqual(t, "convertRows", tier, groupMs[j], outs[i], want)
+						}
+					}
 				}
 			}
 			for _, k := range []int{1, 9, MaxDotTerms} {

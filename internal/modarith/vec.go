@@ -1,7 +1,5 @@
 package modarith
 
-import "math/bits"
-
 // Vectorized kernels for the fused multiply-accumulate paths. The per-limb
 // ring loops call these once per limb instead of one exported method per
 // coefficient, so the reduction constants live in registers for the whole
@@ -21,16 +19,7 @@ import "math/bits"
 // with Shoup companion wShoup (the constant-multiply-accumulate of a fused
 // CMULT+ADD ladder).
 func (m Modulus) VecMulShoupAddLazy(out, a []uint64, w, wShoup uint64) {
-	q, twoQ := m.Q, m.TwoQ
-	_ = out[len(a)-1]
-	for j := range a {
-		hi, _ := bits.Mul64(a[j], wShoup)
-		s := out[j] + (a[j]*w - hi*q)
-		if s >= twoQ {
-			s -= twoQ
-		}
-		out[j] = s
-	}
+	active.Load().mulShoupAddLazy(m, out, a, w, wShoup)
 }
 
 // VecMulBarrett computes out[j] = a[j]*b[j] mod q exactly via the Barrett
@@ -78,15 +67,7 @@ func (m Modulus) VecSub(out, a, b []uint64) {
 
 // VecAddScalar computes out[j] = a[j] + c mod q exactly, for a, c < q.
 func (m Modulus) VecAddScalar(out, a []uint64, c uint64) {
-	q := m.Q
-	_ = out[len(a)-1]
-	for j := range a {
-		s := a[j] + c
-		if s >= q {
-			s -= q
-		}
-		out[j] = s
-	}
+	active.Load().addScalar(m, out, a, c)
 }
 
 // VecRescaleStep performs the per-limb rescale update in place:

@@ -24,6 +24,9 @@ func vecMulAddBarrettAVX512(out, a, b []uint64, q, twoQ, u0, u1 uint64)
 func vecMulShoupAVX512(out, a []uint64, w, wShoup, q uint64)
 
 //go:noescape
+func vecMulShoupAddLazyAVX512(out, a []uint64, w, wShoup, q, twoQ uint64)
+
+//go:noescape
 func vecSubMulShoupLazyAVX512(out, a, b []uint64, w, wShoup, q, twoQ uint64)
 
 //go:noescape
@@ -118,6 +121,9 @@ func vecAddAVX512(out, a, b []uint64, q uint64)
 
 //go:noescape
 func vecSubAVX512(out, a, b []uint64, q uint64)
+
+//go:noescape
+func vecAddScalarAVX512(out, a []uint64, c, q uint64)
 
 // NTT stage kernels. The wide forms (span ≥ 8) loop over len(psi) blocks
 // and cnt/8 vector steps per block; the tail forms (span 4, 2, 1) run `steps`
@@ -361,6 +367,15 @@ func avx512Kernels(ifma bool) kernelTable {
 				vecMulShoupGo(m, out[n:], a[n:], w, wShoup)
 			}
 		},
+		mulShoupAddLazy: func(m Modulus, out, a []uint64, w, wShoup uint64) {
+			n := len(a) &^ 7
+			if n > 0 {
+				vecMulShoupAddLazyAVX512(out[:n], a[:n], w, wShoup, m.Q, m.TwoQ)
+			}
+			if n < len(a) {
+				vecMulShoupAddLazyGo(m, out[n:], a[n:], w, wShoup)
+			}
+		},
 		subMulShoupLazy: func(m Modulus, out, a, b []uint64, w, wShoup uint64) {
 			n := len(a) &^ 7
 			if n > 0 {
@@ -478,6 +493,15 @@ func avx512Kernels(ifma bool) kernelTable {
 			}
 			if n < len(a) {
 				vecSubGo(m, out[n:], a[n:], b[n:])
+			}
+		},
+		addScalar: func(m Modulus, out, a []uint64, c uint64) {
+			n := len(a) &^ 7
+			if n > 0 {
+				vecAddScalarAVX512(out[:n], a[:n], c, m.Q)
+			}
+			if n < len(a) {
+				vecAddScalarGo(m, out[n:], a[n:], c)
 			}
 		},
 		permute: func(out, a []uint64, p *BlockPerm) {

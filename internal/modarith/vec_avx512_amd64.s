@@ -23,6 +23,17 @@
 //	Z23, Z24 = per-call fixed operands (w, wShoup)
 //	K1 = scratch mask
 
+// PREFETCH_DIST is how far ahead, in bytes, a PREFETCHT0 touches each
+// stream the hardware prefetcher does not follow: the tail stages' twiddle
+// rows, which are read through masked loads (TAIL_LOOP: one prefetch per
+// stream and chain, so one per cache line at span 1, where a step pair takes
+// two lines of each row), the group conversion's source rows, more concurrent
+// row streams than it tracks (vecConvertRowsAVX512), and the key rows of the
+// key switch's dot (vecDotKeyLazyAVX512). 1 KiB is the one distance for all
+// of them (DESIGN.md §3.8.1). A prefetch is a hint that never faults, so one
+// past a row's end is harmless and no word computed depends on it.
+#define PREFETCH_DIST 1024
+
 // MUL128x8: (HI, LO) = full 128-bit product A*B per lane, via four 32x32
 // partial products and explicit carry propagation:
 //	product = hh<<64 + (lh+hl)<<32 + ll
@@ -334,8 +345,9 @@ DONE:
 
 // TAIL_LOOP runs R8 = steps tail steps, two per iteration — chain A at DI with
 // its twiddles at SI/BX, chain B at 128(DI) with its twiddles at R12/R13,
-// one step's twiddles further on — and, when steps is odd, one chain-A step
-// at the end. BFLY is the butterfly, SPLIT its twiddle split and FOLDS its
+// one step's twiddles further on, all four twiddle pointers prefetched
+// PREFETCH_DIST ahead — and, when steps is odd, one chain-A step at the end.
+// BFLY is the butterfly, SPLIT its twiddle split and FOLDS its
 // exit folds on the chain's x', y' (the empty macro NOFOLD where there are
 // none).
 #define TAIL_LOOP(BFLY, SPLIT, FOLDS, PAIR, LAST, DONE) \
@@ -345,6 +357,10 @@ DONE:
 	SHRQ $1, R11                                               \ // step pairs
 	JZ LAST                                                    \
 PAIR:                                                          \
+	PREFETCHT0 PREFETCH_DIST(SI)                               \
+	PREFETCHT0 PREFETCH_DIST(BX)                               \
+	PREFETCHT0 PREFETCH_DIST(R12)                              \
+	PREFETCHT0 PREFETCH_DIST(R13)                              \
 	TAIL_LOAD(SPLIT, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)     \
 	TAIL_LOAD(SPLIT, 128, R12, R13, Z8, Z9, Z29, Z30, Z31, Z12) \
 	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
@@ -457,6 +473,37 @@ mulShoupLoop:
 	ADDQ $8, DX
 	CMPQ DX, CX
 	JL mulShoupLoop
+	VZEROUPPER
+	RET
+
+// func vecMulShoupAddLazyAVX512(out, a []uint64, w, wShoup, q, twoQ uint64)
+// vecMulShoupAVX512's lazy product r in [0, 2q), added onto out in [0, 2q)
+// and folded once by 2q, as MulShoupLazy plus a lazy add does.
+TEXT ·vecMulShoupAddLazyAVX512(SB), NOSPLIT, $0-80
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	VPBROADCASTQ w+48(FP), Z23
+	VPBROADCASTQ wShoup+56(FP), Z24
+	VPBROADCASTQ q+64(FP), Z27
+	VPBROADCASTQ twoQ+72(FP), Z28
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z25
+	MOVQ $0x100000000, AX
+	VPBROADCASTQ AX, Z26
+	XORQ DX, DX
+mulShoupAddLazyLoop:
+	VMOVDQU64 (SI)(DX*8), Z0
+	MUL128x8(Z0, Z24, Z2, Z3, Z5, Z6, Z7)     // Z2 = hi64(a*wShoup)
+	VPMULLQ Z23, Z0, Z3                       // a*w
+	VPMULLQ Z27, Z2, Z4                       // hi*q
+	VPSUBQ Z4, Z3, Z0                         // r in [0, 2q)
+	VPADDQ (DI)(DX*8), Z0, Z0                 // s = out + r
+	CONDSUB(Z0, Z28, Z5)
+	VMOVDQU64 Z0, (DI)(DX*8)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL mulShoupAddLazyLoop
 	VZEROUPPER
 	RET
 
@@ -920,6 +967,7 @@ dotKeyTerm:
 	VMOVDQU64 (SI)(DX*8), Z0
 	VPSRLQ $52, Z0, Z1                        // a1
 	MOVQ (R9)(R12*1), SI
+	PREFETCHT0 PREFETCH_DIST(SI)(DX*8)
 	VMOVDQU64 (SI)(DX*8), Z2
 	VPSRLQ $52, Z2, Z3                        // b1
 	IFMA_TERM(Z0, Z1, Z2, Z3, Z10, Z11, Z12, Z13, Z14)
@@ -1080,6 +1128,7 @@ convRowsOpen:
 	XORQ R12, R12
 convRowsTerm:
 	MOVQ (R8)(R12*1), SI
+	PREFETCHT0 PREFETCH_DIST(SI)(DX*8)
 	VMOVDQU64 (SI)(DX*8), Z0
 	VPSRLQ $52, Z0, Z1                        // a1
 	GROUP_TERM(R9, Z10, Z11, Z12, convRowsWide0, convRowsNext0)
@@ -1125,6 +1174,24 @@ addLoop:
 	ADDQ $8, DX
 	CMPQ DX, CX
 	JL addLoop
+	VZEROUPPER
+	RET
+
+// func vecAddScalarAVX512(out, a []uint64, c, q uint64)
+TEXT ·vecAddScalarAVX512(SB), NOSPLIT, $0-64
+	MOVQ out_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ a_len+32(FP), CX
+	VPBROADCASTQ c+48(FP), Z1
+	VPBROADCASTQ q+56(FP), Z27
+	XORQ DX, DX
+addScalarLoop:
+	VPADDQ (SI)(DX*8), Z1, Z0
+	CONDSUB(Z0, Z27, Z5)
+	VMOVDQU64 Z0, (DI)(DX*8)
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JL addScalarLoop
 	VZEROUPPER
 	RET
 

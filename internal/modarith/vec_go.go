@@ -75,6 +75,19 @@ func vecMulShoupGo(m Modulus, out, a []uint64, w, wShoup uint64) {
 	}
 }
 
+func vecMulShoupAddLazyGo(m Modulus, out, a []uint64, w, wShoup uint64) {
+	q, twoQ := m.Q, m.TwoQ
+	_ = out[len(a)-1]
+	for j := range a {
+		hi, _ := bits.Mul64(a[j], wShoup)
+		s := out[j] + (a[j]*w - hi*q)
+		if s >= twoQ {
+			s -= twoQ
+		}
+		out[j] = s
+	}
+}
+
 func vecSubMulShoupLazyGo(m Modulus, out, a, b []uint64, w, wShoup uint64) {
 	q, twoQ := m.Q, m.TwoQ
 	_ = out[len(a)-1]
@@ -128,6 +141,18 @@ func vecSubGo(m Modulus, out, a, b []uint64) {
 			d += q
 		}
 		out[j] = d
+	}
+}
+
+func vecAddScalarGo(m Modulus, out, a []uint64, c uint64) {
+	q := m.Q
+	_ = out[len(a)-1]
+	for j := range a {
+		s := a[j] + c
+		if s >= q {
+			s -= q
+		}
+		out[j] = s
 	}
 }
 

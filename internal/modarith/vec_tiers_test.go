@@ -298,6 +298,26 @@ func TestTierMulShoup(t *testing.T) {
 	})
 }
 
+// TestTierMulShoupAddLazy covers the constant multiply-accumulate on lazy
+// operands: a < 2q (MulShoupLazy holds for any a), out in [0, 2q).
+func TestTierMulShoupAddLazy(t *testing.T) {
+	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		a := randRow(rng, n, m.TwoQ)
+		w := randBelow(rng, m.Q)
+		ws := m.ShoupPrecomp(w)
+		out := randRow(rng, n, m.TwoQ)
+		want := cloneRow(out)
+		vecMulShoupAddLazyGo(m, want, a, w, ws)
+		for j := range want {
+			if want[j] >= m.TwoQ || want[j]%m.Q != (out[j]%m.Q+m.Mul(a[j]%m.Q, w))%m.Q {
+				t.Fatalf("vecMulShoupAddLazyGo: out[%d] = %d, not out + a·w in [0, 2q)", j, want[j])
+			}
+		}
+		tbl.mulShoupAddLazy(m, out, a, w, ws)
+		rowsEqual(t, "mulShoupAddLazy", tbl.tier, m, out, want)
+	})
+}
+
 func TestTierSubMulShoupLazy(t *testing.T) {
 	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
 		a := randRow(rng, n, m.TwoQ)
@@ -753,6 +773,28 @@ func TestTierAddSub(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestTierAddScalar covers the exact scalar add, with out distinct from and
+// aliasing a (rns's rescale adds into a scratch row, the pipeline in place).
+func TestTierAddScalar(t *testing.T) {
+	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		a := stageRow(rng, n, m.Q)
+		c := randBelow(rng, m.Q)
+		want := make([]uint64, n)
+		vecAddScalarGo(m, want, a, c)
+		for j, v := range want {
+			if v != (a[j]+c)%m.Q {
+				t.Fatalf("addScalar oracle: out[%d] = %d, want %d", j, v, (a[j]+c)%m.Q)
+			}
+		}
+		out := make([]uint64, n)
+		tbl.addScalar(m, out, a, c)
+		rowsEqual(t, "addScalar", tbl.tier, m, out, want)
+		out = cloneRow(a)
+		tbl.addScalar(m, out, out, c)
+		rowsEqual(t, "addScalar out==a", tbl.tier, m, out, want)
+	})
 }
 
 func TestTierReduceTwoQ(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 )
@@ -388,7 +389,12 @@ func BenchmarkInverseN4096(b *testing.B) {
 // runs; the inverse span N/2 row is the 1/N-fused final stage. Every row runs
 // on a 55-bit prime (fwd/n16/…) and on a 45-bit one (fwd/n16-q45/…), whose
 // butterflies take the IFMA kernels on a host that has them, once per
-// available kernel tier (go/…, avx512/…).
+// available kernel tier (go/…, avx512/…). The fwd-cold/n16 and inv-cold/n16
+// rows (and their -q45 forms) run whole lazy transforms, each on the next of
+// coldTables moduli with a row of its own, so every transform finds its
+// twiddles and its row out of the 32 MiB LLC, as a key switch's limbs do;
+// they report the wide stages (span ≥ 8) and the tail (spans 4, 2, 1) in µs
+// per transform apiece.
 func BenchmarkStages(b *testing.B) {
 	orig := modarith.ActiveTier()
 	b.Cleanup(func() {
@@ -414,7 +420,69 @@ func benchStages(b *testing.B) {
 		for _, logN := range []int{12, 16} {
 			benchStagesAt(b, shape.bits, logN, shape.suffix)
 		}
+		benchStagesCold(b, shape.bits, shape.suffix)
 	}
+}
+
+// coldTables is how many N = 2^16 moduli the cold rows rotate through: a
+// modulus's twiddles and Shoup companions take 2 MiB, its row 512 KiB, so
+// 33 of them (hks_n16's chain) hold 82 MiB, more than twice the LLC.
+const coldTables = 33
+
+func benchStagesCold(b *testing.B, bits int, suffix string) {
+	const logN = 16
+	primes, err := modarith.GenerateNTTPrimes(bits, logN, coldTables)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbls, rows := make([]*Tables, coldTables), make([][]uint64, coldTables)
+	r := rand.New(rand.NewSource(9))
+	for i, q := range primes {
+		if tbls[i], err = NewTables(modarith.MustModulus(q), logN); err != nil {
+			b.Fatal(err)
+		}
+		rows[i] = randPoly(r, tbls[i].N, q)
+	}
+	n := 1 << logN
+	// A transform runs its stages lazily, so a row's [0, 2q) output is the
+	// next transform's input.
+	cold := func(dir string, run func(t *Tables, a []uint64, wide, tail *time.Duration)) {
+		b.Run(fmt.Sprintf("%s-cold/n%d%s", dir, logN, suffix), func(b *testing.B) {
+			var wide, tail time.Duration
+			for i := 0; i < b.N; i++ {
+				run(tbls[i%coldTables], rows[i%coldTables], &wide, &tail)
+			}
+			b.ReportMetric(float64(wide)/1e3/float64(b.N), "wide-µs")
+			b.ReportMetric(float64(tail)/1e3/float64(b.N), "tail-µs")
+		})
+	}
+	cold("fwd", func(t *Tables, a []uint64, wide, tail *time.Duration) {
+		t0 := time.Now()
+		m := 1
+		for ; m < n/8; m <<= 1 {
+			t.fwdStage(a, m, true)
+		}
+		t1 := time.Now()
+		for ; m < n; m <<= 1 {
+			t.fwdStage(a, m, true)
+		}
+		*wide += t1.Sub(t0)
+		*tail += time.Since(t1)
+	})
+	cold("inv", func(t *Tables, a []uint64, wide, tail *time.Duration) {
+		t0 := time.Now()
+		m := n >> 1
+		for ; m > n/16; m >>= 1 {
+			t.invStage(a, m)
+		}
+		t1 := time.Now()
+		for ; m > 1; m >>= 1 {
+			t.invStage(a, m)
+		}
+		t.invStageFinal(a, true)
+		*tail += t1.Sub(t0)
+		*wide += time.Since(t1)
+	})
 }
 
 func benchStagesAt(b *testing.B, bits, logN int, suffix string) {

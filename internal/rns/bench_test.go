@@ -19,7 +19,11 @@ import (
 // go, avx512 and, on an IFMA host, avx512-noifma, the table an AVX-512 host
 // without IFMA runs. The -g1 … -g4 rows convert g targets a call through
 // ConvertRows, one pass over the sources per group, in ns per MAC of the
-// g rows.
+// g rows. At logN 16 the -cold and -g4-cold rows run the row and the group
+// of four on the next of enough source sets to fill coldSourceBytes, twice
+// the 32 MiB LLC, so every pass reads its sources from DRAM, as a key
+// switch's ModUp and ModDown do; the other rows reuse one set, which stays
+// in cache.
 func BenchmarkConvertRow(b *testing.B) {
 	const nTo = 8
 	forEachTable(b, func(table string) {
@@ -64,9 +68,52 @@ func BenchmarkConvertRow(b *testing.B) {
 								b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g*alpha*n), "ns/MAC")
 							})
 						}
+						if logN == 16 {
+							benchConvertCold(b, bc, name, out, hi)
+						}
 					}
 				}
 			}
 		})
+	})
+}
+
+// coldSourceBytes is how many bytes of source rows the -cold rows of
+// BenchmarkConvertRow rotate through.
+const coldSourceBytes = 64 << 20
+
+// benchConvertCold runs the -cold row (one target a call) and the -g4-cold
+// row (ConvertGroup targets a call) of BenchmarkConvertRow over fresh source
+// sets of bc's shape.
+func benchConvertCold(b *testing.B, bc *BasisConverter, name string, out [][]uint64, hi []uint64) {
+	alpha, n := len(bc.From), len(out[0])
+	sets := make([][][]uint64, (coldSourceBytes+alpha*n*8-1)/(alpha*n*8))
+	r := rand.New(rand.NewSource(int64(alpha * n)))
+	for s := range sets {
+		sets[s] = newRows(alpha, n)
+		for i, qi := range bc.From {
+			for c := range sets[s][i] {
+				sets[s][i][c] = r.Uint64() % qi.Q
+			}
+		}
+	}
+	b.Run(name+"-cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i % len(out)
+			bc.ConvertRow(out[j], sets[i%len(sets)], j, true, hi)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*alpha*n), "ns/MAC")
+	})
+	g := modarith.ConvertGroup
+	js, outs := make([]int, g), make([][]uint64, g)
+	b.Run(fmt.Sprintf("%s-g%d-cold", name, g), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for t := range js {
+				js[t] = (i*g + t) % len(out)
+				outs[t] = out[js[t]]
+			}
+			bc.ConvertRows(outs, sets[i%len(sets)], js, true, hi)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g*alpha*n), "ns/MAC")
 	})
 }
