@@ -81,7 +81,7 @@ func BenchmarkHADDFunc(b *testing.B) {
 }
 
 // BenchmarkHMult times one HMULT — tensor, relinearization and the rescale
-// merged into its ModDown — at the top of boot_n12's chain (logN 12, 27
+// merged into its ModDown — at the top of boot_n12's chain (logN 12, 24
 // limbs, α = 3) and of hks_n16's (N = 2^16, 26 limbs, α = 7): the per-op
 // figure DESIGN.md §3.8.5 quotes. Each shape's keys are built once, on first
 // use.
@@ -93,7 +93,7 @@ func BenchmarkHMult(b *testing.B) {
 	for _, shape := range []struct {
 		name string
 		lit  ParametersLiteral
-	}{{"n12_l27", n12}, {"n16_l26", n16}} {
+	}{{"n12_l24", n12}, {"n16_l26", n16}} {
 		var tc *testContext
 		var ct0, ct1 *Ciphertext
 		b.Run(shape.name, func(b *testing.B) {
@@ -120,7 +120,7 @@ func BenchmarkHMult(b *testing.B) {
 // shapes and logs the plan's baby step, Galois keys and modeled time beside
 // it: boot_n12's six DFT matrices (BootTestParameters at logN 12), planned as
 // one set by newBootPlan and each run at the level a bootstrap runs it
-// (CoeffToSlot 26/25/24, SlotToCoeff 12/11/10), and
+// (CoeffToSlot 23/22/21, SlotToCoeff 11/10/9), and
 // serve_mix_n12's 8-diagonal map at the top of its 10-limb chain, planned
 // alone. Each shape holds only its own transform's Galois keys.
 func BenchmarkSweep(b *testing.B) {
@@ -147,12 +147,12 @@ func BenchmarkSweep(b *testing.B) {
 		level int
 		setup func(b *testing.B) (*testContext, *LinearTransform)
 	}{
-		{"boot_c2s0_l26", 26, bootMatrix(0)},
-		{"boot_c2s1_l25", 25, bootMatrix(1)},
-		{"boot_c2s2_l24", 24, bootMatrix(2)},
-		{"boot_s2c0_l12", 12, bootMatrix(3)},
-		{"boot_s2c1_l11", 11, bootMatrix(4)},
-		{"boot_s2c2_l10", 10, bootMatrix(5)},
+		{"boot_c2s0_l23", 23, bootMatrix(0)},
+		{"boot_c2s1_l22", 22, bootMatrix(1)},
+		{"boot_c2s2_l21", 21, bootMatrix(2)},
+		{"boot_s2c0_l11", 11, bootMatrix(3)},
+		{"boot_s2c1_l10", 10, bootMatrix(4)},
+		{"boot_s2c2_l9", 9, bootMatrix(5)},
 		{"serve_l9", 9, func(b *testing.B) (*testContext, *LinearTransform) {
 			tc := buildTestContext(b, serve, false)
 			return tc, denseTestTransform(rand.New(rand.NewSource(6)), tc.params.Slots(), 8)

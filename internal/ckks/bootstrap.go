@@ -18,13 +18,13 @@ type BootstrapConfig struct {
 
 // DefaultBootstrapConfig mirrors the paper's default fftIter mix of 3 and 4
 // at test scale (3 C2S / 3 S2C groups) with a degree-31 cosine and 3 double
-// angles. Degree 31 is the degree the error budget needs: its interpolation
-// error (2^-36.5 in sine units, 2^-29.1 once scaled by q0/(2πΔ) into
-// coefficient units) sits 5 bits under the noise at EvalMod's output at
-// logN 12 (3.4 at logN 11), so a higher degree only adds products and their
-// noise — degree 47 spends three more HMULTs per ciphertext and ends 1.4 bits
-// worse — while degree 27 (2^-19 in coefficient units) is limited by the
-// approximation.
+// angles. Degree 31 is the degree the error budget needs: its approximation
+// error (2^-38.5 in sine units, 2^-31.1 once scaled by q0/(2πΔ) into
+// coefficient units; evalModPoly) sits 6.9 bits under the noise at EvalMod's
+// output at logN 12 (4.4 at logN 11), so a higher degree only adds products
+// and their noise — degrees 32 and 33 spend two more HMULTs per ciphertext
+// and end 0.9 bits worse at logN 12 — while degree 27 (2^-21 in coefficient
+// units) is limited by the approximation.
 func DefaultBootstrapConfig() BootstrapConfig {
 	return BootstrapConfig{FFTIterC2S: 3, FFTIterS2C: 3, EvalModDeg: 31, DoubleAngles: 3, K: 12}
 }
@@ -237,15 +237,16 @@ func (cfg BootstrapConfig) check(p *Parameters) error {
 // bootDepths is the number of levels each stage of a bootstrap consumes;
 // series is the part of evalMod the Chebyshev series takes.
 type bootDepths struct {
-	c2s, split, evalMod, s2c, fix int
-	series                        int
+	c2s, evalMod, s2c int
+	series            int
 }
 
 // depths accounts a bootstrap under cfg stage by stage: one level per
-// CoeffToSlot matrix and one for the conjugate split; EvalMod's affine map
-// onto the Chebyshev interval, its series and one per double angle; one per
-// SlotToCoeff matrix and one for the closing scale fix. The series' depth
-// follows EvaluateChebyshev: a leaf is one CAccum over T_1 … T_deg, the
+// CoeffToSlot matrix, EvalMod's series and one per double angle, and one per
+// SlotToCoeff matrix. The conjugate split, EvalMod's affine map and the
+// closing scale fix are constant multiplies that ride the DFT matrices'
+// diagonals (coeffsToSlots, slotsToCoeffs), so they spend none. The series'
+// depth follows EvaluateChebyshev: a leaf is one CAccum over T_1 … T_deg, the
 // deepest built ⌈log2 deg⌉ products up, and a split multiplies the quotient
 // by its giant step T_split.
 func (cfg BootstrapConfig) depths() bootDepths {
@@ -259,20 +260,21 @@ func (cfg BootstrapConfig) depths() bootDepths {
 		return max(1+max(series(deg-split), bitsLen(split-1)), series(split-1))
 	}
 	d := series(cfg.EvalModDeg)
-	return bootDepths{c2s: cfg.FFTIterC2S, split: 1, evalMod: 1 + d + cfg.DoubleAngles,
-		s2c: cfg.FFTIterS2C, fix: 1, series: d}
+	return bootDepths{c2s: cfg.FFTIterC2S, evalMod: d + cfg.DoubleAngles, s2c: cfg.FFTIterS2C, series: d}
 }
 
 // levels returns the levels a bootstrap under cfg consumes from the top of
 // the chain.
 func (cfg BootstrapConfig) levels() int {
 	d := cfg.depths()
-	return d.c2s + d.split + d.evalMod + d.s2c + d.fix
+	return d.c2s + d.evalMod + d.s2c
 }
 
 // bootLevels holds the levels a bootstrap's key switches run at, from the
 // same accounting as levels: each CoeffToSlot and SlotToCoeff sweep's input
-// level, the conjugation's and that of EvalMod's first product.
+// level, the conjugation's — the last CoeffToSlot matrix's, whose rescale
+// waits for the split — and that of EvalMod's first product, the CoeffToSlot
+// output.
 type bootLevels struct {
 	c2s, s2c  []int
 	conj, mul int
@@ -285,21 +287,35 @@ func (cfg BootstrapConfig) stageLevels(top int) bootLevels {
 	for i := 0; i < d.c2s; i++ {
 		lv.c2s = append(lv.c2s, top-i)
 	}
-	lv.conj = top - d.c2s
-	lv.mul = lv.conj - d.split - 1 // after EvalMod's affine map
-	s2cTop := lv.conj - d.split - d.evalMod
+	lv.mul = top - d.c2s
+	lv.conj = lv.mul + 1
 	for i := 0; i < d.s2c; i++ {
-		lv.s2c = append(lv.s2c, s2cTop-i)
+		lv.s2c = append(lv.s2c, lv.mul-d.evalMod-i)
 	}
 	return lv
 }
 
-// evalModPoly interpolates cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after
-// r double-angle steps this becomes cos(2πt − π/2) = sin(2πt).
+// evalModPoly approximates cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after
+// r double-angle steps this becomes cos(2πt − π/2) = sin(2πt). A double
+// angle c → 2c² − 1 multiplies an error in c by 4c, so the series' error
+// reaches the sine times w(t) = |Π_{i<r} 4·cos(2^i·θ)|, θ = 2π(t − 1/4)/2^r:
+// 4^r where θ is a multiple of π, far less between. The coefficients are the
+// least-squares fit under w on 16 nodes per coefficient, not the
+// interpolant, whose flat error the peaks of w amplify: at degree 31 the
+// sine is 2^-38.5 off on the interval instead of 2^-36.5.
 func evalModPoly(cfg BootstrapConfig) []float64 {
 	r := float64(int(1) << uint(cfg.DoubleAngles))
-	f := func(t float64) float64 { return math.Cos(2 * math.Pi * (t - 0.25) / r) }
-	return ChebyshevInterpolation(f, -float64(cfg.K+1), float64(cfg.K+1), cfg.EvalModDeg)
+	theta := func(t float64) float64 { return 2 * math.Pi * (t - 0.25) / r }
+	f := func(t float64) float64 { return math.Cos(theta(t)) }
+	w := func(t float64) float64 {
+		g := 1.0
+		for i := 0; i < cfg.DoubleAngles; i++ {
+			g *= 4 * math.Cos(float64(int(1)<<uint(i))*theta(t))
+		}
+		return math.Abs(g)
+	}
+	k1 := float64(cfg.K + 1)
+	return weightedChebyshevFit(f, w, -k1, k1, cfg.EvalModDeg, 16*(cfg.EvalModDeg+1))
 }
 
 // ModRaise reinterprets a level-0 ciphertext at the full modulus: each
@@ -334,18 +350,17 @@ func (b *Bootstrapper) ModRaise(ct *Ciphertext) *Ciphertext {
 }
 
 // evalModCt removes the q0·I component of one real-slotted ciphertext. On
-// entry the slots hold w/s where w = Δu + q0·I and s is the declared scale;
-// on exit they hold u at the returned (re-declared) scale ≈ 2πΔ.
-func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
+// entry its plaintext is w/(K+1), w = Δu + q0·I: read at scale q0, the slots
+// hold the Chebyshev variable t/(K+1), t = w/q0 ∈ [−K−1, K+1] (coeffsToSlots
+// put the 1/(K+1) there). On exit they hold sin(2πt) = 2πΔu/q0 +
+// O((Δu/q0)³) at the returned scale ≈ q0. ct is only read.
+func (b *Bootstrapper) evalModCt(ct *Ciphertext) *Ciphertext {
 	ev := b.eval
-	k1 := float64(b.cfg.K + 1)
-
-	// Re-declare the scale so the message becomes t = w/q0 ∈ [-K-1, K+1]: a
-	// second header over ct's polynomials, which are only read.
+	// Re-declare the scale as q0: a second header over ct's polynomials.
 	work := &Ciphertext{C0: ct.C0, C1: ct.C1, Scale: b.q0}
 
 	// cos(2π(t-1/4)/2^r), then r double angles -> sin(2πt).
-	out := ev.EvaluateChebyshev(work, b.evalMod, -k1, k1)
+	out := ev.chebyshevSeries(work, b.evalMod)
 	for i := 0; i < b.cfg.DoubleAngles; i++ {
 		sq := ev.mul(out, out)
 		ev.Release(out)
@@ -353,8 +368,6 @@ func (b *Bootstrapper) evalModCt(ct *Ciphertext, delta float64) *Ciphertext {
 		ev.addConstInPlace(sq, -1)
 		out = sq
 	}
-	// sin(2πt) = 2π(Δu)/q0 + O((Δu/q0)³): fold q0/(2πΔ) into the scale.
-	out.Scale *= 2 * math.Pi * delta / b.q0
 	return out
 }
 
@@ -376,8 +389,8 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	re := b.evalModCt(ct0, delta)
-	im := b.evalModCt(ct1, delta)
+	re := b.evalModCt(ct0)
+	im := b.evalModCt(ct1)
 	b.eval.Release(ct0, ct1)
 	return b.slotsToCoeffs(re, im, delta)
 }
@@ -401,44 +414,60 @@ func (b *Bootstrapper) raise(ct *Ciphertext) (*Ciphertext, error) {
 
 // coeffsToSlots consumes cur: CoeffToSlot puts its raw coefficients in the
 // slots (bit-reversed), and the conjugate split returns their real and
-// imaginary halves as two real-slotted ciphertexts.
+// imaginary halves as two real-slotted ciphertexts, each over K+1. The last
+// matrix's diagonals are encoded at gain 1/(2(K+1)): they carry the split's
+// 1/2 and EvalMod's map onto the Chebyshev interval, both real, so they
+// commute with the conjugation, and the map adds nothing on the symmetric
+// interval. The split is then a sum and a difference; and that matrix leaves
+// its rescale to the split's two halves, so the conjugation's key-switch
+// noise is divided by q_ℓ with the product and does not grow against the
+// shrunken message. The halves' declared scale carries the gain; evalModCt
+// re-declares it.
 func (b *Bootstrapper) coeffsToSlots(cur *Ciphertext) (ct0, ct1 *Ciphertext, err error) {
 	ev := b.eval
-	cur, err = b.transforms(cur, b.c2s)
+	last := len(b.c2s) - 1
+	cur, err = b.transforms(cur, b.c2s[:last])
 	if err != nil {
 		return nil, nil, err
 	}
-	conj, err := ev.Conjugate(cur)
-	if err != nil {
-		ev.Release(cur)
-		return nil, nil, err
-	}
-	qd := float64(b.params.RingQ().Moduli[cur.Level()].Q)
-	sum := ev.Add(cur, conj)
-	ev.subInPlace(conj, cur) // conj − cur
+	top, err := ev.linearTransform(cur, b.c2s[last], b.enc, 0.5/float64(b.cfg.K+1), false)
 	ev.Release(cur)
-	ct0 = ev.multConst(sum, 0.5, qd)
+	if err != nil {
+		return nil, nil, err
+	}
+	conj, err := ev.Conjugate(top)
+	if err != nil {
+		ev.Release(top)
+		return nil, nil, err
+	}
+	sum := ev.Add(top, conj)
+	ev.subInPlace(conj, top) // conj − top
+	ev.Release(top)
 	diff := ev.MulByI(conj)
-	ct1 = ev.multConst(diff, 0.5, qd)
-	ev.Release(sum, conj, diff)
-	return ct0, ct1, nil
+	ev.Release(conj)
+	return ev.rescaleOwned(sum), ev.rescaleOwned(diff), nil
 }
 
-// slotsToCoeffs consumes the two EvalMod outputs: it recombines z = re + i·im,
-// returns to coefficient packing and normalizes the scale back to exactly Δ
-// using one level.
+// slotsToCoeffs consumes the two EvalMod outputs: it recombines z = re + i·im
+// and returns to coefficient packing. The last matrix also fixes the scale:
+// its diagonals are encoded at q_ℓ·q0/(2π·scale) rather than at q_ℓ, which
+// lands the sine's 2πΔu/q0 at exactly Δ·u. The factor depends on the chain
+// alone, not on Δ, so the matrix is encoded once.
 func (b *Bootstrapper) slotsToCoeffs(re, im *Ciphertext, delta float64) (*Ciphertext, error) {
 	ev := b.eval
 	iim := ev.MulByI(im)
 	cur := ev.Add(re, iim)
 	ev.Release(re, im, iim)
-	cur, err := b.transforms(cur, b.s2c)
+	last := len(b.s2c) - 1
+	cur, err := b.transforms(cur, b.s2c[:last])
 	if err != nil {
 		return nil, err
 	}
-	qd := float64(b.params.RingQ().Moduli[cur.Level()].Q)
-	out := ev.multConst(cur, 1.0, qd*delta/cur.Scale)
+	out, err := ev.linearTransform(cur, b.s2c[last], b.enc, b.q0/(2*math.Pi*cur.Scale), true)
 	ev.Release(cur)
+	if err != nil {
+		return nil, err
+	}
 	out.Scale = delta
 	return out, nil
 }

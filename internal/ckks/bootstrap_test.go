@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
+	"github.com/anaheim-sim/anaheim/internal/workloads"
 )
 
 func TestModRaise(t *testing.T) {
@@ -127,6 +128,62 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 	if e := maxErr(tc.decryptVec(sq), want); e > 5e-2 {
 		t.Fatalf("post-bootstrap squaring error %g", e)
+	}
+}
+
+// TestBootPresetSpendsEveryPrime: BootTestParameters holds q0, the 8 levels
+// a bootstrap leaves and exactly the levels DefaultBootstrapConfig consumes —
+// no prime that only a constant multiply would spend — and a bootstrap on it
+// returns level 8. The same config on a 27-limb chain, three more 50-bit
+// primes below the bootstrap's, returns level 11 at 15 bits or more: the
+// folded bootstrap leaves L_eff 11 to a longer chain.
+func TestBootPresetSpendsEveryPrime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	cfg := DefaultBootstrapConfig()
+	lit := BootTestParameters()
+	if got, want := len(lit.LogQ), 1+8+cfg.levels(); got != want {
+		t.Errorf("BootTestParameters holds %d Q primes, q0 + 8 + the %d levels a bootstrap consumes is %d", got, cfg.levels(), want)
+	}
+	long := lit
+	long.LogQ = append(append(append([]int{}, lit.LogQ[:1]...), repeatInts(50, 3)...), lit.LogQ[1:]...)
+	r := rand.New(rand.NewSource(63))
+	for _, c := range []struct {
+		lit   ParametersLiteral
+		level int
+	}{{lit, 8}, {long, 11}} {
+		tc := newTestContext(t, c.lit)
+		boot, err := tc.bootstrapper(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := randomComplex(r, tc.params.Slots(), 0.7)
+		out, err := boot.Bootstrap(dropTo(tc.eval, tc.encryptVec(t, v), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := ComputePrecision(tc.decryptVec(out), v)
+		t.Logf("%d Q limbs: output level %d, %s", len(c.lit.LogQ), out.Level(), stats)
+		if out.Level() != c.level || stats.MinBits < 15 {
+			t.Errorf("%d Q limbs: bootstrap output at level %d with %.2f bits, want level %d with >= 15",
+				len(c.lit.LogQ), out.Level(), stats.MinBits, c.level)
+		}
+	}
+}
+
+// TestBootLevelsMatchSimulator: the library and the simulator charge the
+// same 15 levels for the default config, by different routes. The library
+// spends 3 + (6 + 3) + 3: its degree-31 series takes 6 levels and the
+// conjugate split none, riding the last CoeffToSlot matrix.
+// workloads.BootConfig.BootLevels charges 3 + 1 + (5 + 3) + 3: one for the
+// split and ⌈log2 32⌉ = 5 for the series.
+func TestBootLevelsMatchSimulator(t *testing.T) {
+	cfg := DefaultBootstrapConfig()
+	sim := workloads.BootConfig{FFTIterC2S: cfg.FFTIterC2S, FFTIterS2C: cfg.FFTIterS2C,
+		ChebDegree: cfg.EvalModDeg, DoubleAng: cfg.DoubleAngles}
+	if got, want := cfg.levels(), sim.BootLevels(); got != want || got != 15 {
+		t.Errorf("the library consumes %d levels, the simulator charges %d for the same config; want 15 and 15", got, want)
 	}
 }
 
@@ -296,7 +353,7 @@ func TestEvalModPlainReference(t *testing.T) {
 }
 
 // evalModPlainError is the worst error, in sine units, of cfg's EvalMod
-// polynomial evaluated in plaintext — the Chebyshev interpolant, then the
+// polynomial evaluated in plaintext — its Chebyshev series, then the
 // double angles — against sin(2πt), on 256 points per period over
 // [−K−1, K+1].
 func evalModPlainError(cfg BootstrapConfig) float64 {
@@ -385,8 +442,9 @@ func TestBootstrapStagePrecision(t *testing.T) {
 	rows := []stageRow{{stage: "encapsulate + ModRaise", units: "coeff",
 		stats: ComputePrecision(noise, make([]complex128, 2*nh)), floor: 39.5}}
 
-	// CoeffToSlot and the conjugate split: EvalMod reads t = W/q0, real and
-	// imaginary halves in bit-reversed order, at the scale it re-declares.
+	// CoeffToSlot and the conjugate split: EvalMod reads t/(K+1), t = W/q0,
+	// real and imaginary halves in bit-reversed order, at the scale it
+	// re-declares.
 	z := make([]complex128, nh)
 	for j := range z {
 		z[j] = complex(tc.enc.digitsToFloat(dW, j), tc.enc.digitsToFloat(dW, j+nh)) / complex(delta, 0)
@@ -400,19 +458,25 @@ func TestBootstrapStagePrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tIn, gotC2S []complex128
+	k1 := complex(float64(cfg.K+1), 0)
 	for _, half := range []*Ciphertext{ct0, ct1} {
 		for _, x := range tc.enc.Decode(tc.decr.DecryptNew(half).Value, q0) {
-			tIn = append(tIn, x)
-			gotC2S = append(gotC2S, x*complex(q0/delta, 0))
+			tIn = append(tIn, x*k1)
+			gotC2S = append(gotC2S, x*k1*complex(q0/delta, 0))
 		}
 	}
 	rows = append(rows, stageRow{stage: "CoeffToSlot + split", units: "coeff",
 		stats: ComputePrecision(gotC2S, wantC2S), floor: 30.2})
 
-	// EvalMod, against sin(2πt)·q0/(2πΔ) of its own decrypted input.
+	// EvalMod, against sin(2πt)·q0/(2πΔ) of its own decrypted input: its
+	// output, sin(2πt), read in coefficient units.
 	unit := q0 / (2 * math.Pi * delta)
-	re, im := boot.evalModCt(ct0, delta), boot.evalModCt(ct1, delta)
+	re, im := boot.evalModCt(ct0), boot.evalModCt(ct1)
 	gotRe, gotIm := tc.decryptVec(re), tc.decryptVec(im)
+	for i := range gotRe {
+		gotRe[i] *= complex(unit, 0)
+		gotIm[i] *= complex(unit, 0)
+	}
 	gotMod := append(append([]complex128{}, gotRe...), gotIm...)
 	wantMod := make([]complex128, len(tIn))
 	for i, x := range tIn {
@@ -445,20 +509,20 @@ func TestBootstrapStagePrecision(t *testing.T) {
 		}
 	}
 
-	// The default degree is noise-limited: its interpolation error, scaled
+	// The default degree is noise-limited: its approximation error, scaled
 	// into coefficient units, sits at least 3 bits under the measured EvalMod
-	// error (3.2 at this shape; 5.0 at logN 12, whose output noise is 1.5 bits
+	// error (4.4 at this shape; 6.9 at logN 12, whose output noise is 2.5 bits
 	// higher). Degree 27 is approximation-limited and fails the same check.
 	margin := func(deg int) float64 {
 		c := cfg
 		c.EvalModDeg = deg
 		plain := evalModPlainError(c) * unit
 		m := math.Log2(evalMod.MaxErr / plain)
-		t.Logf("degree %d: plaintext interpolation error %.3g coeff (%.2f bits), %.2f bits under EvalMod's", deg, plain, -math.Log2(plain), m)
+		t.Logf("degree %d: plaintext approximation error %.3g coeff (%.2f bits), %.2f bits under EvalMod's", deg, plain, -math.Log2(plain), m)
 		return m
 	}
 	if m := margin(cfg.EvalModDeg); m < 3 {
-		t.Errorf("degree %d: interpolation error only %.2f bits under the EvalMod error", cfg.EvalModDeg, m)
+		t.Errorf("degree %d: approximation error only %.2f bits under the EvalMod error", cfg.EvalModDeg, m)
 	}
 	if m := margin(27); m >= 3 {
 		t.Errorf("degree 27 passes the noise-limited check (%.2f bits)", m)

@@ -381,6 +381,16 @@ func (ev *Evaluator) sweepKeys(plan *bsgsPlan, lvl int) (map[int]*SwitchingKey, 
 // sits one level down at the input scale. A ciphertext at level 0 has no prime to drop:
 // ErrLevel. Both errors come before anything is borrowed or written.
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder) (*Ciphertext, error) {
+	return ev.linearTransform(ct, lt, enc, 1, true)
+}
+
+// linearTransform is EvaluateLinearTransform with the two changes a
+// bootstrap's DFT matrices use. The diagonals are encoded at gain·q_ℓ rather
+// than q_ℓ: the output's plaintext is gain·M·u at the input scale, a real
+// constant multiply that spends no level of its own, and its declared scale
+// is the input's times gain. Without rescale the output stays at the input's
+// level, at that scale times q_ℓ, for the caller to rescale.
+func (ev *Evaluator) linearTransform(ct *Ciphertext, lt *LinearTransform, enc *Encoder, gain float64, rescale bool) (*Ciphertext, error) {
 	if ct.Level() == 0 {
 		return nil, errLevelZero
 	}
@@ -389,7 +399,7 @@ func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform
 	if err != nil {
 		return nil, err
 	}
-	return ev.evaluateSweep(ct, lt, enc, plan, keys)
+	return ev.evaluateSweep(ct, lt, enc, plan, keys, gain, rescale)
 }
 
 // giantAcc holds one giant step's accumulators, each borrowed from the ring
@@ -428,9 +438,11 @@ type bsgsBabyTarget struct {
 // hoisting, Fig 1/Fig 5), PMULT and accumulation in the extended modulus PQ,
 // a single ModDown at the end, merged with the rescale that drops q_lvl again
 // (modDownRescale). keys holds the Galois key of every rotation in
-// plan.rotations() (see sweepKeys). ct must sit above level 0.
+// plan.rotations() (see sweepKeys). The diagonals are encoded at gain·q_lvl,
+// and without rescale the tail is a plain ModDown (linearTransform; 1 and
+// true are the plain transform). ct must sit above level 0.
 func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Encoder,
-	plan *bsgsPlan, keys map[int]*SwitchingKey) (*Ciphertext, error) {
+	plan *bsgsPlan, keys map[int]*SwitchingKey, gain float64, rescale bool) (*Ciphertext, error) {
 	defer obsLinTrans.done(time.Now())
 	p := ev.params
 	rq, rp := p.RingQ(), p.RingP()
@@ -440,7 +452,8 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		plan.keySwitchCount(), lvl, sweepCostAt(p, lvl, plan).ms(p)))
 	defer sweep.End()
 
-	ptScale := float64(rq.Moduli[lvl].Q)
+	q := float64(rq.Moduli[lvl].Q)
+	ptScale := q * gain
 
 	diags, err := lt.encodedAt(enc, lvl, ptScale, plan)
 	if err != nil {
@@ -532,18 +545,27 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 		span.End()
 	}
 
-	// The diagonals multiplied the scale by q_lvl and the rescale divides it
-	// out again, in that order, as a separate Rescale would.
+	// The diagonals multiplied the scale by ptScale and the rescale divides
+	// q_lvl out again, in that order, as a separate Rescale would.
 	scale := ct.Scale * ptScale
+	var out *Ciphertext
 	switch {
-	case final.t0q != nil:
+	case final.t0q != nil && rescale:
 		c0, c1 := ev.modDownRescale(final.t0q, final.t0p, final.t1q, final.t1p, final.a0q, final.a1q, lvl)
 		final.release(rq, rp)
-		return &Ciphertext{C0: c0, C1: c1, Scale: scale / ptScale}, nil
+		return &Ciphertext{C0: c0, C1: c1, Scale: scale / q}, nil
+	case final.t0q != nil:
+		c := ev.modDown([2]*ring.Poly{final.t0q, final.t1q}, [2]*ring.Poly{final.t0p, final.t1p}, [2]*ring.Poly{final.a0q, final.a1q}, 0, lvl)
+		final.release(rq, rp)
+		out = &Ciphertext{C0: c[0], C1: c[1], Scale: scale}
 	case final.a0q != nil:
-		// Only the r == 0 diagonal: its two products, rescaled, are the result.
-		return ev.rescaleOwned(&Ciphertext{C0: final.a0q, C1: final.a1q, Scale: scale}), nil
+		// Only the r == 0 diagonal: its two products are the result.
+		out = &Ciphertext{C0: final.a0q, C1: final.a1q, Scale: scale}
 	default:
-		return ev.zeroCiphertext(lvl-1, scale/ptScale), nil // a transform without diagonals
+		out = ev.zeroCiphertext(lvl, scale) // a transform without diagonals
 	}
+	if rescale {
+		return ev.rescaleOwned(out), nil
+	}
+	return out, nil
 }

@@ -21,7 +21,7 @@ func (tc *testContext) sweepWith(t testing.TB, ct *Ciphertext, lt *LinearTransfo
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := tc.eval.evaluateSweep(ct, lt, tc.enc, plan, keys)
+	out, err := tc.eval.evaluateSweep(ct, lt, tc.enc, plan, keys, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

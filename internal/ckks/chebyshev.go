@@ -29,6 +29,59 @@ func ChebyshevInterpolation(f func(float64) float64, a, b float64, degree int) [
 	return coeffs
 }
 
+// weightedChebyshevFit returns the degree-"degree" Chebyshev series on
+// [a, b] that minimizes Σ (w(x)·(p(x) − f(x)))² over n Chebyshev nodes: a
+// least-squares fit whose error is spread against the weight w rather than
+// flat, as ChebyshevInterpolation's is. The weighted design matrix is
+// factored by modified Gram–Schmidt, f's column reduced along with it.
+func weightedChebyshevFit(f, w func(float64) float64, a, b float64, degree, n int) []float64 {
+	m := degree + 1
+	cols := make([][]float64, m+1) // w·T_0 … w·T_degree, then w·f
+	for j := range cols {
+		cols[j] = make([]float64, n)
+	}
+	for k := 0; k < n; k++ {
+		t := math.Cos(math.Pi * (float64(k) + 0.5) / float64(n))
+		x := (b-a)/2*t + (b+a)/2
+		wk := w(x)
+		t0, t1 := 1.0, t
+		for j := 0; j < m; j++ {
+			cols[j][k] = wk * t0
+			t0, t1 = t1, 2*t*t1-t0
+		}
+		cols[m][k] = wk * f(x)
+	}
+	dot := func(u, v []float64) (s float64) {
+		for k := range u {
+			s += u[k] * v[k]
+		}
+		return s
+	}
+	r := make([][]float64, m) // the triangular factor; column m is f's coordinates
+	for i := range r {
+		r[i] = make([]float64, m+1)
+		r[i][i] = math.Sqrt(dot(cols[i], cols[i]))
+		for k := range cols[i] {
+			cols[i][k] /= r[i][i]
+		}
+		for j := i + 1; j <= m; j++ {
+			r[i][j] = dot(cols[i], cols[j])
+			for k := range cols[j] {
+				cols[j][k] -= r[i][j] * cols[i][k]
+			}
+		}
+	}
+	coeffs := make([]float64, m)
+	for i := m - 1; i >= 0; i-- {
+		s := r[i][m]
+		for j := i + 1; j < m; j++ {
+			s -= r[i][j] * coeffs[j]
+		}
+		coeffs[i] = s / r[i][i]
+	}
+	return coeffs
+}
+
 // EvalChebyshevSeries evaluates a Chebyshev series on plaintext input
 // (reference for tests): Σ c_j T_j(t) with t = (2x-a-b)/(b-a).
 func EvalChebyshevSeries(coeffs []float64, a, b, x float64) float64 {
@@ -101,14 +154,25 @@ func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b fl
 	// t = (2x - a - b)/(b - a), computed with one constant mult + add.
 	t1 := ev.multConst(ct, 2/(b-a), float64(rq.Moduli[ct.Level()].Q))
 	ev.addConstInPlace(t1, -(a+b)/(b-a))
+	out := ev.chebyshevSeries(t1, coeffs)
+	ev.Release(t1)
+	return out
+}
 
+// chebyshevSeries evaluates Σ c_j T_j(t) on a ciphertext t1 whose slots
+// already lie in [−1, 1]: EvaluateChebyshev after its affine map, one level
+// fewer. The bootstrap's EvalMod enters here, its map folded into the last
+// CoeffToSlot matrix. t1 is only read.
+func (ev *Evaluator) chebyshevSeries(t1 *Ciphertext, coeffs []float64) *Ciphertext {
 	degree := len(coeffs) - 1
 	baby := max(2, 1<<((bitsLen(degree)+1)/2))
-	// Every power, T_1 included, is an intermediate of this evaluation.
+	// Every power but T_1 is an intermediate of this evaluation.
 	pow := ev.chebyshevPowers(t1, degree, baby)
 	defer func() {
-		for _, ct := range pow {
-			ev.Release(ct)
+		for k, ct := range pow {
+			if k != 1 {
+				ev.Release(ct)
+			}
 		}
 	}()
 

@@ -28,6 +28,33 @@ func TestChebyshevInterpolationPlain(t *testing.T) {
 	}
 }
 
+// TestWeightedChebyshevFit: a series the fit's degree can hold is recovered
+// exactly under any positive weight, and a weight that peaks where the
+// interpolant's error is largest lowers the weighted error there.
+func TestWeightedChebyshevFit(t *testing.T) {
+	want := []float64{0.3, -1.2, 0.7, 0.01, -0.4, 0.9}
+	f := func(x float64) float64 { return EvalChebyshevSeries(want, -2, 3, x) }
+	w := func(x float64) float64 { return 1 + x*x }
+	for j, c := range weightedChebyshevFit(f, w, -2, 3, len(want)-1, 64) {
+		if math.Abs(c-want[j]) > 1e-12 {
+			t.Fatalf("coefficient %d: got %g, want %g", j, c, want[j])
+		}
+	}
+
+	wPeak := func(x float64) float64 { return 1 + 100*math.Exp(-x*x*50) }
+	worst := func(coeffs []float64) (e float64) {
+		for i := 0; i <= 1000; i++ {
+			x := -1 + 2*float64(i)/1000
+			e = max(e, wPeak(x)*math.Abs(EvalChebyshevSeries(coeffs, -1, 1, x)-math.Exp(x)))
+		}
+		return e
+	}
+	interp, fit := worst(ChebyshevInterpolation(math.Exp, -1, 1, 7)), worst(weightedChebyshevFit(math.Exp, wPeak, -1, 1, 7, 256))
+	if fit >= interp {
+		t.Fatalf("weighted error %g, not below the interpolant's %g", fit, interp)
+	}
+}
+
 func TestSplitChebyshev(t *testing.T) {
 	// p = q·T_split + r must hold as functions.
 	coeffs := []float64{0.3, -1.2, 0.7, 0.01, -0.4, 0.9, 0.05, -0.2, 0.6}

@@ -146,7 +146,7 @@ func TestHoistedDigitsTransformOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := func() {
-		if _, err := tc.eval.evaluateSweep(ct, lt, tc.enc, plan, keys); err != nil {
+		if _, err := tc.eval.evaluateSweep(ct, lt, tc.enc, plan, keys, 1, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestSweepCostCountsWhatRuns(t *testing.T) {
 				want := sweepCostAt(p, lvl, o.plan)
 				before := obsLinTransRotations.Value()
 				got := countTransforms(p, func() {
-					out, err := tc.eval.evaluateSweep(ct, lt, tc.enc, o.plan, keys)
+					out, err := tc.eval.evaluateSweep(ct, lt, tc.enc, o.plan, keys, 1, true)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -200,9 +200,11 @@ func withKernelTier(t *testing.T, tier modarith.KernelTier, fn func()) {
 // TestSeededKeyBytes: a key pins its B rows and its seed, half what it pinned
 // with A stored. Every key of the logN 11 bootstrap key set — the evaluation
 // keys and both encapsulation keys — is D·(ℓ+1+α)·N·8 + 32 bytes, within
-// 32 B of half its former 2·D·(ℓ+1+α)·N·8, and the set is half of the
-// 210 632 704 bytes its evaluation keys measured with A stored, plus 32 per
-// key, plus the encapsulation pair its bootstrap section now carries.
+// 32 B of half its former 2·D·(ℓ+1+α)·N·8, and the set is half of what its
+// evaluation keys take with A stored — Σ 2·D·(ℓ+1+α)·N·8 over them,
+// 169 213 952 bytes on the 24-limb chain (210 632 704 on the former 27-limb
+// one) — plus 32 per key, plus the encapsulation pair its bootstrap section
+// carries.
 func TestSeededKeyBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the bootstrap key set")
@@ -217,9 +219,13 @@ func TestSeededKeyBytes(t *testing.T) {
 	for g, k := range tc.keys.Gal {
 		keys[fmt.Sprint("Galois ", g)] = k
 	}
+	var before int64 // the evaluation keys with A stored
 	for name, k := range keys {
 		lvl := k.Level()
 		rows := int64(p.Digits(lvl)) * int64(lvl+1+p.Alpha()) * int64(p.N()) * 8
+		if k != boot.toSparse && k != boot.toDense {
+			before += 2 * rows
+		}
 		got := k.CoeffBytes()
 		if got != rows+32 {
 			t.Errorf("%s key at level %d: %d bytes, want D·(ℓ+1+α)·N·8 + 32 = %d", name, lvl, got, rows+32)
@@ -228,12 +234,14 @@ func TestSeededKeyBytes(t *testing.T) {
 			t.Errorf("%s key: %d bytes, %d from half the stored-A key's %d", name, got, d, 2*rows)
 		}
 	}
-	const before = 210632704 // 26 Galois keys and the relinearization key, A stored
+	if before != 169213952 {
+		t.Errorf("26 Galois keys and the relinearization key take %d bytes with A stored, want 169 213 952", before)
+	}
 	n := int64(len(tc.keys.Gal) + 1)
 	pair := boot.toSparse.CoeffBytes() + boot.toDense.CoeffBytes()
-	if got, want := tc.keys.CoeffBytes(), int64(before/2)+32*n+pair; got != want {
+	if got, want := tc.keys.CoeffBytes(), before/2+32*n+pair; got != want {
 		t.Errorf("key set %d bytes, want half of %d plus 32 per key plus the encapsulation pair's %d = %d", got, before, pair, want)
 	}
 	t.Logf("key set %.1f MB in %d keys and the encapsulation pair (%.1f MB with A stored, without the pair); toDense %.2f MB, toSparse %.3f MB",
-		float64(tc.keys.CoeffBytes())/1e6, n, before/1e6, float64(boot.toDense.CoeffBytes())/1e6, float64(boot.toSparse.CoeffBytes())/1e6)
+		float64(tc.keys.CoeffBytes())/1e6, n, float64(before)/1e6, float64(boot.toDense.CoeffBytes())/1e6, float64(boot.toSparse.CoeffBytes())/1e6)
 }

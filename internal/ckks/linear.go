@@ -37,8 +37,9 @@ type LinearTransform struct {
 
 // encKey names one cached encoding variant of the transform's diagonals.
 type encKey struct {
-	lvl int
-	bs  int // diagonals pre-rotated for the sweep plan with this baby step
+	lvl   int
+	bs    int     // diagonals pre-rotated for the sweep plan with this baby step
+	scale float64 // the encoding scale: q_lvl, or a multiple a bootstrap folds in
 }
 
 // encEntry is one singleflight-built encoding variant: ready is closed when
@@ -109,13 +110,13 @@ func (lt *LinearTransform) encodedVariant(key encKey, build func() (map[int]enco
 }
 
 // encodedAt returns the diagonals encoded for the sweep plan at level lvl
-// (scale = the level's top prime), building and caching them on first use:
+// and the given scale, building and caching them on first use:
 // each diagonal r = rot + b is pre-rotated by −rot at encode time (the §V-B
 // offline preprocessing), so the giant rotation can be applied to the whole
 // inner sum after the fact instead of to the ciphertext per diagonal. Under
 // the degenerate plan (rot = 0 throughout) these are the plain diagonals.
 func (lt *LinearTransform) encodedAt(enc *Encoder, lvl int, scale float64, plan *bsgsPlan) (map[int]encodedDiag, error) {
-	return lt.encodedVariant(encKey{lvl: lvl, bs: plan.bs}, func() (map[int]encodedDiag, error) {
+	return lt.encodedVariant(encKey{lvl: lvl, bs: plan.bs, scale: scale}, func() (map[int]encodedDiag, error) {
 		m := make(map[int]encodedDiag, len(lt.Diags))
 		for _, g := range plan.giants {
 			for _, d := range g.diags {

@@ -232,10 +232,10 @@ func (o oracle) mulConstAccum(cts []*Ciphertext, consts []float64, constScale fl
 // baby rotations sharing one decomposition of c1 and staying in QP, each
 // giant's inner sum key-switched once more by g, one ModDown at the end.
 // bs = Slots is the per-diagonal hoisted sweep (a single giant, g = 0).
-func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int) *Ciphertext {
+func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, gain float64) *Ciphertext {
 	rq := o.p.RingQ()
 	lvl := ct.Level()
-	ptScale := float64(rq.Moduli[lvl].Q)
+	ptScale := float64(rq.Moduli[lvl].Q) * gain
 	digits := o.decompose(ct.C1, lvl)
 
 	giants := map[int][]int{}
@@ -420,19 +420,33 @@ func TestDeterminismMatrix(t *testing.T) {
 					},
 					func() ([]*Ciphertext, error) { return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts)) }},
 				opCase{"sweep-diag0",
-					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.sweep(a, onlyDiag0, slots))} },
+					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.sweep(a, onlyDiag0, slots, 1))} },
 					func() ([]*Ciphertext, error) { return one(ev.EvaluateLinearTransform(a, onlyDiag0, tc.enc)) }})
+			// The bootstrap's two variants beside the plain sweep: diagonals
+			// encoded at a gain (the conjugate split's 1/2 and EvalMod's
+			// 1/(K+1) at K = 12), and a tail without the rescale.
 			for _, bs := range []int{slots, 4} {
-				ops = append(ops, opCase{fmt.Sprintf("sweep-bs%d", bs),
-					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.sweep(a, lt, bs))} },
-					func() ([]*Ciphertext, error) {
-						plan := newBSGSPlan(lt.Diags, bs)
-						keys, err := ev.sweepKeys(plan, a.Level())
-						if err != nil {
-							return nil, err
-						}
-						return one(ev.evaluateSweep(a, lt, tc.enc, plan, keys))
-					}})
+				for _, v := range []struct {
+					gain    float64
+					rescale bool
+				}{{1, true}, {0.5 / 13, true}, {1, false}} {
+					ops = append(ops, opCase{fmt.Sprintf("sweep-bs%d-gain%.4g-rescale%v", bs, v.gain, v.rescale),
+						func() []*Ciphertext {
+							out := or.sweep(a, lt, bs, v.gain)
+							if v.rescale {
+								out = or.rescale(out)
+							}
+							return []*Ciphertext{out}
+						},
+						func() ([]*Ciphertext, error) {
+							plan := newBSGSPlan(lt.Diags, bs)
+							keys, err := ev.sweepKeys(plan, a.Level())
+							if err != nil {
+								return nil, err
+							}
+							return one(ev.evaluateSweep(a, lt, tc.enc, plan, keys, v.gain, v.rescale))
+						}})
+				}
 			}
 		}
 
@@ -461,9 +475,9 @@ func TestDeterminismMatrix(t *testing.T) {
 	for lvl := 1; lvl <= wide.params.MaxLevel(); lvl++ {
 		a := dropTo(wide.eval, wct, lvl)
 		matchOracle(t, fmt.Sprintf("sweep-%d-babies lvl %d", len(wplan.babies), lvl),
-			func() []*Ciphertext { return []*Ciphertext{wor.rescale(wor.sweep(a, wlt, wslots))} },
+			func() []*Ciphertext { return []*Ciphertext{wor.rescale(wor.sweep(a, wlt, wslots, 1))} },
 			func() ([]*Ciphertext, error) {
-				ct, err := wide.eval.evaluateSweep(a, wlt, wide.enc, wplan, wkeys)
+				ct, err := wide.eval.evaluateSweep(a, wlt, wide.enc, wplan, wkeys, 1, true)
 				return []*Ciphertext{ct}, err
 			})
 	}

@@ -237,7 +237,7 @@ func TestUseAfterRelease(t *testing.T) {
 						t.Fatal("the dense transform did not select a baby step")
 					}
 					or := oracle{p: tc.params, keys: tc.keys, enc: tc.enc}
-					want := or.rescale(or.sweep(in, sweepLT, bs))
+					want := or.rescale(or.sweep(in, sweepLT, bs, 1))
 					if !bytes.Equal(ctBytes(t, out), ctBytes(t, want)) {
 						t.Fatal("sweep bytes differ from the oracle")
 					}

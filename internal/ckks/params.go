@@ -184,17 +184,21 @@ func TestParameters() ParametersLiteral {
 // BootTestParameters returns an insecure but functionally complete
 // bootstrapping parameter set (N=2^11) with enough modulus budget for
 // CoeffToSlot, EvalMod and SlotToCoeff. A bootstrap under
-// DefaultBootstrapConfig spends, from the top level 26 down (its depths):
-// C2S 3 and the conjugate split 1 on 50-bit primes, then EvalMod 10 (scale
-// ≈ q0 during the sine evaluation), S2C 3 and the scale fix 1 on 60-bit
-// primes, leaving 8 levels. Chain bottom-to-top: q0 (60b) | levels 1–7
-// (50b) | level 8 (60b) | fix, S2C, EvalMod: levels 9–22 (60b) | split,
-// C2S: levels 23–26 (50b).
+// DefaultBootstrapConfig spends 15 levels from the top level 23 down (its
+// depths): C2S 3, then EvalMod 9 — the degree-31 series 6 at scale ≈ q0 and
+// 3 double angles — and S2C 3 on 60-bit primes, leaving 8 levels. The
+// conjugate split, EvalMod's affine map and the scale fix ride the DFT
+// matrices and hold no prime. The last C2S matrix carries the split's 1/2
+// and the map's 1/(K+1) in its diagonals, whose encoding precision its prime
+// bounds, so that prime is 60-bit where the other two C2S primes are 50-bit.
+// Chain bottom-to-top: q0 (60b) | levels 1–7 (50b) | level 8 (60b) | S2C:
+// levels 9–11, EvalMod: levels 12–20, last C2S: level 21 (60b) | first two
+// C2S: levels 22–23 (50b).
 func BootTestParameters() ParametersLiteral {
 	logQ := []int{60}
 	logQ = append(logQ, repeatInts(50, 7)...)  // levels 1–7: left after a bootstrap
-	logQ = append(logQ, repeatInts(60, 15)...) // level 8 left, 9 fix, 10–12 S2C, 13–22 EvalMod
-	logQ = append(logQ, repeatInts(50, 4)...)  // 23 conjugate split, 24–26 CoeffToSlot
+	logQ = append(logQ, repeatInts(60, 14)...) // level 8 left, 9–11 S2C, 12–20 EvalMod, 21 last C2S
+	logQ = append(logQ, repeatInts(50, 2)...)  // 22–23 CoeffToSlot
 	return ParametersLiteral{
 		LogN:     11,
 		LogQ:     logQ,

@@ -71,10 +71,11 @@ func vecDotLazyAVX512(out []uint64, a, b [][]uint64, accMask, q, twoQ, u0, u1 ui
 
 // vecDotKeyLazyAVX512 is vecDotLazyAVX512 for two outputs over one a, on the
 // AVX-512 IFMA multiply-adds: outB from the b rows, outA from the u rows,
-// each with its own accumulate mask.
+// each with its own accumulate mask. narrow ≠ 0 (q < narrowModulus) takes
+// each term on one 52-bit product.
 //
 //go:noescape
-func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
+func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1, narrow uint64)
 
 // vecConvertRowAVX512 sets out (a multiple of 16 words) to the row conversion
 // over rows, one terms entry per row (len(rows) ≥ 1, at most maxIFMATerms),
@@ -218,14 +219,17 @@ func asmKernelTable(ifma bool) *kernelTable {
 			for k := range a {
 				_, _, _ = a[k][n-1], b[k][n-1], u[k][n-1]
 			}
-			var maskB, maskA uint64
+			var maskB, maskA, narrow uint64
 			if accB {
 				maskB = 0xff
 			}
 			if accA {
 				maskA = 0xff
 			}
-			vecDotKeyLazyAVX512(outB, outA, a, b[:len(a)], u[:len(a)], maskB, maskA, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
+			if m.Q < narrowModulus {
+				narrow = 1
+			}
+			vecDotKeyLazyAVX512(outB, outA, a, b[:len(a)], u[:len(a)], maskB, maskA, m.Q, m.TwoQ, m.BRedHi, m.BRedLo, narrow)
 		}
 		t.convertRow = convertRowIFMA
 		t.convertRows = convertRowsIFMA

@@ -931,17 +931,20 @@ dotLazyTerm:
 	MUL128x8(XHI, Z30, H, L, T0, T1, T2) \
 	VPADDQ H, T, T
 
-// func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1 uint64)
+// func vecDotKeyLazyAVX512(outB, outA []uint64, a, b, u [][]uint64, accMaskB, accMaskA, q, twoQ, u0, u1, narrow uint64)
 // The two dots of a gadget product against one key, out of one pass over the
-// digit rows, on the 52-bit multiply-add units (AVX-512 IFMA): per 8
+// digit rows, on the 52-bit multiply-adds (AVX-512 IFMA): per 8
 // coefficients, each term loads and splits a[k] once and adds a[k]·b[k] into
 // the B accumulator Z10–Z14 and a[k]·u[k] into the A accumulator Z15–Z19 at
 // seven multiply-adds each, where a 64×64 product costs vecDotLazyAVX512 four
-// 32×32 multiplies and eleven carry operations. Each output then pays
-// vecDotLazyAVX512's single Barrett reduction, so the bytes are its bytes.
-// Term bounds (a < 2^62, b < 2^61, at most MaxDotTerms terms) keep every
-// register below 2^64.
-TEXT ·vecDotKeyLazyAVX512(SB), NOSPLIT, $0-168
+// 32×32 multiplies and eleven carry operations. On a narrow modulus (narrow
+// ≠ 0: q < 2^51, so a < 2q and b, u < q all fit 52 bits) a term is one
+// product of two 52-bit limbs, lo52 into L and hi52 into M1 — two
+// multiply-adds per output, the same sums with the zero limbs' products left
+// out. Each output then pays vecDotLazyAVX512's single Barrett reduction, so
+// the bytes are its bytes. Term bounds (a < 2^62, b < 2^61, at most
+// MaxDotTerms terms) keep every register below 2^64.
+TEXT ·vecDotKeyLazyAVX512(SB), NOSPLIT, $0-176
 	MOVQ outB_base+0(FP), DI
 	MOVQ outB_len+8(FP), CX
 	MOVQ outA_base+24(FP), BX
@@ -954,6 +957,7 @@ TEXT ·vecDotKeyLazyAVX512(SB), NOSPLIT, $0-168
 	KMOVW AX, K3
 	MOVQ accMaskA+128(FP), AX
 	KMOVW AX, K4
+	MOVQ narrow+168(FP), R14
 	BARRETT_CONSTS(136)
 	MOVQ $0xfffffffffffff, AX
 	VPBROADCASTQ AX, Z24                      // 2^52 − 1
@@ -962,6 +966,8 @@ dotKeyLoop:
 	IFMA_OPEN((DI)(DX*8), K3, Z10, Z11, Z12, Z13, Z14)
 	IFMA_OPEN((BX)(DX*8), K4, Z15, Z16, Z17, Z18, Z19)
 	XORQ R12, R12
+	TESTQ R14, R14
+	JNZ dotKeyNarrow
 dotKeyTerm:
 	MOVQ (R8)(R12*1), SI
 	VMOVDQU64 (SI)(DX*8), Z0
@@ -978,6 +984,23 @@ dotKeyTerm:
 	ADDQ $24, R12
 	CMPQ R12, R13
 	JL dotKeyTerm
+	JMP dotKeyClose
+dotKeyNarrow:
+	MOVQ (R8)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z0
+	MOVQ (R9)(R12*1), SI
+	PREFETCHT0 PREFETCH_DIST(SI)(DX*8)
+	VMOVDQU64 (SI)(DX*8), Z2
+	VPMADD52LUQ Z2, Z0, Z10                   // lo(ab)
+	VPMADD52HUQ Z2, Z0, Z11                   // hi(ab)
+	MOVQ (R10)(R12*1), SI
+	VMOVDQU64 (SI)(DX*8), Z20
+	VPMADD52LUQ Z20, Z0, Z15                  // lo(au)
+	VPMADD52HUQ Z20, Z0, Z16                  // hi(au)
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JL dotKeyNarrow
+dotKeyClose:
 	IFMA_CLOSE(Z10, Z11, Z12, Z13, Z14)
 	VMOVDQU64 Z0, (DI)(DX*8)
 	IFMA_CLOSE(Z15, Z16, Z17, Z18, Z19)

@@ -26,7 +26,8 @@ var stageBlockCounts = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64}
 
 // tierTestModuli returns a 45-, 55-, 60- and MaxModulusBits-bit prime, in
 // that order, then the two primes straddling 2^50, the bound below which the
-// NTT butterflies run on the IFMA multiply-adds.
+// NTT butterflies run on the IFMA multiply-adds, and the two straddling 2^51
+// (narrowModulus), below which a dot term is one 52-bit product.
 func tierTestModuli(t testing.TB) []Modulus {
 	t.Helper()
 	var ms []Modulus
@@ -37,12 +38,14 @@ func tierTestModuli(t testing.TB) []Modulus {
 		}
 		ms = append(ms, MustModulus(ps[0]))
 	}
-	ps, err := GenerateNTTPrimes(50, 12, 2)
-	if err != nil {
-		t.Fatalf("GenerateNTTPrimes(50): %v", err)
-	}
-	for _, p := range ps {
-		ms = append(ms, MustModulus(p))
+	for _, bits := range []int{50, 51} {
+		ps, err := GenerateNTTPrimes(bits, 12, 2)
+		if err != nil {
+			t.Fatalf("GenerateNTTPrimes(%d): %v", bits, err)
+		}
+		for _, p := range ps {
+			ms = append(ms, MustModulus(p))
+		}
 	}
 	return ms
 }
