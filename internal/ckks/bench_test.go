@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -82,7 +83,7 @@ func BenchmarkHADDFunc(b *testing.B) {
 
 // BenchmarkHMult times one HMULT — tensor, relinearization and the rescale
 // merged into its ModDown — at the top of boot_n12's chain (logN 12, 24
-// limbs, α = 3) and of hks_n16's (N = 2^16, 26 limbs, α = 7): the per-op
+// limbs, α = 6) and of hks_n16's (N = 2^16, 26 limbs, α = 7): the per-op
 // figure DESIGN.md §3.8.5 quotes. Each shape's keys are built once, on first
 // use.
 func BenchmarkHMult(b *testing.B) {
@@ -240,24 +241,51 @@ func BenchmarkLinearTransformFunc(b *testing.B) {
 	}
 }
 
+// BenchmarkBootstrapFunc times one bootstrap of a level-0 ciphertext under
+// DefaultBootstrapConfig: the preset at logN 11, then the functional Fig 2b
+// sweep at boot_n12's shape (logN 12), one row per special-prime count α over
+// the same 24-limb chain, D = ⌈24/α⌉ digits at the top (8, 6, 4, 3, 2). Each
+// row reports its key set's CoeffBytes as evk-MB; its keys are built once, on
+// first use.
 func BenchmarkBootstrapFunc(b *testing.B) {
 	if testing.Short() {
 		b.Skip("bootstrapping bench is expensive")
 	}
-	tc := buildTestContext(b, BootTestParameters(), false)
-	boot, err := tc.bootstrapper(DefaultBootstrapConfig())
-	if err != nil {
-		b.Fatal(err)
+	type row struct {
+		name string
+		lit  ParametersLiteral
 	}
-	r := rand.New(rand.NewSource(7))
-	ct := dropTo(tc.eval, tc.encryptVec(b, randomComplex(r, tc.params.Slots(), 0.7)), 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := boot.Bootstrap(ct)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tc.eval.Release(out)
+	rows := []row{{"n11", BootTestParameters()}}
+	for _, alpha := range []int{3, 4, 6, 8, 12} {
+		lit := BootTestParameters()
+		lit.LogN = 12
+		lit.LogP = repeatInts(60, alpha)
+		rows = append(rows, row{fmt.Sprintf("n12/a%d", alpha), lit})
+	}
+	for _, r := range rows {
+		var tc *testContext
+		var boot *Bootstrapper
+		var ct *Ciphertext
+		b.Run(r.name, func(b *testing.B) {
+			if tc == nil {
+				tc = buildTestContext(b, r.lit, false)
+				var err error
+				if boot, err = tc.bootstrapper(DefaultBootstrapConfig()); err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				ct = dropTo(tc.eval, tc.encryptVec(b, randomComplex(rng, tc.params.Slots(), 0.7)), 0)
+				b.ResetTimer()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := boot.Bootstrap(ct)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc.eval.Release(out)
+			}
+			b.ReportMetric(float64(tc.keys.CoeffBytes())/1e6, "evk-MB")
+		})
 	}
 }

@@ -172,6 +172,66 @@ func TestBootPresetSpendsEveryPrime(t *testing.T) {
 	}
 }
 
+// TestBootPresetGadgetShape: BootTestParameters' gadget is Table IV's D = 4.
+// Six 60-bit special primes (α = 6) split the 24-limb top into ⌈24/6⌉ = 4
+// digits, and every key switch a bootstrap spends runs with its stage level's
+// digit count: CoeffToSlot and the conjugation 4, EvalMod's products 4 down
+// to 3, SlotToCoeff 2. The bootstrap returns level 8 after 31 key switches
+// outside its sweeps. Structural, like TestPaperParametersStructure: log PQ
+// is 1 350 + 360 = 1 710 bits, so the preset is insecure at logN 11 and 12 by
+// construction, and at N = 2^16 it would still exceed §IV-B's 1 623.
+func TestBootPresetGadgetShape(t *testing.T) {
+	lit := BootTestParameters()
+	p, err := NewParameters(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := p.MaxLevel()
+	if p.Alpha() != 6 || p.Digits(top) != 4 {
+		t.Errorf("α = %d and D = %d at the top level %d, want 6 and 4", p.Alpha(), p.Digits(top), top)
+	}
+	cfg := DefaultBootstrapConfig()
+	lv := cfg.stageLevels(top)
+	var evalMod []int
+	for i := 0; i < cfg.depths().evalMod; i++ {
+		evalMod = append(evalMod, lv.mul-i)
+	}
+	for _, st := range []struct {
+		name   string
+		levels []int
+		lo, hi int
+	}{
+		{"CoeffToSlot", lv.c2s, 4, 4},
+		{"conjugation", []int{lv.conj}, 4, 4},
+		{"EvalMod", evalMod, 3, 4},
+		{"SlotToCoeff", lv.s2c, 2, 2},
+	} {
+		lo, hi := p.Digits(st.levels[0]), p.Digits(st.levels[0])
+		for _, l := range st.levels {
+			lo, hi = min(lo, p.Digits(l)), max(hi, p.Digits(l))
+		}
+		if lo != st.lo || hi != st.hi {
+			t.Errorf("%s at levels %v: %d–%d digits, want %d–%d", st.name, st.levels, lo, hi, st.lo, st.hi)
+		}
+	}
+	if got := top - cfg.levels(); got != 8 {
+		t.Errorf("a bootstrap returns level %d, want 8", got)
+	}
+	if got := 2 + 1 + 2*(chebyshevProducts(cfg.EvalModDeg)+cfg.DoubleAngles); got != 31 {
+		t.Errorf("%d key switches outside the sweeps, want 31", got)
+	}
+	logQ, logP := 0, 0
+	for _, b := range lit.LogQ {
+		logQ += b
+	}
+	for _, b := range lit.LogP {
+		logP += b
+	}
+	if logQ != 1350 || logP != 360 {
+		t.Errorf("log Q = %d and log P = %d, want 1 350 and 360", logQ, logP)
+	}
+}
+
 // TestBootLevelsMatchSimulator: the library and the simulator charge the
 // same 15 levels for the default config, by different routes. The library
 // spends 3 + (6 + 3) + 3: its degree-31 series takes 6 levels and the
@@ -511,7 +571,7 @@ func TestBootstrapStagePrecision(t *testing.T) {
 
 	// The default degree is noise-limited: its approximation error, scaled
 	// into coefficient units, sits at least 3 bits under the measured EvalMod
-	// error (4.4 at this shape; 6.9 at logN 12, whose output noise is 2.5 bits
+	// error (4.1 at this shape; 6.9 at logN 12, whose output noise is 2.5 bits
 	// higher). Degree 27 is approximation-limited and fails the same check.
 	margin := func(deg int) float64 {
 		c := cfg

@@ -202,9 +202,8 @@ func withKernelTier(t *testing.T, tier modarith.KernelTier, fn func()) {
 // keys and both encapsulation keys — is D·(ℓ+1+α)·N·8 + 32 bytes, within
 // 32 B of half its former 2·D·(ℓ+1+α)·N·8, and the set is half of what its
 // evaluation keys take with A stored — Σ 2·D·(ℓ+1+α)·N·8 over them,
-// 169 213 952 bytes on the 24-limb chain (210 632 704 on the former 27-limb
-// one) — plus 32 per key, plus the encapsulation pair its bootstrap section
-// carries.
+// 94 633 984 bytes at α = 6 on the 24-limb chain — plus 32 per key, plus the
+// encapsulation pair its bootstrap section carries.
 func TestSeededKeyBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the bootstrap key set")
@@ -234,8 +233,8 @@ func TestSeededKeyBytes(t *testing.T) {
 			t.Errorf("%s key: %d bytes, %d from half the stored-A key's %d", name, got, d, 2*rows)
 		}
 	}
-	if before != 169213952 {
-		t.Errorf("26 Galois keys and the relinearization key take %d bytes with A stored, want 169 213 952", before)
+	if before != 94633984 {
+		t.Errorf("26 Galois keys and the relinearization key take %d bytes with A stored, want 94 633 984", before)
 	}
 	n := int64(len(tc.keys.Gal) + 1)
 	pair := boot.toSparse.CoeffBytes() + boot.toDense.CoeffBytes()

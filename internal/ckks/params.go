@@ -193,7 +193,12 @@ func TestParameters() ParametersLiteral {
 // bounds, so that prime is 60-bit where the other two C2S primes are 50-bit.
 // Chain bottom-to-top: q0 (60b) | levels 1–7 (50b) | level 8 (60b) | S2C:
 // levels 9–11, EvalMod: levels 12–20, last C2S: level 21 (60b) | first two
-// C2S: levels 22–23 (50b).
+// C2S: levels 22–23 (50b). Six 60-bit special primes (α = 6) make the gadget
+// Table IV's D = 4 at the top, 3–4 digits in EvalMod and 2 in SlotToCoeff:
+// the smallest α within noise of the fastest in the functional Fig 2b sweep
+// (EXPERIMENTS.md), where α = 3 (D = 8) bootstraps ≈ 16 % slower on keys of
+// 1.8× the bytes. log PQ = 1 350 + 360 = 1 710 bits: insecure at this N by
+// construction, and over §IV-B's 1 623 even at N = 2^16.
 func BootTestParameters() ParametersLiteral {
 	logQ := []int{60}
 	logQ = append(logQ, repeatInts(50, 7)...)  // levels 1–7: left after a bootstrap
@@ -202,7 +207,7 @@ func BootTestParameters() ParametersLiteral {
 	return ParametersLiteral{
 		LogN:     11,
 		LogQ:     logQ,
-		LogP:     []int{60, 60, 60},
+		LogP:     repeatInts(60, 6),
 		LogScale: 50,
 		HDense:   64,
 		HSparse:  16,

@@ -509,9 +509,10 @@ func TestTierDotKeyLazy(t *testing.T) {
 // that may cross 2^52 once lazy.
 var convSourceBits = []int{50, 51, 52, 55, 60, MaxModulusBits}
 
-// convTermCounts: one term, the digit widths a key switch converts (α = 3
-// and 7), and rows longer than the small folds below allow.
-var convTermCounts = []int{1, 3, 7, 12, 40}
+// convTermCounts: one term, the digit widths a key switch converts (α = 3 on
+// serve_mix_n12, 6 on boot_n12, 7 on hks_n16; α is also ModDown's source
+// count), and rows longer than the small folds below allow.
+var convTermCounts = []int{1, 3, 6, 7, 12, 40}
 
 // convSources returns two moduli of every convSourceBits size.
 func convSources(t testing.TB) []Modulus {
