@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/experiments"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 func newCtx(t *testing.T) *Context {
@@ -131,10 +131,14 @@ func TestEncryptBytesUnchanged(t *testing.T) {
 // TestClientPathPins pins what one client round trip costs at the serving
 // workload's shape (logN 12, 10 limbs): limb transforms from the ring's own
 // counters — 3(ℓ+1) forward for an encrypt, k = 2 inverse for a decrypt — and
-// steady-state allocations.
+// steady-state allocations. The context is built at GOMAXPROCS 1, so its
+// rings run their limbs serially, as the other pins do: the par dispatch
+// allocates chunk closures.
 func TestClientPathPins(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
 	ctx, err := NewContext(ParametersLiteral{LogN: 12, LogQ: append([]int{55}, 45, 45, 45, 45, 45, 45, 45, 45, 45),
 		LogP: []int{58, 58, 58}, LogScale: 45}, 1)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +166,6 @@ func TestClientPathPins(t *testing.T) {
 	if raceEnabled {
 		return // race-detector instrumentation inflates allocation counts
 	}
-	// Serially, as the other pins: the par dispatch allocates chunk closures.
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
 	// Encrypt measures 22: the two output polynomials (3 objects each), the
 	// ciphertext, three sampled vectors and the ternary permutation, the
 	// encoder's slot and coefficient scratch, two key views, per-limb

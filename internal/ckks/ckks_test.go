@@ -5,6 +5,9 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"github.com/anaheim-sim/anaheim/internal/modarith"
+	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
 // testContext bundles everything the scheme tests need.
@@ -38,6 +41,45 @@ func buildTestContext(t testing.TB, lit ParametersLiteral, poison bool) *testCon
 	if err != nil {
 		t.Fatal(err)
 	}
+	return contextOn(params, poison)
+}
+
+// serialTestContext is buildTestContext on rings of pool width 1, which run
+// their limbs serially: the par dispatch allocates chunk closures, noise to
+// an allocation count.
+func serialTestContext(t testing.TB, lit ParametersLiteral, poison bool) *testContext {
+	t.Helper()
+	params, err := NewParameters(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return contextOn(paramsAt(t, params, modarith.Kernels{}, 1), poison)
+}
+
+// paramsAt returns p on rings rebuilt over the same primes on kernel table k
+// at pool width width: keys and ciphertexts of p serve it unchanged, and
+// parameter sets at different tables and widths run side by side.
+func paramsAt(t testing.TB, p *Parameters, k modarith.Kernels, width int) *Parameters {
+	t.Helper()
+	at := *p
+	at.ringQ, at.ringP = ringAt(t, p.ringQ, k, width), ringAt(t, p.ringP, k, width)
+	return &at
+}
+
+func ringAt(t testing.TB, r *ring.Ring, k modarith.Kernels, width int) *ring.Ring {
+	t.Helper()
+	primes := make([]uint64, len(r.Moduli))
+	for i, m := range r.Moduli {
+		primes[i] = m.Q
+	}
+	out, err := ring.NewRingAt(r.LogN, primes, k, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func contextOn(params *Parameters, poison bool) *testContext {
 	if poison {
 		params.RingQ().PoisonPool()
 		params.RingP().PoisonPool()

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/anaheim-sim/anaheim/internal/obs"
-	"github.com/anaheim-sim/anaheim/internal/par"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
@@ -193,8 +192,7 @@ func TestBootstrapKeysAtTheirLevels(t *testing.T) {
 		t.Skip("bootstrapping test is expensive")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer par.SetWorkers(par.SetWorkers(1))
-	tc := buildTestContext(t, BootTestParameters(), false)
+	tc := serialTestContext(t, BootTestParameters(), false)
 	p := tc.params
 	top := p.MaxLevel()
 	cfg := DefaultBootstrapConfig()

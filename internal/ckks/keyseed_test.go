@@ -172,9 +172,13 @@ func TestExpandUniformPresetModuli(t *testing.T) {
 			for logN := 10; logN <= 16; logN++ {
 				tag := rng.Uint64()
 				want := ref(m.Q, 1<<logN, tag)
-				for _, tier := range modarith.AvailableTiers() {
+				for _, tier := range modarith.KernelTables() {
 					got := make([]uint64, 1<<logN)
-					withKernelTier(t, tier, func() { m.ExpandUniform(got, key, tag, 0) })
+					mt, err := tier.NewModulus(m.Q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mt.ExpandUniform(got, key, tag, 0)
 					for j, v := range got {
 						if v != want[j] || v >= m.Q {
 							t.Fatalf("%s q=%d N=2^%d %v: word %d = %d, want %d", name, m.Q, logN, tier, j, v, want[j])
@@ -184,17 +188,6 @@ func TestExpandUniformPresetModuli(t *testing.T) {
 			}
 		}
 	}
-}
-
-// withKernelTier runs fn with every row kernel on tier.
-func withKernelTier(t *testing.T, tier modarith.KernelTier, fn func()) {
-	t.Helper()
-	prev := modarith.ActiveTier()
-	if err := modarith.SetKernelTier(tier); err != nil {
-		t.Fatal(err)
-	}
-	defer modarith.SetKernelTier(prev)
-	fn()
 }
 
 // TestSeededKeyBytes: a key pins its B rows and its seed, half what it pinned

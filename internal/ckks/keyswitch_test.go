@@ -1,29 +1,79 @@
 package ckks
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"github.com/anaheim-sim/anaheim/internal/par"
+	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
+
+// TestKeySwitchAcrossRingsConcurrently runs one key switch at once on two
+// parameter sets over the same primes and keys: one on the pure-Go kernel
+// table at pool width 1, one on the host's table at width 2 (its 9-limb
+// chains clear the pipeline's parallel threshold, so its limbs go to pool
+// workers). The outputs must agree byte for byte. A ring's kernel table and
+// pool width are its own: under -race, any process-wide state one run
+// writes while the other reads fails here.
+func TestKeySwitchAcrossRingsConcurrently(t *testing.T) {
+	t.Parallel()
+	tc := newTestContext(t, TestParameters())
+	swk := tc.kgen.GenKeySwitchKey(tc.sk, tc.kgen.GenSparseSecretKey())
+	ct := tc.encryptVec(t, randomComplex(rand.New(rand.NewSource(23)), tc.params.Slots(), 1))
+	evs := [2]*Evaluator{
+		NewEvaluator(paramsAt(t, tc.params, modarith.KernelTables()[0], 1), tc.keys),
+		NewEvaluator(paramsAt(t, tc.params, modarith.Kernels{}, 2), tc.keys),
+	}
+	var out [2][][]byte
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, ev := range evs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				res, err := ev.SwitchKeys(ct, swk)
+				if err == nil {
+					var b []byte
+					b, err = res.MarshalBinary()
+					out[i] = append(out[i], b)
+					ev.Release(res)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("evaluator %d: %v", i, err)
+		}
+	}
+	for run := range out[0] {
+		if !bytes.Equal(out[0][run], out[1][run]) || !bytes.Equal(out[0][run], out[0][0]) {
+			t.Fatalf("run %d: the Go table at width 1 and the host table at width 2 switch to different bytes", run)
+		}
+	}
+}
 
 // TestKeySwitchAllocs pins the steady-state allocation count of the full
 // ModUp -> KeyMult -> ModDown pipeline: with the BConv scratch, the
 // Decompose row headers, the digit polynomials and the two results all
 // pooled, the only remaining allocations are the small decomposed
-// bookkeeping. Runs serially — the par dispatch allocates chunk closures,
-// which is noise here, not key-switch state.
+// bookkeeping. Runs serially, on rings of pool width 1 — the par dispatch
+// allocates chunk closures, which is noise here, not key-switch state.
 func TestKeySwitchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
-	tc := newTestContext(t, TestParameters())
+	tc := serialTestContext(t, TestParameters(), true)
 	r := rand.New(rand.NewSource(11))
 	ct := tc.encryptVec(t, randomComplex(r, tc.params.Slots(), 1))
 	lvl := ct.Level()

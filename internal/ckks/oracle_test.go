@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
-	"github.com/anaheim-sim/anaheim/internal/par"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 	"github.com/anaheim-sim/anaheim/internal/rns"
 )
@@ -315,40 +314,60 @@ func wideBoundParams() ParametersLiteral {
 	}
 }
 
-// matchOracle evaluates want once on the pure-Go tier, then got on every
-// kernel tier the host has at par widths 1, 2 and 4, and fails unless every
-// result is byte for byte (MarshalBinary) the oracle's.
-func matchOracle(t *testing.T, label string, want func() []*Ciphertext, got func() ([]*Ciphertext, error)) {
+// tableEvaluator is an evaluator and an encoder whose rings run one kernel
+// table at one pool width.
+type tableEvaluator struct {
+	label string
+	ev    *Evaluator
+	enc   *Encoder
+}
+
+// evaluatorsAt returns an evaluator over tc's keys for every kernel table the
+// host runs at pool widths 1, 2 and 4, each on poisoned rings of its own, so
+// the whole matrix lives side by side in one process.
+func (tc *testContext) evaluatorsAt(t *testing.T) []tableEvaluator {
 	t.Helper()
-	setTier := func(tier modarith.KernelTier) {
-		if err := modarith.SetKernelTier(tier); err != nil {
-			t.Fatal(err)
+	var evs []tableEvaluator
+	for _, k := range modarith.KernelTables() {
+		for _, width := range []int{1, 2, 4} {
+			p := paramsAt(t, tc.params, k, width)
+			p.RingQ().PoisonPool()
+			p.RingP().PoisonPool()
+			evs = append(evs, tableEvaluator{fmt.Sprintf("table %v width %d", k, width), NewEvaluator(p, tc.keys), NewEncoder(p)})
 		}
 	}
-	setTier(modarith.TierGo)
+	return evs
+}
+
+// goOracle returns tc's oracle on the pure-Go kernel table at width 1.
+func (tc *testContext) goOracle(t *testing.T) oracle {
+	t.Helper()
+	p := paramsAt(t, tc.params, modarith.KernelTables()[0], 1)
+	return oracle{p: p, keys: tc.keys, enc: NewEncoder(p)}
+}
+
+// matchOracle evaluates want once, then got on every evaluator of evs, and
+// fails unless every result is byte for byte (MarshalBinary) the oracle's.
+func matchOracle(t *testing.T, label string, evs []tableEvaluator, want func() []*Ciphertext, got func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error)) {
+	t.Helper()
 	ref := want()
-	for _, tier := range modarith.AvailableTiers() {
-		setTier(tier)
-		for _, width := range []int{1, 2, 4} {
-			prev := par.SetWorkers(width)
-			out, err := got()
-			par.SetWorkers(prev)
-			if err != nil {
-				t.Fatalf("%s tier %v width %d: %v", label, tier, width, err)
-			}
-			for i := range ref {
-				if !bytes.Equal(ctBytes(t, out[i]), ctBytes(t, ref[i])) {
-					t.Fatalf("%s[%d] tier %v width %d: evaluator bytes differ from the oracle", label, i, tier, width)
-				}
+	for _, e := range evs {
+		out, err := got(e.ev, e.enc)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, e.label, err)
+		}
+		for i := range ref {
+			if !bytes.Equal(ctBytes(t, out[i]), ctBytes(t, ref[i])) {
+				t.Fatalf("%s[%d] %s: evaluator bytes differ from the oracle", label, i, e.label)
 			}
 		}
 	}
 }
 
 // TestDeterminismMatrix is the one differential the evaluator answers to:
-// op × every level × par width {1, 2, 4} × every kernel tier the host has,
+// op × every level × par width {1, 2, 4} × every kernel table the host has,
 // each compared byte for byte (MarshalBinary) against the oracle run on the
-// pure-Go tier, on poisoned pools. It covers what the per-mode differential
+// pure-Go table, on poisoned pools, with one ring per (table, width). It covers what the per-mode differential
 // files used to: lazy vs exact kernels, pipelined vs barriered chains, the
 // ragged last digit of the levels α does not divide, the per-diagonal sweep
 // as the degenerate BSGS plan, a sweep giant with more babies than one
@@ -356,13 +375,7 @@ func matchOracle(t *testing.T, label string, want func() []*Ciphertext, got func
 // ModDown of HMULT and of the sweep against the oracle's ModDown-then-Rescale,
 // and independence from the worker count and from the CPU's kernel tier.
 func TestDeterminismMatrix(t *testing.T) {
-	origTier := modarith.ActiveTier()
-	t.Cleanup(func() {
-		if err := modarith.SetKernelTier(origTier); err != nil {
-			t.Fatal(err)
-		}
-	})
-
+	t.Parallel()
 	tc := newTestContext(t, alpha4Params())
 	p := tc.params
 	slots := p.Slots()
@@ -378,27 +391,27 @@ func TestDeterminismMatrix(t *testing.T) {
 	ctA := tc.encryptVec(t, randomComplex(r, slots, 1))
 	ctB := tc.encryptVec(t, randomComplex(r, slots, 1))
 
-	ev := tc.eval
-	or := oracle{p: p, keys: tc.keys, enc: tc.enc}
+	evs := tc.evaluatorsAt(t)
+	or := tc.goOracle(t)
 	for lvl := 0; lvl <= p.MaxLevel(); lvl++ {
-		a, b := dropTo(ev, ctA, lvl), dropTo(ev, ctB, lvl)
+		a, b := dropTo(tc.eval, ctA, lvl), dropTo(tc.eval, ctB, lvl)
 
 		type opCase struct {
 			name string
 			want func() []*Ciphertext
-			got  func() ([]*Ciphertext, error)
+			got  func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error)
 		}
 		one := func(ct *Ciphertext, err error) ([]*Ciphertext, error) { return []*Ciphertext{ct}, err }
 		ops := []opCase{
 			{"switch-keys",
 				func() []*Ciphertext { return []*Ciphertext{or.switchKeys(a, swk)} },
-				func() ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, swk)) }},
+				func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.SwitchKeys(a, swk)) }},
 			{"rotate",
 				func() []*Ciphertext { return []*Ciphertext{or.rotate(a, 3)} },
-				func() ([]*Ciphertext, error) { return one(ev.Rotate(a, 3)) }},
+				func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.Rotate(a, 3)) }},
 			{"conjugate",
 				func() []*Ciphertext { return []*Ciphertext{or.automorphism(a, conj)} },
-				func() ([]*Ciphertext, error) { return one(ev.Conjugate(a)) }},
+				func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.Conjugate(a)) }},
 		}
 		// The ops that end in a rescale need a prime to drop; the oracle runs
 		// them long-hand, the rescale after the ModDown it rides on.
@@ -406,22 +419,26 @@ func TestDeterminismMatrix(t *testing.T) {
 			ops = append(ops,
 				opCase{"rescale",
 					func() []*Ciphertext { return []*Ciphertext{or.rescale(a)} },
-					func() ([]*Ciphertext, error) { return one(ev.Rescale(a)) }},
+					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.Rescale(a)) }},
 				opCase{"mul",
 					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.mulRelin(a, b))} },
-					func() ([]*Ciphertext, error) { return one(ev.Mul(a, b)) }},
+					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.Mul(a, b)) }},
 				opCase{"square",
 					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.mulRelin(a, a))} },
-					func() ([]*Ciphertext, error) { return one(ev.Square(a)) }},
+					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.Square(a)) }},
 				opCase{"mul-const-accum",
 					func() []*Ciphertext {
 						qd := float64(p.RingQ().Moduli[lvl].Q)
 						return []*Ciphertext{or.rescale(or.mulConstAccum([]*Ciphertext{a, b, a}, accumConsts, qd))}
 					},
-					func() ([]*Ciphertext, error) { return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts)) }},
+					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {
+						return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts))
+					}},
 				opCase{"sweep-diag0",
 					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.sweep(a, onlyDiag0, slots, 1))} },
-					func() ([]*Ciphertext, error) { return one(ev.EvaluateLinearTransform(a, onlyDiag0, tc.enc)) }})
+					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {
+						return one(ev.EvaluateLinearTransform(a, onlyDiag0, enc))
+					}})
 			// The bootstrap's two variants beside the plain sweep: diagonals
 			// encoded at a gain (the conjugate split's 1/2 and EvalMod's
 			// 1/(K+1) at K = 12), and a tail without the rescale.
@@ -438,20 +455,20 @@ func TestDeterminismMatrix(t *testing.T) {
 							}
 							return []*Ciphertext{out}
 						},
-						func() ([]*Ciphertext, error) {
+						func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {
 							plan := newBSGSPlan(lt.Diags, bs)
 							keys, err := ev.sweepKeys(plan, a.Level())
 							if err != nil {
 								return nil, err
 							}
-							return one(ev.evaluateSweep(a, lt, tc.enc, plan, keys, v.gain, v.rescale))
+							return one(ev.evaluateSweep(a, lt, enc, plan, keys, v.gain, v.rescale))
 						}})
 				}
 			}
 		}
 
 		for _, op := range ops {
-			matchOracle(t, fmt.Sprintf("%s lvl %d plan %+v", op.name, lvl, p.PlanAt(lvl)), op.want, op.got)
+			matchOracle(t, fmt.Sprintf("%s lvl %d plan %+v", op.name, lvl, p.PlanAt(lvl)), evs, op.want, op.got)
 		}
 	}
 
@@ -470,14 +487,15 @@ func TestDeterminismMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wor := oracle{p: wide.params, keys: wide.keys, enc: wide.enc}
+	wor := wide.goOracle(t)
+	wevs := wide.evaluatorsAt(t)
 	wct := wide.encryptVec(t, randomComplex(r, wslots, 1))
 	for lvl := 1; lvl <= wide.params.MaxLevel(); lvl++ {
 		a := dropTo(wide.eval, wct, lvl)
-		matchOracle(t, fmt.Sprintf("sweep-%d-babies lvl %d", len(wplan.babies), lvl),
+		matchOracle(t, fmt.Sprintf("sweep-%d-babies lvl %d", len(wplan.babies), lvl), wevs,
 			func() []*Ciphertext { return []*Ciphertext{wor.rescale(wor.sweep(a, wlt, wslots, 1))} },
-			func() ([]*Ciphertext, error) {
-				ct, err := wide.eval.evaluateSweep(a, wlt, wide.enc, wplan, wkeys, 1, true)
+			func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {
+				ct, err := ev.evaluateSweep(a, wlt, enc, wplan, wkeys, 1, true)
 				return []*Ciphertext{ct}, err
 			})
 	}

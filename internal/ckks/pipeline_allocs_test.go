@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/obs"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // steadyState runs f warm times to fill the polynomial, scratch, row-header and
@@ -14,11 +13,11 @@ import (
 // (bytes, objects), how many ring-pool gets missed over the measured runs and
 // how many polynomials one run borrows from the ring pools.
 // Like testing.AllocsPerRun it measures on one P — a sync.Pool keeps a
-// per-P cache, so a migrating goroutine would miss what it just put — and
-// serially: the par dispatch allocates chunk closures, which is noise here.
+// per-P cache, so a migrating goroutine would miss what it just put. f runs
+// on a serialTestContext: the par dispatch allocates chunk closures, which is
+// noise here.
 func steadyState(warm, runs int, f func()) (bytes, objects, misses, gets float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer par.SetWorkers(par.SetWorkers(1))
 	for i := 0; i < warm; i++ {
 		f()
 	}
@@ -49,7 +48,7 @@ func TestPipelinedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
 	}
-	tc := newTestContext(t, TestParameters())
+	tc := serialTestContext(t, TestParameters(), true)
 	p := tc.params
 	r := rand.New(rand.NewSource(11))
 	lt := denseTestTransform(r, p.Slots(), 8)
@@ -149,7 +148,7 @@ func TestBootstrapAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping test is expensive")
 	}
-	tc := newTestContext(t, BootTestParameters())
+	tc := serialTestContext(t, BootTestParameters(), true)
 	boot, err := tc.bootstrapper(DefaultBootstrapConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -144,9 +144,9 @@ type Engine struct {
 
 	tierCaps map[string]int // per-tier admission capacity (weight shares)
 
-	active atomic.Int64  // admitted (queued or running) jobs
-	seq    atomic.Uint64 // session ids
-	jobSeq atomic.Uint64 // job ids; every id up to it was issued (see lookupLocked)
+	activeJobs atomic.Int64  // admitted (queued or running) jobs
+	seq        atomic.Uint64 // session ids
+	jobSeq     atomic.Uint64 // job ids; every id up to it was issued (see lookupLocked)
 
 	metrics *engineMetrics
 	tracer  *obs.Tracer
@@ -195,7 +195,7 @@ func New(cfg Config) *Engine {
 	}, func(_ string, s *Session) { e.metrics.sessionsEvicted.Inc() })
 	// Sampled-at-scrape gauges; when several engines share a registry the
 	// most recently started one wins, which is what a serving process wants.
-	cfg.Obs.GaugeFunc("engine_active_jobs", func() float64 { return float64(e.active.Load()) })
+	cfg.Obs.GaugeFunc("engine_active_jobs", func() float64 { return float64(e.activeJobs.Load()) })
 	cfg.Obs.GaugeFunc("engine_sessions_live", func() float64 { return float64(e.sessions.Len()) })
 	cfg.Obs.GaugeFunc("engine_evalkey_resident_bytes", func() float64 { return float64(e.sessions.Bytes()) })
 	cfg.Obs.GaugeFunc("engine_jobs_retained", func() float64 {
@@ -449,7 +449,7 @@ func (e *Engine) releaseJob(j *Job) {
 	}
 	e.mu.Unlock()
 	e.sessions.Unpin(j.tenant)
-	e.active.Add(-1)
+	e.activeJobs.Add(-1)
 }
 
 // ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	}
 	reason := ""
 	switch {
-	case e.active.Load() >= int64(e.cfg.MaxActiveJobs):
+	case e.activeJobs.Load() >= int64(e.cfg.MaxActiveJobs):
 		reason = "engine_full"
 	case e.tierActive[tier] >= e.tierCaps[tier]:
 		reason = "tier_full"
@@ -515,7 +515,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	}
 	e.tierActive[tier]++
 	e.tenantActive[spec.SessionID]++
-	e.active.Add(1)
+	e.activeJobs.Add(1)
 	e.mu.Unlock()
 
 	deadline := spec.Deadline

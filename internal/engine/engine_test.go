@@ -16,7 +16,6 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 	"github.com/anaheim-sim/anaheim/internal/obs"
-	"github.com/anaheim-sim/anaheim/internal/par"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
@@ -212,7 +211,7 @@ func TestSubmitRejectsNonFiniteConstants(t *testing.T) {
 			t.Errorf("%s with %v/%v: got error %v, want a not-finite spec error", op.Op, op.Val, op.Vals, err)
 		}
 	}
-	if n := e.active.Load(); n != 0 {
+	if n := e.activeJobs.Load(); n != 0 {
 		t.Errorf("%d jobs admitted by rejected submits", n)
 	}
 	if after := poolTraffic(); after != before {
@@ -244,7 +243,7 @@ func TestBackpressure(t *testing.T) {
 	}
 	// Saturate the admission budget artificially, then verify Submit sheds
 	// load with a typed overload error that still unwraps to ErrBusy.
-	e.active.Add(int64(e.cfg.MaxActiveJobs))
+	e.activeJobs.Add(int64(e.cfg.MaxActiveJobs))
 	_, err = e.Submit(JobSpec{
 		SessionID: sess.ID,
 		Inputs:    map[string]*ckks.Ciphertext{"x": client.encrypt(t, []complex128{1})},
@@ -261,7 +260,7 @@ func TestBackpressure(t *testing.T) {
 	if oe.Reason != "engine_full" || oe.RetryAfter <= 0 {
 		t.Fatalf("overload error = %+v, want reason engine_full with positive RetryAfter", oe)
 	}
-	e.active.Add(-int64(e.cfg.MaxActiveJobs))
+	e.activeJobs.Add(-int64(e.cfg.MaxActiveJobs))
 }
 
 func TestJobDeadline(t *testing.T) {
@@ -522,13 +521,14 @@ func TestHostileScales(t *testing.T) {
 // coefficient-domain component, a residue at or above its q_i, a nil
 // component — is refused by Submit with ckks.ErrShape as the argument of an op
 // of every kind the engine knows (opArity), and over HTTP with a 400, before
-// anything is borrowed, a goroutine started or a job exists. At pool width 2 the
-// limbs of an add run on par workers, where such an input used to panic
-// outside the engine's recover and end the process.
+// anything is borrowed, a goroutine started or a job exists. The client's
+// rings are built at GOMAXPROCS 2, so at their pool width 2 the limbs of an
+// add run on par workers, where such an input used to panic outside the
+// engine's recover and end the process.
 func TestSubmitRefusesMalformedInputs(t *testing.T) {
-	prev := par.SetWorkers(2)
-	defer par.SetWorkers(prev)
+	prev := runtime.GOMAXPROCS(2)
 	client := newTestClient(t)
+	runtime.GOMAXPROCS(prev)
 	client.params.RingQ().PoisonPool()
 	client.params.RingP().PoisonPool()
 	e := New(Config{Workers: 1, Obs: obs.NewRegistry()})
@@ -623,7 +623,7 @@ func TestSubmitRefusesMalformedInputs(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > goroutines {
 		t.Errorf("refused jobs left %d goroutines, %d before", n, goroutines)
 	}
-	if n := e.active.Load(); n != 0 {
+	if n := e.activeJobs.Load(); n != 0 {
 		t.Errorf("%d jobs admitted after the refusals", n)
 	}
 	out := results(t, e, JobSpec{SessionID: sess.ID, Inputs: map[string]*ckks.Ciphertext{"x": x},

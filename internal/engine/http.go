@@ -204,7 +204,7 @@ func NewHTTPHandler(e *Engine) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":  "ok",
 			"workers": e.cfg.Workers,
-			"active":  e.active.Load(),
+			"active":  e.activeJobs.Load(),
 		})
 	})
 

@@ -387,7 +387,7 @@ func TestEngineMemoryStaysFlat(t *testing.T) {
 		}
 		done += clients
 		jobs, retained, bytes := e.tableSizes()
-		if bound := int(budget/minCost) + 1; retained > bound || jobs > int(e.active.Load())+bound {
+		if bound := int(budget/minCost) + 1; retained > bound || jobs > int(e.activeJobs.Load())+bound {
 			t.Fatalf("after %d jobs: table holds %d (%d retained, %d bytes), bound %d retained", done, jobs, retained, bytes, bound)
 		}
 		if done == early {
@@ -628,8 +628,8 @@ func TestReapedJobIsGone(t *testing.T) {
 		t.Errorf("GET deleted running job: %d, want 410", code)
 	}
 	// Its admission slot is back and it was never retained.
-	if jobs, retained, _ := e.tableSizes(); jobs != 0 || retained != 0 || e.active.Load() != 0 {
-		t.Errorf("after deleting everything: table %d, retained %d, active %d", jobs, retained, e.active.Load())
+	if jobs, retained, _ := e.tableSizes(); jobs != 0 || retained != 0 || e.activeJobs.Load() != 0 {
+		t.Errorf("after deleting everything: table %d, retained %d, active %d", jobs, retained, e.activeJobs.Load())
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters[`engine_jobs_reaped_total{reason="deleted"}`]; got != 2 {
@@ -723,7 +723,7 @@ func TestNoAbortWakeupsOnNormalFinish(t *testing.T) {
 		}
 	}
 	// 512 rotations queued behind one worker: the jobs are in flight now.
-	if inflight := e.active.Load(); inflight < 32 {
+	if inflight := e.activeJobs.Load(); inflight < 32 {
 		t.Fatalf("only %d jobs in flight, the goroutine reading below means nothing", inflight)
 	}
 	if during := runtime.NumGoroutine(); during > before+2 {

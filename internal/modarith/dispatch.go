@@ -2,23 +2,22 @@ package modarith
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/anaheim-sim/anaheim/internal/obs"
 )
 
 // Runtime kernel dispatch. The row kernels in vec.go / wide.go / perm.go and
 // the NTT stage kernels are the innermost loops of every FHE operation. They
-// run through a function-pointer table selected once at init, so the per-row
-// call sites never branch on CPU features. There are two tables: the pure-Go
-// one (vec_go.go, wide_go.go, perm.go), compiled everywhere, and the AVX-512
-// one, which exists only in an amd64 build without the `noasm` tag on a CPU
-// that reports AVX-512. The active table is the AVX-512 one where it exists and the Go one
-// otherwise — a function of the binary and CPUID, nothing else. The Go kernels
-// are also the AVX-512 wrappers' remainder path and the differential oracle
-// the tier-sweep tests compare every assembly kernel against (DESIGN.md
-// §3.8.1).
+// run through a function-pointer table that every Modulus carries, so the
+// per-row call sites never branch on CPU features and read no global. There
+// are two tables: the pure-Go one (vec_go.go, wide_go.go, perm.go), compiled
+// everywhere, and the AVX-512 one, which exists only in an amd64 build
+// without the `noasm` tag on a CPU that reports AVX-512. NewModulus gives a
+// modulus the AVX-512 table where it exists and the Go one otherwise — a
+// function of the binary and CPUID, nothing else. The Go kernels are also the
+// AVX-512 wrappers' remainder path and the differential oracle the tier-sweep
+// tests compare every assembly kernel against, on moduli from
+// KernelTables (DESIGN.md §3.8.1).
 
 // KernelTier identifies one kernel table.
 type KernelTier uint8
@@ -51,6 +50,7 @@ func (t KernelTier) String() string {
 // nil-check.
 type kernelTable struct {
 	tier KernelTier
+	name string
 
 	mulBarrett    func(m Modulus, out, a, b []uint64)
 	mulAddBarrett func(m Modulus, out, a, b []uint64)
@@ -92,6 +92,7 @@ type kernelTable struct {
 // goKernels is the pure-Go table: the noasm fallback and the oracle.
 var goKernels = kernelTable{
 	tier:              TierGo,
+	name:              "go",
 	mulBarrett:        vecMulBarrettGo,
 	mulAddBarrett:     vecMulAddBarrettGo,
 	mulShoup:          vecMulShoupGo,
@@ -120,87 +121,88 @@ var goKernels = kernelTable{
 	invFinal:          vecInvFinalGo,
 }
 
-var (
-	// asmKernels is the AVX-512 table, or nil where the binary or the CPU
-	// lacks it.
-	asmKernels = asmKernelTable(hasIFMA)
-	// noIFMAKernels is the AVX-512 table a host without IFMA runs, built for
-	// SetKernelTierWithoutIFMA only.
-	noIFMAKernels = sync.OnceValue(func() *kernelTable { return asmKernelTable(false) })
-	tierMu        sync.Mutex
-	// active is the table the public kernel methods dispatch through. An
-	// atomic pointer so SetKernelTier is race-clean against in-flight rows:
-	// a concurrent row sees either the old or the new table, both total.
-	active atomic.Pointer[kernelTable]
+// The two narrow bounds, beside the table selection they steer: a modulus
+// below one runs an IFMA table's 52-bit multiply-adds where a wider one runs
+// the 64-bit MUL128x8 kernels. Both pick instructions, never values.
+const (
+	// narrowModulus is the largest modulus whose rows, exact or lazy (< 2q),
+	// always fit the 52 bits a multiply-add reads: a base conversion's
+	// source modulus (NewConvRow) and the key switch's dot modulus.
+	narrowModulus = 1 << 51
+	// nttNarrowModulus bounds the moduli whose NTT butterflies run on the
+	// multiply-adds: below it every butterfly operand (< 4q) fits 52 bits,
+	// and the Shoup product they form is exact.
+	nttNarrowModulus = 1 << 50
 )
 
-func init() {
-	if asmKernels != nil {
-		setTier(asmKernels)
-	} else {
-		setTier(&goKernels)
-	}
-}
+var (
+	// host is the table NewModulus gives every modulus: the AVX-512 one
+	// where the binary and the CPU have it, the Go one otherwise.
+	host = hostTable()
+	// tables is KernelTables' list.
+	tables = kernelTables()
+)
 
-// tableFor returns the table of tier t, or nil if this host has none.
-func tableFor(t KernelTier) *kernelTable {
-	switch {
-	case t == TierGo:
-		return &goKernels
-	case asmKernels != nil && t == asmKernels.tier:
-		return asmKernels
+func hostTable() *kernelTable {
+	t := asmKernelTable(hasIFMA)
+	if t == nil {
+		t = &goKernels
 	}
-	return nil
-}
-
-func setTier(t *kernelTable) {
-	active.Store(t)
 	// Numeric gauge (0=go 3=avx512) for dashboards; the test log line and
 	// /metrics docs carry the name mapping.
 	obs.Default.Gauge("modarith_kernel_tier").Set(int64(t.tier))
+	return t
 }
 
-// ActiveTier returns the tier the row kernels currently dispatch to.
-func ActiveTier() KernelTier { return active.Load().tier }
+func kernelTables() []Kernels {
+	ks := []Kernels{{&goKernels}}
+	if host == &goKernels {
+		return ks
+	}
+	ks = append(ks, Kernels{host})
+	if hasIFMA {
+		t := asmKernelTable(false)
+		t.name = "avx512-noifma"
+		ks = append(ks, Kernels{t})
+	}
+	return ks
+}
+
+// ActiveTier returns the tier of the host's table, the one NewModulus gives
+// every modulus.
+func ActiveTier() KernelTier { return host.tier }
 
 // AvailableTiers returns every tier usable on this host (always at least
 // TierGo), in preference order (best last).
 func AvailableTiers() []KernelTier {
-	if asmKernels == nil {
+	if host == &goKernels {
 		return []KernelTier{TierGo}
 	}
-	return []KernelTier{TierGo, asmKernels.tier}
+	return []KernelTier{TierGo, host.tier}
 }
 
-// SetKernelTier forces all row kernels onto the given implementation tier.
-// It is a test hook with no production caller (CI's lint job enforces that):
-// it is exported only because the tier-sweep tests and benchmarks of ckks, ntt
-// and rns live in other packages. The swap is atomic: rows already executing
-// finish on the table they loaded; subsequent rows use the new tier.
-func SetKernelTier(t KernelTier) error {
-	tbl := tableFor(t)
-	if tbl == nil {
-		return fmt.Errorf("modarith: kernel tier %s not available on this host (have %v)", t, AvailableTiers())
+// Kernels is one kernel table. A Modulus runs its row kernels on the table
+// it carries. The zero Kernels is the host's table.
+type Kernels struct{ t *kernelTable }
+
+func (k Kernels) table() *kernelTable {
+	if k.t == nil {
+		return host
 	}
-	tierMu.Lock()
-	defer tierMu.Unlock()
-	setTier(tbl)
-	return nil
+	return k.t
 }
 
-// SetKernelTierWithoutIFMA forces the AVX-512 table a host without AVX-512
-// IFMA runs — its key-switch dot as two one-output dots, its row conversion
-// on the MUL128x8 kernels, its NTT butterflies on MULHI8 at every modulus —
-// so tests and benchmarks on an IFMA host cover it too; SetKernelTier with
-// TierAVX512 restores the host's own table. A test hook
-// under SetKernelTier's rules, with no production caller.
-func SetKernelTierWithoutIFMA() error {
-	tbl := noIFMAKernels()
-	if tbl == nil {
-		return fmt.Errorf("modarith: kernel tier %s not available on this host (have %v)", TierAVX512, AvailableTiers())
-	}
-	tierMu.Lock()
-	defer tierMu.Unlock()
-	setTier(tbl)
-	return nil
-}
+// String returns the table's name: "go", "avx512" or "avx512-noifma".
+func (k Kernels) String() string { return k.table().name }
+
+// NewModulus is the package's NewModulus on table k.
+func (k Kernels) NewModulus(q uint64) (Modulus, error) { return newModulus(q, k.table()) }
+
+// KernelTables returns every kernel table this host runs, each once: "go";
+// on an AVX-512 host "avx512"; and on an IFMA host "avx512-noifma", the
+// AVX-512 table a host without IFMA runs — its key-switch dot as two
+// one-output dots, its row conversion on the MUL128x8 kernels, its NTT
+// butterflies on MULHI8 at every modulus. It is for tests and benchmarks,
+// which sweep it; a production modulus carries the host's table, from
+// NewModulus (CI's lint keeps it out of non-test code).
+func KernelTables() []Kernels { return tables }

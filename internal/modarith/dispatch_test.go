@@ -3,37 +3,23 @@ package modarith
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 )
 
-// Dispatch-matrix tests: force every host-available tier through the PUBLIC
-// kernel API (the dispatched methods, not the raw table entries) and check
-// each against the pure-Go oracle, then hammer SetKernelTier concurrently
-// with in-flight rows to prove the atomic table swap is race-clean
-// (CI runs this under -race -count=2 -shuffle=on).
+// Dispatch-matrix tests: run every kernel table the host has through the
+// PUBLIC kernel API (the dispatched methods, not the raw table entries), on
+// moduli carrying that table, and check each against the pure-Go oracle.
 
-func restoreTier(t testing.TB) {
-	t.Helper()
-	orig := ActiveTier()
-	t.Cleanup(func() {
-		if err := SetKernelTier(orig); err != nil {
-			t.Fatalf("restoring tier %v: %v", orig, err)
-		}
-	})
+// on returns m with its row kernels on table k.
+func on(m Modulus, k Kernels) Modulus {
+	m.k = k.t
+	return m
 }
 
-// forEachTier runs fn as one sub-benchmark per available tier, named after
-// it, with that tier's table active.
-func forEachTier(b *testing.B, fn func(b *testing.B)) {
-	restoreTier(b)
-	for _, tier := range AvailableTiers() {
-		b.Run(tier.String(), func(b *testing.B) {
-			if err := SetKernelTier(tier); err != nil {
-				b.Fatal(err)
-			}
-			fn(b)
-		})
+// forEachTable runs fn as one sub-benchmark per kernel table, named after it.
+func forEachTable(b *testing.B, fn func(b *testing.B, k Kernels)) {
+	for _, k := range KernelTables() {
+		b.Run(k.String(), func(b *testing.B) { fn(b, k) })
 	}
 }
 
@@ -49,51 +35,52 @@ func TestKernelTierStrings(t *testing.T) {
 	}
 }
 
-func TestSetKernelTierUnavailable(t *testing.T) {
-	avail := map[KernelTier]bool{}
-	for _, tier := range AvailableTiers() {
-		avail[tier] = true
+// TestKernelTables: the list holds each table once, the Go one first, and
+// the host's table — the one NewModulus gives — is on it.
+func TestKernelTables(t *testing.T) {
+	ks := KernelTables()
+	if ks[0].t != &goKernels {
+		t.Fatalf("first table %s, want go", ks[0])
 	}
-	if !avail[TierGo] {
-		t.Fatal("TierGo must always be available")
-	}
-	for _, tier := range []KernelTier{KernelTier(1), KernelTier(2), TierAVX512, KernelTier(42)} {
-		if !avail[tier] {
-			if err := SetKernelTier(tier); err == nil {
-				t.Errorf("SetKernelTier(%v) should fail on this host", tier)
-			}
+	seen, hostListed := map[string]bool{}, false
+	for _, k := range ks {
+		if seen[k.String()] {
+			t.Errorf("table %s listed twice", k)
 		}
+		seen[k.String()] = true
+		m, err := k.NewModulus(97)
+		if err != nil || m.k != k.t {
+			t.Errorf("table %s: NewModulus gives a modulus on another table (%v)", k, err)
+		}
+		hostListed = hostListed || k.t == MustModulus(97).k
+	}
+	if !hostListed || ActiveTier() != MustModulus(97).k.tier {
+		t.Errorf("the host's table (tier %v) is not listed", ActiveTier())
 	}
 }
 
 // TestDispatchTierMatrix runs the full public kernel surface on every table
 // the host can run — each available tier's, and the AVX-512 table without
-// IFMA through SetKernelTierWithoutIFMA — and compares against results
-// computed with the Go table directly: the dispatch matrix.
+// IFMA — on moduli carrying it, and compares against results computed with
+// the Go table directly: the dispatch matrix.
 func TestDispatchTierMatrix(t *testing.T) {
-	restoreTier(t)
-	moduli := tierTestModuli(t)
+	t.Parallel()
 	srcs := convSources(t)
-	for _, tt := range testTables() {
-		tier := tt.tbl.tier
-		t.Run(tt.name, func(t *testing.T) {
+	for _, tt := range KernelTables() {
+		tier := tt.t.tier
+		t.Run(tt.String(), func(t *testing.T) {
+			t.Parallel()
 			// Every table is total: an entry added to kernelTable without a
 			// body in each table fails here, not as a nil call in production.
-			tbl := reflect.ValueOf(tt.tbl).Elem()
+			tbl := reflect.ValueOf(tt.t).Elem()
 			for i := 0; i < tbl.NumField(); i++ {
 				if f := tbl.Field(i); f.Kind() == reflect.Func && f.IsNil() {
-					t.Fatalf("table %s: kernel table entry %s is nil", tt.name, tbl.Type().Field(i).Name)
+					t.Fatalf("table %s: kernel table entry %s is nil", tt, tbl.Type().Field(i).Name)
 				}
 			}
-			set := func() error { return SetKernelTier(tier) }
-			if tt.tbl != tableFor(tier) {
-				set = SetKernelTierWithoutIFMA
-			}
-			if err := set(); err != nil {
-				t.Fatal(err)
-			}
-			if got := active.Load(); got != tt.tbl {
-				t.Fatalf("table %s is not the active one after setting it (active tier %v)", tt.name, got.tier)
+			var moduli []Modulus
+			for _, m := range tierTestModuli(t) {
+				moduli = append(moduli, on(m, tt))
 			}
 			rng := rand.New(rand.NewSource(0xd15b + int64(tier)))
 			convHi := make([]uint64, ConvertTile)
@@ -121,11 +108,11 @@ func TestDispatchTierMatrix(t *testing.T) {
 
 					hi, lo := make([]uint64, n), make([]uint64, n)
 					whi, wlo := make([]uint64, n), make([]uint64, n)
-					vecMulWide(hi, lo, a, w)
+					m.k.mulWide(hi, lo, a, w)
 					vecMulWideGo(whi, wlo, a, w)
 					rowsEqual(t, "vecMulWide.hi", tier, m, hi, whi)
 					rowsEqual(t, "vecMulWide.lo", tier, m, lo, wlo)
-					vecMulAccWide(hi, lo, b, w)
+					m.k.mulAccWide(hi, lo, b, w)
 					vecMulAccWideGo(whi, wlo, b, w)
 					rowsEqual(t, "vecMulAccWide.hi", tier, m, hi, whi)
 					rowsEqual(t, "vecMulAccWide.lo", tier, m, lo, wlo)
@@ -193,12 +180,12 @@ func TestDispatchTierMatrix(t *testing.T) {
 					a, b := randRow(rng, n, m.TwoQ), randRow(rng, n, m.Q)
 					hi, lo := make([]uint64, n), randRow(rng, n, m.TwoQ)
 					whi, wlo := make([]uint64, n), cloneRow(lo)
-					VecMulAccWidePerm(hi, lo, a, b, bp)
+					m.VecMulAccWidePerm(hi, lo, a, b, bp)
 					vecMulAccWidePermGo(whi, wlo, a, b, bp)
 					rowsEqual(t, "VecMulAccWidePerm.hi", tier, m, hi, whi)
 					rowsEqual(t, "VecMulAccWidePerm.lo", tier, m, lo, wlo)
 					got, want := make([]uint64, n), make([]uint64, n)
-					VecPermute(got, a, bp)
+					m.VecPermute(got, a, bp)
 					vecPermuteGo(want, a, bp)
 					rowsEqual(t, "VecPermute", tier, m, got, want)
 					a = randRow(rng, n, m.Q)
@@ -231,52 +218,4 @@ func TestDispatchTierMatrix(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSetKernelTierRace flips tiers while worker goroutines run rows through
-// the dispatched API. Any torn table read or missed synchronization shows up
-// under -race; results are also checked (every tier is bit-identical, so the
-// flips must be invisible in the outputs).
-func TestSetKernelTierRace(t *testing.T) {
-	restoreTier(t)
-	m := tierTestModuli(t)[2] // the 60-bit modulus
-	const n = 256
-	rng := rand.New(rand.NewSource(7))
-	a := randRow(rng, n, m.TwoQ)
-	b := randRow(rng, n, m.TwoQ)
-	want := make([]uint64, n)
-	vecMulBarrettGo(m, want, a, b)
-
-	tiers := AvailableTiers()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out := make([]uint64, n)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				m.VecMulBarrett(out, a, b)
-				for j := range out {
-					if out[j] != want[j] {
-						t.Errorf("row diverged at %d during tier flips", j)
-						return
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		if err := SetKernelTier(tiers[i%len(tiers)]); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -19,11 +19,11 @@ import (
 // time as the key switch walks them: the B dot reads the tile of the b rows,
 // the A dot one L1-resident tile per term, where the key switch expands the
 // seeded A half. ns/op is per output row for dot and per pair of output rows
-// for dot-pair and keydot. Every row runs once per available tier (go/…,
-// avx512/…).
-func BenchmarkGadgetDot(b *testing.B) { forEachTier(b, benchGadgetDot) }
+// for dot-pair and keydot. Every row runs once per kernel table (go/…,
+// avx512/…, avx512-noifma/…).
+func BenchmarkGadgetDot(b *testing.B) { forEachTable(b, benchGadgetDot) }
 
-func benchGadgetDot(b *testing.B) {
+func benchGadgetDot(b *testing.B, tbl Kernels) {
 	const keyBytes = 64 << 20
 	for _, sh := range []struct{ logN, k, bits int }{{12, 9, 55}, {16, 4, 55}, {12, 9, 50}, {16, 4, 50}} {
 		n := 1 << sh.logN
@@ -31,7 +31,7 @@ func benchGadgetDot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m := MustModulus(ps[0])
+		m := on(MustModulus(ps[0]), tbl)
 		rng := rand.New(rand.NewSource(int64(sh.logN)))
 		uniform := func(bound uint64, words int) []uint64 {
 			row := make([]uint64, words)

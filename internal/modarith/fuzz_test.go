@@ -61,11 +61,11 @@ func FuzzVecKernels(f *testing.F) {
 		w := word(0) % m.Q
 		ws := m.ShoupPrecomp(w)
 
-		for _, tt := range testTables() {
-			if tt.tbl.tier == TierGo {
+		for _, tt := range KernelTables() {
+			if tt.t == &goKernels {
 				continue
 			}
-			tier, tbl := tt.name, tt.tbl
+			tier, tbl := tt.String(), tt.t
 
 			out := make([]uint64, n)
 			want := make([]uint64, n)
@@ -249,7 +249,7 @@ func FuzzExpandUniform(f *testing.F) {
 			expandUniformGo(m, rest[:c], k, []TileRef{Tile(tag, tl)}, c)
 			rest = rest[c:]
 		}
-		for _, tier := range AvailableTiers() {
+		for _, tier := range KernelTables() {
 			got := make([]uint64, n)
 			expandOnTier(tier, m, got, k, tag, int(tile))
 			for j := range want {

@@ -54,8 +54,8 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	m := tierTestModuli(t)[1]
 	rng := rand.New(rand.NewSource(0x6a8d))
-	for _, tier := range AvailableTiers() {
-		tbl := tableFor(tier)
+	for _, k := range KernelTables() {
+		tbl, tier := k.t, k.t.tier
 		run := func(name string, kernel func()) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -121,12 +121,12 @@ func TestDotKernelStaysInBounds(t *testing.T) {
 	srcs := convSources(t)
 	groupMs := tierTestModuli(t)[:ConvertGroup]
 	rng := rand.New(rand.NewSource(0xd07))
-	for _, tt := range testTables() {
-		tbl, tier := tt.tbl, tt.tbl.tier
+	for _, tt := range KernelTables() {
+		tbl, tier := tt.t, tt.t.tier
 		run := func(name string, kernel func()) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("table %s %s touched memory outside its operands: %v", tt.name, name, r)
+					t.Fatalf("table %s %s touched memory outside its operands: %v", tt, name, r)
 				}
 			}()
 			kernel()

@@ -47,11 +47,17 @@ type Modulus struct {
 	// rejectBelow = 2^64 mod Q: ExpandUniform rejects a word whose product
 	// with Q has a low word below it.
 	rejectBelow uint64
+
+	// k is the kernel table the row kernels run on (dispatch.go).
+	k *kernelTable
 }
 
 // NewModulus precomputes the Barrett constants for an odd modulus q < 2^61
-// (every modulus the stack uses is an NTT prime).
-func NewModulus(q uint64) (Modulus, error) {
+// (every modulus the stack uses is an NTT prime). Its row kernels run on the
+// host's table (dispatch.go).
+func NewModulus(q uint64) (Modulus, error) { return newModulus(q, host) }
+
+func newModulus(q uint64, k *kernelTable) (Modulus, error) {
 	if q < 3 || q&1 == 0 {
 		return Modulus{}, fmt.Errorf("modarith: modulus %d must be an odd integer >= 3", q)
 	}
@@ -71,6 +77,7 @@ func NewModulus(q uint64) (Modulus, error) {
 	m.BRedLo, _ = bits.Div64(rem, 0, q)
 	m.TwoQ = 2 * q
 	m.rejectBelow = -q % q
+	m.k = k
 	return m, nil
 }
 

@@ -70,24 +70,24 @@ func (p *BlockPerm) Len() int { return len(p.blocks) * p.lanes }
 // VecMulAccWidePerm continues an accumulation chain with the permuted row:
 // (accHi[j], accLo[j]) += a[π(j)]·b[j] — the NTT-domain automorphism fused
 // into a multiply-accumulate (AutAccum) whose sum stays exact in 128 bits.
-// No reduction; the caller bounds the chain as for vecMulAccWide (with
-// a < 2q, b < q and an addend below 2q, MaxDotTerms products always fit).
-// Every row holds p.Len() words.
-func VecMulAccWidePerm(accHi, accLo, a, b []uint64, p *BlockPerm) {
-	active.Load().mulAccWidePerm(accHi, accLo, a, b, p)
+// No reduction, so m only picks the kernel table; the caller bounds the
+// chain as for any 128-bit accumulation (with a < 2q, b < q and an addend
+// below 2q, MaxDotTerms products always fit). Every row holds p.Len() words.
+func (m Modulus) VecMulAccWidePerm(accHi, accLo, a, b []uint64, p *BlockPerm) {
+	m.k.mulAccWidePerm(accHi, accLo, a, b, p)
 }
 
-// VecPermute sets out[j] = a[π(j)] for the p.Len() words of each row. out
-// must not alias a.
-func VecPermute(out, a []uint64, p *BlockPerm) {
-	active.Load().permute(out, a, p)
+// VecPermute sets out[j] = a[π(j)] for the p.Len() words of each row, on
+// m's kernel table. out must not alias a.
+func (m Modulus) VecPermute(out, a []uint64, p *BlockPerm) {
+	m.k.permute(out, a, p)
 }
 
 // VecAddPermute sets out[j] = a[π(j)] + b[π(j)] mod q for a, b < q: VecAdd
 // and VecPermute in one pass, bit-identical to them because the sum is
 // element-wise. out must alias neither a nor b.
 func (m Modulus) VecAddPermute(out, a, b []uint64, p *BlockPerm) {
-	active.Load().addPermute(m, out, a, b, p)
+	m.k.addPermute(m, out, a, b, p)
 }
 
 // The Go bodies: the oracle every table is held to, the AVX-512 table's

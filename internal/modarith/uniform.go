@@ -59,7 +59,7 @@ func Tile(tag uint64, tile int) TileRef { return TileRef{tag, uint64(tile) << 32
 // ⌈len(dst)/UniformTile⌉ tiles from there, the last possibly partial. Every
 // kernel tier writes the same words.
 func (m Modulus) ExpandUniform(dst []uint64, k *StreamKey, tag uint64, tile int) {
-	expand := active.Load().expandUniform
+	expand := m.k.expandUniform
 	refs := tileRefs.Get().(*[tileBatch]TileRef)
 	defer tileRefs.Put(refs)
 	for len(dst) > 0 {
@@ -94,7 +94,7 @@ func (m Modulus) ExpandUniformTiles(dst []uint64, k *StreamKey, tiles []TileRef)
 	if n < 1 || n > UniformTile || n*len(tiles) != len(dst) {
 		panic("modarith: ExpandUniformTiles needs len(tiles) runs of 1 to UniformTile words")
 	}
-	active.Load().expandUniform(m, dst, k, tiles, n)
+	m.k.expandUniform(m, dst, k, tiles, n)
 }
 
 // Keystream fills dst with the raw words of counter space tag, starting at

@@ -117,7 +117,7 @@ func TestExpandUniformAcrossTiers(t *testing.T) {
 			k := randStreamKey(rng)
 			tag, tile := rng.Uint64(), rng.Intn(4)
 			want := expandRef(m, n, k, tag, tile)
-			for _, tier := range AvailableTiers() {
+			for _, tier := range KernelTables() {
 				got := make([]uint64, n)
 				expandOnTier(tier, m, got, k, tag, tile)
 				for j := range want {
@@ -149,9 +149,9 @@ func TestExpandUniformTilesAcrossTiers(t *testing.T) {
 				refs[r] = Tile(tag, tile)
 				want = append(want, expandRef(m, n, k, tag, tile)...)
 			}
-			for _, tier := range AvailableTiers() {
+			for _, tier := range KernelTables() {
 				got := make([]uint64, len(want))
-				tableFor(tier).expandUniform(m, got, k, refs, n)
+				tier.t.expandUniform(m, got, k, refs, n)
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("%v q=%d n=%d runs=%d: word %d = %d, want %d", tier, m.Q, n, len(refs), j, got[j], want[j])
@@ -194,18 +194,14 @@ func TestExpandUniformTilesIndependent(t *testing.T) {
 }
 
 // TestExpandUniformAllocs: expanding a 2^16-word row allocates nothing on
-// any tier — its tile references stay off the heap.
+// any table — its tile references stay off the heap.
 func TestExpandUniformAllocs(t *testing.T) {
-	restoreTier(t)
-	m := tierTestModuli(t)[2]
 	k := randStreamKey(rand.New(rand.NewSource(8)))
 	row := make([]uint64, 1<<16)
-	for _, tier := range AvailableTiers() {
-		if err := SetKernelTier(tier); err != nil {
-			t.Fatal(err)
-		}
+	for _, tbl := range KernelTables() {
+		m := on(tierTestModuli(t)[2], tbl)
 		if a := testing.AllocsPerRun(100, func() { m.ExpandUniform(row, k, 9, 0) }); a != 0 {
-			t.Errorf("%v: ExpandUniform of a 2^16-word row makes %v allocations, want 0", tier, a)
+			t.Errorf("%v: ExpandUniform of a 2^16-word row makes %v allocations, want 0", tbl, a)
 		}
 	}
 }
@@ -258,11 +254,11 @@ func TestKeystreamMatchesCryptoAES(t *testing.T) {
 	}
 }
 
-// expandOnTier is ExpandUniform through tier's table.
-func expandOnTier(tier KernelTier, m Modulus, dst []uint64, k *StreamKey, tag uint64, tile int) {
+// expandOnTier is ExpandUniform through table tbl.
+func expandOnTier(tbl Kernels, m Modulus, dst []uint64, k *StreamKey, tag uint64, tile int) {
 	for ; len(dst) > 0; tile++ {
 		n := min(len(dst), UniformTile)
-		tableFor(tier).expandUniform(m, dst[:n], k, []TileRef{Tile(tag, tile)}, n)
+		tbl.t.expandUniform(m, dst[:n], k, []TileRef{Tile(tag, tile)}, n)
 		dst = dst[n:]
 	}
 }
@@ -273,17 +269,17 @@ func expandOnTier(tier KernelTier, m Modulus, dst []uint64, k *StreamKey, tag ui
 // (hks_n16), one call per tile for all k rows as the key switch expands
 // them, and reports the
 // rate in GB/s of key bytes produced: the figure to set against
-// BenchmarkGadgetDot's key read. Every row runs once per available tier.
-func BenchmarkExpandUniform(b *testing.B) { forEachTier(b, benchExpandUniform) }
+// BenchmarkGadgetDot's key read. Every row runs once per kernel table.
+func BenchmarkExpandUniform(b *testing.B) { forEachTable(b, benchExpandUniform) }
 
-func benchExpandUniform(b *testing.B) {
+func benchExpandUniform(b *testing.B, tbl Kernels) {
 	for _, sh := range []struct{ logN, k int }{{12, 9}, {16, 4}} {
 		n := 1 << sh.logN
 		ps, err := GenerateNTTPrimes(55, sh.logN, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m := MustModulus(ps[0])
+		m := on(MustModulus(ps[0]), tbl)
 		k := randStreamKey(rand.New(rand.NewSource(int64(sh.logN))))
 		scratch := make([]uint64, sh.k*UniformTile)
 		refs := make([]TileRef, sh.k)

@@ -6,11 +6,11 @@ package modarith
 // row and the loop body is free of call overhead regardless of inliner
 // budgets.
 //
-// Every method below dispatches through the runtime kernel table
-// (dispatch.go): one atomic load selects the active table (pure Go or
-// AVX-512) for the whole row, so the inner loops never branch on CPU
-// features. The pure-Go bodies live in vec_go.go and
-// remain the differential oracle for every assembly tier.
+// Every method below dispatches through the kernel table its Modulus
+// carries (dispatch.go): one pointer picks the table (pure Go or AVX-512)
+// for the whole row, so the inner loops never branch on CPU features. The
+// pure-Go bodies live in vec_go.go and remain the differential oracle for
+// every assembly tier.
 //
 // All "Lazy" kernels keep out in [0, 2q) (see MulBarrettLazy for the bound
 // derivation); chains end with VecReduceTwoQ.
@@ -19,20 +19,20 @@ package modarith
 // with Shoup companion wShoup (the constant-multiply-accumulate of a fused
 // CMULT+ADD ladder).
 func (m Modulus) VecMulShoupAddLazy(out, a []uint64, w, wShoup uint64) {
-	active.Load().mulShoupAddLazy(m, out, a, w, wShoup)
+	m.k.mulShoupAddLazy(m, out, a, w, wShoup)
 }
 
 // VecMulBarrett computes out[j] = a[j]*b[j] mod q exactly via the Barrett
 // reciprocal — no hardware division in the loop, unlike the scalar Mul. This
 // is the element-wise (NTT-domain) polynomial product kernel.
 func (m Modulus) VecMulBarrett(out, a, b []uint64) {
-	active.Load().mulBarrett(m, out, a, b)
+	m.k.mulBarrett(m, out, a, b)
 }
 
 // VecMulAddBarrett computes out[j] = out[j] + a[j]*b[j] mod q exactly
 // (out, a, b < q), keeping the Barrett constants in registers for the row.
 func (m Modulus) VecMulAddBarrett(out, a, b []uint64) {
-	active.Load().mulAddBarrett(m, out, a, b)
+	m.k.mulAddBarrett(m, out, a, b)
 }
 
 // VecMulShoup computes out[j] = a[j]*w mod q exactly for fixed operand w with
@@ -41,7 +41,7 @@ func (m Modulus) VecMulAddBarrett(out, a, b []uint64) {
 // the Shoup remainder is < 2q for every a (see MulShoupLazy), so the one
 // conditional subtraction still lands in [0, q).
 func (m Modulus) VecMulShoup(out, a []uint64, w, wShoup uint64) {
-	active.Load().mulShoup(m, out, a, w, wShoup)
+	m.k.mulShoup(m, out, a, w, wShoup)
 }
 
 // VecSubMulShoupLazy is VecSubMulShoup for a lazy subtrahend: a < q exact,
@@ -50,24 +50,24 @@ func (m Modulus) VecMulShoup(out, a []uint64, w, wShoup uint64) {
 // r < q·(d/2^64 + 1) < 2q still holds, so one conditional subtraction
 // finishes the job.
 func (m Modulus) VecSubMulShoupLazy(out, a, b []uint64, w, wShoup uint64) {
-	active.Load().subMulShoupLazy(m, out, a, b, w, wShoup)
+	m.k.subMulShoupLazy(m, out, a, b, w, wShoup)
 }
 
 // VecAdd computes out[j] = a[j] + b[j] mod q exactly for a, b < q — the row
 // form of Add (HADD). out may alias a or b.
 func (m Modulus) VecAdd(out, a, b []uint64) {
-	active.Load().add(m, out, a, b)
+	m.k.add(m, out, a, b)
 }
 
 // VecSub computes out[j] = a[j] - b[j] mod q exactly for a, b < q — the row
 // form of Sub. out may alias a or b.
 func (m Modulus) VecSub(out, a, b []uint64) {
-	active.Load().sub(m, out, a, b)
+	m.k.sub(m, out, a, b)
 }
 
 // VecAddScalar computes out[j] = a[j] + c mod q exactly, for a, c < q.
 func (m Modulus) VecAddScalar(out, a []uint64, c uint64) {
-	active.Load().addScalar(m, out, a, c)
+	m.k.addScalar(m, out, a, c)
 }
 
 // VecRescaleStep performs the per-limb rescale update in place:
@@ -82,12 +82,12 @@ func (m Modulus) VecAddScalar(out, a []uint64, c uint64) {
 // any-operand domain, so a single conditional subtraction returns the exact
 // residue.
 func (m Modulus) VecRescaleStep(row, t []uint64, halfModQ, w, wShoup uint64) {
-	active.Load().rescaleStep(m, row, t, halfModQ, w, wShoup)
+	m.k.rescaleStep(m, row, t, halfModQ, w, wShoup)
 }
 
 // VecReduceTwoQ maps every lazy value in [0, 2q) to its exact residue.
 func (m Modulus) VecReduceTwoQ(p []uint64) {
-	active.Load().reduceTwoQ(m, p)
+	m.k.reduceTwoQ(m, p)
 }
 
 // VecFwdStage applies one forward (Cooley–Tukey) NTT stage to len(psi)
@@ -106,7 +106,7 @@ func (m Modulus) VecReduceTwoQ(p []uint64) {
 // transform spreads over several). span == 1 is the last stage and folds the
 // exit reduction in: outputs in [0, 2q) when lazy, [0, q) otherwise.
 func (m Modulus) VecFwdStage(a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
-	active.Load().fwdStage(m, a, psi, psiShoup, span, cnt, lazy)
+	m.k.fwdStage(m, a, psi, psiShoup, span, cnt, lazy)
 }
 
 // VecInvStage applies one inverse (Gentleman–Sande) NTT stage over the same
@@ -116,7 +116,7 @@ func (m Modulus) VecFwdStage(a, psi, psiShoup []uint64, span, cnt int, lazy bool
 //
 // Inputs and outputs live in [0, 2q) at every span.
 func (m Modulus) VecInvStage(a, psi, psiShoup []uint64, span, cnt int) {
-	active.Load().invStage(m, a, psi, psiShoup, span, cnt)
+	m.k.invStage(m, a, psi, psiShoup, span, cnt)
 }
 
 // VecInvFinal runs the last inverse stage over the paired halves x and y
@@ -125,5 +125,5 @@ func (m Modulus) VecInvStage(a, psi, psiShoup []uint64, span, cnt int) {
 // carries the factor N^{-1}. Inputs in [0, 2q); outputs in [0, 2q) when
 // lazy, [0, q) otherwise.
 func (m Modulus) VecInvFinal(x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool) {
-	active.Load().invFinal(m, x, y, nInv, nInvShoup, w, wShoup, lazy)
+	m.k.invFinal(m, x, y, nInv, nInvShoup, w, wShoup, lazy)
 }

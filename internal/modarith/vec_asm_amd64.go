@@ -164,11 +164,6 @@ func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps
 //go:noescape
 func vecInvFinalNarrowAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
 
-// nttNarrowModulus bounds the moduli whose butterflies run on the IFMA
-// multiply-adds: below it every butterfly operand (< 4q) fits the 52 bits
-// they read, and the Shoup product they form is exact.
-const nttNarrowModulus = 1 << 50
-
 // tailIdx holds, per tail span (indexed by span>>1), the five lane
 // permutations of one 16-coefficient step as byte vectors (lane 0 in the low
 // byte): gather x, gather y (indices into the two loaded vectors, 0–15),
@@ -344,6 +339,7 @@ func convertRowsIFMA(t *kernelTable, outs [][]uint64, ms []Modulus, cs []ConvRow
 func avx512Kernels(ifma bool) kernelTable {
 	return kernelTable{
 		tier: TierAVX512,
+		name: "avx512",
 		mulBarrett: func(m Modulus, out, a, b []uint64) {
 			n := len(a) &^ 7
 			if n > 0 {

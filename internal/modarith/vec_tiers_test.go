@@ -98,33 +98,16 @@ func rowsEqual(t *testing.T, kernel string, tier KernelTier, m Modulus, got, wan
 	}
 }
 
-// testTable is one kernel table the tier tests hold to the Go oracle.
-type testTable struct {
-	name string
-	tbl  *kernelTable
-}
-
-// testTables returns every table this host can run: each available tier's
-// and, on an IFMA host, the AVX-512 table without its IFMA entries — the one
-// an AVX-512 host without IFMA runs, which no tier name reaches.
-func testTables() []testTable {
-	var ts []testTable
-	for _, tier := range AvailableTiers() {
-		ts = append(ts, testTable{tier.String(), tableFor(tier)})
-	}
-	if hasIFMA {
-		ts = append(ts, testTable{"avx512-noifma", noIFMAKernels()})
-	}
-	return ts
-}
-
-// forEachTierCase runs fn for every test table × modulus × length.
+// forEachTierCase runs fn for every kernel table × modulus × length, the
+// tables side by side.
 func forEachTierCase(t *testing.T, lens []int, fn func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand)) {
 	t.Helper()
+	t.Parallel()
 	moduli := tierTestModuli(t)
-	for _, tt := range testTables() {
-		tbl := tt.tbl
-		t.Run(tt.name, func(t *testing.T) {
+	for _, tt := range KernelTables() {
+		tbl := tt.t
+		t.Run(tt.String(), func(t *testing.T) {
+			t.Parallel()
 			rng := rand.New(rand.NewSource(0x5eed + int64(tbl.tier)))
 			for _, m := range moduli {
 				for _, n := range lens {
@@ -584,8 +567,8 @@ func checkConvertRow(t *testing.T, label string, m Modulus, got []uint64, rows [
 func TestTierConvertRow(t *testing.T) {
 	srcs := convSources(t)
 	lens := append(append([]int(nil), tierTestLens...), ConvertTile+17)
-	hi := make([]uint64, ConvertTile)
 	forEachTierCase(t, lens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		hi := make([]uint64, ConvertTile)
 		for _, k := range convTermCounts {
 			rows, c, bound := convOperands(rng, srcs, m, k, n, rng.Intn(3) == 0)
 			for _, fold := range []int{bound, 2, 5} {
@@ -617,7 +600,7 @@ func TestTierConvertRowTermLimit(t *testing.T) {
 	m, wide := ms[0], ms[3]
 	const n = 19 // one 16-coefficient step and a tail
 	hi := make([]uint64, ConvertTile)
-	for _, tt := range testTables() {
+	for _, tt := range KernelTables() {
 		for _, k := range []int{1024, 1025, 1400} {
 			from, w, rows := make([]Modulus, k), make([]uint64, k), make([][]uint64, k)
 			for i := range rows {
@@ -630,8 +613,8 @@ func TestTierConvertRowTermLimit(t *testing.T) {
 			for _, lazy := range []bool{false, true} {
 				got, want := make([]uint64, n), make([]uint64, n)
 				convertRowTiled(&goKernels, m, want, rows, &c, 1<<31, lazy, hi)
-				tt.tbl.convertRow(tt.tbl, m, got, rows, &c, 1<<31, lazy, hi)
-				rowsEqual(t, "convertRow "+tt.name, tt.tbl.tier, m, got, want)
+				tt.t.convertRow(tt.t, m, got, rows, &c, 1<<31, lazy, hi)
+				rowsEqual(t, "convertRow "+tt.String(), tt.t.tier, m, got, want)
 			}
 		}
 	}
@@ -688,10 +671,12 @@ func TestTierConvertRows(t *testing.T) {
 		}
 		return out
 	}
-	hi := make([]uint64, ConvertTile)
-	for _, tt := range testTables() {
-		tbl := tt.tbl
-		t.Run(tt.name, func(t *testing.T) {
+	t.Parallel()
+	for _, tt := range KernelTables() {
+		tbl := tt.t
+		t.Run(tt.String(), func(t *testing.T) {
+			t.Parallel()
+			hi := make([]uint64, ConvertTile)
 			rng := rand.New(rand.NewSource(0x6c0de))
 			for _, set := range []struct{ srcs, ms []Modulus }{
 				{allSrcs, allMs},

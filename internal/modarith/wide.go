@@ -14,12 +14,12 @@ import (
 // output with the 128-bit Barrett reciprocal BRedHi:BRedLo = floor(2^128/q)
 // that Modulus already carries.
 //
-// The row forms dispatch through the runtime kernel table (dispatch.go)
+// The row forms dispatch through the Modulus's kernel table (dispatch.go)
 // like the vec.go kernels; pure-Go bodies live in wide_go.go.
 //
 // # Domain contracts
 //
-//   - Mul64AddWide / vecMulWide / vecMulAccWide / VecMulAccWidePerm take
+//   - Mul64AddWide, the tables' mulWide / mulAccWide and VecMulAccWidePerm take
 //     arbitrary uint64 factors and perform NO reduction: the caller must
 //     bound the number of accumulated products so the 128-bit pair cannot
 //     overflow (with b1-bit and b2-bit factors, 2^(128-b1-b2) products always
@@ -76,19 +76,6 @@ func (m Modulus) ReduceWide128(hi, lo uint64) uint64 {
 	return r
 }
 
-// vecMulWide starts an accumulation chain: (accHi[j], accLo[j]) = row[j]·w.
-// No reduction; factors are arbitrary uint64.
-func vecMulWide(accHi, accLo, row []uint64, w uint64) {
-	active.Load().mulWide(accHi, accLo, row, w)
-}
-
-// vecMulAccWide continues an accumulation chain:
-// (accHi[j], accLo[j]) += row[j]·w. No reduction; the caller bounds the
-// chain length (see the package comment).
-func vecMulAccWide(accHi, accLo, row []uint64, w uint64) {
-	active.Load().mulAccWide(accHi, accLo, row, w)
-}
-
 // MaxDotTerms is the number of products one VecDotLazy reduction may sum: the
 // largest k with k·(2q−1)(q−1) + 2q < 2^128 at MaxModulusBits.
 const MaxDotTerms = 1 << (128 - 2*MaxModulusBits - 1)
@@ -104,7 +91,7 @@ const MaxDotTerms = 1 << (128 - 2*MaxModulusBits - 1)
 // once (ReduceWide128Lazy), where a VecMulAddBarrett chain pays a Barrett
 // reduction per term. Without accumulate, out is written and never read.
 func (m Modulus) VecDotLazy(out []uint64, a, b [][]uint64, accumulate bool) {
-	dot := active.Load().dotLazy
+	dot := m.k.dotLazy
 	for len(a) > MaxDotTerms {
 		dot(m, out, a[:MaxDotTerms], b[:MaxDotTerms], accumulate)
 		a, b, accumulate = a[MaxDotTerms:], b[MaxDotTerms:], true
@@ -121,7 +108,7 @@ func (m Modulus) VecDotLazy(out []uint64, a, b [][]uint64, accumulate bool) {
 // b[k] and u[k] exact) and bytes: it is two VecDotLazy calls that load and
 // split each a[k] word once.
 func (m Modulus) VecDotKeyLazy(outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
-	dot := active.Load().dotKeyLazy
+	dot := m.k.dotKeyLazy
 	for len(a) > MaxDotTerms {
 		dot(m, outB, outA, a[:MaxDotTerms], b[:MaxDotTerms], u[:MaxDotTerms], accB, accA)
 		a, b, u, accB, accA = a[MaxDotTerms:], b[MaxDotTerms:], u[MaxDotTerms:], true, true
@@ -134,19 +121,19 @@ func (m Modulus) VecDotKeyLazy(outB, outA []uint64, a, b, u [][]uint64, accB, ac
 // is the mid-chain overflow guard for accumulations longer than the 128-bit
 // capacity; the folded value re-enters the chain as one (tiny) term.
 func (m Modulus) VecFoldWide128Lazy(accHi, accLo []uint64) {
-	active.Load().foldWide128Lazy(m, accHi, accLo)
+	m.k.foldWide128Lazy(m, accHi, accLo)
 }
 
 // VecReduceWide128 reduces each accumulator pair to its exact residue:
 // dst[j] = (accHi[j]:accLo[j]) mod q ∈ [0, q).
 func (m Modulus) VecReduceWide128(dst, accHi, accLo []uint64) {
-	active.Load().reduceWide128(m, dst, accHi, accLo)
+	m.k.reduceWide128(m, dst, accHi, accLo)
 }
 
 // VecReduceWide128Lazy reduces each accumulator pair to the lazy domain:
 // dst[j] = (accHi[j]:accLo[j]) mod q up to one multiple of q, in [0, 2q).
 func (m Modulus) VecReduceWide128Lazy(dst, accHi, accLo []uint64) {
-	active.Load().reduceWide128Lazy(m, dst, accHi, accLo)
+	m.k.reduceWide128Lazy(m, dst, accHi, accLo)
 }
 
 // ConvertTile is the coefficient-tile width of the tiled row conversion, and
@@ -178,10 +165,6 @@ type convTerm struct {
 	w1   uint64 // w >> 52, the constant's high limb in radix 2^52
 	wide uint64 // 0 when the source row and w both fit 52 bits
 }
-
-// narrowModulus is the largest source modulus whose rows, exact or lazy
-// (< 2q), always fit the 52 bits a multiply-add reads.
-const narrowModulus = 1 << 51
 
 // NewConvRow returns the conversion row with constants w[k] over source rows
 // holding residues of from[k], exact or lazy (below 2·from[k].Q).
@@ -222,8 +205,7 @@ func (m Modulus) VecConvertRow(out []uint64, rows [][]uint64, c *ConvRow, fold i
 		return
 	}
 	_ = hi[min(len(out), ConvertTile)-1]
-	t := active.Load()
-	t.convertRow(t, m, out, rows, c, fold, lazy, hi)
+	m.k.convertRow(m.k, m, out, rows, c, fold, lazy, hi)
 }
 
 // ConvertGroup is the most target rows the IFMA kernel converts per pass over
@@ -239,7 +221,8 @@ const ConvertGroup = 4
 // lazy alike, with one pass over the source rows per ConvertGroup targets
 // where VecConvertRow takes one per target. The outs are of one length and
 // alias neither rows, hi nor each other; js may list any targets of cs, in
-// any order. The other arguments are VecConvertRow's.
+// any order. The other arguments are VecConvertRow's. The kernels are those
+// of ms[js[0]]'s table.
 func VecConvertRows(outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows [][]uint64, fold int, lazy bool, hi []uint64) {
 	if len(outs) != len(js) {
 		panic(fmt.Sprintf("modarith: VecConvertRows has %d outputs for %d targets", len(outs), len(js)))
@@ -263,6 +246,6 @@ func VecConvertRows(outs [][]uint64, ms []Modulus, cs []ConvRow, js []int, rows 
 		return
 	}
 	_ = hi[min(n, ConvertTile)-1]
-	t := active.Load()
+	t := ms[js[0]].k
 	t.convertRows(t, outs, ms, cs, js, rows, fold, lazy, hi)
 }

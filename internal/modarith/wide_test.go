@@ -95,9 +95,9 @@ func TestVecWideAccumulateChain(t *testing.T) {
 	}
 	hi := make([]uint64, n)
 	lo := make([]uint64, n)
-	vecMulWide(hi, lo, rows[0], ws[0])
+	m.k.mulWide(hi, lo, rows[0], ws[0])
 	for i := 1; i < k; i++ {
-		vecMulAccWide(hi, lo, rows[i], ws[i])
+		m.k.mulAccWide(hi, lo, rows[i], ws[i])
 	}
 	exact := make([]uint64, n)
 	lazy := make([]uint64, n)

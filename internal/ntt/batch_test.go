@@ -2,7 +2,9 @@ package ntt_test
 
 // Batch transforms: a multi-limb (I)NTT is no longer planned inside this
 // package; it is a one-stage chain on ring.Pipeline, which spreads the limbs
-// over the shared pool (or runs them serially below its limb threshold). The
+// over the shared pool at the ring's width (or runs them serially below its
+// limb threshold). Each test builds its rings at the table and width it
+// sweeps (ring.NewRingAt), so the sweeps run side by side. The
 // tests below drive that path from the transform's side and require it to
 // equal the per-limb serial transforms of this package bit for bit. They live
 // in the external test package because ring imports ntt.
@@ -15,17 +17,18 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ntt"
-	"github.com/anaheim-sim/anaheim/internal/par"
 	"github.com/anaheim-sim/anaheim/internal/ring"
 )
 
-func newBatchRing(t testing.TB, logN, limbs int) *ring.Ring {
+// newBatchRing returns a ring of limbs 55-bit primes on kernel table k at
+// pool width width.
+func newBatchRing(t testing.TB, logN, limbs int, k modarith.Kernels, width int) *ring.Ring {
 	t.Helper()
 	primes, err := modarith.GenerateNTTPrimes(55, logN, limbs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ring.NewRing(logN, primes)
+	r, err := ring.NewRingAt(logN, primes, k, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +71,11 @@ func checkRows(t *testing.T, what string, got *ring.Poly, want [][]uint64) {
 // the pipeline's limb threshold, on a serial and a 4-wide pool, and checks
 // every limb against this package's serial transforms.
 func TestManyMatchesSerial(t *testing.T) {
+	t.Parallel()
 	for _, workers := range []int{1, 4} {
-		prev := par.SetWorkers(workers)
 		for _, logN := range []int{6, 13} {
 			for _, limbs := range []int{1, 2, 3, 8, 12} {
-				r := newBatchRing(t, logN, limbs)
+				r := newBatchRing(t, logN, limbs, modarith.Kernels{}, workers)
 				level := limbs - 1
 				rng := rand.New(rand.NewSource(int64(workers*1000 + logN*10 + limbs)))
 				p := randBatchPoly(rng, r, level)
@@ -87,7 +90,6 @@ func TestManyMatchesSerial(t *testing.T) {
 				checkRows(t, what+" INTT", p, want)
 			}
 		}
-		par.SetWorkers(prev)
 	}
 }
 
@@ -97,11 +99,11 @@ func TestManyMatchesSerial(t *testing.T) {
 // chunked over the pool at it), exact and lazy, and must equal the serial
 // transforms.
 func TestSplitMatchesSerial(t *testing.T) {
+	t.Parallel()
 	for _, s := range []int{2, 4, 8, 16} {
-		prev := par.SetWorkers(s)
 		for _, logN := range []int{13, 14} {
 			for _, limbs := range []int{1, 3, 8} {
-				r := newBatchRing(t, logN, limbs)
+				r := newBatchRing(t, logN, limbs, modarith.Kernels{}, s)
 				level := limbs - 1
 				rng := rand.New(rand.NewSource(int64(13*logN + 100*s + limbs)))
 				a := randBatchPoly(rng, r, level)
@@ -133,7 +135,6 @@ func TestSplitMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		par.SetWorkers(prev)
 	}
 }
 
@@ -142,10 +143,9 @@ func TestSplitMatchesSerial(t *testing.T) {
 // watch the pooled pipelines, the shared tables and the pool under
 // contention (the engine's serving pattern).
 func TestParallelTransformsConcurrent(t *testing.T) {
-	prev := par.SetWorkers(4)
-	defer par.SetWorkers(prev)
+	t.Parallel()
 	const limbs = 8
-	r := newBatchRing(t, 13, limbs)
+	r := newBatchRing(t, 13, limbs, modarith.Kernels{}, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -167,22 +167,14 @@ func TestParallelTransformsConcurrent(t *testing.T) {
 }
 
 // TestBatchTransformsAcrossKernelTiers requires the pool-parallel batch
-// transforms to be bit-identical on every kernel tier available on the
-// host: each worker drives the dispatched stage kernels over its own limb
-// range of rows that share one backing array.
+// transforms to be bit-identical on every kernel table the host runs: each
+// worker drives the dispatched stage kernels over its own limb range of rows
+// that share one backing array.
 func TestBatchTransformsAcrossKernelTiers(t *testing.T) {
-	orig := modarith.ActiveTier()
-	t.Cleanup(func() {
-		if err := modarith.SetKernelTier(orig); err != nil {
-			t.Fatalf("restoring tier %v: %v", orig, err)
-		}
-	})
-	prev := par.SetWorkers(4)
-	defer par.SetWorkers(prev)
-
+	t.Parallel()
 	const logN, limbs = 13, 8
-	r := newBatchRing(t, logN, limbs)
-	mkPoly := func() *ring.Poly {
+	kernels := modarith.KernelTables()
+	mkPoly := func(r *ring.Ring) *ring.Poly {
 		p := r.NewPoly(limbs - 1)
 		for l, row := range p.Coeffs {
 			for i := range row {
@@ -192,26 +184,19 @@ func TestBatchTransformsAcrossKernelTiers(t *testing.T) {
 		return p
 	}
 
-	if err := modarith.SetKernelTier(modarith.TierGo); err != nil {
-		t.Fatal(err)
-	}
-	wantNTT := mkPoly()
-	r.NTT(wantNTT, limbs-1)
+	goRing := newBatchRing(t, logN, limbs, kernels[0], 4)
+	wantNTT := mkPoly(goRing)
+	goRing.NTT(wantNTT, limbs-1)
 	wantRT := wantNTT.CopyNew()
-	r.INTT(wantRT, limbs-1)
-	checkRows(t, "go tier round trip", wantRT, mkPoly().Coeffs)
+	goRing.INTT(wantRT, limbs-1)
+	checkRows(t, "go table round trip", wantRT, mkPoly(goRing).Coeffs)
 
-	for _, tier := range modarith.AvailableTiers() {
-		if tier == modarith.TierGo {
-			continue
-		}
-		if err := modarith.SetKernelTier(tier); err != nil {
-			t.Fatal(err)
-		}
-		got := mkPoly()
+	for _, k := range kernels[1:] {
+		r := newBatchRing(t, logN, limbs, k, 4)
+		got := mkPoly(r)
 		r.NTT(got, limbs-1)
-		checkRows(t, fmt.Sprintf("tier=%v NTT vs go tier", tier), got, wantNTT.Coeffs)
+		checkRows(t, fmt.Sprintf("table=%v NTT vs go table", k), got, wantNTT.Coeffs)
 		r.INTT(got, limbs-1)
-		checkRows(t, fmt.Sprintf("tier=%v INTT vs go tier", tier), got, wantRT.Coeffs)
+		checkRows(t, fmt.Sprintf("table=%v INTT vs go table", k), got, wantRT.Coeffs)
 	}
 }

@@ -150,7 +150,7 @@ func (t *Tables) inverse(a []uint64, lazy bool) {
 
 // fwdStage applies forward stage m (m twiddle blocks of span N/(2m)) as one
 // call of the dispatched stage kernel (modarith.VecFwdStage: pure Go or
-// AVX-512 depending on the active tier, at every span). The span=1 final
+// AVX-512 depending on the table t.Mod carries, at every span). The span=1 final
 // stage folds the exit reduction in, emitting [0, q) (exact) or [0, 2q)
 // (lazy); all other stages keep the [0, 4q) butterfly invariant.
 func (t *Tables) fwdStage(a []uint64, m int, lazy bool) {

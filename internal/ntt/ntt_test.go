@@ -389,38 +389,27 @@ func BenchmarkInverseN4096(b *testing.B) {
 // runs; the inverse span N/2 row is the 1/N-fused final stage. Every row runs
 // on a 55-bit prime (fwd/n16/…) and on a 45-bit one (fwd/n16-q45/…), whose
 // butterflies take the IFMA kernels on a host that has them, once per
-// available kernel tier (go/…, avx512/…). The fwd-cold/n16 and inv-cold/n16
+// kernel table (go/…, avx512/…, avx512-noifma/…). The fwd-cold/n16 and inv-cold/n16
 // rows (and their -q45 forms) run whole lazy transforms, each on the next of
 // coldTables moduli with a row of its own, so every transform finds its
 // twiddles and its row out of the 32 MiB LLC, as a key switch's limbs do;
 // they report the wide stages (span ≥ 8) and the tail (spans 4, 2, 1) in µs
 // per transform apiece.
 func BenchmarkStages(b *testing.B) {
-	orig := modarith.ActiveTier()
-	b.Cleanup(func() {
-		if err := modarith.SetKernelTier(orig); err != nil {
-			b.Fatalf("restoring tier %v: %v", orig, err)
-		}
-	})
-	for _, tier := range modarith.AvailableTiers() {
-		b.Run(tier.String(), func(b *testing.B) {
-			if err := modarith.SetKernelTier(tier); err != nil {
-				b.Fatal(err)
-			}
-			benchStages(b)
-		})
+	for _, k := range modarith.KernelTables() {
+		b.Run(k.String(), func(b *testing.B) { benchStages(b, k) })
 	}
 }
 
-func benchStages(b *testing.B) {
+func benchStages(b *testing.B, k modarith.Kernels) {
 	for _, shape := range []struct {
 		bits   int
 		suffix string
 	}{{55, ""}, {45, "-q45"}} {
 		for _, logN := range []int{12, 16} {
-			benchStagesAt(b, shape.bits, logN, shape.suffix)
+			benchStagesAt(b, k, shape.bits, logN, shape.suffix)
 		}
-		benchStagesCold(b, shape.bits, shape.suffix)
+		benchStagesCold(b, k, shape.bits, shape.suffix)
 	}
 }
 
@@ -429,7 +418,7 @@ func benchStages(b *testing.B) {
 // 33 of them (hks_n16's chain) hold 82 MiB, more than twice the LLC.
 const coldTables = 33
 
-func benchStagesCold(b *testing.B, bits int, suffix string) {
+func benchStagesCold(b *testing.B, k modarith.Kernels, bits int, suffix string) {
 	const logN = 16
 	primes, err := modarith.GenerateNTTPrimes(bits, logN, coldTables)
 	if err != nil {
@@ -438,7 +427,11 @@ func benchStagesCold(b *testing.B, bits int, suffix string) {
 	tbls, rows := make([]*Tables, coldTables), make([][]uint64, coldTables)
 	r := rand.New(rand.NewSource(9))
 	for i, q := range primes {
-		if tbls[i], err = NewTables(modarith.MustModulus(q), logN); err != nil {
+		m, err := k.NewModulus(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tbls[i], err = NewTables(m, logN); err != nil {
 			b.Fatal(err)
 		}
 		rows[i] = randPoly(r, tbls[i].N, q)
@@ -485,12 +478,16 @@ func benchStagesCold(b *testing.B, bits int, suffix string) {
 	})
 }
 
-func benchStagesAt(b *testing.B, bits, logN int, suffix string) {
+func benchStagesAt(b *testing.B, k modarith.Kernels, bits, logN int, suffix string) {
 	primes, err := modarith.GenerateNTTPrimes(bits, logN, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tbl, err := NewTables(modarith.MustModulus(primes[0]), logN)
+	m, err := k.NewModulus(primes[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := NewTables(m, logN)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // TestTransformAcrossKernelTiers runs full forward/inverse transforms (all
-// four laziness variants) on every kernel tier available on the host and
-// requires bit-identical outputs: the NTT is the heaviest consumer of the
+// four laziness variants) on every kernel table the host runs, each on tables
+// of its own moduli, and requires bit-identical outputs: the NTT is the heaviest consumer of the
 // dispatched stage kernels, so a carry bug that survives the row-level
 // sweeps still dies here, where thousands of butterflies compound. The grid
 // is every size from logN 1 — below logN 4 no stage fills one 16-coefficient
@@ -22,13 +22,8 @@ import (
 // instead of green-washing the matrix.
 func TestTransformAcrossKernelTiers(t *testing.T) {
 	t.Logf("modarith kernel tier: active=%s available=%v", modarith.ActiveTier(), modarith.AvailableTiers())
-
-	orig := modarith.ActiveTier()
-	t.Cleanup(func() {
-		if err := modarith.SetKernelTier(orig); err != nil {
-			t.Fatalf("restoring tier %v: %v", orig, err)
-		}
-	})
+	t.Parallel()
+	kernels := modarith.KernelTables()
 
 	for _, bits := range []int{45, 50, 55, 61} {
 		for _, logN := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16} {
@@ -44,12 +39,19 @@ func TestTransformAcrossKernelTiers(t *testing.T) {
 					q = p
 				}
 			}
-			tbl, err := NewTables(modarith.MustModulus(q), logN)
-			if err != nil {
-				t.Fatal(err)
+			tbls := make([]*Tables, len(kernels))
+			for i, k := range kernels {
+				m, err := k.NewModulus(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tbls[i], err = NewTables(m, logN); err != nil {
+					t.Fatal(err)
+				}
 			}
-			random := make([]uint64, tbl.N)
-			saturated := make([]uint64, tbl.N)
+			n := tbls[0].N
+			random := make([]uint64, n)
+			saturated := make([]uint64, n)
 			for i := range random {
 				random[i] = (uint64(i)*0x9e3779b97f4a7c15 + 12345) % (2 * q) // lazy domain
 				saturated[i] = 2*q - 1
@@ -57,36 +59,27 @@ func TestTransformAcrossKernelTiers(t *testing.T) {
 
 			variants := []struct {
 				name string
-				run  func(a []uint64)
+				run  func(tbl *Tables, a []uint64)
 			}{
-				{"fwd", func(a []uint64) { tbl.Forward(a) }},
-				{"fwdLazy", func(a []uint64) { tbl.ForwardLazy(a) }},
-				{"inv", func(a []uint64) { tbl.Inverse(a) }},
-				{"invLazy", func(a []uint64) { tbl.inverseLazy(a) }},
-				{"fwdLazy+invLazy", func(a []uint64) { tbl.ForwardLazy(a); tbl.inverseLazy(a) }},
+				{"fwd", (*Tables).Forward},
+				{"fwdLazy", (*Tables).ForwardLazy},
+				{"inv", (*Tables).Inverse},
+				{"invLazy", (*Tables).inverseLazy},
+				{"fwdLazy+invLazy", func(tbl *Tables, a []uint64) { tbl.ForwardLazy(a); tbl.inverseLazy(a) }},
 			}
 			for _, input := range [][]uint64{random, saturated} {
 				for _, v := range variants {
-					// Reference outputs on the pure-Go tier.
-					if err := modarith.SetKernelTier(modarith.TierGo); err != nil {
-						t.Fatal(err)
-					}
+					// Reference outputs on the pure-Go table, kernels[0].
 					want := append([]uint64(nil), input...)
-					v.run(want)
+					v.run(tbls[0], want)
 
-					for _, tier := range modarith.AvailableTiers() {
-						if tier == modarith.TierGo {
-							continue
-						}
-						if err := modarith.SetKernelTier(tier); err != nil {
-							t.Fatal(err)
-						}
+					for i, k := range kernels[1:] {
 						got := append([]uint64(nil), input...)
-						v.run(got)
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("bits=%d logN=%d %s tier=%v: output[%d] = %#x, go tier %#x",
-									bits, logN, v.name, tier, i, got[i], want[i])
+						v.run(tbls[i+1], got)
+						for j := range want {
+							if got[j] != want[j] {
+								t.Fatalf("bits=%d logN=%d %s table=%v: output[%d] = %#x, go table %#x",
+									bits, logN, v.name, k, j, got[j], want[j])
 							}
 						}
 					}

@@ -1,102 +1,70 @@
-// Package par provides the process-wide worker pool that the RNS limb-level
-// kernels share through ring.Pipeline.Run, the one limb executor. Limbs of an
-// RNS polynomial are independent, so spreading them across cores is always
-// safe; what needs care is doing it without spawning goroutines per call and
+// Package par provides the worker pool that the RNS limb-level kernels share
+// through ring.Pipeline.Run, the one limb executor. Limbs of an RNS
+// polynomial are independent, so spreading them across cores is always safe;
+// what needs care is doing it without spawning goroutines per call and
 // without deadlocking when parallel sections nest (e.g. an engine job worker
 // calling into a parallel limb chain).
 //
-// The pool keeps a fixed set of long-lived workers fed by an unbuffered task
-// channel. Submission never blocks: if no worker is idle, the submitting
-// goroutine runs the chunk inline. Under nesting this degrades gracefully
-// toward serial execution instead of deadlocking, and an idle machine gets
-// full fan-out.
+// The pool keeps long-lived workers, as many as the widest call has asked
+// for, fed by an unbuffered task channel. The width is the caller's: a ring
+// carries its own (GOMAXPROCS when it is built), so rings of different
+// widths share the one pool side by side. Submission never blocks: if no
+// worker is idle, the submitting goroutine runs the chunk inline. Under
+// nesting this degrades gracefully toward serial execution instead of
+// deadlocking, and an idle machine gets full fan-out.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 var (
-	mu      sync.Mutex
-	size    int         // configured width; 0 = GOMAXPROCS at first use
-	tasks   chan func() // unbuffered: a send succeeds only if a worker is idle
-	started int         // workers spawned so far
+	tasks   = make(chan func()) // unbuffered: a send succeeds only if a worker is idle
+	started atomic.Int64        // workers spawned so far
 )
 
-// Workers returns the configured pool width.
-func Workers() int {
-	mu.Lock()
-	defer mu.Unlock()
-	if size == 0 {
-		size = runtime.GOMAXPROCS(0)
+// Workers returns the default pool width, GOMAXPROCS: the width ForEachChunk
+// runs at and a new ring takes.
+func Workers() int { return runtime.GOMAXPROCS(0) }
+
+// grow spawns workers until the pool holds at least width of them.
+func grow(width int) {
+	for s := started.Load(); s < int64(width); s = started.Load() {
+		if started.CompareAndSwap(s, s+1) {
+			go func() {
+				for f := range tasks {
+					f()
+				}
+			}()
+		}
 	}
-	return size
 }
 
-// SetWorkers fixes the pool width and returns the previous value. n <= 1
-// forces serial execution. It is a test hook with no production caller (CI's
-// lint job enforces that), exported only because the width-sweep tests of
-// ckks, ntt and ring live in other packages; a process sets its width with
-// GOMAXPROCS. Already-running workers beyond the new width drain naturally
-// (they only matter if a task is submitted to them).
-func SetWorkers(n int) int {
-	mu.Lock()
-	defer mu.Unlock()
-	prev := size
-	if prev == 0 {
-		prev = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	size = n
-	return prev
-}
+// ForEachChunk is ForEachChunkAt at the default width, Workers().
+func ForEachChunk(n int, f func(lo, hi int)) { ForEachChunkAt(Workers(), n, f) }
 
-// ensure spawns workers up to the configured width and returns the task
-// channel along with the effective width.
-func ensure() (chan func(), int) {
-	mu.Lock()
-	defer mu.Unlock()
-	if size == 0 {
-		size = runtime.GOMAXPROCS(0)
-	}
-	if tasks == nil {
-		tasks = make(chan func())
-	}
-	for ; started < size; started++ {
-		go func(ch chan func()) {
-			for f := range ch {
-				f()
-			}
-		}(tasks)
-	}
-	return tasks, size
-}
-
-// ForEachChunk partitions [0, n) into at most pool-width contiguous ranges
-// and runs f(lo, hi) for each on the shared pool, returning after every
-// range completed. Contiguous ranges keep each worker's memory accesses
-// sequential — the right split for limb loops over a polynomial's single
-// backing array. With a pool width of 1 it is exactly f(0, n).
+// ForEachChunkAt partitions [0, n) into at most width contiguous ranges and
+// runs f(lo, hi) for each on the shared pool, returning after every range
+// completed. Contiguous ranges keep each worker's memory accesses sequential
+// — the right split for limb loops over a polynomial's single backing array.
+// With a width of 1 it is exactly f(0, n).
 //
 // A panic in any range, on a pool worker or inline, is recovered; once every
 // range has finished, the first one recovered is raised again on the calling
 // goroutine. So a caller's recover sees it, and no range is still writing
 // when that recover runs.
-func ForEachChunk(n int, f func(lo, hi int)) {
+func ForEachChunkAt(width, n int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	ch, width := ensure()
-	if width > n {
-		width = n
-	}
+	width = min(width, n)
 	if width <= 1 {
 		f(0, n)
 		return
 	}
+	grow(width)
 	var run struct { // one allocation for what the ranges share
 		wg       sync.WaitGroup
 		once     sync.Once
@@ -121,7 +89,7 @@ func ForEachChunk(n int, f func(lo, hi int)) {
 			f(lo0, hi0)
 		}
 		select {
-		case ch <- task:
+		case tasks <- task:
 		default:
 			task() // no idle worker: run inline (nesting-safe)
 		}

@@ -41,16 +41,17 @@ func TestForEachChunkCoversAllIndices(t *testing.T) {
 
 func TestForEachChunkContiguous(t *testing.T) {
 	// Every chunk must be a contiguous range; collectively they tile [0, n).
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
 	var mu sync.Mutex
 	var ranges [][2]int
-	ForEachChunk(41, func(lo, hi int) {
+	ForEachChunkAt(4, 41, func(lo, hi int) {
 		mu.Lock()
 		ranges = append(ranges, [2]int{lo, hi})
 		mu.Unlock()
 	})
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i][0] < ranges[j][0] })
+	if len(ranges) != 4 {
+		t.Errorf("width 4 ran %d ranges, want 4: %v", len(ranges), ranges)
+	}
 	next := 0
 	for _, r := range ranges {
 		if r[0] != next {
@@ -77,11 +78,9 @@ func TestForEachChunkNested(t *testing.T) {
 	}
 }
 
-func TestSetWorkersSerial(t *testing.T) {
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
+func TestWidthOneSerial(t *testing.T) {
 	var calls [][2]int // no lock needed: width 1 means serial execution
-	ForEachChunk(5, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
+	ForEachChunkAt(1, 5, func(lo, hi int) { calls = append(calls, [2]int{lo, hi}) })
 	if len(calls) != 1 || calls[0] != [2]int{0, 5} {
 		t.Fatalf("width 1 ran %v, want the one range [0, 5)", calls)
 	}
@@ -91,25 +90,21 @@ func TestSetWorkersSerial(t *testing.T) {
 // returned function is called, so that ForEachChunk meanwhile runs every
 // range inline.
 func holdWorkers() (release func()) {
-	ch, _ := ensure()
-	mu.Lock()
-	n := started
-	mu.Unlock()
 	stop := make(chan struct{})
-	for i := 0; i < n; i++ {
-		ch <- func() { <-stop } // an unbuffered send: taken by a worker
+	for i := int64(0); i < started.Load(); i++ {
+		tasks <- func() { <-stop } // an unbuffered send: taken by a worker
 	}
 	return func() { close(stop) }
 }
 
 // onCaller reports whether the range calling it runs inline, on
-// ForEachChunk's own goroutine, rather than on a pool worker.
+// ForEachChunkAt's own goroutine, rather than on a pool worker.
 func onCaller() bool {
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		f, more := frames.Next()
-		if f.Function == "github.com/anaheim-sim/anaheim/internal/par.ForEachChunk" {
+		if f.Function == "github.com/anaheim-sim/anaheim/internal/par.ForEachChunkAt" {
 			return true
 		}
 		if !more {
@@ -124,15 +119,13 @@ func onCaller() bool {
 // re-raise a worker's panic ends the process, and an inline one returns
 // while the other range may still run.
 func TestForEachChunkRaisesPanicOnCaller(t *testing.T) {
-	prev := SetWorkers(2)
-	defer SetWorkers(prev)
 	// run has range 0 panic and range 1 finish late, and reports whether
 	// range 0 ran inline.
 	run := func(name string) (inline bool) {
 		var finished atomic.Bool
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			ForEachChunk(2, func(lo, hi int) {
+			ForEachChunkAt(2, 2, func(lo, hi int) {
 				if lo == 0 {
 					inline = onCaller()
 					panic("range 0")
@@ -163,7 +156,7 @@ func TestForEachChunkRaisesPanicOnCaller(t *testing.T) {
 	release()
 
 	var sum atomic.Int64
-	ForEachChunk(100, func(lo, hi int) {
+	ForEachChunkAt(2, 100, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum.Add(int64(i))
 		}

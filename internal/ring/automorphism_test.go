@@ -50,7 +50,7 @@ func TestAutomorphismBlocks(t *testing.T) {
 		for i := range iota {
 			iota[i] = uint64(i)
 		}
-		modarith.VecPermute(got, iota, autoBlockPerm(logN, g))
+		modarith.MustModulus(97).VecPermute(got, iota, autoBlockPerm(logN, g))
 		for i, k := range want {
 			if got[i] != uint64(k) {
 				t.Fatalf("logN %d g %d: block permutation sends slot %d to %d, scalar %d", logN, g, i, got[i], k)
@@ -76,7 +76,13 @@ func TestAutomorphismBlocks(t *testing.T) {
 // (AutomorphismNTT's stage), `mac` is the sweep's fused baby-step MAC
 // (AutMulAccWide's stage), reported per multiply-accumulate.
 func BenchmarkAutomorphism(b *testing.B) {
-	forEachTable(b, func(table string) {
+	for _, table := range modarith.KernelTables() {
+		// The permutations do no modular arithmetic: the modulus only picks
+		// the table.
+		m, err := table.NewModulus(97)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, logN := range []int{12, 16} {
 			n := 1 << logN
 			p := autoBlockPerm(logN, modExp(5, 1, uint64(2*n)))
@@ -87,15 +93,15 @@ func BenchmarkAutomorphism(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/row/n%d", table, logN), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					modarith.VecPermute(lo, a, p)
+					m.VecPermute(lo, a, p)
 				}
 			})
 			b.Run(fmt.Sprintf("%s/mac/n%d", table, logN), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					modarith.VecMulAccWidePerm(hi, lo, a, w, p)
+					m.VecMulAccWidePerm(hi, lo, a, w, p)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/MAC")
 			})
 		}
-	})
+	}
 }

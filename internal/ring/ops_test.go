@@ -6,7 +6,6 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ntt"
-	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // ringOpCase is one exported Ring limb op: how to call it, the per-limb
@@ -98,16 +97,14 @@ func ringOpCases(g uint64, idx []uint32) []ringOpCase {
 // the limb count per transform. Under -race it also watches the parallel
 // Run branch's limb chunks.
 func TestRingOpsOnePipeline(t *testing.T) {
-	forEachTable(t, func(table string) {
+	for _, k := range modarith.KernelTables() {
 		for _, limbs := range []int{1, 2, 7, 8, 16} {
-			r := newTestRing(t, 6, limbs)
 			for _, workers := range []int{1, 2, 4} {
-				prev := par.SetWorkers(workers)
-				ringOpsOnePipeline(t, fmt.Sprintf("%s/limbs=%d/workers=%d", table, limbs, workers), r)
-				par.SetWorkers(prev)
+				r := newTestRingAt(t, 6, limbs, k, workers)
+				ringOpsOnePipeline(t, fmt.Sprintf("%s/limbs=%d/workers=%d", k, limbs, workers), r)
 			}
 		}
-	})
+	}
 }
 
 func ringOpsOnePipeline(t *testing.T, label string, r *Ring) {
@@ -154,31 +151,6 @@ func ringOpsOnePipeline(t *testing.T, label string, r *Ring) {
 		if ntt1-ntt0 != int64(c.ntt*limbs) || intt1-intt0 != int64(c.intt*limbs) {
 			t.Fatalf("%s %s: transforms (%d, %d), want (%d, %d)", label, c.name,
 				ntt1-ntt0, intt1-intt0, c.ntt*limbs, c.intt*limbs)
-		}
-	}
-}
-
-// forEachTable runs fn once under every kernel table the host can run — go,
-// avx512 and, on an IFMA host, avx512-noifma — and restores the host's own
-// table after.
-func forEachTable(t testing.TB, fn func(name string)) {
-	t.Helper()
-	orig := modarith.ActiveTier()
-	defer func() {
-		if err := modarith.SetKernelTier(orig); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	for _, tier := range modarith.AvailableTiers() {
-		if err := modarith.SetKernelTier(tier); err != nil {
-			t.Fatal(err)
-		}
-		fn(tier.String())
-		if tier == modarith.TierAVX512 {
-			if err := modarith.SetKernelTierWithoutIFMA(); err != nil {
-				t.Fatal(err)
-			}
-			fn("avx512-noifma")
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkParallelLimbs measures the limb-parallel kernels at the paper's
 // ring degree (N = 2^16, Table IV) against the serial baseline: the same
-// code paths with the shared worker pool forced to width 1. Run with
+// code paths on a ring of pool width 1. Run with
 //
 //	go test ./internal/ring -bench ParallelLimbs -benchtime 10x
 //
@@ -25,21 +25,18 @@ func BenchmarkParallelLimbs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := NewRing(logN, primes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	level := limbs - 1
-	s := testStream(1)
-	a := s.UniformPoly(r, level, false)
-	c := s.UniformPoly(r, level, false)
-	out := r.NewPoly(level)
-
 	for _, workers := range []int{1, par.Workers()} {
+		r, err := NewRingAt(logN, primes, modarith.Kernels{}, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		level := limbs - 1
+		s := testStream(1)
+		a := s.UniformPoly(r, level, false)
+		c := s.UniformPoly(r, level, false)
+		out := r.NewPoly(level)
 		tag := fmt.Sprintf("workers=%d", workers)
 		b.Run("NTT+INTT/"+tag, func(b *testing.B) {
-			prev := par.SetWorkers(workers)
-			defer par.SetWorkers(prev)
 			p := a.CopyNew()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -48,8 +45,6 @@ func BenchmarkParallelLimbs(b *testing.B) {
 			}
 		})
 		b.Run("MulCoeffsAdd/"+tag, func(b *testing.B) {
-			prev := par.SetWorkers(workers)
-			defer par.SetWorkers(prev)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r.MulCoeffsAdd(out, a, c, level)

@@ -670,13 +670,13 @@ func (ln *Lane) Func(fn func(limb int), reads, writes []*Poly) {
 }
 
 // Run executes every recorded lane, whole-chain-per-limb, under a single
-// barrier, then applies domain flags, updates the ring limb-transform
-// counters and the bytes-moved model, and resets the pipeline for
-// re-recording.
+// barrier at the widest of the lanes' ring widths, then applies domain
+// flags, updates the ring limb-transform counters and the bytes-moved model,
+// and resets the pipeline for re-recording.
 func (pl *Pipeline) Run() {
 	lanes := pl.lanes[:pl.nLanes]
 	var sz runSizes
-	total, units := 0, 0
+	total, units, width := 0, 0, 0
 	for _, ln := range lanes {
 		for _, acc := range ln.wide {
 			if acc.open {
@@ -685,6 +685,7 @@ func (pl *Pipeline) Run() {
 		}
 		total += ln.level + 1
 		units += ln.units()
+		width = max(width, ln.r.width)
 		sz.wide = max(sz.wide, len(ln.wide)*ln.r.N)
 		sz.group = max(sz.group, ln.convSets*ln.group*ln.r.N)
 		sz.uni = max(sz.uni, ln.dotTerms*modarith.UniformTile)
@@ -701,10 +702,10 @@ func (pl *Pipeline) Run() {
 		}
 	}
 	if total > 0 {
-		if total < parallelLimbThreshold || par.Workers() < 2 {
+		if total < parallelLimbThreshold || width < 2 {
 			runUnits(lanes, 0, units, sz)
 		} else {
-			par.ForEachChunk(units, func(lo, hi int) { runUnits(lanes, lo, hi, sz) })
+			par.ForEachChunkAt(width, units, func(lo, hi int) { runUnits(lanes, lo, hi, sz) })
 		}
 	}
 	pl.finish()
@@ -882,7 +883,7 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			if !st.acc {
 				clear(hi)
 			}
-			modarith.VecMulAccWidePerm(hi, st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.perm)
+			mod.VecMulAccWidePerm(hi, st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.perm)
 		case opFoldWide:
 			mod.VecFoldWide128Lazy(wide[st.wide*r.N:][:r.N], st.out.Coeffs[i])
 		case opReduceWide:
@@ -916,7 +917,7 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))
 		case opAutNTT:
-			modarith.VecPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.perm)
+			mod.VecPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.perm)
 		case opAddAutNTT:
 			mod.VecAddPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.perm)
 		case opFunc:

@@ -30,22 +30,21 @@ func subMulScalarsLazy(r *Ring, out, a, b *Poly, s []uint64, level int) {
 // in a reduction) and compares against the barriered MAC-per-term
 // composition over the stored B rows and the A rows expanded whole — at
 // every level, on both halves' row tags, at a degree below one expansion tile
-// and at several, and on every kernel tier. The dot stage reduces once where
+// and at several, and on every kernel table. The dot stage reduces once where
 // the MAC chain reduces per term, so the lazy representatives differ; the
 // reduced residues may not. An accumulator flagged accumulate takes the
 // product onto its live value; one that is not must be overwritten whatever
 // (here: garbage) it held.
 func TestPipelineKeySwitchShapedChain(t *testing.T) {
-	for _, tier := range modarith.AvailableTiers() {
-		withTier(t, tier, func() {
-			for _, logN := range []int{6, 10} {
-				keySwitchShapedChain(t, tier, newTestRing(t, logN, 6))
-			}
-		})
+	t.Parallel()
+	for _, k := range modarith.KernelTables() {
+		for _, logN := range []int{6, 10} {
+			keySwitchShapedChain(t, k, newTestRingAt(t, logN, 6, k, par.Workers()))
+		}
 	}
 }
 
-func keySwitchShapedChain(t *testing.T, tier modarith.KernelTier, r *Ring) {
+func keySwitchShapedChain(t *testing.T, tier modarith.Kernels, r *Ring) {
 	s := testStream(19)
 	key := modarith.NewStreamKey([32]byte{19})
 	const digits = 3
@@ -253,10 +252,11 @@ func TestPipelineTensorChain(t *testing.T) {
 
 // TestPipelineTwoLanes runs a Q-lane and a (shorter) P-lane chain in one
 // pipeline, as every key-switch chain does, and checks both against the
-// barriered forms. The pool width is forced so the parallel branch of Run
+// barriered forms. The rings' pool width is set so the parallel branch of Run
 // (11 limbs over two lanes, above parallelLimbThreshold) executes on any host,
 // including the split where one worker's chunk straddles both lanes.
 func TestPipelineTwoLanes(t *testing.T) {
+	t.Parallel()
 	rq := newTestRing(t, 5, 9)
 	rp := newTestRing(t, 5, 2)
 	s := testStream(31)
@@ -286,7 +286,7 @@ func TestPipelineTwoLanes(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		prev := par.SetWorkers(workers)
+		rq, rp := newTestRingAt(t, 5, 9, modarith.Kernels{}, workers), newTestRingAt(t, 5, 2, modarith.Kernels{}, workers)
 		gotQ, gotQA := rq.NewPoly(lq), rq.NewPoly(lq)
 		gotQ.IsNTT, gotQA.IsNTT = true, true
 		gotP, gotPA := rp.NewPoly(lp), rp.NewPoly(lp)
@@ -302,7 +302,6 @@ func TestPipelineTwoLanes(t *testing.T) {
 		lnP.ReduceLazy(gotPA)
 		pl.Run()
 		pl.Release()
-		par.SetWorkers(prev)
 
 		if !gotQ.Equal(wantQ) || !gotQA.Equal(wantQA) || !gotP.Equal(wantP) || !gotPA.Equal(wantPA) {
 			t.Fatalf("workers=%d: two-lane pipeline != barriered per-ring composition", workers)
@@ -419,21 +418,21 @@ func TestPipelineTrafficAccounting(t *testing.T) {
 // composition — whole-polynomial Convert, NTTLazy, the dot — while the
 // counters charge exactly the rows transformed and the traffic model no
 // scratch row. Every level, a ragged last digit included, on every kernel
-// tier.
+// table.
 func TestPipelineModUpAndBConv(t *testing.T) {
-	for _, tier := range modarith.AvailableTiers() {
-		withTier(t, tier, func() { modUpAndBConv(t) })
+	for _, k := range modarith.KernelTables() {
+		modUpAndBConv(t, k)
 	}
 }
 
-func modUpAndBConv(t *testing.T) {
+func modUpAndBConv(t *testing.T, k modarith.Kernels) {
 	const logN, nQ, alpha = 6, 7, 3
 	primes := mustPrimes(t, 50, logN, nQ+alpha)
-	rq, err := NewRing(logN, primes[:nQ])
+	rq, err := NewRingAt(logN, primes[:nQ], k, par.Workers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewRing(logN, primes[nQ:])
+	rp, err := NewRingAt(logN, primes[nQ:], k, par.Workers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,7 +750,9 @@ func TestPipelineZeroStage(t *testing.T) {
 // chunk of limbs). Each must equal the barriered Automorphism + MulCoeffs +
 // Add composition, and the scratch must leave no trace between Runs.
 func TestPipelineAutMulAccWide(t *testing.T) {
-	r, err := NewRing(6, mustPrimes(t, modarith.MaxModulusBits, 6, 9))
+	t.Parallel()
+	primes := mustPrimes(t, modarith.MaxModulusBits, 6, 9)
+	r, err := NewRing(6, primes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -804,7 +805,10 @@ func TestPipelineAutMulAccWide(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		prev := par.SetWorkers(workers)
+		r, err := NewRingAt(6, primes, modarith.Kernels{}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := [2]*Poly{live.CopyNew(), r.NewPoly(levels[1])}
 		got[1].IsNTT = true
 		got[1].poison()
@@ -832,7 +836,6 @@ func TestPipelineAutMulAccWide(t *testing.T) {
 				}
 			}
 		}
-		par.SetWorkers(prev)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
 	"github.com/anaheim-sim/anaheim/internal/ntt"
+	"github.com/anaheim-sim/anaheim/internal/par"
 )
 
 // Ring is an RNS cyclotomic ring: degree N = 2^LogN with a chain of NTT-
@@ -26,6 +27,10 @@ type Ring struct {
 	LogN   int
 	Moduli []modarith.Modulus
 	Tables []*ntt.Tables
+
+	// width is the pool width a Pipeline.Run over the ring spreads its
+	// limbs across.
+	width int
 
 	autoMu   sync.Mutex                 // serializes autoSnap writers (cold path only)
 	autoSnap atomic.Pointer[autoTables] // automorphism caches; lock-free reads
@@ -52,8 +57,21 @@ func (r *Ring) Counters() (ntt, intt int64) {
 }
 
 // NewRing constructs a ring of degree 2^logN over the given primes, which
-// must all satisfy q ≡ 1 (mod 2N).
+// must all satisfy q ≡ 1 (mod 2N). Its moduli run the host's kernel table
+// (modarith.NewModulus) and its pipelines the pool width GOMAXPROCS has now.
 func NewRing(logN int, primes []uint64) (*Ring, error) {
+	return newRing(logN, primes, modarith.Kernels{}, par.Workers())
+}
+
+// NewRingAt is NewRing on kernel table k at pool width width: the ring a
+// test sweeps tables and widths with, side by side in one process.
+// Production rings come from NewRing (CI's lint keeps it out of non-test
+// code).
+func NewRingAt(logN int, primes []uint64, k modarith.Kernels, width int) (*Ring, error) {
+	return newRing(logN, primes, k, width)
+}
+
+func newRing(logN int, primes []uint64, k modarith.Kernels, width int) (*Ring, error) {
 	if len(primes) == 0 {
 		return nil, fmt.Errorf("ring: empty prime chain")
 	}
@@ -62,10 +80,11 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 		LogN:   logN,
 		Moduli: make([]modarith.Modulus, len(primes)),
 		Tables: make([]*ntt.Tables, len(primes)),
+		width:  width,
 	}
 	r.autoSnap.Store(&autoTables{perm: map[uint64]*modarith.BlockPerm{}, gal: map[int]uint64{}})
 	for i, q := range primes {
-		mod, err := modarith.NewModulus(q)
+		mod, err := k.NewModulus(q)
 		if err != nil {
 			return nil, fmt.Errorf("ring: prime %d: %w", i, err)
 		}

@@ -20,6 +20,16 @@ func newTestRing(t testing.TB, logN, nPrimes int) *Ring {
 	return r
 }
 
+// newTestRingAt is newTestRing on kernel table k at pool width width.
+func newTestRingAt(t testing.TB, logN, nPrimes int, k modarith.Kernels, width int) *Ring {
+	t.Helper()
+	r, err := NewRingAt(logN, mustPrimes(t, 50, logN, nPrimes), k, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestNewPolyShape(t *testing.T) {
 	r := newTestRing(t, 6, 4)
 	p := r.NewPoly(2)

@@ -89,14 +89,3 @@ func TestSubUniformProduct(t *testing.T) {
 		t.Fatal("SubUniformProduct differs from e − a⊙s")
 	}
 }
-
-// withTier runs fn with every row kernel on tier.
-func withTier(t *testing.T, tier modarith.KernelTier, fn func()) {
-	t.Helper()
-	prev := modarith.ActiveTier()
-	if err := modarith.SetKernelTier(tier); err != nil {
-		t.Fatal(err)
-	}
-	defer modarith.SetKernelTier(prev)
-	fn()
-}

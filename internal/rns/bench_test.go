@@ -26,8 +26,8 @@ import (
 // in cache.
 func BenchmarkConvertRow(b *testing.B) {
 	const nTo = 8
-	forEachTable(b, func(table string) {
-		b.Run(table, func(b *testing.B) {
+	for _, k := range modarith.KernelTables() {
+		b.Run(k.String(), func(b *testing.B) {
 			for _, form := range []struct {
 				name             string
 				fromBits, toBits int
@@ -35,7 +35,7 @@ func BenchmarkConvertRow(b *testing.B) {
 				for _, logN := range []int{12, 16} {
 					for _, alpha := range []int{3, 7} {
 						n := 1 << logN
-						bc, err := NewBasisConverter(mustModuli(b, form.fromBits, logN, alpha), mustModuli(b, form.toBits, logN, nTo))
+						bc, err := NewBasisConverter(onTable(b, mustModuli(b, form.fromBits, logN, alpha), k), onTable(b, mustModuli(b, form.toBits, logN, nTo), k))
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -75,7 +75,7 @@ func BenchmarkConvertRow(b *testing.B) {
 				}
 			}
 		})
-	})
+	}
 }
 
 // coldSourceBytes is how many bytes of source rows the -cold rows of

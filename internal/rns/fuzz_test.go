@@ -141,7 +141,7 @@ func FuzzBConv(f *testing.F) {
 			want := newRows(len(conv.To), n)
 			conv.ConvertRef(want, in)
 			var goLazy [][]uint64 // the first table run is the Go one
-			forEachTable(t, func(table string) {
+			forEachTable(t, conv, func(table string, conv *BasisConverter) {
 				whole, exact, lazy := newRows(len(conv.To), n), newRows(len(conv.To), n), newRows(len(conv.To), n)
 				conv.Convert(whole, in)
 				convertRows(conv, exact, in, false)

@@ -132,29 +132,29 @@ func convertGroups(bc *BasisConverter, out, in [][]uint64, lazy bool, g int) {
 	}
 }
 
-// forEachTable runs fn once under every kernel table the host can run — go,
-// avx512 and, on an IFMA host, avx512-noifma, the table an AVX-512 host
-// without IFMA runs — and restores the host's own table after.
-func forEachTable(t testing.TB, fn func(name string)) {
+// forEachTable runs fn once on every kernel table the host can run — go
+// first, avx512 and, on an IFMA host, avx512-noifma, the table an AVX-512
+// host without IFMA runs — handing it bc with its moduli on that table.
+func forEachTable(t testing.TB, bc *BasisConverter, fn func(name string, bc *BasisConverter)) {
 	t.Helper()
-	orig := modarith.ActiveTier()
-	defer func() {
-		if err := modarith.SetKernelTier(orig); err != nil {
+	for _, k := range modarith.KernelTables() {
+		c := *bc
+		c.From, c.To = onTable(t, bc.From, k), onTable(t, bc.To, k)
+		fn(k.String(), &c)
+	}
+}
+
+// onTable returns the moduli ms on kernel table k.
+func onTable(t testing.TB, ms []modarith.Modulus, k modarith.Kernels) []modarith.Modulus {
+	t.Helper()
+	out := make([]modarith.Modulus, len(ms))
+	for i, m := range ms {
+		var err error
+		if out[i], err = k.NewModulus(m.Q); err != nil {
 			t.Fatal(err)
-		}
-	}()
-	for _, tier := range modarith.AvailableTiers() {
-		if err := modarith.SetKernelTier(tier); err != nil {
-			t.Fatal(err)
-		}
-		fn(tier.String())
-		if tier == modarith.TierAVX512 {
-			if err := modarith.SetKernelTierWithoutIFMA(); err != nil {
-				t.Fatal(err)
-			}
-			fn("avx512-noifma")
 		}
 	}
+	return out
 }
 
 // convertRowCase is one converter the row conversion is held to big.Int on.
@@ -205,6 +205,7 @@ func convertRowCases(t *testing.T) []convertRowCase {
 // length is not a multiple of 16, so the IFMA kernel's row tail runs too.
 // Every table's words equal the Go table's, lazy ones included.
 func TestConvertRowMatchesBigInt(t *testing.T) {
+	t.Parallel()
 	const n = RowTile + 17
 	r := rand.New(rand.NewSource(3))
 	for _, tc := range convertRowCases(t) {
@@ -247,7 +248,7 @@ func TestConvertRowMatchesBigInt(t *testing.T) {
 			}
 		}
 		var goLazy [][]uint64 // the first table run is the Go one
-		forEachTable(t, func(table string) {
+		forEachTable(t, bc, func(table string, bc *BasisConverter) {
 			exact, lazy := newRows(len(to), n), newRows(len(to), n)
 			convertRows(bc, exact, in, false)
 			convertRows(bc, lazy, in, true)

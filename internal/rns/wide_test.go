@@ -270,6 +270,7 @@ func TestRescalerMatchesRef(t *testing.T) {
 // widths (a dropped prime between, below and above the kept ones), on random
 // and all-(q−1) rows, on every kernel tier the host has.
 func TestRescaleNTTDomainMatchesRef(t *testing.T) {
+	t.Parallel()
 	const logN = 8
 	n := 1 << logN
 	p60, err := modarith.GenerateNTTPrimes(60, logN, 1)
@@ -280,28 +281,24 @@ func TestRescaleNTTDomainMatchesRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origTier := modarith.ActiveTier()
-	t.Cleanup(func() { _ = modarith.SetKernelTier(origTier) })
-
 	r := rand.New(rand.NewSource(15))
 	for _, primes := range [][]uint64{
 		{p60[0], p45[0], p45[2], p45[1]}, // q_L between the 45-bit primes, below q_0
 		{p45[0], p45[1], p60[0]},         // q_L above every kept prime
 	} {
-		ms := make([]modarith.Modulus, len(primes))
-		tbl := make([]*ntt.Tables, len(primes))
-		for i, q := range primes {
-			ms[i] = modarith.MustModulus(q)
-			if tbl[i], err = ntt.NewTables(ms[i], logN); err != nil {
-				t.Fatal(err)
+		for _, tier := range modarith.KernelTables() {
+			ms := make([]modarith.Modulus, len(primes))
+			tbl := make([]*ntt.Tables, len(primes))
+			for i, q := range primes {
+				if ms[i], err = tier.NewModulus(q); err != nil {
+					t.Fatal(err)
+				}
+				if tbl[i], err = ntt.NewTables(ms[i], logN); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		l := len(ms) - 1
-		rs := NewRescaler(ms)
-		for _, tier := range modarith.AvailableTiers() {
-			if err := modarith.SetKernelTier(tier); err != nil {
-				t.Fatal(err)
-			}
+			l := len(ms) - 1
+			rs := NewRescaler(ms)
 			for _, maxed := range []bool{false, true} {
 				x := newRows(l+1, n)
 				for i := range x {
