@@ -67,7 +67,6 @@ type kernelTable struct {
 	reduceWide128     func(m Modulus, dst, accHi, accLo []uint64)
 	reduceWide128Lazy func(m Modulus, dst, accHi, accLo []uint64)
 	reduceTwoQ        func(m Modulus, p []uint64)
-	dotLazy           func(m Modulus, out []uint64, a, b [][]uint64, accumulate bool)
 	dotKeyLazy        func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool)
 	// convertRow takes its own table: the tiled entries run on the table's
 	// wide kernels, and the IFMA one hands them the row tail.
@@ -84,8 +83,8 @@ type kernelTable struct {
 	permute    func(out, a []uint64, p *BlockPerm)
 	addPermute func(m Modulus, out, a, b []uint64, p *BlockPerm)
 
-	fwdStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool)
-	invStage func(m Modulus, a, psi, psiShoup []uint64, span, cnt int)
+	fwdStage func(m Modulus, a, psi, psiShoup []uint64, span int, lazy bool)
+	invStage func(m Modulus, a, psi, psiShoup []uint64, span int)
 	invFinal func(m Modulus, x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool)
 }
 
@@ -106,7 +105,6 @@ var goKernels = kernelTable{
 	reduceWide128:     vecReduceWide128Go,
 	reduceWide128Lazy: vecReduceWide128LazyGo,
 	reduceTwoQ:        vecReduceTwoQGo,
-	dotLazy:           vecDotLazyGo,
 	dotKeyLazy:        vecDotKeyLazyGo,
 	convertRow:        convertRowTiled,
 	convertRows:       convertRowsLoop,
@@ -171,15 +169,6 @@ func kernelTables() []Kernels {
 // ActiveTier returns the tier of the host's table, the one NewModulus gives
 // every modulus.
 func ActiveTier() KernelTier { return host.tier }
-
-// AvailableTiers returns every tier usable on this host (always at least
-// TierGo), in preference order (best last).
-func AvailableTiers() []KernelTier {
-	if host == &goKernels {
-		return []KernelTier{TierGo}
-	}
-	return []KernelTier{TierGo, host.tier}
-}
 
 // Kernels is one kernel table. A Modulus runs its row kernels on the table
 // it carries. The zero Kernels is the host's table.

@@ -134,22 +134,25 @@ func TestDispatchTierMatrix(t *testing.T) {
 					rowsEqual(t, "VecSub", tier, m, out, want)
 
 					// One reduction's worth of terms is the Go kernel bit for
-					// bit; beyond MaxDotTerms the method folds, and the sum
-					// must still be the MAC chain's and big.Int's residue.
+					// bit on the table's one-output dot; beyond MaxDotTerms
+					// VecDotKeyLazy folds, and the sum must still be the MAC
+					// chain's and big.Int's residue.
 					for _, k := range []int{1, 9, MaxDotTerms, MaxDotTerms + 1, 2*MaxDotTerms + 5} {
 						for _, accumulate := range []bool{false, true} {
 							saturated := k > MaxDotTerms
 							da := dotRows(rng, k, n, m.TwoQ, saturated)
 							db := dotRows(rng, k, n, m.Q, saturated)
 							in := dotRows(rng, 1, n, m.TwoQ, saturated)[0]
-							got := cloneRow(in)
-							m.VecDotLazy(got, da, db, accumulate)
+							got, want := cloneRow(in), cloneRow(in)
 							if k <= MaxDotTerms {
-								want := cloneRow(in)
+								dotOf(tt.t)(m, got, da, db, accumulate)
 								vecDotLazyGo(m, want, da, db, accumulate)
-								rowsEqual(t, "VecDotLazy", tier, m, got, want)
+								rowsEqual(t, "dotLazy", tier, m, got, want)
+							} else {
+								m.VecDotKeyLazy(got, want, da, db, db, accumulate, accumulate)
+								rowsEqual(t, "VecDotKeyLazy A", tier, m, want, got)
 							}
-							checkDot(t, "VecDotLazy tier "+tier.String(), m, got, in, da, db, accumulate)
+							checkDot(t, "dot tier "+tier.String(), m, got, in, da, db, accumulate)
 						}
 					}
 				}
@@ -199,14 +202,14 @@ func TestDispatchTierMatrix(t *testing.T) {
 					psi, psiShoup := randTwiddles(rng, m, nb)
 					a := randRow(rng, 2*span*nb, 4*m.Q)
 					want := cloneRow(a)
-					m.VecFwdStage(a, psi, psiShoup, span, span, false)
-					vecFwdStageGo(m, want, psi, psiShoup, span, span, false)
+					m.VecFwdStage(a, psi, psiShoup, span, false)
+					vecFwdStageGo(m, want, psi, psiShoup, span, false)
 					rowsEqual(t, "VecFwdStage", tier, m, a, want)
 
 					a = randRow(rng, 2*span*nb, m.TwoQ)
 					want = cloneRow(a)
-					m.VecInvStage(a, psi, psiShoup, span, span)
-					vecInvStageGo(m, want, psi, psiShoup, span, span)
+					m.VecInvStage(a, psi, psiShoup, span)
+					vecInvStageGo(m, want, psi, psiShoup, span)
 					rowsEqual(t, "VecInvStage", tier, m, a, want)
 
 					x, y := a[:span*nb], a[span*nb:]

@@ -13,7 +13,8 @@ import (
 // digit rows are reused across output rows, as a limb's digits are by its two
 // accumulators; the key's b rows are all distinct and cover at least 64 MB, so
 // they stream from DRAM the way switching keys do, each read once per pass.
-// dot is one output row (one VecDotLazy call, one reduction per output).
+// dot is one output row (one call of the one-output dot kernel, one
+// reduction per output).
 // dot-pair and keydot are the two rows a key switch's B and A accumulators
 // take, as two dots and as one VecDotKeyLazy, walked UniformTile words at a
 // time as the key switch walks them: the B dot reads the tile of the b rows,
@@ -31,7 +32,7 @@ func benchGadgetDot(b *testing.B, tbl Kernels) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m := on(MustModulus(ps[0]), tbl)
+		m, dot := on(MustModulus(ps[0]), tbl), dotOf(tbl.table())
 		rng := rand.New(rand.NewSource(int64(sh.logN)))
 		uniform := func(bound uint64, words int) []uint64 {
 			row := make([]uint64, words)
@@ -65,7 +66,7 @@ func benchGadgetDot(b *testing.B, tbl Kernels) {
 		}
 		b.Run(name+"/dot", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.VecDotLazy(out, digits, keys[i%outputs], false)
+				dot(m, out, digits, keys[i%outputs], false)
 			}
 		})
 		ra, rb := make([][]uint64, sh.k), make([][]uint64, sh.k)
@@ -83,8 +84,8 @@ func benchGadgetDot(b *testing.B, tbl Kernels) {
 		}
 		b.Run(name+"/dot-pair", func(b *testing.B) {
 			pair(b, func(lo, hi int) {
-				m.VecDotLazy(out[lo:hi], ra, rb, false)
-				m.VecDotLazy(outA[lo:hi], ra, tiles, false)
+				dot(m, out[lo:hi], ra, rb, false)
+				dot(m, outA[lo:hi], ra, tiles, false)
 			})
 		})
 		b.Run(name+"/keydot", func(b *testing.B) {

@@ -162,7 +162,7 @@ func FuzzVecKernels(f *testing.F) {
 			}
 			copy(out, b)
 			copy(want, b)
-			tbl.dotLazy(m, out, da, db, sel&2 != 0)
+			dotOf(tbl)(m, out, da, db, sel&2 != 0)
 			vecDotLazyGo(m, want, da, db, sel&2 != 0)
 			same("dotLazy", k)
 
@@ -199,8 +199,8 @@ func FuzzVecKernels(f *testing.F) {
 				}
 				got := append([]uint64(nil), a[:2*span*nb]...)
 				want := append([]uint64(nil), got...)
-				tbl.fwdStage(m, got, psi, psiShoup, span, span, sel&4 != 0)
-				vecFwdStageGo(m, want, psi, psiShoup, span, span, sel&4 != 0)
+				tbl.fwdStage(m, got, psi, psiShoup, span, sel&4 != 0)
+				vecFwdStageGo(m, want, psi, psiShoup, span, sel&4 != 0)
 				// A forward stage above span 1 leaves [0, 4q) and the inverse
 				// stage reads [0, 2q): fold both copies alike, as a transform
 				// does between its directions.
@@ -211,8 +211,8 @@ func FuzzVecKernels(f *testing.F) {
 						}
 					}
 				}
-				tbl.invStage(m, got, psi, psiShoup, span, span)
-				vecInvStageGo(m, want, psi, psiShoup, span, span)
+				tbl.invStage(m, got, psi, psiShoup, span)
+				vecInvStageGo(m, want, psi, psiShoup, span)
 				tbl.invFinal(m, got[:span*nb], got[span*nb:], w, ws, psi[0], psiShoup[0], sel&8 != 0)
 				vecInvFinalGo(m, want[:span*nb], want[span*nb:], w, ws, psi[0], psiShoup[0], sel&8 != 0)
 				for j := range want {

@@ -47,9 +47,8 @@ func guardedCopy(t *testing.T, src []uint64) []uint64 {
 // loops run two steps (or two span-8 blocks, or two vectors of a wider block)
 // per iteration, so the block counts give each tail loop 1, 2 and 3 steps —
 // the pair loop with and without its one-step remainder — and 3 plus blocks
-// too few for a step, and each wide loop 1 to 4 blocks. A worker's share of a
-// wide block (cnt = span-8: one vector at span 16, three at 32) ends the row
-// at its last y vector.
+// too few for a step, and each wide loop 1 to 4 blocks: at span 8 the odd
+// counts end the row in the one-vector last block.
 func TestStageKernelsStayInBounds(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	m := tierTestModuli(t)[1]
@@ -66,29 +65,21 @@ func TestStageKernelsStayInBounds(t *testing.T) {
 		}
 		for _, span := range []int{1, 2, 4, 8, 16, 32} {
 			step := max(8/span, 1) // blocks per step
-			cnts := []int{span}
-			if span >= 16 {
-				cnts = append(cnts, span-8)
-			}
 			for _, nb := range []int{step, 2 * step, 3 * step, 3*step + 1} {
 				psi, psiShoup := randTwiddles(rng, m, nb)
 				gPsi, gPsiShoup := guardedCopy(t, psi), guardedCopy(t, psiShoup)
-				for _, cnt := range cnts {
-					n := 2*span*(nb-1) + span + cnt // ends at the last block's last y
-					in := randRow(rng, n, 4*m.Q)
-					for _, lazy := range []bool{false, true} {
-						a, want := guardedCopy(t, in), cloneRow(in)
-						vecFwdStageGo(m, want, psi, psiShoup, span, cnt, lazy)
-						run("fwdStage", func() { tbl.fwdStage(m, a, gPsi, gPsiShoup, span, cnt, lazy) })
-						rowsEqual(t, "fwdStage", tier, m, a, want)
-					}
-
-					in = randRow(rng, n, m.TwoQ)
+				in := randRow(rng, 2*span*nb, 4*m.Q)
+				for _, lazy := range []bool{false, true} {
 					a, want := guardedCopy(t, in), cloneRow(in)
-					vecInvStageGo(m, want, psi, psiShoup, span, cnt)
-					run("invStage", func() { tbl.invStage(m, a, gPsi, gPsiShoup, span, cnt) })
-					rowsEqual(t, "invStage", tier, m, a, want)
+					vecFwdStageGo(m, want, psi, psiShoup, span, lazy)
+					run("fwdStage", func() { tbl.fwdStage(m, a, gPsi, gPsiShoup, span, lazy) })
+					rowsEqual(t, "fwdStage", tier, m, a, want)
 				}
+				in = randRow(rng, 2*span*nb, m.TwoQ)
+				a, want := guardedCopy(t, in), cloneRow(in)
+				vecInvStageGo(m, want, psi, psiShoup, span)
+				run("invStage", func() { tbl.invStage(m, a, gPsi, gPsiShoup, span) })
+				rowsEqual(t, "invStage", tier, m, a, want)
 			}
 		}
 		for _, n := range []int{8, 24, 27} {
@@ -184,7 +175,7 @@ func TestDotKernelStaysInBounds(t *testing.T) {
 				for _, accumulate := range []bool{false, true} {
 					out, want := guardedCopy(t, in), cloneRow(in)
 					vecDotLazyGo(m, want, a, b, accumulate)
-					run("dotLazy", func() { tbl.dotLazy(m, out, ga, gb, accumulate) })
+					run("dotLazy", func() { dotOf(tbl)(m, out, ga, gb, accumulate) })
 					rowsEqual(t, "dotLazy", tier, m, out, want)
 
 					outB, outA := guardedCopy(t, in), guardedCopy(t, in)

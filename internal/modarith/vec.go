@@ -94,29 +94,27 @@ func (m Modulus) VecReduceTwoQ(p []uint64) {
 // consecutive twiddle blocks of a — the unit the NTT dispatches, so a tier
 // pays its constant set-up once per stage rather than once per block. Block
 // i is a[2·i·span : 2·(i+1)·span] with twiddle w = psi[i] (Shoup companion
-// psiShoup[i]); the first cnt pairs (x, y) = (a[j], a[j+span]) of every
-// block get the Harvey butterfly
+// psiShoup[i]); every pair (x, y) = (a[j], a[j+span]) of it gets the Harvey
+// butterfly
 //
 //	x' = x̃ + w·y,  y' = x̃ - w·y + 2q,  x̃ = x - 2q·[x ≥ 2q]
 //
 // Inputs and outputs live in [0, 4q); the twiddle product w·y lands in
-// [0, 2q) via the MulShoupLazy bound for any y. span is a power of two;
-// cnt == span below span 4 and a positive multiple of 4 up to span
-// otherwise (cnt < span serves one worker's share of a block that a split
-// transform spreads over several). span == 1 is the last stage and folds the
-// exit reduction in: outputs in [0, 2q) when lazy, [0, q) otherwise.
-func (m Modulus) VecFwdStage(a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
-	m.k.fwdStage(m, a, psi, psiShoup, span, cnt, lazy)
+// [0, 2q) via the MulShoupLazy bound for any y. span is a power of two.
+// span == 1 is the last stage and folds the exit reduction in: outputs in
+// [0, 2q) when lazy, [0, q) otherwise.
+func (m Modulus) VecFwdStage(a, psi, psiShoup []uint64, span int, lazy bool) {
+	m.k.fwdStage(m, a, psi, psiShoup, span, lazy)
 }
 
 // VecInvStage applies one inverse (Gentleman–Sande) NTT stage over the same
-// block layout and (span, cnt) contract as VecFwdStage:
+// block layout as VecFwdStage:
 //
 //	x' = (x + y) - 2q·[x+y ≥ 2q],  y' = (x - y + 2q)·w  (MulShoupLazy)
 //
 // Inputs and outputs live in [0, 2q) at every span.
-func (m Modulus) VecInvStage(a, psi, psiShoup []uint64, span, cnt int) {
-	m.k.invStage(m, a, psi, psiShoup, span, cnt)
+func (m Modulus) VecInvStage(a, psi, psiShoup []uint64, span int) {
+	m.k.invStage(m, a, psi, psiShoup, span)
 }
 
 // VecInvFinal runs the last inverse stage over the paired halves x and y

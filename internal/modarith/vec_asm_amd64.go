@@ -127,7 +127,7 @@ func vecSubAVX512(out, a, b []uint64, q uint64)
 func vecAddScalarAVX512(out, a []uint64, c, q uint64)
 
 // NTT stage kernels. The wide forms (span ≥ 8) loop over len(psi) blocks
-// and cnt/8 vector steps per block; the tail forms (span 4, 2, 1) run `steps`
+// and span/8 vector steps per block; the tail forms (span 4, 2, 1) run `steps`
 // 16-coefficient steps, each covering tw = 8/span whole blocks, with x and y
 // gathered in registers through the idx permutations. exit2Q/exitQ are the
 // forward last-stage folds (0 disables a fold); exitQ likewise in invFinal.
@@ -135,13 +135,13 @@ func vecAddScalarAVX512(out, a []uint64, c, q uint64)
 // multiply-adds, with the same arguments and the same output words.
 
 //go:noescape
-func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+func vecFwdStageAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
 func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 
 //go:noescape
-func vecInvStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+func vecInvStageAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
 func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
@@ -150,13 +150,13 @@ func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, 
 func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
 
 //go:noescape
-func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
 func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 
 //go:noescape
-func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
+func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
 func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
@@ -177,9 +177,9 @@ var tailIdx = [3][5]uint64{
 
 // stageBounds panics unless a holds every coefficient a stage call touches
 // and psiShoup covers psi: the assembly does no bounds checking of its own.
-func stageBounds(a, psi, psiShoup []uint64, span, cnt int) {
+func stageBounds(a, psi, psiShoup []uint64, span int) {
 	_ = psiShoup[len(psi)-1]
-	_ = a[2*span*(len(psi)-1)+span+cnt-1]
+	_ = a[2*span*len(psi)-1]
 }
 
 // asmKernelTable returns the AVX-512 table, or nil if this CPU lacks AVX-512.
@@ -196,10 +196,9 @@ func asmKernelTable(ifma bool) *kernelTable {
 	// kernels; with it, each is one register-held pass on the 52-bit
 	// multiply-adds. (avx512Kernels puts the NTT butterflies of a modulus
 	// below nttNarrowModulus on them too.)
-	dot := t.dotLazy
 	t.dotKeyLazy = func(m Modulus, outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
-		dot(m, outB, a, b, accB)
-		dot(m, outA[:len(outB)], a, u, accA)
+		dotLazyAVX512(m, outB, a, b, accB)
+		dotLazyAVX512(m, outA[:len(outB)], a, u, accA)
 	}
 	t.convertRow = convertRowTiled
 	t.convertRows = convertRowsLoop
@@ -458,25 +457,6 @@ func avx512Kernels(ifma bool) kernelTable {
 				vecReduceTwoQGo(m, p[n:])
 			}
 		},
-		dotLazy: func(m Modulus, out []uint64, a, b [][]uint64, accumulate bool) {
-			n := len(out)
-			if n == 0 || n%8 != 0 || len(a) == 0 {
-				// No prefix/tail split here: a tail would need row headers
-				// of its own, and the rows are whole polynomials (N a power
-				// of two), so a ragged length only ever comes from a test.
-				vecDotLazyGo(m, out, a, b, accumulate)
-				return
-			}
-			// The assembly does its own addressing: every row must cover out.
-			for k := range a {
-				_, _ = a[k][n-1], b[k][n-1]
-			}
-			var accMask uint64
-			if accumulate {
-				accMask = 0xff
-			}
-			vecDotLazyAVX512(out, a, b[:len(a)], accMask, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
-		},
 		add: func(m Modulus, out, a, b []uint64) {
 			n := len(a) &^ 7
 			if n > 0 {
@@ -520,11 +500,11 @@ func avx512Kernels(ifma bool) kernelTable {
 			n := p.Len()
 			vecAddPermuteAVX512(out[:n], a[:n], b[:n], p.blocks, &p.shuf, m.Q)
 		},
-		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
-			fwdStageAVX512(m, a, psi, psiShoup, span, cnt, lazy, ifma && m.Q < nttNarrowModulus)
+		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span int, lazy bool) {
+			fwdStageAVX512(m, a, psi, psiShoup, span, lazy, ifma && m.Q < nttNarrowModulus)
 		},
-		invStage: func(m Modulus, a, psi, psiShoup []uint64, span, cnt int) {
-			invStageAVX512(m, a, psi, psiShoup, span, cnt, ifma && m.Q < nttNarrowModulus)
+		invStage: func(m Modulus, a, psi, psiShoup []uint64, span int) {
+			invStageAVX512(m, a, psi, psiShoup, span, ifma && m.Q < nttNarrowModulus)
 		},
 		invFinal: func(m Modulus, x, y []uint64, nInv, nInvShoup, w, wShoup uint64, lazy bool) {
 			invFinalAVX512(m, x, y, nInv, nInvShoup, w, wShoup, lazy, ifma && m.Q < nttNarrowModulus)
@@ -532,65 +512,85 @@ func avx512Kernels(ifma bool) kernelTable {
 	}
 }
 
+// dotLazyAVX512 is the one-output gadget-product dot on the AVX-512 kernel:
+// out = [accumulate]·out + Σ_k a[k]·b[k] mod q in [0, 2q), for at most
+// MaxDotTerms rows a[k] < 2q, b[k] < q of at least len(out) words, the bytes
+// of vecDotLazyGo. Without IFMA a key switch's two dots are two calls of it.
+func dotLazyAVX512(m Modulus, out []uint64, a, b [][]uint64, accumulate bool) {
+	n := len(out)
+	if n == 0 || n%8 != 0 || len(a) == 0 {
+		// No prefix/tail split here: a tail would need row headers of its
+		// own, and the rows are whole polynomials (N a power of two), so a
+		// ragged length only ever comes from a test.
+		vecDotLazyGo(m, out, a, b, accumulate)
+		return
+	}
+	// The assembly does its own addressing: every row must cover out.
+	for k := range a {
+		_, _ = a[k][n-1], b[k][n-1]
+	}
+	var accMask uint64
+	if accumulate {
+		accMask = 0xff
+	}
+	vecDotLazyAVX512(out, a, b[:len(a)], accMask, m.Q, m.TwoQ, m.BRedHi, m.BRedLo)
+}
+
 // fwdStageAVX512, invStageAVX512 and invFinalAVX512 run a stage on the
 // assembly kernels, the Narrow ones when narrow is set, and what is left of
 // less than one vector step on the Go kernel.
-func fwdStageAVX512(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy, narrow bool) {
-	stageBounds(a, psi, psiShoup, span, cnt)
-	switch {
-	case span >= 8 && cnt%8 == 0:
+func fwdStageAVX512(m Modulus, a, psi, psiShoup []uint64, span int, lazy, narrow bool) {
+	stageBounds(a, psi, psiShoup, span)
+	if span >= 8 {
 		if narrow {
-			vecFwdStageNarrowAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+			vecFwdStageNarrowAVX512(a, psi, psiShoup, span, m.Q, m.TwoQ)
 		} else {
-			vecFwdStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+			vecFwdStageAVX512(a, psi, psiShoup, span, m.Q, m.TwoQ)
 		}
 		return
-	case span < 8 && cnt == span:
-		tw := 8 / span
-		if steps := len(psi) / tw; steps > 0 {
-			var exit2Q, exitQ uint64
-			if span == 1 {
-				exit2Q = m.TwoQ
-				if !lazy {
-					exitQ = m.Q
-				}
+	}
+	tw := 8 / span
+	if steps := len(psi) / tw; steps > 0 {
+		var exit2Q, exitQ uint64
+		if span == 1 {
+			exit2Q = m.TwoQ
+			if !lazy {
+				exitQ = m.Q
 			}
-			if narrow {
-				vecFwdTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
-			} else {
-				vecFwdTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
-			}
-			a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
 		}
+		if narrow {
+			vecFwdTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
+		} else {
+			vecFwdTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ, exit2Q, exitQ)
+		}
+		a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
 	}
 	if len(psi) > 0 { // less than one vector step
-		vecFwdStageGo(m, a, psi, psiShoup, span, cnt, lazy)
+		vecFwdStageGo(m, a, psi, psiShoup, span, lazy)
 	}
 }
 
-func invStageAVX512(m Modulus, a, psi, psiShoup []uint64, span, cnt int, narrow bool) {
-	stageBounds(a, psi, psiShoup, span, cnt)
-	switch {
-	case span >= 8 && cnt%8 == 0:
+func invStageAVX512(m Modulus, a, psi, psiShoup []uint64, span int, narrow bool) {
+	stageBounds(a, psi, psiShoup, span)
+	if span >= 8 {
 		if narrow {
-			vecInvStageNarrowAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+			vecInvStageNarrowAVX512(a, psi, psiShoup, span, m.Q, m.TwoQ)
 		} else {
-			vecInvStageAVX512(a, psi, psiShoup, span, cnt, m.Q, m.TwoQ)
+			vecInvStageAVX512(a, psi, psiShoup, span, m.Q, m.TwoQ)
 		}
 		return
-	case span < 8 && cnt == span:
-		tw := 8 / span
-		if steps := len(psi) / tw; steps > 0 {
-			if narrow {
-				vecInvTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
-			} else {
-				vecInvTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
-			}
-			a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
+	}
+	tw := 8 / span
+	if steps := len(psi) / tw; steps > 0 {
+		if narrow {
+			vecInvTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
+		} else {
+			vecInvTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
 		}
+		a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
 	}
 	if len(psi) > 0 {
-		vecInvStageGo(m, a, psi, psiShoup, span, cnt)
+		vecInvStageGo(m, a, psi, psiShoup, span)
 	}
 }
 

@@ -221,18 +221,16 @@
 	SHOUP52(YO, W, WS, WSH, T0, T1, T2, T3)
 
 // WIDE_STAGE: span >= 8. DI = a, SI = psi, BX = psiShoup, R8 = blocks,
-// R9 = span, CX = cnt (a multiple of 8); x halves at DI, y halves at R10.
-// A block of one vector (cnt = 8: every span-8 block, or an 8-butterfly share
-// of a wider one) has no second vector to pair with, so that loop runs two
-// blocks per iteration, each with its own twiddle broadcast, and an odd last
-// block runs as a one-block pass of the block loop. The block loop broadcasts
-// its twiddle once per block and runs two vectors per iteration, then the one
-// vector an odd cnt/8 leaves.
-#define WIDE_STAGE(BFLY, SPLIT, PAIR, LASTBLOCK, BLOCK, LOOP, ONE, NEXT, DONE) \
+// R9 = span; x halves at DI, y halves at R10. A span-8 block is one vector
+// with no second to pair with, so that loop runs two blocks per iteration,
+// each with its own twiddle broadcast, and an odd last block runs alone as
+// one vector. The block loop of a wider span broadcasts its twiddle once per
+// block and runs two vectors per iteration: span/8 is even there.
+#define WIDE_STAGE(BFLY, SPLIT, PAIR, LASTBLOCK, BLOCK, LOOP, DONE) \
+	MOVQ R9, R11                                               \
 	SHLQ $3, R9                                                \ // span in bytes
 	LEAQ (DI)(R9*1), R10                                       \
-	MOVQ CX, R11                                               \
-	SUBQ $8, R11                                               \ // two vectors remain while DX < cnt-8
+	SUBQ $8, R11                                               \ // two vectors remain while DX < span-8
 	JNZ BLOCK                                                  \
 	MOVQ R8, R12                                               \
 	SHRQ $1, R12                                               \ // block pairs
@@ -263,14 +261,20 @@ PAIR:                                                          \
 LASTBLOCK:                                                     \
 	TESTQ $1, R8                                               \
 	JZ DONE                                                    \
-	MOVQ $1, R8                                                \
+	VPBROADCASTQ (SI), Z23                                     \
+	VPBROADCASTQ (BX), Z24                                     \
+	SPLIT(Z24, Z14)                                            \
+	VMOVDQU64 (DI), Z0                                         \ // the odd last span-8 block
+	VMOVDQU64 (R10), Z1                                        \
+	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
+	VMOVDQU64 Z2, (DI)                                         \
+	VMOVDQU64 Z3, (R10)                                        \
+	JMP DONE                                                   \
 BLOCK:                                                         \
 	VPBROADCASTQ (SI), Z23                                     \
 	VPBROADCASTQ (BX), Z24                                     \
 	SPLIT(Z24, Z14)                                            \
 	XORQ DX, DX                                                \
-	TESTQ R11, R11                                             \
-	JZ ONE                                                     \ // cnt = 8: no pair
 LOOP:                                                          \
 	VMOVDQU64 (DI)(DX*8), Z0                                   \
 	VMOVDQU64 (R10)(DX*8), Z1                                  \
@@ -285,15 +289,6 @@ LOOP:                                                          \
 	ADDQ $16, DX                                               \
 	CMPQ DX, R11                                               \
 	JL LOOP                                                    \
-ONE:                                                           \
-	CMPQ DX, CX                                                \
-	JEQ NEXT                                                   \
-	VMOVDQU64 (DI)(DX*8), Z0                                   \ // odd cnt/8: one last vector
-	VMOVDQU64 (R10)(DX*8), Z1                                  \
-	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
-	VMOVDQU64 Z2, (DI)(DX*8)                                   \
-	VMOVDQU64 Z3, (R10)(DX*8)                                  \
-NEXT:                                                          \
 	LEAQ (DI)(R9*2), DI                                        \
 	LEAQ (R10)(R9*2), R10                                      \
 	ADDQ $8, SI                                                \
@@ -1288,31 +1283,29 @@ invFinalLoop:                                                  \
 	VZEROUPPER                                                 \
 	RET
 
-// func vecFwdStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
-TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-104
+// func vecFwdStageAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
+TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-96
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
 	MOVQ psi_len+32(FP), R8
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
-	MOVQ cnt+80(FP), CX
-	MULHI_CONSTS(q+88(FP))
-	VPBROADCASTQ twoQ+96(FP), Z28
-	WIDE_STAGE(FWD_BFLY, SPLIT32, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageOne, fwdStageNext, fwdStageDone)
+	MULHI_CONSTS(q+80(FP))
+	VPBROADCASTQ twoQ+88(FP), Z28
+	WIDE_STAGE(FWD_BFLY, SPLIT32, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageDone)
 	VZEROUPPER
 	RET
 
-// func vecInvStageAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
-TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-104
+// func vecInvStageAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
+TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-96
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
 	MOVQ psi_len+32(FP), R8
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
-	MOVQ cnt+80(FP), CX
-	MULHI_CONSTS(q+88(FP))
-	VPBROADCASTQ twoQ+96(FP), Z28
-	WIDE_STAGE(INV_BFLY, SPLIT32, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageOne, invStageNext, invStageDone)
+	MULHI_CONSTS(q+80(FP))
+	VPBROADCASTQ twoQ+88(FP), Z28
+	WIDE_STAGE(INV_BFLY, SPLIT32, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageDone)
 	VZEROUPPER
 	RET
 
@@ -1360,31 +1353,29 @@ TEXT ·vecInvFinalAVX512(SB), NOSPLIT, $0-104
 	VPBROADCASTQ exitQ+96(FP), Z22
 	INV_FINAL_LOOP(SHOUP32, SPLIT32)
 
-// func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
-TEXT ·vecFwdStageNarrowAVX512(SB), NOSPLIT, $0-104
+// func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
+TEXT ·vecFwdStageNarrowAVX512(SB), NOSPLIT, $0-96
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
 	MOVQ psi_len+32(FP), R8
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
-	MOVQ cnt+80(FP), CX
-	IFMA_CONSTS(q+88(FP))
-	VPBROADCASTQ twoQ+96(FP), Z28
-	WIDE_STAGE(FWD_BFLY52, SPLIT52, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageOne, fwdStageNext, fwdStageDone)
+	IFMA_CONSTS(q+80(FP))
+	VPBROADCASTQ twoQ+88(FP), Z28
+	WIDE_STAGE(FWD_BFLY52, SPLIT52, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageDone)
 	VZEROUPPER
 	RET
 
-// func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span, cnt int, q, twoQ uint64)
-TEXT ·vecInvStageNarrowAVX512(SB), NOSPLIT, $0-104
+// func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
+TEXT ·vecInvStageNarrowAVX512(SB), NOSPLIT, $0-96
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
 	MOVQ psi_len+32(FP), R8
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
-	MOVQ cnt+80(FP), CX
-	IFMA_CONSTS(q+88(FP))
-	VPBROADCASTQ twoQ+96(FP), Z28
-	WIDE_STAGE(INV_BFLY52, SPLIT52, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageOne, invStageNext, invStageDone)
+	IFMA_CONSTS(q+80(FP))
+	VPBROADCASTQ twoQ+88(FP), Z28
+	WIDE_STAGE(INV_BFLY52, SPLIT52, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageDone)
 	VZEROUPPER
 	RET
 

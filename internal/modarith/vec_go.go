@@ -166,25 +166,24 @@ func vecReduceTwoQGo(m Modulus, p []uint64) {
 }
 
 // vecFwdStageGo applies one forward (Cooley–Tukey) NTT stage to len(psi)
-// consecutive twiddle blocks of a. Block i is a[2·i·span : 2·(i+1)·span]; the
-// first cnt pairs (x, y) = (a[j], a[j+span]) of it get the Harvey butterfly
+// consecutive twiddle blocks of a. Block i is a[2·i·span : 2·(i+1)·span];
+// every pair (x, y) = (a[j], a[j+span]) of it gets the Harvey butterfly
 //
 //	x' = x̃ + w·y,  y' = x̃ - w·y + 2q,  x̃ = x - 2q·[x ≥ 2q],  w = psi[i]
 //
 // Inputs and outputs live in [0, 4q); w·y ∈ [0, 2q) by the MulShoupLazy
-// bound for any y. span is a power of two; cnt == span below span 4 and a
-// positive multiple of 4 up to span otherwise (the loop is 4x unrolled for
-// ILP). span == 1 is the transform's last stage and folds the exit reduction
-// in: outputs in [0, 2q) when lazy, [0, q) otherwise.
-func vecFwdStageGo(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy bool) {
+// bound for any y. span is a power of two (from span 4 on the loop is 4x
+// unrolled for ILP). span == 1 is the transform's last stage and folds the
+// exit reduction in: outputs in [0, 2q) when lazy, [0, q) otherwise.
+func vecFwdStageGo(m Modulus, a, psi, psiShoup []uint64, span int, lazy bool) {
 	q, twoQ := m.Q, m.TwoQ
 	psiShoup = psiShoup[:len(psi)]
 	switch {
 	case span >= 4:
 		for i, w := range psi {
 			ws := psiShoup[i]
-			x := a[2*i*span:][:cnt]
-			y := a[2*i*span+span:][:cnt]
+			x := a[2*i*span:][:span]
+			y := a[2*i*span+span:][:span]
 			for j := 0; j < len(x); j += 4 {
 				xx := x[j : j+4 : j+4]
 				yy := y[j : j+4 : j+4]
@@ -266,21 +265,21 @@ func vecFwdStageGo(m Modulus, a, psi, psiShoup []uint64, span, cnt int, lazy boo
 }
 
 // vecInvStageGo applies one inverse (Gentleman–Sande) NTT stage over the
-// same block layout and (span, cnt) contract as vecFwdStageGo:
+// same block layout as vecFwdStageGo:
 //
 //	x' = (x + y) - 2q·[x+y ≥ 2q],  y' = (x - y + 2q)·w  (MulShoupLazy)
 //
 // Inputs and outputs live in [0, 2q) at every span; the last inverse stage
 // is vecInvFinalGo.
-func vecInvStageGo(m Modulus, a, psi, psiShoup []uint64, span, cnt int) {
+func vecInvStageGo(m Modulus, a, psi, psiShoup []uint64, span int) {
 	q, twoQ := m.Q, m.TwoQ
 	psiShoup = psiShoup[:len(psi)]
 	switch {
 	case span >= 4:
 		for i, w := range psi {
 			ws := psiShoup[i]
-			x := a[2*i*span:][:cnt]
-			y := a[2*i*span+span:][:cnt]
+			x := a[2*i*span:][:span]
+			y := a[2*i*span+span:][:span]
 			for j := 0; j < len(x); j += 4 {
 				xx := x[j : j+4 : j+4]
 				yy := y[j : j+4 : j+4]

@@ -20,8 +20,8 @@ import (
 var tierTestLens = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 32, 33, 64, 100, 256, 1000, 1024}
 
 // stageBlockCounts are the twiddle-block counts the stage kernels are swept
-// over: below, at and astride the 2/4/8 blocks one 16-coefficient tail step
-// covers at span 4/2/1, so both the vector steps and the Go remainder run.
+// over: around the 2/4/8 blocks one 16-coefficient tail step covers at span
+// 4/2/1, so the vector steps, the Go remainder and the odd span-8 block run.
 var stageBlockCounts = []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 64}
 
 // tierTestModuli returns a 45-, 55-, 60- and MaxModulusBits-bit prime, in
@@ -452,7 +452,7 @@ func TestTierDotLazy(t *testing.T) {
 				want := cloneRow(in)
 				vecDotLazyGo(m, want, a, b, accumulate)
 				got := cloneRow(in)
-				tbl.dotLazy(m, got, a, b, accumulate)
+				dotOf(tbl)(m, got, a, b, accumulate)
 				rowsEqual(t, "dotLazy", tbl.tier, m, got, want)
 				checkDot(t, "dotLazy tier "+tbl.tier.String(), m, got, in, a, b, accumulate)
 			}
@@ -461,7 +461,7 @@ func TestTierDotLazy(t *testing.T) {
 }
 
 // TestTierDotKeyLazy: the two-output dot of a key switch is, on every tier,
-// exactly two dotLazy calls — each output with its own accumulate flag, the
+// exactly two one-output dots — each output with its own accumulate flag, the
 // saturated operands included.
 func TestTierDotKeyLazy(t *testing.T) {
 	forEachTierCase(t, tierTestLens, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
@@ -796,22 +796,6 @@ func TestTierReduceTwoQ(t *testing.T) {
 	})
 }
 
-// stageCnts returns the per-block butterfly counts to sweep at one span: the
-// full block, and — where the contract allows partial blocks — the shares a
-// split transform hands one worker (multiples of 4, vector-aligned or not).
-// 8 is the one-vector share that must stay on the block's own stride; 24 and
-// 40 are odd vector counts, so the AVX-512 two-vector loop ends in its
-// one-vector remainder; 48 is three whole pairs.
-func stageCnts(span int) []int {
-	cnts := []int{span}
-	for _, c := range []int{4, 8, 12, 24, 40, 48, span / 2} {
-		if span >= 8 && c < span {
-			cnts = append(cnts, c)
-		}
-	}
-	return cnts
-}
-
 // stageRow returns a row for a stage kernel: random with the boundaries
 // over-sampled, or (every third call) saturated at bound-1, the operand that
 // drives every conditional subtraction and the Shoup product to their limits.
@@ -829,20 +813,18 @@ func TestTierButterflies(t *testing.T) {
 	forEachTierCase(t, stageBlockCounts, func(t *testing.T, tbl *kernelTable, m Modulus, nb int, rng *rand.Rand) {
 		for _, span := range []int{1, 2, 4, 8, 16, 32, 64} {
 			psi, psiShoup := randTwiddles(rng, m, nb)
-			for _, cnt := range stageCnts(span) {
-				for _, lazy := range []bool{false, true} {
-					a := stageRow(rng, 2*span*nb, 4*m.Q) // CT butterfly domain [0, 4q)
-					want := cloneRow(a)
-					vecFwdStageGo(m, want, psi, psiShoup, span, cnt, lazy)
-					tbl.fwdStage(m, a, psi, psiShoup, span, cnt, lazy)
-					rowsEqual(t, "fwdStage", tbl.tier, m, a, want)
-				}
-				a := stageRow(rng, 2*span*nb, m.TwoQ) // GS butterfly domain [0, 2q)
+			for _, lazy := range []bool{false, true} {
+				a := stageRow(rng, 2*span*nb, 4*m.Q) // CT butterfly domain [0, 4q)
 				want := cloneRow(a)
-				vecInvStageGo(m, want, psi, psiShoup, span, cnt)
-				tbl.invStage(m, a, psi, psiShoup, span, cnt)
-				rowsEqual(t, "invStage", tbl.tier, m, a, want)
+				vecFwdStageGo(m, want, psi, psiShoup, span, lazy)
+				tbl.fwdStage(m, a, psi, psiShoup, span, lazy)
+				rowsEqual(t, "fwdStage", tbl.tier, m, a, want)
 			}
+			a := stageRow(rng, 2*span*nb, m.TwoQ) // GS butterfly domain [0, 2q)
+			want := cloneRow(a)
+			vecInvStageGo(m, want, psi, psiShoup, span)
+			tbl.invStage(m, a, psi, psiShoup, span)
+			rowsEqual(t, "invStage", tbl.tier, m, a, want)
 		}
 	})
 }

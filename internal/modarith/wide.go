@@ -25,8 +25,8 @@ import (
 //     overflow (with b1-bit and b2-bit factors, 2^(128-b1-b2) products always
 //     fit; see rns.BasisConverter.foldEvery and ring.Lane.AutMulAccWide for
 //     the guards).
-//   - VecDotLazy bounds its own chain: a[k] lazy (< 2q), b[k] exact (< q) and
-//     an optional lazy addend give, at MaxModulusBits = 61,
+//   - VecDotKeyLazy bounds its own chains: a[k] lazy (< 2q), b[k] and u[k]
+//     exact (< q) and an optional lazy addend give, at MaxModulusBits = 61,
 //     k·(2^62−1)(2^61−1) + 2^62 < 2^128 for k ≤ MaxDotTerms = 32. Longer sums
 //     are folded every MaxDotTerms terms (the partial sum re-enters as the
 //     addend), so callers never count terms.
@@ -36,9 +36,10 @@ import (
 //     agree word for word.
 //   - ReduceWide128 / VecReduceWide128 accept ANY 128-bit value and return
 //     the exact residue in [0, q).
-//   - ReduceWide128Lazy / VecReduceWide128Lazy / VecFoldWide128Lazy return
-//     the lazy domain [0, 2q) (one fewer conditional subtraction), matching
-//     the [0, 2q) discipline of DESIGN.md §3.8.1.
+//   - ReduceWide128Lazy, VecFoldWide128Lazy and the tables'
+//     reduceWide128Lazy return the lazy domain [0, 2q) (one fewer
+//     conditional subtraction), matching the [0, 2q) discipline of
+//     DESIGN.md §3.8.1.
 
 // Mul64AddWide returns (hi, lo) + a·b as a 128-bit pair. The caller is
 // responsible for the no-overflow bound on the accumulation chain.
@@ -76,37 +77,24 @@ func (m Modulus) ReduceWide128(hi, lo uint64) uint64 {
 	return r
 }
 
-// MaxDotTerms is the number of products one VecDotLazy reduction may sum: the
+// MaxDotTerms is the number of products one dot reduction may sum: the
 // largest k with k·(2q−1)(q−1) + 2q < 2^128 at MaxModulusBits.
 const MaxDotTerms = 1 << (128 - 2*MaxModulusBits - 1)
 
-// VecDotLazy is the gadget-product inner product with ONE reduction per
-// output coefficient:
-//
-//	out[j] = [accumulate]·out[j] + Σ_k a[k][j]·b[k][j]  (mod q), in [0, 2q)
-//
-// for len(a) == len(b) rows of at least len(out) words, a[k] < 2q, b[k] < q
-// and, when accumulate is set, out < 2q. The products and the addend are
-// summed exactly as a 128-bit (hi, lo) pair held in registers and reduced
-// once (ReduceWide128Lazy), where a VecMulAddBarrett chain pays a Barrett
-// reduction per term. Without accumulate, out is written and never read.
-func (m Modulus) VecDotLazy(out []uint64, a, b [][]uint64, accumulate bool) {
-	dot := m.k.dotLazy
-	for len(a) > MaxDotTerms {
-		dot(m, out, a[:MaxDotTerms], b[:MaxDotTerms], accumulate)
-		a, b, accumulate = a[MaxDotTerms:], b[MaxDotTerms:], true
-	}
-	dot(m, out, a, b, accumulate)
-}
-
 // VecDotKeyLazy is the two inner products of a gadget product against one
-// switching key, out of one pass over the digit rows a:
+// switching key, out of one pass over the digit rows a, with ONE reduction
+// per output coefficient:
 //
-//	outB = [accB]·outB + Σ_k a[k]·b[k],  outA = [accA]·outA + Σ_k a[k]·u[k]
+//	outB = [accB]·outB + Σ_k a[k]·b[k]  (mod q), in [0, 2q)
+//	outA = [accA]·outA + Σ_k a[k]·u[k]  (mod q), in [0, 2q)
 //
-// each with VecDotLazy's contract (len(outA) ≥ len(outB) words are written,
-// b[k] and u[k] exact) and bytes: it is two VecDotLazy calls that load and
-// split each a[k] word once.
+// for len(a) rows a[k] < 2q and as many b[k], u[k] < q, each of at least
+// len(outB) words; len(outA) ≥ len(outB) words are written, and an output
+// whose flag is set is read as an addend < 2q (otherwise it is written and
+// never read). Each sum's products and addend are summed exactly as a
+// 128-bit (hi, lo) pair and reduced once (ReduceWide128Lazy), where a
+// VecMulAddBarrett chain pays a Barrett reduction per term. Each a[k] word is
+// loaded and split once for both sums.
 func (m Modulus) VecDotKeyLazy(outB, outA []uint64, a, b, u [][]uint64, accB, accA bool) {
 	dot := m.k.dotKeyLazy
 	for len(a) > MaxDotTerms {
@@ -128,12 +116,6 @@ func (m Modulus) VecFoldWide128Lazy(accHi, accLo []uint64) {
 // dst[j] = (accHi[j]:accLo[j]) mod q ∈ [0, q).
 func (m Modulus) VecReduceWide128(dst, accHi, accLo []uint64) {
 	m.k.reduceWide128(m, dst, accHi, accLo)
-}
-
-// VecReduceWide128Lazy reduces each accumulator pair to the lazy domain:
-// dst[j] = (accHi[j]:accLo[j]) mod q up to one multiple of q, in [0, 2q).
-func (m Modulus) VecReduceWide128Lazy(dst, accHi, accLo []uint64) {
-	m.k.reduceWide128Lazy(m, dst, accHi, accLo)
 }
 
 // ConvertTile is the coefficient-tile width of the tiled row conversion, and

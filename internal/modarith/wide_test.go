@@ -102,7 +102,7 @@ func TestVecWideAccumulateChain(t *testing.T) {
 	exact := make([]uint64, n)
 	lazy := make([]uint64, n)
 	m.VecReduceWide128(exact, hi, lo)
-	m.VecReduceWide128Lazy(lazy, hi, lo)
+	m.k.reduceWide128Lazy(m, lazy, hi, lo)
 	folded := append([]uint64(nil), lo...)
 	foldedHi := append([]uint64(nil), hi...)
 	m.VecFoldWide128Lazy(foldedHi, folded)

@@ -155,14 +155,14 @@ func (t *Tables) inverse(a []uint64, lazy bool) {
 // (lazy); all other stages keep the [0, 4q) butterfly invariant.
 func (t *Tables) fwdStage(a []uint64, m int, lazy bool) {
 	span := t.N / (2 * m)
-	t.Mod.VecFwdStage(a, t.psiRev[m:2*m], t.psiRevShoup[m:2*m], span, span, lazy)
+	t.Mod.VecFwdStage(a, t.psiRev[m:2*m], t.psiRevShoup[m:2*m], span, lazy)
 }
 
 // invStage applies inverse stage m (span N/(2m), m ≥ 2) as one call of
 // modarith.VecInvStage, maintaining the [0, 2q) invariant.
 func (t *Tables) invStage(a []uint64, m int) {
 	span := t.N / (2 * m)
-	t.Mod.VecInvStage(a, t.psiInvRev[m:2*m], t.psiInvShoup[m:2*m], span, span)
+	t.Mod.VecInvStage(a, t.psiInvRev[m:2*m], t.psiInvShoup[m:2*m], span)
 }
 
 // invStageFinal runs the last inverse stage (m = 1, span = N/2) with the 1/N
@@ -170,15 +170,4 @@ func (t *Tables) invStage(a []uint64, m int) {
 func (t *Tables) invStageFinal(a []uint64, lazy bool) {
 	span := t.N >> 1
 	t.Mod.VecInvFinal(a[:span], a[span:], t.nInv, t.nInvShoup, t.wLastNInv, t.wLastNInvShoup, lazy)
-}
-
-// MulCoeffs computes the element-wise product c = a ⊙ b of two NTT-form
-// vectors (the negacyclic convolution of the underlying polynomials) with
-// exact [0, q) outputs, using the Barrett reciprocal instead of the
-// division-based scalar Mul. Inputs may be lazy (< 2q).
-func (t *Tables) MulCoeffs(c, a, b []uint64) {
-	t.checkLen(c, "MulCoeffs (out)")
-	t.checkLen(a, "MulCoeffs (a)")
-	t.checkLen(b, "MulCoeffs (b)")
-	t.Mod.VecMulBarrett(c, a, b)
 }

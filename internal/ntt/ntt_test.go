@@ -83,7 +83,7 @@ func TestConvolutionMatchesSchoolbook(t *testing.T) {
 		tbl.Forward(fa)
 		tbl.Forward(fb)
 		c := make([]uint64, tbl.N)
-		tbl.MulCoeffs(c, fa, fb)
+		tbl.Mod.VecMulBarrett(c, fa, fb)
 		tbl.Inverse(c)
 		for i := range c {
 			if c[i] != want[i] {
@@ -148,7 +148,7 @@ func TestMonomialShiftIsNegacyclic(t *testing.T) {
 	tbl.Forward(a)
 	tbl.Forward(b)
 	c := make([]uint64, tbl.N)
-	tbl.MulCoeffs(c, a, b)
+	tbl.Mod.VecMulBarrett(c, a, b)
 	tbl.Inverse(c)
 	if c[0] != mod.Q-1 {
 		t.Fatalf("c[0] = %d, want q-1 (i.e. -1)", c[0])
@@ -221,7 +221,7 @@ func bigIntNegacyclic(a, b []uint64, q uint64) []uint64 {
 }
 
 // TestConvolutionMatchesBigInt checks the full lazy pipeline — ForwardLazy,
-// lazy MulCoeffs inputs, Inverse — against the big.Int schoolbook reference.
+// lazy VecMulBarrett inputs, Inverse — against the big.Int schoolbook reference.
 func TestConvolutionMatchesBigInt(t *testing.T) {
 	for _, logN := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 		tbl := newTestTables(t, logN)
@@ -235,7 +235,7 @@ func TestConvolutionMatchesBigInt(t *testing.T) {
 		tbl.ForwardLazy(fa)
 		tbl.ForwardLazy(fb)
 		c := make([]uint64, tbl.N)
-		tbl.MulCoeffs(c, fa, fb) // lazy inputs, exact output
+		tbl.Mod.VecMulBarrett(c, fa, fb) // lazy inputs, exact output
 		tbl.Inverse(c)
 		for i := range c {
 			if c[i] != want[i] {
@@ -338,27 +338,7 @@ func TestMatchesReference(t *testing.T) {
 				t.Fatalf("logN=%d: Inverse differs from InverseRef at %d: %d != %d", logN, i, iNew[i], iRef[i])
 			}
 		}
-		b := randPoly(r, tbl.N, tbl.Mod.Q)
-		cNew := make([]uint64, tbl.N)
-		cRef := make([]uint64, tbl.N)
-		tbl.MulCoeffs(cNew, a, b)
-		tbl.MulCoeffsRef(cRef, a, b)
-		for i := range cNew {
-			if cNew[i] != cRef[i] {
-				t.Fatalf("logN=%d: MulCoeffs differs from MulCoeffsRef at %d: %d != %d", logN, i, cNew[i], cRef[i])
-			}
-		}
 	}
-}
-
-func TestMulCoeffsRejectsWrongLength(t *testing.T) {
-	tbl := newTestTables(t, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulCoeffs on wrong-length slice should panic")
-		}
-	}()
-	tbl.MulCoeffs(make([]uint64, tbl.N), make([]uint64, 3), make([]uint64, tbl.N))
 }
 
 func BenchmarkForwardN4096(b *testing.B) {

@@ -49,11 +49,3 @@ func (t *Tables) InverseRef(a []uint64) {
 		a[j] = mod.MulShoup(a[j], t.nInv, t.nInvShoup)
 	}
 }
-
-// MulCoeffsRef is the division-based element-wise product.
-func (t *Tables) MulCoeffsRef(c, a, b []uint64) {
-	mod := t.Mod
-	for i := range c {
-		c[i] = mod.Mul(a[i], b[i])
-	}
-}

@@ -21,7 +21,7 @@ import (
 // e.g. an AVX-512 runner silently falling back to pure Go — fails loudly
 // instead of green-washing the matrix.
 func TestTransformAcrossKernelTiers(t *testing.T) {
-	t.Logf("modarith kernel tier: active=%s available=%v", modarith.ActiveTier(), modarith.AvailableTiers())
+	t.Logf("modarith kernel tier: active=%s tables=%v", modarith.ActiveTier(), modarith.KernelTables())
 	t.Parallel()
 	kernels := modarith.KernelTables()
 

@@ -12,11 +12,20 @@ import (
 // scalar index, one source slot per output slot: the oracle autoBlockPerm is
 // held to.
 func nttAutoIndex(logN int, g uint64) []uint32 {
-	n := uint64(1) << logN
-	idx := make([]uint32, n)
+	rev := make([]uint64, 1<<logN)
+	for i := range rev {
+		rev[i] = brv(uint64(i), logN)
+	}
+	return autoIndex(make([]uint32, len(rev)), rev, g)
+}
+
+// autoIndex writes nttAutoIndex(logN, g) to idx, of 2^logN slots, through
+// rev, the bit reversal of every slot over logN bits.
+func autoIndex(idx []uint32, rev []uint64, g uint64) []uint32 {
+	mask := uint64(2*len(idx) - 1)
 	for i := range idx {
-		src := (g * (2*brv(uint64(i), logN) + 1)) & (2*n - 1)
-		idx[i] = uint32(brv((src-1)>>1, logN))
+		src := (g * (2*rev[i] + 1)) & mask
+		idx[i] = uint32(rev[(src-1)>>1])
 	}
 	return idx
 }
@@ -28,47 +37,63 @@ func nttAutoIndex(logN int, g uint64) []uint32 {
 // shuffles, and the BlockPerm, applied to the row 0, 1, …, N−1, expands
 // back to the scalar permutation.
 func TestAutomorphismBlocks(t *testing.T) {
-	check := func(logN int, g uint64) {
-		want := nttAutoIndex(logN, g)
-		n := len(want)
-		lanes := min(n, 8)
-		shuffles := map[[8]uint32]bool{}
-		for j := 0; j < n; j += lanes {
-			var lane [8]uint32
-			for l := 0; l < lanes; l++ {
-				if want[j+l]/uint32(lanes) != want[j]/uint32(lanes) {
-					t.Fatalf("logN %d g %d: block %d reads slots %d and %d of two blocks", logN, g, j/lanes, want[j], want[j+l])
-				}
-				lane[l] = want[j+l] % uint32(lanes)
-			}
-			shuffles[lane] = true
-		}
-		if len(shuffles) > 8 {
-			t.Fatalf("logN %d g %d: %d lane shuffles", logN, g, len(shuffles))
-		}
-		iota, got := make([]uint64, n), make([]uint64, n)
+	// sweep checks σ_g at logN for every g of gs on one set of rows, with a
+	// lane shuffle packed 4 bits a lane.
+	sweep := func(t *testing.T, logN int, gs []uint64) {
+		n := 1 << logN
+		lanes := uint32(min(n, 8))
+		rev, iota, got, want := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint32, n)
 		for i := range iota {
-			iota[i] = uint64(i)
+			iota[i], rev[i] = uint64(i), brv(uint64(i), logN)
 		}
-		modarith.MustModulus(97).VecPermute(got, iota, autoBlockPerm(logN, g))
-		for i, k := range want {
-			if got[i] != uint64(k) {
-				t.Fatalf("logN %d g %d: block permutation sends slot %d to %d, scalar %d", logN, g, i, got[i], k)
+		shuffles := make(map[uint32]bool, 9)
+		for _, g := range gs {
+			autoIndex(want, rev, g)
+			clear(shuffles)
+			for j := 0; j < n; j += int(lanes) {
+				var lane uint32
+				for l, k := range want[j : j+int(lanes)] {
+					if k/lanes != want[j]/lanes {
+						t.Fatalf("logN %d g %d: block %d reads slots %d and %d of two blocks", logN, g, j/int(lanes), want[j], k)
+					}
+					lane |= k % lanes << (4 * l)
+				}
+				shuffles[lane] = true
+			}
+			if len(shuffles) > 8 {
+				t.Fatalf("logN %d g %d: %d lane shuffles", logN, g, len(shuffles))
+			}
+			modarith.MustModulus(97).VecPermute(got, iota, autoBlockPerm(logN, g))
+			for i, k := range want {
+				if got[i] != uint64(k) {
+					t.Fatalf("logN %d g %d: block permutation sends slot %d to %d, scalar %d", logN, g, i, got[i], k)
+				}
 			}
 		}
 	}
 	for logN := 1; logN <= 13; logN++ {
+		var gs []uint64
 		for g := uint64(1); g < 2<<logN; g += 2 {
-			check(logN, g)
+			gs = append(gs, g)
+		}
+		for h, half := range [][]uint64{gs[:len(gs)/2], gs[len(gs)/2:]} {
+			t.Run(fmt.Sprintf("logN=%d/half=%d", logN, h), func(t *testing.T) {
+				t.Parallel()
+				sweep(t, logN, half)
+			})
 		}
 	}
-	for _, logN := range []int{16, 17} {
-		twoN := uint64(2) << logN
-		for rot := uint64(1); rot <= 64; rot++ {
-			check(logN, modExp(5, rot, twoN))
+	t.Run("logN=16-17", func(t *testing.T) {
+		t.Parallel()
+		for _, logN := range []int{16, 17} {
+			twoN := uint64(2) << logN
+			gs := []uint64{twoN - 1}
+			for rot := uint64(1); rot <= 64; rot++ {
+				gs = append(gs, modExp(5, rot, twoN))
+			}
+			sweep(t, logN, gs)
 		}
-		check(logN, twoN-1)
-	}
+	})
 }
 
 // BenchmarkAutomorphism times one limb row of σ_5 (a rotation by one slot)

@@ -138,8 +138,8 @@ func (r *Ring) ScaledResidues(res []uint64, c, scale float64) []uint64 {
 	return res
 }
 
-// AddLimbScalars sets out = a + c with one residue c[i] per limb: added to
-// every slot in the NTT domain, to coefficient 0 otherwise.
+// AddLimbScalars sets out = a + c with one residue c[i] per limb, added to
+// every slot of the NTT-domain a.
 func (r *Ring) AddLimbScalars(out, a *Poly, c []uint64, level int) {
 	r.run(level, func(ln *Lane) { ln.AddLimbScalars(out, a, c) })
 }

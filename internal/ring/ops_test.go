@@ -52,15 +52,9 @@ func ringOpCases(g uint64, idx []uint32) []ringOpCase {
 			ref: func(m modarith.Modulus, _ *ntt.Tables, out, a, _ []uint64, s uint64) {
 				m.VecMulShoupAddLazy(out, a, s, m.ShoupPrecomp(s))
 			}},
-		{name: "AddLimbScalars/ntt", inNTT: true, rows: 2,
+		{name: "AddLimbScalars", inNTT: true, rows: 2,
 			run: func(r *Ring, out, a, _ *Poly, s []uint64, l int) { r.AddLimbScalars(out, a, s, l) },
 			ref: func(m modarith.Modulus, _ *ntt.Tables, out, a, _ []uint64, s uint64) { m.VecAddScalar(out, a, s) }},
-		{name: "AddLimbScalars/coeff", rows: 2,
-			run: func(r *Ring, out, a, _ *Poly, s []uint64, l int) { r.AddLimbScalars(out, a, s, l) },
-			ref: func(m modarith.Modulus, _ *ntt.Tables, out, a, _ []uint64, s uint64) {
-				copy(out, a)
-				out[0] = m.Add(a[0], s)
-			}},
 		{name: "ReduceLazy", lazyOut: true, rows: 2,
 			run: func(r *Ring, out, _, _ *Poly, _ []uint64, l int) { r.ReduceLazy(out, l) },
 			ref: func(m modarith.Modulus, _ *ntt.Tables, out, _, _ []uint64, _ uint64) { m.VecReduceTwoQ(out) }},

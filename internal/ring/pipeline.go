@@ -136,7 +136,6 @@ const (
 	opMulScalars
 	opMulScalarsAddLazy
 	opAddScalars
-	opAddScalarsCoeff
 	opSubMulScalarsLazy
 	opAutNTT
 	opAddAutNTT
@@ -597,18 +596,16 @@ func (ln *Lane) MulByLimbScalarsAddLazy(out, a *Poly, s []uint64) {
 	ln.push(stage{op: opMulScalarsAddLazy, out: out, a: a, s: s}, 3)
 }
 
-// AddLimbScalars records out = a + s[i] per limb, in the domain a has at this
-// point of the chain: added to every slot in the NTT domain, to coefficient 0
-// in the coefficient domain.
+// AddLimbScalars records out = a + s[i] per limb, added to every slot: a must
+// be pending-NTT at this point of the chain.
 func (ln *Lane) AddLimbScalars(out, a *Poly, s []uint64) {
-	op := opAddScalarsCoeff
-	if ln.domain(a) {
-		op = opAddScalars
+	if !ln.domain(a) {
+		panic("ring: pipeline AddLimbScalars requires NTT domain")
 	}
 	ln.use(a, true, false)
 	ln.use(out, false, true)
-	ln.setDomain(out, ln.domain(a))
-	ln.push(stage{op: op, out: out, a: a, s: s}, 2)
+	ln.setDomain(out, true)
+	ln.push(stage{op: opAddScalars, out: out, a: a, s: s}, 2)
 }
 
 // SubMulByLimbScalarsLazy records out = (a - b) · s[i] per limb (the fused
@@ -909,10 +906,6 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			mod.VecMulShoupAddLazy(st.out.Coeffs[i], st.a.Coeffs[i], s, mod.ShoupPrecomp(s))
 		case opAddScalars:
 			mod.VecAddScalar(st.out.Coeffs[i], st.a.Coeffs[i], st.s[i])
-		case opAddScalarsCoeff:
-			src, dst := st.a.Coeffs[i], st.out.Coeffs[i]
-			copy(dst, src)
-			dst[0] = mod.Add(src[0], st.s[i])
 		case opSubMulScalarsLazy:
 			s := st.s[i]
 			mod.VecSubMulShoupLazy(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], s, mod.ShoupPrecomp(s))

@@ -352,6 +352,7 @@ func TestPipelineDomainValidation(t *testing.T) {
 	out := r.NewPoly(level)
 	ln.AutomorphismNTT(out, p, r.GaloisElement(1)) // legal: pending-NTT input
 	mustPanic("in-place automorphism", func() { ln.AutomorphismNTT(p, p, r.GaloisElement(1)) })
+	mustPanic("coefficient-domain scalar add", func() { ln.AddLimbScalars(out, r.NewPoly(level), []uint64{1, 2, 3}) })
 	pl.Run()
 	pl.Release()
 	if !p.IsNTT {

@@ -4,7 +4,7 @@
 // residues, one row per prime of the basis (§II-A of the Anaheim paper).
 //
 // The package provides limb-wise ring operations, forward/inverse NTT across
-// limbs, Galois automorphisms in both coefficient and NTT domains, and the
+// limbs, Galois automorphisms as NTT-domain slot permutations, and the
 // random samplers (uniform, ternary with fixed Hamming weight, discrete
 // Gaussian) needed by RLWE-based schemes.
 package ring

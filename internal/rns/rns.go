@@ -155,8 +155,8 @@ func convRows(from []modarith.Modulus, hat [][]uint64) []modarith.ConvRow {
 func (bc *BasisConverter) QHatInv() []uint64 { return bc.qHatInv }
 
 // checkShape validates in/out against the converter bases: all rows of in
-// (len(From) of them) and out (len(To)) must have equal length. Mirrors the
-// panic-on-mismatch contract of ntt.MulCoeffs.
+// (len(From) of them) and out (len(To)) must have equal length, or it
+// panics.
 func (bc *BasisConverter) checkShape(out, in [][]uint64) int {
 	if len(in) != len(bc.From) || len(out) != len(bc.To) {
 		panic(fmt.Sprintf("rns: Convert shape mismatch: in %d/%d, out %d/%d",
