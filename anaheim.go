@@ -305,8 +305,9 @@ func (c *Context) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform) (
 }
 
 // EvaluatePolynomial evaluates f(x) ≈ Chebyshev series of the given degree
-// on [a, b] slot-wise.
-func (c *Context) EvaluatePolynomial(ct *Ciphertext, f func(float64) float64, a, b float64, degree int) *Ciphertext {
+// on [a, b] slot-wise. An operand below the levels the series consumes is an
+// error wrapping ckks.ErrLevel.
+func (c *Context) EvaluatePolynomial(ct *Ciphertext, f func(float64) float64, a, b float64, degree int) (*Ciphertext, error) {
 	coeffs := ckks.ChebyshevInterpolation(f, a, b, degree)
 	return c.eval.EvaluateChebyshev(ct, coeffs, a, b)
 }

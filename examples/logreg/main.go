@@ -84,7 +84,10 @@ func main() {
 
 	// Sigmoid via a degree-15 Chebyshev approximation on [-8, 8].
 	sigmoid := func(t float64) float64 { return 1 / (1 + math.Exp(-t)) }
-	scored := ctx.EvaluatePolynomial(acc, sigmoid, -8, 8, 15)
+	scored, err := ctx.EvaluatePolynomial(acc, sigmoid, -8, 8, 15)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	got := ctx.Decrypt(scored)
 	maxErr, correct := 0.0, 0

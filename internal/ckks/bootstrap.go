@@ -18,13 +18,13 @@ type BootstrapConfig struct {
 
 // DefaultBootstrapConfig mirrors the paper's default fftIter mix of 3 and 4
 // at test scale (3 C2S / 3 S2C groups) with a degree-31 cosine and 3 double
-// angles. Degree 31 is the degree the error budget needs: its approximation
-// error (2^-38.5 in sine units, 2^-31.1 once scaled by q0/(2πΔ) into
-// coefficient units; evalModPoly) sits 6.9 bits under the noise at EvalMod's
-// output at logN 12 (4.4 at logN 11), so a higher degree only adds products
-// and their noise — degrees 32 and 33 spend two more HMULTs per ciphertext
-// and end 0.9 bits worse at logN 12 — while degree 27 (2^-21 in coefficient
-// units) is limited by the approximation.
+// angles. The cosine is even about t = 1/4, so the degree-31 series runs as
+// one of degree 15 in T₂(x) (evalModPoly): 8 products per ciphertext at the
+// depth, 6, that the odd series spent 11 on. Degree 31 is the degree the
+// error budget needs: its approximation error (2^-37.7 in sine units,
+// 2^-30.4 once scaled by q0/(2πΔ) into coefficient units) sits 6.2 bits under
+// the noise at EvalMod's output at logN 12 (3.7 at logN 11), while degree 27
+// (2^-20.3 in coefficient units) is limited by the approximation.
 func DefaultBootstrapConfig() BootstrapConfig {
 	return BootstrapConfig{FFTIterC2S: 3, FFTIterS2C: 3, EvalModDeg: 31, DoubleAngles: 3, K: 12}
 }
@@ -52,7 +52,7 @@ type Bootstrapper struct {
 	cfg    BootstrapConfig
 
 	c2s, s2c []*LinearTransform
-	evalMod  []float64 // Chebyshev coefficients of cos(2π(t-1/4)/2^r)
+	evalMod  []float64 // Chebyshev coefficients of cos(2πs/2^r) in y = T₂(s/h) (evalModPoly)
 
 	toSparse *SwitchingKey // dense -> sparse
 	toDense  *SwitchingKey // sparse -> dense
@@ -235,31 +235,22 @@ func (cfg BootstrapConfig) check(p *Parameters) error {
 }
 
 // bootDepths is the number of levels each stage of a bootstrap consumes;
-// series is the part of evalMod the Chebyshev series takes.
+// series is the part of evalMod before the double angles: the T₂ step and
+// the Chebyshev series in y.
 type bootDepths struct {
 	c2s, evalMod, s2c int
 	series            int
 }
 
 // depths accounts a bootstrap under cfg stage by stage: one level per
-// CoeffToSlot matrix, EvalMod's series and one per double angle, and one per
+// CoeffToSlot matrix, EvalMod's T₂ step, its series in y of degree ⌊deg/2⌋
+// (evalModPoly; seriesDepth) and one level per double angle, and one per
 // SlotToCoeff matrix. The conjugate split, EvalMod's affine map and the
 // closing scale fix are constant multiplies that ride the DFT matrices'
-// diagonals (coeffsToSlots, slotsToCoeffs), so they spend none. The series'
-// depth follows EvaluateChebyshev: a leaf is one CAccum over T_1 … T_deg, the
-// deepest built ⌈log2 deg⌉ products up, and a split multiplies the quotient
-// by its giant step T_split.
+// diagonals (coeffsToSlots, slotsToCoeffs), and the map's −1/4 shift is a
+// constant add, so they spend none.
 func (cfg BootstrapConfig) depths() bootDepths {
-	baby := max(2, 1<<((bitsLen(cfg.EvalModDeg)+1)/2))
-	var series func(deg int) int
-	series = func(deg int) int {
-		if deg < baby {
-			return 1 + bitsLen(deg-1)
-		}
-		split := max(baby, 1<<(bitsLen(deg)-1))
-		return max(1+max(series(deg-split), bitsLen(split-1)), series(split-1))
-	}
-	d := series(cfg.EvalModDeg)
+	d := 1 + seriesDepth(cfg.EvalModDeg/2)
 	return bootDepths{c2s: cfg.FFTIterC2S, evalMod: d + cfg.DoubleAngles, s2c: cfg.FFTIterS2C, series: d}
 }
 
@@ -295,27 +286,45 @@ func (cfg BootstrapConfig) stageLevels(top int) bootLevels {
 	return lv
 }
 
-// evalModPoly approximates cos(2π(t − 1/4)/2^r) on t ∈ [−(K+1), K+1]; after
-// r double-angle steps this becomes cos(2πt − π/2) = sin(2πt). A double
-// angle c → 2c² − 1 multiplies an error in c by 4c, so the series' error
-// reaches the sine times w(t) = |Π_{i<r} 4·cos(2^i·θ)|, θ = 2π(t − 1/4)/2^r:
-// 4^r where θ is a multiple of π, far less between. The coefficients are the
-// least-squares fit under w on 16 nodes per coefficient, not the
-// interpolant, whose flat error the peaks of w amplify: at degree 31 the
-// sine is 2^-38.5 off on the interval instead of 2^-36.5.
-func evalModPoly(cfg BootstrapConfig) []float64 {
+// evalModHalfWidth is the half-width K + 5/4 of EvalMod's symmetric
+// interval in s = t − 1/4: it holds every t ∈ [−(K+1), K+1].
+func (cfg BootstrapConfig) evalModHalfWidth() float64 { return float64(cfg.K) + 1.25 }
+
+// evalModFit approximates cos(2πs/2^r), s = t − 1/4, on s ∈ [−h, h],
+// h = evalModHalfWidth; after r double-angle steps this becomes
+// cos(2πt − π/2) = sin(2πt). A double angle c → 2c² − 1 multiplies an error
+// in c by 4c, so the series' error reaches the sine times
+// w(s) = |Π_{i<r} 4·cos(2^i·θ)|, θ = 2πs/2^r: 4^r where θ is a multiple of π,
+// far less between. The coefficients are the least-squares fit under w on 16
+// nodes per coefficient, not the interpolant, whose flat error the peaks of w
+// amplify. The cosine and w are even in s, so the fit's odd coefficients
+// vanish.
+func evalModFit(cfg BootstrapConfig) []float64 {
 	r := float64(int(1) << uint(cfg.DoubleAngles))
-	theta := func(t float64) float64 { return 2 * math.Pi * (t - 0.25) / r }
-	f := func(t float64) float64 { return math.Cos(theta(t)) }
-	w := func(t float64) float64 {
+	theta := func(s float64) float64 { return 2 * math.Pi * s / r }
+	f := func(s float64) float64 { return math.Cos(theta(s)) }
+	w := func(s float64) float64 {
 		g := 1.0
 		for i := 0; i < cfg.DoubleAngles; i++ {
-			g *= 4 * math.Cos(float64(int(1)<<uint(i))*theta(t))
+			g *= 4 * math.Cos(float64(int(1)<<uint(i))*theta(s))
 		}
 		return math.Abs(g)
 	}
-	k1 := float64(cfg.K + 1)
-	return weightedChebyshevFit(f, w, -k1, k1, cfg.EvalModDeg, 16*(cfg.EvalModDeg+1))
+	h := cfg.evalModHalfWidth()
+	return weightedChebyshevFit(f, w, -h, h, cfg.EvalModDeg, 16*(cfg.EvalModDeg+1))
+}
+
+// evalModPoly returns the even part of evalModFit as a series in
+// y = T₂(x) = 2x² − 1, x = s/h: T_{2j}(x) = T_j(y), so coefficient j is the
+// fit's coefficient 2j and the degree is ⌊deg/2⌋. At degree 31 the sine is
+// 2^-37.7 off on the interval.
+func evalModPoly(cfg BootstrapConfig) []float64 {
+	fit := evalModFit(cfg)
+	q := make([]float64, cfg.EvalModDeg/2+1)
+	for j := range q {
+		q[j] = fit[2*j]
+	}
+	return q
 }
 
 // ModRaise reinterprets a level-0 ciphertext at the full modulus: each
@@ -349,18 +358,26 @@ func (b *Bootstrapper) ModRaise(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// evalModCt removes the q0·I component of one real-slotted ciphertext. On
-// entry its plaintext is w/(K+1), w = Δu + q0·I: read at scale q0, the slots
-// hold the Chebyshev variable t/(K+1), t = w/q0 ∈ [−K−1, K+1] (coeffsToSlots
-// put the 1/(K+1) there). On exit they hold sin(2πt) = 2πΔu/q0 +
-// O((Δu/q0)³) at the returned scale ≈ q0. ct is only read.
+// evalModCt removes the q0·I component of one real-slotted ciphertext and
+// consumes it. On entry its plaintext is w/h, w = Δu + q0·I, h =
+// evalModHalfWidth: read at scale q0, the slots hold t/h, t = w/q0 ∈
+// [−K−1, K+1] (coeffsToSlots put the 1/h there). A constant add shifts them
+// to x = s/h, s = t − 1/4, where the cosine is even, and one product takes
+// them to y = T₂(x), the series' variable (evalModPoly). On exit they hold
+// sin(2πt) = 2πΔu/q0 + O((Δu/q0)³) at the returned scale ≈ q0.
 func (b *Bootstrapper) evalModCt(ct *Ciphertext) *Ciphertext {
 	ev := b.eval
 	// Re-declare the scale as q0: a second header over ct's polynomials.
-	work := &Ciphertext{C0: ct.C0, C1: ct.C1, Scale: b.q0}
+	x := &Ciphertext{C0: ct.C0, C1: ct.C1, Scale: b.q0}
+	ev.addConstInPlace(x, -0.25/b.cfg.evalModHalfWidth())
+	y := ev.mul(x, x)
+	ev.Release(ct)
+	ev.addInPlace(y, y)
+	ev.addConstInPlace(y, -1)
 
-	// cos(2π(t-1/4)/2^r), then r double angles -> sin(2πt).
-	out := ev.chebyshevSeries(work, b.evalMod)
+	// cos(2πs/2^r), then r double angles -> sin(2πt).
+	out := ev.chebyshevSeries(y, b.evalMod)
+	ev.Release(y)
 	for i := 0; i < b.cfg.DoubleAngles; i++ {
 		sq := ev.mul(out, out)
 		ev.Release(out)
@@ -391,7 +408,6 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	}
 	re := b.evalModCt(ct0)
 	im := b.evalModCt(ct1)
-	b.eval.Release(ct0, ct1)
 	return b.slotsToCoeffs(re, im, delta)
 }
 
@@ -414,14 +430,14 @@ func (b *Bootstrapper) raise(ct *Ciphertext) (*Ciphertext, error) {
 
 // coeffsToSlots consumes cur: CoeffToSlot puts its raw coefficients in the
 // slots (bit-reversed), and the conjugate split returns their real and
-// imaginary halves as two real-slotted ciphertexts, each over K+1. The last
-// matrix's diagonals are encoded at gain 1/(2(K+1)): they carry the split's
-// 1/2 and EvalMod's map onto the Chebyshev interval, both real, so they
-// commute with the conjugation, and the map adds nothing on the symmetric
-// interval. The split is then a sum and a difference; and that matrix leaves
-// its rescale to the split's two halves, so the conjugation's key-switch
-// noise is divided by q_ℓ with the product and does not grow against the
-// shrunken message. The halves' declared scale carries the gain; evalModCt
+// imaginary halves as two real-slotted ciphertexts, each over h =
+// evalModHalfWidth. The last matrix's diagonals are encoded at gain 1/(2h):
+// they carry the split's 1/2 and the scaling of EvalMod's map onto the
+// Chebyshev interval, both real, so they commute with the conjugation; the
+// map's −1/4 shift is evalModCt's constant add. The split is then a sum and a
+// difference; and that matrix leaves its rescale to the split's two halves,
+// so the conjugation's key-switch noise is divided by q_ℓ with the product
+// and does not grow against the shrunken message. The halves' declared scale carries the gain; evalModCt
 // re-declares it.
 func (b *Bootstrapper) coeffsToSlots(cur *Ciphertext) (ct0, ct1 *Ciphertext, err error) {
 	ev := b.eval
@@ -430,7 +446,7 @@ func (b *Bootstrapper) coeffsToSlots(cur *Ciphertext) (ct0, ct1 *Ciphertext, err
 	if err != nil {
 		return nil, nil, err
 	}
-	top, err := ev.linearTransform(cur, b.c2s[last], b.enc, 0.5/float64(b.cfg.K+1), false)
+	top, err := ev.linearTransform(cur, b.c2s[last], b.enc, 0.5/b.cfg.evalModHalfWidth(), false)
 	ev.Release(cur)
 	if err != nil {
 		return nil, nil, err

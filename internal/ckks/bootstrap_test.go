@@ -75,11 +75,11 @@ func TestBootstrapEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Outside the sweeps a bootstrap switches keys twice to encapsulate, once
-	// to conjugate, and once per HMULT of each EvalMod: 31 at the default
-	// config.
-	wantOutside := 2 + 1 + 2*(chebyshevProducts(cfg.EvalModDeg)+cfg.DoubleAngles)
-	if got := int(obsKeySwitch.count.Value() - ksBefore); got != wantOutside || wantOutside != 31 {
-		t.Errorf("bootstrap spent %d key switches outside its sweeps, the config %d (31 pinned)", got, wantOutside)
+	// to conjugate, and once per HMULT of each EvalMod — the T₂ step, the
+	// series in y and the double angles: 25 at the default config.
+	wantOutside := 2 + 1 + 2*(1+chebyshevProducts(cfg.EvalModDeg/2)+cfg.DoubleAngles)
+	if got := int(obsKeySwitch.count.Value() - ksBefore); got != wantOutside || wantOutside != 25 {
+		t.Errorf("bootstrap spent %d key switches outside its sweeps, the config %d (25 pinned)", got, wantOutside)
 	}
 	// The six DFT sweeps ran the plans planSweeps chose for them as a set —
 	// each transform's diagonals encoded for its planned baby step only — and
@@ -176,7 +176,7 @@ func TestBootPresetSpendsEveryPrime(t *testing.T) {
 // Six 60-bit special primes (α = 6) split the 24-limb top into ⌈24/6⌉ = 4
 // digits, and every key switch a bootstrap spends runs with its stage level's
 // digit count: CoeffToSlot and the conjugation 4, EvalMod's products 4 down
-// to 3, SlotToCoeff 2. The bootstrap returns level 8 after 31 key switches
+// to 3, SlotToCoeff 2. The bootstrap returns level 8 after 25 key switches
 // outside its sweeps. Structural, like TestPaperParametersStructure: log PQ
 // is 1 350 + 360 = 1 710 bits, so the preset is insecure at logN 11 and 12 by
 // construction, and at N = 2^16 it would still exceed §IV-B's 1 623.
@@ -217,8 +217,8 @@ func TestBootPresetGadgetShape(t *testing.T) {
 	if got := top - cfg.levels(); got != 8 {
 		t.Errorf("a bootstrap returns level %d, want 8", got)
 	}
-	if got := 2 + 1 + 2*(chebyshevProducts(cfg.EvalModDeg)+cfg.DoubleAngles); got != 31 {
-		t.Errorf("%d key switches outside the sweeps, want 31", got)
+	if got := 2 + 1 + 2*(1+chebyshevProducts(cfg.EvalModDeg/2)+cfg.DoubleAngles); got != 25 {
+		t.Errorf("%d key switches outside the sweeps, want 25", got)
 	}
 	logQ, logP := 0, 0
 	for _, b := range lit.LogQ {
@@ -234,8 +234,9 @@ func TestBootPresetGadgetShape(t *testing.T) {
 
 // TestBootLevelsMatchSimulator: the library and the simulator charge the
 // same 15 levels for the default config, by different routes. The library
-// spends 3 + (6 + 3) + 3: its degree-31 series takes 6 levels and the
-// conjugate split none, riding the last CoeffToSlot matrix.
+// spends 3 + (6 + 3) + 3: its T₂ step and degree-15 series in y take 6
+// levels, as the degree-31 series in x would, and the conjugate split none,
+// riding the last CoeffToSlot matrix.
 // workloads.BootConfig.BootLevels charges 3 + 1 + (5 + 3) + 3: one for the
 // split and ⌈log2 32⌉ = 5 for the series.
 func TestBootLevelsMatchSimulator(t *testing.T) {
@@ -412,18 +413,74 @@ func TestEvalModPlainReference(t *testing.T) {
 	}
 }
 
+// TestEvalModEvenSeries: EvalMod's cosine is even in s = t − 1/4, so its
+// series runs in y = T₂(x). The weighted fit in x has no odd terms; the
+// series in y, evaluated at 2x² − 1, is the fit; and evalModCt — the shift,
+// the T₂ product, the series and the double angles — spends exactly
+// depths().evalMod levels and returns sin(2πt) for t near the integers
+// [−K, K] a bootstrap hands it.
+func TestEvalModEvenSeries(t *testing.T) {
+	cfg := DefaultBootstrapConfig()
+	fit, q := evalModFit(cfg), evalModPoly(cfg)
+	largest, odd := 0.0, 0.0
+	for j, c := range fit {
+		largest = max(largest, math.Abs(c))
+		if j%2 == 1 {
+			odd = max(odd, math.Abs(c))
+		}
+	}
+	if odd > 0x1p-40*largest {
+		t.Errorf("largest odd coefficient of the x-fit %.3g, over 2^-40 of the largest %.3g", odd, largest)
+	}
+	if len(q) != cfg.EvalModDeg/2+1 {
+		t.Fatalf("series in y of degree %d, want %d", len(q)-1, cfg.EvalModDeg/2)
+	}
+	for i := 0; i <= 4096; i++ {
+		x := -1 + float64(i)/2048
+		if d := math.Abs(EvalChebyshevSeries(q, -1, 1, 2*x*x-1) - EvalChebyshevSeries(fit, -1, 1, x)); d > 0x1p-45 {
+			t.Fatalf("x = %g: q(2x² − 1) is %.3g off the fit", x, d)
+		}
+	}
+
+	tc := newTestContext(t, BootTestParameters())
+	b := &Bootstrapper{params: tc.params, eval: tc.eval, cfg: cfg, evalMod: q, q0: float64(tc.params.RingQ().Moduli[0].Q)}
+	r := rand.New(rand.NewSource(63))
+	h := cfg.evalModHalfWidth()
+	ts := make([]float64, tc.params.Slots())
+	v := make([]complex128, len(ts))
+	for i := range ts {
+		ts[i] = float64(r.Intn(2*cfg.K+1)-cfg.K) + 0.01*(2*r.Float64()-1)
+		v[i] = complex(ts[i]/h, 0)
+	}
+	level := cfg.stageLevels(tc.params.MaxLevel()).mul
+	pt, err := tc.enc.Encode(v, level, b.q0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := b.evalModCt(tc.encr.EncryptNew(&Plaintext{Value: pt, Scale: b.q0}, tc.pk))
+	if want := level - cfg.depths().evalMod; out.Level() != want {
+		t.Errorf("evalModCt returned level %d from level %d, want %d", out.Level(), level, want)
+	}
+	for i, got := range tc.decryptVec(out) {
+		if e := math.Abs(real(got) - math.Sin(2*math.Pi*ts[i])); e > 0x1p-20 {
+			t.Fatalf("t = %.4f: evalModCt gives %.6g, sin(2πt) = %.6g", ts[i], real(got), math.Sin(2*math.Pi*ts[i]))
+		}
+	}
+}
+
 // evalModPlainError is the worst error, in sine units, of cfg's EvalMod
-// polynomial evaluated in plaintext — its Chebyshev series, then the
-// double angles — against sin(2πt), on 256 points per period over
-// [−K−1, K+1].
+// polynomial evaluated in plaintext as evalModCt runs it — the shift, T₂,
+// the Chebyshev series in y, then the double angles — against sin(2πt), on
+// 256 points per period over [−K−1, K+1].
 func evalModPlainError(cfg BootstrapConfig) float64 {
 	coeffs := evalModPoly(cfg)
-	k1 := float64(cfg.K + 1)
+	k1, h := float64(cfg.K+1), cfg.evalModHalfWidth()
 	n := 2 * (cfg.K + 1) * 256
 	worst := 0.0
 	for i := 0; i <= n; i++ {
 		t0 := -k1 + 2*k1*float64(i)/float64(n)
-		c := EvalChebyshevSeries(coeffs, -k1, k1, t0)
+		x := (t0 - 0.25) / h
+		c := EvalChebyshevSeries(coeffs, -1, 1, 2*x*x-1)
 		for range cfg.DoubleAngles {
 			c = 2*c*c - 1
 		}
@@ -502,7 +559,7 @@ func TestBootstrapStagePrecision(t *testing.T) {
 	rows := []stageRow{{stage: "encapsulate + ModRaise", units: "coeff",
 		stats: ComputePrecision(noise, make([]complex128, 2*nh)), floor: 39.5}}
 
-	// CoeffToSlot and the conjugate split: EvalMod reads t/(K+1), t = W/q0,
+	// CoeffToSlot and the conjugate split: EvalMod reads t/h, t = W/q0,
 	// real and imaginary halves in bit-reversed order, at the scale it
 	// re-declares.
 	z := make([]complex128, nh)
@@ -518,11 +575,11 @@ func TestBootstrapStagePrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tIn, gotC2S []complex128
-	k1 := complex(float64(cfg.K+1), 0)
+	h := complex(cfg.evalModHalfWidth(), 0)
 	for _, half := range []*Ciphertext{ct0, ct1} {
 		for _, x := range tc.enc.Decode(tc.decr.DecryptNew(half).Value, q0) {
-			tIn = append(tIn, x*k1)
-			gotC2S = append(gotC2S, x*k1*complex(q0/delta, 0))
+			tIn = append(tIn, x*h)
+			gotC2S = append(gotC2S, x*h*complex(q0/delta, 0))
 		}
 	}
 	rows = append(rows, stageRow{stage: "CoeffToSlot + split", units: "coeff",

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 )
 
@@ -130,7 +131,12 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 		if i == j {
 			ev.addConstInPlace(res, -1) // 2T_i² − T_0
 		} else {
-			ev.subInPlace(res, build(j-i)) // j − i = 1: T_1 sits above every product
+			// j − i = 1: T_1 sits above every product, so one constant
+			// multiply lands it on res's scale exactly.
+			q := float64(ev.params.RingQ().Moduli[t1.Level()].Q)
+			t := ev.multConst(t1, 1, q*(res.Scale/t1.Scale))
+			ev.subInPlace(res, t)
+			ev.Release(t)
 		}
 		pow[k] = res
 		return res
@@ -145,18 +151,44 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 }
 
 // EvaluateChebyshev homomorphically evaluates the Chebyshev series on a
-// ciphertext whose slots lie in [a, b]. Consumes ~2+log2(degree) levels.
-// The primes spanned by the evaluation must have near-uniform sizes (as in
-// the EvalMod region of a bootstrapping chain); otherwise the scales of
-// sibling BSGS branches diverge beyond the additive tolerance.
-func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
+// ciphertext whose slots lie in [a, b]. It consumes one level for the affine
+// map and seriesDepth(degree) for the series; an operand below that is an
+// error wrapping ErrLevel, before anything is borrowed. The primes spanned by
+// the evaluation must have near-uniform sizes (as in the EvalMod region of a
+// bootstrapping chain); otherwise the scales of sibling BSGS branches diverge
+// beyond the additive tolerance.
+func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) (*Ciphertext, error) {
+	if len(coeffs) == 0 {
+		return nil, fmt.Errorf("ckks: EvaluateChebyshev needs at least one coefficient")
+	}
+	if need := 1 + seriesDepth(len(coeffs)-1); ct.Level() < need {
+		return nil, fmt.Errorf("%w: a degree-%d series consumes %d levels, the operand is at level %d",
+			ErrLevel, len(coeffs)-1, need, ct.Level())
+	}
 	rq := ev.params.RingQ()
 	// t = (2x - a - b)/(b - a), computed with one constant mult + add.
 	t1 := ev.multConst(ct, 2/(b-a), float64(rq.Moduli[ct.Level()].Q))
 	ev.addConstInPlace(t1, -(a+b)/(b-a))
 	out := ev.chebyshevSeries(t1, coeffs)
 	ev.Release(t1)
-	return out
+	return out, nil
+}
+
+// seriesDepth is the number of levels chebyshevSeries consumes on a series
+// of the given degree: a leaf is one CAccum over T_1 … T_deg, the deepest
+// built ⌈log2 deg⌉ products up, and a split multiplies the quotient by its
+// giant step T_split.
+func seriesDepth(degree int) int {
+	baby := max(2, 1<<((bitsLen(degree)+1)/2))
+	var depth func(deg int) int
+	depth = func(deg int) int {
+		if deg < baby {
+			return 1 + bitsLen(deg-1)
+		}
+		split := max(baby, 1<<(bitsLen(deg)-1))
+		return max(1+max(depth(deg-split), bitsLen(split-1)), depth(split-1))
+	}
+	return depth(degree)
 }
 
 // chebyshevSeries evaluates Σ c_j T_j(t) on a ciphertext t1 whose slots

@@ -94,7 +94,10 @@ func TestEvaluateChebyshevHomomorphic(t *testing.T) {
 		want[i] = complex(f(x), 0)
 	}
 	ct := tc.encryptVec(t, u)
-	out := tc.eval.EvaluateChebyshev(ct, coeffs, a, b)
+	out, err := tc.eval.EvaluateChebyshev(ct, coeffs, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
 		t.Fatalf("homomorphic Chebyshev error %g", e)
 	}
@@ -125,7 +128,10 @@ func TestEvaluateChebyshevDegree31(t *testing.T) {
 		want[i] = complex(f(x), 0)
 	}
 	ct := tc.encryptVec(t, u)
-	out := tc.eval.EvaluateChebyshev(ct, coeffs, a, b)
+	out, err := tc.eval.EvaluateChebyshev(ct, coeffs, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
 		t.Fatalf("deg-31 Chebyshev error %g", e)
 	}
@@ -148,7 +154,10 @@ func TestEvaluateChebyshevSparseSeries(t *testing.T) {
 		u[i] = complex(x, 0)
 		want[i] = complex(EvalChebyshevSeries(coeffs, a, b, x), 0)
 	}
-	out := tc.eval.EvaluateChebyshev(tc.encryptVec(t, u), coeffs, a, b)
+	out, err := tc.eval.EvaluateChebyshev(tc.encryptVec(t, u), coeffs, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if e := maxErr(tc.decryptVec(out), want); e > 1e-3 {
 		t.Fatalf("sparse Chebyshev error %g", e)
 	}

@@ -16,13 +16,15 @@ import (
 
 // MulConstAccum returns Σ_i consts[i]·cts[i] rescaled: every constant is
 // encoded at the prime the rescale drops, q_ℓ of the lowest operand level ℓ,
-// so the result keeps cts[0]'s scale at level ℓ−1. The first term is written
-// into the accumulator, every other one added onto it by one lazy
-// constant-multiply-accumulate pass, and the sum reduced once — instead of
-// len(cts) constant-product temporaries plus len(cts)-1 Add passes. Operands
-// above the lowest level contribute their limb prefix. Mismatched lengths are
-// an error, and so are ℓ = 0 (ErrLevel) and operand scales that disagree
-// (ErrScale); all come before anything is borrowed.
+// times cts[0]'s scale over its operand's, so the result keeps cts[0]'s scale
+// at level ℓ−1 and operand scales that agree only within the add tolerance
+// still land on it exactly. The first term is written into the accumulator,
+// every other one added onto it by one lazy constant-multiply-accumulate
+// pass, and the sum reduced once — instead of len(cts) constant-product
+// temporaries plus len(cts)-1 Add passes. Operands above the lowest level
+// contribute their limb prefix. Mismatched lengths are an error, and so are
+// ℓ = 0 (ErrLevel) and operand scales that disagree (ErrScale); all come
+// before anything is borrowed.
 func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64) (*Ciphertext, error) {
 	if len(cts) == 0 || len(cts) != len(consts) {
 		return nil, fmt.Errorf("ckks: MulConstAccum needs matching non-empty ciphertexts and constants, got %d and %d", len(cts), len(consts))
@@ -51,7 +53,7 @@ func (ev *Evaluator) mulConstAccum(cts []*Ciphertext, consts []float64) *Ciphert
 	out := ev.newCiphertext(lvl, cts[0].Scale*constScale)
 	scalars := make([]uint64, lvl+1)
 	for i, ct := range cts {
-		rq.ScaledResidues(scalars, consts[i], constScale)
+		rq.ScaledResidues(scalars, consts[i], constScale*(cts[0].Scale/ct.Scale))
 		if i == 0 {
 			rq.MulByLimbScalars(out.C0, ct.C0, scalars, lvl)
 			rq.MulByLimbScalars(out.C1, ct.C1, scalars, lvl)

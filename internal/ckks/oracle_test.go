@@ -521,8 +521,8 @@ func TestScaledResiduesMatchBigFloat(t *testing.T) {
 	scales = append(scales, delta, q0, 2*math.Pi*delta, q0*delta/(q0+12345), 1, 0.5, -1)
 
 	cfg := DefaultBootstrapConfig()
-	k1 := float64(cfg.K + 1)
-	consts := append(evalModPoly(cfg), 2/(2*k1), 0, -1, 0.5, -0.5, 1.5, 1.0)
+	h := cfg.evalModHalfWidth()
+	consts := append(evalModPoly(cfg), 0.5/h, -0.25/h, 0, -1, 0.5, -0.5, 1.5, 1.0)
 	consts = append(consts, ChebyshevInterpolation(math.Exp, -1, 1, 31)...)
 	consts = append(consts, ChebyshevInterpolation(func(x float64) float64 { return 1 / x }, 1, 8, 63)...)
 

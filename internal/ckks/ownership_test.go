@@ -130,10 +130,10 @@ func TestNoAlias(t *testing.T) {
 			return []*Ciphertext{lo, hi}, nil
 		}},
 		{"EvaluateChebyshev", []*Ciphertext{ha}, func() ([]*Ciphertext, error) {
-			return one(ev.EvaluateChebyshev(ha, cheb, -1, 1))
+			return oneErr(ev.EvaluateChebyshev(ha, cheb, -1, 1))
 		}},
 		{"EvaluateChebyshev/constant", []*Ciphertext{ha}, func() ([]*Ciphertext, error) {
-			return one(ev.EvaluateChebyshev(ha, cheb[:1], -1, 1))
+			return oneErr(ev.EvaluateChebyshev(ha, cheb[:1], -1, 1))
 		}},
 	} {
 		before := make([][]byte, len(op.ins))
@@ -193,7 +193,11 @@ func TestUseAfterRelease(t *testing.T) {
 		return opCase{
 			name: fmt.Sprintf("EvaluateChebyshev/deg%d", degree),
 			run: func(tc *testContext, in *Ciphertext) *Ciphertext {
-				return tc.eval.EvaluateChebyshev(in, coeffs, -1, 1)
+				out, err := tc.eval.EvaluateChebyshev(in, coeffs, -1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
 			},
 			check: func(tc *testContext, _, out *Ciphertext, values []complex128) {
 				got := tc.decryptVec(out)

@@ -185,12 +185,12 @@ func TestParameters() ParametersLiteral {
 // bootstrapping parameter set (N=2^11) with enough modulus budget for
 // CoeffToSlot, EvalMod and SlotToCoeff. A bootstrap under
 // DefaultBootstrapConfig spends 15 levels from the top level 23 down (its
-// depths): C2S 3, then EvalMod 9 — the degree-31 series 6 at scale ≈ q0 and
-// 3 double angles — and S2C 3 on 60-bit primes, leaving 8 levels. The
-// conjugate split, EvalMod's affine map and the scale fix ride the DFT
-// matrices and hold no prime. The last C2S matrix carries the split's 1/2
-// and the map's 1/(K+1) in its diagonals, whose encoding precision its prime
-// bounds, so that prime is 60-bit where the other two C2S primes are 50-bit.
+// depths): C2S 3, then EvalMod 9 — the T₂ product and the degree-15 series
+// in y, 6 at scale ≈ q0, and 3 double angles — and S2C 3 on 60-bit primes,
+// leaving 8 levels. The conjugate split, EvalMod's affine map and the scale
+// fix ride the DFT matrices and hold no prime. The last C2S matrix carries
+// the split's 1/2 and the map's 1/(K+5/4) in its diagonals, whose encoding
+// precision its prime bounds, so that prime is 60-bit where the other two C2S primes are 50-bit.
 // Chain bottom-to-top: q0 (60b) | levels 1–7 (50b) | level 8 (60b) | S2C:
 // levels 9–11, EvalMod: levels 12–20, last C2S: level 21 (60b) | first two
 // C2S: levels 22–23 (50b). Six 60-bit special primes (α = 6) make the gadget

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -81,10 +82,6 @@ func TestLevelZeroIsErrLevel(t *testing.T) {
 	top := tc.encryptVec(t, []complex128{1})
 	ct := dropTo(tc.eval, top, 0)
 	pt := &Plaintext{Value: tc.params.RingQ().NewPoly(top.Level()), Scale: tc.params.DefaultScale()}
-	gets := func() float64 {
-		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
-			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
-	}
 	for _, op := range []struct {
 		name string
 		run  func() (*Ciphertext, error)
@@ -102,14 +99,53 @@ func TestLevelZeroIsErrLevel(t *testing.T) {
 		{"DropLevel/above", func() (*Ciphertext, error) { return tc.eval.DropLevel(ct, 1) }},
 		{"DropLevel/huge", func() (*Ciphertext, error) { return tc.eval.DropLevel(top, 1<<20) }},
 	} {
-		before := gets()
+		before := poolGets()
 		out, err := op.run()
 		if !errors.Is(err, ErrLevel) || out != nil {
 			t.Errorf("%s at level 0: (%v, %v), want ErrLevel", op.name, out, err)
 		}
-		if n := gets() - before; n != 0 {
+		if n := poolGets() - before; n != 0 {
 			t.Errorf("%s at level 0 borrowed %v polynomials before failing", op.name, n)
 		}
+	}
+}
+
+// poolGets counts the rows borrowed from the ring pools so far, hits and
+// misses.
+func poolGets() float64 {
+	return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
+		obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
+}
+
+// TestChebyshevBelowDepthIsErrLevel: EvaluateChebyshev refuses an operand
+// below the levels a series consumes — one for the affine map and
+// seriesDepth's — with ErrLevel at every such level, before it borrows a row;
+// at the depth itself the series runs and ends at level 0.
+func TestChebyshevBelowDepthIsErrLevel(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	coeffs := ChebyshevInterpolation(math.Sin, -1, 1, 15)
+	need := 1 + seriesDepth(15)
+	if need != 6 || tc.params.MaxLevel() < need {
+		t.Fatalf("a degree-15 series needs %d levels (want 6), the parameters have %d", need, tc.params.MaxLevel())
+	}
+	top := tc.encryptVec(t, []complex128{0.5})
+	for lvl := 0; lvl < need; lvl++ {
+		ct := dropTo(tc.eval, top, lvl)
+		before := poolGets()
+		out, err := tc.eval.EvaluateChebyshev(ct, coeffs, -1, 1)
+		if !errors.Is(err, ErrLevel) || out != nil {
+			t.Errorf("degree 15 at level %d: (%v, %v), want ErrLevel", lvl, out, err)
+		}
+		if n := poolGets() - before; n != 0 {
+			t.Errorf("degree 15 at level %d borrowed %v polynomials before failing", lvl, n)
+		}
+	}
+	out, err := tc.eval.EvaluateChebyshev(dropTo(tc.eval, top, need), coeffs, -1, 1)
+	if err != nil {
+		t.Fatalf("degree 15 at level %d: %v", need, err)
+	}
+	if got := tc.decryptVec(out)[0]; out.Level() != 0 || math.Abs(real(got)-math.Sin(0.5)) > 1e-3 {
+		t.Errorf("degree 15 at level %d: %v at level %d, want sin(0.5) at level 0", need, got, out.Level())
 	}
 }
 
@@ -128,16 +164,12 @@ func TestScaleMismatchIsErrScale(t *testing.T) {
 	if err := CheckScales(a, &near, &far); !errors.Is(err, ErrScale) {
 		t.Errorf("CheckScales of a doubled scale: %v, want ErrScale", err)
 	}
-	gets := func() float64 {
-		return obs.Default.Counter(`ring_pool_gets_total{result="hit"}`).Value() +
-			obs.Default.Counter(`ring_pool_gets_total{result="miss"}`).Value()
-	}
-	before := gets()
+	before := poolGets()
 	out, err := tc.eval.MulConstAccum([]*Ciphertext{a, &far}, []float64{0.5, -1})
 	if !errors.Is(err, ErrScale) || out != nil {
 		t.Errorf("MulConstAccum at scales %g and %g: (%v, %v), want ErrScale", a.Scale, far.Scale, out, err)
 	}
-	if n := gets() - before; n != 0 {
+	if n := poolGets() - before; n != 0 {
 		t.Errorf("MulConstAccum borrowed %v polynomials before failing", n)
 	}
 }

@@ -37,29 +37,40 @@ func NewBlockPerm(n int, src func(i int) int) *BlockPerm {
 		panic(fmt.Sprintf("modarith: NewBlockPerm of %d words", n))
 	}
 	p := &BlockPerm{lanes: lanes, blocks: make([]uint32, n/lanes)}
-	shuffles := 0
+	var keys [permLanes]uint32 // shuffle id -> its lanes, 3 bits each
+	shuffles, id := 0, 0
 	for j := range p.blocks {
-		var lane [permLanes]uint64
-		sb := -1
+		var key uint32
+		base := -1 // the first word of the input block lane 0 reads
 		for l := 0; l < lanes; l++ {
 			s := src(j*lanes + l)
-			if s < 0 || s >= n || (sb >= 0 && s/lanes != sb) {
+			if l == 0 && s >= 0 {
+				base = s - s%lanes
+			}
+			if s < 0 || s >= n || uint(s-base) >= uint(lanes) {
 				panic(fmt.Sprintf("modarith: NewBlockPerm: output block %d is not closed (word %d reads %d)", j, j*lanes+l, s))
 			}
-			sb, lane[l] = s/lanes, uint64(s%lanes)
+			key |= uint32(s-base) << (3 * l)
 		}
-		id := 0
-		for id < shuffles && p.shuf[id] != lane {
-			id++
-		}
-		if id == shuffles {
-			if shuffles == permLanes {
-				panic(fmt.Sprintf("modarith: NewBlockPerm: more than %d lane shuffles", permLanes))
+		// Neighbouring blocks mostly share a shuffle: the previous block's id
+		// is tried before the search.
+		if id >= shuffles || keys[id] != key {
+			id = 0
+			for id < shuffles && keys[id] != key {
+				id++
 			}
-			p.shuf[id] = lane
-			shuffles++
+			if id == shuffles {
+				if shuffles == permLanes {
+					panic(fmt.Sprintf("modarith: NewBlockPerm: more than %d lane shuffles", permLanes))
+				}
+				keys[id] = key
+				for l := 0; l < lanes; l++ {
+					p.shuf[id][l] = uint64(key >> (3 * l) & 7)
+				}
+				shuffles++
+			}
 		}
-		p.blocks[j] = uint32(sb)<<3 | uint32(id)
+		p.blocks[j] = uint32(base/lanes)<<3 | uint32(id)
 	}
 	return p
 }
