@@ -314,8 +314,9 @@ func (c *Context) EvaluatePolynomial(ct *Ciphertext, f func(float64) float64, a,
 
 // MinMax returns the slot-wise minimum and maximum of two ciphertexts with
 // values in [-1/2, 1/2] — the two-way comparator the Sort workload is built
-// from ([35], §VII-A).
-func (c *Context) MinMax(a, b *Ciphertext, iterations int) (*Ciphertext, *Ciphertext) {
+// from ([35], §VII-A). Operands below the 3·iterations+2 levels it consumes
+// are an error wrapping ckks.ErrLevel.
+func (c *Context) MinMax(a, b *Ciphertext, iterations int) (*Ciphertext, *Ciphertext, error) {
 	return c.eval.EvalMinMax(a, b, iterations)
 }
 

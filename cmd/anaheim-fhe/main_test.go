@@ -27,7 +27,7 @@ func TestFileWorkflow(t *testing.T) {
 	readFile(filepath.Join(keys, "sk.bin"), &sk)
 	var ct ckks.Ciphertext
 	readFile(ct2, &ct)
-	vals := ckks.NewEncoder(p).Decode(ckks.NewDecryptor(p, &sk).DecryptNew(&ct).Value, ct.Scale)
+	vals := ckks.NewDecryptor(p, &sk).DecryptDecodeNew(&ct, ckks.NewEncoder(p))
 	want := []float64{2.25, 6.25, 9.0}
 	for i, w := range want {
 		if d := real(vals[i]) - w; d > 1e-4 || d < -1e-4 {

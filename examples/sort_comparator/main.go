@@ -39,7 +39,10 @@ func main() {
 	ctA, _ := ctx.Encrypt(a)
 	ctB, _ := ctx.Encrypt(b)
 
-	minCt, maxCt := ctx.MinMax(ctA, ctB, 5)
+	minCt, maxCt, err := ctx.MinMax(ctA, ctB, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	gotMin := ctx.Decrypt(minCt)
 	gotMax := ctx.Decrypt(maxCt)

@@ -30,12 +30,12 @@ func TestModRaise(t *testing.T) {
 	// message: slots differ from v only by multiples of q0/Δ (the I terms),
 	// which for most slots are zero in magnitude ≤ K·q0/Δ. Instead of
 	// checking slots (spiky), check the coefficient residues mod q0.
-	pt := tc.decr.DecryptNew(raised)
+	pt := decryptNew(tc.decr, raised)
 	rq := tc.params.RingQ()
 	work := pt.Value.CopyNew()
 	rq.INTT(work, raised.Level())
 
-	ptLow := tc.decr.DecryptNew(ct)
+	ptLow := decryptNew(tc.decr, ct)
 	workLow := ptLow.Value.CopyNew()
 	rq.INTT(workLow, 0)
 
@@ -437,7 +437,7 @@ func TestEvalModEvenSeries(t *testing.T) {
 	}
 	for i := 0; i <= 4096; i++ {
 		x := -1 + float64(i)/2048
-		if d := math.Abs(EvalChebyshevSeries(q, -1, 1, 2*x*x-1) - EvalChebyshevSeries(fit, -1, 1, x)); d > 0x1p-45 {
+		if d := math.Abs(evalChebyshevSeries(q, -1, 1, 2*x*x-1) - evalChebyshevSeries(fit, -1, 1, x)); d > 0x1p-45 {
 			t.Fatalf("x = %g: q(2x² − 1) is %.3g off the fit", x, d)
 		}
 	}
@@ -453,11 +453,11 @@ func TestEvalModEvenSeries(t *testing.T) {
 		v[i] = complex(ts[i]/h, 0)
 	}
 	level := cfg.stageLevels(tc.params.MaxLevel()).mul
-	pt, err := tc.enc.Encode(v, level, b.q0)
+	in, err := tc.encr.EncodeEncryptNew(tc.enc, v, level, b.q0, tc.pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.evalModCt(tc.encr.EncryptNew(&Plaintext{Value: pt, Scale: b.q0}, tc.pk))
+	out := b.evalModCt(in)
 	if want := level - cfg.depths().evalMod; out.Level() != want {
 		t.Errorf("evalModCt returned level %d from level %d, want %d", out.Level(), level, want)
 	}
@@ -480,7 +480,7 @@ func evalModPlainError(cfg BootstrapConfig) float64 {
 	for i := 0; i <= n; i++ {
 		t0 := -k1 + 2*k1*float64(i)/float64(n)
 		x := (t0 - 0.25) / h
-		c := EvalChebyshevSeries(coeffs, -1, 1, 2*x*x-1)
+		c := evalChebyshevSeries(coeffs, -1, 1, 2*x*x-1)
 		for range cfg.DoubleAngles {
 			c = 2*c*c - 1
 		}
@@ -577,7 +577,7 @@ func TestBootstrapStagePrecision(t *testing.T) {
 	var tIn, gotC2S []complex128
 	h := complex(cfg.evalModHalfWidth(), 0)
 	for _, half := range []*Ciphertext{ct0, ct1} {
-		for _, x := range tc.enc.Decode(tc.decr.DecryptNew(half).Value, q0) {
+		for _, x := range tc.enc.Decode(decryptNew(tc.decr, half).Value, q0) {
 			tIn = append(tIn, x*h)
 			gotC2S = append(gotC2S, x*h*complex(q0/delta, 0))
 		}
@@ -651,7 +651,7 @@ func TestBootstrapStagePrecision(t *testing.T) {
 // centered mod q0, digitsToFloat the coefficient itself below Q_k/2.
 func (tc *testContext) plainDigits(ct *Ciphertext, k int) *ring.Poly {
 	rq := tc.params.RingQ()
-	pt := tc.decr.DecryptNew(ct)
+	pt := decryptNew(tc.decr, ct)
 	work := rq.NewPoly(k - 1)
 	for i, row := range work.Coeffs {
 		copy(row, pt.Value.Coeffs[i])

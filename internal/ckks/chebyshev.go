@@ -83,18 +83,6 @@ func weightedChebyshevFit(f, w func(float64) float64, a, b float64, degree, n in
 	return coeffs
 }
 
-// EvalChebyshevSeries evaluates a Chebyshev series on plaintext input
-// (reference for tests): Σ c_j T_j(t) with t = (2x-a-b)/(b-a).
-func EvalChebyshevSeries(coeffs []float64, a, b, x float64) float64 {
-	t := (2*x - a - b) / (b - a)
-	// Clenshaw recurrence.
-	var b0, b1 float64
-	for j := len(coeffs) - 1; j >= 1; j-- {
-		b0, b1 = coeffs[j]+2*t*b0-b1, b0
-	}
-	return coeffs[0] + t*b0 - b1
-}
-
 // splitChebyshev divides the series p by T_split: p = q·T_split + r using
 // 2·T_a·T_b = T_{a+b} + T_{|a-b|}; requires split ≥ (deg+1)/2 so all folded
 // indices stay in range.
@@ -133,8 +121,7 @@ func (ev *Evaluator) chebyshevPowers(t1 *Ciphertext, degree, baby int) map[int]*
 		} else {
 			// j − i = 1: T_1 sits above every product, so one constant
 			// multiply lands it on res's scale exactly.
-			q := float64(ev.params.RingQ().Moduli[t1.Level()].Q)
-			t := ev.multConst(t1, 1, q*(res.Scale/t1.Scale))
+			t := ev.mulConstAccum([]*Ciphertext{t1}, []float64{1}, res.Scale)
 			ev.subInPlace(res, t)
 			ev.Release(t)
 		}
@@ -165,9 +152,8 @@ func (ev *Evaluator) EvaluateChebyshev(ct *Ciphertext, coeffs []float64, a, b fl
 		return nil, fmt.Errorf("%w: a degree-%d series consumes %d levels, the operand is at level %d",
 			ErrLevel, len(coeffs)-1, need, ct.Level())
 	}
-	rq := ev.params.RingQ()
 	// t = (2x - a - b)/(b - a), computed with one constant mult + add.
-	t1 := ev.multConst(ct, 2/(b-a), float64(rq.Moduli[ct.Level()].Q))
+	t1 := ev.mulConstAccum([]*Ciphertext{ct}, []float64{2 / (b - a)}, ct.Scale)
 	ev.addConstInPlace(t1, -(a+b)/(b-a))
 	out := ev.chebyshevSeries(t1, coeffs)
 	ev.Release(t1)
@@ -251,7 +237,7 @@ func (ev *Evaluator) linearCombination(c []float64, pow map[int]*Ciphertext) *Ci
 		// Only the constant term: 0·T_1 puts a zero at the right scale.
 		terms, consts = append(terms, pow[1]), append(consts, 0)
 	}
-	acc := ev.mulConstAccum(terms, consts)
+	acc := ev.mulConstAccum(terms, consts, terms[0].Scale)
 	ev.addConstInPlace(acc, c[0])
 	return acc
 }

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// evalChebyshevSeries evaluates a Chebyshev series on plaintext input by the
+// Clenshaw recurrence: Σ c_j T_j(t) with t = (2x-a-b)/(b-a).
+func evalChebyshevSeries(coeffs []float64, a, b, x float64) float64 {
+	t := (2*x - a - b) / (b - a)
+	var b0, b1 float64
+	for j := len(coeffs) - 1; j >= 1; j-- {
+		b0, b1 = coeffs[j]+2*t*b0-b1, b0
+	}
+	return coeffs[0] + t*b0 - b1
+}
+
 func TestChebyshevInterpolationPlain(t *testing.T) {
 	for _, tc := range []struct {
 		f      func(float64) float64
@@ -20,7 +31,7 @@ func TestChebyshevInterpolationPlain(t *testing.T) {
 		coeffs := ChebyshevInterpolation(tc.f, tc.a, tc.b, tc.degree)
 		for i := 0; i <= 100; i++ {
 			x := tc.a + (tc.b-tc.a)*float64(i)/100
-			got := EvalChebyshevSeries(coeffs, tc.a, tc.b, x)
+			got := evalChebyshevSeries(coeffs, tc.a, tc.b, x)
 			if d := math.Abs(got - tc.f(x)); d > tc.tol {
 				t.Fatalf("interpolation error %g at x=%g (deg %d)", d, x, tc.degree)
 			}
@@ -33,7 +44,7 @@ func TestChebyshevInterpolationPlain(t *testing.T) {
 // interpolant's error is largest lowers the weighted error there.
 func TestWeightedChebyshevFit(t *testing.T) {
 	want := []float64{0.3, -1.2, 0.7, 0.01, -0.4, 0.9}
-	f := func(x float64) float64 { return EvalChebyshevSeries(want, -2, 3, x) }
+	f := func(x float64) float64 { return evalChebyshevSeries(want, -2, 3, x) }
 	w := func(x float64) float64 { return 1 + x*x }
 	for j, c := range weightedChebyshevFit(f, w, -2, 3, len(want)-1, 64) {
 		if math.Abs(c-want[j]) > 1e-12 {
@@ -45,7 +56,7 @@ func TestWeightedChebyshevFit(t *testing.T) {
 	worst := func(coeffs []float64) (e float64) {
 		for i := 0; i <= 1000; i++ {
 			x := -1 + 2*float64(i)/1000
-			e = max(e, wPeak(x)*math.Abs(EvalChebyshevSeries(coeffs, -1, 1, x)-math.Exp(x)))
+			e = max(e, wPeak(x)*math.Abs(evalChebyshevSeries(coeffs, -1, 1, x)-math.Exp(x)))
 		}
 		return e
 	}
@@ -152,7 +163,7 @@ func TestEvaluateChebyshevSparseSeries(t *testing.T) {
 	for i := range u {
 		x := a + (b-a)*r.Float64()
 		u[i] = complex(x, 0)
-		want[i] = complex(EvalChebyshevSeries(coeffs, a, b, x), 0)
+		want[i] = complex(evalChebyshevSeries(coeffs, a, b, x), 0)
 	}
 	out, err := tc.eval.EvaluateChebyshev(tc.encryptVec(t, u), coeffs, a, b)
 	if err != nil {

@@ -64,21 +64,11 @@ func NewEncryptorFromSeed(params *Parameters, seed [32]byte) *Encryptor {
 	return &Encryptor{params: params, stream: ring.NewStream(seed)}
 }
 
-// EncryptNew encrypts the NTT-domain plaintext pt under the public key:
-// (C0, C1) = (B·u + e0 + pt, A·u + e1).
-func (e *Encryptor) EncryptNew(pt *Plaintext, pk *PublicKey) *Ciphertext {
-	defer obsEncrypt.done(time.Now())
-	lvl := pt.Level()
-	ct := e.encrypt(nil, pt.Scale, lvl, pk)
-	e.params.RingQ().Add(ct.C0, ct.C0, pt.Value, lvl)
-	return ct
-}
-
 // EncodeEncryptNew encodes values at the given level and scale and encrypts
 // them under the public key. The encoded message stays in the coefficient
 // domain and joins e0 before its transform — the NTT is linear and both sums
-// are exact mod q_i — so the ciphertext is, byte for byte, EncryptNew of
-// Encode at 3(ℓ+1) forward transforms instead of 4(ℓ+1).
+// are exact mod q_i — so the ciphertext is, byte for byte, the encryption of
+// the NTT-domain Encode at 3(ℓ+1) forward transforms instead of 4(ℓ+1).
 func (e *Encryptor) EncodeEncryptNew(enc *Encoder, values []complex128, level int, scale float64, pk *PublicKey) (*Ciphertext, error) {
 	defer obsEncrypt.done(time.Now())
 	rq := e.params.RingQ()
@@ -169,14 +159,6 @@ func (d *Decryptor) decryptRows(m *ring.Poly, ct *Ciphertext) {
 	rq.Add(m, m, ct.C0.Truncated(lvl), lvl)
 }
 
-// DecryptNew returns the plaintext C0 + C1·s on every limb of ct.
-func (d *Decryptor) DecryptNew(ct *Ciphertext) *Plaintext {
-	defer obsDecrypt.done(time.Now())
-	m := d.params.RingQ().NewPoly(ct.Level())
-	d.decryptRows(m, ct)
-	return &Plaintext{Value: m, Scale: ct.Scale}
-}
-
 // DecryptDecodeNew returns the slot vector of ct. Only the limb prefix that
 // determines a plaintext of ct's scale (Encoder.decodeLimbs) is multiplied,
 // added and inverse-transformed, in pooled scratch.
@@ -186,8 +168,6 @@ func (d *Decryptor) DecryptDecodeNew(ct *Ciphertext, enc *Encoder) []complex128 
 	m := rq.GetPoly(enc.decodeLimbs(ct.Level(), ct.Scale) - 1)
 	defer rq.PutPoly(m)
 	d.decryptRows(m, ct)
-	for i, row := range m.Coeffs {
-		rq.INTTLimb(row, i)
-	}
+	rq.INTT(m, m.Level())
 	return enc.decodeCoeffs(m, ct.Scale)
 }

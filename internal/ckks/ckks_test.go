@@ -137,16 +137,15 @@ func maxErr(got, want []complex128) float64 {
 
 func (tc *testContext) encryptVec(t testing.TB, v []complex128) *Ciphertext {
 	t.Helper()
-	pt, err := tc.enc.Encode(v, tc.params.MaxLevel(), tc.params.DefaultScale())
+	ct, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tc.encr.EncryptNew(&Plaintext{Value: pt, Scale: tc.params.DefaultScale()}, tc.pk)
+	return ct
 }
 
 func (tc *testContext) decryptVec(ct *Ciphertext) []complex128 {
-	pt := tc.decr.DecryptNew(ct)
-	return tc.enc.Decode(pt.Value, pt.Scale)
+	return tc.decr.DecryptDecodeNew(ct, tc.enc)
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -386,8 +385,9 @@ func TestSwitchKeysEncapsulation(t *testing.T) {
 	// Round trip dense -> sparse -> dense secret.
 	tc := newTestContext(t, TestParameters())
 	skSparse := tc.kgen.GenSparseSecretKey()
-	toSparse := tc.kgen.GenKeySwitchKey(tc.sk, skSparse)
-	toDense := tc.kgen.GenKeySwitchKey(skSparse, tc.sk)
+	top := tc.params.MaxLevel()
+	toSparse := tc.kgen.genSwitchingKey(top, tc.kgen.freshID(), tc.sk.Q, skSparse.Q, skSparse.P)
+	toDense := tc.kgen.genSwitchingKey(top, tc.kgen.freshID(), skSparse.Q, tc.sk.Q, tc.sk.P)
 
 	r := rand.New(rand.NewSource(23))
 	v := randomComplex(r, tc.params.Slots(), 1)
@@ -399,7 +399,7 @@ func TestSwitchKeysEncapsulation(t *testing.T) {
 
 	// Decrypts under the sparse key.
 	dSparse := NewDecryptor(tc.params, skSparse)
-	got := tc.enc.Decode(dSparse.DecryptNew(ctSparse).Value, ctSparse.Scale)
+	got := dSparse.DecryptDecodeNew(ctSparse, tc.enc)
 	if e := maxErr(got, v); e > 1e-5 {
 		t.Fatalf("switch to sparse error %g", e)
 	}
@@ -437,9 +437,6 @@ func TestParametersAccessors(t *testing.T) {
 	}
 	if p.Digits(p.MaxLevel()) != (p.MaxLevel()+1+p.Alpha()-1)/p.Alpha() {
 		t.Fatal("bad digit count")
-	}
-	if p.LogQP() <= 0 {
-		t.Fatal("bad LogQP")
 	}
 }
 

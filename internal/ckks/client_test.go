@@ -292,9 +292,26 @@ func TestEncodeRejectsUnrepresentable(t *testing.T) {
 	}
 }
 
+// encryptNew encrypts the NTT-domain plaintext pt under the public key,
+// (C0, C1) = (B·u + e0 + pt, A·u + e1): the four-transform encrypt that
+// EncodeEncryptNew is pinned against.
+func encryptNew(e *Encryptor, pt *Plaintext, pk *PublicKey) *Ciphertext {
+	lvl := pt.Level()
+	ct := e.encrypt(nil, pt.Scale, lvl, pk)
+	e.params.RingQ().Add(ct.C0, ct.C0, pt.Value, lvl)
+	return ct
+}
+
+// decryptNew returns the plaintext C0 + C1·s on every limb of ct.
+func decryptNew(d *Decryptor, ct *Ciphertext) *Plaintext {
+	m := d.params.RingQ().NewPoly(ct.Level())
+	d.decryptRows(m, ct)
+	return &Plaintext{Value: m, Scale: ct.Scale}
+}
+
 // TestEncodeEncryptMatchesEncodeThenEncrypt: the three-transform encrypt is,
-// byte for byte, EncryptNew of the NTT-domain Encode under the same sampler
-// state, and the fused decrypt is Decode of DecryptNew.
+// byte for byte, encryptNew of the NTT-domain Encode under the same sampler
+// state, and the fused decrypt is Decode of decryptNew.
 func TestEncodeEncryptMatchesEncodeThenEncrypt(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	v := randomComplex(rand.New(rand.NewSource(22)), tc.params.Slots(), 1)
@@ -304,21 +321,21 @@ func TestEncodeEncryptMatchesEncodeThenEncrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := NewEncryptor(tc.params, 9).EncryptNew(&Plaintext{Value: pt, Scale: scale}, tc.pk)
+	long := encryptNew(NewEncryptor(tc.params, 9), &Plaintext{Value: pt, Scale: scale}, tc.pk)
 	short, err := NewEncryptor(tc.params, 9).EncodeEncryptNew(tc.enc, v, level, scale, tc.pk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !long.C0.Equal(short.C0) || !long.C1.Equal(short.C1) || long.Scale != short.Scale {
-		t.Fatal("EncodeEncryptNew differs from EncryptNew(Encode)")
+		t.Fatal("EncodeEncryptNew differs from encryptNew(Encode)")
 	}
 
 	got := tc.decr.DecryptDecodeNew(short, tc.enc)
-	ptDec := tc.decr.DecryptNew(short)
+	ptDec := decryptNew(tc.decr, short)
 	want := tc.enc.Decode(ptDec.Value, ptDec.Scale)
 	for j := range want {
 		if got[j] != want[j] {
-			t.Fatalf("slot %d: fused decrypt %v, DecryptNew+Decode %v", j, got[j], want[j])
+			t.Fatalf("slot %d: fused decrypt %v, decryptNew+Decode %v", j, got[j], want[j])
 		}
 	}
 	if e := maxErr(got, v); e > 1e-7 {

@@ -32,7 +32,10 @@ func TestEvalSign(t *testing.T) {
 		u[i] = complex(v, 0)
 	}
 	ct := tc.encryptVec(t, u)
-	out := tc.eval.EvalSign(ct, 5)
+	out, err := tc.eval.EvalSign(ct, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := tc.decryptVec(out)
 	for i := range u {
 		want := 1.0
@@ -61,7 +64,10 @@ func TestEvalMinMax(t *testing.T) {
 		}
 	}
 	cta, ctb := tc.encryptVec(t, a), tc.encryptVec(t, b)
-	minCt, maxCt := tc.eval.EvalMinMax(cta, ctb, 5)
+	minCt, maxCt, err := tc.eval.EvalMinMax(cta, ctb, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gotMin := tc.decryptVec(minCt)
 	gotMax := tc.decryptVec(maxCt)
 	for i := range a {

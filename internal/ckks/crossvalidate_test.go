@@ -28,13 +28,14 @@ func traceParamsFor(p *Parameters) trace.Params {
 // countTransforms returns the limb transforms (forward + inverse, Q and P
 // rings) f performs.
 func countTransforms(p *Parameters, f func()) int {
-	rq, rp := p.RingQ(), p.RingP()
-	rq.ResetCounters()
-	rp.ResetCounters()
+	total := func() int64 {
+		nq, iq := p.RingQ().Counters()
+		np, ip := p.RingP().Counters()
+		return nq + iq + np + ip
+	}
+	before := total()
 	f()
-	nq, iq := rq.Counters()
-	np, ip := rp.Counters()
-	return int(nq + iq + np + ip)
+	return int(total() - before)
 }
 
 // modUpTransforms is what one decomposition costs under pl: the INTT of the

@@ -212,9 +212,10 @@ func (e *Encoder) Decode(pt *ring.Poly, scale float64) []complex128 {
 	defer rq.PutPoly(work)
 	for i, row := range work.Coeffs {
 		copy(row, pt.Coeffs[i])
-		if pt.IsNTT {
-			rq.INTTLimb(row, i)
-		}
+	}
+	if pt.IsNTT {
+		work.IsNTT = true
+		rq.INTT(work, k-1)
 	}
 	return e.decodeCoeffs(work, scale)
 }

@@ -498,20 +498,7 @@ func (ev *Evaluator) MultConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
 	if ct.Level() == 0 {
 		return nil, errLevelZero
 	}
-	return ev.multConst(ct, c, float64(ev.params.RingQ().Moduli[ct.Level()].Q)), nil
-}
-
-// multConst is MultConst for an operand above level 0 with c encoded at
-// constScale: the result's scale is ct.Scale·constScale/q_ℓ.
-func (ev *Evaluator) multConst(ct *Ciphertext, c, constScale float64) *Ciphertext {
-	rq := ev.params.RingQ()
-	lvl := ct.Level()
-	k := rq.ScaledResidues(make([]uint64, lvl+1), c, constScale)
-	prod := ev.newCiphertext(lvl, ct.Scale*constScale)
-	rq.MulByLimbScalars(prod.C0, ct.C0, k, lvl)
-	rq.MulByLimbScalars(prod.C1, ct.C1, k, lvl)
-	prod.C0.IsNTT, prod.C1.IsNTT = true, true
-	return ev.rescaleOwned(prod)
+	return ev.mulConstAccum([]*Ciphertext{ct}, []float64{c}, ct.Scale), nil
 }
 
 // monomial returns the NTT form of X^{N/2} over the full chain, built on

@@ -12,7 +12,8 @@ import (
 // rescaled once. Nothing rewrites a chain into this form behind its caller's
 // back: the rounding of one rescale differs from that of one rescale per
 // term, so MulConstAccum runs only where it is asked for — the engine's
-// lincomb op and the Chebyshev leaf.
+// lincomb op and the Chebyshev leaf. Every constant multiply (MultConst,
+// the Chebyshev map, the comparator) is its one-term case.
 
 // MulConstAccum returns Σ_i consts[i]·cts[i] rescaled: every constant is
 // encoded at the prime the rescale drops, q_ℓ of the lowest operand level ℓ,
@@ -37,11 +38,15 @@ func (ev *Evaluator) MulConstAccum(cts []*Ciphertext, consts []float64) (*Cipher
 	if err := CheckScales(cts...); err != nil {
 		return nil, err
 	}
-	return ev.mulConstAccum(cts, consts), nil
+	return ev.mulConstAccum(cts, consts, cts[0].Scale), nil
 }
 
-// mulConstAccum is MulConstAccum for operands above level 0.
-func (ev *Evaluator) mulConstAccum(cts []*Ciphertext, consts []float64) *Ciphertext {
+// mulConstAccum is MulConstAccum for operands above level 0, declared to
+// land at scale: term i is encoded at q_ℓ·(scale/cts[i].Scale), so the sum
+// rescales to exactly scale. Summing callers pass cts[0].Scale; a single
+// constant multiply passes the scale it wants its product at, and skips the
+// closing reduction, as its one product is already exact.
+func (ev *Evaluator) mulConstAccum(cts []*Ciphertext, consts []float64, scale float64) *Ciphertext {
 	start := time.Now()
 	rq := ev.params.RingQ()
 	lvl := cts[0].Level()
@@ -49,11 +54,11 @@ func (ev *Evaluator) mulConstAccum(cts []*Ciphertext, consts []float64) *Ciphert
 		ev.checkScales(cts[0].Scale, ct.Scale)
 		lvl = min(lvl, ct.Level())
 	}
-	constScale := float64(rq.Moduli[lvl].Q)
-	out := ev.newCiphertext(lvl, cts[0].Scale*constScale)
+	q := float64(rq.Moduli[lvl].Q)
+	out := ev.newCiphertext(lvl, scale*q)
 	scalars := make([]uint64, lvl+1)
 	for i, ct := range cts {
-		rq.ScaledResidues(scalars, consts[i], constScale*(cts[0].Scale/ct.Scale))
+		rq.ScaledResidues(scalars, consts[i], q*(scale/ct.Scale))
 		if i == 0 {
 			rq.MulByLimbScalars(out.C0, ct.C0, scalars, lvl)
 			rq.MulByLimbScalars(out.C1, ct.C1, scalars, lvl)
@@ -62,8 +67,10 @@ func (ev *Evaluator) mulConstAccum(cts []*Ciphertext, consts []float64) *Ciphert
 		rq.MulByLimbScalarsAddLazy(out.C0, ct.C0, scalars, lvl)
 		rq.MulByLimbScalarsAddLazy(out.C1, ct.C1, scalars, lvl)
 	}
-	rq.ReduceLazy(out.C0, lvl)
-	rq.ReduceLazy(out.C1, lvl)
+	if len(cts) > 1 {
+		rq.ReduceLazy(out.C0, lvl)
+		rq.ReduceLazy(out.C1, lvl)
+	}
 	obsMulConstAccum.done(start)
 	return ev.rescaleOwned(out)
 }

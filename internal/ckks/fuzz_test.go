@@ -40,11 +40,10 @@ var fuzzSeedCiphertext = sync.OnceValue(func() []byte {
 	for i := range v {
 		v[i] = complex(float64(i%5)/4, -float64(i%3)/2)
 	}
-	pt, err := enc.Encode(v, params.MaxLevel(), params.DefaultScale())
+	ct, err := NewEncryptor(params, 2).EncodeEncryptNew(enc, v, params.MaxLevel(), params.DefaultScale(), pk)
 	if err != nil {
 		panic(err)
 	}
-	ct := NewEncryptor(params, 2).EncryptNew(&Plaintext{Value: pt, Scale: params.DefaultScale()}, pk)
 	raw, err := ct.MarshalBinary()
 	if err != nil {
 		panic(err)
@@ -156,7 +155,7 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 	f.Add(greedy)
 
 	ev := NewEvaluator(params, keys)
-	ct := NewEncryptor(params, 2).EncryptNew(&Plaintext{Value: params.RingQ().NewPoly(params.MaxLevel()), Scale: params.DefaultScale()},
+	ct := encryptNew(NewEncryptor(params, 2), &Plaintext{Value: params.RingQ().NewPoly(params.MaxLevel()), Scale: params.DefaultScale()},
 		kgen.GenPublicKey(sk))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &EvaluationKeySet{}

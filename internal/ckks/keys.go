@@ -165,8 +165,8 @@ func (s *EvaluationKeySet) CoeffBytes() int64 {
 // gives a secret key its stream and each key digit its error stream, keyed by
 // (key id, digit). A key id is the Galois element for a Galois key, a fixed
 // role for the relinearization key, the public key and the bootstrap's two
-// encapsulation keys, and a fresh counter value for every GenSecretKey,
-// GenSparseSecretKey and GenKeySwitchKey call. The level is never part of an
+// encapsulation keys, and a fresh counter value for every GenSecretKey and
+// GenSparseSecretKey call. The level is never part of an
 // id: a key at level ℓ is the prefix of the top-level key with its id.
 type KeyGenerator struct {
 	params       *Parameters
@@ -372,12 +372,6 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, ks *EvaluationKeySet, rot
 // replacing a lower-level one.
 func (kg *KeyGenerator) GenConjugationKey(sk *SecretKey, ks *EvaluationKeySet) {
 	kg.ensureGaloisKey(sk, ks, kg.params.RingQ().GaloisElementConjugate(), kg.params.MaxLevel())
-}
-
-// GenKeySwitchKey returns the top-level key switching ciphertexts under
-// skFrom to skTo. Each call draws a new key, under a fresh id.
-func (kg *KeyGenerator) GenKeySwitchKey(skFrom, skTo *SecretKey) *SwitchingKey {
-	return kg.genSwitchingKey(kg.params.MaxLevel(), kg.freshID(), skFrom.Q, skTo.Q, skTo.P)
 }
 
 // invGalois returns g^{-1} mod m for odd g (m a power of two).

@@ -64,7 +64,7 @@ func TestGaloisKeysIndependentOfOrder(t *testing.T) {
 }
 
 // TestFreshKeysDiffer: every GenSecretKey call draws a new secret, and every
-// GenKeySwitchKey call a key under a new public seed.
+// switching key under a fresh id a new public seed.
 func TestFreshKeysDiffer(t *testing.T) {
 	p, err := NewParameters(TestParameters())
 	if err != nil {
@@ -75,11 +75,13 @@ func TestFreshKeysDiffer(t *testing.T) {
 	if s1.Q.Equal(s2.Q) || s1.Q.Equal(s3.Q) {
 		t.Fatal("two secret-key calls drew the same secret")
 	}
-	k12, k21 := kg.GenKeySwitchKey(s1, s2), kg.GenKeySwitchKey(s2, s1)
+	top := p.MaxLevel()
+	k12 := kg.genSwitchingKey(top, kg.freshID(), s1.Q, s2.Q, s2.P)
+	k21 := kg.genSwitchingKey(top, kg.freshID(), s2.Q, s1.Q, s1.P)
 	if k12.Seed == k21.Seed {
 		t.Fatal("two key-switch keys share a public seed")
 	}
-	if again := kg.GenKeySwitchKey(s1, s2); again.Seed == k12.Seed {
+	if again := kg.genSwitchingKey(top, kg.freshID(), s1.Q, s2.Q, s2.P); again.Seed == k12.Seed {
 		t.Fatal("a second key-switch key for the same pair reused the seed")
 	}
 }

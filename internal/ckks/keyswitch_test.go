@@ -22,7 +22,8 @@ import (
 func TestKeySwitchAcrossRingsConcurrently(t *testing.T) {
 	t.Parallel()
 	tc := newTestContext(t, TestParameters())
-	swk := tc.kgen.GenKeySwitchKey(tc.sk, tc.kgen.GenSparseSecretKey())
+	sparse := tc.kgen.GenSparseSecretKey()
+	swk := tc.kgen.genSwitchingKey(tc.params.MaxLevel(), tc.kgen.freshID(), tc.sk.Q, sparse.Q, sparse.P)
 	ct := tc.encryptVec(t, randomComplex(rand.New(rand.NewSource(23)), tc.params.Slots(), 1))
 	evs := [2]*Evaluator{
 		NewEvaluator(paramsAt(t, tc.params, modarith.KernelTables()[0], 1), tc.keys),

@@ -384,7 +384,8 @@ func TestDeterminismMatrix(t *testing.T) {
 	onlyDiag0 := randomSparseLT(r, slots, []int{0})
 	tc.kgen.GenRotationKeys(tc.sk, tc.keys, []int{1, 2, 3, 4, 5, 6, 7})
 	tc.kgen.GenConjugationKey(tc.sk, tc.keys)
-	swk := tc.kgen.GenKeySwitchKey(tc.sk, tc.kgen.GenSparseSecretKey())
+	sparse := tc.kgen.GenSparseSecretKey()
+	swk := tc.kgen.genSwitchingKey(tc.params.MaxLevel(), tc.kgen.freshID(), tc.sk.Q, sparse.Q, sparse.P)
 	conj := p.RingQ().GaloisElementConjugate()
 
 	accumConsts := []float64{0.5, -1.25, 0.75}
@@ -434,6 +435,12 @@ func TestDeterminismMatrix(t *testing.T) {
 					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {
 						return one(ev.MulConstAccum([]*Ciphertext{a, b, a}, accumConsts))
 					}},
+				opCase{"mul-const",
+					func() []*Ciphertext {
+						qd := float64(p.RingQ().Moduli[lvl].Q)
+						return []*Ciphertext{or.rescale(or.mulConstAccum([]*Ciphertext{a}, []float64{-1.25}, qd))}
+					},
+					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) { return one(ev.MultConst(a, -1.25)) }},
 				opCase{"sweep-diag0",
 					func() []*Ciphertext { return []*Ciphertext{or.rescale(or.sweep(a, onlyDiag0, slots, 1))} },
 					func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {

@@ -123,11 +123,11 @@ func TestNoAlias(t *testing.T) {
 		{"LinearTransform/empty", []*Ciphertext{a}, func() ([]*Ciphertext, error) {
 			return oneErr(ev.EvaluateLinearTransform(a, NewLinearTransform(slots, nil), tc.enc))
 		}},
-		{"EvalSign", []*Ciphertext{ha}, func() ([]*Ciphertext, error) { return one(ev.EvalSign(ha, 1)) }},
-		{"EvalSign/0", []*Ciphertext{ha}, func() ([]*Ciphertext, error) { return one(ev.EvalSign(ha, 0)) }},
+		{"EvalSign", []*Ciphertext{ha}, func() ([]*Ciphertext, error) { return oneErr(ev.EvalSign(ha, 1)) }},
+		{"EvalSign/0", []*Ciphertext{ha}, func() ([]*Ciphertext, error) { return oneErr(ev.EvalSign(ha, 0)) }},
 		{"EvalMinMax", []*Ciphertext{ha, hb}, func() ([]*Ciphertext, error) {
-			lo, hi := ev.EvalMinMax(ha, hb, 1)
-			return []*Ciphertext{lo, hi}, nil
+			lo, hi, err := ev.EvalMinMax(ha, hb, 1)
+			return []*Ciphertext{lo, hi}, err
 		}},
 		{"EvaluateChebyshev", []*Ciphertext{ha}, func() ([]*Ciphertext, error) {
 			return oneErr(ev.EvaluateChebyshev(ha, cheb, -1, 1))
@@ -249,7 +249,13 @@ func TestUseAfterRelease(t *testing.T) {
 			},
 			{
 				name: "EvalSign",
-				run:  func(tc *testContext, in *Ciphertext) *Ciphertext { return tc.eval.EvalSign(in, 3) },
+				run: func(tc *testContext, in *Ciphertext) *Ciphertext {
+					out, err := tc.eval.EvalSign(in, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				},
 				check: func(tc *testContext, _, out *Ciphertext, values []complex128) {
 					got := tc.decryptVec(out)
 					for i, x := range values {

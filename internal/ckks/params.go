@@ -146,20 +146,6 @@ func (p *Parameters) Sigma() float64 { return p.sigma }
 func (p *Parameters) HDense() int  { return p.hDense }
 func (p *Parameters) HSparse() int { return p.hSparse }
 
-// LogQP returns the total bit size of the full modulus PQ, the quantity
-// constrained by the 128-bit security tables (log PQ < 1623 for N = 2^16,
-// §IV-B).
-func (p *Parameters) LogQP() float64 {
-	total := 0.0
-	for _, m := range p.ringQ.Moduli {
-		total += math.Log2(float64(m.Q))
-	}
-	for _, m := range p.ringP.Moduli {
-		total += math.Log2(float64(m.Q))
-	}
-	return total
-}
-
 func repeatInts(v, n int) []int {
 	out := make([]int, n)
 	for i := range out {

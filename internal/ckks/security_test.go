@@ -24,7 +24,7 @@ func TestDecryptWithWrongKeyIsGarbage(t *testing.T) {
 	wrongKG := NewKeyGenerator(tc.params, 999)
 	wrongSk := wrongKG.GenSecretKey()
 	wrongDec := NewDecryptor(tc.params, wrongSk)
-	got := tc.enc.Decode(wrongDec.DecryptNew(ct).Value, ct.Scale)
+	got := wrongDec.DecryptDecodeNew(ct, tc.enc)
 
 	// The wrong key must not recover anything close to the message: with a
 	// uniform mask the decoded values are enormous relative to the inputs.
@@ -63,9 +63,7 @@ func TestFreshCiphertextsDiffer(t *testing.T) {
 	// ciphertexts.
 	tc := newTestContext(t, TestParameters())
 	v := []complex128{1, 2, 3}
-	ct1, _ := tc.enc.Encode(v, tc.params.MaxLevel(), tc.params.DefaultScale())
-	a := tc.encr.EncryptNew(&Plaintext{Value: ct1, Scale: tc.params.DefaultScale()}, tc.pk)
-	b := tc.encr.EncryptNew(&Plaintext{Value: ct1, Scale: tc.params.DefaultScale()}, tc.pk)
+	a, b := tc.encryptVec(t, v), tc.encryptVec(t, v)
 	if a.C0.Equal(b.C0) || a.C1.Equal(b.C1) {
 		t.Fatal("two encryptions of the same message are identical")
 	}
@@ -146,6 +144,46 @@ func TestChebyshevBelowDepthIsErrLevel(t *testing.T) {
 	}
 	if got := tc.decryptVec(out)[0]; out.Level() != 0 || math.Abs(real(got)-math.Sin(0.5)) > 1e-3 {
 		t.Errorf("degree 15 at level %d: %v at level %d, want sin(0.5) at level 0", need, got, out.Level())
+	}
+}
+
+// TestComparatorBelowDepthIsErrLevel: EvalSign refuses an operand below the
+// 3k levels its k iterations consume, and EvalMinMax operands below 3k+2,
+// with ErrLevel at every such level, before either borrows a row; at the
+// depth itself each runs and ends at level 0.
+func TestComparatorBelowDepthIsErrLevel(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	const k = 1
+	top := tc.encryptVec(t, []complex128{0.4})
+	other := tc.encryptVec(t, []complex128{-0.1})
+	if tc.params.MaxLevel() < 3*k+2 {
+		t.Fatalf("the parameters have %d levels, a comparator needs %d", tc.params.MaxLevel(), 3*k+2)
+	}
+	for lvl := 0; lvl <= 3*k+2; lvl++ {
+		a, b := dropTo(tc.eval, top, lvl), dropTo(tc.eval, other, lvl)
+		before := poolGets()
+		sign, errSign := tc.eval.EvalSign(a, k)
+		if lvl < 3*k && (!errors.Is(errSign, ErrLevel) || sign != nil || poolGets() != before) {
+			t.Errorf("EvalSign at level %d: (%v, %v) after %v borrows, want ErrLevel and none", lvl, sign, errSign, poolGets()-before)
+		}
+		before = poolGets()
+		lo, hi, errMinMax := tc.eval.EvalMinMax(a, b, k)
+		if lvl < 3*k+2 && (!errors.Is(errMinMax, ErrLevel) || lo != nil || hi != nil || poolGets() != before) {
+			t.Errorf("EvalMinMax at level %d: (%v, %v, %v) after %v borrows, want ErrLevel and none", lvl, lo, hi, errMinMax, poolGets()-before)
+		}
+		if lvl == 3*k && (errSign != nil || sign.Level() != 0) {
+			t.Errorf("EvalSign at level %d: %v, want a level-0 result", lvl, errSign)
+		}
+		if lvl == 3*k+2 {
+			if errMinMax != nil || lo.Level() != 0 || hi.Level() != 0 {
+				t.Fatalf("EvalMinMax at level %d: %v, want level-0 results", lvl, errMinMax)
+			}
+			// One iteration: |d| ≈ d·(3d − d³)/2 at d = 0.5.
+			sum, abs := 0.3, 0.5*(1.5-0.125)/2
+			if gotLo, gotHi := real(tc.decryptVec(lo)[0]), real(tc.decryptVec(hi)[0]); math.Abs(gotLo-(sum-abs)/2) > 1e-3 || math.Abs(gotHi-(sum+abs)/2) > 1e-3 {
+				t.Errorf("EvalMinMax at level %d: (%.4f, %.4f), want (%.4f, %.4f)", lvl, gotLo, gotHi, (sum-abs)/2, (sum+abs)/2)
+			}
+		}
 	}
 }
 

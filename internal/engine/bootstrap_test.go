@@ -106,11 +106,11 @@ func TestBootstrapOverHTTP(t *testing.T) {
 	for i := range want {
 		want[i] = complex(r.Float64()*1.4-0.7, r.Float64()*1.4-0.7)
 	}
-	pt, err := client.enc.Encode(want, 0, p.DefaultScale())
+	in, err := client.encr.EncodeEncryptNew(client.enc, want, 0, p.DefaultScale(), client.pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := client.encr.EncryptNew(&ckks.Plaintext{Value: pt, Scale: p.DefaultScale()}, client.pk).MarshalBinary()
+	raw, err := in.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

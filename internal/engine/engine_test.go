@@ -53,16 +53,15 @@ func newTestClient(t testing.TB, rotations ...int) *testClient {
 
 func (c *testClient) encrypt(t testing.TB, vals []complex128) *ckks.Ciphertext {
 	t.Helper()
-	pt, err := c.enc.Encode(vals, c.params.MaxLevel(), c.params.DefaultScale())
+	ct, err := c.encr.EncodeEncryptNew(c.enc, vals, c.params.MaxLevel(), c.params.DefaultScale(), c.pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.encr.EncryptNew(&ckks.Plaintext{Value: pt, Scale: c.params.DefaultScale()}, c.pk)
+	return ct
 }
 
 func (c *testClient) decrypt(ct *ckks.Ciphertext) []complex128 {
-	pt := c.decr.DecryptNew(ct)
-	return c.enc.Decode(pt.Value, pt.Scale)
+	return c.decr.DecryptDecodeNew(ct, c.enc)
 }
 
 func checkSlots(t *testing.T, got, want []complex128, n int, tol float64, label string) {

@@ -31,7 +31,6 @@ type Config struct {
 	DRAM dram.Config
 
 	IntTOPS   float64 // peak 32-bit integer multiply-and-add throughput
-	L2MB      float64
 	EffBWFrac float64 // achieved fraction of peak DRAM bandwidth
 
 	StaticW      float64 // baseline power while a kernel is resident
@@ -46,7 +45,6 @@ func A100() Config {
 		Name:         "A100 80GB",
 		DRAM:         dram.A100HBM2(),
 		IntTOPS:      19.5,
-		L2MB:         40,
 		EffBWFrac:    0.85,
 		StaticW:      90,
 		ComputePJOp:  9,
@@ -61,7 +59,6 @@ func RTX4090() Config {
 		Name:         "RTX 4090",
 		DRAM:         dram.RTX4090GDDR6X(),
 		IntTOPS:      41.3,
-		L2MB:         72,
 		EffBWFrac:    0.85,
 		StaticW:      70,
 		ComputePJOp:  7,

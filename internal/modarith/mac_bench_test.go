@@ -39,7 +39,7 @@ func BenchmarkMACBarrettLazy(b *testing.B) {
 	b.SetBytes(int64(len(x) * 8))
 	for i := 0; i < b.N; i++ {
 		for j := range out {
-			out[j] = m.AddLazy(out[j], m.MulBarrettLazy(x[j], y[j]))
+			out[j] = addLazy(m, out[j], m.MulBarrettLazy(x[j], y[j]))
 		}
 	}
 }

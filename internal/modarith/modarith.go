@@ -162,16 +162,6 @@ func (m Modulus) MulBarrett(a, b uint64) uint64 {
 	return r
 }
 
-// AddLazy returns a+b reduced to [0, 2q), for a,b < 2q. The sum is < 4q <
-// 2^63, so no overflow. Used to keep accumulators in the lazy domain.
-func (m Modulus) AddLazy(a, b uint64) uint64 {
-	s := a + b
-	if s >= m.TwoQ {
-		s -= m.TwoQ
-	}
-	return s
-}
-
 // ReduceTwoQ maps a lazy value in [0, 2q) to its exact residue in [0, q).
 func (m Modulus) ReduceTwoQ(a uint64) uint64 {
 	if a >= m.Q {
@@ -251,15 +241,6 @@ func (m Modulus) Centered(a uint64) int64 {
 		return int64(a) - int64(m.Q)
 	}
 	return int64(a)
-}
-
-// FromCentered maps a signed value to its residue mod q.
-func (m Modulus) FromCentered(v int64) uint64 {
-	r := v % int64(m.Q)
-	if r < 0 {
-		r += int64(m.Q)
-	}
-	return uint64(r)
 }
 
 // primeFactors returns the distinct prime factors of n by trial division.

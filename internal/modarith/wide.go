@@ -19,7 +19,7 @@ import (
 //
 // # Domain contracts
 //
-//   - Mul64AddWide, the tables' mulWide / mulAccWide and VecMulAccWidePerm take
+//   - The tables' mulWide / mulAccWide and VecMulAccWidePerm take
 //     arbitrary uint64 factors and perform NO reduction: the caller must
 //     bound the number of accumulated products so the 128-bit pair cannot
 //     overflow (with b1-bit and b2-bit factors, 2^(128-b1-b2) products always
@@ -34,22 +34,12 @@ import (
 //     passes the fold bound (rns.BasisConverter.foldEvery) and the kernel
 //     folds at it, in every table at the same terms, so the lazy outputs
 //     agree word for word.
-//   - ReduceWide128 / VecReduceWide128 accept ANY 128-bit value and return
+//   - VecReduceWide128 accepts ANY 128-bit value and returns
 //     the exact residue in [0, q).
 //   - ReduceWide128Lazy, VecFoldWide128Lazy and the tables'
 //     reduceWide128Lazy return the lazy domain [0, 2q) (one fewer
 //     conditional subtraction), matching the [0, 2q) discipline of
 //     DESIGN.md §3.8.1.
-
-// Mul64AddWide returns (hi, lo) + a·b as a 128-bit pair. The caller is
-// responsible for the no-overflow bound on the accumulation chain.
-func Mul64AddWide(a, b, hi, lo uint64) (uint64, uint64) {
-	phi, plo := bits.Mul64(a, b)
-	var carry uint64
-	lo, carry = bits.Add64(lo, plo, 0)
-	hi, _ = bits.Add64(hi, phi, carry)
-	return hi, lo
-}
 
 // ReduceWide128Lazy reduces a 128-bit value hi:lo to [0, 2q). The quotient
 // approximation is the same three-partial-product sum as MulBarrettLazy and
@@ -64,15 +54,6 @@ func (m Modulus) ReduceWide128Lazy(hi, lo uint64) uint64 {
 	r := lo - t*m.Q
 	if r >= m.TwoQ {
 		r -= m.TwoQ
-	}
-	return r
-}
-
-// ReduceWide128 reduces a 128-bit value hi:lo to its exact residue in [0, q).
-func (m Modulus) ReduceWide128(hi, lo uint64) uint64 {
-	r := m.ReduceWide128Lazy(hi, lo)
-	if r >= m.Q {
-		r -= m.Q
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package modarith
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -12,18 +13,38 @@ func big128(hi, lo uint64) *big.Int {
 	return v.Or(v, new(big.Int).SetUint64(lo))
 }
 
+// mul64AddWide returns (hi, lo) + a·b as a 128-bit pair, the scalar
+// reference of the tables' mulWide / mulAccWide.
+func mul64AddWide(a, b, hi, lo uint64) (uint64, uint64) {
+	phi, plo := bits.Mul64(a, b)
+	var carry uint64
+	lo, carry = bits.Add64(lo, plo, 0)
+	hi, _ = bits.Add64(hi, phi, carry)
+	return hi, lo
+}
+
+// reduceWide128 reduces a 128-bit value hi:lo to its exact residue in
+// [0, q), the scalar reference of VecReduceWide128.
+func reduceWide128(m Modulus, hi, lo uint64) uint64 {
+	r := m.ReduceWide128Lazy(hi, lo)
+	if r >= m.Q {
+		r -= m.Q
+	}
+	return r
+}
+
 func TestMul64AddWide(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 2000; iter++ {
 		a, b := r.Uint64(), r.Uint64()
 		// Seed small enough that a*b never overflows the accumulator.
 		hi, lo := r.Uint64()>>2, r.Uint64()
-		gotHi, gotLo := Mul64AddWide(a, b, hi, lo)
+		gotHi, gotLo := mul64AddWide(a, b, hi, lo)
 		want := big128(hi, lo)
 		want.Add(want, new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b)))
 		want.Mod(want, new(big.Int).Lsh(big.NewInt(1), 128))
 		if big128(gotHi, gotLo).Cmp(want) != 0 {
-			t.Fatalf("Mul64AddWide(%d, %d, %d, %d) = (%d, %d), want %v", a, b, hi, lo, gotHi, gotLo, want)
+			t.Fatalf("mul64AddWide(%d, %d, %d, %d) = (%d, %d), want %v", a, b, hi, lo, gotHi, gotLo, want)
 		}
 	}
 }
@@ -41,8 +62,8 @@ func TestReduceWide128(t *testing.T) {
 			check := func(hi, lo uint64) {
 				t.Helper()
 				want := new(big.Int).Mod(big128(hi, lo), qb).Uint64()
-				if got := m.ReduceWide128(hi, lo); got != want {
-					t.Fatalf("q=%d ReduceWide128(%d, %d) = %d, want %d", q, hi, lo, got, want)
+				if got := reduceWide128(m, hi, lo); got != want {
+					t.Fatalf("q=%d reduceWide128(%d, %d) = %d, want %d", q, hi, lo, got, want)
 				}
 				lz := m.ReduceWide128Lazy(hi, lo)
 				if lz >= m.TwoQ {
@@ -69,7 +90,8 @@ func TestReduceWide128(t *testing.T) {
 
 func TestVecWideAccumulateChain(t *testing.T) {
 	// Full chain differential vs big.Int: vecMulWide + (k-1)×vecMulAccWide
-	// + VecReduceWide128[Lazy] computes an exact k-term inner product mod q.
+	// + VecReduceWide128[Lazy] computes an exact k-term inner product mod q,
+	// and the row kernels' 128-bit pairs are the scalar forms' word for word.
 	r := rand.New(rand.NewSource(3))
 	primes, err := GenerateNTTPrimes(55, 10, 1)
 	if err != nil {
@@ -107,6 +129,14 @@ func TestVecWideAccumulateChain(t *testing.T) {
 	foldedHi := append([]uint64(nil), hi...)
 	m.VecFoldWide128Lazy(foldedHi, folded)
 	for c := 0; c < n; c++ {
+		var sh, sl uint64
+		for i := range rows {
+			sh, sl = mul64AddWide(rows[i][c], ws[i], sh, sl)
+		}
+		if hi[c] != sh || lo[c] != sl || exact[c] != reduceWide128(m, sh, sl) {
+			t.Fatalf("col %d: row kernels give (%d, %d) → %d, the scalar forms (%d, %d) → %d",
+				c, hi[c], lo[c], exact[c], sh, sl, reduceWide128(m, sh, sl))
+		}
 		w := new(big.Int).Mod(want[c], qb).Uint64()
 		if exact[c] != w {
 			t.Fatalf("col %d: exact %d want %d", c, exact[c], w)

@@ -21,8 +21,7 @@ type SpanRecord struct {
 // oldest spans are overwritten, so a long-lived server never grows its
 // trace memory. The zero value is not usable; create with NewTracer.
 type Tracer struct {
-	nextID  atomic.Uint64
-	dropped atomic.Int64
+	nextID atomic.Uint64
 
 	mu   sync.Mutex
 	buf  []SpanRecord
@@ -102,7 +101,6 @@ func (s *Span) End() {
 	} else {
 		t.buf[t.head] = rec
 		t.full = true
-		t.dropped.Add(1)
 	}
 	t.head = (t.head + 1) % cap(t.buf)
 	t.mu.Unlock()
@@ -121,6 +119,3 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	}
 	return out
 }
-
-// Dropped returns how many spans were overwritten by ring wraparound.
-func (t *Tracer) Dropped() int64 { return t.dropped.Load() }

@@ -78,8 +78,9 @@ func (r *Ring) INTT(p *Poly, level int) {
 }
 
 // INTTLimb inverse-transforms one row of limb i in place, for the callers
-// that need a single limb out of the NTT domain (Rescale's dropped prime).
-// It is the one transform outside a pipeline chain, so it charges the
+// that need a single row out of the NTT domain: the dropped prime of rescale
+// and of modDownRescale, and ModRaise's q0 row. A limb prefix goes through
+// INTT. It is the one transform outside a pipeline chain, so it charges the
 // counters itself.
 func (r *Ring) INTTLimb(row []uint64, i int) {
 	r.Tables[i].Inverse(row)

@@ -44,14 +44,8 @@ type Ring struct {
 	nttLimbs, inttLimbs atomic.Int64
 }
 
-// ResetCounters zeroes the limb-transform counters.
-func (r *Ring) ResetCounters() {
-	r.nttLimbs.Store(0)
-	r.inttLimbs.Store(0)
-}
-
-// Counters returns the forward/inverse limb-transform counts since the last
-// reset.
+// Counters returns the forward/inverse limb-transform counts since the ring
+// was built; a caller takes the delta around the work it counts.
 func (r *Ring) Counters() (ntt, intt int64) {
 	return r.nttLimbs.Load(), r.inttLimbs.Load()
 }

@@ -470,7 +470,8 @@ func TestEmbedCenteredMatchesFromCentered(t *testing.T) {
 		}
 		for i, mod := range r.Moduli {
 			for j, x := range v {
-				if got, want := p.Coeffs[i][j], mod.FromCentered(x); got != want {
+				want := uint64((x%int64(mod.Q) + int64(mod.Q)) % int64(mod.Q))
+				if got := p.Coeffs[i][j]; got != want {
 					t.Fatalf("%d-bit values, limb %d (q=%d): embed(%d) = %d, want %d", bitLen, i, mod.Q, x, got, want)
 				}
 			}
