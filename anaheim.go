@@ -105,7 +105,6 @@ type Context struct {
 	enc  *ckks.Encoder
 	kgen *ckks.KeyGenerator
 	sk   *ckks.SecretKey
-	pk   *ckks.PublicKey
 	keys *ckks.EvaluationKeySet
 	encr *ckks.Encryptor
 	decr *ckks.Decryptor
@@ -114,7 +113,8 @@ type Context struct {
 }
 
 // NewContext compiles parameters and generates the base keys (secret,
-// public, relinearization). The seed is the master of every key and of the
+// relinearization); it encrypts under the secret key and holds no public
+// key. The seed is the master of every key and of the
 // encryptor's stream, so the context is deterministic; it is not a secret
 // drawn from crypto/rand, and a context for real data needs one that is
 // (NewRandomContext).
@@ -149,7 +149,6 @@ func newContext(params *Parameters, kgen *ckks.KeyGenerator, encr *ckks.Encrypto
 	c := &Context{Params: params, kgen: kgen, encr: encr}
 	c.enc = ckks.NewEncoder(params)
 	c.sk = c.kgen.GenSecretKey()
-	c.pk = c.kgen.GenPublicKey(c.sk)
 	c.keys = ckks.NewEvaluationKeySet()
 	c.keys.Rlk = c.kgen.GenRelinearizationKey(c.sk)
 	c.decr = ckks.NewDecryptor(params, c.sk)
@@ -219,12 +218,13 @@ func (c *Context) AttachSession(e *Engine) (*EngineSession, error) {
 }
 
 // Encrypt encodes and encrypts a complex vector (at most N/2 values) at the
-// top level and default scale. Safe for concurrent use.
+// top level and default scale, under the context's secret key. Safe for
+// concurrent use.
 func (c *Context) Encrypt(values []complex128) (*Ciphertext, error) {
 	if c.encr == nil {
 		return nil, fmt.Errorf("anaheim: server context has no encryption key")
 	}
-	return c.encr.EncodeEncryptNew(c.enc, values, c.Params.MaxLevel(), c.Params.DefaultScale(), c.pk)
+	return c.encr.EncodeEncryptSkNew(c.enc, values, c.Params.MaxLevel(), c.Params.DefaultScale(), c.sk)
 }
 
 // Decrypt returns the slot vector of a ciphertext. Safe for concurrent use.

@@ -99,11 +99,10 @@ func TestRandomContexts(t *testing.T) {
 
 // TestEncryptBytesUnchanged pins Context.Encrypt's wire bytes for a fixed
 // vector under a fixed seed, over two consecutive encryptions: the
-// encryptor's draw order (u, e0, e1 from its one keyed stream) and the
-// linearity argument that lets the message join e0 before its transform. The
-// SHA-256 values were recorded when the encryptor's sampler became the keyed
-// AES-256-CTR stream; the message reordering had left the earlier ones, of the
-// math/rand sampler, unchanged.
+// encryptor's draw order (a's seed, then e, from its one keyed stream), the
+// mask's expansion from that seed and the linearity argument that lets the
+// message join e before its transform. The SHA-256 values were recorded when
+// Context.Encrypt moved from the public key to the secret key it holds.
 func TestEncryptBytesUnchanged(t *testing.T) {
 	ctx, err := NewContext(TestParameters(), 7)
 	if err != nil {
@@ -111,8 +110,8 @@ func TestEncryptBytesUnchanged(t *testing.T) {
 	}
 	u := randVec(rand.New(rand.NewSource(7)), ctx.Params.Slots())
 	for i, want := range []string{
-		"7e8059b39827743277b361475996d48af8e2cf706b82d79bbc10789abc500d84",
-		"96102217b8e072429537a3a2c8f472435673343ecec2290db03073a6368d0eac",
+		"6242a119d8c4ac19207e35968b168889f66be29f93d9f7c5388b6194370d109e",
+		"631383d6f791a24f6f50c3fe0e738380cc32c0e762a098f81fab77c57d879641",
 	} {
 		ct, err := ctx.Encrypt(u)
 		if err != nil {
@@ -130,7 +129,7 @@ func TestEncryptBytesUnchanged(t *testing.T) {
 
 // TestClientPathPins pins what one client round trip costs at the serving
 // workload's shape (logN 12, 10 limbs): limb transforms from the ring's own
-// counters — 3(ℓ+1) forward for an encrypt, k = 2 inverse for a decrypt — and
+// counters — ℓ+1 forward for an encrypt, k = 2 inverse for a decrypt — and
 // steady-state allocations. The context is built at GOMAXPROCS 1, so its
 // rings run their limbs serially, as the other pins do: the par dispatch
 // allocates chunk closures.
@@ -151,8 +150,8 @@ func TestClientPathPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fwd, inv := rq.Counters(); fwd-fwd0 != 3*limbs || inv-inv0 != 0 {
-		t.Errorf("Encrypt ran %d forward / %d inverse limb transforms, want %d / 0", fwd-fwd0, inv-inv0, 3*limbs)
+	if fwd, inv := rq.Counters(); fwd-fwd0 != limbs || inv-inv0 != 0 {
+		t.Errorf("Encrypt ran %d forward / %d inverse limb transforms, want %d / 0", fwd-fwd0, inv-inv0, limbs)
 	}
 	fwd0, inv0 = rq.Counters()
 	got := ctx.Decrypt(ct)
@@ -166,16 +165,16 @@ func TestClientPathPins(t *testing.T) {
 	if raceEnabled {
 		return // race-detector instrumentation inflates allocation counts
 	}
-	// Encrypt measures 22: the two output polynomials (3 objects each), the
-	// ciphertext, three sampled vectors and the ternary permutation, the
-	// encoder's slot and coefficient scratch, two key views, per-limb
-	// closures. Decrypt measures 6: the slot vector, three row views, closures.
+	// Encrypt measures 17: the two output polynomials (3 objects each), the
+	// ciphertext, the mask's seeded stream, one sampled vector, the
+	// encoder's slot and coefficient scratch, a key view, per-limb closures.
+	// Decrypt measures 6: the slot vector, three row views, closures.
 	if allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ctx.Encrypt(u); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 28 {
-		t.Errorf("Encrypt allocates %.1f objects/op, want <= 28", allocs)
+	}); allocs > 22 {
+		t.Errorf("Encrypt allocates %.1f objects/op, want <= 22", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { ctx.Decrypt(ct) }); allocs > 10 {
 		t.Errorf("Decrypt allocates %.1f objects/op, want <= 10", allocs)

@@ -29,9 +29,10 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkClientRoundTrip times the two halves of the client path — encode +
-// encrypt, decrypt + decode — at the serving workload's shape and at the
-// paper-scale one (the hks_n16 chain), where they are the repo benchmark's
-// ckks.encrypt_ms / ckks.decrypt_ms.
+// encrypt under the secret key, as Context.Encrypt runs it, and decrypt +
+// decode — at the serving workload's shape and at the paper-scale one (the
+// hks_n16 chain), where they are the repo benchmark's ckks.encrypt_ms /
+// ckks.decrypt_ms.
 func BenchmarkClientRoundTrip(b *testing.B) {
 	for _, shape := range []struct {
 		name        string
@@ -45,18 +46,17 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		enc := NewEncoder(params)
 		kgen := NewKeyGenerator(params, 1)
 		sk := kgen.GenSecretKey()
-		pk := kgen.GenPublicKey(sk)
 		encr, decr := NewEncryptor(params, 2), NewDecryptor(params, sk)
 		v := randomComplex(rand.New(rand.NewSource(2)), params.Slots(), 1)
 		level, scale := params.MaxLevel(), params.DefaultScale()
-		ct, err := encr.EncodeEncryptNew(enc, v, level, scale, pk)
+		ct, err := encr.EncodeEncryptSkNew(enc, v, level, scale, sk)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(shape.name+"/encode+encrypt", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := encr.EncodeEncryptNew(enc, v, level, scale, pk); err != nil {
+				if _, err := encr.EncodeEncryptSkNew(enc, v, level, scale, sk); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/anaheim-sim/anaheim/internal/pim"
 	"github.com/anaheim-sim/anaheim/internal/ring"
+	"github.com/anaheim-sim/anaheim/internal/trace"
 	"github.com/anaheim-sim/anaheim/internal/workloads"
 )
 
@@ -238,13 +240,26 @@ func TestBootPresetGadgetShape(t *testing.T) {
 // levels, as the degree-31 series in x would, and the conjugate split none,
 // riding the last CoeffToSlot matrix.
 // workloads.BootConfig.BootLevels charges 3 + 1 + (5 + 3) + 3: one for the
-// split and ⌈log2 32⌉ = 5 for the series.
+// split and ⌈log2 32⌉ = 5 for the series. Both spend the same 11 products
+// per EvalMod: the T₂ step, the series in y's 7 and the 3 double angles,
+// which the simulated trace shows as its Tensor and TensorSq kernels, the
+// only ones a Boot trace has outside its two EvalMods.
 func TestBootLevelsMatchSimulator(t *testing.T) {
 	cfg := DefaultBootstrapConfig()
 	sim := workloads.BootConfig{FFTIterC2S: cfg.FFTIterC2S, FFTIterS2C: cfg.FFTIterS2C,
-		ChebDegree: cfg.EvalModDeg, DoubleAng: cfg.DoubleAngles}
+		ChebDegree: cfg.EvalModDeg, DoubleAng: cfg.DoubleAngles, SlotsLog: 15}
 	if got, want := cfg.levels(), sim.BootLevels(); got != want || got != 15 {
 		t.Errorf("the library consumes %d levels, the simulator charges %d for the same config; want 15 and 15", got, want)
+	}
+	products := 0
+	for _, k := range workloads.Bootstrap(trace.PaperParams(), trace.Options{}, sim).Kernels {
+		if k.Op == pim.Tensor || k.Op == pim.TensorSq {
+			products++
+		}
+	}
+	lib := 1 + chebyshevProducts(cfg.EvalModDeg/2) + cfg.DoubleAngles
+	if products%2 != 0 || products/2 != lib || lib != 11 {
+		t.Errorf("the library spends %d products per EvalMod, the simulator %d/2 for the same config; want 11 and 11", lib, products)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -42,8 +43,8 @@ type Plaintext struct {
 // Level returns the plaintext level.
 func (pt *Plaintext) Level() int { return pt.Value.Level() }
 
-// Encryptor encrypts plaintexts under a public or secret key. It is safe for
-// concurrent use: its one stream is drawn under its mutex, and everything
+// Encryptor encrypts encoded values under a secret or public key. It is safe
+// for concurrent use: its one stream is drawn under its mutex, and everything
 // after the draws runs unlocked. Concurrent callers get valid encryptions
 // whose randomness depends on the order their draws take the lock.
 type Encryptor struct {
@@ -113,30 +114,37 @@ func (e *Encryptor) encrypt(m *ring.Poly, scale float64, lvl int, pk *PublicKey)
 	return &Ciphertext{C0: c0, C1: c1, Scale: scale}
 }
 
-// EncryptSkNew encrypts pt under the secret key (fresh uniform mask, lower
-// noise than public-key encryption; used by tests and bootstrapping
-// internals).
-func (e *Encryptor) EncryptSkNew(pt *Plaintext, sk *SecretKey) *Ciphertext {
+// EncodeEncryptSkNew encodes values at the given level and scale and
+// encrypts them under the secret key: (−a·s + m + e, a). The message joins
+// the error before their one transform, ℓ+1 forward limb transforms where
+// EncodeEncryptNew runs 3(ℓ+1), and the stream is drawn in the order a's
+// 32-byte seed, e. The mask a is that seed's uniform expansion, already in
+// the NTT domain, so the ciphertext is a function of the seed and C0 alone.
+func (e *Encryptor) EncodeEncryptSkNew(enc *Encoder, values []complex128, level int, scale float64, sk *SecretKey) (*Ciphertext, error) {
 	defer obsEncrypt.done(time.Now())
 	p := e.params
 	rq := p.RingQ()
-	lvl := pt.Level()
-
+	c0 := rq.NewPoly(level)
+	if err := enc.encodeCoeffs(c0, values, scale); err != nil {
+		return nil, err
+	}
+	var seed [32]byte
 	e.mu.Lock()
-	a := e.stream.UniformPoly(rq, lvl, true)
+	for i := 0; i < len(seed); i += 8 {
+		binary.LittleEndian.PutUint64(seed[i:], e.stream.Uint64())
+	}
 	ev := e.stream.GaussianVector(rq.N, p.Sigma())
 	e.mu.Unlock()
-	err := ring.SmallVectorToPoly(rq, lvl, ev)
-	rq.NTT(err, lvl)
 
-	c0 := rq.NewPoly(lvl)
-	c0.IsNTT = true
-	rq.MulCoeffs(c0, a, sk.Q.Truncated(lvl), lvl)
-	rq.Neg(c0, c0, lvl)
-	rq.Add(c0, c0, err, lvl)
-	rq.Add(c0, c0, pt.Value, lvl)
-
-	return &Ciphertext{C0: c0, C1: a, Scale: pt.Scale}
+	t := rq.GetPoly(level)
+	defer rq.PutPoly(t)
+	rq.EmbedCentered(t, ev, level)
+	rq.Add(c0, c0, t, level)
+	rq.NTT(c0, level)
+	c1 := ring.NewStream(seed).UniformPoly(rq, level, true)
+	rq.MulCoeffs(t, c1, sk.Q.Truncated(level), level)
+	rq.Sub(c0, c0, t, level)
+	return &Ciphertext{C0: c0, C1: c1, Scale: scale}, nil
 }
 
 // Decryptor recovers plaintexts.

@@ -197,8 +197,10 @@ func TestEncryptWithSecretKey(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	r := rand.New(rand.NewSource(12))
 	v := randomComplex(r, tc.params.Slots(), 1)
-	pt, _ := tc.enc.Encode(v, tc.params.MaxLevel(), tc.params.DefaultScale())
-	ct := tc.encr.EncryptSkNew(&Plaintext{Value: pt, Scale: tc.params.DefaultScale()}, tc.sk)
+	ct, err := tc.encr.EncodeEncryptSkNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.sk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := tc.decryptVec(ct)
 	if e := maxErr(got, v); e > 1e-6 {
 		t.Fatalf("sk-encrypt error %g too large", e)

@@ -112,7 +112,11 @@ func (m Modulus) VecFwdStage(a, psi, psiShoup []uint64, span int, lazy bool) {
 //
 //	x' = (x + y) - 2q·[x+y ≥ 2q],  y' = (x - y + 2q)·w  (MulShoupLazy)
 //
-// Inputs and outputs live in [0, 2q) at every span.
+// psi and psiShoup are the forward stage's block read mirrored: block i
+// takes w = q − v, v = psi[len(psi)−1−i], and the companion
+// ^psiShoup[len(psi)−1−i], which is w's own for v ≠ 0 (⌊(q−v)·2^64/q⌋ =
+// 2^64 − 1 − ⌊v·2^64/q⌋ when q ∤ v·2^64), so one twiddle table serves both
+// directions (ntt.Tables). Inputs and outputs live in [0, 2q) at every span.
 func (m Modulus) VecInvStage(a, psi, psiShoup []uint64, span int) {
 	m.k.invStage(m, a, psi, psiShoup, span)
 }

@@ -129,8 +129,10 @@ func vecAddScalarAVX512(out, a []uint64, c, q uint64)
 // NTT stage kernels. The wide forms (span ≥ 8) loop over len(psi) blocks
 // and span/8 vector steps per block; the tail forms (span 4, 2, 1) run `steps`
 // 16-coefficient steps, each covering tw = 8/span whole blocks, with x and y
-// gathered in registers through the idx permutations. exit2Q/exitQ are the
-// forward last-stage folds (0 disables a fold); exitQ likewise in invFinal.
+// gathered in registers through the idx permutations. The inverse forms read
+// psi mirrored and negated (VecInvStage): block i takes q − psi[len−1−i].
+// exit2Q/exitQ are the forward last-stage folds (0 disables a fold); exitQ
+// likewise in invFinal.
 // Each has a Narrow form for q < nttNarrowModulus on the AVX-512 IFMA
 // multiply-adds, with the same arguments and the same output words.
 
@@ -138,13 +140,13 @@ func vecAddScalarAVX512(out, a []uint64, c, q uint64)
 func vecFwdStageAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
-func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 
 //go:noescape
 func vecInvStageAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
-func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ uint64)
 
 //go:noescape
 func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
@@ -153,26 +155,28 @@ func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ
 func vecFwdStageNarrowAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
-func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 
 //go:noescape
 func vecInvStageNarrowAVX512(a, psi, psiShoup []uint64, span int, q, twoQ uint64)
 
 //go:noescape
-func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ uint64)
 
 //go:noescape
 func vecInvFinalNarrowAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
 
-// tailIdx holds, per tail span (indexed by span>>1), the five lane
+// tailIdx holds, per tail span (indexed by span>>1), the six lane
 // permutations of one 16-coefficient step as byte vectors (lane 0 in the low
 // byte): gather x, gather y (indices into the two loaded vectors, 0–15),
 // scatter to the first and second stored vector (indices into x' ‖ y'), and
-// the spread of the step's tw twiddles over the eight butterfly lanes.
-var tailIdx = [3][5]uint64{
-	{0x0e0c0a0806040200, 0x0f0d0b0907050301, 0x0b030a0209010800, 0x0f070e060d050c04, 0x0706050403020100}, // span 1
-	{0x0d0c090805040100, 0x0f0e0b0a07060302, 0x0b0a030209080100, 0x0f0e07060d0c0504, 0x0303020201010000}, // span 2
-	{0x0b0a090803020100, 0x0f0e0d0c07060504, 0x0b0a090803020100, 0x0f0e0d0c07060504, 0x0101010100000000}, // span 4
+// the spread of the step's tw twiddles over the eight butterfly lanes, in
+// load order for the forward kernels and reversed for the inverse ones,
+// which load a step's twiddles from the mirrored end of the block.
+var tailIdx = [3][6]uint64{
+	{0x0e0c0a0806040200, 0x0f0d0b0907050301, 0x0b030a0209010800, 0x0f070e060d050c04, 0x0706050403020100, 0x0001020304050607}, // span 1
+	{0x0d0c090805040100, 0x0f0e0b0a07060302, 0x0b0a030209080100, 0x0f0e07060d0c0504, 0x0303020201010000, 0x0000010102020303}, // span 2
+	{0x0b0a090803020100, 0x0f0e0d0c07060504, 0x0b0a090803020100, 0x0f0e0d0c07060504, 0x0101010100000000, 0x0000000001010101}, // span 4
 }
 
 // stageBounds panics unless a holds every coefficient a stage call touches
@@ -580,14 +584,16 @@ func invStageAVX512(m Modulus, a, psi, psiShoup []uint64, span int, narrow bool)
 		}
 		return
 	}
+	// The first tw·steps blocks read the last tw·steps twiddles.
 	tw := 8 / span
 	if steps := len(psi) / tw; steps > 0 {
+		k := len(psi) - tw*steps
 		if narrow {
-			vecInvTailNarrowAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
+			vecInvTailNarrowAVX512(a, psi[k:], psiShoup[k:], &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
 		} else {
-			vecInvTailAVX512(a, psi, psiShoup, &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
+			vecInvTailAVX512(a, psi[k:], psiShoup[k:], &tailIdx[span>>1], tw, steps, m.Q, m.TwoQ)
 		}
-		a, psi, psiShoup = a[16*steps:], psi[tw*steps:], psiShoup[tw*steps:]
+		a, psi, psiShoup = a[16*steps:], psi[:k], psiShoup[:k]
 	}
 	if len(psi) > 0 {
 		vecInvStageGo(m, a, psi, psiShoup, span)

@@ -99,7 +99,8 @@
 //	Z15 = 2^32-1 per lane
 //	Z16..Z20 = tail permutations (gather x, gather y, scatter lo, scatter hi,
 //	           twiddle spread), K2 = twiddle load mask
-//	Z21, Z22 = exit-fold bounds (0 makes CONDSUB the identity: min_u(r, r-0))
+//	Z21, Z22 = forward: exit-fold bounds (0 makes CONDSUB the identity:
+//	           min_u(r, r-0)); inverse: q and all ones, for MIRROR
 // Chain A holds x, y, x', y' in Z0..Z3 with scratch Z4..Z7; chain B in
 // Z8..Z11 with scratch Z12, Z13, Z25, Z26. The narrow kernels (q < 2^50, the
 // ...NarrowAVX512 bodies) run the same loops on the IFMA butterflies with
@@ -204,6 +205,21 @@
 	VPMULLQ Z27, T0, T2                  \ // h*q
 	VPSUBQ T2, T1, YO
 
+// MIRROR turns twiddles read from a forward block into the inverse stage's:
+// W = q − W and WS = ^WS, wShoup before its split, with Z21 = q and Z22 =
+// all ones (vec.go, VecInvStage: ^wShoup is the companion of q − w). The
+// inverse kernels walk the forward block from its end, so block i reads
+// entry len−1−i. NOMIRROR is the forward kernels' identity.
+#define MIRROR(W, WS) \
+	VPSUBQ W, Z21, W \
+	VPXORQ Z22, WS, WS
+#define NOMIRROR(W, WS)
+
+// MIRROR_CONSTS loads MIRROR's Z21 = q and Z22 = all ones.
+#define MIRROR_CONSTS(Q) \
+	VPBROADCASTQ Q, Z21 \
+	VPTERNLOGQ $0xff, Z22, Z22, Z22
+
 // FWD_BFLY52 and INV_BFLY52 are FWD_BFLY and INV_BFLY for q < 2^50 on
 // SHOUP52, with WS, WSH its split of wShoup: 13 uops a butterfly where the
 // MULHI8 forms take 25, and the same output words.
@@ -225,8 +241,11 @@
 // with no second to pair with, so that loop runs two blocks per iteration,
 // each with its own twiddle broadcast, and an odd last block runs alone as
 // one vector. The block loop of a wider span broadcasts its twiddle once per
-// block and runs two vectors per iteration: span/8 is even there.
-#define WIDE_STAGE(BFLY, SPLIT, PAIR, LASTBLOCK, BLOCK, LOOP, DONE) \
+// block and runs two vectors per iteration: span/8 is even there. SI and BX
+// move STEP bytes a block (STEP2 a block pair): 8 forward, −8 in the inverse
+// kernels, which start them at the block's last twiddle and MIRROR what
+// they read.
+#define WIDE_STAGE(BFLY, SPLIT, TWFIX, STEP, STEP2, PAIR, LASTBLOCK, BLOCK, LOOP, DONE) \
 	MOVQ R9, R11                                               \
 	SHLQ $3, R9                                                \ // span in bytes
 	LEAQ (DI)(R9*1), R10                                       \
@@ -238,9 +257,11 @@
 PAIR:                                                          \
 	VPBROADCASTQ (SI), Z23                                     \
 	VPBROADCASTQ (BX), Z24                                     \
+	TWFIX(Z23, Z24)                                            \
 	SPLIT(Z24, Z14)                                            \
-	VPBROADCASTQ 8(SI), Z29                                    \
-	VPBROADCASTQ 8(BX), Z30                                    \
+	VPBROADCASTQ STEP(SI), Z29                                 \
+	VPBROADCASTQ STEP(BX), Z30                                 \
+	TWFIX(Z29, Z30)                                            \
 	SPLIT(Z30, Z31)                                            \
 	VMOVDQU64 (DI), Z0                                         \
 	VMOVDQU64 (R10), Z1                                        \
@@ -254,8 +275,8 @@ PAIR:                                                          \
 	VMOVDQU64 Z11, (R10)(R9*2)                                 \
 	LEAQ (DI)(R9*4), DI                                        \
 	LEAQ (R10)(R9*4), R10                                      \
-	ADDQ $16, SI                                               \
-	ADDQ $16, BX                                               \
+	ADDQ $STEP2, SI                                            \
+	ADDQ $STEP2, BX                                            \
 	DECQ R12                                                   \
 	JNZ PAIR                                                   \
 LASTBLOCK:                                                     \
@@ -263,6 +284,7 @@ LASTBLOCK:                                                     \
 	JZ DONE                                                    \
 	VPBROADCASTQ (SI), Z23                                     \
 	VPBROADCASTQ (BX), Z24                                     \
+	TWFIX(Z23, Z24)                                            \
 	SPLIT(Z24, Z14)                                            \
 	VMOVDQU64 (DI), Z0                                         \ // the odd last span-8 block
 	VMOVDQU64 (R10), Z1                                        \
@@ -273,6 +295,7 @@ LASTBLOCK:                                                     \
 BLOCK:                                                         \
 	VPBROADCASTQ (SI), Z23                                     \
 	VPBROADCASTQ (BX), Z24                                     \
+	TWFIX(Z23, Z24)                                            \
 	SPLIT(Z24, Z14)                                            \
 	XORQ DX, DX                                                \
 LOOP:                                                          \
@@ -291,23 +314,24 @@ LOOP:                                                          \
 	JL LOOP                                                    \
 	LEAQ (DI)(R9*2), DI                                        \
 	LEAQ (R10)(R9*2), R10                                      \
-	ADDQ $8, SI                                                \
-	ADDQ $8, BX                                                \
+	ADDQ $STEP, SI                                             \
+	ADDQ $STEP, BX                                             \
 	DECQ R8                                                    \
 	JNZ BLOCK                                                  \
 DONE:
 
 // TAIL_SETUP: span 4, 2, 1. R10 = idx, CX = tw (twiddles per step). Expands
-// the five byte-index permutations, builds the mask selecting the tw
-// twiddles one step consumes — a masked load reads exactly the bytes it
-// selects, so the kernels never touch memory past the twiddles they use —
-// and leaves R9 = twiddle bytes per step.
-#define TAIL_SETUP \
+// four byte-index permutations and the twiddle spread at SPREAD(R10) (the
+// forward one at 32, the inverse kernels' reversed one at 40), builds the
+// mask selecting the tw twiddles one step consumes — a masked load reads
+// exactly the bytes it selects, so the kernels never touch memory past the
+// twiddles they use — and leaves R9 = twiddle bytes per step.
+#define TAIL_SETUP(SPREAD) \
 	VPMOVZXBQ 0(R10), Z16     \
 	VPMOVZXBQ 8(R10), Z17     \
 	VPMOVZXBQ 16(R10), Z18    \
 	VPMOVZXBQ 24(R10), Z19    \
-	VPMOVZXBQ 32(R10), Z20    \
+	VPMOVZXBQ SPREAD(R10), Z20 \
 	MOVQ $1, AX               \
 	SHLQ CX, AX               \
 	DECQ AX                   \
@@ -316,9 +340,9 @@ DONE:
 
 // TAIL_LOAD gathers one step: the 16 consecutive coefficients at OFF(DI)
 // split into x = X and y = Y, and the step's twiddles at (PSI), (PSISH)
-// spread over the lanes into W and WS, which SPLIT splits into WS, WSH.
-// Clobbers T.
-#define TAIL_LOAD(SPLIT, OFF, PSI, PSISH, X, Y, W, WS, WSH, T) \
+// spread over the lanes into W and WS, which TWFIX fixes up and SPLIT splits
+// into WS, WSH. Clobbers T.
+#define TAIL_LOAD(SPLIT, TWFIX, OFF, PSI, PSISH, X, Y, W, WS, WSH, T) \
 	VMOVDQU64 OFF(DI), X          \
 	VMOVDQU64 OFF(DI), Y          \
 	VPERMT2Q (OFF+64)(DI), Z16, X \ // x
@@ -327,6 +351,7 @@ DONE:
 	VPERMQ T, Z20, W              \
 	VMOVDQU64.Z (PSISH), K2, T    \
 	VPERMQ T, Z20, WS             \
+	TWFIX(W, WS)                  \
 	SPLIT(WS, WSH)
 
 // TAIL_STORE scatters x' = XO, y' = YO back to the step's 16 coefficients at
@@ -340,24 +365,25 @@ DONE:
 
 // TAIL_LOOP runs R8 = steps tail steps, two per iteration — chain A at DI with
 // its twiddles at SI/BX, chain B at 128(DI) with its twiddles at R12/R13,
-// one step's twiddles further on, all four twiddle pointers prefetched
-// PREFETCH_DIST ahead — and, when steps is odd, one chain-A step at the end.
-// BFLY is the butterfly, SPLIT its twiddle split and FOLDS its
-// exit folds on the chain's x', y' (the empty macro NOFOLD where there are
-// none).
-#define TAIL_LOOP(BFLY, SPLIT, FOLDS, PAIR, LAST, DONE) \
+// one step's twiddles (R9 bytes) further on, all four twiddle pointers
+// prefetched PF bytes ahead — and, when steps is odd, one chain-A step at
+// the end. The inverse kernels walk the twiddles backwards: R9 and PF are
+// negative there. BFLY is the butterfly, SPLIT its twiddle split, TWFIX its
+// twiddle fix-up and FOLDS its exit folds on the chain's x', y' (the empty
+// macro NOFOLD where there are none).
+#define TAIL_LOOP(BFLY, SPLIT, TWFIX, PF, FOLDS, PAIR, LAST, DONE) \
 	LEAQ (SI)(R9*1), R12                                       \
 	LEAQ (BX)(R9*1), R13                                       \
 	MOVQ R8, R11                                               \
 	SHRQ $1, R11                                               \ // step pairs
 	JZ LAST                                                    \
 PAIR:                                                          \
-	PREFETCHT0 PREFETCH_DIST(SI)                               \
-	PREFETCHT0 PREFETCH_DIST(BX)                               \
-	PREFETCHT0 PREFETCH_DIST(R12)                              \
-	PREFETCHT0 PREFETCH_DIST(R13)                              \
-	TAIL_LOAD(SPLIT, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)     \
-	TAIL_LOAD(SPLIT, 128, R12, R13, Z8, Z9, Z29, Z30, Z31, Z12) \
+	PREFETCHT0 PF(SI)                                          \
+	PREFETCHT0 PF(BX)                                          \
+	PREFETCHT0 PF(R12)                                         \
+	PREFETCHT0 PF(R13)                                         \
+	TAIL_LOAD(SPLIT, TWFIX, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4) \
+	TAIL_LOAD(SPLIT, TWFIX, 128, R12, R13, Z8, Z9, Z29, Z30, Z31, Z12) \
 	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
 	BFLY(Z8, Z9, Z10, Z11, Z29, Z30, Z31, Z12, Z13, Z25, Z26)  \
 	FOLDS(Z2, Z3, Z5)                                          \
@@ -374,7 +400,7 @@ PAIR:                                                          \
 LAST:                                                          \
 	TESTQ $1, R8                                               \
 	JZ DONE                                                    \
-	TAIL_LOAD(SPLIT, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4)     \
+	TAIL_LOAD(SPLIT, TWFIX, 0, SI, BX, Z0, Z1, Z23, Z24, Z14, Z4) \
 	BFLY(Z0, Z1, Z2, Z3, Z23, Z24, Z14, Z4, Z5, Z6, Z7)        \
 	FOLDS(Z2, Z3, Z5)                                          \
 	TAIL_STORE(0, Z2, Z3, Z0)                                  \
@@ -1251,11 +1277,11 @@ subLoop:
 	JZ fwdTail                                                 \
 	TESTQ AX, AX                                               \
 	JZ fwdTailLazy                                             \
-	TAIL_LOOP(BFLY, SPLIT, EXACTFOLD, fwdTailExactPair, fwdTailExactLast, fwdTailExactDone) \
+	TAIL_LOOP(BFLY, SPLIT, NOMIRROR, PREFETCH_DIST, EXACTFOLD, fwdTailExactPair, fwdTailExactLast, fwdTailExactDone) \
 fwdTailLazy:                                                   \
-	TAIL_LOOP(BFLY, SPLIT, LAZYFOLD, fwdTailLazyPair, fwdTailLazyLast, fwdTailLazyDone) \
+	TAIL_LOOP(BFLY, SPLIT, NOMIRROR, PREFETCH_DIST, LAZYFOLD, fwdTailLazyPair, fwdTailLazyLast, fwdTailLazyDone) \
 fwdTail:                                                       \
-	TAIL_LOOP(BFLY, SPLIT, NOFOLD, fwdTailPair, fwdTailLast, fwdTailDone)
+	TAIL_LOOP(BFLY, SPLIT, NOMIRROR, PREFETCH_DIST, NOFOLD, fwdTailPair, fwdTailLast, fwdTailDone)
 
 // INV_FINAL_LOOP: the last inverse stage with 1/N fused, x' =
 // MulShoupLazy(u + v, nInv), y' = MulShoupLazy(u - v + 2q, w); exitQ = q
@@ -1292,7 +1318,7 @@ TEXT ·vecFwdStageAVX512(SB), NOSPLIT, $0-96
 	MOVQ span+72(FP), R9
 	MULHI_CONSTS(q+80(FP))
 	VPBROADCASTQ twoQ+88(FP), Z28
-	WIDE_STAGE(FWD_BFLY, SPLIT32, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageDone)
+	WIDE_STAGE(FWD_BFLY, SPLIT32, NOMIRROR, 8, 16, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageDone)
 	VZEROUPPER
 	RET
 
@@ -1303,13 +1329,16 @@ TEXT ·vecInvStageAVX512(SB), NOSPLIT, $0-96
 	MOVQ psi_len+32(FP), R8
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
+	LEAQ -8(SI)(R8*8), SI // block 0 reads the last twiddle
+	LEAQ -8(BX)(R8*8), BX
 	MULHI_CONSTS(q+80(FP))
 	VPBROADCASTQ twoQ+88(FP), Z28
-	WIDE_STAGE(INV_BFLY, SPLIT32, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageDone)
+	MIRROR_CONSTS(q+80(FP))
+	WIDE_STAGE(INV_BFLY, SPLIT32, MIRROR, -8, -16, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageDone)
 	VZEROUPPER
 	RET
 
-// func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+// func vecFwdTailAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
@@ -1321,12 +1350,13 @@ TEXT ·vecFwdTailAVX512(SB), NOSPLIT, $0-128
 	VPBROADCASTQ twoQ+104(FP), Z28
 	VPBROADCASTQ exit2Q+112(FP), Z21
 	VPBROADCASTQ exitQ+120(FP), Z22
-	TAIL_SETUP
+	TAIL_SETUP(32)
 	MOVQ exit2Q+112(FP), DX
 	MOVQ exitQ+120(FP), AX
 	FWD_TAIL_LOOPS(FWD_BFLY, SPLIT32)
 
-// func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+// func vecInvTailAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ uint64)
+// psi holds exactly steps·tw twiddles; step 0 reads the last tw of them.
 TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
@@ -1336,8 +1366,14 @@ TEXT ·vecInvTailAVX512(SB), NOSPLIT, $0-112
 	MOVQ steps+88(FP), R8
 	MULHI_CONSTS(q+96(FP))
 	VPBROADCASTQ twoQ+104(FP), Z28
-	TAIL_SETUP
-	TAIL_LOOP(INV_BFLY, SPLIT32, NOFOLD, invTailPair, invTailLast, invTailDone)
+	MIRROR_CONSTS(q+96(FP))
+	TAIL_SETUP(40)
+	LEAQ -1(R8), AX
+	IMULQ R9, AX
+	ADDQ AX, SI
+	ADDQ AX, BX
+	NEGQ R9
+	TAIL_LOOP(INV_BFLY, SPLIT32, MIRROR, -PREFETCH_DIST, NOFOLD, invTailPair, invTailLast, invTailDone)
 
 // func vecInvFinalAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
 TEXT ·vecInvFinalAVX512(SB), NOSPLIT, $0-104
@@ -1362,7 +1398,7 @@ TEXT ·vecFwdStageNarrowAVX512(SB), NOSPLIT, $0-96
 	MOVQ span+72(FP), R9
 	IFMA_CONSTS(q+80(FP))
 	VPBROADCASTQ twoQ+88(FP), Z28
-	WIDE_STAGE(FWD_BFLY52, SPLIT52, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageDone)
+	WIDE_STAGE(FWD_BFLY52, SPLIT52, NOMIRROR, 8, 16, fwdStagePair, fwdStageLastBlock, fwdStageBlock, fwdStageLoop, fwdStageDone)
 	VZEROUPPER
 	RET
 
@@ -1373,13 +1409,16 @@ TEXT ·vecInvStageNarrowAVX512(SB), NOSPLIT, $0-96
 	MOVQ psi_len+32(FP), R8
 	MOVQ psiShoup_base+48(FP), BX
 	MOVQ span+72(FP), R9
+	LEAQ -8(SI)(R8*8), SI // block 0 reads the last twiddle
+	LEAQ -8(BX)(R8*8), BX
 	IFMA_CONSTS(q+80(FP))
 	VPBROADCASTQ twoQ+88(FP), Z28
-	WIDE_STAGE(INV_BFLY52, SPLIT52, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageDone)
+	MIRROR_CONSTS(q+80(FP))
+	WIDE_STAGE(INV_BFLY52, SPLIT52, MIRROR, -8, -16, invStagePair, invStageLastBlock, invStageBlock, invStageLoop, invStageDone)
 	VZEROUPPER
 	RET
 
-// func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
+// func vecFwdTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ, exit2Q, exitQ uint64)
 TEXT ·vecFwdTailNarrowAVX512(SB), NOSPLIT, $0-128
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
@@ -1391,12 +1430,13 @@ TEXT ·vecFwdTailNarrowAVX512(SB), NOSPLIT, $0-128
 	VPBROADCASTQ twoQ+104(FP), Z28
 	VPBROADCASTQ exit2Q+112(FP), Z21
 	VPBROADCASTQ exitQ+120(FP), Z22
-	TAIL_SETUP
+	TAIL_SETUP(32)
 	MOVQ exit2Q+112(FP), DX
 	MOVQ exitQ+120(FP), AX
 	FWD_TAIL_LOOPS(FWD_BFLY52, SPLIT52)
 
-// func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[5]uint64, tw, steps int, q, twoQ uint64)
+// func vecInvTailNarrowAVX512(a, psi, psiShoup []uint64, idx *[6]uint64, tw, steps int, q, twoQ uint64)
+// psi holds exactly steps·tw twiddles; step 0 reads the last tw of them.
 TEXT ·vecInvTailNarrowAVX512(SB), NOSPLIT, $0-112
 	MOVQ a_base+0(FP), DI
 	MOVQ psi_base+24(FP), SI
@@ -1406,8 +1446,14 @@ TEXT ·vecInvTailNarrowAVX512(SB), NOSPLIT, $0-112
 	MOVQ steps+88(FP), R8
 	IFMA_CONSTS(q+96(FP))
 	VPBROADCASTQ twoQ+104(FP), Z28
-	TAIL_SETUP
-	TAIL_LOOP(INV_BFLY52, SPLIT52, NOFOLD, invTailPair, invTailLast, invTailDone)
+	MIRROR_CONSTS(q+96(FP))
+	TAIL_SETUP(40)
+	LEAQ -1(R8), AX
+	IMULQ R9, AX
+	ADDQ AX, SI
+	ADDQ AX, BX
+	NEGQ R9
+	TAIL_LOOP(INV_BFLY52, SPLIT52, MIRROR, -PREFETCH_DIST, NOFOLD, invTailPair, invTailLast, invTailDone)
 
 // func vecInvFinalNarrowAVX512(x, y []uint64, nInv, nInvShoup, w, wShoup, q, twoQ, exitQ uint64)
 TEXT ·vecInvFinalNarrowAVX512(SB), NOSPLIT, $0-104

@@ -269,15 +269,18 @@ func vecFwdStageGo(m Modulus, a, psi, psiShoup []uint64, span int, lazy bool) {
 //
 //	x' = (x + y) - 2q·[x+y ≥ 2q],  y' = (x - y + 2q)·w  (MulShoupLazy)
 //
-// Inputs and outputs live in [0, 2q) at every span; the last inverse stage
-// is vecInvFinalGo.
+// with block i's twiddle read from the forward block mirrored and negated:
+// w = q − psi[len(psi)−1−i], companion ^psiShoup[len(psi)−1−i]
+// (VecInvStage). Inputs and outputs live in [0, 2q) at every span; the last
+// inverse stage is vecInvFinalGo.
 func vecInvStageGo(m Modulus, a, psi, psiShoup []uint64, span int) {
 	q, twoQ := m.Q, m.TwoQ
+	last := len(psi) - 1
 	psiShoup = psiShoup[:len(psi)]
 	switch {
 	case span >= 4:
-		for i, w := range psi {
-			ws := psiShoup[i]
+		for i := range psi {
+			w, ws := q-psi[last-i], ^psiShoup[last-i]
 			x := a[2*i*span:][:span]
 			y := a[2*i*span+span:][:span]
 			for j := 0; j < len(x); j += 4 {
@@ -310,8 +313,8 @@ func vecInvStageGo(m Modulus, a, psi, psiShoup []uint64, span int) {
 			}
 		}
 	case span == 2:
-		for i, w := range psi {
-			ws := psiShoup[i]
+		for i := range psi {
+			w, ws := q-psi[last-i], ^psiShoup[last-i]
 			xy := a[4*i : 4*i+4 : 4*i+4]
 			u0, u1 := xy[0], xy[1]
 			v0, v1 := xy[2], xy[3]
@@ -329,8 +332,8 @@ func vecInvStageGo(m Modulus, a, psi, psiShoup []uint64, span int) {
 			xy[1], xy[3] = s1, d1*w-h1*q
 		}
 	default: // span == 1: adjacent pairs
-		for i, w := range psi {
-			ws := psiShoup[i]
+		for i := range psi {
+			w, ws := q-psi[last-i], ^psiShoup[last-i]
 			xy := a[2*i : 2*i+2 : 2*i+2]
 			u, v := xy[0], xy[1]
 			s := u + v

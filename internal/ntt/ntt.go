@@ -47,18 +47,20 @@ type Tables struct {
 	Psi uint64 // primitive 2N-th root of unity mod q
 
 	// psiRev[i] = ψ^brv(i), bit-reversed over logN bits; Shoup companions
-	// alongside. psiInvRev likewise for ψ^{-1}.
+	// alongside. They are the only twiddle rows, 2N words: the inverse
+	// stages read them too. On stage block [m, 2m), brv(j) + brv(3m−1−j) = N,
+	// so ψ^(−brv(j)) = −ψ^brv(3m−1−j) — the inverse twiddle is the forward
+	// block mirrored and negated, q − psiRev[3m−1−j], and its companion the
+	// complement ^psiRevShoup[3m−1−j] (modarith.VecInvStage).
 	psiRev      []uint64
 	psiRevShoup []uint64
-	psiInvRev   []uint64
-	psiInvShoup []uint64
 
 	nInv      uint64 // N^{-1} mod q
 	nInvShoup uint64
 
 	// Last-inverse-stage twiddle with the 1/N scaling premultiplied:
-	// psiInvRev[1]·N^{-1}. Together with nInv it folds the scaling pass
-	// into the final Gentleman–Sande stage.
+	// ψ^(−N/2)·N^{-1} = (q − psiRev[1])·N^{-1}. Together with nInv it folds
+	// the scaling pass into the final Gentleman–Sande stage.
 	wLastNInv      uint64
 	wLastNInvShoup uint64
 }
@@ -80,25 +82,17 @@ func NewTables(mod modarith.Modulus, logN int) (*Tables, error) {
 		Psi:         psi,
 		psiRev:      make([]uint64, n),
 		psiRevShoup: make([]uint64, n),
-		psiInvRev:   make([]uint64, n),
-		psiInvShoup: make([]uint64, n),
 	}
-	psiInv := mod.MustInv(psi)
-	fwd, inv := uint64(1), uint64(1)
+	w := uint64(1)
 	for i := 0; i < n; i++ {
 		r := reverseBits(uint64(i), logN)
-		t.psiRev[r] = fwd
-		t.psiInvRev[r] = inv
-		fwd = mod.Mul(fwd, psi)
-		inv = mod.Mul(inv, psiInv)
-	}
-	for i := 0; i < n; i++ {
-		t.psiRevShoup[i] = mod.ShoupPrecomp(t.psiRev[i])
-		t.psiInvShoup[i] = mod.ShoupPrecomp(t.psiInvRev[i])
+		t.psiRev[r] = w
+		t.psiRevShoup[r] = mod.ShoupPrecomp(w)
+		w = mod.Mul(w, psi)
 	}
 	t.nInv = mod.MustInv(uint64(n))
 	t.nInvShoup = mod.ShoupPrecomp(t.nInv)
-	t.wLastNInv = mod.Mul(t.psiInvRev[1], t.nInv)
+	t.wLastNInv = mod.Mul(mod.Q-t.psiRev[1], t.nInv)
 	t.wLastNInvShoup = mod.ShoupPrecomp(t.wLastNInv)
 	return t, nil
 }
@@ -159,10 +153,11 @@ func (t *Tables) fwdStage(a []uint64, m int, lazy bool) {
 }
 
 // invStage applies inverse stage m (span N/(2m), m ≥ 2) as one call of
-// modarith.VecInvStage, maintaining the [0, 2q) invariant.
+// modarith.VecInvStage on forward block m, which the kernel reads mirrored
+// and negated, maintaining the [0, 2q) invariant.
 func (t *Tables) invStage(a []uint64, m int) {
 	span := t.N / (2 * m)
-	t.Mod.VecInvStage(a, t.psiInvRev[m:2*m], t.psiInvShoup[m:2*m], span)
+	t.Mod.VecInvStage(a, t.psiRev[m:2*m], t.psiRevShoup[m:2*m], span)
 }
 
 // invStageFinal runs the last inverse stage (m = 1, span = N/2) with the 1/N

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -341,6 +342,48 @@ func TestMatchesReference(t *testing.T) {
 	}
 }
 
+// TestOneTwiddleTable pins the tables' resident set at N = 2^16: the
+// forward twiddles and their Shoup companions, 2N words, and no inverse
+// table. The inverse stages read that table mirrored and negated, so the
+// test also checks, at every index of every stage block [m, 2m), that
+// q − psiRev[3m−1−j] is ψ^(−brv(j)) and that ^psiRevShoup[3m−1−j] is its
+// Shoup companion.
+func TestOneTwiddleTable(t *testing.T) {
+	const logN = 16
+	tbl := newTestTables(t, logN)
+	words := 0
+	v := reflect.ValueOf(tbl).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			words += f.Len()
+		}
+	}
+	if words != 2*tbl.N {
+		t.Fatalf("Tables holds %d table words at N = %d, want 2N = %d", words, tbl.N, 2*tbl.N)
+	}
+	mod := tbl.Mod
+	inv := make([]uint64, tbl.N) // inv[brv(i)] = ψ^(−i)
+	psiInv, w := mod.MustInv(tbl.Psi), uint64(1)
+	for i := range inv {
+		inv[reverseBits(uint64(i), logN)] = w
+		w = mod.Mul(w, psiInv)
+	}
+	for m := 1; m < tbl.N; m <<= 1 {
+		for j := m; j < 2*m; j++ {
+			k := 3*m - 1 - j
+			if got := mod.Q - tbl.psiRev[k]; got != inv[j] {
+				t.Fatalf("m = %d, j = %d: q − psiRev[%d] = %d, want ψ^(−brv(j)) = %d", m, j, k, got, inv[j])
+			}
+			if got, want := ^tbl.psiRevShoup[k], mod.ShoupPrecomp(inv[j]); got != want {
+				t.Fatalf("m = %d, j = %d: ^psiRevShoup[%d] = %d, want the companion %d", m, j, k, got, want)
+			}
+		}
+	}
+	if want := mod.Mul(inv[1], tbl.nInv); tbl.wLastNInv != want {
+		t.Fatalf("wLastNInv = %d, want ψ^(−N/2)·N^(−1) = %d", tbl.wLastNInv, want)
+	}
+}
+
 func BenchmarkForwardN4096(b *testing.B) {
 	tbl := newTestTables(b, 12)
 	r := rand.New(rand.NewSource(9))
@@ -394,8 +437,9 @@ func benchStages(b *testing.B, k modarith.Kernels) {
 }
 
 // coldTables is how many N = 2^16 moduli the cold rows rotate through: a
-// modulus's twiddles and Shoup companions take 2 MiB, its row 512 KiB, so
-// 33 of them (hks_n16's chain) hold 82 MiB, more than twice the LLC.
+// modulus's twiddles and Shoup companions take 1 MiB (one table, which the
+// inverse stages read mirrored), its row 512 KiB, so 33 of them (hks_n16's
+// chain) hold 49.5 MiB, more than the 32 MiB LLC.
 const coldTables = 33
 
 func benchStagesCold(b *testing.B, k modarith.Kernels, bits int, suffix string) {

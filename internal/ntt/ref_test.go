@@ -26,15 +26,17 @@ func (t *Tables) ForwardRef(a []uint64) {
 }
 
 // InverseRef is the fully-reduced inverse transform with a separate 1/N
-// scaling pass.
+// scaling pass. Its twiddle for block m+i is ψ^(−brv(m+i)) =
+// q − psiRev[2m−1−i], the forward block mirrored and negated, with its
+// Shoup companion computed afresh rather than complemented.
 func (t *Tables) InverseRef(a []uint64) {
 	t.checkLen(a, "InverseRef")
 	mod := t.Mod
 	span := 1
 	for m := t.N >> 1; m >= 1; m >>= 1 {
 		for i := 0; i < m; i++ {
-			w := t.psiInvRev[m+i]
-			ws := t.psiInvShoup[m+i]
+			w := mod.Q - t.psiRev[2*m-1-i]
+			ws := mod.ShoupPrecomp(w)
 			j1 := 2 * i * span
 			for j := j1; j < j1+span; j++ {
 				u := a[j]

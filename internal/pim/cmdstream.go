@@ -62,34 +62,3 @@ func CommandStream(spec InstrSpec, g, c, rowChunks int, columnPartitioned bool) 
 	}
 	return cmds
 }
-
-// SimulateInstr runs the generated stream through the command-level engine
-// and returns its per-bank makespan in nanoseconds.
-func (u UnitConfig) SimulateInstr(op Opcode, k, limbs, n, bufferSize int, columnPartitioned bool) (dram.Stats, error) {
-	spec := Spec(op, k)
-	g := spec.ChunkGranularity(bufferSize)
-	if g == 0 {
-		return dram.Stats{}, errUnsupported(spec, bufferSize)
-	}
-	elemsPerChunk := u.DRAM.ChunkBits / (wordBytes * 8)
-	chunksPerBankPerLimb := (n + u.BanksPerGroup()*elemsPerChunk - 1) / (u.BanksPerGroup() * elemsPerChunk)
-	limbsPerGroup := (limbs + u.DieGroups - 1) / u.DieGroups
-	c := limbsPerGroup * chunksPerBankPerLimb
-
-	cmds := CommandStream(spec, g, c, u.DRAM.ChunksPerRow(), columnPartitioned)
-	return dram.Execute(cmds, dram.TimingFor(u.DRAM, u.ClockMHz))
-}
-
-func errUnsupported(spec InstrSpec, b int) error {
-	return &unsupportedError{spec.Op, spec.BufferSlots, b}
-}
-
-type unsupportedError struct {
-	op    Opcode
-	need  int
-	given int
-}
-
-func (e *unsupportedError) Error() string {
-	return "pim: " + e.op.String() + " unsupported at this buffer size"
-}

@@ -1,11 +1,29 @@
 package pim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/dram"
 )
+
+// simulateInstr runs the stream CommandStream generates for one instruction
+// through the command-level engine, the ground truth the closed-form
+// InstrCost is checked against, and returns its per-bank makespan.
+func simulateInstr(u UnitConfig, op Opcode, k, limbs, n, bufferSize int, columnPartitioned bool) (dram.Stats, error) {
+	spec := Spec(op, k)
+	g := spec.ChunkGranularity(bufferSize)
+	if g == 0 {
+		return dram.Stats{}, fmt.Errorf("pim: %v unsupported at buffer size %d", op, bufferSize)
+	}
+	elemsPerChunk := u.DRAM.ChunkBits / (wordBytes * 8)
+	chunksPerBankPerLimb := (n + u.BanksPerGroup()*elemsPerChunk - 1) / (u.BanksPerGroup() * elemsPerChunk)
+	limbsPerGroup := (limbs + u.DieGroups - 1) / u.DieGroups
+	c := limbsPerGroup * chunksPerBankPerLimb
+	cmds := CommandStream(spec, g, c, u.DRAM.ChunksPerRow(), columnPartitioned)
+	return dram.Execute(cmds, dram.TimingFor(u.DRAM, u.ClockMHz))
+}
 
 func TestCommandStreamStructure(t *testing.T) {
 	// PAccum⟨4⟩ at B=16 (G=2) over 16 chunks: 8 iterations × 3 phases, CP
@@ -78,7 +96,7 @@ func TestEngineValidatesAnalyticalModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := u.SimulateInstr(tc.op, tc.k, 68, 1<<16, u.BufferSize, true)
+		sim, err := simulateInstr(u, tc.op, tc.k, 68, 1<<16, u.BufferSize, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,18 +110,18 @@ func TestEngineValidatesAnalyticalModel(t *testing.T) {
 
 func TestSimulateInstrUnsupported(t *testing.T) {
 	u := A100NearBank()
-	if _, err := u.SimulateInstr(Tensor, 0, 68, 1<<16, 4, true); err == nil {
+	if _, err := simulateInstr(u, Tensor, 0, 68, 1<<16, 4, true); err == nil {
 		t.Fatal("Tensor at B=4 must be unsupported")
 	}
 }
 
 func TestEngineNaiveSlowerThanCP(t *testing.T) {
 	u := A100NearBank()
-	cp, err := u.SimulateInstr(PAccum, 4, 68, 1<<16, u.BufferSize, true)
+	cp, err := simulateInstr(u, PAccum, 4, 68, 1<<16, u.BufferSize, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := u.SimulateInstr(PAccum, 4, 68, 1<<16, u.BufferSize, false)
+	naive, err := simulateInstr(u, PAccum, 4, 68, 1<<16, u.BufferSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package workloads
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/anaheim-sim/anaheim/internal/trace"
 )
@@ -139,36 +140,40 @@ func Bootstrap(p trace.Params, opt trace.Options, cfg BootConfig) *trace.Trace {
 	return t
 }
 
-// emitEvalMod emits one EvalMod: affine map, Chebyshev BSGS evaluation,
-// double angles. Returns the level after consumption. The second EvalMod of
-// a bootstrap runs at the same entry level, so only the returned cursor of
-// the last call advances the caller.
+// emitEvalMod emits one EvalMod as the library runs it on its even cosine
+// (ckks evalModCt): y = T₂(x) = 2x² − 1, the degree-⌊ChebDegree/2⌋ series in
+// y by BSGS (babies T_2 … T_{baby−1}, giants T_baby, T_2baby, …, one
+// CAccum⟨baby⟩ per leaf and one product per split), then the double angles.
+// Returns the level after consumption. The second EvalMod of a bootstrap
+// runs at the same entry level, so only the returned cursor of the last call
+// advances the caller.
 func emitEvalMod(b *trace.Builder, lvl int, cfg BootConfig) int {
-	deg := cfg.ChebDegree
-	baby := 1 << uint((int(math.Ceil(math.Log2(float64(deg+1))))+1)/2)
-	giants := (deg + 1 + baby - 1) / baby
+	deg := cfg.ChebDegree / 2
+	baby := max(2, 1<<((bits.Len(uint(deg))+1)/2))
+	leaves := (deg + baby) / baby
 
-	// Power basis: T_2..T_{baby-1} and the giant powers, each an HSQUARE or
-	// HMULT one level deeper than its operands. We emit them at a
-	// descending level cursor approximating the BSGS schedule depth.
-	depth := int(math.Ceil(math.Log2(float64(deg + 1))))
-	for i := 2; i < baby; i++ {
-		b.HSQUARE(lvl)
+	b.HSQUARE(lvl)
+	b.EW2("EvalMod.T2", lvl)
+	// Power basis of y at a descending level cursor approximating the BSGS
+	// schedule depth: T_k = 2·T_i·T_j − T_{j−i} with i = ⌊k/2⌋, a square
+	// where k is even, and the giants by squaring.
+	for k := 2; k < baby; k++ {
+		if k%2 == 0 {
+			b.HSQUARE(lvl - limbsPerMult)
+		} else {
+			b.HMULT(lvl - limbsPerMult)
+		}
 	}
-	g := baby
-	for g <= deg {
-		b.HSQUARE(lvl - limbsPerMult)
-		g <<= 1
+	for g := baby; g <= deg; g <<= 1 {
+		b.HSQUARE(lvl - 2*limbsPerMult)
 	}
-	// Leaf linear combinations: one CAccum⟨baby⟩ per giant branch.
-	for j := 0; j < giants; j++ {
-		b.CAccum("EvalMod.Leaf", lvl-2*limbsPerMult, baby)
+	for j := 0; j < leaves; j++ {
+		b.CAccum("EvalMod.Leaf", lvl-3*limbsPerMult, baby)
 	}
-	// Recombination products up the recursion tree.
-	for j := 1; j < giants; j++ {
-		b.HMULT(lvl - 2*limbsPerMult)
+	for j := 1; j < leaves; j++ {
+		b.HMULT(lvl - 3*limbsPerMult)
 	}
-	lvl -= limbsPerMult * depth
+	lvl -= limbsPerMult * int(math.Ceil(math.Log2(float64(cfg.ChebDegree+1))))
 
 	// Double angles: squaring plus constant ops per step.
 	for r := 0; r < cfg.DoubleAng; r++ {
