@@ -113,11 +113,10 @@ type Context struct {
 }
 
 // NewContext compiles parameters and generates the base keys (secret,
-// relinearization); it encrypts under the secret key and holds no public
-// key. The seed is the master of every key and of the
-// encryptor's stream, so the context is deterministic; it is not a secret
-// drawn from crypto/rand, and a context for real data needs one that is
-// (NewRandomContext).
+// relinearization); it encrypts under the secret key. The seed is the master
+// of every key and of the encryptor's stream, so the context is
+// deterministic; it is not a secret drawn from crypto/rand, and a context
+// for real data needs one that is (NewRandomContext).
 func NewContext(lit ParametersLiteral, seed int64) (*Context, error) {
 	params, err := ckks.NewParameters(lit)
 	if err != nil {
@@ -224,7 +223,7 @@ func (c *Context) Encrypt(values []complex128) (*Ciphertext, error) {
 	if c.encr == nil {
 		return nil, fmt.Errorf("anaheim: server context has no encryption key")
 	}
-	return c.encr.EncodeEncryptSkNew(c.enc, values, c.Params.MaxLevel(), c.Params.DefaultScale(), c.sk)
+	return c.encr.EncodeEncryptNew(c.enc, values, c.Params.MaxLevel(), c.Params.DefaultScale(), c.sk)
 }
 
 // Decrypt returns the slot vector of a ciphertext. Safe for concurrent use.

@@ -1,7 +1,10 @@
 // Command anaheim-fhe is a file-based FHE workflow around the functional
 // CKKS library: generate keys, encrypt a vector of reals, evaluate simple
 // circuits on the ciphertext file, and decrypt — every artifact persisted
-// through the library's binary serialization.
+// through the library's binary serialization. keygen writes the secret key
+// sk.bin and the relinearization key rlk.bin; encrypt and decrypt read
+// sk.bin (the client holds the secret key and encrypts under it), eval reads
+// rlk.bin alone.
 //
 //	anaheim-fhe keygen  -dir keys
 //	anaheim-fhe encrypt -dir keys -values 1.5,2.5,-3 -out ct.bin
@@ -61,20 +64,18 @@ func keygen(dir string) {
 	p := params()
 	kg := ckks.NewKeyGeneratorFromMaster(p, randomSeed())
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
 	writeFile(filepath.Join(dir, "sk.bin"), sk)
-	writeFile(filepath.Join(dir, "pk.bin"), pk)
 	writeFile(filepath.Join(dir, "rlk.bin"), rlk)
-	fmt.Printf("wrote sk.bin, pk.bin, rlk.bin to %s (N=%d, %d levels; DEMO parameters, not secure)\n",
+	fmt.Printf("wrote sk.bin, rlk.bin to %s (N=%d, %d levels; DEMO parameters, not secure)\n",
 		dir, p.N(), p.MaxLevel())
 }
 
 func encrypt(dir, valuesCSV, out string) {
 	p := params()
 	enc := ckks.NewEncoder(p)
-	var pk ckks.PublicKey
-	readFile(filepath.Join(dir, "pk.bin"), &pk)
+	var sk ckks.SecretKey
+	readFile(filepath.Join(dir, "sk.bin"), &sk)
 
 	var vals []complex128
 	for _, s := range strings.Split(valuesCSV, ",") {
@@ -82,7 +83,7 @@ func encrypt(dir, valuesCSV, out string) {
 		die(err)
 		vals = append(vals, complex(f, 0))
 	}
-	ct, err := ckks.NewEncryptorFromSeed(p, randomSeed()).EncodeEncryptNew(enc, vals, p.MaxLevel(), p.DefaultScale(), &pk)
+	ct, err := ckks.NewEncryptorFromSeed(p, randomSeed()).EncodeEncryptNew(enc, vals, p.MaxLevel(), p.DefaultScale(), &sk)
 	die(err)
 	writeFile(out, ct)
 	fmt.Printf("encrypted %d values into %s (level %d)\n", len(vals), out, ct.Level())

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/ckks"
 )
 
 // End-to-end test of the file-based workflow: keygen -> encrypt -> eval ->
-// decrypt, all through the serialized artifacts on disk.
+// decrypt, all through the serialized artifacts on disk. keygen writes the
+// secret and relinearization keys and nothing else; encrypt reads the secret.
 func TestFileWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	keys := filepath.Join(dir, "keys")
@@ -18,6 +20,17 @@ func TestFileWorkflow(t *testing.T) {
 	ct2 := filepath.Join(dir, "ct2.bin")
 
 	keygen(keys)
+	entries, err := os.ReadDir(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "rlk.bin sk.bin" {
+		t.Fatalf("keygen wrote %v, want [rlk.bin sk.bin]", names)
+	}
 	encrypt(keys, "1.5, 2.5, -3", ct1)
 	eval(keys, "square", ct1, ct2)
 

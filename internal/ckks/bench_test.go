@@ -49,14 +49,14 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		encr, decr := NewEncryptor(params, 2), NewDecryptor(params, sk)
 		v := randomComplex(rand.New(rand.NewSource(2)), params.Slots(), 1)
 		level, scale := params.MaxLevel(), params.DefaultScale()
-		ct, err := encr.EncodeEncryptSkNew(enc, v, level, scale, sk)
+		ct, err := encr.EncodeEncryptNew(enc, v, level, scale, sk)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(shape.name+"/encode+encrypt", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := encr.EncodeEncryptSkNew(enc, v, level, scale, sk); err != nil {
+				if _, err := encr.EncodeEncryptNew(enc, v, level, scale, sk); err != nil {
 					b.Fatal(err)
 				}
 			}

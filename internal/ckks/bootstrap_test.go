@@ -468,7 +468,7 @@ func TestEvalModEvenSeries(t *testing.T) {
 		v[i] = complex(ts[i]/h, 0)
 	}
 	level := cfg.stageLevels(tc.params.MaxLevel()).mul
-	in, err := tc.encr.EncodeEncryptNew(tc.enc, v, level, b.q0, tc.pk)
+	in, err := tc.encr.EncodeEncryptNew(tc.enc, v, level, b.q0, tc.sk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,10 @@ type Plaintext struct {
 // Level returns the plaintext level.
 func (pt *Plaintext) Level() int { return pt.Value.Level() }
 
-// Encryptor encrypts encoded values under a secret or public key. It is safe
-// for concurrent use: its one stream is drawn under its mutex, and everything
-// after the draws runs unlocked. Concurrent callers get valid encryptions
-// whose randomness depends on the order their draws take the lock.
+// Encryptor encrypts values under the secret key. It is safe for concurrent
+// use: its one stream is drawn under its mutex, and everything after the
+// draws runs unlocked. Concurrent callers get valid encryptions whose
+// randomness depends on the order their draws take the lock.
 type Encryptor struct {
 	params *Parameters
 	mu     sync.Mutex // serializes the draws from stream
@@ -66,61 +66,14 @@ func NewEncryptorFromSeed(params *Parameters, seed [32]byte) *Encryptor {
 }
 
 // EncodeEncryptNew encodes values at the given level and scale and encrypts
-// them under the public key. The encoded message stays in the coefficient
-// domain and joins e0 before its transform — the NTT is linear and both sums
-// are exact mod q_i — so the ciphertext is, byte for byte, the encryption of
-// the NTT-domain Encode at 3(ℓ+1) forward transforms instead of 4(ℓ+1).
-func (e *Encryptor) EncodeEncryptNew(enc *Encoder, values []complex128, level int, scale float64, pk *PublicKey) (*Ciphertext, error) {
-	defer obsEncrypt.done(time.Now())
-	rq := e.params.RingQ()
-	m := rq.GetPoly(level)
-	defer rq.PutPoly(m)
-	if err := enc.encodeCoeffs(m, values, scale); err != nil {
-		return nil, err
-	}
-	return e.encrypt(m, scale, level, pk), nil
-}
-
-// encrypt returns (B·u + e0 + m, A·u + e1) for a coefficient-domain message m
-// (nil for an encryption of zero). The stream is drawn in the order u, e0,
-// e1, which fixes the ciphertext bytes of a seeded encryptor.
-func (e *Encryptor) encrypt(m *ring.Poly, scale float64, lvl int, pk *PublicKey) *Ciphertext {
-	p := e.params
-	rq := p.RingQ()
-	e.mu.Lock()
-	uv := e.stream.TernaryVector(rq.N, p.HDense())
-	e0 := e.stream.GaussianVector(rq.N, p.Sigma())
-	e1 := e.stream.GaussianVector(rq.N, p.Sigma())
-	e.mu.Unlock()
-
-	u := rq.GetPoly(lvl)
-	defer rq.PutPoly(u)
-	rq.EmbedCentered(u, uv, lvl)
-	rq.NTT(u, lvl)
-
-	c0 := rq.NewPoly(lvl)
-	rq.EmbedCentered(c0, e0, lvl)
-	if m != nil {
-		rq.Add(c0, c0, m, lvl)
-	}
-	rq.NTT(c0, lvl)
-	rq.MulCoeffsAdd(c0, pk.B.Truncated(lvl), u, lvl)
-
-	c1 := rq.NewPoly(lvl)
-	rq.EmbedCentered(c1, e1, lvl)
-	rq.NTT(c1, lvl)
-	rq.MulCoeffsAdd(c1, pk.A.Truncated(lvl), u, lvl)
-
-	return &Ciphertext{C0: c0, C1: c1, Scale: scale}
-}
-
-// EncodeEncryptSkNew encodes values at the given level and scale and
-// encrypts them under the secret key: (−a·s + m + e, a). The message joins
-// the error before their one transform, ℓ+1 forward limb transforms where
-// EncodeEncryptNew runs 3(ℓ+1), and the stream is drawn in the order a's
-// 32-byte seed, e. The mask a is that seed's uniform expansion, already in
-// the NTT domain, so the ciphertext is a function of the seed and C0 alone.
-func (e *Encryptor) EncodeEncryptSkNew(enc *Encoder, values []complex128, level int, scale float64, sk *SecretKey) (*Ciphertext, error) {
+// them under the secret key: (−a·s + m + e, a). The message joins the error
+// in the coefficient domain before their one transform — the NTT is linear
+// and the sum is exact mod q_i — so the ciphertext is, byte for byte, the
+// encryption of the NTT-domain Encode at ℓ+1 forward limb transforms. The
+// stream is drawn in the order a's 32-byte seed, e. The mask a is that
+// seed's uniform expansion, already in the NTT domain, so the ciphertext is
+// a function of the seed and C0 alone.
+func (e *Encryptor) EncodeEncryptNew(enc *Encoder, values []complex128, level int, scale float64, sk *SecretKey) (*Ciphertext, error) {
 	defer obsEncrypt.done(time.Now())
 	p := e.params
 	rq := p.RingQ()

@@ -16,7 +16,6 @@ type testContext struct {
 	enc    *Encoder
 	kgen   *KeyGenerator
 	sk     *SecretKey
-	pk     *PublicKey
 	keys   *EvaluationKeySet
 	encr   *Encryptor
 	decr   *Decryptor
@@ -88,7 +87,6 @@ func contextOn(params *Parameters, poison bool) *testContext {
 	tc.enc = NewEncoder(params)
 	tc.kgen = NewKeyGenerator(params, 1)
 	tc.sk = tc.kgen.GenSecretKey()
-	tc.pk = tc.kgen.GenPublicKey(tc.sk)
 	tc.keys = NewEvaluationKeySet()
 	tc.keys.Rlk = tc.kgen.GenRelinearizationKey(tc.sk)
 	tc.encr = NewEncryptor(params, 2)
@@ -137,7 +135,7 @@ func maxErr(got, want []complex128) float64 {
 
 func (tc *testContext) encryptVec(t testing.TB, v []complex128) *Ciphertext {
 	t.Helper()
-	ct, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.pk)
+	ct, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,20 +188,6 @@ func TestEncryptDecrypt(t *testing.T) {
 	got := tc.decryptVec(ct)
 	if e := maxErr(got, v); e > 1e-6 {
 		t.Fatalf("encrypt/decrypt error %g too large", e)
-	}
-}
-
-func TestEncryptWithSecretKey(t *testing.T) {
-	tc := newTestContext(t, TestParameters())
-	r := rand.New(rand.NewSource(12))
-	v := randomComplex(r, tc.params.Slots(), 1)
-	ct, err := tc.encr.EncodeEncryptSkNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tc.decryptVec(ct)
-	if e := maxErr(got, v); e > 1e-6 {
-		t.Fatalf("sk-encrypt error %g too large", e)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/big"
@@ -274,7 +275,7 @@ func TestEncodeRejectsUnrepresentable(t *testing.T) {
 		if _, err := tc.enc.Encode(v, tc.params.MaxLevel(), tc.params.DefaultScale()); !errors.Is(err, ErrEncodeRange) {
 			t.Errorf("Encode(%v): error %v, want ErrEncodeRange", bad, err)
 		}
-		if _, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.pk); !errors.Is(err, ErrEncodeRange) {
+		if _, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.sk); !errors.Is(err, ErrEncodeRange) {
 			t.Errorf("EncodeEncryptNew(%v): error %v, want ErrEncodeRange", bad, err)
 		}
 	}
@@ -292,14 +293,31 @@ func TestEncodeRejectsUnrepresentable(t *testing.T) {
 	}
 }
 
-// encryptNew encrypts the NTT-domain plaintext pt under the public key,
-// (C0, C1) = (B·u + e0 + pt, A·u + e1): the four-transform encrypt that
-// EncodeEncryptNew is pinned against.
-func encryptNew(e *Encryptor, pt *Plaintext, pk *PublicKey) *Ciphertext {
+// streamSeed returns the 32-byte seed made of the next four words s hands
+// out.
+func streamSeed(s *ring.Stream) (seed [32]byte) {
+	for i := 0; i < len(seed); i += 8 {
+		binary.LittleEndian.PutUint64(seed[i:], s.Uint64())
+	}
+	return seed
+}
+
+// encryptNew encrypts the NTT-domain plaintext pt under the secret key,
+// (C0, C1) = (−a·s + NTT(e) + pt, a), drawing a's seed and then e from the
+// encryptor's stream: the long-hand encrypt, e transformed apart from the
+// message, that EncodeEncryptNew is pinned against.
+func encryptNew(e *Encryptor, pt *Plaintext, sk *SecretKey) *Ciphertext {
+	rq := e.params.RingQ()
 	lvl := pt.Level()
-	ct := e.encrypt(nil, pt.Scale, lvl, pk)
-	e.params.RingQ().Add(ct.C0, ct.C0, pt.Value, lvl)
-	return ct
+	a := ring.NewStream(streamSeed(e.stream)).UniformPoly(rq, lvl, true)
+	c0 := rq.NewPoly(lvl)
+	rq.EmbedCentered(c0, e.stream.GaussianVector(rq.N, e.params.Sigma()), lvl)
+	rq.NTT(c0, lvl)
+	rq.Add(c0, c0, pt.Value, lvl)
+	as := rq.NewPoly(lvl)
+	rq.MulCoeffs(as, a, sk.Q.Truncated(lvl), lvl)
+	rq.Sub(c0, c0, as, lvl)
+	return &Ciphertext{C0: c0, C1: a, Scale: pt.Scale}
 }
 
 // decryptNew returns the plaintext C0 + C1·s on every limb of ct.
@@ -309,7 +327,7 @@ func decryptNew(d *Decryptor, ct *Ciphertext) *Plaintext {
 	return &Plaintext{Value: m, Scale: ct.Scale}
 }
 
-// TestEncodeEncryptMatchesEncodeThenEncrypt: the three-transform encrypt is,
+// TestEncodeEncryptMatchesEncodeThenEncrypt: the one-transform encrypt is,
 // byte for byte, encryptNew of the NTT-domain Encode under the same sampler
 // state, and the fused decrypt is Decode of decryptNew.
 func TestEncodeEncryptMatchesEncodeThenEncrypt(t *testing.T) {
@@ -321,8 +339,8 @@ func TestEncodeEncryptMatchesEncodeThenEncrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := encryptNew(NewEncryptor(tc.params, 9), &Plaintext{Value: pt, Scale: scale}, tc.pk)
-	short, err := NewEncryptor(tc.params, 9).EncodeEncryptNew(tc.enc, v, level, scale, tc.pk)
+	long := encryptNew(NewEncryptor(tc.params, 9), &Plaintext{Value: pt, Scale: scale}, tc.sk)
+	short, err := NewEncryptor(tc.params, 9).EncodeEncryptNew(tc.enc, v, level, scale, tc.sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +361,41 @@ func TestEncodeEncryptMatchesEncodeThenEncrypt(t *testing.T) {
 	}
 }
 
+// TestFreshMaskIsSeeded: a fresh ciphertext's C1 is the NTT-domain uniform
+// expansion of the seed made of the first four words its encryptor's stream
+// hands out, so those 32 bytes determine C1 at every level. The next
+// encryption draws another seed.
+func TestFreshMaskIsSeeded(t *testing.T) {
+	tc := newTestContext(t, TestParameters())
+	rq := tc.params.RingQ()
+	v := randomComplex(rand.New(rand.NewSource(24)), tc.params.Slots(), 1)
+	for _, level := range []int{0, tc.params.MaxLevel()} {
+		encr := NewEncryptor(tc.params, 11)
+		seed := streamSeed(NewEncryptor(tc.params, 11).stream)
+		ct, err := encr.EncodeEncryptNew(tc.enc, v, level, tc.params.DefaultScale(), tc.sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ct.C1.Equal(ring.NewStream(seed).UniformPoly(rq, level, true)) {
+			t.Fatalf("level %d: C1 is not the expansion of the stream's first 32 bytes", level)
+		}
+		next, err := encr.EncodeEncryptNew(tc.enc, v, level, tc.params.DefaultScale(), tc.sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.C1.Equal(ct.C1) {
+			t.Fatalf("level %d: two encryptions share a mask", level)
+		}
+	}
+}
+
 // TestClientObs: encrypt and decrypt report through opObs, and
 // ckks_decode_limbs records the prefix a decode read.
 func TestClientObs(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	v := randomComplex(rand.New(rand.NewSource(23)), tc.params.Slots(), 1)
 	before := obs.Default.Snapshot()
-	ct, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.pk)
+	ct, err := tc.encr.EncodeEncryptNew(tc.enc, v, tc.params.MaxLevel(), tc.params.DefaultScale(), tc.sk)
 	if err != nil {
 		t.Fatal(err)
 	}

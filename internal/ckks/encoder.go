@@ -155,8 +155,8 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*ring.P
 }
 
 // encodeCoeffs writes the coefficient-domain encoding of values at the given
-// scale into every limb of p (the message a public-key encryption adds to e0
-// before its transform).
+// scale into every limb of p (the message EncodeEncryptNew adds to the error
+// before their one transform).
 func (e *Encoder) encodeCoeffs(p *ring.Poly, values []complex128, scale float64) error {
 	slots := e.params.Slots()
 	if len(values) > slots {

@@ -35,12 +35,11 @@ var fuzzSeedCiphertext = sync.OnceValue(func() []byte {
 	enc := NewEncoder(params)
 	kgen := NewKeyGenerator(params, 1)
 	sk := kgen.GenSecretKey()
-	pk := kgen.GenPublicKey(sk)
 	v := make([]complex128, params.Slots())
 	for i := range v {
 		v[i] = complex(float64(i%5)/4, -float64(i%3)/2)
 	}
-	ct, err := NewEncryptor(params, 2).EncodeEncryptNew(enc, v, params.MaxLevel(), params.DefaultScale(), pk)
+	ct, err := NewEncryptor(params, 2).EncodeEncryptNew(enc, v, params.MaxLevel(), params.DefaultScale(), sk)
 	if err != nil {
 		panic(err)
 	}
@@ -155,8 +154,7 @@ func FuzzEvaluationKeySetUnmarshal(f *testing.F) {
 	f.Add(greedy)
 
 	ev := NewEvaluator(params, keys)
-	ct := encryptNew(NewEncryptor(params, 2), &Plaintext{Value: params.RingQ().NewPoly(params.MaxLevel()), Scale: params.DefaultScale()},
-		kgen.GenPublicKey(sk))
+	ct := encryptNew(NewEncryptor(params, 2), &Plaintext{Value: params.RingQ().NewPoly(params.MaxLevel()), Scale: params.DefaultScale()}, sk)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &EvaluationKeySet{}
 		if err := s.UnmarshalBinary(data); err != nil {

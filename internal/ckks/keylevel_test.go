@@ -154,9 +154,9 @@ func TestKeyBelowLevelFails(t *testing.T) {
 	}
 }
 
-// TestPublicKeyGenCoversTheTop: the exported generators always leave a
+// TestExportedKeyGenCoversTheTop: the exported generators always leave a
 // top-level key, replacing a lower one the set holds, and keep one at the top.
-func TestPublicKeyGenCoversTheTop(t *testing.T) {
+func TestExportedKeyGenCoversTheTop(t *testing.T) {
 	tc := newTestContext(t, TestParameters())
 	p := tc.params
 	top := p.MaxLevel()
@@ -170,7 +170,7 @@ func TestPublicKeyGenCoversTheTop(t *testing.T) {
 	tc.kgen.GenConjugationKey(tc.sk, tc.keys)
 	for name, g := range map[string]uint64{"rotation": g1, "conjugation": gc} {
 		if lvl := tc.keys.Gal[g].Level(); lvl != top {
-			t.Errorf("%s key at level %d after the public generator, want %d", name, lvl, top)
+			t.Errorf("%s key at level %d after the exported generator, want %d", name, lvl, top)
 		}
 	}
 	kept := tc.keys.Gal[g1]

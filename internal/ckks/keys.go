@@ -19,11 +19,6 @@ type SecretKey struct {
 	P *ring.Poly // over RingP
 }
 
-// PublicKey is an RLWE encryption of zero: (B, A) = (-A·s + e, A) over Q.
-type PublicKey struct {
-	B, A *ring.Poly
-}
-
 // SwitchingKey is a gadget ("hybrid") key-switching key with D digits. Digit
 // d encrypts P·g_d·w under the key s', where g_d = (Q/Q_d)·[(Q/Q_d)^{-1}]_{Q_d}
 // is the RNS gadget factor:
@@ -164,10 +159,10 @@ func (s *EvaluationKeySet) CoeffBytes() int64 {
 // gives each key the Seed its uniform half expands from, and the secret one
 // gives a secret key its stream and each key digit its error stream, keyed by
 // (key id, digit). A key id is the Galois element for a Galois key, a fixed
-// role for the relinearization key, the public key and the bootstrap's two
-// encapsulation keys, and a fresh counter value for every GenSecretKey and
-// GenSparseSecretKey call. The level is never part of an
-// id: a key at level ℓ is the prefix of the top-level key with its id.
+// role for the relinearization key and the bootstrap's two encapsulation
+// keys, and a fresh counter value for every GenSecretKey and
+// GenSparseSecretKey call. The level is never part of an id: a key at level
+// ℓ is the prefix of the top-level key with its id.
 type KeyGenerator struct {
 	params       *Parameters
 	master       [32]byte
@@ -182,10 +177,11 @@ const (
 )
 
 // Key ids with a fixed role, and the base of the fresh ones. Galois elements
-// are odd and below 2N, far below both.
+// are odd and below 2N, far below both. The blank id was the retired public
+// key's; it holds its place so the ids after it, and their keys' bytes, stay.
 const (
 	idRelinearization uint64 = 1<<62 + iota
-	idPublicKey
+	_
 	idToSparse
 	idToDense
 	idFresh uint64 = 1 << 63
@@ -252,22 +248,6 @@ func (kg *KeyGenerator) genSecretKeyWithWeight(h int) *SecretKey {
 	p.RingQ().NTT(sk.Q, p.MaxLevel())
 	p.RingP().NTT(sk.P, p.RingP().MaxLevel())
 	return sk
-}
-
-// GenPublicKey returns an RLWE encryption of zero under sk.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	p := kg.params
-	rq := p.RingQ()
-	lvl := p.MaxLevel()
-	a := ring.NewStream(kg.derive(domainPublic, idPublicKey, 0)).UniformPoly(rq, lvl, true)
-	e := kg.secretStream(idPublicKey, 0).GaussianPoly(rq, lvl, p.Sigma())
-	rq.NTT(e, lvl)
-	b := rq.NewPoly(lvl)
-	b.IsNTT = true
-	rq.MulCoeffs(b, a, sk.Q, lvl)
-	rq.Neg(b, b, lvl)
-	rq.Add(b, b, e, lvl)
-	return &PublicKey{B: b, A: a}
 }
 
 // genSwitchingKey produces the key with the given id at level ℓ, digit d

@@ -94,22 +94,19 @@ func TestPublicSeedsIgnoreSecretDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func(secretDomain string) (*SecretKey, *EvaluationKeySet, *PublicKey) {
+	gen := func(secretDomain string) (*SecretKey, *EvaluationKeySet) {
 		kg := NewKeyGenerator(p, 9)
 		kg.secretDomain = secretDomain
 		sk := kg.GenSecretKey()
 		ks := NewEvaluationKeySet()
 		ks.Rlk = kg.GenRelinearizationKey(sk)
 		kg.GenRotationKeys(sk, ks, []int{1, 3})
-		return sk, ks, kg.GenPublicKey(sk)
+		return sk, ks
 	}
-	sk0, ks0, pk0 := gen(domainSecret)
-	sk1, ks1, pk1 := gen("another secret domain")
+	sk0, ks0 := gen(domainSecret)
+	sk1, ks1 := gen("another secret domain")
 	if sk0.Q.Equal(sk1.Q) {
 		t.Fatal("the secret did not move with the secret domain")
-	}
-	if !pk0.A.Equal(pk1.A) || pk0.B.Equal(pk1.B) {
-		t.Error("public key: want the same A and another B")
 	}
 	pairs := map[string][2]*SwitchingKey{"relinearization": {ks0.Rlk, ks1.Rlk}}
 	for g, k := range ks0.Gal {

@@ -122,19 +122,6 @@ func (sk *SecretKey) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the public key.
-func (pk *PublicKey) MarshalBinary() ([]byte, error) { return appendPoly(nil, pk.B, pk.A) }
-
-// UnmarshalBinary decodes a public key.
-func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	ps, err := readPolys(data, "public key", 2)
-	if err != nil {
-		return err
-	}
-	pk.B, pk.A = ps[0], ps[1]
-	return nil
-}
-
 // appendOptional appends v behind a presence byte: 1 and v's length-prefixed
 // encoding, or a lone 0 for nil. It frames every optional part of a key set.
 func appendOptional[T any, PT interface {

@@ -49,18 +49,6 @@ func TestKeySerialization(t *testing.T) {
 		t.Fatal("secret key not preserved")
 	}
 
-	pkData, err := tc.pk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pk PublicKey
-	if err := pk.UnmarshalBinary(pkData); err != nil {
-		t.Fatal(err)
-	}
-	if !pk.A.Equal(tc.pk.A) || !pk.B.Equal(tc.pk.B) {
-		t.Fatal("public key not preserved")
-	}
-
 	rlkData, err := tc.keys.Rlk.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ var bootClient = sync.OnceValues(func() (*testClient, error) {
 		enc:    ckks.NewEncoder(params),
 		encr:   ckks.NewEncryptor(params, 8),
 		decr:   ckks.NewDecryptor(params, sk),
-		pk:     kgen.GenPublicKey(sk),
+		sk:     sk,
 		keys:   keys,
 	}, nil
 })
@@ -81,7 +81,7 @@ func postSession(t *testing.T, h http.Handler, preset string, keys *ckks.Evaluat
 }
 
 // TestBootstrapOverHTTP: a session created over HTTP from GenBootstrapKeys'
-// output — public keys only, the secret never leaves the client — serves a
+// output — evaluation keys only, the secret never leaves the client — serves a
 // bootstrap job, and the client decrypts its result at 15 bits or more on
 // the worst slot. The key set is above the default body cap, so the engine is
 // configured for it.
@@ -106,7 +106,7 @@ func TestBootstrapOverHTTP(t *testing.T) {
 	for i := range want {
 		want[i] = complex(r.Float64()*1.4-0.7, r.Float64()*1.4-0.7)
 	}
-	in, err := client.encr.EncodeEncryptNew(client.enc, want, 0, p.DefaultScale(), client.pk)
+	in, err := client.encr.EncodeEncryptNew(client.enc, want, 0, p.DefaultScale(), client.sk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type testClient struct {
 	enc    *ckks.Encoder
 	encr   *ckks.Encryptor
 	decr   *ckks.Decryptor
-	pk     *ckks.PublicKey
+	sk     *ckks.SecretKey
 	keys   *ckks.EvaluationKeySet
 }
 
@@ -46,14 +46,14 @@ func newTestClient(t testing.TB, rotations ...int) *testClient {
 		enc:    ckks.NewEncoder(params),
 		encr:   ckks.NewEncryptor(params, 8),
 		decr:   ckks.NewDecryptor(params, sk),
-		pk:     kgen.GenPublicKey(sk),
+		sk:     sk,
 		keys:   keys,
 	}
 }
 
 func (c *testClient) encrypt(t testing.TB, vals []complex128) *ckks.Ciphertext {
 	t.Helper()
-	ct, err := c.encr.EncodeEncryptNew(c.enc, vals, c.params.MaxLevel(), c.params.DefaultScale(), c.pk)
+	ct, err := c.encr.EncodeEncryptNew(c.enc, vals, c.params.MaxLevel(), c.params.DefaultScale(), c.sk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,6 @@ import (
 // of the slot vector by r positions corresponds to g = 5^r mod 2N, and
 // complex conjugation to g = 2N-1 (§II-B "automorphism").
 
-// autoTables is the immutable snapshot holding both automorphism caches: the
-// NTT-domain permutation per Galois element and the Galois element per
-// rotation. Readers load it with one atomic pointer load and never take a
-// lock; writers (cold path, first use of a rotation) copy-on-write under
-// autoMu and publish a new snapshot, so hot rotate paths never contend.
-type autoTables struct {
-	perm map[uint64]*modarith.BlockPerm // galois element -> NTT-domain permutation
-	gal  map[int]uint64                 // canonical rotation -> 5^r mod 2N
-}
-
 // modExp computes b^e mod m by square-and-multiply. All operands stay below
 // 2N < 2^32, so the intermediate products fit in uint64.
 func modExp(b, e, m uint64) uint64 {
@@ -35,47 +25,12 @@ func modExp(b, e, m uint64) uint64 {
 }
 
 // GaloisElement returns the Galois element 5^r mod 2N realizing a cyclic
-// slot rotation by r (r may be negative). The exponentiation is
-// square-and-multiply — O(log r), not O(r) — and the result is cached per
-// canonical rotation, so steady-state calls are a map lookup on a lock-free
-// snapshot.
+// slot rotation by r (r may be negative), by square-and-multiply: O(log r),
+// as cheap as a cache lookup would be.
 func (r *Ring) GaloisElement(rot int) uint64 {
 	n2 := r.N >> 1 // slot count; rotations are cyclic mod N/2
 	rot = ((rot % n2) + n2) % n2
-	if t := r.autoSnap.Load(); t != nil {
-		if g, ok := t.gal[rot]; ok {
-			return g
-		}
-	}
-	g := modExp(5, uint64(rot), uint64(2*r.N))
-
-	r.autoMu.Lock()
-	defer r.autoMu.Unlock()
-	cur := r.autoSnap.Load()
-	if old, ok := cur.gal[rot]; ok {
-		return old
-	}
-	next := &autoTables{perm: cur.perm, gal: make(map[int]uint64, len(cur.gal)+1)}
-	for k, v := range cur.gal {
-		next.gal[k] = v
-	}
-	next.gal[rot] = g
-	r.autoSnap.Store(next)
-	return g
-}
-
-// galoisElementLoop is the retired O(r) multiply-loop form, kept as the
-// differential oracle for GaloisElement.
-func (r *Ring) galoisElementLoop(rot int) uint64 {
-	twoN := uint64(2 * r.N)
-	n2 := r.N >> 1
-	rot = ((rot % n2) + n2) % n2
-	g := uint64(1)
-	base := uint64(5)
-	for k := 0; k < rot; k++ {
-		g = g * base % twoN
-	}
-	return g
+	return modExp(5, uint64(rot), uint64(2*r.N))
 }
 
 // GaloisElementConjugate returns the Galois element for complex conjugation.
@@ -83,27 +38,27 @@ func (r *Ring) GaloisElementConjugate() uint64 { return uint64(2*r.N) - 1 }
 
 // autoPerm returns (building and caching on first use) the NTT-domain
 // permutation for σ_g (autoBlockPerm): N/8 uint32 entries and one 512-byte
-// lane table. Lookups are lock-free snapshot reads.
+// lane table. The cache is an immutable map behind one atomic pointer:
+// readers never take a lock, and a writer (cold path, first use of g) copies
+// it under autoMu and publishes the copy, so hot rotate paths never contend.
 func (r *Ring) autoPerm(g uint64) *modarith.BlockPerm {
-	if t := r.autoSnap.Load(); t != nil {
-		if p, ok := t.perm[g]; ok {
-			return p
-		}
+	if p, ok := (*r.autoSnap.Load())[g]; ok {
+		return p
 	}
 	p := autoBlockPerm(r.LogN, g)
 
 	r.autoMu.Lock()
 	defer r.autoMu.Unlock()
-	cur := r.autoSnap.Load()
-	if old, ok := cur.perm[g]; ok {
+	cur := *r.autoSnap.Load()
+	if old, ok := cur[g]; ok {
 		return old
 	}
-	next := &autoTables{perm: make(map[uint64]*modarith.BlockPerm, len(cur.perm)+1), gal: cur.gal}
-	for k, v := range cur.perm {
-		next.perm[k] = v
+	next := make(map[uint64]*modarith.BlockPerm, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
 	}
-	next.perm[g] = p
-	r.autoSnap.Store(next)
+	next[g] = p
+	r.autoSnap.Store(&next)
 	return p
 }
 

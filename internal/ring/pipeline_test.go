@@ -661,24 +661,32 @@ func TestPipelineLimbWindow(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Automorphism cache satellites
 
+// galoisElementLoop is the O(r) multiply-loop form of GaloisElement, its
+// differential oracle.
+func (r *Ring) galoisElementLoop(rot int) uint64 {
+	twoN := uint64(2 * r.N)
+	n2 := r.N >> 1
+	rot = ((rot % n2) + n2) % n2
+	g := uint64(1)
+	for k := 0; k < rot; k++ {
+		g = g * 5 % twoN
+	}
+	return g
+}
+
 // TestGaloisElementMatchesLoop: the square-and-multiply form agrees with the
-// retired O(r) multiply loop, including negative and wrapped rotations, and
-// the cached second lookup returns the same value.
+// O(r) multiply loop, including negative and wrapped rotations.
 func TestGaloisElementMatchesLoop(t *testing.T) {
 	r := newTestRing(t, 8, 1)
 	rots := []int{0, 1, 2, 3, 5, 17, 100, r.N/2 - 1, r.N / 2, r.N, -1, -7, -r.N / 2, 123456, -99999}
 	for _, rot := range rots {
-		want := r.galoisElementLoop(rot)
-		if got := r.GaloisElement(rot); got != want {
+		if got, want := r.GaloisElement(rot), r.galoisElementLoop(rot); got != want {
 			t.Fatalf("rot %d: square-and-multiply %d != loop %d", rot, got, want)
-		}
-		if got := r.GaloisElement(rot); got != want {
-			t.Fatalf("rot %d: cached lookup %d != loop %d", rot, got, want)
 		}
 	}
 }
 
-// TestAutomorphismCacheConcurrent hammers the lock-free snapshot caches from
+// TestAutomorphismCacheConcurrent hammers the lock-free permutation cache from
 // many goroutines resolving overlapping rotation sets (run under -race this
 // is the S2 regression: hot rotate paths must never contend or tear).
 func TestAutomorphismCacheConcurrent(t *testing.T) {

@@ -32,8 +32,8 @@ type Ring struct {
 	// limbs across.
 	width int
 
-	autoMu   sync.Mutex                 // serializes autoSnap writers (cold path only)
-	autoSnap atomic.Pointer[autoTables] // automorphism caches; lock-free reads
+	autoMu   sync.Mutex                                     // serializes autoSnap writers (cold path only)
+	autoSnap atomic.Pointer[map[uint64]*modarith.BlockPerm] // Galois element -> permutation; lock-free reads
 
 	// pool recycles Poly scratch buffers by capacity (see pool.go).
 	pool polyPool
@@ -76,7 +76,7 @@ func newRing(logN int, primes []uint64, k modarith.Kernels, width int) (*Ring, e
 		Tables: make([]*ntt.Tables, len(primes)),
 		width:  width,
 	}
-	r.autoSnap.Store(&autoTables{perm: map[uint64]*modarith.BlockPerm{}, gal: map[int]uint64{}})
+	r.autoSnap.Store(&map[uint64]*modarith.BlockPerm{})
 	for i, q := range primes {
 		mod, err := k.NewModulus(q)
 		if err != nil {

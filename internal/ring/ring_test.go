@@ -422,7 +422,7 @@ func TestGaussianPolyBounded(t *testing.T) {
 	r := newTestRing(t, 8, 1)
 	s := testStream(29)
 	sigma := 3.2
-	p := s.GaussianPoly(r, 0, sigma)
+	p := SmallVectorToPoly(r, 0, s.GaussianVector(r.N, sigma))
 	var sum, sumSq float64
 	for j := 0; j < r.N; j++ {
 		c := float64(r.Moduli[0].Centered(p.Coeffs[0][j]))

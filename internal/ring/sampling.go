@@ -167,10 +167,3 @@ func (s *Stream) GaussianVector(n int, sigma float64) []int64 {
 	}
 	return v
 }
-
-// GaussianPoly samples a discrete Gaussian error polynomial with standard
-// deviation sigma (rounded continuous Gaussian, adequate for a research
-// implementation). Returned in the coefficient domain.
-func (s *Stream) GaussianPoly(r *Ring, level int, sigma float64) *Poly {
-	return SmallVectorToPoly(r, level, s.GaussianVector(r.N, sigma))
-}
