@@ -23,9 +23,11 @@
 //	GET    /v1/jobs/{id}/result           fetch output ciphertexts
 //	DELETE /v1/jobs/{id}                  release a job (cancels it if still running)
 //
-// A finished job stays fetchable until -retainfor has passed or newer results
-// push the total past -retainbytes; after that (or after DELETE) its id
-// answers 410 Gone. An id that was never issued answers 404.
+// A result fetch is one-shot: once its body was written, the job's id answers
+// 410 Gone. A finished job nobody has fetched stays fetchable until -retainfor
+// has passed or newer unfetched results push the total past -retainbytes;
+// after that (or after DELETE) its id answers 410 too. An id that was never
+// issued answers 404.
 //
 // Sessions live in one LRU bounded by -cachebytes of evaluation keys. A
 // session with a job in flight is never evicted; one evicted to make room (or
@@ -80,8 +82,8 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "default per-job deadline (0 = engine default)")
 	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "eval-key cache byte budget; LRU sessions evicted beyond it (0 = 1GiB)")
 	fs.IntVar(&cfg.tenantJobs, "tenantjobs", 0, "max in-flight jobs per session before 429 (0 = default 16)")
-	fs.Int64Var(&cfg.retainBytes, "retainbytes", 0, "output bytes finished jobs may hold before the oldest are reaped (0 = 64MiB)")
-	fs.DurationVar(&cfg.retainFor, "retainfor", 0, "how long a finished job stays fetchable before it is reaped (0 = the default deadline)")
+	fs.Int64Var(&cfg.retainBytes, "retainbytes", 0, "output bytes unfetched finished jobs may hold before the oldest are reaped (0 = 64MiB)")
+	fs.DurationVar(&cfg.retainFor, "retainfor", 0, "how long an unfetched finished job stays fetchable before it is reaped (0 = the default deadline)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}

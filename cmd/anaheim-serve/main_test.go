@@ -170,6 +170,19 @@ func TestServeRoundTrip(t *testing.T) {
 		Outputs map[string]string `json:"outputs"`
 	}
 	getJSON(t, base+"/v1/jobs/"+submitted.JobID+"/result", &result)
+	// The fetch is one-shot: the job leaves the engine once the handler has
+	// flushed the body, which can be a moment after the client read it.
+	deadline = time.Now().Add(10 * time.Second)
+	for code := http.StatusOK; code != http.StatusGone; {
+		if code != http.StatusOK || time.Now().After(deadline) {
+			t.Fatalf("GET /v1/jobs/%s after the fetch: %d, want 410", submitted.JobID, code)
+		}
+		time.Sleep(time.Millisecond)
+		code = getJSON(t, base+"/v1/jobs/"+submitted.JobID, nil).StatusCode
+	}
+	if r := getJSON(t, base+"/v1/jobs/"+submitted.JobID+"/result", nil); r.StatusCode != http.StatusGone {
+		t.Errorf("GET /v1/jobs/%s/result after the fetch: %d, want 410", submitted.JobID, r.StatusCode)
+	}
 	outRaw, err := base64.StdEncoding.DecodeString(result.Outputs["r"])
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,9 @@
 //   - value lifetime: a running job holds each ciphertext only until its
 //     last use — what one of its ops computed then goes back to the session's
 //     ring pool for the next op to reuse — a finished one only its outputs,
-//     and finished jobs stay in the table within a byte budget and a TTL (see
-//     retain.go): the engine's memory follows the live set, not the history.
+//     a fetched one nothing, and finished jobs nobody has fetched stay in the
+//     table within a byte budget and a TTL (see retain.go): the engine's
+//     memory follows the live set, not the history.
 //
 // The layering mirrors how the Cheddar GPU library (the substrate of the
 // Anaheim paper) gets its throughput: streams and kernel queues above the
@@ -66,11 +67,12 @@ type Config struct {
 	// RetainedResultBytes bounds what finished jobs keep alive for clients
 	// that have not fetched their result yet: the output coefficient bytes
 	// (plus a fixed per-job charge, so failed jobs count too) of all terminal
-	// jobs in the table. Beyond it the oldest are reaped first; the newest
+	// jobs in the table. A fetched result is no longer in the table, so it
+	// counts for nothing. Beyond it the oldest are reaped first; the newest
 	// terminal job is always kept. Defaults to 64 MiB.
 	RetainedResultBytes int64
-	// RetainFor is how long a terminal job stays fetchable by ID before it
-	// is reaped. Defaults to DefaultDeadline.
+	// RetainFor is how long an unfetched terminal job stays fetchable by ID
+	// before it is reaped. Defaults to DefaultDeadline.
 	RetainFor time.Duration
 	// MaxBodyBytes caps HTTP request bodies accepted by NewHTTPHandler;
 	// oversized POSTs get 413 instead of OOMing the server. Defaults to
@@ -525,6 +527,7 @@ func (e *Engine) Submit(spec JobSpec) (*Job, error) {
 	ctx, cancel := context.WithTimeout(e.ctx, deadline)
 	j := &Job{
 		ID:      fmt.Sprintf("job-%d", e.jobSeq.Add(1)),
+		eng:     e,
 		sess:    sess,
 		outputs: spec.Outputs,
 		tier:    tier,

@@ -29,8 +29,9 @@ import (
 //	GET    /healthz
 //
 // A job id answers 404 if it was never issued and 410 Gone once the engine
-// has let go of the job: released by DELETE, or reaped by the retention
-// bounds (Config.RetainedResultBytes / RetainFor) before anyone fetched it.
+// has let go of the job: its result fetched (a fetch is one-shot), released
+// by DELETE, or reaped by the retention bounds (Config.RetainedResultBytes /
+// RetainFor) before anyone fetched it.
 //
 // Admission rejections are 429 with a Retry-After header (seconds, derived
 // from the rejected tier's admitted jobs) and a JSON body carrying the
@@ -77,10 +78,11 @@ type jobResultResponse struct {
 	Outputs map[string]string `json:"outputs"` // op id -> base64 ciphertext
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes a JSON response and returns the body's write error.
+func writeJSON(w http.ResponseWriter, code int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	return json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -334,7 +336,7 @@ func NewHTTPHandler(e *Engine) http.Handler {
 			writeJobError(w, err)
 			return
 		}
-		outs, err := job.Results()
+		outs, err := job.results()
 		if err != nil {
 			writeError(w, http.StatusConflict, err)
 			return
@@ -348,7 +350,11 @@ func NewHTTPHandler(e *Engine) http.Handler {
 			}
 			resp.Outputs[name] = base64.StdEncoding.EncodeToString(raw)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		// Delivered only once the whole body went out (the flush hands the
+		// server's buffered tail to the connection): a failed transfer can retry.
+		if writeJSON(w, http.StatusOK, resp) == nil && http.NewResponseController(w).Flush() == nil {
+			e.deliver(job)
+		}
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {

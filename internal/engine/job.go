@@ -106,11 +106,14 @@ const (
 // job that something still has to read — an input or intermediate until its
 // last consuming op finished, a requested output for as long as the handle
 // lives — and to nothing else: the op DAG and the use counts belong to the
-// scheduler and die when the job finishes. A handle keeps answering Status,
-// Wait and Results after the engine has reaped the job from its table.
+// scheduler and die when the job finishes. The engine's table holds a done
+// job only until its results are taken (Results, or the HTTP result fetch);
+// a handle keeps answering Status, Wait and Results after the engine has
+// let go of the job.
 type Job struct {
 	ID string
 
+	eng     *Engine
 	sess    *Session
 	outputs []string // requested op ids
 	tier    string   // normalized priority tier
@@ -237,8 +240,19 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// Results returns the requested output ciphertexts of a Done job.
+// Results returns the requested output ciphertexts of a Done job and hands
+// them to the caller: the engine drops the job from its table, so a lookup
+// by ID answers ErrJobGone from then on. The handle keeps answering.
 func (j *Job) Results() (map[string]*ckks.Ciphertext, error) {
+	out, err := j.results()
+	if err == nil {
+		j.eng.deliver(j)
+	}
+	return out, err
+}
+
+// results reads the outputs of a Done job without delivering it.
+func (j *Job) results() (map[string]*ckks.Ciphertext, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status != StatusDone {

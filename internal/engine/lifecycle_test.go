@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -413,6 +414,96 @@ func TestEngineMemoryStaysFlat(t *testing.T) {
 	}
 }
 
+// TestEngineMemoryStaysFlatWhenFetched is TestEngineMemoryStaysFlat's loop
+// with every result fetched: a delivered job leaves the engine, so the table
+// is empty after every round, and the heap stays flat below the unfetched
+// loop's, whose retained set fills the same 8 MiB budget.
+func TestEngineMemoryStaysFlatWhenFetched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test is slow")
+	}
+	client := newTestClient(t)
+	const budget = 8 << 20
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 2, RetainedResultBytes: budget, Obs: reg, Tracer: obs.NewTracer(256)})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := client.encrypt(t, []complex128{0.5, 0.25})
+	ops := []OpSpec{
+		{ID: "m", Op: "mul", Args: []string{"x", "w"}},
+		{ID: "s", Op: "square", Args: []string{"m"}},
+		{ID: "o", Op: "mulconst", Args: []string{"s"}, Val: 0.25},
+	}
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties the sync.Pool victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / 1e6
+	}
+	const clients, total, early = 4, 3000, 500
+	round := func(fetch bool) {
+		x := client.encrypt(t, []complex128{1, 2}) // read-only: the round's jobs share it
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				job, err := e.Submit(JobSpec{
+					SessionID: sess.ID,
+					Inputs:    map[string]*ckks.Ciphertext{"x": x, "w": w},
+					Ops:       ops,
+					Outputs:   []string{"o"},
+				})
+				if err == nil {
+					err = job.Wait(context.Background())
+				}
+				if err == nil && fetch {
+					_, err = job.Results()
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	var at500 float64
+	for done := clients; done <= total; done += clients {
+		round(true)
+		if jobs, retained, bytes := e.tableSizes(); jobs != 0 || retained != 0 || bytes != 0 {
+			t.Fatalf("after %d fetched jobs: table %d jobs, retained %d / %d bytes, want none", done, jobs, retained, bytes)
+		}
+		if done == early {
+			at500 = heap()
+		}
+	}
+	fetched := heap()
+	t.Logf("GOMAXPROCS=%d: HeapAlloc after GC with every result fetched: %.2f MB at job %d, %.2f MB at job %d",
+		runtime.GOMAXPROCS(0), at500, early, fetched, total)
+	if d := fetched - at500; d > 0.10*at500 || d < -0.10*at500 {
+		t.Errorf("heap went from %.2f MB (job %d) to %.2f MB (job %d), want within 10%%", at500, early, fetched, total)
+	}
+
+	// The unfetched loop on the same engine, until the budget has reaped.
+	for reg.Snapshot().Counters[`engine_jobs_reaped_total{reason="budget"}`] == 0 {
+		round(false)
+	}
+	unfetched := heap()
+	_, retained, bytes := e.tableSizes()
+	t.Logf("unfetched: %d jobs / %d bytes retained, HeapAlloc after GC %.2f MB", retained, bytes, unfetched)
+	if fetched >= unfetched {
+		t.Errorf("heap with every result fetched %.2f MB, not below the unfetched loop's %.2f MB", fetched, unfetched)
+	}
+}
+
 // TestRetentionBounds drives both bounds of the terminal-job table with a
 // fake clock: bytes reap oldest first and spare the newest, age spares
 // nothing, and a held handle survives either.
@@ -429,7 +520,7 @@ func TestRetentionBounds(t *testing.T) {
 		var n int64
 		for _, j := range jobs {
 			n += retainedJobOverhead
-			outs, err := j.Results()
+			outs, err := j.results() // Results would deliver the job
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -550,8 +641,9 @@ func doRequest(t *testing.T, h http.Handler, method, path, body string) (int, ma
 	return rec.Code, out
 }
 
-// TestReapedJobIsGone: over HTTP a reaped or released id answers 410, an id
-// that was never issued 404, and the embedded caller's handle outlives both.
+// TestReapedJobIsGone: over HTTP a fetched, reaped or released id answers
+// 410, an id that was never issued 404, and the embedded caller's handle
+// outlives them all.
 func TestReapedJobIsGone(t *testing.T) {
 	client := newTestClient(t, 1)
 	reg := obs.NewRegistry()
@@ -571,7 +663,7 @@ func TestReapedJobIsGone(t *testing.T) {
 
 	for _, path := range []string{"/v1/jobs/" + first.ID, "/v1/jobs/" + first.ID + "/result"} {
 		if code, body := doRequest(t, h, "GET", path, ""); code != http.StatusGone {
-			t.Errorf("GET %s (reaped): %d %v, want 410", path, code, body)
+			t.Errorf("GET %s (delivered): %d %v, want 410", path, code, body)
 		}
 	}
 	// Never issued: beyond the counter, zero, non-canonical spellings of an
@@ -588,9 +680,9 @@ func TestReapedJobIsGone(t *testing.T) {
 	}
 	out, err := first.Results()
 	if err != nil {
-		t.Fatalf("held handle of a reaped job: %v", err)
+		t.Fatalf("held handle of a delivered job: %v", err)
 	}
-	checkSlots(t, client.decrypt(out["a"]), []complex128{1, 0.25}, 2, 1e-4, "reaped job's result")
+	checkSlots(t, client.decrypt(out["a"]), []complex128{1, 0.25}, 2, 1e-4, "delivered job's result")
 
 	// DELETE: terminal -> removed at once, then 410.
 	if code, body := doRequest(t, h, "DELETE", "/v1/jobs/"+second.ID, ""); code != http.StatusOK || body["status"] != "released" {
@@ -635,8 +727,13 @@ func TestReapedJobIsGone(t *testing.T) {
 	if got := snap.Counters[`engine_jobs_reaped_total{reason="deleted"}`]; got != 2 {
 		t.Errorf("reaped{deleted} = %v, want 2", got)
 	}
-	if got := snap.Counters[`engine_jobs_reaped_total{reason="budget"}`]; got != 1 {
-		t.Errorf("reaped{budget} = %v, want 1", got)
+	// The fetch took first out of the table before second finished, so the
+	// one-byte budget never had two jobs to choose between.
+	if got := snap.Counters[`engine_jobs_reaped_total{reason="delivered"}`]; got != 1 {
+		t.Errorf("reaped{delivered} = %v, want 1", got)
+	}
+	if got := snap.Counters[`engine_jobs_reaped_total{reason="budget"}`]; got != 0 {
+		t.Errorf("reaped{budget} = %v, want 0", got)
 	}
 }
 
@@ -661,6 +758,241 @@ func TestForget(t *testing.T) {
 	}
 	if _, err := job.Results(); err != nil {
 		t.Errorf("held handle after Forget: %v", err)
+	}
+}
+
+// failingWriter is a ResponseWriter whose body never fully reaches the
+// client: every Write fails or, with tailOnly, only the final flush does.
+type failingWriter struct {
+	header   http.Header
+	tailOnly bool
+}
+
+func (w *failingWriter) Header() http.Header { return w.header }
+func (w *failingWriter) WriteHeader(int)     {}
+func (w *failingWriter) FlushError() error   { return errors.New("connection reset") }
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.tailOnly {
+		return len(b), nil
+	}
+	return 0, w.FlushError()
+}
+
+// TestResultDeliveredOnce: taking a result ends the engine's hold on the job
+// — embedded, or over HTTP once the body was written — and the id answers
+// 410 from then on; the held handle keeps answering, a failed transfer can be
+// retried, and a failed job's refused Results drops nothing.
+func TestResultDeliveredOnce(t *testing.T) {
+	client := newTestClient(t)
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 1, Obs: reg})
+	defer e.Close()
+	h := NewHTTPHandler(e)
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := func() float64 {
+		return reg.Snapshot().Counters[`engine_jobs_reaped_total{reason="delivered"}`]
+	}
+	// table checks the table's sizes and that the gauges agree with them.
+	table := func(wantJobs, wantRetained int) {
+		t.Helper()
+		jobs, retained, bytes := e.tableSizes()
+		if jobs != wantJobs || retained != wantRetained || (retained == 0) != (bytes == 0) {
+			t.Errorf("table %d jobs, retained %d / %d bytes; want %d jobs, %d retained", jobs, retained, bytes, wantJobs, wantRetained)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Gauges["engine_jobs_retained"]; int(got) != retained {
+			t.Errorf("engine_jobs_retained %v, table says %d", got, retained)
+		}
+		if got := snap.Gauges["engine_retained_result_bytes"]; int64(got) != bytes {
+			t.Errorf("engine_retained_result_bytes %v, table says %d", got, bytes)
+		}
+	}
+	want := []complex128{1, 0.25}
+
+	t.Run("embedded", func(t *testing.T) {
+		job := finished(t, e, squareJob(t, client, sess.ID, ""))
+		table(1, 1)
+		out, err := job.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Job(job.ID); !errors.Is(err, ErrJobGone) {
+			t.Errorf("lookup after Results: %v, want ErrJobGone", err)
+		}
+		table(0, 0)
+		again, err := job.Results()
+		if err != nil {
+			t.Fatalf("held handle after delivery: %v", err)
+		}
+		sameBytes(t, again["a"], out["a"], "second Results")
+		checkSlots(t, client.decrypt(again["a"]), want, len(want), 1e-4, "delivered result")
+		if got := delivered(); got != 1 {
+			t.Errorf("reaped{delivered} = %v, want 1", got)
+		}
+	})
+
+	t.Run("http", func(t *testing.T) {
+		job := finished(t, e, squareJob(t, client, sess.ID, ""))
+		held, err := job.results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := "/v1/jobs/" + job.ID + "/result"
+		code, body := doRequest(t, h, "GET", path, "")
+		if code != http.StatusOK {
+			t.Fatalf("first fetch: %d %v", code, body)
+		}
+		raw, err := base64.StdEncoding.DecodeString(body["outputs"].(map[string]any)["a"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if heldRaw, _ := held["a"].MarshalBinary(); !bytes.Equal(raw, heldRaw) {
+			t.Error("fetched output differs from the handle's")
+		}
+		for _, p := range []string{path, "/v1/jobs/" + job.ID} {
+			if code, body := doRequest(t, h, "GET", p, ""); code != http.StatusGone {
+				t.Errorf("GET %s after the fetch: %d %v, want 410", p, code, body)
+			}
+		}
+		table(0, 0)
+		if got := delivered(); got != 2 {
+			t.Errorf("reaped{delivered} = %v, want 2", got)
+		}
+	})
+
+	t.Run("failed transfer", func(t *testing.T) {
+		job := finished(t, e, squareJob(t, client, sess.ID, ""))
+		path := "/v1/jobs/" + job.ID + "/result"
+		for _, tailOnly := range []bool{false, true} {
+			h.ServeHTTP(&failingWriter{header: http.Header{}, tailOnly: tailOnly}, httptest.NewRequest("GET", path, nil))
+			if _, err := e.Job(job.ID); err != nil {
+				t.Fatalf("a fetch whose body failed (tail only: %v) dropped the job: %v", tailOnly, err)
+			}
+			table(1, 1)
+		}
+		if code, body := doRequest(t, h, "GET", path, ""); code != http.StatusOK {
+			t.Fatalf("retried fetch: %d %v", code, body)
+		}
+		table(0, 0)
+		if got := delivered(); got != 3 {
+			t.Errorf("reaped{delivered} = %v, want 3", got)
+		}
+	})
+
+	t.Run("failed job", func(t *testing.T) {
+		job, err := e.Submit(JobSpec{
+			SessionID: sess.ID,
+			Inputs:    map[string]*ckks.Ciphertext{"x": client.encrypt(t, want)},
+			Ops:       []OpSpec{{ID: "r", Op: "rotate", Args: []string{"x"}, K: 3}}, // no Galois key
+			Outputs:   []string{"r"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.Wait(context.Background()); err == nil {
+			t.Fatal("want the job to fail on the missing rotation key")
+		}
+		if _, err := job.Results(); err == nil {
+			t.Fatal("Results of a failed job must error")
+		}
+		if code, _ := doRequest(t, h, "GET", "/v1/jobs/"+job.ID+"/result", ""); code != http.StatusConflict {
+			t.Errorf("result of a failed job: %d, want 409", code)
+		}
+		if _, err := e.Job(job.ID); err != nil {
+			t.Errorf("a refused Results dropped the failed job: %v", err)
+		}
+		table(1, 1)
+		if got := delivered(); got != 3 {
+			t.Errorf("reaped{delivered} = %v, want 3", got)
+		}
+	})
+}
+
+// TestDeliveryRacesRetain: clients take each result the moment its job turns
+// Done, racing finishJob's retain. A job whose result was taken before
+// retain ran must stay out of the FIFO, or retainedBytes drifts.
+func TestDeliveryRacesRetain(t *testing.T) {
+	client := newTestClient(t)
+	reg := obs.NewRegistry()
+	e := New(Config{Workers: 2, Obs: reg})
+	defer e.Close()
+	sess, err := e.AttachSession(client.params, client.keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := client.encrypt(t, []complex128{1})
+	const clients, perClient = 4, 50
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				job, err := e.Submit(JobSpec{
+					SessionID: sess.ID,
+					Inputs:    map[string]*ckks.Ciphertext{"x": x},
+					Ops:       []OpSpec{{ID: "a", Op: "addconst", Args: []string{"x"}, Val: 0.5}},
+					Outputs:   []string{"a"},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for st, _ := job.Status(); st != StatusDone; st, _ = job.Status() {
+					if st == StatusFailed {
+						t.Errorf("job %s failed", job.ID)
+						return
+					}
+					runtime.Gosched()
+				}
+				if _, err := job.Results(); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, bytes := e.tableSizes(); bytes < 0 {
+					t.Errorf("retained bytes went negative: %d", bytes)
+				}
+				// Wait returns once finishJob, retain included, is over.
+				if err := job.Wait(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if jobs, retained, bytes := e.tableSizes(); jobs != 0 || retained != 0 || bytes != 0 {
+		t.Errorf("every result taken, yet the table holds %d jobs, %d retained / %d bytes", jobs, retained, bytes)
+	}
+	if got := reg.Snapshot().Counters[`engine_jobs_reaped_total{reason="delivered"}`]; got != clients*perClient {
+		t.Errorf("reaped{delivered} = %v, want %d", got, clients*perClient)
+	}
+}
+
+// TestTierQueueClearsTakenSlots: an op popped or pruned from a tier queue
+// leaves its backing array too, so a finished job — and the outputs it holds
+// for its client — is not kept reachable by a slot the slice no longer covers.
+func TestTierQueueClearsTakenSlots(t *testing.T) {
+	q := newTierQueues()
+	done := &Job{tier: "standard", status: StatusDone}
+	running := &Job{tier: "standard", status: StatusRunning}
+	for _, j := range []*Job{done, running, running} {
+		q.push(&opTask{job: j})
+	}
+	backing := q.ops["standard"][:3]
+	if task := q.pop(); task == nil || task.job != running {
+		t.Fatalf("pop returned %v, want the running job's op", task)
+	}
+	for i, task := range backing[:2] {
+		if task != nil {
+			t.Errorf("slot %d still holds an op after the pop", i)
+		}
+	}
+	if len(q.ops["standard"]) != 1 {
+		t.Errorf("queue holds %d ops, want 1", len(q.ops["standard"]))
 	}
 }
 

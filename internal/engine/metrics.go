@@ -61,9 +61,10 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		valuesReleased:  reg.Counter("engine_values_released_total"),
 		abortEvents:     reg.Counter("engine_job_abort_events_total"),
 		reapedBy: map[string]*obs.Counter{
-			"budget":  reg.Counter(`engine_jobs_reaped_total{reason="budget"}`),
-			"ttl":     reg.Counter(`engine_jobs_reaped_total{reason="ttl"}`),
-			"deleted": reg.Counter(`engine_jobs_reaped_total{reason="deleted"}`),
+			"budget":    reg.Counter(`engine_jobs_reaped_total{reason="budget"}`),
+			"ttl":       reg.Counter(`engine_jobs_reaped_total{reason="ttl"}`),
+			"deleted":   reg.Counter(`engine_jobs_reaped_total{reason="deleted"}`),
+			"delivered": reg.Counter(`engine_jobs_reaped_total{reason="delivered"}`),
 		},
 
 		perOp:   make(map[string]*opMetrics),

@@ -9,14 +9,17 @@ import (
 // Terminal-job retention.
 //
 // A finished job stays in the engine's table only so a client that has not
-// fetched its result yet can still find it by ID. That table is bounded two
-// ways — Config.RetainedResultBytes over what the terminal jobs keep alive,
-// Config.RetainFor over how long each stays — and both bounds are checked
-// lazily, under e.mu, whenever the table is touched (a job finishing, a
-// Submit, a lookup): there is no sweeper goroutine. Terminal jobs sit in a
-// FIFO in finish order, so the oldest is always the next to go.
+// fetched its result yet can still find it by ID. Taking the result ends
+// that: a successful Job.Results, or a result body the HTTP handler wrote in
+// full, drops the job at once (reaped as "delivered"). What nobody has taken
+// is bounded two ways — Config.RetainedResultBytes over what the terminal
+// jobs keep alive, Config.RetainFor over how long each stays — and both
+// bounds are checked lazily, under e.mu, whenever the table is touched (a
+// job finishing, a Submit, a lookup): there is no sweeper goroutine.
+// Terminal jobs sit in a FIFO in finish order, so the oldest is always the
+// next to go.
 //
-// Reaping only removes the engine's reference. A *Job handle the embedded
+// Dropping only removes the engine's reference. A *Job handle the embedded
 // caller still holds keeps answering Status, Wait and Results. Over HTTP the
 // id is all a client has, so a reaped id must be told apart from one that
 // was never issued: job ids come from their own counter, every "job-N" with
@@ -27,8 +30,8 @@ import (
 var ErrUnknownJob = errors.New("engine: unknown job")
 
 // ErrJobGone is returned for a job id that was issued but has since been
-// reaped or forgotten (HTTP 410).
-var ErrJobGone = errors.New("engine: job gone (result retention expired or released)")
+// delivered, reaped or forgotten (HTTP 410).
+var ErrJobGone = errors.New("engine: job gone (result fetched, retention expired or released)")
 
 // retainedJobOverhead is charged per retained job on top of its output
 // bytes: the handle, its context, span and error. It makes a flood of failed
@@ -36,8 +39,8 @@ var ErrJobGone = errors.New("engine: job gone (result retention expired or relea
 const retainedJobOverhead = 1 << 10
 
 // retain moves a job that just finished into the retained FIFO and reaps
-// whatever that pushes over the bounds. A job Forget already removed from
-// the table stays out of it.
+// whatever that pushes over the bounds. A job already forgotten or delivered
+// (its results can be taken before this runs) stays out of it.
 func (e *Engine) retain(j *Job, outputBytes int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -82,6 +85,16 @@ func (e *Engine) dropLocked(j *Job, reason string) {
 	e.metrics.reapedBy[reason].Inc()
 }
 
+// deliver drops a job whose results were handed over; a job no longer in
+// the table (delivered before, reaped, forgotten) is left alone.
+func (e *Engine) deliver(j *Job) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.jobs[j.ID] == j {
+		e.dropLocked(j, "delivered")
+	}
+}
+
 // lookupLocked resolves a job id: the job, ErrJobGone for an id that was
 // issued and is no longer held, ErrUnknownJob otherwise.
 func (e *Engine) lookupLocked(id string) (*Job, error) {
@@ -99,8 +112,8 @@ func (e *Engine) lookupLocked(id string) (*Job, error) {
 }
 
 // Job returns a submitted job by ID, ErrJobGone if the engine no longer
-// holds it (reaped by the retention bounds, or forgotten), or ErrUnknownJob
-// if the id was never issued.
+// holds it (its results taken, reaped by the retention bounds, or
+// forgotten), or ErrUnknownJob if the id was never issued.
 func (e *Engine) Job(id string) (*Job, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

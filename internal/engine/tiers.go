@@ -115,6 +115,7 @@ func (q *tierQueues) pop() *opTask {
 				continue
 			}
 			if task := q.prunedHead(t); task != nil {
+				q.ops[t][0] = nil // see prunedHead
 				q.ops[t] = q.ops[t][1:]
 				if q.credit[t] > 0 {
 					q.credit[t]--
@@ -130,10 +131,12 @@ func (q *tierQueues) pop() *opTask {
 }
 
 // prunedHead drops dead ops from the front of one tier queue and returns its
-// live head, if any.
+// live head, if any. A dropped slot is cleared: the backing array outlives
+// the reslice and would keep the op's job, outputs included, reachable.
 func (q *tierQueues) prunedHead(t string) *opTask {
 	queue := q.ops[t]
 	for len(queue) > 0 && queue[0].job.terminal() {
+		queue[0] = nil
 		queue = queue[1:]
 	}
 	q.ops[t] = queue
