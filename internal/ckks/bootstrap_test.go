@@ -675,3 +675,94 @@ func (tc *testContext) plainDigits(ct *Ciphertext, k int) *ring.Poly {
 	tc.enc.garnerDigits(work)
 	return work
 }
+
+// slotPeriod returns the smallest power of two p dividing len(v) with
+// v[j] = v[(j+p) mod len(v)] for every j, to within 1e-9 of the largest |v|.
+func slotPeriod(v []complex128) int {
+	var top float64
+	for _, x := range v {
+		top = max(top, cmplx.Abs(x))
+	}
+	for p := 1; ; p *= 2 {
+		periodic := true
+		for j := range v {
+			if cmplx.Abs(v[j]-v[(j+p)%len(v)]) > 1e-9*top {
+				periodic = false
+				break
+			}
+		}
+		if periodic || p == len(v) {
+			return p
+		}
+	}
+}
+
+// TestBootstrapDFTBytes pins what a bootstrap's DFT plaintexts keep resident:
+// each diagonal stored at its slot period p, (ℓ+1+α) rows of N/k words with
+// k = N/(2p) (encodedDiag). After one bootstrap at logN 11 and at logN 12 the
+// ckks_lintrans_cache_bytes gauge has grown by exactly the sum of those
+// compact rows, the period read from the diagonal's slot values, not from its
+// encoding; at logN 12 every diagonal of each of the six matrices sits at the
+// matrix's period below. Not parallel: the gauge is process-wide.
+func TestBootstrapDFTBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	// Per matrix (C2S, then S2C) at logN 12: diagonals and slot period.
+	n12 := []struct{ diags, period int }{{16, 2048}, {31, 128}, {15, 8}, {31, 16}, {31, 256}, {8, 2048}}
+	for _, logN := range []int{11, 12} {
+		lit := BootTestParameters()
+		lit.LogN = logN
+		tc := newTestContext(t, lit)
+		p := tc.params
+		r := rand.New(rand.NewSource(62))
+		ct := dropTo(tc.eval, tc.encryptVec(t, randomComplex(r, p.Slots(), 0.7)), 0)
+		gauge := obsLinTransCacheBytes.Value()
+		boot, err := tc.bootstrapper(DefaultBootstrapConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := boot.Bootstrap(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.eval.Release(out)
+		grown := obsLinTransCacheBytes.Value() - gauge
+
+		var want, full int64
+		for m, lt := range append(append([]*LinearTransform{}, boot.c2s...), boot.s2c...) {
+			if len(lt.encCache) != 1 {
+				t.Fatalf("logN %d matrix %d: %d encodings, want the bootstrap's one", logN, m, len(lt.encCache))
+			}
+			var lvl int
+			var enc map[int]encodedDiag
+			for k, e := range lt.encCache {
+				lvl, enc = k.lvl, e.diags
+			}
+			rowWords := int64(lvl + 1 + p.Alpha())
+			var bytes int64
+			for r, d := range lt.Diags {
+				period := slotPeriod(d)
+				k := p.N() / (2 * period)
+				if enc[r].k != k {
+					t.Errorf("logN %d matrix %d diagonal %d: slot period %d, so k = %d; stored at k = %d", logN, m, r, period, k, enc[r].k)
+				}
+				if logN == 12 && period != n12[m].period {
+					t.Errorf("logN 12 matrix %d diagonal %d: slot period %d, want %d", m, r, period, n12[m].period)
+				}
+				bytes += 8 * rowWords * int64(p.N()/k)
+			}
+			if logN == 12 && len(lt.Diags) != n12[m].diags {
+				t.Errorf("logN 12 matrix %d: %d diagonals, want %d", m, len(lt.Diags), n12[m].diags)
+			}
+			t.Logf("logN %d matrix %d: level %d, %d diagonals, %.2f MB stored (%.2f MB as whole rows)",
+				logN, m, lvl, len(lt.Diags), float64(bytes)/1e6, float64(8*rowWords*int64(p.N()*len(lt.Diags)))/1e6)
+			want += bytes
+			full += 8 * rowWords * int64(p.N()*len(lt.Diags))
+		}
+		t.Logf("logN %d: the DFT plaintexts hold %.2f MB, %.2f MB as whole rows", logN, float64(want)/1e6, float64(full)/1e6)
+		if grown != want {
+			t.Errorf("logN %d: ckks_lintrans_cache_bytes grew by %d bytes, the compact rows are %d", logN, grown, want)
+		}
+	}
+}

@@ -428,8 +428,8 @@ func (ga *giantAcc) release(rq, rp *ring.Ring) {
 // five accumulators the baby's key-switched halves and c0 are multiplied
 // into, and the pre-rotated plaintext doing the multiplying.
 type bsgsBabyTarget struct {
-	acc      *giantAcc
-	ptQ, ptP *ring.Poly
+	acc *giantAcc
+	pt  encodedDiag
 }
 
 // evaluateSweep computes M·u under the given plan — the one linear-transform
@@ -486,7 +486,7 @@ func (ev *Evaluator) evaluateSweep(ct *Ciphertext, lt *LinearTransform, enc *Enc
 			if !ok {
 				return nil, fmt.Errorf("ckks: sweep encoding missing diagonal %d", d.r)
 			}
-			perBaby[d.b] = append(perBaby[d.b], bsgsBabyTarget{acc: accs[i], ptQ: ed.q, ptP: ed.p})
+			perBaby[d.b] = append(perBaby[d.b], bsgsBabyTarget{acc: accs[i], pt: ed})
 		}
 	}
 

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/anaheim-sim/anaheim/internal/ring"
@@ -51,9 +52,14 @@ type encEntry struct {
 }
 
 // encodedDiag is one diagonal lifted to the extended basis: NTT-form
-// plaintexts over Q (at some level) and over P.
+// plaintexts over Q (at some level) and over P, stored at the diagonal's
+// period. A slot vector of period p is the embedding of a polynomial f(X^k),
+// k = N/(2p), whose NTT rows are constant on aligned blocks of k words
+// (ring.EmbedCenteredNTT), so every row keeps one word a block, N/k words,
+// and the sweep reads it whole through an Expand stage. k = 1 is a full row.
 type encodedDiag struct {
 	q, p *ring.Poly
+	k    int
 }
 
 func (d encodedDiag) bytes() int64 {
@@ -120,11 +126,11 @@ func (lt *LinearTransform) encodedAt(enc *Encoder, lvl int, scale float64, plan 
 		m := make(map[int]encodedDiag, len(lt.Diags))
 		for _, g := range plan.giants {
 			for _, d := range g.diags {
-				pq, pp, err := enc.encodeDiagQP(lt.Diags[d.r], -g.rot, lvl, scale)
+				ed, err := enc.encodeDiag(lt.Diags[d.r], -g.rot, lvl, scale)
 				if err != nil {
 					return nil, err
 				}
-				m[d.r] = encodedDiag{q: pq, p: pp}
+				m[d.r] = ed
 			}
 		}
 		return m, nil
@@ -143,16 +149,48 @@ func (lt *LinearTransform) Apply(u []complex128) []complex128 {
 	return out
 }
 
-// encodeDiagQP encodes a diagonal into both the Q basis (level lvl) and the
-// P basis, sharing the same integer coefficients — the "larger plaintexts in
-// the extended modulus PQ" that hoisting requires (§III-B). rot slot-rotates
-// the values before encoding (v[j] = values[(j+rot) mod slots]); the sweep
-// passes −(giant rotation) so the pre-rotation happens offline, at encode
-// time, instead of on the ciphertext.
-func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64) (*ring.Poly, *ring.Poly, error) {
+// encodeDiag encodes a diagonal into both the Q basis (level lvl) and the P
+// basis, sharing the same integer coefficients — the "larger plaintexts in the
+// extended modulus PQ" that hoisting requires (§III-B) — at its period: k is
+// the largest power of two dividing the index of every nonzero coefficient,
+// an exact integer test, so a stored row is exactly every k-th word of the
+// whole NTT row. Each limb is transformed in one pooled scratch row.
+func (e *Encoder) encodeDiag(values []complex128, rot, lvl int, scale float64) (encodedDiag, error) {
+	ints, err := e.diagCoeffs(values, rot, scale)
+	if err != nil {
+		return encodedDiag{}, err
+	}
+	var nz uint
+	for j, c := range ints {
+		if c != 0 {
+			nz |= uint(j)
+		}
+	}
+	k := len(ints) // a constant polynomial: one word a row
+	if nz != 0 {
+		k = 1 << bits.TrailingZeros(nz)
+	}
+	rq, rp := e.params.RingQ(), e.params.RingP()
+	n, lvlP := rq.N/k, rp.MaxLevel()
+	rows := make([][]uint64, lvl+1+lvlP+1)
+	backing := make([]uint64, len(rows)*n)
+	for i := range rows {
+		rows[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	d := encodedDiag{q: &ring.Poly{Coeffs: rows[:lvl+1]}, p: &ring.Poly{Coeffs: rows[lvl+1:]}, k: k}
+	rq.EmbedCenteredNTT(d.q, ints, k, lvl)
+	rp.EmbedCenteredNTT(d.p, ints, k, lvlP)
+	return d, nil
+}
+
+// diagCoeffs returns the rounded coefficients of a diagonal at the given
+// scale. rot slot-rotates the values before encoding (v[j] =
+// values[(j+rot) mod slots]); the sweep passes −(giant rotation) so the
+// pre-rotation happens offline, at encode time, instead of on the ciphertext.
+func (e *Encoder) diagCoeffs(values []complex128, rot int, scale float64) ([]int64, error) {
 	slots := e.params.Slots()
 	if len(values) > slots {
-		return nil, nil, fmt.Errorf("ckks: diagonal longer than slot count")
+		return nil, fmt.Errorf("ckks: diagonal longer than slot count")
 	}
 	vals := make([]complex128, slots)
 	copy(vals, values)
@@ -163,14 +201,5 @@ func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64)
 		}
 		vals = rotated
 	}
-	ints, err := e.roundCoeffs(vals, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	rq, rp := e.params.RingQ(), e.params.RingP()
-	pq := ring.SmallVectorToPoly(rq, lvl, ints)
-	pp := ring.SmallVectorToPoly(rp, rp.MaxLevel(), ints)
-	rq.NTT(pq, lvl)
-	rp.NTT(pp, rp.MaxLevel())
-	return pq, pp, nil
+	return e.roundCoeffs(vals, scale)
 }

@@ -64,7 +64,8 @@ var (
 	obsLinTransRotations = obs.Default.Counter("ckks_lintrans_rotations_total")
 
 	// Coefficient bytes held by LinearTransform encoded-diagonal caches
-	// across the process.
+	// across the process: the rows as stored, N/k words for a diagonal kept
+	// at its period (encodedDiag).
 	obsLinTransCacheBytes = obs.Default.Gauge("ckks_lintrans_cache_bytes")
 
 	// Key-switch digit count D(ℓ), observed once per decomposition: the

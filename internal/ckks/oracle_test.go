@@ -292,6 +292,22 @@ func (o oracle) sweep(ct *Ciphertext, lt *LinearTransform, bs int, gain float64)
 	return &Ciphertext{C0: q0, C1: q1, Scale: ct.Scale * ptScale}
 }
 
+// encodeDiagQP is the sweep oracle's diagonal encoding: the rounded
+// coefficients embedded into Q_lvl and P and transformed, every word of every
+// row stored, whatever the diagonal's period.
+func (e *Encoder) encodeDiagQP(values []complex128, rot, lvl int, scale float64) (*ring.Poly, *ring.Poly, error) {
+	ints, err := e.diagCoeffs(values, rot, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	rq, rp := e.params.RingQ(), e.params.RingP()
+	pq := ring.SmallVectorToPoly(rq, lvl, ints)
+	pp := ring.SmallVectorToPoly(rp, rp.MaxLevel(), ints)
+	rq.NTT(pq, lvl)
+	rp.NTT(pp, rp.MaxLevel())
+	return pq, pp, nil
+}
+
 func ctBytes(t testing.TB, ct *Ciphertext) []byte {
 	t.Helper()
 	b, err := ct.MarshalBinary()
@@ -391,6 +407,7 @@ func TestDeterminismMatrix(t *testing.T) {
 	accumConsts := []float64{0.5, -1.25, 0.75}
 	ctA := tc.encryptVec(t, randomComplex(r, slots, 1))
 	ctB := tc.encryptVec(t, randomComplex(r, slots, 1))
+	periodic := periodicTestTransform(t, tc, map[int]int{0: slots / 64, 3: slots / 8, 5: slots / 64, 6: slots})
 
 	evs := tc.evaluatorsAt(t)
 	or := tc.goOracle(t)
@@ -474,6 +491,35 @@ func TestDeterminismMatrix(t *testing.T) {
 			}
 		}
 
+		// A transform whose diagonals are stored at their periods (slots/64
+		// and slots/8, one b == 0 and one in the second giant at bs = 4) beside
+		// a full-period one, against the oracle's whole-row encoding.
+		if lvl > 0 {
+			for _, bs := range []int{slots, 4} {
+				for _, v := range []struct {
+					gain    float64
+					rescale bool
+				}{{1, true}, {0.5 / 13, true}, {1, false}} {
+					ops = append(ops, opCase{fmt.Sprintf("periodic-sweep-bs%d-gain%.4g-rescale%v", bs, v.gain, v.rescale),
+						func() []*Ciphertext {
+							out := or.sweep(a, periodic, bs, v.gain)
+							if v.rescale {
+								out = or.rescale(out)
+							}
+							return []*Ciphertext{out}
+						},
+						func(ev *Evaluator, enc *Encoder) ([]*Ciphertext, error) {
+							plan := newBSGSPlan(periodic.Diags, bs)
+							keys, err := ev.sweepKeys(plan, a.Level())
+							if err != nil {
+								return nil, err
+							}
+							return one(ev.evaluateSweep(a, periodic, enc, plan, keys, v.gain, v.rescale))
+						}})
+				}
+			}
+		}
+
 		for _, op := range ops {
 			matchOracle(t, fmt.Sprintf("%s lvl %d plan %+v", op.name, lvl, p.PlanAt(lvl)), evs, op.want, op.got)
 		}
@@ -506,6 +552,36 @@ func TestDeterminismMatrix(t *testing.T) {
 				return []*Ciphertext{ct}, err
 			})
 	}
+}
+
+// periodicTestTransform returns a transform whose diagonal r repeats a random
+// slot vector of period periods[r], and fails unless the encoder stores each
+// at k = N/(2·period) words a block, so the sweep reads it through Expand.
+func periodicTestTransform(t *testing.T, tc *testContext, periods map[int]int) *LinearTransform {
+	t.Helper()
+	r := rand.New(rand.NewSource(71))
+	slots := tc.params.Slots()
+	diags := make(map[int][]complex128)
+	for off, period := range periods {
+		base := randomComplex(r, period, 1)
+		d := make([]complex128, slots)
+		for j := range d {
+			d[j] = base[j%period]
+		}
+		diags[off] = d
+	}
+	lt := NewLinearTransform(slots, diags)
+	lvl := tc.params.MaxLevel()
+	for off, period := range periods {
+		ed, err := tc.enc.encodeDiag(lt.Diags[off], -4, lvl, float64(tc.params.RingQ().Moduli[lvl].Q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.params.N() / (2 * period); ed.k != want {
+			t.Fatalf("diagonal %d of period %d stored at k = %d, want %d", off, period, ed.k, want)
+		}
+	}
+	return lt
 }
 
 // TestScaledResiduesMatchBigFloat holds ring.ScaledResidues, the word

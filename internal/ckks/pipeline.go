@@ -288,7 +288,8 @@ func (ev *Evaluator) rescaleOwned(ct *Ciphertext) *Ciphertext {
 // reducing every sum once, exactly, so the accumulators leave the Run as
 // exact residues: the same bytes a per-product reduction would give.
 // Accumulators are borrowed here and, unless a b == 0 product opens them,
-// cleared in the lane right ahead of their first MAC.
+// cleared in the lane right ahead of their first MAC. A diagonal stored at
+// its period is expanded into a scratch row ahead of the MACs that read it.
 func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 	keys map[int]*SwitchingKey, perBaby map[int][]bsgsBabyTarget) {
 	rq, rp := ev.params.RingQ(), ev.params.RingP()
@@ -297,11 +298,13 @@ func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 	pipe := ring.GetPipeline()
 	lq := pipe.Lane(rq, lvl)
 	lp := pipe.Lane(rp, rp.MaxLevel())
+	xq, xp := expander{ln: lq}, expander{ln: lp}
 	for _, tg := range perBaby[0] { // a giant owns at most one b == 0 diagonal
 		ga := tg.acc
 		ga.a0q, ga.a1q = getNTT(rq, lvl), getNTT(rq, lvl)
-		lq.MulCoeffs(ga.a0q, ct.C0, tg.ptQ)
-		lq.MulCoeffs(ga.a1q, ct.C1, tg.ptQ)
+		ptQ := xq.whole(tg.pt.q, tg.pt.k)
+		lq.MulCoeffs(ga.a0q, ct.C0, ptQ)
+		lq.MulCoeffs(ga.a1q, ct.C1, ptQ)
 	}
 	var wide []*giantAcc // giants fed by a baby, in the order they are opened
 	var dq, dp, uq, up []*ring.Poly
@@ -328,11 +331,12 @@ func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 					lq.Zero(ga.a0q)
 				}
 			}
-			lq.AutMulAccWide(ga.t0q, u0q, tg.ptQ, g)
-			lq.AutMulAccWide(ga.t1q, u1q, tg.ptQ, g)
-			lp.AutMulAccWide(ga.t0p, u0p, tg.ptP, g)
-			lp.AutMulAccWide(ga.t1p, u1p, tg.ptP, g)
-			lq.AutMulAccWide(ga.a0q, ct.C0, tg.ptQ, g)
+			ptQ, ptP := xq.whole(tg.pt.q, tg.pt.k), xp.whole(tg.pt.p, tg.pt.k)
+			lq.AutMulAccWide(ga.t0q, u0q, ptQ, g)
+			lq.AutMulAccWide(ga.t1q, u1q, ptQ, g)
+			lp.AutMulAccWide(ga.t0p, u0p, ptP, g)
+			lp.AutMulAccWide(ga.t1p, u1p, ptP, g)
+			lq.AutMulAccWide(ga.a0q, ct.C0, ptQ, g)
 		}
 	}
 	for _, ga := range wide {
@@ -344,6 +348,25 @@ func (ev *Evaluator) babyPhase(dec *decomposed, ct *Ciphertext, plan *bsgsPlan,
 	}
 	pipe.Run()
 	pipe.Release()
+}
+
+// expander hands a lane's stages a diagonal's whole rows: the stored
+// polynomial of a full-period diagonal, else one Scratch row of the lane,
+// which an Expand stage recorded ahead of the stages reading it refills.
+type expander struct {
+	ln *ring.Lane
+	x  *ring.Poly
+}
+
+func (e *expander) whole(pt *ring.Poly, k int) *ring.Poly {
+	if k == 1 {
+		return pt
+	}
+	if e.x == nil {
+		e.x = e.ln.Scratch(1)[0]
+	}
+	e.ln.Expand(e.x, pt)
+	return e.x
 }
 
 // giantAccum is one giant step's σ+add epilogue as a single pipeline Run: each

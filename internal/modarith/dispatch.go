@@ -82,6 +82,7 @@ type kernelTable struct {
 
 	permute    func(out, a []uint64, p *BlockPerm)
 	addPermute func(m Modulus, out, a, b []uint64, p *BlockPerm)
+	expand     func(out, c []uint64)
 
 	fwdStage func(m Modulus, a, psi, psiShoup []uint64, span int, lazy bool)
 	invStage func(m Modulus, a, psi, psiShoup []uint64, span int)
@@ -114,6 +115,7 @@ var goKernels = kernelTable{
 	addScalar:         vecAddScalarGo,
 	permute:           vecPermuteGo,
 	addPermute:        vecAddPermuteGo,
+	expand:            vecExpandGo,
 	fwdStage:          vecFwdStageGo,
 	invStage:          vecInvStageGo,
 	invFinal:          vecInvFinalGo,

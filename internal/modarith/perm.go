@@ -101,6 +101,15 @@ func (m Modulus) VecAddPermute(out, a, b []uint64, p *BlockPerm) {
 	m.k.addPermute(m, out, a, b, p)
 }
 
+// VecExpand sets out[j] = c[j/k] with k = len(out)/len(c), a power of two:
+// each word of c broadcast to its aligned block of k words. It is how a
+// polynomial of the subring Z[X^k], whose NTT rows are constant on such
+// blocks and stored one word a block, is read whole (ring.Lane.Expand). No
+// reduction, so m only picks the kernel table.
+func (m Modulus) VecExpand(out, c []uint64) {
+	m.k.expand(out, c)
+}
+
 // The Go bodies: the oracle every table is held to, the AVX-512 table's
 // kernels for rows below permLanes words, and the Go table's.
 
@@ -139,6 +148,16 @@ func vecAddPermuteGo(m Modulus, out, a, b []uint64, p *BlockPerm) {
 				s -= q
 			}
 			dst[l] = s
+		}
+	}
+}
+
+func vecExpandGo(out, c []uint64) {
+	k := len(out) / len(c)
+	for b, v := range c {
+		blk := out[b*k:][:k]
+		for l := range blk {
+			blk[l] = v
 		}
 	}
 }

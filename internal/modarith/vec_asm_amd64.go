@@ -50,6 +50,12 @@ func vecPermuteAVX512(out, a []uint64, blocks []uint32, shuf *[8][8]uint64)
 //go:noescape
 func vecAddPermuteAVX512(out, a, b []uint64, blocks []uint32, shuf *[8][8]uint64, q uint64)
 
+// vecExpandAVX512 broadcasts each of the len(c) ≥ 1 words of c to k
+// consecutive words of out, k a positive multiple of 8.
+//
+//go:noescape
+func vecExpandAVX512(out, c []uint64, k int)
+
 //go:noescape
 func vecFoldWide128LazyAVX512(accHi, accLo []uint64, q, twoQ, u0, u1 uint64)
 
@@ -503,6 +509,13 @@ func avx512Kernels(ifma bool) kernelTable {
 			}
 			n := p.Len()
 			vecAddPermuteAVX512(out[:n], a[:n], b[:n], p.blocks, &p.shuf, m.Q)
+		},
+		expand: func(out, c []uint64) {
+			if k := len(out) / len(c); k >= 8 && k%8 == 0 {
+				vecExpandAVX512(out, c, k)
+				return
+			}
+			vecExpandGo(out, c)
 		},
 		fwdStage: func(m Modulus, a, psi, psiShoup []uint64, span int, lazy bool) {
 			fwdStageAVX512(m, a, psi, psiShoup, span, lazy, ifma && m.Q < nttNarrowModulus)

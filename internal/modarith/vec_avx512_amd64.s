@@ -746,6 +746,28 @@ addPermuteLoop:
 	VZEROUPPER
 	RET
 
+// func vecExpandAVX512(out, c []uint64, k int)
+TEXT ·vecExpandAVX512(SB), NOSPLIT, $0-56
+	MOVQ out_base+0(FP), DI
+	MOVQ c_base+24(FP), SI
+	MOVQ c_len+32(FP), CX
+	MOVQ k+48(FP), BX
+	SHLQ $3, BX                               // bytes per block
+	XORQ DX, DX
+expandLoop:
+	VPBROADCASTQ (SI)(DX*8), Z0
+	MOVQ BX, R8
+expandBlock:
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, DI
+	SUBQ $64, R8
+	JNZ expandBlock
+	INCQ DX
+	CMPQ DX, CX
+	JL expandLoop
+	VZEROUPPER
+	RET
+
 // func vecFoldWide128LazyAVX512(accHi, accLo []uint64, q, twoQ, u0, u1 uint64)
 TEXT ·vecFoldWide128LazyAVX512(SB), NOSPLIT, $0-80
 	MOVQ accHi_base+0(FP), DI

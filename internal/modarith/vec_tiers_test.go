@@ -214,6 +214,27 @@ func TestTierPermute(t *testing.T) {
 	})
 }
 
+// TestTierExpand holds the broadcast that reads a subring row whole to the
+// Go kernel and to out[j] = c[j/k], at every power-of-two k up to 512 and
+// compact rows of 1 to 64 words: the vector body (k a multiple of 8) and the
+// Go path below it.
+func TestTierExpand(t *testing.T) {
+	forEachTierCase(t, []int{1, 2, 3, 8, 64}, func(t *testing.T, tbl *kernelTable, m Modulus, n int, rng *rand.Rand) {
+		c := randRow(rng, n, m.Q)
+		for k := 1; k <= 512; k *= 2 {
+			got, want := randRow(rng, n*k, m.Q), make([]uint64, n*k)
+			vecExpandGo(want, c)
+			for j, v := range want {
+				if v != c[j/k] {
+					t.Fatalf("expand oracle: k=%d n=%d: out[%d] = %#x, want %#x", k, n, j, v, c[j/k])
+				}
+			}
+			tbl.expand(got, c)
+			rowsEqual(t, fmt.Sprintf("expand k=%d", k), tbl.tier, m, got, want)
+		}
+	})
+}
+
 // TestBlockPermRejects: a permutation whose output block reads two source
 // blocks, or that needs a ninth lane shuffle, is refused at construction.
 func TestBlockPermRejects(t *testing.T) {

@@ -415,8 +415,10 @@ func BenchmarkInverseN4096(b *testing.B) {
 // kernel table (go/…, avx512/…, avx512-noifma/…). The fwd-cold/n16 and inv-cold/n16
 // rows (and their -q45 forms) run whole lazy transforms, each on the next of
 // coldTables moduli with a row of its own, so every transform finds its
-// twiddles and its row out of the 32 MiB LLC, as a key switch's limbs do;
-// they report the wide stages (span ≥ 8) and the tail (spans 4, 2, 1) in µs
+// twiddles and its row out of a 32 MiB last-level cache (the Zen 5 host they
+// were sized on), as a key switch's limbs do; a 2-vCPU Xeon guest whose sysfs
+// reports a 105 MiB L3 shared by both vCPUs holds them all, so there they
+// read from L3, not DRAM; they report the wide stages (span ≥ 8) and the tail (spans 4, 2, 1) in µs
 // per transform apiece.
 func BenchmarkStages(b *testing.B) {
 	for _, k := range modarith.KernelTables() {
@@ -439,7 +441,8 @@ func benchStages(b *testing.B, k modarith.Kernels) {
 // coldTables is how many N = 2^16 moduli the cold rows rotate through: a
 // modulus's twiddles and Shoup companions take 1 MiB (one table, which the
 // inverse stages read mirrored), its row 512 KiB, so 33 of them (hks_n16's
-// chain) hold 49.5 MiB, more than the 32 MiB LLC.
+// chain) hold 49.5 MiB, more than a 32 MiB last-level cache and less than a
+// 105 MiB one.
 const coldTables = 33
 
 func benchStagesCold(b *testing.B, k modarith.Kernels, bits int, suffix string) {

@@ -85,7 +85,7 @@ func (r *Ring) INTT(p *Poly, level int) {
 func (r *Ring) INTTLimb(row []uint64, i int) {
 	r.Tables[i].Inverse(row)
 	r.inttLimbs.Add(1)
-	accountRows(bytesMoved, 2, 1, r.N)
+	accountWords(bytesMoved, 2*r.N)
 }
 
 // ScaledResidues sets res[i] = round(c·scale) mod q_i in [0, q_i) for the

@@ -107,9 +107,9 @@ type Lane struct {
 	scratch  []*Poly
 	nScratch int
 
-	nttRows   int // limb rows counting toward the forward limb-transform counter
-	inttRows  int // ...and the inverse counter
-	naiveRows int // row streams the stages would move, each run as its own sweep
+	nttRows    int // limb rows counting toward the forward limb-transform counter
+	inttRows   int // ...and the inverse counter
+	naiveWords int // words the stages would move, each run as its own sweep
 }
 
 type stageOp uint8
@@ -139,6 +139,7 @@ const (
 	opSubMulScalarsLazy
 	opAutNTT
 	opAddAutNTT
+	opExpand
 )
 
 // stage is one recorded per-limb operation. A struct of op code plus operand
@@ -186,7 +187,8 @@ type wideAcc struct {
 // applied after Run, and how many of its rows the chain reads/writes (the
 // distinct-row traffic estimate: each distinct operand row is fetched at most
 // once and written back at most once per chain; the widest stage touching the
-// polynomial sets the count).
+// polynomial sets the count). A row is charged at its length: N words, or
+// N/k for a row stored a word per block of k (Expand).
 type polyEffect struct {
 	p           *Poly
 	isNTT       bool
@@ -232,7 +234,7 @@ func (pl *Pipeline) reset() {
 			clear(p.Coeffs) // drop the goroutines' scratch rows
 		}
 		ln.nScratch = 0
-		ln.nttRows, ln.inttRows, ln.naiveRows = 0, 0, 0
+		ln.nttRows, ln.inttRows, ln.naiveWords = 0, 0, 0
 		ln.r = nil
 	}
 	pl.nLanes = 0
@@ -294,7 +296,7 @@ func (ln *Lane) setDomain(p *Poly, ntt bool) {
 
 func (ln *Lane) push(st stage, naiveRows int) {
 	ln.stages = append(ln.stages, st)
-	ln.naiveRows += naiveRows * (ln.level + 1)
+	ln.naiveWords += naiveRows * (ln.level + 1) * ln.r.N
 }
 
 // Copy records out ← a (rows copied limb-wise; domain follows a).
@@ -651,6 +653,26 @@ func (ln *Lane) AddAutomorphismNTT(out, a, b *Poly, g uint64) {
 	ln.push(stage{op: opAddAutNTT, out: out, a: a, b: b, perm: ln.r.autoPerm(g)}, 3)
 }
 
+// Expand records out ← the whole rows of c, an NTT-domain polynomial of the
+// subring Z[X^k] stored one word per aligned block of k (Ring.EmbedCenteredNTT),
+// k = N/len(c's rows): out[j] = c[j/k]. out must be a Scratch polynomial, so
+// the whole row exists only in the Run's scratch, and is pending-NTT
+// afterwards; the traffic model charges c's rows at their stored length.
+func (ln *Lane) Expand(out, c *Poly) {
+	n := len(c.Coeffs[0])
+	if n == 0 || ln.r.N%n != 0 {
+		panic("ring: pipeline Expand of a row whose length does not divide N")
+	}
+	if !ln.effect(out).scratch {
+		panic("ring: pipeline Expand output must be a Scratch polynomial")
+	}
+	ln.use(c, true, false)
+	ln.use(out, false, true)
+	ln.setDomain(out, true)
+	ln.push(stage{op: opExpand, out: out, a: c}, 1)
+	ln.naiveWords += (ln.level + 1) * n
+}
+
 // Func records an arbitrary per-limb stage (the escape hatch for steps with
 // no dedicated op code, e.g. the rescale divide). reads/writes declare the
 // polynomials it touches, for traffic accounting and limb validation; fn
@@ -784,7 +806,7 @@ func runUnits(lanes []*Lane, lo, hi int, sz runSizes) {
 // then resets the pipeline so it can record the next chain.
 func (pl *Pipeline) finish() {
 	for _, ln := range pl.lanes[:pl.nLanes] {
-		distinct := 0
+		distinct := 0 // words
 		for i := range ln.effects {
 			e := &ln.effects[i]
 			if e.scratch {
@@ -793,7 +815,7 @@ func (pl *Pipeline) finish() {
 			if e.flagDirty {
 				e.p.IsNTT = e.isNTT
 			}
-			distinct += e.readRows + e.writtenRows
+			distinct += (e.readRows + e.writtenRows) * len(e.p.Coeffs[0])
 		}
 		if ln.nttRows > 0 {
 			ln.r.nttLimbs.Add(int64(ln.nttRows))
@@ -801,9 +823,9 @@ func (pl *Pipeline) finish() {
 		if ln.inttRows > 0 {
 			ln.r.inttLimbs.Add(int64(ln.inttRows))
 		}
-		accountRows(bytesMoved, distinct, 1, ln.r.N)
-		if saved := ln.naiveRows - distinct; saved > 0 {
-			accountRows(bytesSaved, saved, 1, ln.r.N)
+		accountWords(bytesMoved, distinct)
+		if saved := ln.naiveWords - distinct; saved > 0 {
+			accountWords(bytesSaved, saved)
 		}
 	}
 	pl.reset()
@@ -913,6 +935,8 @@ func (ln *Lane) exec(i int, sc *scratch) {
 			mod.VecPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.perm)
 		case opAddAutNTT:
 			mod.VecAddPermute(st.out.Coeffs[i], st.a.Coeffs[i], st.b.Coeffs[i], st.perm)
+		case opExpand:
+			mod.VecExpand(st.out.Coeffs[i], st.a.Coeffs[i])
 		case opFunc:
 			st.fn(i)
 		}

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -877,4 +878,72 @@ func TestPipelineWideAccumulatorBalance(t *testing.T) {
 		pl.Lane(r, level).AutMulAccWide(acc, a, b, 1)
 		pl.Run()
 	})
+}
+
+// TestSubringNTTBlocks holds the fact a diagonal stored at its period rests
+// on: the NTT of f(X^k) is constant on aligned blocks of k words, since index
+// j holds the evaluation at ψ^(2·brv(j)+1) and the k indices of a block give
+// the same power ψ^(k·(2·brv(j)+1)). For every k from 2 to N/2, on every
+// kernel table, at logN 10 and 12, on a 45-bit prime (IFMA butterflies), a
+// 55-bit one (MULHI8) and a 60-bit one, with coefficients up to 2^62 so the
+// embed reduces: the whole transform is block-constant, EmbedCenteredNTT
+// stores exactly every k-th word of it, and Expand gives the whole row back
+// word for word while the traffic model charges the compact rows it reads.
+func TestSubringNTTBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for _, kt := range modarith.KernelTables() {
+		for _, logN := range []int{10, 12} {
+			var primes []uint64
+			for _, bits := range []int{45, 55, 60} {
+				primes = append(primes, mustPrimes(t, bits, logN, 1)...)
+			}
+			r, err := NewRingAt(logN, primes, kt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			level := r.MaxLevel()
+			for k := 2; k < r.N; k *= 2 {
+				v := make([]int64, r.N)
+				for j := 0; j < r.N; j += k {
+					v[j] = rng.Int63() >> rng.Intn(62)
+					if rng.Intn(2) == 0 {
+						v[j] = -v[j]
+					}
+				}
+				whole := SmallVectorToPoly(r, level, v)
+				r.NTT(whole, level)
+				c := &Poly{Coeffs: make([][]uint64, level+1)}
+				for i := range c.Coeffs {
+					c.Coeffs[i] = make([]uint64, r.N/k)
+				}
+				r.EmbedCenteredNTT(c, v, k, level)
+				for i, row := range whole.Coeffs {
+					for j, x := range row {
+						if x != row[j-j%k] {
+							t.Fatalf("%v logN %d k %d limb %d: NTT word %d = %d, its block opens with %d", kt, logN, k, i, j, x, row[j-j%k])
+						}
+						if j%k == 0 && c.Coeffs[i][j/k] != x {
+							t.Fatalf("%v logN %d k %d limb %d: stored word %d = %d, the transform's word %d is %d", kt, logN, k, i, j/k, c.Coeffs[i][j/k], j, x)
+						}
+					}
+				}
+
+				out := r.NewPoly(level)
+				moved := bytesMoved.Value()
+				pl := GetPipeline()
+				ln := pl.Lane(r, level)
+				x := ln.Scratch(1)[0]
+				ln.Expand(x, c)
+				ln.Copy(out, x)
+				pl.Run()
+				pl.Release()
+				if !out.IsNTT || !out.Equal(whole) {
+					t.Fatalf("%v logN %d k %d: the expanded rows differ from the whole transform", kt, logN, k)
+				}
+				if got, want := bytesMoved.Value()-moved, float64(8*(level+1)*(r.N/k+r.N)); got != want {
+					t.Fatalf("%v logN %d k %d: Expand and Copy charged %v bytes, the compact read and the written rows are %v", kt, logN, k, got, want)
+				}
+			}
+		}
+	}
 }

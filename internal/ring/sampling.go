@@ -101,6 +101,45 @@ func (r *Ring) SubUniformProduct(out, e, s *Poly, key *modarith.StreamKey, digit
 // (branch-free), any other row reduces |v[j]| by the Barrett reciprocal and
 // negates. p is left in the coefficient domain.
 func (r *Ring) EmbedCentered(p *Poly, v []int64, level int) {
+	embed := r.centeredRows(v)
+	r.run(level, func(ln *Lane) {
+		ln.Func(func(i int) { embed(p.Coeffs[i][:len(v)], i) }, nil, nil)
+	})
+	p.IsNTT = false
+}
+
+// EmbedCenteredNTT writes into limbs 0..level of p, whose rows hold N/k
+// words, every k-th word of the forward transform of the signed vector v (N
+// entries): p.Coeffs[i][b] = NTT(v mod q_i)[b·k]. A limb's whole transform
+// lives only in the Run's scratch. When v lies in the subring Z[X^k] (v[j] = 0
+// unless k divides j) the transform is constant on aligned blocks of k words
+// — the evaluation at ψ^(2·brv(j)+1) sits at index j, and the k indices of a
+// block share it raised to the k-th power — so p holds it whole and
+// Lane.Expand restores every word. k = 1 is the whole transform. p is flagged
+// NTT.
+func (r *Ring) EmbedCenteredNTT(p *Poly, v []int64, k, level int) {
+	if len(v) != r.N {
+		panic("ring: EmbedCenteredNTT of a vector that is not N long")
+	}
+	embed := r.centeredRows(v)
+	pl := GetPipeline()
+	ln := pl.Lane(r, level)
+	s := ln.Scratch(1)[0]
+	ln.Func(func(i int) { embed(s.Coeffs[i], i) }, nil, nil)
+	ln.NTT(s)
+	ln.Func(func(i int) {
+		row, out := s.Coeffs[i], p.Coeffs[i]
+		for b := range out {
+			out[b] = row[b*k]
+		}
+	}, nil, []*Poly{p})
+	pl.Run()
+	pl.Release()
+	p.IsNTT = true
+}
+
+// centeredRows returns EmbedCentered's row body for v: row = v mod q_i.
+func (r *Ring) centeredRows(v []int64) func(row []uint64, i int) {
 	var maxAbs uint64
 	for _, x := range v {
 		s := uint64(x >> 63)
@@ -108,24 +147,20 @@ func (r *Ring) EmbedCentered(p *Poly, v []int64, level int) {
 			maxAbs = a
 		}
 	}
-	r.run(level, func(ln *Lane) {
-		ln.Func(func(i int) {
-			mod := r.Moduli[i]
-			row := p.Coeffs[i][:len(v)]
-			if maxAbs < mod.Q {
-				for j, x := range v {
-					row[j] = uint64(x) + mod.Q&uint64(x>>63)
-				}
-				return
-			}
+	return func(row []uint64, i int) {
+		mod := r.Moduli[i]
+		if maxAbs < mod.Q {
 			for j, x := range v {
-				s := uint64(x >> 63)                    // all ones when x < 0
-				a := mod.MulBarrett((uint64(x)^s)-s, 1) // |x| mod q: a·1 < 2^128 is all the reduction needs
-				row[j] = mod.ReduceTwoQ(a ^ (a^(mod.Q-a))&s)
+				row[j] = uint64(x) + mod.Q&uint64(x>>63)
 			}
-		}, nil, nil)
-	})
-	p.IsNTT = false
+			return
+		}
+		for j, x := range v {
+			s := uint64(x >> 63)                    // all ones when x < 0
+			a := mod.MulBarrett((uint64(x)^s)-s, 1) // |x| mod q: a·1 < 2^128 is all the reduction needs
+			row[j] = mod.ReduceTwoQ(a ^ (a^(mod.Q-a))&s)
+		}
+	}
 }
 
 // SmallVectorToPoly embeds a signed integer vector into all limbs of a fresh

@@ -12,10 +12,10 @@ import "github.com/anaheim-sim/anaheim/internal/obs"
 // read and one write instead of 2·digits of each. A one-stage chain (a Ring
 // op) therefore charges exactly the rows its kernel streams.
 //
-// The model counts coefficient rows only (limbs × N × 8 bytes); twiddle,
-// index, and scalar tables are small, shared, and cache-resident, so they
-// are excluded, and so are a chain's Scratch rows, which never leave the
-// executing goroutine. Counters are exported as `ring_bytes_moved_total`
+// The model counts coefficient rows only (limbs × N × 8 bytes, a row stored
+// one word per block of k at N/k words); twiddle, index, and scalar tables
+// are small, shared, and cache-resident, so they are excluded, and so are a
+// chain's Scratch rows, which never leave the executing goroutine. Counters are exported as `ring_bytes_moved_total`
 // plus `ring_bytes_saved_total` (the one-sweep-per-stage estimate minus the
 // actual one, summed over every chain), which the repo benchmark samples
 // around each op (`ring.bytes_moved_per_op`, `ring.bytes_saved_per_op`).
@@ -24,8 +24,8 @@ var (
 	bytesSaved = obs.Default.Counter("ring_bytes_saved_total")
 )
 
-// accountRows charges `rows` row-streams (reads plus writes) of `limbs`
-// limbs, N coefficients each, to c.
-func accountRows(c *obs.Counter, rows, limbs, n int) {
-	c.Add(float64(rows) * float64(limbs) * float64(n) * 8)
+// accountWords charges the bytes of `words` streamed words (reads plus
+// writes) to c.
+func accountWords(c *obs.Counter, words int) {
+	c.Add(float64(words) * 8)
 }

@@ -21,9 +21,10 @@ import (
 // ConvertRows, one pass over the sources per group, in ns per MAC of the
 // g rows. At logN 16 the -cold and -g4-cold rows run the row and the group
 // of four on the next of enough source sets to fill coldSourceBytes, twice
-// the 32 MiB LLC, so every pass reads its sources from DRAM, as a key
-// switch's ModUp and ModDown do; the other rows reuse one set, which stays
-// in cache.
+// a 32 MiB last-level cache, so every pass reads its sources from DRAM, as a
+// key switch's ModUp and ModDown do (under a 105 MiB L3, as on a 2-vCPU Xeon
+// guest, the sets fit and the passes read L3); the other rows reuse one set,
+// which stays in cache.
 func BenchmarkConvertRow(b *testing.B) {
 	const nTo = 8
 	for _, k := range modarith.KernelTables() {

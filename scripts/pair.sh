@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired A/B of the repo benchmark: this working tree against a parent revision.
 #
-#   scripts/pair.sh <parent-rev> [--workload w]... [--pairs n] [--seed s] [--seconds t]
+#   scripts/pair.sh <parent-rev> [--workload w]... [--pairs n] [--seed s] [--seconds t] [--digests]
 #
 # The parent revision is exported with `git archive` into a temporary
 # directory (no worktree is registered, so an interrupted run leaves nothing
@@ -18,6 +18,10 @@
 #
 #   serve_mix_n12_c1  peak_rss_mb  pairs 5  lower 5/5  190.3 (189.9-191.0) -> 60.1  ratio 0.316
 #
+# With --digests, after the pairs each side runs every workload once more with
+# --trace 1 and the script prints both ckks.result_digest values and MATCH or
+# DIFFER, so a change that claims unchanged ciphertext bytes reads them.
+#
 # Comparing a clean HEAD against itself (scripts/pair.sh HEAD) is an A/A run:
 # the spread it prints is the noise floor a claimed gain has to clear.
 set -euo pipefail
@@ -30,8 +34,13 @@ usage() {
 parent=$1
 shift
 workloads=()
-pairs=5 seed=1 seconds=15
+pairs=5 seed=1 seconds=15 digests=0
 while [ $# -gt 0 ]; do
+	if [ "$1" = --digests ]; then
+		digests=1
+		shift
+		continue
+	fi
 	[ $# -ge 2 ] || usage
 	case $1 in
 	--workload) workloads+=("$2") ;;
@@ -49,6 +58,7 @@ rev=$(git -C "$change" rev-parse --verify "$parent^{commit}")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/pair.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
+: >"$tmp/records"
 git -C "$change" archive "$rev" | tar -x -C "$tmp/parent"
 echo "parent $(git -C "$change" rev-parse --short "$rev") in $tmp/parent, change $change" >&2
 
@@ -126,3 +136,17 @@ END {
 			kw[1], kw[2], n, lower, n, q(pa, n, 0.5), q(pa, n, 0.25), q(pa, n, 0.75), q(ca, n, 0.5), q(ra, n, 0.5)
 	}
 }' "$tmp/records"
+
+((digests)) || exit 0
+for w in "${workloads[@]}"; do
+	declare -A d=()
+	for side in parent change; do
+		tree=$change
+		[ $side = parent ] && tree=$tmp/parent
+		d[$side]=$(cd "$tree" && bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 1 2>&1 |
+			tail -n 1 | grep -o '"ckks.result_digest":{"value":[-+0-9.eE]*' | sed 's/.*://') || true
+	done
+	verdict=DIFFER
+	[ -n "${d[parent]}" ] && [ "${d[parent]}" = "${d[change]}" ] && verdict=MATCH
+	printf '%-17s result_digest  parent %s  change %s  %s\n' "$w" "${d[parent]:-none}" "${d[change]:-none}" "$verdict"
+done
