@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -64,11 +65,31 @@ type Bootstrapper struct {
 
 // bootPlan is what key generation and the bootstrapper both derive from the
 // parameters and a config: the DFT matrices with their sweeps planned as one
-// set, and the highest level a stage spends each Galois key at, by element.
+// set, and the one list of keys a bootstrap spends, each at the highest level
+// a stage spends it.
 type bootPlan struct {
-	lv       bootLevels
 	c2s, s2c []*LinearTransform
-	galois   map[uint64]int
+	keys     []bootKey
+}
+
+// bootKey is one key a bootstrap spends, named by its key id (a Galois
+// element for a Galois key), and the highest level it is spent at.
+type bootKey struct {
+	id    uint64
+	level int
+}
+
+// in returns the key of ks that k names, and its name for an error.
+func (k bootKey) in(ks *EvaluationKeySet) (*SwitchingKey, string) {
+	switch k.id {
+	case idToSparse:
+		return ks.Boot.ToSparse, "dense-to-sparse encapsulation key"
+	case idToDense:
+		return ks.Boot.ToDense, "sparse-to-dense encapsulation key"
+	case idRelinearization:
+		return ks.Rlk, "relinearization key"
+	}
+	return ks.Gal[k.id], fmt.Sprintf("Galois key for element %d", k.id)
 }
 
 // newBootPlan checks cfg against params and plans a bootstrap under it. The
@@ -76,57 +97,64 @@ type bootPlan struct {
 // than their leanest plans need between them, the least modeled time within
 // that, so a key two matrices share is paid once. The plans are fixed on the
 // returned matrices, and exactly their baby + giant rotations get keys, each
-// at the highest level of a sweep spending it; the conjugation runs at the
-// CoeffToSlot output.
+// at the highest level of a sweep spending it; the other keys sit at their
+// stages' levels in the bootstrap's shape.
 func newBootPlan(params *Parameters, enc *Encoder, cfg BootstrapConfig) (*bootPlan, error) {
 	if err := cfg.check(params); err != nil {
 		return nil, err
 	}
 	rq := params.RingQ()
+	s := cfg.shape(params.MaxLevel())
 	bp := &bootPlan{
-		lv:  cfg.stageLevels(params.MaxLevel()),
-		c2s: enc.CoeffToSlotMatrices(cfg.FFTIterC2S),
-		s2c: enc.SlotToCoeffMatrices(cfg.FFTIterS2C),
+		c2s:  enc.CoeffToSlotMatrices(cfg.FFTIterC2S),
+		s2c:  enc.SlotToCoeffMatrices(cfg.FFTIterS2C),
+		keys: []bootKey{{idToSparse, 0}, {idToDense, s.top}, {idRelinearization, s.mul}},
 	}
-	bp.galois = map[uint64]int{rq.GaloisElementConjugate(): bp.lv.conj}
+	galois := map[uint64]int{rq.GaloisElementConjugate(): s.conj}
 	lts := append(append([]*LinearTransform{}, bp.c2s...), bp.s2c...)
-	sweepLevel := append(append([]int{}, bp.lv.c2s...), bp.lv.s2c...)
+	sweepLevel := append(append([]int{}, s.c2s...), s.s2c...)
 	for i, pl := range planSweeps(params, lts) {
 		lts[i].fixPlan(pl)
 		for _, r := range pl.rotations() {
 			el := rq.GaloisElement(r)
-			bp.galois[el] = max(bp.galois[el], sweepLevel[i])
+			galois[el] = max(galois[el], sweepLevel[i])
 		}
+	}
+	for el, level := range galois {
+		bp.keys = append(bp.keys, bootKey{el, level})
 	}
 	return bp, nil
 }
 
 // GenBootstrapKeys is the client half of bootstrapping. It adds to ks every
-// key a bootstrap under cfg spends, each at the highest level a stage spends
-// it (a key at level ℓ is the level-ℓ prefix of a full one: see
-// SwitchingKey), and the bootstrap section holding cfg and the two
-// encapsulation keys, at level 0 and at the top. A Galois key ks already
-// holds at or above its level is kept; the relinearization key serves the
-// caller's own products too, so an absent one is generated at the top. A
-// config the parameters cannot bootstrap under is an error, and ks is left as
-// it was. NewBootstrapper then builds the bootstrapper from ks alone.
+// key a bootstrap under cfg spends (bootPlan.keys), each at the highest level
+// a stage spends it (a key at level ℓ is the level-ℓ prefix of a full one:
+// see SwitchingKey), and the bootstrap section holding cfg and the two
+// encapsulation keys. A Galois key ks already holds at or above its level is
+// kept; the relinearization key serves the caller's own products too, so an
+// absent one is generated at the top. A config the parameters cannot
+// bootstrap under is an error, and ks is left as it was. NewBootstrapper then
+// builds the bootstrapper from ks alone.
 func (kg *KeyGenerator) GenBootstrapKeys(sk *SecretKey, ks *EvaluationKeySet, cfg BootstrapConfig) error {
-	p := kg.params
-	bp, err := newBootPlan(p, NewEncoder(p), cfg)
+	bp, err := newBootPlan(kg.params, NewEncoder(kg.params), cfg)
 	if err != nil {
 		return err
 	}
 	skSparse := kg.GenSparseSecretKey()
-	ks.Boot = &BootstrapKeys{
-		Config:   cfg,
-		ToSparse: kg.genSwitchingKey(0, idToSparse, sk.Q, skSparse.Q, skSparse.P),
-		ToDense:  kg.genSwitchingKey(p.MaxLevel(), idToDense, skSparse.Q, sk.Q, sk.P),
-	}
-	if ks.Rlk == nil {
-		ks.Rlk = kg.GenRelinearizationKey(sk)
-	}
-	for el, level := range bp.galois {
-		kg.ensureGaloisKey(sk, ks, el, level)
+	ks.Boot = &BootstrapKeys{Config: cfg}
+	for _, k := range bp.keys {
+		switch k.id {
+		case idToSparse:
+			ks.Boot.ToSparse = kg.genSwitchingKey(k.level, k.id, sk.Q, skSparse.Q, skSparse.P)
+		case idToDense:
+			ks.Boot.ToDense = kg.genSwitchingKey(k.level, k.id, skSparse.Q, sk.Q, sk.P)
+		case idRelinearization:
+			if ks.Rlk == nil {
+				ks.Rlk = kg.GenRelinearizationKey(sk)
+			}
+		default:
+			kg.ensureGaloisKey(sk, ks, k.id, k.level)
+		}
 	}
 	return nil
 }
@@ -150,25 +178,12 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator, keys *Ev
 	if err != nil {
 		return nil, err
 	}
-	type need struct {
-		name  string
-		k     *SwitchingKey
-		level int
-	}
-	needs := []need{
-		{"dense-to-sparse encapsulation key", bk.ToSparse, 0},
-		{"sparse-to-dense encapsulation key", bk.ToDense, params.MaxLevel()},
-		{"relinearization key", keys.Rlk, bp.lv.mul},
-	}
-	for el, level := range bp.galois {
-		needs = append(needs, need{fmt.Sprintf("Galois key for element %d", el), keys.Gal[el], level})
-	}
-	for _, n := range needs {
-		switch {
-		case n.k == nil:
-			return nil, fmt.Errorf("%w: no %s", ErrMissingKey, n.name)
-		case !n.k.covers(params, n.level):
-			return nil, keyBelow(n.name, n.k, n.level)
+	for _, k := range bp.keys {
+		switch key, name := k.in(keys); {
+		case key == nil:
+			return nil, fmt.Errorf("%w: no %s", ErrMissingKey, name)
+		case !key.covers(params, k.level):
+			return nil, keyBelow(name, key, k.level)
 		}
 	}
 	return &Bootstrapper{
@@ -219,13 +234,13 @@ func (cfg BootstrapConfig) check(p *Parameters) error {
 	if err := cfg.valid(); err != nil {
 		return err
 	}
-	if p.MaxLevel() < cfg.levels() {
-		return fmt.Errorf("ckks: bootstrapping consumes %d levels, the parameters have %d", cfg.levels(), p.MaxLevel())
+	s := cfg.shape(p.MaxLevel())
+	if s.out < 0 {
+		return fmt.Errorf("ckks: bootstrapping consumes %d levels, the parameters have %d", s.top-s.out, p.MaxLevel())
 	}
 	moduli := p.RingQ().Moduli
 	q0 := float64(moduli[0].Q)
-	lv := cfg.stageLevels(p.MaxLevel())
-	for l := lv.mul; l > lv.mul-cfg.depths().series; l-- {
+	for _, l := range s.series {
 		if q := float64(moduli[l].Q); math.Abs(q/q0-1) > scaleTolerance/float64(2*cfg.EvalModDeg) {
 			return fmt.Errorf("%w: EvalMod rescales by q_%d = 2^%.1f, which cannot carry its scale q0 = 2^%.1f",
 				ErrScale, l, math.Log2(q), math.Log2(q0))
@@ -234,56 +249,52 @@ func (cfg BootstrapConfig) check(p *Parameters) error {
 	return nil
 }
 
-// bootDepths is the number of levels each stage of a bootstrap consumes;
-// series is the part of evalMod before the double angles: the T₂ step and
-// the Chebyshev series in y.
-type bootDepths struct {
-	c2s, evalMod, s2c int
-	series            int
+// bootShape is the level map of a bootstrap raising to top: the levels its
+// stages run at, each rescaling by its level's prime, and the level out it
+// hands back.
+type bootShape struct {
+	top, out int
+	c2s, s2c []int // each CoeffToSlot and SlotToCoeff sweep's input level
+	conj     int   // the conjugation's: the last CoeffToSlot matrix's, whose rescale waits for the split
+	mul      int   // EvalMod's first product, the CoeffToSlot output
+	series   []int // EvalMod's T₂ step and its series in y, from mul down
+	angles   []int // EvalMod's double angles
 }
 
-// depths accounts a bootstrap under cfg stage by stage: one level per
-// CoeffToSlot matrix, EvalMod's T₂ step, its series in y of degree ⌊deg/2⌋
-// (evalModPoly; seriesDepth) and one level per double angle, and one per
-// SlotToCoeff matrix. The conjugate split, EvalMod's affine map and the
-// closing scale fix are constant multiplies that ride the DFT matrices'
-// diagonals (coeffsToSlots, slotsToCoeffs), and the map's −1/4 shift is a
-// constant add, so they spend none.
-func (cfg BootstrapConfig) depths() bootDepths {
-	d := 1 + seriesDepth(cfg.EvalModDeg/2)
-	return bootDepths{c2s: cfg.FFTIterC2S, evalMod: d + cfg.DoubleAngles, s2c: cfg.FFTIterS2C, series: d}
-}
-
-// levels returns the levels a bootstrap under cfg consumes from the top of
-// the chain.
-func (cfg BootstrapConfig) levels() int {
-	d := cfg.depths()
-	return d.c2s + d.evalMod + d.s2c
-}
-
-// bootLevels holds the levels a bootstrap's key switches run at, from the
-// same accounting as levels: each CoeffToSlot and SlotToCoeff sweep's input
-// level, the conjugation's — the last CoeffToSlot matrix's, whose rescale
-// waits for the split — and that of EvalMod's first product, the CoeffToSlot
-// output.
-type bootLevels struct {
-	c2s, s2c  []int
-	conj, mul int
-}
-
-// stageLevels returns the levels of a bootstrap under cfg raising to top.
-func (cfg BootstrapConfig) stageLevels(top int) bootLevels {
-	d := cfg.depths()
-	var lv bootLevels
-	for i := 0; i < d.c2s; i++ {
-		lv.c2s = append(lv.c2s, top-i)
+// shape walks a bootstrap under cfg down the chain from top: one level per
+// CoeffToSlot matrix, EvalMod's T₂ step, its series in y (seriesDepth of
+// degree ⌊deg/2⌋) and each double angle, and one per SlotToCoeff matrix. The
+// conjugate split, EvalMod's affine map and the scale fix ride the DFT
+// matrices' diagonals and the map's −1/4 shift is a constant add: none spends.
+func (cfg BootstrapConfig) shape(top int) bootShape {
+	l := top
+	spend := func(n int) []int {
+		lv := make([]int, n)
+		for i := range lv {
+			lv[i], l = l, l-1
+		}
+		return lv
 	}
-	lv.mul = top - d.c2s
-	lv.conj = lv.mul + 1
-	for i := 0; i < d.s2c; i++ {
-		lv.s2c = append(lv.s2c, lv.mul-d.evalMod-i)
+	s := bootShape{top: top, c2s: spend(cfg.FFTIterC2S)}
+	s.conj, s.mul = l+1, l
+	s.series = spend(1 + seriesDepth(cfg.EvalModDeg/2))
+	s.angles = spend(cfg.DoubleAngles)
+	s.s2c = spend(cfg.FFTIterS2C)
+	s.out = l
+	return s
+}
+
+// bootChain sizes, in bits, the Q primes of the chain a bootstrap under cfg
+// leaves left levels on: q0's size for q0, SlotToCoeff, EvalMod and the last
+// CoeffToSlot matrix (check; its diagonals carry the split's and EvalMod's
+// gains), Δ's size for the rest, so a product after a bootstrap rescales to Δ.
+func (cfg BootstrapConfig) bootChain(left int) []int {
+	s := cfg.shape(left - cfg.shape(0).out) // shape(0).out is minus the levels spent
+	logQ := repeatInts(bootLogScale, s.top+1)
+	for _, l := range slices.Concat([]int{0, s.conj}, s.series, s.angles, s.s2c) {
+		logQ[l] = bootLogQ0
 	}
-	return lv
+	return logQ
 }
 
 // evalModHalfWidth is the half-width K + 5/4 of EvalMod's symmetric

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	if out.Level() <= 0 {
 		t.Fatalf("bootstrap did not regain levels: level=%d", out.Level())
 	}
-	if want := tc.params.MaxLevel() - cfg.levels(); out.Level() != want {
+	if want := cfg.shape(tc.params.MaxLevel()).out; out.Level() != want {
 		t.Errorf("bootstrap output at level %d, the config's depth puts it at %d", out.Level(), want)
 	}
 	if math.Abs(out.Scale/tc.params.DefaultScale()-1) > 1e-9 {
@@ -133,23 +134,71 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBootOutputKeepsItsScale: the level a bootstrap hands back carries a
+// Δ-sized prime (bootChain), so the caller's products after it rescale back
+// to Δ. Slots on the unit circle, bootstrapped at logN 11 and squared three
+// times, hold the scale Δ at every level, to the primes' distance from 2^50,
+// and keep 12 bits or more in the worst slot. With the output level on a
+// 60-bit prime the first square lands at 2^40 and the third at 2^10, where
+// about 1 bit is left.
+func TestBootOutputKeepsItsScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping test is expensive")
+	}
+	tc := newTestContext(t, BootTestParameters())
+	boot, err := tc.bootstrapper(DefaultBootstrapConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(65))
+	v := make([]complex128, tc.params.Slots())
+	for i := range v {
+		v[i] = cmplx.Rect(1, 2*math.Pi*r.Float64())
+	}
+	ct, err := boot.Bootstrap(dropTo(tc.eval, tc.encryptVec(t, v), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := tc.params.DefaultScale()
+	for k := 0; k <= 3; k++ {
+		if k > 0 {
+			sq, err := tc.eval.Square(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.eval.Release(ct)
+			ct = sq
+			for i := range v {
+				v[i] *= v[i]
+			}
+		}
+		stats := ComputePrecision(tc.decryptVec(ct), v)
+		t.Logf("%d squarings: level %d, scale 2^%.6f (Δ·(1 %+.2g)), %s", k, ct.Level(), math.Log2(ct.Scale), ct.Scale/delta-1, stats)
+		if math.Abs(ct.Scale/delta-1) > 1e-8 || stats.MinBits < 12 {
+			t.Errorf("%d squarings after a bootstrap: scale 2^%.6f and %.2f bits, want Δ = 2^%.0f and >= 12",
+				k, math.Log2(ct.Scale), stats.MinBits, math.Log2(delta))
+		}
+	}
+}
+
 // TestBootPresetSpendsEveryPrime: BootTestParameters holds q0, the 8 levels
 // a bootstrap leaves and exactly the levels DefaultBootstrapConfig consumes —
 // no prime that only a constant multiply would spend — and a bootstrap on it
-// returns level 8. The same config on a 27-limb chain, three more 50-bit
-// primes below the bootstrap's, returns level 11 at 15 bits or more: the
-// folded bootstrap leaves L_eff 11 to a longer chain.
+// returns level 8. The chain the walk sizes for 11 levels left, three more
+// 50-bit primes below the bootstrap's, returns level 11 at 15 bits or more:
+// the folded bootstrap leaves L_eff 11 to a longer chain.
 func TestBootPresetSpendsEveryPrime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrapping test is expensive")
 	}
 	cfg := DefaultBootstrapConfig()
 	lit := BootTestParameters()
-	if got, want := len(lit.LogQ), 1+8+cfg.levels(); got != want {
-		t.Errorf("BootTestParameters holds %d Q primes, q0 + 8 + the %d levels a bootstrap consumes is %d", got, cfg.levels(), want)
+	s := cfg.shape(len(lit.LogQ) - 1)
+	if spent := s.top - s.out; s.out != 8 {
+		t.Errorf("BootTestParameters holds %d Q primes, q0 + 8 + the %d levels a bootstrap consumes is %d", len(lit.LogQ), spent, 1+8+spent)
 	}
 	long := lit
-	long.LogQ = append(append(append([]int{}, lit.LogQ[:1]...), repeatInts(50, 3)...), lit.LogQ[1:]...)
+	long.LogQ = cfg.bootChain(11)
 	r := rand.New(rand.NewSource(63))
 	for _, c := range []struct {
 		lit   ParametersLiteral
@@ -174,16 +223,26 @@ func TestBootPresetSpendsEveryPrime(t *testing.T) {
 	}
 }
 
-// TestBootPresetGadgetShape: BootTestParameters' gadget is Table IV's D = 4.
-// Six 60-bit special primes (α = 6) split the 24-limb top into ⌈24/6⌉ = 4
-// digits, and every key switch a bootstrap spends runs with its stage level's
-// digit count: CoeffToSlot and the conjugation 4, EvalMod's products 4 down
-// to 3, SlotToCoeff 2. The bootstrap returns level 8 after 25 key switches
-// outside its sweeps. Structural, like TestPaperParametersStructure: log PQ
-// is 1 350 + 360 = 1 710 bits, so the preset is insecure at logN 11 and 12 by
+// TestBootPresetGadgetShape: BootTestParameters is the chain the walk sizes
+// for DefaultBootstrapConfig (bootChain), and its gadget is Table IV's D = 4.
+// The chain is the hand-listed one it replaced but for q_8, the output level,
+// now 50-bit like Δ: a product after the bootstrap rescales back to Δ instead
+// of to Δ·2^-10, so log Q is 1 340 where the hand list held 1 350. Six 60-bit
+// special primes (α = 6) split the 24-limb top into ⌈24/6⌉ = 4 digits, and
+// every key switch a bootstrap spends runs with its stage level's digit count:
+// CoeffToSlot and the conjugation 4, EvalMod's products 4 down to 3,
+// SlotToCoeff 2. The bootstrap returns level 8 after 25 key switches outside
+// its sweeps. Structural, like TestPaperParametersStructure: log PQ is
+// 1 340 + 360 = 1 700 bits, so the preset is insecure at logN 11 and 12 by
 // construction, and at N = 2^16 it would still exceed §IV-B's 1 623.
 func TestBootPresetGadgetShape(t *testing.T) {
 	lit := BootTestParameters()
+	// q0 | 1–8 left to the caller | S2C 9–11, EvalMod 12–20, last C2S 21 | C2S 22–23.
+	wantQ := slices.Concat([]int{60}, repeatInts(50, 8), repeatInts(60, 13), repeatInts(50, 2))
+	if !slices.Equal(lit.LogQ, wantQ) || !slices.Equal(lit.LogP, repeatInts(60, 6)) ||
+		lit.LogScale != 50 || lit.LogN != 11 || lit.HDense != 64 || lit.HSparse != 16 {
+		t.Errorf("BootTestParameters = %+v, want LogQ %v, six 60-bit P primes, Δ = 2^50, logN 11, h 64 / 16", lit, wantQ)
+	}
 	p, err := NewParameters(lit)
 	if err != nil {
 		t.Fatal(err)
@@ -193,20 +252,16 @@ func TestBootPresetGadgetShape(t *testing.T) {
 		t.Errorf("α = %d and D = %d at the top level %d, want 6 and 4", p.Alpha(), p.Digits(top), top)
 	}
 	cfg := DefaultBootstrapConfig()
-	lv := cfg.stageLevels(top)
-	var evalMod []int
-	for i := 0; i < cfg.depths().evalMod; i++ {
-		evalMod = append(evalMod, lv.mul-i)
-	}
+	s := cfg.shape(top)
 	for _, st := range []struct {
 		name   string
 		levels []int
 		lo, hi int
 	}{
-		{"CoeffToSlot", lv.c2s, 4, 4},
-		{"conjugation", []int{lv.conj}, 4, 4},
-		{"EvalMod", evalMod, 3, 4},
-		{"SlotToCoeff", lv.s2c, 2, 2},
+		{"CoeffToSlot", s.c2s, 4, 4},
+		{"conjugation", []int{s.conj}, 4, 4},
+		{"EvalMod", slices.Concat(s.series, s.angles), 3, 4},
+		{"SlotToCoeff", s.s2c, 2, 2},
 	} {
 		lo, hi := p.Digits(st.levels[0]), p.Digits(st.levels[0])
 		for _, l := range st.levels {
@@ -216,8 +271,8 @@ func TestBootPresetGadgetShape(t *testing.T) {
 			t.Errorf("%s at levels %v: %d–%d digits, want %d–%d", st.name, st.levels, lo, hi, st.lo, st.hi)
 		}
 	}
-	if got := top - cfg.levels(); got != 8 {
-		t.Errorf("a bootstrap returns level %d, want 8", got)
+	if s.out != 8 {
+		t.Errorf("a bootstrap returns level %d, want 8", s.out)
 	}
 	if got := 2 + 1 + 2*(1+chebyshevProducts(cfg.EvalModDeg/2)+cfg.DoubleAngles); got != 25 {
 		t.Errorf("%d key switches outside the sweeps, want 25", got)
@@ -229,27 +284,47 @@ func TestBootPresetGadgetShape(t *testing.T) {
 	for _, b := range lit.LogP {
 		logP += b
 	}
-	if logQ != 1350 || logP != 360 {
-		t.Errorf("log Q = %d and log P = %d, want 1 350 and 360", logQ, logP)
+	if logQ != 1340 || logP != 360 {
+		t.Errorf("log Q = %d and log P = %d, want 1 340 and 360", logQ, logP)
 	}
 }
 
 // TestBootLevelsMatchSimulator: the library and the simulator charge the
-// same 15 levels for the default config, by different routes. The library
-// spends 3 + (6 + 3) + 3: its T₂ step and degree-15 series in y take 6
-// levels, as the degree-31 series in x would, and the conjugate split none,
-// riding the last CoeffToSlot matrix.
-// workloads.BootConfig.BootLevels charges 3 + 1 + (5 + 3) + 3: one for the
-// split and ⌈log2 32⌉ = 5 for the series. Both spend the same 11 products
-// per EvalMod: the T₂ step, the series in y's 7 and the 3 double angles,
-// which the simulated trace shows as its Tensor and TensorSq kernels, the
-// only ones a Boot trace has outside its two EvalMods.
+// same 15 levels for the default config, stage by stage but for two places
+// where their routes differ. CoeffToSlot 3 = 3, SlotToCoeff 3 = 3 and the
+// double angles 3 = 3. The conjugate split: the library spends none, riding
+// the last CoeffToSlot matrix; workloads.BootConfig.BootLevels charges 1.
+// The series: the library spends 1 + 5, its T₂ step and the degree-15 series
+// in y; the simulator ⌈log2 32⌉ = 5 for the degree-31 series in x. Both
+// spend the same 11 products per EvalMod: the T₂ step, the series in y's 7
+// and the 3 double angles, which the simulated trace shows as its Tensor and
+// TensorSq kernels, the only ones a Boot trace has outside its two EvalMods.
 func TestBootLevelsMatchSimulator(t *testing.T) {
 	cfg := DefaultBootstrapConfig()
 	sim := workloads.BootConfig{FFTIterC2S: cfg.FFTIterC2S, FFTIterS2C: cfg.FFTIterS2C,
 		ChebDegree: cfg.EvalModDeg, DoubleAng: cfg.DoubleAngles, SlotsLog: 15}
-	if got, want := cfg.levels(), sim.BootLevels(); got != want || got != 15 {
+	s := cfg.shape(0)
+	simSplit, simSeries := 1, int(math.Ceil(math.Log2(float64(sim.ChebDegree+1))))
+	for _, st := range []struct {
+		name     string
+		lib, sim int
+		want     [2]int
+	}{
+		{"CoeffToSlot", len(s.c2s), sim.FFTIterC2S, [2]int{3, 3}},
+		{"conjugate split", 0, simSplit, [2]int{0, 1}},
+		{"series", len(s.series), simSeries, [2]int{1 + 5, 5}},
+		{"double angles", len(s.angles), sim.DoubleAng, [2]int{3, 3}},
+		{"SlotToCoeff", len(s.s2c), sim.FFTIterS2C, [2]int{3, 3}},
+	} {
+		if [2]int{st.lib, st.sim} != st.want {
+			t.Errorf("%s: the library spends %d levels, the simulator %d; want %d and %d", st.name, st.lib, st.sim, st.want[0], st.want[1])
+		}
+	}
+	if got, want := s.top-s.out, sim.BootLevels(); got != want || got != 15 {
 		t.Errorf("the library consumes %d levels, the simulator charges %d for the same config; want 15 and 15", got, want)
+	}
+	if sum := sim.FFTIterC2S + simSplit + simSeries + sim.DoubleAng + sim.FFTIterS2C; sum != sim.BootLevels() {
+		t.Errorf("the simulator's stages sum to %d levels, BootLevels charges %d", sum, sim.BootLevels())
 	}
 	products := 0
 	for _, k := range workloads.Bootstrap(trace.PaperParams(), trace.Options{}, sim).Kernels {
@@ -329,7 +404,7 @@ func TestNewBootstrapperRefusesMissingKeys(t *testing.T) {
 	}
 	p := tc.params
 	bk := *tc.keys.Boot
-	lv := bk.Config.stageLevels(p.MaxLevel())
+	lv := bk.Config.shape(p.MaxLevel())
 	conj := p.RingQ().GaloisElementConjugate()
 	var dft uint64 // a DFT key below the top
 	for g, k := range tc.keys.Gal {
@@ -369,12 +444,13 @@ func TestNewBootstrapperRefusesMissingKeys(t *testing.T) {
 // scale mismatch inside the first Bootstrap. Both halves refuse it up front
 // with ErrScale, and the key generator adds nothing to the set.
 func TestBootstrapRefusesEvalModChain(t *testing.T) {
+	cfg := DefaultBootstrapConfig()
 	lit := BootTestParameters()
-	for l := 9; l <= 22; l++ {
+	s := cfg.shape(len(lit.LogQ) - 1)
+	for _, l := range slices.Concat(s.series, s.angles) {
 		lit.LogQ[l] = 50
 	}
 	tc := newTestContext(t, lit)
-	cfg := DefaultBootstrapConfig()
 	before := len(tc.keys.Gal)
 	if err := tc.kgen.GenBootstrapKeys(tc.sk, tc.keys, cfg); !errors.Is(err, ErrScale) {
 		t.Fatalf("GenBootstrapKeys: %v, want ErrScale", err)
@@ -393,13 +469,16 @@ func TestBootstrapFFTIterVariants(t *testing.T) {
 		t.Skip("bootstrapping test is expensive")
 	}
 	// Fewer grouped matrices consume fewer levels but use denser transforms
-	// (the fftIter trade-off of Fig 3). Both must stay functional.
-	tc := newTestContext(t, BootTestParameters())
+	// (the fftIter trade-off of Fig 3). Both must stay functional, each on
+	// the chain the walk sizes for its config, and hand back 8 levels.
 	r := rand.New(rand.NewSource(62))
-	v := randomComplex(r, tc.params.Slots(), 0.7)
 	for _, iters := range []int{2, 3} {
 		cfg := DefaultBootstrapConfig()
 		cfg.FFTIterC2S, cfg.FFTIterS2C = iters, iters
+		lit := BootTestParameters()
+		lit.LogQ = cfg.bootChain(8)
+		tc := newTestContext(t, lit)
+		v := randomComplex(r, tc.params.Slots(), 0.7)
 		boot, err := tc.bootstrapper(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -409,11 +488,10 @@ func TestBootstrapFFTIterVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := maxErr(tc.decryptVec(out), v); e > 2e-2 {
-			t.Fatalf("fftIter=%d: bootstrap error %g", iters, e)
+		if e := maxErr(tc.decryptVec(out), v); e > 2e-2 || out.Level() != 8 {
+			t.Fatalf("fftIter=%d: bootstrap error %g, output level %d of %d, want 8", iters, e, out.Level(), tc.params.MaxLevel())
 		}
-		// Smaller fftIter must leave the output at a higher level.
-		t.Logf("fftIter=%d: output level %d", iters, out.Level())
+		t.Logf("fftIter=%d: %d Q limbs, output level %d", iters, len(lit.LogQ), out.Level())
 	}
 }
 
@@ -431,8 +509,8 @@ func TestEvalModPlainReference(t *testing.T) {
 // TestEvalModEvenSeries: EvalMod's cosine is even in s = t − 1/4, so its
 // series runs in y = T₂(x). The weighted fit in x has no odd terms; the
 // series in y, evaluated at 2x² − 1, is the fit; and evalModCt — the shift,
-// the T₂ product, the series and the double angles — spends exactly
-// depths().evalMod levels and returns sin(2πt) for t near the integers
+// the T₂ product, the series and the double angles — runs from the level of
+// EvalMod's first product down to SlotToCoeff's input (shape) and returns sin(2πt) for t near the integers
 // [−K, K] a bootstrap hands it.
 func TestEvalModEvenSeries(t *testing.T) {
 	cfg := DefaultBootstrapConfig()
@@ -467,13 +545,14 @@ func TestEvalModEvenSeries(t *testing.T) {
 		ts[i] = float64(r.Intn(2*cfg.K+1)-cfg.K) + 0.01*(2*r.Float64()-1)
 		v[i] = complex(ts[i]/h, 0)
 	}
-	level := cfg.stageLevels(tc.params.MaxLevel()).mul
+	s := cfg.shape(tc.params.MaxLevel())
+	level := s.mul
 	in, err := tc.encr.EncodeEncryptNew(tc.enc, v, level, b.q0, tc.sk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := b.evalModCt(in)
-	if want := level - cfg.depths().evalMod; out.Level() != want {
+	if want := s.s2c[0]; out.Level() != want {
 		t.Errorf("evalModCt returned level %d from level %d, want %d", out.Level(), level, want)
 	}
 	for i, got := range tc.decryptVec(out) {

@@ -184,7 +184,7 @@ func TestExportedKeyGenCoversTheTop(t *testing.T) {
 // highest level a bootstrap spends it — encapsulation at level 0 and at the
 // top, conjugation at the CoeffToSlot output, every DFT rotation key at the
 // highest level of a sweep using it — and the sweeps of a bootstrap run at
-// exactly the levels that accounting (stageLevels) names. The first bootstrap
+// exactly the levels the bootstrap's shape names. The first bootstrap
 // of a fresh ring fills the buffer pool once across levels: its pool-miss
 // bytes are pinned.
 func TestBootstrapKeysAtTheirLevels(t *testing.T) {
@@ -200,7 +200,7 @@ func TestBootstrapKeysAtTheirLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := cfg.stageLevels(top)
+	lv := cfg.shape(top)
 	for name, c := range map[string]struct {
 		k    *SwitchingKey
 		want int

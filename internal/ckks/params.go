@@ -167,34 +167,23 @@ func TestParameters() ParametersLiteral {
 	}
 }
 
+const bootLogQ0, bootLogScale = 60, 50 // q0's and Δ's sizes in bits on a bootstrapping chain (bootChain)
+
 // BootTestParameters returns an insecure but functionally complete
-// bootstrapping parameter set (N=2^11) with enough modulus budget for
-// CoeffToSlot, EvalMod and SlotToCoeff. A bootstrap under
-// DefaultBootstrapConfig spends 15 levels from the top level 23 down (its
-// depths): C2S 3, then EvalMod 9 — the T₂ product and the degree-15 series
-// in y, 6 at scale ≈ q0, and 3 double angles — and S2C 3 on 60-bit primes,
-// leaving 8 levels. The conjugate split, EvalMod's affine map and the scale
-// fix ride the DFT matrices and hold no prime. The last C2S matrix carries
-// the split's 1/2 and the map's 1/(K+5/4) in its diagonals, whose encoding
-// precision its prime bounds, so that prime is 60-bit where the other two C2S primes are 50-bit.
-// Chain bottom-to-top: q0 (60b) | levels 1–7 (50b) | level 8 (60b) | S2C:
-// levels 9–11, EvalMod: levels 12–20, last C2S: level 21 (60b) | first two
-// C2S: levels 22–23 (50b). Six 60-bit special primes (α = 6) make the gadget
-// Table IV's D = 4 at the top, 3–4 digits in EvalMod and 2 in SlotToCoeff:
-// the smallest α within noise of the fastest in the functional Fig 2b sweep
+// bootstrapping parameter set (N=2^11, Δ = 2^50): the chain a bootstrap
+// under DefaultBootstrapConfig leaves 8 levels on (bootChain), 24 Q primes,
+// log Q 1 340. Six 60-bit special primes (α = 6) make the gadget Table IV's
+// D = 4 at the top, 3–4 digits in EvalMod and 2 in SlotToCoeff: the smallest
+// α within noise of the fastest in the functional Fig 2b sweep
 // (EXPERIMENTS.md), where α = 3 (D = 8) bootstraps ≈ 16 % slower on keys of
-// 1.8× the bytes. log PQ = 1 350 + 360 = 1 710 bits: insecure at this N by
-// construction, and over §IV-B's 1 623 even at N = 2^16.
+// 1.8× the bytes. log PQ = 1 700 bits: insecure at this N by construction,
+// and over §IV-B's 1 623 even at N = 2^16.
 func BootTestParameters() ParametersLiteral {
-	logQ := []int{60}
-	logQ = append(logQ, repeatInts(50, 7)...)  // levels 1–7: left after a bootstrap
-	logQ = append(logQ, repeatInts(60, 14)...) // level 8 left, 9–11 S2C, 12–20 EvalMod, 21 last C2S
-	logQ = append(logQ, repeatInts(50, 2)...)  // 22–23 CoeffToSlot
 	return ParametersLiteral{
 		LogN:     11,
-		LogQ:     logQ,
+		LogQ:     DefaultBootstrapConfig().bootChain(8),
 		LogP:     repeatInts(60, 6),
-		LogScale: 50,
+		LogScale: bootLogScale,
 		HDense:   64,
 		HSparse:  16,
 	}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -414,12 +417,10 @@ func BenchmarkInverseN4096(b *testing.B) {
 // butterflies take the IFMA kernels on a host that has them, once per
 // kernel table (go/…, avx512/…, avx512-noifma/…). The fwd-cold/n16 and inv-cold/n16
 // rows (and their -q45 forms) run whole lazy transforms, each on the next of
-// coldTables moduli with a row of its own, so every transform finds its
-// twiddles and its row out of a 32 MiB last-level cache (the Zen 5 host they
-// were sized on), as a key switch's limbs do; a 2-vCPU Xeon guest whose sysfs
-// reports a 105 MiB L3 shared by both vCPUs holds them all, so there they
-// read from L3, not DRAM; they report the wide stages (span ≥ 8) and the tail (spans 4, 2, 1) in µs
-// per transform apiece.
+// coldModuli moduli with a row of its own, so every transform finds its
+// twiddles and its row out of the last-level cache, in DRAM, as a key
+// switch's limbs do; they report the wide stages (span ≥ 8) and the tail
+// (spans 4, 2, 1) in µs per transform apiece.
 func BenchmarkStages(b *testing.B) {
 	for _, k := range modarith.KernelTables() {
 		b.Run(k.String(), func(b *testing.B) { benchStages(b, k) })
@@ -438,20 +439,30 @@ func benchStages(b *testing.B, k modarith.Kernels) {
 	}
 }
 
-// coldTables is how many N = 2^16 moduli the cold rows rotate through: a
+// coldModuli is how many N = 2^16 moduli the cold rows rotate through: a
 // modulus's twiddles and Shoup companions take 1 MiB (one table, which the
-// inverse stages read mirrored), its row 512 KiB, so 33 of them (hks_n16's
-// chain) hold 49.5 MiB, more than a 32 MiB last-level cache and less than a
-// 105 MiB one.
-const coldTables = 33
+// inverse stages read mirrored), its row 512 KiB: 1.5 MiB a modulus, so
+// under a 105 MiB L3 the cold set is 140 moduli, 210 MiB.
+func coldModuli() int { return (coldBytes() + 3<<19 - 1) / (3 << 19) }
+
+// coldBytes is twice the last-level cache that sysfs reports for cpu0
+// (cache/index3/size, in KiB), or 256 MiB where that cannot be read: a
+// working set that large is read from DRAM, not from the cache.
+func coldBytes() int {
+	b, err := os.ReadFile("/sys/devices/system/cpu/cpu0/cache/index3/size")
+	if kib, perr := strconv.Atoi(strings.TrimSuffix(strings.TrimSpace(string(b)), "K")); err == nil && perr == nil && kib > 0 {
+		return 2 * kib << 10
+	}
+	return 256 << 20
+}
 
 func benchStagesCold(b *testing.B, k modarith.Kernels, bits int, suffix string) {
 	const logN = 16
-	primes, err := modarith.GenerateNTTPrimes(bits, logN, coldTables)
+	primes, err := modarith.GenerateNTTPrimes(bits, logN, coldModuli())
 	if err != nil {
 		b.Fatal(err)
 	}
-	tbls, rows := make([]*Tables, coldTables), make([][]uint64, coldTables)
+	tbls, rows := make([]*Tables, len(primes)), make([][]uint64, len(primes))
 	r := rand.New(rand.NewSource(9))
 	for i, q := range primes {
 		m, err := k.NewModulus(q)
@@ -470,7 +481,7 @@ func benchStagesCold(b *testing.B, k modarith.Kernels, bits int, suffix string) 
 		b.Run(fmt.Sprintf("%s-cold/n%d%s", dir, logN, suffix), func(b *testing.B) {
 			var wide, tail time.Duration
 			for i := 0; i < b.N; i++ {
-				run(tbls[i%coldTables], rows[i%coldTables], &wide, &tail)
+				run(tbls[i%len(tbls)], rows[i%len(rows)], &wide, &tail)
 			}
 			b.ReportMetric(float64(wide)/1e3/float64(b.N), "wide-µs")
 			b.ReportMetric(float64(tail)/1e3/float64(b.N), "tail-µs")

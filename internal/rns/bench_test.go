@@ -3,6 +3,9 @@ package rns
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/anaheim-sim/anaheim/internal/modarith"
@@ -20,11 +23,10 @@ import (
 // without IFMA runs. The -g1 … -g4 rows convert g targets a call through
 // ConvertRows, one pass over the sources per group, in ns per MAC of the
 // g rows. At logN 16 the -cold and -g4-cold rows run the row and the group
-// of four on the next of enough source sets to fill coldSourceBytes, twice
-// a 32 MiB last-level cache, so every pass reads its sources from DRAM, as a
-// key switch's ModUp and ModDown do (under a 105 MiB L3, as on a 2-vCPU Xeon
-// guest, the sets fit and the passes read L3); the other rows reuse one set,
-// which stays in cache.
+// of four on the next of enough source sets to fill coldBytes, twice the
+// last-level cache, so every pass reads its sources from DRAM, as a key
+// switch's ModUp and ModDown do; the other rows reuse one set, which stays
+// in cache.
 func BenchmarkConvertRow(b *testing.B) {
 	const nTo = 8
 	for _, k := range modarith.KernelTables() {
@@ -79,16 +81,23 @@ func BenchmarkConvertRow(b *testing.B) {
 	}
 }
 
-// coldSourceBytes is how many bytes of source rows the -cold rows of
-// BenchmarkConvertRow rotate through.
-const coldSourceBytes = 64 << 20
+// coldBytes is twice the last-level cache that sysfs reports for cpu0
+// (cache/index3/size, in KiB), or 256 MiB where that cannot be read: a
+// working set that large is read from DRAM, not from the cache.
+func coldBytes() int {
+	b, err := os.ReadFile("/sys/devices/system/cpu/cpu0/cache/index3/size")
+	if kib, perr := strconv.Atoi(strings.TrimSuffix(strings.TrimSpace(string(b)), "K")); err == nil && perr == nil && kib > 0 {
+		return 2 * kib << 10
+	}
+	return 256 << 20
+}
 
 // benchConvertCold runs the -cold row (one target a call) and the -g4-cold
 // row (ConvertGroup targets a call) of BenchmarkConvertRow over fresh source
 // sets of bc's shape.
 func benchConvertCold(b *testing.B, bc *BasisConverter, name string, out [][]uint64, hi []uint64) {
 	alpha, n := len(bc.From), len(out[0])
-	sets := make([][][]uint64, (coldSourceBytes+alpha*n*8-1)/(alpha*n*8))
+	sets := make([][][]uint64, (coldBytes()+alpha*n*8-1)/(alpha*n*8))
 	r := rand.New(rand.NewSource(int64(alpha * n)))
 	for s := range sets {
 		sets[s] = newRows(alpha, n)

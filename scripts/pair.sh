@@ -18,6 +18,11 @@
 #
 #   serve_mix_n12_c1  peak_rss_mb  pairs 5  lower 5/5  190.3 (189.9-191.0) -> 60.1  ratio 0.316
 #
+# Before every pair and after the last, a fixed-work host sentinel runs:
+# modarith's BenchmarkExpandUniform at n16-k4 (the fastest kernel table's row,
+# built once from the working tree). Its median and spread in GB/s print
+# beside the pairs, so a reader sees whether the host moved during them.
+#
 # With --digests, after the pairs each side runs every workload once more with
 # --trace 1 and the script prints both ckks.result_digest values and MATCH or
 # DIFFER, so a change that claims unchanged ciphertext bytes reads them.
@@ -61,6 +66,16 @@ mkdir "$tmp/parent"
 : >"$tmp/records"
 git -C "$change" archive "$rev" | tar -x -C "$tmp/parent"
 echo "parent $(git -C "$change" rev-parse --short "$rev") in $tmp/parent, change $change" >&2
+(cd "$change" && go test -c -o "$tmp/sentinel.test" ./internal/modarith) >&2
+
+# sentinel <pair>: one run of the host sentinel, appended to $tmp/sentinel.
+sentinel() {
+	local v
+	v=$("$tmp/sentinel.test" -test.run xxx -test.bench 'ExpandUniform/.*/n16-k4$' -test.cpu 1 -test.benchtime 200x |
+		awk '$NF == "GB/s" && $(NF-1) > best { best = $(NF-1) } END { print best + 0 }')
+	echo "$v" >>"$tmp/sentinel"
+	echo "sentinel before pair $1: $v GB/s" >&2
+}
 
 # run <side> <tree> <workload> <pair>: one benchmark run. Its driver line (the
 # last line of the output) becomes one record per metric in $tmp/records:
@@ -84,6 +99,7 @@ run() {
 }
 
 for ((i = 1; i <= pairs; i++)); do
+	sentinel "$i"
 	for w in "${workloads[@]}"; do
 		if ((i % 2)); then
 			run parent "$tmp/parent" "$w" "$i"
@@ -94,6 +110,7 @@ for ((i = 1; i <= pairs; i++)); do
 		fi
 	done
 done
+sentinel "$((pairs + 1))"
 
 echo "# seed $seed, ${seconds}s runs, parent $(git -C "$change" rev-parse --short "$rev") -> working tree; median (IQR) -> median, ratio = median of change/parent per pair"
 awk '
@@ -136,6 +153,14 @@ END {
 			kw[1], kw[2], n, lower, n, q(pa, n, 0.5), q(pa, n, 0.25), q(pa, n, 0.75), q(ca, n, 0.5), q(ra, n, 0.5)
 	}
 }' "$tmp/records"
+sort -g "$tmp/sentinel" | awk '
+function q(f,    pos, lo) {
+	pos = 1 + (NR - 1) * f
+	lo = int(pos)
+	return lo >= NR ? v[NR] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+}
+{ v[NR] = $1 }
+END { printf "%-17s %-15s runs %d  %.4g (%.4g-%.4g) GB/s, range %.4g-%.4g\n", "host sentinel", "ExpandUniform", NR, q(0.5), q(0.25), q(0.75), v[1], v[NR] }'
 
 ((digests)) || exit 0
 for w in "${workloads[@]}"; do
